@@ -19,6 +19,14 @@
 // so the security and reliability claims can be exercised directly; see the
 // examples directory.
 //
+// There are two devices over one engine configuration. Memory is a single
+// engine for one caller at a time; ShardedMemory partitions the region into
+// independently locked shards and is safe for concurrent use (one shard is
+// one engine behind one lock). Every engine carries the on-chip half of the
+// paper's controller — a verified-counter cache, a verified-block cache and
+// a deferred, write-combining integrity-tree update — with nothing to
+// enable or size: the caches are sized from the region.
+//
 // The simulation side of the reproduction (DDR3 timing, the 4-core CPU
 // model, PARSEC-like workloads, and the Figure/Table harnesses) lives under
 // cmd/paperbench and the internal packages.
@@ -195,9 +203,12 @@ func (c Config) internal() (core.Config, error) {
 	return cfg, nil
 }
 
-// Memory is an authenticated encrypted memory.
+// Memory is an authenticated encrypted memory over a single engine.
 //
-// It is not safe for concurrent use; wrap it with a mutex if shared.
+// It is not safe for concurrent use: share a ShardedMemory instead (one
+// shard gives the same engine behind a lock, bit-compatible images
+// included), which also hands out a Memory view of each shard through
+// WithShard.
 type Memory struct {
 	eng *core.Engine
 }
@@ -290,40 +301,17 @@ func (m *Memory) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error) {
 	return m.eng.ReadRecover(addr, dst)
 }
 
-// EnableWritePipeline turns on the deferred-Merkle write pipeline: writes
-// stage their counter-block image in trusted state and mark the tree leaf
-// dirty instead of rehashing its path, and dirty leaves are flushed in
-// batches — once per epoch, however many writes they combined. maxDirty
-// bounds the dirty set (<= 0 selects the default); the pipeline flushes
-// itself at that bound, on a cold read of a dirty leaf, and before any
-// state leaves the trust boundary (Persist, RootDigest, Scrub). A faulted
-// dirty leaf is detected, never laundered: the tree is only ever fed images
-// re-packed from the trusted counter state machine.
-func (m *Memory) EnableWritePipeline(maxDirty int) error {
-	return m.eng.EnableWritePipeline(maxDirty)
-}
-
-// Flush forces any deferred Merkle maintenance to land now, leaving the
-// integrity tree consistent with every accepted write. A no-op when the
-// write pipeline is off or the dirty set is empty.
-func (m *Memory) Flush() error { return m.eng.Flush() }
-
-// FlushAll is Flush under the name the sharded engine uses, so Memory,
-// SyncMemory, and ShardedMemory expose one uniform quiescent-point API and
-// code written against the smallest device (the network server, generic
-// drivers) runs unchanged against all three.
+// FlushAll forces any deferred Merkle maintenance to land now, leaving the
+// integrity tree consistent with every accepted write — the same
+// quiescent-point API ShardedMemory exposes. Writes stage their counter-block
+// image in trusted state and mark the tree leaf dirty instead of rehashing
+// its path; dirty leaves flush in batches at the epoch bound, on a cold read
+// of a dirty leaf, and before any state leaves the trust boundary (Persist,
+// RootDigest, Scrub), so calling FlushAll is never needed for correctness.
 func (m *Memory) FlushAll() error { return m.eng.Flush() }
 
 // Size returns the protected region size in bytes.
 func (m *Memory) Size() uint64 { return m.eng.Config().RegionBytes }
-
-// EnableParallelReencrypt fans counter-overflow group re-encryptions out
-// across a pool of workers (>= 2; lower disables the pool). The result is
-// bit-identical to the serial sweep. Not available with ClassicDataTree,
-// whose per-block seal updates shared tree state.
-func (m *Memory) EnableParallelReencrypt(workers int) error {
-	return m.eng.EnableParallelReencrypt(workers)
-}
 
 // SetRecoveryPolicy replaces the recovery policy used by ReadRecover.
 func (m *Memory) SetRecoveryPolicy(p RecoveryPolicy) { m.eng.SetRecoveryPolicy(p) }

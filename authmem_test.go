@@ -334,6 +334,11 @@ func TestFacadeAttackSurface(t *testing.T) {
 	if err := deep.Write(0, want); err != nil {
 		t.Fatal(err)
 	}
+	// Land the write's deferred tree update first; a still-dirty leaf's
+	// path would be recomputed from trusted state, overwriting the flip.
+	if err := deep.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 	if err := deep.FlipTreeNodeBit(0, 0, 3); err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,11 @@ import (
 
 func testKey() []byte { return bytes.Repeat([]byte{0x5A}, authmem.KeySize) }
 
-func newBackend(t testing.TB, size uint64) *authmem.SyncMemory {
+func newBackend(t testing.TB, size uint64) *authmem.ShardedMemory {
 	t.Helper()
 	cfg := authmem.DefaultConfig(size)
 	cfg.Key = testKey()
-	m, err := authmem.NewSync(cfg)
+	m, err := authmem.NewSharded(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

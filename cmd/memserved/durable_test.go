@@ -88,6 +88,15 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatal("recovered root differs from the root at shutdown")
 	}
 	checkOracle(t, d2.mem, oracle)
+	// A restarted daemon is the same engine as a fresh one: the second pass
+	// over the now-warm blocks is served entirely by the lock-free path.
+	warm := d2.mem.Stats()
+	checkOracle(t, d2.mem, oracle)
+	st := d2.mem.Stats()
+	if hits := st.LockFreeHits - warm.LockFreeHits; hits != uint64(len(oracle)) || st.SlowPathReads != warm.SlowPathReads {
+		t.Fatalf("warm reads after restart: %d lock-free hits, %d slow-path reads, want %d/0",
+			hits, st.SlowPathReads-warm.SlowPathReads, len(oracle))
+	}
 	// The reopen folded into a fresh generation: exactly one base image on
 	// disk, and its logs are writable going forward.
 	imgs, _ := filepath.Glob(filepath.Join(dir, "base-*.img"))

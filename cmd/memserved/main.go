@@ -44,7 +44,7 @@ func main() {
 		addr      = flag.String("addr", ":7348", "TCP listen address (serve mode) ")
 		nodeID    = flag.String("node-id", "", "stable node identity reported in the HELLO handshake (cluster placement hashes it; default: random)")
 		size      = flag.Uint64("size", 64<<20, "protected region size in bytes")
-		shards    = flag.Int("shards", 4, "shard count (power of two; 1 = single locked engine)")
+		shards    = flag.Int("shards", 4, "shard count (power of two)")
 		scheme    = flag.String("scheme", "delta", "counter scheme: delta, split, or mono")
 		eccCodec  = flag.String("ecc", "", "ECC codec: macsecded, secded, or residue (non-MAC codecs imply inline MAC placement; default: $AUTHMEM_ECC_CODEC, then macsecded)")
 		crypto    = flag.String("crypto", "", "crypto backend: ttable, stdlib, or batch8 (default: $AUTHMEM_CRYPTO_BACKEND, then ttable)")
@@ -252,18 +252,11 @@ func buildBackend(size uint64, shards int, scheme, eccCodec, crypto string, key 
 	if err != nil {
 		return nil, "", err
 	}
-	if shards > 1 {
-		m, err := authmem.NewSharded(cfg, shards)
-		if err != nil {
-			return nil, "", err
-		}
-		return m, fmt.Sprintf("%dMB %s region across %d shards (%s ecc, %s)", size>>20, scheme, shards, eccDesc, crypto), nil
-	}
-	m, err := authmem.NewSync(cfg)
+	m, err := authmem.NewSharded(cfg, shards)
 	if err != nil {
 		return nil, "", err
 	}
-	return m, fmt.Sprintf("%dMB %s region (single engine, %s ecc, %s)", size>>20, scheme, eccDesc, crypto), nil
+	return m, fmt.Sprintf("%dMB %s region across %d shards (%s ecc, %s)", size>>20, scheme, shards, eccDesc, crypto), nil
 }
 
 // runClusterSmoke is the CI cluster smoke client. The write phase stripes a

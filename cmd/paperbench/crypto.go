@@ -133,9 +133,6 @@ func runCrypto(outPath string, quick bool) {
 			if err != nil {
 				fatal(err)
 			}
-			if err := m.EnableWritePipeline(0); err != nil {
-				fatal(err)
-			}
 			return m
 		}
 

@@ -184,9 +184,6 @@ func runECCBench(outPath string, quick bool) {
 		if err != nil {
 			fatal(err)
 		}
-		if err := m.EnableWritePipeline(0); err != nil {
-			fatal(err)
-		}
 		add("seal.group", codec, measure(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				addr := (uint64(i) * uint64(groupBytes)) % regionBytes

@@ -36,12 +36,6 @@ func main() {
 	table2 := flag.Bool("table2", false, "reproduce Table 2 (re-encryption rate)")
 	hotpath := flag.Bool("hotpath", false, "run hot-path microbenchmarks and write the tracked JSON baseline")
 	hotpathOut := flag.String("hotpath-out", "BENCH_hotpath.json", "output path for -hotpath")
-	parallel := flag.Bool("parallel", false, "run the sharded-engine parallel throughput sweep and write the tracked JSON baseline")
-	parallelOut := flag.String("parallel-out", "BENCH_parallel.json", "output path for -parallel")
-	writepath := flag.Bool("writepath", false, "run the write-pipeline benchmarks (deferred vs eager Merkle maintenance) and write the tracked JSON baseline")
-	writepathOut := flag.String("writepath-out", "BENCH_writepath.json", "output path for -writepath")
-	cores := flag.Bool("cores", false, "run the core-scaling matrix for the lock-free read path (GOMAXPROCS x shards x readers) and write the tracked JSON baseline")
-	coresOut := flag.String("cores-out", "BENCH_cores.json", "output path for -cores")
 	srvBench := flag.Bool("server", false, "run the serving-layer benchmarks (loopback and TCP through the client/server stack) and write the tracked JSON baseline")
 	srvBenchOut := flag.String("server-out", "BENCH_server.json", "output path for -server")
 	cryptoBench := flag.Bool("crypto", false, "run the crypto-backend comparison (ttable vs stdlib vs batch8 batch kernels and group seal/re-encrypt) and write the tracked JSON baseline")
@@ -52,7 +46,7 @@ func main() {
 	persistOut := flag.String("persist-out", "BENCH_persist.json", "output path for -persist")
 	clusterBench := flag.Bool("cluster", false, "run the distributed cluster benchmark (1/2/4-node quorum throughput vs a direct single node) and write the tracked JSON baseline")
 	clusterBenchOut := flag.String("cluster-out", "BENCH_cluster.json", "output path for -cluster")
-	quick := flag.Bool("quick", false, "shrink the -writepath/-server workloads for a fast smoke run")
+	quick := flag.Bool("quick", false, "shrink the benchmark workloads for a fast smoke run")
 	all := flag.Bool("all", false, "reproduce everything")
 	ops := flag.Uint64("ops", 1_000_000, "Figure 8: memory ops per core")
 	writebacks := flag.Uint64("writebacks", 16_000_000, "Table 2: writeback stream length")
@@ -65,13 +59,13 @@ func main() {
 	flag.Parse()
 	outDir = *csvDir
 
-	any := *fig1 || *fig3 || *fig8 || *table2 || *hotpath || *parallel || *writepath || *cores || *srvBench || *cryptoBench || *eccBench || *persist || *clusterBench || *all
+	any := *fig1 || *fig3 || *fig8 || *table2 || *hotpath || *srvBench || *cryptoBench || *eccBench || *persist || *clusterBench || *all
 	if !any {
 		flag.Usage()
 		os.Exit(2)
 	}
 	if *all {
-		*fig1, *fig3, *fig8, *table2, *hotpath, *parallel, *writepath, *cores, *srvBench, *cryptoBench, *eccBench, *persist, *clusterBench = true, true, true, true, true, true, true, true, true, true, true, true, true
+		*fig1, *fig3, *fig8, *table2, *hotpath, *srvBench, *cryptoBench, *eccBench, *persist, *clusterBench = true, true, true, true, true, true, true, true, true, true
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -98,15 +92,6 @@ func main() {
 	}
 	if *hotpath {
 		runHotpath(*hotpathOut)
-	}
-	if *parallel {
-		runParallel(*parallelOut)
-	}
-	if *writepath {
-		runWritepath(*writepathOut, *quick)
-	}
-	if *cores {
-		runCores(*coresOut, *quick)
 	}
 	if *srvBench {
 		runServer(*srvBenchOut, *quick)

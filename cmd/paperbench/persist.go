@@ -80,9 +80,6 @@ func runPersistBench(outPath string, quick bool) {
 	if err != nil {
 		fatal(err)
 	}
-	if err := m.EnableWritePipeline(0); err != nil {
-		fatal(err)
-	}
 	m.EnableDeltaTracking()
 
 	// Prefill every group so a full Persist carries a fully-populated
@@ -198,9 +195,6 @@ func runReplayBench(cfg authmem.Config, ops int) persistReplay {
 	cfg.Size = 8 << 20
 	m, err := authmem.New(cfg)
 	if err != nil {
-		fatal(err)
-	}
-	if err := m.EnableWritePipeline(0); err != nil {
 		fatal(err)
 	}
 	m.EnableDeltaTracking()

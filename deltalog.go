@@ -130,37 +130,6 @@ func ResumeIncremental(cfg Config, base, walR io.Reader, expectRoot *RootDigest)
 	return &Memory{eng: eng}, rep, nil
 }
 
-// EnableDeltaTracking turns on the dirty-group set. See
-// Memory.EnableDeltaTracking.
-func (s *SyncMemory) EnableDeltaTracking() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mem.EnableDeltaTracking()
-}
-
-// DirtyGroups returns the pending dirty-group count. See Memory.DirtyGroups.
-func (s *SyncMemory) DirtyGroups() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mem.DirtyGroups()
-}
-
-// NewDeltaLog starts a fresh delta log. See Memory.NewDeltaLog.
-func (s *SyncMemory) NewDeltaLog(w io.Writer) (*DeltaLog, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mem.NewDeltaLog(w)
-}
-
-// AppendDelta seals one checkpoint epoch onto the log, holding the memory
-// lock for the duration — an epoch is a consistent cut of the region. See
-// Memory.AppendDelta.
-func (s *SyncMemory) AppendDelta(l *DeltaLog) (DeltaStats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mem.AppendDelta(l)
-}
-
 // EnableDeltaTracking turns on the dirty-group set on every shard.
 func (s *ShardedMemory) EnableDeltaTracking() { s.eng.EnableDeltaTracking() }
 

@@ -72,9 +72,12 @@ func TestFacadeIncrementalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFacadeSyncIncremental(t *testing.T) {
+// TestFacadeSingleShardIncremental: a 1-shard ShardedMemory's base image
+// and delta log are bit-compatible with Memory's — they resume through the
+// plain ResumeIncremental.
+func TestFacadeSingleShardIncremental(t *testing.T) {
 	cfg := testConfig(DeltaEncoding, MACInECC)
-	s, err := NewSync(cfg)
+	s, err := NewSharded(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func TestFacadeSyncIncremental(t *testing.T) {
 	if _, err := s.Persist(&base); err != nil {
 		t.Fatal(err)
 	}
-	dl, err := s.NewDeltaLog(&log)
+	dl, err := s.NewShardDeltaLog(0, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +97,7 @@ func TestFacadeSyncIncremental(t *testing.T) {
 	if s.DirtyGroups() != 1 {
 		t.Fatalf("DirtyGroups = %d", s.DirtyGroups())
 	}
-	st, err := s.AppendDelta(dl)
+	st, err := s.AppendDeltaShard(0, dl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,7 @@ func TestFacadeSyncIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, data) {
-		t.Fatal("block lost across sync incremental resume")
+		t.Fatal("block lost across single-shard incremental resume")
 	}
 }
 

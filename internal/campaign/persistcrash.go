@@ -212,14 +212,11 @@ func copyOracle(m map[uint64][core.BlockBytes]byte) map[uint64][core.BlockBytes]
 	return c
 }
 
-// buildFlatArtifacts checkpoints a single pipelined engine over cfg.Epochs
-// epochs of traffic.
+// buildFlatArtifacts checkpoints a single engine over cfg.Epochs epochs of
+// traffic.
 func buildFlatArtifacts(cfg PersistCrashConfig, ecfg core.Config) (*persistArtifacts, error) {
 	e, err := core.NewEngine(ecfg)
 	if err != nil {
-		return nil, err
-	}
-	if err := e.EnableWritePipeline(0); err != nil {
 		return nil, err
 	}
 	e.EnableDeltaTracking()

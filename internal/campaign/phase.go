@@ -112,16 +112,14 @@ func runPhase(cfg Config, ecfg core.Config, plane Plane) (*phaseRun, error) {
 }
 
 // attach wires the phase's fault model into an engine (fresh or resumed),
-// banking the retiring engine's counters first. Every campaign engine runs
-// the deferred-Merkle write pipeline: the campaign's job includes proving
-// that faults landing in the write-to-flush window are detected, never
-// laundered into the tree.
+// banking the retiring engine's counters first. Every engine runs the
+// deferred-Merkle write pipeline and both verified caches: the campaign's
+// job includes proving that faults landing in the write-to-flush window are
+// detected, never laundered into the tree, and that no fault hides behind a
+// warm cache line.
 func (p *phaseRun) attach(eng *core.Engine) {
 	if p.eng != nil {
 		p.accStats = p.stats()
-	}
-	if err := eng.EnableWritePipeline(0); err != nil {
-		panic(fmt.Sprintf("campaign: enable write pipeline: %v", err))
 	}
 	p.eng = eng
 	eng.SetRetryHook(p.onRetry)
@@ -263,11 +261,10 @@ func (p *phaseRun) doWrite() error {
 		p.written = append(p.written, blk)
 	}
 	// Dirty-leaf strike (mixed plane): the write just staged this block's
-	// counter image, and with the pipeline on its tree leaf is dirty until
-	// the next flush. Hit the staged image *inside* that window — the one
-	// state the integrity tree does not yet cover — so the campaign proves
-	// deferred maintenance detects write-to-flush faults instead of
-	// laundering them on flush.
+	// counter image, and its tree leaf is dirty until the next flush. Hit
+	// the staged image *inside* that window — the one state the integrity
+	// tree does not yet cover — so the campaign proves deferred maintenance
+	// detects write-to-flush faults instead of laundering them on flush.
 	if p.plane == PlaneMixed && p.eng.DirtyLeaves() > 0 && p.rng.Float64() < p.cfg.FaultRate {
 		midx := p.eng.MetadataIndex(blk * core.BlockBytes)
 		if err := p.eng.TamperCounterBlock(midx, p.rng.Intn(core.BlockBytes*8)); err != nil {

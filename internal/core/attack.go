@@ -30,9 +30,7 @@ func (e *Engine) TamperCiphertext(addr uint64, bit int) error {
 	}
 	// The fault lands in DRAM; drop any trusted on-chip copy so reads take
 	// the detection path a cold cache would (see TamperCounterBlock).
-	if e.bc != nil {
-		e.bc.evict(blk)
-	}
+	e.bc.evict(blk)
 	ct[bit/8] ^= 1 << uint(bit%8)
 	return nil
 }
@@ -53,9 +51,7 @@ func (e *Engine) TamperECCLane(addr uint64, bit int) error {
 	if !e.store.Present(blk) {
 		return fmt.Errorf("core: block %#x not resident", addr)
 	}
-	if e.bc != nil {
-		e.bc.evict(blk)
-	}
+	e.bc.evict(blk)
 	e.store.SetMeta(blk, e.store.Meta(blk)^1<<uint(bit))
 	return nil
 }
@@ -78,9 +74,7 @@ func (e *Engine) TamperCheckBit(addr uint64, bit int) error {
 	if !e.store.Present(blk) {
 		return fmt.Errorf("core: block %#x not resident", addr)
 	}
-	if e.bc != nil {
-		e.bc.evict(blk)
-	}
+	e.bc.evict(blk)
 	e.store.Check(blk)[bit/8] ^= 1 << uint(bit%8)
 	return nil
 }
@@ -101,9 +95,7 @@ func (e *Engine) TamperInlineTag(addr uint64, bit int) error {
 	if !e.store.Present(blk) {
 		return fmt.Errorf("core: block %#x not resident", addr)
 	}
-	if e.bc != nil {
-		e.bc.evict(blk)
-	}
+	e.bc.evict(blk)
 	e.store.SetMeta(blk, e.store.Meta(blk)^1<<uint(bit))
 	return nil
 }
@@ -123,12 +115,8 @@ func (e *Engine) TamperCounterBlock(midx uint64, bit int) error {
 	// The fault lands in DRAM; model the line as not (or no longer)
 	// resident in the counter cache so the detection path is exercised —
 	// a warm cache would mask DRAM faults until eviction by design.
-	if e.cc != nil {
-		e.cc.evict(midx)
-	}
-	if e.bc != nil {
-		e.bc.flush() // the image covers a whole group of data blocks
-	}
+	e.cc.evict(midx)
+	e.bc.flush() // the image covers a whole group of data blocks
 	img := e.images.Store(midx)
 	img[bit/8] ^= 1 << uint(bit%8)
 	return nil
@@ -141,12 +129,8 @@ func (e *Engine) TamperTreeNode(id tree.NodeID, bit int) error {
 	}
 	// A tree node covers many counter blocks; a cached line would bypass
 	// the corrupted walk entirely. Flush so reads take the detection path.
-	if e.cc != nil {
-		e.cc.flush()
-	}
-	if e.bc != nil {
-		e.bc.flush()
-	}
+	e.cc.flush()
+	e.bc.flush()
 	return e.tr.CorruptNode(id, bit)
 }
 
@@ -211,20 +195,20 @@ func (e *Engine) replayAt(s BlockSnapshot, addr uint64) error {
 	}
 	if s.hasData {
 		e.plantSnapshot(blk, &s)
+	} else {
+		// A fresh-block snapshot replays only the counter image; the read
+		// that follows must still take the detection path.
+		e.bc.evict(blk)
 	}
 	midx := e.scheme.MetadataBlock(blk)
-	if e.cc != nil {
-		e.cc.evict(midx) // replayed line is a DRAM fault; see TamperCounterBlock
-	}
+	e.cc.evict(midx) // replayed line is a DRAM fault; see TamperCounterBlock
 	copy(e.images.Store(midx), s.counterImg[:])
 	return nil
 }
 
 // plantSnapshot writes a snapshot's data and MAC bits into blk's DRAM.
 func (e *Engine) plantSnapshot(blk uint64, s *BlockSnapshot) {
-	if e.bc != nil {
-		e.bc.evict(blk) // the replayed bits are a DRAM-level attack
-	}
+	e.bc.evict(blk) // the replayed bits are a DRAM-level attack
 	copy(e.store.Materialize(blk), s.ciphertext[:])
 	e.store.SetMeta(blk, s.meta)
 	if e.cfg.Placement == MACInline {

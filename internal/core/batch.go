@@ -62,22 +62,16 @@ func (e *Engine) ReadBlocks(addr uint64, dst []byte) error {
 			continue
 		}
 		if midx := e.scheme.MetadataBlock(blk); midx != curMidx {
-			img = nil
-			if e.cc != nil {
-				if ent := e.cc.lookup(midx); ent != nil {
-					img = ent.img[:] // already tree-verified
-				}
-			}
-			if img == nil {
+			if ent := e.cc.lookup(midx); ent != nil {
+				img = ent.img[:] // already tree-verified
+			} else {
 				var verr error
 				img, verr = e.loadVerifiedImage(blk*BlockBytes, midx)
 				if verr != nil {
 					e.stats.IntegrityFailures.Add(1)
 					return verr
 				}
-				if e.cc != nil {
-					e.cc.insert(midx, img)
-				}
+				e.cc.insert(midx, img)
 			}
 			curMidx = midx
 		}
@@ -97,8 +91,8 @@ func (e *Engine) ReadBlocks(addr uint64, dst []byte) error {
 // starting at addr. The span is carved into chunks covered by one counter-
 // metadata block each; a chunk touches all its counters first (so a
 // mid-chunk overflow sweep merges the whole in-flight span), seals runs of
-// equal counters with one batched keystream sweep per run, and commits —
-// or, with the write pipeline, defers — its metadata exactly once.
+// equal counters with one batched keystream sweep per run, and commits its
+// metadata (deferCommit) exactly once.
 func (e *Engine) WriteBlocks(addr uint64, src []byte) error {
 	if err := e.checkSpan(addr, len(src), "write"); err != nil {
 		return err
@@ -192,15 +186,10 @@ func (e *Engine) writeChunk(first, midx uint64, src []byte) error {
 			if err := e.sealBlockTagged(blk, ct, e.tagBuf[k-j]); err != nil {
 				return err
 			}
-			if e.bc != nil {
-				e.bc.insert(blk, src[k*BlockBytes:(k+1)*BlockBytes])
-			}
+			e.bc.insert(blk, src[k*BlockBytes:(k+1)*BlockBytes])
 		}
 		j = r
 	}
 
-	if e.wp != nil {
-		return e.deferCommit(midx)
-	}
-	return e.commitMetadata(midx)
+	return e.deferCommit(midx)
 }

@@ -84,6 +84,7 @@ func TestReadBlocksMatchesRead(t *testing.T) {
 			}
 		}
 
+		goCold(e)
 		got := make([]byte, spanBlocks*BlockBytes)
 		if err := e.ReadBlocks(0, got); err != nil {
 			t.Fatalf("%s/%s: %v", cfg.Scheme, cfg.Placement, err)
@@ -92,6 +93,7 @@ func TestReadBlocksMatchesRead(t *testing.T) {
 			t.Fatalf("%s/%s: batched read diverges from written data", cfg.Scheme, cfg.Placement)
 		}
 
+		goCold(e)
 		single := make([]byte, BlockBytes)
 		for j := 0; j < spanBlocks; j++ {
 			if _, err := e.Read(uint64(j)*BlockBytes, single); err != nil {

@@ -56,11 +56,11 @@ import (
 // sweep (reencrypt.go), whose workers never touch the cache; only the
 // serial epilogue evicts the lines of blocks it quarantines.
 //
-// The cache is off by default (nil); ShardedEngine enables one per shard.
-// That is the architectural point of the sharded design: each shard brings a
-// private cache slice, so the aggregate trusted on-chip state — and with it
-// lock-free read throughput over a fixed hot set — scales linearly with the
-// partition count.
+// Every encrypting engine has one (NewEngine sizes it from the region), so a
+// sharded engine has one per shard. That is the architectural point of the
+// sharded design: each shard brings a private cache slice, so the aggregate
+// trusted on-chip state — and with it lock-free read throughput over a fixed
+// hot set — scales linearly with the partition count.
 
 // blockCacheWords is the payload size in 64-bit words.
 const blockCacheWords = BlockBytes / 8

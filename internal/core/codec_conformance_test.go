@@ -53,6 +53,7 @@ func TestCodecConformanceCleanTrace(t *testing.T) {
 			}
 			truth[blk*BlockBytes] = data
 		}
+		goCold(e)
 		got := readback{}
 		dst := make([]byte, BlockBytes)
 		for addr, want := range truth {

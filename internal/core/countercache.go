@@ -35,20 +35,20 @@ import (
 // together — and so the hit/miss counters can be snapshotted lock-free.
 //
 // Consistency points, all internal to the engine:
-//   - commitMetadata refreshes the cached copy (write-back cache behaviour);
-//   - the write pipeline's deferCommit/Flush refresh it the same way — the
-//     image they install always comes from the trusted scheme state
-//     machine, so a resident line stays trusted even while its tree leaf
-//     is dirty (the tree only vouches for what crosses the boundary; a
-//     cached line never left);
+//   - the write pipeline's deferCommit/Flush refresh the cached copy
+//     (write-back cache behaviour) — the image they install always comes
+//     from the trusted scheme state machine, so a resident line stays
+//     trusted even while its tree leaf is dirty (the tree only vouches for
+//     what crosses the boundary; a cached line never left);
 //   - repairMetadata and tamper APIs flush — injected faults land in DRAM,
 //     and the campaign's job is to exercise the detection path a cold
 //     metadata cache would take, not to mask faults behind a warm one;
 //   - a resumed engine starts cold.
 //
-// The cache is off by default (nil); ShardedEngine enables one per shard,
-// which is the architectural point: private metadata caches scale linearly
-// with shard count, exactly like per-core caches.
+// Every encrypting engine has one (NewEngine sizes it from the region), so a
+// sharded engine has one per shard, which is the architectural point:
+// private metadata caches scale linearly with shard count, exactly like
+// per-core caches.
 
 // counterCacheEntry is one direct-mapped cache line.
 type counterCacheEntry struct {

@@ -13,8 +13,8 @@ import (
 // while writers hammer split-counter groups hard enough that the 7-bit minor
 // counter overflows every 128 rewrites — each overflow re-encrypting a whole
 // 64-block group through the backend's batched XORBlocksBatch/TagBatch
-// kernels (and, on half the shards, through the parallel re-encrypt pool's
-// per-worker crypto contexts). Version-stamped blocks make the forbidden
+// kernels, through the parallel re-encrypt pool's per-worker crypto
+// contexts. Version-stamped blocks make the forbidden
 // outcomes visible: a torn read (seqlock failure) or a stale read (trusted
 // plaintext surviving a re-encryption that should have retired the line).
 // Blocks the writer never touches must come back bit-identical after their
@@ -26,16 +26,6 @@ func TestCryptoBackendSweepRace(t *testing.T) {
 			cfg := smallCfg(ctr.Split, MACInECC)
 			cfg.CryptoBackend = backend
 			s := newSharded(t, cfg, 4)
-			s.SetLockFreeReads(true)
-			// Parallel re-encrypt on shards 0 and 1: sweeps there fan out to
-			// per-worker backend crypto contexts; shards 2 and 3 sweep serially.
-			for shard := 0; shard < 2; shard++ {
-				s.WithShard(shard, func(eng *Engine) {
-					if err := eng.EnableParallelReencrypt(2); err != nil {
-						t.Error(err)
-					}
-				})
-			}
 
 			shardBlocks := s.ShardBytes() / BlockBytes
 			writerOps, readerOps := 1200, 4000

@@ -21,6 +21,7 @@ func TestDataTreeRoundTrip(t *testing.T) {
 	if err := e.Write(0x500, want); err != nil {
 		t.Fatal(err)
 	}
+	goCold(e)
 	dst := make([]byte, BlockBytes)
 	if _, err := e.Read(0x500, dst); err != nil {
 		t.Fatal(err)
@@ -73,6 +74,7 @@ func TestDataTreeSurvivesReencryption(t *testing.T) {
 	if e.SchemeStats().Reencryptions == 0 {
 		t.Fatal("no re-encryption")
 	}
+	goCold(e)
 	dst := make([]byte, BlockBytes)
 	if _, err := e.Read(3*BlockBytes, dst); err != nil {
 		t.Fatalf("neighbor unreadable after re-encryption: %v", err)

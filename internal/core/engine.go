@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"authmem/internal/crypto"
 	"authmem/internal/ctr"
@@ -14,6 +15,28 @@ import (
 // One group re-encryption touches ctr.GroupBlocks pads; 1024 entries keep
 // several recent groups plus ordinary read/write reuse resident.
 const padCacheEntries = 1024
+
+// maxCounterCacheEntries caps the verified-counter cache: 512 entries x 64B
+// images = Table 1's 32KB metadata cache budget. maxBlockCacheEntries caps
+// the verified-block cache: 32K entries x 64B plaintext = a 2MB on-chip
+// cache slice, the data half of the trust boundary (blockcache.go). A
+// sharded engine builds one engine, and so one pair of caches, per shard:
+// like per-core L1s and LLC slices, the aggregate trusted capacity grows
+// linearly with shard count.
+const (
+	maxCounterCacheEntries = 512
+	maxBlockCacheEntries   = 32768
+)
+
+// cacheEntries sizes a direct-mapped cache over n lines of backing state:
+// the next power of two at or above n, capped at limit — a cache never
+// needs more lines than there are blocks behind it.
+func cacheEntries(limit int, n uint64) int {
+	if n >= uint64(limit) {
+		return limit
+	}
+	return 1 << bits.Len64(n-1)
+}
 
 // Engine is a functional authenticated encrypted memory.
 //
@@ -82,18 +105,13 @@ type Engine struct {
 	quarantine map[uint64]struct{}
 	retryHook  func(blk uint64)
 
-	// cc is the optional verified-counter cache (countercache.go), nil
-	// unless EnableCounterCache was called. ShardedEngine enables one per
-	// shard.
+	// The on-chip half of the trust boundary, built by NewEngine for every
+	// encrypting engine (all nil under DisableEncryption, which has nothing
+	// to cache or defer): cc is the verified-counter cache
+	// (countercache.go), bc the verified-block cache (blockcache.go), wp
+	// the deferred-maintenance write pipeline (writepipe.go).
 	cc *counterCache
-
-	// bc is the optional verified-block cache (blockcache.go), nil unless
-	// EnableBlockCache was called. ShardedEngine enables one per shard.
 	bc *blockCache
-
-	// wp is the optional deferred-maintenance write pipeline
-	// (writepipe.go), nil unless EnableWritePipeline was called.
-	// ShardedEngine enables one per shard.
 	wp *writePipe
 
 	// delta is the optional dirty-group set behind incremental
@@ -106,7 +124,7 @@ type Engine struct {
 	// the overflow sweep across a worker pool; reencCtx are the per-worker
 	// crypto contexts (stream, MAC, verifier — single-owner, so one set
 	// per worker) and reencStats the per-worker event counters merged
-	// after each sweep.
+	// after each sweep. DataTree engines keep the serial sweep (0 workers).
 	reencWorkers int
 	reencCtx     []reencCrypto
 	reencStats   []EngineStats
@@ -136,19 +154,19 @@ type EngineStats struct {
 	Quarantined        uint64 // blocks added to the quarantine list
 	QuarantineRefusals uint64 // reads refused because the block is quarantined
 
-	// Verified-counter cache events (zero unless EnableCounterCache).
+	// Verified-counter cache events.
 	MetaCacheHits   uint64 // reads that skipped the tree walk
 	MetaCacheMisses uint64 // reads that walked the tree and filled the cache
 
-	// Verified-block cache events (zero unless EnableBlockCache).
+	// Verified-block cache events.
 	DataCacheHits   uint64 // reads served as trusted plaintext, engine bypassed
 	DataCacheMisses uint64 // reads that verified, decrypted, and filled the cache
 
-	// Write-pipeline events (zero unless EnableWritePipeline).
+	// Write-pipeline events.
 	WriteCombines       uint64 // writes absorbed into an already-dirty counter leaf
 	DeferredLeafFlushes uint64 // dirty counter leaves flushed (epoch + read-triggered)
 
-	// Parallel re-encryption events (zero unless EnableParallelReencrypt).
+	// Parallel re-encryption events.
 	ParallelReencryptWorkers uint64 // workers dispatched by parallel group sweeps
 
 	// Lock-free read-path events (see blockcache.go and ShardedEngine).
@@ -198,7 +216,13 @@ type ReadInfo struct {
 	HardwareChecks int
 }
 
-// NewEngine builds a functional engine for the configuration.
+// NewEngine builds a functional engine for the configuration. There is one
+// engine configuration: every encrypting engine runs with the verified-
+// counter and verified-block caches (sized from the region, see
+// cacheEntries), the deferred-Merkle write pipeline at its default epoch
+// bound, and — unless the classic data tree forces the serial sweep — the
+// parallel re-encryption pool. Resume builds on this constructor, so a
+// resumed engine is the same engine, starting cold.
 func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -277,6 +301,18 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e.images = newImageStore(e.tr.Leaves())
 
+	metaBlocks := scheme.MetadataBlocks(cfg.DataBlocks())
+	e.cc = newCounterCache(cacheEntries(maxCounterCacheEntries, metaBlocks))
+	e.bc = newBlockCache(cacheEntries(maxBlockCacheEntries, cfg.DataBlocks()))
+	e.wp = newWritePipe(metaBlocks)
+	if !cfg.DataTree {
+		// The data tree's per-block seal updates tree nodes shared between
+		// workers, so those engines keep the serial sweep.
+		if err := e.newReencryptPool(); err != nil {
+			return nil, err
+		}
+	}
+
 	scheme.OnReencrypt(e.reencryptGroup)
 	return e, nil
 }
@@ -288,49 +324,13 @@ func (e *Engine) Config() Config { return e.cfg }
 // snapshot never takes a lock and never contends with the read path.
 func (e *Engine) Stats() EngineStats {
 	s := e.stats.snapshot()
-	if e.cc != nil {
+	if !e.cfg.DisableEncryption {
 		s.MetaCacheHits = e.cc.hits.Load()
 		s.MetaCacheMisses = e.cc.misses.Load()
-	}
-	if e.bc != nil {
 		s.DataCacheHits = e.bc.hits.Load()
 		s.DataCacheMisses = e.bc.misses.Load()
 	}
 	return s
-}
-
-// EnableCounterCache attaches a verified-counter cache with the given
-// power-of-two entry count (see countercache.go). Counter blocks that passed
-// their integrity-tree walk stay trusted until evicted, so resident reads
-// skip the walk — the functional analogue of Table 1's on-chip metadata
-// cache. Call before any traffic; entries must be a power of two.
-func (e *Engine) EnableCounterCache(entries int) error {
-	if e.cfg.DisableEncryption {
-		return nil // no metadata to cache
-	}
-	cc := newCounterCache(entries)
-	if cc == nil {
-		return fmt.Errorf("core: counter cache entries %d not a positive power of two", entries)
-	}
-	e.cc = cc
-	return nil
-}
-
-// EnableBlockCache attaches a verified-block cache with the given
-// power-of-two entry count (see blockcache.go). Decrypted blocks that
-// passed MAC verification stay trusted until evicted, so resident reads
-// bypass the engine entirely — the functional analogue of the on-chip
-// cache slice above the memory controller. Call before any traffic.
-func (e *Engine) EnableBlockCache(entries int) error {
-	if e.cfg.DisableEncryption {
-		return nil // reads are already raw copies
-	}
-	bc := newBlockCache(entries)
-	if bc == nil {
-		return fmt.Errorf("core: block cache entries %d not a positive power of two", entries)
-	}
-	e.bc = bc
-	return nil
 }
 
 // readCached serves blk from the verified-block cache when resident and not
@@ -338,9 +338,6 @@ func (e *Engine) EnableBlockCache(entries int) error {
 // always fall through to the verifying path so they are refused loudly.
 // Caller holds the owning lock (or owns the engine outright).
 func (e *Engine) readCached(blk uint64, dst []byte) bool {
-	if e.bc == nil {
-		return false
-	}
 	if e.quarantine != nil {
 		if _, bad := e.quarantine[blk]; bad {
 			return false
@@ -361,7 +358,7 @@ func (e *Engine) readCached(blk uint64, dst []byte) bool {
 // releases the block from quarantine, so a resident line implies a healthy
 // block (see blockcache.go).
 func (e *Engine) ReadLockFree(addr uint64, dst []byte) bool {
-	if e.bc == nil || len(dst) != BlockBytes {
+	if e.cfg.DisableEncryption || len(dst) != BlockBytes {
 		return false
 	}
 	hit, retries := e.bc.probe(addr/BlockBytes, dst)
@@ -459,11 +456,7 @@ func (e *Engine) Write(addr uint64, plaintext []byte) error {
 	if err := e.storeBlock(blk, plaintext, out.Counter); err != nil {
 		return err
 	}
-	midx := e.scheme.MetadataBlock(blk)
-	if e.wp != nil {
-		return e.deferCommit(midx)
-	}
-	return e.commitMetadata(midx)
+	return e.deferCommit(e.scheme.MetadataBlock(blk))
 }
 
 // pending reports whether blk is inside the in-flight write span.
@@ -483,9 +476,7 @@ func (e *Engine) storeBlock(blk uint64, plaintext []byte, counter uint64) error 
 	if err := e.sealBlock(blk, ct, counter); err != nil {
 		return err
 	}
-	if e.bc != nil {
-		e.bc.insert(blk, plaintext) // write-allocate: read-after-write hits
-	}
+	e.bc.insert(blk, plaintext) // write-allocate: read-after-write hits
 	return nil
 }
 
@@ -529,21 +520,6 @@ func (e *Engine) metaLeaf(midx uint64) uint64 {
 		return e.cfg.DataBlocks() + midx
 	}
 	return midx
-}
-
-// commitMetadata refreshes the stored counter-block image and the tree path
-// above it. The packed image comes from the trusted scheme state machine, so
-// a resident counter-cache line is refreshed in place (write-back).
-func (e *Engine) commitMetadata(midx uint64) error {
-	img := e.packer.PackMetadata(midx)
-	copy(e.images.Store(midx), img[:])
-	if e.cc != nil {
-		e.cc.update(midx, img[:])
-	}
-	if e.delta != nil {
-		e.delta.mark(midx)
-	}
-	return e.tr.UpdateLeafFast(e.metaLeaf(midx), img[:])
 }
 
 // reencryptGroup is the scheme's re-encryption hook: decrypt every block of
@@ -699,24 +675,20 @@ func (e *Engine) Read(addr uint64, dst []byte) (ReadInfo, error) {
 	// Fetch and freshness-check the counter. A counter-cache hit serves
 	// the already-verified image and skips the tree walk.
 	midx := e.scheme.MetadataBlock(blk)
-	if e.cc != nil {
-		if ent := e.cc.lookup(midx); ent != nil {
-			counter, err := ent.counter(e, blk)
-			if err != nil {
-				e.stats.IntegrityFailures.Add(1)
-				return info, &IntegrityError{Addr: addr, Reason: "counter metadata undecodable: " + err.Error(), Stage: StageCounter}
-			}
-			return e.readVerified(blk, counter, dst)
+	if ent := e.cc.lookup(midx); ent != nil {
+		counter, err := ent.counter(e, blk)
+		if err != nil {
+			e.stats.IntegrityFailures.Add(1)
+			return info, &IntegrityError{Addr: addr, Reason: "counter metadata undecodable: " + err.Error(), Stage: StageCounter}
 		}
+		return e.readVerified(blk, counter, dst)
 	}
 	img, verr := e.loadVerifiedImage(addr, midx)
 	if verr != nil {
 		e.stats.IntegrityFailures.Add(1)
 		return info, verr
 	}
-	if e.cc != nil {
-		e.cc.insert(midx, img)
-	}
+	e.cc.insert(midx, img)
 	counter, err := e.decodeCounter(img, blk)
 	if err != nil {
 		e.stats.IntegrityFailures.Add(1)
@@ -801,9 +773,7 @@ func (e *Engine) readVerified(blk, counter uint64, dst []byte) (ReadInfo, error)
 	if err := e.ks.XOR(dst, ct, addr, counter); err != nil {
 		return info, err
 	}
-	if e.bc != nil {
-		e.bc.insert(blk, dst)
-	}
+	e.bc.insert(blk, dst)
 	return info, nil
 }
 

@@ -27,6 +27,14 @@ func newEngine(t testing.TB, cfg Config) *Engine {
 	return e
 }
 
+// goCold drops every on-chip line (both caches, as a power cycle would), so
+// the reads that follow verify and decrypt the stored bits instead of being
+// served trusted plaintext from the verified-block cache.
+func goCold(e *Engine) {
+	e.cc.flush()
+	e.bc.flush()
+}
+
 func block(seed int64) []byte {
 	b := make([]byte, BlockBytes)
 	rand.New(rand.NewSource(seed)).Read(b)
@@ -96,6 +104,7 @@ func TestWriteReadRoundTripAllDesignPoints(t *testing.T) {
 			}
 			written[addr] = data
 		}
+		goCold(e)
 		dst := make([]byte, BlockBytes)
 		for addr, want := range written {
 			info, err := e.Read(addr, dst)
@@ -290,6 +299,11 @@ func TestTamperTreeNodeDetected(t *testing.T) {
 	if err := e.Write(0, block(7)); err != nil {
 		t.Fatal(err)
 	}
+	// Land the deferred tree update first: a dirty leaf's path is about to
+	// be recomputed from trusted state, which would overwrite the fault.
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.TamperTreeNode(tree.NodeID{Level: 0, Index: 0}, 9); err != nil {
 		t.Fatal(err)
 	}
@@ -354,6 +368,7 @@ func TestReencryptionPreservesData(t *testing.T) {
 			if e.SchemeStats().Reencryptions == 0 {
 				t.Fatalf("%s: no re-encryption after 1200 hot writes", scheme)
 			}
+			goCold(e) // resident lines survive a sweep; read the resealed bits
 			dst := make([]byte, BlockBytes)
 			for addr, want := range neighbors {
 				if _, err := e.Read(addr, dst); err != nil {
@@ -633,5 +648,48 @@ func TestScrubFindsMACFaults(t *testing.T) {
 	}
 	if info.CorrectedMACBits != 0 {
 		t.Fatal("MAC fault should have been repaired by the scrub")
+	}
+}
+
+// TestCacheSizingFollowsRegion pins the one sizing rule: a cache never has
+// more lines than there are blocks behind it, up to the Table 1 caps. The
+// minimum-size caches must still behave as caches — read-after-write hits,
+// and a tamper evicts so the next read detects it.
+func TestCacheSizingFollowsRegion(t *testing.T) {
+	tiny := smallCfg(ctr.Delta, MACInECC)
+	tiny.RegionBytes = ctr.GroupBlocks * BlockBytes // one 4KB group
+	e := newEngine(t, tiny)
+	if got := len(e.bc.entries); got != ctr.GroupBlocks {
+		t.Errorf("one-group region: block cache has %d lines, want %d", got, ctr.GroupBlocks)
+	}
+	if got := len(e.cc.entries); got != 1 {
+		t.Errorf("one-group region: counter cache has %d lines, want 1", got)
+	}
+	big := smallCfg(ctr.Delta, MACInECC)
+	big.RegionBytes = 2 << 20
+	if b := newEngine(t, big); len(b.bc.entries) != maxBlockCacheEntries || len(b.cc.entries) != maxCounterCacheEntries {
+		t.Errorf("2MiB region: caches have %d/%d lines, want %d/%d",
+			len(b.bc.entries), len(b.cc.entries), maxBlockCacheEntries, maxCounterCacheEntries)
+	}
+
+	want := block(70)
+	if err := e.Write(0, want); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, BlockBytes)
+	if _, err := e.Read(0, dst); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.DataCacheHits != 1 || !bytes.Equal(dst, want) {
+		t.Fatalf("read-after-write on the tiny region: DataCacheHits=%d, want a hit with the written data", st.DataCacheHits)
+	}
+	// Eviction-on-tamper holds at the minimum size: the flipped bit is seen
+	// (and corrected) by the next read, not masked by a resident line.
+	if err := e.TamperCiphertext(0, 9); err != nil {
+		t.Fatal(err)
+	}
+	info, err := e.Read(0, dst)
+	if err != nil || info.CorrectedDataBits != 1 || !bytes.Equal(dst, want) {
+		t.Fatalf("flip on the tiny region: err=%v corrected=%d, want the fault found and repaired", err, info.CorrectedDataBits)
 	}
 }

@@ -35,7 +35,10 @@ func TestIntegrationMixedCampaign(t *testing.T) {
 				}
 				shadow[addr] = data
 				delete(poisoned, addr)
-			case op < 9: // read
+			case op < 9: // read, alternately cold (verifying path) and warm
+				if step%2 == 0 {
+					goCold(e)
+				}
 				want, written := shadow[addr]
 				info, err := e.Read(addr, dst)
 				if poisoned[addr] {

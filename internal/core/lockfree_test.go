@@ -194,37 +194,6 @@ func TestLockFreeSpanReads(t *testing.T) {
 	}
 }
 
-// TestLockFreeDisabled checks the diagnostic switch: with the fast path off
-// every read takes the locked slow path and LockFreeHits stays zero.
-func TestLockFreeDisabled(t *testing.T) {
-	cfg := smallCfg(ctr.Delta, MACInECC)
-	s := newSharded(t, cfg, 4)
-	s.SetLockFreeReads(false)
-	if s.LockFreeReads() {
-		t.Fatal("switch did not latch")
-	}
-	const blocks = 64
-	for i := uint64(0); i < blocks; i++ {
-		if err := s.Write(i*BlockBytes, block(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base := s.Stats()
-	dst := make([]byte, BlockBytes)
-	for i := uint64(0); i < blocks; i++ {
-		if _, err := s.Read(i*BlockBytes, dst); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d := statDelta(base, s.Stats())
-	if d.LockFreeHits != 0 {
-		t.Errorf("LockFreeHits = %d with the fast path disabled", d.LockFreeHits)
-	}
-	if d.SlowPathReads != blocks {
-		t.Errorf("SlowPathReads = %d, want %d", d.SlowPathReads, blocks)
-	}
-}
-
 // TestLockFreeTamperCoherence checks the trust-boundary invariant: once a
 // fault lands — in ciphertext, the check lane, a counter block, or a tree
 // node — no subsequent read may be served stale-but-trusted plaintext from

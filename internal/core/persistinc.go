@@ -685,10 +685,7 @@ func ResumeShardedIncremental(cfg Config, shards int, base io.Reader, wals []io.
 			return nil, reports, &RecoveryError{Report: rep}
 		}
 	}
-	s, err := wrapResumed(cfg, engines)
-	if err != nil {
-		return nil, reports, err
-	}
+	s := wrapShards(cfg, engines)
 	s.EnableDeltaTracking()
 	return s, reports, nil
 }

@@ -36,18 +36,13 @@ func copyTruth(m map[uint64][]byte) map[uint64][]byte {
 	return c
 }
 
-func newDeltaHarness(t *testing.T, cfg Config, pipeline bool) *deltaHarness {
+func newDeltaHarness(t *testing.T, cfg Config) *deltaHarness {
 	t.Helper()
 	h := &deltaHarness{
 		cfg:   cfg,
 		eng:   newEngine(t, cfg),
 		rng:   rand.New(rand.NewSource(77)),
 		truth: make(map[uint64][]byte),
-	}
-	if pipeline {
-		if err := h.eng.EnableWritePipeline(0); err != nil {
-			t.Fatal(err)
-		}
 	}
 	h.eng.EnableDeltaTracking()
 	// Prefill, then snapshot the base and open the log against it.
@@ -114,7 +109,7 @@ func TestIncrementalRoundTrip(t *testing.T) {
 	for _, cfg := range allDesignPoints() {
 		name := cfg.Scheme.String() + "/" + cfg.Placement.String() + "/" + cfg.CodecName()
 		t.Run(name, func(t *testing.T) {
-			h := newDeltaHarness(t, cfg, true)
+			h := newDeltaHarness(t, cfg)
 			var last DeltaStats
 			for i := 0; i < 4; i++ {
 				last = h.epoch(t, 40)
@@ -142,7 +137,7 @@ func TestIncrementalRoundTrip(t *testing.T) {
 
 func TestAppendDeltaIsProportionalToDirt(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
-	h := newDeltaHarness(t, cfg, true)
+	h := newDeltaHarness(t, cfg)
 	// Touch one block in one group.
 	h.write(t, 3)
 	st, err := h.eng.AppendDelta(h.w)
@@ -194,7 +189,7 @@ func logRecords(t *testing.T, log []byte) (bounds []int64, types []byte) {
 // wrong byte.
 func TestCrashPointMatrix(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
-	h := newDeltaHarness(t, cfg, true)
+	h := newDeltaHarness(t, cfg)
 	for i := 0; i < 3; i++ {
 		h.epoch(t, 12)
 	}
@@ -261,7 +256,7 @@ func TestCrashPointMatrix(t *testing.T) {
 // exactly at a committed-epoch oracle.
 func TestCorruptionMatrix(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
-	h := newDeltaHarness(t, cfg, true)
+	h := newDeltaHarness(t, cfg)
 	for i := 0; i < 3; i++ {
 		h.epoch(t, 12)
 	}
@@ -305,7 +300,7 @@ func TestCorruptionMatrix(t *testing.T) {
 // points: resume must fail loudly every time.
 func TestBaseImageTruncation(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
-	h := newDeltaHarness(t, cfg, true)
+	h := newDeltaHarness(t, cfg)
 	h.epoch(t, 12)
 	base := h.base.Bytes()
 	for _, cut := range []int{0, 7, 8, len(base) / 3, len(base) / 2, len(base) - 1} {
@@ -318,7 +313,7 @@ func TestBaseImageTruncation(t *testing.T) {
 
 func TestPinDetectsTruncatedHistory(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
-	h := newDeltaHarness(t, cfg, true)
+	h := newDeltaHarness(t, cfg)
 	h.epoch(t, 12)
 	two := h.epoch(t, 12)
 	log := h.log.Bytes()
@@ -345,7 +340,7 @@ func TestPinDetectsTruncatedHistory(t *testing.T) {
 
 func TestLogBoundToItsBase(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
-	h := newDeltaHarness(t, cfg, true)
+	h := newDeltaHarness(t, cfg)
 	h.epoch(t, 12)
 
 	// A second base snapshot taken later: the existing log's seed is the

@@ -150,9 +150,7 @@ func (e *Engine) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error) {
 
 // quarantineBlock adds blk to the quarantine list.
 func (e *Engine) quarantineBlock(blk uint64) {
-	if e.bc != nil {
-		e.bc.evict(blk) // a poisoned block must never serve cached plaintext
-	}
+	e.bc.evict(blk) // a poisoned block must never serve cached plaintext
 	if e.quarantine == nil {
 		e.quarantine = make(map[uint64]struct{})
 	}
@@ -203,18 +201,12 @@ func (e *Engine) MetaLeaf(midx uint64) uint64 { return e.metaLeaf(midx) }
 func (e *Engine) repairMetadata() error {
 	// The cache may hold lines verified against the pre-repair tree; start
 	// cold so every post-repair read re-verifies against the rebuilt one.
-	if e.cc != nil {
-		e.cc.flush()
-	}
-	if e.bc != nil {
-		e.bc.flush()
-	}
+	e.cc.flush()
+	e.bc.flush()
 	// Re-packing every image and rebuilding the tree below subsumes any
 	// deferred Merkle maintenance; drop the dirty set rather than flushing
 	// leaves the rebuild is about to recompute anyway.
-	if e.wp != nil {
-		e.wp.reset()
-	}
+	e.wp.reset()
 	e.images.forEach(func(midx uint64, img []byte) {
 		packed := e.packer.PackMetadata(midx)
 		copy(img, packed[:])

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"runtime"
 	"sync"
 
 	"authmem/internal/crypto"
@@ -15,7 +15,7 @@ import (
 // writer waits — the longest synchronous stall on the write path. The sweep
 // is embarrassingly parallel per block (verify + decrypt under the old
 // counter, re-pad under the new, reseal), so it fans out across a bounded
-// worker pool when enabled.
+// worker pool.
 //
 // Concurrency audit, because the serial engine shares mutable state freely:
 //   - Crypto instances are single-owner: the pluggable backends keep
@@ -23,7 +23,7 @@ import (
 //     Stream additionally holds the pad cache), so NOTHING crypto is shared
 //     across workers. Each worker owns a full reencCrypto context — a
 //     pad-cache-free Stream, a MAC, and (under MAC-in-ECC) a Verifier built
-//     around that MAC — constructed once at EnableParallelReencrypt.
+//     around that MAC — constructed once, with the engine.
 //   - blockStore.Materialize mutates the chunk table and presence bitmap
 //     (shared words), so every block is materialized serially BEFORE the
 //     fan-out; workers then only touch disjoint per-block arena slices
@@ -33,6 +33,10 @@ import (
 //     join, from the workers' skip verdicts.
 //   - The classic data-tree design is excluded: its sealBlock refreshes
 //     tree leaves whose interior nodes are shared between workers.
+//
+// The serial sweep (engine.go reencryptGroup) remains the path for data-tree
+// engines and for groups below reencParallelMinBlocks, and is the reference
+// the parallel sweep is tested bit-equal against.
 
 // reencParallelMinBlocks gates the fan-out: below this the per-goroutine
 // overhead beats the MAC work saved.
@@ -45,27 +49,13 @@ type reencCrypto struct {
 	ver ecc.LaneVerifier // nil unless the codec carries the MAC
 }
 
-// EnableParallelReencrypt fans group re-encryption sweeps across up to
-// workers goroutines (capped at the group size). workers < 2 disables the
-// fan-out and returns to the serial sweep. The classic data-tree design is
-// rejected: its per-block reseal updates shared tree nodes.
-func (e *Engine) EnableParallelReencrypt(workers int) error {
-	if workers < 0 {
-		return fmt.Errorf("core: negative re-encryption worker count %d", workers)
-	}
-	if e.cfg.DisableEncryption {
-		return nil // no counters, no sweeps
-	}
-	if workers < 2 {
-		e.reencWorkers, e.reencCtx, e.reencStats = 0, nil, nil
-		return nil
-	}
-	if e.cfg.DataTree {
-		return fmt.Errorf("core: parallel re-encryption is unsupported with the classic data tree")
-	}
-	if workers > ctr.GroupBlocks {
-		workers = ctr.GroupBlocks
-	}
+// newReencryptPool builds the worker pool: clamp(GOMAXPROCS, 2, 4) private
+// crypto contexts — at least 2 so the parallel sweep is the path exercised
+// (and race-checked) on any host, at most 4 so N shards sweeping at once
+// cannot oversubscribe the machine; the goroutines live only for the
+// microseconds of one 64-block sweep.
+func (e *Engine) newReencryptPool() error {
+	workers := min(max(runtime.GOMAXPROCS(0), 2), 4)
 	ctxs := make([]reencCrypto, workers)
 	for i := range ctxs {
 		ks, err := e.be.NewStream(e.cfg.KeyMaterial[24:40])
@@ -92,10 +82,6 @@ func (e *Engine) EnableParallelReencrypt(workers int) error {
 	e.reencWorkers = workers
 	return nil
 }
-
-// ReencryptWorkers returns the configured parallel-sweep worker count (0
-// when the serial sweep is active).
-func (e *Engine) ReencryptWorkers() int { return e.reencWorkers }
 
 // reencryptGroupParallel is the fan-out body of reencryptGroup; it produces
 // bit-identical arena state to the serial sweep. The dispatcher has already

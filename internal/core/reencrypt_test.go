@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -33,13 +34,8 @@ func TestParallelReencryptMatchesSerial(t *testing.T) {
 		for _, placement := range []MACPlacement{MACInline, MACInECC} {
 			cfg := smallCfg(scheme, placement)
 			serial := newEngine(t, cfg)
+			serial.reencWorkers = 0 // the serial sweep is the reference
 			par := newEngine(t, cfg)
-			if err := par.EnableParallelReencrypt(4); err != nil {
-				t.Fatal(err)
-			}
-			if par.ReencryptWorkers() != 4 {
-				t.Fatal("worker count not registered")
-			}
 			for _, e := range []*Engine{serial, par} {
 				for i := uint64(1); i < 40; i++ {
 					if err := e.Write(i*BlockBytes, block(int64(i))); err != nil {
@@ -76,9 +72,6 @@ func TestParallelReencryptMatchesSerial(t *testing.T) {
 func TestParallelReencryptQuarantines(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInline)
 	e := newEngine(t, cfg)
-	if err := e.EnableParallelReencrypt(4); err != nil {
-		t.Fatal(err)
-	}
 	victim := uint64(20) * BlockBytes
 	if err := e.Write(victim, block(7)); err != nil {
 		t.Fatal(err)
@@ -121,9 +114,6 @@ func TestParallelReencryptQuarantines(t *testing.T) {
 func TestParallelReencryptMidSpanWrite(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
 	e := newEngine(t, cfg)
-	if err := e.EnableParallelReencrypt(4); err != nil {
-		t.Fatal(err)
-	}
 	// Drive the group's counters near overflow with single writes, then
 	// land a span over the whole group so the overflow fires mid-span.
 	for i := 0; i < 1500; i++ {
@@ -147,25 +137,20 @@ func TestParallelReencryptMidSpanWrite(t *testing.T) {
 	}
 }
 
-func TestEnableParallelReencryptValidation(t *testing.T) {
+// TestReencryptPoolSizing pins the one sizing rule: clamp(GOMAXPROCS, 2, 4)
+// workers, each with a private crypto context, and no pool at all under the
+// classic data tree (its per-block seal updates shared tree nodes).
+func TestReencryptPoolSizing(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
-	cfg.DataTree = true
 	e := newEngine(t, cfg)
-	if err := e.EnableParallelReencrypt(4); err == nil {
-		t.Fatal("classic data tree must reject the parallel sweep")
+	want := min(max(runtime.GOMAXPROCS(0), 2), 4)
+	if e.reencWorkers != want || len(e.reencCtx) != want || len(e.reencStats) != want {
+		t.Fatalf("pool = %d workers / %d contexts / %d stat banks, want %d",
+			e.reencWorkers, len(e.reencCtx), len(e.reencStats), want)
 	}
-	e2 := newEngine(t, smallCfg(ctr.Delta, MACInECC))
-	if err := e2.EnableParallelReencrypt(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.EnableParallelReencrypt(1); err != nil { // back to serial
-		t.Fatal(err)
-	}
-	if e2.ReencryptWorkers() != 0 {
-		t.Fatal("workers < 2 must disable the fan-out")
-	}
-	if err := e2.EnableParallelReencrypt(-1); err == nil {
-		t.Fatal("negative worker count must be rejected")
+	cfg.DataTree = true
+	if dt := newEngine(t, cfg); dt.reencWorkers != 0 || dt.reencCtx != nil {
+		t.Fatal("classic data tree must keep the serial sweep")
 	}
 }
 

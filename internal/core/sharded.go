@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"authmem/internal/ctr"
@@ -38,51 +37,9 @@ import (
 // verify, and identical local addresses in different shards never share a
 // keystream pad.
 
-// shardCounterCacheEntries is each shard's verified-counter cache size: 512
-// entries x 64B images = Table 1's 32KB metadata cache budget, per shard.
-// Private per-shard caches are an architectural property of sharding — the
-// total trusted cache grows linearly with shard count, like per-core L1s.
-const shardCounterCacheEntries = 512
-
-// shardBlockCacheEntries is each shard's verified-block cache size: 32K
-// entries x 64B plaintext = a 2MB on-chip cache slice per shard, the data
-// half of the trust boundary (blockcache.go). Like per-core LLC slices, the
-// aggregate trusted plaintext capacity grows linearly with shard count.
-const shardBlockCacheEntries = 32768
-
 // shardGroupBytes is the finest partition boundary: one 4KB block-group.
 // Counter groups must never straddle shards.
 const shardGroupBytes = ctr.GroupBlocks * BlockBytes
-
-// shardReencryptWorkers bounds each shard's group re-encryption pool
-// (reencrypt.go): at least 2 so the parallel sweep path is always the one
-// exercised (and race-checked) in production configuration, at most 4 so N
-// shards sweeping at once cannot oversubscribe the machine — the pool lives
-// only for the microseconds of one 64-block sweep.
-const shardReencryptWorkers = 4
-
-// enableShardPipeline turns on the write-path machinery every shard runs
-// with by default, mirroring the per-shard caches above: the deferred-Merkle
-// write pipeline (writepipe.go) with its default epoch bound, and — when the
-// integrity tree covers metadata only — the parallel group re-encryption
-// pool. DataTree configurations keep the serial sweep: their per-block seal
-// updates shared tree state, which the worker pool must not touch.
-func enableShardPipeline(eng *Engine) error {
-	if err := eng.EnableWritePipeline(0); err != nil {
-		return err
-	}
-	if eng.cfg.DataTree {
-		return nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
-	if workers > shardReencryptWorkers {
-		workers = shardReencryptWorkers
-	}
-	return eng.EnableParallelReencrypt(workers)
-}
 
 // engineShard is one shard: an ordinary Engine over a 1/N slice of the
 // region, guarded by its own lock.
@@ -98,11 +55,6 @@ type ShardedEngine struct {
 	cfg        Config // global configuration (full region)
 	shards     []*engineShard
 	shardBytes uint64 // bytes per shard
-	// lockFree enables the zero-lock warm-read fast path (on by default).
-	// Reads probe the owning shard's seqlock-protected verified-block cache
-	// before touching the shard mutex; see blockcache.go for the protocol
-	// and SetLockFreeReads for the diagnostic switch.
-	lockFree bool
 }
 
 // ShardKeyMaterial derives shard idx's 40-byte key material from the master
@@ -165,35 +117,35 @@ func ValidateShards(cfg Config, shards int) error {
 }
 
 // NewShardedEngine builds a sharded engine with the given power-of-two
-// shard count. Each shard gets a verified-counter cache (Table 1's metadata
-// cache budget, per shard).
+// shard count: one complete Engine per shard, each with its own caches,
+// write pipeline and re-encryption pool (see NewEngine).
 func NewShardedEngine(cfg Config, shards int) (*ShardedEngine, error) {
 	if err := ValidateShards(cfg, shards); err != nil {
 		return nil, err
 	}
-	s := &ShardedEngine{
-		cfg:        cfg,
-		shards:     make([]*engineShard, shards),
-		shardBytes: cfg.RegionBytes / uint64(shards),
-		lockFree:   true,
-	}
-	for i := range s.shards {
+	engines := make([]*Engine, shards)
+	for i := range engines {
 		eng, err := NewEngine(shardConfig(cfg, shards, i))
 		if err != nil {
 			return nil, err
 		}
-		if err := eng.EnableCounterCache(shardCounterCacheEntries); err != nil {
-			return nil, err
-		}
-		if err := eng.EnableBlockCache(shardBlockCacheEntries); err != nil {
-			return nil, err
-		}
-		if err := enableShardPipeline(eng); err != nil {
-			return nil, err
-		}
+		engines[i] = eng
+	}
+	return wrapShards(cfg, engines), nil
+}
+
+// wrapShards assembles a ShardedEngine around per-shard engines, freshly
+// built or restored from an image.
+func wrapShards(cfg Config, engines []*Engine) *ShardedEngine {
+	s := &ShardedEngine{
+		cfg:        cfg,
+		shards:     make([]*engineShard, len(engines)),
+		shardBytes: cfg.RegionBytes / uint64(len(engines)),
+	}
+	for i, eng := range engines {
 		s.shards[i] = &engineShard{eng: eng, base: uint64(i) * s.shardBytes}
 	}
-	return s, nil
+	return s
 }
 
 // Config returns the global (whole-region) configuration.
@@ -260,16 +212,6 @@ func (s *ShardedEngine) Write(addr uint64, plaintext []byte) error {
 	return offsetErr(err, sh.base)
 }
 
-// SetLockFreeReads enables or disables the zero-lock warm-read fast path
-// (enabled by default). It exists for benchmarking and diagnosis — the
-// core-scaling matrix (paperbench -cores) measures the locked baseline by
-// turning it off. Call before concurrent traffic starts; it is not
-// synchronized against in-flight operations.
-func (s *ShardedEngine) SetLockFreeReads(enabled bool) { s.lockFree = enabled }
-
-// LockFreeReads reports whether the warm-read fast path is enabled.
-func (s *ShardedEngine) LockFreeReads() bool { return s.lockFree }
-
 // Read verifies and decrypts one block. A warm read — the block resident in
 // the owning shard's verified-block cache — is served lock-free via the
 // seqlock probe, with zero lock acquisitions and zero allocations; anything
@@ -279,7 +221,7 @@ func (s *ShardedEngine) Read(addr uint64, dst []byte) (ReadInfo, error) {
 		return ReadInfo{}, err
 	}
 	sh, local := s.route(addr)
-	if s.lockFree && sh.eng.ReadLockFree(local, dst) {
+	if sh.eng.ReadLockFree(local, dst) {
 		return ReadInfo{}, nil
 	}
 	sh.mu.Lock()
@@ -299,7 +241,7 @@ func (s *ShardedEngine) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error
 		return RecoverInfo{}, err
 	}
 	sh, local := s.route(addr)
-	if s.lockFree && sh.eng.ReadLockFree(local, dst) {
+	if sh.eng.ReadLockFree(local, dst) {
 		return RecoverInfo{}, nil
 	}
 	sh.mu.Lock()
@@ -403,6 +345,9 @@ func bankLockFreeSpan(sh *engineShard, hits, retries uint64) {
 // and only for blocks actually served, so the locked path that picks up the
 // remainder never double-counts.
 func (s *ShardedEngine) readBlocksLockFree(addr uint64, dst []byte) int {
+	if s.cfg.DisableEncryption {
+		return 0 // no caches: reads are raw copies under the shard lock
+	}
 	var (
 		served      int
 		cur         *engineShard
@@ -415,9 +360,6 @@ func (s *ShardedEngine) readBlocksLockFree(addr uint64, dst []byte) int {
 				bankLockFreeSpan(cur, hits, tears)
 			}
 			cur, hits, tears = sh, 0, 0
-			if sh.eng.bc == nil {
-				break
-			}
 		}
 		hit, r := sh.eng.bc.probe(local/BlockBytes, dst[served:served+BlockBytes])
 		tears += uint64(r)
@@ -442,14 +384,12 @@ func (s *ShardedEngine) ReadBlocks(addr uint64, dst []byte) error {
 	if err := s.checkSpan(addr, len(dst), "read"); err != nil {
 		return err
 	}
-	if s.lockFree {
-		served := s.readBlocksLockFree(addr, dst)
-		if served == len(dst) {
-			return nil
-		}
-		addr += uint64(served)
-		dst = dst[served:]
+	served := s.readBlocksLockFree(addr, dst)
+	if served == len(dst) {
+		return nil
 	}
+	addr += uint64(served)
+	dst = dst[served:]
 	return s.spanFan(s.segments(addr, len(dst)), func(sh *engineShard, local uint64, off, n int) error {
 		sh.eng.stats.SlowPathReads.Add(uint64(n / BlockBytes))
 		return sh.eng.ReadBlocks(local, dst[off:off+n])
@@ -619,9 +559,9 @@ func (s *ShardedEngine) ParallelScrub() (ScrubReport, error) {
 	return total, nil
 }
 
-// WithShard locks shard i and passes its engine to fn — the sharded
-// analogue of SyncMemory.Locked, used by attack experiments and the fault
-// campaign to reach a shard's tamper surface without racing traffic.
+// WithShard locks shard i and passes its engine to fn — how attack
+// experiments and the fault campaign reach a shard's tamper surface without
+// racing traffic.
 func (s *ShardedEngine) WithShard(i int, fn func(eng *Engine)) {
 	sh := s.shards[i]
 	sh.mu.Lock()

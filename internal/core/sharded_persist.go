@@ -97,7 +97,7 @@ func ResumeSharded(cfg Config, shards int, r io.Reader, expectRoot *RootDigest) 
 		if err != nil {
 			return nil, err
 		}
-		return wrapResumed(cfg, []*Engine{eng})
+		return wrapShards(cfg, []*Engine{eng}), nil
 	}
 	if [8]byte(magic) != persistMagic2 {
 		return nil, fmt.Errorf("core: not an engine image")
@@ -133,28 +133,5 @@ func ResumeSharded(cfg Config, shards int, r io.Reader, expectRoot *RootDigest) 
 			}
 		}
 	}
-	return wrapResumed(cfg, engines)
-}
-
-// wrapResumed assembles a ShardedEngine around already-restored per-shard
-// engines, re-enabling each shard's caches and write pipeline.
-func wrapResumed(cfg Config, engines []*Engine) (*ShardedEngine, error) {
-	s := &ShardedEngine{
-		cfg:        cfg,
-		shards:     make([]*engineShard, len(engines)),
-		shardBytes: cfg.RegionBytes / uint64(len(engines)),
-	}
-	for i, eng := range engines {
-		if err := eng.EnableCounterCache(shardCounterCacheEntries); err != nil {
-			return nil, err
-		}
-		if err := eng.EnableBlockCache(shardBlockCacheEntries); err != nil {
-			return nil, err
-		}
-		if err := enableShardPipeline(eng); err != nil {
-			return nil, err
-		}
-		s.shards[i] = &engineShard{eng: eng, base: uint64(i) * s.shardBytes}
-	}
-	return s, nil
+	return wrapShards(cfg, engines), nil
 }

@@ -481,3 +481,75 @@ func TestShardedConcurrentTraffic(t *testing.T) {
 		t.Fatalf("%d integrity failures under clean concurrent traffic", st.IntegrityFailures)
 	}
 }
+
+// TestShardedConstructorsBuildOneConfiguration is the regression test for
+// the drifted enable sequence: however a ShardedEngine is obtained — built
+// fresh, resumed from a v1 or v2 image, or resumed incrementally — it must
+// serve warm reads lock-free and combine writes into dirty leaves.
+func TestShardedConstructorsBuildOneConfiguration(t *testing.T) {
+	cfg := smallCfg(ctr.Delta, MACInECC)
+	image := func(shards int) (*bytes.Buffer, RootDigest) {
+		var buf bytes.Buffer
+		root, err := newSharded(t, cfg, shards).Persist(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &buf, root
+	}
+	rows := []struct {
+		name  string
+		build func() (*ShardedEngine, error)
+	}{
+		{"new", func() (*ShardedEngine, error) { return NewShardedEngine(cfg, 4) }},
+		{"resume-v1-1shard", func() (*ShardedEngine, error) {
+			var buf bytes.Buffer
+			root, err := newEngine(t, cfg).Persist(&buf)
+			if err != nil {
+				return nil, err
+			}
+			return ResumeSharded(cfg, 1, &buf, &root)
+		}},
+		{"resume-v2-4shards", func() (*ShardedEngine, error) {
+			buf, root := image(4)
+			return ResumeSharded(cfg, 4, buf, &root)
+		}},
+		{"resume-incremental", func() (*ShardedEngine, error) {
+			buf, root := image(4)
+			s, _, err := ResumeShardedIncremental(cfg, 4, buf, nil, &root)
+			return s, err
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			s, err := row.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := block(5)
+			if err := s.Write(0, want); err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]byte, BlockBytes)
+			if _, err := s.Read(0, dst); err != nil {
+				t.Fatal(err)
+			}
+			base := s.Stats()
+			if _, err := s.Read(0, dst); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dst, want) {
+				t.Fatal("warm read returned wrong data")
+			}
+			d := statDelta(base, s.Stats())
+			if d.LockFreeHits != 1 || d.SlowPathReads != 0 {
+				t.Errorf("warm read: LockFreeHits=%d SlowPathReads=%d, want 1/0", d.LockFreeHits, d.SlowPathReads)
+			}
+			if err := s.Write(BlockBytes, block(6)); err != nil { // same group as block 0
+				t.Fatal(err)
+			}
+			if got := s.Stats().WriteCombines - base.WriteCombines; got == 0 {
+				t.Error("repeated write to one group did not combine")
+			}
+		})
+	}
+}

@@ -8,25 +8,25 @@ import (
 // Write pipeline: deferred Merkle maintenance with dirty-leaf write
 // combining.
 //
-// The eager write path pays a root-to-leaf tree update (4-5 MACs for the
-// paper's 512MB region) inside every Write. But the tree only has to be
-// current when its state crosses the trust boundary — when a cold read must
-// verify a counter image against it, when the root is exported, when an
-// image is persisted. Between those points, N writes that land in the same
-// counter-metadata leaf need only N cheap image re-packs and ONE deferred
-// path recompute. That is the amortization argument of the paper's delta
-// counters applied to the tree itself.
+// Updating the tree inside every Write would cost a root-to-leaf path
+// recompute (4-5 MACs for the paper's 512MB region) per block. But the tree
+// only has to be current when its state crosses the trust boundary — when a
+// cold read must verify a counter image against it, when the root is
+// exported, when an image is persisted. Between those points, N writes that
+// land in the same counter-metadata leaf need only N cheap image re-packs
+// and ONE deferred path recompute. That is the amortization argument of the
+// paper's delta counters applied to the tree itself.
 //
-// Mechanics. A write still does everything the eager path does *except* the
-// tree update: the counter image is re-packed from the trusted scheme state
-// machine into the stored (DRAM) copy and the counter cache, and the leaf is
-// marked dirty in a bounded per-engine dirty set. The deferred tree work
-// runs at flush time, batched through tree.UpdateLeaves so leaves sharing
-// interior nodes rehash them once.
+// Mechanics. A write does everything except the tree update: the counter
+// image is re-packed from the trusted scheme state machine into the stored
+// (DRAM) copy and the counter cache, and the leaf is marked dirty in a
+// bounded per-engine dirty set. The deferred tree work runs at flush time,
+// batched through tree.UpdateLeaves so leaves sharing interior nodes rehash
+// them once.
 //
 // Flush triggers (the safety invariant: a flush always runs before tree
 // state leaves the trust boundary):
-//   - the dirty set reaching its epoch bound (maxDirty);
+//   - the dirty set reaching its epoch bound (defaultMaxDirtyLeaves);
 //   - a cold read of a dirty leaf (read-after-write; single-leaf flush);
 //   - Persist and RootDigest — a persisted image or exported root always
 //     reflects every accepted write;
@@ -42,12 +42,12 @@ import (
 // tree is only ever fed images re-derived from the trusted scheme, so
 // tampered DRAM bytes cannot be re-authenticated by a flush either.
 //
-// The pipeline is off by default (nil); ShardedEngine enables one per shard,
-// giving the per-shard dirty sets their own epoch clocks.
+// Every encrypting engine runs the pipeline (NewEngine builds it); a sharded
+// engine's per-shard dirty sets each keep their own epoch clock.
 
-// defaultMaxDirtyLeaves bounds the dirty set when the caller does not: one
-// group's worth of leaves, i.e. at most one batched tree pass per 4KB of
-// distinct touched groups.
+// defaultMaxDirtyLeaves is the dirty set's epoch bound: one group's worth
+// of leaves, i.e. at most one batched tree pass per 4KB of distinct touched
+// groups.
 const defaultMaxDirtyLeaves = 64
 
 // writePipe is the deferred-maintenance state: a bounded dirty set over
@@ -64,12 +64,12 @@ type writePipe struct {
 	pending atomic.Uint64
 }
 
-func newWritePipe(metaBlocks uint64, maxDirty int) *writePipe {
+func newWritePipe(metaBlocks uint64) *writePipe {
 	return &writePipe{
-		maxDirty: maxDirty,
-		dirty:    make([]uint64, 0, maxDirty),
+		maxDirty: defaultMaxDirtyLeaves,
+		dirty:    make([]uint64, 0, defaultMaxDirtyLeaves),
 		bits:     make([]uint64, (metaBlocks+63)/64),
-		leafBuf:  make([]uint64, 0, maxDirty),
+		leafBuf:  make([]uint64, 0, defaultMaxDirtyLeaves),
 	}
 }
 
@@ -117,26 +117,10 @@ func (p *writePipe) reset() {
 	p.pending.Store(0)
 }
 
-// EnableWritePipeline attaches the deferred-maintenance write pipeline with
-// the given dirty-set epoch bound (maxDirty <= 0 selects the default).
-// Writes then mark counter leaves dirty instead of recomputing the tree
-// path per block; see the file comment for the flush triggers and the
-// safety invariant. Call before any traffic.
-func (e *Engine) EnableWritePipeline(maxDirty int) error {
-	if e.cfg.DisableEncryption {
-		return nil // no metadata, nothing to defer
-	}
-	if maxDirty <= 0 {
-		maxDirty = defaultMaxDirtyLeaves
-	}
-	e.wp = newWritePipe(e.scheme.MetadataBlocks(e.cfg.DataBlocks()), maxDirty)
-	return nil
-}
-
 // DirtyLeaves returns the number of counter leaves with deferred tree
-// maintenance pending (0 without a pipeline).
+// maintenance pending.
 func (e *Engine) DirtyLeaves() int {
-	if e.wp == nil {
+	if e.cfg.DisableEncryption {
 		return 0
 	}
 	return len(e.wp.dirty)
@@ -148,19 +132,18 @@ func (e *Engine) DirtyLeaves() int {
 // concurrently may dirty leaves afterwards, exactly as they may after a
 // locked flush returns.
 func (e *Engine) flushPending() bool {
-	return e.wp != nil && e.wp.pending.Load() > 0
+	return !e.cfg.DisableEncryption && e.wp.pending.Load() > 0
 }
 
-// deferCommit is the pipeline's counterpart of commitMetadata: it stages
-// midx's image from the trusted scheme state machine into the stored copy
-// and the counter cache, marks the leaf dirty, and defers the tree path
-// recompute. Reaching the epoch bound flushes inline.
+// deferCommit is the metadata commit point of every write: it stages midx's
+// image from the trusted scheme state machine into the stored copy and the
+// counter cache (refreshing a resident line in place, write-back), marks
+// the leaf dirty, and defers the tree path recompute. Reaching the epoch
+// bound flushes inline.
 func (e *Engine) deferCommit(midx uint64) error {
 	img := e.packer.PackMetadata(midx)
 	copy(e.images.Store(midx), img[:])
-	if e.cc != nil {
-		e.cc.update(midx, img[:])
-	}
+	e.cc.update(midx, img[:])
 	if e.delta != nil {
 		e.delta.mark(midx)
 	}
@@ -178,9 +161,9 @@ func (e *Engine) deferCommit(midx uint64) error {
 // image is re-packed from the trusted scheme state machine — the stored
 // copy is attacker-reachable while dirty and must never feed the tree —
 // and the tree paths above all dirty leaves are recomputed in one batched
-// tree.UpdateLeaves pass. No-op without a pipeline or with a clean set.
+// tree.UpdateLeaves pass. No-op with a clean set.
 func (e *Engine) Flush() error {
-	if e.wp == nil || len(e.wp.dirty) == 0 {
+	if e.cfg.DisableEncryption || len(e.wp.dirty) == 0 {
 		return nil
 	}
 	wp := e.wp
@@ -188,9 +171,7 @@ func (e *Engine) Flush() error {
 	for _, midx := range wp.dirty {
 		img := e.packer.PackMetadata(midx)
 		copy(e.images.Store(midx), img[:])
-		if e.cc != nil {
-			e.cc.update(midx, img[:])
-		}
+		e.cc.update(midx, img[:])
 		wp.leafBuf = append(wp.leafBuf, e.metaLeaf(midx))
 	}
 	e.stats.DeferredLeafFlushes.Add(uint64(len(wp.dirty)))
@@ -233,7 +214,7 @@ func (e *Engine) flushDirtyLeaf(midx uint64) ([]byte, bool) {
 // clean leaves take the ordinary integrity-tree walk. addr attributes any
 // failure to the access that triggered the load.
 func (e *Engine) loadVerifiedImage(addr, midx uint64) ([]byte, error) {
-	if e.wp != nil && e.wp.isDirty(midx) {
+	if e.wp.isDirty(midx) {
 		img, ok := e.flushDirtyLeaf(midx)
 		if !ok {
 			return nil, &IntegrityError{Addr: addr, Reason: "dirty counter metadata does not match trusted state (fault before flush)", Stage: StageCounter}

@@ -2,24 +2,32 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"testing"
 
 	"authmem/internal/ctr"
+	"authmem/internal/tree"
 )
 
-// pipeEngine builds an engine with the write pipeline enabled.
-func pipeEngine(t testing.TB, cfg Config, maxDirty int) *Engine {
+// rebuiltRoot is the write pipeline's independent reference: a fresh tree
+// built from scratch (tree.Rebuild, no UpdateLeaves batching, no dirty set)
+// over the counter images the engine has stored. After a flush the engine's
+// incrementally maintained root must equal it.
+func rebuiltRoot(t testing.TB, e *Engine) RootDigest {
 	t.Helper()
-	e := newEngine(t, cfg)
-	if err := e.EnableWritePipeline(maxDirty); err != nil {
+	ref, err := tree.New(e.key, e.tr.Leaves(), e.cfg.OnChipTreeBytes)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	if err := ref.Rebuild(e.images.Load); err != nil {
+		t.Fatal(err)
+	}
+	return sha256.Sum256(ref.TopLevel())
 }
 
 func TestWritePipelineCombinesWrites(t *testing.T) {
-	e := pipeEngine(t, smallCfg(ctr.Delta, MACInECC), 0)
+	e := newEngine(t, smallCfg(ctr.Delta, MACInECC))
 	// 8 writes into one group touch a single metadata leaf: the first
 	// marks it dirty, the rest combine.
 	for i := uint64(0); i < 8; i++ {
@@ -63,7 +71,8 @@ func TestWritePipelineCombinesWrites(t *testing.T) {
 
 func TestWritePipelineEpochBound(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
-	e := pipeEngine(t, cfg, 2)
+	e := newEngine(t, cfg)
+	e.wp.maxDirty = 2
 	// Distinct groups are distinct leaves; the second write hits the
 	// maxDirty=2 bound and must flush inline.
 	groupBytes := uint64(ctr.GroupBlocks * BlockBytes)
@@ -84,48 +93,54 @@ func TestWritePipelineEpochBound(t *testing.T) {
 	}
 }
 
-// TestWritePipelineMatchesEagerState drives identical traffic through an
-// eager and a pipelined engine at every design point: after a flush the
-// persisted images — ciphertext, MAC bits, counter blocks, and the whole
-// tree — must be bit-identical.
+// TestWritePipelineMatchesEagerState checks, at every design point, that
+// deferring and batching the tree maintenance loses nothing against updating
+// it eagerly: after hot traffic and a flush, (a) the root equals a tree
+// rebuilt from scratch over the stored counter images, and (b) the persisted
+// image resumes under the pinned root — Resume re-verifies every counter
+// image against the tree — and reads back every block.
 func TestWritePipelineMatchesEagerState(t *testing.T) {
 	for _, cfg := range allDesignPoints() {
-		eager := newEngine(t, cfg)
-		piped := pipeEngine(t, cfg, 0)
+		e := newEngine(t, cfg)
+		want := make(map[uint64][]byte)
 		for i := 0; i < 300; i++ {
 			blk := uint64(i*7) % 512
 			d := block(int64(i))
-			if err := eager.Write(blk*BlockBytes, d); err != nil {
+			if err := e.Write(blk*BlockBytes, d); err != nil {
 				t.Fatal(err)
 			}
-			if err := piped.Write(blk*BlockBytes, d); err != nil {
-				t.Fatal(err)
-			}
+			want[blk] = d
 		}
-		if piped.Stats().WriteCombines == 0 {
+		if e.Stats().WriteCombines == 0 {
 			t.Fatalf("%s/%s: hot traffic combined no writes", cfg.Scheme, cfg.Placement)
 		}
-		var a, b bytes.Buffer
-		ra, err := eager.Persist(&a)
+		var img bytes.Buffer
+		root, err := e.Persist(&img) // Persist flushes first
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := piped.Persist(&b) // Persist flushes first
+		if root != rebuiltRoot(t, e) {
+			t.Fatalf("%s/%s: flushed root diverges from a from-scratch rebuild", cfg.Scheme, cfg.Placement)
+		}
+		r, err := Resume(cfg, &img, &root)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s/%s: resume under the pinned root: %v", cfg.Scheme, cfg.Placement, err)
 		}
-		if ra != rb {
-			t.Fatalf("%s/%s: root digests diverge", cfg.Scheme, cfg.Placement)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("%s/%s: persisted images diverge", cfg.Scheme, cfg.Placement)
+		dst := make([]byte, BlockBytes)
+		for blk, d := range want {
+			if _, err := r.Read(blk*BlockBytes, dst); err != nil {
+				t.Fatalf("%s/%s: block %d after resume: %v", cfg.Scheme, cfg.Placement, blk, err)
+			}
+			if !bytes.Equal(dst, d) {
+				t.Fatalf("%s/%s: block %d corrupted through the pipeline", cfg.Scheme, cfg.Placement, blk)
+			}
 		}
 	}
 }
 
 func TestWritePipelineRootDigestFlushes(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
-	e := pipeEngine(t, cfg, 0)
+	e := newEngine(t, cfg)
 	if err := e.Write(0, block(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -136,19 +151,14 @@ func TestWritePipelineRootDigestFlushes(t *testing.T) {
 	if e.DirtyLeaves() != 0 {
 		t.Fatal("RootDigest left dirty leaves behind")
 	}
-	// The flushed root equals an eager engine's root for the same write.
-	eager := newEngine(t, cfg)
-	if err := eager.Write(0, block(3)); err != nil {
-		t.Fatal(err)
-	}
-	if d1 != eager.RootDigest() {
-		t.Fatal("pipelined root diverges from eager root")
+	if d1 != rebuiltRoot(t, e) {
+		t.Fatal("exported root diverges from a from-scratch rebuild")
 	}
 }
 
 func TestWritePipelinePersistResume(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
-	e := pipeEngine(t, cfg, 0)
+	e := newEngine(t, cfg)
 	for i := uint64(0); i < 70; i++ { // spans two groups: two dirty leaves
 		if err := e.Write(i*BlockBytes, block(int64(i))); err != nil {
 			t.Fatal(err)
@@ -188,7 +198,7 @@ func TestWritePipelinePersistResume(t *testing.T) {
 // for the image, and the trusted-state comparison must refuse it.
 func TestWritePipelineDirtyFaultDetected(t *testing.T) {
 	for _, cfg := range allDesignPoints() {
-		e := pipeEngine(t, cfg, 0)
+		e := newEngine(t, cfg)
 		if err := e.Write(0, block(11)); err != nil {
 			t.Fatal(err)
 		}
@@ -226,13 +236,14 @@ func TestWritePipelineDirtyFaultDetected(t *testing.T) {
 // TestWritePipelineReadAfterWrite checks the read-after-write trigger: a
 // cold read of a dirty leaf flushes just that leaf and serves the read.
 func TestWritePipelineReadAfterWrite(t *testing.T) {
-	e := pipeEngine(t, smallCfg(ctr.Delta, MACInline), 0)
+	e := newEngine(t, smallCfg(ctr.Delta, MACInline))
 	if err := e.Write(0, block(21)); err != nil {
 		t.Fatal(err)
 	}
 	if e.DirtyLeaves() != 1 {
 		t.Fatal("write did not defer")
 	}
+	e.bc.evict(0) // make the read cold: write-allocate left the block resident
 	dst := make([]byte, BlockBytes)
 	if _, err := e.Read(0, dst); err != nil {
 		t.Fatal(err)
@@ -249,7 +260,7 @@ func TestWritePipelineReadAfterWrite(t *testing.T) {
 }
 
 func TestWritePipelineScrubFlushes(t *testing.T) {
-	e := pipeEngine(t, smallCfg(ctr.Delta, MACInECC), 0)
+	e := newEngine(t, smallCfg(ctr.Delta, MACInECC))
 	if err := e.Write(0, block(31)); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +279,7 @@ func TestWritePipelineScrubFlushes(t *testing.T) {
 // leaf is dirty, further writes into it must not allocate. Monolithic never
 // re-encrypts, so the loop stays on the fast path indefinitely.
 func TestWritePipelineWriteAllocs(t *testing.T) {
-	e := pipeEngine(t, smallCfg(ctr.Monolithic, MACInECC), 0)
+	e := newEngine(t, smallCfg(ctr.Monolithic, MACInECC))
 	data := block(41)
 	if err := e.Write(0, data); err != nil {
 		t.Fatal(err)

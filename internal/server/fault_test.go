@@ -236,13 +236,7 @@ func TestQuarantineLifecycleOverWire(t *testing.T) {
 // until its 7-bit minor counter overflows; with SweepStatus enabled the
 // write that triggered the group re-encryption must report OVERFLOW_SWEPT.
 func TestOverflowSweptStatus(t *testing.T) {
-	cfg := authmem.DefaultConfig(1 << 20)
-	cfg.Key = testKey()
-	cfg.Scheme = authmem.SplitCounter
-	mem, err := authmem.NewSync(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mem := newShardedMem(t, 1<<20, 1, authmem.SplitCounter)
 	s := newTestServer(t, server.Config{Backend: mem, SweepStatus: true})
 	c := loopbackClient(t, s, client.Options{})
 

@@ -17,7 +17,7 @@ import (
 // classic framing attacks (truncation, oversized lengths, giant spans, bad
 // versions).
 func FuzzServerFrame(f *testing.F) {
-	mem := newSyncMem(f, 1<<20)
+	mem := newMem(f, 1<<20)
 	srv, err := server.New(server.Config{Backend: mem, RequestTimeout: -1})
 	if err != nil {
 		f.Fatal(err)

@@ -22,7 +22,7 @@ func (rc *rawConn) sendFlags(op wire.Op, flags uint8, addr uint64, count uint32,
 }
 
 func TestHelloHandshake(t *testing.T) {
-	mem := newSyncMem(t, 1<<20)
+	mem := newMem(t, 1<<20)
 	s := newTestServer(t, server.Config{Backend: mem, NodeID: "alpha", Epoch: 42})
 	rc := dialRaw(t, s)
 
@@ -50,7 +50,7 @@ func TestHelloHandshake(t *testing.T) {
 }
 
 func TestHelloDefaultsGenerated(t *testing.T) {
-	s := newTestServer(t, server.Config{Backend: newSyncMem(t, 1<<20)})
+	s := newTestServer(t, server.Config{Backend: newMem(t, 1<<20)})
 	ni := s.NodeInfo()
 	if ni.NodeID == "" {
 		t.Fatal("default NodeID empty")
@@ -61,7 +61,7 @@ func TestHelloDefaultsGenerated(t *testing.T) {
 }
 
 func TestRootPinnedResponses(t *testing.T) {
-	mem := newSyncMem(t, 1<<20)
+	mem := newMem(t, 1<<20)
 	s := newTestServer(t, server.Config{Backend: mem, RequestTimeout: -1})
 	rc := dialRaw(t, s)
 

@@ -50,9 +50,9 @@ import (
 // The wire protocol's block granularity must be the engine's.
 const _ = -uint(wire.BlockBytes - authmem.BlockSize)
 
-// Backend is the device surface the server fronts — exactly the public API
-// shared by authmem.SyncMemory and authmem.ShardedMemory. The backend must
-// be safe for concurrent use (a bare authmem.Memory is not; wrap it).
+// Backend is the device surface the server fronts — a subset of
+// authmem.ShardedMemory's public API. The backend must be safe for
+// concurrent use (a bare authmem.Memory is not).
 type Backend interface {
 	Read(addr uint64, dst []byte) (authmem.ReadInfo, error)
 	ReadRecover(addr uint64, dst []byte) (authmem.RecoverInfo, error)
@@ -65,10 +65,7 @@ type Backend interface {
 	Size() uint64
 }
 
-var (
-	_ Backend = (*authmem.SyncMemory)(nil)
-	_ Backend = (*authmem.ShardedMemory)(nil)
-)
+var _ Backend = (*authmem.ShardedMemory)(nil)
 
 // ShardRouter is the optional backend surface that enables shard worker
 // affinity: a backend that can say which shard owns an address gets one

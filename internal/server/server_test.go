@@ -19,21 +19,16 @@ import (
 
 func testKey() []byte { return bytes.Repeat([]byte{0x5A}, authmem.KeySize) }
 
-func newSyncMem(t testing.TB, size uint64) *authmem.SyncMemory {
+// newMem builds the smallest backend: one shard, one engine behind one lock.
+func newMem(t testing.TB, size uint64) *authmem.ShardedMemory {
 	t.Helper()
-	cfg := authmem.DefaultConfig(size)
-	cfg.Key = testKey()
-	m, err := authmem.NewSync(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return newShardedMem(t, size, 1, authmem.DeltaEncoding)
 }
 
 func newTestServer(t testing.TB, cfg server.Config) *server.Server {
 	t.Helper()
 	if cfg.Backend == nil {
-		cfg.Backend = newSyncMem(t, 1<<20)
+		cfg.Backend = newMem(t, 1<<20)
 	}
 	s, err := server.New(cfg)
 	if err != nil {
@@ -154,7 +149,7 @@ func (g *gatedBackend) FlushAll() error {
 }
 
 func TestLoopbackRoundTrip(t *testing.T) {
-	mem := newSyncMem(t, 1<<20)
+	mem := newMem(t, 1<<20)
 	s := newTestServer(t, server.Config{Backend: mem})
 	rc := dialRaw(t, s)
 
@@ -213,7 +208,7 @@ func TestLoopbackRoundTrip(t *testing.T) {
 // later pipelined requests complete: the later responses must come back
 // first, proving responses are not serialized in request order.
 func TestPipelinedOutOfOrderCompletion(t *testing.T) {
-	g := newGated(newSyncMem(t, 1<<20))
+	g := newGated(newMem(t, 1<<20))
 	g.gateAddr = 0
 	s := newTestServer(t, server.Config{Backend: g, Workers: 4, RequestTimeout: -1})
 	rc := dialRaw(t, s)
@@ -249,7 +244,7 @@ func TestPipelinedOutOfOrderCompletion(t *testing.T) {
 // TestAdjacentWriteCoalescing parks the single worker, queues three adjacent
 // writes, and checks the dispatcher merged the trailing pair into one batch.
 func TestAdjacentWriteCoalescing(t *testing.T) {
-	g := newGated(newSyncMem(t, 1<<20))
+	g := newGated(newMem(t, 1<<20))
 	g.gateAddr = 512
 	s := newTestServer(t, server.Config{Backend: g, Workers: 1, RequestTimeout: -1})
 	rc := dialRaw(t, s)
@@ -303,7 +298,7 @@ func TestAdjacentWriteCoalescing(t *testing.T) {
 // checks that excess pipelined requests are rejected with StatusBusy without
 // being executed.
 func TestBusyBackpressure(t *testing.T) {
-	g := newGated(newSyncMem(t, 1<<20))
+	g := newGated(newMem(t, 1<<20))
 	g.gateAll = true
 	s := newTestServer(t, server.Config{Backend: g, MaxInflight: 2, Workers: 4, RequestTimeout: -1})
 	rc := dialRaw(t, s)
@@ -350,7 +345,7 @@ func TestBusyBackpressure(t *testing.T) {
 // TestRequestDeadline parks the single worker long enough that a queued
 // request exceeds its queue deadline and is rejected, not executed.
 func TestRequestDeadline(t *testing.T) {
-	g := newGated(newSyncMem(t, 1<<20))
+	g := newGated(newMem(t, 1<<20))
 	g.gateAll = true
 	s := newTestServer(t, server.Config{Backend: g, Workers: 1, RequestTimeout: 50 * time.Millisecond})
 	rc := dialRaw(t, s)
@@ -384,7 +379,7 @@ func TestRequestDeadline(t *testing.T) {
 // be rejected with SHUTTING_DOWN, and the backend must reach its FlushAll
 // quiescent point before Shutdown returns.
 func TestGracefulShutdownDrains(t *testing.T) {
-	g := newGated(newSyncMem(t, 1<<20))
+	g := newGated(newMem(t, 1<<20))
 	g.gateAddr = 0
 	s := newTestServer(t, server.Config{Backend: g, RequestTimeout: -1, DrainGrace: 300 * time.Millisecond})
 	rc := dialRaw(t, s)
@@ -439,7 +434,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 func TestBadRequestsRejected(t *testing.T) {
-	s := newTestServer(t, server.Config{Backend: newSyncMem(t, 1<<20)})
+	s := newTestServer(t, server.Config{Backend: newMem(t, 1<<20)})
 	rc := dialRaw(t, s)
 
 	cases := []struct {
@@ -472,7 +467,7 @@ func TestBadRequestsRejected(t *testing.T) {
 // TestMalformedFrameClosesConn sends a bad-version frame and expects the
 // server to hang up rather than guess.
 func TestMalformedFrameClosesConn(t *testing.T) {
-	s := newTestServer(t, server.Config{Backend: newSyncMem(t, 1<<20)})
+	s := newTestServer(t, server.Config{Backend: newMem(t, 1<<20)})
 	rc := dialRaw(t, s)
 
 	h := wire.Header{Version: wire.Version + 1, Op: wire.OpFlush, ID: 1}
@@ -593,7 +588,7 @@ func TestServeTCPConcurrent(t *testing.T) {
 func TestMetricsLoop(t *testing.T) {
 	got := make(chan wire.StatsSnapshot, 1)
 	s := newTestServer(t, server.Config{
-		Backend:         newSyncMem(t, 1<<20),
+		Backend:         newMem(t, 1<<20),
 		MetricsInterval: 10 * time.Millisecond,
 		OnMetrics: func(snap wire.StatsSnapshot) {
 			select {
@@ -617,7 +612,7 @@ func TestMetricsLoop(t *testing.T) {
 
 // TestShardAffinityRouting checks the pinned-worker path: single-shard
 // batches ride the shard worker, cross-shard spans and non-data ops take
-// the shared pool, and an unsharded backend never counts affinity at all.
+// the shared pool, and a 1-shard backend never counts affinity at all.
 func TestShardAffinityRouting(t *testing.T) {
 	mem := newShardedMem(t, 1<<20, 4, authmem.DeltaEncoding)
 	s := newTestServer(t, server.Config{Backend: mem})
@@ -687,7 +682,8 @@ func TestShardAffinityRouting(t *testing.T) {
 	}
 }
 
-// TestShardAffinityUnsharded pins the counters to zero on a plain SyncMemory.
+// TestShardAffinityUnsharded pins the counters to zero on a 1-shard backend:
+// with no second shard there is nothing to be affine to.
 func TestShardAffinityUnsharded(t *testing.T) {
 	s := newTestServer(t, server.Config{})
 	rc := dialRaw(t, s)

@@ -7,14 +7,14 @@ import (
 	"testing"
 )
 
-// TestSyncMemoryConcurrentScrub hammers a shared SyncMemory with
-// simultaneous reads, writes, batched I/O, and scrub passes — including
-// ParallelScrub, whose internal workers must not race with the wrapper's
-// locking. Run under -race in CI; the assertions here are secondary to the
-// race detector's.
-func TestSyncMemoryConcurrentScrub(t *testing.T) {
+// TestSingleShardConcurrentScrub hammers a shared 1-shard ShardedMemory with
+// simultaneous reads, writes, batched I/O, and scrub passes — including the
+// engine's ParallelScrub, whose internal workers must not race with the
+// shard lock held around them. Run under -race in CI; the assertions here
+// are secondary to the race detector's.
+func TestSingleShardConcurrentScrub(t *testing.T) {
 	cfg := testConfig(DeltaEncoding, MACInECC)
-	m, err := NewSync(cfg)
+	m, err := NewSharded(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,8 @@ func TestSyncMemoryConcurrentScrub(t *testing.T) {
 		}(g)
 	}
 
-	// Two scrubbers run throughout: serial and sharded.
+	// Two scrubbers run throughout: serial, and the engine's worker-sharded
+	// parity screen under the shard lock.
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
@@ -72,7 +73,9 @@ func TestSyncMemoryConcurrentScrub(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters/4; i++ {
-			if _, err := m.ParallelScrub(0); err != nil {
+			var err error
+			m.WithShard(0, func(raw *Memory) { _, err = raw.ParallelScrub(0) })
+			if err != nil {
 				errs <- err
 				return
 			}
@@ -90,7 +93,7 @@ func TestSyncMemoryConcurrentScrub(t *testing.T) {
 	}
 }
 
-// TestSyncMemoryQuarantineRace exercises the quarantine/retry path under
+// TestSingleShardQuarantineRace exercises the quarantine/retry path under
 // contention: one block is corrupted beyond the correction budget and driven
 // into quarantine, then concurrent ReadRecover readers hammer it (the
 // quarantine fast-fail path) while a scrubber sweeps the region (including
@@ -99,9 +102,9 @@ func TestSyncMemoryConcurrentScrub(t *testing.T) {
 // and retry bookkeeping are engine state mutated on the READ path, so this
 // is exactly the shape that shakes out a lock that only covers writes. Run
 // under -race.
-func TestSyncMemoryQuarantineRace(t *testing.T) {
+func TestSingleShardQuarantineRace(t *testing.T) {
 	cfg := testConfig(DeltaEncoding, MACInECC)
-	m, err := NewSync(cfg)
+	m, err := NewSharded(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +126,7 @@ func TestSyncMemoryQuarantineRace(t *testing.T) {
 
 	// Single-threaded setup phase: corrupt the victim beyond any budget and
 	// drive it into quarantine.
-	m.Locked(func(raw *Memory) {
+	m.WithShard(0, func(raw *Memory) {
 		for bit := 0; bit < 41; bit++ {
 			if err := raw.FlipDataBit(victim, bit*12%512); err != nil {
 				t.Fatal(err)
@@ -252,9 +255,6 @@ func TestShardedMemoryLockFreeRace(t *testing.T) {
 	s, err := NewSharded(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !s.LockFreeReads() {
-		t.Fatal("lock-free reads are not the default")
 	}
 	const (
 		blocks  = 256 // spread across all 4 shards

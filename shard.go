@@ -9,10 +9,11 @@ import (
 // ShardedMemory is an authenticated encrypted memory partitioned into N
 // independent shards for parallel access by concurrent goroutines.
 //
-// Where SyncMemory serializes every operation behind one lock, a
-// ShardedMemory gives each shard — a contiguous 1/N slice of the region —
-// its own lock, ciphertext arena, counter state, quarantine set, verified-
-// counter cache, and Merkle subtree. Accesses to different shards never
+// Each shard — a contiguous 1/N slice of the region — is a complete engine
+// behind its own lock: ciphertext arena, counter state, quarantine set,
+// verified-counter and verified-block caches, write pipeline, and Merkle
+// subtree. Warm reads are served from the owning shard's verified-block
+// cache without taking any lock. Accesses to different shards never
 // contend, and multi-block spans that cross shard boundaries are split and
 // served concurrently. A small trusted combining layer hashes the per-shard
 // subtree roots into the single root digest used for persist/resume, so the
@@ -55,14 +56,6 @@ func (s *ShardedMemory) Size() uint64 { return s.eng.ShardBytes() * uint64(s.eng
 
 // ShardOf returns the index of the shard owning addr.
 func (s *ShardedMemory) ShardOf(addr uint64) int { return s.eng.ShardOf(addr) }
-
-// SetLockFreeReads enables or disables the zero-lock warm-read fast path
-// (enabled by default) — a benchmarking/diagnosis switch; see
-// core.ShardedEngine.SetLockFreeReads. Call before concurrent traffic.
-func (s *ShardedMemory) SetLockFreeReads(enabled bool) { s.eng.SetLockFreeReads(enabled) }
-
-// LockFreeReads reports whether the warm-read fast path is enabled.
-func (s *ShardedMemory) LockFreeReads() bool { return s.eng.LockFreeReads() }
 
 // Write encrypts and stores one 64-byte block, locking only the owning
 // shard. See Memory.Write.
@@ -158,20 +151,19 @@ func (s *ShardedMemory) FlipCounterBit(addr uint64, bit int) error {
 }
 
 // WithShard locks shard i and runs fn against a Memory view of just that
-// shard — the sharded analogue of SyncMemory.Locked, giving attack and
-// fault experiments the full single-shard surface (snapshots, tree-node
-// flips, counter stats) without racing concurrent traffic. Addresses inside
-// fn are shard-local (subtract i*ShardSize() from global addresses). fn
-// must not retain the Memory after returning.
+// shard, giving attack and fault experiments the full single-shard surface
+// (snapshots, tree-node flips, counter stats) without racing concurrent
+// traffic. Addresses inside fn are shard-local (subtract i*ShardSize() from
+// global addresses). fn must not retain the Memory after returning.
 func (s *ShardedMemory) WithShard(i int, fn func(m *Memory)) {
 	s.eng.WithShard(i, func(eng *core.Engine) { fn(&Memory{eng: eng}) })
 }
 
 // FlushAll forces every shard's deferred Merkle maintenance to land, with
-// the shards flushing concurrently. Each shard runs the write pipeline by
-// default (writes combine into dirty tree leaves, flushed in epochs), and
-// flushes itself at its epoch bound and before persist/root export; FlushAll
-// is the explicit region-wide quiescent point.
+// the shards flushing concurrently. Each shard's write pipeline combines
+// writes into dirty tree leaves and flushes itself at its epoch bound and
+// before persist/root export; FlushAll is the explicit region-wide
+// quiescent point.
 func (s *ShardedMemory) FlushAll() error { return s.eng.FlushAll() }
 
 // RootDigest returns the combining layer's trusted digest over all shard

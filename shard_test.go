@@ -3,6 +3,7 @@ package authmem
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -34,6 +35,9 @@ func TestShardedMemoryGeometry(t *testing.T) {
 	}
 	if _, err := NewSharded(shardTestConfig(t, 1<<20), 3); err == nil {
 		t.Fatal("non-power-of-two shard count accepted")
+	}
+	if _, err := NewSharded(Config{}, 1); err == nil {
+		t.Fatal("invalid config should fail")
 	}
 }
 
@@ -194,8 +198,8 @@ func TestShardedZeroAllocObservability(t *testing.T) {
 		t.Fatalf("Stats allocates %.1f objects/op", avg)
 	}
 
-	// The same guarantees hold for the plain Memory and SyncMemory.
-	sm, err := NewSync(shardTestConfig(t, 1<<20))
+	// The same guarantees hold for the plain Memory.
+	sm, err := New(shardTestConfig(t, 1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +209,7 @@ func TestShardedZeroAllocObservability(t *testing.T) {
 		}
 		sm.Stats()
 	}); avg != 0 {
-		t.Fatalf("SyncMemory observability allocates %.1f objects/op", avg)
+		t.Fatalf("Memory observability allocates %.1f objects/op", avg)
 	}
 }
 
@@ -260,5 +264,48 @@ func TestShardedMemoryConcurrent(t *testing.T) {
 	wg.Wait()
 	if m.Stats().IntegrityFailures != 0 {
 		t.Fatal("integrity failures under clean concurrent traffic")
+	}
+}
+
+// TestSingleShardConcurrentUse shares a 1-shard ShardedMemory — one engine
+// behind one lock, the single-controller configuration — between goroutines
+// hammering disjoint regions: every read must return the goroutine's own
+// last write, and no access may be lost from the counters. Run under -race.
+func TestSingleShardConcurrentUse(t *testing.T) {
+	m := newShardedMem(t, 1<<20, 1)
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			base := uint64(g) * 128 * BlockSize
+			buf := make([]byte, BlockSize)
+			dst := make([]byte, BlockSize)
+			for i := 0; i < 200; i++ {
+				addr := base + uint64(i%128)*BlockSize
+				buf[0], buf[1] = byte(g), byte(i)
+				if err := m.Write(addr, buf); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := m.Read(addr, dst); err != nil {
+					errs <- err
+					return
+				}
+				if dst[0] != byte(g) || dst[1] != byte(i) {
+					errs <- fmt.Errorf("goroutine %d: stale read", g)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.Writes != 8*200 || st.Reads != 8*200 {
+		t.Fatalf("stats %+v", st)
 	}
 }
