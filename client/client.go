@@ -174,7 +174,7 @@ func (c *Client) Write(addr uint64, src []byte) (Info, error) {
 // Flush brings the remote region to a quiescent point: all deferred Merkle
 // maintenance lands before it returns.
 func (c *Client) Flush() error {
-	_, _, err := c.do(wire.OpFlush, 0, 0, 0, nil, nil)
+	_, err := c.do(wire.OpFlush, 0, 0, 0, nil, nil)
 	return err
 }
 
@@ -182,11 +182,11 @@ func (c *Client) Flush() error {
 // transport counters are Stats.
 func (c *Client) ServerStats() (wire.StatsSnapshot, error) {
 	var snap wire.StatsSnapshot
-	_, body, err := c.do(wire.OpStats, 0, 0, 0, nil, nil)
+	res, err := c.do(wire.OpStats, 0, 0, 0, nil, nil)
 	if err != nil {
 		return snap, err
 	}
-	return snap, json.Unmarshal(body, &snap)
+	return snap, json.Unmarshal(res.body, &snap)
 }
 
 // Hello fetches the server's identity: its stable node ID, the epoch of the
@@ -195,25 +195,25 @@ func (c *Client) ServerStats() (wire.StatsSnapshot, error) {
 // node held is gone.
 func (c *Client) Hello() (wire.NodeInfo, error) {
 	var ni wire.NodeInfo
-	_, body, err := c.do(wire.OpHello, 0, 0, 0, nil, nil)
+	res, err := c.do(wire.OpHello, 0, 0, 0, nil, nil)
 	if err != nil {
 		return ni, err
 	}
-	return ni, json.Unmarshal(body, &ni)
+	return ni, json.Unmarshal(res.body, &ni)
 }
 
 // RootDigest fetches the trusted root digest over the remote region's
 // current state.
 func (c *Client) RootDigest() (authmem.RootDigest, error) {
 	var d authmem.RootDigest
-	_, body, err := c.do(wire.OpRootDigest, 0, 0, 0, nil, nil)
+	res, err := c.do(wire.OpRootDigest, 0, 0, 0, nil, nil)
 	if err != nil {
 		return d, err
 	}
-	if len(body) != len(d) {
-		return d, fmt.Errorf("client: root digest is %d bytes, want %d", len(body), len(d))
+	if len(res.body) != len(d) {
+		return d, fmt.Errorf("client: root digest is %d bytes, want %d", len(res.body), len(d))
 	}
-	copy(d[:], body)
+	copy(d[:], res.body)
 	return d, nil
 }
 
@@ -236,21 +236,19 @@ func (c *Client) WritePinned(addr uint64, src []byte) (Info, authmem.RootDigest,
 // FlushPinned flushes and returns the root digest of the quiescent state in
 // one round trip.
 func (c *Client) FlushPinned() (authmem.RootDigest, error) {
-	var d authmem.RootDigest
-	h, body, err := c.do(wire.OpFlush, wire.FlagRootPin, 0, 0, nil, nil)
+	res, err := c.do(wire.OpFlush, wire.FlagRootPin, 0, 0, nil, nil)
 	if err != nil {
-		return d, err
+		return authmem.RootDigest{}, err
 	}
-	if h.Flags&wire.FlagRootPin == 0 || len(body) != len(d) {
-		return d, errors.New("client: server did not pin the flush response")
+	if !res.pinned {
+		return authmem.RootDigest{}, errors.New("client: server did not pin the flush response")
 	}
-	copy(d[:], body)
-	return d, nil
+	return res.pin, nil
 }
 
 // pinned performs one root-pinned data request.
 func (c *Client) pinned(op wire.Op, addr uint64, src, dst []byte) (Info, authmem.RootDigest, error) {
-	var d authmem.RootDigest
+	var d authmem.RootDigest // returned zero with every error
 	data := src
 	if op == wire.OpRead {
 		data = dst
@@ -264,15 +262,14 @@ func (c *Client) pinned(op wire.Op, addr uint64, src, dst []byte) (Info, authmem
 	if addr%wire.BlockBytes != 0 {
 		return Info{}, d, fmt.Errorf("client: address %#x not %d-byte aligned", addr, wire.BlockBytes)
 	}
-	h, body, err := c.do(op, wire.FlagRootPin, addr, uint32(len(data)/wire.BlockBytes), src, dst)
+	res, err := c.do(op, wire.FlagRootPin, addr, uint32(len(data)/wire.BlockBytes), src, dst)
 	if err != nil {
 		return Info{}, d, err
 	}
-	if h.Flags&wire.FlagRootPin == 0 || len(body) != len(d) {
+	if !res.pinned {
 		return Info{}, d, fmt.Errorf("client: server did not pin the %v response", op)
 	}
-	copy(d[:], body)
-	return Info{Status: h.Status, Flags: h.Flags &^ wire.FlagRootPin}, d, nil
+	return Info{Status: res.h.Status, Flags: res.h.Flags &^ wire.FlagRootPin}, res.pin, nil
 }
 
 // spanned validates a data span, splits it into protocol-sized chunks, and
@@ -333,16 +330,17 @@ func (c *Client) chunk(op wire.Op, addr uint64, src, dst []byte) (Info, error) {
 	if op == wire.OpRead {
 		count = uint32(len(dst) / wire.BlockBytes)
 	}
-	h, _, err := c.do(op, 0, addr, count, src, dst)
+	res, err := c.do(op, 0, addr, count, src, dst)
 	if err != nil {
 		return Info{}, err
 	}
-	return Info{Status: h.Status, Flags: h.Flags}, nil
+	return Info{Status: res.h.Status, Flags: res.h.Flags}, nil
 }
 
 // do issues one request with retry-with-backoff. Reads land directly in
-// dst; control-op payloads (and root pins) are returned as a fresh slice.
-func (c *Client) do(op wire.Op, flags uint8, addr uint64, count uint32, payload, dst []byte) (wire.Header, []byte, error) {
+// dst; control-op payloads are returned as a fresh slice in the result's
+// body, a root pin by value in its pin.
+func (c *Client) do(op wire.Op, flags uint8, addr uint64, count uint32, payload, dst []byte) (callResult, error) {
 	var lastErr error
 	backoff := c.opts.RetryBackoff
 	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
@@ -352,11 +350,11 @@ func (c *Client) do(op wire.Op, flags uint8, addr uint64, count uint32, payload,
 			backoff *= 2
 		}
 		if c.closed.Load() {
-			return wire.Header{}, nil, errors.New("client: closed")
+			return callResult{}, errors.New("client: closed")
 		}
 		c.ctr.attempts.Add(1)
 		pc := c.conns[c.rr.Add(1)%uint64(len(c.conns))]
-		h, body, err := pc.roundTrip(op, flags, addr, count, payload, dst)
+		res, err := pc.roundTrip(op, flags, addr, count, payload, dst)
 		if err != nil {
 			if errors.Is(err, errTimeout) {
 				c.ctr.timeouts.Add(1)
@@ -366,12 +364,13 @@ func (c *Client) do(op wire.Op, flags uint8, addr uint64, count uint32, payload,
 			lastErr = err // transport trouble: retry (another conn, redial)
 			continue
 		}
+		h := res.h
 		if h.Status.Success() {
-			return h, body, nil
+			return res, nil
 		}
 		serr := &StatusError{Status: h.Status, Addr: h.Addr}
 		if !h.Status.Retryable() {
-			return wire.Header{}, nil, serr
+			return callResult{}, serr
 		}
 		switch h.Status {
 		case wire.StatusBusy:
@@ -382,5 +381,5 @@ func (c *Client) do(op wire.Op, flags uint8, addr uint64, count uint32, payload,
 		lastErr = serr
 	}
 	c.ctr.retriesExhausted.Add(1)
-	return wire.Header{}, nil, fmt.Errorf("client: retries exhausted: %w", lastErr)
+	return callResult{}, fmt.Errorf("client: retries exhausted: %w", lastErr)
 }

@@ -308,3 +308,38 @@ func TestClientReconnects(t *testing.T) {
 		t.Fatal("reconnected read returned wrong bytes")
 	}
 }
+
+// TestPinnedRoundTripAllocs bounds what a root pin adds to a loopback round
+// trip — client and server together, since AllocsPerRun counts the whole
+// process: nothing. The pin travels by value on the client, and the server
+// takes it from the tree's cached digest into the pooled response buffer,
+// so a pinned op allocates exactly what the same op unpinned does. The
+// absolute bounds keep the round trip itself from creeping.
+func TestPinnedRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the server's pooled response buffers are dropped at random under -race")
+	}
+	_, c := newStack(t, server.Config{}, client.Options{})
+	data := pattern(0x5C, 4*wire.BlockBytes)
+	dst := make([]byte, len(data))
+	if _, _, err := c.WritePinned(4096, data); err != nil {
+		t.Fatal(err)
+	}
+	measure := func(op func() error) float64 {
+		return testing.AllocsPerRun(300, func() {
+			if err := op(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	read := measure(func() error { _, err := c.Read(4096, dst); return err })
+	readPinned := measure(func() error { _, _, err := c.ReadPinned(4096, dst); return err })
+	write := measure(func() error { _, err := c.Write(4096, data); return err })
+	writePinned := measure(func() error { _, _, err := c.WritePinned(4096, data); return err })
+	if readPinned > read || writePinned > write {
+		t.Errorf("a pin allocates: read %.0f -> %.0f pinned, write %.0f -> %.0f pinned", read, readPinned, write, writePinned)
+	}
+	if readPinned > 8 || writePinned > 10 {
+		t.Errorf("pinned loopback round trip allocates %.0f (read) / %.0f (write), want at most 8 / 10", readPinned, writePinned)
+	}
+}

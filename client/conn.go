@@ -30,10 +30,15 @@ type call struct {
 	done chan callResult
 }
 
+// callResult is one completed call. A root pin travels by value: the
+// response's suffix is copied into pin, so a pinned round trip allocates
+// nothing for it.
 type callResult struct {
-	h    wire.Header
-	body []byte
-	err  error
+	h      wire.Header
+	body   []byte
+	pin    [wire.RootPinBytes]byte
+	pinned bool
+	err    error
 }
 
 // poolConn is one slot of the client's connection pool: a current session
@@ -106,14 +111,15 @@ func (pc *poolConn) close(err error) {
 }
 
 // roundTrip sends one request and waits for its completion. Read payloads
-// land directly in dst; other payloads are returned as a fresh slice.
-func (pc *poolConn) roundTrip(op wire.Op, flags uint8, addr uint64, count uint32, payload, dst []byte) (wire.Header, []byte, error) {
+// land directly in dst; other payloads are returned as a fresh slice, and a
+// root pin by value.
+func (pc *poolConn) roundTrip(op wire.Op, flags uint8, addr uint64, count uint32, payload, dst []byte) (callResult, error) {
 	pc.window <- struct{}{}
 	defer func() { <-pc.window }()
 
 	s, err := pc.live()
 	if err != nil {
-		return wire.Header{}, nil, err
+		return callResult{}, err
 	}
 	id := pc.nextID.Add(1)
 	cl := &call{dst: dst, done: make(chan callResult, 1)}
@@ -121,7 +127,7 @@ func (pc *poolConn) roundTrip(op wire.Op, flags uint8, addr uint64, count uint32
 	if s.err != nil {
 		err := s.err
 		s.mu.Unlock()
-		return wire.Header{}, nil, err
+		return callResult{}, err
 	}
 	s.pending[id] = cl
 	s.mu.Unlock()
@@ -135,17 +141,24 @@ func (pc *poolConn) roundTrip(op wire.Op, flags uint8, addr uint64, count uint32
 		s.forget(id)
 		s.fail(fmt.Errorf("client: write: %w", werr))
 		s.nc.Close()
-		return wire.Header{}, nil, werr
+		return callResult{}, werr
 	}
 
 	timer := time.NewTimer(pc.opts.RequestTimeout)
 	defer timer.Stop()
 	select {
 	case res := <-cl.done:
-		return res.h, res.body, res.err
+		return res, res.err
 	case <-timer.C:
-		s.forget(id)
-		return wire.Header{}, nil, fmt.Errorf("client: %v at %#x: %w", op, addr, errTimeout)
+		if !s.forget(id) {
+			// The reader (or fail) claimed the call just as the timer
+			// fired and is completing it now. Take that completion: the
+			// reader may still be copying into dst, which the caller
+			// must not get back before the copy is over.
+			res := <-cl.done
+			return res, res.err
+		}
+		return callResult{}, fmt.Errorf("client: %v at %#x: %w", op, addr, errTimeout)
 	}
 }
 
@@ -170,7 +183,6 @@ func (s *session) readLoop() {
 		res := callResult{h: h}
 		if h.Status.Success() {
 			data := payload
-			var pin []byte
 			if h.Flags&wire.FlagRootPin != 0 {
 				// The root-pin suffix rides after the data; peel it
 				// off so dst sizing below sees only the data.
@@ -179,7 +191,8 @@ func (s *session) readLoop() {
 					cl.done <- res
 					continue
 				}
-				pin = data[len(data)-wire.RootPinBytes:]
+				res.pinned = true
+				copy(res.pin[:], data[len(data)-wire.RootPinBytes:])
 				data = data[:len(data)-wire.RootPinBytes]
 			}
 			switch {
@@ -192,19 +205,20 @@ func (s *session) readLoop() {
 			case len(data) > 0:
 				res.body = append([]byte(nil), data...)
 			}
-			if pin != nil && res.err == nil {
-				res.body = append([]byte(nil), pin...)
-			}
 		}
 		cl.done <- res
 	}
 }
 
-// forget deregisters a call (timeout or failed send).
-func (s *session) forget(id uint64) {
+// forget deregisters a call (timeout or failed send). It reports whether the
+// call was still pending; false means the reader or fail already claimed it
+// and will complete it.
+func (s *session) forget(id uint64) bool {
 	s.mu.Lock()
+	_, pending := s.pending[id]
 	delete(s.pending, id)
 	s.mu.Unlock()
+	return pending
 }
 
 // fail marks the session broken and completes every pending call with err.

@@ -658,3 +658,85 @@ func TestClusterRebalance(t *testing.T) {
 		t.Fatalf("attested %d nodes after retire", len(att.Nodes))
 	}
 }
+
+// TestClusterLosingFirstVoterNeverReachesCaller pins the one hazard of
+// reading the first voter straight into the caller's buffer: until the vote
+// is resolved, dst holds an unvoted replica's bytes. Whichever replica
+// deviates — the first voter (the winner must be copied over dst) or the
+// other one (the winner is already there) — the caller gets the voted data;
+// and when nothing decides, or no replica answers, dst comes back zeroed:
+// not the sentinel it went in with and not either replica's claim.
+func TestClusterLosingFirstVoterNeverReachesCaller(t *testing.T) {
+	hs, c := startCluster(t, "a", "b")
+	names := []string{"a", "b"}
+	sb := uint64(tStripeB) * wire.BlockBytes
+	rogues := map[string]*client.Client{}
+	for _, n := range names {
+		r, err := client.New(client.Options{Dial: hs[n].dial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		rogues[n] = r
+	}
+	sentinel := bytes.Repeat([]byte{0xEE}, wire.BlockBytes)
+	zero := make([]byte, wire.BlockBytes)
+
+	// Four stripes: on the even ones the first voter deviates, on the odd
+	// ones the second.
+	for s := uint64(0); s < 4; s++ {
+		owners := icluster.Owners(s, names, 2)
+		deviant := owners[s%2] // s even: the first voter loses; odd: the second
+		addr := s * sb
+		good := fill(byte(0x40+s), wire.BlockBytes)
+		if _, err := c.Write(addr, good); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rogues[deviant].Write(addr, fill(0x99, wire.BlockBytes)); err != nil {
+			t.Fatal(err)
+		}
+		dst := append([]byte(nil), sentinel...)
+		info, err := c.Read(addr, dst)
+		if err != nil {
+			t.Fatalf("stripe %d (deviant %s, voter %d): %v", s, deviant, s%2, err)
+		}
+		if info.Verdict != cluster.VerdictOutvotedRoot {
+			t.Fatalf("stripe %d: verdict %v, want OUTVOTED_ROOT", s, info.Verdict)
+		}
+		if !bytes.Equal(dst, good) {
+			t.Fatalf("stripe %d: caller got bytes the vote did not pick (deviant was voter %d)", s, s%2)
+		}
+	}
+
+	// Both deviate: *QuorumError, and dst holds neither claim.
+	addr := 8 * sb
+	if _, err := c.Write(addr, fill(0x10, wire.BlockBytes)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rogues["a"].Write(addr, fill(0x20, wire.BlockBytes)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rogues["b"].Write(addr, fill(0x30, wire.BlockBytes)); err != nil {
+		t.Fatal(err)
+	}
+	dst := append([]byte(nil), sentinel...)
+	_, err := c.Read(addr, dst)
+	var qe *cluster.QuorumError
+	if !errors.As(err, &qe) {
+		t.Fatalf("double deviation: err=%v, want *QuorumError", err)
+	}
+	if !bytes.Equal(dst, zero) {
+		t.Fatalf("unresolved read left %x... in the caller's buffer, want zeroes", dst[:8])
+	}
+
+	// Nobody answers: same contract.
+	hs["a"].partition()
+	hs["b"].partition()
+	dst = append(dst[:0], sentinel...)
+	if _, err := c.Read(16*sb, dst); !errors.As(err, &qe) {
+		t.Fatalf("all replicas unreachable: err=%v, want *QuorumError", err)
+	}
+	if !bytes.Equal(dst, zero) {
+		t.Fatal("unreachable read left the caller's buffer unzeroed")
+	}
+}

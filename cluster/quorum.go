@@ -241,16 +241,25 @@ func (c *Cluster) readQuorum(s, lo uint64, dst []byte) (Info, error) {
 		voters = append(voters, m)
 	}
 
+	// R voters cost R round trips and nothing else: the first voter's read
+	// runs on this goroutine, straight into dst; only the other R-1 get a
+	// goroutine and a buffer. dst therefore holds an unvoted replica's
+	// bytes until the vote is resolved below — every return path either
+	// copies the winner over it or clears it.
 	reads := make([]replicaRead, len(voters))
 	var wg sync.WaitGroup
-	for i, m := range voters {
+	for i := 1; i < len(voters); i++ {
 		wg.Add(1)
 		go func(i int, m *member) {
 			defer wg.Done()
 			buf := make([]byte, len(dst))
 			_, pin, err := m.cl.ReadPinned(lo, buf)
 			reads[i] = replicaRead{m: m, data: buf, pin: pin, err: err}
-		}(i, m)
+		}(i, voters[i])
+	}
+	if len(voters) > 0 {
+		_, pin, err := voters[0].cl.ReadPinned(lo, dst)
+		reads[0] = replicaRead{m: voters[0], data: dst, pin: pin, err: err}
 	}
 	wg.Wait()
 
@@ -271,18 +280,23 @@ func (c *Cluster) readQuorum(s, lo uint64, dst []byte) (Info, error) {
 			excluded = max(excluded, VerdictOutvotedUnreachable)
 		}
 	}
+	var (
+		winner  []byte
+		verdict Verdict
+		qerr    error
+	)
 	if len(oks) == 0 {
-		c.ctr.countVerdict(VerdictUnresolved)
-		return Info{Verdict: VerdictUnresolved}, c.quorumErr("read", lo, len(dst), reads)
+		qerr = c.quorumErr("read", lo, len(dst), reads)
+	} else {
+		winner, verdict, qerr = c.resolveReads(s, lo, oks)
 	}
-
-	winner, verdict, qerr := c.resolveReads(s, lo, oks)
 	if qerr != nil {
+		clear(dst) // never hand back bytes no vote stood behind
 		c.ctr.countVerdict(VerdictUnresolved)
 		return Info{Verdict: VerdictUnresolved}, qerr
 	}
 	verdict = max(verdict, excluded)
-	copy(dst, winner)
+	copy(dst, winner) // a no-op when the first voter won: its data is dst
 
 	info := Info{Verdict: verdict, Degraded: len(oks) < len(owners)}
 	if info.Degraded {
@@ -305,12 +319,15 @@ func (c *Cluster) readQuorum(s, lo uint64, dst []byte) (Info, error) {
 //     rolled back or been tampered: outvoted.
 //  5. Nothing decides — *QuorumError. Detected, reported, never guessed.
 func (c *Cluster) resolveReads(s, lo uint64, oks []replicaRead) ([]byte, Verdict, error) {
+	if agreed, data := unanimous(oks); agreed {
+		return data, VerdictClean, nil
+	}
+	// Only a disagreement pays for digests: answers are grouped by SHA-256
+	// so factions can be counted.
 	groups := map[[sha256.Size]byte][]int{}
 	for i, r := range oks {
-		groups[sha256.Sum256(r.data)] = append(groups[sha256.Sum256(r.data)], i)
-	}
-	if len(groups) == 1 {
-		return oks[0].data, VerdictClean, nil
+		h := sha256.Sum256(r.data)
+		groups[h] = append(groups[h], i)
 	}
 
 	condemn := func(idxs []int) {
@@ -406,9 +423,7 @@ func (c *Cluster) writeQuorum(s, lo uint64, src []byte) (Info, error) {
 		pin authmem.RootDigest
 		err error
 	}
-	var wg sync.WaitGroup
 	res := make([]wres, 0, len(owners))
-	var mu sync.Mutex
 	missed := VerdictClean
 	for _, m := range owners {
 		if !m.isAlive() && !c.reviveIfDue(m) {
@@ -416,14 +431,20 @@ func (c *Cluster) writeQuorum(s, lo uint64, src []byte) (Info, error) {
 			missed = max(missed, VerdictOutvotedUnreachable)
 			continue
 		}
+		res = append(res, wres{m: m})
+	}
+	// As in readQuorum: the first replica's write runs on this goroutine,
+	// the others in parallel with it.
+	var wg sync.WaitGroup
+	for i := 1; i < len(res); i++ {
 		wg.Add(1)
-		go func(m *member) {
+		go func(r *wres) {
 			defer wg.Done()
-			pin, err := writePinned(m, lo, src)
-			mu.Lock()
-			res = append(res, wres{m, pin, err})
-			mu.Unlock()
-		}(m)
+			r.pin, r.err = writePinned(r.m, lo, src)
+		}(&res[i])
+	}
+	if len(res) > 0 {
+		res[0].pin, res[0].err = writePinned(res[0].m, lo, src)
 	}
 	wg.Wait()
 

@@ -146,14 +146,17 @@ func (e *Engine) Persist(w io.Writer) (RootDigest, error) {
 // level — what Persist returns, available without serializing the image.
 // The sharded combining layer hashes these per-shard digests into one root.
 // An exported root must reflect every accepted write, so any deferred
-// Merkle maintenance is flushed first.
+// Merkle maintenance is flushed first. Cost: the flush (nothing when no
+// write landed since the last one) plus the tree's cached top-level digest,
+// which is re-hashed only after a flush changed that level — on an engine
+// nothing has written to since the last call, RootDigest is a 32-byte copy.
 func (e *Engine) RootDigest() RootDigest {
 	if err := e.Flush(); err != nil {
 		// Flush fails only on structural tree errors, which the engine's
 		// fixed geometry rules out.
 		panic(err)
 	}
-	return sha256.Sum256(e.tr.TopLevel())
+	return e.tr.TopDigest()
 }
 
 // Resume rebuilds an engine from a persisted image. cfg must match the
@@ -273,6 +276,8 @@ func Resume(cfg Config, r io.Reader, expectRoot *RootDigest) (*Engine, error) {
 		return nil, err
 	}
 	if expectRoot != nil {
+		// Hashed afresh, not through the tree's digest cache: the pin
+		// check is the rollback defense and stays independent of it.
 		got := sha256.Sum256(e.tr.TopLevel())
 		if got != *expectRoot {
 			return nil, &IntegrityError{Reason: "persistent image root digest mismatch (rollback or corruption)", Stage: StageResume}

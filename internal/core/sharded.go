@@ -626,48 +626,72 @@ func (s *ShardedEngine) TamperCounterForAddr(addr uint64, bit int) error {
 	return sh.eng.TamperCounterBlock(sh.eng.MetadataIndex(local), bit)
 }
 
-// FlushAll forces every shard's deferred Merkle maintenance to land.
-// Shards flush concurrently — each flush touches only that shard's own
-// counter images and subtree, under its own lock — so the epoch barrier
-// costs one shard's flush, not the sum. Engine-level flush hooks (persist,
-// root export, scrub) fire per shard automatically; FlushAll is for callers
-// that want a region-wide quiescent point on demand.
+// FlushAll forces every shard's deferred Merkle maintenance to land. Only
+// shards with work pending are visited: one dirty shard — the common case
+// after a single-span write — flushes on the caller's goroutine, several
+// flush concurrently (each flush touches only that shard's own counter
+// images and subtree, under its own lock), so the epoch barrier costs one
+// shard's flush, not the sum. Engine-level flush hooks (persist, root
+// export, scrub) fire per shard automatically; FlushAll is for callers that
+// want a region-wide quiescent point on demand.
 func (s *ShardedEngine) FlushAll() error {
-	// Quiescent fast path: each shard's write pipe keeps an atomic dirty
-	// gauge, so an already-flushed region answers without locks, goroutines,
-	// or allocations — FlushAll in a read-mostly loop costs a few loads.
-	dirty := false
+	// Each shard's write pipe keeps an atomic dirty gauge, so an
+	// already-flushed region answers without locks, goroutines, or
+	// allocations — FlushAll in a read-mostly loop costs a few loads.
+	var last *engineShard
+	dirty := 0
 	for _, sh := range s.shards {
 		if sh.eng.flushPending() {
-			dirty = true
-			break
+			last = sh
+			dirty++
 		}
 	}
-	if !dirty {
+	switch dirty {
+	case 0:
 		return nil
+	case 1:
+		return last.flush()
 	}
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
 	for i, sh := range s.shards {
+		if !sh.eng.flushPending() {
+			continue
+		}
 		wg.Add(1)
 		go func(i int, sh *engineShard) {
 			defer wg.Done()
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			errs[i] = sh.eng.Flush()
+			errs[i] = sh.flush()
 		}(i, sh)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
+// flush lands the shard's deferred Merkle maintenance under its lock.
+func (sh *engineShard) flush() error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.eng.Flush()
+}
+
 // RootDigest returns the combining layer's trusted digest over all shard
-// subtree roots. All shards are locked for a consistent snapshot.
+// subtree roots. Shards are locked one at a time, not together: each
+// shard's root reflects every write to that shard that completed before
+// RootDigest was called (its deferred maintenance is flushed under the
+// lock), so on a quiescent engine the digest pins exactly the current
+// state, and a caller that has just completed a write gets a root that
+// covers it. Under concurrent writers the per-shard roots may come from
+// different instants — each one a state that shard really held. A shard
+// nothing has written to since the last call contributes its cached digest,
+// so the cost is one 3KB hash per shard dirtied in between plus the
+// combining hash, with no allocation.
 func (s *ShardedEngine) RootDigest() RootDigest {
-	roots := make([][sha256.Size]byte, len(s.shards))
-	for i, sh := range s.shards {
+	var buf [16][sha256.Size]byte
+	roots := buf[:0]
+	for _, sh := range s.shards {
 		sh.mu.Lock()
-		roots[i] = sh.eng.RootDigest()
+		roots = append(roots, sh.eng.RootDigest())
 		sh.mu.Unlock()
 	}
 	return tree.CombineRoots(roots)

@@ -282,8 +282,12 @@ func (c *conn) expire(r *request) bool {
 // response whose request asked for it with FlagRootPin, and sets the flag
 // on the response to mark the suffix present. Failed responses never pin:
 // their post-operation root is not an attestation of anything the client
-// got. Computing the root forces a flush, which is why pinning is opt-in
-// per request.
+// got. Cost: Backend.RootDigest flushes the shards written since the last
+// pin and re-hashes only their top levels (tree.TopDigest caches the rest),
+// so a pinned read adds a 32-byte copy to the response and a pinned write
+// one leaf-path flush plus one 3KB hash — the write pipeline's combining is
+// what a pin per write gives up, which is why pinning stays opt-in per
+// request. The digest lands in the response's pooled buffer: no allocation.
 func (c *conn) maybePin(reqFlags uint8, resp *response) {
 	resp.h.Flags &^= wire.FlagRootPin
 	if reqFlags&wire.FlagRootPin == 0 || !resp.h.Status.Success() {

@@ -2,11 +2,12 @@
 //
 // A sharded memory partitions the protected region into N shards, each with
 // its own Bonsai Merkle subtree whose trusted top level lives in that
-// shard's SRAM. The forest is the tiny on-chip structure above them: it
-// hashes the N subtree roots into one combined digest, so the whole
-// memory's freshness is still pinned by a single trusted value (for
-// persist/resume and attestation) while every per-access tree walk stays
-// inside one shard — no cross-shard synchronization on the hot path.
+// shard's SRAM. The forest is the tiny on-chip function above them:
+// CombineRoots hashes the N subtree roots (each a Tree.TopDigest) into one
+// combined digest, so the whole memory's freshness is still pinned by a
+// single trusted value (for persist/resume and attestation) while every
+// per-access tree walk stays inside one shard — no cross-shard
+// synchronization on the hot path.
 //
 // This is exactly how split-counter and BMT designs scale metadata: the
 // partitioning is by address range, the per-partition structures are
@@ -16,14 +17,13 @@ package tree
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 )
 
 // forestDomain separates the combined digest's hash domain from raw
 // top-level digests, so a 1-shard combined root equals the shard root (v1
 // image compatibility) but multi-shard roots can never collide with any
 // single shard's.
-var forestDomain = []byte("authmem/forest/v1\x00")
+const forestDomain = "authmem/forest/v1\x00"
 
 // CombineRoots hashes per-shard root digests into the forest's single
 // trusted digest. With one shard the digest passes through unchanged, so a
@@ -32,65 +32,14 @@ func CombineRoots(shardRoots [][sha256.Size]byte) [sha256.Size]byte {
 	if len(shardRoots) == 1 {
 		return shardRoots[0]
 	}
-	h := sha256.New()
-	h.Write(forestDomain)
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(shardRoots)))
-	h.Write(n[:])
-	for _, r := range shardRoots {
-		h.Write(r[:])
+	// The message is assembled in a stack buffer sized for 16 roots (the
+	// sharded engine's range), so a root export allocates nothing; a
+	// cluster attestation over more nodes spills to the heap.
+	var buf [len(forestDomain) + 4 + 16*sha256.Size]byte
+	msg := append(buf[:0], forestDomain...)
+	msg = binary.LittleEndian.AppendUint32(msg, uint32(len(shardRoots)))
+	for i := range shardRoots {
+		msg = append(msg, shardRoots[i][:]...)
 	}
-	var out [sha256.Size]byte
-	copy(out[:], h.Sum(nil))
-	return out
-}
-
-// Forest is a live view over per-shard subtrees. It holds no state of its
-// own — the combined root is always derived from the current subtree top
-// levels, mirroring combinational on-chip logic.
-type Forest struct {
-	trees []*Tree
-}
-
-// NewForest builds a forest over the given subtrees.
-func NewForest(trees []*Tree) (*Forest, error) {
-	if len(trees) == 0 {
-		return nil, fmt.Errorf("tree: forest needs at least one subtree")
-	}
-	for i, t := range trees {
-		if t == nil {
-			return nil, fmt.Errorf("tree: forest subtree %d is nil", i)
-		}
-	}
-	return &Forest{trees: trees}, nil
-}
-
-// Shards returns the number of subtrees.
-func (f *Forest) Shards() int { return len(f.trees) }
-
-// Tree returns subtree i.
-func (f *Forest) Tree(i int) *Tree { return f.trees[i] }
-
-// ShardRoot returns the digest of subtree i's trusted top level.
-func (f *Forest) ShardRoot(i int) [sha256.Size]byte {
-	return sha256.Sum256(f.trees[i].TopLevel())
-}
-
-// Root returns the combined trusted digest over all subtree roots.
-func (f *Forest) Root() [sha256.Size]byte {
-	roots := make([][sha256.Size]byte, len(f.trees))
-	for i := range f.trees {
-		roots[i] = f.ShardRoot(i)
-	}
-	return CombineRoots(roots)
-}
-
-// TotalOffChipBytes sums the DRAM footprint of every subtree's off-chip
-// levels, for storage accounting.
-func (f *Forest) TotalOffChipBytes() uint64 {
-	var total uint64
-	for _, t := range f.trees {
-		total += t.TotalOffChipBytes()
-	}
-	return total
+	return sha256.Sum256(msg)
 }

@@ -38,23 +38,30 @@ func TestCombineRootsSingleShardPassthrough(t *testing.T) {
 	}
 }
 
+// combinedRoot is what the sharded engine exports: CombineRoots over each
+// subtree's cached top-level digest.
+func combinedRoot(trees []*Tree) [sha256.Size]byte {
+	roots := make([][sha256.Size]byte, len(trees))
+	for i, tr := range trees {
+		roots[i] = tr.TopDigest()
+	}
+	return CombineRoots(roots)
+}
+
 func TestForestRootBindsEveryShard(t *testing.T) {
 	key := forestKey(t)
 	trees := []*Tree{buildForestTree(t, key, 64), buildForestTree(t, key, 64), buildForestTree(t, key, 64), buildForestTree(t, key, 64)}
-	f, err := NewForest(trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := f.Root()
+	base := combinedRoot(trees)
 
-	// A leaf update in any single shard must change the combined root.
+	// A leaf update in any single shard must change the combined root —
+	// through the shard's digest cache, which the update has to invalidate.
 	img := make([]byte, NodeBytes)
 	img[0] = 0xAB
-	for i := 0; i < f.Shards(); i++ {
+	for i := range trees {
 		if err := trees[i].UpdateLeafFast(uint64(i*3), img); err != nil {
 			t.Fatal(err)
 		}
-		next := f.Root()
+		next := combinedRoot(trees)
 		if next == base {
 			t.Fatalf("shard %d update did not change the combined root", i)
 		}
@@ -65,9 +72,7 @@ func TestForestRootBindsEveryShard(t *testing.T) {
 func TestForestRootDependsOnShardOrder(t *testing.T) {
 	key := forestKey(t)
 	a, b := buildForestTree(t, key, 64), buildForestTree(t, key, 128)
-	f1, _ := NewForest([]*Tree{a, b})
-	f2, _ := NewForest([]*Tree{b, a})
-	if f1.Root() == f2.Root() {
+	if combinedRoot([]*Tree{a, b}) == combinedRoot([]*Tree{b, a}) {
 		t.Fatal("swapping shard order must change the combined root")
 	}
 }
@@ -75,10 +80,9 @@ func TestForestRootDependsOnShardOrder(t *testing.T) {
 func TestForestMultiShardRootDiffersFromAnyShardRoot(t *testing.T) {
 	key := forestKey(t)
 	trees := []*Tree{buildForestTree(t, key, 64), buildForestTree(t, key, 64)}
-	f, _ := NewForest(trees)
-	root := f.Root()
+	root := combinedRoot(trees)
 	for i := range trees {
-		if root == f.ShardRoot(i) {
+		if root == trees[i].TopDigest() {
 			t.Fatalf("combined root collides with shard %d root (missing domain separation)", i)
 		}
 	}
@@ -156,11 +160,24 @@ func TestCombineRootsOrderAt64Plus(t *testing.T) {
 	}
 }
 
-func TestNewForestRejectsEmptyAndNil(t *testing.T) {
-	if _, err := NewForest(nil); err == nil {
-		t.Fatal("empty forest accepted")
-	}
-	if _, err := NewForest([]*Tree{nil}); err == nil {
-		t.Fatal("nil subtree accepted")
+// TestCombineRootsMatchesStreamingHash pins the digest's construction —
+// SHA-256 over domain || uint32-LE count || roots — independently of how
+// CombineRoots assembles the message, on both sides of its stack buffer's
+// 16-root capacity. Persisted manifests and cluster attestations carry this
+// value, so it must never drift.
+func TestCombineRootsMatchesStreamingHash(t *testing.T) {
+	all := syntheticRoots(40)
+	for n := 2; n <= len(all); n++ {
+		h := sha256.New()
+		h.Write([]byte("authmem/forest/v1\x00"))
+		h.Write([]byte{byte(n), 0, 0, 0})
+		for _, r := range all[:n] {
+			h.Write(r[:])
+		}
+		var want [sha256.Size]byte
+		h.Sum(want[:0])
+		if got := CombineRoots(all[:n]); got != want {
+			t.Fatalf("n=%d: CombineRoots = %x, streaming construction = %x", n, got, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -48,6 +49,7 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 func (t *Tree) ReadFrom(r io.Reader) (int64, error) {
 	var read int64
 	var hdr [8]byte
+	t.topValid = false
 	n, err := io.ReadFull(r, hdr[:])
 	read += int64(n)
 	if err != nil {
@@ -83,4 +85,18 @@ func (t *Tree) TopLevel() []byte {
 	out := make([]byte, len(top))
 	copy(out, top)
 	return out
+}
+
+// TopDigest returns the SHA-256 of the trusted top level — the same value
+// as sha256.Sum256(t.TopLevel()) — from a cache that only a write to that
+// level invalidates. The paper keeps this level on chip so that freshness
+// is a cheap on-chip check; the cache is what keeps exporting it cheap too:
+// a caller that pins every response to the root hashes nothing while the
+// tree is unchanged, and 3KB once after a flush changed it.
+func (t *Tree) TopDigest() [sha256.Size]byte {
+	if !t.topValid {
+		t.topDigest = sha256.Sum256(t.levels[len(t.levels)-1])
+		t.topValid = true
+	}
+	return t.topDigest
 }

@@ -18,6 +18,7 @@
 package tree
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -53,6 +54,9 @@ type Hasher interface {
 // Tree is a Bonsai Merkle tree. Node storage below the top level models
 // off-chip DRAM: it is exported to attack via CorruptNode, and verification
 // never trusts it. The top level models on-chip SRAM and is trusted.
+//
+// A Tree is not safe for concurrent use, and TopDigest counts as a writer
+// (it fills the digest cache): callers serialize it with the mutators.
 type Tree struct {
 	key    Hasher
 	leaves uint64
@@ -63,6 +67,14 @@ type Tree struct {
 
 	// counts[k] is the node count of levels[k].
 	counts []uint64
+
+	// topDigest caches the SHA-256 of the on-chip level while topValid is
+	// set. Every function that writes that level (UpdateLeaf,
+	// UpdateLeafFast, UpdateLeaves, Rebuild, ReadFrom) clears topValid
+	// before it touches a node, so the cache can never outlive the bytes it
+	// hashed; CorruptNode cannot reach the on-chip level and leaves it set.
+	topDigest [sha256.Size]byte
+	topValid  bool
 }
 
 // New builds a zero-initialized tree over numLeaves counter blocks with the
@@ -157,6 +169,7 @@ func (t *Tree) UpdateLeaf(i uint64, image []byte) ([]NodeID, error) {
 		return nil, fmt.Errorf("tree: leaf image must be %d bytes", NodeBytes)
 	}
 	touched := make([]NodeID, 0, len(t.levels)-1)
+	t.topValid = false
 	tag := t.nodeTag(0, i, image)
 	idx := i
 	for k := 0; k < len(t.levels); k++ {
@@ -210,6 +223,7 @@ func (t *Tree) UpdateLeafFast(i uint64, image []byte) error {
 	if len(image) != NodeBytes {
 		return fmt.Errorf("tree: leaf image must be %d bytes", NodeBytes)
 	}
+	t.topValid = false
 	tag := t.nodeTag(0, i, image)
 	idx := i
 	for k := 0; k < len(t.levels); k++ {
@@ -242,6 +256,7 @@ func (t *Tree) UpdateLeaves(leaves []uint64, image func(leaf uint64) []byte) err
 	case 1:
 		return t.UpdateLeafFast(leaves[0], image(leaves[0]))
 	}
+	t.topValid = false
 	for _, i := range leaves {
 		if i >= t.leaves {
 			return fmt.Errorf("tree: leaf %d out of range (%d leaves)", i, t.leaves)
@@ -305,6 +320,7 @@ func (t *Tree) VerifyLeafFast(i uint64, image []byte) error {
 // Rebuild recomputes the whole tree from a leaf-image source, used at
 // initialization. leafImage must return the 64-byte image of leaf i.
 func (t *Tree) Rebuild(leafImage func(i uint64) []byte) error {
+	t.topValid = false
 	for i := uint64(0); i < t.leaves; i++ {
 		img := leafImage(i)
 		if len(img) != NodeBytes {

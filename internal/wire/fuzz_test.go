@@ -41,7 +41,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Buffer decoder: walk every frame in the input.
 		rest := data
-		var frames int
+		var whole []parsed
 		for {
 			h, payload, n, err := ParseFrame(rest)
 			if err != nil {
@@ -63,32 +63,70 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 			// Request validation must never panic, whatever it decides.
 			_ = h.ValidateRequest(len(payload))
+			whole = append(whole, parsed{h, payload})
 			rest = rest[n:]
-			frames++
 		}
+		frames := len(whole)
 
-		// Stream decoder must agree frame for frame.
-		fr := NewReader(bytes.NewReader(data))
-		for i := 0; ; i++ {
-			h, payload, err := fr.Next()
-			if err != nil {
-				if i < frames {
-					t.Fatalf("stream died at frame %d/%d: %v", i, frames, err)
+		// Stream decoder must agree frame for frame — with the input
+		// arriving whole, and split at points the input itself chooses
+		// (see chunkedReader), which is where the buffered reader's
+		// partial-frame handling lives.
+		for _, src := range []io.Reader{bytes.NewReader(data), &chunkedReader{data: data, sizes: data}} {
+			fr := NewReader(src)
+			for i := 0; ; i++ {
+				h, payload, err := fr.Next()
+				if err != nil {
+					if i < frames {
+						t.Fatalf("stream died at frame %d/%d: %v", i, frames, err)
+					}
+					if len(rest) == 0 && err != io.EOF {
+						t.Fatalf("stream ended on a frame boundary with %v, want io.EOF", err)
+					}
+					if len(rest) > 0 && err == io.EOF {
+						t.Fatalf("stream reported a clean EOF with %d undecodable bytes left", len(rest))
+					}
+					break
 				}
-				if err != io.EOF && i > frames {
-					t.Fatalf("stream overshot buffer decoder")
+				if i >= frames {
+					// The buffer decoder stopped early only on
+					// incompleteness; a stream cannot yield a frame the
+					// buffer decoder did not.
+					t.Fatalf("stream produced extra frame %d (%v)", i, h.Op)
 				}
-				break
-			}
-			if i >= frames {
-				// The buffer decoder stopped early only on
-				// incompleteness; a stream cannot yield a frame the
-				// buffer decoder did not.
-				t.Fatalf("stream produced extra frame %d (%v)", i, h.Op)
-			}
-			if len(payload) > MaxPayloadBytes {
-				t.Fatalf("stream payload %d exceeds bound", len(payload))
+				if h != whole[i].h || !bytes.Equal(payload, whole[i].payload) {
+					t.Fatalf("stream frame %d differs from the buffer decoder's", i)
+				}
 			}
 		}
 	})
+}
+
+// chunkedReader delivers data in pieces whose sizes come from the bytes of
+// sizes, cycled: 1-64 bytes, or 64 times that when the byte's top bit is
+// set. The fuzz target passes the input as its own size schedule, so
+// mutating the input moves the split points. When sizes[0] is odd the last
+// piece carries io.EOF with it, as a net.Conn's final read may.
+type chunkedReader struct {
+	data  []byte
+	sizes []byte
+	i     int
+}
+
+func (c *chunkedReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	b := c.sizes[c.i%len(c.sizes)]
+	c.i++
+	n := 1 + int(b&63)
+	if b&0x80 != 0 {
+		n *= 64
+	}
+	n = copy(p, c.data[:min(n, len(c.data))])
+	c.data = c.data[n:]
+	if len(c.data) == 0 && c.sizes[0]&1 == 1 {
+		return n, io.EOF
+	}
+	return n, nil
 }

@@ -27,8 +27,9 @@ type ServerCounters struct {
 	HelloOps uint64 `json:"hello_ops"`
 
 	// RootPinned counts responses that carried a root-pin suffix
-	// (requests asking via FlagRootPin). Each pin forces a flush, so this
-	// is also a measure of pin-induced quiescent points.
+	// (requests asking via FlagRootPin). Each pin is a quiescent point for
+	// the shards written since the last one (their deferred leaves flush);
+	// pins with nothing pending cost a cached digest.
 	RootPinned uint64 `json:"root_pinned"`
 
 	// Data moved, in blocks.

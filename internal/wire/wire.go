@@ -220,7 +220,10 @@ const (
 	// payload; in a response, marks that suffix present. The pin is the
 	// node's post-operation attestation anchor — a cluster client stores
 	// it per node and folds all pins into the combined cluster digest.
-	// Forcing the root is a flush, so pinning is strictly opt-in.
+	// The root must cover every accepted write, so a pin flushes whatever
+	// Merkle maintenance the node has deferred: nothing after a read, one
+	// leaf path plus one top-level hash after a write. That is why pinning
+	// is opt-in per request rather than always on.
 	FlagRootPin = 1 << 4
 )
 
@@ -370,55 +373,61 @@ func (h Header) End() uint64 { return h.Addr + uint64(h.Count)*BlockBytes }
 
 // Reader decodes a frame stream. The payload returned by Next aliases an
 // internal buffer that is reused by the following call — copy anything that
-// must outlive one iteration. A Reader never buffers ahead: it issues
-// exactly the reads one frame needs, so it can sit directly on a net.Conn
-// and honor read deadlines.
+// must outlive one iteration.
+//
+// Cost model: Next issues one Read into the buffer's free space whenever the
+// buffered bytes do not hold a whole frame, and none when they do — so a
+// frame that arrives in one piece costs one Read (one syscall on a
+// net.Conn) whatever its payload, and frames that arrived together cost one
+// Read between them. It reads only when it has to, so a read deadline set
+// on the underlying conn still bounds exactly the waiting: frames already
+// buffered when the deadline fires are delivered first, then the timeout.
 type Reader struct {
-	r   io.Reader
-	hdr [LengthBytes + HeaderBytes]byte
-	buf []byte
+	r    io.Reader
+	buf  []byte // allocated on first use; holds one maximum frame
+	off  int    // buf[off:end] is received and not yet returned
+	end  int
+	rerr error // error that came with the last bytes read, returned once they are consumed
 }
 
 // NewReader returns a Reader decoding from r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
-// Next reads and decodes one frame. io.EOF is returned only at a clean
-// frame boundary; a stream ending mid-frame returns io.ErrUnexpectedEOF.
-// Malformed framing (bad length, bad version) returns an error and leaves
+// Next decodes one frame, reading more only if none is buffered whole.
+// io.EOF is returned only at a clean frame boundary; a stream ending
+// mid-frame returns io.ErrUnexpectedEOF. Malformed framing (bad length, bad
+// version) returns the error ParseFrame gives for the same bytes and leaves
 // the stream unusable.
 func (fr *Reader) Next() (Header, []byte, error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return Header{}, nil, io.ErrUnexpectedEOF
+	for {
+		h, payload, n, err := ParseFrame(fr.buf[fr.off:fr.end])
+		if err == nil {
+			fr.off += n
+			return h, payload, nil
 		}
-		return Header{}, nil, err
-	}
-	frameLen := binary.LittleEndian.Uint32(fr.hdr[:])
-	if frameLen < HeaderBytes {
-		return Header{}, nil, fmt.Errorf("%w: %d bytes", ErrShortFrame, frameLen)
-	}
-	if frameLen > MaxFrameBytes {
-		return Header{}, nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, frameLen)
-	}
-	h := parseHeader(fr.hdr[LengthBytes:])
-	if h.Version != Version {
-		return Header{}, nil, fmt.Errorf("%w: %d", ErrVersion, h.Version)
-	}
-	payloadLen := int(frameLen) - HeaderBytes
-	if payloadLen == 0 {
-		return h, nil, nil
-	}
-	if cap(fr.buf) < payloadLen {
-		fr.buf = make([]byte, payloadLen, MaxFrameBytes-HeaderBytes)
-	}
-	fr.buf = fr.buf[:payloadLen]
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+		if err != ErrIncomplete {
+			return Header{}, nil, err
 		}
-		return Header{}, nil, err
+		if fr.rerr != nil {
+			err, fr.rerr = fr.rerr, nil
+			if err == io.EOF && fr.off < fr.end {
+				err = io.ErrUnexpectedEOF
+			}
+			return Header{}, nil, err
+		}
+		// Make room: a partial frame moves to the front, where the rest
+		// of even a maximum frame fits behind it.
+		if fr.buf == nil {
+			fr.buf = make([]byte, LengthBytes+MaxFrameBytes)
+		}
+		if fr.off > 0 {
+			fr.end = copy(fr.buf, fr.buf[fr.off:fr.end])
+			fr.off = 0
+		}
+		got, err := fr.r.Read(fr.buf[fr.end:])
+		fr.end += got
+		fr.rerr = err
 	}
-	return h, fr.buf, nil
 }
 
 // Writer encodes frames into an internal buffer and writes them out in

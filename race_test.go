@@ -1,6 +1,7 @@
 package authmem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -374,5 +375,89 @@ func TestShardedMemoryLockFreeRace(t *testing.T) {
 	}
 	if s.QuarantineCount() != 0 {
 		t.Fatalf("quarantines survived the final resync: %v", s.QuarantineList())
+	}
+}
+
+// TestShardedRootDigestUnderConcurrentWriters runs root pinners beside
+// writers on one ShardedMemory — the cluster tier's steady state, where
+// every response asks for the root. RootDigest fills each shard tree's
+// digest cache under that shard's lock while writers invalidate it under
+// the same lock; -race is the assertion for that. The value assertions: a
+// pinner that sees no write in between gets the same root twice, and once
+// the writers are done the cached root is the one Persist seals and Resume
+// re-derives with its own fresh hash.
+func TestShardedRootDigestUnderConcurrentWriters(t *testing.T) {
+	cfg := shardTestConfig(t, 1<<20)
+	s, err := NewSharded(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		writers = 4
+		pinners = 3
+		iters   = 300
+	)
+	blocksPerShard := s.ShardSize() / BlockSize
+	errs := make(chan error, writers)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			src := make([]byte, 2*BlockSize)
+			for i := 0; i < iters; i++ {
+				for j := range src {
+					src[j] = byte(g ^ i ^ j)
+				}
+				// Walk all four shards; every 16th span straddles two.
+				blk := uint64((g+i)%4)*blocksPerShard + uint64(i%64)
+				if i%16 == 15 {
+					blk = uint64(1+(g+i)%3)*blocksPerShard - 1
+				}
+				if err := s.WriteBlocks(blk*BlockSize, src); err != nil {
+					errs <- fmt.Errorf("writer %d: %v", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	stop := make(chan struct{})
+	var pwg sync.WaitGroup
+	for g := 0; g < pinners; g++ {
+		pwg.Add(1)
+		go func() {
+			defer pwg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					s.RootDigest()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	pwg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	quiet := s.RootDigest()
+	if again := s.RootDigest(); again != quiet {
+		t.Fatal("quiescent root moved between two calls")
+	}
+	var img bytes.Buffer
+	sealed, err := s.Persist(&img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sealed != quiet {
+		t.Fatal("Persist sealed a different root than RootDigest pinned")
+	}
+	if _, err := ResumeSharded(cfg, 4, &img, &quiet); err != nil {
+		t.Fatalf("resume under the cached pin: %v", err)
 	}
 }
