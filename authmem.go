@@ -130,19 +130,15 @@ type Config struct {
 	// themselves — ~60x more tree storage and a tree walk per access.
 	// Provided as the comparative baseline the paper's §2.2 discusses.
 	ClassicDataTree bool
-	// CryptoBackend selects the cipher/MAC implementation: "ttable"
-	// (from-scratch T-table AES, the default), "stdlib" (crypto/aes,
-	// picks up AES-NI), or "batch8" (crypto/aes with batch kernels sized
-	// for whole counter groups). Empty consults the
-	// AUTHMEM_CRYPTO_BACKEND environment variable, then defaults to
-	// "ttable". All backends produce bit-identical stored images, so a
-	// region written under one verifies under any other.
+	// CryptoBackend must be empty. It is kept for the frozen benchmark
+	// harness, which reads it; no second value exists (the cipher and MAC
+	// are crypto/aes, unconditionally) and New rejects anything else.
 	CryptoBackend string
 	// ECCCodec selects the check-lane codec. Under MACInECC the only
 	// codec is "macsecded" (the paper's MAC+Hamming+parity lane); under
 	// InlineMAC choose "secded" (8 check bytes, corrects single-bit
 	// faults) or "residue" (4 check bytes, detection only — half the
-	// check storage). Unlike crypto backends, codecs change the stored
+	// check storage). Codecs change the stored
 	// format and the protection guarantees: an explicit codec that does
 	// not match Placement is a configuration error, and a persisted image
 	// only resumes under the codec that wrote it. Empty consults the

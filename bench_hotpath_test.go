@@ -3,8 +3,8 @@ package authmem
 // Hot-path microbenchmarks for the functional engine itself (as opposed to
 // the paper-figure harnesses in bench_test.go): per-operation latency and
 // allocation counts for the read/write/scrub paths, across every scheme ×
-// placement point. cmd/paperbench -hotpath runs these same shapes and
-// writes BENCH_hotpath.json; EXPERIMENTS.md records the tracked numbers.
+// placement point. EXPERIMENTS.md ("Decided experiments") records the
+// numbers these shapes produced when the hot path was first tuned.
 
 import (
 	"math/rand"
@@ -45,9 +45,8 @@ func hotMemory(b *testing.B, scheme CounterScheme, placement MACPlacement) *Memo
 	return m
 }
 
-// BenchmarkHotWrite measures single-block Write over a working set large
-// enough to defeat the pad cache but small enough to stay in the arena's
-// first chunks.
+// BenchmarkHotWrite measures single-block Write over a working set small
+// enough to stay in the arena's first chunks.
 func BenchmarkHotWrite(b *testing.B) {
 	for _, p := range hotPoints() {
 		b.Run(p.name, func(b *testing.B) {

@@ -76,7 +76,6 @@ func main() {
 	placement := flag.String("placement", "macecc", "campaign MAC placement: inline|macecc")
 	eccName := flag.String("ecc", "", fmt.Sprintf("campaign ECC codec: %s (implies placement; default: placement's default)",
 		strings.Join(ecc.Names(), "|")))
-	backend := flag.String("backend", "", "crypto backend for campaign engines: ttable|stdlib|batch8 (default: $AUTHMEM_CRYPTO_BACKEND, then ttable)")
 	app := flag.String("app", "facesim", "campaign workload application (see internal/workload)")
 	rate := flag.Float64("rate", 0.15, "campaign per-operation fault probability")
 	burst := flag.Int("burst", 4, "campaign max bit flips per fault event")
@@ -88,17 +87,17 @@ func main() {
 		return
 	}
 	if *runStrike {
-		ecfg := engineConfig(*scheme, *placement, *eccName, *backend, *budget)
+		ecfg := engineConfig(*scheme, *placement, *eccName, *budget)
 		mainStrike(ecfg, *trials, *seed, *burst, *shards, *workers, *out)
 		return
 	}
 	if *runConcurrent {
-		ecfg := engineConfig(*scheme, *placement, *eccName, *backend, *budget)
+		ecfg := engineConfig(*scheme, *placement, *eccName, *budget)
 		mainConcurrent(ecfg, *trials, *seed, *rate, *burst, *shards, *workers, *out)
 		return
 	}
 	if *runCampaign {
-		ecfg := engineConfig(*scheme, *placement, *eccName, *backend, *budget)
+		ecfg := engineConfig(*scheme, *placement, *eccName, *budget)
 		mainCampaign(ecfg, *trials, *seed, *app, *rate, *burst, *out)
 		return
 	}
@@ -133,7 +132,7 @@ func main() {
 // When -ecc names a codec, the codec decides the placement (a codec either
 // carries the MAC in the ECC lane or it does not); an explicit conflicting
 // -placement is rejected rather than silently overridden.
-func engineConfig(scheme, placement, eccName, backend string, budget int) core.Config {
+func engineConfig(scheme, placement, eccName string, budget int) core.Config {
 	kind, ok := schemes[scheme]
 	if !ok {
 		fatalf("unknown scheme %q (monolithic|split|delta|dual)", scheme)
@@ -164,7 +163,6 @@ func engineConfig(scheme, placement, eccName, backend string, budget int) core.C
 	}
 	ecfg := core.Default(kind, place)
 	ecfg.CorrectBits = budget
-	ecfg.CryptoBackend = backend
 	ecfg.ECCCodec = eccName
 	return ecfg
 }

@@ -47,7 +47,6 @@ func main() {
 		shards    = flag.Int("shards", 4, "shard count (power of two)")
 		scheme    = flag.String("scheme", "delta", "counter scheme: delta, split, or mono")
 		eccCodec  = flag.String("ecc", "", "ECC codec: macsecded, secded, or residue (non-MAC codecs imply inline MAC placement; default: $AUTHMEM_ECC_CODEC, then macsecded)")
-		crypto    = flag.String("crypto", "", "crypto backend: ttable, stdlib, or batch8 (default: $AUTHMEM_CRYPTO_BACKEND, then ttable)")
 		keyHex    = flag.String("key-hex", "", "device key, hex-encoded (40 bytes)")
 		devKey    = flag.Bool("dev-key", false, "use a fixed all-zeros development key (NOT for real data)")
 		inflight  = flag.Int("inflight", 64, "per-connection in-flight request cap")
@@ -96,7 +95,7 @@ func main() {
 	if *walDir != "" {
 		// Durable mode always runs the sharded backend (a 1-shard region
 		// is valid) so the checkpoint machinery has one code path.
-		cfg, eccDesc, cryptoDesc, err := buildMemConfig(*size, *scheme, *eccCodec, *crypto, key)
+		cfg, eccDesc, err := buildMemConfig(*size, *scheme, *eccCodec, key)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -113,10 +112,10 @@ func main() {
 			log.Fatal(err)
 		}
 		backend = store.mem
-		desc = fmt.Sprintf("%dMB %s region across %d shards (%s ecc, %s), durable in %s every %v",
-			*size>>20, *scheme, *shards, eccDesc, cryptoDesc, *walDir, *ckptEvery)
+		desc = fmt.Sprintf("%dMB %s region across %d shards (%s ecc), durable in %s every %v",
+			*size>>20, *scheme, *shards, eccDesc, *walDir, *ckptEvery)
 	} else {
-		backend, desc, err = buildBackend(*size, *shards, *scheme, *eccCodec, *crypto, key)
+		backend, desc, err = buildBackend(*size, *shards, *scheme, *eccCodec, key)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -207,11 +206,10 @@ func resolveKey(keyHex string, devKey bool) ([]byte, error) {
 }
 
 // buildMemConfig resolves the flag surface into an authmem.Config plus the
-// human-readable codec/crypto labels used in the serve banner.
-func buildMemConfig(size uint64, scheme, eccCodec, crypto string, key []byte) (authmem.Config, string, string, error) {
+// human-readable codec label used in the serve banner.
+func buildMemConfig(size uint64, scheme, eccCodec string, key []byte) (authmem.Config, string, error) {
 	cfg := authmem.DefaultConfig(size)
 	cfg.Key = key
-	cfg.CryptoBackend = crypto
 	switch scheme {
 	case "delta":
 		cfg.Scheme = authmem.DeltaEncoding
@@ -220,7 +218,7 @@ func buildMemConfig(size uint64, scheme, eccCodec, crypto string, key []byte) (a
 	case "mono":
 		cfg.Scheme = authmem.Monolithic
 	default:
-		return cfg, "", "", fmt.Errorf("-scheme: unknown scheme %q (want delta, split, or mono)", scheme)
+		return cfg, "", fmt.Errorf("-scheme: unknown scheme %q (want delta, split, or mono)", scheme)
 	}
 	eccDesc := "macsecded"
 	if eccCodec != "" {
@@ -229,7 +227,7 @@ func buildMemConfig(size uint64, scheme, eccCodec, crypto string, key []byte) (a
 		// MAC inside the ECC lane.
 		cod, err := ecc.Lookup(eccCodec)
 		if err != nil {
-			return cfg, "", "", fmt.Errorf("-ecc: %w", err)
+			return cfg, "", fmt.Errorf("-ecc: %w", err)
 		}
 		cfg.ECCCodec = eccCodec
 		if cod.CarriesMAC() {
@@ -239,16 +237,11 @@ func buildMemConfig(size uint64, scheme, eccCodec, crypto string, key []byte) (a
 		}
 		eccDesc = cod.Name()
 	}
-	if crypto == "" {
-		crypto = "default crypto"
-	} else {
-		crypto += " crypto"
-	}
-	return cfg, eccDesc, crypto, nil
+	return cfg, eccDesc, nil
 }
 
-func buildBackend(size uint64, shards int, scheme, eccCodec, crypto string, key []byte) (server.Backend, string, error) {
-	cfg, eccDesc, crypto, err := buildMemConfig(size, scheme, eccCodec, crypto, key)
+func buildBackend(size uint64, shards int, scheme, eccCodec string, key []byte) (server.Backend, string, error) {
+	cfg, eccDesc, err := buildMemConfig(size, scheme, eccCodec, key)
 	if err != nil {
 		return nil, "", err
 	}
@@ -256,7 +249,7 @@ func buildBackend(size uint64, shards int, scheme, eccCodec, crypto string, key 
 	if err != nil {
 		return nil, "", err
 	}
-	return m, fmt.Sprintf("%dMB %s region across %d shards (%s ecc, %s)", size>>20, scheme, shards, eccDesc, crypto), nil
+	return m, fmt.Sprintf("%dMB %s region across %d shards (%s ecc)", size>>20, scheme, shards, eccDesc), nil
 }
 
 // runClusterSmoke is the CI cluster smoke client. The write phase stripes a

@@ -14,8 +14,7 @@ package main
 //   - read.hot:        warm single-block Read through the same Memory.
 //
 // secded is measured first and becomes the baseline columns, so speedup_x
-// reads "vs secded" — same machine, same run, same shapes. The JSON matches
-// the BENCH_hotpath.json format.
+// reads "vs secded" — same machine, same run, same shapes.
 
 import (
 	"fmt"
@@ -23,10 +22,26 @@ import (
 	"testing"
 
 	"authmem"
+	"authmem/internal/crypto"
 	"authmem/internal/ecc"
-	"authmem/internal/mac"
 	"authmem/internal/stats"
 )
+
+// eccEntry is one benchmark result in BENCH_ecc.json.
+type eccEntry struct {
+	Name        string  `json:"name"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  int64   `json:"alloc_bytes_per_op"`
+	BaselineNs  float64 `json:"baseline_ns_per_op,omitempty"`
+	Speedup     float64 `json:"speedup_x,omitempty"`
+}
+
+type eccReport struct {
+	Note string `json:"note"`
+	benchEnv
+	Entries []eccEntry `json:"entries"`
+}
 
 func runECCBench(outPath string, quick bool) {
 	fmt.Println("=== ECC codecs: check-bit kernels and engine seal/read cost ===")
@@ -38,7 +53,7 @@ func runECCBench(outPath string, quick bool) {
 	const groupBlocks = 64
 	groupBytes := groupBlocks * authmem.BlockSize
 
-	rep := hotReport{
+	rep := eccReport{
 		Note: "One entry per shape per ECC codec; baseline columns are the " +
 			"secded (Hamming SEC-DED) codec measured live in the same run, so " +
 			"speedup_x reads 'vs secded'. kernel.* cover one 4KB group's check " +
@@ -64,7 +79,7 @@ func runECCBench(outPath string, quick bool) {
 	}
 	add := func(shape, codec string, r testing.BenchmarkResult) {
 		name := shape + "/" + codec
-		e := hotEntry{
+		e := eccEntry{
 			Name:        name,
 			NsPerOp:     float64(r.NsPerOp()),
 			AllocsPerOp: r.AllocsPerOp(),
@@ -127,7 +142,7 @@ func runECCBench(outPath string, quick bool) {
 				}
 			}))
 		case ecc.MACCodec:
-			mk, err := mac.NewKey(key[:24])
+			mk, err := crypto.NewMAC(key[:24])
 			if err != nil {
 				fatal(err)
 			}

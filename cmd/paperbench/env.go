@@ -1,6 +1,10 @@
 package main
 
-import "runtime"
+import (
+	"runtime"
+
+	"authmem"
+)
 
 // benchEnv is the measurement environment stamped into every BENCH_*.json
 // report. Committed baselines travel between machines and containers, so
@@ -18,4 +22,14 @@ func captureEnv() benchEnv {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 	}
+}
+
+// benchKeyMaterial is the fixed, obviously-non-secret key every benchmark
+// region is built with.
+func benchKeyMaterial() []byte {
+	k := make([]byte, authmem.KeySize)
+	for i := range k {
+		k[i] = byte(i + 1)
+	}
+	return k
 }

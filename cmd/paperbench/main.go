@@ -34,12 +34,8 @@ func main() {
 	fig3 := flag.Bool("fig3", false, "reproduce Figure 3 (fault handling)")
 	fig8 := flag.Bool("fig8", false, "reproduce Figure 8 (IPC impact)")
 	table2 := flag.Bool("table2", false, "reproduce Table 2 (re-encryption rate)")
-	hotpath := flag.Bool("hotpath", false, "run hot-path microbenchmarks and write the tracked JSON baseline")
-	hotpathOut := flag.String("hotpath-out", "BENCH_hotpath.json", "output path for -hotpath")
 	srvBench := flag.Bool("server", false, "run the serving-layer benchmarks (loopback and TCP through the client/server stack) and write the tracked JSON baseline")
 	srvBenchOut := flag.String("server-out", "BENCH_server.json", "output path for -server")
-	cryptoBench := flag.Bool("crypto", false, "run the crypto-backend comparison (ttable vs stdlib vs batch8 batch kernels and group seal/re-encrypt) and write the tracked JSON baseline")
-	cryptoBenchOut := flag.String("crypto-out", "BENCH_crypto.json", "output path for -crypto")
 	eccBench := flag.Bool("ecc", false, "run the ECC-codec comparison (secded vs residue vs macsecded check-bit kernels and engine seal/read) and write the tracked JSON baseline")
 	eccBenchOut := flag.String("ecc-out", "BENCH_ecc.json", "output path for -ecc")
 	persist := flag.Bool("persist", false, "run the incremental-persistence benchmark (AppendDelta vs full Persist across dirty fractions, plus WAL replay) and write the tracked JSON baseline")
@@ -59,13 +55,13 @@ func main() {
 	flag.Parse()
 	outDir = *csvDir
 
-	any := *fig1 || *fig3 || *fig8 || *table2 || *hotpath || *srvBench || *cryptoBench || *eccBench || *persist || *clusterBench || *all
+	any := *fig1 || *fig3 || *fig8 || *table2 || *srvBench || *eccBench || *persist || *clusterBench || *all
 	if !any {
 		flag.Usage()
 		os.Exit(2)
 	}
 	if *all {
-		*fig1, *fig3, *fig8, *table2, *hotpath, *srvBench, *cryptoBench, *eccBench, *persist, *clusterBench = true, true, true, true, true, true, true, true, true, true
+		*fig1, *fig3, *fig8, *table2, *srvBench, *eccBench, *persist, *clusterBench = true, true, true, true, true, true, true, true
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -90,14 +86,8 @@ func main() {
 			}
 		}()
 	}
-	if *hotpath {
-		runHotpath(*hotpathOut)
-	}
 	if *srvBench {
 		runServer(*srvBenchOut, *quick)
-	}
-	if *cryptoBench {
-		runCrypto(*cryptoBenchOut, *quick)
 	}
 	if *eccBench {
 		runECCBench(*eccBenchOut, *quick)

@@ -172,7 +172,7 @@ func (e *Engine) writeChunk(first, midx uint64, src []byte) error {
 		}
 		span := e.spanBuf[:(r-j)*BlockBytes]
 		spanAddr := (first + uint64(j)) * BlockBytes
-		if err := e.ks.XORBlocksBatch(span, src[j*BlockBytes:r*BlockBytes], spanAddr, counters[j]); err != nil {
+		if err := e.ks.XORBlocks(span, src[j*BlockBytes:r*BlockBytes], spanAddr, counters[j]); err != nil {
 			return err
 		}
 		if err := e.key.TagBatch(e.tagBuf[:r-j], span, spanAddr, counters[j]); err != nil {

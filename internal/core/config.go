@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 
-	"authmem/internal/crypto"
 	"authmem/internal/ctr"
 	"authmem/internal/ecc"
 
@@ -96,16 +95,16 @@ type Config struct {
 	// every data access — the overhead Rogers et al.'s observation
 	// removed.
 	DataTree bool
-	// CryptoBackend names the cipher/MAC implementation (see
-	// internal/crypto: "ttable", "stdlib", "batch8"). Empty selects the
-	// AUTHMEM_CRYPTO_BACKEND environment variable, then "ttable". All
-	// backends are bit-compatible, so the choice affects speed only.
+	// CryptoBackend must be empty. It is kept for the frozen benchmark
+	// harness (bench/kernels.go reads it); no second value exists — the
+	// engine's only cipher and MAC are internal/crypto over crypto/aes —
+	// and Validate rejects anything else.
 	CryptoBackend string
 	// ECCCodec names the check-lane codec (see internal/ecc: "secded" and
 	// "residue" for the inline placement, "macsecded" for MAC-in-ECC).
-	// Unlike crypto backends, codecs are NOT interchangeable — they change
-	// the stored format and the detection/correction guarantees — so an
-	// explicit name incompatible with Placement is a Validate error.
+	// Codecs are NOT interchangeable — they change the stored format and
+	// the detection/correction guarantees — so an explicit name
+	// incompatible with Placement is a Validate error.
 	// Empty consults the AUTHMEM_ECC_CODEC environment variable; an
 	// environment selection incompatible with Placement is ignored in
 	// favor of the placement's default, so codec-matrix test runs do not
@@ -156,11 +155,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: on-chip tree budget below one node")
 	case c.CorrectBits < 0 || c.CorrectBits > 2:
 		return fmt.Errorf("core: correction budget %d out of range", c.CorrectBits)
+	case c.CryptoBackend != "":
+		return fmt.Errorf("core: CryptoBackend %q: no selectable crypto backend exists (crypto/aes is the only cipher path); leave the field empty", c.CryptoBackend)
 	}
 	if !c.DisableEncryption {
-		if _, err := crypto.Lookup(c.CryptoBackend); err != nil {
-			return err
-		}
 		if _, err := c.resolveCodec(); err != nil {
 			return err
 		}

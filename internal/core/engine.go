@@ -7,14 +7,8 @@ import (
 	"authmem/internal/crypto"
 	"authmem/internal/ctr"
 	"authmem/internal/ecc"
-	"authmem/internal/keystream"
 	"authmem/internal/tree"
 )
-
-// padCacheEntries sizes the engine's keystream pad cache (64B per entry).
-// One group re-encryption touches ctr.GroupBlocks pads; 1024 entries keep
-// several recent groups plus ordinary read/write reuse resident.
-const padCacheEntries = 1024
 
 // maxCounterCacheEntries caps the verified-counter cache: 512 entries x 64B
 // images = Table 1's 32KB metadata cache budget. maxBlockCacheEntries caps
@@ -56,13 +50,11 @@ type Engine struct {
 	packer ctr.MetadataPacker
 	tr     *tree.Tree
 
-	// be is the selected crypto backend (cfg.CryptoBackend); ks and key
-	// are its stream/MAC instances. Both are single-owner (the engine
-	// serializes all accesses); parallel sweeps build per-worker
-	// instances from be (see reencrypt.go).
-	be  crypto.Backend
-	ks  crypto.Stream
-	key crypto.MAC
+	// ks and key are the engine's cipher and MAC. Both are single-owner
+	// (the engine serializes all accesses); parallel sweeps build
+	// per-worker instances (see reencrypt.go).
+	ks  *crypto.Stream
+	key *crypto.MAC
 
 	// codec is the resolved check-lane codec (cfg.ECCCodec). Exactly one
 	// of mcod/bcod is non-nil: mcod when the codec carries the MAC in the
@@ -261,21 +253,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e.packer = packer
 
-	e.be, err = crypto.Lookup(cfg.CryptoBackend)
+	e.key, err = crypto.NewMAC(cfg.KeyMaterial[:24])
 	if err != nil {
 		return nil, err
 	}
-	e.key, err = e.be.NewMAC(cfg.KeyMaterial[:24])
+	e.ks, err = crypto.NewStream(cfg.KeyMaterial[24:40])
 	if err != nil {
-		return nil, err
-	}
-	e.ks, err = e.be.NewStream(cfg.KeyMaterial[24:40])
-	if err != nil {
-		return nil, err
-	}
-	// The engine serializes all cipher accesses, so the (non-concurrent)
-	// pad cache is safe to enable here.
-	if err := e.ks.EnablePadCache(padCacheEntries); err != nil {
 		return nil, err
 	}
 	if e.mcod != nil {
@@ -386,15 +369,6 @@ func (e *Engine) SchemeStats() ctr.Stats {
 // Tree exposes the integrity tree for attack experiments.
 func (e *Engine) Tree() *tree.Tree { return e.tr }
 
-// CryptoBackend returns the name of the selected crypto backend, or "" for
-// an encryption-disabled engine.
-func (e *Engine) CryptoBackend() string {
-	if e.be == nil {
-		return ""
-	}
-	return e.be.Name()
-}
-
 // ECCCodec returns the name of the resolved check-lane codec, or "" for an
 // encryption-disabled engine.
 func (e *Engine) ECCCodec() string {
@@ -413,14 +387,6 @@ func (e *Engine) InlineCheckBits() int {
 		return 0
 	}
 	return e.bcod.CheckBytes() * 8
-}
-
-// PadCacheStats reports the keystream pad cache's hit/miss counts.
-func (e *Engine) PadCacheStats() keystream.CacheStats {
-	if e.ks == nil {
-		return keystream.CacheStats{}
-	}
-	return e.ks.CacheStats()
 }
 
 func (e *Engine) checkAddr(addr uint64) error {
@@ -578,7 +544,7 @@ func (e *Engine) reencryptGroup(groupStart uint64, oldCounters []uint64, newCoun
 	// only installs. (Skipped/pending slots get tags too — they hold
 	// encrypted zeros — but the waste is a couple of blocks per sweep and
 	// keeps the kernel a single contiguous dispatch.)
-	if err := e.ks.XORBlocksBatch(buf, buf, groupStart*BlockBytes, newCounter); err != nil {
+	if err := e.ks.XORBlocks(buf, buf, groupStart*BlockBytes, newCounter); err != nil {
 		panic(err)
 	}
 	if err := e.key.TagBatch(e.tagBuf[:n], buf, groupStart*BlockBytes, newCounter); err != nil {
@@ -613,7 +579,7 @@ func (e *Engine) verifyStored(blk uint64, ct []byte, counter uint64, st *EngineS
 // verifyStoredWith is verifyStored against an explicit MAC/verifier pair:
 // parallel sweep workers pass their own single-owner instances instead of
 // the engine's (see reencrypt.go).
-func (e *Engine) verifyStoredWith(key crypto.MAC, ver ecc.LaneVerifier, blk uint64, ct []byte, counter uint64, st *EngineStats) bool {
+func (e *Engine) verifyStoredWith(key *crypto.MAC, ver ecc.LaneVerifier, blk uint64, ct []byte, counter uint64, st *EngineStats) bool {
 	if e.mcod != nil {
 		lane, out, err := ver.VerifyAndCorrect(ct, e.store.Meta(blk), blk*BlockBytes, counter)
 		if err != nil {

@@ -65,6 +65,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MetadataCacheWays = 0 },
 		func(c *Config) { c.OnChipTreeBytes = 32 },
 		func(c *Config) { c.CorrectBits = 3 },
+		func(c *Config) { c.CryptoBackend = "stdlib" }, // nothing to select: must stay empty
 	}
 	for i, mut := range bad {
 		c := good

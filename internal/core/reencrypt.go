@@ -18,12 +18,11 @@ import (
 // worker pool.
 //
 // Concurrency audit, because the serial engine shares mutable state freely:
-//   - Crypto instances are single-owner: the pluggable backends keep
-//     scratch buffers inside Stream/MAC instances (and the engine's main
-//     Stream additionally holds the pad cache), so NOTHING crypto is shared
+//   - Crypto instances are single-owner: crypto.Stream and crypto.MAC keep
+//     their cipher scratch inside the instance, so NOTHING crypto is shared
 //     across workers. Each worker owns a full reencCrypto context — a
-//     pad-cache-free Stream, a MAC, and (under MAC-in-ECC) a Verifier built
-//     around that MAC — constructed once, with the engine.
+//     Stream, a MAC, and (under MAC-in-ECC) a Verifier built around that
+//     MAC — constructed once, with the engine.
 //   - blockStore.Materialize mutates the chunk table and presence bitmap
 //     (shared words), so every block is materialized serially BEFORE the
 //     fan-out; workers then only touch disjoint per-block arena slices
@@ -44,8 +43,8 @@ const reencParallelMinBlocks = 16
 
 // reencCrypto is one worker's private crypto context.
 type reencCrypto struct {
-	ks  crypto.Stream
-	key crypto.MAC
+	ks  *crypto.Stream
+	key *crypto.MAC
 	ver ecc.LaneVerifier // nil unless the codec carries the MAC
 }
 
@@ -58,13 +57,11 @@ func (e *Engine) newReencryptPool() error {
 	workers := min(max(runtime.GOMAXPROCS(0), 2), 4)
 	ctxs := make([]reencCrypto, workers)
 	for i := range ctxs {
-		ks, err := e.be.NewStream(e.cfg.KeyMaterial[24:40])
+		ks, err := crypto.NewStream(e.cfg.KeyMaterial[24:40])
 		if err != nil {
 			return err
 		}
-		// Deliberately no pad cache: the worker's stream must only carry
-		// its own scratch, owned by that worker for the sweep.
-		key, err := e.be.NewMAC(e.cfg.KeyMaterial[:24])
+		key, err := crypto.NewMAC(e.cfg.KeyMaterial[:24])
 		if err != nil {
 			return err
 		}
@@ -150,11 +147,11 @@ func (e *Engine) reencryptGroupParallel(groupStart uint64, oldCounters []uint64,
 				}
 			}
 			// Re-pad this worker's contiguous span under the new counter
-			// through the batch kernel, tag it with one batched MAC sweep,
+			// with one XORBlocks sweep, tag it with one TagBatch sweep,
 			// and reinstall.
 			span := buf[lo*BlockBytes : hi*BlockBytes]
 			spanAddr := (groupStart + uint64(lo)) * BlockBytes
-			if err := cx.ks.XORBlocksBatch(span, span, spanAddr, newCounter); err != nil {
+			if err := cx.ks.XORBlocks(span, span, spanAddr, newCounter); err != nil {
 				panic(err)
 			}
 			var tags [ctr.GroupBlocks]uint64

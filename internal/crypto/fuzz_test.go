@@ -1,24 +1,24 @@
 package crypto_test
 
-// Differential fuzzing across crypto backends. The conformance suite diffs
-// the backends over fixed grids; these targets let the fuzzer hunt for
-// (key, addr, counter, data) combinations where an optimized backend
-// diverges from the ttable reference — lane-byte aliasing in the nonce
-// layout, chunk-boundary bugs in batch8's 8-block kernels, carry bugs in
-// the GF(2^64) dot product. Committed seeds under testdata/fuzz pin the
-// known-tricky shapes (zero hash key, max 56-bit counter, partial chunks);
-// CI runs each target for a short smoke window on every push.
+// Differential fuzzing of the production kernels against the from-scratch
+// reference. The conformance suite diffs the two over fixed grids; these
+// targets let the fuzzer hunt for (key, addr, counter, data) combinations
+// where crypto.Stream / crypto.MAC diverge from keystream.Cipher / mac.Key —
+// lane-byte aliasing in the nonce layout, span-loop offset bugs, carry bugs
+// in the GF(2^64) dot product. Committed seeds under testdata/fuzz pin the
+// known-tricky shapes (zero hash key, max 56-bit counter, partial and whole
+// groups); CI runs each target for a short smoke window on every push. The
+// targets keep the names (and corpus format) they had when they compared
+// three selectable backends.
 
 import (
 	"bytes"
 	"testing"
-
-	"authmem/internal/crypto"
 )
 
 // fuzzKeyMaterial expands a seed byte into 40 bytes of key material.
 // keySeed==0 produces an all-zero hash key, exercising the h==0 -> 1
-// substitution every backend must apply identically.
+// substitution both implementations must apply identically.
 func fuzzKeyMaterial(keySeed byte) []byte {
 	k := make([]byte, 40)
 	if keySeed == 0 {
@@ -30,9 +30,8 @@ func fuzzKeyMaterial(keySeed byte) []byte {
 	return k
 }
 
-// FuzzBackendPadEquivalence: every backend's keystream and XOR output over
-// an arbitrary span must be bit-identical to the ttable reference, cached
-// and uncached, batched and scalar.
+// FuzzBackendPadEquivalence: the production keystream and XOR output over an
+// arbitrary span must be bit-identical to the reference, span and scalar.
 func FuzzBackendPadEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint64(0), uint64(0), uint8(1), []byte{})
 	f.Add(uint8(1), uint64(64), uint64(1), uint8(8), []byte("delta"))
@@ -41,8 +40,9 @@ func FuzzBackendPadEquivalence(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, keySeed uint8, addr, counter uint64, nBlocks uint8, data []byte) {
 		n := int(nBlocks)%64 + 1
-		span := n * crypto.BlockSize
+		span := n * blockSize
 		key := fuzzKeyMaterial(keySeed)
+		prod, ref := newStreams(t, key)
 
 		src := make([]byte, span)
 		for i := range src {
@@ -51,84 +51,42 @@ func FuzzBackendPadEquivalence(f *testing.F) {
 			}
 		}
 
-		type backendState struct {
-			name   string
-			plain  crypto.Stream
-			cached crypto.Stream
-		}
-		var ref *backendState
-		var others []*backendState
-		for _, name := range crypto.Names() {
-			be, err := crypto.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain, err := be.NewStream(key[24:40])
-			if err != nil {
-				t.Fatal(err)
-			}
-			cached, err := be.NewStream(key[24:40])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cached.EnablePadCache(16); err != nil {
-				t.Fatal(err)
-			}
-			bs := &backendState{name: name, plain: plain, cached: cached}
-			if name == "ttable" {
-				ref = bs
-			} else {
-				others = append(others, bs)
-			}
-		}
-
 		wantPad := make([]byte, span)
-		if err := ref.plain.PadBatch(wantPad, addr, counter); err != nil {
-			t.Fatalf("ttable: PadBatch: %v", err)
+		for off := 0; off < span; off += blockSize {
+			if err := ref.Pad(wantPad[off:off+blockSize], addr+uint64(off), counter); err != nil {
+				t.Fatalf("reference Pad: %v", err)
+			}
 		}
 		wantCT := make([]byte, span)
-		if err := ref.cached.XORBlocksBatch(wantCT, src, addr, counter); err != nil {
-			t.Fatalf("ttable: XORBlocksBatch: %v", err)
-		}
-		// Single-block scalar path against the batch path's first block.
-		wantOne := make([]byte, crypto.BlockSize)
-		if err := ref.plain.Pad(wantOne, addr, counter); err != nil {
-			t.Fatalf("ttable: Pad: %v", err)
-		}
-		if !bytes.Equal(wantOne, wantPad[:crypto.BlockSize]) {
-			t.Fatalf("ttable: scalar Pad differs from PadBatch block 0")
+		if err := ref.XORBlocks(wantCT, src, addr, counter); err != nil {
+			t.Fatalf("reference XORBlocks: %v", err)
 		}
 
 		got := make([]byte, span)
-		for _, bs := range others {
-			if err := bs.plain.PadBatch(got, addr, counter); err != nil {
-				t.Fatalf("%s: PadBatch: %v", bs.name, err)
-			}
-			if !bytes.Equal(got, wantPad) {
-				t.Errorf("%s: PadBatch(addr=%#x ctr=%#x n=%d) diverges from ttable",
-					bs.name, addr, counter, n)
-			}
-			if err := bs.cached.XORBlocksBatch(got, src, addr, counter); err != nil {
-				t.Fatalf("%s: XORBlocksBatch: %v", bs.name, err)
-			}
-			if !bytes.Equal(got, wantCT) {
-				t.Errorf("%s: cached XORBlocksBatch(addr=%#x ctr=%#x n=%d) diverges from ttable",
-					bs.name, addr, counter, n)
-			}
-			if err := bs.plain.Pad(got[:crypto.BlockSize], addr, counter); err != nil {
-				t.Fatalf("%s: Pad: %v", bs.name, err)
-			}
-			if !bytes.Equal(got[:crypto.BlockSize], wantOne) {
-				t.Errorf("%s: scalar Pad(addr=%#x ctr=%#x) diverges from ttable",
-					bs.name, addr, counter)
-			}
+		if err := prod.PadN(got, addr, counter); err != nil {
+			t.Fatalf("PadN: %v", err)
+		}
+		if !bytes.Equal(got, wantPad) {
+			t.Errorf("PadN(addr=%#x ctr=%#x n=%d) diverges from the reference", addr, counter, n)
+		}
+		if err := prod.XORBlocks(got, src, addr, counter); err != nil {
+			t.Fatalf("XORBlocks: %v", err)
+		}
+		if !bytes.Equal(got, wantCT) {
+			t.Errorf("XORBlocks(addr=%#x ctr=%#x n=%d) diverges from the reference", addr, counter, n)
+		}
+		if err := prod.XOR(got[:blockSize], src[:blockSize], addr, counter); err != nil {
+			t.Fatalf("XOR: %v", err)
+		}
+		if !bytes.Equal(got[:blockSize], wantCT[:blockSize]) {
+			t.Errorf("scalar XOR(addr=%#x ctr=%#x) diverges from the reference", addr, counter)
 		}
 	})
 }
 
 // FuzzBatchMACEquivalence: TagBatch over an arbitrary contiguous span must
-// match ttable's tags and every backend's own scalar Tag calls, and a tag
-// minted by one backend must Verify under all others.
+// match the reference's scalar tags and the production scalar Tag, and each
+// side must Verify the other's tags.
 func FuzzBatchMACEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint64(0), uint64(0), []byte{})
 	f.Add(uint8(3), uint64(64), uint64(1)<<56-1, []byte("ciphertext"))
@@ -136,58 +94,41 @@ func FuzzBatchMACEquivalence(f *testing.F) {
 	f.Add(uint8(42), uint64(1)<<39, uint64(1)<<55, bytes.Repeat([]byte{1, 2, 3}, 170))
 
 	f.Fuzz(func(t *testing.T, keySeed uint8, addr, counter uint64, data []byte) {
-		n := len(data)/crypto.BlockSize + 1
-		if n > 64 {
-			n = 64
-		}
-		span := n * crypto.BlockSize
-		cts := make([]byte, span)
+		n := min(len(data)/blockSize+1, 64)
+		cts := make([]byte, n*blockSize)
 		for i := range cts {
 			if len(data) > 0 {
 				cts[i] = data[i%len(data)]
 			}
 		}
-		key := fuzzKeyMaterial(keySeed)
+		prod, ref := newMACs(t, fuzzKeyMaterial(keySeed))
 
-		macs := make(map[string]crypto.MAC)
-		for _, name := range crypto.Names() {
-			be, err := crypto.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mk, err := be.NewMAC(key[:24])
-			if err != nil {
-				t.Fatal(err)
-			}
-			macs[name] = mk
-		}
-
-		want := make([]uint64, n)
-		if err := macs["ttable"].TagBatch(want, cts, addr, counter); err != nil {
-			t.Fatalf("ttable: TagBatch: %v", err)
-		}
 		got := make([]uint64, n)
-		for name, mk := range macs {
-			if err := mk.TagBatch(got, cts, addr, counter); err != nil {
-				t.Fatalf("%s: TagBatch: %v", name, err)
+		if err := prod.TagBatch(got, cts, addr, counter); err != nil {
+			t.Fatalf("TagBatch: %v", err)
+		}
+		for i := 0; i < n; i++ {
+			ct := cts[i*blockSize : (i+1)*blockSize]
+			blockAddr := addr + uint64(i*blockSize)
+			want, err := ref.Tag(ct, blockAddr, counter)
+			if err != nil {
+				t.Fatalf("reference Tag block %d: %v", i, err)
 			}
-			for i := 0; i < n; i++ {
-				if got[i] != want[i] {
-					t.Errorf("%s: TagBatch block %d (addr=%#x ctr=%#x) = %#x, ttable %#x",
-						name, i, addr, counter, got[i], want[i])
-				}
-				blockAddr := addr + uint64(i*crypto.BlockSize)
-				scalar, err := mk.Tag(cts[i*crypto.BlockSize:(i+1)*crypto.BlockSize], blockAddr, counter)
-				if err != nil {
-					t.Fatalf("%s: Tag block %d: %v", name, i, err)
-				}
-				if scalar != got[i] {
-					t.Errorf("%s: scalar Tag block %d = %#x, TagBatch %#x", name, i, scalar, got[i])
-				}
-				ok, err := mk.Verify(cts[i*crypto.BlockSize:(i+1)*crypto.BlockSize], blockAddr, counter, want[i])
-				if err != nil || !ok {
-					t.Errorf("%s: Verify of ttable tag for block %d failed (%v, %v)", name, i, ok, err)
-				}
+			if got[i] != want {
+				t.Errorf("TagBatch block %d (addr=%#x ctr=%#x) = %#x, reference %#x", i, addr, counter, got[i], want)
+			}
+			scalar, err := prod.Tag(ct, blockAddr, counter)
+			if err != nil {
+				t.Fatalf("Tag block %d: %v", i, err)
+			}
+			if scalar != got[i] {
+				t.Errorf("scalar Tag block %d = %#x, TagBatch %#x", i, scalar, got[i])
+			}
+			if ok, err := prod.Verify(ct, blockAddr, counter, want); err != nil || !ok {
+				t.Errorf("Verify of the reference tag for block %d failed (%v, %v)", i, ok, err)
+			}
+			if ok, err := ref.Verify(ct, blockAddr, counter, got[i]); err != nil || !ok {
+				t.Errorf("reference Verify of the production tag for block %d failed (%v, %v)", i, ok, err)
 			}
 		}
 	})

@@ -78,7 +78,7 @@ type BlockCodec interface {
 
 // MACKey is the MAC surface a MACCodec verifier needs: tag computation plus
 // the polynomial-hash point for flip-and-check contribution tables. It is
-// structurally identical to macecc.Key and satisfied by crypto.MAC.
+// structurally identical to macecc.Key and satisfied by *crypto.MAC.
 type MACKey interface {
 	Tag(ciphertext []byte, addr, counter uint64) (uint64, error)
 	HashPoint() uint64
@@ -147,8 +147,8 @@ func Register(c Codec) {
 	registry[c.Name()] = c
 }
 
-// Lookup resolves a codec name exactly. Unlike crypto.Lookup, the empty
-// name is an error here: the default depends on the MAC placement, so
+// Lookup resolves a codec name exactly. The empty name is an error here:
+// the default depends on the MAC placement, so
 // placement-aware resolution (empty name -> EnvCodec -> DefaultFor) lives
 // with the Config that knows it.
 func Lookup(name string) (Codec, error) {

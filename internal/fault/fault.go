@@ -14,8 +14,8 @@ import (
 	"fmt"
 	"math/rand"
 
+	"authmem/internal/crypto"
 	"authmem/internal/ecc"
-	"authmem/internal/mac"
 	"authmem/internal/macecc"
 )
 
@@ -261,7 +261,7 @@ func InjectMACECC(class Class, trials int, seed int64, correctBits int) (Result,
 	for i := range material {
 		material[i] = byte(i*29 + 7)
 	}
-	key, err := mac.NewKey(material)
+	key, err := crypto.NewMAC(material)
 	if err != nil {
 		return Result{}, err
 	}

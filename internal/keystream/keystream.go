@@ -8,19 +8,11 @@
 // never reuse a (address, counter) pair under one key — is what the
 // counter schemes in internal/ctr exist to maintain.
 //
-// Two hot-path facilities mirror what the paper's hardware gets for free:
-//
-//   - PadN/XORBlocks batch APIs amortize per-call overhead across a run of
-//     contiguous blocks, the access shape of group re-encryption sweeps
-//     (64 blocks re-padded under one counter) and of multi-block I/O.
-//   - A small direct-mapped pad cache keyed by (addr, counter) models the
-//     controller's pad precomputation: a pad generated at write time is
-//     still there when the block is read back, or when a re-encryption
-//     sweep decrypts what was just written.
-//
-// The cache holds key-derived pads, so callers that share a Cipher across
-// goroutines must not enable it (the Engine, which serializes accesses,
-// does).
+// This package is the from-scratch reference: the same pad construction as
+// the production path (internal/crypto, over crypto/aes) built on the
+// repository's own FIPS-197 T-table AES (internal/aes). Nothing outside
+// tests seals or opens a block with it; the conformance suite and fuzz
+// targets in internal/crypto hold the production pads bit-equal to these.
 package keystream
 
 import (
@@ -36,20 +28,6 @@ const BlockSize = 64
 // lanes is the number of AES blocks per pad.
 const lanes = BlockSize / aes.BlockSize
 
-// padEntry is one direct-mapped cache slot.
-type padEntry struct {
-	addr    uint64
-	counter uint64
-	valid   bool
-	pad     [BlockSize]byte
-}
-
-// CacheStats reports pad-cache effectiveness.
-type CacheStats struct {
-	Hits   uint64
-	Misses uint64
-}
-
 // Cipher generates 64-byte keystream pads with AES-128.
 //
 // The block cipher is held as the concrete *aes.Cipher so the per-lane AES
@@ -57,11 +35,6 @@ type CacheStats struct {
 // allocation-free.
 type Cipher struct {
 	blk *aes.Cipher
-
-	// cache is the optional direct-mapped pad cache; nil when disabled.
-	cache     []padEntry
-	cacheMask uint64
-	stats     CacheStats
 }
 
 // New creates a Cipher from a 16-byte AES-128 key (24/32 bytes select
@@ -73,32 +46,6 @@ func New(key []byte) (*Cipher, error) {
 		return nil, fmt.Errorf("keystream: %w", err)
 	}
 	return &Cipher{blk: blk}, nil
-}
-
-// EnablePadCache attaches a direct-mapped pad cache of the given number of
-// entries (a power of two; 64 bytes of pad per entry). Re-enabling resizes
-// and clears the cache. The cache makes the Cipher unsafe for concurrent
-// use.
-func (c *Cipher) EnablePadCache(entries int) error {
-	if entries <= 0 || entries&(entries-1) != 0 {
-		return fmt.Errorf("keystream: cache entries %d not a power of two", entries)
-	}
-	c.cache = make([]padEntry, entries)
-	c.cacheMask = uint64(entries - 1)
-	c.stats = CacheStats{}
-	return nil
-}
-
-// CacheStats returns pad-cache hit/miss counts since EnablePadCache.
-func (c *Cipher) CacheStats() CacheStats { return c.stats }
-
-// slot maps (addr, counter) to a cache index. Addresses are block-aligned,
-// so the low 6 bits carry no information; a Fibonacci mix of both inputs
-// spreads sweeps (sequential addr, fixed counter) and rewrites (fixed addr,
-// rising counter) across the sets.
-func (c *Cipher) slot(addr, counter uint64) *padEntry {
-	h := (addr>>6 ^ counter*0x9E3779B97F4A7C15) * 0x9E3779B97F4A7C15
-	return &c.cache[(h>>32)&c.cacheMask]
 }
 
 // generate writes the four-lane AES pad for (addr, counter) into dst,
@@ -115,32 +62,13 @@ func (c *Cipher) generate(dst []byte, addr, counter uint64) {
 	}
 }
 
-// lookup returns the cached or freshly generated pad for (addr, counter).
-// With the cache disabled it generates into scratch and returns it.
-func (c *Cipher) lookup(scratch *[BlockSize]byte, addr, counter uint64) *[BlockSize]byte {
-	if c.cache == nil {
-		c.generate(scratch[:], addr, counter)
-		return scratch
-	}
-	e := c.slot(addr, counter)
-	if e.valid && e.addr == addr && e.counter == counter {
-		c.stats.Hits++
-		return &e.pad
-	}
-	c.stats.Misses++
-	c.generate(e.pad[:], addr, counter)
-	e.addr, e.counter, e.valid = addr, counter, true
-	return &e.pad
-}
-
 // Pad writes the 64-byte keystream for (addr, counter) into dst.
 // The pad is four AES blocks over (addr, counter, lane) tuples.
 func (c *Cipher) Pad(dst []byte, addr, counter uint64) error {
 	if len(dst) != BlockSize {
 		return fmt.Errorf("keystream: dst must be %d bytes, got %d", BlockSize, len(dst))
 	}
-	var scratch [BlockSize]byte
-	copy(dst, c.lookup(&scratch, addr, counter)[:])
+	c.generate(dst, addr, counter)
 	return nil
 }
 
@@ -153,9 +81,8 @@ func (c *Cipher) PadN(dst []byte, addr, counter uint64) error {
 	if len(dst) == 0 || len(dst)%BlockSize != 0 {
 		return fmt.Errorf("keystream: dst length %d not a positive multiple of %d", len(dst), BlockSize)
 	}
-	var scratch [BlockSize]byte
 	for off := 0; off < len(dst); off += BlockSize {
-		copy(dst[off:off+BlockSize], c.lookup(&scratch, addr+uint64(off), counter)[:])
+		c.generate(dst[off:off+BlockSize], addr+uint64(off), counter)
 	}
 	return nil
 }
@@ -167,8 +94,9 @@ func (c *Cipher) XOR(dst, src []byte, addr, counter uint64) error {
 	if len(src) != BlockSize || len(dst) != BlockSize {
 		return fmt.Errorf("keystream: src/dst must be %d bytes", BlockSize)
 	}
-	var scratch [BlockSize]byte
-	xorBlock(dst, src, c.lookup(&scratch, addr, counter))
+	var pad [BlockSize]byte
+	c.generate(pad[:], addr, counter)
+	xorBlock(dst, src, &pad)
 	return nil
 }
 
@@ -184,26 +112,12 @@ func (c *Cipher) XORBlocks(dst, src []byte, addr, counter uint64) error {
 	if len(src) == 0 || len(src)%BlockSize != 0 {
 		return fmt.Errorf("keystream: length %d not a positive multiple of %d", len(src), BlockSize)
 	}
-	var scratch [BlockSize]byte
+	var pad [BlockSize]byte
 	for off := 0; off < len(src); off += BlockSize {
-		pad := c.lookup(&scratch, addr+uint64(off), counter)
-		xorBlock(dst[off:off+BlockSize], src[off:off+BlockSize], pad)
+		c.generate(pad[:], addr+uint64(off), counter)
+		xorBlock(dst[off:off+BlockSize], src[off:off+BlockSize], &pad)
 	}
 	return nil
-}
-
-// PadBatch is the batch-kernel name for PadN: backends with wide kernels
-// generate several blocks' pads per dispatch, and the conformance suite
-// holds every backend's batch kernel bit-equal to N scalar Pad calls. The
-// T-table path has no wider kernel than its scalar loop, so the alias *is*
-// the kernel here.
-func (c *Cipher) PadBatch(dst []byte, addr, counter uint64) error {
-	return c.PadN(dst, addr, counter)
-}
-
-// XORBlocksBatch is the batch-kernel name for XORBlocks (see PadBatch).
-func (c *Cipher) XORBlocksBatch(dst, src []byte, addr, counter uint64) error {
-	return c.XORBlocks(dst, src, addr, counter)
 }
 
 // xorBlock XORs one 64-byte block word-wise. dst and src may be the same

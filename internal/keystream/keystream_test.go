@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"authmem/internal/crypto"
 )
 
 func testCipher(t testing.TB) *Cipher {
@@ -238,98 +240,47 @@ func TestPadNSizeChecks(t *testing.T) {
 
 // TestXORBlocksMatchesScalarXOR proves the batch XOR equal to per-block
 // scalar XOR, in both the separate-buffer and the exactly-aliasing
-// (dst == src) arrangements, with and without the pad cache.
+// (dst == src) arrangements.
 func TestXORBlocksMatchesScalarXOR(t *testing.T) {
-	for _, cached := range []bool{false, true} {
-		c := testCipher(t)
-		if cached {
-			if err := c.EnablePadCache(64); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rng := rand.New(rand.NewSource(9))
-		for _, nblocks := range []int{1, 3, 64} {
-			src := make([]byte, nblocks*BlockSize)
-			rng.Read(src)
-			const addr, ctr = 0x4000, 21
-
-			// Reference: scalar XOR block by block.
-			want := make([]byte, len(src))
-			for i := 0; i < nblocks; i++ {
-				if err := c.XOR(want[i*BlockSize:(i+1)*BlockSize],
-					src[i*BlockSize:(i+1)*BlockSize], addr+uint64(i)*BlockSize, ctr); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			// Separate dst.
-			got := make([]byte, len(src))
-			if err := c.XORBlocks(got, src, addr, ctr); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("cached=%v n=%d: XORBlocks differs from scalar XOR", cached, nblocks)
-			}
-
-			// Exact aliasing: dst == src.
-			alias := append([]byte(nil), src...)
-			if err := c.XORBlocks(alias, alias, addr, ctr); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(alias, want) {
-				t.Fatalf("cached=%v n=%d: aliased XORBlocks differs from scalar XOR", cached, nblocks)
-			}
-			// And the round trip must restore the plaintext.
-			if err := c.XORBlocks(alias, alias, addr, ctr); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(alias, src) {
-				t.Fatalf("cached=%v n=%d: aliased round trip failed", cached, nblocks)
-			}
-		}
-	}
-}
-
-// TestPadCacheHitsAndCorrectness checks the direct-mapped cache returns
-// bit-identical pads and actually hits on the re-encryption access shape.
-func TestPadCacheHitsAndCorrectness(t *testing.T) {
-	cold := testCipher(t)
-	warm := testCipher(t)
-	if err := warm.EnablePadCache(128); err != nil {
-		t.Fatal(err)
-	}
-	a := make([]byte, BlockSize)
-	b := make([]byte, BlockSize)
-	// Sweep 64 contiguous blocks under one counter twice — the second
-	// sweep must hit and agree with the uncached cipher.
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < 64; i++ {
-			addr := uint64(i) * BlockSize
-			if err := cold.Pad(a, addr, 5); err != nil {
-				t.Fatal(err)
-			}
-			if err := warm.Pad(b, addr, 5); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, b) {
-				t.Fatalf("pass %d block %d: cached pad differs", pass, i)
-			}
-		}
-	}
-	st := warm.CacheStats()
-	if st.Hits == 0 {
-		t.Fatalf("expected cache hits on the second sweep, got %+v", st)
-	}
-	if st.Hits+st.Misses != 2*64 {
-		t.Fatalf("hits+misses = %d, want 128", st.Hits+st.Misses)
-	}
-}
-
-func TestEnablePadCacheRejectsBadSizes(t *testing.T) {
 	c := testCipher(t)
-	for _, n := range []int{-1, 0, 3, 100} {
-		if err := c.EnablePadCache(n); err == nil {
-			t.Errorf("EnablePadCache(%d) should fail", n)
+	rng := rand.New(rand.NewSource(9))
+	for _, nblocks := range []int{1, 3, 64} {
+		src := make([]byte, nblocks*BlockSize)
+		rng.Read(src)
+		const addr, ctr = 0x4000, 21
+
+		// Reference: scalar XOR block by block.
+		want := make([]byte, len(src))
+		for i := 0; i < nblocks; i++ {
+			if err := c.XOR(want[i*BlockSize:(i+1)*BlockSize],
+				src[i*BlockSize:(i+1)*BlockSize], addr+uint64(i)*BlockSize, ctr); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// Separate dst.
+		got := make([]byte, len(src))
+		if err := c.XORBlocks(got, src, addr, ctr); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: XORBlocks differs from scalar XOR", nblocks)
+		}
+
+		// Exact aliasing: dst == src.
+		alias := append([]byte(nil), src...)
+		if err := c.XORBlocks(alias, alias, addr, ctr); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(alias, want) {
+			t.Fatalf("n=%d: aliased XORBlocks differs from scalar XOR", nblocks)
+		}
+		// And the round trip must restore the plaintext.
+		if err := c.XORBlocks(alias, alias, addr, ctr); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(alias, src) {
+			t.Fatalf("n=%d: aliased round trip failed", nblocks)
 		}
 	}
 }
@@ -368,32 +319,30 @@ func BenchmarkXORBlocks64(b *testing.B) {
 	}
 }
 
-func BenchmarkXORCachedReread(b *testing.B) {
-	c := testCipher(b)
-	if err := c.EnablePadCache(512); err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, BlockSize)
-	b.SetBytes(BlockSize)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := c.XOR(buf, buf, uint64(i%256)*64, 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestGoldenPad pins the keystream for a fixed key and seed. Persisted NVMM
-// images embed ciphertext produced by this pad; a change here breaks stored
-// images.
+// TestGoldenPad pins the keystream for a fixed key and seed, on the
+// production path (crypto.Stream, which seals every stored block) and on
+// this reference. Persisted NVMM images embed ciphertext produced by this
+// pad; a change here breaks stored images.
 func TestGoldenPad(t *testing.T) {
-	c := testCipher(t)
-	pad := make([]byte, BlockSize)
-	if err := c.Pad(pad, 0x40, 7); err != nil {
+	key := make([]byte, 16)
+	for i := range key {
+		key[i] = byte(i + 1)
+	}
+	prod, err := crypto.NewStream(key)
+	if err != nil {
 		t.Fatal(err)
 	}
 	const want = "68e1bce720b39ac16ab3b68ed709071d"
-	if got := hex.EncodeToString(pad[:16]); got != want {
-		t.Fatalf("pad prefix %s, want %s", got, want)
+	for name, padN := range map[string]func(dst []byte, addr, counter uint64) error{
+		"crypto.Stream":    prod.PadN,
+		"keystream.Cipher": testCipher(t).PadN,
+	} {
+		pad := make([]byte, BlockSize)
+		if err := padN(pad, 0x40, 7); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(pad[:16]); got != want {
+			t.Fatalf("%s: pad prefix %s, want %s", name, got, want)
+		}
 	}
 }

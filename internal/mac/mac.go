@@ -18,6 +18,13 @@
 // by the memory bus of the machine under attack, which pushes expected
 // forgery time to millions of years.
 //
+// Key is the from-scratch reference: the same construction as the production
+// crypto.MAC (internal/crypto, PRF over crypto/aes) with the PRF on the
+// repository's own T-table AES (internal/aes). Nothing outside tests tags a
+// stored block with it; the conformance suite and fuzz targets in
+// internal/crypto hold the production tags bit-equal to these. The tag-width
+// constants below are shared by both.
+//
 // Performance: the polynomial hash is evaluated as a table-driven dot
 // product. NewKey precomputes one windowed gf64.Table per key power
 // h^8..h^1 (the weight of each of the block's eight words), so Tag costs
@@ -108,10 +115,8 @@ func (k *Key) Tag(ciphertext []byte, addr uint64, counter uint64) (uint64, error
 
 // TagBatch computes the tags of len(tags) contiguous ciphertext blocks
 // sharing one counter: block i of ciphertexts is tagged for address
-// addr + i*BlockSize. This is the seal shape of a group re-encryption sweep
-// and of a coalesced multi-block write; backends with batched PRF kernels
-// amortize the pad generation here, and the T-table path simply loops.
-// len(ciphertexts) must be len(tags)*BlockSize.
+// addr + i*BlockSize — the seal shape of a group re-encryption sweep and of a
+// coalesced multi-block write. len(ciphertexts) must be len(tags)*BlockSize.
 func (k *Key) TagBatch(tags []uint64, ciphertexts []byte, addr uint64, counter uint64) error {
 	if len(ciphertexts) != len(tags)*BlockSize {
 		return fmt.Errorf("mac: ciphertexts must be %d bytes for %d tags, got %d",

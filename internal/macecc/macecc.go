@@ -122,8 +122,8 @@ type Outcome struct {
 
 // Key is the slice of the MAC surface the verifier needs: tag computation
 // for the integrity check, and the secret hash point for the per-bit
-// contribution tables. *mac.Key and every crypto.Backend MAC satisfy it, so
-// the verifier is backend-agnostic.
+// contribution tables. *crypto.MAC satisfies it, as does the test-only
+// reference *mac.Key.
 type Key interface {
 	Tag(ciphertext []byte, addr, counter uint64) (uint64, error)
 	HashPoint() uint64

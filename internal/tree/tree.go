@@ -45,8 +45,8 @@ func (e *ErrTampered) Error() string {
 }
 
 // Hasher is the slice of the MAC surface the tree needs: one keyed tag per
-// node image. *mac.Key and every crypto.Backend MAC satisfy it, so the tree
-// is backend-agnostic.
+// node image. *crypto.MAC satisfies it, as does the test-only reference
+// *mac.Key.
 type Hasher interface {
 	Tag(image []byte, addr, counter uint64) (uint64, error)
 }
