@@ -29,7 +29,10 @@
 //
 // The simulation side of the reproduction (DDR3 timing, the 4-core CPU
 // model, PARSEC-like workloads, and the Figure/Table harnesses) lives under
-// cmd/paperbench and the internal packages.
+// cmd/paperbench and the internal packages; cmd/paperbench prints the
+// paper's figures from those and does not link this package. Performance of
+// this package and the serving stack above it is measured by the nested
+// bench/ module (BENCHMARK.json), the repository's only performance harness.
 package authmem
 
 import (
@@ -141,9 +144,8 @@ type Config struct {
 	// check storage). Codecs change the stored
 	// format and the protection guarantees: an explicit codec that does
 	// not match Placement is a configuration error, and a persisted image
-	// only resumes under the codec that wrote it. Empty consults the
-	// AUTHMEM_ECC_CODEC environment variable (ignored when incompatible
-	// with Placement), then the placement's default.
+	// only resumes under the codec that wrote it. Empty means the
+	// placement's default.
 	ECCCodec string
 }
 

@@ -10,30 +10,23 @@
 //
 // SIGINT/SIGTERM trigger a graceful drain: in-flight requests complete,
 // connections close, and the region reaches its FlushAll quiescent point
-// before the process exits.
-//
-// The -connect mode is a smoke client (used by CI): it dials a running
-// daemon, pushes pipelined writes, reads them back through the verifying
-// path, flushes, and exits non-zero on any mismatch.
+// before the process exits. daemon_test.go drives the built binary through
+// exactly that with the public client and cluster packages.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/hex"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"os/signal"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"authmem"
-	"authmem/client"
-	"authmem/cluster"
 	"authmem/internal/ecc"
 	"authmem/internal/server"
 	"authmem/internal/wire"
@@ -41,12 +34,12 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":7348", "TCP listen address (serve mode) ")
+		addr      = flag.String("addr", ":7348", "TCP listen address")
 		nodeID    = flag.String("node-id", "", "stable node identity reported in the HELLO handshake (cluster placement hashes it; default: random)")
 		size      = flag.Uint64("size", 64<<20, "protected region size in bytes")
 		shards    = flag.Int("shards", 4, "shard count (power of two)")
 		scheme    = flag.String("scheme", "delta", "counter scheme: delta, split, or mono")
-		eccCodec  = flag.String("ecc", "", "ECC codec: macsecded, secded, or residue (non-MAC codecs imply inline MAC placement; default: $AUTHMEM_ECC_CODEC, then macsecded)")
+		eccCodec  = flag.String("ecc", "", "ECC codec: macsecded, secded, or residue (non-MAC codecs imply inline MAC placement; default macsecded)")
 		keyHex    = flag.String("key-hex", "", "device key, hex-encoded (40 bytes)")
 		devKey    = flag.Bool("dev-key", false, "use a fixed all-zeros development key (NOT for real data)")
 		inflight  = flag.Int("inflight", 64, "per-connection in-flight request cap")
@@ -58,30 +51,10 @@ func main() {
 		walDir    = flag.String("wal", "", "durable mode: directory for base snapshot + sealed delta logs (empty disables)")
 		ckptEvery = flag.Duration("checkpoint-interval", 5*time.Second, "durable mode: background delta-epoch interval")
 		foldBytes = flag.Int64("fold-bytes", 0, "durable mode: fold logs into a new base beyond this many bytes (0 = base/4)")
-
-		connect    = flag.String("connect", "", "smoke-client mode: dial this address instead of serving")
-		smokeConns = flag.Int("smoke-conns", 2, "smoke client: pooled connections")
-		smokeOps   = flag.Int("smoke-ops", 256, "smoke client: write+read pairs per worker")
-
-		clusterConnect = flag.String("cluster-connect", "", "cluster smoke mode: comma-separated name=addr members to stripe across (name must match each node's -node-id)")
-		clusterPhase   = flag.String("cluster-phase", "write", "cluster smoke phase: write (populate+verify+attest) or verify (re-read the write phase's pattern, tolerating a downed node)")
 	)
 	flag.Parse()
 	log.SetPrefix("memserved: ")
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
-
-	if *clusterConnect != "" {
-		if err := runClusterSmoke(*clusterConnect, *clusterPhase, *smokeOps); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *connect != "" {
-		if err := runSmoke(*connect, *smokeConns, *smokeOps); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	key, err := resolveKey(*keyHex, *devKey)
 	if err != nil {
@@ -152,14 +125,20 @@ func main() {
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
+	// Bind before announcing: the log line carries the bound address, so
+	// -addr :0 reports its port and a failed bind never says "serving".
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.ListenAndServe(*addr) }()
+	go func() { serveErr <- srv.Serve(ln) }()
 	var stopCkpt chan struct{}
 	if store != nil {
 		stopCkpt = make(chan struct{})
 		go store.run(stopCkpt)
 	}
-	log.Printf("serving %s on %s (%d-byte blocks, protocol v%d)", desc, *addr, wire.BlockBytes, wire.Version)
+	log.Printf("serving %s on %s (%d-byte blocks, protocol v%d)", desc, ln.Addr(), wire.BlockBytes, wire.Version)
 
 	select {
 	case sig := <-sigCh:
@@ -250,157 +229,4 @@ func buildBackend(size uint64, shards int, scheme, eccCodec string, key []byte) 
 		return nil, "", err
 	}
 	return m, fmt.Sprintf("%dMB %s region across %d shards (%s ecc)", size>>20, scheme, shards, eccDesc), nil
-}
-
-// runClusterSmoke is the CI cluster smoke client. The write phase stripes a
-// deterministic pattern across the members, reads every span back through
-// the quorum path, and attests the combined root. The verify phase re-reads
-// the same pattern — typically after CI has killed one member — and passes
-// as long as every quorum read still returns the exact pattern, degraded or
-// not; any wrong byte or unresolved read fails it.
-func runClusterSmoke(spec, phase string, ops int) error {
-	var nodes []cluster.Node
-	for _, part := range strings.Split(spec, ",") {
-		name, addr, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || name == "" || addr == "" {
-			return fmt.Errorf("-cluster-connect: %q is not name=addr", part)
-		}
-		nodes = append(nodes, cluster.Node{Name: name, Addr: addr})
-	}
-	const (
-		region     = 8 << 20
-		spanBlocks = 8
-	)
-	cl, err := cluster.New(cluster.Options{
-		Nodes:  nodes,
-		Size:   region,
-		Client: client.Options{Conns: 2, MaxInflight: 32},
-		// The verify phase runs after CI killed a member: reads must
-		// still verify through the surviving quorum.
-		AllowDead: phase == "verify",
-	})
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-
-	span := spanBlocks * wire.BlockBytes
-	if ops*span > region {
-		ops = region / span
-	}
-	pattern := func(i int, buf []byte) {
-		for j := range buf {
-			buf[j] = byte(i*131 + j*7 + 5)
-		}
-	}
-	want := make([]byte, span)
-	got := make([]byte, span)
-	start := time.Now()
-
-	if phase == "write" {
-		for i := 0; i < ops; i++ {
-			pattern(i, want)
-			if _, err := cl.Write(uint64(i*span), want); err != nil {
-				return fmt.Errorf("cluster write %d: %w", i, err)
-			}
-		}
-	}
-	var degraded, outvoted int
-	for i := 0; i < ops; i++ {
-		pattern(i, want)
-		info, err := cl.Read(uint64(i*span), got)
-		if err != nil {
-			return fmt.Errorf("cluster read %d: %w", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			return fmt.Errorf("cluster read %d: payload mismatch (verdict %s)", i, info.Verdict)
-		}
-		if info.Degraded {
-			degraded++
-		}
-		if info.Verdict != cluster.VerdictClean {
-			outvoted++
-		}
-	}
-	switch phase {
-	case "write":
-		att, err := cl.Attest()
-		if err != nil {
-			return fmt.Errorf("attest: %w", err)
-		}
-		log.Printf("cluster smoke OK (%s): %d spans across %d nodes in %v; combined root %x",
-			phase, ops, len(nodes), time.Since(start).Round(time.Millisecond), att.Combined[:8])
-	case "verify":
-		st := cl.Stats()
-		log.Printf("cluster smoke OK (%s): %d spans verified in %v; degraded=%d outvoted=%d repairs=%d",
-			phase, ops, time.Since(start).Round(time.Millisecond), degraded, outvoted, st.Repairs)
-	default:
-		return fmt.Errorf("-cluster-phase: %q (want write or verify)", phase)
-	}
-	return nil
-}
-
-// runSmoke is the CI smoke client: concurrent workers pipeline writes and
-// verifying reads over a pooled connection, then flush and fetch stats.
-func runSmoke(addr string, conns, ops int) error {
-	c, err := client.New(client.Options{Addr: addr, Conns: conns, MaxInflight: 32})
-	if err != nil {
-		return fmt.Errorf("dial %s: %w", addr, err)
-	}
-	defer c.Close()
-
-	const workers = 4
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			buf := make([]byte, wire.BlockBytes)
-			data := make([]byte, wire.BlockBytes)
-			base := uint64(w) * 1 << 20
-			for i := 0; i < ops; i++ {
-				addr := base + uint64(i%1024)*wire.BlockBytes
-				for j := range data {
-					data[j] = byte(w*131 + i + j)
-				}
-				if _, err := c.Write(addr, data); err != nil {
-					errCh <- fmt.Errorf("worker %d write %#x: %w", w, addr, err)
-					return
-				}
-				if _, err := c.Read(addr, buf); err != nil {
-					errCh <- fmt.Errorf("worker %d read %#x: %w", w, addr, err)
-					return
-				}
-				for j := range buf {
-					if buf[j] != data[j] {
-						errCh <- fmt.Errorf("worker %d: byte %d mismatch at %#x", w, j, addr)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		return err
-	}
-	if err := c.Flush(); err != nil {
-		return fmt.Errorf("flush: %w", err)
-	}
-	if _, err := c.RootDigest(); err != nil {
-		return fmt.Errorf("root digest: %w", err)
-	}
-	snap, err := c.ServerStats()
-	if err != nil {
-		return fmt.Errorf("stats: %w", err)
-	}
-	total := workers * ops * 2
-	log.Printf("smoke OK: %d ops in %v; server ledger: reads=%d writes=%d busy=%d macfail=%d",
-		total, time.Since(start).Round(time.Millisecond),
-		snap.Server.ReadOps, snap.Server.WriteOps,
-		snap.Server.BusyRejected, snap.Server.MACFails)
-	return nil
 }

@@ -1,5 +1,6 @@
 // Command paperbench regenerates every table and figure in the paper's
-// evaluation section:
+// evaluation section, and nothing else (performance of the stack itself is
+// bench/'s job):
 //
 //	-fig1    storage overhead breakdown (Figure 1)
 //	-fig3    fault-pattern error-handling matrix (Figure 3)
@@ -9,17 +10,17 @@
 //
 // Scale knobs: -ops (Figure 8 memory ops per core), -writebacks (Table 2
 // stream length), -trials (Figure 3 injections), -runs (Table 2 averaging
-// runs, as the paper averages three executions).
+// runs, as the paper averages three executions). Results go to stdout;
+// -csv is the only thing that writes a file.
 package main
 
 import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 
 	"authmem/internal/core"
 	"authmem/internal/ctr"
@@ -29,91 +30,66 @@ import (
 	"authmem/internal/workload"
 )
 
-func main() {
-	fig1 := flag.Bool("fig1", false, "reproduce Figure 1 (storage overhead)")
-	fig3 := flag.Bool("fig3", false, "reproduce Figure 3 (fault handling)")
-	fig8 := flag.Bool("fig8", false, "reproduce Figure 8 (IPC impact)")
-	table2 := flag.Bool("table2", false, "reproduce Table 2 (re-encryption rate)")
-	srvBench := flag.Bool("server", false, "run the serving-layer benchmarks (loopback and TCP through the client/server stack) and write the tracked JSON baseline")
-	srvBenchOut := flag.String("server-out", "BENCH_server.json", "output path for -server")
-	eccBench := flag.Bool("ecc", false, "run the ECC-codec comparison (secded vs residue vs macsecded check-bit kernels and engine seal/read) and write the tracked JSON baseline")
-	eccBenchOut := flag.String("ecc-out", "BENCH_ecc.json", "output path for -ecc")
-	persist := flag.Bool("persist", false, "run the incremental-persistence benchmark (AppendDelta vs full Persist across dirty fractions, plus WAL replay) and write the tracked JSON baseline")
-	persistOut := flag.String("persist-out", "BENCH_persist.json", "output path for -persist")
-	clusterBench := flag.Bool("cluster", false, "run the distributed cluster benchmark (1/2/4-node quorum throughput vs a direct single node) and write the tracked JSON baseline")
-	clusterBenchOut := flag.String("cluster-out", "BENCH_cluster.json", "output path for -cluster")
-	quick := flag.Bool("quick", false, "shrink the benchmark workloads for a fast smoke run")
-	all := flag.Bool("all", false, "reproduce everything")
-	ops := flag.Uint64("ops", 1_000_000, "Figure 8: memory ops per core")
-	writebacks := flag.Uint64("writebacks", 16_000_000, "Table 2: writeback stream length")
-	trials := flag.Int("trials", 2000, "Figure 3: injections per cell")
-	runs := flag.Int("runs", 3, "Table 2: runs to average (paper averages 3)")
-	seed := flag.Int64("seed", 1, "base PRNG seed")
-	csvDir := flag.String("csv", "", "also write each result as CSV into this directory")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected benchmarks to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile taken after the selected benchmarks to this file")
-	flag.Parse()
-	outDir = *csvDir
+// options is the whole command line.
+type options struct {
+	fig1, fig3, fig8, table2, all bool
 
-	any := *fig1 || *fig3 || *fig8 || *table2 || *srvBench || *eccBench || *persist || *clusterBench || *all
-	if !any {
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *all {
-		*fig1, *fig3, *fig8, *table2, *srvBench, *eccBench, *persist, *clusterBench = true, true, true, true, true, true, true, true
-	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			runtime.GC() // settled live-heap picture
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-		}()
-	}
-	if *srvBench {
-		runServer(*srvBenchOut, *quick)
-	}
-	if *eccBench {
-		runECCBench(*eccBenchOut, *quick)
-	}
-	if *persist {
-		runPersistBench(*persistOut, *quick)
-	}
-	if *clusterBench {
-		runClusterBench(*clusterBenchOut, *quick)
-	}
-	if *fig1 {
-		runFig1()
-	}
-	if *fig3 {
-		runFig3(*trials, *seed)
-	}
-	if *table2 {
-		runTable2(*writebacks, *runs, *seed)
-	}
-	if *fig8 {
-		runFig8(*ops, *seed)
+	ops, writebacks uint64
+	trials, runs    int
+	seed            int64
+	csvDir          string
+}
+
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("paperbench", flag.ExitOnError)
+	fs.BoolVar(&o.fig1, "fig1", false, "reproduce Figure 1 (storage overhead)")
+	fs.BoolVar(&o.fig3, "fig3", false, "reproduce Figure 3 (fault handling)")
+	fs.BoolVar(&o.fig8, "fig8", false, "reproduce Figure 8 (IPC impact)")
+	fs.BoolVar(&o.table2, "table2", false, "reproduce Table 2 (re-encryption rate)")
+	fs.BoolVar(&o.all, "all", false, "reproduce everything")
+	fs.Uint64Var(&o.ops, "ops", 1_000_000, "Figure 8: memory ops per core")
+	fs.Uint64Var(&o.writebacks, "writebacks", 16_000_000, "Table 2: writeback stream length")
+	fs.IntVar(&o.trials, "trials", 2000, "Figure 3: injections per cell")
+	fs.IntVar(&o.runs, "runs", 3, "Table 2: runs to average (paper averages 3)")
+	fs.Int64Var(&o.seed, "seed", 1, "base PRNG seed")
+	fs.StringVar(&o.csvDir, "csv", "", "also write each result as CSV into this directory")
+	return fs
+}
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "paperbench:", err)
+		os.Exit(1)
 	}
 }
 
-func runFig1() {
-	fmt.Println("=== Figure 1: storage overhead (512MB protected region) ===")
+// run prints the figures args select to w.
+func run(args []string, w io.Writer) error {
+	var o options
+	fs := newFlagSet(&o)
+	fs.Parse(args) // ExitOnError
+	if o.all {
+		o.fig1, o.fig3, o.fig8, o.table2 = true, true, true, true
+	}
+	if !(o.fig1 || o.fig3 || o.fig8 || o.table2) {
+		fs.Usage()
+		os.Exit(2)
+	}
+	for _, fig := range []struct {
+		on  bool
+		run func(io.Writer, options) error
+	}{{o.fig1, runFig1}, {o.fig3, runFig3}, {o.table2, runTable2}, {o.fig8, runFig8}} {
+		if fig.on {
+			if err := fig.run(w, o); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func runFig1(w io.Writer, opt options) error {
+	fmt.Fprintln(w, "=== Figure 1: storage overhead (512MB protected region) ===")
 	tb := stats.NewTable("design point", "counters%", "tree%", "MACs%", "total%", "tree levels")
 	points := []struct {
 		name      string
@@ -132,7 +108,7 @@ func runFig1() {
 	for _, p := range points {
 		o, err := core.ComputeOverhead(core.Default(p.scheme, p.placement))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		tb.AddRow(p.name, pct(o.CounterBytes, o), pct(o.TreeBytes, o), pct(o.MACBytes, o),
 			stats.Pct(o.EncryptionOverheadPct()), o.TreeLevels)
@@ -143,22 +119,25 @@ func runFig1() {
 			fmt.Sprintf("%.4f", o.EncryptionOverheadPct()),
 			fmt.Sprintf("%d", o.TreeLevels)})
 	}
-	fmt.Print(tb)
-	writeCSV("fig1", rows)
-	fmt.Println("paper: baseline ~22% -> proposed ~2% (~10x); tree 5 -> 4 levels")
-	fmt.Println()
+	fmt.Fprint(w, tb)
+	if err := writeCSV(w, opt.csvDir, "fig1", rows); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "paper: baseline ~22% -> proposed ~2% (~10x); tree 5 -> 4 levels")
+	fmt.Fprintln(w)
+	return nil
 }
 
-func runFig3(trials int, seed int64) {
-	fmt.Printf("=== Figure 3: fault handling (%d trials/cell; corrected/detected/miscorrected %%) ===\n", trials)
+func runFig3(w io.Writer, opt options) error {
+	fmt.Fprintf(w, "=== Figure 3: fault handling (%d trials/cell; corrected/detected/miscorrected %%) ===\n", opt.trials)
 	tb := stats.NewTable("fault pattern", "SEC-DED(72,64)", "MAC-in-ECC")
 	rows := [][]string{{"pattern", "secded_corrected", "secded_detected", "secded_miscorrected",
 		"macecc_corrected", "macecc_detected", "macecc_miscorrected"}}
 	for _, class := range fault.Classes() {
-		sec := fault.InjectSECDED(class, trials, seed)
-		mec, err := fault.InjectMACECC(class, trials, seed, 2)
+		sec := fault.InjectSECDED(class, opt.trials, opt.seed)
+		mec, err := fault.InjectMACECC(class, opt.trials, opt.seed, 2)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		row := func(r fault.Result) string {
 			return fmt.Sprintf("%5.1f /%5.1f /%5.1f",
@@ -171,14 +150,17 @@ func runFig3(trials int, seed int64) {
 			fmt.Sprintf("%.2f", mec.CorrectedPct()), fmt.Sprintf("%.2f", mec.DetectedPct()),
 			fmt.Sprintf("%.2f", mec.MiscorrectedPct())})
 	}
-	fmt.Print(tb)
-	writeCSV("fig3", rows)
-	fmt.Println()
+	fmt.Fprint(w, tb)
+	if err := writeCSV(w, opt.csvDir, "fig3", rows); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	return nil
 }
 
-func runTable2(writebacks uint64, runs int, seed int64) {
-	fmt.Printf("=== Table 2: re-encryptions per 10^9 cycles (avg of %d runs, %dM writebacks each) ===\n",
-		runs, writebacks/1_000_000)
+func runTable2(w io.Writer, opt options) error {
+	fmt.Fprintf(w, "=== Table 2: re-encryptions per 10^9 cycles (avg of %d runs, %dM writebacks each) ===\n",
+		opt.runs, opt.writebacks/1_000_000)
 	paper := map[string][3]int{
 		"facesim": {880, 113, 176}, "dedup": {725, 51, 14}, "canneal": {167, 167, 128},
 		"vips": {77, 77, 24}, "ferret": {33, 23, 5}, "fluidanimate": {4, 4, 0},
@@ -192,14 +174,14 @@ func runTable2(writebacks uint64, runs int, seed int64) {
 		var vals [3]float64
 		for i, k := range []ctr.Kind{ctr.Split, ctr.Delta, ctr.DualLength} {
 			var sum float64
-			for r := 0; r < runs; r++ {
-				res, err := sim.MeasureReencryption(app, k, writebacks, seed+int64(r))
+			for r := 0; r < opt.runs; r++ {
+				res, err := sim.MeasureReencryption(app, k, opt.writebacks, opt.seed+int64(r))
 				if err != nil {
-					fatal(err)
+					return err
 				}
 				sum += res.PerBillionCycles
 			}
-			vals[i] = sum / float64(runs)
+			vals[i] = sum / float64(opt.runs)
 		}
 		p := paper[app.Name]
 		tb.AddRow(app.Name, vals[0], vals[1], vals[2],
@@ -209,13 +191,16 @@ func runTable2(writebacks uint64, runs int, seed int64) {
 			fmt.Sprintf("%.2f", vals[2]),
 			fmt.Sprintf("%d", p[0]), fmt.Sprintf("%d", p[1]), fmt.Sprintf("%d", p[2])})
 	}
-	fmt.Print(tb)
-	writeCSV("table2", rows)
-	fmt.Println()
+	fmt.Fprint(w, tb)
+	if err := writeCSV(w, opt.csvDir, "table2", rows); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	return nil
 }
 
-func runFig8(ops uint64, seed int64) {
-	fmt.Printf("=== Figure 8: normalized IPC (vs no encryption; %d mem ops/core) ===\n", ops)
+func runFig8(w io.Writer, opt options) error {
+	fmt.Fprintf(w, "=== Figure 8: normalized IPC (vs no encryption; %d mem ops/core) ===\n", opt.ops)
 	points := sim.StandardDesignPoints()
 	tb := stats.NewTable("program", "bmt", "mac-ecc", "proposed", "gain over bmt")
 	rows := [][]string{{"program", "bmt", "mac_ecc", "proposed", "gain_pct"}}
@@ -232,9 +217,9 @@ func runFig8(ops uint64, seed int64) {
 		if !app.MemorySensitive {
 			continue
 		}
-		norm, results, err := sim.NormalizedIPC(app, points, ops, seed)
+		norm, results, err := sim.NormalizedIPC(app, points, opt.ops, opt.seed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		for _, r := range results {
 			if r.Design == "no-encryption" {
@@ -264,9 +249,11 @@ func runFig8(ops uint64, seed int64) {
 			fmt.Sprintf("%.4f", norm["bmt"]), fmt.Sprintf("%.4f", norm["mac-ecc"]),
 			fmt.Sprintf("%.4f", norm["proposed"]), fmt.Sprintf("%.2f", gain)})
 	}
-	fmt.Print(tb)
-	writeCSV("fig8", rows)
-	fmt.Printf("mean IPC gain over BMT across memory-sensitive apps: +%.1f%%\n\n", sumGain/float64(n))
+	fmt.Fprint(w, tb)
+	if err := writeCSV(w, opt.csvDir, "fig8", rows); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "mean IPC gain over BMT across memory-sensitive apps: +%.1f%%\n\n", sumGain/float64(n))
 
 	// Mechanism summary: where the gains come from (§5.2's discussion).
 	mtb := stats.NewTable("design", "tree read depth", "metadata cache hit rate", "DRAM txns per L3 miss")
@@ -279,39 +266,32 @@ func runFig8(ops uint64, seed int64) {
 			fmt.Sprintf("%.3f", m.hit/float64(m.count)),
 			fmt.Sprintf("%.2f", m.txns/float64(m.count)))
 	}
-	fmt.Print(mtb)
-	fmt.Println("paper: proposed improves IPC by 1%-28% over BMT (average ~5% across the suite;")
-	fmt.Println("the four compute-bound apps are unaffected and omitted, as in the paper).")
+	fmt.Fprint(w, mtb)
+	fmt.Fprintln(w, "paper: proposed improves IPC by 1%-28% over BMT (average ~5% across the suite;")
+	fmt.Fprintln(w, "the four compute-bound apps are unaffected and omitted, as in the paper).")
+	return nil
 }
 
-// outDir, when non-empty, receives one CSV per experiment.
-var outDir string
-
-// writeCSV emits rows (header first) to <outDir>/<name>.csv when -csv is set.
-func writeCSV(name string, rows [][]string) {
-	if outDir == "" {
-		return
+// writeCSV emits rows (header first) to <dir>/<name>.csv when -csv is set.
+func writeCSV(w io.Writer, dir, name string, rows [][]string) error {
+	if dir == "" {
+		return nil
 	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		fatal(err)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-	path := filepath.Join(outDir, name+".csv")
+	path := filepath.Join(dir, name+".csv")
 	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	w := csv.NewWriter(f)
-	if err := w.WriteAll(rows); err != nil {
-		fatal(err)
+	if err := csv.NewWriter(f).WriteAll(rows); err != nil { // WriteAll flushes
+		f.Close()
+		return err
 	}
-	w.Flush()
 	if err := f.Close(); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "paperbench:", err)
-	os.Exit(1)
+	fmt.Fprintf(w, "wrote %s\n", path)
+	return nil
 }

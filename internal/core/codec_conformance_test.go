@@ -298,3 +298,23 @@ func TestCodecPlacementValidation(t *testing.T) {
 		t.Fatal("unknown codec should fail validation")
 	}
 }
+
+// TestEnvironmentDoesNotSelectCodec: the codec is part of the stored format,
+// so only Config.ECCCodec names it. The retired $AUTHMEM_ECC_CODEC must
+// neither change an empty name's resolution nor fail Validate when it holds
+// garbage.
+func TestEnvironmentDoesNotSelectCodec(t *testing.T) {
+	cfg := smallCfg(ctr.Delta, MACInline)
+	for _, v := range []string{"residue", "no-such-codec"} {
+		t.Setenv("AUTHMEM_ECC_CODEC", v)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("AUTHMEM_ECC_CODEC=%s: Validate: %v", v, err)
+		}
+		if got := cfg.CodecName(); got != ecc.DefaultBlockCodec {
+			t.Fatalf("AUTHMEM_ECC_CODEC=%s: empty ECCCodec resolved to %q, want %q", v, got, ecc.DefaultBlockCodec)
+		}
+		if got := newEngine(t, cfg).ECCCodec(); got != ecc.DefaultBlockCodec {
+			t.Fatalf("AUTHMEM_ECC_CODEC=%s: engine runs %q, want %q", v, got, ecc.DefaultBlockCodec)
+		}
+	}
+}

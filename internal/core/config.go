@@ -23,7 +23,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 
 	"authmem/internal/ctr"
 	"authmem/internal/ecc"
@@ -104,11 +103,8 @@ type Config struct {
 	// "residue" for the inline placement, "macsecded" for MAC-in-ECC).
 	// Codecs are NOT interchangeable — they change the stored format and
 	// the detection/correction guarantees — so an explicit name
-	// incompatible with Placement is a Validate error.
-	// Empty consults the AUTHMEM_ECC_CODEC environment variable; an
-	// environment selection incompatible with Placement is ignored in
-	// favor of the placement's default, so codec-matrix test runs do not
-	// break tests pinned to the other placement.
+	// incompatible with Placement is a Validate error. Empty means the
+	// placement's default (ecc.DefaultFor); nothing ambient selects a codec.
 	ECCCodec string
 }
 
@@ -168,32 +164,22 @@ func (c Config) Validate() error {
 
 // resolveCodec maps the configuration to its ECC codec. An explicit
 // ECCCodec must exist and match the MAC placement (a MAC-carrying codec
-// under MACInECC, a plain block codec under MACInline). An empty name
-// consults $AUTHMEM_ECC_CODEC, falling back to the placement's default when
-// the environment names an incompatible (but known) codec — see the
-// ECCCodec field comment.
+// under MACInECC, a plain block codec under MACInline). An empty name is
+// the placement's default.
 func (c Config) resolveCodec() (ecc.Codec, error) {
 	wantMAC := c.Placement == MACInECC
-	if c.ECCCodec != "" {
-		cod, err := ecc.Lookup(c.ECCCodec)
-		if err != nil {
-			return nil, err
-		}
-		if cod.CarriesMAC() != wantMAC {
-			return nil, fmt.Errorf("core: ECC codec %q is incompatible with placement %s", cod.Name(), c.Placement)
-		}
-		return cod, nil
+	name := c.ECCCodec
+	if name == "" {
+		name = ecc.DefaultFor(wantMAC)
 	}
-	if env := os.Getenv(ecc.EnvCodec); env != "" {
-		cod, err := ecc.Lookup(env)
-		if err != nil {
-			return nil, err // a typo in the environment should fail loudly
-		}
-		if cod.CarriesMAC() == wantMAC {
-			return cod, nil
-		}
+	cod, err := ecc.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	return ecc.Lookup(ecc.DefaultFor(wantMAC))
+	if cod.CarriesMAC() != wantMAC {
+		return nil, fmt.Errorf("core: ECC codec %q is incompatible with placement %s", cod.Name(), c.Placement)
+	}
+	return cod, nil
 }
 
 // CodecName returns the resolved ECC codec name for the configuration, or

@@ -199,9 +199,8 @@ func TestTamperCiphertextDetectedInlineMode(t *testing.T) {
 }
 
 func TestSingleFaultCorrectedInlineMode(t *testing.T) {
-	// This test is specifically about SEC-DED's single-bit correction, so
-	// pin the codec against an AUTHMEM_ECC_CODEC matrix run selecting the
-	// detection-only residue code.
+	// This test is about SEC-DED's single-bit correction: name the codec
+	// rather than lean on the inline placement's default.
 	cfg := smallCfg(ctr.Delta, MACInline)
 	cfg.ECCCodec = "secded"
 	e := newEngine(t, cfg)

@@ -106,7 +106,11 @@ func verifyAtEpoch(t *testing.T, e *Engine, h *deltaHarness, epoch int) {
 }
 
 func TestIncrementalRoundTrip(t *testing.T) {
-	for _, cfg := range allDesignPoints() {
+	// Every design point under its placement's default codec, plus the one
+	// registered codec that is no placement's default.
+	residue := smallCfg(ctr.Delta, MACInline)
+	residue.ECCCodec = "residue"
+	for _, cfg := range append(allDesignPoints(), residue) {
 		name := cfg.Scheme.String() + "/" + cfg.Placement.String() + "/" + cfg.CodecName()
 		t.Run(name, func(t *testing.T) {
 			h := newDeltaHarness(t, cfg)

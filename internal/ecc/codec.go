@@ -12,11 +12,10 @@ import (
 // next to an inline MAC tag, and the §3 MAC-in-ECC layout that folds the MAC
 // into the ECC lane itself — were historically two hard-wired code paths.
 // This file puts them (and any future code, e.g. the residue check code in
-// residue.go) behind one Codec interface with a registry, mirroring the
-// internal/crypto backend registry: implementations register from init, the
-// engine resolves a name from its Config or the AUTHMEM_ECC_CODEC
-// environment variable, and everything downstream (seal, verify, scrub,
-// persist, overhead accounting) speaks to the interface.
+// residue.go) behind one Codec interface with a registry: implementations
+// register from init, the engine resolves a name from its Config, and
+// everything downstream (seal, verify, scrub, persist, overhead accounting)
+// speaks to the interface.
 //
 // Two codec families exist, split by where the MAC lives:
 //
@@ -34,14 +33,6 @@ import (
 // A Codec is stateless and safe for concurrent use; a LaneVerifier is
 // single-owner except for its Scrub methods (see LaneVerifier).
 
-// EnvCodec is the environment variable consulted when Config.ECCCodec is
-// empty. The CI codec matrix uses it to run the whole suite once per codec
-// without threading a flag through every test. A codec selected through the
-// environment that is incompatible with an engine's MAC placement is
-// silently ignored in favor of the placement's default, so a matrix run
-// does not break tests that pin the other placement.
-const EnvCodec = "AUTHMEM_ECC_CODEC"
-
 // DefaultBlockCodec is the inline-MAC placement's default codec.
 const DefaultBlockCodec = "secded"
 
@@ -50,7 +41,7 @@ const DefaultMACCodec = "macsecded"
 
 // Codec is the surface every ECC codec shares.
 type Codec interface {
-	// Name is the registry key, what flags/env select, and what persisted
+	// Name is the registry key, what flags select, and what persisted
 	// images record.
 	Name() string
 	// CheckBytes is the codec's stored check footprint per 64-byte block.
@@ -148,9 +139,8 @@ func Register(c Codec) {
 }
 
 // Lookup resolves a codec name exactly. The empty name is an error here:
-// the default depends on the MAC placement, so
-// placement-aware resolution (empty name -> EnvCodec -> DefaultFor) lives
-// with the Config that knows it.
+// the default depends on the MAC placement, so placement-aware resolution
+// (empty name -> DefaultFor) lives with the Config that knows it.
 func Lookup(name string) (Codec, error) {
 	regMu.RLock()
 	defer regMu.RUnlock()

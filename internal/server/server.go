@@ -205,7 +205,7 @@ type Server struct {
 }
 
 // New builds a Server. The metrics loop (if configured) starts immediately;
-// connections arrive via Serve, ListenAndServe, ServeConn, or DialLoopback.
+// connections arrive via Serve, ServeConn, or DialLoopback.
 func New(cfg Config) (*Server, error) {
 	if cfg.Backend == nil {
 		return nil, errors.New("server: Config.Backend is required")
@@ -312,16 +312,6 @@ func (s *Server) metricsLoop() {
 			}
 		}
 	}
-}
-
-// ListenAndServe listens on addr (TCP) and serves until Shutdown or a fatal
-// accept error.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
 }
 
 // Serve accepts connections from l until Shutdown/Close, returning
