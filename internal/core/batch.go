@@ -62,23 +62,15 @@ func (e *Engine) ReadBlocks(addr uint64, dst []byte) error {
 			continue
 		}
 		if midx := e.scheme.MetadataBlock(blk); midx != curMidx {
-			if ent := e.cc.lookup(midx); ent != nil {
-				img = ent.img[:] // already tree-verified
-			} else {
-				var verr error
-				img, verr = e.loadVerifiedImage(blk*BlockBytes, midx)
-				if verr != nil {
-					e.stats.IntegrityFailures.Add(1)
-					return verr
-				}
-				e.cc.insert(midx, img)
+			var err error
+			if img, err = e.verifiedImage(blk*BlockBytes, midx); err != nil {
+				return err
 			}
 			curMidx = midx
 		}
-		counter, err := e.decodeCounter(img, blk)
+		counter, err := e.decodeVerified(img, blk)
 		if err != nil {
-			e.stats.IntegrityFailures.Add(1)
-			return &IntegrityError{Addr: blk * BlockBytes, Reason: "counter metadata undecodable: " + err.Error(), Stage: StageCounter}
+			return err
 		}
 		if _, err := e.readVerified(blk, counter, dst[j*BlockBytes:(j+1)*BlockBytes]); err != nil {
 			return err

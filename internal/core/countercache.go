@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"authmem/internal/ctr"
-)
+import "sync/atomic"
 
 // Verified-counter cache: the functional analogue of the paper's Table 1
 // on-chip metadata cache (32KB, 8-way in the timing model).
@@ -17,9 +13,9 @@ import (
 // the walk entirely and pays only MAC verification and decryption.
 //
 // Entries hold a private copy of the verified image, so later tampering with
-// the DRAM copy cannot retroactively corrupt the cached one. Decoded
-// counters are memoized per slot (in hardware the decode is combinational
-// logic; the memo models its zero marginal cost).
+// the DRAM copy cannot retroactively corrupt the cached one. A hit hands the
+// image to the same single-slot decode a miss uses (ctr.Decode*: two loads,
+// a shift, a mask, an add).
 //
 // Concurrency: entries carry the same epoch-versioned seqlock protocol as
 // the verified-block cache (blockcache.go) — an atomic generation counter
@@ -27,9 +23,9 @@ import (
 // epoch stamp so whole-cache invalidation is an O(1) epoch bump. Unlike the
 // block cache, counter-cache hits stay under the shard lock: a metadata hit
 // only removes the tree walk, and everything after it (MAC verification,
-// keystream decryption, correction write-backs, the decode memo below)
-// mutates engine state the lock protects. The payload and memo are therefore
-// plain fields, accessed only with the lock held; the generation/epoch words
+// keystream decryption, correction write-backs) mutates engine state the
+// lock protects. The payload is therefore a plain field, accessed only with
+// the lock held; the generation/epoch words
 // exist so evictions and flushes publish through one protocol across both
 // caches — the trust-boundary argument in DESIGN.md §6d covers them
 // together — and so the hit/miss counters can be snapshotted lock-free.
@@ -61,11 +57,7 @@ type counterCacheEntry struct {
 	// The payload below is guarded by the owning shard's lock (see the file
 	// comment); the generation protocol brackets its mutations so the line's
 	// validity is still decided by atomic words alone.
-	decoded uint64 // bitmap: counters[i] holds slot i's decoded counter
-	img     [BlockBytes]byte
-	// counters memoizes per-slot decodes of img. GroupBlocks covers every
-	// scheme (monolithic packs only ctr.CountersPerMetadataBlock slots).
-	counters [ctr.GroupBlocks]uint64
+	img [BlockBytes]byte
 }
 
 // counterCache is a direct-mapped cache of tree-verified counter images.
@@ -93,13 +85,13 @@ func (c *counterCache) resident(e *counterCacheEntry, midx uint64) bool {
 	return e.tag.Load() == midx+1 && e.epoch.Load() == c.epoch.Load()
 }
 
-// lookup returns the entry holding midx, or nil on miss. Caller holds the
-// owning lock. The hit/miss counters feed EngineStats.
-func (c *counterCache) lookup(midx uint64) *counterCacheEntry {
+// lookup returns the cached (already tree-verified) image of midx, or nil on
+// miss. Caller holds the owning lock. The hit/miss counters feed EngineStats.
+func (c *counterCache) lookup(midx uint64) []byte {
 	e := &c.entries[midx&c.mask]
 	if c.resident(e, midx) {
 		c.hits.Add(1)
-		return e
+		return e.img[:]
 	}
 	c.misses.Add(1)
 	return nil
@@ -112,7 +104,6 @@ func (c *counterCache) insert(midx uint64, img []byte) {
 	e.gen.Add(1)
 	e.tag.Store(midx + 1)
 	e.epoch.Store(c.epoch.Load())
-	e.decoded = 0
 	copy(e.img[:], img)
 	e.gen.Add(1)
 }
@@ -126,7 +117,6 @@ func (c *counterCache) update(midx uint64, img []byte) {
 		return
 	}
 	e.gen.Add(1)
-	e.decoded = 0
 	copy(e.img[:], img)
 	e.gen.Add(1)
 }
@@ -139,7 +129,6 @@ func (c *counterCache) evict(midx uint64) {
 	}
 	e.gen.Add(1)
 	e.tag.Store(0)
-	e.decoded = 0
 	e.gen.Add(1)
 }
 
@@ -147,20 +136,4 @@ func (c *counterCache) evict(midx uint64) {
 // blockCache.flush for the linearization argument).
 func (c *counterCache) flush() {
 	c.epoch.Add(1)
-}
-
-// counter returns the decoded counter for slot, memoizing the decode.
-// Caller holds the owning lock.
-func (e *counterCacheEntry) counter(eng *Engine, blk uint64) (uint64, error) {
-	slot := eng.counterSlot(blk)
-	if e.decoded>>slot&1 == 1 {
-		return e.counters[slot], nil
-	}
-	v, err := eng.decodeCounter(e.img[:], blk)
-	if err != nil {
-		return 0, err
-	}
-	e.counters[slot] = v
-	e.decoded |= 1 << slot
-	return v, nil
 }

@@ -638,29 +638,43 @@ func (e *Engine) Read(addr uint64, dst []byte) (ReadInfo, error) {
 		return info, nil
 	}
 
-	// Fetch and freshness-check the counter. A counter-cache hit serves
-	// the already-verified image and skips the tree walk.
-	midx := e.scheme.MetadataBlock(blk)
-	if ent := e.cc.lookup(midx); ent != nil {
-		counter, err := ent.counter(e, blk)
-		if err != nil {
-			e.stats.IntegrityFailures.Add(1)
-			return info, &IntegrityError{Addr: addr, Reason: "counter metadata undecodable: " + err.Error(), Stage: StageCounter}
-		}
-		return e.readVerified(blk, counter, dst)
+	img, err := e.verifiedImage(addr, e.scheme.MetadataBlock(blk))
+	if err != nil {
+		return info, err
 	}
-	img, verr := e.loadVerifiedImage(addr, midx)
-	if verr != nil {
+	counter, err := e.decodeVerified(img, blk)
+	if err != nil {
+		return info, err
+	}
+	return e.readVerified(blk, counter, dst)
+}
+
+// verifiedImage fetches and freshness-checks midx's counter image. A
+// counter-cache hit serves the already-verified copy and skips the tree
+// walk; a miss establishes trust in the stored image (loadVerifiedImage) and
+// fills the cache. addr attributes a failure to the access behind the fetch.
+func (e *Engine) verifiedImage(addr, midx uint64) ([]byte, error) {
+	if img := e.cc.lookup(midx); img != nil {
+		return img, nil
+	}
+	img, err := e.loadVerifiedImage(addr, midx)
+	if err != nil {
 		e.stats.IntegrityFailures.Add(1)
-		return info, verr
+		return nil, err
 	}
 	e.cc.insert(midx, img)
+	return img, nil
+}
+
+// decodeVerified decodes blk's counter from a verified image, turning a
+// decode failure into the read's counter-stage verdict.
+func (e *Engine) decodeVerified(img []byte, blk uint64) (uint64, error) {
 	counter, err := e.decodeCounter(img, blk)
 	if err != nil {
 		e.stats.IntegrityFailures.Add(1)
-		return info, &IntegrityError{Addr: addr, Reason: "counter metadata undecodable: " + err.Error(), Stage: StageCounter}
+		return 0, &IntegrityError{Addr: blk * BlockBytes, Reason: "counter metadata undecodable: " + err.Error(), Stage: StageCounter}
 	}
-	return e.readVerified(blk, counter, dst)
+	return counter, nil
 }
 
 // readVerified finishes a read whose counter has already been fetched and
@@ -743,31 +757,20 @@ func (e *Engine) readVerified(blk, counter uint64, dst []byte) (ReadInfo, error)
 	return info, nil
 }
 
-// counterSlot returns blk's counter index within its metadata block, for
-// per-slot decode memoization.
-func (e *Engine) counterSlot(blk uint64) int {
-	if e.cfg.Scheme == ctr.Monolithic {
-		return int(blk % ctr.CountersPerMetadataBlock)
-	}
-	return int(blk % uint64(e.scheme.GroupSize()))
-}
-
 // decodeCounter extracts a block's counter from the stored (attacker-
-// reachable) metadata image, using the scheme's hardware decode path.
+// reachable) metadata image, in place, using the scheme's hardware decode
+// path.
 func (e *Engine) decodeCounter(img []byte, blk uint64) (uint64, error) {
-	image := *(*[BlockBytes]byte)(img)
-	slot := int(blk % uint64(e.scheme.GroupSize()))
+	image := (*[BlockBytes]byte)(img)
 	switch e.cfg.Scheme {
 	case ctr.Monolithic:
-		counters := ctr.UnpackMonolithic(image)
-		return counters[blk%ctr.CountersPerMetadataBlock], nil
+		return ctr.DecodeMonolithicCounter(image, int(blk%ctr.CountersPerMetadataBlock))
 	case ctr.Split:
-		major, minors := ctr.UnpackSplit(image)
-		return major<<ctr.MinorBits | uint64(minors[slot]), nil
+		return ctr.DecodeSplitCounter(image, int(blk%ctr.GroupBlocks))
 	case ctr.Delta:
-		return ctr.DecodeCounter(image, slot)
+		return ctr.DecodeCounter(image, int(blk%ctr.GroupBlocks))
 	case ctr.DualLength:
-		return ctr.DecodeDualCounter(image, slot)
+		return ctr.DecodeDualCounter(image, int(blk%ctr.GroupBlocks))
 	default:
 		return 0, fmt.Errorf("core: unknown scheme kind")
 	}

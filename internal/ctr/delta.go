@@ -24,6 +24,7 @@ type DeltaScheme struct {
 	groups map[uint64]*deltaGroup
 	stats  Stats
 	hook   ReencryptFunc
+	old    [GroupBlocks]uint64 // the hook's oldCounters argument
 }
 
 // DeltaBits is the delta width evaluated in the paper.
@@ -146,11 +147,10 @@ func (g *deltaGroup) reencode(dmin uint16) {
 
 func (s *DeltaScheme) reencrypt(gid uint64, g *deltaGroup, newRef uint64) {
 	if s.hook != nil {
-		old := make([]uint64, GroupBlocks)
-		for j := range old {
-			old[j] = g.ref + uint64(g.deltas[j])
+		for j := range s.old {
+			s.old[j] = g.ref + uint64(g.deltas[j])
 		}
-		s.hook(gid*GroupBlocks, old, newRef)
+		s.hook(gid*GroupBlocks, s.old[:], newRef)
 	}
 	g.ref = newRef
 	clear(g.deltas[:])

@@ -19,6 +19,7 @@ type DualLengthScheme struct {
 	groups map[uint64]*dualGroup
 	stats  Stats
 	hook   ReencryptFunc
+	old    [GroupBlocks]uint64 // the hook's oldCounters argument
 }
 
 // ShortDeltaBits is the default dual-length delta width.
@@ -173,11 +174,10 @@ func (g *dualGroup) reencode(dmin uint16) {
 
 func (s *DualLengthScheme) reencrypt(gid uint64, g *dualGroup, newRef uint64) {
 	if s.hook != nil {
-		old := make([]uint64, GroupBlocks)
-		for j := range old {
-			old[j] = g.ref + uint64(g.deltas[j])
+		for j := range s.old {
+			s.old[j] = g.ref + uint64(g.deltas[j])
 		}
-		s.hook(gid*GroupBlocks, old, newRef)
+		s.hook(gid*GroupBlocks, s.old[:], newRef)
 	}
 	g.ref = newRef
 	clear(g.deltas[:])

@@ -6,7 +6,10 @@ import (
 
 // Fuzz targets: metadata blocks arrive from attacker-controlled DRAM, so
 // the unpackers must behave on arbitrary bytes — no panics, and anything
-// accepted must re-pack to the same image (canonical encodings only).
+// accepted must re-pack to the same image (canonical encodings only). Every
+// target also holds the production codec to the bit-serial reference
+// (reference_test.go) on the fuzzed image: same values, same verdict on
+// non-canonical bytes, same counter from every slot.
 
 func to64(b []byte) (out [MetadataBlockBytes]byte) {
 	copy(out[:], b)
@@ -21,6 +24,7 @@ func FuzzUnpackDelta(f *testing.F) {
 	f.Add(make([]byte, MetadataBlockBytes))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		blk := to64(data)
+		checkImage(t, blk)
 		ref, d, err := UnpackDelta(blk)
 		if err != nil {
 			return
@@ -44,6 +48,7 @@ func FuzzUnpackDualLength(f *testing.F) {
 	f.Add(make([]byte, MetadataBlockBytes))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		blk := to64(data)
+		checkImage(t, blk)
 		ref, d, ext, err := UnpackDualLength(blk)
 		if err != nil {
 			return
@@ -65,6 +70,7 @@ func FuzzUnpackSplit(f *testing.F) {
 	f.Add(seed[:])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		blk := to64(data)
+		checkImage(t, blk)
 		major, m := UnpackSplit(blk)
 		if PackSplit(major, &m) != blk {
 			t.Fatal("split unpack/pack not canonical")
@@ -78,15 +84,13 @@ func FuzzDecodeCounter(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, idx int) {
 		blk := to64(data)
 		// Must never panic, whatever the index.
-		c1, err1 := DecodeCounter(blk, idx)
-		c2, err2 := DecodeDualCounter(blk, idx)
+		_, err1 := DecodeCounter(&blk, idx)
+		_, err2 := DecodeDualCounter(&blk, idx)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatal("decoders disagree on index validity")
 		}
-		if err1 != nil {
-			return
+		for k := range slotDecoders {
+			checkSlot(t, k, blk, idx)
 		}
-		_ = c1
-		_ = c2
 	})
 }

@@ -47,6 +47,29 @@ func TestGoldenDualLengthLayout(t *testing.T) {
 	}
 }
 
+// TestGoldenDualLengthTail pins the part of the dual-length image the vector
+// above leaves zero: all sixteen extension nibbles in use, so the flag, the
+// group index and the nibble array cross from byte 55 into the last word.
+// The value was taken from the bit-serial codec at 3420972.
+func TestGoldenDualLengthTail(t *testing.T) {
+	var deltas [GroupBlocks]uint16
+	for i := range deltas {
+		deltas[i] = uint16((i * 5) % (shortMax + 1))
+	}
+	for k := 0; k < DeltasPerGroup; k++ {
+		deltas[3*DeltasPerGroup+k] = uint16(longMax - 61*k)
+	}
+	blk, err := PackDualLength(1<<RefBits-2, &deltas, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "feffffffffffff40a13c54e68d682bdf7c602c50a57d64eace782f1c4c646d60" +
+		"a9be74ee0f48235d5c68aebf50208b135197d681a399b2fff7e6d5c4b3a29100"
+	if got := hex.EncodeToString(blk[:]); got != want {
+		t.Fatalf("dual-length tail layout changed:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestGoldenSplitLayout(t *testing.T) {
 	var minors [GroupBlocks]uint16
 	for i := range minors {

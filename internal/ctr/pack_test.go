@@ -156,7 +156,7 @@ func TestDecodeCounterMatchesScheme(t *testing.T) {
 	}
 	blk := s.PackMetadata(0)
 	for i := 0; i < GroupBlocks; i++ {
-		got, err := DecodeCounter(blk, i)
+		got, err := DecodeCounter(&blk, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestDecodeDualCounterMatchesScheme(t *testing.T) {
 	}
 	blk := s.PackMetadata(0)
 	for i := 0; i < GroupBlocks; i++ {
-		got, err := DecodeDualCounter(blk, i)
+		got, err := DecodeDualCounter(&blk, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,13 +191,13 @@ func TestDecodeDualCounterMatchesScheme(t *testing.T) {
 
 func TestDecodeCounterBounds(t *testing.T) {
 	var blk [MetadataBlockBytes]byte
-	if _, err := DecodeCounter(blk, -1); err == nil {
+	if _, err := DecodeCounter(&blk, -1); err == nil {
 		t.Fatal("negative index should fail")
 	}
-	if _, err := DecodeCounter(blk, GroupBlocks); err == nil {
+	if _, err := DecodeCounter(&blk, GroupBlocks); err == nil {
 		t.Fatal("index 64 should fail")
 	}
-	if _, err := DecodeDualCounter(blk, GroupBlocks); err == nil {
+	if _, err := DecodeDualCounter(&blk, GroupBlocks); err == nil {
 		t.Fatal("index 64 should fail")
 	}
 }
@@ -241,14 +241,18 @@ func TestSplitPackMetadataMatchesState(t *testing.T) {
 	}
 }
 
-func BenchmarkPackDelta(b *testing.B) {
-	s := NewDelta()
-	for i := 0; i < 5000; i++ {
-		s.Touch(uint64(i % GroupBlocks))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.PackMetadata(0)
+func BenchmarkPackMetadata(b *testing.B) {
+	for _, k := range []Kind{Monolithic, Split, Delta, DualLength} {
+		s, _ := NewScheme(k)
+		for i := 0; i < 5000; i++ {
+			s.Touch(uint64(i % 61 % GroupBlocks))
+		}
+		p := s.(MetadataPacker)
+		b.Run(k.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkImage = p.PackMetadata(0)
+			}
+		})
 	}
 }
 
@@ -260,7 +264,7 @@ func BenchmarkDecodeCounter(b *testing.B) {
 	blk := s.PackMetadata(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeCounter(blk, i%GroupBlocks); err != nil {
+		if _, err := DecodeCounter(&blk, i%GroupBlocks); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,6 +20,7 @@ type ParamDeltaScheme struct {
 	groups map[uint64]*paramDeltaGroup
 	stats  Stats
 	hook   ReencryptFunc
+	old    []uint64 // the hook's oldCounters argument, one per group block
 }
 
 type paramDeltaGroup struct {
@@ -45,6 +46,7 @@ func NewDeltaParam(widthBits uint, groupBlocks int) (*ParamDeltaScheme, error) {
 		group:  groupBlocks,
 		max:    uint16(1)<<widthBits - 1,
 		groups: make(map[uint64]*paramDeltaGroup),
+		old:    make([]uint64, groupBlocks),
 	}, nil
 }
 
@@ -96,11 +98,10 @@ func (s *ParamDeltaScheme) Touch(block uint64) WriteOutcome {
 		} else {
 			newRef := g.ref + uint64(s.max) + 1
 			if s.hook != nil {
-				old := make([]uint64, s.group)
-				for j := range old {
-					old[j] = g.ref + uint64(g.deltas[j])
+				for j := range s.old {
+					s.old[j] = g.ref + uint64(g.deltas[j])
 				}
-				s.hook(gid*uint64(s.group), old, newRef)
+				s.hook(gid*uint64(s.group), s.old, newRef)
 			}
 			g.ref = newRef
 			clear(g.deltas)
@@ -167,6 +168,7 @@ type ParamSplitScheme struct {
 	groups map[uint64]*paramSplitGroup
 	stats  Stats
 	hook   ReencryptFunc
+	old    []uint64 // the hook's oldCounters argument, one per group block
 }
 
 type paramSplitGroup struct {
@@ -192,6 +194,7 @@ func NewSplitParam(widthBits uint, groupBlocks int) (*ParamSplitScheme, error) {
 		group:  groupBlocks,
 		max:    uint16(1)<<widthBits - 1,
 		groups: make(map[uint64]*paramSplitGroup),
+		old:    make([]uint64, groupBlocks),
 	}, nil
 }
 
@@ -234,11 +237,10 @@ func (s *ParamSplitScheme) Touch(block uint64) WriteOutcome {
 	newMajor := g.major + 1
 	newCounter := newMajor << s.width
 	if s.hook != nil {
-		old := make([]uint64, s.group)
-		for j := range old {
-			old[j] = s.counterOf(g, j)
+		for j := range s.old {
+			s.old[j] = s.counterOf(g, j)
 		}
-		s.hook(gid*uint64(s.group), old, newCounter)
+		s.hook(gid*uint64(s.group), s.old, newCounter)
 	}
 	g.major = newMajor
 	clear(g.minors)

@@ -73,7 +73,8 @@ type Stats struct {
 // holds the pre-re-encryption counter of each block in the group (length =
 // group size), and newCounter is the single counter every block is
 // re-encrypted under. The hook runs before the scheme commits its new state,
-// so implementations can still decrypt with the old counters.
+// so implementations can still decrypt with the old counters. oldCounters is
+// the scheme's own scratch array, valid only until the hook returns.
 type ReencryptFunc func(groupStart uint64, oldCounters []uint64, newCounter uint64)
 
 // Scheme is a per-block write-counter store.

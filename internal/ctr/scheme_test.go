@@ -448,6 +448,55 @@ func TestStatsWritesCount(t *testing.T) {
 	}
 }
 
+// TestTouchAllocatesNothing pins the write path's counter step at zero
+// allocations once a group exists — through every escalation a Touch can
+// take (reset, re-encode, extension, re-encryption with a hook installed).
+func TestTouchAllocatesNothing(t *testing.T) {
+	param, err := NewDeltaParam(DeltaBits, GroupBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paramSplit, err := NewSplitParam(MinorBits, GroupBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range append(allSchemes(), param, paramSplit) {
+		s.OnReencrypt(func(uint64, []uint64, uint64) {})
+		round := func() {
+			for b := uint64(0); b < GroupBlocks; b++ {
+				s.Touch(b) // lockstep: every delta equal -> reset
+			}
+			for i := 0; i < 2*longMax; i++ {
+				s.Touch(0) // the minimum is 0: extend, then re-encrypt
+			}
+			for b := uint64(1); b < GroupBlocks; b++ {
+				s.Touch(b)
+				s.Touch(b % 8) // uneven, minimum above 0
+			}
+			for i := 0; i < 2*longMax; i++ {
+				s.Touch(1) // re-encode first, re-encrypt once the minimum is spent
+			}
+		}
+		round() // creates the group
+		if n := testing.AllocsPerRun(5, round); n != 0 {
+			t.Errorf("%s: %v allocations per round of Touches, want 0", s.Name(), n)
+		}
+		st := s.Stats()
+		if s.GroupSize() > 1 && st.Reencryptions == 0 {
+			t.Errorf("%s: rounds never re-encrypted: %+v", s.Name(), st)
+		}
+		switch s.(type) {
+		case *DeltaScheme, *DualLengthScheme, *ParamDeltaScheme:
+			if st.Resets == 0 || st.Reencodes == 0 {
+				t.Errorf("%s: rounds never reset or never re-encoded: %+v", s.Name(), st)
+			}
+		}
+		if _, dual := s.(*DualLengthScheme); dual && st.Extensions == 0 {
+			t.Errorf("%s: rounds never extended: %+v", s.Name(), st)
+		}
+	}
+}
+
 func BenchmarkTouchDelta(b *testing.B) {
 	s := NewDelta()
 	for i := 0; i < b.N; i++ {

@@ -14,6 +14,7 @@ type SplitScheme struct {
 	groups map[uint64]*splitGroup
 	stats  Stats
 	hook   ReencryptFunc
+	old    [GroupBlocks]uint64 // the hook's oldCounters argument
 }
 
 // MinorBits is the minor-counter width evaluated in the paper.
@@ -68,14 +69,13 @@ func (s *SplitScheme) Touch(block uint64) WriteOutcome {
 		return WriteOutcome{Counter: g.counterOf(i)}
 	}
 	// Minor overflow: re-encrypt the whole group under major+1, minors 0.
-	old := make([]uint64, GroupBlocks)
-	for j := range old {
-		old[j] = g.counterOf(j)
-	}
 	newMajor := g.major + 1
 	newCounter := newMajor << MinorBits
 	if s.hook != nil {
-		s.hook(gid*GroupBlocks, old, newCounter)
+		for j := range s.old {
+			s.old[j] = g.counterOf(j)
+		}
+		s.hook(gid*GroupBlocks, s.old[:], newCounter)
 	}
 	g.major = newMajor
 	clear(g.minors[:])
