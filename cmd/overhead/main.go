@@ -103,7 +103,7 @@ func durabilityPlane() {
 
 	fmt.Println("\nDurability plane: base snapshot and sealed WAL record storage")
 	fmt.Println()
-	tb := stats.NewTable("design point", "snapshot", "snap/region", "group span", "WAL/dirty group", "WAL overhead", "epoch heartbeat")
+	tb := stats.NewTable("design point", "snapshot", "snap/region", "group span", "record header", "per block", "1 block written", "whole group", "group/span", "epoch heartbeat")
 	for _, p := range points {
 		cfg := core.Default(p.scheme, p.placement)
 		cfg.RegionBytes = region
@@ -136,24 +136,6 @@ func durabilityPlane() {
 			fmt.Fprintln(os.Stderr, "overhead:", err)
 			os.Exit(1)
 		}
-		// One epoch with exactly one fully-populated dirty group, then an
-		// empty epoch: the difference isolates the per-group record, the
-		// empty epoch is the sealed commit heartbeat.
-		if err := eng.Write(0, blk); err != nil {
-			fmt.Fprintln(os.Stderr, "overhead:", err)
-			os.Exit(1)
-		}
-		st, err := eng.AppendDelta(w)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "overhead:", err)
-			os.Exit(1)
-		}
-		hb, err := eng.AppendDelta(w)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "overhead:", err)
-			os.Exit(1)
-		}
-		groupRec := st.Bytes - hb.Bytes
 		// A dirty-set "group" is one counter-metadata block's span: 4KB
 		// for the grouped schemes, 8 blocks (512B) for monolithic, whose
 		// counters pack 8 to a metadata block.
@@ -161,22 +143,54 @@ func durabilityPlane() {
 		if p.scheme == ctr.Monolithic {
 			span = 8 * core.BlockBytes
 		}
+		// Three epochs over one fully-populated group: one block written
+		// (the common record), every block written (what a group
+		// re-encryption logs: all 64 resealed), nothing written (the sealed
+		// commit heartbeat). The differences isolate the record, and the two
+		// records give its fixed header and its per-block cost.
+		epoch := func(write []byte) int64 {
+			var st core.DeltaStats
+			var err error
+			if write != nil {
+				err = eng.WriteBlocks(0, write)
+			}
+			if err == nil {
+				st, err = eng.AppendDelta(w)
+			}
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "overhead:", err)
+				os.Exit(1)
+			}
+			return st.Bytes
+		}
+		oneEpoch := epoch(blk)
+		groupEpoch := epoch(make([]byte, span))
+		hb := epoch(nil)
+		oneRec, groupRec := oneEpoch-hb, groupEpoch-hb
+		perBlock := (groupRec - oneRec) / int64(span/core.BlockBytes-1)
 		tb.AddRow(p.name,
 			stats.FormatBytes(uint64(snap.n)),
 			stats.Pct(100*float64(snap.n)/float64(region)),
 			stats.FormatBytes(span),
+			fmt.Sprintf("%d B", oneRec-perBlock),
+			fmt.Sprintf("%d B", perBlock),
+			fmt.Sprintf("%d B", oneRec),
 			stats.FormatBytes(uint64(groupRec)),
 			stats.Pct(100*float64(groupRec)/float64(span)),
-			fmt.Sprintf("%d B", hb.Bytes))
+			fmt.Sprintf("%d B", hb))
 	}
 	fmt.Print(tb)
-	fmt.Println("\nWAL overhead is sealed-record bytes per dirty group relative to the")
-	fmt.Println("span it covers: ciphertext + counter image + per-block metadata")
-	fmt.Println("lane + check bytes (inline placements), plus 48B of framing and seal.")
-	fmt.Println("The residue(32) point stores 4B checks per block in the log, halving the")
-	fmt.Println("check-bit share of each record, exactly as in the DRAM accounting above.")
-	fmt.Println("The heartbeat is what an idle checkpoint epoch appends: one sealed")
-	fmt.Println("commit record pinning the root digest.")
+	fmt.Println("\nA delta-log record carries its group's counter image and only the")
+	fmt.Println("blocks written since the group's last record. The record header is 48B")
+	fmt.Println("of framing and seal, the record type, group index and block bitmap,")
+	fmt.Println("and the 64B counter image; each carried block adds its ciphertext,")
+	fmt.Println("its 8B metadata lane and, under the inline placements, its check bytes")
+	fmt.Println("(the residue(32) point stores 4B checks per block in the log, halving")
+	fmt.Println("the check-bit share exactly as in the DRAM accounting above). \"whole")
+	fmt.Println("group\" is the record after a group re-encryption, which reseals every")
+	fmt.Println("block; group/span is its size relative to the span it covers. The")
+	fmt.Println("heartbeat is what an idle checkpoint epoch appends: one sealed commit")
+	fmt.Println("record pinning the root digest.")
 }
 
 // countWriter measures what a persist path writes without buffering it.

@@ -9,11 +9,13 @@ import (
 
 // Incremental persistence: dirty-delta checkpoints and a sealed group WAL.
 //
-// Persist serializes the whole region even when a handful of 4KB groups
-// changed. The incremental path keeps a group-granular dirty set (fed by the
-// same commit points the write pipeline uses) and appends only the changed
-// groups to an append-only delta log: a base image plus a log replays to the
-// exact pre-crash state, paying O(dirty) per checkpoint instead of O(region).
+// Persist serializes the whole region even when a handful of blocks changed.
+// The incremental path keeps a block-granular dirty set (one mask per 4KB
+// group, fed by the write path's commit points and the re-encryption sweep)
+// and appends, per dirty group, the counter image and only the blocks written
+// since the group's last record to an append-only delta log: a base image
+// plus a log replays to the exact pre-crash state, paying O(blocks written)
+// per checkpoint instead of O(region).
 //
 // Lifecycle:
 //
@@ -21,7 +23,7 @@ import (
 //	root, _ := m.Persist(baseFile)      // full base snapshot
 //	dl, _ := m.NewDeltaLog(logFile)     // log seeded with the base root
 //	... traffic ...
-//	st, _ := m.AppendDelta(dl)          // sealed epoch: dirty groups + root
+//	st, _ := m.AppendDelta(dl)          // sealed epoch: written blocks + root
 //	... crash ...
 //	m, rep, err := ResumeIncremental(cfg, baseFile, logFile, &st.Root)
 //
@@ -43,7 +45,8 @@ type DeltaLog struct {
 // Records returns the number of sealed records appended so far.
 func (l *DeltaLog) Records() uint64 { return l.w.Records() }
 
-// Offset returns the log length in bytes (header included).
+// Offset returns the log length in bytes (header included). After an
+// AppendDelta returns, all of it has been handed to the log's io.Writer.
 func (l *DeltaLog) Offset() int64 { return l.w.Offset() }
 
 // DeltaStats reports what one AppendDelta epoch wrote: group records, log
@@ -77,12 +80,12 @@ type RecoveryError = core.RecoveryError
 // round-trips through errors.As from every resume path.
 type CodecMismatchError = core.CodecMismatchError
 
-// EnableDeltaTracking turns on the dirty-group set behind AppendDelta. Call
+// EnableDeltaTracking turns on the dirty-block set behind AppendDelta. Call
 // before traffic (ResumeIncremental enables it automatically); writes landed
 // while tracking is off are not observed by the next delta epoch.
 func (m *Memory) EnableDeltaTracking() { m.eng.EnableDeltaTracking() }
 
-// DeltaTrackingEnabled reports whether the dirty-group set is active.
+// DeltaTrackingEnabled reports whether the dirty-block set is active.
 func (m *Memory) DeltaTrackingEnabled() bool { return m.eng.DeltaTrackingEnabled() }
 
 // DirtyGroups returns the number of groups the next AppendDelta would
@@ -100,10 +103,12 @@ func (m *Memory) NewDeltaLog(w io.Writer) (*DeltaLog, error) {
 	return &DeltaLog{w: lw}, nil
 }
 
-// AppendDelta seals one checkpoint epoch onto the log: every dirty group's
-// records plus a commit record carrying the post-epoch root digest, clearing
-// the dirty set. Cost is O(dirty groups), not O(region). An epoch with no
-// dirty groups writes only its commit record.
+// AppendDelta seals one checkpoint epoch onto the log, in one write: a record
+// per dirty group (counter image + the blocks written since its last record)
+// plus a commit record carrying the post-epoch root digest, clearing the
+// dirty set. Cost is O(blocks written), not O(dirty groups) or O(region). An
+// epoch with no dirty groups writes only its commit record. After an error
+// the log is dead: fold into a fresh base and log (Persist + NewDeltaLog).
 func (m *Memory) AppendDelta(l *DeltaLog) (DeltaStats, error) {
 	return m.eng.AppendDelta(l.w)
 }
@@ -130,7 +135,7 @@ func ResumeIncremental(cfg Config, base, walR io.Reader, expectRoot *RootDigest)
 	return &Memory{eng: eng}, rep, nil
 }
 
-// EnableDeltaTracking turns on the dirty-group set on every shard.
+// EnableDeltaTracking turns on the dirty-block set on every shard.
 func (s *ShardedMemory) EnableDeltaTracking() { s.eng.EnableDeltaTracking() }
 
 // DirtyGroups sums the dirty groups pending across all shards.
@@ -148,7 +153,7 @@ func (s *ShardedMemory) NewShardDeltaLog(i int, w io.Writer) (*DeltaLog, error) 
 	return &DeltaLog{w: lw}, nil
 }
 
-// AppendDeltaShard seals one checkpoint epoch of shard i's dirty groups onto
+// AppendDeltaShard seals one checkpoint epoch of shard i's written blocks onto
 // its log, locking only that shard. The combined attestation for a full
 // round of shard appends is RootDigest().
 func (s *ShardedMemory) AppendDeltaShard(i int, l *DeltaLog) (DeltaStats, error) {

@@ -494,7 +494,7 @@ func (h *clusterHarness) runKill(ops int) {
 			victim.kill()
 			h.sc.FaultEvents++
 		case 2 * ops / 3:
-			if err := victim.boot(uint64(1000 + h.rng.Intn(1 << 20))); err == nil {
+			if err := victim.boot(uint64(1000 + h.rng.Intn(1<<20))); err == nil {
 				h.sc.FaultEvents++
 			}
 			time.Sleep(15 * time.Millisecond) // let the probe window lapse

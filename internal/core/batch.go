@@ -183,5 +183,5 @@ func (e *Engine) writeChunk(first, midx uint64, src []byte) error {
 		j = r
 	}
 
-	return e.deferCommit(midx)
+	return e.deferCommit(midx, first, n)
 }

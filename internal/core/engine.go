@@ -106,10 +106,10 @@ type Engine struct {
 	bc *blockCache
 	wp *writePipe
 
-	// delta is the optional dirty-group set behind incremental
+	// delta is the optional dirty-block set behind incremental
 	// persistence (persistinc.go), nil unless EnableDeltaTracking was
-	// called. Marked at the metadata commit points, drained by
-	// AppendDelta.
+	// called. Marked at the metadata commit points and by the
+	// re-encryption sweep, drained by AppendDelta.
 	delta *deltaTracker
 
 	// Parallel group re-encryption (reencrypt.go): reencWorkers > 1 fans
@@ -422,7 +422,7 @@ func (e *Engine) Write(addr uint64, plaintext []byte) error {
 	if err := e.storeBlock(blk, plaintext, out.Counter); err != nil {
 		return err
 	}
-	return e.deferCommit(e.scheme.MetadataBlock(blk))
+	return e.deferCommit(e.scheme.MetadataBlock(blk), blk, 1)
 }
 
 // pending reports whether blk is inside the in-flight write span.
@@ -493,6 +493,10 @@ func (e *Engine) metaLeaf(midx uint64) uint64 {
 // new counter in one batched XORBlocks sweep, and reinstall the results.
 func (e *Engine) reencryptGroup(groupStart uint64, oldCounters []uint64, newCounter uint64) {
 	e.stats.GroupReencrypts.Add(1)
+	if e.delta != nil {
+		// The sweep reseals every block: the log must carry them all again.
+		e.delta.mark(e.scheme.MetadataBlock(groupStart), ^uint64(0))
+	}
 	n := len(oldCounters)
 	if rem := e.cfg.DataBlocks() - groupStart; uint64(n) > rem {
 		n = int(rem)

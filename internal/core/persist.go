@@ -94,23 +94,21 @@ func (e *Engine) Persist(w io.Writer) (RootDigest, error) {
 	if err := writeU64(bw, uint64(e.store.Len())); err != nil {
 		return digest, err
 	}
+	// Each entry is framed in one reused buffer and written once: a u64
+	// handed to the io.Writer on its own escapes, one heap object per field.
+	entry := make([]byte, 0, 8+BlockBytes+8+e.store.checkBytes)
 	var werr error
 	e.store.forEach(func(blk uint64, ct []byte, meta *uint64, check []byte) {
 		if werr != nil {
 			return
 		}
-		if werr = writeU64(bw, blk); werr != nil {
-			return
-		}
-		if _, werr = bw.Write(ct); werr != nil {
-			return
-		}
-		if werr = writeU64(bw, *meta); werr != nil {
-			return
-		}
+		entry = binary.LittleEndian.AppendUint64(entry[:0], blk)
+		entry = append(entry, ct...)
+		entry = binary.LittleEndian.AppendUint64(entry, *meta)
 		if e.cfg.Placement == MACInline {
-			_, werr = bw.Write(check)
+			entry = append(entry, check...)
 		}
+		_, werr = bw.Write(entry)
 	})
 	if werr != nil {
 		return digest, werr
@@ -124,10 +122,8 @@ func (e *Engine) Persist(w io.Writer) (RootDigest, error) {
 		if werr != nil {
 			return
 		}
-		if werr = writeU64(bw, midx); werr != nil {
-			return
-		}
-		_, werr = bw.Write(img)
+		entry = append(binary.LittleEndian.AppendUint64(entry[:0], midx), img...)
+		_, werr = bw.Write(entry)
 	})
 	if werr != nil {
 		return digest, werr

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -248,5 +249,35 @@ func TestPersistDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) || da != db {
 		t.Fatal("persist image not deterministic")
+	}
+}
+
+// TestPersistAllocationsAreConstant: a fold's allocations do not grow with
+// the resident set — every block and image entry is framed in one reused
+// buffer, so 4x the blocks cost the same handful of objects.
+func TestPersistAllocationsAreConstant(t *testing.T) {
+	for _, cfg := range []Config{smallCfg(ctr.Delta, MACInECC), smallCfg(ctr.Split, MACInline)} {
+		e := newEngine(t, cfg)
+		fill := func(from, to uint64) {
+			t.Helper()
+			span := make([]byte, 64*BlockBytes)
+			for blk := from; blk < to; blk += 64 {
+				if err := e.WriteBlocks(blk*BlockBytes, span); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		persist := func() {
+			if _, err := e.Persist(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fill(0, 1024)
+		small := testing.AllocsPerRun(5, persist)
+		fill(1024, 4096)
+		large := testing.AllocsPerRun(5, persist)
+		if small != large || large > 16 {
+			t.Fatalf("%s: Persist allocates %.0f objects for 1024 resident blocks and %.0f for 4096", cfg.Scheme, small, large)
+		}
 	}
 }

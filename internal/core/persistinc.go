@@ -7,23 +7,25 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"authmem/internal/ctr"
 	"authmem/internal/tree"
 	"authmem/internal/wal"
 )
 
-// Incremental persistence: O(dirty) checkpoints instead of O(region).
+// Incremental persistence: O(blocks written) checkpoints instead of
+// O(region).
 //
-// Engine.Persist serializes the whole image even when a handful of groups
+// Engine.Persist serializes the whole image even when a handful of blocks
 // changed since the last checkpoint. This file applies the paper's delta
-// idea to the durability plane: the engine keeps a group-granular dirty set
-// (fed by the same commit points the write pipeline uses), and AppendDelta
-// serializes only the dirty counter groups — each group's counter-block
-// image, its resident data blocks, and their MAC/check storage — as sealed
-// records in an append-only delta log (internal/wal), closing each epoch
-// with a commit record that carries the post-epoch root digest.
+// idea to the durability plane: a write to one block disturbs nothing around
+// it, so the engine keeps a block-granular dirty set (one mask per counter
+// group), and AppendDelta serializes, per dirty group, the counter-block
+// image plus only the blocks written since the group's last record, with
+// their MAC/check storage — as sealed records in an append-only delta log
+// (internal/wal), one write per epoch, each epoch closed by a commit record
+// that carries the post-epoch root digest.
 //
 // Trust model. The log lives on the same untrusted storage as the base
 // image. Three layers keep replay honest:
@@ -49,55 +51,55 @@ import (
 
 // Delta-record types (first payload byte).
 const (
-	deltaRecGroup  = 1 // one dirty group: counter image + resident blocks
+	deltaRecGroup  = 1 // one dirty group: counter image + the blocks written
 	deltaRecCommit = 2 // epoch commit: sealed root digest
 )
 
-// deltaTracker is the engine's group-granular dirty set for incremental
-// persistence: a bitset for membership plus an append list for iteration,
-// marked at the two metadata commit points (commitMetadata, deferCommit) so
-// every accepted write — single, batched, or re-encryption sweep — lands a
-// group in the set.
+// deltaTracker is the engine's dirty set for incremental persistence: one
+// mask word per metadata block (bit j = block j of its metaSpan was sealed
+// since the group's last record) plus an append list of the groups whose mask
+// is non-zero. deferCommit marks the blocks its caller just sealed and the
+// re-encryption sweep marks the whole group. Read-path scrub write-back and
+// repairMetadata deliberately do not mark: they restore stored bits to the
+// logical state the log has already sealed.
 type deltaTracker struct {
-	bits  []uint64
+	mask  []uint64
 	list  []uint64
 	epoch uint64
 	// scratch backs encodeGroupRecord between wal appends (the record is
-	// copied into the log's own frame buffer before the next group).
+	// copied into the log's staging buffer before the next group).
 	scratch []byte
 }
 
-func (t *deltaTracker) mark(midx uint64) {
-	if t.bits[midx/64]>>(midx%64)&1 == 1 {
-		return
+func (t *deltaTracker) mark(midx, blocks uint64) {
+	if t.mask[midx] == 0 {
+		t.list = append(t.list, midx)
 	}
-	t.bits[midx/64] |= 1 << (midx % 64)
-	t.list = append(t.list, midx)
+	t.mask[midx] |= blocks
 }
 
 func (t *deltaTracker) reset() {
 	for _, m := range t.list {
-		t.bits[m/64] &^= 1 << (m % 64)
+		t.mask[m] = 0
 	}
 	t.list = t.list[:0]
 }
 
-// EnableDeltaTracking turns on the dirty-group set behind AppendDelta.
+// EnableDeltaTracking turns on the dirty-block set behind AppendDelta.
 // Call before traffic (or right after ResumeIncremental, which enables it
-// automatically); groups written while tracking is off are not observed.
+// automatically); blocks written while tracking is off are not observed.
 // A no-op when already enabled or with encryption disabled.
 func (e *Engine) EnableDeltaTracking() {
 	if e.cfg.DisableEncryption || e.delta != nil {
 		return
 	}
-	n := e.scheme.MetadataBlocks(e.cfg.DataBlocks())
 	e.delta = &deltaTracker{
-		bits: make([]uint64, (n+63)/64),
+		mask: make([]uint64, e.scheme.MetadataBlocks(e.cfg.DataBlocks())),
 		list: make([]uint64, 0, 64),
 	}
 }
 
-// DeltaTrackingEnabled reports whether the dirty-group set is active.
+// DeltaTrackingEnabled reports whether the dirty-block set is active.
 func (e *Engine) DeltaTrackingEnabled() bool { return e.delta != nil }
 
 // DirtyGroups returns the number of groups an AppendDelta would serialize
@@ -143,7 +145,7 @@ func (e *Engine) NewDeltaWriter(w io.Writer) (*wal.Writer, error) {
 	// A new log is a new epoch sequence: its first commit record must carry
 	// epoch 0, whatever was appended to earlier logs (a checkpoint fold
 	// opens a fresh log mid-life; the old one is dead the moment the new
-	// base exists). The dirty set intentionally survives — groups dirtied
+	// base exists). The dirty set intentionally survives — blocks written
 	// since the last append are covered by the new base, and re-serializing
 	// them in the first epoch is merely redundant, never wrong.
 	if e.delta != nil {
@@ -169,11 +171,13 @@ func (e *Engine) metaSpan(midx uint64) (first, n uint64) {
 	return first, n
 }
 
-// AppendDelta flushes deferred Merkle maintenance, serializes every dirty
-// group as a sealed record on w, closes the epoch with a commit record
-// carrying the post-epoch root digest, and clears the dirty set. An epoch
-// with no dirty groups still writes its commit record (a sealed heartbeat);
-// callers that want to skip empty epochs check DirtyGroups first.
+// AppendDelta flushes deferred Merkle maintenance, stages every dirty group
+// as a sealed record carrying the blocks written since its last one, closes
+// the epoch with a commit record carrying the post-epoch root digest — which
+// hands the whole epoch to w's io.Writer in one write — and clears the dirty
+// set. An epoch with no dirty groups still writes its commit record (a
+// sealed heartbeat); callers that want to skip empty epochs check DirtyGroups
+// first. After an error w is dead (see wal.Writer) and the dirty set is kept.
 func (e *Engine) AppendDelta(w *wal.Writer) (DeltaStats, error) {
 	var st DeltaStats
 	if e.cfg.DisableEncryption {
@@ -192,10 +196,9 @@ func (e *Engine) AppendDelta(w *wal.Writer) (DeltaStats, error) {
 
 	// Ascending group order makes the log deterministic for a given dirty
 	// set, like the full image's arena iteration order.
-	groups := append([]uint64(nil), e.delta.list...)
-	sort.Slice(groups, func(i, j int) bool { return groups[i] < groups[j] })
-	for _, midx := range groups {
-		if err := w.Append(e.encodeGroupRecord(midx)); err != nil {
+	slices.Sort(e.delta.list)
+	for _, midx := range e.delta.list {
+		if err := w.Stage(e.encodeGroupRecord(midx)); err != nil {
 			return st, err
 		}
 		st.Groups++
@@ -218,25 +221,27 @@ func (e *Engine) AppendDelta(w *wal.Writer) (DeltaStats, error) {
 	return st, nil
 }
 
-// encodeGroupRecord serializes one group's DRAM-visible state:
+// encodeGroupRecord serializes what changed in one group since its last
+// record:
 //
-//	u8 type=1 | u64 midx | counter image [64] | u64 present bitmap |
-//	per present block: ciphertext [64] | u64 metadata lane | check bytes
+//	u8 type=1 | u64 midx | counter image [64] | u64 block bitmap |
+//	per carried block: ciphertext [64] | u64 metadata lane | check bytes
 //
-// The present bitmap covers the group's data-block span (at most 64 blocks,
-// one word). Check bytes appear only under the inline-MAC placement, with
-// the codec's stride.
+// The bitmap names the blocks this record carries — the resident blocks in
+// the group's dirty mask — over the group's data-block span (at most 64
+// blocks, one word). Every other block keeps the bytes the base image and
+// earlier records gave it: its counter did not move. Check bytes appear only
+// under the inline-MAC placement, with the codec's stride.
 func (e *Engine) encodeGroupRecord(midx uint64) []byte {
 	first, n := e.metaSpan(midx)
 	checkBytes := e.store.checkBytes
 	var present uint64
-	cnt := 0
-	for j := uint64(0); j < n; j++ {
-		if e.store.Present(first + j) {
+	for m := e.delta.mask[midx]; m != 0; m &= m - 1 {
+		if j := uint64(bits.TrailingZeros64(m)); j < n && e.store.Present(first+j) {
 			present |= 1 << j
-			cnt++
 		}
 	}
+	cnt := bits.OnesCount64(present)
 	need := 1 + 8 + BlockBytes + 8 + cnt*(BlockBytes+8+checkBytes)
 	if cap(e.delta.scratch) < need {
 		e.delta.scratch = make([]byte, need)
@@ -264,9 +269,10 @@ func (e *Engine) encodeGroupRecord(midx uint64) []byte {
 	return buf
 }
 
-// applyGroupRecord installs one sealed group record into the engine: data
-// blocks into the arena, the counter image into the image store and the
-// trusted scheme state machine, and the touched leaves into the tree. The
+// applyGroupRecord installs one sealed group record into the engine: the
+// blocks it carries into the arena (the rest of the group stays as the base
+// and earlier records left it), the counter image into the image store and
+// the trusted scheme state machine, and the touched leaves into the tree. The
 // record's seal has already verified; errors here mean the sealed content
 // does not fit this engine's geometry — corruption of the pairing, never
 // something to paper over.
@@ -401,11 +407,14 @@ func (e *Engine) replayDelta(r io.Reader, rep *RecoveryReport) error {
 	if !ok {
 		return fmt.Errorf("core: scheme %s cannot restore metadata", e.scheme.Name())
 	}
-	var pending [][]byte
+	// The open epoch's group payloads back to back; ends[i] ends record i.
+	var pending []byte
+	var ends []int
 	res, err := wal.Replay(r, e.walKeyMaterial(), rep.BaseRoot, func(seq uint64, payload []byte) error {
 		switch payload[0] {
 		case deltaRecGroup:
-			pending = append(pending, append([]byte(nil), payload...))
+			pending = append(pending, payload...)
+			ends = append(ends, len(pending))
 			return nil
 		case deltaRecCommit:
 			if len(payload) != 1+8+sha256.Size {
@@ -415,17 +424,19 @@ func (e *Engine) replayDelta(r io.Reader, rep *RecoveryReport) error {
 			if epoch != uint64(rep.Epochs) {
 				return fmt.Errorf("commit record claims epoch %d, log position says %d", epoch, rep.Epochs)
 			}
-			for _, p := range pending {
-				if err := e.applyGroupRecord(p, loader); err != nil {
+			start := 0
+			for _, end := range ends {
+				if err := e.applyGroupRecord(pending[start:end], loader); err != nil {
 					return err
 				}
+				start = end
 			}
 			root := e.RootDigest()
 			if root != RootDigest(payload[9:]) {
 				return fmt.Errorf("epoch %d sealed root does not match the rebuilt tree", epoch)
 			}
-			rep.Groups += len(pending)
-			pending = pending[:0]
+			rep.Groups += len(ends)
+			pending, ends = pending[:0], ends[:0]
 			rep.Epochs++
 			rep.EpochRoots = append(rep.EpochRoots, root)
 			rep.Root = root
@@ -453,15 +464,15 @@ func (e *Engine) replayDelta(r io.Reader, rep *RecoveryReport) error {
 		rep.FailedAt = res.FailedAt
 		rep.Reason = res.Reason
 	}
-	if len(pending) > 0 {
+	if len(ends) > 0 {
 		// Sealed group records with no commit: the in-flight epoch of a
 		// crash. They never applied, so the engine sits exactly at the
 		// last committed epoch.
-		rep.Dropped = len(pending)
+		rep.Dropped = len(ends)
 		if rep.Status == RecoveryClean {
 			rep.Status = RecoveryTruncated
 			rep.FailedAt = res.Records
-			rep.Reason = fmt.Sprintf("%d group records with no commit (in-flight epoch)", len(pending))
+			rep.Reason = fmt.Sprintf("%d group records with no commit (in-flight epoch)", len(ends))
 		}
 	}
 	return nil
@@ -515,7 +526,7 @@ func ResumeIncremental(cfg Config, base io.Reader, walR io.Reader, expectRoot *R
 // the shard's derived key, with the combined root (tree.CombineRoots over
 // the per-shard recovered roots) as the single trusted attestation value.
 
-// EnableDeltaTracking enables the dirty-group set on every shard.
+// EnableDeltaTracking enables the dirty-block set on every shard.
 func (s *ShardedEngine) EnableDeltaTracking() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()

@@ -166,6 +166,29 @@ func TestAppendDeltaIsProportionalToDirt(t *testing.T) {
 	if st2.Groups != 0 {
 		t.Fatalf("clean engine appended %d group records", st2.Groups)
 	}
+	// Within one fully resident group the epoch grows by one block entry per
+	// block written, not by the group: k blocks cost the k = 0 epoch plus the
+	// record header plus k entries.
+	if err := h.eng.WriteBlocks(5*ctr.GroupBlocks*BlockBytes, make([]byte, ctr.GroupBlocks*BlockBytes)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.eng.AppendDelta(h.w); err != nil {
+		t.Fatal(err)
+	}
+	header := int64(wal.RecordOverhead() + 1 + 8 + BlockBytes + 8)
+	entry := int64(BlockBytes + 8 + h.eng.store.checkBytes)
+	for _, k := range []int{1, 2, 8, 32} {
+		for j := 0; j < k; j++ {
+			h.write(t, 5*ctr.GroupBlocks+uint64(j))
+		}
+		st, err := h.eng.AppendDelta(h.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := st2.Bytes + header + int64(k)*entry; st.Groups != 1 || st.Bytes != want {
+			t.Fatalf("%d of 64 resident blocks written: %d records, %d bytes, want 1 record, %d bytes", k, st.Groups, st.Bytes, want)
+		}
+	}
 }
 
 // logRecords re-parses a delta log's framing and returns each record's end

@@ -291,19 +291,12 @@ func (s *ShardedEngine) checkSpan(addr uint64, n int, what string) error {
 	return nil
 }
 
-// spanFan runs one operation per shard segment, concurrently when the span
-// crosses shards, and returns the lowest-addressed failure. Unlike the
+// spanFan runs one operation per shard segment of a span that crosses
+// shards, concurrently, and returns the lowest-addressed failure. Unlike the
 // monolithic batched path, segments in *other* shards may have completed
 // after the failing one — span atomicity is per shard, which is the honest
 // semantics of independent memory channels.
 func (s *ShardedEngine) spanFan(segs []segment, op func(sh *engineShard, local uint64, off, n int) error) error {
-	if len(segs) == 1 {
-		g := segs[0]
-		g.sh.mu.Lock()
-		err := op(g.sh, g.local, g.off, g.n)
-		g.sh.mu.Unlock()
-		return offsetErr(err, g.sh.base)
-	}
 	errs := make([]error, len(segs))
 	var wg sync.WaitGroup
 	for i, g := range segs {
@@ -389,10 +382,19 @@ func (s *ShardedEngine) ReadBlocks(addr uint64, dst []byte) error {
 		return nil
 	}
 	addr += uint64(served)
-	dst = dst[served:]
-	return s.spanFan(s.segments(addr, len(dst)), func(sh *engineShard, local uint64, off, n int) error {
+	cold := dst[served:]
+	// The common span sits in one shard and runs directly under its lock: no
+	// segment list, no closure, nothing allocated.
+	if sh, local := s.route(addr); local+uint64(len(cold)) <= s.shardBytes {
+		sh.mu.Lock()
+		sh.eng.stats.SlowPathReads.Add(uint64(len(cold) / BlockBytes))
+		err := sh.eng.ReadBlocks(local, cold)
+		sh.mu.Unlock()
+		return offsetErr(err, sh.base)
+	}
+	return s.spanFan(s.segments(addr, len(cold)), func(sh *engineShard, local uint64, off, n int) error {
 		sh.eng.stats.SlowPathReads.Add(uint64(n / BlockBytes))
-		return sh.eng.ReadBlocks(local, dst[off:off+n])
+		return sh.eng.ReadBlocks(local, cold[off:off+n])
 	})
 }
 
@@ -401,6 +403,12 @@ func (s *ShardedEngine) ReadBlocks(addr uint64, dst []byte) error {
 func (s *ShardedEngine) WriteBlocks(addr uint64, src []byte) error {
 	if err := s.checkSpan(addr, len(src), "write"); err != nil {
 		return err
+	}
+	if sh, local := s.route(addr); local+uint64(len(src)) <= s.shardBytes {
+		sh.mu.Lock()
+		err := sh.eng.WriteBlocks(local, src)
+		sh.mu.Unlock()
+		return offsetErr(err, sh.base)
 	}
 	return s.spanFan(s.segments(addr, len(src)), func(sh *engineShard, local uint64, off, n int) error {
 		return sh.eng.WriteBlocks(local, src[off:off+n])

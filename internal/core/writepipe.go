@@ -138,14 +138,16 @@ func (e *Engine) flushPending() bool {
 // deferCommit is the metadata commit point of every write: it stages midx's
 // image from the trusted scheme state machine into the stored copy and the
 // counter cache (refreshing a resident line in place, write-back), marks
-// the leaf dirty, and defers the tree path recompute. Reaching the epoch
-// bound flushes inline.
-func (e *Engine) deferCommit(midx uint64) error {
+// the leaf dirty — and, for the delta log, the n blocks from first on, which
+// the caller just sealed under midx — and defers the tree path recompute.
+// Reaching the epoch bound flushes inline.
+func (e *Engine) deferCommit(midx, first uint64, n int) error {
 	img := e.packer.PackMetadata(midx)
 	copy(e.images.Store(midx), img[:])
 	e.cc.update(midx, img[:])
 	if e.delta != nil {
-		e.delta.mark(midx)
+		base, _ := e.metaSpan(midx)
+		e.delta.mark(midx, ^uint64(0)>>(64-uint(n))<<(first-base))
 	}
 	combined, full := e.wp.markDirty(midx)
 	if combined {

@@ -33,8 +33,10 @@ import (
 	"encoding"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // headerMagic identifies delta logs (format version 1).
@@ -112,14 +114,25 @@ type ReplayResult struct {
 // a log across process restarts is deliberately unsupported — the engine
 // folds the log into a new base snapshot on restart instead, which keeps
 // the chain state machine single-owner.
+//
+// Records are framed into one reused buffer (Stage) and reach the io.Writer
+// when the caller closes its batch (Append, Flush): an epoch is one write of
+// the bytes record-by-record writes would produce, so a torn write leaves
+// what a crash always could — sealed records with no commit.
 type Writer struct {
 	w     io.Writer
-	seal  sealer
+	seal  *sealer
 	chain [sha256.Size]byte
 	seq   uint64
-	off   int64
-	buf   []byte
+	off   int64  // log length, staged records included
+	buf   []byte // records staged since the last flush
+	err   error  // the first failed write; every later call returns it
 }
+
+// stageLimit is the most the staging buffer holds before Stage writes early,
+// in chunks of exactly this size: an epoch that dirties a whole region never
+// buffers it, and the buffer stays bounded by the limit plus one record.
+const stageLimit = 256 << 10
 
 // NewWriter writes the log header and returns a Writer whose record chain
 // is seeded with seed (the base snapshot's root digest). key is the HMAC
@@ -142,9 +155,13 @@ func NewWriter(w io.Writer, key []byte, seed [SeedSize]byte) (*Writer, error) {
 	}, nil
 }
 
-// Append seals payload into the next record and writes it as one
-// contiguous write. Payloads must be non-empty and at most MaxPayload.
-func (w *Writer) Append(payload []byte) error {
+// Stage seals payload into the next record and frames it into the staging
+// buffer; nothing reaches the io.Writer before Flush unless the buffer passes
+// stageLimit. Payloads must be non-empty and at most MaxPayload.
+func (w *Writer) Stage(payload []byte) error {
+	if w.err != nil {
+		return w.err
+	}
 	if len(payload) == 0 {
 		return fmt.Errorf("wal: empty payload")
 	}
@@ -152,58 +169,79 @@ func (w *Writer) Append(payload []byte) error {
 		return fmt.Errorf("wal: payload %d bytes exceeds cap %d", len(payload), MaxPayload)
 	}
 	need := recordOverhead + len(payload)
-	if cap(w.buf) < need {
-		w.buf = make([]byte, need)
-	}
-	buf := w.buf[:need]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(buf[4:12], w.seq)
-	copy(buf[12:], payload)
+	start := len(w.buf)
+	w.buf = slices.Grow(w.buf, need)[:start+need]
+	rec := w.buf[start:]
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(rec[4:12], w.seq)
+	copy(rec[12:], payload)
 	crcEnd := 12 + len(payload)
-	binary.LittleEndian.PutUint32(buf[crcEnd:crcEnd+4], crc32.ChecksumIEEE(buf[4:crcEnd]))
+	binary.LittleEndian.PutUint32(rec[crcEnd:crcEnd+4], crc32.ChecksumIEEE(rec[4:crcEnd]))
 
-	chain := nextChain(w.chain, w.seq, payload)
-	w.seal.seal(buf[:crcEnd+4], chain)
-
-	if _, err := w.w.Write(buf); err != nil {
-		return fmt.Errorf("wal: appending record %d: %w", w.seq, err)
-	}
-	w.chain = chain
+	w.seal.nextChain(&w.chain, rec[4:12], rec[12:crcEnd])
+	w.seal.seal(rec[:crcEnd+4], w.chain)
 	w.seq++
 	w.off += int64(need)
+
+	for len(w.buf) >= stageLimit {
+		if err := w.write(w.buf[:stageLimit]); err != nil {
+			return err
+		}
+		w.buf = w.buf[:copy(w.buf, w.buf[stageLimit:])]
+	}
 	return nil
 }
 
-// Records returns the number of records appended so far.
+// Flush hands every staged record to the io.Writer in one write. A failed
+// write poisons the Writer: the log may hold any prefix of the batch, so the
+// only safe continuation is a fresh log over a fresh base.
+func (w *Writer) Flush() error {
+	if w.err != nil || len(w.buf) == 0 {
+		return w.err
+	}
+	err := w.write(w.buf)
+	w.buf = w.buf[:0]
+	return err
+}
+
+func (w *Writer) write(p []byte) error {
+	if _, err := w.w.Write(p); err != nil {
+		w.err = fmt.Errorf("wal: appending through record %d: %w", w.seq-1, err)
+	}
+	return w.err
+}
+
+// Append stages payload and flushes: the record that closes a batch (the
+// engine's epoch commit), or a batch of one.
+func (w *Writer) Append(payload []byte) error {
+	if err := w.Stage(payload); err != nil {
+		return err
+	}
+	return w.Flush()
+}
+
+// Records returns the number of records appended so far, staged included.
 func (w *Writer) Records() uint64 { return w.seq }
 
-// Offset returns the log length in bytes (header plus all records).
+// Offset returns the log length in bytes (header plus all records, staged
+// included).
 func (w *Writer) Offset() int64 { return w.off }
 
-// nextChain folds one record into the running chain digest.
-func nextChain(prev [sha256.Size]byte, seq uint64, payload []byte) [sha256.Size]byte {
-	h := sha256.New()
-	h.Write(prev[:])
-	var s [8]byte
-	binary.LittleEndian.PutUint64(s[:], seq)
-	h.Write(s[:])
-	h.Write(payload)
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
-}
-
-// sealer computes HMAC-SHA256 with the key's inner/outer pad blocks hashed
-// once up front (their compression-function states are snapshotted via the
-// digest's binary marshalling). The seal input is a fixed 32-byte chain
-// value, so the pad hashing is half the per-record MAC cost — precomputing
-// it roughly doubles append/replay seal throughput. Output is bit-identical
-// to crypto/hmac.
+// sealer computes the record chain and HMAC-SHA256 seals with one SHA-256
+// state and the key's inner/outer pad blocks hashed once up front (their
+// compression-function states are snapshotted via the digest's binary
+// marshalling). The seal input is a fixed 32-byte chain value, so the pad
+// hashing is half the per-record MAC cost — precomputing it roughly doubles
+// append/replay seal throughput. Output is bit-identical to crypto/hmac.
+// Everything the hasher reads is heap-resident already (the sealer's own
+// array, the caller's buffers), so a record allocates nothing.
 type sealer struct {
+	h          hash.Hash
 	ipad, opad []byte // marshalled sha256 states primed with the key pads
+	in         [sha256.Size]byte
 }
 
-func newSealer(key []byte) sealer {
+func newSealer(key []byte) *sealer {
 	if len(key) > sha256.BlockSize {
 		sum := sha256.Sum256(key)
 		key = sum[:]
@@ -215,8 +253,9 @@ func newSealer(key []byte) sealer {
 		ipad[i] ^= 0x36
 		opad[i] ^= 0x5c
 	}
+	h := sha256.New()
 	prime := func(pad []byte) []byte {
-		h := sha256.New()
+		h.Reset()
 		h.Write(pad)
 		state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
 		if err != nil {
@@ -224,23 +263,34 @@ func newSealer(key []byte) sealer {
 		}
 		return state
 	}
-	return sealer{ipad: prime(ipad[:]), opad: prime(opad[:])}
+	return &sealer{h: h, ipad: prime(ipad[:]), opad: prime(opad[:])}
+}
+
+// nextChain folds one record into the running chain digest, in place:
+// chain = SHA256(chain || seq || payload), seq as framed (8 bytes LE).
+func (s *sealer) nextChain(chain *[sha256.Size]byte, seq, payload []byte) {
+	s.h.Reset()
+	s.h.Write(chain[:])
+	s.h.Write(seq)
+	s.h.Write(payload)
+	s.h.Sum(chain[:0])
 }
 
 // seal appends HMAC(key, chain) to dst and returns the extended slice.
-func (s sealer) seal(dst []byte, chain [sha256.Size]byte) []byte {
-	h := sha256.New()
-	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(s.ipad); err != nil {
+func (s *sealer) seal(dst []byte, chain [sha256.Size]byte) []byte {
+	s.in = chain
+	s.load(s.ipad)
+	s.h.Write(s.in[:])
+	s.h.Sum(s.in[:0])
+	s.load(s.opad)
+	s.h.Write(s.in[:])
+	return s.h.Sum(dst)
+}
+
+func (s *sealer) load(state []byte) {
+	if err := s.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
 		panic("wal: sha256 state not unmarshallable: " + err.Error())
 	}
-	h.Write(chain[:])
-	var inner [sha256.Size]byte
-	h.Sum(inner[:0])
-	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(s.opad); err != nil {
-		panic("wal: sha256 state not unmarshallable: " + err.Error())
-	}
-	h.Write(inner[:])
-	return h.Sum(dst)
 }
 
 // Replay reads a log from r, verifying the header seed and every record's
@@ -319,10 +369,7 @@ func Replay(r io.Reader, key []byte, seed [SeedSize]byte, fn func(seq uint64, pa
 		}
 		// CRC localizes accidental damage (torn write, bit rot) cheaply;
 		// the seal below is the security check.
-		crc := crc32.NewIEEE()
-		crc.Write(frame[4:12])
-		crc.Write(payload)
-		if crc.Sum32() != binary.LittleEndian.Uint32(tail[0:4]) {
+		if crc32.Update(crc32.ChecksumIEEE(frame[4:12]), crc32.IEEETable, payload) != binary.LittleEndian.Uint32(tail[0:4]) {
 			res.Verdict, res.FailedAt = VerdictTruncated, i
 			res.Reason = fmt.Sprintf("record %d CRC mismatch (torn write or bit rot)", i)
 			return res, nil
@@ -332,8 +379,8 @@ func Replay(r io.Reader, key []byte, seed [SeedSize]byte, fn func(seq uint64, pa
 			res.Reason = fmt.Sprintf("record %d carries sequence %d (reordered or spliced)", i, seq)
 			return res, nil
 		}
-		next := nextChain(chain, seq, payload)
-		sl.seal(want[:0], next)
+		sl.nextChain(&chain, frame[4:12], payload)
+		sl.seal(want[:0], chain)
 		if !hmac.Equal(want[:], tail[4:]) {
 			res.Verdict, res.FailedAt = VerdictCorrupt, i
 			res.Reason = fmt.Sprintf("record %d seal mismatch (forged, spliced, or wrong key)", i)
@@ -343,7 +390,6 @@ func Replay(r io.Reader, key []byte, seed [SeedSize]byte, fn func(seq uint64, pa
 			res.FailedAt = i
 			return res, fmt.Errorf("wal: applying record %d: %w", i, err)
 		}
-		chain = next
 		res.Records++
 	}
 }

@@ -309,3 +309,66 @@ func TestSingleShardConcurrentUse(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 }
+
+// TestShardedSpanOpsAllocateNothing: a span inside one shard — every span the
+// gated workloads issue — runs under that shard's lock directly: WriteBlocks
+// and a cold ReadBlocks (verify, decrypt, cache fill) allocate nothing. A
+// span over a shard boundary still fans out and still round-trips.
+func TestShardedSpanOpsAllocateNothing(t *testing.T) {
+	const size, shards, spans = 1 << 20, 4, 512
+	m := newShardedMem(t, size, shards)
+	span := make([]byte, 4*BlockSize)
+	for i := range span {
+		span[i] = byte(i)
+	}
+	next := uint64(0)
+	write := func() {
+		if err := m.WriteBlocks(next%spans*uint64(len(span)), span); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for i := 0; i < spans; i++ {
+		write()
+	}
+	if avg := testing.AllocsPerRun(200, write); avg != 0 {
+		t.Fatalf("WriteBlocks inside one shard allocates %.2f objects/op", avg)
+	}
+
+	// A resumed memory starts with cold caches: each span below is read
+	// once, so every read takes the shard lock and verifies stored bits.
+	var img bytes.Buffer
+	root, err := m.Persist(&img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := ResumeSharded(shardTestConfig(t, size), shards, &img, &root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, len(span))
+	next = 0
+	avg := testing.AllocsPerRun(200, func() {
+		if err := cold.ReadBlocks(next*uint64(len(dst)), dst); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if avg != 0 {
+		t.Fatalf("cold ReadBlocks inside one shard allocates %.2f objects/op", avg)
+	}
+	if !bytes.Equal(dst, span) {
+		t.Fatal("cold span read back wrong")
+	}
+	if st := cold.Stats(); st.SlowPathReads != next*4 || st.LockFreeHits != 0 {
+		t.Fatalf("the %d span reads were not all cold: %d slow-path blocks, %d lock-free hits", next, st.SlowPathReads, st.LockFreeHits)
+	}
+
+	boundary := m.ShardSize() - 2*BlockSize
+	if err := m.WriteBlocks(boundary, span); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ReadBlocks(boundary, dst); err != nil || !bytes.Equal(dst, span) {
+		t.Fatalf("span over a shard boundary: %v", err)
+	}
+}
