@@ -19,13 +19,13 @@
 // so the security and reliability claims can be exercised directly; see the
 // examples directory.
 //
-// There are two devices over one engine configuration. Memory is a single
-// engine for one caller at a time; ShardedMemory partitions the region into
-// independently locked shards and is safe for concurrent use (one shard is
-// one engine behind one lock). Every engine carries the on-chip half of the
-// paper's controller — a verified-counter cache, a verified-block cache and
-// a deferred, write-combining integrity-tree update — with nothing to
-// enable or size: the caches are sized from the region.
+// There is one device. A Memory is a region of N >= 1 independently locked
+// shards, safe for concurrent use: New builds the one-shard region (one
+// engine behind one lock, the paper's single controller) and NewSharded the
+// N-shard one. Every shard carries the on-chip half of the paper's
+// controller — a verified-counter cache, a verified-block cache and a
+// deferred, write-combining integrity-tree update — with nothing to enable or
+// size: the caches are sized from the shard.
 //
 // The simulation side of the reproduction (DDR3 timing, the 4-core CPU
 // model, PARSEC-like workloads, and the Figure/Table harnesses) lives under
@@ -201,23 +201,47 @@ func (c Config) internal() (core.Config, error) {
 	return cfg, nil
 }
 
-// Memory is an authenticated encrypted memory over a single engine.
+// Memory is an authenticated encrypted memory partitioned into N >= 1
+// independent shards, safe for concurrent use.
 //
-// It is not safe for concurrent use: share a ShardedMemory instead (one
-// shard gives the same engine behind a lock, bit-compatible images
-// included), which also hands out a Memory view of each shard through
-// WithShard.
+// Each shard — a contiguous 1/N slice of the region — is a complete engine
+// behind its own lock: ciphertext arena, counter state, quarantine set,
+// verified-counter and verified-block caches, write pipeline, and Merkle
+// subtree. Warm reads are served from the owning shard's verified-block
+// cache without taking any lock. Accesses to different shards never
+// contend, and multi-block spans that cross shard boundaries are split and
+// served concurrently. A small trusted combining layer hashes the per-shard
+// subtree roots into the single root digest used for persist/resume, so the
+// whole memory still pins to one trusted value.
+//
+// Shard isolation is cryptographic as well as structural: each shard's keys
+// are derived from the master key and the shard's position, so ciphertext
+// or metadata moved between shards can never verify. With one shard the
+// master key is the shard key and the root is the shard root.
+//
+// Error addresses, quarantine lists, and statistics are all reported in the
+// global address space.
 type Memory struct {
-	eng *core.Engine
+	eng *core.ShardedEngine
 }
 
-// New builds a Memory.
-func New(cfg Config) (*Memory, error) {
+// The frozen bench/ module still names the device by the name its N-shard
+// form had when there were two; nothing else may (CI checks). ROADMAP N1
+// deletes this alias.
+type ShardedMemory = Memory
+
+// New builds a one-shard Memory.
+func New(cfg Config) (*Memory, error) { return NewSharded(cfg, 1) }
+
+// NewSharded builds a Memory with the given shard count. shards must be a
+// power of two, and the region must divide into 4KB-block-group-aligned
+// shards.
+func NewSharded(cfg Config, shards int) (*Memory, error) {
 	icfg, err := cfg.internal()
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.NewEngine(icfg)
+	eng, err := core.NewShardedEngine(icfg, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -242,8 +266,8 @@ type ScrubReport = core.ScrubReport
 // re-encryptions).
 type CounterStats = ctr.Stats
 
-// BlockSnapshot captures a block's DRAM-visible state for replay
-// experiments.
+// BlockSnapshot captures a block's DRAM-visible state, and the address it
+// was taken at, for replay experiments.
 type BlockSnapshot = core.BlockSnapshot
 
 // RecoveryPolicy bounds what ReadRecover may attempt before quarantining a
@@ -261,14 +285,28 @@ type QuarantineError = core.QuarantineError
 // DefaultRecoveryPolicy returns the policy a new Memory starts with.
 func DefaultRecoveryPolicy() RecoveryPolicy { return core.DefaultRecoveryPolicy() }
 
-// Write encrypts and stores one 64-byte block at the aligned address.
+// Shards returns the shard count.
+func (m *Memory) Shards() int { return m.eng.Shards() }
+
+// ShardSize returns each shard's slice of the region in bytes.
+func (m *Memory) ShardSize() uint64 { return m.eng.ShardBytes() }
+
+// Size returns the protected region size in bytes.
+func (m *Memory) Size() uint64 { return m.eng.Config().RegionBytes }
+
+// ShardOf returns the index of the shard owning addr.
+func (m *Memory) ShardOf(addr uint64) int { return m.eng.ShardOf(addr) }
+
+// Write encrypts and stores one 64-byte block at the aligned address,
+// locking only the owning shard.
 func (m *Memory) Write(addr uint64, block []byte) error {
 	return m.eng.Write(addr, block)
 }
 
-// Read verifies and decrypts one 64-byte block into dst. Correctable memory
-// faults are repaired transparently (and reported in ReadInfo); tampering
-// or uncorrectable faults return an *IntegrityError.
+// Read verifies and decrypts one 64-byte block into dst, locking only the
+// owning shard (and nothing at all when the block is warm). Correctable
+// memory faults are repaired transparently (and reported in ReadInfo);
+// tampering or uncorrectable faults return an *IntegrityError.
 func (m *Memory) Read(addr uint64, dst []byte) (ReadInfo, error) {
 	return m.eng.Read(addr, dst)
 }
@@ -277,14 +315,20 @@ func (m *Memory) Read(addr uint64, dst []byte) (ReadInfo, error) {
 // the aligned address. Each touched counter block is committed once, after
 // the last write it covers — substantially cheaper than per-block Write for
 // streaming stores. len(src) must be a positive multiple of BlockSize.
+//
+// A span crossing shard boundaries is split and the per-shard segments are
+// written concurrently. On error the lowest-addressed failure is returned;
+// segments in other shards may have completed (span atomicity is per shard,
+// as with independent memory channels).
 func (m *Memory) WriteBlocks(addr uint64, src []byte) error {
 	return m.eng.WriteBlocks(addr, src)
 }
 
 // ReadBlocks verifies and decrypts a span of contiguous blocks starting at
 // the aligned address into dst, verifying counter metadata once per
-// covering metadata block. len(dst) must be a positive multiple of
-// BlockSize.
+// covering metadata block and fanning cross-shard spans out concurrently
+// (see WriteBlocks for the error semantics). len(dst) must be a positive
+// multiple of BlockSize.
 func (m *Memory) ReadBlocks(addr uint64, dst []byte) error {
 	return m.eng.ReadBlocks(addr, dst)
 }
@@ -299,19 +343,18 @@ func (m *Memory) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error) {
 	return m.eng.ReadRecover(addr, dst)
 }
 
-// FlushAll forces any deferred Merkle maintenance to land now, leaving the
-// integrity tree consistent with every accepted write — the same
-// quiescent-point API ShardedMemory exposes. Writes stage their counter-block
-// image in trusted state and mark the tree leaf dirty instead of rehashing
-// its path; dirty leaves flush in batches at the epoch bound, on a cold read
-// of a dirty leaf, and before any state leaves the trust boundary (Persist,
-// RootDigest, Scrub), so calling FlushAll is never needed for correctness.
-func (m *Memory) FlushAll() error { return m.eng.Flush() }
+// FlushAll forces every shard's deferred Merkle maintenance to land now, the
+// shards flushing concurrently, leaving the integrity tree consistent with
+// every accepted write. Writes stage their counter-block image in trusted
+// state and mark the tree leaf dirty instead of rehashing its path; dirty
+// leaves flush in batches at the epoch bound, on a cold read of a dirty
+// leaf, and before any state leaves the trust boundary (Persist, RootDigest,
+// Scrub), so calling FlushAll is never needed for correctness — it is the
+// explicit region-wide quiescent point.
+func (m *Memory) FlushAll() error { return m.eng.FlushAll() }
 
-// Size returns the protected region size in bytes.
-func (m *Memory) Size() uint64 { return m.eng.Config().RegionBytes }
-
-// SetRecoveryPolicy replaces the recovery policy used by ReadRecover.
+// SetRecoveryPolicy replaces the recovery policy used by ReadRecover on
+// every shard.
 func (m *Memory) SetRecoveryPolicy(p RecoveryPolicy) { m.eng.SetRecoveryPolicy(p) }
 
 // RecoveryPolicy reports the policy currently in force.
@@ -324,31 +367,26 @@ func (m *Memory) Quarantined(addr uint64) bool { return m.eng.Quarantined(addr) 
 // allocating.
 func (m *Memory) QuarantineCount() int { return m.eng.QuarantineCount() }
 
-// QuarantineList returns the quarantined block indices in ascending order.
+// QuarantineList returns the quarantined block indices in ascending order,
+// or nil when the quarantine is empty.
 func (m *Memory) QuarantineList() []uint64 { return m.eng.QuarantineList() }
 
-// Stats reports cumulative engine events.
+// Stats merges per-shard engine events into region-wide totals.
 func (m *Memory) Stats() EngineStats { return m.eng.Stats() }
 
-// CounterStats reports counter-scheme events: writes, resets, re-encodes,
-// extensions, and group re-encryptions (the NVMM-wear driver).
+// CounterStats merges per-shard counter-scheme events: writes, resets,
+// re-encodes, extensions, and group re-encryptions (the NVMM-wear driver).
 func (m *Memory) CounterStats() CounterStats { return m.eng.SchemeStats() }
 
-// Scrub runs one patrol-scrubber pass (MAC-in-ECC placement only): the
-// per-block parity bit screens for single-bit faults cheaply; flagged
-// blocks are verified and repaired.
+// Scrub runs one patrol-scrubber pass (MAC-in-ECC placement only), all
+// shards concurrently: the per-block parity bit screens for single-bit
+// faults cheaply; flagged blocks are verified and repaired.
 func (m *Memory) Scrub() (ScrubReport, error) { return m.eng.Scrub() }
-
-// ParallelScrub runs a patrol-scrub pass with the read-only parity screen
-// sharded across workers goroutines (GOMAXPROCS when workers <= 0); flagged
-// blocks are then repaired serially. The result is identical to Scrub.
-func (m *Memory) ParallelScrub(workers int) (ScrubReport, error) {
-	return m.eng.ParallelScrub(workers)
-}
 
 // The adversary/fault interface. These touch exactly the state an attacker
 // with physical DRAM access could: ciphertext, ECC bits, MAC tags, counter
-// blocks, and off-chip tree nodes.
+// blocks, and off-chip tree nodes. Addresses are global; each operation
+// locks only the shard it lands in.
 
 // FlipDataBit flips one stored ciphertext bit of the block at addr.
 func (m *Memory) FlipDataBit(addr uint64, bit int) error {
@@ -374,12 +412,13 @@ func (m *Memory) FlipCheckBit(addr uint64, bit int) error {
 
 // FlipCounterBit flips one bit of the counter block covering addr.
 func (m *Memory) FlipCounterBit(addr uint64, bit int) error {
-	return m.eng.TamperCounterBlock(m.metadataBlock(addr), bit)
+	return m.eng.TamperCounterForAddr(addr, bit)
 }
 
-// FlipTreeNodeBit flips one bit of an off-chip integrity-tree node.
-func (m *Memory) FlipTreeNodeBit(level int, index uint64, bit int) error {
-	return m.eng.TamperTreeNode(tree.NodeID{Level: level, Index: index}, bit)
+// FlipTreeNodeBit flips one bit of an off-chip integrity-tree node of the
+// given shard's subtree (shard 0 on a one-shard Memory).
+func (m *Memory) FlipTreeNodeBit(shard, level int, index uint64, bit int) error {
+	return m.eng.TamperTreeNode(shard, tree.NodeID{Level: level, Index: index}, bit)
 }
 
 // Snapshot captures the DRAM-visible state of one block for a replay
@@ -388,55 +427,58 @@ func (m *Memory) Snapshot(addr uint64) (BlockSnapshot, error) {
 	return m.eng.Snapshot(addr)
 }
 
-// Replay restores a snapshot into DRAM (data + MAC + counter block), the
-// classic rollback attack. A subsequent Read must fail.
+// Replay restores a snapshot into DRAM (data + MAC + counter block) at the
+// address it was taken at, the classic rollback attack. A subsequent Read
+// must fail.
 func (m *Memory) Replay(s BlockSnapshot) error { return m.eng.Replay(s) }
 
 // Splice plants a snapshot's ciphertext and MAC bits at a different
-// address — the block-relocation attack. Address-bound MACs catch it.
+// address, in any shard — the block-relocation attack. Address-bound MACs
+// and per-shard keys catch it.
 func (m *Memory) Splice(s BlockSnapshot, addr uint64) error { return m.eng.Splice(s, addr) }
 
-func (m *Memory) metadataBlock(addr uint64) uint64 {
-	// One metadata block per 4KB group for grouped schemes, per 8 blocks
-	// for monolithic; derive from the engine's scheme geometry via the
-	// overhead calculator to avoid exposing internal state.
-	blk := addr / BlockSize
-	switch m.eng.Config().Scheme {
-	case ctr.Monolithic:
-		return blk / 8
-	default:
-		return blk / ctr.GroupBlocks
-	}
+// WithShard locks shard i and runs fn against a one-shard Memory view of
+// just that shard, so an experiment can drive a single shard's whole surface
+// (tree-node flips, counter stats, a snapshot replayed from another shard)
+// without racing concurrent traffic. Addresses inside fn are shard-local:
+// local = global - i*ShardSize(). fn must not retain the view, nor touch
+// shard i through the parent (its lock is held).
+func (m *Memory) WithShard(i int, fn func(view *Memory)) {
+	m.eng.WithShard(i, func(eng *core.Engine) { fn(&Memory{eng: core.OneShard(eng)}) })
 }
 
 // RootDigest pins the integrity tree's trusted root across power cycles.
 type RootDigest = core.RootDigest
 
-// RootDigest returns the trusted root digest over the current state — the
-// value Persist would return — without serializing the image. Any deferred
-// write-pipeline maintenance is flushed first, so the digest always covers
-// every accepted write.
+// RootDigest returns the combining layer's trusted digest over all shard
+// subtree roots — the value Persist would return — without serializing the
+// image. Any deferred write-pipeline maintenance is flushed first, so the
+// digest always covers every accepted write.
 func (m *Memory) RootDigest() RootDigest { return m.eng.RootDigest() }
 
 // Persist writes the memory's NVMM image (ciphertext, ECC/MAC bits, counter
-// blocks, integrity tree) to w and returns the root digest. Store the
-// digest in trusted storage: resuming without pinning it leaves whole-image
-// rollback undetectable.
-func (m *Memory) Persist(w io.Writer) (RootDigest, error) {
-	return m.eng.Persist(w)
+// blocks, integrity tree; per-shard sections under one header, which a
+// one-shard memory omits) to w and returns the combined root digest. Store
+// the digest in trusted storage: it pins every shard section, and resuming
+// without pinning it leaves whole-image rollback undetectable.
+func (m *Memory) Persist(w io.Writer) (RootDigest, error) { return m.eng.Persist(w) }
+
+// Resume is ResumeSharded for a one-shard Memory.
+func Resume(cfg Config, r io.Reader, expectRoot *RootDigest) (*Memory, error) {
+	return ResumeSharded(cfg, 1, r, expectRoot)
 }
 
-// Resume rebuilds a Memory from a persisted image under the same Config
-// (including the key, which is never stored in the image). If expectRoot is
-// non-nil the restored tree root must match it. All counter metadata is
-// verified against the tree before the memory is usable; data blocks verify
-// on demand.
-func Resume(cfg Config, r io.Reader, expectRoot *RootDigest) (*Memory, error) {
+// ResumeSharded rebuilds a Memory from a persisted image under the same
+// Config (including the key, which is never stored in the image) and shard
+// count. If expectRoot is non-nil the recombined root must match it. All
+// counter metadata is verified against the tree before the memory is usable;
+// data blocks verify on demand.
+func ResumeSharded(cfg Config, shards int, r io.Reader, expectRoot *RootDigest) (*Memory, error) {
 	icfg, err := cfg.internal()
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.Resume(icfg, r, expectRoot)
+	eng, err := core.ResumeSharded(icfg, shards, r, expectRoot)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package authmem
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -26,6 +27,23 @@ func testKey() []byte {
 func newMem(t testing.TB, cfg Config) *Memory {
 	t.Helper()
 	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// forShards runs fn once per shard count the facade tests cover: the
+// one-shard region New builds and a four-shard one.
+func forShards(t *testing.T, fn func(t *testing.T, shards int)) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { fn(t, shards) })
+	}
+}
+
+func newMemShards(t testing.TB, cfg Config, shards int) *Memory {
+	t.Helper()
+	m, err := NewSharded(cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,23 +83,25 @@ func TestSchemeString(t *testing.T) {
 }
 
 func TestRoundTripAllSchemes(t *testing.T) {
-	for _, s := range []CounterScheme{Monolithic, SplitCounter, DeltaEncoding, DualLengthDelta} {
-		for _, p := range []MACPlacement{MACInECC, InlineMAC} {
-			m := newMem(t, testConfig(s, p))
-			data := make([]byte, BlockSize)
-			rand.New(rand.NewSource(1)).Read(data)
-			if err := m.Write(0x1000, data); err != nil {
-				t.Fatalf("%v/%v: %v", s, p, err)
-			}
-			got := make([]byte, BlockSize)
-			if _, err := m.Read(0x1000, got); err != nil {
-				t.Fatalf("%v/%v: %v", s, p, err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("%v/%v: data corrupted", s, p)
+	forShards(t, func(t *testing.T, shards int) {
+		for _, s := range []CounterScheme{Monolithic, SplitCounter, DeltaEncoding, DualLengthDelta} {
+			for _, p := range []MACPlacement{MACInECC, InlineMAC} {
+				m := newMemShards(t, testConfig(s, p), shards)
+				data := make([]byte, BlockSize)
+				rand.New(rand.NewSource(1)).Read(data)
+				if err := m.Write(0x1000, data); err != nil {
+					t.Fatalf("%v/%v: %v", s, p, err)
+				}
+				got := make([]byte, BlockSize)
+				if _, err := m.Read(0x1000, got); err != nil {
+					t.Fatalf("%v/%v: %v", s, p, err)
+				}
+				if !bytes.Equal(got, data) {
+					t.Fatalf("%v/%v: data corrupted", s, p)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestTamperDetection(t *testing.T) {
@@ -168,27 +188,31 @@ func TestCounterBitTamper(t *testing.T) {
 }
 
 func TestScrub(t *testing.T) {
-	m := newMem(t, testConfig(DeltaEncoding, MACInECC))
-	for i := uint64(0); i < 8; i++ {
-		if err := m.Write(i*BlockSize, make([]byte, BlockSize)); err != nil {
+	forShards(t, func(t *testing.T, shards int) {
+		m := newMemShards(t, testConfig(DeltaEncoding, MACInECC), shards)
+		// One block at the same offset in every shard: the pass must cover
+		// the whole region, not the first shard.
+		for i := uint64(0); i < 8; i++ {
+			if err := m.Write(i%uint64(shards)*m.ShardSize()+i*BlockSize, make([]byte, BlockSize)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.FlipDataBit(uint64(shards-1)*m.ShardSize()+7*BlockSize, 7); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := m.FlipDataBit(2*BlockSize, 7); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := m.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ParityFlagged != 1 || rep.Corrected != 1 {
-		t.Fatalf("scrub report %+v", rep)
-	}
-	// Inline placement has no scrub lane.
-	inline := newMem(t, testConfig(DeltaEncoding, InlineMAC))
-	if _, err := inline.Scrub(); err == nil {
-		t.Fatal("scrub under InlineMAC should fail")
-	}
+		rep, err := m.Scrub()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.BlocksScanned != 8 || rep.ParityFlagged != 1 || rep.Corrected != 1 {
+			t.Fatalf("scrub report %+v", rep)
+		}
+		// Inline placement has no scrub lane.
+		inline := newMemShards(t, testConfig(DeltaEncoding, InlineMAC), shards)
+		if _, err := inline.Scrub(); err == nil {
+			t.Fatal("scrub under InlineMAC should fail")
+		}
+	})
 }
 
 func TestCounterStatsExposeReencryptions(t *testing.T) {
@@ -339,7 +363,7 @@ func TestFacadeAttackSurface(t *testing.T) {
 	if err := deep.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := deep.FlipTreeNodeBit(0, 0, 3); err != nil {
+	if err := deep.FlipTreeNodeBit(0, 0, 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := deep.Read(0, dst); err == nil {

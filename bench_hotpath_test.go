@@ -7,6 +7,7 @@ package authmem
 // numbers these shapes produced when the hot path was first tuned.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -144,48 +145,34 @@ func BenchmarkHotReadBlocks(b *testing.B) {
 }
 
 // BenchmarkHotScrub measures full-pass patrol scrubbing of a 4MB resident
-// region, serial vs sharded.
+// region, one shard against four scrubbing concurrently.
 func BenchmarkHotScrub(b *testing.B) {
-	prep := func(b *testing.B) *Memory {
-		cfg := DefaultConfig(4 << 20)
-		cfg.Key = benchKey()
-		m, err := New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		span := make([]byte, ctr.GroupBlocks*BlockSize)
-		rand.New(rand.NewSource(5)).Read(span)
-		for addr := uint64(0); addr < cfg.Size; addr += uint64(len(span)) {
-			if err := m.WriteBlocks(addr, span); err != nil {
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			cfg := DefaultConfig(4 << 20)
+			cfg.Key = benchKey()
+			m, err := NewSharded(cfg, shards)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		return m
+			span := make([]byte, ctr.GroupBlocks*BlockSize)
+			rand.New(rand.NewSource(5)).Read(span)
+			for addr := uint64(0); addr < cfg.Size; addr += uint64(len(span)) {
+				if err := m.WriteBlocks(addr, span); err != nil {
+					b.Fatal(err)
+				}
+			}
+			blocks := int64(m.Stats().Writes)
+			b.ReportAllocs()
+			b.SetBytes(blocks * BlockSize)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Scrub(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.Run("serial", func(b *testing.B) {
-		m := prep(b)
-		blocks := int64(m.Stats().Writes)
-		b.ReportAllocs()
-		b.SetBytes(blocks * BlockSize)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Scrub(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		m := prep(b)
-		blocks := int64(m.Stats().Writes)
-		b.ReportAllocs()
-		b.SetBytes(blocks * BlockSize)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.ParallelScrub(0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // TestHotReadZeroAllocs pins the steady-state Read path at zero heap

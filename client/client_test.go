@@ -16,7 +16,7 @@ import (
 
 func testKey() []byte { return bytes.Repeat([]byte{0x5A}, authmem.KeySize) }
 
-func newBackend(t testing.TB, size uint64) *authmem.ShardedMemory {
+func newBackend(t testing.TB, size uint64) *authmem.Memory {
 	t.Helper()
 	cfg := authmem.DefaultConfig(size)
 	cfg.Key = testKey()

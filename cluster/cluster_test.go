@@ -30,7 +30,7 @@ type nodeHandle struct {
 	size uint64
 
 	mu    sync.Mutex
-	mem   *authmem.ShardedMemory
+	mem   *authmem.Memory
 	srv   *server.Server
 	down  bool
 	conns []net.Conn

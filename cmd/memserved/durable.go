@@ -173,11 +173,11 @@ type durableOptions struct {
 	logf      func(format string, args ...any)
 }
 
-// durableStore owns the on-disk generation behind a ShardedMemory: the open
+// durableStore owns the on-disk generation behind a Memory: the open
 // log files, the epoch/root pins, and the fold machinery. All disk-side
 // state is guarded by mu; the memory itself takes its own shard locks.
 type durableStore struct {
-	mem  *authmem.ShardedMemory
+	mem  *authmem.Memory
 	opts durableOptions
 	key  []byte // manifest seal key
 
@@ -239,7 +239,7 @@ func openDurable(cfg authmem.Config, shards int, opts durableOptions) (*durableS
 
 // recover resumes the manifest's generation through the verified incremental
 // path, then checks every shard's recovered history against the sealed pins.
-func (d *durableStore) recover(cfg authmem.Config, shards int, man *manifest) (*authmem.ShardedMemory, error) {
+func (d *durableStore) recover(cfg authmem.Config, shards int, man *manifest) (*authmem.Memory, error) {
 	base, err := os.Open(basePath(d.opts.dir, man.Gen))
 	if err != nil {
 		return nil, fmt.Errorf("durable: manifest names generation %d but %w", man.Gen, err)
@@ -377,8 +377,9 @@ func (d *durableStore) pruneLocked(oldGen uint64) {
 
 // appendEpoch seals one delta epoch across all shards and re-pins the
 // manifest. When nothing is dirty it is a no-op — the logs and manifest
-// already name current state. When the logs outgrow the fold threshold the
-// epoch is taken as a full checkpoint instead.
+// already name current state. When the logs outgrow the fold threshold, or a
+// log can no longer be appended to, the epoch is taken as a full checkpoint
+// instead.
 func (d *durableStore) appendEpoch() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -407,11 +408,16 @@ func (d *durableStore) appendEpoch() error {
 	var groups int
 	for i, l := range d.logs {
 		st, err := d.mem.AppendDeltaShard(i, l)
-		if err != nil {
-			return fmt.Errorf("durable: shard %d append: %w", i, err)
+		if err == nil {
+			err = d.logFs[i].Sync()
 		}
-		if err := d.logFs[i].Sync(); err != nil {
-			return err
+		if err != nil {
+			// A log whose write or sync failed never seals another epoch
+			// (wal.Writer is dead after a failed write): take this epoch as
+			// a fold — fresh base, fresh logs, manifest re-pinned — now,
+			// instead of failing at every interval from here on.
+			d.opts.logf("durable: shard %d log failed (%v); folding into a fresh generation", i, err)
+			return d.checkpointLocked()
 		}
 		man.Epochs[i] = st.Epoch + 1
 		man.Roots[i] = st.Root

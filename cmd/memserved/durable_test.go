@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,7 +31,7 @@ func durableBlock(seed byte) []byte {
 
 // writeSpread writes distinct blocks across all four shards and returns the
 // address -> content oracle.
-func writeSpread(t *testing.T, mem *authmem.ShardedMemory, seed byte, n int) map[uint64][]byte {
+func writeSpread(t *testing.T, mem *authmem.Memory, seed byte, n int) map[uint64][]byte {
 	t.Helper()
 	oracle := make(map[uint64][]byte)
 	shardSize := mem.ShardSize()
@@ -45,7 +46,7 @@ func writeSpread(t *testing.T, mem *authmem.ShardedMemory, seed byte, n int) map
 	return oracle
 }
 
-func checkOracle(t *testing.T, mem *authmem.ShardedMemory, oracle map[uint64][]byte) {
+func checkOracle(t *testing.T, mem *authmem.Memory, oracle map[uint64][]byte) {
 	t.Helper()
 	buf := make([]byte, authmem.BlockSize)
 	for addr, want := range oracle {
@@ -104,6 +105,76 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatalf("found %d base images after fold, want 1: %v", len(imgs), imgs)
 	}
 	writeSpread(t, d2.mem, 200, 8)
+	if err := d2.close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurableFoldsWhenLogPoisoned: a delta log that can no longer be written
+// (its file closed underneath the store) costs one fold, not the durability of
+// every epoch after it — the next appendEpoch lands in a fresh generation and
+// a restart recovers every acknowledged write to the pinned roots.
+func TestDurableFoldsWhenLogPoisoned(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableTestConfig(t)
+	var logged []string
+	opts := durableOptions{dir: dir, interval: time.Second, logf: func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}}
+
+	d, err := openDurable(cfg, 4, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := writeSpread(t, d.mem, 3, 64)
+	if err := d.appendEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	gen := d.gen
+	if err := d.logFs[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	for addr, blk := range writeSpread(t, d.mem, 77, 32) {
+		oracle[addr] = blk
+	}
+	if err := d.appendEpoch(); err != nil {
+		t.Fatalf("epoch over a poisoned log: %v", err)
+	}
+	if d.gen != gen+1 {
+		t.Fatalf("generation %d after the poisoned epoch, want %d", d.gen, gen+1)
+	}
+	causes := 0
+	for _, line := range logged {
+		if strings.Contains(line, "shard 1 log failed") {
+			causes++
+		}
+	}
+	if causes != 1 {
+		t.Fatalf("cause logged %d times, want once:\n%s", causes, strings.Join(logged, "\n"))
+	}
+	// The fresh logs seal epochs again.
+	for addr, blk := range writeSpread(t, d.mem, 150, 16) {
+		oracle[addr] = blk
+	}
+	if err := d.appendEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if d.gen != gen+1 || d.man.Epochs[1] != 1 {
+		t.Fatalf("epoch after the fold: generation %d, shard 1 pinned at epoch %d", d.gen, d.man.Epochs[1])
+	}
+	root := d.mem.RootDigest()
+	// No close(): the restart sees exactly what the epochs made durable.
+	for _, f := range d.logFs {
+		f.Close()
+	}
+	d2, err := openDurable(cfg, 4, durableOptions{dir: dir, interval: time.Second})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if got := d2.mem.RootDigest(); got != root {
+		t.Fatal("recovered root differs from the pinned root")
+	}
+	checkOracle(t, d2.mem, oracle)
 	if err := d2.close(); err != nil {
 		t.Fatal(err)
 	}

@@ -17,15 +17,19 @@ import (
 // plus a log replays to the exact pre-crash state, paying O(blocks written)
 // per checkpoint instead of O(region).
 //
-// Lifecycle:
+// Lifecycle, one delta log per shard (a one-shard Memory has one):
 //
 //	m.EnableDeltaTracking()
-//	root, _ := m.Persist(baseFile)      // full base snapshot
-//	dl, _ := m.NewDeltaLog(logFile)     // log seeded with the base root
+//	m.Persist(baseFile)                         // full base snapshot
+//	dl, _ := m.NewShardDeltaLog(i, logFile[i])  // seeded with shard i's root
 //	... traffic ...
-//	st, _ := m.AppendDelta(dl)          // sealed epoch: written blocks + root
+//	m.AppendDeltaShard(i, dl)                   // sealed epoch: written blocks + root
+//	pin := m.RootDigest()                       // after a round over every shard
 //	... crash ...
-//	m, rep, err := ResumeIncremental(cfg, baseFile, logFile, &st.Root)
+//	m, reports, err := ResumeShardedIncremental(cfg, shards, baseFile, logFiles, &pin)
+//
+// A fold under traffic takes the base and the fresh logs together, shard by
+// shard: BeginShardedImage, then CheckpointShard for every shard.
 //
 // Every record is length-prefixed, CRC-framed, and sealed with a chained
 // HMAC keyed from the device secret; each epoch closes with a commit record
@@ -35,9 +39,10 @@ import (
 // list against a sealed manifest, as cmd/memserved does) to also detect a
 // maliciously shortened-but-valid log.
 
-// DeltaLog is an open append-only delta log bound to the Memory that created
-// it: records are sealed under a key derived from the device secret and
-// chained from the base snapshot's root digest.
+// DeltaLog is one shard's open append-only delta log, bound to the Memory
+// that created it: records are sealed under the shard's derived key (they can
+// never migrate between shards) and chained from the root digest of the
+// shard's section of the base snapshot.
 type DeltaLog struct {
 	w *wal.Writer
 }
@@ -46,10 +51,10 @@ type DeltaLog struct {
 func (l *DeltaLog) Records() uint64 { return l.w.Records() }
 
 // Offset returns the log length in bytes (header included). After an
-// AppendDelta returns, all of it has been handed to the log's io.Writer.
+// AppendDeltaShard returns, all of it has been handed to the log's io.Writer.
 func (l *DeltaLog) Offset() int64 { return l.w.Offset() }
 
-// DeltaStats reports what one AppendDelta epoch wrote: group records, log
+// DeltaStats reports what one AppendDeltaShard epoch wrote: group records, log
 // growth in bytes, the epoch number, and the sealed root digest — the value
 // to pin in trusted storage.
 type DeltaStats = core.DeltaStats
@@ -72,7 +77,7 @@ const (
 type RecoveryReport = core.RecoveryReport
 
 // RecoveryError wraps a rollback-detected RecoveryReport; it round-trips
-// through errors.As from every resume path, sharded ones included.
+// through errors.As from ResumeShardedIncremental.
 type RecoveryError = core.RecoveryError
 
 // CodecMismatchError reports a persisted image whose check bytes were
@@ -80,111 +85,69 @@ type RecoveryError = core.RecoveryError
 // round-trips through errors.As from every resume path.
 type CodecMismatchError = core.CodecMismatchError
 
-// EnableDeltaTracking turns on the dirty-block set behind AppendDelta. Call
-// before traffic (ResumeIncremental enables it automatically); writes landed
-// while tracking is off are not observed by the next delta epoch.
+// EnableDeltaTracking turns on the dirty-block set on every shard. Call
+// before traffic (ResumeShardedIncremental enables it automatically); writes
+// landed while tracking is off are not observed by the next delta epoch.
 func (m *Memory) EnableDeltaTracking() { m.eng.EnableDeltaTracking() }
 
-// DeltaTrackingEnabled reports whether the dirty-block set is active.
-func (m *Memory) DeltaTrackingEnabled() bool { return m.eng.DeltaTrackingEnabled() }
-
-// DirtyGroups returns the number of groups the next AppendDelta would
-// serialize.
+// DirtyGroups sums the groups the next round of AppendDeltaShard calls would
+// serialize, across all shards.
 func (m *Memory) DirtyGroups() int { return m.eng.DirtyGroups() }
 
-// NewDeltaLog starts a fresh delta log on w, seeded with the memory's
-// current root digest. Persist the base image first; the log extends exactly
-// that state.
-func (m *Memory) NewDeltaLog(w io.Writer) (*DeltaLog, error) {
-	lw, err := m.eng.NewDeltaWriter(w)
+// NewShardDeltaLog starts shard i's delta log on w, seeded with the shard's
+// current subtree root. Persist the base image first, then open each shard's
+// log; the log extends exactly that state.
+func (m *Memory) NewShardDeltaLog(i int, w io.Writer) (*DeltaLog, error) {
+	lw, err := m.eng.NewShardDeltaWriter(i, w)
 	if err != nil {
 		return nil, err
 	}
 	return &DeltaLog{w: lw}, nil
 }
 
-// AppendDelta seals one checkpoint epoch onto the log, in one write: a record
-// per dirty group (counter image + the blocks written since its last record)
-// plus a commit record carrying the post-epoch root digest, clearing the
-// dirty set. Cost is O(blocks written), not O(dirty groups) or O(region). An
-// epoch with no dirty groups writes only its commit record. After an error
-// the log is dead: fold into a fresh base and log (Persist + NewDeltaLog).
-func (m *Memory) AppendDelta(l *DeltaLog) (DeltaStats, error) {
-	return m.eng.AppendDelta(l.w)
+// AppendDeltaShard seals one checkpoint epoch of shard i onto its log, in one
+// write and locking only that shard: a record per dirty group (counter image
+// + the blocks written since its last record) plus a commit record carrying
+// the shard's post-epoch root digest, clearing the shard's dirty set. Cost is
+// O(blocks written), not O(dirty groups) or O(region). An epoch with no dirty
+// groups writes only its commit record. The combined attestation for a full
+// round of shard appends is RootDigest(). After an error the log is dead:
+// fold into a fresh base and logs (BeginShardedImage + CheckpointShard).
+func (m *Memory) AppendDeltaShard(i int, l *DeltaLog) (DeltaStats, error) {
+	return m.eng.AppendDeltaShard(i, l.w)
 }
 
-// ResumeIncremental rebuilds a Memory from a base image plus a delta log:
-// the base resumes through the verified Resume path, then the log replays
-// epoch by epoch to the newest record whose chained seal and sealed root
-// verify. The report is the typed verdict — clean, truncated at the crash
-// point (memory valid at the last committed epoch), or rollback-detected
-// (resume refused, err is a *RecoveryError).
-//
-// walR may be nil to resume the base alone. If expectRoot is non-nil the
-// recovered root must equal it, which also catches a shortened-but-valid log
-// prefix (truncation attack).
-func ResumeIncremental(cfg Config, base, walR io.Reader, expectRoot *RootDigest) (*Memory, *RecoveryReport, error) {
-	icfg, err := cfg.internal()
-	if err != nil {
-		return nil, nil, err
-	}
-	eng, rep, err := core.ResumeIncremental(icfg, base, walR, expectRoot)
-	if err != nil {
-		return nil, rep, err
-	}
-	return &Memory{eng: eng}, rep, nil
-}
-
-// EnableDeltaTracking turns on the dirty-block set on every shard.
-func (s *ShardedMemory) EnableDeltaTracking() { s.eng.EnableDeltaTracking() }
-
-// DirtyGroups sums the dirty groups pending across all shards.
-func (s *ShardedMemory) DirtyGroups() int { return s.eng.DirtyGroups() }
-
-// NewShardDeltaLog starts shard i's delta log on w, sealed under the shard's
-// derived key (records can never migrate between shards) and seeded with the
-// shard's subtree root. Persist the sharded base image first, then open each
-// shard's log.
-func (s *ShardedMemory) NewShardDeltaLog(i int, w io.Writer) (*DeltaLog, error) {
-	lw, err := s.eng.NewShardDeltaWriter(i, w)
-	if err != nil {
-		return nil, err
-	}
-	return &DeltaLog{w: lw}, nil
-}
-
-// AppendDeltaShard seals one checkpoint epoch of shard i's written blocks onto
-// its log, locking only that shard. The combined attestation for a full
-// round of shard appends is RootDigest().
-func (s *ShardedMemory) AppendDeltaShard(i int, l *DeltaLog) (DeltaStats, error) {
-	return s.eng.AppendDeltaShard(i, l.w)
-}
-
-// BeginShardedImage writes the sharded-image container header for a
-// checkpoint assembled one CheckpointShard call at a time (a 1-shard memory
-// writes nothing — its single section is the image).
-func (s *ShardedMemory) BeginShardedImage(w io.Writer) error { return s.eng.BeginShardedImage(w) }
+// BeginShardedImage writes the image container header for a checkpoint
+// assembled one CheckpointShard call at a time (a one-shard memory writes
+// nothing — its single section is the image).
+func (m *Memory) BeginShardedImage(w io.Writer) error { return m.eng.BeginShardedImage(w) }
 
 // CheckpointShard persists shard i's image section to baseW and opens a
 // fresh delta log for it on logW, atomically under the shard's lock — other
 // shards keep serving while this shard folds. Call BeginShardedImage first,
 // then CheckpointShard for every shard in order. Returns the shard root the
 // new log is seeded with; pin it (cmd/memserved seals it into its manifest).
-func (s *ShardedMemory) CheckpointShard(i int, baseW, logW io.Writer) (RootDigest, *DeltaLog, error) {
-	root, lw, err := s.eng.CheckpointShard(i, baseW, logW)
+func (m *Memory) CheckpointShard(i int, baseW, logW io.Writer) (RootDigest, *DeltaLog, error) {
+	root, lw, err := m.eng.CheckpointShard(i, baseW, logW)
 	if err != nil {
 		return RootDigest{}, nil, err
 	}
 	return root, &DeltaLog{w: lw}, nil
 }
 
-// ResumeShardedIncremental rebuilds a ShardedMemory from a base image plus
-// one delta log per shard (wals may be nil for base-only; entries may be nil
-// for shards without a log). Each shard resumes and replays independently —
-// reports holds one verdict per shard — then the combined root over the
-// recovered shards is checked against expectRoot when supplied. As with
-// ResumeSharded, a v1 image is accepted when shards is 1.
-func ResumeShardedIncremental(cfg Config, shards int, base io.Reader, wals []io.Reader, expectRoot *RootDigest) (*ShardedMemory, []*RecoveryReport, error) {
+// ResumeShardedIncremental rebuilds a Memory from a base image plus one
+// delta log per shard (wals may be nil for base-only; entries may be nil for
+// shards without a log). Each shard's section resumes through the verified
+// ResumeSharded path, then its log replays epoch by epoch to the newest
+// record whose chained seal and sealed root verify. reports holds one typed
+// verdict per shard — clean, truncated at the crash point (shard valid at
+// its last committed epoch), or rollback-detected (resume refused, err is a
+// *RecoveryError).
+//
+// If expectRoot is non-nil the combined root over the recovered shards must
+// equal it, which also catches a shortened-but-valid log prefix (truncation
+// attack).
+func ResumeShardedIncremental(cfg Config, shards int, base io.Reader, wals []io.Reader, expectRoot *RootDigest) (*Memory, []*RecoveryReport, error) {
 	icfg, err := cfg.internal()
 	if err != nil {
 		return nil, nil, err
@@ -193,7 +156,7 @@ func ResumeShardedIncremental(cfg Config, shards int, base io.Reader, wals []io.
 	if err != nil {
 		return nil, reports, err
 	}
-	return &ShardedMemory{eng: eng}, reports, nil
+	return &Memory{eng: eng}, reports, nil
 }
 
 // CombinedRecoveredRoot recomputes the combined attestation digest from the

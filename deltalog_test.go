@@ -8,181 +8,93 @@ import (
 	"testing"
 )
 
+// TestFacadeIncrementalRoundTrip: base image + one delta log per shard
+// replays to the live state under the pinned combined root, and the resumed
+// memory keeps tracking.
 func TestFacadeIncrementalRoundTrip(t *testing.T) {
-	cfg := testConfig(DeltaEncoding, MACInECC)
-	m := newMem(t, cfg)
-	m.EnableDeltaTracking()
-	if !m.DeltaTrackingEnabled() {
-		t.Fatal("tracking not enabled")
-	}
-	rng := rand.New(rand.NewSource(11))
-	truth := make(map[uint64][]byte)
-	write := func(n int) {
-		for i := 0; i < n; i++ {
-			addr := uint64(rng.Intn(2048)) * BlockSize
-			data := make([]byte, BlockSize)
-			rng.Read(data)
-			if err := m.Write(addr, data); err != nil {
-				t.Fatal(err)
+	forShards(t, func(t *testing.T, shards int) {
+		cfg := testConfig(DeltaEncoding, MACInECC)
+		m := newMemShards(t, cfg, shards)
+		m.EnableDeltaTracking()
+		rng := rand.New(rand.NewSource(11))
+		truth := make(map[uint64][]byte)
+		write := func(m *Memory, n int) {
+			for i := 0; i < n; i++ {
+				addr := uint64(rng.Intn(int(cfg.Size/BlockSize))) * BlockSize
+				data := make([]byte, BlockSize)
+				rng.Read(data)
+				if err := m.Write(addr, data); err != nil {
+					t.Fatal(err)
+				}
+				truth[addr] = data
 			}
-			truth[addr] = data
 		}
-	}
-	write(100)
+		write(m, 200)
 
-	var base, log bytes.Buffer
-	if _, err := m.Persist(&base); err != nil {
-		t.Fatal(err)
-	}
-	dl, err := m.NewDeltaLog(&log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last DeltaStats
-	for epoch := 0; epoch < 3; epoch++ {
-		write(60)
-		last, err = m.AppendDelta(dl)
-		if err != nil {
+		var base bytes.Buffer
+		if _, err := m.Persist(&base); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if dl.Records() == 0 || dl.Offset() <= 0 {
-		t.Fatal("log did not grow")
-	}
-
-	m2, rep, err := ResumeIncremental(cfg, bytes.NewReader(base.Bytes()), bytes.NewReader(log.Bytes()), &last.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Status != RecoveryClean || rep.Epochs != 3 {
-		t.Fatalf("unexpected report %+v", rep)
-	}
-	dst := make([]byte, BlockSize)
-	for addr, want := range truth {
-		if _, err := m2.Read(addr, dst); err != nil {
-			t.Fatalf("read %#x: %v", addr, err)
-		}
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("block %#x lost across incremental resume", addr)
-		}
-	}
-	// Resume re-enables tracking.
-	if !m2.DeltaTrackingEnabled() {
-		t.Fatal("tracking not re-enabled after resume")
-	}
-}
-
-// TestFacadeSingleShardIncremental: a 1-shard ShardedMemory's base image
-// and delta log are bit-compatible with Memory's — they resume through the
-// plain ResumeIncremental.
-func TestFacadeSingleShardIncremental(t *testing.T) {
-	cfg := testConfig(DeltaEncoding, MACInECC)
-	s, err := NewSharded(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.EnableDeltaTracking()
-	var base, log bytes.Buffer
-	if _, err := s.Persist(&base); err != nil {
-		t.Fatal(err)
-	}
-	dl, err := s.NewShardDeltaLog(0, &log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := bytes.Repeat([]byte{0x42}, BlockSize)
-	if err := s.Write(0, data); err != nil {
-		t.Fatal(err)
-	}
-	if s.DirtyGroups() != 1 {
-		t.Fatalf("DirtyGroups = %d", s.DirtyGroups())
-	}
-	st, err := s.AppendDeltaShard(0, dl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, _, err := ResumeIncremental(cfg, bytes.NewReader(base.Bytes()), bytes.NewReader(log.Bytes()), &st.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, BlockSize)
-	if _, err := m2.Read(0, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, data) {
-		t.Fatal("block lost across single-shard incremental resume")
-	}
-}
-
-func TestFacadeShardedIncremental(t *testing.T) {
-	cfg := testConfig(DeltaEncoding, MACInECC)
-	const shards = 4
-	s, err := NewSharded(cfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.EnableDeltaTracking()
-	rng := rand.New(rand.NewSource(7))
-	truth := make(map[uint64][]byte)
-	write := func(n int) {
-		for i := 0; i < n; i++ {
-			addr := uint64(rng.Intn(int(cfg.Size/BlockSize))) * BlockSize
-			data := make([]byte, BlockSize)
-			rng.Read(data)
-			if err := s.Write(addr, data); err != nil {
-				t.Fatal(err)
-			}
-			truth[addr] = data
-		}
-	}
-	write(200)
-
-	var base bytes.Buffer
-	if _, err := s.Persist(&base); err != nil {
-		t.Fatal(err)
-	}
-	logs := make([]bytes.Buffer, shards)
-	dls := make([]*DeltaLog, shards)
-	for i := range dls {
-		dl, err := s.NewShardDeltaLog(i, &logs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		dls[i] = dl
-	}
-	for epoch := 0; epoch < 2; epoch++ {
-		write(150)
+		logs := make([]bytes.Buffer, shards)
+		dls := make([]*DeltaLog, shards)
 		for i := range dls {
-			if _, err := s.AppendDeltaShard(i, dls[i]); err != nil {
+			dl, err := m.NewShardDeltaLog(i, &logs[i])
+			if err != nil {
 				t.Fatal(err)
 			}
+			dls[i] = dl
 		}
-	}
-	pin := s.RootDigest()
+		const epochs = 3
+		for epoch := 0; epoch < epochs; epoch++ {
+			write(m, 150)
+			if m.DirtyGroups() == 0 {
+				t.Fatal("writes left no dirty groups")
+			}
+			for i, dl := range dls {
+				if _, err := m.AppendDeltaShard(i, dl); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if dls[0].Records() == 0 || dls[0].Offset() <= 0 {
+			t.Fatal("log did not grow")
+		}
+		pin := m.RootDigest()
 
-	wals := make([]io.Reader, shards)
-	for i := range wals {
-		wals[i] = bytes.NewReader(logs[i].Bytes())
-	}
-	s2, reports, err := ResumeShardedIncremental(cfg, shards, bytes.NewReader(base.Bytes()), wals, &pin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != shards {
-		t.Fatalf("%d reports", len(reports))
-	}
-	if CombinedRecoveredRoot(reports) != pin {
-		t.Fatal("combined recovered root mismatch")
-	}
-	dst := make([]byte, BlockSize)
-	for addr, want := range truth {
-		if _, err := s2.Read(addr, dst); err != nil {
-			t.Fatalf("read %#x: %v", addr, err)
+		wals := make([]io.Reader, shards)
+		for i := range wals {
+			wals[i] = bytes.NewReader(logs[i].Bytes())
 		}
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("block %#x lost across sharded incremental resume", addr)
+		m2, reports, err := ResumeShardedIncremental(cfg, shards, bytes.NewReader(base.Bytes()), wals, &pin)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if len(reports) != shards {
+			t.Fatalf("%d reports", len(reports))
+		}
+		for i, rep := range reports {
+			if rep.Status != RecoveryClean || rep.Epochs != epochs {
+				t.Fatalf("shard %d: unexpected report %+v", i, rep)
+			}
+		}
+		if CombinedRecoveredRoot(reports) != pin {
+			t.Fatal("combined recovered root mismatch")
+		}
+		dst := make([]byte, BlockSize)
+		for addr, want := range truth {
+			if _, err := m2.Read(addr, dst); err != nil {
+				t.Fatalf("read %#x: %v", addr, err)
+			}
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("block %#x lost across incremental resume", addr)
+			}
+		}
+		// Resume re-enables tracking.
+		write(m2, 1)
+		if m2.DirtyGroups() != 1 {
+			t.Fatal("tracking not re-enabled after resume")
+		}
+	})
 }
 
 // TestFacadeTypedErrorsRoundTrip is the satellite regression at the public

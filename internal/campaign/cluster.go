@@ -171,7 +171,7 @@ type campNode struct {
 	key  []byte
 
 	mu    sync.Mutex
-	mem   *authmem.ShardedMemory
+	mem   *authmem.Memory
 	srv   *server.Server
 	down  bool
 	conns []net.Conn

@@ -19,7 +19,7 @@ import (
 // return wrong data. This phase asks the durability-plane version: after the
 // base image and the delta log have been damaged — torn at arbitrary byte
 // offsets, bit-flipped, fed garbage tails, or maliciously truncated at a
-// record boundary against a pinned root — can ResumeIncremental ever be made
+// record boundary against a pinned root — can an incremental resume ever be made
 // to hand back a memory whose contents disagree with some committed epoch's
 // oracle without saying so?
 //
@@ -384,7 +384,7 @@ func buildShardedArtifacts(cfg PersistCrashConfig, ecfg core.Config) (*persistAr
 }
 
 // strikeOnce applies one strike to a fresh copy of the artifacts, resumes,
-// and classifies the result. shards==1 uses the flat resume path.
+// and classifies the result.
 func strikeOnce(ecfg core.Config, shards int, art *persistArtifacts, kind string, burstMax int, rng *rand.Rand) Outcome {
 	base := art.base
 	logs := make([][]byte, len(art.logs))
@@ -426,52 +426,13 @@ func strikeOnce(ecfg core.Config, shards int, art *persistArtifacts, kind string
 		expectRefusal = true
 	}
 
-	if shards == 1 {
-		return classifyFlatResume(ecfg, base, logs[0], pin, art, expectRefusal)
-	}
 	return classifyShardedResume(ecfg, shards, base, logs, pin, art, expectRefusal)
 }
 
-// classifyFlatResume resumes and grades the outcome against the per-epoch
-// oracles.
-func classifyFlatResume(ecfg core.Config, base, log []byte, pin *core.RootDigest, art *persistArtifacts, expectRefusal bool) Outcome {
-	e, rep, err := core.ResumeIncremental(ecfg, bytes.NewReader(base), bytes.NewReader(log), pin)
-	if err != nil {
-		return Halted // every refusal is typed and loud
-	}
-	if expectRefusal {
-		return Silent // a pinned rollback was accepted
-	}
-	final := len(art.epochOracle) - 1
-	if rep.Epochs < 0 || rep.Epochs > final {
-		return Silent
-	}
-	worst := Clean
-	if rep.Status != core.RecoveryClean || rep.Epochs != final {
-		worst = Recovered
-	}
-	var dst [core.BlockBytes]byte
-	for blk, want := range art.epochOracle[rep.Epochs] {
-		ri, err := e.Read(blk*core.BlockBytes, dst[:])
-		if err != nil {
-			if worst < Halted {
-				worst = Halted
-			}
-			continue
-		}
-		if dst != want {
-			return Silent
-		}
-		if (ri.CorrectedDataBits > 0 || ri.CorrectedMACBits > 0) && worst < Corrected {
-			worst = Corrected
-		}
-	}
-	return worst
-}
-
-// classifyShardedResume is the sharded grading: each shard may legitimately
-// recover a different epoch, so every block is checked against its owning
-// shard's recovered-epoch oracle.
+// classifyShardedResume resumes and grades the outcome against the per-epoch
+// oracles: each shard may legitimately recover a different epoch, so every
+// block is checked against its owning shard's recovered-epoch oracle. The flat
+// arrangement is the one-shard case.
 func classifyShardedResume(ecfg core.Config, shards int, base []byte, logs [][]byte, pin *core.RootDigest, art *persistArtifacts, expectRefusal bool) Outcome {
 	wals := make([]io.Reader, len(logs))
 	for i := range logs {

@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 
 	"authmem/internal/tree"
 )
@@ -263,61 +260,6 @@ func (e *Engine) Scrub() (ScrubReport, error) {
 		}
 		flagged = append(flagged, blk)
 	})
-	err := e.correctFlagged(flagged, &r)
-	return r, err
-}
-
-// ParallelScrub runs the same patrol-scrub pass with the parity screen
-// sharded across workers (GOMAXPROCS when workers <= 0). The screen phase
-// only reads ciphertext and metadata — the arena is not mutated — so the
-// shards race with nothing. Flagged blocks are then corrected serially,
-// exactly as Scrub does, since correction writes repaired bits back.
-func (e *Engine) ParallelScrub(workers int) (ScrubReport, error) {
-	if err := e.checkScrubbable(); err != nil {
-		return ScrubReport{}, err
-	}
-	if err := e.Flush(); err != nil { // see Scrub
-		return ScrubReport{}, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if chunks := e.store.chunkCount(); workers > chunks && chunks > 0 {
-		workers = chunks
-	}
-	e.stats.ScrubPasses.Add(1)
-
-	scanned := make([]int, workers)
-	flaggedBy := make([][]uint64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for ci := w; ci < e.store.chunkCount(); ci += workers {
-				e.store.forEachInChunk(ci, func(blk uint64, ct []byte, meta *uint64) {
-					scanned[w]++
-					// ScrubData/ScrubLane are pure (see ecc.LaneVerifier),
-					// so sharing the engine's verifier across shards races
-					// with nothing.
-					if e.ver.ScrubData(ct, *meta) && e.ver.ScrubLane(*meta) {
-						return
-					}
-					flaggedBy[w] = append(flaggedBy[w], blk)
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	var r ScrubReport
-	var flagged []uint64
-	for w := 0; w < workers; w++ {
-		r.BlocksScanned += scanned[w]
-		flagged = append(flagged, flaggedBy[w]...)
-	}
-	// Deterministic correction order regardless of worker interleaving.
-	sort.Slice(flagged, func(i, j int) bool { return flagged[i] < flagged[j] })
 	err := e.correctFlagged(flagged, &r)
 	return r, err
 }

@@ -152,71 +152,6 @@ func TestBatchSpanChecks(t *testing.T) {
 	}
 }
 
-// TestParallelScrubMatchesScrub injects the same fault pattern into twin
-// engines and requires ParallelScrub to report and repair exactly what the
-// serial Scrub does, for several worker counts.
-func TestParallelScrubMatchesScrub(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7} {
-		serial := newEngine(t, smallCfg(ctr.Delta, MACInECC))
-		parallel := newEngine(t, smallCfg(ctr.Delta, MACInECC))
-		for _, e := range []*Engine{serial, parallel} {
-			for i := uint64(0); i < 200; i++ {
-				if err := e.Write(i*BlockBytes, block(int64(i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Odd-weight faults the parity screen can see: a data bit
-			// here, an ECC-lane bit there.
-			for i := uint64(0); i < 200; i += 17 {
-				if err := e.TamperCiphertext(i*BlockBytes, int(i)%512); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := uint64(5); i < 200; i += 29 {
-				if err := e.TamperECCLane(i*BlockBytes, int(i)%64); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-
-		want, err := serial.Scrub()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := parallel.ParallelScrub(workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("workers=%d: ParallelScrub %+v, Scrub %+v", workers, got, want)
-		}
-		if want.ParityFlagged == 0 || want.Corrected == 0 {
-			t.Fatalf("fault pattern not exercised: %+v", want)
-		}
-
-		// Both engines must now read back clean and identically.
-		a := make([]byte, 200*BlockBytes)
-		b := make([]byte, 200*BlockBytes)
-		if err := serial.ReadBlocks(0, a); err != nil {
-			t.Fatal(err)
-		}
-		if err := parallel.ReadBlocks(0, b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatal("post-scrub contents diverge")
-		}
-	}
-}
-
-// TestParallelScrubRequiresMACInECC mirrors the serial guard.
-func TestParallelScrubRequiresMACInECC(t *testing.T) {
-	e := newEngine(t, smallCfg(ctr.Delta, MACInline))
-	if _, err := e.ParallelScrub(0); err == nil {
-		t.Fatal("ParallelScrub accepted MACInline")
-	}
-}
-
 // TestBlockStoreBasics pins the arena semantics the engine depends on:
 // presence, stable slices, ascending iteration, and the shared zero image.
 func TestBlockStoreBasics(t *testing.T) {

@@ -144,27 +144,6 @@ func (s *blockStore) forEach(fn func(blk uint64, ct []byte, meta *uint64, check 
 	}
 }
 
-// chunkCount returns the number of chunk slots (for sharded iteration).
-func (s *blockStore) chunkCount() int { return len(s.chunks) }
-
-// forEachInChunk visits the resident blocks of one chunk slot in ascending
-// order. Safe to call concurrently for distinct chunk indices as long as no
-// writer mutates the store.
-func (s *blockStore) forEachInChunk(ci int, fn func(blk uint64, ct []byte, meta *uint64)) {
-	c := s.chunks[ci]
-	if c == nil {
-		return
-	}
-	base := uint64(ci) * chunkBlocks
-	for w, words := range c.present {
-		for words != 0 {
-			i := uint64(w)*64 + uint64(bits.TrailingZeros64(words))
-			words &= words - 1
-			fn(base+i, c.data[i*BlockBytes:(i+1)*BlockBytes:(i+1)*BlockBytes], &c.meta[i])
-		}
-	}
-}
-
 // imageChunk is one chunk of 64-byte counter-block images; data is its own
 // page-exact allocation, as in blockChunk.
 type imageChunk struct {

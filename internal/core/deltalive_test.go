@@ -427,7 +427,7 @@ func TestDeltaRecordCarriesOnlyWrittenBlocks(t *testing.T) {
 			}
 
 			pin := e.RootDigest()
-			if _, rep, err := ResumeIncremental(cfg, bytes.NewReader(base.Bytes()), bytes.NewReader(log.Bytes()), &pin); err != nil || rep.Status != RecoveryClean {
+			if _, rep, err := resumeOneShard(cfg, bytes.NewReader(base.Bytes()), bytes.NewReader(log.Bytes()), &pin); err != nil || rep.Status != RecoveryClean {
 				t.Fatalf("resume: %v (%+v)", err, rep)
 			}
 		})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -86,8 +85,8 @@ func (t *deltaTracker) reset() {
 }
 
 // EnableDeltaTracking turns on the dirty-block set behind AppendDelta.
-// Call before traffic (or right after ResumeIncremental, which enables it
-// automatically); blocks written while tracking is off are not observed.
+// Call before traffic (an incremental resume enables it automatically);
+// blocks written while tracking is off are not observed.
 // A no-op when already enabled or with encryption disabled.
 func (e *Engine) EnableDeltaTracking() {
 	if e.cfg.DisableEncryption || e.delta != nil {
@@ -98,9 +97,6 @@ func (e *Engine) EnableDeltaTracking() {
 		list: make([]uint64, 0, 64),
 	}
 }
-
-// DeltaTrackingEnabled reports whether the dirty-block set is active.
-func (e *Engine) DeltaTrackingEnabled() bool { return e.delta != nil }
 
 // DirtyGroups returns the number of groups an AppendDelta would serialize
 // right now (0 without tracking).
@@ -494,34 +490,6 @@ func (e *Engine) resumeDelta(walR io.Reader) (*RecoveryReport, error) {
 	return rep, nil
 }
 
-// ResumeIncremental rebuilds an engine from a base image plus a delta log:
-// the base resumes through the ordinary verified Resume path, then the log
-// replays epoch by epoch to the newest record whose chained seal and sealed
-// root digest verify. The report is the typed verdict — clean, truncated at
-// the crash point (engine valid at the last committed epoch), or
-// rollback-detected (resume refused with a *RecoveryError).
-//
-// walR may be nil to resume the base alone. If expectRoot is non-nil the
-// *recovered* root must equal it: pin the Root of the last AppendDelta (or
-// an epoch root from a sealed manifest) in trusted storage and a truncation
-// attack that presents a shorter-but-valid log prefix is detected too.
-func ResumeIncremental(cfg Config, base io.Reader, walR io.Reader, expectRoot *RootDigest) (*Engine, *RecoveryReport, error) {
-	e, err := Resume(cfg, base, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, err := e.resumeDelta(walR)
-	if err != nil {
-		return nil, rep, err
-	}
-	if expectRoot != nil && rep.Root != *expectRoot {
-		rep.Status = RecoveryRollback
-		rep.Reason = "recovered root does not match the pinned digest (rollback or truncated history)"
-		return nil, rep, &RecoveryError{Report: rep}
-	}
-	return e, rep, nil
-}
-
 // Sharded incremental persistence: one delta log per shard, sealed under
 // the shard's derived key, with the combined root (tree.CombineRoots over
 // the per-shard recovered roots) as the single trusted attestation value.
@@ -550,10 +518,10 @@ func (s *ShardedEngine) DirtyGroups() int {
 // shard's current root. Persist the sharded base image first, then open
 // each shard's log.
 func (s *ShardedEngine) NewShardDeltaWriter(i int, w io.Writer) (*wal.Writer, error) {
-	if i < 0 || i >= len(s.shards) {
-		return nil, fmt.Errorf("core: shard %d out of range [0,%d)", i, len(s.shards))
+	sh, err := s.shard(i)
+	if err != nil {
+		return nil, err
 	}
-	sh := s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.eng.NewDeltaWriter(w)
@@ -564,10 +532,10 @@ func (s *ShardedEngine) NewShardDeltaWriter(i int, w io.Writer) (*wal.Writer, er
 // RootDigest() (CombineRoots of the shard roots), which cmd/memserved seals
 // into its manifest.
 func (s *ShardedEngine) AppendDeltaShard(i int, w *wal.Writer) (DeltaStats, error) {
-	if i < 0 || i >= len(s.shards) {
-		return DeltaStats{}, fmt.Errorf("core: shard %d out of range [0,%d)", i, len(s.shards))
+	sh, err := s.shard(i)
+	if err != nil {
+		return DeltaStats{}, err
 	}
-	sh := s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.eng.AppendDelta(w)
@@ -596,10 +564,10 @@ func (s *ShardedEngine) BeginShardedImage(w io.Writer) error {
 // shard's log covers its own section, which is all incremental recovery
 // needs. Returns the shard root sealed into the log's seed.
 func (s *ShardedEngine) CheckpointShard(i int, baseW, logW io.Writer) (RootDigest, *wal.Writer, error) {
-	if i < 0 || i >= len(s.shards) {
-		return RootDigest{}, nil, fmt.Errorf("core: shard %d out of range [0,%d)", i, len(s.shards))
+	sh, err := s.shard(i)
+	if err != nil {
+		return RootDigest{}, nil, err
 	}
-	sh := s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	root, err := sh.eng.Persist(baseW)
@@ -614,71 +582,34 @@ func (s *ShardedEngine) CheckpointShard(i int, baseW, logW io.Writer) (RootDiges
 }
 
 // ResumeShardedIncremental rebuilds a sharded engine from a base image plus
-// one delta log per shard. Each shard's section resumes and replays
-// independently (per-shard reports), then the combined root recomputed from
-// the recovered shards is checked against expectRoot when supplied. wals
-// may be nil (base only); individual entries may be nil for shards with no
-// log. As with ResumeSharded, a v1 image is accepted when shards is 1.
+// one delta log per shard. Each shard's section resumes through the verified
+// Resume path, then its log replays epoch by epoch to the newest record whose
+// chained seal and sealed root digest verify; reports holds one typed verdict
+// per shard — clean, truncated at the crash point (shard valid at its last
+// committed epoch), or rollback-detected (resume refused with a
+// *RecoveryError). wals may be nil (base only); individual entries may be nil
+// for shards with no log.
+//
+// If expectRoot is non-nil the combined root over the *recovered* shards must
+// equal it: pin the RootDigest taken after the last append round (or epoch
+// roots from a sealed manifest) in trusted storage and a truncation attack
+// that presents a shorter-but-valid log prefix is detected too.
 func ResumeShardedIncremental(cfg Config, shards int, base io.Reader, wals []io.Reader, expectRoot *RootDigest) (*ShardedEngine, []*RecoveryReport, error) {
-	if err := ValidateShards(cfg, shards); err != nil {
-		return nil, nil, err
-	}
-	if cfg.DisableEncryption {
-		return nil, nil, fmt.Errorf("core: cannot resume with encryption disabled")
-	}
 	if wals != nil && len(wals) != shards {
 		return nil, nil, fmt.Errorf("core: %d delta logs for %d shards", len(wals), shards)
 	}
-	shardWAL := func(i int) io.Reader {
-		if wals == nil {
-			return nil
-		}
-		return wals[i]
-	}
-
-	br := bufio.NewReaderSize(base, 1<<16)
-	magic, err := br.Peek(8)
+	engines, err := resumeSections(cfg, shards, base)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: reading image header: %w", err)
+		return nil, nil, err
 	}
-	engines := make([]*Engine, shards)
 	reports := make([]*RecoveryReport, shards)
-
-	switch {
-	case [8]byte(magic) == persistMagic:
-		if shards != 1 {
-			return nil, nil, fmt.Errorf("core: v1 image holds one shard, config asks for %d", shards)
-		}
-		eng, err := Resume(shardConfig(cfg, 1, 0), br, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		engines[0] = eng
-	case [8]byte(magic) == persistMagic2:
-		if _, err := br.Discard(8); err != nil {
-			return nil, nil, err
-		}
-		gotShards, err := readU64(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		if gotShards != uint64(shards) {
-			return nil, nil, fmt.Errorf("core: image holds %d shards, config asks for %d", gotShards, shards)
-		}
-		for i := range engines {
-			eng, err := Resume(shardConfig(cfg, shards, i), br, nil)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: resuming shard %d: %w", i, err)
-			}
-			engines[i] = eng
-		}
-	default:
-		return nil, nil, fmt.Errorf("core: not an engine image")
-	}
-
 	roots := make([][sha256.Size]byte, shards)
 	for i, eng := range engines {
-		rep, err := eng.resumeDelta(shardWAL(i))
+		var walR io.Reader
+		if wals != nil {
+			walR = wals[i]
+		}
+		rep, err := eng.resumeDelta(walR)
 		reports[i] = rep
 		if err != nil {
 			return nil, reports, fmt.Errorf("core: recovering shard %d: %w", i, err)
@@ -696,9 +627,7 @@ func ResumeShardedIncremental(cfg Config, shards int, base io.Reader, wals []io.
 			return nil, reports, &RecoveryError{Report: rep}
 		}
 	}
-	s := wrapShards(cfg, engines)
-	s.EnableDeltaTracking()
-	return s, reports, nil
+	return wrapShards(cfg, engines), reports, nil
 }
 
 // CombinedRecoveredRoot recomputes the combined attestation digest from

@@ -105,6 +105,25 @@ func verifyAtEpoch(t *testing.T, e *Engine, h *deltaHarness, epoch int) {
 	}
 }
 
+// resumeOneShard is the incremental resume of a lone engine's base image and
+// delta log: the one-shard case of ResumeShardedIncremental, handing back the
+// shard's engine and its report.
+func resumeOneShard(cfg Config, base, walR io.Reader, pin *RootDigest) (*Engine, *RecoveryReport, error) {
+	var wals []io.Reader
+	if walR != nil {
+		wals = []io.Reader{walR}
+	}
+	s, reports, err := ResumeShardedIncremental(cfg, 1, base, wals, pin)
+	var rep *RecoveryReport
+	if len(reports) == 1 {
+		rep = reports[0]
+	}
+	if err != nil {
+		return nil, rep, err
+	}
+	return s.shards[0].eng, rep, nil
+}
+
 func TestIncrementalRoundTrip(t *testing.T) {
 	// Every design point under its placement's default codec, plus the one
 	// registered codec that is no placement's default.
@@ -119,7 +138,7 @@ func TestIncrementalRoundTrip(t *testing.T) {
 				last = h.epoch(t, 40)
 			}
 			pin := last.Root
-			e, rep, err := ResumeIncremental(cfg, bytes.NewReader(h.base.Bytes()), bytes.NewReader(h.log.Bytes()), &pin)
+			e, rep, err := resumeOneShard(cfg, bytes.NewReader(h.base.Bytes()), bytes.NewReader(h.log.Bytes()), &pin)
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -257,7 +276,7 @@ func TestCrashPointMatrix(t *testing.T) {
 	}
 
 	for cut, want := range cuts {
-		e, rep, err := ResumeIncremental(cfg, bytes.NewReader(h.base.Bytes()), bytes.NewReader(log[:cut]), nil)
+		e, rep, err := resumeOneShard(cfg, bytes.NewReader(h.base.Bytes()), bytes.NewReader(log[:cut]), nil)
 		if err != nil {
 			t.Fatalf("cut %d: resume refused a torn tail: %v", cut, err)
 		}
@@ -297,7 +316,7 @@ func TestCorruptionMatrix(t *testing.T) {
 			mut := append([]byte(nil), log...)
 			bit := prev*8 + int64(rng.Intn(int(b-prev)*8))
 			mut[bit/8] ^= 1 << (bit % 8)
-			e, rep, err := ResumeIncremental(cfg, bytes.NewReader(h.base.Bytes()), bytes.NewReader(mut), nil)
+			e, rep, err := resumeOneShard(cfg, bytes.NewReader(h.base.Bytes()), bytes.NewReader(mut), nil)
 			if err != nil {
 				var rerr *RecoveryError
 				if !errors.As(err, &rerr) {
@@ -331,7 +350,7 @@ func TestBaseImageTruncation(t *testing.T) {
 	h.epoch(t, 12)
 	base := h.base.Bytes()
 	for _, cut := range []int{0, 7, 8, len(base) / 3, len(base) / 2, len(base) - 1} {
-		e, _, err := ResumeIncremental(cfg, bytes.NewReader(base[:cut]), bytes.NewReader(h.log.Bytes()), nil)
+		e, _, err := resumeOneShard(cfg, bytes.NewReader(base[:cut]), bytes.NewReader(h.log.Bytes()), nil)
 		if err == nil || e != nil {
 			t.Fatalf("cut %d: truncated base image resumed", cut)
 		}
@@ -355,7 +374,7 @@ func TestPinDetectsTruncatedHistory(t *testing.T) {
 		}
 	}
 	pin := two.Root
-	e, rep, err := ResumeIncremental(cfg, bytes.NewReader(h.base.Bytes()), bytes.NewReader(log[:firstCommitEnd]), &pin)
+	e, rep, err := resumeOneShard(cfg, bytes.NewReader(h.base.Bytes()), bytes.NewReader(log[:firstCommitEnd]), &pin)
 	if err == nil || e != nil {
 		t.Fatal("truncated-at-boundary history resumed against a newer pin")
 	}
@@ -377,7 +396,7 @@ func TestLogBoundToItsBase(t *testing.T) {
 	if _, err := h.eng.Persist(&base2); err != nil {
 		t.Fatal(err)
 	}
-	e, _, err := ResumeIncremental(cfg, bytes.NewReader(base2.Bytes()), bytes.NewReader(h.log.Bytes()), nil)
+	e, _, err := resumeOneShard(cfg, bytes.NewReader(base2.Bytes()), bytes.NewReader(h.log.Bytes()), nil)
 	if err == nil || e != nil {
 		t.Fatal("log replayed over a base it does not extend")
 	}

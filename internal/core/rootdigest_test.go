@@ -153,7 +153,7 @@ func TestRootDigestAfterIncrementalReplay(t *testing.T) {
 			t.Fatalf("epoch %d: live root, sealed root and fresh hash disagree", i)
 		}
 	}
-	e, _, err := ResumeIncremental(cfg, bytes.NewReader(h.base.Bytes()), bytes.NewReader(h.log.Bytes()), &last.Root)
+	e, _, err := resumeOneShard(cfg, bytes.NewReader(h.base.Bytes()), bytes.NewReader(h.log.Bytes()), &last.Root)
 	if err != nil {
 		t.Fatal(err)
 	}

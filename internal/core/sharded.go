@@ -59,7 +59,7 @@ type ShardedEngine struct {
 
 // ShardKeyMaterial derives shard idx's 40-byte key material from the master
 // material. One shard passes the master through unchanged, so a 1-shard
-// engine is bit-compatible with the monolithic one (including its persisted
+// engine is bit-compatible with a lone Engine (including its persisted
 // images); with more shards each gets an independent key bound to both the
 // shard count and its position.
 func ShardKeyMaterial(master []byte, shards, idx int) []byte {
@@ -169,6 +169,14 @@ func (s *ShardedEngine) checkAddr(addr uint64) error {
 		return fmt.Errorf("core: address %#x outside %d-byte region", addr, s.cfg.RegionBytes)
 	}
 	return nil
+}
+
+// shard returns shard i, for the per-shard operations callers index directly.
+func (s *ShardedEngine) shard(i int) (*engineShard, error) {
+	if i < 0 || i >= len(s.shards) {
+		return nil, fmt.Errorf("core: shard %d out of range [0,%d)", i, len(s.shards))
+	}
+	return s.shards[i], nil
 }
 
 // route maps a checked global address to its shard and local address.
@@ -519,28 +527,10 @@ func (s *ShardedEngine) QuarantineList() []uint64 {
 	return out
 }
 
-// Scrub runs one patrol-scrub pass shard by shard.
+// Scrub runs one patrol-scrub pass over the whole region, every shard
+// scrubbing concurrently under its own lock — the shard fan-out is the
+// parallelism, and each shard's pass stays serial.
 func (s *ShardedEngine) Scrub() (ScrubReport, error) {
-	var total ScrubReport
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		r, err := sh.eng.Scrub()
-		sh.mu.Unlock()
-		if err != nil {
-			return total, err
-		}
-		total.BlocksScanned += r.BlocksScanned
-		total.ParityFlagged += r.ParityFlagged
-		total.Corrected += r.Corrected
-		total.Uncorrectable += r.Uncorrectable
-	}
-	return total, nil
-}
-
-// ParallelScrub scrubs all shards concurrently — the shard fan-out is the
-// parallelism, so the workers argument of the monolithic engine is not
-// needed here and each shard's pass stays serial under its own lock.
-func (s *ShardedEngine) ParallelScrub() (ScrubReport, error) {
 	reports := make([]ScrubReport, len(s.shards))
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
@@ -577,61 +567,87 @@ func (s *ShardedEngine) WithShard(i int, fn func(eng *Engine)) {
 	fn(sh.eng)
 }
 
-// TamperCiphertext flips a stored ciphertext bit (global address).
-func (s *ShardedEngine) TamperCiphertext(addr uint64, bit int) error {
+// OneShard wraps eng as a one-shard region with a lock of its own: the view
+// of a single shard that WithShard callers drive through the region's API.
+func OneShard(eng *Engine) *ShardedEngine {
+	return wrapShards(eng.Config(), []*Engine{eng})
+}
+
+// attack runs one adversary operation on the shard owning the global address
+// addr, under that shard's lock and with the address made shard-local.
+func (s *ShardedEngine) attack(addr uint64, op func(eng *Engine, local uint64) error) error {
 	if err := s.checkAddr(addr); err != nil {
 		return err
 	}
 	sh, local := s.route(addr)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.eng.TamperCiphertext(local, bit)
+	return op(sh.eng, local)
+}
+
+// TamperCiphertext flips a stored ciphertext bit (global address).
+func (s *ShardedEngine) TamperCiphertext(addr uint64, bit int) error {
+	return s.attack(addr, func(eng *Engine, local uint64) error { return eng.TamperCiphertext(local, bit) })
 }
 
 // TamperECCLane flips an ECC-lane bit (global address, MACInECC only).
 func (s *ShardedEngine) TamperECCLane(addr uint64, bit int) error {
-	if err := s.checkAddr(addr); err != nil {
-		return err
-	}
-	sh, local := s.route(addr)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.eng.TamperECCLane(local, bit)
+	return s.attack(addr, func(eng *Engine, local uint64) error { return eng.TamperECCLane(local, bit) })
 }
 
 // TamperInlineTag flips a stored MAC-tag bit (global address, MACInline).
 func (s *ShardedEngine) TamperInlineTag(addr uint64, bit int) error {
-	if err := s.checkAddr(addr); err != nil {
-		return err
-	}
-	sh, local := s.route(addr)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.eng.TamperInlineTag(local, bit)
+	return s.attack(addr, func(eng *Engine, local uint64) error { return eng.TamperInlineTag(local, bit) })
 }
 
 // TamperCheckBit flips a stored codec check-byte bit (global address,
 // MACInline only).
 func (s *ShardedEngine) TamperCheckBit(addr uint64, bit int) error {
-	if err := s.checkAddr(addr); err != nil {
-		return err
-	}
-	sh, local := s.route(addr)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.eng.TamperCheckBit(local, bit)
+	return s.attack(addr, func(eng *Engine, local uint64) error { return eng.TamperCheckBit(local, bit) })
 }
 
 // TamperCounterForAddr flips one bit of the counter block covering the
 // global address addr.
 func (s *ShardedEngine) TamperCounterForAddr(addr uint64, bit int) error {
-	if err := s.checkAddr(addr); err != nil {
+	return s.attack(addr, func(eng *Engine, local uint64) error {
+		return eng.TamperCounterBlock(eng.MetadataIndex(local), bit)
+	})
+}
+
+// TamperTreeNode flips one bit of an off-chip node of shard i's subtree:
+// every shard has a tree of its own, so a node is named by shard and NodeID.
+func (s *ShardedEngine) TamperTreeNode(i int, id tree.NodeID, bit int) error {
+	sh, err := s.shard(i)
+	if err != nil {
 		return err
 	}
-	sh, local := s.route(addr)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.eng.TamperCounterBlock(sh.eng.MetadataIndex(local), bit)
+	return sh.eng.TamperTreeNode(id, bit)
+}
+
+// Snapshot records the DRAM-visible state of the block at the global address
+// addr; the snapshot remembers that address for Replay.
+func (s *ShardedEngine) Snapshot(addr uint64) (BlockSnapshot, error) {
+	var snap BlockSnapshot
+	err := s.attack(addr, func(eng *Engine, local uint64) (err error) {
+		snap, err = eng.Snapshot(local)
+		snap.addr = addr
+		return err
+	})
+	return snap, err
+}
+
+// Replay restores a snapshot at the address it was taken from — the rollback
+// attack, routed to the owning shard.
+func (s *ShardedEngine) Replay(snap BlockSnapshot) error {
+	return s.attack(snap.addr, func(eng *Engine, local uint64) error { return eng.replayAt(snap, local) })
+}
+
+// Splice plants a snapshot's data and MAC bits at the global address addr,
+// which may lie in another shard than the one the snapshot came from.
+func (s *ShardedEngine) Splice(snap BlockSnapshot, addr uint64) error {
+	return s.attack(addr, func(eng *Engine, local uint64) error { return eng.Splice(snap, local) })
 }
 
 // FlushAll forces every shard's deferred Merkle maintenance to land. Only

@@ -23,9 +23,9 @@ import (
 // with a pinned root detects rollback of any single shard section, not just
 // of the whole file.
 //
-// ResumeSharded also accepts a v1 (monolithic) image when the shard count
-// is 1 — the single-shard configuration derives no keys and combines no
-// roots, so it is bit-compatible with the monolithic engine and its images.
+// A one-shard engine writes, and resumes from, a bare v1 image — the
+// single-shard configuration derives no keys and combines no roots, so it is
+// bit-compatible with a lone Engine and its images.
 
 // persistMagic2 identifies sharded engine images (format version 2).
 var persistMagic2 = [8]byte{'A', 'M', 'E', 'M', 'P', 'S', 'T', '2'}
@@ -65,13 +65,11 @@ func (s *ShardedEngine) Persist(w io.Writer) (RootDigest, error) {
 	return digest, bw.Flush()
 }
 
-// ResumeSharded rebuilds a sharded engine from a persisted image. cfg and
-// shards must match the persisting configuration. If expectRoot is non-nil,
-// the combined root recomputed from the restored shards must equal it —
-// the rollback defense, now covering per-shard-section rollback too.
-//
-// With shards == 1, both v1 (monolithic) and v2 images are accepted.
-func ResumeSharded(cfg Config, shards int, r io.Reader, expectRoot *RootDigest) (*ShardedEngine, error) {
+// resumeSections is the one image-header parser: it resumes every shard's
+// section of a persisted image, unpinned — callers pin the combined root. A
+// v1 image is a single headerless section and only fits shards == 1; a v2
+// image must hold exactly shards sections.
+func resumeSections(cfg Config, shards int, r io.Reader) ([]*Engine, error) {
 	if err := ValidateShards(cfg, shards); err != nil {
 		return nil, err
 	}
@@ -87,46 +85,51 @@ func ResumeSharded(cfg Config, shards int, r io.Reader, expectRoot *RootDigest) 
 	if err != nil {
 		return nil, fmt.Errorf("core: reading image header: %w", err)
 	}
-
-	if [8]byte(magic) == persistMagic {
-		// Monolithic v1 image: only a 1-shard engine is bit-compatible.
+	switch [8]byte(magic) {
+	case persistMagic:
 		if shards != 1 {
 			return nil, fmt.Errorf("core: v1 image holds one shard, config asks for %d", shards)
 		}
-		eng, err := Resume(shardConfig(cfg, 1, 0), br, expectRoot)
+	case persistMagic2:
+		if _, err := br.Discard(8); err != nil {
+			return nil, err
+		}
+		gotShards, err := readU64(br)
 		if err != nil {
 			return nil, err
 		}
-		return wrapShards(cfg, []*Engine{eng}), nil
-	}
-	if [8]byte(magic) != persistMagic2 {
+		if gotShards != uint64(shards) {
+			return nil, fmt.Errorf("core: image holds %d shards, config asks for %d", gotShards, shards)
+		}
+	default:
 		return nil, fmt.Errorf("core: not an engine image")
 	}
-	if _, err := br.Discard(8); err != nil {
-		return nil, err
-	}
-	gotShards, err := readU64(br)
-	if err != nil {
-		return nil, err
-	}
-	if gotShards != uint64(shards) {
-		return nil, fmt.Errorf("core: image holds %d shards, config asks for %d", gotShards, shards)
-	}
-
 	engines := make([]*Engine, shards)
-	roots := make([][sha256.Size]byte, shards)
 	for i := range engines {
-		// Per-shard roots are checked jointly via the combined digest
-		// below, so individual sections resume unpinned.
 		eng, err := Resume(shardConfig(cfg, shards, i), br, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: resuming shard %d: %w", i, err)
 		}
 		engines[i] = eng
-		roots[i] = eng.RootDigest()
+	}
+	return engines, nil
+}
+
+// ResumeSharded rebuilds a sharded engine from a persisted image. cfg and
+// shards must match the persisting configuration. If expectRoot is non-nil,
+// the combined root recomputed from the restored shards must equal it —
+// the rollback defense, covering per-shard-section rollback too.
+func ResumeSharded(cfg Config, shards int, r io.Reader, expectRoot *RootDigest) (*ShardedEngine, error) {
+	engines, err := resumeSections(cfg, shards, r)
+	if err != nil {
+		return nil, err
 	}
 	if expectRoot != nil {
-		if got := tree.CombineRoots(roots); got != *expectRoot {
+		roots := make([][sha256.Size]byte, shards)
+		for i, eng := range engines {
+			roots[i] = eng.RootDigest()
+		}
+		if tree.CombineRoots(roots) != *expectRoot {
 			return nil, &IntegrityError{
 				Reason: "persistent image combined root digest mismatch (rollback or corruption)",
 				Stage:  StageResume,

@@ -292,33 +292,70 @@ func TestShardedStatsMerge(t *testing.T) {
 	}
 }
 
-// TestShardedScrub: both scrub variants cover every resident block across
-// all shards.
+// TestShardedScrub: the concurrent pass covers every resident block across
+// all shards, and reports and repairs exactly what a serial pass over a twin
+// lone engine per shard does.
 func TestShardedScrub(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
-	cfg.CorrectBits = 1
 	s := newSharded(t, cfg, 4)
-	const n = 40
-	for i := uint64(0); i < n; i++ {
-		// Spread across shards.
-		addr := (i%4)*s.ShardBytes() + (i/4)*BlockBytes
-		if err := s.Write(addr, block(int64(i))); err != nil {
+	const n = 200
+	var want ScrubReport
+	for sh := uint64(0); sh < 4; sh++ {
+		twin := newEngine(t, shardConfig(cfg, 4, int(sh)))
+		write := func(local uint64, data []byte) {
+			if err := twin.Write(local, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Write(sh*s.ShardBytes()+local, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := uint64(0); i < n/4; i++ {
+			write(i*BlockBytes, block(int64(sh*n+i)))
+		}
+		// Odd-weight faults the parity screen can see: a data bit here, an
+		// ECC-lane bit there.
+		for i := sh; i < n/4; i += 7 {
+			if err := twin.TamperCiphertext(i*BlockBytes, int(i*37)%512); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.TamperCiphertext(sh*s.ShardBytes()+i*BlockBytes, int(i*37)%512); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 5 + sh; i < n/4; i += 11 {
+			if err := twin.TamperECCLane(i*BlockBytes, int(i)%64); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.TamperECCLane(sh*s.ShardBytes()+i*BlockBytes, int(i)%64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := twin.Scrub()
+		if err != nil {
 			t.Fatal(err)
 		}
+		want.BlocksScanned += r.BlocksScanned
+		want.ParityFlagged += r.ParityFlagged
+		want.Corrected += r.Corrected
+		want.Uncorrectable += r.Uncorrectable
 	}
-	r, err := s.Scrub()
+	got, err := s.Scrub()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.BlocksScanned != n {
-		t.Fatalf("scrub scanned %d blocks, want %d", r.BlocksScanned, n)
+	if got != want || got.BlocksScanned != n || got.Corrected == 0 {
+		t.Fatalf("sharded scrub %+v, serial per-shard scrubs %+v", got, want)
 	}
-	pr, err := s.ParallelScrub()
+	again, err := s.Scrub()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.BlocksScanned != n {
-		t.Fatalf("parallel scrub scanned %d blocks, want %d", pr.BlocksScanned, n)
+	if again.ParityFlagged != 0 {
+		t.Fatalf("faults left after the repairing pass: %+v", again)
+	}
+	if _, err := newSharded(t, smallCfg(ctr.Delta, MACInline), 4).Scrub(); err == nil {
+		t.Fatal("Scrub accepted MACInline")
 	}
 }
 

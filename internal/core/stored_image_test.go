@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,8 +28,9 @@ func storedImagePlain(blk, ver uint64) []byte {
 // change of cipher: testdata/parent_image holds a flat base image and a
 // two-epoch delta log written at commit 4e5034b by that commit's default
 // engine — the from-scratch T-table AES, the last commit at which it sealed
-// anything. The engine (crypto/aes) must resume both to the roots recorded
-// then and read back every block's recorded plaintext. The files are never
+// anything, and a lone Engine, before the one-shard region replaced it. The
+// one-shard region (crypto/aes) must resume both to the roots recorded then
+// and read back every block's recorded plaintext. The files are never
 // regenerated: a failure here means stored images no longer open.
 func TestResumesParentWrittenImage(t *testing.T) {
 	dir := filepath.Join("testdata", "parent_image")
@@ -62,7 +64,7 @@ func TestResumesParentWrittenImage(t *testing.T) {
 	cfg := Default(ctr.Delta, MACInECC)
 	cfg.RegionBytes = want.RegionBytes
 
-	verify := func(e *Engine, wantRoot RootDigest, blocks map[uint64]uint64) {
+	verify := func(e *ShardedEngine, wantRoot RootDigest, blocks map[uint64]uint64) {
 		t.Helper()
 		if got := e.RootDigest(); got != wantRoot {
 			t.Fatalf("root %x, recorded %x", got, wantRoot)
@@ -79,17 +81,17 @@ func TestResumesParentWrittenImage(t *testing.T) {
 	}
 
 	baseRoot, finalRoot := root(want.BaseRoot), root(want.Root)
-	e, err := Resume(cfg, bytes.NewReader(base), &baseRoot)
+	e, err := ResumeSharded(cfg, 1, bytes.NewReader(base), &baseRoot)
 	if err != nil {
-		t.Fatalf("Resume: %v", err)
+		t.Fatalf("ResumeSharded: %v", err)
 	}
 	verify(e, baseRoot, want.BaseBlocks)
 
-	e, rep, err := ResumeIncremental(cfg, bytes.NewReader(base), bytes.NewReader(log), &finalRoot)
+	e, reports, err := ResumeShardedIncremental(cfg, 1, bytes.NewReader(base), []io.Reader{bytes.NewReader(log)}, &finalRoot)
 	if err != nil {
-		t.Fatalf("ResumeIncremental: %v", err)
+		t.Fatalf("ResumeShardedIncremental: %v", err)
 	}
-	if rep.Status != RecoveryClean || rep.Epochs != want.Epochs || rep.Dropped != 0 {
+	if rep := reports[0]; rep.Status != RecoveryClean || rep.Epochs != want.Epochs || rep.Dropped != 0 {
 		t.Fatalf("recovery report %+v, want %d clean epochs", rep, want.Epochs)
 	}
 	verify(e, finalRoot, want.Blocks)

@@ -30,7 +30,7 @@ import (
 //   - a cold read of a dirty leaf (read-after-write; single-leaf flush);
 //   - Persist and RootDigest — a persisted image or exported root always
 //     reflects every accepted write;
-//   - Scrub/ParallelScrub, whose correction path decodes stored images;
+//   - Scrub, whose correction path decodes stored images;
 //   - an explicit Flush() call (the sharded engine's FlushAll).
 //
 // What a dirty window means for faults: while a leaf is dirty its stored

@@ -93,8 +93,7 @@ type LaneOutcome struct {
 // Concurrency contract: VerifyAndCorrect mutates internal scratch and is
 // single-owner — parallel sweeps build one verifier per worker (see
 // MACCodec.NewVerifier). ScrubData and ScrubLane are pure and must be safe
-// for concurrent use: ParallelScrub screens chunks from many goroutines
-// through one verifier.
+// for concurrent use.
 type LaneVerifier interface {
 	// VerifyAndCorrect authenticates ciphertext against the packed lane,
 	// repairing correctable ciphertext faults in place, and returns the

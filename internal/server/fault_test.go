@@ -11,7 +11,7 @@ import (
 	"authmem/internal/wire"
 )
 
-func newShardedMem(t testing.TB, size uint64, shards int, scheme authmem.CounterScheme) *authmem.ShardedMemory {
+func newShardedMem(t testing.TB, size uint64, shards int, scheme authmem.CounterScheme) *authmem.Memory {
 	t.Helper()
 	cfg := authmem.DefaultConfig(size)
 	cfg.Key = testKey()
@@ -98,11 +98,11 @@ func TestFaultTaxonomyOverWire(t *testing.T) {
 
 	tampers := []struct {
 		name string
-		flip func(m *authmem.ShardedMemory, addr uint64) error
+		flip func(m *authmem.Memory, addr uint64) error
 	}{
-		{"data bit", func(m *authmem.ShardedMemory, addr uint64) error { return m.FlipDataBit(addr, 7) }},
-		{"ecc bit", func(m *authmem.ShardedMemory, addr uint64) error { return m.FlipECCBit(addr, 3) }},
-		{"data burst", func(m *authmem.ShardedMemory, addr uint64) error {
+		{"data bit", func(m *authmem.Memory, addr uint64) error { return m.FlipDataBit(addr, 7) }},
+		{"ecc bit", func(m *authmem.Memory, addr uint64) error { return m.FlipECCBit(addr, 3) }},
+		{"data burst", func(m *authmem.Memory, addr uint64) error {
 			// Three flips exceed the 2-bit flip-and-check budget: uncorrectable.
 			for _, bit := range []int{11, 97, 203} {
 				if err := m.FlipDataBit(addr, bit); err != nil {
@@ -111,7 +111,7 @@ func TestFaultTaxonomyOverWire(t *testing.T) {
 			}
 			return nil
 		}},
-		{"counter bit", func(m *authmem.ShardedMemory, addr uint64) error { return m.FlipCounterBit(addr, 2) }},
+		{"counter bit", func(m *authmem.Memory, addr uint64) error { return m.FlipCounterBit(addr, 2) }},
 	}
 	for i, tc := range tampers {
 		addr := uint64(i) * 4096

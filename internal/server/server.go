@@ -51,8 +51,8 @@ import (
 const _ = -uint(wire.BlockBytes - authmem.BlockSize)
 
 // Backend is the device surface the server fronts — a subset of
-// authmem.ShardedMemory's public API. The backend must be safe for
-// concurrent use (a bare authmem.Memory is not).
+// authmem.Memory's public API. The backend must be safe for concurrent use,
+// as a Memory of any shard count is.
 type Backend interface {
 	Read(addr uint64, dst []byte) (authmem.ReadInfo, error)
 	ReadRecover(addr uint64, dst []byte) (authmem.RecoverInfo, error)
@@ -65,17 +65,17 @@ type Backend interface {
 	Size() uint64
 }
 
-var _ Backend = (*authmem.ShardedMemory)(nil)
+var _ Backend = (*authmem.Memory)(nil)
 
 // ShardRouter is the optional backend surface that enables shard worker
 // affinity: a backend that can say which shard owns an address gets one
-// pinned worker per shard. authmem.ShardedMemory implements it.
+// pinned worker per shard. authmem.Memory implements it.
 type ShardRouter interface {
 	Shards() int
 	ShardOf(addr uint64) int
 }
 
-var _ ShardRouter = (*authmem.ShardedMemory)(nil)
+var _ ShardRouter = (*authmem.Memory)(nil)
 
 // shardJob is one coalesced batch routed to a pinned shard worker.
 type shardJob struct {

@@ -20,7 +20,7 @@ import (
 func testKey() []byte { return bytes.Repeat([]byte{0x5A}, authmem.KeySize) }
 
 // newMem builds the smallest backend: one shard, one engine behind one lock.
-func newMem(t testing.TB, size uint64) *authmem.ShardedMemory {
+func newMem(t testing.TB, size uint64) *authmem.Memory {
 	t.Helper()
 	return newShardedMem(t, size, 1, authmem.DeltaEncoding)
 }

@@ -23,7 +23,7 @@
 // at a record boundary and presenting a shorter-but-valid prefix: that is
 // indistinguishable from an honest crash. Callers that need stronger
 // freshness pin the last sealed state digest (or epoch count) in trusted
-// storage and check it after replay — see core.ResumeIncremental and the
+// storage and check it after replay — see core.ResumeShardedIncremental and the
 // memserved manifest.
 package wal
 

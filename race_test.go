@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// TestSingleShardConcurrentScrub hammers a shared 1-shard ShardedMemory with
-// simultaneous reads, writes, batched I/O, and scrub passes — including the
-// engine's ParallelScrub, whose internal workers must not race with the
-// shard lock held around them. Run under -race in CI; the assertions here
-// are secondary to the race detector's.
+// TestSingleShardConcurrentScrub hammers a shared one-shard Memory with
+// simultaneous reads, writes, batched I/O, and scrub passes — including
+// passes through a WithShard view, whose own fan-out must not race with the
+// shard lock held around it. Run under -race in CI; the assertions here are
+// secondary to the race detector's.
 func TestSingleShardConcurrentScrub(t *testing.T) {
 	cfg := testConfig(DeltaEncoding, MACInECC)
 	m, err := NewSharded(cfg, 1)
@@ -59,8 +59,8 @@ func TestSingleShardConcurrentScrub(t *testing.T) {
 		}(g)
 	}
 
-	// Two scrubbers run throughout: serial, and the engine's worker-sharded
-	// parity screen under the shard lock.
+	// Two scrubbers run throughout: through the device, and through a
+	// one-shard view under the shard lock.
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
@@ -75,7 +75,7 @@ func TestSingleShardConcurrentScrub(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters/4; i++ {
 			var err error
-			m.WithShard(0, func(raw *Memory) { _, err = raw.ParallelScrub(0) })
+			m.WithShard(0, func(view *Memory) { _, err = view.Scrub() })
 			if err != nil {
 				errs <- err
 				return
@@ -241,7 +241,7 @@ func TestSingleShardQuarantineRace(t *testing.T) {
 	}
 }
 
-// TestShardedMemoryLockFreeRace drives the public ShardedMemory API the way
+// TestShardedMemoryLockFreeRace drives the public Memory API the way
 // a multi-core host would: lock-free warm readers on every shard racing
 // writers that keep re-stamping the same lines, while a fault goroutine
 // flips bits across all four planes and recovers the victims. The seqlock
@@ -379,7 +379,7 @@ func TestShardedMemoryLockFreeRace(t *testing.T) {
 }
 
 // TestShardedRootDigestUnderConcurrentWriters runs root pinners beside
-// writers on one ShardedMemory — the cluster tier's steady state, where
+// writers on one Memory — the cluster tier's steady state, where
 // every response asks for the root. RootDigest fills each shard tree's
 // digest cache under that shard's lock while writers invalidate it under
 // the same lock; -race is the assertion for that. The value assertions: a
