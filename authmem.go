@@ -333,6 +333,23 @@ func (m *Memory) ReadBlocks(addr uint64, dst []byte) error {
 	return m.eng.ReadBlocks(addr, dst)
 }
 
+// TryReadBlocks is ReadBlocks for a caller that must not wait: it serves a
+// span lying in one shard only if that needs no lock (every block warm) or
+// the shard's lock is free right now. done == false means it did neither —
+// the lock was held or the span crosses shards — and changed and counted
+// nothing; call ReadBlocks instead. With done == true, err and dst are
+// exactly what ReadBlocks would have produced.
+func (m *Memory) TryReadBlocks(addr uint64, dst []byte) (done bool, err error) {
+	return m.eng.TryReadBlocks(addr, dst)
+}
+
+// TryWriteBlocks is WriteBlocks under the same rule as TryReadBlocks: done ==
+// false means nothing was written because the span's shard lock was held or
+// the span crosses shards; call WriteBlocks instead.
+func (m *Memory) TryWriteBlocks(addr uint64, src []byte) (done bool, err error) {
+	return m.eng.TryWriteBlocks(addr, src)
+}
+
 // ReadRecover is Read plus the engine's recovery ladder: on an integrity
 // failure it repairs counter metadata from trusted state when the failure is
 // in the counter plane, re-reads a bounded number of times to absorb

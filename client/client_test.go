@@ -309,12 +309,12 @@ func TestClientReconnects(t *testing.T) {
 	}
 }
 
-// TestPinnedRoundTripAllocs bounds what a root pin adds to a loopback round
-// trip — client and server together, since AllocsPerRun counts the whole
-// process: nothing. The pin travels by value on the client, and the server
-// takes it from the tree's cached digest into the pooled response buffer,
-// so a pinned op allocates exactly what the same op unpinned does. The
-// absolute bounds keep the round trip itself from creeping.
+// TestPinnedRoundTripAllocs bounds what a loopback round trip allocates,
+// pinned or not — client and server together, since AllocsPerRun counts the
+// whole process: nothing. The call, its completion channel and its timer
+// are pooled on the client; the server runs an idle connection's request on
+// the reader into a pooled response buffer; the pin travels by value on the
+// client and comes from the tree's cached digest on the server.
 func TestPinnedRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the server's pooled response buffers are dropped at random under -race")
@@ -336,10 +336,8 @@ func TestPinnedRoundTripAllocs(t *testing.T) {
 	readPinned := measure(func() error { _, _, err := c.ReadPinned(4096, dst); return err })
 	write := measure(func() error { _, err := c.Write(4096, data); return err })
 	writePinned := measure(func() error { _, _, err := c.WritePinned(4096, data); return err })
-	if readPinned > read || writePinned > write {
-		t.Errorf("a pin allocates: read %.0f -> %.0f pinned, write %.0f -> %.0f pinned", read, readPinned, write, writePinned)
-	}
-	if readPinned > 8 || writePinned > 10 {
-		t.Errorf("pinned loopback round trip allocates %.0f (read) / %.0f (write), want at most 8 / 10", readPinned, writePinned)
+	if read > 0 || write > 0 || readPinned > 0 || writePinned > 0 {
+		t.Errorf("loopback round trip allocates %.1f (read) / %.1f (write) / %.1f (pinned read) / %.1f (pinned write), want 0 everywhere",
+			read, write, readPinned, writePinned)
 	}
 }

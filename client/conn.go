@@ -25,9 +25,29 @@ type session struct {
 	wbuf []byte
 }
 
+// call is one request waiting for its completion. Calls are pooled with
+// their completion channel and timer, so a steady-state round trip allocates
+// nothing. A call is in exactly one place at a time — the pool, or a
+// roundTrip that may have registered it in one session's pending table — and
+// returns to the pool only once no reader can still reach it: after its
+// completion was received, or after forget reported it still pending.
 type call struct {
-	dst  []byte
-	done chan callResult
+	dst   []byte
+	done  chan callResult // capacity 1: whoever claims the call completes it once
+	timer *time.Timer     // stopped and drained whenever the call is pooled
+}
+
+var callPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop() // cannot have fired: nothing to drain
+	return &call{done: make(chan callResult, 1), timer: t}
+}}
+
+// release returns a call nobody else can reach, its timer stopped and
+// drained, to the pool.
+func (cl *call) release() {
+	cl.dst = nil
+	callPool.Put(cl)
 }
 
 // callResult is one completed call. A root pin travels by value: the
@@ -122,11 +142,13 @@ func (pc *poolConn) roundTrip(op wire.Op, flags uint8, addr uint64, count uint32
 		return callResult{}, err
 	}
 	id := pc.nextID.Add(1)
-	cl := &call{dst: dst, done: make(chan callResult, 1)}
+	cl := callPool.Get().(*call)
+	cl.dst = dst
 	s.mu.Lock()
 	if s.err != nil {
 		err := s.err
 		s.mu.Unlock()
+		cl.release()
 		return callResult{}, err
 	}
 	s.pending[id] = cl
@@ -138,26 +160,37 @@ func (pc *poolConn) roundTrip(op wire.Op, flags uint8, addr uint64, count uint32
 	_, werr := s.nc.Write(s.wbuf)
 	s.wmu.Unlock()
 	if werr != nil {
-		s.forget(id)
+		if !s.forget(id) {
+			<-cl.done // claimed by the reader or a concurrent fail: let it finish with cl
+		}
+		cl.release()
 		s.fail(fmt.Errorf("client: write: %w", werr))
 		s.nc.Close()
 		return callResult{}, werr
 	}
 
-	timer := time.NewTimer(pc.opts.RequestTimeout)
-	defer timer.Stop()
+	cl.timer.Reset(pc.opts.RequestTimeout)
 	select {
 	case res := <-cl.done:
+		// go.mod's go 1.22 keeps the buffered timer channel: a timer that
+		// fired unobserved must be drained before the call is reused.
+		if !cl.timer.Stop() {
+			<-cl.timer.C
+		}
+		cl.release()
 		return res, res.err
-	case <-timer.C:
+	case <-cl.timer.C:
 		if !s.forget(id) {
 			// The reader (or fail) claimed the call just as the timer
 			// fired and is completing it now. Take that completion: the
 			// reader may still be copying into dst, which the caller
-			// must not get back before the copy is over.
+			// must not get back before the copy is over — and the call
+			// must not be pooled while the reader still holds it.
 			res := <-cl.done
+			cl.release()
 			return res, res.err
 		}
+		cl.release()
 		return callResult{}, fmt.Errorf("client: %v at %#x: %w", op, addr, errTimeout)
 	}
 }

@@ -325,12 +325,15 @@ func (c *Cluster) lockFor(s uint64) *sync.RWMutex {
 	return &c.locks[s%uint64(len(c.locks))]
 }
 
-// ownersOf copies stripe s's replica set. Caller holds the stripe lock;
-// mmu additionally covers the table entry itself, which rebalancing swaps.
+// ownersOf returns stripe s's replica set, which the caller must not modify:
+// an entry is never changed in place, only replaced by a fresh slice
+// (rebalance, evict), so the one read here stays valid without a copy.
+// Caller holds the stripe lock; mmu additionally covers the table entry
+// itself, which rebalancing swaps.
 func (c *Cluster) ownersOf(s uint64) []*member {
 	c.mmu.RLock()
 	defer c.mmu.RUnlock()
-	return append([]*member(nil), c.owners[s]...)
+	return c.owners[s]
 }
 
 // liveMembers returns every member currently marked alive.

@@ -211,8 +211,25 @@ func (c *Cluster) forEachStripe(addr uint64, n int, f func(s, lo uint64, off, n 
 type replicaRead struct {
 	m    *member
 	data []byte
+	buf  *[]byte // data's pooled backing; nil for the first voter, which reads into dst
 	pin  authmem.RootDigest
 	err  error
+}
+
+// inlineReplicas is the replica count whose per-operation tables fit fixed
+// arrays; a larger R falls back to slices.
+const inlineReplicas = 4
+
+// voterBufs recycles the buffers the voters after the first read into.
+var voterBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func getVoterBuf(n int) *[]byte {
+	b := voterBufs.Get().(*[]byte)
+	if cap(*b) < n {
+		*b = make([]byte, n)
+	}
+	*b = (*b)[:n]
+	return b
 }
 
 // readQuorum fans a pinned read over stripe s's replicas and resolves the
@@ -223,7 +240,8 @@ func (c *Cluster) readQuorum(s, lo uint64, dst []byte) (Info, error) {
 	c.ctr.quorumReads.Add(1)
 	owners := c.ownersOf(s)
 
-	var voters []*member
+	var voterArr [inlineReplicas]*member
+	voters := voterArr[:0]
 	excluded := VerdictClean // strongest verdict among non-voting owners
 	for _, m := range owners {
 		// Liveness first: a dead member may be due for a probe, and the
@@ -246,24 +264,43 @@ func (c *Cluster) readQuorum(s, lo uint64, dst []byte) (Info, error) {
 	// goroutine and a buffer. dst therefore holds an unvoted replica's
 	// bytes until the vote is resolved below — every return path either
 	// copies the winner over it or clears it.
-	reads := make([]replicaRead, len(voters))
-	var wg sync.WaitGroup
+	//
+	// What the voter goroutines share with this one is a single object, and
+	// their buffers are pooled: they go back once the vote is resolved and
+	// the winner copied out.
+	var fan struct {
+		wg    sync.WaitGroup
+		reads [inlineReplicas]replicaRead
+	}
+	reads := fan.reads[:]
+	if len(voters) > inlineReplicas {
+		reads = make([]replicaRead, len(voters))
+	}
+	reads = reads[:len(voters)]
 	for i := 1; i < len(voters); i++ {
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			buf := make([]byte, len(dst))
-			_, pin, err := m.cl.ReadPinned(lo, buf)
-			reads[i] = replicaRead{m: m, data: buf, pin: pin, err: err}
-		}(i, voters[i])
+		buf := getVoterBuf(len(dst))
+		fan.wg.Add(1)
+		go func(r *replicaRead, m *member) {
+			defer fan.wg.Done()
+			_, pin, err := m.cl.ReadPinned(lo, *buf)
+			*r = replicaRead{m: m, data: *buf, buf: buf, pin: pin, err: err}
+		}(&reads[i], voters[i])
 	}
 	if len(voters) > 0 {
 		_, pin, err := voters[0].cl.ReadPinned(lo, dst)
 		reads[0] = replicaRead{m: voters[0], data: dst, pin: pin, err: err}
 	}
-	wg.Wait()
+	fan.wg.Wait()
+	defer func() {
+		for _, r := range reads {
+			if r.buf != nil {
+				voterBufs.Put(r.buf)
+			}
+		}
+	}()
 
-	var oks []replicaRead
+	var okArr [inlineReplicas]replicaRead
+	oks := okArr[:0]
 	for _, r := range reads {
 		if r.err == nil {
 			oks = append(oks, r)
@@ -423,7 +460,15 @@ func (c *Cluster) writeQuorum(s, lo uint64, src []byte) (Info, error) {
 		pin authmem.RootDigest
 		err error
 	}
-	res := make([]wres, 0, len(owners))
+	// As in readQuorum, one object is all the goroutines share.
+	var fan struct {
+		wg  sync.WaitGroup
+		res [inlineReplicas]wres
+	}
+	res := fan.res[:0]
+	if len(owners) > inlineReplicas {
+		res = make([]wres, 0, len(owners))
+	}
 	missed := VerdictClean
 	for _, m := range owners {
 		if !m.isAlive() && !c.reviveIfDue(m) {
@@ -435,18 +480,17 @@ func (c *Cluster) writeQuorum(s, lo uint64, src []byte) (Info, error) {
 	}
 	// As in readQuorum: the first replica's write runs on this goroutine,
 	// the others in parallel with it.
-	var wg sync.WaitGroup
 	for i := 1; i < len(res); i++ {
-		wg.Add(1)
+		fan.wg.Add(1)
 		go func(r *wres) {
-			defer wg.Done()
+			defer fan.wg.Done()
 			r.pin, r.err = writePinned(r.m, lo, src)
 		}(&res[i])
 	}
 	if len(res) > 0 {
 		res[0].pin, res[0].err = writePinned(res[0].m, lo, src)
 	}
-	wg.Wait()
+	fan.wg.Wait()
 
 	acks := 0
 	for _, r := range res {

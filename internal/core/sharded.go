@@ -423,6 +423,64 @@ func (s *ShardedEngine) WriteBlocks(addr uint64, src []byte) error {
 	})
 }
 
+// TryReadBlocks is ReadBlocks that never waits for a shard lock, for a span
+// lying in one shard: warm blocks are served by the same lock-free probe, and
+// a cold remainder runs under the shard's lock only if TryLock gets it at
+// once. done == false means the span crosses shards or the lock was held;
+// no engine state changed and nothing was counted, so the caller falls back
+// to ReadBlocks (dst may hold warm blocks that call will overwrite). With
+// done == true the outcome and the statistics are exactly ReadBlocks'.
+func (s *ShardedEngine) TryReadBlocks(addr uint64, dst []byte) (done bool, err error) {
+	if err := s.checkSpan(addr, len(dst), "read"); err != nil {
+		return true, err
+	}
+	sh, local := s.route(addr)
+	if local+uint64(len(dst)) > s.shardBytes {
+		return false, nil
+	}
+	// The lock-free events are banked only once the call is sure to finish,
+	// so a refused call leaves nothing for the fallback to count twice.
+	var hits, tears uint64
+	served := 0
+	for !s.cfg.DisableEncryption && served < len(dst) {
+		hit, r := sh.eng.bc.probe((local+uint64(served))/BlockBytes, dst[served:served+BlockBytes])
+		tears += uint64(r)
+		if !hit {
+			break
+		}
+		hits++
+		served += BlockBytes
+	}
+	if served < len(dst) && !sh.mu.TryLock() {
+		return false, nil
+	}
+	bankLockFreeSpan(sh, hits, tears)
+	if served == len(dst) {
+		return true, nil
+	}
+	cold := dst[served:]
+	sh.eng.stats.SlowPathReads.Add(uint64(len(cold) / BlockBytes))
+	err = sh.eng.ReadBlocks(local+uint64(served), cold)
+	sh.mu.Unlock()
+	return true, offsetErr(err, sh.base)
+}
+
+// TryWriteBlocks is WriteBlocks that never waits for a shard lock. done ==
+// false means the span crosses shards or its shard's lock was held; nothing
+// was written or counted and the caller falls back to WriteBlocks.
+func (s *ShardedEngine) TryWriteBlocks(addr uint64, src []byte) (done bool, err error) {
+	if err := s.checkSpan(addr, len(src), "write"); err != nil {
+		return true, err
+	}
+	sh, local := s.route(addr)
+	if local+uint64(len(src)) > s.shardBytes || !sh.mu.TryLock() {
+		return false, nil
+	}
+	err = sh.eng.WriteBlocks(local, src)
+	sh.mu.Unlock()
+	return true, offsetErr(err, sh.base)
+}
+
 // Stats merges per-shard counters on read. Every engine counter is atomic,
 // so the merge takes no locks and never contends with the read path —
 // observation costs the observer, not the traffic. The snapshot is not a

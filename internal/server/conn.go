@@ -35,9 +35,14 @@ func putBuf(b *[]byte) {
 	}
 }
 
+// batchPool recycles the batch slices the dispatcher hands to executors; the
+// executor returns a slice once its last response is queued.
+var batchPool = sync.Pool{New: func() any { return new([]request) }}
+
 // request is an accepted frame queued for execution. data is a pooled copy
 // of the write payload (the wire.Reader's buffer is reused per frame, so it
-// cannot be referenced past the read loop's iteration).
+// cannot be referenced past the read loop's iteration). enq is stamped only
+// when the queue deadline is enabled.
 type request struct {
 	h    wire.Header
 	data *[]byte
@@ -66,7 +71,6 @@ type conn struct {
 	wbroken  bool // writer-side; only the writer goroutine touches it
 
 	workerWG sync.WaitGroup
-	batch    []request // dispatcher's reusable coalescing scratch
 }
 
 // netConn is the slice of net.Conn the conn machinery uses (all of
@@ -149,21 +153,74 @@ func (c *conn) readLoop() {
 			c.reject(h, wire.StatusShuttingDown)
 			continue
 		}
-		if int(c.inflight.Load()) >= c.srv.cfg.MaxInflight {
+		inflight := c.inflight.Load()
+		if int(inflight) >= c.srv.cfg.MaxInflight {
 			c.srv.ctr.busyRejected.Add(1)
 			c.reject(h, wire.StatusBusy)
 			continue
 		}
-		var data *[]byte
-		if h.Op == wire.OpWrite {
-			data = getBuf(len(payload))
-			copy(*data, payload)
-		}
 		c.inflight.Add(1)
+		// An idle connection — nothing admitted and unanswered, nothing more
+		// received — has no other request to overlap this one with, so the
+		// queue could only add hand-offs: serve it here if the backend can
+		// do so without waiting.
+		if inflight == 0 && fr.Buffered() == 0 && c.serveInline(h, payload) {
+			continue
+		}
+		r := request{h: h}
+		if h.Op == wire.OpWrite {
+			r.data = getBuf(len(payload))
+			copy(*r.data, payload)
+		}
+		if c.srv.cfg.RequestTimeout > 0 {
+			r.enq = time.Now()
+		}
 		// Never blocks: in-flight (≤ MaxInflight) bounds queued requests,
 		// and reqCh has MaxInflight capacity.
-		c.reqCh <- request{h: h, data: data, enq: time.Now()}
+		c.reqCh <- r
 	}
+}
+
+// serveInline runs an admitted read or write to completion on the reader
+// goroutine through the backend's never-waiting surface, and reports whether
+// it did; false leaves the request untouched for the queue. Only the
+// response's trip through respCh and the writer remains, so an inline
+// request can neither reorder the connection's responses nor overtake a
+// queued one: with inflight zero, every earlier response is already in
+// respCh (finish queues before it decrements). A write uses the frame's
+// payload in place — it is over before the next fr.Next reuses the buffer. A
+// failed read also returns false: the queue re-executes it through the
+// recovery ladder, so the status taxonomy has one source.
+func (c *conn) serveInline(h wire.Header, payload []byte) bool {
+	try := c.srv.try
+	if try == nil {
+		return false
+	}
+	switch h.Op {
+	case wire.OpRead:
+		data := getBuf(h.SpanBytes())
+		if done, err := try.TryReadBlocks(h.Addr, *data); !done || err != nil {
+			putBuf(data)
+			return false
+		}
+		c.srv.ctr.inlineServed.Add(1)
+		c.srv.ctr.readOps.Add(1)
+		c.finishRead(h, data)
+		return true
+	case wire.OpWrite:
+		if c.srv.cfg.SweepStatus {
+			return false // needs the stats merges around the call; see execWrites
+		}
+		done, err := try.TryWriteBlocks(h.Addr, payload)
+		if !done {
+			return false
+		}
+		c.srv.ctr.inlineServed.Add(1)
+		c.srv.ctr.writeOps.Add(1)
+		c.finishWrite(request{h: h}, err, false)
+		return true
+	}
+	return false
 }
 
 // reject answers a request without admitting it.
@@ -179,14 +236,14 @@ func (c *conn) reject(h wire.Header, st wire.Status) {
 // worker pool. After the request stream ends it waits for outstanding
 // workers and closes the response channel, which lets the writer finish.
 func (c *conn) dispatchLoop() {
-	var pending *request
+	var held request // dequeued while collecting, not part of that batch
+	var holding bool
 	open := true
-	for open || pending != nil {
+	for open || holding {
 		var first request
-		switch {
-		case pending != nil:
-			first, pending = *pending, nil
-		default:
+		if holding {
+			first, holding = held, false
+		} else {
 			r, ok := <-c.reqCh
 			if !ok {
 				open = false
@@ -197,7 +254,8 @@ func (c *conn) dispatchLoop() {
 		if c.expire(&first) {
 			continue
 		}
-		c.batch = append(c.batch[:0], first)
+		bp := batchPool.Get().(*[]request)
+		batch := append((*bp)[:0], first)
 		if open && (first.h.Op == wire.OpRead || first.h.Op == wire.OpWrite) {
 			total := first.h.Count
 		collect:
@@ -211,14 +269,13 @@ func (c *conn) dispatchLoop() {
 					if c.expire(&r2) {
 						continue
 					}
-					last := c.batch[len(c.batch)-1]
+					last := batch[len(batch)-1]
 					if r2.h.Op == first.h.Op && r2.h.Addr == last.h.End() &&
 						total+r2.h.Count <= wire.MaxSpanBlocks {
-						c.batch = append(c.batch, r2)
+						batch = append(batch, r2)
 						total += r2.h.Count
 					} else {
-						hold := r2
-						pending = &hold
+						held, holding = r2, true
 						break collect
 					}
 				default:
@@ -226,10 +283,8 @@ func (c *conn) dispatchLoop() {
 				}
 			}
 		}
-		// The worker owns its own copy of the batch slice.
-		batch := make([]request, len(c.batch))
-		copy(batch, c.batch)
-		c.dispatch(batch)
+		*bp = batch
+		c.dispatch(bp)
 	}
 	c.workerWG.Wait()
 	close(c.respCh)
@@ -240,9 +295,9 @@ func (c *conn) dispatchLoop() {
 // else a shared-pool goroutine. Enqueueing to a pinned worker never blocks
 // — a full queue falls back to the pool so one hot shard cannot stall the
 // dispatcher (and with it every other shard's traffic on this connection).
-func (c *conn) dispatch(batch []request) {
+func (c *conn) dispatch(batch *[]request) {
 	c.workerWG.Add(1)
-	if q := c.srv.shardQueueFor(batch); q != nil {
+	if q := c.srv.shardQueueFor(*batch); q != nil {
 		select {
 		case q <- shardJob{c: c, batch: batch}:
 			c.srv.ctr.affinityDispatched.Add(1)
@@ -312,8 +367,14 @@ func (c *conn) finish(resp response) {
 	}
 }
 
-// execute runs one coalesced batch against the backend.
-func (c *conn) execute(batch []request) {
+// execute runs one coalesced batch against the backend and recycles its
+// slice.
+func (c *conn) execute(bp *[]request) {
+	batch := *bp
+	defer func() {
+		clear(batch) // drop the payload references
+		batchPool.Put(bp)
+	}()
 	if len(batch) > 1 {
 		c.srv.ctr.coalescedBatches.Add(1)
 		c.srv.ctr.coalescedRequests.Add(uint64(len(batch) - 1))
@@ -387,14 +448,8 @@ func (c *conn) execReads(batch []request) {
 		}
 		return
 	}
-	c.srv.ctr.blocksRead.Add(uint64(total / wire.BlockBytes))
 	if len(batch) == 1 {
-		h := batch[0].h
-		h.Status = wire.StatusOK
-		h.Flags = 0
-		resp := response{h: h, data: data, n: total, accepted: true}
-		c.maybePin(batch[0].h.Flags, &resp)
-		c.finish(resp)
+		c.finishRead(batch[0].h, data)
 		return
 	}
 	off := 0
@@ -403,14 +458,20 @@ func (c *conn) execReads(batch []request) {
 		part := getBuf(n)
 		copy(*part, (*data)[off:off+n])
 		off += n
-		h := r.h
-		h.Status = wire.StatusOK
-		h.Flags = 0
-		resp := response{h: h, data: part, n: n, accepted: true}
-		c.maybePin(r.h.Flags, &resp)
-		c.finish(resp)
+		c.finishRead(r.h, part)
 	}
 	putBuf(data)
+}
+
+// finishRead answers one read whose span was served whole into data.
+func (c *conn) finishRead(req wire.Header, data *[]byte) {
+	c.srv.ctr.blocksRead.Add(uint64(req.Count))
+	h := req
+	h.Status = wire.StatusOK
+	h.Flags = 0
+	resp := response{h: h, data: data, n: req.SpanBytes(), accepted: true}
+	c.maybePin(req.Flags, &resp)
+	c.finish(resp)
 }
 
 // execReadRecover serves one read span block by block through the recovery

@@ -84,8 +84,14 @@ func FuzzServerFrame(f *testing.F) {
 					t.Fatalf("read response: %d payload bytes for %d blocks (flags %#x)", len(payload), h.Count, h.Flags)
 				}
 			}
-			if len(payload) > wire.MaxPayloadBytes {
-				t.Fatalf("oversized response payload: %d bytes", len(payload))
+			// A pinned maximum-span read legally carries its pin after a
+			// full payload (wire.MaxFrameBytes leaves that room).
+			limit := wire.MaxPayloadBytes
+			if h.Flags&wire.FlagRootPin != 0 {
+				limit += wire.RootPinBytes
+			}
+			if len(payload) > limit {
+				t.Fatalf("oversized response payload: %d bytes (flags %#x)", len(payload), h.Flags)
 			}
 		}
 		nc.Close()

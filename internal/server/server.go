@@ -12,6 +12,21 @@
 // of order and are matched by request ID. The writer gathers completions
 // into batched socket writes.
 //
+// The queue is there for overlap, and so that a backend call that blocks
+// never stalls admission. A read or write that has nothing to overlap with
+// and nothing to wait for skips it: when the connection is idle (no admitted
+// request unanswered, nothing more received) and the backend has a
+// never-waiting surface (TryBackend, as authmem.Memory does), the reader
+// runs the request itself through TryReadBlocks / TryWriteBlocks and hands
+// the response to the writer. If the backend reports it would have had to
+// wait — a shard lock held, a span crossing shards — or an inline read
+// fails, the request is queued unchanged, so recovery and the status
+// taxonomy have one source. The choice reads the input, never a setting,
+// and both paths end in the same finishRead / finishWrite / maybePin /
+// respCh, so an inline request cannot reorder a connection's responses:
+// finish queues a response before it retires the request from the in-flight
+// count, hence in-flight zero means every earlier response is queued.
+//
 // When the backend is sharded (it implements ShardRouter), read/write
 // batches whose span lies inside one shard are routed to a worker pinned to
 // that shard instead of the shared pool. Affinity turns cross-worker
@@ -77,10 +92,23 @@ type ShardRouter interface {
 
 var _ ShardRouter = (*authmem.Memory)(nil)
 
+// TryBackend is the optional backend surface that lets an idle connection's
+// read or write run to completion on its reader goroutine. Each method is
+// its blocking namesake under one more rule: it never waits. done == false
+// means it would have had to (a lock was held, the span needs a fan-out), it
+// changed nothing, and the request takes the queue. A backend that may park
+// inside a call must not implement it. authmem.Memory implements it.
+type TryBackend interface {
+	TryReadBlocks(addr uint64, dst []byte) (done bool, err error)
+	TryWriteBlocks(addr uint64, src []byte) (done bool, err error)
+}
+
+var _ TryBackend = (*authmem.Memory)(nil)
+
 // shardJob is one coalesced batch routed to a pinned shard worker.
 type shardJob struct {
 	c     *conn
-	batch []request
+	batch *[]request
 }
 
 // ErrServerClosed is returned by Serve and DialLoopback once Shutdown or
@@ -147,6 +175,7 @@ type counters struct {
 	busyRejected, deadlineRejected, drainRejected   atomic.Uint64
 	badRequests, malformedFrames                    atomic.Uint64
 	coalescedBatches, coalescedRequests             atomic.Uint64
+	inlineServed                                    atomic.Uint64
 	affinityDispatched, affinityBypassed            atomic.Uint64
 	macFails, quarantined, recovered, overflowSwept atomic.Uint64
 }
@@ -171,6 +200,7 @@ func (c *counters) snapshot() wire.ServerCounters {
 		MalformedFrames:    c.malformedFrames.Load(),
 		CoalescedBatches:   c.coalescedBatches.Load(),
 		CoalescedRequests:  c.coalescedRequests.Load(),
+		InlineServed:       c.inlineServed.Load(),
 		AffinityDispatched: c.affinityDispatched.Load(),
 		AffinityBypassed:   c.affinityBypassed.Load(),
 		MACFails:           c.macFails.Load(),
@@ -186,6 +216,10 @@ type Server struct {
 	size uint64
 	sem  chan struct{} // worker-pool tokens
 	ctr  counters
+
+	// try is the backend's never-waiting surface, nil when it has none;
+	// then every request takes the queue.
+	try TryBackend
 
 	// Shard worker affinity (nil/empty when the backend is unsharded):
 	// one pinned worker goroutine and bounded queue per shard.
@@ -243,6 +277,7 @@ func New(cfg Config) (*Server, error) {
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*conn]struct{}),
 	}
+	s.try, _ = cfg.Backend.(TryBackend)
 	if r, ok := cfg.Backend.(ShardRouter); ok && r.Shards() > 1 {
 		s.router = r
 		s.shardQ = make([]chan shardJob, r.Shards())

@@ -610,9 +610,10 @@ func TestMetricsLoop(t *testing.T) {
 	}
 }
 
-// TestShardAffinityRouting checks the pinned-worker path: single-shard
-// batches ride the shard worker, cross-shard spans and non-data ops take
-// the shared pool, and a 1-shard backend never counts affinity at all.
+// TestShardAffinityRouting checks where single-shard requests run: on the
+// reader when the connection is idle, on the shard's pinned worker when the
+// connection is pipelining; cross-shard spans and non-data ops take the
+// shared pool, and a 1-shard backend never counts affinity at all.
 func TestShardAffinityRouting(t *testing.T) {
 	mem := newShardedMem(t, 1<<20, 4, authmem.DeltaEncoding)
 	s := newTestServer(t, server.Config{Backend: mem})
@@ -621,7 +622,10 @@ func TestShardAffinityRouting(t *testing.T) {
 	shardSize := mem.ShardSize()
 	payload := pattern(0x42, 2*wire.BlockBytes)
 
-	// Single-shard writes and reads, one per shard.
+	// Closed loop: single-shard writes and reads, one per shard. Each finds
+	// the connection idle, so it is served inline unless a shard lock happens
+	// to be held (nothing holds one here, but the counters are what is
+	// promised: every request is one or the other).
 	const perShard = 8
 	for sh := 0; sh < 4; sh++ {
 		base := uint64(sh) * shardSize
@@ -641,10 +645,29 @@ func TestShardAffinityRouting(t *testing.T) {
 			}
 		}
 	}
+	closed := s.Snapshot().Server
+	if want := uint64(4 * perShard * 2); closed.InlineServed+closed.AffinityDispatched != want {
+		t.Errorf("InlineServed %d + AffinityDispatched %d after single-shard traffic, want %d (bypassed=%d)",
+			closed.InlineServed, closed.AffinityDispatched, want, closed.AffinityBypassed)
+	}
+
+	// Pipelined: a write and a read of one shard arrive in one transport
+	// write. The write finds the read already received, so the connection
+	// is not idle and it goes to the shard's pinned worker; the read follows
+	// it there unless the write has already finished.
+	for sh := 0; sh < 4; sh++ {
+		addr := uint64(sh)*shardSize + 4096
+		rc.sendMany(rc.frame(wire.OpWrite, addr, 2, payload), rc.frame(wire.OpRead, addr, 2, nil))
+		for k := 0; k < 2; k++ {
+			if h, _ := rc.recv(); h.Status != wire.StatusOK {
+				t.Fatalf("pipelined pair on shard %d: %+v", sh, h)
+			}
+		}
+	}
 	afterSingle := s.Snapshot().Server
-	if want := uint64(4 * perShard * 2); afterSingle.AffinityDispatched != want {
-		t.Errorf("AffinityDispatched = %d after single-shard traffic, want %d (bypassed=%d)",
-			afterSingle.AffinityDispatched, want, afterSingle.AffinityBypassed)
+	if got := afterSingle.AffinityDispatched - closed.AffinityDispatched; got < 4 || got > 8 {
+		t.Errorf("4 pipelined pairs used a pinned worker %d times, want 4 to 8 (inline %d -> %d)",
+			got, closed.InlineServed, afterSingle.InlineServed)
 	}
 
 	// A span straddling the shard 0/1 boundary must bypass the pinned
@@ -660,9 +683,9 @@ func TestShardAffinityRouting(t *testing.T) {
 		t.Fatalf("straddling read: %+v", h)
 	}
 	afterCross := s.Snapshot().Server
-	if afterCross.AffinityDispatched != afterSingle.AffinityDispatched {
-		t.Errorf("cross-shard span was affinity-dispatched (%d -> %d)",
-			afterSingle.AffinityDispatched, afterCross.AffinityDispatched)
+	if afterCross.AffinityDispatched != afterSingle.AffinityDispatched || afterCross.InlineServed != afterSingle.InlineServed {
+		t.Errorf("cross-shard span was affinity-dispatched (%d -> %d) or served inline (%d -> %d)",
+			afterSingle.AffinityDispatched, afterCross.AffinityDispatched, afterSingle.InlineServed, afterCross.InlineServed)
 	}
 
 	// Flush is a non-data op: shared pool.
@@ -703,8 +726,11 @@ func TestShardAffinityUnsharded(t *testing.T) {
 }
 
 // TestShardAffinityConcurrent hammers a sharded backend from several
-// connections at once so pinned workers, pool fallback, and shutdown drain
-// all interleave. Run under -race.
+// connections at once so inline serving, pinned workers, pool fallback, and
+// shutdown drain all interleave. Each connection alternates a closed-loop
+// pair (two transport writes: each request finds the connection idle) with a
+// pipelined pair (one transport write: the first request must queue). Run
+// under -race.
 func TestShardAffinityConcurrent(t *testing.T) {
 	mem := newShardedMem(t, 1<<20, 4, authmem.DeltaEncoding)
 	s := newTestServer(t, server.Config{Backend: mem, Workers: 4})
@@ -712,6 +738,7 @@ func TestShardAffinityConcurrent(t *testing.T) {
 
 	const conns = 4
 	var wg sync.WaitGroup
+	var closedPairs, pipelinedPairs atomic.Uint64 // single-shard pairs sent each way
 	errs := make(chan error, conns)
 	for g := 0; g < conns; g++ {
 		wg.Add(1)
@@ -738,12 +765,23 @@ func TestShardAffinityConcurrent(t *testing.T) {
 					p = pattern(byte(g), 2*wire.BlockBytes)
 				}
 				h := wire.Header{Version: wire.Version, Op: wire.OpWrite, ID: uint64(i)*2 + 1, Addr: addr, Count: count}
-				if _, err := nc.Write(wire.AppendFrame(nil, h, p)); err != nil {
-					errs <- err
-					return
+				frames := wire.AppendFrame(nil, h, p)
+				if i%2 == 0 { // closed loop; odd ops send both frames at once
+					if _, err := nc.Write(frames); err != nil {
+						errs <- err
+						return
+					}
+					frames = nil
+				}
+				switch {
+				case count == 2: // straddles: never inline, never pinned
+				case frames == nil:
+					closedPairs.Add(1)
+				default:
+					pipelinedPairs.Add(1)
 				}
 				h = wire.Header{Version: wire.Version, Op: wire.OpRead, ID: uint64(i)*2 + 2, Addr: addr, Count: count}
-				if _, err := nc.Write(wire.AppendFrame(nil, h, nil)); err != nil {
+				if _, err := nc.Write(wire.AppendFrame(frames, h, nil)); err != nil {
 					errs <- err
 					return
 				}
@@ -768,8 +806,17 @@ func TestShardAffinityConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctr := s.Snapshot().Server
-	if ctr.AffinityDispatched == 0 {
-		t.Error("concurrent sharded traffic never used a pinned worker")
+	// Every single-shard request runs inline, pinned, or (its shard's queue
+	// full) in the pool; the first request of a pipelined pair finds the
+	// second already received and must take the queue.
+	queued := ctr.AffinityDispatched + ctr.AffinityBypassed
+	if want := 2 * (closedPairs.Load() + pipelinedPairs.Load()); ctr.InlineServed+queued != want {
+		t.Errorf("inline %d + pinned %d + bypassed %d, want %d single-shard requests",
+			ctr.InlineServed, ctr.AffinityDispatched, ctr.AffinityBypassed, want)
+	}
+	if queued < pipelinedPairs.Load() {
+		t.Errorf("pinned %d + bypassed %d, want at least the %d pipelined pairs' first requests",
+			ctr.AffinityDispatched, ctr.AffinityBypassed, pipelinedPairs.Load())
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -48,6 +48,12 @@ type ServerCounters struct {
 	CoalescedBatches  uint64 `json:"coalesced_batches"`
 	CoalescedRequests uint64 `json:"coalesced_requests"`
 
+	// InlineServed counts reads and writes that ran to completion on their
+	// connection's reader goroutine — the connection was idle and the
+	// backend needed to wait for nothing — instead of taking the queue.
+	// They are counted in ReadOps/WriteOps like any other.
+	InlineServed uint64 `json:"inline_served"`
+
 	// Shard worker affinity: batches executed on the worker pinned to
 	// their shard, and single-shard batches that fell back to the shared
 	// pool because the shard's queue was full. Both zero when the backend

@@ -430,6 +430,10 @@ func (fr *Reader) Next() (Header, []byte, error) {
 	}
 }
 
+// Buffered returns the bytes received and not yet returned by Next: zero
+// means the next call has to read, i.e. the peer has sent nothing more.
+func (fr *Reader) Buffered() int { return fr.end - fr.off }
+
 // Writer encodes frames into an internal buffer and writes them out in
 // batches: WriteFrame only appends; Flush performs the single underlying
 // write. Interleaving appends with explicit flushes is what lets the

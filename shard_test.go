@@ -422,3 +422,90 @@ func TestShardedSpanOpsAllocateNothing(t *testing.T) {
 		t.Fatalf("span over a shard boundary: %v", err)
 	}
 }
+
+// TestTryBlocksFacade drives TryReadBlocks / TryWriteBlocks through the
+// public surface, for shards in {1, 4}, against a shadow of the plaintext.
+// While WithShard holds a shard, a span that needs its lock is refused and
+// changes nothing — image, statistics and dirty set are compared — and a
+// span crossing shards is refused whatever is held. Otherwise the calls
+// produce what ReadBlocks / WriteBlocks do.
+func TestTryBlocksFacade(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			m := newShardedMem(t, 1<<20, shards)
+			m.EnableDeltaTracking()
+			shadow := make([]byte, m.Size())
+			rng := rand.New(rand.NewSource(int64(7 + shards)))
+			for i := 0; i < 2000; i++ {
+				n := uint64(1+rng.Intn(8)) * BlockSize
+				addr := uint64(rng.Intn(int(m.Size()-n)/BlockSize)) * BlockSize
+				crosses := m.ShardOf(addr) != m.ShardOf(addr+n-1)
+				if i%3 == 0 {
+					src := make([]byte, n)
+					rng.Read(src)
+					done, err := m.TryWriteBlocks(addr, src)
+					if err != nil || done == crosses {
+						t.Fatalf("write %#x+%d (crosses=%v): (%v, %v)", addr, n, crosses, done, err)
+					}
+					if !done {
+						err = m.WriteBlocks(addr, src)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					copy(shadow[addr:], src)
+					continue
+				}
+				dst := make([]byte, n)
+				done, err := m.TryReadBlocks(addr, dst)
+				if err != nil || done == crosses {
+					t.Fatalf("read %#x+%d (crosses=%v): (%v, %v)", addr, n, crosses, done, err)
+				}
+				if !done {
+					err = m.ReadBlocks(addr, dst)
+				}
+				if err != nil || !bytes.Equal(dst, shadow[addr:addr+n]) {
+					t.Fatalf("read %#x+%d: err %v, equal %v", addr, n, err, bytes.Equal(dst, shadow[addr:addr+n]))
+				}
+			}
+
+			buf := make([]byte, 2*BlockSize)
+			if err := m.WriteBlocks(0, buf); err != nil {
+				t.Fatal(err)
+			}
+			var before bytes.Buffer
+			if _, err := m.Persist(&before); err != nil {
+				t.Fatal(err)
+			}
+			stats, dirty := m.Stats(), m.DirtyGroups()
+			m.WithShard(0, func(view *Memory) {
+				// Evicted through the view so the read below needs the lock.
+				if err := view.FlipDataBit(0, 5); err != nil {
+					t.Fatal(err)
+				}
+				if done, err := m.TryReadBlocks(0, buf); done || err != nil {
+					t.Errorf("read under a held shard: (%v, %v), want (false, nil)", done, err)
+				}
+				if done, err := m.TryWriteBlocks(0, buf); done || err != nil {
+					t.Errorf("write under a held shard: (%v, %v), want (false, nil)", done, err)
+				}
+				if err := view.FlipDataBit(0, 5); err != nil { // undo
+					t.Fatal(err)
+				}
+			})
+			if got := m.Stats(); got != stats {
+				t.Errorf("refused calls counted something:\n got %+v\nwant %+v", got, stats)
+			}
+			if got := m.DirtyGroups(); got != dirty {
+				t.Errorf("dirty groups %d -> %d across refused calls", dirty, got)
+			}
+			var after bytes.Buffer
+			if _, err := m.Persist(&after); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before.Bytes(), after.Bytes()) {
+				t.Error("stored state changed across refused calls")
+			}
+		})
+	}
+}
