@@ -123,11 +123,6 @@ type Config struct {
 	// OnChipTreeBytes is the trusted SRAM budget for the tree root
 	// (default 3KB, as in the paper).
 	OnChipTreeBytes int
-	// MetadataCacheBytes/Ways size the counter/MAC cache used by the
-	// timing model (defaults 32KB / 8); they do not affect functional
-	// behaviour.
-	MetadataCacheBytes int
-	MetadataCacheWays  int
 	// ClassicDataTree switches from the Bonsai Merkle tree to the
 	// pre-2007 design with the integrity tree over the data blocks
 	// themselves — ~60x more tree storage and a tree walk per access.
@@ -157,13 +152,11 @@ const KeySize = core.KeyMaterialLen
 // The key must still be set by the caller.
 func DefaultConfig(size uint64) Config {
 	return Config{
-		Size:               size,
-		Scheme:             DeltaEncoding,
-		Placement:          MACInECC,
-		CorrectBits:        2,
-		OnChipTreeBytes:    3 << 10,
-		MetadataCacheBytes: 32 << 10,
-		MetadataCacheWays:  8,
+		Size:            size,
+		Scheme:          DeltaEncoding,
+		Placement:       MACInECC,
+		CorrectBits:     2,
+		OnChipTreeBytes: 3 << 10,
 	}
 }
 
@@ -180,20 +173,14 @@ func (c Config) internal() (core.Config, error) {
 		RegionBytes:        c.Size,
 		Scheme:             kind,
 		Placement:          placement,
-		MetadataCacheBytes: c.MetadataCacheBytes,
-		MetadataCacheWays:  c.MetadataCacheWays,
+		MetadataCacheBytes: 32 << 10, // Table 1; read only by the timing model
+		MetadataCacheWays:  8,
 		OnChipTreeBytes:    c.OnChipTreeBytes,
 		CorrectBits:        c.CorrectBits,
 		KeyMaterial:        c.Key,
 		DataTree:           c.ClassicDataTree,
 		CryptoBackend:      c.CryptoBackend,
 		ECCCodec:           c.ECCCodec,
-	}
-	if cfg.MetadataCacheBytes == 0 {
-		cfg.MetadataCacheBytes = 32 << 10
-	}
-	if cfg.MetadataCacheWays == 0 {
-		cfg.MetadataCacheWays = 8
 	}
 	if cfg.OnChipTreeBytes == 0 {
 		cfg.OnChipTreeBytes = 3 << 10

@@ -283,8 +283,6 @@ func TestClassicDataTreeFacade(t *testing.T) {
 func TestDefaultConfigDefaults(t *testing.T) {
 	cfg := DefaultConfig(1 << 20)
 	cfg.Key = testKey()
-	cfg.MetadataCacheBytes = 0
-	cfg.MetadataCacheWays = 0
 	cfg.OnChipTreeBytes = 0
 	if _, err := New(cfg); err != nil {
 		t.Fatalf("zero-default fields should be filled: %v", err)

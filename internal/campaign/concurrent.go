@@ -152,7 +152,6 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 	}
 	ecfg := cfg.Engine
 	ecfg.RegionBytes = regionBytes
-	ecfg.DisableEncryption = false
 
 	s, err := core.NewShardedEngine(ecfg, cfg.Shards)
 	if err != nil {

@@ -158,7 +158,6 @@ func RunPersistCrash(cfg PersistCrashConfig) (*PersistCrashReport, error) {
 	}
 	ecfg := cfg.Engine
 	ecfg.RegionBytes = regionBytes
-	ecfg.DisableEncryption = false
 
 	rep := &PersistCrashReport{
 		Scheme:    ecfg.Scheme.String(),

@@ -147,7 +147,6 @@ func RunStrike(cfg StrikeConfig) (*StrikeReport, error) {
 	}
 	ecfg := cfg.Engine
 	ecfg.RegionBytes = regionBytes
-	ecfg.DisableEncryption = false
 
 	s, err := core.NewShardedEngine(ecfg, cfg.Shards)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"authmem/internal/ctr"
 	"authmem/internal/dram"
-	"authmem/internal/tree"
 )
 
 func TestEngineAccessors(t *testing.T) {
@@ -20,22 +19,11 @@ func TestEngineAccessors(t *testing.T) {
 		t.Fatal("Tree accessor wrong")
 	}
 
-	disabled := cfg
-	disabled.DisableEncryption = true
-	disabled.KeyMaterial = nil
-	d := newEngine(t, disabled)
-	if d.SchemeStats() != (ctr.Stats{}) {
-		t.Fatal("disabled engine should report zero scheme stats")
+	if e.ECCCodec() != "macsecded" || e.SchemeStats() != (ctr.Stats{}) {
+		t.Fatalf("ECCCodec %q / SchemeStats %+v on a fresh engine", e.ECCCodec(), e.SchemeStats())
 	}
-	if err := d.TamperTreeNode(tree.NodeID{}, 0); err == nil {
-		t.Fatal("tree tamper should fail with encryption disabled")
-	}
-	if err := d.TamperCounterBlock(0, 0); err == nil {
-		t.Fatal("counter tamper should fail with encryption disabled")
-	}
-	if _, err := d.Snapshot(0); err == nil {
-		t.Fatal("snapshot should fail with encryption disabled")
-	}
+	_, err := NewEngine(plainMemory())
+	refusesPlain(t, "NewEngine", err)
 }
 
 func TestTamperCounterBlockUnwrittenGroup(t *testing.T) {

@@ -100,9 +100,6 @@ func (e *Engine) TamperInlineTag(addr uint64, bit int) error {
 // TamperCounterBlock flips one bit of a stored counter-block image — the
 // attack Bonsai Merkle trees exist to catch.
 func (e *Engine) TamperCounterBlock(midx uint64, bit int) error {
-	if e.cfg.DisableEncryption {
-		return fmt.Errorf("core: no metadata when encryption is disabled")
-	}
 	if midx >= e.tr.Leaves() {
 		return fmt.Errorf("core: metadata block %d out of range", midx)
 	}
@@ -121,9 +118,6 @@ func (e *Engine) TamperCounterBlock(midx uint64, bit int) error {
 
 // TamperTreeNode flips one bit of an off-chip tree node.
 func (e *Engine) TamperTreeNode(id tree.NodeID, bit int) error {
-	if e.cfg.DisableEncryption {
-		return fmt.Errorf("core: no tree when encryption is disabled")
-	}
 	// A tree node covers many counter blocks; a cached line would bypass
 	// the corrupted walk entirely. Flush so reads take the detection path.
 	e.cc.flush()
@@ -214,9 +208,6 @@ func (e *Engine) plantSnapshot(blk uint64, s *BlockSnapshot) {
 }
 
 func (e *Engine) attackBlock(addr uint64) (uint64, error) {
-	if e.cfg.DisableEncryption {
-		return 0, fmt.Errorf("core: nothing to attack when encryption is disabled")
-	}
 	if err := e.checkAddr(addr); err != nil {
 		return 0, err
 	}
@@ -265,7 +256,7 @@ func (e *Engine) Scrub() (ScrubReport, error) {
 }
 
 func (e *Engine) checkScrubbable() error {
-	if e.cfg.DisableEncryption || e.cfg.Placement != MACInECC {
+	if e.cfg.Placement != MACInECC {
 		return fmt.Errorf("core: scrubbing requires MACInECC")
 	}
 	return nil

@@ -40,19 +40,6 @@ func (e *Engine) ReadBlocks(addr uint64, dst []byte) error {
 	first := addr / BlockBytes
 	n := uint64(len(dst)) / BlockBytes
 
-	if e.cfg.DisableEncryption {
-		for j := uint64(0); j < n; j++ {
-			e.stats.Reads.Add(1)
-			out := dst[j*BlockBytes : (j+1)*BlockBytes]
-			if ct := e.store.Ciphertext(first + j); ct != nil {
-				copy(out, ct)
-			} else {
-				clear(out)
-			}
-		}
-		return nil
-	}
-
 	curMidx := ^uint64(0)
 	var img []byte
 	for j := uint64(0); j < n; j++ {
@@ -91,14 +78,6 @@ func (e *Engine) WriteBlocks(addr uint64, src []byte) error {
 	}
 	first := addr / BlockBytes
 	n := uint64(len(src)) / BlockBytes
-
-	if e.cfg.DisableEncryption {
-		for j := uint64(0); j < n; j++ {
-			e.stats.Writes.Add(1)
-			copy(e.store.Materialize(first+j), src[j*BlockBytes:(j+1)*BlockBytes])
-		}
-		return nil
-	}
 
 	for done := uint64(0); done < n; {
 		blk := first + done

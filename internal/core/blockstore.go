@@ -40,7 +40,7 @@ type blockChunk struct {
 type blockStore struct {
 	nblocks uint64
 	// checkBytes is the per-block check stride (the inline codec's
-	// CheckBytes; 0 under MACInECC or with encryption disabled).
+	// CheckBytes; 0 under MACInECC).
 	checkBytes int
 	chunks     []*blockChunk
 	resident   int

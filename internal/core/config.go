@@ -84,8 +84,10 @@ type Config struct {
 	// KeyMaterial seeds the MAC key (24 bytes) and the encryption key
 	// (16 bytes): 40 bytes total.
 	KeyMaterial []byte
-	// DisableEncryption turns the engine into plain memory — the
-	// no-protection baseline Figure 8 normalizes against.
+	// DisableEncryption makes the timing model (and ComputeOverhead) price
+	// plain memory — the no-protection baseline Figure 8 normalizes
+	// against. The functional engine always encrypts: NewEngine, and every
+	// constructor and resume path built on it, refuse this setting.
 	DisableEncryption bool
 	// DataTree switches from the Bonsai Merkle tree (over counter
 	// blocks) to the classic pre-BMT design §2.2 contrasts against: the
@@ -160,6 +162,15 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// validateEngine is Validate for the functional engine, which has no
+// plain-memory mode.
+func (c Config) validateEngine() error {
+	if c.DisableEncryption {
+		return fmt.Errorf("core: the functional engine always encrypts; DisableEncryption configures only the timing model")
+	}
+	return c.Validate()
 }
 
 // resolveCodec maps the configuration to its ECC codec. An explicit

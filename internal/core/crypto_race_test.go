@@ -12,13 +12,12 @@ import (
 // lock-free read path: seqlock readers probe warm lines while writers hammer
 // split-counter groups hard enough that the 7-bit minor counter overflows
 // every 128 rewrites — each overflow re-encrypting a whole 64-block group
-// through XORBlocks/TagBatch on the parallel re-encrypt pool's per-worker
-// crypto contexts. Version-stamped blocks make the forbidden outcomes
-// visible: a torn read (seqlock failure) or a stale read (trusted plaintext
-// surviving a re-encryption that should have retired the line). Blocks the
-// writer never touches must come back bit-identical after their group is
-// swept — the direct check that the span kernels resealed them with the same
-// bits the scalar path would have.
+// through XORBlocks/TagBatch. Version-stamped blocks make the forbidden
+// outcomes visible: a torn read (seqlock failure) or a stale read (trusted
+// plaintext surviving a re-encryption that should have retired the line).
+// Blocks the writer never touches must come back bit-identical after their
+// group is swept — the direct check that the span kernels resealed them with
+// the same bits the scalar path would have.
 func TestCryptoSweepRace(t *testing.T) {
 	cfg := smallCfg(ctr.Split, MACInECC)
 	s := newSharded(t, cfg, 4)

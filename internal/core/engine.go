@@ -50,9 +50,8 @@ type Engine struct {
 	packer ctr.MetadataPacker
 	tr     *tree.Tree
 
-	// ks and key are the engine's cipher and MAC. Both are single-owner
-	// (the engine serializes all accesses); parallel sweeps build
-	// per-worker instances (see reencrypt.go).
+	// ks and key are the engine's cipher and MAC. Both are single-owner:
+	// the engine serializes all accesses, the re-encryption sweep included.
 	ks  *crypto.Stream
 	key *crypto.MAC
 
@@ -60,8 +59,7 @@ type Engine struct {
 	// of mcod/bcod is non-nil: mcod when the codec carries the MAC in the
 	// 8-byte lane (MACInECC), bcod when the lane holds an inline tag and
 	// the codec protects ciphertext only (MACInline). ver is mcod's
-	// engine-owned verifier; parallel sweeps build per-worker verifiers
-	// from mcod (see reencrypt.go).
+	// engine-owned verifier.
 	codec ecc.Codec
 	mcod  ecc.MACCodec
 	bcod  ecc.BlockCodec
@@ -97,11 +95,10 @@ type Engine struct {
 	quarantine map[uint64]struct{}
 	retryHook  func(blk uint64)
 
-	// The on-chip half of the trust boundary, built by NewEngine for every
-	// encrypting engine (all nil under DisableEncryption, which has nothing
-	// to cache or defer): cc is the verified-counter cache
-	// (countercache.go), bc the verified-block cache (blockcache.go), wp
-	// the deferred-maintenance write pipeline (writepipe.go).
+	// The on-chip half of the trust boundary, built by NewEngine: cc is the
+	// verified-counter cache (countercache.go), bc the verified-block cache
+	// (blockcache.go), wp the deferred-maintenance write pipeline
+	// (writepipe.go).
 	cc *counterCache
 	bc *blockCache
 	wp *writePipe
@@ -111,15 +108,6 @@ type Engine struct {
 	// called. Marked at the metadata commit points and by the
 	// re-encryption sweep, drained by AppendDelta.
 	delta *deltaTracker
-
-	// Parallel group re-encryption (reencrypt.go): reencWorkers > 1 fans
-	// the overflow sweep across a worker pool; reencCtx are the per-worker
-	// crypto contexts (stream, MAC, verifier — single-owner, so one set
-	// per worker) and reencStats the per-worker event counters merged
-	// after each sweep. DataTree engines keep the serial sweep (0 workers).
-	reencWorkers int
-	reencCtx     []reencCrypto
-	reencStats   []EngineStats
 
 	// stats is the atomic event bank (stats.go): the lock-free read path and
 	// stats snapshots touch it concurrently with locked traffic.
@@ -158,9 +146,6 @@ type EngineStats struct {
 	WriteCombines       uint64 // writes absorbed into an already-dirty counter leaf
 	DeferredLeafFlushes uint64 // dirty counter leaves flushed (epoch + read-triggered)
 
-	// Parallel re-encryption events.
-	ParallelReencryptWorkers uint64 // workers dispatched by parallel group sweeps
-
 	// Lock-free read-path events (see blockcache.go and ShardedEngine).
 	LockFreeHits   uint64 // warm reads served with zero lock acquisitions
 	SeqlockRetries uint64 // torn-read restarts across all seqlock probes
@@ -191,7 +176,6 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.DataCacheMisses += o.DataCacheMisses
 	s.WriteCombines += o.WriteCombines
 	s.DeferredLeafFlushes += o.DeferredLeafFlushes
-	s.ParallelReencryptWorkers += o.ParallelReencryptWorkers
 	s.LockFreeHits += o.LockFreeHits
 	s.SeqlockRetries += o.SeqlockRetries
 	s.SlowPathReads += o.SlowPathReads
@@ -209,38 +193,33 @@ type ReadInfo struct {
 }
 
 // NewEngine builds a functional engine for the configuration. There is one
-// engine configuration: every encrypting engine runs with the verified-
+// engine configuration: it always encrypts (validateEngine refuses the
+// timing model's plain-memory baseline), and it runs with the verified-
 // counter and verified-block caches (sized from the region, see
-// cacheEntries), the deferred-Merkle write pipeline at its default epoch
-// bound, and — unless the classic data tree forces the serial sweep — the
-// parallel re-encryption pool. Resume builds on this constructor, so a
-// resumed engine is the same engine, starting cold.
+// cacheEntries) and the deferred-Merkle write pipeline at its default epoch
+// bound. Resume builds on this constructor, so a resumed engine is the same
+// engine, starting cold.
 func NewEngine(cfg Config) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validateEngine(); err != nil {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, recovery: DefaultRecoveryPolicy()}
+	cod, err := cfg.resolveCodec() // validateEngine already vetted it
+	if err != nil {
+		return nil, err
+	}
+	e.codec = cod
 	checkBytes := 0
-	if !cfg.DisableEncryption {
-		cod, err := cfg.resolveCodec() // Validate already vetted it
-		if err != nil {
-			return nil, err
-		}
-		e.codec = cod
-		switch c := cod.(type) {
-		case ecc.MACCodec:
-			e.mcod = c
-		case ecc.BlockCodec:
-			e.bcod = c
-			checkBytes = c.CheckBytes()
-		default:
-			return nil, fmt.Errorf("core: codec %q is neither a block nor a MAC codec", cod.Name())
-		}
+	switch c := cod.(type) {
+	case ecc.MACCodec:
+		e.mcod = c
+	case ecc.BlockCodec:
+		e.bcod = c
+		checkBytes = c.CheckBytes()
+	default:
+		return nil, fmt.Errorf("core: codec %q is neither a block nor a MAC codec", cod.Name())
 	}
 	e.store = newBlockStore(cfg.DataBlocks(), checkBytes)
-	if cfg.DisableEncryption {
-		return e, nil
-	}
 
 	scheme, err := ctr.NewScheme(cfg.Scheme)
 	if err != nil {
@@ -288,13 +267,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.cc = newCounterCache(cacheEntries(maxCounterCacheEntries, metaBlocks))
 	e.bc = newBlockCache(cacheEntries(maxBlockCacheEntries, cfg.DataBlocks()))
 	e.wp = newWritePipe(metaBlocks)
-	if !cfg.DataTree {
-		// The data tree's per-block seal updates tree nodes shared between
-		// workers, so those engines keep the serial sweep.
-		if err := e.newReencryptPool(); err != nil {
-			return nil, err
-		}
-	}
 
 	scheme.OnReencrypt(e.reencryptGroup)
 	return e, nil
@@ -307,12 +279,10 @@ func (e *Engine) Config() Config { return e.cfg }
 // snapshot never takes a lock and never contends with the read path.
 func (e *Engine) Stats() EngineStats {
 	s := e.stats.snapshot()
-	if !e.cfg.DisableEncryption {
-		s.MetaCacheHits = e.cc.hits.Load()
-		s.MetaCacheMisses = e.cc.misses.Load()
-		s.DataCacheHits = e.bc.hits.Load()
-		s.DataCacheMisses = e.bc.misses.Load()
-	}
+	s.MetaCacheHits = e.cc.hits.Load()
+	s.MetaCacheMisses = e.cc.misses.Load()
+	s.DataCacheHits = e.bc.hits.Load()
+	s.DataCacheMisses = e.bc.misses.Load()
 	return s
 }
 
@@ -341,7 +311,7 @@ func (e *Engine) readCached(blk uint64, dst []byte) bool {
 // releases the block from quarantine, so a resident line implies a healthy
 // block (see blockcache.go).
 func (e *Engine) ReadLockFree(addr uint64, dst []byte) bool {
-	if e.cfg.DisableEncryption || len(dst) != BlockBytes {
+	if len(dst) != BlockBytes {
 		return false
 	}
 	hit, retries := e.bc.probe(addr/BlockBytes, dst)
@@ -359,24 +329,13 @@ func (e *Engine) ReadLockFree(addr uint64, dst []byte) bool {
 
 // SchemeStats returns the counter scheme's event counts (re-encryptions,
 // resets, re-encodes, extensions).
-func (e *Engine) SchemeStats() ctr.Stats {
-	if e.scheme == nil {
-		return ctr.Stats{}
-	}
-	return e.scheme.Stats()
-}
+func (e *Engine) SchemeStats() ctr.Stats { return e.scheme.Stats() }
 
 // Tree exposes the integrity tree for attack experiments.
 func (e *Engine) Tree() *tree.Tree { return e.tr }
 
-// ECCCodec returns the name of the resolved check-lane codec, or "" for an
-// encryption-disabled engine.
-func (e *Engine) ECCCodec() string {
-	if e.codec == nil {
-		return ""
-	}
-	return e.codec.Name()
-}
+// ECCCodec returns the name of the resolved check-lane codec.
+func (e *Engine) ECCCodec() string { return e.codec.Name() }
 
 // InlineCheckBits returns the number of stored check bits per block under
 // the inline placement (the block codec's CheckBytes * 8), or 0 when the
@@ -409,11 +368,6 @@ func (e *Engine) Write(addr uint64, plaintext []byte) error {
 	}
 	blk := addr / BlockBytes
 	e.stats.Writes.Add(1)
-
-	if e.cfg.DisableEncryption {
-		copy(e.store.Materialize(blk), plaintext)
-		return nil
-	}
 
 	e.pendingFirst, e.pendingLast, e.hasPendingWrite = blk, blk, true
 	out := e.scheme.Touch(blk)
@@ -491,6 +445,11 @@ func (e *Engine) metaLeaf(midx uint64) uint64 {
 // reencryptGroup is the scheme's re-encryption hook: decrypt every block of
 // the group under its old counter, re-pad the whole group under the shared
 // new counter in one batched XORBlocks sweep, and reinstall the results.
+//
+// The sweep is serial, on the writing caller, under its shard's lock. It runs
+// for a fraction of a percent of writes (delta encoding exists to keep it
+// rare), and a fan-out across goroutines cost more to start and join than it
+// saved on 64 blocks (EXPERIMENTS "Decided experiments").
 func (e *Engine) reencryptGroup(groupStart uint64, oldCounters []uint64, newCounter uint64) {
 	e.stats.GroupReencrypts.Add(1)
 	if e.delta != nil {
@@ -503,10 +462,6 @@ func (e *Engine) reencryptGroup(groupStart uint64, oldCounters []uint64, newCoun
 	}
 	if e.groupBuf == nil {
 		e.groupBuf = make([]byte, ctr.GroupBlocks*BlockBytes)
-	}
-	if e.reencWorkers > 1 && n >= reencParallelMinBlocks {
-		e.reencryptGroupParallel(groupStart, oldCounters[:n], newCounter)
-		return
 	}
 	buf := e.groupBuf[:n*BlockBytes]
 
@@ -522,7 +477,6 @@ func (e *Engine) reencryptGroup(groupStart uint64, oldCounters []uint64, newCoun
 	// on the new counter, any read of them fails the MAC until software
 	// rewrites the block.
 	var skip [ctr.GroupBlocks]bool
-	var vst EngineStats // correction events, published once after the loop
 	for j := 0; j < n; j++ {
 		blk := groupStart + uint64(j)
 		pt := buf[j*BlockBytes : (j+1)*BlockBytes]
@@ -531,7 +485,7 @@ func (e *Engine) reencryptGroup(groupStart uint64, oldCounters []uint64, newCoun
 			clear(pt)
 			continue
 		}
-		if !e.verifyStored(blk, ct, oldCounters[j], &vst) {
+		if !e.verifyStored(blk, ct, oldCounters[j]) {
 			e.quarantineBlock(blk)
 			skip[j] = true
 			clear(pt)
@@ -541,7 +495,6 @@ func (e *Engine) reencryptGroup(groupStart uint64, oldCounters []uint64, newCoun
 			panic(err) // sizes are fixed; cannot fail
 		}
 	}
-	e.stats.merge(vst)
 
 	// One batched pad sweep re-encrypts the whole group in place, and one
 	// batched MAC sweep computes every block's tag; the per-block loop
@@ -575,25 +528,18 @@ func (e *Engine) reencryptGroup(groupStart uint64, oldCounters []uint64, newCoun
 // verifyStored authenticates a resident block's stored bits under counter,
 // repairing correctable faults in place exactly as a read would; false
 // means the block is uncorrectable and must not be trusted. Correction
-// events land in st so parallel sweep workers can bank them race-free.
-func (e *Engine) verifyStored(blk uint64, ct []byte, counter uint64, st *EngineStats) bool {
-	return e.verifyStoredWith(e.key, e.ver, blk, ct, counter, st)
-}
-
-// verifyStoredWith is verifyStored against an explicit MAC/verifier pair:
-// parallel sweep workers pass their own single-owner instances instead of
-// the engine's (see reencrypt.go).
-func (e *Engine) verifyStoredWith(key *crypto.MAC, ver ecc.LaneVerifier, blk uint64, ct []byte, counter uint64, st *EngineStats) bool {
+// events are banked into the engine's counters, as a read's are.
+func (e *Engine) verifyStored(blk uint64, ct []byte, counter uint64) bool {
 	if e.mcod != nil {
-		lane, out, err := ver.VerifyAndCorrect(ct, e.store.Meta(blk), blk*BlockBytes, counter)
+		lane, out, err := e.ver.VerifyAndCorrect(ct, e.store.Meta(blk), blk*BlockBytes, counter)
 		if err != nil {
 			panic(err) // sizes are fixed; cannot fail
 		}
 		if !out.OK {
 			return false
 		}
-		st.CorrectedDataBits += uint64(out.CorrectedDataBits)
-		st.CorrectedMACBits += uint64(out.CorrectedMACBits)
+		e.stats.CorrectedDataBits.Add(uint64(out.CorrectedDataBits))
+		e.stats.CorrectedMACBits.Add(uint64(out.CorrectedMACBits))
 		e.store.SetMeta(blk, lane)
 		return true
 	}
@@ -604,8 +550,8 @@ func (e *Engine) verifyStoredWith(key *crypto.MAC, ver ecc.LaneVerifier, blk uin
 	if !outcome.Clean() {
 		return false
 	}
-	st.SECDEDCorrected += uint64(outcome.CorrectedBits)
-	ok, err := key.Verify(ct, blk*BlockBytes, counter, e.store.Meta(blk))
+	e.stats.SECDEDCorrected.Add(uint64(outcome.CorrectedBits))
+	ok, err := e.key.Verify(ct, blk*BlockBytes, counter, e.store.Meta(blk))
 	if err != nil {
 		panic(err)
 	}
@@ -625,16 +571,6 @@ func (e *Engine) Read(addr uint64, dst []byte) (ReadInfo, error) {
 	}
 	blk := addr / BlockBytes
 	e.stats.Reads.Add(1)
-
-	if e.cfg.DisableEncryption {
-		if ct := e.store.Ciphertext(blk); ct != nil {
-			copy(dst, ct)
-		} else {
-			clear(dst)
-			info.Fresh = true
-		}
-		return info, nil
-	}
 
 	// A verified-block cache hit is trusted plaintext: no counter fetch,
 	// no tree walk, no MAC, no decryption.

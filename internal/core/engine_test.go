@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"authmem/internal/ctr"
@@ -417,31 +418,57 @@ func TestReencryptionMaterializesZeros(t *testing.T) {
 	}
 }
 
-func TestDisabledEncryptionPassthrough(t *testing.T) {
+// plainMemory is a test-sized configuration with the timing model's
+// no-encryption baseline switched on.
+func plainMemory() Config {
 	cfg := smallCfg(ctr.Delta, MACInECC)
 	cfg.DisableEncryption = true
-	cfg.KeyMaterial = nil
-	e := newEngine(t, cfg)
-	want := block(10)
-	if err := e.Write(0x40, want); err != nil {
-		t.Fatal(err)
+	return cfg
+}
+
+// refusesPlain fails t unless err is the functional engine's refusal of a
+// plain-memory configuration.
+func refusesPlain(t *testing.T, what string, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "always encrypts") {
+		t.Fatalf("%s with DisableEncryption: err = %v, want the always-encrypts refusal", what, err)
 	}
-	dst := make([]byte, BlockBytes)
-	if _, err := e.Read(0x40, dst); err != nil {
-		t.Fatal(err)
+}
+
+// TestDisabledEncryptionPassthrough: the functional engine has no
+// plain-memory mode, with or without key material.
+func TestDisabledEncryptionPassthrough(t *testing.T) {
+	cfg := plainMemory()
+	for _, key := range [][]byte{cfg.KeyMaterial, nil} {
+		cfg.KeyMaterial = key
+		_, err := NewEngine(cfg)
+		refusesPlain(t, "NewEngine", err)
 	}
-	if !bytes.Equal(dst, want) {
-		t.Fatal("passthrough corrupted data")
-	}
-	// Stored image IS the plaintext (no encryption).
-	if !bytes.Equal(e.store.Ciphertext(1), want) {
-		t.Fatal("disabled encryption should store plaintext")
-	}
-	if err := e.TamperCiphertext(0x40, 0); err == nil {
-		t.Fatal("attack APIs should be disabled")
-	}
-	if _, err := e.Scrub(); err == nil {
-		t.Fatal("scrub should require MACInECC")
+}
+
+// TestEngineRefusesPlainMemory: every functional constructor and resume path
+// refuses DisableEncryption, each with a valid key and (for the resumes) a
+// valid image, so the refusal is the only thing that can fail them.
+func TestEngineRefusesPlainMemory(t *testing.T) {
+	plain := plainMemory()
+	_, err := NewEngine(plain)
+	refusesPlain(t, "NewEngine", err)
+	for _, shards := range []int{1, 2} {
+		_, err := NewShardedEngine(plain, shards)
+		refusesPlain(t, "NewShardedEngine", err)
+
+		s := newSharded(t, smallCfg(ctr.Delta, MACInECC), shards)
+		if err := s.Write(0, block(1)); err != nil {
+			t.Fatal(err)
+		}
+		var img bytes.Buffer
+		if _, err := s.Persist(&img); err != nil {
+			t.Fatal(err)
+		}
+		_, err = ResumeSharded(plain, shards, bytes.NewReader(img.Bytes()), nil)
+		refusesPlain(t, "ResumeSharded", err)
+		_, _, err = ResumeShardedIncremental(plain, shards, bytes.NewReader(img.Bytes()), nil, nil)
+		refusesPlain(t, "ResumeShardedIncremental", err)
 	}
 }
 

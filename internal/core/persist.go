@@ -54,9 +54,6 @@ type RootDigest [sha256.Size]byte
 // digest of the tree's trusted top level.
 func (e *Engine) Persist(w io.Writer) (RootDigest, error) {
 	var digest RootDigest
-	if e.cfg.DisableEncryption {
-		return digest, fmt.Errorf("core: nothing meaningful to persist with encryption disabled")
-	}
 	// Deferred Merkle maintenance must land before any state leaves the
 	// trust boundary: the image and its digest cover every accepted write.
 	if err := e.Flush(); err != nil {
@@ -165,9 +162,6 @@ func Resume(cfg Config, r io.Reader, expectRoot *RootDigest) (*Engine, error) {
 	e, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.DisableEncryption {
-		return nil, fmt.Errorf("core: cannot resume with encryption disabled")
 	}
 	br := bufio.NewReader(r)
 

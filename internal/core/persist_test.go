@@ -221,17 +221,20 @@ func TestResumeWithWrongKeyFailsOnRead(t *testing.T) {
 	}
 }
 
+// TestPersistDisabledEncryption: a valid image does not resume as plain
+// memory.
 func TestPersistDisabledEncryption(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
-	cfg.DisableEncryption = true
-	cfg.KeyMaterial = nil
 	e := newEngine(t, cfg)
-	if _, err := e.Persist(&bytes.Buffer{}); err == nil {
-		t.Fatal("persist without encryption should fail")
+	if err := e.Write(0, block(1)); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Resume(cfg, bytes.NewReader(nil), nil); err == nil {
-		t.Fatal("resume without encryption should fail")
+	var buf bytes.Buffer
+	if _, err := e.Persist(&buf); err != nil {
+		t.Fatal(err)
 	}
+	_, err := Resume(plainMemory(), bytes.NewReader(buf.Bytes()), nil)
+	refusesPlain(t, "Resume", err)
 }
 
 func TestPersistDeterministic(t *testing.T) {

@@ -87,9 +87,9 @@ func (t *deltaTracker) reset() {
 // EnableDeltaTracking turns on the dirty-block set behind AppendDelta.
 // Call before traffic (an incremental resume enables it automatically);
 // blocks written while tracking is off are not observed.
-// A no-op when already enabled or with encryption disabled.
+// A no-op when already enabled.
 func (e *Engine) EnableDeltaTracking() {
-	if e.cfg.DisableEncryption || e.delta != nil {
+	if e.delta != nil {
 		return
 	}
 	e.delta = &deltaTracker{
@@ -135,9 +135,6 @@ func (e *Engine) walKeyMaterial() []byte {
 // now — persist the base image first, then open the log, and every
 // AppendDelta epoch extends that base.
 func (e *Engine) NewDeltaWriter(w io.Writer) (*wal.Writer, error) {
-	if e.cfg.DisableEncryption {
-		return nil, fmt.Errorf("core: no delta log with encryption disabled")
-	}
 	// A new log is a new epoch sequence: its first commit record must carry
 	// epoch 0, whatever was appended to earlier logs (a checkpoint fold
 	// opens a fresh log mid-life; the old one is dead the moment the new
@@ -176,9 +173,6 @@ func (e *Engine) metaSpan(midx uint64) (first, n uint64) {
 // first. After an error w is dead (see wal.Writer) and the dirty set is kept.
 func (e *Engine) AppendDelta(w *wal.Writer) (DeltaStats, error) {
 	var st DeltaStats
-	if e.cfg.DisableEncryption {
-		return st, fmt.Errorf("core: nothing meaningful to persist with encryption disabled")
-	}
 	if e.delta == nil {
 		return st, fmt.Errorf("core: delta tracking not enabled (call EnableDeltaTracking)")
 	}

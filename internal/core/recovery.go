@@ -100,7 +100,7 @@ func (e *Engine) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error) {
 	var ri RecoverInfo
 	info, err := e.Read(addr, dst)
 	ri.ReadInfo = info
-	if err == nil || e.cfg.DisableEncryption {
+	if err == nil {
 		return ri, err
 	}
 	var qe *QuarantineError

@@ -2,116 +2,67 @@ package core
 
 import (
 	"bytes"
-	"errors"
-	"runtime"
 	"sync"
 	"testing"
 
 	"authmem/internal/ctr"
 )
 
-// hammer drives enough hot writes through e to force at least one group
-// re-encryption sweep.
-func hammer(t *testing.T, e *Engine, addr uint64, writes int) {
-	t.Helper()
-	d := block(900)
-	for i := 0; i < writes; i++ {
-		if err := e.Write(addr, d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.SchemeStats().Reencryptions == 0 {
-		t.Fatal("hot writes forced no re-encryption")
-	}
-}
-
-// TestParallelReencryptMatchesSerial drives identical traffic — neighbor
-// writes, then a hot block forcing overflow sweeps — through a serial and a
-// parallel engine at every grouped design point. The sweeps must leave
-// bit-identical persisted state.
-func TestParallelReencryptMatchesSerial(t *testing.T) {
+// TestReencryptSweepBanksCorrections plants one correctable flip in a group
+// member, then forces a sweep over its group: the sweep's verify repairs the
+// block before resealing it and banks exactly that one corrected bit — as
+// CorrectedDataBits under MAC-in-ECC, SECDEDCorrected under the inline codec —
+// and the block then reads back clean.
+func TestReencryptSweepBanksCorrections(t *testing.T) {
 	for _, scheme := range []ctr.Kind{ctr.Split, ctr.Delta, ctr.DualLength} {
 		for _, placement := range []MACPlacement{MACInline, MACInECC} {
-			cfg := smallCfg(scheme, placement)
-			serial := newEngine(t, cfg)
-			serial.reencWorkers = 0 // the serial sweep is the reference
-			par := newEngine(t, cfg)
-			for _, e := range []*Engine{serial, par} {
-				for i := uint64(1); i < 40; i++ {
-					if err := e.Write(i*BlockBytes, block(int64(i))); err != nil {
+			t.Run(scheme.String()+"/"+placement.String(), func(t *testing.T) {
+				e := newEngine(t, smallCfg(scheme, placement))
+				victim := uint64(5) * BlockBytes // same group as block 0
+				want := block(11)
+				if err := e.Write(victim, want); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.TamperCiphertext(victim, 3); err != nil {
+					t.Fatal(err)
+				}
+				before := e.Stats()
+				hot := block(12)
+				for i := 0; i < 200_000 && e.Stats().GroupReencrypts == before.GroupReencrypts; i++ {
+					if err := e.Write(0, hot); err != nil {
 						t.Fatal(err)
 					}
 				}
-				hammer(t, e, 0, 1500)
-			}
-			if par.Stats().ParallelReencryptWorkers == 0 {
-				t.Fatalf("%s/%s: parallel sweep never dispatched", scheme, placement)
-			}
-			if serial.Stats().ParallelReencryptWorkers != 0 {
-				t.Fatal("serial engine reported parallel workers")
-			}
-			var a, b bytes.Buffer
-			ra, err := serial.Persist(&a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rb, err := par.Persist(&b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ra != rb || !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Fatalf("%s/%s: parallel sweep state diverges from serial", scheme, placement)
-			}
+				after := e.Stats()
+				if after.GroupReencrypts != before.GroupReencrypts+1 {
+					t.Fatalf("sweeps %d -> %d, want exactly one", before.GroupReencrypts, after.GroupReencrypts)
+				}
+				data := after.CorrectedDataBits - before.CorrectedDataBits
+				secded := after.SECDEDCorrected - before.SECDEDCorrected
+				if placement == MACInECC && (data != 1 || secded != 0) {
+					t.Fatalf("CorrectedDataBits +%d, SECDEDCorrected +%d; want +1, +0", data, secded)
+				}
+				if placement == MACInline && (data != 0 || secded != 1) {
+					t.Fatalf("CorrectedDataBits +%d, SECDEDCorrected +%d; want +0, +1", data, secded)
+				}
+				goCold(e)
+				dst := make([]byte, BlockBytes)
+				info, err := e.Read(victim, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.CorrectedDataBits != 0 || info.CorrectedMACBits != 0 || !bytes.Equal(dst, want) {
+					t.Fatalf("swept block reads back %+v / equal=%v, want clean", info, bytes.Equal(dst, want))
+				}
+			})
 		}
 	}
 }
 
-// TestParallelReencryptQuarantines plants an unverifiable block in the
-// group, then forces a sweep: the parallel path must refuse to re-seal it
-// (no laundering) and quarantine it, exactly like the serial sweep.
-func TestParallelReencryptQuarantines(t *testing.T) {
-	cfg := smallCfg(ctr.Delta, MACInline)
-	e := newEngine(t, cfg)
-	victim := uint64(20) * BlockBytes
-	if err := e.Write(victim, block(7)); err != nil {
-		t.Fatal(err)
-	}
-	// A burst beyond any correction budget — clustered in one SECDED word
-	// so per-word correction cannot absorb it: the block can never verify.
-	for _, bit := range []int{3, 5, 9, 12, 17} {
-		if err := e.TamperCiphertext(victim, bit); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hammer(t, e, 0, 1500)
-	if e.Stats().ParallelReencryptWorkers == 0 {
-		t.Fatal("parallel sweep never dispatched")
-	}
-	if !e.Quarantined(victim) {
-		t.Fatal("unverifiable block survived the sweep unquarantined")
-	}
-	dst := make([]byte, BlockBytes)
-	_, err := e.Read(victim, dst)
-	var qe *QuarantineError
-	if !errors.As(err, &qe) {
-		t.Fatalf("read of quarantined block returned %v, want QuarantineError", err)
-	}
-	// Software rewrites the block; the quarantine releases.
-	if err := e.Write(victim, block(8)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Read(victim, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, block(8)) {
-		t.Fatal("rewritten block corrupted")
-	}
-}
-
-// TestParallelReencryptMidSpanWrite covers the in-flight-write interaction:
+// TestReencryptMidSpanWrite covers the in-flight-write interaction:
 // a WriteBlocks span whose counter touches overflow mid-chunk must leave the
 // pending blocks to the incoming data, not the sweep.
-func TestParallelReencryptMidSpanWrite(t *testing.T) {
+func TestReencryptMidSpanWrite(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
 	e := newEngine(t, cfg)
 	// Drive the group's counters near overflow with single writes, then
@@ -137,26 +88,9 @@ func TestParallelReencryptMidSpanWrite(t *testing.T) {
 	}
 }
 
-// TestReencryptPoolSizing pins the one sizing rule: clamp(GOMAXPROCS, 2, 4)
-// workers, each with a private crypto context, and no pool at all under the
-// classic data tree (its per-block seal updates shared tree nodes).
-func TestReencryptPoolSizing(t *testing.T) {
-	cfg := smallCfg(ctr.Delta, MACInECC)
-	e := newEngine(t, cfg)
-	want := min(max(runtime.GOMAXPROCS(0), 2), 4)
-	if e.reencWorkers != want || len(e.reencCtx) != want || len(e.reencStats) != want {
-		t.Fatalf("pool = %d workers / %d contexts / %d stat banks, want %d",
-			e.reencWorkers, len(e.reencCtx), len(e.reencStats), want)
-	}
-	cfg.DataTree = true
-	if dt := newEngine(t, cfg); dt.reencWorkers != 0 || dt.reencCtx != nil {
-		t.Fatal("classic data tree must keep the serial sweep")
-	}
-}
-
 // TestConcurrentShardedReencrypt hammers every shard from its own goroutine
-// so overflow sweeps (parallel by default in the sharded engine) run under
-// the race detector against concurrent traffic in other shards.
+// so overflow sweeps run under the race detector against concurrent traffic
+// in other shards.
 func TestConcurrentShardedReencrypt(t *testing.T) {
 	cfg := smallCfg(ctr.Split, MACInECC) // split overflows fastest
 	s, err := NewShardedEngine(cfg, 4)
@@ -192,11 +126,8 @@ func TestConcurrentShardedReencrypt(t *testing.T) {
 			t.Fatalf("shard %d worker: %v", i, err)
 		}
 	}
-	if s.SchemeStats().Reencryptions == 0 {
+	if s.Stats().GroupReencrypts == 0 {
 		t.Fatal("no sweeps under concurrent traffic")
-	}
-	if s.Stats().ParallelReencryptWorkers == 0 {
-		t.Fatal("sharded sweeps should use the parallel pool by default")
 	}
 	dst := make([]byte, BlockBytes)
 	for i := 0; i < s.Shards(); i++ {

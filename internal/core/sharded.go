@@ -90,9 +90,7 @@ func ShardKeyMaterial(master []byte, shards, idx int) []byte {
 func shardConfig(cfg Config, shards, idx int) Config {
 	sc := cfg
 	sc.RegionBytes = cfg.RegionBytes / uint64(shards)
-	if !cfg.DisableEncryption {
-		sc.KeyMaterial = ShardKeyMaterial(cfg.KeyMaterial, shards, idx)
-	}
+	sc.KeyMaterial = ShardKeyMaterial(cfg.KeyMaterial, shards, idx)
 	return sc
 }
 
@@ -110,15 +108,15 @@ func ValidateShards(cfg Config, shards int) error {
 	// Check the master material before deriving per-shard keys: derivation
 	// would turn any length — including an unset key — into valid-looking
 	// 40-byte shard keys.
-	case !cfg.DisableEncryption && len(cfg.KeyMaterial) != KeyMaterialLen:
+	case len(cfg.KeyMaterial) != KeyMaterialLen:
 		return fmt.Errorf("core: key material must be %d bytes, got %d", KeyMaterialLen, len(cfg.KeyMaterial))
 	}
-	return shardConfig(cfg, shards, 0).Validate()
+	return shardConfig(cfg, shards, 0).validateEngine()
 }
 
 // NewShardedEngine builds a sharded engine with the given power-of-two
-// shard count: one complete Engine per shard, each with its own caches,
-// write pipeline and re-encryption pool (see NewEngine).
+// shard count: one complete Engine per shard, each with its own caches and
+// write pipeline (see NewEngine).
 func NewShardedEngine(cfg Config, shards int) (*ShardedEngine, error) {
 	if err := ValidateShards(cfg, shards); err != nil {
 		return nil, err
@@ -346,9 +344,6 @@ func bankLockFreeSpan(sh *engineShard, hits, retries uint64) {
 // and only for blocks actually served, so the locked path that picks up the
 // remainder never double-counts.
 func (s *ShardedEngine) readBlocksLockFree(addr uint64, dst []byte) int {
-	if s.cfg.DisableEncryption {
-		return 0 // no caches: reads are raw copies under the shard lock
-	}
 	var (
 		served      int
 		cur         *engineShard
@@ -442,7 +437,7 @@ func (s *ShardedEngine) TryReadBlocks(addr uint64, dst []byte) (done bool, err e
 	// so a refused call leaves nothing for the fallback to count twice.
 	var hits, tears uint64
 	served := 0
-	for !s.cfg.DisableEncryption && served < len(dst) {
+	for served < len(dst) {
 		hit, r := sh.eng.bc.probe((local+uint64(served))/BlockBytes, dst[served:served+BlockBytes])
 		tears += uint64(r)
 		if !hit {

@@ -73,9 +73,6 @@ func resumeSections(cfg Config, shards int, r io.Reader) ([]*Engine, error) {
 	if err := ValidateShards(cfg, shards); err != nil {
 		return nil, err
 	}
-	if cfg.DisableEncryption {
-		return nil, fmt.Errorf("core: cannot resume with encryption disabled")
-	}
 	// Engine.Resume wraps its reader in bufio.NewReader, which passes an
 	// existing *bufio.Reader of sufficient size through unchanged — each
 	// shard section is consumed exactly, leaving the stream positioned at

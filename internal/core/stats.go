@@ -8,9 +8,8 @@ import "sync/atomic"
 // banks events while other goroutines mutate the same engine under its shard
 // lock, and Stats() snapshots shards without taking any lock at all — so
 // every counter is an atomic word. EngineStats stays a plain value struct:
-// it is the public snapshot type (aliased as authmem.EngineStats) and is
-// returned by value, merged with EngineStats.Add, and banked per worker by
-// the parallel re-encryption sweep.
+// it is the public snapshot type (aliased as authmem.EngineStats), returned
+// by value and merged with EngineStats.Add.
 //
 // On the locked paths the atomics replace unsynchronized ++ with uncontended
 // atomic adds; on the lock-free path they are the only correct choice. Either
@@ -36,8 +35,6 @@ type engineCounters struct {
 	WriteCombines       atomic.Uint64
 	DeferredLeafFlushes atomic.Uint64
 
-	ParallelReencryptWorkers atomic.Uint64
-
 	LockFreeHits   atomic.Uint64
 	SeqlockRetries atomic.Uint64
 	SlowPathReads  atomic.Uint64
@@ -49,95 +46,25 @@ type engineCounters struct {
 // traffic is in flight.
 func (c *engineCounters) snapshot() EngineStats {
 	return EngineStats{
-		Reads:                    c.Reads.Load(),
-		Writes:                   c.Writes.Load(),
-		FreshReads:               c.FreshReads.Load(),
-		IntegrityFailures:        c.IntegrityFailures.Load(),
-		CorrectedDataBits:        c.CorrectedDataBits.Load(),
-		CorrectedMACBits:         c.CorrectedMACBits.Load(),
-		SECDEDCorrected:          c.SECDEDCorrected.Load(),
-		ScrubPasses:              c.ScrubPasses.Load(),
-		ScrubFlagged:             c.ScrubFlagged.Load(),
-		GroupReencrypts:          c.GroupReencrypts.Load(),
-		RetriedReads:             c.RetriedReads.Load(),
-		RetryRecoveries:          c.RetryRecoveries.Load(),
-		MetadataRepairs:          c.MetadataRepairs.Load(),
-		Quarantined:              c.Quarantined.Load(),
-		QuarantineRefusals:       c.QuarantineRefusals.Load(),
-		WriteCombines:            c.WriteCombines.Load(),
-		DeferredLeafFlushes:      c.DeferredLeafFlushes.Load(),
-		ParallelReencryptWorkers: c.ParallelReencryptWorkers.Load(),
-		LockFreeHits:             c.LockFreeHits.Load(),
-		SeqlockRetries:           c.SeqlockRetries.Load(),
-		SlowPathReads:            c.SlowPathReads.Load(),
-	}
-}
-
-// merge folds a plain snapshot into the counters — the bridge for code that
-// banks events into a private EngineStats first (parallel re-encryption
-// workers, the serial sweep's correction loop) and publishes once.
-func (c *engineCounters) merge(s EngineStats) {
-	if s.Reads != 0 {
-		c.Reads.Add(s.Reads)
-	}
-	if s.Writes != 0 {
-		c.Writes.Add(s.Writes)
-	}
-	if s.FreshReads != 0 {
-		c.FreshReads.Add(s.FreshReads)
-	}
-	if s.IntegrityFailures != 0 {
-		c.IntegrityFailures.Add(s.IntegrityFailures)
-	}
-	if s.CorrectedDataBits != 0 {
-		c.CorrectedDataBits.Add(s.CorrectedDataBits)
-	}
-	if s.CorrectedMACBits != 0 {
-		c.CorrectedMACBits.Add(s.CorrectedMACBits)
-	}
-	if s.SECDEDCorrected != 0 {
-		c.SECDEDCorrected.Add(s.SECDEDCorrected)
-	}
-	if s.ScrubPasses != 0 {
-		c.ScrubPasses.Add(s.ScrubPasses)
-	}
-	if s.ScrubFlagged != 0 {
-		c.ScrubFlagged.Add(s.ScrubFlagged)
-	}
-	if s.GroupReencrypts != 0 {
-		c.GroupReencrypts.Add(s.GroupReencrypts)
-	}
-	if s.RetriedReads != 0 {
-		c.RetriedReads.Add(s.RetriedReads)
-	}
-	if s.RetryRecoveries != 0 {
-		c.RetryRecoveries.Add(s.RetryRecoveries)
-	}
-	if s.MetadataRepairs != 0 {
-		c.MetadataRepairs.Add(s.MetadataRepairs)
-	}
-	if s.Quarantined != 0 {
-		c.Quarantined.Add(s.Quarantined)
-	}
-	if s.QuarantineRefusals != 0 {
-		c.QuarantineRefusals.Add(s.QuarantineRefusals)
-	}
-	if s.WriteCombines != 0 {
-		c.WriteCombines.Add(s.WriteCombines)
-	}
-	if s.DeferredLeafFlushes != 0 {
-		c.DeferredLeafFlushes.Add(s.DeferredLeafFlushes)
-	}
-	if s.ParallelReencryptWorkers != 0 {
-		c.ParallelReencryptWorkers.Add(s.ParallelReencryptWorkers)
-	}
-	if s.LockFreeHits != 0 {
-		c.LockFreeHits.Add(s.LockFreeHits)
-	}
-	if s.SeqlockRetries != 0 {
-		c.SeqlockRetries.Add(s.SeqlockRetries)
-	}
-	if s.SlowPathReads != 0 {
-		c.SlowPathReads.Add(s.SlowPathReads)
+		Reads:               c.Reads.Load(),
+		Writes:              c.Writes.Load(),
+		FreshReads:          c.FreshReads.Load(),
+		IntegrityFailures:   c.IntegrityFailures.Load(),
+		CorrectedDataBits:   c.CorrectedDataBits.Load(),
+		CorrectedMACBits:    c.CorrectedMACBits.Load(),
+		SECDEDCorrected:     c.SECDEDCorrected.Load(),
+		ScrubPasses:         c.ScrubPasses.Load(),
+		ScrubFlagged:        c.ScrubFlagged.Load(),
+		GroupReencrypts:     c.GroupReencrypts.Load(),
+		RetriedReads:        c.RetriedReads.Load(),
+		RetryRecoveries:     c.RetryRecoveries.Load(),
+		MetadataRepairs:     c.MetadataRepairs.Load(),
+		Quarantined:         c.Quarantined.Load(),
+		QuarantineRefusals:  c.QuarantineRefusals.Load(),
+		WriteCombines:       c.WriteCombines.Load(),
+		DeferredLeafFlushes: c.DeferredLeafFlushes.Load(),
+		LockFreeHits:        c.LockFreeHits.Load(),
+		SeqlockRetries:      c.SeqlockRetries.Load(),
+		SlowPathReads:       c.SlowPathReads.Load(),
 	}
 }

@@ -42,8 +42,8 @@ import (
 // tree is only ever fed images re-derived from the trusted scheme, so
 // tampered DRAM bytes cannot be re-authenticated by a flush either.
 //
-// Every encrypting engine runs the pipeline (NewEngine builds it); a sharded
-// engine's per-shard dirty sets each keep their own epoch clock.
+// Every engine runs the pipeline (NewEngine builds it); a sharded engine's
+// per-shard dirty sets each keep their own epoch clock.
 
 // defaultMaxDirtyLeaves is the dirty set's epoch bound: one group's worth
 // of leaves, i.e. at most one batched tree pass per 4KB of distinct touched
@@ -119,12 +119,7 @@ func (p *writePipe) reset() {
 
 // DirtyLeaves returns the number of counter leaves with deferred tree
 // maintenance pending.
-func (e *Engine) DirtyLeaves() int {
-	if e.cfg.DisableEncryption {
-		return 0
-	}
-	return len(e.wp.dirty)
-}
+func (e *Engine) DirtyLeaves() int { return len(e.wp.dirty) }
 
 // flushPending reports, without any lock, whether this engine has deferred
 // Merkle maintenance outstanding. A false answer is a stable quiescence
@@ -132,7 +127,7 @@ func (e *Engine) DirtyLeaves() int {
 // concurrently may dirty leaves afterwards, exactly as they may after a
 // locked flush returns.
 func (e *Engine) flushPending() bool {
-	return !e.cfg.DisableEncryption && e.wp.pending.Load() > 0
+	return e.wp.pending.Load() > 0
 }
 
 // deferCommit is the metadata commit point of every write: it stages midx's
@@ -165,7 +160,7 @@ func (e *Engine) deferCommit(midx, first uint64, n int) error {
 // and the tree paths above all dirty leaves are recomputed in one batched
 // tree.UpdateLeaves pass. No-op with a clean set.
 func (e *Engine) Flush() error {
-	if e.cfg.DisableEncryption || len(e.wp.dirty) == 0 {
+	if len(e.wp.dirty) == 0 {
 		return nil
 	}
 	wp := e.wp

@@ -295,10 +295,10 @@ func TestWritePipelineWriteAllocs(t *testing.T) {
 }
 
 func TestEngineStatsAddWritePipeline(t *testing.T) {
-	a := EngineStats{WriteCombines: 2, DeferredLeafFlushes: 3, ParallelReencryptWorkers: 4}
-	b := EngineStats{WriteCombines: 10, DeferredLeafFlushes: 20, ParallelReencryptWorkers: 30}
+	a := EngineStats{WriteCombines: 2, DeferredLeafFlushes: 3}
+	b := EngineStats{WriteCombines: 10, DeferredLeafFlushes: 20}
 	a.Add(b)
-	if a.WriteCombines != 12 || a.DeferredLeafFlushes != 23 || a.ParallelReencryptWorkers != 34 {
+	if a.WriteCombines != 12 || a.DeferredLeafFlushes != 23 {
 		t.Fatalf("Add dropped write-pipeline counters: %+v", a)
 	}
 }

@@ -65,13 +65,12 @@ import (
 // The wire protocol's block granularity must be the engine's.
 const _ = -uint(wire.BlockBytes - authmem.BlockSize)
 
-// Backend is the device surface the server fronts — a subset of
-// authmem.Memory's public API. The backend must be safe for concurrent use,
-// as a Memory of any shard count is.
+// Backend is the device surface the server fronts — the subset of
+// authmem.Memory's public API it calls: spans in and out, the recovery read,
+// and the flush, stats and root the control ops report. The backend must be
+// safe for concurrent use, as a Memory of any shard count is.
 type Backend interface {
-	Read(addr uint64, dst []byte) (authmem.ReadInfo, error)
 	ReadRecover(addr uint64, dst []byte) (authmem.RecoverInfo, error)
-	Write(addr uint64, block []byte) error
 	ReadBlocks(addr uint64, dst []byte) error
 	WriteBlocks(addr uint64, src []byte) error
 	FlushAll() error
