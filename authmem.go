@@ -170,17 +170,15 @@ func (c Config) internal() (core.Config, error) {
 		placement = core.MACInline
 	}
 	cfg := core.Config{
-		RegionBytes:        c.Size,
-		Scheme:             kind,
-		Placement:          placement,
-		MetadataCacheBytes: 32 << 10, // Table 1; read only by the timing model
-		MetadataCacheWays:  8,
-		OnChipTreeBytes:    c.OnChipTreeBytes,
-		CorrectBits:        c.CorrectBits,
-		KeyMaterial:        c.Key,
-		DataTree:           c.ClassicDataTree,
-		CryptoBackend:      c.CryptoBackend,
-		ECCCodec:           c.ECCCodec,
+		RegionBytes:     c.Size,
+		Scheme:          kind,
+		Placement:       placement,
+		OnChipTreeBytes: c.OnChipTreeBytes,
+		CorrectBits:     c.CorrectBits,
+		KeyMaterial:     c.Key,
+		DataTree:        c.ClassicDataTree,
+		CryptoBackend:   c.CryptoBackend,
+		ECCCodec:        c.ECCCodec,
 	}
 	if cfg.OnChipTreeBytes == 0 {
 		cfg.OnChipTreeBytes = 3 << 10

@@ -17,7 +17,6 @@ import (
 	"authmem/internal/dram"
 	"authmem/internal/fault"
 	"authmem/internal/sim"
-	"authmem/internal/trace"
 	"authmem/internal/workload"
 )
 
@@ -121,21 +120,13 @@ func BenchmarkAblationDecodeLatency(b *testing.B) {
 		cycles := cycles
 		name := map[int]string{0: "0cyc", 2: "2cyc-paper", 8: "8cyc", 32: "32cyc"}[cycles]
 		b.Run(name, func(b *testing.B) {
-			var ipc float64
+			var r sim.IPCResult
 			for i := 0; i < b.N; i++ {
-				cfg := core.Default(ctr.Delta, core.MACInECC)
-				tm, err := core.NewTimingModel(cfg, dram.MustNew(dram.DDR3_1600(4)))
-				if err != nil {
-					b.Fatal(err)
-				}
+				tm := ablationModel(b, sim.Table1(core.Default(ctr.Delta, core.MACInECC)), dram.DDR3_1600(4))
 				tm.DecodeCycles = cycles
-				r, err := runCPUOnTiming(app, tm, 60_000, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				ipc = r
+				r = runAblation(b, cpu.Table1(), app, tm, int64(i+1))
 			}
-			b.ReportMetric(ipc, "ipc")
+			b.ReportMetric(r.IPC, "ipc")
 		})
 	}
 }
@@ -147,21 +138,13 @@ func BenchmarkAblationMetadataCacheSize(b *testing.B) {
 	for _, kb := range []int{8, 32, 128} {
 		kb := kb
 		b.Run(map[int]string{8: "8KB", 32: "32KB-paper", 128: "128KB"}[kb], func(b *testing.B) {
-			var ipc float64
+			var r sim.IPCResult
 			for i := 0; i < b.N; i++ {
-				cfg := core.Default(ctr.Monolithic, core.MACInline)
+				cfg := sim.Table1(core.Default(ctr.Monolithic, core.MACInline))
 				cfg.MetadataCacheBytes = kb << 10
-				tm, err := core.NewTimingModel(cfg, dram.MustNew(dram.DDR3_1600(4)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := runCPUOnTiming(app, tm, 60_000, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				ipc = r
+				r = runAblation(b, cpu.Table1(), app, ablationModel(b, cfg, dram.DDR3_1600(4)), int64(i+1))
 			}
-			b.ReportMetric(ipc, "ipc")
+			b.ReportMetric(r.IPC, "ipc")
 		})
 	}
 }
@@ -212,21 +195,13 @@ func BenchmarkAblationReencryptTraffic(b *testing.B) {
 	for _, charge := range []bool{true, false} {
 		charge := charge
 		b.Run(map[bool]string{true: "charged", false: "free"}[charge], func(b *testing.B) {
-			var ipc float64
+			var r sim.IPCResult
 			for i := 0; i < b.N; i++ {
-				cfg := core.Default(ctr.Split, core.MACInECC)
-				tm, err := core.NewTimingModel(cfg, dram.MustNew(dram.DDR3_1600(4)))
-				if err != nil {
-					b.Fatal(err)
-				}
+				tm := ablationModel(b, sim.Table1(core.Default(ctr.Split, core.MACInECC)), dram.DDR3_1600(4))
 				tm.ChargeReencryptTraffic = charge
-				r, err := runCPUOnTiming(app, tm, 60_000, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				ipc = r
+				r = runAblation(b, cpu.Table1(), app, tm, int64(i+1))
 			}
-			b.ReportMetric(ipc, "ipc")
+			b.ReportMetric(r.IPC, "ipc")
 		})
 	}
 }
@@ -308,6 +283,8 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 		pf := pf
 		b.Run(map[bool]string{false: "off-paper", true: "next-line"}[pf], func(b *testing.B) {
 			var bmtIPC, propIPC float64
+			cpuCfg := cpu.Table1()
+			cpuCfg.NextLinePrefetch = pf
 			for i := 0; i < b.N; i++ {
 				for _, kind := range []struct {
 					cfg core.Config
@@ -316,21 +293,8 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 					{core.Default(ctr.Monolithic, core.MACInline), &bmtIPC},
 					{core.Default(ctr.Delta, core.MACInECC), &propIPC},
 				} {
-					tm, err := core.NewTimingModel(kind.cfg, dram.MustNew(dram.DDR3_1600(4)))
-					if err != nil {
-						b.Fatal(err)
-					}
-					cpuCfg := cpu.Table1()
-					cpuCfg.NextLinePrefetch = pf
-					gens := make([]trace.Generator, cpuCfg.Cores)
-					for g := range gens {
-						gens[g] = app.TraceGen(g, 60_000, int64(i+1))
-					}
-					sys, err := cpu.New(cpuCfg, gens, tm)
-					if err != nil {
-						b.Fatal(err)
-					}
-					*kind.dst = sys.Run().IPC
+					tm := ablationModel(b, sim.Table1(kind.cfg), dram.DDR3_1600(4))
+					*kind.dst = runAblation(b, cpuCfg, app, tm, int64(i+1)).IPC
 				}
 			}
 			b.ReportMetric(bmtIPC, "bmt-ipc")
@@ -348,19 +312,14 @@ func BenchmarkAblationEnergy(b *testing.B) {
 	for _, dp := range points[1:] { // skip no-encryption
 		dp := dp
 		b.Run(dp.Name, func(b *testing.B) {
-			var mj float64
+			var r sim.IPCResult
 			for i := 0; i < b.N; i++ {
-				mem := dram.MustNew(dram.DDR3_1600(4))
-				tm, err := core.NewTimingModel(dp.Config, mem)
-				if err != nil {
+				var err error
+				if r, err = sim.MeasureIPC(app, dp, 60_000, int64(i+1)); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := runCPUOnTiming(app, tm, 60_000, int64(i+1)); err != nil {
-					b.Fatal(err)
-				}
-				mj = mem.Stats().EnergyMJ()
 			}
-			b.ReportMetric(mj, "dram-mJ")
+			b.ReportMetric(r.DRAM.EnergyMJ(), "dram-mJ")
 		})
 	}
 }
@@ -374,24 +333,14 @@ func BenchmarkAblationDataTree(b *testing.B) {
 	for _, dataTree := range []bool{true, false} {
 		dataTree := dataTree
 		b.Run(map[bool]string{true: "classic-merkle", false: "bonsai"}[dataTree], func(b *testing.B) {
-			var ipc float64
-			var txns uint64
+			var r sim.IPCResult
 			for i := 0; i < b.N; i++ {
-				cfg := core.Default(ctr.Monolithic, core.MACInline)
+				cfg := sim.Table1(core.Default(ctr.Monolithic, core.MACInline))
 				cfg.DataTree = dataTree
-				tm, err := core.NewTimingModel(cfg, dram.MustNew(dram.DDR3_1600(4)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := runCPUOnTiming(app, tm, 60_000, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				ipc = r
-				txns = tm.Stats().Transactions()
+				r = runAblation(b, cpu.Table1(), app, ablationModel(b, cfg, dram.DDR3_1600(4)), int64(i+1))
 			}
-			b.ReportMetric(ipc, "ipc")
-			b.ReportMetric(float64(txns), "dram-txns")
+			b.ReportMetric(r.IPC, "ipc")
+			b.ReportMetric(float64(r.Timing.Transactions()), "dram-txns")
 		})
 	}
 }
@@ -405,22 +354,14 @@ func BenchmarkAblationWriteBuffer(b *testing.B) {
 	for _, depth := range []int{0, 32} {
 		depth := depth
 		b.Run(map[int]string{0: "write-through", 32: "buffered-32"}[depth], func(b *testing.B) {
-			var ipc float64
+			var r sim.IPCResult
 			for i := 0; i < b.N; i++ {
 				dcfg := dram.DDR3_1600(4)
 				dcfg.WriteBufferDepth = depth
-				tm, err := core.NewTimingModel(core.Default(ctr.Delta, core.MACInECC),
-					dram.MustNew(dcfg))
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := runCPUOnTiming(app, tm, 60_000, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				ipc = r
+				tm := ablationModel(b, sim.Table1(core.Default(ctr.Delta, core.MACInECC)), dcfg)
+				r = runAblation(b, cpu.Table1(), app, tm, int64(i+1))
 			}
-			b.ReportMetric(ipc, "ipc")
+			b.ReportMetric(r.IPC, "ipc")
 		})
 	}
 }
@@ -441,20 +382,25 @@ func ablationHotApp() workload.App {
 	}
 }
 
-// runCPUOnTiming runs an application's traces on the Table 1 CPU over a
-// caller-configured timing model, returning per-core IPC. It mirrors
-// sim.MeasureIPC but lets ablations tweak TimingModel fields first.
-func runCPUOnTiming(app workload.App, tm *core.TimingModel, opsPerCore uint64, seed int64) (float64, error) {
-	cpuCfg := cpu.Table1()
-	gens := make([]trace.Generator, cpuCfg.Cores)
-	for i := range gens {
-		gens[i] = app.TraceGen(i, opsPerCore, seed)
-	}
-	sys, err := cpu.New(cpuCfg, gens, tm)
+// ablationModel builds the timing model an ablation then tweaks.
+func ablationModel(b *testing.B, cfg sim.TimingConfig, dcfg dram.Config) *sim.TimingModel {
+	b.Helper()
+	tm, err := sim.NewTimingModel(cfg, dram.MustNew(dcfg))
 	if err != nil {
-		return 0, err
+		b.Fatal(err)
 	}
-	return sys.Run().IPC, nil
+	return tm
+}
+
+// runAblation runs 60k memory ops per core of app on cpuCfg over tm,
+// through the same sim.Run that MeasureIPC uses.
+func runAblation(b *testing.B, cpuCfg cpu.Config, app workload.App, tm *sim.TimingModel, seed int64) sim.IPCResult {
+	b.Helper()
+	r, err := sim.Run(cpuCfg, sim.Traces(app, 60_000, seed), tm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
 }
 
 func benchKey() []byte {

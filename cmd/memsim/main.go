@@ -14,7 +14,6 @@ import (
 	"os"
 	"strings"
 
-	"authmem/internal/core"
 	"authmem/internal/cpu"
 	"authmem/internal/dram"
 	"authmem/internal/sim"
@@ -112,8 +111,6 @@ func main() {
 // runTraceFiles replays one trace file per core on the Table 1 system
 // under the given design point.
 func runTraceFiles(paths []string, point sim.DesignPoint) (sim.IPCResult, error) {
-	cpuCfg := cpu.Table1()
-	cpuCfg.Cores = len(paths)
 	gens := make([]trace.Generator, len(paths))
 	readers := make([]*trace.Reader, len(paths))
 	for i, p := range paths {
@@ -128,36 +125,19 @@ func runTraceFiles(paths []string, point sim.DesignPoint) (sim.IPCResult, error)
 		}
 		gens[i], readers[i] = r, r
 	}
-	mem := dram.MustNew(dram.DDR3_1600(4))
-	tm, err := core.NewTimingModel(point.Config, mem)
+	be, err := point.Backend(dram.MustNew(dram.DDR3_1600(4)))
 	if err != nil {
 		return sim.IPCResult{}, err
 	}
-	sys, err := cpu.New(cpuCfg, gens, tm)
+	out, err := sim.Run(cpu.Table1(), gens, be)
 	if err != nil {
 		return sim.IPCResult{}, err
 	}
-	res := sys.Run()
 	for i, r := range readers {
 		if err := r.Err(); err != nil {
 			return sim.IPCResult{}, fmt.Errorf("%s: %w", paths[i], err)
 		}
 	}
-	lat := mem.ReadLatencyHistogram()
-	out := sim.IPCResult{
-		App:            "trace-replay",
-		Design:         point.Name,
-		IPC:            res.IPC,
-		CPU:            res,
-		Timing:         tm.Stats(),
-		MetaHitRate:    tm.MetadataCacheStats().HitRate(),
-		DRAM:           mem.Stats(),
-		ReadLatencyP50: lat.Percentile(0.50),
-		ReadLatencyP95: lat.Percentile(0.95),
-		ReadLatencyP99: lat.Percentile(0.99),
-	}
-	if !point.Config.DisableEncryption {
-		out.TreeLevels = tm.OffChipTreeLevels() + 1
-	}
+	out.App, out.Design = "trace-replay", point.Name
 	return out, nil
 }

@@ -14,11 +14,9 @@ import (
 	"log"
 
 	"authmem/internal/core"
-	"authmem/internal/cpu"
 	"authmem/internal/ctr"
-	"authmem/internal/dram"
+	"authmem/internal/sim"
 	"authmem/internal/stats"
-	"authmem/internal/trace"
 	"authmem/internal/workload"
 )
 
@@ -48,26 +46,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tm, err := core.NewTimingModel(d.cfg, dram.MustNew(dram.DDR3_1600(4)))
+		r, err := sim.MeasureIPC(app, sim.DesignPoint{Name: d.name, Config: &d.cfg}, ops, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cpuCfg := cpu.Table1()
-		gens := make([]trace.Generator, cpuCfg.Cores)
-		for i := range gens {
-			gens[i] = app.TraceGen(i, ops, 1)
-		}
-		sys, err := cpu.New(cpuCfg, gens, tm)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res := sys.Run()
 		tb.AddRow(d.name,
 			stats.Pct(o.EncryptionOverheadPct()),
 			o.TreeLevels,
-			tm.Stats().Transactions(),
-			fmt.Sprintf("%.3f", tm.MetadataCacheStats().HitRate()),
-			fmt.Sprintf("%.4f", res.IPC))
+			r.Timing.Transactions(),
+			fmt.Sprintf("%.3f", r.MetaHitRate),
+			fmt.Sprintf("%.4f", r.IPC))
 	}
 	fmt.Print(tb)
 	fmt.Println()

@@ -273,7 +273,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 	ecfg := cfg.Engine
 	ecfg.RegionBytes = regionBytes
-	ecfg.DisableEncryption = false
 
 	rep := &Report{
 		Scheme:        ecfg.Scheme.String(),

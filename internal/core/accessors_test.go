@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"authmem/internal/ctr"
-	"authmem/internal/dram"
 )
 
 func TestEngineAccessors(t *testing.T) {
@@ -22,8 +21,6 @@ func TestEngineAccessors(t *testing.T) {
 	if e.ECCCodec() != "macsecded" || e.SchemeStats() != (ctr.Stats{}) {
 		t.Fatalf("ECCCodec %q / SchemeStats %+v on a fresh engine", e.ECCCodec(), e.SchemeStats())
 	}
-	_, err := NewEngine(plainMemory())
-	refusesPlain(t, "NewEngine", err)
 }
 
 func TestTamperCounterBlockUnwrittenGroup(t *testing.T) {
@@ -84,30 +81,6 @@ func TestReplaySnapshotOfFreshBlock(t *testing.T) {
 	}
 }
 
-func TestTimingModelAccessors(t *testing.T) {
-	mem := dram.MustNew(dram.DDR3_1600(2))
-	tm, err := NewTimingModel(Default(ctr.Delta, MACInECC), mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tm.DRAM() != mem {
-		t.Fatal("DRAM accessor wrong")
-	}
-	cfg := Default(ctr.Delta, MACInECC)
-	cfg.DisableEncryption = true
-	cfg.KeyMaterial = nil
-	d, err := NewTimingModel(cfg, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.MetadataCacheStats().Hits != 0 {
-		t.Fatal("disabled model metadata stats should be zero")
-	}
-	if d.Scheme() != nil {
-		t.Fatal("disabled model should have no scheme")
-	}
-}
-
 func TestPersistWriterFailure(t *testing.T) {
 	e := newEngine(t, smallCfg(ctr.Delta, MACInECC))
 	if err := e.Write(0, block(63)); err != nil {
@@ -127,21 +100,4 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 		return 0, bytes.ErrTooLarge
 	}
 	return len(p), nil
-}
-
-func TestMetaAccessDirtyEvictionWritesBack(t *testing.T) {
-	// Thrash the metadata cache with dirty counter blocks (writebacks to
-	// many distinct groups) and confirm metadata writebacks reach DRAM.
-	tm, err := NewTimingModel(Default(ctr.Delta, MACInECC), dram.MustNew(dram.DDR3_1600(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var now uint64
-	for i := uint64(0); i < 3000; i++ {
-		// One group per iteration: each dirties a distinct counter line.
-		now = tm.WriteBack(now, i*uint64(ctr.GroupBlocks)*BlockBytes)
-	}
-	if tm.Stats().MetaWrites == 0 {
-		t.Fatal("no metadata writebacks despite cache thrash")
-	}
 }

@@ -1,24 +1,20 @@
 // Package core implements the paper's memory encryption engine: the
 // integration of counter-mode encryption, MAC-based integrity, the Bonsai
-// Merkle tree, the counter/MAC metadata cache, and the two proposed
-// optimizations (MAC-in-ECC and delta-encoded counters).
+// Merkle tree, and the two proposed optimizations (MAC-in-ECC and
+// delta-encoded counters).
 //
-// The package provides two cooperating models:
+// Engine (engine.go) is a *functional* authenticated encrypted memory: real
+// AES-CTR encryption, real Carter-Wegman MACs, a real Merkle tree over real
+// counter-block images. It exposes attacker/fault APIs (tamper with
+// ciphertext, ECC bits, counter blocks, tree nodes) so security and
+// reliability claims are testable, not asserted. ShardedEngine partitions a
+// region into independently locked engines under one combined root.
 //
-//   - Engine (engine.go): a *functional* authenticated encrypted memory.
-//     Real AES-CTR encryption, real Carter-Wegman MACs, a real Merkle tree
-//     over real counter-block images. It exposes attacker/fault APIs
-//     (tamper with ciphertext, ECC bits, counter blocks, tree nodes) so
-//     security and reliability claims are testable, not asserted.
-//
-//   - TimingModel (timing.go): a cycle-level cost model of the same design
-//     used by the full-system simulator (internal/sim). It executes the
-//     metadata state machines (counter schemes, caches, tree geometry) and
-//     prices every DRAM transaction through internal/dram, but skips the
-//     cryptography, making billion-access simulations tractable.
-//
-// Both models are configured by the same Config so experiments exercise one
-// consistent design point.
+// Config names a design point. The cycle-level cost model of the same design
+// point is internal/sim's TimingModel, which runs the same counter schemes
+// (internal/ctr) over the same tree shape (internal/tree) and prices them
+// against a DRAM model; this package links no simulator. ComputeOverhead is
+// the design point's Figure 1 storage arithmetic.
 package core
 
 import (
@@ -26,6 +22,7 @@ import (
 
 	"authmem/internal/ctr"
 	"authmem/internal/ecc"
+	"authmem/internal/tree"
 
 	// The MAC-carrying "macsecded" codec registers itself with the ecc
 	// registry from init; the engine only ever speaks to the interface, so
@@ -72,10 +69,6 @@ type Config struct {
 	Scheme ctr.Kind
 	// Placement selects MAC storage.
 	Placement MACPlacement
-	// MetadataCacheBytes / MetadataCacheWays size the on-chip
-	// counter/MAC cache (Table 1: 32KB, 8-way).
-	MetadataCacheBytes int
-	MetadataCacheWays  int
 	// OnChipTreeBytes is the SRAM budget for the trusted top tree level
 	// (Table 1: 3KB).
 	OnChipTreeBytes int
@@ -84,11 +77,6 @@ type Config struct {
 	// KeyMaterial seeds the MAC key (24 bytes) and the encryption key
 	// (16 bytes): 40 bytes total.
 	KeyMaterial []byte
-	// DisableEncryption makes the timing model (and ComputeOverhead) price
-	// plain memory — the no-protection baseline Figure 8 normalizes
-	// against. The functional engine always encrypts: NewEngine, and every
-	// constructor and resume path built on it, refuse this setting.
-	DisableEncryption bool
 	// DataTree switches from the Bonsai Merkle tree (over counter
 	// blocks) to the classic pre-BMT design §2.2 contrasts against: the
 	// integrity tree spans the data blocks themselves (plus the counter
@@ -117,14 +105,12 @@ const KeyMaterialLen = 40
 // and placement.
 func Default(scheme ctr.Kind, placement MACPlacement) Config {
 	return Config{
-		RegionBytes:        512 << 20,
-		Scheme:             scheme,
-		Placement:          placement,
-		MetadataCacheBytes: 32 << 10,
-		MetadataCacheWays:  8,
-		OnChipTreeBytes:    3 << 10,
-		CorrectBits:        2,
-		KeyMaterial:        DefaultKeyMaterial(),
+		RegionBytes:     512 << 20,
+		Scheme:          scheme,
+		Placement:       placement,
+		OnChipTreeBytes: 3 << 10,
+		CorrectBits:     2,
+		KeyMaterial:     DefaultKeyMaterial(),
 	}
 }
 
@@ -145,10 +131,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: region size %d not a multiple of %d", c.RegionBytes, BlockBytes)
 	case c.RegionBytes < uint64(ctr.GroupBlocks*BlockBytes):
 		return fmt.Errorf("core: region smaller than one block-group")
-	case !c.DisableEncryption && len(c.KeyMaterial) != KeyMaterialLen:
+	case len(c.KeyMaterial) != KeyMaterialLen:
 		return fmt.Errorf("core: key material must be %d bytes, got %d", KeyMaterialLen, len(c.KeyMaterial))
-	case c.MetadataCacheBytes <= 0 || c.MetadataCacheWays <= 0:
-		return fmt.Errorf("core: metadata cache geometry invalid")
 	case c.OnChipTreeBytes < 64:
 		return fmt.Errorf("core: on-chip tree budget below one node")
 	case c.CorrectBits < 0 || c.CorrectBits > 2:
@@ -156,21 +140,8 @@ func (c Config) Validate() error {
 	case c.CryptoBackend != "":
 		return fmt.Errorf("core: CryptoBackend %q: no selectable crypto backend exists (crypto/aes is the only cipher path); leave the field empty", c.CryptoBackend)
 	}
-	if !c.DisableEncryption {
-		if _, err := c.resolveCodec(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validateEngine is Validate for the functional engine, which has no
-// plain-memory mode.
-func (c Config) validateEngine() error {
-	if c.DisableEncryption {
-		return fmt.Errorf("core: the functional engine always encrypts; DisableEncryption configures only the timing model")
-	}
-	return c.Validate()
+	_, err := c.resolveCodec()
+	return err
 }
 
 // resolveCodec maps the configuration to its ECC codec. An explicit
@@ -193,13 +164,9 @@ func (c Config) resolveCodec() (ecc.Codec, error) {
 	return cod, nil
 }
 
-// CodecName returns the resolved ECC codec name for the configuration, or
-// "" when encryption is disabled (no check lane exists). It is what
-// persisted image headers record and campaign reports print.
+// CodecName returns the resolved ECC codec name for the configuration. It
+// is what persisted image headers record and campaign reports print.
 func (c Config) CodecName() string {
-	if c.DisableEncryption {
-		return ""
-	}
 	cod, err := c.resolveCodec()
 	if err != nil {
 		return c.ECCCodec // unresolvable; Validate reports the real error
@@ -209,6 +176,22 @@ func (c Config) CodecName() string {
 
 // DataBlocks returns the number of protected 64-byte blocks.
 func (c Config) DataBlocks() uint64 { return c.RegionBytes / BlockBytes }
+
+// TreeShape returns the shape of the design point's integrity tree: one leaf
+// per counter-metadata block, and under the classic data tree one per data
+// block as well, data leaves first. The engine builds its tree on this shape;
+// the timing model walks it and ComputeOverhead counts it.
+func (c Config) TreeShape() (tree.Shape, error) {
+	scheme, err := ctr.NewScheme(c.Scheme)
+	if err != nil {
+		return tree.Shape{}, err
+	}
+	leaves := scheme.MetadataBlocks(c.DataBlocks())
+	if c.DataTree {
+		leaves += c.DataBlocks()
+	}
+	return tree.NewShape(leaves, c.OnChipTreeBytes)
+}
 
 // FailStage identifies which verification stage detected an integrity
 // violation. The recovery path keys off it: counter-stage failures are

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"authmem/internal/ctr"
-	"authmem/internal/dram"
 )
 
 func dataTreeCfg() Config {
@@ -108,30 +107,6 @@ func TestDataTreeGeometryAndOverhead(t *testing.T) {
 	}
 	if co.TreeLevels <= bmt.TreeLevels {
 		t.Fatalf("data tree depth %d not above bonsai %d", co.TreeLevels, bmt.TreeLevels)
-	}
-}
-
-// TestDataTreeTimingCost shows the per-access tree-walk penalty BMTs remove:
-// the classic design issues strictly more DRAM transactions for the same
-// miss stream.
-func TestDataTreeTimingCost(t *testing.T) {
-	run := func(dataTree bool) uint64 {
-		cfg := Default(ctr.Monolithic, MACInline)
-		cfg.DataTree = dataTree
-		tm, err := NewTimingModel(cfg, dram.MustNew(dram.DDR3_1600(4)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var now uint64
-		for i := uint64(0); i < 3000; i++ {
-			addr := (i * 2654435761 % (1 << 22)) * BlockBytes % cfg.RegionBytes
-			now = tm.ReadMiss(now, addr)
-		}
-		return tm.Stats().Transactions()
-	}
-	classic, bmt := run(true), run(false)
-	if classic <= bmt+bmt/4 {
-		t.Fatalf("classic tree (%d txns) should cost well above BMT (%d)", classic, bmt)
 	}
 }
 

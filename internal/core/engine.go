@@ -193,18 +193,17 @@ type ReadInfo struct {
 }
 
 // NewEngine builds a functional engine for the configuration. There is one
-// engine configuration: it always encrypts (validateEngine refuses the
-// timing model's plain-memory baseline), and it runs with the verified-
+// engine configuration: it always encrypts, and it runs with the verified-
 // counter and verified-block caches (sized from the region, see
 // cacheEntries) and the deferred-Merkle write pipeline at its default epoch
 // bound. Resume builds on this constructor, so a resumed engine is the same
 // engine, starting cold.
 func NewEngine(cfg Config) (*Engine, error) {
-	if err := cfg.validateEngine(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, recovery: DefaultRecoveryPolicy()}
-	cod, err := cfg.resolveCodec() // validateEngine already vetted it
+	cod, err := cfg.resolveCodec() // Validate already vetted it
 	if err != nil {
 		return nil, err
 	}
@@ -247,13 +246,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 	}
 
-	leaves := scheme.MetadataBlocks(cfg.DataBlocks())
-	if cfg.DataTree {
-		// Classic design: data blocks are leaves too; counter blocks
-		// follow them in the leaf index space.
-		leaves += cfg.DataBlocks()
+	shape, err := cfg.TreeShape()
+	if err != nil {
+		return nil, err
 	}
-	e.tr, err = tree.New(e.key, leaves, cfg.OnChipTreeBytes)
+	e.tr, err = tree.New(e.key, shape.Leaves(), cfg.OnChipTreeBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -62,8 +62,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.RegionBytes = 100 },
 		func(c *Config) { c.RegionBytes = 64 }, // below one group
 		func(c *Config) { c.KeyMaterial = nil },
-		func(c *Config) { c.MetadataCacheBytes = 0 },
-		func(c *Config) { c.MetadataCacheWays = 0 },
 		func(c *Config) { c.OnChipTreeBytes = 32 },
 		func(c *Config) { c.CorrectBits = 3 },
 		func(c *Config) { c.CryptoBackend = "stdlib" }, // nothing to select: must stay empty
@@ -74,12 +72,6 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d should invalidate", i)
 		}
-	}
-	// DisableEncryption waives the key requirement.
-	c := good
-	c.KeyMaterial, c.DisableEncryption = nil, true
-	if err := c.Validate(); err != nil {
-		t.Errorf("disabled-encryption config rejected: %v", err)
 	}
 }
 
@@ -418,44 +410,24 @@ func TestReencryptionMaterializesZeros(t *testing.T) {
 	}
 }
 
-// plainMemory is a test-sized configuration with the timing model's
-// no-encryption baseline switched on.
-func plainMemory() Config {
-	cfg := smallCfg(ctr.Delta, MACInECC)
-	cfg.DisableEncryption = true
-	return cfg
-}
-
-// refusesPlain fails t unless err is the functional engine's refusal of a
-// plain-memory configuration.
-func refusesPlain(t *testing.T, what string, err error) {
-	t.Helper()
-	if err == nil || !strings.Contains(err.Error(), "always encrypts") {
-		t.Fatalf("%s with DisableEncryption: err = %v, want the always-encrypts refusal", what, err)
-	}
-}
-
-// TestDisabledEncryptionPassthrough: the functional engine has no
-// plain-memory mode, with or without key material.
-func TestDisabledEncryptionPassthrough(t *testing.T) {
-	cfg := plainMemory()
-	for _, key := range [][]byte{cfg.KeyMaterial, nil} {
-		cfg.KeyMaterial = key
-		_, err := NewEngine(cfg)
-		refusesPlain(t, "NewEngine", err)
-	}
-}
-
-// TestEngineRefusesPlainMemory: every functional constructor and resume path
-// refuses DisableEncryption, each with a valid key and (for the resumes) a
-// valid image, so the refusal is the only thing that can fail them.
+// TestEngineRefusesPlainMemory: the engine has no unencrypted mode. Leaving
+// out the key material, the one way left to ask for one, is refused by every
+// functional constructor and resume path, the resumes each given a valid
+// image, so the missing key is the only thing that can fail them.
 func TestEngineRefusesPlainMemory(t *testing.T) {
-	plain := plainMemory()
+	plain := smallCfg(ctr.Delta, MACInECC)
+	plain.KeyMaterial = nil
+	refuses := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "key material") {
+			t.Fatalf("%s without key material: err = %v, want the key refusal", what, err)
+		}
+	}
 	_, err := NewEngine(plain)
-	refusesPlain(t, "NewEngine", err)
+	refuses("NewEngine", err)
 	for _, shards := range []int{1, 2} {
 		_, err := NewShardedEngine(plain, shards)
-		refusesPlain(t, "NewShardedEngine", err)
+		refuses("NewShardedEngine", err)
 
 		s := newSharded(t, smallCfg(ctr.Delta, MACInECC), shards)
 		if err := s.Write(0, block(1)); err != nil {
@@ -465,10 +437,14 @@ func TestEngineRefusesPlainMemory(t *testing.T) {
 		if _, err := s.Persist(&img); err != nil {
 			t.Fatal(err)
 		}
+		if shards == 1 {
+			_, err = Resume(plain, bytes.NewReader(img.Bytes()), nil)
+			refuses("Resume", err)
+		}
 		_, err = ResumeSharded(plain, shards, bytes.NewReader(img.Bytes()), nil)
-		refusesPlain(t, "ResumeSharded", err)
+		refuses("ResumeSharded", err)
 		_, _, err = ResumeShardedIncremental(plain, shards, bytes.NewReader(img.Bytes()), nil, nil)
-		refusesPlain(t, "ResumeShardedIncremental", err)
+		refuses("ResumeShardedIncremental", err)
 	}
 }
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"authmem/internal/ctr"
-	"authmem/internal/mac"
+	"authmem/internal/ecc"
 )
 
 // Overhead breaks down the DRAM storage cost of a design point, in bytes,
@@ -26,8 +26,7 @@ type Overhead struct {
 	// codec (residue) quantifies how much of that provisioning the design
 	// point actually needs.
 	ECCBytes uint64
-	// Codec is the resolved ECC codec name ("" with encryption disabled,
-	// where the default DIMM provisioning is still reported).
+	// Codec is the resolved ECC codec name.
 	Codec string
 	// TreeLevels is the off-chip read depth (node levels + the counter
 	// block itself).
@@ -51,24 +50,19 @@ func ComputeOverhead(cfg Config) (Overhead, error) {
 	if err := cfg.Validate(); err != nil {
 		return Overhead{}, err
 	}
-	o := Overhead{RegionBytes: cfg.RegionBytes}
-	if cfg.DisableEncryption {
-		// No codec is selected; report the standard DIMM's 8-byte
-		// SEC-DED provisioning for the Figure 1 baseline row.
-		o.ECCBytes = cfg.DataBlocks() * 8
-		return o, nil
-	}
 	cod, err := cfg.resolveCodec()
 	if err != nil {
 		return Overhead{}, err
 	}
-	o.Codec = cod.Name()
-	o.ECCBytes = cfg.DataBlocks() * uint64(cod.CheckBytes())
+	o := Overhead{
+		RegionBytes: cfg.RegionBytes,
+		Codec:       cod.Name(),
+		ECCBytes:    cfg.DataBlocks() * uint64(cod.CheckBytes()),
+	}
 	scheme, err := ctr.NewScheme(cfg.Scheme)
 	if err != nil {
 		return Overhead{}, err
 	}
-	metaBlocks := scheme.MetadataBlocks(cfg.DataBlocks())
 
 	// Figure 1 counts raw metadata bits, as the paper does (56-bit
 	// counters = 10.9%, not the 64-bit slots they occupy): grouped
@@ -80,17 +74,16 @@ func ComputeOverhead(cfg Config) (Overhead, error) {
 	}
 	o.CounterBytes = uint64(float64(cfg.DataBlocks()) * bitsPerBlock / 8)
 
-	leaves := metaBlocks
-	if cfg.DataTree {
-		leaves += cfg.DataBlocks()
+	shape, err := cfg.TreeShape()
+	if err != nil {
+		return Overhead{}, err
 	}
-	geom := newTreeGeometry(leaves, cfg.OnChipTreeBytes)
-	o.TreeBytes = geom.offChipNodes() * BlockBytes
-	o.TreeLevels = geom.offChipLevels() + 1 // + the counter-block read
+	o.TreeBytes = shape.OffChipBytes()
+	o.TreeLevels = shape.OffChipLevels() + 1 // + the counter-block read
 
 	if cfg.Placement == MACInline {
 		// 56-bit tags per 64-byte block (SGX's ~11%).
-		o.MACBytes = cfg.DataBlocks() * mac.TagBits / 8
+		o.MACBytes = cfg.DataBlocks() * ecc.TagBits / 8
 	}
 	return o, nil
 }

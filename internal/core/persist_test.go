@@ -221,22 +221,6 @@ func TestResumeWithWrongKeyFailsOnRead(t *testing.T) {
 	}
 }
 
-// TestPersistDisabledEncryption: a valid image does not resume as plain
-// memory.
-func TestPersistDisabledEncryption(t *testing.T) {
-	cfg := smallCfg(ctr.Delta, MACInECC)
-	e := newEngine(t, cfg)
-	if err := e.Write(0, block(1)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := e.Persist(&buf); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Resume(plainMemory(), bytes.NewReader(buf.Bytes()), nil)
-	refusesPlain(t, "Resume", err)
-}
-
 func TestPersistDeterministic(t *testing.T) {
 	cfg := smallCfg(ctr.Split, MACInline)
 	e := newEngine(t, cfg)

@@ -111,7 +111,7 @@ func ValidateShards(cfg Config, shards int) error {
 	case len(cfg.KeyMaterial) != KeyMaterialLen:
 		return fmt.Errorf("core: key material must be %d bytes, got %d", KeyMaterialLen, len(cfg.KeyMaterial))
 	}
-	return shardConfig(cfg, shards, 0).validateEngine()
+	return shardConfig(cfg, shards, 0).Validate()
 }
 
 // NewShardedEngine builds a sharded engine with the given power-of-two

@@ -25,8 +25,8 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"authmem/internal/ecc"
 	"authmem/internal/gf64"
-	"authmem/internal/mac"
 )
 
 // BlockSize is the encryption/MAC granularity in bytes (one cache line).
@@ -192,7 +192,7 @@ func (m *MAC) Tag(ciphertext []byte, addr, counter uint64) (uint64, error) {
 	for i := 0; i < blockWords; i++ {
 		hash ^= m.pow[i].Mul(binary.LittleEndian.Uint64(ciphertext[i*8:]))
 	}
-	return (hash ^ m.prf(addr, counter)) & mac.TagMask, nil
+	return (hash ^ m.prf(addr, counter)) & ecc.TagMask, nil
 }
 
 // Verify reports whether tag authenticates the block at (addr, counter).
@@ -201,7 +201,7 @@ func (m *MAC) Verify(ciphertext []byte, addr, counter, tag uint64) (bool, error)
 	if err != nil {
 		return false, err
 	}
-	return want == tag&mac.TagMask, nil
+	return want == tag&ecc.TagMask, nil
 }
 
 // TagBatch tags len(tags) contiguous blocks sharing one counter (block i at

@@ -244,9 +244,19 @@ func (c *SECDED) checkMask() uint16 {
 // 8-byte word.
 var Word72 = MustNew(64)
 
+// TagBits is the width of every MAC tag the repository computes and stores:
+// 56 bits, so that a tag, its 7 Hamming bits and a scrub parity bit fill a
+// block's 8-byte ECC lane (§3), as SGX's tags do. It lives with the codes
+// because the lane is what fixes it; the MACs that truncate to it import
+// only this constant.
+const TagBits = 56
+
+// TagMask masks a uint64 down to a TagBits-wide tag.
+const TagMask = (uint64(1) << TagBits) - 1
+
 // MAC63 is the code the paper stores over 56-bit MAC tags: SEC-DED(63,56),
 // 7 check bits.
-var MAC63 = MustNew(56)
+var MAC63 = MustNew(TagBits)
 
 // ErrBlockSize is returned by the block helpers when the data slice is not
 // exactly 64 bytes.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"authmem/internal/ecc"
 	"authmem/internal/gf64"
 )
 
@@ -19,7 +20,7 @@ func naiveMulTag(k *Key, ciphertext []byte, addr, counter uint64) uint64 {
 	for i := 0; i < blockWords; i++ {
 		hash = gf64.Mul(hash^binary.LittleEndian.Uint64(ciphertext[i*8:]), k.h)
 	}
-	return (hash ^ k.pad(addr, counter)) & TagMask
+	return (hash ^ k.pad(addr, counter)) & ecc.TagMask
 }
 
 // TestTagDifferential cross-checks mac.Tag against the naive reference on

@@ -20,10 +20,10 @@
 //
 // Key is the from-scratch reference: the same construction as the production
 // crypto.MAC (internal/crypto, PRF over crypto/aes) with the PRF on the
-// repository's own T-table AES (internal/aes). Nothing outside tests tags a
-// stored block with it; the conformance suite and fuzz targets in
-// internal/crypto hold the production tags bit-equal to these. The tag-width
-// constants below are shared by both.
+// repository's own T-table AES (internal/aes). Like internal/keystream, the
+// package is test-only: no binary or public package links it, and the
+// conformance suite and fuzz targets in internal/crypto hold the production
+// tags bit-equal to these. The tag width both truncate to is ecc.TagBits.
 //
 // Performance: the polynomial hash is evaluated as a table-driven dot
 // product. NewKey precomputes one windowed gf64.Table per key power
@@ -39,14 +39,9 @@ import (
 	"fmt"
 
 	"authmem/internal/aes"
+	"authmem/internal/ecc"
 	"authmem/internal/gf64"
 )
-
-// TagBits is the width of a truncated tag.
-const TagBits = 56
-
-// TagMask masks a uint64 down to a 56-bit tag.
-const TagMask = (uint64(1) << TagBits) - 1
 
 // BlockSize is the protected data granularity in bytes.
 const BlockSize = 64
@@ -110,7 +105,7 @@ func (k *Key) Tag(ciphertext []byte, addr uint64, counter uint64) (uint64, error
 	for i := 0; i < blockWords; i++ {
 		hash ^= k.pow[i].Mul(binary.LittleEndian.Uint64(ciphertext[i*8:]))
 	}
-	return (hash ^ k.pad(addr, counter)) & TagMask, nil
+	return (hash ^ k.pad(addr, counter)) & ecc.TagMask, nil
 }
 
 // TagBatch computes the tags of len(tags) contiguous ciphertext blocks
@@ -138,7 +133,7 @@ func (k *Key) Verify(ciphertext []byte, addr, counter, tag uint64) (bool, error)
 	if err != nil {
 		return false, err
 	}
-	return want == tag&TagMask, nil
+	return want == tag&ecc.TagMask, nil
 }
 
 // pad computes PRF_k(addr, counter): one AES block over the nonce,

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"authmem/internal/ecc"
 	"authmem/internal/gf64"
 )
 
@@ -56,7 +57,7 @@ func TestTagFitsIn56Bits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tag&^TagMask != 0 {
+		if tag&^ecc.TagMask != 0 {
 			t.Fatalf("tag %#x exceeds 56 bits", tag)
 		}
 	}
@@ -186,7 +187,7 @@ func referenceTag(k *Key, ciphertext []byte, addr, counter uint64) uint64 {
 	for i := range words {
 		words[i] = binary.LittleEndian.Uint64(ciphertext[i*8:])
 	}
-	return (gf64.Horner(k.h, words[:]) ^ k.pad(addr, counter)) & TagMask
+	return (gf64.Horner(k.h, words[:]) ^ k.pad(addr, counter)) & ecc.TagMask
 }
 
 // TestTagMatchesHornerReference proves the table-driven dot product

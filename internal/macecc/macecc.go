@@ -32,7 +32,6 @@ import (
 
 	"authmem/internal/ecc"
 	"authmem/internal/gf64"
-	"authmem/internal/mac"
 )
 
 // BlockSize is the protected data granularity.
@@ -55,14 +54,14 @@ type Meta uint64
 // PackMeta assembles the ECC-lane bits from a MAC tag and the ciphertext
 // (for the scrub parity bit).
 func PackMeta(tag uint64, ciphertext []byte) Meta {
-	tag &= mac.TagMask
+	tag &= ecc.TagMask
 	check := uint64(ecc.MAC63.Encode(tag)) // 7 bits
 	scrub := uint64(ecc.ParityBit(ciphertext))
 	return Meta(tag | check<<56 | scrub<<63)
 }
 
 // Tag returns the stored 56-bit MAC tag.
-func (m Meta) Tag() uint64 { return uint64(m) & mac.TagMask }
+func (m Meta) Tag() uint64 { return uint64(m) & ecc.TagMask }
 
 // Check returns the stored 7 Hamming check bits.
 func (m Meta) Check() uint16 { return uint16(uint64(m) >> 56 & 0x7F) }
@@ -72,7 +71,7 @@ func (m Meta) ScrubParity() uint8 { return uint8(uint64(m) >> 63) }
 
 // withTag returns a Meta with the MAC tag and its Hamming bits replaced.
 func (m Meta) withTag(tag uint64) Meta {
-	tag &= mac.TagMask
+	tag &= ecc.TagMask
 	check := uint64(ecc.MAC63.Encode(tag))
 	return Meta(uint64(m)&(1<<63) | tag | check<<56)
 }
@@ -165,7 +164,7 @@ func NewVerifier(key Key, correctBits int) (*Verifier, error) {
 			c := gf64.Mul(uint64(1)<<uint(b), weight)
 			v.contrib[w][b] = c
 			// Only the low 56 bits are observable in the tag.
-			v.lookup[c&mac.TagMask] = w*64 + b
+			v.lookup[c&ecc.TagMask] = w*64 + b
 		}
 	}
 	return v, nil
@@ -207,7 +206,7 @@ func (v *Verifier) VerifyAndCorrect(ciphertext []byte, meta *Meta, addr, counter
 
 	// Step 3 (§3.4): brute-force flip-and-check. diff is the tag-space
 	// discrepancy a candidate correction must explain.
-	diff := (want ^ tag) & mac.TagMask
+	diff := (want ^ tag) & ecc.TagMask
 
 	if v.CorrectBits >= 1 {
 		if pos, ok := v.lookup[diff]; ok {
@@ -243,7 +242,7 @@ func (v *Verifier) VerifyAndCorrect(ciphertext []byte, meta *Meta, addr, counter
 // equals diff.
 func (v *Verifier) findPair(diff uint64) (int, int, bool) {
 	for i := 0; i < blockBits; i++ {
-		ci := v.contrib[i/64][i%64] & mac.TagMask
+		ci := v.contrib[i/64][i%64] & ecc.TagMask
 		if j, ok := v.lookup[diff^ci]; ok && j > i {
 			return i, j, true
 		}

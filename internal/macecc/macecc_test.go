@@ -60,10 +60,10 @@ func TestMetaLayout(t *testing.T) {
 	ct[0] = 0x01 // odd parity
 	tag := uint64(0x00DE_ADBE_EFCA_FEBA)
 	m := PackMeta(tag, ct)
-	if m.Tag() != tag&mac.TagMask {
+	if m.Tag() != tag&ecc.TagMask {
 		t.Fatalf("Tag() = %#x", m.Tag())
 	}
-	if m.Check() != ecc.MAC63.Encode(tag&mac.TagMask) {
+	if m.Check() != ecc.MAC63.Encode(tag&ecc.TagMask) {
 		t.Fatalf("Check() = %#x", m.Check())
 	}
 	if m.ScrubParity() != 1 {

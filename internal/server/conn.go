@@ -184,10 +184,13 @@ func (c *conn) readLoop() {
 // serveInline runs an admitted read or write to completion on the reader
 // goroutine through the backend's never-waiting surface, and reports whether
 // it did; false leaves the request untouched for the queue. Only the
-// response's trip through respCh and the writer remains, so an inline
-// request can neither reorder the connection's responses nor overtake a
-// queued one: with inflight zero, every earlier response is already in
-// respCh (finish queues before it decrements). A write uses the frame's
+// response's trip through respCh and the writer remains. An inline request
+// cannot overtake a queued one: finish runs after the backend call returns,
+// so with inflight zero every earlier request has already executed. Its
+// response may still be on its way into respCh (finish frees the slot
+// first), so the inline response can be written ahead of it; responses are
+// matched by request ID, and a client that waits for each response before
+// sending the next never has two outstanding. A write uses the frame's
 // payload in place — it is over before the next fr.Next reuses the buffer. A
 // failed read also returns false: the queue re-executes it through the
 // recovery ladder, so the status taxonomy has one source.
@@ -358,13 +361,14 @@ func (c *conn) maybePin(reqFlags uint8, resp *response) {
 	c.srv.ctr.rootPinned.Add(1)
 }
 
-// finish queues a response and, for admitted requests, retires it from the
-// in-flight window.
+// finish retires an admitted request from the in-flight window and queues
+// its response. The slot is freed first: once a closed-loop client holds its
+// response it owns no slot, so its next request must not be refused BUSY.
 func (c *conn) finish(resp response) {
-	c.respCh <- resp
 	if resp.accepted {
 		c.inflight.Add(-1)
 	}
+	c.respCh <- resp
 }
 
 // execute runs one coalesced batch against the backend and recycles its

@@ -140,6 +140,11 @@ func inlineTranscript(t *testing.T, wrap func(*authmem.Memory) server.Backend) (
 	read(3*shard+4*wire.BlockBytes, 1)
 	traffic(3*shard, 40)
 	traffic(0, 40)
+	// dispatch counts a pinned batch after handing it to the shard worker,
+	// so the last request's response can reach the client before its
+	// affinity_dispatched entry lands. A flush queued behind it through the
+	// same dispatcher goroutine settles the ledger before the snapshot.
+	do(wire.OpFlush, 0, 0, 0, nil)
 	return log, s.Snapshot().Server
 }
 

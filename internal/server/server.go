@@ -23,9 +23,11 @@
 // fails, the request is queued unchanged, so recovery and the status
 // taxonomy have one source. The choice reads the input, never a setting,
 // and both paths end in the same finishRead / finishWrite / maybePin /
-// respCh, so an inline request cannot reorder a connection's responses:
-// finish queues a response before it retires the request from the in-flight
-// count, hence in-flight zero means every earlier response is queued.
+// respCh. finish retires a request from the in-flight count before it
+// queues the response, so a client holding a response never finds its slot
+// still taken; in-flight zero therefore means every earlier request has
+// executed, though its response may be queued after an inline one (the
+// protocol matches responses by request ID).
 //
 // When the backend is sharded (it implements ShardRouter), read/write
 // batches whose span lies inside one shard are routed to a worker pinned to

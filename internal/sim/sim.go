@@ -1,5 +1,6 @@
-// Package sim wires workloads, the CPU model, and the secure memory
-// controller into the paper's two headline experiments:
+// Package sim is the full-system simulator: the secure memory controller's
+// cycle-level TimingModel (timing.go), and the wiring of workloads, the CPU
+// model and that controller into the paper's two headline experiments:
 //
 //   - MeasureReencryption drives an application's post-LLC writeback
 //     stream through a counter scheme and reports re-encryptions per 10^9
@@ -7,6 +8,11 @@
 //   - MeasureIPC runs an application's instruction traces on the 4-core
 //     system over a full memory-encryption design point and reports IPC
 //     (Figure 8).
+//
+// A design point is the functional engine's core.Config; the model reads
+// that config, the engine's counter schemes and the engine's tree shape, so
+// what it prices is the engine that serves. Nothing on the serving path
+// imports this package.
 package sim
 
 import (
@@ -65,8 +71,10 @@ func MeasureReencryption(app workload.App, kind ctr.Kind, writebacks uint64, see
 type DesignPoint struct {
 	// Name labels the series in reports.
 	Name string
-	// Config is the controller design.
-	Config core.Config
+	// Config is the controller design, priced by a TimingModel on the
+	// Table 1 metadata cache. Nil is unprotected memory: the bare DRAM
+	// Figure 8 normalizes against.
+	Config *core.Config
 }
 
 // StandardDesignPoints returns the Figure 8 series:
@@ -75,15 +83,44 @@ type DesignPoint struct {
 // "mac-ecc" adds only the §3 optimization, and "proposed" combines
 // MAC-in-ECC with delta-encoded counters.
 func StandardDesignPoints() []DesignPoint {
-	noEnc := core.Default(ctr.Monolithic, core.MACInline)
-	noEnc.DisableEncryption = true
-	noEnc.KeyMaterial = nil
+	bmt := core.Default(ctr.Monolithic, core.MACInline)
+	macECC := core.Default(ctr.Monolithic, core.MACInECC)
+	proposed := core.Default(ctr.Delta, core.MACInECC)
 	return []DesignPoint{
-		{Name: "no-encryption", Config: noEnc},
-		{Name: "bmt", Config: core.Default(ctr.Monolithic, core.MACInline)},
-		{Name: "mac-ecc", Config: core.Default(ctr.Monolithic, core.MACInECC)},
-		{Name: "proposed", Config: core.Default(ctr.Delta, core.MACInECC)},
+		{Name: "no-encryption"},
+		{Name: "bmt", Config: &bmt},
+		{Name: "mac-ecc", Config: &macECC},
+		{Name: "proposed", Config: &proposed},
 	}
+}
+
+// Backend is a memory system Run puts under the CPU: a controller's
+// TimingModel, or bare DRAM.
+type Backend interface {
+	cpu.MemoryBackend
+	// DRAM is the device every transaction lands on.
+	DRAM() *dram.Memory
+}
+
+// bareDRAM is unprotected memory: every miss and writeback is one DRAM
+// access and nothing else.
+type bareDRAM struct{ mem *dram.Memory }
+
+func (b bareDRAM) ReadMiss(now, addr uint64) uint64  { return b.mem.Access(now, addr, false) }
+func (b bareDRAM) WriteBack(now, addr uint64) uint64 { return b.mem.Access(now, addr, true) }
+func (b bareDRAM) DRAM() *dram.Memory                { return b.mem }
+
+// Backend builds the point's memory system on mem: its controller's timing
+// model, or mem itself for the unprotected baseline.
+func (dp DesignPoint) Backend(mem *dram.Memory) (Backend, error) {
+	if dp.Config == nil {
+		return bareDRAM{mem}, nil
+	}
+	tm, err := NewTimingModel(Table1(*dp.Config), mem)
+	if err != nil {
+		return nil, err
+	}
+	return tm, nil
 }
 
 // IPCResult is one Figure 8 measurement.
@@ -95,10 +132,11 @@ type IPCResult struct {
 	// CPU carries instruction/cycle/stall detail.
 	CPU cpu.Result
 	// Timing classifies the controller's DRAM transactions.
-	Timing core.TimingStats
+	Timing TimingStats
 	// MetaHitRate is the counter/MAC cache hit rate.
 	MetaHitRate float64
-	// TreeLevels is the off-chip read depth (+1 for the counter block).
+	// TreeLevels is the off-chip read depth (+1 for the counter block);
+	// 0 on bare DRAM.
 	TreeLevels int
 	// DRAM carries device-level statistics (row-buffer behaviour,
 	// refresh, average latency).
@@ -110,46 +148,64 @@ type IPCResult struct {
 	ReadLatencyP99 uint64
 }
 
-// MeasureIPC runs one application on the Table 1 system under the given
-// design point. opsPerCore scales simulation length (memory operations per
-// core); results are stable above ~10^5 for the bundled workloads.
-func MeasureIPC(app workload.App, dp DesignPoint, opsPerCore uint64, seed int64) (IPCResult, error) {
-	cfg := dp.Config
-	// The protected region must cover the workload footprint.
-	if cfg.RegionBytes < app.FootprintBytes {
-		cfg.RegionBytes = app.FootprintBytes
-	}
-	mem := dram.MustNew(dram.DDR3_1600(4))
-	tm, err := core.NewTimingModel(cfg, mem)
-	if err != nil {
-		return IPCResult{}, err
-	}
-	cpuCfg := cpu.Table1()
-	gens := make([]trace.Generator, cpuCfg.Cores)
+// Traces returns app's instruction streams, one per Table 1 core.
+func Traces(app workload.App, opsPerCore uint64, seed int64) []trace.Generator {
+	gens := make([]trace.Generator, cpu.Table1().Cores)
 	for i := range gens {
 		gens[i] = app.TraceGen(i, opsPerCore, seed)
 	}
-	sys, err := cpu.New(cpuCfg, gens, tm)
+	return gens
+}
+
+// Run runs one instruction stream per core (cpuCfg.Cores is set to
+// len(gens)) on the CPU cpuCfg describes, over the memory system be, and
+// collects what the run measured. It is the one assembly of CPU, controller
+// and DRAM: MeasureIPC, memsim's trace replay and the ablation benchmarks
+// all run through it. The caller labels App and Design.
+func Run(cpuCfg cpu.Config, gens []trace.Generator, be Backend) (IPCResult, error) {
+	cpuCfg.Cores = len(gens)
+	sys, err := cpu.New(cpuCfg, gens, be)
 	if err != nil {
 		return IPCResult{}, err
 	}
 	res := sys.Run()
+	mem := be.DRAM()
 	lat := mem.ReadLatencyHistogram()
 	out := IPCResult{
-		App:            app.Name,
-		Design:         dp.Name,
 		IPC:            res.IPC,
 		CPU:            res,
-		Timing:         tm.Stats(),
-		MetaHitRate:    tm.MetadataCacheStats().HitRate(),
 		DRAM:           mem.Stats(),
 		ReadLatencyP50: lat.Percentile(0.50),
 		ReadLatencyP95: lat.Percentile(0.95),
 		ReadLatencyP99: lat.Percentile(0.99),
 	}
-	if !cfg.DisableEncryption {
+	if tm, ok := be.(*TimingModel); ok {
+		out.Timing = tm.Stats()
+		out.MetaHitRate = tm.MetadataCacheStats().HitRate()
 		out.TreeLevels = tm.OffChipTreeLevels() + 1
 	}
+	return out, nil
+}
+
+// MeasureIPC runs one application on the Table 1 system under the given
+// design point. opsPerCore scales simulation length (memory operations per
+// core); results are stable above ~10^5 for the bundled workloads.
+func MeasureIPC(app workload.App, dp DesignPoint, opsPerCore uint64, seed int64) (IPCResult, error) {
+	if dp.Config != nil && dp.Config.RegionBytes < app.FootprintBytes {
+		// The protected region must cover the workload footprint.
+		cfg := *dp.Config
+		cfg.RegionBytes = app.FootprintBytes
+		dp.Config = &cfg
+	}
+	be, err := dp.Backend(dram.MustNew(dram.DDR3_1600(4)))
+	if err != nil {
+		return IPCResult{}, err
+	}
+	out, err := Run(cpu.Table1(), Traces(app, opsPerCore, seed), be)
+	if err != nil {
+		return IPCResult{}, err
+	}
+	out.App, out.Design = app.Name, dp.Name
 	return out, nil
 }
 
@@ -165,7 +221,7 @@ func NormalizedIPC(app workload.App, points []DesignPoint, opsPerCore uint64, se
 			return nil, nil, err
 		}
 		results = append(results, r)
-		if dp.Config.DisableEncryption {
+		if dp.Config == nil {
 			baseline = r.IPC
 		}
 	}

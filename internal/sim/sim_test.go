@@ -115,12 +115,12 @@ func TestStandardDesignPoints(t *testing.T) {
 	if len(pts) != 4 {
 		t.Fatalf("%d design points, want 4", len(pts))
 	}
-	if !pts[0].Config.DisableEncryption {
+	if pts[0].Config != nil {
 		t.Fatal("first point should be the no-encryption baseline")
 	}
 	for _, p := range pts[1:] {
-		if p.Config.DisableEncryption {
-			t.Fatalf("%s: encryption disabled", p.Name)
+		if p.Config == nil {
+			t.Fatalf("%s: no controller design", p.Name)
 		}
 		if err := p.Config.Validate(); err != nil {
 			t.Fatalf("%s: %v", p.Name, err)

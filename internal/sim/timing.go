@@ -1,11 +1,13 @@
-package core
+package sim
 
 import (
 	"fmt"
 
 	"authmem/internal/cache"
+	"authmem/internal/core"
 	"authmem/internal/ctr"
 	"authmem/internal/dram"
+	"authmem/internal/tree"
 )
 
 // Timing constants for on-chip operations, in CPU cycles.
@@ -22,14 +24,33 @@ const (
 	DecryptCycles = 1
 )
 
+// TimingConfig configures a TimingModel: the engine's design point plus the
+// on-chip counter/MAC metadata cache, which only the modeled controller has
+// (the functional engine sizes its verified caches from the region).
+type TimingConfig struct {
+	core.Config
+	// MetadataCacheBytes / MetadataCacheWays size the on-chip counter/MAC
+	// cache (Table 1: 32KB, 8-way).
+	MetadataCacheBytes int
+	MetadataCacheWays  int
+}
+
+// Table1 returns design on the paper's Table 1 controller: a 32KB 8-way
+// metadata cache.
+func Table1(design core.Config) TimingConfig {
+	return TimingConfig{Config: design, MetadataCacheBytes: 32 << 10, MetadataCacheWays: 8}
+}
+
 // TimingModel prices reads and writebacks of a secure memory controller
-// design point against a DDR3 timing model. It shares the counter-scheme
-// state machines with the functional engine, so Table 2's re-encryption
-// events and Figure 8's latency effects come from one implementation.
+// design point against a DDR3 timing model. It runs the functional engine's
+// counter-scheme state machines (internal/ctr) and walks the engine's tree
+// shape (core.Config.TreeShape), so Table 2's re-encryption events and
+// Figure 8's latency effects come from one implementation; it skips the
+// cryptography, which is what makes billion-access simulations tractable.
 type TimingModel struct {
-	cfg    Config
+	cfg    TimingConfig
 	scheme ctr.Scheme
-	geom   treeGeometry
+	shape  tree.Shape
 	meta   *cache.Cache
 	mem    *dram.Memory
 
@@ -57,9 +78,6 @@ type TimingModel struct {
 	ctrBase  uint64
 	treeBase uint64
 	macBase  uint64
-
-	dataTree   bool
-	dataBlocks uint64
 
 	now   uint64 // current request time, visible to the re-encrypt hook
 	stats TimingStats
@@ -89,98 +107,47 @@ func (s TimingStats) Transactions() uint64 {
 		s.MACReads + s.MetaWrites + s.ReencryptRead + s.ReencryptWrit
 }
 
-// treeGeometry is the integrity tree's shape without its cryptography —
-// all the timing model needs.
-type treeGeometry struct {
-	counts []uint64 // node counts per level, bottom-up; last is on-chip
-}
-
-func newTreeGeometry(leaves uint64, onChipBytes int) treeGeometry {
-	var g treeGeometry
-	onChip := uint64(onChipBytes / 64)
-	n := leaves
-	for {
-		n = (n + 7) / 8
-		g.counts = append(g.counts, n)
-		if n <= onChip {
-			return g
-		}
-	}
-}
-
-// offChipLevels is the number of node levels stored in DRAM.
-func (g treeGeometry) offChipLevels() int { return len(g.counts) - 1 }
-
-// offChipNodes is the total off-chip node count.
-func (g treeGeometry) offChipNodes() uint64 {
-	var t uint64
-	for _, c := range g.counts[:len(g.counts)-1] {
-		t += c
-	}
-	return t
-}
-
-// path appends the flat off-chip node indices on a leaf's root path to dst.
-func (g treeGeometry) path(leaf uint64, dst []uint64) []uint64 {
-	idx := leaf
-	var base uint64
-	for k := 0; k < g.offChipLevels(); k++ {
-		idx /= 8
-		dst = append(dst, base+idx)
-		base += g.counts[k]
-	}
-	return dst
-}
-
 // NewTimingModel builds a timing model over the given DRAM.
-func NewTimingModel(cfg Config, mem *dram.Memory) (*TimingModel, error) {
+func NewTimingModel(cfg TimingConfig, mem *dram.Memory) (*TimingModel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if mem == nil {
-		return nil, fmt.Errorf("core: nil DRAM")
-	}
-	t := &TimingModel{
-		cfg:                    cfg,
-		mem:                    mem,
-		ChargeReencryptTraffic: true,
-		OverflowBufferGroups:   4,
-	}
-	if cfg.DisableEncryption {
-		return t, nil
+		return nil, fmt.Errorf("sim: nil DRAM")
 	}
 	scheme, err := ctr.NewScheme(cfg.Scheme)
 	if err != nil {
 		return nil, err
 	}
-	t.scheme = scheme
-	scheme.OnReencrypt(t.onReencrypt)
-
-	if cfg.Scheme == ctr.Delta || cfg.Scheme == ctr.DualLength {
-		t.DecodeCycles = ctr.DecodeCycles
+	shape, err := cfg.TreeShape()
+	if err != nil {
+		return nil, err
 	}
-
-	t.meta, err = cache.New(cache.Config{
+	meta, err := cache.New(cache.Config{
 		SizeBytes: cfg.MetadataCacheBytes,
-		LineBytes: BlockBytes,
+		LineBytes: core.BlockBytes,
 		Ways:      cfg.MetadataCacheWays,
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	metaBlocks := scheme.MetadataBlocks(cfg.DataBlocks())
-	leaves := metaBlocks
-	if cfg.DataTree {
-		t.dataTree = true
-		t.dataBlocks = cfg.DataBlocks()
-		leaves += t.dataBlocks
+	t := &TimingModel{
+		cfg:                    cfg,
+		scheme:                 scheme,
+		shape:                  shape,
+		meta:                   meta,
+		mem:                    mem,
+		ChargeReencryptTraffic: true,
+		OverflowBufferGroups:   4,
 	}
-	t.geom = newTreeGeometry(leaves, cfg.OnChipTreeBytes)
+	scheme.OnReencrypt(t.onReencrypt)
+	if cfg.Scheme == ctr.Delta || cfg.Scheme == ctr.DualLength {
+		t.DecodeCycles = ctr.DecodeCycles
+	}
 
 	t.ctrBase = cfg.RegionBytes
-	t.treeBase = t.ctrBase + metaBlocks*BlockBytes
-	t.macBase = t.treeBase + t.geom.offChipNodes()*BlockBytes
+	t.treeBase = t.ctrBase + scheme.MetadataBlocks(cfg.DataBlocks())*core.BlockBytes
+	t.macBase = t.treeBase + shape.OffChipNodes()*core.BlockBytes
 	return t, nil
 }
 
@@ -192,23 +159,13 @@ func (t *TimingModel) Scheme() ctr.Scheme { return t.scheme }
 func (t *TimingModel) DRAM() *dram.Memory { return t.mem }
 
 // MetadataCacheStats returns the counter/MAC cache's hit statistics.
-func (t *TimingModel) MetadataCacheStats() cache.Stats {
-	if t.meta == nil {
-		return cache.Stats{}
-	}
-	return t.meta.Stats()
-}
+func (t *TimingModel) MetadataCacheStats() cache.Stats { return t.meta.Stats() }
 
 // Stats returns the DRAM transaction classification.
 func (t *TimingModel) Stats() TimingStats { return t.stats }
 
 // OffChipTreeLevels reports the modeled tree depth (node levels in DRAM).
-func (t *TimingModel) OffChipTreeLevels() int {
-	if t.cfg.DisableEncryption {
-		return 0
-	}
-	return t.geom.offChipLevels()
-}
+func (t *TimingModel) OffChipTreeLevels() int { return t.shape.OffChipLevels() }
 
 // metaAccess touches the metadata cache and issues DRAM traffic on a miss,
 // returning when the line is available. Dirty evictions are written back
@@ -232,7 +189,7 @@ func (t *TimingModel) metaAccess(now, addr uint64, write bool, class *uint64) ui
 // is inside the trust boundary).
 func (t *TimingModel) fetchCounter(now, blk uint64, forWrite bool) uint64 {
 	midx := t.scheme.MetadataBlock(blk)
-	addr := t.ctrBase + midx*BlockBytes
+	addr := t.ctrBase + midx*core.BlockBytes
 
 	res := t.meta.Access(addr, forWrite)
 	if res.Evicted && res.EvictedDirty {
@@ -251,11 +208,11 @@ func (t *TimingModel) fetchCounter(now, blk uint64, forWrite bool) uint64 {
 	return ready + uint64(t.DecodeCycles)
 }
 
-// metaLeaf maps a metadata block to its tree leaf (data blocks come first
-// under the classic data-tree design).
+// metaLeaf maps a metadata block to its tree leaf, as the engine numbers
+// them (data blocks come first under the classic data-tree design).
 func (t *TimingModel) metaLeaf(midx uint64) uint64 {
-	if t.dataTree {
-		return t.dataBlocks + midx
+	if t.cfg.DataTree {
+		return t.cfg.DataBlocks() + midx
 	}
 	return midx
 }
@@ -267,8 +224,8 @@ func (t *TimingModel) metaLeaf(midx uint64) uint64 {
 func (t *TimingModel) walkTree(now, leaf uint64, forWrite bool) uint64 {
 	var ready uint64
 	var pathBuf [8]uint64
-	for _, flat := range t.geom.path(leaf, pathBuf[:0]) {
-		nodeAddr := t.treeBase + flat*BlockBytes
+	for _, flat := range t.shape.Path(leaf, pathBuf[:0]) {
+		nodeAddr := t.treeBase + flat*core.BlockBytes
 		hit := t.meta.Probe(nodeAddr)
 		nres := t.meta.Access(nodeAddr, forWrite)
 		if nres.Evicted && nres.EvictedDirty {
@@ -289,17 +246,14 @@ func (t *TimingModel) walkTree(now, leaf uint64, forWrite bool) uint64 {
 // ReadMiss prices an LLC read miss beginning at CPU cycle now and returns
 // the cycle at which decrypted, verified data is available.
 func (t *TimingModel) ReadMiss(now, addr uint64) uint64 {
-	if t.cfg.DisableEncryption {
-		return t.mem.Access(now, addr, false)
-	}
 	t.now = now
-	blk := addr / BlockBytes
+	blk := addr / core.BlockBytes
 
 	t.stats.DataReads++
 	dataDone := t.mem.Access(now, addr, false)
 
 	ctrReady := t.fetchCounter(now, blk, false)
-	if t.dataTree {
+	if t.cfg.DataTree {
 		// Classic design: verifying the data block itself needs its
 		// tree path.
 		if done := t.walkTree(now, blk, false); done > ctrReady {
@@ -308,11 +262,11 @@ func (t *TimingModel) ReadMiss(now, addr uint64) uint64 {
 	}
 
 	var macReady uint64
-	if t.cfg.Placement == MACInECC {
+	if t.cfg.Placement == core.MACInECC {
 		// Figure 2: the tag rides the ECC lanes of the data burst.
 		macReady = dataDone
 	} else {
-		macAddr := t.macBase + (blk/8)*BlockBytes
+		macAddr := t.macBase + (blk/8)*core.BlockBytes
 		macReady = t.metaAccess(now, macAddr, false, &t.stats.MACReads)
 	}
 
@@ -332,15 +286,12 @@ func (t *TimingModel) ReadMiss(now, addr uint64) uint64 {
 // The returned cycle is when the write completes at DRAM (the core does not
 // stall on it).
 func (t *TimingModel) WriteBack(now, addr uint64) uint64 {
-	if t.cfg.DisableEncryption {
-		return t.mem.Access(now, addr, true)
-	}
 	t.now = now
-	blk := addr / BlockBytes
+	blk := addr / core.BlockBytes
 
 	// Counter read-modify-write: the metadata block must be resident.
 	t.fetchCounter(now, blk, true)
-	if t.dataTree {
+	if t.cfg.DataTree {
 		// The data block's tree path is dirtied by the write.
 		t.walkTree(now, blk, true)
 	}
@@ -353,9 +304,9 @@ func (t *TimingModel) WriteBack(now, addr uint64) uint64 {
 		now = t.reencStall
 	}
 
-	if t.cfg.Placement == MACInline {
+	if t.cfg.Placement == core.MACInline {
 		// The MAC block is read-modified too.
-		macAddr := t.macBase + (blk/8)*BlockBytes
+		macAddr := t.macBase + (blk/8)*core.BlockBytes
 		t.metaAccess(now, macAddr, true, &t.stats.MACReads)
 	}
 
@@ -400,7 +351,7 @@ func (t *TimingModel) onReencrypt(groupStart uint64, old []uint64, newCounter ui
 	}
 	var done uint64
 	for j := range old {
-		addr := (groupStart + uint64(j)) * BlockBytes
+		addr := (groupStart + uint64(j)) * core.BlockBytes
 		if addr >= t.cfg.RegionBytes {
 			break
 		}

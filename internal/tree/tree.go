@@ -51,6 +51,91 @@ type Hasher interface {
 	Tag(image []byte, addr, counter uint64) (uint64, error)
 }
 
+// Shape is a tree's geometry without its cryptography: the leaf count and
+// the node count of every level. Levels shrink by Arity until one fits the
+// on-chip budget; that top level is trusted SRAM and every level below it is
+// DRAM. A Tree is built on its Shape, and the timing model and the Figure 1
+// storage accounting read one directly, so the geometry exists once.
+type Shape struct {
+	leaves uint64
+	// counts[k] is the node count of node level k (level 0 is the first
+	// level above the leaves); the last entry is the on-chip level.
+	counts []uint64
+}
+
+// NewShape returns the shape of a tree over numLeaves leaves with an
+// onChipBytes trusted budget.
+func NewShape(numLeaves uint64, onChipBytes int) (Shape, error) {
+	if numLeaves == 0 {
+		return Shape{}, fmt.Errorf("tree: need at least one leaf")
+	}
+	if onChipBytes < NodeBytes {
+		return Shape{}, fmt.Errorf("tree: on-chip budget %dB below one node", onChipBytes)
+	}
+	s := Shape{leaves: numLeaves}
+	onChipNodes := uint64(onChipBytes / NodeBytes)
+	for n := numLeaves; ; {
+		n = (n + Arity - 1) / Arity
+		s.counts = append(s.counts, n)
+		if n <= onChipNodes {
+			return s, nil
+		}
+	}
+}
+
+// Leaves returns the number of leaves.
+func (s Shape) Leaves() uint64 { return s.leaves }
+
+// Levels returns the number of node levels, including the on-chip level.
+func (s Shape) Levels() int { return len(s.counts) }
+
+// OffChipLevels returns how many levels of tree nodes reside in DRAM
+// (everything below the trusted on-chip level). A full cold verification
+// therefore costs OffChipLevels() node reads in addition to the leaf read —
+// matching the paper's "5-level off-chip integrity tree" accounting when
+// the leaf (counter block) read is counted as one of the levels.
+func (s Shape) OffChipLevels() int { return len(s.counts) - 1 }
+
+// NodesAtLevel returns the node count of node level k (0-based, where level
+// 0 is the first level above the leaves).
+func (s Shape) NodesAtLevel(k int) uint64 { return s.counts[k] }
+
+// OffChipNodes returns the total number of off-chip nodes (the FlatIndex
+// range).
+func (s Shape) OffChipNodes() uint64 {
+	var total uint64
+	for _, n := range s.counts[:s.OffChipLevels()] {
+		total += n
+	}
+	return total
+}
+
+// OffChipBytes returns the DRAM footprint of the off-chip node levels, for
+// the Figure 1 storage accounting.
+func (s Shape) OffChipBytes() uint64 { return s.OffChipNodes() * NodeBytes }
+
+// FlatIndex maps a NodeID to a dense index across all off-chip levels, so
+// callers can assign each node a unique cacheable address.
+func (s Shape) FlatIndex(id NodeID) uint64 {
+	var base uint64
+	for _, n := range s.counts[:id.Level] {
+		base += n
+	}
+	return base + id.Index
+}
+
+// Path appends to dst the FlatIndex of every off-chip node on leaf's path to
+// the on-chip level, bottom-up: the nodes VerifyLeaf reads for that leaf.
+func (s Shape) Path(leaf uint64, dst []uint64) []uint64 {
+	var base uint64
+	for _, n := range s.counts[:s.OffChipLevels()] {
+		leaf /= Arity
+		dst = append(dst, base+leaf)
+		base += n
+	}
+	return dst
+}
+
 // Tree is a Bonsai Merkle tree. Node storage below the top level models
 // off-chip DRAM: it is exported to attack via CorruptNode, and verification
 // never trusts it. The top level models on-chip SRAM and is trusted.
@@ -58,15 +143,13 @@ type Hasher interface {
 // A Tree is not safe for concurrent use, and TopDigest counts as a writer
 // (it fills the digest cache): callers serialize it with the mutators.
 type Tree struct {
-	key    Hasher
-	leaves uint64
+	Shape
+	key Hasher
 
 	// levels[k] holds level k+1's node images (level 0 is the leaves,
-	// which live outside the tree). levels[len-1] is the on-chip level.
+	// which live outside the tree): counts[k] nodes. levels[len-1] is the
+	// on-chip level.
 	levels [][]byte
-
-	// counts[k] is the node count of levels[k].
-	counts []uint64
 
 	// topDigest caches the SHA-256 of the on-chip level while topValid is
 	// set. Every function that writes that level (UpdateLeaf,
@@ -85,51 +168,15 @@ func New(key Hasher, numLeaves uint64, onChipBytes int) (*Tree, error) {
 	if key == nil {
 		return nil, fmt.Errorf("tree: nil key")
 	}
-	if numLeaves == 0 {
-		return nil, fmt.Errorf("tree: need at least one leaf")
+	shape, err := NewShape(numLeaves, onChipBytes)
+	if err != nil {
+		return nil, err
 	}
-	if onChipBytes < NodeBytes {
-		return nil, fmt.Errorf("tree: on-chip budget %dB below one node", onChipBytes)
-	}
-	t := &Tree{key: key, leaves: numLeaves}
-	onChipNodes := uint64(onChipBytes / NodeBytes)
-	n := numLeaves
-	for {
-		n = (n + Arity - 1) / Arity
-		t.levels = append(t.levels, make([]byte, n*NodeBytes))
-		t.counts = append(t.counts, n)
-		if n <= onChipNodes {
-			break
-		}
+	t := &Tree{Shape: shape, key: key, levels: make([][]byte, len(shape.counts))}
+	for k, n := range shape.counts {
+		t.levels[k] = make([]byte, n*NodeBytes)
 	}
 	return t, nil
-}
-
-// Leaves returns the number of leaves.
-func (t *Tree) Leaves() uint64 { return t.leaves }
-
-// Levels returns the number of node levels, including the on-chip level.
-func (t *Tree) Levels() int { return len(t.levels) }
-
-// OffChipLevels returns how many levels of tree nodes reside in DRAM
-// (everything below the trusted on-chip level). A full cold verification
-// therefore costs OffChipLevels() node reads in addition to the leaf read —
-// matching the paper's "5-level off-chip integrity tree" accounting when
-// the leaf (counter block) read is counted as one of the levels.
-func (t *Tree) OffChipLevels() int { return len(t.levels) - 1 }
-
-// NodesAtLevel returns the node count of node level k (0-based, where level
-// 0 is the first level above the leaves).
-func (t *Tree) NodesAtLevel(k int) uint64 { return t.counts[k] }
-
-// TotalOffChipBytes returns the DRAM footprint of the off-chip node levels,
-// for the Figure 1 storage accounting.
-func (t *Tree) TotalOffChipBytes() uint64 {
-	var total uint64
-	for k := 0; k < len(t.levels)-1; k++ {
-		total += t.counts[k] * NodeBytes
-	}
-	return total
 }
 
 // nodeTag computes the MAC of a 64-byte image at (level, index). Level and
@@ -342,26 +389,6 @@ func (t *Tree) Rebuild(leafImage func(i uint64) []byte) error {
 type NodeID struct {
 	Level int
 	Index uint64
-}
-
-// FlatIndex maps a NodeID to a dense index across all off-chip levels, so
-// callers can assign each node a unique cacheable address.
-func (t *Tree) FlatIndex(id NodeID) uint64 {
-	var base uint64
-	for k := 0; k < id.Level; k++ {
-		base += t.counts[k]
-	}
-	return base + id.Index
-}
-
-// OffChipNodes returns the total number of off-chip nodes (the FlatIndex
-// range).
-func (t *Tree) OffChipNodes() uint64 {
-	var total uint64
-	for k := 0; k < len(t.levels)-1; k++ {
-		total += t.counts[k]
-	}
-	return total
 }
 
 // CorruptNode flips one bit of a stored node image — the attacker's move.

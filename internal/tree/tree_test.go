@@ -3,6 +3,7 @@ package tree
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"authmem/internal/mac"
@@ -282,14 +283,50 @@ func TestErrTamperedMessage(t *testing.T) {
 }
 
 func TestTotalOffChipBytes(t *testing.T) {
-	tr := buildTree(t, 4096, 3<<10)
 	// 4096 leaves -> levels of 512, 64, 8 (on-chip at 8 <= 48).
-	want := uint64(512+64) * NodeBytes
-	if got := tr.TotalOffChipBytes(); got != want {
-		t.Fatalf("TotalOffChipBytes = %d, want %d", got, want)
+	s, err := NewShape(4096, 3<<10)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tr.OffChipLevels() != 2 {
-		t.Fatalf("OffChipLevels = %d, want 2", tr.OffChipLevels())
+	if want := uint64(512+64) * NodeBytes; s.OffChipBytes() != want {
+		t.Fatalf("OffChipBytes = %d, want %d", s.OffChipBytes(), want)
+	}
+	if s.OffChipLevels() != 2 || s.OffChipNodes() != 512+64 {
+		t.Fatalf("OffChipLevels = %d, OffChipNodes = %d, want 2 and 576", s.OffChipLevels(), s.OffChipNodes())
+	}
+	if _, err := NewShape(0, 3<<10); err == nil {
+		t.Fatal("zero leaves should fail")
+	}
+	if _, err := NewShape(8, NodeBytes-1); err == nil {
+		t.Fatal("sub-node on-chip budget should fail")
+	}
+}
+
+// TestShapePathMatchesVerifyLeaf: a Shape alone names, for every leaf, the
+// off-chip nodes the built tree reads to verify it.
+func TestShapePathMatchesVerifyLeaf(t *testing.T) {
+	for _, onChip := range []int{NodeBytes, 3 << 10} {
+		tr := buildTree(t, 1000, onChip)
+		s, err := NewShape(1000, onChip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(s.counts, tr.counts) {
+			t.Fatalf("on-chip %d: shape levels %v, tree levels %v", onChip, s.counts, tr.counts)
+		}
+		for leaf := uint64(0); leaf < s.Leaves(); leaf++ {
+			read, err := tr.VerifyLeaf(leaf, leafImg(leaf))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []uint64
+			for _, id := range read {
+				want = append(want, tr.FlatIndex(id))
+			}
+			if got := s.Path(leaf, nil); !slices.Equal(got, want) {
+				t.Fatalf("on-chip %d leaf %d: path %v, tree read %v", onChip, leaf, got, want)
+			}
+		}
 	}
 }
 
