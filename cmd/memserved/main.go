@@ -50,7 +50,6 @@ func main() {
 		statsEach = flag.Duration("stats-every", 0, "log a stats snapshot at this interval (0 disables)")
 		walDir    = flag.String("wal", "", "durable mode: directory for base snapshot + sealed delta logs (empty disables)")
 		ckptEvery = flag.Duration("checkpoint-interval", 5*time.Second, "durable mode: background delta-epoch interval")
-		foldBytes = flag.Int64("fold-bytes", 0, "durable mode: fold logs into a new base beyond this many bytes (0 = base/4)")
 	)
 	flag.Parse()
 	log.SetPrefix("memserved: ")
@@ -60,38 +59,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	memCfg, eccDesc, err := buildMemConfig(*size, *scheme, *eccCodec, key)
+	if err != nil {
+		log.Fatal(err)
+	}
+	desc := fmt.Sprintf("%dMB %s region across %d shards (%s ecc)", *size>>20, *scheme, *shards, eccDesc)
 	var (
 		backend server.Backend
-		desc    string
-		store   *durableStore
+		store   *authmem.Durable
 	)
 	if *walDir != "" {
-		// Durable mode always runs the sharded backend (a 1-shard region
-		// is valid) so the checkpoint machinery has one code path.
-		cfg, eccDesc, err := buildMemConfig(*size, *scheme, *eccCodec, key)
-		if err != nil {
+		if store, err = openStore(*walDir, memCfg, *shards); err != nil {
 			log.Fatal(err)
 		}
-		if *shards < 1 {
-			log.Fatalf("-shards: %d", *shards)
-		}
-		store, err = openDurable(cfg, *shards, durableOptions{
-			dir:       *walDir,
-			interval:  *ckptEvery,
-			foldBytes: *foldBytes,
-			logf:      log.Printf,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		backend = store.mem
-		desc = fmt.Sprintf("%dMB %s region across %d shards (%s ecc), durable in %s every %v",
-			*size>>20, *scheme, *shards, eccDesc, *walDir, *ckptEvery)
-	} else {
-		backend, desc, err = buildBackend(*size, *shards, *scheme, *eccCodec, key)
-		if err != nil {
-			log.Fatal(err)
-		}
+		backend = store
+		desc += fmt.Sprintf(", durable in %s every %v", *walDir, *ckptEvery)
+	} else if backend, err = authmem.NewSharded(memCfg, *shards); err != nil {
+		log.Fatal(err)
 	}
 
 	cfg := server.Config{
@@ -133,10 +117,9 @@ func main() {
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	var stopCkpt chan struct{}
+	var stopSeals func()
 	if store != nil {
-		stopCkpt = make(chan struct{})
-		go store.run(stopCkpt)
+		stopSeals = runSeals(store, *ckptEvery)
 	}
 	log.Printf("serving %s on %s (%d-byte blocks, protocol v%d)", desc, ln.Addr(), wire.BlockBytes, wire.Version)
 
@@ -154,8 +137,8 @@ func main() {
 		if store != nil {
 			// Traffic is quiesced; seal what the drain left dirty so the
 			// manifest pins the exact final state.
-			close(stopCkpt)
-			if err := store.close(); err != nil {
+			stopSeals()
+			if err := store.Close(); err != nil {
 				log.Fatalf("final checkpoint: %v", err)
 			}
 			log.Printf("final epoch sealed; manifest pinned")
@@ -219,14 +202,60 @@ func buildMemConfig(size uint64, scheme, eccCodec string, key []byte) (authmem.C
 	return cfg, eccDesc, nil
 }
 
-func buildBackend(size uint64, shards int, scheme, eccCodec string, key []byte) (server.Backend, string, error) {
-	cfg, eccDesc, err := buildMemConfig(size, scheme, eccCodec, key)
+// openStore opens the durable region in dir (-wal) and logs what recovery
+// found.
+func openStore(dir string, cfg authmem.Config, shards int) (*authmem.Durable, error) {
+	store, reports, err := authmem.OpenDurable(dir, cfg, shards)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	m, err := authmem.NewSharded(cfg, shards)
-	if err != nil {
-		return nil, "", err
+	if reports == nil {
+		log.Printf("durable: no manifest in %s, starting fresh", dir)
+	} else {
+		for i, rep := range reports {
+			if rep.Status != authmem.RecoveryClean || uint64(rep.Epochs) > store.Pinned[i] {
+				log.Printf("durable: shard %d: %s, %d epochs (%d pinned), %d groups, %d dropped %s",
+					i, rep.Status, rep.Epochs, store.Pinned[i], rep.Groups, rep.Dropped, rep.Reason)
+			}
+		}
+		log.Printf("durable: recovered %d shards to verified roots", len(reports))
 	}
-	return m, fmt.Sprintf("%dMB %s region across %d shards (%s ecc)", size>>20, scheme, shards, eccDesc), nil
+	logFold(store.Opened)
+	return store, nil
+}
+
+// logFold logs why a fold happened, the generation it wrote and its size.
+func logFold(rep authmem.SealReport) {
+	log.Printf("durable: %s; checkpointed generation %d (%d bytes base)", rep.FoldReason, rep.Generation, rep.BaseBytes)
+}
+
+// runSeals seals an epoch every interval (-checkpoint-interval) until the
+// returned stop is called; stop returns once the loop has exited.
+func runSeals(store *authmem.Durable, interval time.Duration) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				rep, err := store.Seal()
+				switch {
+				case err != nil:
+					log.Printf("durable: checkpoint epoch failed: %v", err)
+				case rep.FoldReason != "":
+					logFold(rep)
+				case rep.Groups > 0:
+					log.Printf("durable: epoch sealed (%d dirty groups, logs %d bytes)", rep.Groups, rep.LogBytes)
+				}
+			case <-quit:
+				return
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
 }

@@ -17,26 +17,29 @@ import (
 // plus a log replays to the exact pre-crash state, paying O(blocks written)
 // per checkpoint instead of O(region).
 //
-// Lifecycle, one delta log per shard (a one-shard Memory has one):
+// The library's store over these primitives is Durable: a directory holding
+// a base image, one log per shard and a sealed manifest pinning each shard's
+// (epoch, root):
 //
-//	m.EnableDeltaTracking()
-//	m.Persist(baseFile)                         // full base snapshot
-//	dl, _ := m.NewShardDeltaLog(i, logFile[i])  // seeded with shard i's root
-//	... traffic ...
-//	m.AppendDeltaShard(i, dl)                   // sealed epoch: written blocks + root
-//	pin := m.RootDigest()                       // after a round over every shard
-//	... crash ...
-//	m, reports, err := ResumeShardedIncremental(cfg, shards, baseFile, logFiles, &pin)
+//	d, reports, err := OpenDurable(dir, cfg, shards) // resumes, or starts fresh
+//	... traffic on d (it embeds the *Memory) ...
+//	rep, err := d.Seal()                             // sealed epoch: written blocks + root
+//	... crash: the next OpenDurable replays to the newest sealed epoch ...
+//	err = d.Close()                                  // final epoch, manifest pinned
 //
-// A fold under traffic takes the base and the fresh logs together, shard by
-// shard: BeginShardedImage, then CheckpointShard for every shard.
+// Durable is the only store. The per-shard primitives below (a fold is
+// BeginShardedImage, then CheckpointShard for every shard; an epoch is
+// AppendDeltaShard on every shard) stay exported only because the frozen
+// benchmark harness compiles against them, and go when it moves to Durable.
+// Nothing else may call them; on a Durable they corrupt the store's next
+// Seal.
 //
 // Every record is length-prefixed, CRC-framed, and sealed with a chained
 // HMAC keyed from the device secret; each epoch closes with a commit record
 // carrying the root digest the rebuilt tree must hash to. Torn tails recover
 // to the last committed epoch with a typed verdict; tampered or spliced logs
 // are refused. Pin the newest root (or use the RecoveryReport.EpochRoots
-// list against a sealed manifest, as cmd/memserved does) to also detect a
+// list against a sealed manifest, as Durable does) to also detect a
 // maliciously shortened-but-valid log.
 
 // DeltaLog is one shard's open append-only delta log, bound to the Memory
@@ -46,9 +49,6 @@ import (
 type DeltaLog struct {
 	w *wal.Writer
 }
-
-// Records returns the number of sealed records appended so far.
-func (l *DeltaLog) Records() uint64 { return l.w.Records() }
 
 // Offset returns the log length in bytes (header included). After an
 // AppendDeltaShard returns, all of it has been handed to the log's io.Writer.
@@ -94,17 +94,6 @@ func (m *Memory) EnableDeltaTracking() { m.eng.EnableDeltaTracking() }
 // serialize, across all shards.
 func (m *Memory) DirtyGroups() int { return m.eng.DirtyGroups() }
 
-// NewShardDeltaLog starts shard i's delta log on w, seeded with the shard's
-// current subtree root. Persist the base image first, then open each shard's
-// log; the log extends exactly that state.
-func (m *Memory) NewShardDeltaLog(i int, w io.Writer) (*DeltaLog, error) {
-	lw, err := m.eng.NewShardDeltaWriter(i, w)
-	if err != nil {
-		return nil, err
-	}
-	return &DeltaLog{w: lw}, nil
-}
-
 // AppendDeltaShard seals one checkpoint epoch of shard i onto its log, in one
 // write and locking only that shard: a record per dirty group (counter image
 // + the blocks written since its last record) plus a commit record carrying
@@ -125,8 +114,9 @@ func (m *Memory) BeginShardedImage(w io.Writer) error { return m.eng.BeginSharde
 // CheckpointShard persists shard i's image section to baseW and opens a
 // fresh delta log for it on logW, atomically under the shard's lock — other
 // shards keep serving while this shard folds. Call BeginShardedImage first,
-// then CheckpointShard for every shard in order. Returns the shard root the
-// new log is seeded with; pin it (cmd/memserved seals it into its manifest).
+// then CheckpointShard for every shard in order. The section covers the
+// shard's dirty set, which is cleared. Returns the shard root the new log is
+// seeded with; pin it (Durable seals it into its manifest).
 func (m *Memory) CheckpointShard(i int, baseW, logW io.Writer) (RootDigest, *DeltaLog, error) {
 	root, lw, err := m.eng.CheckpointShard(i, baseW, logW)
 	if err != nil {
@@ -157,11 +147,4 @@ func ResumeShardedIncremental(cfg Config, shards int, base io.Reader, wals []io.
 		return nil, reports, err
 	}
 	return &Memory{eng: eng}, reports, nil
-}
-
-// CombinedRecoveredRoot recomputes the combined attestation digest from the
-// per-shard recovery reports of a ResumeShardedIncremental that ran without
-// a pin — compare it against the trusted combined root yourself.
-func CombinedRecoveredRoot(reports []*RecoveryReport) RootDigest {
-	return core.CombinedRecoveredRoot(reports)
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"math/rand"
 	"testing"
+
+	"authmem/internal/wal"
 )
 
 // TestFacadeIncrementalRoundTrip: base image + one delta log per shard
@@ -32,13 +34,13 @@ func TestFacadeIncrementalRoundTrip(t *testing.T) {
 		write(m, 200)
 
 		var base bytes.Buffer
-		if _, err := m.Persist(&base); err != nil {
+		if err := m.BeginShardedImage(&base); err != nil {
 			t.Fatal(err)
 		}
 		logs := make([]bytes.Buffer, shards)
 		dls := make([]*DeltaLog, shards)
 		for i := range dls {
-			dl, err := m.NewShardDeltaLog(i, &logs[i])
+			_, dl, err := m.CheckpointShard(i, &base, &logs[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +58,7 @@ func TestFacadeIncrementalRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if dls[0].Records() == 0 || dls[0].Offset() <= 0 {
+		if dls[0].Offset() != int64(logs[0].Len()) || logs[0].Len() <= wal.HeaderSize {
 			t.Fatal("log did not grow")
 		}
 		pin := m.RootDigest()
@@ -77,7 +79,7 @@ func TestFacadeIncrementalRoundTrip(t *testing.T) {
 				t.Fatalf("shard %d: unexpected report %+v", i, rep)
 			}
 		}
-		if CombinedRecoveredRoot(reports) != pin {
+		if m2.RootDigest() != pin {
 			t.Fatal("combined recovered root mismatch")
 		}
 		dst := make([]byte, BlockSize)
@@ -112,12 +114,12 @@ func TestFacadeTypedErrorsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var base bytes.Buffer
-	if _, err := s.Persist(&base); err != nil {
+	if err := s.BeginShardedImage(&base); err != nil {
 		t.Fatal(err)
 	}
 	logs := make([]bytes.Buffer, shards)
 	for i := 0; i < shards; i++ {
-		dl, err := s.NewShardDeltaLog(i, &logs[i])
+		_, dl, err := s.CheckpointShard(i, &base, &logs[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -289,7 +289,8 @@ func TestDeltaLogMatchesLiveEngine(t *testing.T) {
 			h.traffic(40)
 			h.seal()
 
-			// 4: a fold while blocks are dirty, then the epoch that re-logs them.
+			// 4: a fold while blocks are dirty (the base covers them, so
+			// the fold clears the set), then an epoch of fresh writes.
 			h.traffic(50)
 			if h.s.DirtyGroups() == 0 {
 				t.Fatal("fold would run on a clean dirty set")

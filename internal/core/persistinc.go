@@ -138,9 +138,9 @@ func (e *Engine) NewDeltaWriter(w io.Writer) (*wal.Writer, error) {
 	// A new log is a new epoch sequence: its first commit record must carry
 	// epoch 0, whatever was appended to earlier logs (a checkpoint fold
 	// opens a fresh log mid-life; the old one is dead the moment the new
-	// base exists). The dirty set intentionally survives — blocks written
-	// since the last append are covered by the new base, and re-serializing
-	// them in the first epoch is merely redundant, never wrong.
+	// base exists). The dirty set survives here: only a caller that
+	// persisted the base under the same lock hold knows the base covers
+	// it, and CheckpointShard clears it there.
 	if e.delta != nil {
 		e.delta.epoch = 0
 	}
@@ -523,8 +523,8 @@ func (s *ShardedEngine) NewShardDeltaWriter(i int, w io.Writer) (*wal.Writer, er
 
 // AppendDeltaShard appends one epoch of shard i's dirty groups to its log,
 // locking only that shard. The combined attestation over an append round is
-// RootDigest() (CombineRoots of the shard roots), which cmd/memserved seals
-// into its manifest.
+// RootDigest() (CombineRoots of the shard roots); the durable store
+// (authmem.Durable) seals the per-shard roots into its manifest.
 func (s *ShardedEngine) AppendDeltaShard(i int, w *wal.Writer) (DeltaStats, error) {
 	sh, err := s.shard(i)
 	if err != nil {
@@ -556,7 +556,10 @@ func (s *ShardedEngine) BeginShardedImage(w io.Writer) error {
 // after BeginShardedImage produces a valid sharded image whose per-shard
 // sections may legitimately be snapshots of different instants: each
 // shard's log covers its own section, which is all incremental recovery
-// needs. Returns the shard root sealed into the log's seed.
+// needs. The persisted section covers every block the shard's dirty set
+// names, so the set is cleared: the new log's first epoch carries only
+// what is written after the fold. Returns the shard root sealed into the
+// log's seed.
 func (s *ShardedEngine) CheckpointShard(i int, baseW, logW io.Writer) (RootDigest, *wal.Writer, error) {
 	sh, err := s.shard(i)
 	if err != nil {
@@ -571,6 +574,9 @@ func (s *ShardedEngine) CheckpointShard(i int, baseW, logW io.Writer) (RootDiges
 	w, err := sh.eng.NewDeltaWriter(logW)
 	if err != nil {
 		return RootDigest{}, nil, err
+	}
+	if sh.eng.delta != nil {
+		sh.eng.delta.reset()
 	}
 	return root, w, nil
 }
@@ -622,15 +628,4 @@ func ResumeShardedIncremental(cfg Config, shards int, base io.Reader, wals []io.
 		}
 	}
 	return wrapShards(cfg, engines), reports, nil
-}
-
-// CombinedRecoveredRoot recomputes the combined attestation digest from
-// per-shard recovery reports — what a caller compares against a pinned
-// combined root after ResumeShardedIncremental ran unpinned.
-func CombinedRecoveredRoot(reports []*RecoveryReport) RootDigest {
-	roots := make([][sha256.Size]byte, len(reports))
-	for i, rep := range reports {
-		roots[i] = rep.Root
-	}
-	return tree.CombineRoots(roots)
 }

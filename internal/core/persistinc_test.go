@@ -464,7 +464,7 @@ func TestShardedIncrementalRoundTrip(t *testing.T) {
 			t.Fatalf("shard %d report %+v", i, rep)
 		}
 	}
-	if CombinedRecoveredRoot(reports) != pin {
+	if r.RootDigest() != pin {
 		t.Fatal("combined recovered root does not match the live pin")
 	}
 	dst := make([]byte, BlockBytes)

@@ -84,7 +84,9 @@ func TestFacadeResumeBadConfig(t *testing.T) {
 // TestOneShardBitsMatchCallerSerializedMemory pins what New(cfg) stores to
 // what the caller-serialized Memory (a bare engine, deleted at PR 23) stored
 // for the same operations: SHA-256 of the base image and of the delta log,
-// recorded at 790dc95 from Memory.Persist / NewDeltaLog / AppendDelta. Images
+// recorded at 790dc95 from Memory.Persist / NewDeltaLog / AppendDelta (the
+// log is opened on the engine directly: a fold through CheckpointShard
+// clears the dirty set, and these hashes carry it into the first epoch). Images
 // and logs written before the one-device change therefore resume after it,
 // and the reverse.
 func TestOneShardBitsMatchCallerSerializedMemory(t *testing.T) {
@@ -123,10 +125,11 @@ func TestOneShardBitsMatchCallerSerializedMemory(t *testing.T) {
 		if _, err := m.Persist(&base); err != nil {
 			t.Fatal(err)
 		}
-		dl, err := m.NewShardDeltaLog(0, &log)
+		lw, err := m.eng.NewShardDeltaWriter(0, &log)
 		if err != nil {
 			t.Fatal(err)
 		}
+		dl := &DeltaLog{w: lw}
 		for ep := 0; ep < 3; ep++ {
 			write(120)
 			if _, err := m.AppendDeltaShard(0, dl); err != nil {
