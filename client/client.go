@@ -110,8 +110,8 @@ func (e *StatusError) Error() string {
 
 // Info reports how the server served a call.
 type Info struct {
-	// Status is the (worst, for split spans) wire status: StatusOK,
-	// StatusRecovered, or StatusOverflowSwept on success.
+	// Status is the (worst, for split spans) wire status: StatusOK or
+	// StatusRecovered on success.
 	Status wire.Status
 	// Flags accumulates the response info bits (FlagRetried,
 	// FlagMetaRepaired, FlagCorrected).

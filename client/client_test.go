@@ -121,8 +121,7 @@ func TestClientSpanSplitting(t *testing.T) {
 // goroutines over disjoint regions — all requests share connections and
 // complete out of order.
 func TestClientPipelinedConcurrency(t *testing.T) {
-	_, c := newStack(t, server.Config{Workers: 8},
-		client.Options{Conns: 2, MaxInflight: 16})
+	_, c := newStack(t, server.Config{}, client.Options{Conns: 2, MaxInflight: 16})
 
 	const workers = 8
 	const opsEach = 50

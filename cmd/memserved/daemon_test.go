@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -19,7 +20,8 @@ import (
 
 // TestDaemonBinary builds memserved and drives the real process from outside
 // with the public client and cluster packages. It asserts what no in-process
-// test can: the bound address is announced, SIGTERM drains to exit 0, a
+// test can: the flag set is exactly what is documented, the bound address is
+// announced, SIGTERM drains to exit 0, the periodic stats line is logged, a
 // durable directory carries the data across a process restart, and a quorum
 // survives kill -9 of a member. Skipped under -short (it pays a build).
 func TestDaemonBinary(t *testing.T) {
@@ -31,8 +33,24 @@ func TestDaemonBinary(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
+	t.Run("flags", func(t *testing.T) {
+		out, err := exec.Command(bin, "-h").CombinedOutput()
+		if err != nil {
+			t.Fatalf("memserved -h: %v\n%s", err, out)
+		}
+		var got []string
+		for _, m := range flagLine.FindAllSubmatch(out, -1) {
+			got = append(got, string(m[1]))
+		}
+		want := []string{"addr", "checkpoint-interval", "dev-key", "drain-grace", "ecc", "inflight",
+			"key-hex", "node-id", "scheme", "shards", "size", "stats-every", "timeout", "wal"}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("flags = %v, want %v", got, want)
+		}
+	})
+
 	t.Run("single", func(t *testing.T) {
-		d := startDaemon(t, bin, "-size", "16777216", "-shards", "1")
+		d := startDaemon(t, bin, "-size", "16777216", "-shards", "1", "-stats-every", "20ms")
 		c := dial(t, d.addr)
 		writeSpans(t, 64, func(addr uint64, p []byte) error { _, err := c.Write(addr, p); return err })
 		readSpans(t, 64, func(addr uint64, p []byte) error { _, err := c.Read(addr, p); return err })
@@ -49,8 +67,15 @@ func TestDaemonBinary(t *testing.T) {
 		if s := snap.Server; s.WriteOps == 0 || s.ReadOps == 0 || s.MACFails != 0 {
 			t.Fatalf("server ledger: %+v", s)
 		}
-		if log := d.terminate(t); !strings.Contains(log, "drained to quiescent point") {
+		for end := time.Now().Add(5 * time.Second); !strings.Contains(d.log.String(), "stats: reads=") && time.Now().Before(end); {
+			time.Sleep(10 * time.Millisecond)
+		}
+		log := d.terminate(t)
+		if !strings.Contains(log, "drained to quiescent point") {
 			t.Fatalf("no drain line in:\n%s", log)
+		}
+		if !strings.Contains(log, "stats: reads=") {
+			t.Fatalf("no -stats-every line in:\n%s", log)
 		}
 	})
 
@@ -216,6 +241,9 @@ func (d *daemon) kill() {
 	<-d.done
 	d.done = nil
 }
+
+// flagLine matches a flag's name in the usage text -h prints.
+var flagLine = regexp.MustCompile(`(?m)^  -(\S+)`)
 
 var servingLine = regexp.MustCompile(`serving .* on (\S+) \(\d+-byte blocks`)
 

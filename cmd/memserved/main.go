@@ -1,8 +1,11 @@
 // Command memserved serves an authenticated, encrypted memory region over
 // TCP using the internal/wire protocol. It is the daemon half of the
 // client package: readers and writers connect, pipeline block requests, and
-// get the engine's integrity verdicts (MAC_FAIL, QUARANTINED, RECOVERED,
-// OVERFLOW_SWEPT) as first-class wire statuses.
+// get the engine's integrity verdicts (MAC_FAIL, QUARANTINED, RECOVERED) as
+// first-class wire statuses. An idle connection's read or write runs on its
+// reader goroutine; everything else waits in the connection's queue for one
+// of a fixed pool of max(2, GOMAXPROCS) workers, so the daemon has no
+// concurrency flag.
 //
 // Serve a 64MB region on the default port:
 //
@@ -43,11 +46,9 @@ func main() {
 		keyHex    = flag.String("key-hex", "", "device key, hex-encoded (40 bytes)")
 		devKey    = flag.Bool("dev-key", false, "use a fixed all-zeros development key (NOT for real data)")
 		inflight  = flag.Int("inflight", 64, "per-connection in-flight request cap")
-		workers   = flag.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
 		timeout   = flag.Duration("timeout", 2*time.Second, "per-request queue deadline (0 disables)")
 		drain     = flag.Duration("drain-grace", 200*time.Millisecond, "drain window for pipelined requests at shutdown")
-		sweep     = flag.Bool("sweep-status", false, "report counter-overflow sweeps as OVERFLOW_SWEPT")
-		statsEach = flag.Duration("stats-every", 0, "log a stats snapshot at this interval (0 disables)")
+		statsEach = flag.Duration("stats-every", 0, "log a stats line at this interval (0 disables)")
 		walDir    = flag.String("wal", "", "durable mode: directory for base snapshot + sealed delta logs (empty disables)")
 		ckptEvery = flag.Duration("checkpoint-interval", 5*time.Second, "durable mode: background delta-epoch interval")
 	)
@@ -79,28 +80,16 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Backend:        backend,
-		NodeID:         *nodeID,
-		MaxInflight:    *inflight,
-		Workers:        *workers,
-		RequestTimeout: *timeout,
-		DrainGrace:     *drain,
-		SweepStatus:    *sweep,
-		Logf:           log.Printf,
+		Backend:         backend,
+		NodeID:          *nodeID,
+		MaxInflight:     *inflight,
+		RequestTimeout:  *timeout,
+		DrainGrace:      *drain,
+		MetricsInterval: *statsEach,
+		Logf:            log.Printf,
 	}
 	if *timeout == 0 {
 		cfg.RequestTimeout = -1
-	}
-	if *statsEach > 0 {
-		cfg.MetricsInterval = *statsEach
-		cfg.OnMetrics = func(snap wire.StatsSnapshot) {
-			log.Printf("stats: reads=%d writes=%d blocks_r=%d blocks_w=%d busy=%d macfail=%d quarantined=%d recovered=%d conns=%d",
-				snap.Server.ReadOps, snap.Server.WriteOps,
-				snap.Server.BlocksRead, snap.Server.BlocksWritten,
-				snap.Server.BusyRejected, snap.Server.MACFails,
-				snap.Server.Quarantined, snap.Server.Recovered,
-				snap.Server.ConnsOpened-snap.Server.ConnsClosed)
-		}
 	}
 	srv, err := server.New(cfg)
 	if err != nil {

@@ -43,13 +43,12 @@ func TestRoundTripAllocs(t *testing.T) {
 }
 
 // TestPipelinedAllocs pins the queued path's budget: eight reads sent in one
-// transport write, to eight non-adjacent spans over four shards, so all
-// eight take the queue as eight batches — the dispatcher's batch slices,
-// the payload buffers and the pinned workers are all recycled, and nothing
-// is left to allocate. The bound is for the whole process, this test's
-// framing included, with room for a GC emptying the pools mid-run; before
-// the batch slices were pooled a request cost one for its batch and, when
-// the next request was not adjacent, one more for holding that one back.
+// transport write, to eight spans over four shards, so at least the first
+// seven take the queue — each is one value through the connection's FIFO
+// and one through the pool's channel to a long-lived worker, its payload
+// buffer is pooled, and nothing is left to allocate. The bound is for the
+// whole process, this test's framing included, with room for a GC emptying
+// the pools mid-run.
 func TestPipelinedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pooled buffers are dropped at random under -race")
@@ -82,7 +81,7 @@ func TestPipelinedAllocs(t *testing.T) {
 		}
 	})
 	after := s.Snapshot().Server
-	if queued := after.AffinityDispatched - before.AffinityDispatched; queued < (runs+1)*(depth-1) {
+	if queued := queuedOps(after) - queuedOps(before); queued < (runs+1)*(depth-1) {
 		t.Fatalf("only %d of %d pipelined requests took the queue", queued, (runs+1)*depth)
 	}
 	if perReq := perBurst / depth; perReq > 0.25 {

@@ -35,18 +35,16 @@ func putBuf(b *[]byte) {
 	}
 }
 
-// batchPool recycles the batch slices the dispatcher hands to executors; the
-// executor returns a slice once its last response is queued.
-var batchPool = sync.Pool{New: func() any { return new([]request) }}
-
 // request is an accepted frame queued for execution. data is a pooled copy
 // of the write payload (the wire.Reader's buffer is reused per frame, so it
 // cannot be referenced past the read loop's iteration). enq is stamped only
-// when the queue deadline is enabled.
+// when the queue deadline is enabled. recovery marks a read whose fast path
+// already failed on the reader: the worker starts it at the recovery ladder.
 type request struct {
-	h    wire.Header
-	data *[]byte
-	enq  time.Time
+	h        wire.Header
+	data     *[]byte
+	enq      time.Time
+	recovery bool
 }
 
 // response is a completed or rejected frame awaiting serialization. data
@@ -172,18 +170,23 @@ func (c *conn) readLoop() {
 			r.data = getBuf(len(payload))
 			copy(*r.data, payload)
 		}
-		if c.srv.cfg.RequestTimeout > 0 {
-			r.enq = time.Now()
-		}
-		// Never blocks: in-flight (≤ MaxInflight) bounds queued requests,
-		// and reqCh has MaxInflight capacity.
-		c.reqCh <- r
+		c.enqueue(r)
 	}
+}
+
+// enqueue appends an admitted request to the connection's FIFO. It never
+// blocks: in-flight (≤ MaxInflight) bounds queued requests, and reqCh has
+// MaxInflight capacity.
+func (c *conn) enqueue(r request) {
+	if c.srv.cfg.RequestTimeout > 0 {
+		r.enq = time.Now()
+	}
+	c.reqCh <- r
 }
 
 // serveInline runs an admitted read or write to completion on the reader
 // goroutine through the backend's never-waiting surface, and reports whether
-// it did; false leaves the request untouched for the queue. Only the
+// it took the request; false leaves it untouched for the queue. Only the
 // response's trip through respCh and the writer remains. An inline request
 // cannot overtake a queued one: finish runs after the backend call returns,
 // so with inflight zero every earlier request has already executed. Its
@@ -192,8 +195,9 @@ func (c *conn) readLoop() {
 // matched by request ID, and a client that waits for each response before
 // sending the next never has two outstanding. A write uses the frame's
 // payload in place — it is over before the next fr.Next reuses the buffer. A
-// failed read also returns false: the queue re-executes it through the
-// recovery ladder, so the status taxonomy has one source.
+// read whose fast path fails is queued marked for recovery, and true is
+// returned: the recovery ladder may wait, so it runs on a worker, and the
+// failed read is not executed twice.
 func (c *conn) serveInline(h wire.Header, payload []byte) bool {
 	try := c.srv.try
 	if try == nil {
@@ -202,25 +206,28 @@ func (c *conn) serveInline(h wire.Header, payload []byte) bool {
 	switch h.Op {
 	case wire.OpRead:
 		data := getBuf(h.SpanBytes())
-		if done, err := try.TryReadBlocks(h.Addr, *data); !done || err != nil {
+		done, err := try.TryReadBlocks(h.Addr, *data)
+		switch {
+		case !done:
 			putBuf(data)
 			return false
+		case err != nil:
+			putBuf(data)
+			c.enqueue(request{h: h, recovery: true})
+			return true
 		}
 		c.srv.ctr.inlineServed.Add(1)
 		c.srv.ctr.readOps.Add(1)
 		c.finishRead(h, data)
 		return true
 	case wire.OpWrite:
-		if c.srv.cfg.SweepStatus {
-			return false // needs the stats merges around the call; see execWrites
-		}
 		done, err := try.TryWriteBlocks(h.Addr, payload)
 		if !done {
 			return false
 		}
 		c.srv.ctr.inlineServed.Add(1)
 		c.srv.ctr.writeOps.Add(1)
-		c.finishWrite(request{h: h}, err, false)
+		c.finishWrite(h, err)
 		return true
 	}
 	return false
@@ -234,89 +241,21 @@ func (c *conn) reject(h wire.Header, st wire.Status) {
 	c.respCh <- response{h: h}
 }
 
-// dispatchLoop pulls admitted requests, expires stale ones, coalesces runs
-// of adjacent same-op spans into one batch, and fans batches out to the
-// worker pool. After the request stream ends it waits for outstanding
-// workers and closes the response channel, which lets the writer finish.
+// dispatchLoop drains the connection's FIFO: it takes admitted requests in
+// arrival order, answers those that waited past the queue deadline, and
+// hands each of the others to the next free pool worker. After the request
+// stream ends it waits for the connection's requests still on a worker and
+// closes the response channel, which lets the writer finish.
 func (c *conn) dispatchLoop() {
-	var held request // dequeued while collecting, not part of that batch
-	var holding bool
-	open := true
-	for open || holding {
-		var first request
-		if holding {
-			first, holding = held, false
-		} else {
-			r, ok := <-c.reqCh
-			if !ok {
-				open = false
-				continue
-			}
-			first = r
-		}
-		if c.expire(&first) {
+	for r := range c.reqCh {
+		if c.expire(&r) {
 			continue
 		}
-		bp := batchPool.Get().(*[]request)
-		batch := append((*bp)[:0], first)
-		if open && (first.h.Op == wire.OpRead || first.h.Op == wire.OpWrite) {
-			total := first.h.Count
-		collect:
-			for total < wire.MaxSpanBlocks {
-				select {
-				case r2, ok := <-c.reqCh:
-					if !ok {
-						open = false
-						break collect
-					}
-					if c.expire(&r2) {
-						continue
-					}
-					last := batch[len(batch)-1]
-					if r2.h.Op == first.h.Op && r2.h.Addr == last.h.End() &&
-						total+r2.h.Count <= wire.MaxSpanBlocks {
-						batch = append(batch, r2)
-						total += r2.h.Count
-					} else {
-						held, holding = r2, true
-						break collect
-					}
-				default:
-					break collect
-				}
-			}
-		}
-		*bp = batch
-		c.dispatch(bp)
+		c.workerWG.Add(1)
+		c.srv.queue <- job{c: c, r: r}
 	}
 	c.workerWG.Wait()
 	close(c.respCh)
-}
-
-// dispatch hands a coalesced batch to an executor: the worker pinned to its
-// shard when the whole span lives in one shard and that queue has room,
-// else a shared-pool goroutine. Enqueueing to a pinned worker never blocks
-// — a full queue falls back to the pool so one hot shard cannot stall the
-// dispatcher (and with it every other shard's traffic on this connection).
-func (c *conn) dispatch(batch *[]request) {
-	c.workerWG.Add(1)
-	if q := c.srv.shardQueueFor(*batch); q != nil {
-		select {
-		case q <- shardJob{c: c, batch: batch}:
-			c.srv.ctr.affinityDispatched.Add(1)
-			return
-		default:
-			c.srv.ctr.affinityBypassed.Add(1)
-		}
-	}
-	c.srv.sem <- struct{}{}
-	go func() {
-		defer func() {
-			<-c.srv.sem
-			c.workerWG.Done()
-		}()
-		c.execute(batch)
-	}()
 }
 
 // expire enforces the per-request queue deadline. Expired requests are
@@ -371,100 +310,62 @@ func (c *conn) finish(resp response) {
 	c.respCh <- resp
 }
 
-// execute runs one coalesced batch against the backend and recycles its
-// slice.
-func (c *conn) execute(bp *[]request) {
-	batch := *bp
-	defer func() {
-		clear(batch) // drop the payload references
-		batchPool.Put(bp)
-	}()
-	if len(batch) > 1 {
-		c.srv.ctr.coalescedBatches.Add(1)
-		c.srv.ctr.coalescedRequests.Add(uint64(len(batch) - 1))
-	}
-	switch batch[0].h.Op {
+// execute runs one queued request against the backend.
+func (c *conn) execute(r request) {
+	h := r.h
+	switch h.Op {
 	case wire.OpRead:
-		c.execReads(batch)
+		c.srv.ctr.readOps.Add(1)
+		if !r.recovery {
+			data := getBuf(h.SpanBytes())
+			if err := c.srv.cfg.Backend.ReadBlocks(h.Addr, *data); err == nil {
+				c.finishRead(h, data)
+				return
+			}
+			putBuf(data)
+		}
+		c.execReadRecover(h)
 	case wire.OpWrite:
-		c.execWrites(batch)
+		c.srv.ctr.writeOps.Add(1)
+		err := c.srv.cfg.Backend.WriteBlocks(h.Addr, (*r.data)[:h.SpanBytes()])
+		putBuf(r.data)
+		c.finishWrite(h, err)
 	case wire.OpFlush:
 		c.srv.ctr.flushOps.Add(1)
-		h := batch[0].h
 		if err := c.srv.cfg.Backend.FlushAll(); err != nil {
 			h.Status = wire.StatusInternal
 		} else {
 			h.Status = wire.StatusOK
 		}
 		resp := response{h: h, accepted: true}
-		c.maybePin(batch[0].h.Flags, &resp)
+		c.maybePin(r.h.Flags, &resp)
 		c.finish(resp)
 	case wire.OpHello:
 		c.srv.ctr.helloOps.Add(1)
-		h := batch[0].h
 		doc, err := c.srv.nodeInfoJSON()
-		if err != nil || len(doc) > wire.MaxPayloadBytes {
-			h.Status = wire.StatusInternal
-			c.finish(response{h: h, accepted: true})
-			return
-		}
-		data := getBuf(len(doc))
-		copy(*data, doc)
-		h.Status = wire.StatusOK
-		c.finish(response{h: h, data: data, n: len(doc), accepted: true})
+		c.finishDoc(h, doc, err)
 	case wire.OpStats:
 		c.srv.ctr.statsOps.Add(1)
-		h := batch[0].h
 		doc, err := c.srv.snapshotJSON()
-		if err != nil || len(doc) > wire.MaxPayloadBytes {
-			h.Status = wire.StatusInternal
-			c.finish(response{h: h, accepted: true})
-			return
-		}
-		data := getBuf(len(doc))
-		copy(*data, doc)
-		h.Status = wire.StatusOK
-		c.finish(response{h: h, data: data, n: len(doc), accepted: true})
+		c.finishDoc(h, doc, err)
 	case wire.OpRootDigest:
 		c.srv.ctr.rootOps.Add(1)
-		h := batch[0].h
 		d := c.srv.cfg.Backend.RootDigest()
-		data := getBuf(len(d))
-		copy(*data, d[:])
-		h.Status = wire.StatusOK
-		c.finish(response{h: h, data: data, n: len(d), accepted: true})
+		c.finishDoc(h, d[:], nil)
 	}
 }
 
-// execReads serves a batch of adjacent read spans with one ReadBlocks call,
-// falling back to the per-request recovery path when the fast path fails.
-func (c *conn) execReads(batch []request) {
-	c.srv.ctr.readOps.Add(uint64(len(batch)))
-	total := 0
-	for _, r := range batch {
-		total += r.h.SpanBytes()
-	}
-	data := getBuf(total)
-	if err := c.srv.cfg.Backend.ReadBlocks(batch[0].h.Addr, *data); err != nil {
-		putBuf(data)
-		for i := range batch {
-			c.execReadRecover(batch[i])
-		}
+// finishDoc answers a control op whose response payload is doc.
+func (c *conn) finishDoc(h wire.Header, doc []byte, err error) {
+	if err != nil || len(doc) > wire.MaxPayloadBytes {
+		h.Status = wire.StatusInternal
+		c.finish(response{h: h, accepted: true})
 		return
 	}
-	if len(batch) == 1 {
-		c.finishRead(batch[0].h, data)
-		return
-	}
-	off := 0
-	for _, r := range batch {
-		n := r.h.SpanBytes()
-		part := getBuf(n)
-		copy(*part, (*data)[off:off+n])
-		off += n
-		c.finishRead(r.h, part)
-	}
-	putBuf(data)
+	data := getBuf(len(doc))
+	copy(*data, doc)
+	h.Status = wire.StatusOK
+	c.finish(response{h: h, data: data, n: len(doc), accepted: true})
 }
 
 // finishRead answers one read whose span was served whole into data.
@@ -480,8 +381,8 @@ func (c *conn) finishRead(req wire.Header, data *[]byte) {
 
 // execReadRecover serves one read span block by block through the recovery
 // ladder, mapping the engine's verdict onto the wire status taxonomy.
-func (c *conn) execReadRecover(r request) {
-	h := r.h
+func (c *conn) execReadRecover(req wire.Header) {
+	h := req
 	n := h.SpanBytes()
 	data := getBuf(n)
 	var flags uint8
@@ -530,65 +431,20 @@ func (c *conn) execReadRecover(r request) {
 		h.Status = wire.StatusOK
 	}
 	resp := response{h: h, data: data, n: n, accepted: true}
-	c.maybePin(r.h.Flags, &resp)
+	c.maybePin(req.Flags, &resp)
 	c.finish(resp)
 }
 
-// execWrites serves a batch of adjacent write spans with one WriteBlocks
-// call, falling back per request on error to attribute the failure.
-func (c *conn) execWrites(batch []request) {
-	c.srv.ctr.writeOps.Add(uint64(len(batch)))
-	var sweepBase uint64
-	if c.srv.cfg.SweepStatus {
-		sweepBase = c.srv.cfg.Backend.Stats().GroupReencrypts
-	}
-	var err error
-	if len(batch) == 1 {
-		err = c.srv.cfg.Backend.WriteBlocks(batch[0].h.Addr, (*batch[0].data)[:batch[0].h.SpanBytes()])
-	} else {
-		total := 0
-		for _, r := range batch {
-			total += r.h.SpanBytes()
-		}
-		data := getBuf(total)
-		off := 0
-		for _, r := range batch {
-			off += copy((*data)[off:], (*r.data)[:r.h.SpanBytes()])
-		}
-		err = c.srv.cfg.Backend.WriteBlocks(batch[0].h.Addr, (*data)[:total])
-		putBuf(data)
-	}
-	if err != nil {
-		// Re-run request by request so the failure lands on the right
-		// response; requests that succeed standalone report success.
-		for _, r := range batch {
-			werr := c.srv.cfg.Backend.WriteBlocks(r.h.Addr, (*r.data)[:r.h.SpanBytes()])
-			c.finishWrite(r, werr, false)
-		}
-		return
-	}
-	swept := false
-	if c.srv.cfg.SweepStatus && c.srv.cfg.Backend.Stats().GroupReencrypts > sweepBase {
-		swept = true
-	}
-	for _, r := range batch {
-		c.finishWrite(r, nil, swept)
-	}
-}
-
-func (c *conn) finishWrite(r request, err error, swept bool) {
-	h := r.h
+// finishWrite answers one write with the backend's verdict.
+func (c *conn) finishWrite(req wire.Header, err error) {
+	h := req
 	h.Flags = 0
-	putBuf(r.data)
-	switch {
-	case err == nil && swept:
-		c.srv.ctr.overflowSwept.Add(1)
-		c.srv.ctr.blocksWritten.Add(uint64(h.Count))
-		h.Status = wire.StatusOverflowSwept
-	case err == nil:
+	if err == nil {
 		c.srv.ctr.blocksWritten.Add(uint64(h.Count))
 		h.Status = wire.StatusOK
-	default:
+	} else {
+		// Declared here, not above: &ie escapes, and the OK path must not
+		// allocate it.
 		var ie *authmem.IntegrityError
 		if errors.As(err, &ie) {
 			c.srv.ctr.macFails.Add(1)
@@ -600,7 +456,7 @@ func (c *conn) finishWrite(r request, err error, swept bool) {
 	}
 	h.Count = 0
 	resp := response{h: h, accepted: true}
-	c.maybePin(r.h.Flags, &resp)
+	c.maybePin(req.Flags, &resp)
 	c.finish(resp)
 }
 

@@ -231,33 +231,3 @@ func TestQuarantineLifecycleOverWire(t *testing.T) {
 		t.Fatalf("ledger: macfails=%d quarantined=%d", snap.Server.MACFails, snap.Server.Quarantined)
 	}
 }
-
-// TestOverflowSweptStatus hammers one block under the split-counter scheme
-// until its 7-bit minor counter overflows; with SweepStatus enabled the
-// write that triggered the group re-encryption must report OVERFLOW_SWEPT.
-func TestOverflowSweptStatus(t *testing.T) {
-	mem := newShardedMem(t, 1<<20, 1, authmem.SplitCounter)
-	s := newTestServer(t, server.Config{Backend: mem, SweepStatus: true})
-	c := loopbackClient(t, s, client.Options{})
-
-	data := pattern(0x5C, wire.BlockBytes)
-	swept := false
-	for i := 0; i < 300 && !swept; i++ {
-		info, err := c.Write(0, data)
-		if err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-		if info.Status == wire.StatusOverflowSwept {
-			swept = true
-		}
-	}
-	if !swept {
-		t.Fatal("minor-counter overflow never surfaced as OVERFLOW_SWEPT")
-	}
-	if got := s.Snapshot().Server.OverflowSwept; got == 0 {
-		t.Fatal("OverflowSwept counter not incremented")
-	}
-	if mem.Stats().GroupReencrypts == 0 {
-		t.Fatal("engine never re-encrypted — test premise broken")
-	}
-}

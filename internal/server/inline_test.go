@@ -13,19 +13,16 @@ import (
 )
 
 // queuedOnly hides a Memory's never-waiting surface from the server: what is
-// left is Backend and ShardRouter, so every request takes the queue exactly
-// as it did before there was an inline path.
-type queuedOnly struct {
-	server.Backend
-	server.ShardRouter
-}
+// left is Backend, so every request takes the queue exactly as it did before
+// there was an inline path.
+type queuedOnly struct{ server.Backend }
 
 // inlineTranscript runs the seeded request stream of TestInlineMatchesQueued
 // against a fresh 4-shard region served through wrap, one request at a time
 // over a raw connection, and returns everything a client could observe —
 // status, flags, failing address and payload of every response — plus the
-// server's ledger.
-func inlineTranscript(t *testing.T, wrap func(*authmem.Memory) server.Backend) ([]string, wire.ServerCounters) {
+// server's ledger and the engine's stats.
+func inlineTranscript(t *testing.T, wrap func(*authmem.Memory) server.Backend) ([]string, wire.StatsSnapshot) {
 	t.Helper()
 	cfg := authmem.DefaultConfig(1 << 20)
 	cfg.Key = testKey()
@@ -140,12 +137,7 @@ func inlineTranscript(t *testing.T, wrap func(*authmem.Memory) server.Backend) (
 	read(3*shard+4*wire.BlockBytes, 1)
 	traffic(3*shard, 40)
 	traffic(0, 40)
-	// dispatch counts a pinned batch after handing it to the shard worker,
-	// so the last request's response can reach the client before its
-	// affinity_dispatched entry lands. A flush queued behind it through the
-	// same dispatcher goroutine settles the ledger before the snapshot.
-	do(wire.OpFlush, 0, 0, 0, nil)
-	return log, s.Snapshot().Server
+	return log, s.Snapshot()
 }
 
 // TestInlineMatchesQueued: the inline path skips nothing. One seeded request
@@ -154,10 +146,12 @@ func inlineTranscript(t *testing.T, wrap func(*authmem.Memory) server.Backend) (
 // a write that trips a group re-encryption injected along the way — is
 // served by a real Memory, where an idle connection's requests run on the
 // reader, and by the same Memory with its Try surface hidden, where every
-// request is queued. Every response and every ledger entry must agree.
+// request is queued. Every response, every ledger entry and every engine
+// counter must agree: a read that fails inline is not executed twice.
 func TestInlineMatchesQueued(t *testing.T) {
-	inline, ic := inlineTranscript(t, func(m *authmem.Memory) server.Backend { return m })
-	queued, qc := inlineTranscript(t, func(m *authmem.Memory) server.Backend { return queuedOnly{m, m} })
+	inline, isnap := inlineTranscript(t, func(m *authmem.Memory) server.Backend { return m })
+	queued, qsnap := inlineTranscript(t, func(m *authmem.Memory) server.Backend { return queuedOnly{m} })
+	ic, qc := isnap.Server, qsnap.Server
 
 	if len(inline) != len(queued) {
 		t.Fatalf("%d inline responses, %d queued", len(inline), len(queued))
@@ -179,15 +173,18 @@ func TestInlineMatchesQueued(t *testing.T) {
 	if ic.InlineServed == 0 || qc.InlineServed != 0 {
 		t.Fatalf("inline_served: %d with the Try surface, %d without; want > 0 and 0", ic.InlineServed, qc.InlineServed)
 	}
-	// Single-shard reads and writes are the pinned workers' whole diet, so
-	// what one run served inline the other dispatched to them.
-	if ic.InlineServed+ic.AffinityDispatched != qc.AffinityDispatched {
-		t.Errorf("inline %d + pinned %d requests with the Try surface, %d pinned without",
-			ic.InlineServed, ic.AffinityDispatched, qc.AffinityDispatched)
+	// With ReadOps and WriteOps equal (checked below), what one run served
+	// inline the other queued.
+	if queuedOps(ic)+ic.InlineServed != queuedOps(qc) {
+		t.Errorf("inline %d + queued %d requests with the Try surface, %d queued without",
+			ic.InlineServed, queuedOps(ic), queuedOps(qc))
 	}
-	ic.InlineServed, ic.AffinityDispatched, qc.AffinityDispatched = 0, 0, 0
+	ic.InlineServed = 0
 	if ic != qc {
 		t.Errorf("ledgers differ:\ninline %+v\nqueued %+v", ic, qc)
+	}
+	if isnap.Engine != qsnap.Engine {
+		t.Errorf("engine stats differ:\ninline %+v\nqueued %+v", isnap.Engine, qsnap.Engine)
 	}
 }
 
@@ -237,8 +234,8 @@ func TestInlineNeverWaits(t *testing.T) {
 		t.Fatalf("read back: %+v", h)
 	}
 	snap = s.Snapshot().Server
-	if snap.InlineServed != 2 || snap.AffinityDispatched != 1 {
-		t.Errorf("inline_served=%d affinity_dispatched=%d, want 2 (warm-up, read back) and 1 (the write that waited)",
-			snap.InlineServed, snap.AffinityDispatched)
+	if snap.InlineServed != 2 || queuedOps(snap) != 1 {
+		t.Errorf("inline_served=%d queued=%d, want 2 (warm-up, read back) and 1 (the write that waited)",
+			snap.InlineServed, queuedOps(snap))
 	}
 }

@@ -2,46 +2,39 @@
 // any net.Conn) front end that exposes a Memory-family device over the
 // internal/wire protocol.
 //
-// The serving model is one reader and one writer goroutine per connection
-// with a shared worker pool in between. The reader decodes frames, enforces
-// admission control (per-connection in-flight cap, drain state, request
-// grammar) and hands accepted requests to a per-connection dispatcher; the
-// dispatcher coalesces adjacent same-op spans into single batched engine
-// calls and fans batches out to the worker pool; workers complete in
-// whatever order the engine serves them, so pipelined requests complete out
-// of order and are matched by request ID. The writer gathers completions
-// into batched socket writes.
+// Each connection has one reader and one writer goroutine. The reader
+// decodes frames and enforces admission control (per-connection in-flight
+// cap, drain state, request grammar). An admitted read or write that finds
+// the connection idle — no admitted request unanswered, nothing more
+// received — runs to completion on the reader when the backend has a
+// never-waiting surface (TryBackend, as authmem.Memory does). Every other
+// request takes the queue: the connection's FIFO, drained by a dispatcher
+// that checks each request's queue deadline as it dequeues it and then hands
+// that one request over a single unbuffered channel to a fixed, server-wide
+// pool of workers. Workers complete in whatever order the engine serves
+// them, so pipelined requests complete out of order and are matched by
+// request ID. The writer gathers completions into batched socket writes.
 //
 // The queue is there for overlap, and so that a backend call that blocks
-// never stalls admission. A read or write that has nothing to overlap with
-// and nothing to wait for skips it: when the connection is idle (no admitted
-// request unanswered, nothing more received) and the backend has a
-// never-waiting surface (TryBackend, as authmem.Memory does), the reader
-// runs the request itself through TryReadBlocks / TryWriteBlocks and hands
-// the response to the writer. If the backend reports it would have had to
-// wait — a shard lock held, a span crossing shards — or an inline read
-// fails, the request is queued unchanged, so recovery and the status
-// taxonomy have one source. The choice reads the input, never a setting,
-// and both paths end in the same finishRead / finishWrite / maybePin /
-// respCh. finish retires a request from the in-flight count before it
-// queues the response, so a client holding a response never finds its slot
-// still taken; in-flight zero therefore means every earlier request has
-// executed, though its response may be queued after an inline one (the
-// protocol matches responses by request ID).
-//
-// When the backend is sharded (it implements ShardRouter), read/write
-// batches whose span lies inside one shard are routed to a worker pinned to
-// that shard instead of the shared pool. Affinity turns cross-worker
-// contention on a hot shard's lock into queue order on that shard's channel
-// — and it keeps each shard's verified caches hot on one worker's timeline.
-// A full shard queue never blocks the dispatcher: the batch falls back to
-// the shared pool (counted, so the steady-state mix is observable).
+// never stalls admission. A request skips it only when the backend reports
+// it finished without waiting; a shard lock held or a span crossing shards
+// leaves the request untouched for the queue, and an inline read that fails
+// is queued straight to the recovery ladder, which may wait. So the status
+// taxonomy has one source, the choice reads the input, never a setting, and
+// both paths end in the same finishRead / finishWrite / maybePin / respCh.
+// finish retires a request from the in-flight count before it queues the
+// response, so a client holding a response never finds its slot still
+// taken; in-flight zero therefore means every earlier request has executed,
+// though its response may be queued after an inline one (the protocol
+// matches responses by request ID). A queued request is counted in ReadOps
+// or WriteOps before its response is queued: ReadOps + WriteOps −
+// InlineServed is the number that took the queue.
 //
 // Engine verdicts cross the trust boundary as wire statuses: integrity
-// failures are MAC_FAIL, quarantine refusals are QUARANTINED, recovery-
-// ladder saves are RECOVERED, and (optionally) counter-overflow sweeps are
-// OVERFLOW_SWEPT. Nothing is collapsed into an opaque error — zero silent
-// escapes through the protocol is a test invariant (see fault_test.go).
+// failures are MAC_FAIL, quarantine refusals are QUARANTINED, and recovery-
+// ladder saves are RECOVERED. Nothing is collapsed into an opaque error —
+// zero silent escapes through the protocol is a test invariant (see
+// fault_test.go).
 //
 // Graceful shutdown drains: listeners close, connections stop admitting,
 // in-flight requests complete and their responses flush, and the region is
@@ -69,8 +62,9 @@ const _ = -uint(wire.BlockBytes - authmem.BlockSize)
 
 // Backend is the device surface the server fronts — the subset of
 // authmem.Memory's public API it calls: spans in and out, the recovery read,
-// and the flush, stats and root the control ops report. The backend must be
-// safe for concurrent use, as a Memory of any shard count is.
+// the flush, stats and root the control ops report, and the geometry HELLO
+// reports. The backend must be safe for concurrent use, as a Memory of any
+// shard count is.
 type Backend interface {
 	ReadRecover(addr uint64, dst []byte) (authmem.RecoverInfo, error)
 	ReadBlocks(addr uint64, dst []byte) error
@@ -79,19 +73,10 @@ type Backend interface {
 	Stats() authmem.EngineStats
 	RootDigest() authmem.RootDigest
 	Size() uint64
+	Shards() int
 }
 
 var _ Backend = (*authmem.Memory)(nil)
-
-// ShardRouter is the optional backend surface that enables shard worker
-// affinity: a backend that can say which shard owns an address gets one
-// pinned worker per shard. authmem.Memory implements it.
-type ShardRouter interface {
-	Shards() int
-	ShardOf(addr uint64) int
-}
-
-var _ ShardRouter = (*authmem.Memory)(nil)
 
 // TryBackend is the optional backend surface that lets an idle connection's
 // read or write run to completion on its reader goroutine. Each method is
@@ -106,10 +91,11 @@ type TryBackend interface {
 
 var _ TryBackend = (*authmem.Memory)(nil)
 
-// shardJob is one coalesced batch routed to a pinned shard worker.
-type shardJob struct {
-	c     *conn
-	batch *[]request
+// job is one queued request on its way from a connection's dispatcher to a
+// pool worker.
+type job struct {
+	c *conn
+	r request
 }
 
 // ErrServerClosed is returned by Serve and DialLoopback once Shutdown or
@@ -138,13 +124,10 @@ type Config struct {
 	// excess requests are rejected with StatusBusy (default 64).
 	MaxInflight int
 
-	// Workers bounds concurrent engine calls across all connections
-	// (default GOMAXPROCS, min 2).
-	Workers int
-
-	// RequestTimeout is the per-request queue deadline: a request still
-	// waiting to execute this long after admission is rejected with
-	// StatusDeadline and never executed (default 2s; negative disables).
+	// RequestTimeout is the per-request queue deadline, checked when the
+	// connection's dispatcher dequeues a request: one admitted this long
+	// ago is rejected with StatusDeadline and never executed (default 2s;
+	// negative disables).
 	RequestTimeout time.Duration
 
 	// DrainGrace is how long a draining connection keeps reading (and
@@ -152,15 +135,9 @@ type Config struct {
 	// responses to already-pipelined requests flush (default 200ms).
 	DrainGrace time.Duration
 
-	// SweepStatus enables the advisory StatusOverflowSwept: writes whose
-	// engine call raised the group re-encryption count report the sweep.
-	// It costs two engine stats merges per write batch, so it is opt-in.
-	SweepStatus bool
-
 	// MetricsInterval starts a periodic stats loop when positive; each
-	// tick delivers a snapshot to OnMetrics.
+	// tick logs one line of the server's counters through Logf.
 	MetricsInterval time.Duration
-	OnMetrics       func(wire.StatsSnapshot)
 
 	// Logf receives connection-level diagnostics (default: discarded).
 	Logf func(format string, args ...any)
@@ -169,45 +146,38 @@ type Config struct {
 // counters is the server's protocol-event ledger. All fields are atomics so
 // every connection increments without shared locks.
 type counters struct {
-	connsOpened, connsClosed                        atomic.Uint64
-	readOps, writeOps, flushOps, statsOps, rootOps  atomic.Uint64
-	helloOps, rootPinned                            atomic.Uint64
-	blocksRead, blocksWritten                       atomic.Uint64
-	busyRejected, deadlineRejected, drainRejected   atomic.Uint64
-	badRequests, malformedFrames                    atomic.Uint64
-	coalescedBatches, coalescedRequests             atomic.Uint64
-	inlineServed                                    atomic.Uint64
-	affinityDispatched, affinityBypassed            atomic.Uint64
-	macFails, quarantined, recovered, overflowSwept atomic.Uint64
+	connsOpened, connsClosed                       atomic.Uint64
+	readOps, writeOps, flushOps, statsOps, rootOps atomic.Uint64
+	helloOps, rootPinned                           atomic.Uint64
+	blocksRead, blocksWritten                      atomic.Uint64
+	busyRejected, deadlineRejected, drainRejected  atomic.Uint64
+	badRequests, malformedFrames                   atomic.Uint64
+	inlineServed                                   atomic.Uint64
+	macFails, quarantined, recovered               atomic.Uint64
 }
 
 func (c *counters) snapshot() wire.ServerCounters {
 	return wire.ServerCounters{
-		ConnsOpened:        c.connsOpened.Load(),
-		ConnsClosed:        c.connsClosed.Load(),
-		ReadOps:            c.readOps.Load(),
-		WriteOps:           c.writeOps.Load(),
-		FlushOps:           c.flushOps.Load(),
-		StatsOps:           c.statsOps.Load(),
-		RootOps:            c.rootOps.Load(),
-		HelloOps:           c.helloOps.Load(),
-		RootPinned:         c.rootPinned.Load(),
-		BlocksRead:         c.blocksRead.Load(),
-		BlocksWritten:      c.blocksWritten.Load(),
-		BusyRejected:       c.busyRejected.Load(),
-		DeadlineRejected:   c.deadlineRejected.Load(),
-		DrainRejected:      c.drainRejected.Load(),
-		BadRequests:        c.badRequests.Load(),
-		MalformedFrames:    c.malformedFrames.Load(),
-		CoalescedBatches:   c.coalescedBatches.Load(),
-		CoalescedRequests:  c.coalescedRequests.Load(),
-		InlineServed:       c.inlineServed.Load(),
-		AffinityDispatched: c.affinityDispatched.Load(),
-		AffinityBypassed:   c.affinityBypassed.Load(),
-		MACFails:           c.macFails.Load(),
-		Quarantined:        c.quarantined.Load(),
-		Recovered:          c.recovered.Load(),
-		OverflowSwept:      c.overflowSwept.Load(),
+		ConnsOpened:      c.connsOpened.Load(),
+		ConnsClosed:      c.connsClosed.Load(),
+		ReadOps:          c.readOps.Load(),
+		WriteOps:         c.writeOps.Load(),
+		FlushOps:         c.flushOps.Load(),
+		StatsOps:         c.statsOps.Load(),
+		RootOps:          c.rootOps.Load(),
+		HelloOps:         c.helloOps.Load(),
+		RootPinned:       c.rootPinned.Load(),
+		BlocksRead:       c.blocksRead.Load(),
+		BlocksWritten:    c.blocksWritten.Load(),
+		BusyRejected:     c.busyRejected.Load(),
+		DeadlineRejected: c.deadlineRejected.Load(),
+		DrainRejected:    c.drainRejected.Load(),
+		BadRequests:      c.badRequests.Load(),
+		MalformedFrames:  c.malformedFrames.Load(),
+		InlineServed:     c.inlineServed.Load(),
+		MACFails:         c.macFails.Load(),
+		Quarantined:      c.quarantined.Load(),
+		Recovered:        c.recovered.Load(),
 	}
 }
 
@@ -215,29 +185,32 @@ func (c *counters) snapshot() wire.ServerCounters {
 type Server struct {
 	cfg  Config
 	size uint64
-	sem  chan struct{} // worker-pool tokens
 	ctr  counters
 
 	// try is the backend's never-waiting surface, nil when it has none;
 	// then every request takes the queue.
 	try TryBackend
 
-	// Shard worker affinity (nil/empty when the backend is unsharded):
-	// one pinned worker goroutine and bounded queue per shard.
-	router ShardRouter
-	shardQ []chan shardJob
+	// queue is the one hop from every connection's dispatcher to the
+	// worker pool. It is unbuffered, so a request waits in its
+	// connection's FIFO, where its deadline is checked, until a worker is
+	// free to take it.
+	queue    chan job
+	poolWG   sync.WaitGroup
+	poolOnce sync.Once
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
 	conns     map[*conn]struct{}
 	draining  bool
 
-	connWG       sync.WaitGroup
-	affinityWG   sync.WaitGroup
-	affinityOnce sync.Once
-	metricsStop  chan struct{}
-	metricsWG    sync.WaitGroup
+	connWG      sync.WaitGroup
+	metricsStop chan struct{}
+	metricsWG   sync.WaitGroup
 }
+
+// poolSize is the number of workers serving the queue.
+func poolSize() int { return max(2, runtime.GOMAXPROCS(0)) }
 
 // New builds a Server. The metrics loop (if configured) starts immediately;
 // connections arrive via Serve, ServeConn, or DialLoopback.
@@ -247,9 +220,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 64
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = max(2, runtime.GOMAXPROCS(0))
 	}
 	switch {
 	case cfg.RequestTimeout == 0:
@@ -274,21 +244,14 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		size:      cfg.Backend.Size(),
-		sem:       make(chan struct{}, cfg.Workers),
+		queue:     make(chan job),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*conn]struct{}),
 	}
 	s.try, _ = cfg.Backend.(TryBackend)
-	if r, ok := cfg.Backend.(ShardRouter); ok && r.Shards() > 1 {
-		s.router = r
-		s.shardQ = make([]chan shardJob, r.Shards())
-		for i := range s.shardQ {
-			// One full admission window per shard: a single connection's
-			// whole pipeline can pin to one shard without falling back.
-			s.shardQ[i] = make(chan shardJob, cfg.MaxInflight)
-			s.affinityWG.Add(1)
-			go s.shardWorker(s.shardQ[i])
-		}
+	for range poolSize() {
+		s.poolWG.Add(1)
+		go s.worker()
 	}
 	if cfg.MetricsInterval > 0 {
 		s.metricsStop = make(chan struct{})
@@ -312,16 +275,12 @@ func (s *Server) snapshotJSON() ([]byte, error) { return json.Marshal(s.Snapshot
 
 // NodeInfo returns the identity document an OpHello request receives.
 func (s *Server) NodeInfo() wire.NodeInfo {
-	shards := 1
-	if r, ok := s.cfg.Backend.(ShardRouter); ok {
-		shards = r.Shards()
-	}
 	return wire.NodeInfo{
 		NodeID:       s.cfg.NodeID,
 		Epoch:        s.cfg.Epoch,
 		ProtoVersion: wire.Version,
 		Size:         s.size,
-		Shards:       shards,
+		Shards:       s.cfg.Backend.Shards(),
 		BlockBytes:   wire.BlockBytes,
 	}
 }
@@ -337,15 +296,10 @@ func (s *Server) metricsLoop() {
 		case <-s.metricsStop:
 			return
 		case <-t.C:
-			snap := s.Snapshot()
-			if s.cfg.OnMetrics != nil {
-				s.cfg.OnMetrics(snap)
-			} else {
-				s.cfg.Logf("server: reads=%d writes=%d busy=%d macfail=%d quarantined=%d conns=%d",
-					snap.Server.ReadOps, snap.Server.WriteOps, snap.Server.BusyRejected,
-					snap.Server.MACFails, snap.Server.Quarantined,
-					snap.Server.ConnsOpened-snap.Server.ConnsClosed)
-			}
+			c := s.ctr.snapshot()
+			s.cfg.Logf("stats: reads=%d writes=%d blocks_r=%d blocks_w=%d busy=%d macfail=%d quarantined=%d recovered=%d conns=%d",
+				c.ReadOps, c.WriteOps, c.BlocksRead, c.BlocksWritten, c.BusyRejected,
+				c.MACFails, c.Quarantined, c.Recovered, c.ConnsOpened-c.ConnsClosed)
 		}
 	}
 }
@@ -460,7 +414,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-done
 	}
-	s.stopAffinity()
+	s.stopPool()
 	s.stopMetrics()
 	if err := s.cfg.Backend.FlushAll(); err != nil {
 		return err
@@ -481,48 +435,27 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	s.connWG.Wait()
-	s.stopAffinity()
+	s.stopPool()
 	s.stopMetrics()
 	return nil
 }
 
-// shardWorker is one shard's pinned executor: it serializes every batch
-// routed to its shard, so same-shard batches never contend on the shard
-// lock across pool workers.
-func (s *Server) shardWorker(q chan shardJob) {
-	defer s.affinityWG.Done()
-	for j := range q {
-		j.c.execute(j.batch)
+// worker is one of the pool's executors: it runs queued requests, from any
+// connection, one at a time.
+func (s *Server) worker() {
+	defer s.poolWG.Done()
+	for j := range s.queue {
+		j.c.execute(j.r)
 		j.c.workerWG.Done()
 	}
 }
 
-// shardQueueFor returns the pinned queue for a coalesced batch whose span
-// lies inside one shard, or nil when the batch must use the shared pool
-// (unsharded backend, non-data op, or a span crossing a shard boundary).
-func (s *Server) shardQueueFor(batch []request) chan shardJob {
-	if s.shardQ == nil {
-		return nil
-	}
-	h := batch[0].h
-	if h.Op != wire.OpRead && h.Op != wire.OpWrite {
-		return nil
-	}
-	sh := s.router.ShardOf(h.Addr)
-	if end := batch[len(batch)-1].h.End(); end-1 > h.Addr && s.router.ShardOf(end-1) != sh {
-		return nil
-	}
-	return s.shardQ[sh]
-}
-
-// stopAffinity retires the pinned shard workers. Callers must have waited
-// for every connection first (connWG): dispatchers are the only senders.
-func (s *Server) stopAffinity() {
-	s.affinityOnce.Do(func() {
-		for _, q := range s.shardQ {
-			close(q)
-		}
-		s.affinityWG.Wait()
+// stopPool retires the workers. Callers must have waited for every
+// connection first (connWG): dispatchers are the only senders.
+func (s *Server) stopPool() {
+	s.poolOnce.Do(func() {
+		close(s.queue)
+		s.poolWG.Wait()
 	})
 }
 

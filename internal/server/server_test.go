@@ -98,6 +98,11 @@ func (rc *rawConn) recv() (wire.Header, []byte) {
 	return h, payload
 }
 
+// queuedOps is the number of reads and writes that took the queue: every data
+// request is counted in ReadOps or WriteOps, and those that ran on the reader
+// also in InlineServed.
+func queuedOps(c wire.ServerCounters) uint64 { return c.ReadOps + c.WriteOps - c.InlineServed }
+
 func pattern(b byte, n int) []byte {
 	p := make([]byte, n)
 	for i := range p {
@@ -210,7 +215,7 @@ func TestLoopbackRoundTrip(t *testing.T) {
 func TestPipelinedOutOfOrderCompletion(t *testing.T) {
 	g := newGated(newMem(t, 1<<20))
 	g.gateAddr = 0
-	s := newTestServer(t, server.Config{Backend: g, Workers: 4, RequestTimeout: -1})
+	s := newTestServer(t, server.Config{Backend: g, RequestTimeout: -1})
 	rc := dialRaw(t, s)
 
 	slow := rc.send(wire.OpRead, 0, 1, nil)
@@ -241,48 +246,27 @@ func TestPipelinedOutOfOrderCompletion(t *testing.T) {
 	}
 }
 
-// TestAdjacentWriteCoalescing parks the single worker, queues three adjacent
-// writes, and checks the dispatcher merged the trailing pair into one batch.
-func TestAdjacentWriteCoalescing(t *testing.T) {
-	g := newGated(newMem(t, 1<<20))
-	g.gateAddr = 512
-	s := newTestServer(t, server.Config{Backend: g, Workers: 1, RequestTimeout: -1})
+// TestPipelinedAdjacentWrites sends three writes to adjacent blocks in one
+// transport write: each is its own request on the queue, and all three land
+// their own bytes.
+func TestPipelinedAdjacentWrites(t *testing.T) {
+	s := newTestServer(t, server.Config{Backend: newMem(t, 1<<20), RequestTimeout: -1})
 	rc := dialRaw(t, s)
 
-	slow := rc.send(wire.OpRead, 512, 1, nil)
-	<-g.hits // the only worker is parked; the dispatcher is free
-
-	// First write: dispatcher dequeues it and blocks acquiring the worker.
-	w0 := rc.send(wire.OpWrite, 0, 1, pattern(0x10, wire.BlockBytes))
-	time.Sleep(20 * time.Millisecond)
-	// Next two adjacent writes queue behind it and coalesce when the
-	// dispatcher comes back around.
 	rc.sendMany(
+		rc.frame(wire.OpWrite, 0, 1, pattern(0x10, wire.BlockBytes)),
 		rc.frame(wire.OpWrite, 64, 1, pattern(0x20, wire.BlockBytes)),
 		rc.frame(wire.OpWrite, 128, 1, pattern(0x30, wire.BlockBytes)),
 	)
-	time.Sleep(20 * time.Millisecond)
-	close(g.gate)
-
-	okIDs := map[uint64]bool{}
-	for i := 0; i < 4; i++ {
-		h, _ := rc.recv()
-		if h.Status != wire.StatusOK {
+	for i := 0; i < 3; i++ {
+		if h, _ := rc.recv(); h.Status != wire.StatusOK {
 			t.Fatalf("response %d: status %v", h.ID, h.Status)
 		}
-		okIDs[h.ID] = true
 	}
-	if !okIDs[slow] || !okIDs[w0] {
-		t.Fatalf("missing responses: got %v", okIDs)
-	}
-
-	snap := s.Snapshot()
-	if snap.Server.CoalescedBatches != 1 || snap.Server.CoalescedRequests != 1 {
-		t.Fatalf("coalescing counters: batches=%d requests=%d, want 1/1",
-			snap.Server.CoalescedBatches, snap.Server.CoalescedRequests)
+	if q := queuedOps(s.Snapshot().Server); q < 2 {
+		t.Errorf("%d of the pipelined writes took the queue, want at least the first two", q)
 	}
 
-	// The coalesced writes must have landed correctly.
 	rid := rc.send(wire.OpRead, 0, 3, nil)
 	h, payload := rc.recv()
 	if h.ID != rid || h.Status != wire.StatusOK {
@@ -290,7 +274,7 @@ func TestAdjacentWriteCoalescing(t *testing.T) {
 	}
 	want := append(append(pattern(0x10, wire.BlockBytes), pattern(0x20, wire.BlockBytes)...), pattern(0x30, wire.BlockBytes)...)
 	if !bytes.Equal(payload, want) {
-		t.Fatal("coalesced writes landed wrong bytes")
+		t.Fatal("pipelined adjacent writes landed wrong bytes")
 	}
 }
 
@@ -300,7 +284,7 @@ func TestAdjacentWriteCoalescing(t *testing.T) {
 func TestBusyBackpressure(t *testing.T) {
 	g := newGated(newMem(t, 1<<20))
 	g.gateAll = true
-	s := newTestServer(t, server.Config{Backend: g, MaxInflight: 2, Workers: 4, RequestTimeout: -1})
+	s := newTestServer(t, server.Config{Backend: g, MaxInflight: 2, RequestTimeout: -1})
 	rc := dialRaw(t, s)
 
 	// Non-adjacent addresses so nothing coalesces.
@@ -342,29 +326,38 @@ func TestBusyBackpressure(t *testing.T) {
 	}
 }
 
-// TestRequestDeadline parks the single worker long enough that a queued
-// request exceeds its queue deadline and is rejected, not executed.
+// TestRequestDeadline parks every pool worker long enough that a queued
+// request exceeds its queue deadline and is rejected, not executed. The
+// deadline is checked when the dispatcher dequeues a request: the one it
+// holds while waiting for a worker still runs.
 func TestRequestDeadline(t *testing.T) {
+	pool := server.PoolSize()
 	g := newGated(newMem(t, 1<<20))
 	g.gateAll = true
-	s := newTestServer(t, server.Config{Backend: g, Workers: 1, RequestTimeout: 50 * time.Millisecond})
+	g.hits = make(chan uint64, pool)
+	s := newTestServer(t, server.Config{Backend: g, MaxInflight: pool + 2, RequestTimeout: 50 * time.Millisecond})
 	rc := dialRaw(t, s)
 
-	first := rc.send(wire.OpRead, 0, 1, nil)
-	<-g.hits
-	second := rc.send(wire.OpRead, 256, 1, nil) // dequeued, waiting for the worker
+	var parked []uint64
+	for i := 0; i < pool; i++ {
+		parked = append(parked, rc.send(wire.OpRead, uint64(i)*wire.BlockBytes, 1, nil))
+		<-g.hits
+	}
+	second := rc.send(wire.OpRead, 512<<10, 1, nil) // dequeued, waiting for a worker
 	time.Sleep(20 * time.Millisecond)
-	stale := rc.send(wire.OpRead, 1024, 1, nil) // still queued when the deadline hits
+	stale := rc.send(wire.OpRead, 768<<10, 1, nil) // still queued when the deadline hits
 	time.Sleep(150 * time.Millisecond)
 	close(g.gate)
 
 	statuses := map[uint64]wire.Status{}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < pool+2; i++ {
 		h, _ := rc.recv()
 		statuses[h.ID] = h.Status
 	}
-	if statuses[first] != wire.StatusOK || statuses[second] != wire.StatusOK {
-		t.Fatalf("in-flight requests: %v", statuses)
+	for _, id := range append(parked, second) {
+		if statuses[id] != wire.StatusOK {
+			t.Fatalf("request %d: status %v, want OK (all: %v)", id, statuses[id], statuses)
+		}
 	}
 	if statuses[stale] != wire.StatusDeadline {
 		t.Fatalf("stale request: status %v, want DEADLINE", statuses[stale])
@@ -496,7 +489,7 @@ func TestServeTCPConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, server.Config{Backend: mem, Workers: 8})
+	s := newTestServer(t, server.Config{Backend: mem})
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -584,15 +577,16 @@ func TestServeTCPConcurrent(t *testing.T) {
 	}
 }
 
-// TestMetricsLoop checks the periodic snapshot callback fires.
+// TestMetricsLoop checks the periodic stats line reaches Logf with the
+// server's counters.
 func TestMetricsLoop(t *testing.T) {
-	got := make(chan wire.StatsSnapshot, 1)
+	lines := make(chan string, 16)
 	s := newTestServer(t, server.Config{
 		Backend:         newMem(t, 1<<20),
 		MetricsInterval: 10 * time.Millisecond,
-		OnMetrics: func(snap wire.StatsSnapshot) {
+		Logf: func(format string, args ...any) {
 			select {
-			case got <- snap:
+			case lines <- fmt.Sprintf(format, args...):
 			default:
 			}
 		},
@@ -600,21 +594,22 @@ func TestMetricsLoop(t *testing.T) {
 	rc := dialRaw(t, s)
 	rc.send(wire.OpWrite, 0, 1, pattern(1, wire.BlockBytes))
 	rc.recv()
-	select {
-	case snap := <-got:
-		if snap.ProtoVersion != wire.Version {
-			t.Fatalf("snapshot version %d", snap.ProtoVersion)
+	const want = "stats: reads=0 writes=1 blocks_r=0 blocks_w=1 busy=0 macfail=0 quarantined=0 recovered=0 conns=1"
+	timeout := time.After(5 * time.Second)
+	var last string
+	for last != want {
+		select {
+		case last = <-lines:
+		case <-timeout:
+			t.Fatalf("no stats line %q; last line %q", want, last)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("metrics callback never fired")
 	}
 }
 
-// TestShardAffinityRouting checks where single-shard requests run: on the
-// reader when the connection is idle, on the shard's pinned worker when the
-// connection is pipelining; cross-shard spans and non-data ops take the
-// shared pool, and a 1-shard backend never counts affinity at all.
-func TestShardAffinityRouting(t *testing.T) {
+// TestQueueRouting checks where requests run: on the reader when the
+// connection is idle, on the queue when it is pipelining, and always on the
+// queue for a span crossing shards and for control ops.
+func TestQueueRouting(t *testing.T) {
 	mem := newShardedMem(t, 1<<20, 4, authmem.DeltaEncoding)
 	s := newTestServer(t, server.Config{Backend: mem})
 	rc := dialRaw(t, s)
@@ -623,9 +618,7 @@ func TestShardAffinityRouting(t *testing.T) {
 	payload := pattern(0x42, 2*wire.BlockBytes)
 
 	// Closed loop: single-shard writes and reads, one per shard. Each finds
-	// the connection idle, so it is served inline unless a shard lock happens
-	// to be held (nothing holds one here, but the counters are what is
-	// promised: every request is one or the other).
+	// the connection idle and no shard lock held, so it runs on the reader.
 	const perShard = 8
 	for sh := 0; sh < 4; sh++ {
 		base := uint64(sh) * shardSize
@@ -646,15 +639,14 @@ func TestShardAffinityRouting(t *testing.T) {
 		}
 	}
 	closed := s.Snapshot().Server
-	if want := uint64(4 * perShard * 2); closed.InlineServed+closed.AffinityDispatched != want {
-		t.Errorf("InlineServed %d + AffinityDispatched %d after single-shard traffic, want %d (bypassed=%d)",
-			closed.InlineServed, closed.AffinityDispatched, want, closed.AffinityBypassed)
+	if want := uint64(4 * perShard * 2); closed.InlineServed != want || queuedOps(closed) != 0 {
+		t.Errorf("closed loop of %d requests: inline %d, queued %d; want all inline", want, closed.InlineServed, queuedOps(closed))
 	}
 
 	// Pipelined: a write and a read of one shard arrive in one transport
 	// write. The write finds the read already received, so the connection
-	// is not idle and it goes to the shard's pinned worker; the read follows
-	// it there unless the write has already finished.
+	// is not idle and it is queued; the read follows it there unless the
+	// write has already finished.
 	for sh := 0; sh < 4; sh++ {
 		addr := uint64(sh)*shardSize + 4096
 		rc.sendMany(rc.frame(wire.OpWrite, addr, 2, payload), rc.frame(wire.OpRead, addr, 2, nil))
@@ -664,14 +656,14 @@ func TestShardAffinityRouting(t *testing.T) {
 			}
 		}
 	}
-	afterSingle := s.Snapshot().Server
-	if got := afterSingle.AffinityDispatched - closed.AffinityDispatched; got < 4 || got > 8 {
-		t.Errorf("4 pipelined pairs used a pinned worker %d times, want 4 to 8 (inline %d -> %d)",
-			got, closed.InlineServed, afterSingle.InlineServed)
+	pipelined := s.Snapshot().Server
+	if got := queuedOps(pipelined) - queuedOps(closed); got < 4 || got > 8 {
+		t.Errorf("4 pipelined pairs queued %d requests, want 4 to 8 (inline %d -> %d)",
+			got, closed.InlineServed, pipelined.InlineServed)
 	}
 
-	// A span straddling the shard 0/1 boundary must bypass the pinned
-	// workers (it needs the fan-out) and still serve correct data.
+	// A span straddling the shard 0/1 boundary needs the fan-out, so it is
+	// queued even on an idle connection, and still serves correct data.
 	straddle := shardSize - wire.BlockBytes
 	wid := rc.send(wire.OpWrite, straddle, 2, payload)
 	if h, _ := rc.recv(); h.ID != wid || h.Status != wire.StatusOK {
@@ -682,22 +674,22 @@ func TestShardAffinityRouting(t *testing.T) {
 	if h.ID != rid || h.Status != wire.StatusOK || !bytes.Equal(data, payload) {
 		t.Fatalf("straddling read: %+v", h)
 	}
-	afterCross := s.Snapshot().Server
-	if afterCross.AffinityDispatched != afterSingle.AffinityDispatched || afterCross.InlineServed != afterSingle.InlineServed {
-		t.Errorf("cross-shard span was affinity-dispatched (%d -> %d) or served inline (%d -> %d)",
-			afterSingle.AffinityDispatched, afterCross.AffinityDispatched, afterSingle.InlineServed, afterCross.InlineServed)
+	cross := s.Snapshot().Server
+	if got := queuedOps(cross) - queuedOps(pipelined); got != 2 || cross.InlineServed != pipelined.InlineServed {
+		t.Errorf("cross-shard write and read: %d queued, inline %d -> %d; want 2 queued, none inline",
+			got, pipelined.InlineServed, cross.InlineServed)
 	}
 
-	// Flush is a non-data op: shared pool.
+	// Flush is a control op: queued, and not a data request.
 	fid := rc.send(wire.OpFlush, 0, 0, nil)
 	if h, _ := rc.recv(); h.ID != fid || h.Status != wire.StatusOK {
 		t.Fatalf("flush: %+v", h)
 	}
-	if got := s.Snapshot().Server.AffinityDispatched; got != afterCross.AffinityDispatched {
-		t.Errorf("flush was affinity-dispatched (%d -> %d)", afterCross.AffinityDispatched, got)
+	if got := s.Snapshot().Server; got.FlushOps != 1 || got.InlineServed != cross.InlineServed || queuedOps(got) != queuedOps(cross) {
+		t.Errorf("after a flush: %+v", got)
 	}
 
-	// Clean shutdown must retire the pinned workers without losing responses.
+	// Clean shutdown must retire the workers without losing responses.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
@@ -705,40 +697,25 @@ func TestShardAffinityRouting(t *testing.T) {
 	}
 }
 
-// TestShardAffinityUnsharded pins the counters to zero on a 1-shard backend:
-// with no second shard there is nothing to be affine to.
-func TestShardAffinityUnsharded(t *testing.T) {
-	s := newTestServer(t, server.Config{})
-	rc := dialRaw(t, s)
-	payload := pattern(0x21, wire.BlockBytes)
-	wid := rc.send(wire.OpWrite, 0, 1, payload)
-	if h, _ := rc.recv(); h.ID != wid || h.Status != wire.StatusOK {
-		t.Fatalf("write: %+v", h)
-	}
-	rid := rc.send(wire.OpRead, 0, 1, nil)
-	if h, _ := rc.recv(); h.ID != rid || h.Status != wire.StatusOK {
-		t.Fatalf("read: %+v", h)
-	}
-	ctr := s.Snapshot().Server
-	if ctr.AffinityDispatched != 0 || ctr.AffinityBypassed != 0 {
-		t.Errorf("unsharded backend counted affinity: %+v", ctr)
-	}
-}
-
-// TestShardAffinityConcurrent hammers a sharded backend from several
-// connections at once so inline serving, pinned workers, pool fallback, and
-// shutdown drain all interleave. Each connection alternates a closed-loop
-// pair (two transport writes: each request finds the connection idle) with a
-// pipelined pair (one transport write: the first request must queue). Run
-// under -race.
-func TestShardAffinityConcurrent(t *testing.T) {
+// TestQueueConcurrent hammers a sharded backend from several connections at
+// once so inline serving, the shared worker pool and shutdown drain all
+// interleave. Each connection alternates a closed-loop pair (two transport
+// writes: each request finds the connection idle) with a pipelined pair
+// (one transport write: the first request must queue); every 8th pair
+// straddles a shard boundary (never inline) and every 16th is followed by a
+// FLUSH. Every data request is counted once, inline or queued. Run under
+// -race.
+func TestQueueConcurrent(t *testing.T) {
 	mem := newShardedMem(t, 1<<20, 4, authmem.DeltaEncoding)
-	s := newTestServer(t, server.Config{Backend: mem, Workers: 4})
+	s := newTestServer(t, server.Config{Backend: mem})
 	shardSize := mem.ShardSize()
 
-	const conns = 4
+	const (
+		conns = 4
+		pairs = 100
+	)
 	var wg sync.WaitGroup
-	var closedPairs, pipelinedPairs atomic.Uint64 // single-shard pairs sent each way
+	var mustQueue, flushes atomic.Uint64 // data requests that cannot run inline; flushes sent
 	errs := make(chan error, conns)
 	for g := 0; g < conns; g++ {
 		wg.Add(1)
@@ -751,49 +728,60 @@ func TestShardAffinityConcurrent(t *testing.T) {
 			}
 			defer nc.Close()
 			fr := wire.NewReader(nc)
-			payload := pattern(byte(g), wire.BlockBytes)
-			for i := 0; i < 100; i++ {
-				// Rotate shards; every 8th op straddles a boundary.
+			recv := func(n int) error {
+				nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+				for k := 0; k < n; k++ {
+					rh, _, err := fr.Next()
+					if err != nil {
+						return fmt.Errorf("conn %d: recv: %v", g, err)
+					}
+					if rh.Status != wire.StatusOK {
+						return fmt.Errorf("conn %d: %v status %v", g, rh.Op, rh.Status)
+					}
+				}
+				return nil
+			}
+			for i := 0; i < pairs; i++ {
+				// Rotate shards; every 8th pair straddles a boundary.
 				addr := uint64((g+i)%4)*shardSize + uint64(i%16)*wire.BlockBytes
 				count := uint32(1)
 				if i%8 == 7 {
 					addr = shardSize*uint64(1+(g+i)%3) - wire.BlockBytes
 					count = 2
 				}
-				p := payload
-				if count == 2 {
-					p = pattern(byte(g), 2*wire.BlockBytes)
+				h := wire.Header{Version: wire.Version, Op: wire.OpWrite, ID: uint64(i)*3 + 1, Addr: addr, Count: count}
+				frames := wire.AppendFrame(nil, h, pattern(byte(g), int(count)*wire.BlockBytes))
+				switch {
+				case count == 2:
+					mustQueue.Add(2)
+				case i%2 == 1: // pipelined: the write finds the read received
+					mustQueue.Add(1)
 				}
-				h := wire.Header{Version: wire.Version, Op: wire.OpWrite, ID: uint64(i)*2 + 1, Addr: addr, Count: count}
-				frames := wire.AppendFrame(nil, h, p)
-				if i%2 == 0 { // closed loop; odd ops send both frames at once
+				if i%2 == 0 { // closed loop; odd pairs send both frames at once
 					if _, err := nc.Write(frames); err != nil {
 						errs <- err
 						return
 					}
 					frames = nil
 				}
-				switch {
-				case count == 2: // straddles: never inline, never pinned
-				case frames == nil:
-					closedPairs.Add(1)
-				default:
-					pipelinedPairs.Add(1)
-				}
-				h = wire.Header{Version: wire.Version, Op: wire.OpRead, ID: uint64(i)*2 + 2, Addr: addr, Count: count}
+				h = wire.Header{Version: wire.Version, Op: wire.OpRead, ID: uint64(i)*3 + 2, Addr: addr, Count: count}
 				if _, err := nc.Write(wire.AppendFrame(frames, h, nil)); err != nil {
 					errs <- err
 					return
 				}
-				nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-				for k := 0; k < 2; k++ {
-					rh, _, err := fr.Next()
-					if err != nil {
-						errs <- fmt.Errorf("conn %d: recv: %v", g, err)
+				if err := recv(2); err != nil {
+					errs <- err
+					return
+				}
+				if i%16 == 15 {
+					flushes.Add(1)
+					h = wire.Header{Version: wire.Version, Op: wire.OpFlush, ID: uint64(i)*3 + 3}
+					if _, err := nc.Write(wire.AppendFrame(nil, h, nil)); err != nil {
+						errs <- err
 						return
 					}
-					if rh.Status != wire.StatusOK {
-						errs <- fmt.Errorf("conn %d: status %v", g, rh.Status)
+					if err := recv(1); err != nil {
+						errs <- err
 						return
 					}
 				}
@@ -806,17 +794,16 @@ func TestShardAffinityConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctr := s.Snapshot().Server
-	// Every single-shard request runs inline, pinned, or (its shard's queue
-	// full) in the pool; the first request of a pipelined pair finds the
-	// second already received and must take the queue.
-	queued := ctr.AffinityDispatched + ctr.AffinityBypassed
-	if want := 2 * (closedPairs.Load() + pipelinedPairs.Load()); ctr.InlineServed+queued != want {
-		t.Errorf("inline %d + pinned %d + bypassed %d, want %d single-shard requests",
-			ctr.InlineServed, ctr.AffinityDispatched, ctr.AffinityBypassed, want)
+	if want := uint64(2 * conns * pairs); ctr.ReadOps+ctr.WriteOps != want || ctr.InlineServed+queuedOps(ctr) != want {
+		t.Errorf("reads %d + writes %d, inline %d + queued %d; want %d data requests each way",
+			ctr.ReadOps, ctr.WriteOps, ctr.InlineServed, queuedOps(ctr), want)
 	}
-	if queued < pipelinedPairs.Load() {
-		t.Errorf("pinned %d + bypassed %d, want at least the %d pipelined pairs' first requests",
-			ctr.AffinityDispatched, ctr.AffinityBypassed, pipelinedPairs.Load())
+	if queuedOps(ctr) < mustQueue.Load() || ctr.InlineServed == 0 {
+		t.Errorf("queued %d, inline %d; want at least the %d that cannot run inline, and some inline",
+			queuedOps(ctr), ctr.InlineServed, mustQueue.Load())
+	}
+	if ctr.FlushOps != flushes.Load() {
+		t.Errorf("flush_ops %d, want %d", ctr.FlushOps, flushes.Load())
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

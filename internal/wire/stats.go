@@ -43,27 +43,21 @@ type ServerCounters struct {
 	BadRequests      uint64 `json:"bad_requests"`
 	MalformedFrames  uint64 `json:"malformed_frames"`
 
-	// Adjacent-span coalescing: batches executed with more than one
-	// request, and the requests absorbed beyond each batch's first.
-	CoalescedBatches  uint64 `json:"coalesced_batches"`
-	CoalescedRequests uint64 `json:"coalesced_requests"`
-
 	// InlineServed counts reads and writes that ran to completion on their
 	// connection's reader goroutine — the connection was idle and the
 	// backend needed to wait for nothing — instead of taking the queue.
-	// They are counted in ReadOps/WriteOps like any other.
+	// They are counted in ReadOps/WriteOps like any other, so ReadOps +
+	// WriteOps − InlineServed is the number of data requests queued.
 	InlineServed uint64 `json:"inline_served"`
 
-	// Shard worker affinity: batches executed on the worker pinned to
-	// their shard, and single-shard batches that fell back to the shared
-	// pool because the shard's queue was full. Both zero when the backend
-	// is unsharded.
-	AffinityDispatched uint64 `json:"affinity_dispatched"`
-	AffinityBypassed   uint64 `json:"affinity_bypassed"`
+	// AffinityBypassed and CoalescedRequests are always 0: the server has
+	// no shard-pinned workers and no span coalescer. They stay in the
+	// document only because the benchmark harness (bench/) reads them.
+	AffinityBypassed  uint64 `json:"affinity_bypassed"`
+	CoalescedRequests uint64 `json:"coalesced_requests"`
 
 	// Engine verdicts surfaced on the wire.
-	MACFails      uint64 `json:"mac_fails"`
-	Quarantined   uint64 `json:"quarantined"`
-	Recovered     uint64 `json:"recovered"`
-	OverflowSwept uint64 `json:"overflow_swept"`
+	MACFails    uint64 `json:"mac_fails"`
+	Quarantined uint64 `json:"quarantined"`
+	Recovered   uint64 `json:"recovered"`
 }

@@ -136,10 +136,7 @@ const (
 	// Payload-carrying like StatusOK.
 	StatusRecovered Status = 3
 
-	// StatusOverflowSwept: the write succeeded and triggered a
-	// counter-overflow group re-encryption sweep (advisory; see the
-	// server's SweepStatus option).
-	StatusOverflowSwept Status = 4
+	// Status 4 is unassigned.
 
 	// StatusBusy: admission control rejected the request — the
 	// connection's in-flight window is full. Retryable after backoff.
@@ -173,8 +170,6 @@ func (s Status) String() string {
 		return "QUARANTINED"
 	case StatusRecovered:
 		return "RECOVERED"
-	case StatusOverflowSwept:
-		return "OVERFLOW_SWEPT"
 	case StatusBusy:
 		return "BUSY"
 	case StatusDeadline:
@@ -192,7 +187,7 @@ func (s Status) String() string {
 
 // Success reports whether the operation completed and any payload is valid.
 func (s Status) Success() bool {
-	return s == StatusOK || s == StatusRecovered || s == StatusOverflowSwept
+	return s == StatusOK || s == StatusRecovered
 }
 
 // Retryable reports whether the request is safe and sensible to retry on

@@ -175,7 +175,7 @@ func TestRootPinnedFrameRoundTrip(t *testing.T) {
 }
 
 func TestStatusTaxonomy(t *testing.T) {
-	for _, s := range []Status{StatusOK, StatusRecovered, StatusOverflowSwept} {
+	for _, s := range []Status{StatusOK, StatusRecovered} {
 		if !s.Success() {
 			t.Errorf("%v should be success", s)
 		}
