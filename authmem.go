@@ -255,20 +255,12 @@ type CounterStats = ctr.Stats
 // was taken at, for replay experiments.
 type BlockSnapshot = core.BlockSnapshot
 
-// RecoveryPolicy bounds what ReadRecover may attempt before quarantining a
-// block: bounded re-reads (transient-fault absorption) and counter-metadata
-// repair from trusted on-chip state.
-type RecoveryPolicy = core.RecoveryPolicy
-
 // RecoverInfo extends ReadInfo with what ReadRecover did to serve the read.
 type RecoverInfo = core.RecoverInfo
 
 // QuarantineError is returned for reads of a block ReadRecover has poisoned
 // after exhausting its recovery budget. A fresh Write releases the block.
 type QuarantineError = core.QuarantineError
-
-// DefaultRecoveryPolicy returns the policy a new Memory starts with.
-func DefaultRecoveryPolicy() RecoveryPolicy { return core.DefaultRecoveryPolicy() }
 
 // Shards returns the shard count.
 func (m *Memory) Shards() int { return m.eng.Shards() }
@@ -354,13 +346,6 @@ func (m *Memory) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error) {
 // Scrub), so calling FlushAll is never needed for correctness — it is the
 // explicit region-wide quiescent point.
 func (m *Memory) FlushAll() error { return m.eng.FlushAll() }
-
-// SetRecoveryPolicy replaces the recovery policy used by ReadRecover on
-// every shard.
-func (m *Memory) SetRecoveryPolicy(p RecoveryPolicy) { m.eng.SetRecoveryPolicy(p) }
-
-// RecoveryPolicy reports the policy currently in force.
-func (m *Memory) RecoveryPolicy() RecoveryPolicy { return m.eng.RecoveryPolicy() }
 
 // Quarantined reports whether the block at addr is quarantined.
 func (m *Memory) Quarantined(addr uint64) bool { return m.eng.Quarantined(addr) }

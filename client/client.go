@@ -124,11 +124,15 @@ func (i Info) Recovered() bool { return i.Status == wire.StatusRecovered }
 // Client is a remote authenticated memory handle. It is safe for
 // concurrent use.
 type Client struct {
+	// ctr is the live form of Stats, shared with the pool slots and bumped
+	// by atomic add. It stays the first field, which keeps its words 64-bit
+	// aligned on 32-bit targets.
+	ctr Stats
+
 	opts   Options
 	conns  []*poolConn
 	rr     atomic.Uint64
 	closed atomic.Bool
-	ctr    counters
 }
 
 // New dials the pool and returns a ready Client.
@@ -344,22 +348,26 @@ func (c *Client) do(op wire.Op, flags uint8, addr uint64, count uint32, payload,
 	var lastErr error
 	backoff := c.opts.RetryBackoff
 	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
-		if attempt > 0 {
-			c.ctr.retries.Add(1)
+		// A closed client neither backs off nor counts an attempt: Retries
+		// counts only re-attempts that reach the transport.
+		if attempt > 0 && !c.closed.Load() {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
 		if c.closed.Load() {
 			return callResult{}, errors.New("client: closed")
 		}
-		c.ctr.attempts.Add(1)
+		if attempt > 0 {
+			atomic.AddUint64(&c.ctr.Retries, 1)
+		}
+		atomic.AddUint64(&c.ctr.Attempts, 1)
 		pc := c.conns[c.rr.Add(1)%uint64(len(c.conns))]
 		res, err := pc.roundTrip(op, flags, addr, count, payload, dst)
 		if err != nil {
 			if errors.Is(err, errTimeout) {
-				c.ctr.timeouts.Add(1)
+				atomic.AddUint64(&c.ctr.Timeouts, 1)
 			} else {
-				c.ctr.transportErrors.Add(1)
+				atomic.AddUint64(&c.ctr.TransportErrors, 1)
 			}
 			lastErr = err // transport trouble: retry (another conn, redial)
 			continue
@@ -374,12 +382,12 @@ func (c *Client) do(op wire.Op, flags uint8, addr uint64, count uint32, payload,
 		}
 		switch h.Status {
 		case wire.StatusBusy:
-			c.ctr.busyDeferrals.Add(1)
+			atomic.AddUint64(&c.ctr.BusyDeferrals, 1)
 		case wire.StatusDeadline:
-			c.ctr.deadlineDeferrals.Add(1)
+			atomic.AddUint64(&c.ctr.DeadlineDeferrals, 1)
 		}
 		lastErr = serr
 	}
-	c.ctr.retriesExhausted.Add(1)
+	atomic.AddUint64(&c.ctr.RetriesExhausted, 1)
 	return callResult{}, fmt.Errorf("client: retries exhausted: %w", lastErr)
 }

@@ -65,7 +65,7 @@ type callResult struct {
 // plus the in-flight window bounding this slot's pipelining depth.
 type poolConn struct {
 	opts   *Options
-	ctr    *counters
+	ctr    *Stats
 	window chan struct{}
 
 	mu   sync.Mutex
@@ -94,7 +94,7 @@ func (pc *poolConn) connectLocked() error {
 		return err
 	}
 	if pc.sess != nil && pc.ctr != nil {
-		pc.ctr.reconnects.Add(1)
+		atomic.AddUint64(&pc.ctr.Reconnects, 1)
 	}
 	s := &session{nc: nc, pending: make(map[uint64]*call)}
 	pc.sess = s

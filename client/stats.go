@@ -1,6 +1,6 @@
 package client
 
-import "sync/atomic"
+import "authmem/internal/counter"
 
 // Stats is a point-in-time snapshot of the client's own transport counters:
 // how hard this client has had to work to get its calls through, independent
@@ -39,31 +39,5 @@ type Stats struct {
 	RetriesExhausted uint64 `json:"retries_exhausted"`
 }
 
-// counters is the live (atomic) form of Stats, shared by the client and its
-// pool slots.
-type counters struct {
-	attempts          atomic.Uint64
-	retries           atomic.Uint64
-	busyDeferrals     atomic.Uint64
-	deadlineDeferrals atomic.Uint64
-	timeouts          atomic.Uint64
-	transportErrors   atomic.Uint64
-	reconnects        atomic.Uint64
-	retriesExhausted  atomic.Uint64
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		Attempts:          c.attempts.Load(),
-		Retries:           c.retries.Load(),
-		BusyDeferrals:     c.busyDeferrals.Load(),
-		DeadlineDeferrals: c.deadlineDeferrals.Load(),
-		Timeouts:          c.timeouts.Load(),
-		TransportErrors:   c.transportErrors.Load(),
-		Reconnects:        c.reconnects.Load(),
-		RetriesExhausted:  c.retriesExhausted.Load(),
-	}
-}
-
 // Stats returns the client-side transport counters.
-func (c *Client) Stats() Stats { return c.ctr.snapshot() }
+func (c *Client) Stats() Stats { return counter.Load(&c.ctr) }

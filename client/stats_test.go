@@ -2,8 +2,10 @@ package client_test
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -88,16 +90,17 @@ func TestClientStatsCounters(t *testing.T) {
 		}
 		t.Cleanup(func() { s.Close() })
 		var mu sync.Mutex
-		var lastConn interface{ Close() error }
+		var lastConn *severConn
 		c, err := client.New(client.Options{
-			Dial: func() (nc net.Conn, err error) {
-				nc, err = s.DialLoopback()
-				if err == nil {
-					mu.Lock()
-					lastConn = nc
-					mu.Unlock()
+			Dial: func() (net.Conn, error) {
+				nc, err := s.DialLoopback()
+				if err != nil {
+					return nil, err
 				}
-				return nc, err
+				mu.Lock()
+				lastConn = &severConn{Conn: nc}
+				mu.Unlock()
+				return lastConn, nil
 			},
 			MaxRetries:   4,
 			RetryBackoff: time.Millisecond,
@@ -114,7 +117,7 @@ func TestClientStatsCounters(t *testing.T) {
 			t.Fatalf("initial dial counted as %d reconnects", got)
 		}
 		mu.Lock()
-		lastConn.Close() // sever the transport behind the client's back
+		lastConn.severed.Store(true) // sever the transport behind the client's back
 		mu.Unlock()
 		if _, err := c.Read(0, make([]byte, wire.BlockBytes)); err != nil {
 			t.Fatal(err)
@@ -127,6 +130,48 @@ func TestClientStatsCounters(t *testing.T) {
 			t.Fatalf("severed transport left no error trace: %+v", st)
 		}
 	})
+
+	t.Run("closed", func(t *testing.T) {
+		bb := &blockingBackend{
+			Backend: newBackend(t, 1<<20),
+			gate:    make(chan struct{}),
+			hits:    make(chan struct{}, 8),
+		}
+		_, c := newStack(t, server.Config{Backend: bb},
+			client.Options{MaxRetries: 4, RetryBackoff: 10 * time.Millisecond})
+		t.Cleanup(func() { close(bb.gate) }) // runs before the server closes
+
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Read(0, make([]byte, wire.BlockBytes))
+			done <- err
+		}()
+		<-bb.hits // the read is on the wire, parked in the backend
+		c.Close()
+		if err := <-done; err == nil {
+			t.Fatal("read held across Close succeeded")
+		}
+		if st := c.Stats(); st.Attempts != 1 || st.Retries != 0 {
+			t.Fatalf("Close counted a retry that never reached the wire: %+v", st)
+		}
+	})
+}
+
+// severConn is a transport that can be severed without its reader noticing:
+// once severed, the next write closes the connection and fails. A severed
+// session is then found by the request that uses it, as a transport error,
+// and not by a reader that may see the close first and redial quietly.
+type severConn struct {
+	net.Conn
+	severed atomic.Bool
+}
+
+func (c *severConn) Write(p []byte) (int, error) {
+	if c.severed.Load() {
+		c.Conn.Close()
+		return 0, errors.New("transport severed")
+	}
+	return c.Conn.Write(p)
 }
 
 func TestClientHello(t *testing.T) {

@@ -28,6 +28,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"authmem"
@@ -170,6 +171,10 @@ func (m *member) isAlive() bool {
 
 // Cluster is the striping, quorum-reading client over the member nodes.
 type Cluster struct {
+	// ctr is the live form of Stats, bumped by atomic add. It stays the
+	// first field, which keeps its words 64-bit aligned on 32-bit targets.
+	ctr Stats
+
 	geo   icluster.Geometry
 	repl  int
 	probe time.Duration
@@ -201,7 +206,6 @@ type Cluster struct {
 	// rebalMu serializes membership changes.
 	rebalMu sync.Mutex
 
-	ctr    counters
 	closed bool
 }
 
@@ -409,9 +413,9 @@ func (c *Cluster) reviveIfDue(m *member) bool {
 	m.everSeen = true
 	m.rootKnown = m.rootKnown && !restarted
 	m.mu.Unlock()
-	c.ctr.revivals.Add(1)
+	atomic.AddUint64(&c.ctr.Revivals, 1)
 	if restarted {
-		c.ctr.epochResets.Add(1)
+		atomic.AddUint64(&c.ctr.EpochResets, 1)
 		c.voidMember(m)
 	}
 	return true
@@ -448,7 +452,7 @@ func (c *Cluster) refreshEpoch(m *member) (changed bool, err error) {
 	m.rootKnown = m.rootKnown && !changed
 	m.mu.Unlock()
 	if changed {
-		c.ctr.epochResets.Add(1)
+		atomic.AddUint64(&c.ctr.EpochResets, 1)
 		c.voidMember(m)
 	}
 	return changed, nil

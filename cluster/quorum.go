@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"authmem"
 	"authmem/client"
@@ -237,7 +238,7 @@ func getVoterBuf(n int) *[]byte {
 // the gate (shared). Losing replicas are marked dirty for later repair;
 // readQuorum itself never takes the exclusive lock.
 func (c *Cluster) readQuorum(s, lo uint64, dst []byte) (Info, error) {
-	c.ctr.quorumReads.Add(1)
+	atomic.AddUint64(&c.ctr.QuorumReads, 1)
 	owners := c.ownersOf(s)
 
 	var voterArr [inlineReplicas]*member
@@ -337,7 +338,7 @@ func (c *Cluster) readQuorum(s, lo uint64, dst []byte) (Info, error) {
 
 	info := Info{Verdict: verdict, Degraded: len(oks) < len(owners)}
 	if info.Degraded {
-		c.ctr.degradedReads.Add(1)
+		atomic.AddUint64(&c.ctr.DegradedReads, 1)
 	}
 	c.ctr.countVerdict(verdict)
 	return info, nil
@@ -452,7 +453,7 @@ func unanimous(rs []replicaRead) (bool, []byte) {
 // that misses the write is marked dirty: the stripe is stale there until
 // repaired.
 func (c *Cluster) writeQuorum(s, lo uint64, src []byte) (Info, error) {
-	c.ctr.quorumWrites.Add(1)
+	atomic.AddUint64(&c.ctr.QuorumWrites, 1)
 	owners := c.ownersOf(s)
 
 	type wres struct {
@@ -521,7 +522,7 @@ func (c *Cluster) writeQuorum(s, lo uint64, src []byte) (Info, error) {
 	}
 	info := Info{Verdict: missed, Degraded: acks < len(owners)}
 	if info.Degraded {
-		c.ctr.degradedWrites.Add(1)
+		atomic.AddUint64(&c.ctr.DegradedWrites, 1)
 	}
 	c.ctr.countVerdict(missed)
 	return info, nil
@@ -570,8 +571,8 @@ func (c *Cluster) repairStripeLocked(s uint64) bool {
 		}
 		if c.copyVerified(m, lo, buf) {
 			m.clearDirty(s)
-			c.ctr.repairs.Add(1)
-			c.ctr.repairedBytes.Add(uint64(len(buf)))
+			atomic.AddUint64(&c.ctr.Repairs, 1)
+			atomic.AddUint64(&c.ctr.RepairedBytes, uint64(len(buf)))
 			repaired = true
 		}
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	icluster "authmem/internal/cluster"
 )
@@ -158,8 +159,8 @@ func (c *Cluster) transferStripeLocked(s uint64, dst *member) error {
 		return fmt.Errorf("verified copy to %q failed", dst.name)
 	}
 	dst.clearDirty(s)
-	c.ctr.rebalancedStripes.Add(1)
-	c.ctr.transferredBytes.Add(uint64(len(buf)))
+	atomic.AddUint64(&c.ctr.RebalancedStripes, 1)
+	atomic.AddUint64(&c.ctr.TransferredBytes, uint64(len(buf)))
 	return nil
 }
 

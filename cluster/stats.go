@@ -1,6 +1,10 @@
 package cluster
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"authmem/internal/counter"
+)
 
 // Stats is a point-in-time snapshot of the cluster client's counters:
 // quorum traffic, degraded-mode events broken down by verdict, repairs, and
@@ -45,66 +49,25 @@ type Stats struct {
 	TransferredBytes  uint64 `json:"transferred_bytes"`
 }
 
-type counters struct {
-	quorumReads         atomic.Uint64
-	quorumWrites        atomic.Uint64
-	degradedReads       atomic.Uint64
-	degradedWrites      atomic.Uint64
-	outvotedFault       atomic.Uint64
-	outvotedUnreachable atomic.Uint64
-	outvotedStale       atomic.Uint64
-	outvotedEpoch       atomic.Uint64
-	outvotedRoot        atomic.Uint64
-	outvotedMajority    atomic.Uint64
-	unresolved          atomic.Uint64
-	repairs             atomic.Uint64
-	repairedBytes       atomic.Uint64
-	revivals            atomic.Uint64
-	epochResets         atomic.Uint64
-	rebalancedStripes   atomic.Uint64
-	transferredBytes    atomic.Uint64
-}
-
-func (c *counters) countVerdict(v Verdict) {
+// countVerdict banks one quorum verdict in its per-cause counter.
+func (s *Stats) countVerdict(v Verdict) {
 	switch v {
 	case VerdictOutvotedFault:
-		c.outvotedFault.Add(1)
+		atomic.AddUint64(&s.OutvotedFault, 1)
 	case VerdictOutvotedUnreachable:
-		c.outvotedUnreachable.Add(1)
+		atomic.AddUint64(&s.OutvotedUnreachable, 1)
 	case VerdictOutvotedStale:
-		c.outvotedStale.Add(1)
+		atomic.AddUint64(&s.OutvotedStale, 1)
 	case VerdictOutvotedEpoch:
-		c.outvotedEpoch.Add(1)
+		atomic.AddUint64(&s.OutvotedEpoch, 1)
 	case VerdictOutvotedRoot:
-		c.outvotedRoot.Add(1)
+		atomic.AddUint64(&s.OutvotedRoot, 1)
 	case VerdictOutvotedMajority:
-		c.outvotedMajority.Add(1)
+		atomic.AddUint64(&s.OutvotedMajority, 1)
 	case VerdictUnresolved:
-		c.unresolved.Add(1)
-	}
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		QuorumReads:         c.quorumReads.Load(),
-		QuorumWrites:        c.quorumWrites.Load(),
-		DegradedReads:       c.degradedReads.Load(),
-		DegradedWrites:      c.degradedWrites.Load(),
-		OutvotedFault:       c.outvotedFault.Load(),
-		OutvotedUnreachable: c.outvotedUnreachable.Load(),
-		OutvotedStale:       c.outvotedStale.Load(),
-		OutvotedEpoch:       c.outvotedEpoch.Load(),
-		OutvotedRoot:        c.outvotedRoot.Load(),
-		OutvotedMajority:    c.outvotedMajority.Load(),
-		Unresolved:          c.unresolved.Load(),
-		Repairs:             c.repairs.Load(),
-		RepairedBytes:       c.repairedBytes.Load(),
-		Revivals:            c.revivals.Load(),
-		EpochResets:         c.epochResets.Load(),
-		RebalancedStripes:   c.rebalancedStripes.Load(),
-		TransferredBytes:    c.transferredBytes.Load(),
+		atomic.AddUint64(&s.Unresolved, 1)
 	}
 }
 
 // Stats returns the cluster client's counters.
-func (c *Cluster) Stats() Stats { return c.ctr.snapshot() }
+func (c *Cluster) Stats() Stats { return counter.Load(&c.ctr) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"authmem/internal/tree"
 )
@@ -241,7 +242,7 @@ func (e *Engine) Scrub() (ScrubReport, error) {
 	if err := e.Flush(); err != nil {
 		return ScrubReport{}, err
 	}
-	e.stats.ScrubPasses.Add(1)
+	atomic.AddUint64(&e.stats.ScrubPasses, 1)
 	var r ScrubReport
 	var flagged []uint64
 	e.store.forEach(func(blk uint64, ct []byte, meta *uint64, _ []byte) {
@@ -267,7 +268,7 @@ func (e *Engine) checkScrubbable() error {
 func (e *Engine) correctFlagged(flagged []uint64, r *ScrubReport) error {
 	for _, blk := range flagged {
 		r.ParityFlagged++
-		e.stats.ScrubFlagged.Add(1)
+		atomic.AddUint64(&e.stats.ScrubFlagged, 1)
 		midx := e.scheme.MetadataBlock(blk)
 		counter, err := e.decodeCounter(e.images.Load(midx), blk)
 		if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"authmem/internal/ctr"
 )
@@ -44,7 +45,7 @@ func (e *Engine) ReadBlocks(addr uint64, dst []byte) error {
 	var img []byte
 	for j := uint64(0); j < n; j++ {
 		blk := first + j
-		e.stats.Reads.Add(1)
+		atomic.AddUint64(&e.stats.Reads, 1)
 		if e.readCached(blk, dst[j*BlockBytes:(j+1)*BlockBytes]) {
 			continue
 		}
@@ -107,7 +108,7 @@ func (e *Engine) writeChunk(first, midx uint64, src []byte) error {
 	e.pendingFirst, e.pendingLast, e.hasPendingWrite = first, first+uint64(n)-1, true
 	reenc := false
 	for j := 0; j < n; j++ {
-		e.stats.Writes.Add(1)
+		atomic.AddUint64(&e.stats.Writes, 1)
 		out := e.scheme.Touch(first + uint64(j))
 		counters[j] = out.Counter
 		if out.Reencrypted {

@@ -92,8 +92,6 @@ type blockCache struct {
 	entries []blockCacheEntry
 	mask    uint64
 	epoch   atomic.Uint64
-	hits    atomic.Uint64
-	misses  atomic.Uint64
 }
 
 // newBlockCache builds a cache with the given power-of-two entry count.
@@ -141,19 +139,6 @@ func (c *blockCache) probe(blk uint64, dst []byte) (hit bool, retries int) {
 	// Retry budget exhausted: a writer owns the line right now. Treat as a
 	// miss; the locked slow path serializes behind it.
 	return false, retries
-}
-
-// lookup serves blk into dst under the owning lock, banking the hit/miss
-// counters. With the lock held no writer can race the probe, so the copy
-// succeeds on the first attempt.
-func (c *blockCache) lookup(blk uint64, dst []byte) bool {
-	hit, _ := c.probe(blk, dst)
-	if hit {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return hit
 }
 
 // insert installs a copy of blk's verified plaintext, displacing whatever

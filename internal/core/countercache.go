@@ -25,10 +25,9 @@ import "sync/atomic"
 // only removes the tree walk, and everything after it (MAC verification,
 // keystream decryption, correction write-backs) mutates engine state the
 // lock protects. The payload is therefore a plain field, accessed only with
-// the lock held; the generation/epoch words
-// exist so evictions and flushes publish through one protocol across both
-// caches — the trust-boundary argument in DESIGN.md §6d covers them
-// together — and so the hit/miss counters can be snapshotted lock-free.
+// the lock held; the generation/epoch words exist so evictions and flushes
+// publish through one protocol across both caches — the trust-boundary
+// argument in DESIGN.md §6d covers them together.
 //
 // Consistency points, all internal to the engine:
 //   - the write pipeline's deferCommit/Flush refresh the cached copy
@@ -65,8 +64,6 @@ type counterCache struct {
 	entries []counterCacheEntry
 	mask    uint64
 	epoch   atomic.Uint64
-	hits    atomic.Uint64
-	misses  atomic.Uint64
 }
 
 // newCounterCache builds a cache with the given power-of-two entry count.
@@ -86,14 +83,12 @@ func (c *counterCache) resident(e *counterCacheEntry, midx uint64) bool {
 }
 
 // lookup returns the cached (already tree-verified) image of midx, or nil on
-// miss. Caller holds the owning lock. The hit/miss counters feed EngineStats.
+// miss. Caller holds the owning lock.
 func (c *counterCache) lookup(midx uint64) []byte {
 	e := &c.entries[midx&c.mask]
 	if c.resident(e, midx) {
-		c.hits.Add(1)
 		return e.img[:]
 	}
-	c.misses.Add(1)
 	return nil
 }
 

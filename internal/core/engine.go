@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
+	"authmem/internal/counter"
 	"authmem/internal/crypto"
 	"authmem/internal/ctr"
 	"authmem/internal/ecc"
@@ -45,6 +47,12 @@ func cacheEntries(limit int, n uint64) int {
 // encrypted zero block — exactly the write traffic a hardware re-encryption
 // engine would emit, which is what the NVMM wear accounting (§2.2) counts.
 type Engine struct {
+	// stats is the engine's live counter bank (internal/counter): the
+	// lock-free read path and Stats touch it concurrently with locked
+	// traffic, so every field moves by atomic add. It stays the first
+	// field, which keeps its words 64-bit aligned on 32-bit targets.
+	stats EngineStats
+
 	cfg    Config
 	scheme ctr.Scheme
 	packer ctr.MetadataPacker
@@ -91,7 +99,7 @@ type Engine struct {
 	// recovery configures the retry-then-repair read path; quarantine
 	// holds blocks that exhausted it (see recovery.go). retryHook models
 	// the controller re-issuing a DRAM read on retry.
-	recovery   RecoveryPolicy
+	recovery   recoveryPolicy
 	quarantine map[uint64]struct{}
 	retryHook  func(blk uint64)
 
@@ -108,10 +116,6 @@ type Engine struct {
 	// called. Marked at the metadata commit points and by the
 	// re-encryption sweep, drained by AppendDelta.
 	delta *deltaTracker
-
-	// stats is the atomic event bank (stats.go): the lock-free read path and
-	// stats snapshots touch it concurrently with locked traffic.
-	stats engineCounters
 }
 
 // EngineStats aggregates functional-engine events.
@@ -154,32 +158,7 @@ type EngineStats struct {
 
 // Add folds o's counts into s. Per-shard stats merge through this on read,
 // so aggregation never becomes a serialization point.
-func (s *EngineStats) Add(o EngineStats) {
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.FreshReads += o.FreshReads
-	s.IntegrityFailures += o.IntegrityFailures
-	s.CorrectedDataBits += o.CorrectedDataBits
-	s.CorrectedMACBits += o.CorrectedMACBits
-	s.SECDEDCorrected += o.SECDEDCorrected
-	s.ScrubPasses += o.ScrubPasses
-	s.ScrubFlagged += o.ScrubFlagged
-	s.GroupReencrypts += o.GroupReencrypts
-	s.RetriedReads += o.RetriedReads
-	s.RetryRecoveries += o.RetryRecoveries
-	s.MetadataRepairs += o.MetadataRepairs
-	s.Quarantined += o.Quarantined
-	s.QuarantineRefusals += o.QuarantineRefusals
-	s.MetaCacheHits += o.MetaCacheHits
-	s.MetaCacheMisses += o.MetaCacheMisses
-	s.DataCacheHits += o.DataCacheHits
-	s.DataCacheMisses += o.DataCacheMisses
-	s.WriteCombines += o.WriteCombines
-	s.DeferredLeafFlushes += o.DeferredLeafFlushes
-	s.LockFreeHits += o.LockFreeHits
-	s.SeqlockRetries += o.SeqlockRetries
-	s.SlowPathReads += o.SlowPathReads
-}
+func (s *EngineStats) Add(o EngineStats) { counter.Sum(s, o) }
 
 // ReadInfo describes one successful read.
 type ReadInfo struct {
@@ -202,7 +181,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, recovery: DefaultRecoveryPolicy()}
+	e := &Engine{cfg: cfg, recovery: defaultRecovery}
 	cod, err := cfg.resolveCodec() // Validate already vetted it
 	if err != nil {
 		return nil, err
@@ -274,54 +253,26 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // Stats returns cumulative event counts. Every counter is atomic, so the
 // snapshot never takes a lock and never contends with the read path.
-func (e *Engine) Stats() EngineStats {
-	s := e.stats.snapshot()
-	s.MetaCacheHits = e.cc.hits.Load()
-	s.MetaCacheMisses = e.cc.misses.Load()
-	s.DataCacheHits = e.bc.hits.Load()
-	s.DataCacheMisses = e.bc.misses.Load()
-	return s
-}
+func (e *Engine) Stats() EngineStats { return counter.Load(&e.stats) }
 
 // readCached serves blk from the verified-block cache when resident and not
 // quarantined, copying the trusted plaintext into dst. Quarantined blocks
 // always fall through to the verifying path so they are refused loudly.
-// Caller holds the owning lock (or owns the engine outright).
+// Caller holds the owning lock (or owns the engine outright), so no writer
+// races the probe and the copy succeeds on its first attempt.
 func (e *Engine) readCached(blk uint64, dst []byte) bool {
 	if e.quarantine != nil {
 		if _, bad := e.quarantine[blk]; bad {
 			return false
 		}
 	}
-	return e.bc.lookup(blk, dst)
-}
-
-// ReadLockFree attempts to serve the (checked, shard-local) address from the
-// verified-block cache without taking any lock, banking the read into the
-// atomic counters on success. It is the ShardedEngine warm-read fast path:
-// a hit costs zero lock acquisitions and zero allocations. A miss — cold
-// line, epoch-flushed line, or a seqlock retry budget exhausted under an
-// active writer — returns false and the caller takes the locked slow path.
-//
-// No quarantine check is needed: quarantineBlock evicts the line under the
-// writer protocol before the block is poisoned, and every insert path first
-// releases the block from quarantine, so a resident line implies a healthy
-// block (see blockcache.go).
-func (e *Engine) ReadLockFree(addr uint64, dst []byte) bool {
-	if len(dst) != BlockBytes {
-		return false
+	hit, _ := e.bc.probe(blk, dst)
+	if hit {
+		atomic.AddUint64(&e.stats.DataCacheHits, 1)
+	} else {
+		atomic.AddUint64(&e.stats.DataCacheMisses, 1)
 	}
-	hit, retries := e.bc.probe(addr/BlockBytes, dst)
-	if retries > 0 {
-		e.stats.SeqlockRetries.Add(uint64(retries))
-	}
-	if !hit {
-		return false
-	}
-	e.stats.Reads.Add(1)
-	e.stats.LockFreeHits.Add(1)
-	e.bc.hits.Add(1)
-	return true
+	return hit
 }
 
 // SchemeStats returns the counter scheme's event counts (re-encryptions,
@@ -364,7 +315,7 @@ func (e *Engine) Write(addr uint64, plaintext []byte) error {
 		return fmt.Errorf("core: write must be %d bytes, got %d", BlockBytes, len(plaintext))
 	}
 	blk := addr / BlockBytes
-	e.stats.Writes.Add(1)
+	atomic.AddUint64(&e.stats.Writes, 1)
 
 	e.pendingFirst, e.pendingLast, e.hasPendingWrite = blk, blk, true
 	out := e.scheme.Touch(blk)
@@ -448,7 +399,7 @@ func (e *Engine) metaLeaf(midx uint64) uint64 {
 // rare), and a fan-out across goroutines cost more to start and join than it
 // saved on 64 blocks (EXPERIMENTS "Decided experiments").
 func (e *Engine) reencryptGroup(groupStart uint64, oldCounters []uint64, newCounter uint64) {
-	e.stats.GroupReencrypts.Add(1)
+	atomic.AddUint64(&e.stats.GroupReencrypts, 1)
 	if e.delta != nil {
 		// The sweep reseals every block: the log must carry them all again.
 		e.delta.mark(e.scheme.MetadataBlock(groupStart), ^uint64(0))
@@ -535,8 +486,8 @@ func (e *Engine) verifyStored(blk uint64, ct []byte, counter uint64) bool {
 		if !out.OK {
 			return false
 		}
-		e.stats.CorrectedDataBits.Add(uint64(out.CorrectedDataBits))
-		e.stats.CorrectedMACBits.Add(uint64(out.CorrectedMACBits))
+		atomic.AddUint64(&e.stats.CorrectedDataBits, uint64(out.CorrectedDataBits))
+		atomic.AddUint64(&e.stats.CorrectedMACBits, uint64(out.CorrectedMACBits))
 		e.store.SetMeta(blk, lane)
 		return true
 	}
@@ -547,7 +498,7 @@ func (e *Engine) verifyStored(blk uint64, ct []byte, counter uint64) bool {
 	if !outcome.Clean() {
 		return false
 	}
-	e.stats.SECDEDCorrected.Add(uint64(outcome.CorrectedBits))
+	atomic.AddUint64(&e.stats.SECDEDCorrected, uint64(outcome.CorrectedBits))
 	ok, err := e.key.Verify(ct, blk*BlockBytes, counter, e.store.Meta(blk))
 	if err != nil {
 		panic(err)
@@ -567,7 +518,7 @@ func (e *Engine) Read(addr uint64, dst []byte) (ReadInfo, error) {
 		return info, fmt.Errorf("core: read buffer must be %d bytes, got %d", BlockBytes, len(dst))
 	}
 	blk := addr / BlockBytes
-	e.stats.Reads.Add(1)
+	atomic.AddUint64(&e.stats.Reads, 1)
 
 	// A verified-block cache hit is trusted plaintext: no counter fetch,
 	// no tree walk, no MAC, no decryption.
@@ -592,11 +543,13 @@ func (e *Engine) Read(addr uint64, dst []byte) (ReadInfo, error) {
 // fills the cache. addr attributes a failure to the access behind the fetch.
 func (e *Engine) verifiedImage(addr, midx uint64) ([]byte, error) {
 	if img := e.cc.lookup(midx); img != nil {
+		atomic.AddUint64(&e.stats.MetaCacheHits, 1)
 		return img, nil
 	}
+	atomic.AddUint64(&e.stats.MetaCacheMisses, 1)
 	img, err := e.loadVerifiedImage(addr, midx)
 	if err != nil {
-		e.stats.IntegrityFailures.Add(1)
+		atomic.AddUint64(&e.stats.IntegrityFailures, 1)
 		return nil, err
 	}
 	e.cc.insert(midx, img)
@@ -608,7 +561,7 @@ func (e *Engine) verifiedImage(addr, midx uint64) ([]byte, error) {
 func (e *Engine) decodeVerified(img []byte, blk uint64) (uint64, error) {
 	counter, err := e.decodeCounter(img, blk)
 	if err != nil {
-		e.stats.IntegrityFailures.Add(1)
+		atomic.AddUint64(&e.stats.IntegrityFailures, 1)
 		return 0, &IntegrityError{Addr: blk * BlockBytes, Reason: "counter metadata undecodable: " + err.Error(), Stage: StageCounter}
 	}
 	return counter, nil
@@ -623,7 +576,7 @@ func (e *Engine) readVerified(blk, counter uint64, dst []byte) (ReadInfo, error)
 
 	if e.quarantine != nil {
 		if _, bad := e.quarantine[blk]; bad {
-			e.stats.QuarantineRefusals.Add(1)
+			atomic.AddUint64(&e.stats.QuarantineRefusals, 1)
 			return info, &QuarantineError{Addr: addr}
 		}
 	}
@@ -631,12 +584,12 @@ func (e *Engine) readVerified(blk, counter uint64, dst []byte) (ReadInfo, error)
 	ct := e.store.Ciphertext(blk)
 	if ct == nil {
 		if counter != 0 {
-			e.stats.IntegrityFailures.Add(1)
+			atomic.AddUint64(&e.stats.IntegrityFailures, 1)
 			return info, &IntegrityError{Addr: addr, Reason: "counter advanced but block missing", Stage: StageData}
 		}
 		clear(dst)
 		info.Fresh = true
-		e.stats.FreshReads.Add(1)
+		atomic.AddUint64(&e.stats.FreshReads, 1)
 		return info, nil
 	}
 
@@ -647,13 +600,13 @@ func (e *Engine) readVerified(blk, counter uint64, dst []byte) (ReadInfo, error)
 		}
 		info.HardwareChecks = out.HardwareChecks
 		if !out.OK {
-			e.stats.IntegrityFailures.Add(1)
+			atomic.AddUint64(&e.stats.IntegrityFailures, 1)
 			return info, &IntegrityError{Addr: addr, Reason: "MAC verification failed (tamper or uncorrectable fault)", Stage: StageData}
 		}
 		info.CorrectedDataBits = out.CorrectedDataBits
 		info.CorrectedMACBits = out.CorrectedMACBits
-		e.stats.CorrectedDataBits.Add(uint64(out.CorrectedDataBits))
-		e.stats.CorrectedMACBits.Add(uint64(out.CorrectedMACBits))
+		atomic.AddUint64(&e.stats.CorrectedDataBits, uint64(out.CorrectedDataBits))
+		atomic.AddUint64(&e.stats.CorrectedMACBits, uint64(out.CorrectedMACBits))
 		e.store.SetMeta(blk, lane) // corrected bits written back
 
 	} else { // MACInline baseline: the block codec first, then the MAC.
@@ -662,17 +615,17 @@ func (e *Engine) readVerified(blk, counter uint64, dst []byte) (ReadInfo, error)
 			return info, err
 		}
 		if !outcome.Clean() {
-			e.stats.IntegrityFailures.Add(1)
+			atomic.AddUint64(&e.stats.IntegrityFailures, 1)
 			return info, &IntegrityError{Addr: addr, Reason: "uncorrectable " + e.bcod.Name() + " memory error", Stage: StageData}
 		}
 		info.CorrectedDataBits = outcome.CorrectedBits
-		e.stats.SECDEDCorrected.Add(uint64(outcome.CorrectedBits))
+		atomic.AddUint64(&e.stats.SECDEDCorrected, uint64(outcome.CorrectedBits))
 		okTag, err := e.key.Verify(ct, addr, counter, e.store.Meta(blk))
 		if err != nil {
 			return info, err
 		}
 		if !okTag {
-			e.stats.IntegrityFailures.Add(1)
+			atomic.AddUint64(&e.stats.IntegrityFailures, 1)
 			return info, &IntegrityError{Addr: addr, Reason: "MAC verification failed", Stage: StageData}
 		}
 	}
@@ -682,7 +635,7 @@ func (e *Engine) readVerified(blk, counter uint64, dst []byte) (ReadInfo, error)
 	// tree walk BMTs exist to avoid.
 	if e.cfg.DataTree {
 		if err := e.tr.VerifyLeafFast(blk, ct); err != nil {
-			e.stats.IntegrityFailures.Add(1)
+			atomic.AddUint64(&e.stats.IntegrityFailures, 1)
 			return info, &IntegrityError{Addr: addr, Reason: "data block failed integrity tree check: " + err.Error(), Stage: StageDataTree}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"authmem/internal/ctr"
 )
@@ -280,7 +281,7 @@ func Resume(cfg Config, r io.Reader, expectRoot *RootDigest) (*Engine, error) {
 	for _, m := range midxs {
 		img := e.images.Load(m)
 		if err := e.tr.VerifyLeafFast(e.metaLeaf(m), img); err != nil {
-			e.stats.IntegrityFailures.Add(1)
+			atomic.AddUint64(&e.stats.IntegrityFailures, 1)
 			return nil, &IntegrityError{
 				Addr:   m * BlockBytes,
 				Reason: "persistent counter block failed tree verification: " + err.Error(),

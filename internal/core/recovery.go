@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Recovery path for reads that fail verification.
@@ -31,8 +32,8 @@ import (
 //     with fresh data, which releases it. Data in a quarantined block is
 //     lost — but loudly, never silently.
 
-// RecoveryPolicy bounds the retry-then-repair read path.
-type RecoveryPolicy struct {
+// recoveryPolicy bounds the retry-then-repair read path.
+type recoveryPolicy struct {
 	// MaxRetries is the number of re-read attempts after a failed
 	// verification (0 disables retries).
 	MaxRetries int
@@ -41,22 +42,10 @@ type RecoveryPolicy struct {
 	RepairMetadata bool
 }
 
-// DefaultRecoveryPolicy mirrors a controller that retries a failed read
-// twice before raising a machine check, with metadata repair enabled.
-func DefaultRecoveryPolicy() RecoveryPolicy {
-	return RecoveryPolicy{MaxRetries: 2, RepairMetadata: true}
-}
-
-// SetRecoveryPolicy replaces the engine's recovery policy.
-func (e *Engine) SetRecoveryPolicy(p RecoveryPolicy) {
-	if p.MaxRetries < 0 {
-		p.MaxRetries = 0
-	}
-	e.recovery = p
-}
-
-// RecoveryPolicy returns the active policy.
-func (e *Engine) RecoveryPolicy() RecoveryPolicy { return e.recovery }
+// defaultRecovery is every engine's policy: a controller that retries a
+// failed read twice before raising a machine check, with metadata repair
+// enabled.
+var defaultRecovery = recoveryPolicy{MaxRetries: 2, RepairMetadata: true}
 
 // SetRetryHook registers f, called with the failing block index before each
 // retry re-read. It models the memory controller re-issuing the DRAM
@@ -116,7 +105,7 @@ func (e *Engine) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error) {
 	// Tier 1: counter-plane failures are repairable from trusted state.
 	if e.recovery.RepairMetadata && ie.Stage == StageCounter {
 		if rerr := e.repairMetadata(); rerr == nil {
-			e.stats.MetadataRepairs.Add(1)
+			atomic.AddUint64(&e.stats.MetadataRepairs, 1)
 			ri.MetadataRepaired = true
 			info, err = e.Read(addr, dst)
 			ri.ReadInfo = info
@@ -128,7 +117,7 @@ func (e *Engine) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error) {
 
 	// Tier 2: bounded re-read retries for transient faults.
 	for t := 0; t < e.recovery.MaxRetries; t++ {
-		e.stats.RetriedReads.Add(1)
+		atomic.AddUint64(&e.stats.RetriedReads, 1)
 		ri.Retries++
 		if e.retryHook != nil {
 			e.retryHook(blk)
@@ -136,7 +125,7 @@ func (e *Engine) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error) {
 		info, err = e.Read(addr, dst)
 		ri.ReadInfo = info
 		if err == nil {
-			e.stats.RetryRecoveries.Add(1)
+			atomic.AddUint64(&e.stats.RetryRecoveries, 1)
 			ri.RetryRecovered = true
 			return ri, nil
 		}
@@ -156,7 +145,7 @@ func (e *Engine) quarantineBlock(blk uint64) {
 	}
 	if _, ok := e.quarantine[blk]; !ok {
 		e.quarantine[blk] = struct{}{}
-		e.stats.Quarantined.Add(1)
+		atomic.AddUint64(&e.stats.Quarantined, 1)
 	}
 }
 

@@ -151,7 +151,7 @@ func TestRecoverQuarantine(t *testing.T) {
 	if err == nil {
 		t.Fatal("uncorrectable fault recovered without data")
 	}
-	if !ri.Quarantined || ri.Retries != e.RecoveryPolicy().MaxRetries {
+	if !ri.Quarantined || ri.Retries != e.recovery.MaxRetries {
 		t.Fatalf("unexpected recovery shape: %+v", ri)
 	}
 	if !e.Quarantined(128) {
@@ -196,7 +196,7 @@ func TestRecoverPolicyDisabled(t *testing.T) {
 	if err := e.Write(0, block(1)); err != nil {
 		t.Fatal(err)
 	}
-	e.SetRecoveryPolicy(RecoveryPolicy{})
+	e.recovery = recoveryPolicy{}
 	if err := e.TamperCounterBlock(e.MetadataIndex(0), 3); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
+	"authmem/internal/counter"
 	"authmem/internal/ctr"
 	"authmem/internal/tree"
 )
@@ -227,11 +229,11 @@ func (s *ShardedEngine) Read(addr uint64, dst []byte) (ReadInfo, error) {
 		return ReadInfo{}, err
 	}
 	sh, local := s.route(addr)
-	if sh.eng.ReadLockFree(local, dst) {
+	if len(dst) == BlockBytes && sh.bank(sh.probe(local, dst)) == BlockBytes {
 		return ReadInfo{}, nil
 	}
 	sh.mu.Lock()
-	sh.eng.stats.SlowPathReads.Add(1)
+	atomic.AddUint64(&sh.eng.stats.SlowPathReads, 1)
 	info, err := sh.eng.Read(local, dst)
 	sh.mu.Unlock()
 	return info, offsetErr(err, sh.base)
@@ -247,11 +249,11 @@ func (s *ShardedEngine) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error
 		return RecoverInfo{}, err
 	}
 	sh, local := s.route(addr)
-	if sh.eng.ReadLockFree(local, dst) {
+	if len(dst) == BlockBytes && sh.bank(sh.probe(local, dst)) == BlockBytes {
 		return RecoverInfo{}, nil
 	}
 	sh.mu.Lock()
-	sh.eng.stats.SlowPathReads.Add(1)
+	atomic.AddUint64(&sh.eng.stats.SlowPathReads, 1)
 	info, err := sh.eng.ReadRecover(local, dst)
 	sh.mu.Unlock()
 	return info, offsetErr(err, sh.base)
@@ -324,49 +326,38 @@ func (s *ShardedEngine) spanFan(segs []segment, op func(sh *engineShard, local u
 	return nil
 }
 
-// bankLockFreeSpan publishes a span-read's banked lock-free events to sh.
-func bankLockFreeSpan(sh *engineShard, hits, retries uint64) {
-	if hits > 0 {
-		sh.eng.stats.Reads.Add(hits)
-		sh.eng.stats.LockFreeHits.Add(hits)
-		sh.eng.bc.hits.Add(hits)
-	}
-	if retries > 0 {
-		sh.eng.stats.SeqlockRetries.Add(retries)
-	}
-}
-
-// readBlocksLockFree serves the longest prefix of a checked span from the
-// per-shard verified-block caches without taking any lock, and returns the
-// number of bytes served. Each block served is an individually consistent
-// seqlock snapshot — the same per-block linearization the cross-shard
-// fan-out already has at segment granularity. Events are banked per shard
-// and only for blocks actually served, so the locked path that picks up the
-// remainder never double-counts.
-func (s *ShardedEngine) readBlocksLockFree(addr uint64, dst []byte) int {
-	var (
-		served      int
-		cur         *engineShard
-		hits, tears uint64
-	)
+// probe serves the longest warm prefix of dst, a whole-block span lying in
+// the shard from shard-local address local, from the shard's verified-block
+// cache without taking any lock. It returns the bytes served and the seqlock
+// retries the probes took, and banks nothing: the caller passes both to bank
+// once it knows the read will finish. No quarantine check is needed:
+// quarantining a block evicts its line under the writer protocol, and every
+// insert first releases the block, so a resident line is a healthy block
+// (see blockcache.go).
+func (sh *engineShard) probe(local uint64, dst []byte) (served int, retries uint64) {
 	for served < len(dst) {
-		sh, local := s.route(addr + uint64(served))
-		if sh != cur {
-			if cur != nil {
-				bankLockFreeSpan(cur, hits, tears)
-			}
-			cur, hits, tears = sh, 0, 0
-		}
-		hit, r := sh.eng.bc.probe(local/BlockBytes, dst[served:served+BlockBytes])
-		tears += uint64(r)
+		hit, r := sh.eng.bc.probe((local+uint64(served))/BlockBytes, dst[served:served+BlockBytes])
+		retries += uint64(r)
 		if !hit {
 			break
 		}
-		hits++
 		served += BlockBytes
 	}
-	if cur != nil {
-		bankLockFreeSpan(cur, hits, tears)
+	return served, retries
+}
+
+// bank counts a probe's outcome in the shard's stats — each block served is
+// a read, a lock-free hit and a data-cache hit — and returns served. Blocks
+// the probe missed are counted by the locked path that reads them.
+func (sh *engineShard) bank(served int, retries uint64) int {
+	st := &sh.eng.stats
+	if hits := uint64(served / BlockBytes); hits > 0 {
+		atomic.AddUint64(&st.Reads, hits)
+		atomic.AddUint64(&st.LockFreeHits, hits)
+		atomic.AddUint64(&st.DataCacheHits, hits)
+	}
+	if retries > 0 {
+		atomic.AddUint64(&st.SeqlockRetries, retries)
 	}
 	return served
 }
@@ -374,13 +365,27 @@ func (s *ShardedEngine) readBlocksLockFree(addr uint64, dst []byte) int {
 // ReadBlocks verifies and decrypts a contiguous span, fanning shard
 // segments out concurrently. The returned error is the lowest-addressed
 // failure; see spanFan for cross-shard atomicity semantics. A warm prefix
-// of the span is served lock-free block by block; only the cold remainder
-// takes shard locks.
+// of the span is served lock-free block by block, shard by shard; only the
+// cold remainder takes shard locks. Each block served is an individually
+// consistent seqlock snapshot — the same per-block linearization the
+// cross-shard fan-out has at segment granularity.
 func (s *ShardedEngine) ReadBlocks(addr uint64, dst []byte) error {
 	if err := s.checkSpan(addr, len(dst), "read"); err != nil {
 		return err
 	}
-	served := s.readBlocksLockFree(addr, dst)
+	served := 0
+	for served < len(dst) {
+		sh, local := s.route(addr + uint64(served))
+		n := len(dst) - served
+		if rest := s.shardBytes - local; uint64(n) > rest {
+			n = int(rest)
+		}
+		got := sh.bank(sh.probe(local, dst[served:served+n]))
+		served += got
+		if got < n {
+			break
+		}
+	}
 	if served == len(dst) {
 		return nil
 	}
@@ -390,13 +395,13 @@ func (s *ShardedEngine) ReadBlocks(addr uint64, dst []byte) error {
 	// segment list, no closure, nothing allocated.
 	if sh, local := s.route(addr); local+uint64(len(cold)) <= s.shardBytes {
 		sh.mu.Lock()
-		sh.eng.stats.SlowPathReads.Add(uint64(len(cold) / BlockBytes))
+		atomic.AddUint64(&sh.eng.stats.SlowPathReads, uint64(len(cold)/BlockBytes))
 		err := sh.eng.ReadBlocks(local, cold)
 		sh.mu.Unlock()
 		return offsetErr(err, sh.base)
 	}
 	return s.spanFan(s.segments(addr, len(cold)), func(sh *engineShard, local uint64, off, n int) error {
-		sh.eng.stats.SlowPathReads.Add(uint64(n / BlockBytes))
+		atomic.AddUint64(&sh.eng.stats.SlowPathReads, uint64(n/BlockBytes))
 		return sh.eng.ReadBlocks(local, cold[off:off+n])
 	})
 }
@@ -435,26 +440,16 @@ func (s *ShardedEngine) TryReadBlocks(addr uint64, dst []byte) (done bool, err e
 	}
 	// The lock-free events are banked only once the call is sure to finish,
 	// so a refused call leaves nothing for the fallback to count twice.
-	var hits, tears uint64
-	served := 0
-	for served < len(dst) {
-		hit, r := sh.eng.bc.probe((local+uint64(served))/BlockBytes, dst[served:served+BlockBytes])
-		tears += uint64(r)
-		if !hit {
-			break
-		}
-		hits++
-		served += BlockBytes
-	}
+	served, retries := sh.probe(local, dst)
 	if served < len(dst) && !sh.mu.TryLock() {
 		return false, nil
 	}
-	bankLockFreeSpan(sh, hits, tears)
+	sh.bank(served, retries)
 	if served == len(dst) {
 		return true, nil
 	}
 	cold := dst[served:]
-	sh.eng.stats.SlowPathReads.Add(uint64(len(cold) / BlockBytes))
+	atomic.AddUint64(&sh.eng.stats.SlowPathReads, uint64(len(cold)/BlockBytes))
 	err = sh.eng.ReadBlocks(local+uint64(served), cold)
 	sh.mu.Unlock()
 	return true, offsetErr(err, sh.base)
@@ -494,33 +489,10 @@ func (s *ShardedEngine) SchemeStats() ctr.Stats {
 	var total ctr.Stats
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		st := sh.eng.SchemeStats()
+		counter.Sum(&total, sh.eng.SchemeStats())
 		sh.mu.Unlock()
-		total.Writes += st.Writes
-		total.Resets += st.Resets
-		total.Reencodes += st.Reencodes
-		total.Extensions += st.Extensions
-		total.Reencryptions += st.Reencryptions
-		total.ReencryptedBlocks += st.ReencryptedBlocks
 	}
 	return total
-}
-
-// SetRecoveryPolicy applies the policy to every shard.
-func (s *ShardedEngine) SetRecoveryPolicy(p RecoveryPolicy) {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.eng.SetRecoveryPolicy(p)
-		sh.mu.Unlock()
-	}
-}
-
-// RecoveryPolicy reports the policy in force (identical across shards).
-func (s *ShardedEngine) RecoveryPolicy() RecoveryPolicy {
-	sh := s.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.eng.RecoveryPolicy()
 }
 
 // SetRetryHook registers f, invoked with global block indices.

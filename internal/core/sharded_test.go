@@ -217,7 +217,9 @@ func TestShardedErrorAddressesAreGlobal(t *testing.T) {
 func TestShardedQuarantineGlobal(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
 	s := newSharded(t, cfg, 4)
-	s.SetRecoveryPolicy(RecoveryPolicy{MaxRetries: 1})
+	for _, sh := range s.shards {
+		sh.eng.recovery = recoveryPolicy{MaxRetries: 1}
+	}
 
 	if s.QuarantineList() != nil || s.QuarantineCount() != 0 {
 		t.Fatal("fresh engine has quarantined blocks")

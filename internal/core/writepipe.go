@@ -146,7 +146,7 @@ func (e *Engine) deferCommit(midx, first uint64, n int) error {
 	}
 	combined, full := e.wp.markDirty(midx)
 	if combined {
-		e.stats.WriteCombines.Add(1)
+		atomic.AddUint64(&e.stats.WriteCombines, 1)
 	}
 	if full {
 		return e.Flush()
@@ -171,7 +171,7 @@ func (e *Engine) Flush() error {
 		e.cc.update(midx, img[:])
 		wp.leafBuf = append(wp.leafBuf, e.metaLeaf(midx))
 	}
-	e.stats.DeferredLeafFlushes.Add(uint64(len(wp.dirty)))
+	atomic.AddUint64(&e.stats.DeferredLeafFlushes, uint64(len(wp.dirty)))
 	wp.reset()
 	return e.tr.UpdateLeaves(wp.leafBuf, e.leafImage)
 }
@@ -199,7 +199,7 @@ func (e *Engine) flushDirtyLeaf(midx uint64) ([]byte, bool) {
 		return nil, false
 	}
 	e.wp.clear(midx)
-	e.stats.DeferredLeafFlushes.Add(1)
+	atomic.AddUint64(&e.stats.DeferredLeafFlushes, 1)
 	if err := e.tr.UpdateLeafFast(e.metaLeaf(midx), stored); err != nil {
 		panic(fmt.Errorf("core: dirty-leaf flush: %w", err)) // geometry is fixed; cannot fail
 	}

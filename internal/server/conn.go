@@ -130,30 +130,30 @@ func (c *conn) readLoop() {
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
 				if errors.Is(err, wire.ErrShortFrame) || errors.Is(err, wire.ErrFrameTooLarge) || errors.Is(err, wire.ErrVersion) {
-					c.srv.ctr.malformedFrames.Add(1)
+					atomic.AddUint64(&c.srv.ctr.MalformedFrames, 1)
 					c.srv.cfg.Logf("server: closing connection: %v", err)
 				}
 			}
 			return
 		}
 		if verr := h.ValidateRequest(len(payload)); verr != nil {
-			c.srv.ctr.badRequests.Add(1)
+			atomic.AddUint64(&c.srv.ctr.BadRequests, 1)
 			c.reject(h, wire.StatusBadRequest)
 			continue
 		}
 		if (h.Op == wire.OpRead || h.Op == wire.OpWrite) && h.End() > c.srv.size {
-			c.srv.ctr.badRequests.Add(1)
+			atomic.AddUint64(&c.srv.ctr.BadRequests, 1)
 			c.reject(h, wire.StatusBadRequest)
 			continue
 		}
 		if c.draining.Load() {
-			c.srv.ctr.drainRejected.Add(1)
+			atomic.AddUint64(&c.srv.ctr.DrainRejected, 1)
 			c.reject(h, wire.StatusShuttingDown)
 			continue
 		}
 		inflight := c.inflight.Load()
 		if int(inflight) >= c.srv.cfg.MaxInflight {
-			c.srv.ctr.busyRejected.Add(1)
+			atomic.AddUint64(&c.srv.ctr.BusyRejected, 1)
 			c.reject(h, wire.StatusBusy)
 			continue
 		}
@@ -216,8 +216,8 @@ func (c *conn) serveInline(h wire.Header, payload []byte) bool {
 			c.enqueue(request{h: h, recovery: true})
 			return true
 		}
-		c.srv.ctr.inlineServed.Add(1)
-		c.srv.ctr.readOps.Add(1)
+		atomic.AddUint64(&c.srv.ctr.InlineServed, 1)
+		atomic.AddUint64(&c.srv.ctr.ReadOps, 1)
 		c.finishRead(h, data)
 		return true
 	case wire.OpWrite:
@@ -225,8 +225,8 @@ func (c *conn) serveInline(h wire.Header, payload []byte) bool {
 		if !done {
 			return false
 		}
-		c.srv.ctr.inlineServed.Add(1)
-		c.srv.ctr.writeOps.Add(1)
+		atomic.AddUint64(&c.srv.ctr.InlineServed, 1)
+		atomic.AddUint64(&c.srv.ctr.WriteOps, 1)
 		c.finishWrite(h, err)
 		return true
 	}
@@ -265,7 +265,7 @@ func (c *conn) expire(r *request) bool {
 	if d <= 0 || time.Since(r.enq) < d {
 		return false
 	}
-	c.srv.ctr.deadlineRejected.Add(1)
+	atomic.AddUint64(&c.srv.ctr.DeadlineRejected, 1)
 	putBuf(r.data)
 	h := r.h
 	h.Status = wire.StatusDeadline
@@ -297,7 +297,7 @@ func (c *conn) maybePin(reqFlags uint8, resp *response) {
 	*resp.data = append((*resp.data)[:resp.n], d[:]...)
 	resp.n += len(d)
 	resp.h.Flags |= wire.FlagRootPin
-	c.srv.ctr.rootPinned.Add(1)
+	atomic.AddUint64(&c.srv.ctr.RootPinned, 1)
 }
 
 // finish retires an admitted request from the in-flight window and queues
@@ -315,7 +315,7 @@ func (c *conn) execute(r request) {
 	h := r.h
 	switch h.Op {
 	case wire.OpRead:
-		c.srv.ctr.readOps.Add(1)
+		atomic.AddUint64(&c.srv.ctr.ReadOps, 1)
 		if !r.recovery {
 			data := getBuf(h.SpanBytes())
 			if err := c.srv.cfg.Backend.ReadBlocks(h.Addr, *data); err == nil {
@@ -326,12 +326,12 @@ func (c *conn) execute(r request) {
 		}
 		c.execReadRecover(h)
 	case wire.OpWrite:
-		c.srv.ctr.writeOps.Add(1)
+		atomic.AddUint64(&c.srv.ctr.WriteOps, 1)
 		err := c.srv.cfg.Backend.WriteBlocks(h.Addr, (*r.data)[:h.SpanBytes()])
 		putBuf(r.data)
 		c.finishWrite(h, err)
 	case wire.OpFlush:
-		c.srv.ctr.flushOps.Add(1)
+		atomic.AddUint64(&c.srv.ctr.FlushOps, 1)
 		if err := c.srv.cfg.Backend.FlushAll(); err != nil {
 			h.Status = wire.StatusInternal
 		} else {
@@ -341,15 +341,15 @@ func (c *conn) execute(r request) {
 		c.maybePin(r.h.Flags, &resp)
 		c.finish(resp)
 	case wire.OpHello:
-		c.srv.ctr.helloOps.Add(1)
+		atomic.AddUint64(&c.srv.ctr.HelloOps, 1)
 		doc, err := c.srv.nodeInfoJSON()
 		c.finishDoc(h, doc, err)
 	case wire.OpStats:
-		c.srv.ctr.statsOps.Add(1)
+		atomic.AddUint64(&c.srv.ctr.StatsOps, 1)
 		doc, err := c.srv.snapshotJSON()
 		c.finishDoc(h, doc, err)
 	case wire.OpRootDigest:
-		c.srv.ctr.rootOps.Add(1)
+		atomic.AddUint64(&c.srv.ctr.RootOps, 1)
 		d := c.srv.cfg.Backend.RootDigest()
 		c.finishDoc(h, d[:], nil)
 	}
@@ -370,7 +370,7 @@ func (c *conn) finishDoc(h wire.Header, doc []byte, err error) {
 
 // finishRead answers one read whose span was served whole into data.
 func (c *conn) finishRead(req wire.Header, data *[]byte) {
-	c.srv.ctr.blocksRead.Add(uint64(req.Count))
+	atomic.AddUint64(&c.srv.ctr.BlocksRead, uint64(req.Count))
 	h := req
 	h.Status = wire.StatusOK
 	h.Flags = 0
@@ -407,10 +407,10 @@ func (c *conn) execReadRecover(req wire.Header) {
 			var ie *authmem.IntegrityError
 			switch {
 			case errors.As(err, &qe):
-				c.srv.ctr.quarantined.Add(1)
+				atomic.AddUint64(&c.srv.ctr.Quarantined, 1)
 				h.Status = wire.StatusQuarantined
 			case errors.As(err, &ie):
-				c.srv.ctr.macFails.Add(1)
+				atomic.AddUint64(&c.srv.ctr.MACFails, 1)
 				h.Status = wire.StatusMACFail
 				if ri.Quarantined {
 					h.Flags |= wire.FlagQuarantinedNow
@@ -422,10 +422,10 @@ func (c *conn) execReadRecover(req wire.Header) {
 			return
 		}
 	}
-	c.srv.ctr.blocksRead.Add(uint64(n / wire.BlockBytes))
+	atomic.AddUint64(&c.srv.ctr.BlocksRead, uint64(n/wire.BlockBytes))
 	h.Flags = flags
 	if flags&(wire.FlagRetried|wire.FlagMetaRepaired) != 0 {
-		c.srv.ctr.recovered.Add(1)
+		atomic.AddUint64(&c.srv.ctr.Recovered, 1)
 		h.Status = wire.StatusRecovered
 	} else {
 		h.Status = wire.StatusOK
@@ -440,14 +440,14 @@ func (c *conn) finishWrite(req wire.Header, err error) {
 	h := req
 	h.Flags = 0
 	if err == nil {
-		c.srv.ctr.blocksWritten.Add(uint64(h.Count))
+		atomic.AddUint64(&c.srv.ctr.BlocksWritten, uint64(h.Count))
 		h.Status = wire.StatusOK
 	} else {
 		// Declared here, not above: &ie escapes, and the OK path must not
 		// allocate it.
 		var ie *authmem.IntegrityError
 		if errors.As(err, &ie) {
-			c.srv.ctr.macFails.Add(1)
+			atomic.AddUint64(&c.srv.ctr.MACFails, 1)
 			h.Status = wire.StatusMACFail
 			h.Addr = ie.Addr
 		} else {

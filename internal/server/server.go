@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"authmem"
+	"authmem/internal/counter"
 	"authmem/internal/wire"
 )
 
@@ -143,49 +144,16 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// counters is the server's protocol-event ledger. All fields are atomics so
-// every connection increments without shared locks.
-type counters struct {
-	connsOpened, connsClosed                       atomic.Uint64
-	readOps, writeOps, flushOps, statsOps, rootOps atomic.Uint64
-	helloOps, rootPinned                           atomic.Uint64
-	blocksRead, blocksWritten                      atomic.Uint64
-	busyRejected, deadlineRejected, drainRejected  atomic.Uint64
-	badRequests, malformedFrames                   atomic.Uint64
-	inlineServed                                   atomic.Uint64
-	macFails, quarantined, recovered               atomic.Uint64
-}
-
-func (c *counters) snapshot() wire.ServerCounters {
-	return wire.ServerCounters{
-		ConnsOpened:      c.connsOpened.Load(),
-		ConnsClosed:      c.connsClosed.Load(),
-		ReadOps:          c.readOps.Load(),
-		WriteOps:         c.writeOps.Load(),
-		FlushOps:         c.flushOps.Load(),
-		StatsOps:         c.statsOps.Load(),
-		RootOps:          c.rootOps.Load(),
-		HelloOps:         c.helloOps.Load(),
-		RootPinned:       c.rootPinned.Load(),
-		BlocksRead:       c.blocksRead.Load(),
-		BlocksWritten:    c.blocksWritten.Load(),
-		BusyRejected:     c.busyRejected.Load(),
-		DeadlineRejected: c.deadlineRejected.Load(),
-		DrainRejected:    c.drainRejected.Load(),
-		BadRequests:      c.badRequests.Load(),
-		MalformedFrames:  c.malformedFrames.Load(),
-		InlineServed:     c.inlineServed.Load(),
-		MACFails:         c.macFails.Load(),
-		Quarantined:      c.quarantined.Load(),
-		Recovered:        c.recovered.Load(),
-	}
-}
-
 // Server serves one Backend to any number of connections.
 type Server struct {
+	// ctr is the protocol-event ledger, banked in place (internal/counter):
+	// every connection bumps it by atomic add, without shared locks. It
+	// stays the first field, which keeps its words 64-bit aligned on
+	// 32-bit targets.
+	ctr wire.ServerCounters
+
 	cfg  Config
 	size uint64
-	ctr  counters
 
 	// try is the backend's never-waiting surface, nil when it has none;
 	// then every request takes the queue.
@@ -266,7 +234,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Snapshot() wire.StatsSnapshot {
 	return wire.StatsSnapshot{
 		ProtoVersion: wire.Version,
-		Server:       s.ctr.snapshot(),
+		Server:       counter.Load(&s.ctr),
 		Engine:       s.cfg.Backend.Stats(),
 	}
 }
@@ -296,7 +264,7 @@ func (s *Server) metricsLoop() {
 		case <-s.metricsStop:
 			return
 		case <-t.C:
-			c := s.ctr.snapshot()
+			c := counter.Load(&s.ctr)
 			s.cfg.Logf("stats: reads=%d writes=%d blocks_r=%d blocks_w=%d busy=%d macfail=%d quarantined=%d recovered=%d conns=%d",
 				c.ReadOps, c.WriteOps, c.BlocksRead, c.BlocksWritten, c.BusyRejected,
 				c.MACFails, c.Quarantined, c.Recovered, c.ConnsOpened-c.ConnsClosed)
@@ -479,7 +447,7 @@ func (s *Server) register(c *conn) bool {
 		return false
 	}
 	s.conns[c] = struct{}{}
-	s.ctr.connsOpened.Add(1)
+	atomic.AddUint64(&s.ctr.ConnsOpened, 1)
 	return true
 }
 
@@ -487,5 +455,5 @@ func (s *Server) unregister(c *conn) {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
-	s.ctr.connsClosed.Add(1)
+	atomic.AddUint64(&s.ctr.ConnsClosed, 1)
 }
