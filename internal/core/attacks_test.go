@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"authmem/internal/ctr"
+	"authmem/internal/tree"
 )
 
 // This file walks the paper's §2 threat taxonomy end to end against the
@@ -191,5 +193,98 @@ func TestSpliceValidation(t *testing.T) {
 	}
 	if err := e.Splice(snap, 13); err == nil {
 		t.Fatal("unaligned target should fail")
+	}
+}
+
+// treeNodeBytes returns node (level, index) as the attacker reads it from
+// DRAM: out of the tree's serialized levels.
+func treeNodeBytes(t *testing.T, e *Engine, level int, index uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := e.Tree().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()[8:] // level count
+	for k := 0; k < level; k++ {
+		img = img[8+binary.LittleEndian.Uint64(img):]
+	}
+	off := 8 + index*tree.NodeBytes
+	return bytes.Clone(img[off : off+tree.NodeBytes])
+}
+
+// TestFlushRefusesRolledBackTreeNode replays a block together with its
+// counter block and its level-0 tree node. The level above catches it, so
+// the read fails; the attacker then waits for a write to a sibling group to
+// be flushed. That flush re-MACs the rolled-back node, and if it trusted the
+// node's other slots the replayed block would read back with no error. The
+// flush must instead find the node tampered, repair the tree from trusted
+// state, and leave block 0 unreadable as v1.
+func TestFlushRefusesRolledBackTreeNode(t *testing.T) {
+	for _, placement := range []MACPlacement{MACInECC, MACInline} {
+		t.Run(placement.String(), func(t *testing.T) {
+			cfg := smallCfg(ctr.Delta, placement)
+			cfg.RegionBytes = 16 << 20
+			e := newEngine(t, cfg)
+			const sibling = 64 * BlockBytes
+			leaf := e.metaLeaf(e.scheme.MetadataBlock(0))
+			if e.metaLeaf(e.scheme.MetadataBlock(sibling/BlockBytes))/tree.Arity != leaf/tree.Arity {
+				t.Fatal("block 64's counter leaf is not a sibling of block 0's")
+			}
+			parent := tree.NodeID{Level: 0, Index: leaf / tree.Arity}
+			v1, v2 := block(1), block(2)
+
+			if err := e.Write(0, v1); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := e.Snapshot(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recorded := treeNodeBytes(t, e, parent.Level, parent.Index)
+			if err := e.Write(0, v2); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			if err := e.Replay(snap); err != nil {
+				t.Fatal(err)
+			}
+			now := treeNodeBytes(t, e, parent.Level, parent.Index)
+			for bit := 0; bit < tree.NodeBytes*8; bit++ {
+				if (now[bit/8]^recorded[bit/8])>>(bit%8)&1 == 1 {
+					if err := e.TamperTreeNode(parent, bit); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			dst := make([]byte, BlockBytes)
+			if _, err := e.Read(0, dst); err == nil {
+				t.Fatal("replayed block with its rolled-back node reads without error")
+			}
+
+			before := e.Stats()
+			if err := e.Write(sibling, block(3)); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatalf("flush through the rolled-back node: %v", err)
+			}
+			after := e.Stats()
+			if _, err := e.Read(0, dst); err == nil {
+				t.Fatalf("replayed block reads without error after a sibling flush (v1 returned: %v)", bytes.Equal(dst, v1))
+			}
+			if after.IntegrityFailures != before.IntegrityFailures+1 || after.MetadataRepairs != before.MetadataRepairs+1 {
+				t.Fatalf("flush banked %d integrity failures and %d repairs, want 1 and 1",
+					after.IntegrityFailures-before.IntegrityFailures, after.MetadataRepairs-before.MetadataRepairs)
+			}
+			if _, err := e.Read(sibling, dst); err != nil || !bytes.Equal(dst, block(3)) {
+				t.Fatalf("sibling write lost in the repair: %v", err)
+			}
+		})
 	}
 }

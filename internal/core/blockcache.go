@@ -20,13 +20,19 @@ import (
 // lock at all. Every field of an entry is an atomic word; writers (always
 // under the owning shard's lock, so at most one at a time) bump the entry's
 // generation counter to an odd value, mutate, and bump it back to even.
-// A lock-free reader snapshots the generation, copies the payload with
-// atomic loads, and re-checks the generation: any torn read — a writer
-// started or finished mid-copy — shows up as an odd or changed generation
-// and the reader retries, falling back to the locked slow path after a
-// bounded number of attempts. Because payload words are only ever accessed
-// atomically, the protocol is race-detector-clean, and the double generation
-// check makes a multi-word copy consistent without a lock.
+// A lock-free reader snapshots the generation, loads the payload words into
+// registers with atomic loads, and re-checks the generation: any torn read —
+// a writer started or finished mid-copy — shows up as an odd or changed
+// generation and the reader retries, falling back to the locked slow path
+// after a bounded number of attempts. The probe copies into the caller's
+// buffer only after the re-check passes, so a miss never writes a byte.
+// Because payload words are only ever accessed atomically, the protocol is
+// race-detector-clean, and the double generation check makes a multi-word
+// copy consistent without a lock.
+//
+// Banking: a probe banks nothing, and a lock-free span banks LockFreeHits
+// only (engineShard.bank); Engine.Stats adds that count to Reads and
+// DataCacheHits, so a warm hit pays one atomic add, not three.
 //
 // Whole-cache invalidation (tree-node tamper, metadata repair) is an O(1)
 // epoch bump: entries stamp the cache epoch at install, and a probe treats
@@ -52,9 +58,8 @@ import (
 //   - a resumed engine starts cold.
 //
 // Group re-encryption changes ciphertext but not plaintext, so resident
-// lines stay valid across counter-overflow sweeps — including the parallel
-// sweep (reencrypt.go), whose workers never touch the cache; only the
-// serial epilogue evicts the lines of blocks it quarantines.
+// lines stay valid across counter-overflow sweeps; the sweep only evicts the
+// lines of blocks it quarantines.
 //
 // Every encrypting engine has one (NewEngine sizes it from the region), so a
 // sharded engine has one per shard. That is the architectural point of the
@@ -62,8 +67,14 @@ import (
 // trusted on-chip state — and with it lock-free read throughput over a fixed
 // hot set — scales linearly with the partition count.
 
-// blockCacheWords is the payload size in 64-bit words.
+// blockCacheWords is the payload size in 64-bit words. probe unrolls the
+// copy over exactly eight of them.
 const blockCacheWords = BlockBytes / 8
+
+const (
+	_ uint = blockCacheWords - 8
+	_ uint = 8 - blockCacheWords
+)
 
 // seqlockMaxRetries bounds a probe's retry loop. A retry only happens while
 // a writer is mid-update on the same line, so more than a couple of retries
@@ -111,6 +122,9 @@ func newBlockCache(entries int) *blockCache {
 // the caller banks the outcome, since a miss here is re-probed by the locked
 // slow path and must not be double-counted.
 //
+// dst is written only from a snapshot the re-check validated, so a miss
+// leaves it untouched.
+//
 // Indexing is by the block number directly (like a physically-indexed
 // cache), so a contiguous hot region up to the cache size is conflict-free.
 func (c *blockCache) probe(blk uint64, dst []byte) (hit bool, retries int) {
@@ -124,16 +138,20 @@ func (c *blockCache) probe(blk uint64, dst []byte) (hit bool, retries int) {
 		if e.tag.Load() != blk+1 || e.epoch.Load() != epoch {
 			return false, retries
 		}
-		var w [blockCacheWords]uint64
-		for i := range w {
-			w[i] = e.pt[i].Load()
-		}
+		w0, w1, w2, w3 := e.pt[0].Load(), e.pt[1].Load(), e.pt[2].Load(), e.pt[3].Load()
+		w4, w5, w6, w7 := e.pt[4].Load(), e.pt[5].Load(), e.pt[6].Load(), e.pt[7].Load()
 		if e.gen.Load() != g {
 			continue // torn read; retry
 		}
-		for i, v := range w {
-			binary.LittleEndian.PutUint64(dst[i*8:], v)
-		}
+		d := (*[BlockBytes]byte)(dst)
+		binary.LittleEndian.PutUint64(d[0:], w0)
+		binary.LittleEndian.PutUint64(d[8:], w1)
+		binary.LittleEndian.PutUint64(d[16:], w2)
+		binary.LittleEndian.PutUint64(d[24:], w3)
+		binary.LittleEndian.PutUint64(d[32:], w4)
+		binary.LittleEndian.PutUint64(d[40:], w5)
+		binary.LittleEndian.PutUint64(d[48:], w6)
+		binary.LittleEndian.PutUint64(d[56:], w7)
 		return true, retries
 	}
 	// Retry budget exhausted: a writer owns the line right now. Treat as a

@@ -233,10 +233,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	zero := make([]byte, BlockBytes)
-	if err := e.tr.Rebuild(func(uint64) []byte { return zero }); err != nil {
-		return nil, err
-	}
 	e.images = newImageStore(e.tr.Leaves())
 
 	metaBlocks := scheme.MetadataBlocks(cfg.DataBlocks())
@@ -252,8 +248,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 func (e *Engine) Config() Config { return e.cfg }
 
 // Stats returns cumulative event counts. Every counter is atomic, so the
-// snapshot never takes a lock and never contends with the read path.
-func (e *Engine) Stats() EngineStats { return counter.Load(&e.stats) }
+// snapshot never takes a lock and never contends with the read path. A
+// lock-free hit is banked as LockFreeHits only (engineShard.bank) and is
+// added to Reads and DataCacheHits here.
+func (e *Engine) Stats() EngineStats {
+	st := counter.Load(&e.stats)
+	st.Reads += st.LockFreeHits
+	st.DataCacheHits += st.LockFreeHits
+	return st
+}
 
 // readCached serves blk from the verified-block cache when resident and not
 // quarantined, copying the trusted plaintext into dst. Quarantined blocks
@@ -373,9 +376,7 @@ func (e *Engine) sealBlockTagged(blk uint64, ct []byte, tag uint64) error {
 		}
 	}
 	if e.cfg.DataTree {
-		if err := e.tr.UpdateLeafFast(blk, ct); err != nil {
-			return err
-		}
+		return e.repairTampered(e.tr.UpdateLeafFast(blk, ct))
 	}
 	return nil
 }

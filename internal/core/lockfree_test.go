@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"authmem/internal/counter"
 	"authmem/internal/ctr"
 	"authmem/internal/tree"
 )
@@ -98,6 +100,114 @@ func TestBlockCacheSeqlock(t *testing.T) {
 	e.gen.Add(1)
 	if hit, _ := c.probe(5, dst); !hit {
 		t.Fatal("line not resident after writer completes")
+	}
+}
+
+// TestBlockCacheProbeWritesOnlyOnHit pins the probe's copy-out contract:
+// dst is written from a validated snapshot or not at all. A miss — by tag,
+// by a stale epoch, or by exhausting its retries against a writer parked on
+// an odd generation — leaves every byte of dst as it was, and a hit writes
+// exactly the line's plaintext into exactly its 64 bytes.
+func TestBlockCacheProbeWritesOnlyOnHit(t *testing.T) {
+	c := newBlockCache(8)
+	pt := block(3)
+	buf := make([]byte, 3*BlockBytes)
+	for i := range buf {
+		buf[i] = 0xA5
+	}
+	sentinel := bytes.Clone(buf)
+	dst := buf[BlockBytes : 2*BlockBytes]
+	untouched := func(why string) {
+		t.Helper()
+		if !bytes.Equal(buf, sentinel) {
+			t.Fatalf("probe missed by %s but wrote dst", why)
+		}
+	}
+
+	c.insert(3, pt)
+	if hit, _ := c.probe(11, dst); hit { // slot 3, other tag
+		t.Fatal("probe of a displaced tag hit")
+	}
+	untouched("tag")
+
+	c.flush()
+	if hit, _ := c.probe(3, dst); hit {
+		t.Fatal("probe of a flushed line hit")
+	}
+	untouched("stale epoch")
+
+	c.insert(3, pt)
+	e := &c.entries[3&c.mask]
+	e.gen.Add(1) // a writer parked mid-update
+	hit, retries := c.probe(3, dst)
+	if hit || retries != seqlockMaxRetries+1 {
+		t.Fatalf("probe against an odd generation: hit=%v retries=%d, want miss after %d", hit, retries, seqlockMaxRetries+1)
+	}
+	untouched("retry exhaustion")
+	e.gen.Add(1)
+
+	if hit, _ := c.probe(3, dst); !hit {
+		t.Fatal("resident line missed")
+	}
+	if !bytes.Equal(dst, pt) {
+		t.Fatal("hit copied the wrong plaintext")
+	}
+	if !bytes.Equal(buf[:BlockBytes], sentinel[:BlockBytes]) || !bytes.Equal(buf[2*BlockBytes:], sentinel[2*BlockBytes:]) {
+		t.Fatal("hit wrote outside dst")
+	}
+}
+
+// TestLockFreeHitsCountAsReads pins the bank: a lock-free span banks
+// LockFreeHits only, and Engine.Stats reports each of those hits as a read
+// and a data-cache hit too. A locked read that hits the cache moves Reads
+// and DataCacheHits but not LockFreeHits, and ShardedEngine.Stats is the
+// plain sum of the shards' Engine.Stats.
+func TestLockFreeHitsCountAsReads(t *testing.T) {
+	s := newSharded(t, smallCfg(ctr.Delta, MACInECC), 4)
+	start := s.ShardBytes()/BlockBytes - 8 // straddles shards 0 and 1
+	const blocks = 16
+	src := make([]byte, blocks*BlockBytes)
+	for i := uint64(0); i < blocks; i++ {
+		copy(src[i*BlockBytes:], block(int64(start+i)))
+	}
+	if err := s.WriteBlocks(start*BlockBytes, src); err != nil {
+		t.Fatal(err)
+	}
+	base := s.Stats()
+	dst := make([]byte, len(src))
+	const n = 5
+	for r := 0; r < n; r++ {
+		if err := s.ReadBlocks(start*BlockBytes, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	want := uint64(n * blocks)
+	if r, d, l := st.Reads-base.Reads, st.DataCacheHits-base.DataCacheHits, st.LockFreeHits-base.LockFreeHits; r != want || d != want || l != want {
+		t.Fatalf("after %d warm spans of %d blocks: Reads=%d DataCacheHits=%d LockFreeHits=%d, want %d each", n, blocks, r, d, l, want)
+	}
+	if st.SlowPathReads != base.SlowPathReads {
+		t.Fatalf("warm spans took %d slow-path reads", st.SlowPathReads-base.SlowPathReads)
+	}
+
+	base = st
+	s.WithShard(0, func(eng *Engine) {
+		if _, err := eng.Read((start+1)*BlockBytes, dst[:BlockBytes]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	st = s.Stats()
+	if st.Reads != base.Reads+1 || st.DataCacheHits != base.DataCacheHits+1 || st.LockFreeHits != base.LockFreeHits {
+		t.Fatalf("locked cached read moved Reads by %d, DataCacheHits by %d, LockFreeHits by %d; want 1, 1, 0",
+			st.Reads-base.Reads, st.DataCacheHits-base.DataCacheHits, st.LockFreeHits-base.LockFreeHits)
+	}
+
+	var sum EngineStats
+	for i := 0; i < s.Shards(); i++ {
+		s.WithShard(i, func(eng *Engine) { counter.Sum(&sum, eng.Stats()) })
+	}
+	if sum != st {
+		t.Fatalf("ShardedEngine.Stats = %+v, sum of shard stats = %+v", st, sum)
 	}
 }
 

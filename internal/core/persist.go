@@ -51,6 +51,11 @@ func (e *CodecMismatchError) Error() string {
 // RootDigest pins the integrity tree's trusted top level.
 type RootDigest [sha256.Size]byte
 
+// persistBufBytes is the buffer an image streams through on its way to the
+// writer. A section is written field by field, so a small buffer turns one
+// checkpoint of a large shard into thousands of write syscalls.
+const persistBufBytes = 1 << 16
+
 // Persist writes the engine's DRAM-visible state to w and returns the
 // digest of the tree's trusted top level.
 func (e *Engine) Persist(w io.Writer) (RootDigest, error) {
@@ -60,7 +65,7 @@ func (e *Engine) Persist(w io.Writer) (RootDigest, error) {
 	if err := e.Flush(); err != nil {
 		return digest, err
 	}
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, persistBufBytes)
 	if _, err := bw.Write(persistMagic[:]); err != nil {
 		return digest, err
 	}
@@ -147,7 +152,7 @@ func (e *Engine) Persist(w io.Writer) (RootDigest, error) {
 func (e *Engine) RootDigest() RootDigest {
 	if err := e.Flush(); err != nil {
 		// Flush fails only on structural tree errors, which the engine's
-		// fixed geometry rules out.
+		// fixed geometry rules out; a tampered node it meets is repaired.
 		panic(err)
 	}
 	return e.tr.TopDigest()

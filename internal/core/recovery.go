@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
+
+	"authmem/internal/tree"
 )
 
 // Recovery path for reads that fail verification.
@@ -181,6 +183,29 @@ func (e *Engine) MetadataIndex(addr uint64) uint64 {
 // MetaLeaf returns the tree-leaf index holding the given counter block, for
 // targeting faults at a specific block's verification path.
 func (e *Engine) MetaLeaf(midx uint64) uint64 { return e.metaLeaf(midx) }
+
+// repairTampered handles a tree mutator's result. A mutator verifies every
+// stored node it would re-MAC and fails with *tree.ErrTampered, writing
+// nothing, when DRAM no longer matches the trusted level — an attacker
+// rolled a node back and is waiting for an update to re-authenticate it.
+// That is a detected integrity failure, repaired here from trusted state
+// like any counter-plane fault: the rebuilt tree reflects every accepted
+// write, so the caller carries on. Any other error is returned as is.
+func (e *Engine) repairTampered(err error) error {
+	if err == nil {
+		return nil
+	}
+	var te *tree.ErrTampered
+	if !errors.As(err, &te) {
+		return err
+	}
+	atomic.AddUint64(&e.stats.IntegrityFailures, 1)
+	if err := e.repairMetadata(); err != nil {
+		return err
+	}
+	atomic.AddUint64(&e.stats.MetadataRepairs, 1)
+	return nil
+}
 
 // repairMetadata re-derives every resident counter-block image from the
 // trusted scheme state machine and rebuilds the integrity tree from the

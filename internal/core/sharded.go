@@ -346,15 +346,14 @@ func (sh *engineShard) probe(local uint64, dst []byte) (served int, retries uint
 	return served, retries
 }
 
-// bank counts a probe's outcome in the shard's stats — each block served is
-// a read, a lock-free hit and a data-cache hit — and returns served. Blocks
-// the probe missed are counted by the locked path that reads them.
+// bank counts a probe's outcome in the shard's stats and returns served.
+// Each block served is a read, a lock-free hit and a data-cache hit; bank
+// adds LockFreeHits only and Engine.Stats derives the other two. Blocks the
+// probe missed are counted by the locked path that reads them.
 func (sh *engineShard) bank(served int, retries uint64) int {
 	st := &sh.eng.stats
 	if hits := uint64(served / BlockBytes); hits > 0 {
-		atomic.AddUint64(&st.Reads, hits)
 		atomic.AddUint64(&st.LockFreeHits, hits)
-		atomic.AddUint64(&st.DataCacheHits, hits)
 	}
 	if retries > 0 {
 		atomic.AddUint64(&st.SeqlockRetries, retries)

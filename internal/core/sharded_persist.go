@@ -43,10 +43,10 @@ func (s *ShardedEngine) Persist(w io.Writer) (RootDigest, error) {
 		// is the shard root.
 		return s.shards[0].eng.Persist(w)
 	}
-	// Engine.Persist wraps its writer in bufio.NewWriter, which passes an
-	// existing *bufio.Writer of sufficient size through unchanged — so the
-	// per-shard sections land back-to-back on this one buffered stream.
-	bw := bufio.NewWriterSize(w, 1<<16)
+	// Engine.Persist wraps its writer in a persistBufBytes bufio.Writer,
+	// which passes an existing *bufio.Writer of that size through unchanged —
+	// so the per-shard sections land back-to-back on this one buffered stream.
+	bw := bufio.NewWriterSize(w, persistBufBytes)
 	if _, err := bw.Write(persistMagic2[:]); err != nil {
 		return digest, err
 	}

@@ -39,8 +39,9 @@ import (
 // byte-for-byte against a fresh re-pack of the trusted state machine — a
 // fault injected between write and flush is therefore *detected* (counter-
 // stage IntegrityError, repairable from trusted state), never laundered: the
-// tree is only ever fed images re-derived from the trusted scheme, so
-// tampered DRAM bytes cannot be re-authenticated by a flush either.
+// tree is only ever fed images re-derived from the trusted scheme, and it
+// verifies every stored node it re-MACs first, so tampered DRAM bytes — a
+// leaf image or a tree node — cannot be re-authenticated by a flush either.
 //
 // Every engine runs the pipeline (NewEngine builds it); a sharded engine's
 // per-shard dirty sets each keep their own epoch clock.
@@ -158,7 +159,8 @@ func (e *Engine) deferCommit(midx, first uint64, n int) error {
 // image is re-packed from the trusted scheme state machine — the stored
 // copy is attacker-reachable while dirty and must never feed the tree —
 // and the tree paths above all dirty leaves are recomputed in one batched
-// tree.UpdateLeaves pass. No-op with a clean set.
+// tree.UpdateLeaves pass. A stored node the pass finds tampered is repaired
+// from trusted state (repairTampered). No-op with a clean set.
 func (e *Engine) Flush() error {
 	if len(e.wp.dirty) == 0 {
 		return nil
@@ -173,7 +175,7 @@ func (e *Engine) Flush() error {
 	}
 	atomic.AddUint64(&e.stats.DeferredLeafFlushes, uint64(len(wp.dirty)))
 	wp.reset()
-	return e.tr.UpdateLeaves(wp.leafBuf, e.leafImage)
+	return e.repairTampered(e.tr.UpdateLeaves(wp.leafBuf, e.leafImage))
 }
 
 // leafImage resolves a tree leaf to its stored image, inverting metaLeaf.
@@ -191,7 +193,8 @@ func (e *Engine) leafImage(leaf uint64) []byte {
 // the trusted state machine: a mismatch means a fault landed in the dirty
 // window and the read must fail (counter stage, repairable from trusted
 // state; the leaf stays dirty for the repair path). On a match the leaf's
-// tree path is recomputed and the leaf leaves the dirty set.
+// tree path is recomputed and the leaf leaves the dirty set; a tampered node
+// on that path is repaired from trusted state, which re-packs the image.
 func (e *Engine) flushDirtyLeaf(midx uint64) ([]byte, bool) {
 	img := e.packer.PackMetadata(midx)
 	stored := e.images.Store(midx)
@@ -200,7 +203,7 @@ func (e *Engine) flushDirtyLeaf(midx uint64) ([]byte, bool) {
 	}
 	e.wp.clear(midx)
 	atomic.AddUint64(&e.stats.DeferredLeafFlushes, 1)
-	if err := e.tr.UpdateLeafFast(e.metaLeaf(midx), stored); err != nil {
+	if err := e.repairTampered(e.tr.UpdateLeafFast(e.metaLeaf(midx), stored)); err != nil {
 		panic(fmt.Errorf("core: dirty-leaf flush: %w", err)) // geometry is fixed; cannot fail
 	}
 	return stored, true

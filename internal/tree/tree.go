@@ -137,8 +137,9 @@ func (s Shape) Path(leaf uint64, dst []uint64) []uint64 {
 }
 
 // Tree is a Bonsai Merkle tree. Node storage below the top level models
-// off-chip DRAM: it is exported to attack via CorruptNode, and verification
-// never trusts it. The top level models on-chip SRAM and is trusted.
+// off-chip DRAM: it is exported to attack via CorruptNode, and neither
+// verification nor an update trusts it. The top level models on-chip SRAM
+// and is trusted.
 //
 // A Tree is not safe for concurrent use, and TopDigest counts as a writer
 // (it fills the digest cache): callers serialize it with the mutators.
@@ -154,16 +155,16 @@ type Tree struct {
 	// topDigest caches the SHA-256 of the on-chip level while topValid is
 	// set. Every function that writes that level (UpdateLeaf,
 	// UpdateLeafFast, UpdateLeaves, Rebuild, ReadFrom) clears topValid
-	// before it touches a node, so the cache can never outlive the bytes it
+	// before it writes a node, so the cache can never outlive the bytes it
 	// hashed; CorruptNode cannot reach the on-chip level and leaves it set.
 	topDigest [sha256.Size]byte
 	topValid  bool
 }
 
-// New builds a zero-initialized tree over numLeaves counter blocks with the
-// given on-chip budget in bytes. The initial images correspond to all-zero
-// leaves only after Rebuild or per-leaf updates; callers normally Rebuild
-// once after construction.
+// New builds a tree over numLeaves all-zero counter blocks with the given
+// on-chip budget in bytes. The tree is consistent from construction — every
+// node's MAC sits in its parent's slot — which is the precondition the
+// mutators check before they re-MAC a node.
 func New(key Hasher, numLeaves uint64, onChipBytes int) (*Tree, error) {
 	if key == nil {
 		return nil, fmt.Errorf("tree: nil key")
@@ -175,6 +176,10 @@ func New(key Hasher, numLeaves uint64, onChipBytes int) (*Tree, error) {
 	t := &Tree{Shape: shape, key: key, levels: make([][]byte, len(shape.counts))}
 	for k, n := range shape.counts {
 		t.levels[k] = make([]byte, n*NodeBytes)
+	}
+	zero := make([]byte, NodeBytes)
+	if err := t.Rebuild(func(uint64) []byte { return zero }); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -207,27 +212,16 @@ func setSlot(image []byte, i uint64, v uint64) {
 
 // UpdateLeaf installs a new image for leaf i, recomputing the MAC path up to
 // the on-chip level. It returns the list of off-chip node indices touched
-// (for the caller's timing model): one flat NodeID per off-chip level.
+// (for the caller's timing model): one flat NodeID per off-chip level. Like
+// every mutator it first verifies the nodes it will rewrite (see
+// UpdateLeafFast) and returns an *ErrTampered, writing nothing, if one fails.
 func (t *Tree) UpdateLeaf(i uint64, image []byte) ([]NodeID, error) {
-	if i >= t.leaves {
-		return nil, fmt.Errorf("tree: leaf %d out of range (%d leaves)", i, t.leaves)
+	if err := t.UpdateLeafFast(i, image); err != nil {
+		return nil, err
 	}
-	if len(image) != NodeBytes {
-		return nil, fmt.Errorf("tree: leaf image must be %d bytes", NodeBytes)
-	}
-	touched := make([]NodeID, 0, len(t.levels)-1)
-	t.topValid = false
-	tag := t.nodeTag(0, i, image)
-	idx := i
-	for k := 0; k < len(t.levels); k++ {
-		parent := idx / Arity
-		node := t.node(k, parent)
-		setSlot(node, idx%Arity, tag)
-		if k < len(t.levels)-1 {
-			touched = append(touched, NodeID{Level: k, Index: parent})
-			tag = t.nodeTag(k+1, parent, node)
-		}
-		idx = parent
+	touched := make([]NodeID, 0, t.OffChipLevels())
+	for k, idx := 0, i/Arity; k < t.OffChipLevels(); k, idx = k+1, idx/Arity {
+		touched = append(touched, NodeID{Level: k, Index: idx})
 	}
 	return touched, nil
 }
@@ -263,12 +257,22 @@ func (t *Tree) VerifyLeaf(i uint64, image []byte) ([]NodeID, error) {
 // UpdateLeafFast is UpdateLeaf without the touched-node report: the same
 // path recompute, but allocation-free, for hot paths that do not feed the
 // timing model.
+//
+// Re-MACing a stored node authenticates all Arity of its slots, not just the
+// one being set, and the other slots were read from attacker-writable DRAM.
+// So the path is verified first (verifyPaths), and a node that does not
+// match its parent's slot fails the update with an *ErrTampered before a
+// byte is written: a rolled-back node can never be laundered by a sibling's
+// update.
 func (t *Tree) UpdateLeafFast(i uint64, image []byte) error {
 	if i >= t.leaves {
 		return fmt.Errorf("tree: leaf %d out of range (%d leaves)", i, t.leaves)
 	}
 	if len(image) != NodeBytes {
 		return fmt.Errorf("tree: leaf image must be %d bytes", NodeBytes)
+	}
+	if err := t.verifyPaths([]uint64{i}); err != nil {
+		return err
 	}
 	t.topValid = false
 	tag := t.nodeTag(0, i, image)
@@ -285,13 +289,39 @@ func (t *Tree) UpdateLeafFast(i uint64, image []byte) error {
 	return nil
 }
 
+// verifyPaths checks every stored node on the paths from leaves — sorted and
+// duplicate-free — to the on-chip level against its parent's slot, top-down,
+// so each parent is on-chip or was verified just before. Sorted leaves have
+// sorted ancestors at every level, so a node shared by neighbours is checked
+// once. A mismatch is reported as VerifyLeaf would report it.
+func (t *Tree) verifyPaths(leaves []uint64) error {
+	div := uint64(1) // leaves under one node of the level being checked
+	for k := 0; k < t.OffChipLevels(); k++ {
+		div *= Arity
+	}
+	for k := t.OffChipLevels() - 1; k >= 0; k, div = k-1, div/Arity {
+		for j, i := range leaves {
+			idx := i / div
+			if j > 0 && leaves[j-1]/div == idx {
+				continue
+			}
+			if t.nodeTag(k+1, idx, t.node(k, idx)) != slot(t.node(k+1, idx/Arity), idx%Arity) {
+				return &ErrTampered{Level: k + 1, Index: idx}
+			}
+		}
+	}
+	return nil
+}
+
 // UpdateLeaves installs new images for a batch of leaves in one pass,
 // recomputing each shared interior node once instead of once per leaf: all
 // leaf tags are set into their parents first, then each level's dirty node
 // set — deduplicated, so siblings merge — is rehashed exactly once. For N
 // leaves under a common subtree this costs O(N + levels) MACs instead of
 // the O(N * levels) of per-leaf updates, which is what makes an epoch
-// flush of a dirty-leaf write combiner cheap.
+// flush of a dirty-leaf write combiner cheap. Before any of it, every dirty
+// off-chip node is verified, as in UpdateLeafFast: one more MAC per node,
+// and an *ErrTampered with nothing written if one fails.
 //
 // leaves may be in any order and may contain duplicates; the slice is used
 // as scratch and left with unspecified contents, so the whole batch is
@@ -303,25 +333,31 @@ func (t *Tree) UpdateLeaves(leaves []uint64, image func(leaf uint64) []byte) err
 	case 1:
 		return t.UpdateLeafFast(leaves[0], image(leaves[0]))
 	}
-	t.topValid = false
 	for _, i := range leaves {
 		if i >= t.leaves {
 			return fmt.Errorf("tree: leaf %d out of range (%d leaves)", i, t.leaves)
 		}
+	}
+	// Parent indices of a sorted list stay sorted under the monotone /Arity
+	// map, so one sort serves the verification and every level of the walk;
+	// per-level dedup happens in place.
+	slices.Sort(leaves)
+	leaves = slices.Compact(leaves)
+	if err := t.verifyPaths(leaves); err != nil {
+		return err
+	}
+	t.topValid = false
+	for _, i := range leaves {
 		img := image(i)
 		if len(img) != NodeBytes {
 			return fmt.Errorf("tree: leaf image must be %d bytes", NodeBytes)
 		}
 		setSlot(t.node(0, i/Arity), i%Arity, t.nodeTag(0, i, img))
 	}
-	// Dirty node set at level 0. Parent indices of a sorted list stay
-	// sorted under the monotone /Arity map, so one sort serves every level;
-	// per-level dedup happens in place during the walk.
 	dirty := leaves
 	for k := range dirty {
 		dirty[k] /= Arity
 	}
-	slices.Sort(dirty)
 	dirty = slices.Compact(dirty)
 	for k := 0; k+1 < len(t.levels); k++ {
 		w := 0
