@@ -15,8 +15,10 @@
 //     per-block 7-bit deltas (or 6-bit with a dual-length extension), with
 //     reset/re-encode optimizations that minimize group re-encryptions.
 //
-// Tamper, fault-injection, snapshot/replay, and scrubbing APIs are exposed
-// so the security and reliability claims can be exercised directly; see the
+// The attacker's reach is package authmem/adversary: every off-chip byte
+// (ciphertext, the ECC/MAC lane, check bytes, counter blocks, off-chip tree
+// nodes) at one physical offset, flipped, read or written raw. With Scrub it
+// lets the security and reliability claims be exercised directly; see the
 // examples directory.
 //
 // There is one device. A Memory is a region of N >= 1 independently locked
@@ -41,7 +43,6 @@ import (
 
 	"authmem/internal/core"
 	"authmem/internal/ctr"
-	"authmem/internal/tree"
 )
 
 // BlockSize is the protection granularity in bytes. All addresses passed to
@@ -210,6 +211,10 @@ type Memory struct {
 	eng *core.ShardedEngine
 }
 
+// Package adversary reaches a Memory's off-chip map through this hook, so
+// Memory exports nothing for it.
+func init() { core.MemoryEngine = func(m any) *core.ShardedEngine { return m.(*Memory).eng } }
+
 // The frozen bench/ module still names the device by the name its N-shard
 // form had when there were two; nothing else may (CI checks). ROADMAP N1
 // deletes this alias.
@@ -250,10 +255,6 @@ type ScrubReport = core.ScrubReport
 // CounterStats aggregates counter-scheme events (resets, re-encodes,
 // re-encryptions).
 type CounterStats = ctr.Stats
-
-// BlockSnapshot captures a block's DRAM-visible state, and the address it
-// was taken at, for replay experiments.
-type BlockSnapshot = core.BlockSnapshot
 
 // RecoverInfo extends ReadInfo with what ReadRecover did to serve the read.
 type RecoverInfo = core.RecoverInfo
@@ -370,66 +371,25 @@ func (m *Memory) CounterStats() CounterStats { return m.eng.SchemeStats() }
 // faults cheaply; flagged blocks are verified and repaired.
 func (m *Memory) Scrub() (ScrubReport, error) { return m.eng.Scrub() }
 
-// The adversary/fault interface. These touch exactly the state an attacker
-// with physical DRAM access could: ciphertext, ECC bits, MAC tags, counter
-// blocks, and off-chip tree nodes. Addresses are global; each operation
-// locks only the shard it lands in.
-
 // FlipDataBit flips one stored ciphertext bit of the block at addr.
+//
+// Deprecated: the off-chip attack surface is package authmem/adversary:
+// adversary.FlipBit at adversary.LocateAddr(m, adversary.Data, addr).
 func (m *Memory) FlipDataBit(addr uint64, bit int) error {
-	return m.eng.TamperCiphertext(addr, bit)
+	phys, err := m.eng.LocateAddr(core.PlaneData, addr)
+	if err != nil {
+		return err
+	}
+	return m.eng.FlipBit(phys, bit)
 }
-
-// FlipECCBit flips one of a block's 64 ECC-lane bits (MACInECC placement).
-func (m *Memory) FlipECCBit(addr uint64, bit int) error {
-	return m.eng.TamperECCLane(addr, bit)
-}
-
-// FlipMACBit flips one stored MAC-tag bit (InlineMAC placement).
-func (m *Memory) FlipMACBit(addr uint64, bit int) error {
-	return m.eng.TamperInlineTag(addr, bit)
-}
-
-// FlipCheckBit flips one bit of a block's codec check bytes (InlineMAC
-// placement). The valid bit range is the codec's CheckBytes*8: 64 for
-// "secded", 32 for "residue".
-func (m *Memory) FlipCheckBit(addr uint64, bit int) error {
-	return m.eng.TamperCheckBit(addr, bit)
-}
-
-// FlipCounterBit flips one bit of the counter block covering addr.
-func (m *Memory) FlipCounterBit(addr uint64, bit int) error {
-	return m.eng.TamperCounterForAddr(addr, bit)
-}
-
-// FlipTreeNodeBit flips one bit of an off-chip integrity-tree node of the
-// given shard's subtree (shard 0 on a one-shard Memory).
-func (m *Memory) FlipTreeNodeBit(shard, level int, index uint64, bit int) error {
-	return m.eng.TamperTreeNode(shard, tree.NodeID{Level: level, Index: index}, bit)
-}
-
-// Snapshot captures the DRAM-visible state of one block for a replay
-// attack experiment.
-func (m *Memory) Snapshot(addr uint64) (BlockSnapshot, error) {
-	return m.eng.Snapshot(addr)
-}
-
-// Replay restores a snapshot into DRAM (data + MAC + counter block) at the
-// address it was taken at, the classic rollback attack. A subsequent Read
-// must fail.
-func (m *Memory) Replay(s BlockSnapshot) error { return m.eng.Replay(s) }
-
-// Splice plants a snapshot's ciphertext and MAC bits at a different
-// address, in any shard — the block-relocation attack. Address-bound MACs
-// and per-shard keys catch it.
-func (m *Memory) Splice(s BlockSnapshot, addr uint64) error { return m.eng.Splice(s, addr) }
 
 // WithShard locks shard i and runs fn against a one-shard Memory view of
 // just that shard, so an experiment can drive a single shard's whole surface
-// (tree-node flips, counter stats, a snapshot replayed from another shard)
-// without racing concurrent traffic. Addresses inside fn are shard-local:
-// local = global - i*ShardSize(). fn must not retain the view, nor touch
-// shard i through the parent (its lock is held).
+// (its counter stats, or its off-chip map through package adversary)
+// without racing concurrent traffic. Addresses inside fn are shard-local
+// (local = global - i*ShardSize()), and so are adversary offsets on the view.
+// fn must not retain the view, nor touch shard i through the parent (its
+// lock is held).
 func (m *Memory) WithShard(i int, fn func(view *Memory)) {
 	m.eng.WithShard(i, func(eng *core.Engine) { fn(&Memory{eng: core.OneShard(eng)}) })
 }

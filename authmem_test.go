@@ -112,7 +112,7 @@ func TestTamperDetection(t *testing.T) {
 	}
 	// Three flips exceed the correction budget and must be refused.
 	for _, b := range []int{1, 100, 300} {
-		if err := m.FlipDataBit(0, b); err != nil {
+		if err := flipAt(m, planeData, 0, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,10 +132,10 @@ func TestFaultCorrection(t *testing.T) {
 	if err := m.Write(64, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.FlipDataBit(64, 77); err != nil {
+	if err := flipAt(m, planeData, 64, 77); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.FlipDataBit(64, 401); err != nil {
+	if err := flipAt(m, planeData, 64, 401); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, BlockSize)
@@ -154,14 +154,11 @@ func TestReplayDetection(t *testing.T) {
 	if err := m.Write(128, old); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := m.Snapshot(128)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := record(t, m, 128)
 	if err := m.Write(128, bytes.Repeat([]byte{0x22}, BlockSize)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Replay(snap); err != nil {
+	if err := replay(m, snap); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, BlockSize)
@@ -177,7 +174,7 @@ func TestCounterBitTamper(t *testing.T) {
 		if err := m.Write(0, make([]byte, BlockSize)); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.FlipCounterBit(0, 3); err != nil {
+		if err := flipAt(m, planeCounter, 0, 3); err != nil {
 			t.Fatal(err)
 		}
 		dst := make([]byte, BlockSize)
@@ -197,7 +194,7 @@ func TestScrub(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := m.FlipDataBit(uint64(shards-1)*m.ShardSize()+7*BlockSize, 7); err != nil {
+		if err := flipAt(m, planeData, uint64(shards-1)*m.ShardSize()+7*BlockSize, 7); err != nil {
 			t.Fatal(err)
 		}
 		rep, err := m.Scrub()
@@ -329,7 +326,7 @@ func TestFacadeAttackSurface(t *testing.T) {
 	if err := m.Write(0, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.FlipECCBit(0, 11); err != nil {
+	if err := flipAt(m, planeLane, 0, 11); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, BlockSize)
@@ -342,7 +339,7 @@ func TestFacadeAttackSurface(t *testing.T) {
 	if err := inline.Write(0, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := inline.FlipMACBit(0, 5); err != nil {
+	if err := flipAt(inline, planeLane, 0, 5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := inline.Read(0, dst); err == nil {
@@ -361,7 +358,7 @@ func TestFacadeAttackSurface(t *testing.T) {
 	if err := deep.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := deep.FlipTreeNodeBit(0, 0, 0, 3); err != nil {
+	if err := flipNode(deep, 0, 0, 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := deep.Read(0, dst); err == nil {
@@ -376,11 +373,8 @@ func TestFacadeAttackSurface(t *testing.T) {
 	if err := sp.Write(BlockSize, want); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := sp.Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Splice(snap, BlockSize); err != nil {
+	snap := record(t, sp, 0)
+	if err := splice(sp, snap, BlockSize); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sp.Read(BlockSize, dst); err == nil {

@@ -168,11 +168,11 @@ func BenchmarkAblationFlipAndCheckCost(b *testing.B) {
 			dst := make([]byte, BlockSize)
 			var checks int
 			for i := 0; i < b.N; i++ {
-				if err := m.FlipDataBit(0, (i*37)%512); err != nil {
+				if err := flipAt(m, planeData, 0, (i*37)%512); err != nil {
 					b.Fatal(err)
 				}
 				if faults == 2 {
-					if err := m.FlipDataBit(0, (i*151+7)%512); err != nil {
+					if err := flipAt(m, planeData, 0, (i*151+7)%512); err != nil {
 						b.Fatal(err)
 					}
 				}

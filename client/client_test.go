@@ -9,10 +9,21 @@ import (
 	"time"
 
 	"authmem"
+	"authmem/adversary"
 	"authmem/client"
 	"authmem/internal/server"
 	"authmem/internal/wire"
 )
+
+// flipAt flips one bit of the plane-p element holding the block at addr,
+// through the off-chip attack surface.
+func flipAt(m *authmem.Memory, p adversary.Plane, addr uint64, bit int) error {
+	phys, err := adversary.LocateAddr(m, p, addr)
+	if err != nil {
+		return err
+	}
+	return adversary.FlipBit(m, phys, bit)
+}
 
 func testKey() []byte { return bytes.Repeat([]byte{0x5A}, authmem.KeySize) }
 
@@ -235,7 +246,7 @@ func TestClientNeverRetriesIntegrityFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bit := range []int{1, 77, 300} { // beyond ECC correction
-		if err := mem.FlipDataBit(addr, bit); err != nil {
+		if err := flipAt(mem, adversary.Data, addr, bit); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"authmem"
+	"authmem/adversary"
 	"authmem/client"
 	"authmem/cluster"
 	icluster "authmem/internal/cluster"
@@ -18,6 +19,16 @@ import (
 	"authmem/internal/tree"
 	"authmem/internal/wire"
 )
+
+// flipAt flips one bit of the plane-p element holding the block at addr,
+// through the off-chip attack surface.
+func flipAt(m *authmem.Memory, p adversary.Plane, addr uint64, bit int) error {
+	phys, err := adversary.LocateAddr(m, p, addr)
+	if err != nil {
+		return err
+	}
+	return adversary.FlipBit(m, phys, bit)
+}
 
 func testKey() []byte { return bytes.Repeat([]byte{0x5A}, authmem.KeySize) }
 
@@ -270,7 +281,7 @@ func TestClusterSurvivesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bit := range []int{1, 77, 300} { // beyond ECC correction
-		if err := hs["b"].mem.FlipDataBit(addr, bit); err != nil {
+		if err := flipAt(hs["b"].mem, adversary.Data, addr, bit); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -54,25 +54,6 @@ func ExampleMemory_FlipDataBit() {
 	// Output: <nil> 1 true
 }
 
-// ExampleMemory_Replay shows the rollback attack the integrity tree exists
-// to stop.
-func ExampleMemory_Replay() {
-	cfg := authmem.DefaultConfig(1 << 20)
-	cfg.Key = demoKey()
-	mem, _ := authmem.New(cfg)
-
-	mem.Write(0, []byte("v1 — old password..............................................")[:64])
-	snapshot, _ := mem.Snapshot(0) // attacker records DRAM
-	mem.Write(0, []byte("v2 — new password..............................................")[:64])
-	mem.Replay(snapshot) // attacker restores the stale bytes
-
-	out := make([]byte, authmem.BlockSize)
-	_, err := mem.Read(0, out)
-	_, isIntegrityError := err.(*authmem.IntegrityError)
-	fmt.Println(isIntegrityError)
-	// Output: true
-}
-
 // ExampleComputeOverhead reproduces the paper's headline storage numbers.
 func ExampleComputeOverhead() {
 	proposed := authmem.DefaultConfig(512 << 20)

@@ -15,6 +15,7 @@ import (
 	mrand "math/rand"
 
 	"authmem"
+	"authmem/adversary"
 )
 
 const blocks = 2048
@@ -52,9 +53,7 @@ func main() {
 			continue
 		}
 		faulted[b] = true
-		if err := mem.FlipDataBit(b*authmem.BlockSize, rng.Intn(512)); err != nil {
-			log.Fatal(err)
-		}
+		flipData(mem, b*authmem.BlockSize, rng.Intn(512))
 	}
 	fmt.Printf("injected single-bit faults into %d of %d blocks\n", len(faulted), blocks)
 
@@ -82,12 +81,8 @@ func main() {
 	// Now the case SEC-DED cannot handle: two flips landing in one
 	// 8-byte word (e.g. a failing column pair).
 	victim := uint64(100) * authmem.BlockSize
-	if err := mem.FlipDataBit(victim, 8*8+3); err != nil { // word 1, bit 3
-		log.Fatal(err)
-	}
-	if err := mem.FlipDataBit(victim, 8*8+19); err != nil { // word 1, bit 19
-		log.Fatal(err)
-	}
+	flipData(mem, victim, 8*8+3)  // word 1, bit 3
+	flipData(mem, victim, 8*8+19) // word 1, bit 19
 	info, err := mem.Read(victim, buf)
 	if err != nil {
 		log.Fatal(err)
@@ -98,15 +93,23 @@ func main() {
 	// The same fault against the SEC-DED baseline is detected but NOT
 	// correctable: the read is refused.
 	base := build(authmem.InlineMAC)
-	if err := base.FlipDataBit(victim, 8*8+3); err != nil {
-		log.Fatal(err)
-	}
-	if err := base.FlipDataBit(victim, 8*8+19); err != nil {
-		log.Fatal(err)
-	}
+	flipData(base, victim, 8*8+3)
+	flipData(base, victim, 8*8+19)
 	if _, err := base.Read(victim, buf); err != nil {
 		fmt.Println("same fault on SEC-DED baseline:", err)
 	} else {
 		log.Fatal("SEC-DED silently accepted a double fault!")
+	}
+}
+
+// flipData flips one stored ciphertext bit of the block at addr, as a
+// failing DRAM cell would, through the off-chip attack surface.
+func flipData(mem *authmem.Memory, addr uint64, bit int) {
+	phys, err := adversary.LocateAddr(mem, adversary.Data, addr)
+	if err == nil {
+		err = adversary.FlipBit(mem, phys, bit)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 }

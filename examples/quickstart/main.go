@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"authmem"
+	"authmem/adversary"
 )
 
 func main() {
@@ -41,8 +42,13 @@ func main() {
 	fmt.Printf("round trip ok: %q\n", buf[:14])
 
 	// 2. A DRAM fault: one bit flips. The MAC doubles as an ECC code, so
-	// the read transparently repairs it.
-	if err := mem.FlipDataBit(addr, 42); err != nil {
+	// the read transparently repairs it. Package adversary reaches every
+	// off-chip byte through one address map; data is the block's ciphertext.
+	data, err := adversary.LocateAddr(mem, adversary.Data, addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := adversary.FlipBit(mem, data, 42); err != nil {
 		log.Fatal(err)
 	}
 	info, err := mem.Read(addr, buf)
@@ -55,7 +61,7 @@ func main() {
 	// 3. Tampering: an attacker rewrites ciphertext wholesale. Too many
 	// flips for correction — the read is refused.
 	for bit := 0; bit < 48; bit += 3 {
-		if err := mem.FlipDataBit(addr, bit); err != nil {
+		if err := adversary.FlipBit(mem, data, bit); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -70,10 +76,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 4. Replay: the attacker snapshots DRAM (data + MAC + counters),
-	// lets the program overwrite, then restores the stale snapshot.
-	// The Bonsai Merkle tree's on-chip root catches it.
-	snap, err := mem.Snapshot(addr)
+	// 4. Replay: the attacker records the block's off-chip bytes (data,
+	// the ECC lane carrying its MAC, its counter block), lets the program
+	// overwrite them, then writes the stale bytes back at the same
+	// offsets. The Bonsai Merkle tree's on-chip root catches it.
+	replayStale, err := record(mem, addr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +88,7 @@ func main() {
 	if err := mem.Write(addr, secret); err != nil {
 		log.Fatal(err)
 	}
-	if err := mem.Replay(snap); err != nil {
+	if err := replayStale(); err != nil {
 		log.Fatal(err)
 	}
 	if _, err := mem.Read(addr, buf); err != nil {
@@ -97,4 +104,25 @@ func main() {
 	}
 	fmt.Printf("metadata overhead: %.2f%% of the protected region (paper baseline: ~22%%)\n",
 		o.EncryptionOverheadPct())
+}
+
+// record reads the block at addr's ciphertext, ECC lane and counter block off
+// the bus; the replay it returns writes them back where they were read.
+func record(mem *authmem.Memory, addr uint64) (replay func() error, err error) {
+	var phys [3]uint64
+	saved := [3][]byte{make([]byte, authmem.BlockSize), make([]byte, 8), make([]byte, authmem.BlockSize)}
+	for i, p := range []adversary.Plane{adversary.Data, adversary.Lane, adversary.Counter} {
+		if phys[i], err = adversary.LocateAddr(mem, p, addr); err == nil {
+			err = adversary.ReadRaw(mem, phys[i], saved[i])
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return func() (err error) {
+		for i := 0; i < len(phys) && err == nil; i++ {
+			err = adversary.WriteRaw(mem, phys[i], saved[i])
+		}
+		return err
+	}, nil
 }

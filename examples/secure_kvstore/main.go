@@ -21,6 +21,7 @@ import (
 	"log"
 
 	"authmem"
+	"authmem/adversary"
 )
 
 // Store is a fixed-capacity open-addressed hash table over secure memory.
@@ -135,20 +136,21 @@ func main() {
 	fmt.Printf("stored and verified %d secrets\n", len(pairs))
 
 	// Update a value, then have the attacker roll DRAM back to the old
-	// one: the stale token must not be accepted.
+	// one — the slot's ciphertext, ECC lane and counter block, written
+	// back raw where they were read: the stale token must not be accepted.
 	tokenSlot := store.hash("api-token") * authmem.BlockSize
-	staleSnap, err := store.mem.Snapshot(tokenSlot)
+	replayStale, err := record(store.mem, tokenSlot)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := store.Put("api-token", "tok_ROTATED_0001"); err != nil {
 		log.Fatal(err)
 	}
-	goodSnap, err := store.mem.Snapshot(tokenSlot)
+	replayGood, err := record(store.mem, tokenSlot)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := store.mem.Replay(staleSnap); err != nil {
+	if err := replayStale(); err != nil {
 		log.Fatal(err)
 	}
 	if _, err := store.Get("api-token"); err != nil {
@@ -158,7 +160,7 @@ func main() {
 	}
 	// Once a replay is detected the region stays poisoned (hardware would
 	// machine-check); put DRAM back to the state the tree expects.
-	if err := store.mem.Replay(goodSnap); err != nil {
+	if err := replayGood(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -166,7 +168,11 @@ func main() {
 	if err := store.Put("api-token", "tok_ROTATED_0002"); err != nil {
 		log.Fatal(err)
 	}
-	if err := store.mem.FlipDataBit(tokenSlot, 137); err != nil {
+	data, err := adversary.LocateAddr(store.mem, adversary.Data, tokenSlot)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := adversary.FlipBit(store.mem, data, 137); err != nil {
 		log.Fatal(err)
 	}
 	v, err := store.Get("api-token")
@@ -178,4 +184,25 @@ func main() {
 	st := store.mem.Stats()
 	fmt.Printf("engine stats: %d reads, %d writes, %d integrity failures, %d bits corrected\n",
 		st.Reads, st.Writes, st.IntegrityFailures, st.CorrectedDataBits)
+}
+
+// record reads the block at addr's ciphertext, ECC lane and counter block off
+// the bus; the replay it returns writes them back where they were read.
+func record(mem *authmem.Memory, addr uint64) (replay func() error, err error) {
+	var phys [3]uint64
+	saved := [3][]byte{make([]byte, authmem.BlockSize), make([]byte, 8), make([]byte, authmem.BlockSize)}
+	for i, p := range []adversary.Plane{adversary.Data, adversary.Lane, adversary.Counter} {
+		if phys[i], err = adversary.LocateAddr(mem, p, addr); err == nil {
+			err = adversary.ReadRaw(mem, phys[i], saved[i])
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return func() (err error) {
+		for i := 0; i < len(phys) && err == nil; i++ {
+			err = adversary.WriteRaw(mem, phys[i], saved[i])
+		}
+		return err
+	}, nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"authmem"
+	"authmem/adversary"
 	"authmem/client"
 	"authmem/cluster"
 	"authmem/internal/server"
@@ -433,14 +434,17 @@ func (h *clusterHarness) runCorrupt(ops int) {
 			flips := 1 + h.rng.Intn(h.cfg.BurstMax)
 			h.sc.FaultEvents++
 			for f := 0; f < flips; f++ {
-				var err error
+				plane, width := adversary.Data, 8*wire.BlockBytes
 				switch h.rng.Intn(3) {
-				case 0:
-					err = victim.mem.FlipDataBit(addr, h.rng.Intn(8*wire.BlockBytes))
 				case 1:
-					err = victim.mem.FlipECCBit(addr, h.rng.Intn(64))
-				default:
-					err = victim.mem.FlipCounterBit(addr, h.rng.Intn(512))
+					plane, width = adversary.Lane, 64
+				case 2:
+					plane, width = adversary.Counter, 512
+				}
+				bit := h.rng.Intn(width)
+				phys, err := adversary.LocateAddr(victim.mem, plane, addr)
+				if err == nil {
+					err = adversary.FlipBit(victim.mem, phys, bit)
 				}
 				if err == nil {
 					h.sc.BitsFlipped++

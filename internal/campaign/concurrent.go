@@ -8,7 +8,6 @@ import (
 
 	"authmem/internal/core"
 	"authmem/internal/ctr"
-	"authmem/internal/tree"
 )
 
 // Concurrent campaign phase: parallel faulted traffic against a sharded
@@ -352,7 +351,7 @@ func (w *cWorker) doSpanRead() error {
 }
 
 // injectFault applies one persistent fault event to an own written block,
-// under the owning shard's lock (the tamper entry points take it).
+// under the owning shard's lock (the raw operations take it).
 func (w *cWorker) injectFault() {
 	if len(w.written) == 0 {
 		return
@@ -362,57 +361,8 @@ func (w *cWorker) injectFault() {
 	flips := 1 + w.rng.Intn(w.cfg.BurstMax)
 	w.faultEvents++
 
-	switch w.rng.Intn(4) {
-	case 0: // ciphertext
-		for i := 0; i < flips; i++ {
-			if err := w.s.TamperCiphertext(addr, w.rng.Intn(core.BlockBytes*8)); err != nil {
-				panic(fmt.Sprintf("campaign: concurrent ciphertext flip blk %d: %v", blk, err))
-			}
-			w.bitsFlipped++
-		}
-	case 1: // ECC lane / inline tag
-		var err error
-		for i := 0; i < flips; i++ {
-			if w.cfg.Engine.Placement == core.MACInECC {
-				err = w.s.TamperECCLane(addr, w.rng.Intn(64))
-			} else {
-				err = w.s.TamperInlineTag(addr, w.rng.Intn(64))
-			}
-			if err != nil {
-				panic(fmt.Sprintf("campaign: concurrent check flip blk %d: %v", blk, err))
-			}
-			w.bitsFlipped++
-		}
-	case 2: // counter block (group-aligned ranges keep this inside the worker)
-		for i := 0; i < flips; i++ {
-			if err := w.s.TamperCounterForAddr(addr, w.rng.Intn(core.BlockBytes*8)); err != nil {
-				panic(fmt.Sprintf("campaign: concurrent counter flip blk %d: %v", blk, err))
-			}
-			w.bitsFlipped++
-		}
-	case 3: // off-chip tree node in the owning shard
-		shard := w.s.ShardOf(addr)
-		local := addr - uint64(shard)*w.s.ShardBytes()
-		w.s.WithShard(shard, func(eng *core.Engine) {
-			tr := eng.Tree()
-			off := tr.OffChipLevels()
-			if off == 0 {
-				return
-			}
-			leaf := eng.MetaLeaf(eng.MetadataIndex(local))
-			level := w.rng.Intn(off)
-			index := leaf
-			for k := 0; k <= level; k++ {
-				index /= tree.Arity
-			}
-			id := tree.NodeID{Level: level, Index: index}
-			for i := 0; i < flips; i++ {
-				if err := eng.TamperTreeNode(id, w.rng.Intn(tree.NodeBytes*8)); err != nil {
-					panic(fmt.Sprintf("campaign: concurrent tree flip %+v: %v", id, err))
-				}
-				w.bitsFlipped++
-			}
-		})
+	if err := strikePlane(w.s, addr, w.rng.Intn(4), flips, w.rng, &w.bitsFlipped); err != nil {
+		panic(fmt.Sprintf("campaign: concurrent flip blk %d: %v", blk, err))
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // Counter and tree faults are not tracked: they are repaired wholesale from
 // trusted on-chip state, so their bit positions never need reverting.
 type flipRec struct {
-	plane     Plane // PlaneCiphertext or PlaneECC
+	plane     core.Plane // PlaneData, PlaneLane or PlaneCheck
 	bit       int
 	transient bool
 }
@@ -135,7 +135,7 @@ func (p *phaseRun) onRetry(blk uint64) {
 			kept = append(kept, f)
 			continue
 		}
-		p.applyFlip(blk, f.plane, f.bit)
+		p.flip(f.plane, blk, f.bit) // a flip is its own inverse
 	}
 	if len(kept) == 0 {
 		delete(p.ledger, blk)
@@ -156,30 +156,17 @@ func (p *phaseRun) pinLedger() {
 	}
 }
 
-// applyFlip XORs one bit of a data-plane structure (used for both injection
-// and transient revert — the operation is its own inverse).
-func (p *phaseRun) applyFlip(blk uint64, plane Plane, bit int) {
-	addr := blk * core.BlockBytes
-	var err error
-	switch plane {
-	case PlaneCiphertext:
-		err = p.eng.TamperCiphertext(addr, bit)
-	case PlaneECC:
-		switch {
-		case p.ecfg.Placement == core.MACInECC:
-			err = p.eng.TamperECCLane(addr, bit)
-		case bit < 64:
-			err = p.eng.TamperInlineTag(addr, bit)
-		default:
-			// Inline placement: bits past the tag land in the codec's
-			// dedicated check storage (see injectFault's bit space).
-			err = p.eng.TamperCheckBit(addr, bit-64)
-		}
+// flip flips one bit of element i of an off-chip plane through the engine's
+// map. Targets are always resident written blocks, their counter images or
+// nodes on their tree paths; failure is a campaign bug, not a fault outcome.
+func (p *phaseRun) flip(plane core.Plane, i uint64, bit int) {
+	off := p.eng.OffChip()
+	phys, err := off.Locate(plane, i)
+	if err == nil {
+		err = off.FlipBit(phys, bit)
 	}
 	if err != nil {
-		// Targets are always resident written blocks; failure is a
-		// campaign bug, not a fault outcome.
-		panic(fmt.Sprintf("campaign: flip %s blk %d bit %d: %v", plane, blk, bit, err))
+		panic(fmt.Sprintf("campaign: flip %s element %d bit %d: %v", plane, i, bit, err))
 	}
 }
 
@@ -200,46 +187,57 @@ func (p *phaseRun) injectFault() {
 	case PlaneCiphertext, PlaneECC:
 		bits := core.BlockBytes * 8 // ciphertext bits
 		if plane == PlaneECC {
-			// ECC lane (MACInECC) or inline tag width; under the inline
-			// placement the codec's dedicated check bytes are attackable
-			// storage too, addressed as bits 64.. (see applyFlip).
-			bits = 64 + p.eng.InlineCheckBits()
+			// The lane's 64 bits (ECC lane under MACInECC, inline tag
+			// otherwise), then the inline codec's check bytes.
+			bits = 64 + 8*int(p.eng.OffChip().PlaneSize(core.PlaneCheck)/p.regionBlocks)
 		}
 		transient := p.rng.Float64() < p.cfg.TransientFrac
 		for i := 0; i < flips; i++ {
-			bit := p.rng.Intn(bits)
-			p.applyFlip(blk, plane, bit)
-			p.ledger[blk] = append(p.ledger[blk], flipRec{plane: plane, bit: bit, transient: transient})
+			rec := flipRec{plane: core.PlaneData, bit: p.rng.Intn(bits), transient: transient}
+			switch {
+			case plane == PlaneCiphertext:
+			case rec.bit < 64:
+				rec.plane = core.PlaneLane
+			default:
+				rec.plane, rec.bit = core.PlaneCheck, rec.bit-64
+			}
+			p.flip(rec.plane, blk, rec.bit)
+			p.ledger[blk] = append(p.ledger[blk], rec)
 			p.bitsFlipped++
 		}
 	case PlaneCounter:
 		midx := p.eng.MetadataIndex(blk * core.BlockBytes)
 		for i := 0; i < flips; i++ {
-			if err := p.eng.TamperCounterBlock(midx, p.rng.Intn(core.BlockBytes*8)); err != nil {
-				panic(fmt.Sprintf("campaign: counter flip midx %d: %v", midx, err))
-			}
+			p.flip(core.PlaneCounter, midx, p.rng.Intn(core.BlockBytes*8))
 			p.bitsFlipped++
 		}
 	case PlaneTree:
-		tr := p.eng.Tree()
-		off := tr.OffChipLevels()
-		if off == 0 {
+		flat, ok := pathNode(p.eng, blk*core.BlockBytes, p.rng)
+		if !ok {
 			return // tree fits on chip: no attacker-reachable nodes
 		}
-		leaf := p.eng.MetaLeaf(p.eng.MetadataIndex(blk * core.BlockBytes))
-		level := p.rng.Intn(off)
-		index := leaf
-		for k := 0; k <= level; k++ {
-			index /= tree.Arity
-		}
-		id := tree.NodeID{Level: level, Index: index}
 		for i := 0; i < flips; i++ {
-			if err := p.eng.TamperTreeNode(id, p.rng.Intn(tree.NodeBytes*8)); err != nil {
-				panic(fmt.Sprintf("campaign: tree flip %+v: %v", id, err))
-			}
+			p.flip(core.PlaneTree, flat, p.rng.Intn(tree.NodeBytes*8))
 			p.bitsFlipped++
 		}
 	}
+}
+
+// pathNode draws a level of eng's off-chip tree and returns the dense index
+// of the node at that level on the path of the counter block covering the
+// address addr; ok is false when the whole tree fits on chip.
+func pathNode(eng *core.Engine, addr uint64, rng *rand.Rand) (flat uint64, ok bool) {
+	tr := eng.Tree()
+	off := tr.OffChipLevels()
+	if off == 0 {
+		return 0, false
+	}
+	index := eng.MetaLeaf(eng.MetadataIndex(addr))
+	level := rng.Intn(off)
+	for k := 0; k <= level; k++ {
+		index /= tree.Arity
+	}
+	return tr.FlatIndex(tree.NodeID{Level: level, Index: index}), true
 }
 
 // doWrite issues the next workload write to both the engine and the oracle.
@@ -266,10 +264,7 @@ func (p *phaseRun) doWrite() error {
 	// tree does not yet cover — so the campaign proves deferred maintenance
 	// detects write-to-flush faults instead of laundering them on flush.
 	if p.plane == PlaneMixed && p.eng.DirtyLeaves() > 0 && p.rng.Float64() < p.cfg.FaultRate {
-		midx := p.eng.MetadataIndex(blk * core.BlockBytes)
-		if err := p.eng.TamperCounterBlock(midx, p.rng.Intn(core.BlockBytes*8)); err != nil {
-			panic(fmt.Sprintf("campaign: dirty-leaf strike midx %d: %v", midx, err))
-		}
+		p.flip(core.PlaneCounter, p.eng.MetadataIndex(blk*core.BlockBytes), p.rng.Intn(core.BlockBytes*8))
 		p.faultEvents++
 		p.bitsFlipped++
 	}

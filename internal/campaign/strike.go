@@ -224,7 +224,7 @@ func RunStrike(cfg StrikeConfig) (*StrikeReport, error) {
 		addr := blk * core.BlockBytes
 		flips := 1 + srng.Intn(cfg.BurstMax)
 		rep.FaultEvents++
-		if strikeErr = strikePlane(s, ecfg, addr, i%4, flips, srng, &rep.BitsFlipped); strikeErr != nil {
+		if strikeErr = strikePlane(s, addr, i%4, flips, srng, &rep.BitsFlipped); strikeErr != nil {
 			break
 		}
 		// Recover the victim through the ladder: success must return the
@@ -282,64 +282,43 @@ func RunStrike(cfg StrikeConfig) (*StrikeReport, error) {
 	return rep, nil
 }
 
-// strikePlane lands one fault event on the chosen plane.
-func strikePlane(s *core.ShardedEngine, ecfg core.Config, addr uint64, plane, flips int, rng *rand.Rand, bits *uint64) error {
+// strikePlane lands one fault event on the chosen plane of the block at
+// addr: 0 ciphertext, 1 the lane (ECC lane or inline tag), 2 its counter
+// block, 3 an off-chip node on its tree path in the owning shard.
+func strikePlane(s *core.ShardedEngine, addr uint64, plane, flips int, rng *rand.Rand, bits *uint64) error {
+	p, width := core.PlaneData, core.BlockBytes*8
 	switch plane {
-	case 0: // ciphertext
-		for i := 0; i < flips; i++ {
-			if err := s.TamperCiphertext(addr, rng.Intn(core.BlockBytes*8)); err != nil {
-				return err
-			}
-			*bits++
-		}
-	case 1: // check lane
-		for i := 0; i < flips; i++ {
-			var err error
-			if ecfg.Placement == core.MACInECC {
-				err = s.TamperECCLane(addr, rng.Intn(64))
-			} else {
-				err = s.TamperInlineTag(addr, rng.Intn(64))
-			}
-			if err != nil {
-				return err
-			}
-			*bits++
-		}
-	case 2: // counter block
-		for i := 0; i < flips; i++ {
-			if err := s.TamperCounterForAddr(addr, rng.Intn(core.BlockBytes*8)); err != nil {
-				return err
-			}
-			*bits++
-		}
-	case 3: // off-chip tree node in the owning shard
+	case 1:
+		p, width = core.PlaneLane, 64
+	case 2:
+		p = core.PlaneCounter
+	case 3:
+		p, width = core.PlaneTree, tree.NodeBytes*8
+	}
+	var phys uint64
+	var err error
+	if p != core.PlaneTree {
+		phys, err = s.LocateAddr(p, addr)
+	} else {
 		shard := s.ShardOf(addr)
-		local := addr - uint64(shard)*s.ShardBytes()
-		var err error
-		s.WithShard(shard, func(eng *core.Engine) {
-			tr := eng.Tree()
-			off := tr.OffChipLevels()
-			if off == 0 {
-				return
-			}
-			leaf := eng.MetaLeaf(eng.MetadataIndex(local))
-			level := rng.Intn(off)
-			index := leaf
-			for k := 0; k <= level; k++ {
-				index /= tree.Arity
-			}
-			id := tree.NodeID{Level: level, Index: index}
-			for i := 0; i < flips; i++ {
-				if terr := eng.TamperTreeNode(id, rng.Intn(tree.NodeBytes*8)); terr != nil {
-					err = terr
-					return
-				}
-				*bits++
-			}
-		})
-		if err != nil {
+		flat, ok := uint64(0), false
+		s.WithShard(shard, func(eng *core.Engine) { flat, ok = pathNode(eng, addr-uint64(shard)*s.ShardBytes(), rng) })
+		if !ok {
+			return nil // the tree fits on chip
+		}
+		m, base, _ := s.OffChip(shard)
+		if phys, err = m.Locate(p, flat); err == nil {
+			phys += base
+		}
+	}
+	if err != nil {
+		return err
+	}
+	for i := 0; i < flips; i++ {
+		if err := s.FlipBit(phys, rng.Intn(width)); err != nil {
 			return err
 		}
+		*bits++
 	}
 	return nil
 }

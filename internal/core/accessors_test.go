@@ -27,7 +27,7 @@ func TestTamperCounterBlockUnwrittenGroup(t *testing.T) {
 	// Tampering the counter block of a group that was never written
 	// materializes a corrupt image; reads in that group must fail.
 	e := newEngine(t, smallCfg(ctr.Delta, MACInECC))
-	if err := e.TamperCounterBlock(3, 100); err != nil {
+	if err := flipElem(e.off, PlaneCounter, 3, 100); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, BlockBytes)
@@ -44,14 +44,11 @@ func TestReplayInlinePlacement(t *testing.T) {
 	if err := e.Write(addr, old); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := e.Snapshot(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := record(t, e.off, addr)
 	if err := e.Write(addr, block(61)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Replay(snap); err != nil {
+	if err := replay(e.off, snap); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, BlockBytes)
@@ -65,14 +62,11 @@ func TestReplaySnapshotOfFreshBlock(t *testing.T) {
 	// Snapshot of a never-written block captures only the counter image;
 	// replaying it after writes rolls the counters back -> detected.
 	e := newEngine(t, smallCfg(ctr.Delta, MACInECC))
-	snap, err := e.Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := record(t, e.off, 0)
 	if err := e.Write(0, block(62)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Replay(snap); err != nil {
+	if err := replay(e.off, snap); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, BlockBytes)

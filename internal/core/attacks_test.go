@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -129,11 +128,8 @@ func TestSplicingRejected(t *testing.T) {
 		if err := e.Write(64, pt); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := e.Snapshot(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Splice(snap, 64); err != nil {
+		snap := record(t, e.off, 0)
+		if err := splice(e.off, snap, 64); err != nil {
 			t.Fatal(err)
 		}
 		dst := make([]byte, BlockBytes)
@@ -162,11 +158,8 @@ func TestSplicingAcrossGroups(t *testing.T) {
 	if err := e.Write(target, block(11)); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := e.Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Splice(snap, target); err != nil {
+	snap := record(t, e.off, 0)
+	if err := splice(e.off, snap, target); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, BlockBytes)
@@ -177,39 +170,32 @@ func TestSplicingAcrossGroups(t *testing.T) {
 
 func TestSpliceValidation(t *testing.T) {
 	e := newEngine(t, smallCfg(ctr.Delta, MACInECC))
-	snap, err := e.Snapshot(0) // fresh block: no data
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Splice(snap, 64); err == nil {
+	snap := record(t, e.off, 0)
+	if err := splice(e.off, snap, 64); err == nil {
 		t.Fatal("splicing an empty snapshot should fail")
 	}
 	if err := e.Write(0, block(12)); err != nil {
 		t.Fatal(err)
 	}
-	snap, err = e.Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Splice(snap, 13); err == nil {
+	snap = record(t, e.off, 0)
+	if err := splice(e.off, snap, 13); err == nil {
 		t.Fatal("unaligned target should fail")
 	}
 }
 
 // treeNodeBytes returns node (level, index) as the attacker reads it from
-// DRAM: out of the tree's serialized levels.
+// DRAM.
 func treeNodeBytes(t *testing.T, e *Engine, level int, index uint64) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := e.Tree().WriteTo(&buf); err != nil {
+	phys, err := e.off.LocateNode(level, index)
+	if err != nil {
 		t.Fatal(err)
 	}
-	img := buf.Bytes()[8:] // level count
-	for k := 0; k < level; k++ {
-		img = img[8+binary.LittleEndian.Uint64(img):]
+	img := make([]byte, tree.NodeBytes)
+	if err := e.off.ReadRaw(phys, img); err != nil {
+		t.Fatal(err)
 	}
-	off := 8 + index*tree.NodeBytes
-	return bytes.Clone(img[off : off+tree.NodeBytes])
+	return img
 }
 
 // TestFlushRefusesRolledBackTreeNode replays a block together with its
@@ -239,10 +225,7 @@ func TestFlushRefusesRolledBackTreeNode(t *testing.T) {
 			if err := e.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			snap, err := e.Snapshot(0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			snap := record(t, e.off, 0)
 			recorded := treeNodeBytes(t, e, parent.Level, parent.Index)
 			if err := e.Write(0, v2); err != nil {
 				t.Fatal(err)
@@ -251,13 +234,13 @@ func TestFlushRefusesRolledBackTreeNode(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if err := e.Replay(snap); err != nil {
+			if err := replay(e.off, snap); err != nil {
 				t.Fatal(err)
 			}
 			now := treeNodeBytes(t, e, parent.Level, parent.Index)
 			for bit := 0; bit < tree.NodeBytes*8; bit++ {
 				if (now[bit/8]^recorded[bit/8])>>(bit%8)&1 == 1 {
-					if err := e.TamperTreeNode(parent, bit); err != nil {
+					if err := flipNode(e.off, parent, bit); err != nil {
 						t.Fatal(err)
 					}
 				}

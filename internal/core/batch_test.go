@@ -117,7 +117,7 @@ func TestReadBlocksDetectsTamper(t *testing.T) {
 	}
 	// Three flipped bits exceed the 2-bit correction budget.
 	for bit := 0; bit < 3; bit++ {
-		if err := e.TamperCiphertext(5*BlockBytes, bit*100); err != nil {
+		if err := flipAt(e.off, PlaneData, 5*BlockBytes, bit*100); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +185,7 @@ func TestBlockStoreBasics(t *testing.T) {
 	}
 
 	im := newImageStore(2 * chunkBlocks)
-	if im.Present(5) {
+	if im.Len() != 0 {
 		t.Fatal("fresh image store not empty")
 	}
 	if img := im.Load(5); !bytes.Equal(img, make([]byte, BlockBytes)) {

@@ -169,13 +169,6 @@ func newImageStore(n uint64) *imageStore {
 // Len returns the number of resident images.
 func (s *imageStore) Len() int { return s.resident }
 
-// Present reports whether image midx has been stored.
-func (s *imageStore) Present(midx uint64) bool {
-	c := s.chunks[midx/chunkBlocks]
-	i := midx % chunkBlocks
-	return c != nil && c.present[i/64]>>(i%64)&1 == 1
-}
-
 // Load returns the 64-byte image of metadata block midx, or the shared
 // all-zero image if it was never stored. The result is read-only.
 func (s *imageStore) Load(midx uint64) []byte {

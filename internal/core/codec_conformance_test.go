@@ -100,7 +100,7 @@ func TestCodecConformanceDataFaultNeverSilent(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 1+rng.Intn(4); i++ {
-				if err := e.TamperCiphertext(addr, rng.Intn(8*BlockBytes)); err != nil {
+				if err := flipAt(e.off, PlaneData, addr, rng.Intn(8*BlockBytes)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -133,15 +133,15 @@ func TestCodecConformanceCheckFaultNeverSilent(t *testing.T) {
 				t.Fatal(err)
 			}
 			if cfg.Placement == MACInECC {
-				if err := e.TamperECCLane(addr, rng.Intn(64)); err != nil {
+				if err := flipAt(e.off, PlaneLane, addr, rng.Intn(64)); err != nil {
 					t.Fatal(err)
 				}
 			} else if trial%2 == 0 {
-				if err := e.TamperInlineTag(addr, rng.Intn(64)); err != nil {
+				if err := flipAt(e.off, PlaneLane, addr, rng.Intn(64)); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				if err := e.TamperCheckBit(addr, rng.Intn(e.InlineCheckBits())); err != nil {
+				if err := flipAt(e.off, PlaneCheck, addr, rng.Intn(8*int(e.off.elem[PlaneCheck]))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -167,7 +167,7 @@ func TestCodecCorrectionSemantics(t *testing.T) {
 		if err := e.Write(0, want); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.TamperCiphertext(0, 13); err != nil {
+		if err := flipAt(e.off, PlaneData, 0, 13); err != nil {
 			t.Fatal(err)
 		}
 		dst := make([]byte, BlockBytes)

@@ -40,14 +40,11 @@ func TestDataTreeCatchesDataReplayDirectly(t *testing.T) {
 	if err := e.Write(addr, block(31)); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := e.Snapshot(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := record(t, e.off, addr)
 	if err := e.Write(addr, block(32)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Replay(snap); err != nil {
+	if err := replay(e.off, snap); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, BlockBytes)

@@ -271,7 +271,7 @@ func TestDeltaLogMatchesLiveEngine(t *testing.T) {
 			faulty := grouped && !cfg.DataTree
 			if faulty {
 				for _, bit := range []int{0, 1, 2, 64, 65} {
-					if err := h.s.TamperCiphertext(victim*BlockBytes, bit); err != nil {
+					if err := flipAt(h.s, PlaneData, victim*BlockBytes, bit); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -38,9 +38,10 @@ func cacheEntries(limit int, n uint64) int {
 //
 // The "DRAM contents" an attacker can touch are: ciphertext blocks, their
 // ECC-lane bits (MAC-in-ECC) or inline MAC tags + SEC-DED bytes (baseline),
-// counter-block images, and off-chip tree nodes. All are exposed through
-// tamper APIs. The trust boundary holds the keys, the scheme state machine,
-// and the top tree level.
+// counter-block images, and off-chip tree nodes. All are reachable through
+// the engine's off-chip map (OffChip) and nothing else is. The trust
+// boundary holds the keys, the scheme state machine, the caches and the top
+// tree level.
 //
 // Uninitialized blocks read as zeros. When a group re-encryption sweeps
 // over a block that was never written, the engine materializes it as an
@@ -79,6 +80,9 @@ type Engine struct {
 	// indexed by block number — see blockstore.go.
 	store  *blockStore
 	images *imageStore
+	// off maps every stored byte above to one physical offset: the
+	// adversary's surface (offchip.go).
+	off *OffChip
 
 	// groupBuf is the reusable plaintext staging buffer for group
 	// re-encryption sweeps; spanBuf stages ciphertext runs for the batched
@@ -234,6 +238,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.images = newImageStore(e.tr.Leaves())
+	e.off = newOffChip(e)
 
 	metaBlocks := scheme.MetadataBlocks(cfg.DataBlocks())
 	e.cc = newCounterCache(cacheEntries(maxCounterCacheEntries, metaBlocks))
@@ -282,22 +287,11 @@ func (e *Engine) readCached(blk uint64, dst []byte) bool {
 // resets, re-encodes, extensions).
 func (e *Engine) SchemeStats() ctr.Stats { return e.scheme.Stats() }
 
-// Tree exposes the integrity tree for attack experiments.
+// Tree exposes the integrity tree: its shape locates tree-node faults.
 func (e *Engine) Tree() *tree.Tree { return e.tr }
 
 // ECCCodec returns the name of the resolved check-lane codec.
 func (e *Engine) ECCCodec() string { return e.codec.Name() }
-
-// InlineCheckBits returns the number of stored check bits per block under
-// the inline placement (the block codec's CheckBytes * 8), or 0 when the
-// MAC-carrying lane is the only check storage. Fault campaigns use it to
-// size the attackable ECC bit space.
-func (e *Engine) InlineCheckBits() int {
-	if e.bcod == nil {
-		return 0
-	}
-	return e.bcod.CheckBytes() * 8
-}
 
 func (e *Engine) checkAddr(addr uint64) error {
 	if addr%BlockBytes != 0 {

@@ -179,7 +179,7 @@ func TestTamperCiphertextDetectedInlineMode(t *testing.T) {
 	// Three flips in one word beat SEC-DED's guarantee but the MAC (or
 	// SEC-DED's double-detect) must still refuse the data.
 	for _, bit := range []int{65, 70, 77} {
-		if err := e.TamperCiphertext(0x80, bit); err != nil {
+		if err := flipAt(e.off, PlaneData, 0x80, bit); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +201,7 @@ func TestSingleFaultCorrectedInlineMode(t *testing.T) {
 	if err := e.Write(0x100, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.TamperCiphertext(0x100, 130); err != nil {
+	if err := flipAt(e.off, PlaneData, 0x100, 130); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, BlockBytes)
@@ -223,10 +223,10 @@ func TestDoubleFaultInWordCorrectedOnlyByMACInECC(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Two flips within word 0.
-		if err := e.TamperCiphertext(0x140, 3); err != nil {
+		if err := flipAt(e.off, PlaneData, 0x140, 3); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.TamperCiphertext(0x140, 40); err != nil {
+		if err := flipAt(e.off, PlaneData, 0x140, 40); err != nil {
 			t.Fatal(err)
 		}
 		dst := make([]byte, BlockBytes)
@@ -252,7 +252,7 @@ func TestECCLaneFaultCorrected(t *testing.T) {
 	if err := e.Write(0x180, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.TamperECCLane(0x180, 22); err != nil {
+	if err := flipAt(e.off, PlaneLane, 0x180, 22); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, BlockBytes)
@@ -271,7 +271,7 @@ func TestTamperCounterBlockDetected(t *testing.T) {
 		if err := e.Write(0, block(6)); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.TamperCounterBlock(0, 5); err != nil {
+		if err := flipElem(e.off, PlaneCounter, 0, 5); err != nil {
 			t.Fatal(err)
 		}
 		dst := make([]byte, BlockBytes)
@@ -297,7 +297,7 @@ func TestTamperTreeNodeDetected(t *testing.T) {
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.TamperTreeNode(tree.NodeID{Level: 0, Index: 0}, 9); err != nil {
+	if err := flipNode(e.off, tree.NodeID{Level: 0, Index: 0}, 9); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, BlockBytes)
@@ -317,19 +317,16 @@ func TestReplayAttackDetected(t *testing.T) {
 		if err := e.Write(addr, old); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := e.Snapshot(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap := record(t, e.off, addr)
 		fresh := block(8)
 		if err := e.Write(addr, fresh); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Replay(snap); err != nil {
+		if err := replay(e.off, snap); err != nil {
 			t.Fatal(err)
 		}
 		dst := make([]byte, BlockBytes)
-		_, err = e.Read(addr, dst)
+		_, err := e.Read(addr, dst)
 		var ie *IntegrityError
 		if !errors.As(err, &ie) {
 			t.Fatalf("%s: replay attack succeeded: %v", scheme, err)
@@ -457,7 +454,7 @@ func TestScrubFindsAndRepairsFaults(t *testing.T) {
 	}
 	// Inject single-bit faults into three blocks.
 	for _, blk := range []uint64{2, 9, 17} {
-		if err := e.TamperCiphertext(blk*BlockBytes, int(blk)*7%512); err != nil {
+		if err := flipAt(e.off, PlaneData, blk*BlockBytes, int(blk)*7%512); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -497,10 +494,10 @@ func TestScrubMissesEvenWeightFaults(t *testing.T) {
 	if err := e.Write(0, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.TamperCiphertext(0, 10); err != nil {
+	if err := flipAt(e.off, PlaneData, 0, 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.TamperCiphertext(0, 300); err != nil {
+	if err := flipAt(e.off, PlaneData, 0, 300); err != nil {
 		t.Fatal(err)
 	}
 	r, err := e.Scrub()
@@ -522,25 +519,25 @@ func TestScrubMissesEvenWeightFaults(t *testing.T) {
 
 func TestAttackAPIValidation(t *testing.T) {
 	e := newEngine(t, smallCfg(ctr.Delta, MACInECC))
-	if err := e.TamperCiphertext(0, 0); err == nil {
+	if err := flipAt(e.off, PlaneData, 0, 0); err == nil {
 		t.Fatal("tamper of non-resident block should fail")
 	}
 	if err := e.Write(0, block(12)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.TamperCiphertext(0, 512); err == nil {
+	if err := flipAt(e.off, PlaneData, 0, 512); err == nil {
 		t.Fatal("bit out of range should fail")
 	}
-	if err := e.TamperCiphertext(3, 0); err == nil {
+	if err := flipAt(e.off, PlaneData, 3, 0); err == nil {
 		t.Fatal("unaligned address should fail")
 	}
-	if err := e.TamperInlineTag(0, 0); err == nil {
-		t.Fatal("inline tamper under MACInECC should fail")
+	if err := flipAt(e.off, PlaneCheck, 0, 0); err == nil {
+		t.Fatal("check-byte tamper under MACInECC should fail")
 	}
-	if err := e.TamperCounterBlock(1<<40, 0); err == nil {
+	if err := flipElem(e.off, PlaneCounter, 1<<40, 0); err == nil {
 		t.Fatal("metadata index out of range should fail")
 	}
-	if err := e.TamperCounterBlock(0, -1); err == nil {
+	if err := flipElem(e.off, PlaneCounter, 0, -1); err == nil {
 		t.Fatal("negative bit should fail")
 	}
 
@@ -548,11 +545,11 @@ func TestAttackAPIValidation(t *testing.T) {
 	if err := inline.Write(0, block(13)); err != nil {
 		t.Fatal(err)
 	}
-	if err := inline.TamperECCLane(0, 0); err == nil {
-		t.Fatal("ECC-lane tamper under MACInline should fail")
-	}
-	if err := inline.TamperInlineTag(0, 64); err == nil {
+	if err := flipAt(inline.off, PlaneLane, 0, 64); err == nil {
 		t.Fatal("tag bit out of range should fail")
+	}
+	if err := flipAt(inline.off, PlaneCheck, 0, 8*int(inline.off.elem[PlaneCheck])); err == nil {
+		t.Fatal("check bit out of range should fail")
 	}
 }
 
@@ -561,7 +558,7 @@ func TestTamperInlineTagDetected(t *testing.T) {
 	if err := e.Write(0, block(14)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.TamperInlineTag(0, 12); err != nil {
+	if err := flipAt(e.off, PlaneLane, 0, 12); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, BlockBytes)
@@ -634,7 +631,7 @@ func TestScrubFindsMACFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.TamperECCLane(3*BlockBytes, 17); err != nil {
+	if err := flipAt(e.off, PlaneLane, 3*BlockBytes, 17); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := e.Scrub()
@@ -688,7 +685,7 @@ func TestCacheSizingFollowsRegion(t *testing.T) {
 	}
 	// Eviction-on-tamper holds at the minimum size: the flipped bit is seen
 	// (and corrected) by the next read, not masked by a resident line.
-	if err := e.TamperCiphertext(0, 9); err != nil {
+	if err := flipAt(e.off, PlaneData, 0, 9); err != nil {
 		t.Fatal(err)
 	}
 	info, err := e.Read(0, dst)

@@ -65,7 +65,7 @@ func TestIntegrationMixedCampaign(t *testing.T) {
 				// SEC-DED miscorrection is caught by the MAC.
 				word := rng.Intn(8)
 				for _, b := range rng.Perm(64)[:4] {
-					if err := e.TamperCiphertext(addr, word*64+b); err != nil {
+					if err := flipAt(e.off, PlaneData, addr, word*64+b); err != nil {
 						t.Fatalf("%s: tamper: %v", name, err)
 					}
 				}
@@ -104,7 +104,7 @@ func TestIntegrationScrubUnderFaultStorm(t *testing.T) {
 			continue
 		}
 		faulted[blk] = true
-		if err := e.TamperCiphertext(blk*BlockBytes, rng.Intn(512)); err != nil {
+		if err := flipAt(e.off, PlaneData, blk*BlockBytes, rng.Intn(512)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestIntegrationColdBootWipe(t *testing.T) {
 		for blk := uint64(0); blk < blocks/2; blk++ {
 			flips := rng.Intn(20) + 3
 			for f := 0; f < flips; f++ {
-				if err := e.TamperCiphertext(blk*BlockBytes, rng.Intn(512)); err != nil {
+				if err := flipAt(e.off, PlaneData, blk*BlockBytes, rng.Intn(512)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -182,10 +182,7 @@ func TestIntegrationReplayAfterReencryption(t *testing.T) {
 	if err := e.Write(victim, block(50)); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := e.Snapshot(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := record(t, e.off, victim)
 	// Hammer a different block in the same group until it re-encrypts,
 	// which rewrites the victim too.
 	for i := 0; i < 200; i++ {
@@ -196,7 +193,7 @@ func TestIntegrationReplayAfterReencryption(t *testing.T) {
 	if e.SchemeStats().Reencryptions == 0 {
 		t.Fatal("no re-encryption happened")
 	}
-	if err := e.Replay(snap); err != nil {
+	if err := replay(e.off, snap); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, BlockBytes)

@@ -315,9 +315,9 @@ func TestLockFreeTamperCoherence(t *testing.T) {
 		name   string
 		tamper func(s *ShardedEngine, addr uint64) error
 	}{
-		{"ciphertext", func(s *ShardedEngine, addr uint64) error { return s.TamperCiphertext(addr, 7) }},
-		{"ecc-lane", func(s *ShardedEngine, addr uint64) error { return s.TamperECCLane(addr, 3) }},
-		{"counter", func(s *ShardedEngine, addr uint64) error { return s.TamperCounterForAddr(addr, 11) }},
+		{"ciphertext", func(s *ShardedEngine, addr uint64) error { return flipAt(s, PlaneData, addr, 7) }},
+		{"ecc-lane", func(s *ShardedEngine, addr uint64) error { return flipAt(s, PlaneLane, addr, 3) }},
+		{"counter", func(s *ShardedEngine, addr uint64) error { return flipAt(s, PlaneCounter, addr, 11) }},
 	}
 	for _, p := range planes {
 		t.Run(p.name, func(t *testing.T) {
@@ -506,11 +506,11 @@ func TestLockFreeConcurrentStress(t *testing.T) {
 			var err error
 			switch op % 4 {
 			case 0:
-				err = s.TamperCiphertext(addr, int(x>>20)%(BlockBytes*8))
+				err = flipAt(s, PlaneData, addr, int(x>>20)%(BlockBytes*8))
 			case 1:
-				err = s.TamperECCLane(addr, int(x>>20)%64)
+				err = flipAt(s, PlaneLane, addr, int(x>>20)%64)
 			case 2:
-				err = s.TamperCounterForAddr(addr, int(x>>20)%(BlockBytes*8))
+				err = flipAt(s, PlaneCounter, addr, int(x>>20)%(BlockBytes*8))
 			case 3:
 				shard := s.ShardOf(addr)
 				local := addr - uint64(shard)*s.ShardBytes()
@@ -522,7 +522,7 @@ func TestLockFreeConcurrentStress(t *testing.T) {
 					}
 					leaf := eng.MetaLeaf(eng.MetadataIndex(local))
 					id := tree.NodeID{Level: 0, Index: leaf / tree.Arity}
-					err = eng.TamperTreeNode(id, int(x>>20)%(tree.NodeBytes*8))
+					err = flipNode(eng.off, id, int(x>>20)%(tree.NodeBytes*8))
 				})
 			}
 			if err != nil {

@@ -21,7 +21,7 @@ func TestRecoverMetadataRepair(t *testing.T) {
 				t.Fatal(err)
 			}
 			midx := e.MetadataIndex(0)
-			if err := e.TamperCounterBlock(midx, 13); err != nil {
+			if err := flipElem(e.off, PlaneCounter, midx, 13); err != nil {
 				t.Fatal(err)
 			}
 			// Plain Read must fail at the counter stage.
@@ -64,7 +64,7 @@ func TestRecoverTreeNodeRepair(t *testing.T) {
 	}
 	leaf := e.metaLeaf(e.MetadataIndex(0))
 	id := tree.NodeID{Level: 0, Index: leaf / 8}
-	if err := e.TamperTreeNode(id, 5); err != nil {
+	if err := flipNode(e.off, id, 5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Read(0, make([]byte, BlockBytes)); err == nil {
@@ -95,7 +95,7 @@ func TestRecoverTransientRetry(t *testing.T) {
 			}
 			// A burst beyond any correction budget.
 			for bit := 0; bit < 40; bit++ {
-				if err := e.TamperCiphertext(0, bit); err != nil {
+				if err := flipAt(e.off, PlaneData, 0, bit); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -107,7 +107,7 @@ func TestRecoverTransientRetry(t *testing.T) {
 				}
 				cleared = true
 				for bit := 0; bit < 40; bit++ {
-					if err := e.TamperCiphertext(0, bit); err != nil {
+					if err := flipAt(e.off, PlaneData, 0, bit); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -142,7 +142,7 @@ func TestRecoverQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for bit := 0; bit < 40; bit++ {
-		if err := e.TamperCiphertext(128, bit); err != nil {
+		if err := flipAt(e.off, PlaneData, 128, bit); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,7 +197,7 @@ func TestRecoverPolicyDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.recovery = recoveryPolicy{}
-	if err := e.TamperCounterBlock(e.MetadataIndex(0), 3); err != nil {
+	if err := flipElem(e.off, PlaneCounter, e.MetadataIndex(0), 3); err != nil {
 		t.Fatal(err)
 	}
 	ri, err := e.ReadRecover(0, make([]byte, BlockBytes))
@@ -226,7 +226,7 @@ func TestReencryptSweepQuarantinesUnverifiable(t *testing.T) {
 				t.Fatal(err)
 			}
 			for bit := 0; bit < 40; bit++ {
-				if err := e.TamperCiphertext(victim*BlockBytes, bit); err != nil {
+				if err := flipAt(e.off, PlaneData, victim*BlockBytes, bit); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -23,7 +23,7 @@ func TestReencryptSweepBanksCorrections(t *testing.T) {
 				if err := e.Write(victim, want); err != nil {
 					t.Fatal(err)
 				}
-				if err := e.TamperCiphertext(victim, 3); err != nil {
+				if err := flipAt(e.off, PlaneData, victim, 3); err != nil {
 					t.Fatal(err)
 				}
 				before := e.Stats()

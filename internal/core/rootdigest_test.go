@@ -119,7 +119,7 @@ func TestRootDigestEqualsFreshHashAfterAnyHistory(t *testing.T) {
 					id := tree.NodeID{Level: 0, Index: uint64(rng.Int63n(int64(e.tr.NodesAtLevel(0))))}
 					bit := rng.Intn(tree.NodeBytes * 8)
 					for i := 0; i < 2; i++ {
-						if err := e.tr.CorruptNode(id, bit); err != nil {
+						if err := flipNode(e.off, id, bit); err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -494,20 +494,6 @@ func (s *ShardedEngine) SchemeStats() ctr.Stats {
 	return total
 }
 
-// SetRetryHook registers f, invoked with global block indices.
-func (s *ShardedEngine) SetRetryHook(f func(blk uint64)) {
-	for _, sh := range s.shards {
-		base := sh.base / BlockBytes
-		sh.mu.Lock()
-		if f == nil {
-			sh.eng.SetRetryHook(nil)
-		} else {
-			sh.eng.SetRetryHook(func(blk uint64) { f(base + blk) })
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // Quarantined reports whether the block at addr is quarantined.
 func (s *ShardedEngine) Quarantined(addr uint64) bool {
 	if s.checkAddr(addr) != nil {
@@ -581,9 +567,8 @@ func (s *ShardedEngine) Scrub() (ScrubReport, error) {
 	return total, nil
 }
 
-// WithShard locks shard i and passes its engine to fn — how attack
-// experiments and the fault campaign reach a shard's tamper surface without
-// racing traffic.
+// WithShard locks shard i and passes its engine to fn, so a test or an
+// experiment can drive one shard's whole engine without racing traffic.
 func (s *ShardedEngine) WithShard(i int, fn func(eng *Engine)) {
 	sh := s.shards[i]
 	sh.mu.Lock()
@@ -597,81 +582,63 @@ func OneShard(eng *Engine) *ShardedEngine {
 	return wrapShards(eng.Config(), []*Engine{eng})
 }
 
-// attack runs one adversary operation on the shard owning the global address
-// addr, under that shard's lock and with the address made shard-local.
-func (s *ShardedEngine) attack(addr uint64, op func(eng *Engine, local uint64) error) error {
-	if err := s.checkAddr(addr); err != nil {
-		return err
-	}
-	sh, local := s.route(addr)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return op(sh.eng, local)
-}
+// MemoryEngine returns the engine behind an *authmem.Memory. Package authmem
+// sets it at init, so authmem/adversary reaches the off-chip map without
+// Memory exporting an accessor.
+var MemoryEngine func(m any) *ShardedEngine
 
-// TamperCiphertext flips a stored ciphertext bit (global address).
-func (s *ShardedEngine) TamperCiphertext(addr uint64, bit int) error {
-	return s.attack(addr, func(eng *Engine, local uint64) error { return eng.TamperCiphertext(local, bit) })
-}
-
-// TamperECCLane flips an ECC-lane bit (global address, MACInECC only).
-func (s *ShardedEngine) TamperECCLane(addr uint64, bit int) error {
-	return s.attack(addr, func(eng *Engine, local uint64) error { return eng.TamperECCLane(local, bit) })
-}
-
-// TamperInlineTag flips a stored MAC-tag bit (global address, MACInline).
-func (s *ShardedEngine) TamperInlineTag(addr uint64, bit int) error {
-	return s.attack(addr, func(eng *Engine, local uint64) error { return eng.TamperInlineTag(local, bit) })
-}
-
-// TamperCheckBit flips a stored codec check-byte bit (global address,
-// MACInline only).
-func (s *ShardedEngine) TamperCheckBit(addr uint64, bit int) error {
-	return s.attack(addr, func(eng *Engine, local uint64) error { return eng.TamperCheckBit(local, bit) })
-}
-
-// TamperCounterForAddr flips one bit of the counter block covering the
-// global address addr.
-func (s *ShardedEngine) TamperCounterForAddr(addr uint64, bit int) error {
-	return s.attack(addr, func(eng *Engine, local uint64) error {
-		return eng.TamperCounterBlock(eng.MetadataIndex(local), bit)
-	})
-}
-
-// TamperTreeNode flips one bit of an off-chip node of shard i's subtree:
-// every shard has a tree of its own, so a node is named by shard and NodeID.
-func (s *ShardedEngine) TamperTreeNode(i int, id tree.NodeID, bit int) error {
+// OffChip returns shard i's off-chip map and the global offset it starts at:
+// the region's map is the shards' maps end to end. Use the map for its
+// geometry, which is immutable and needs no lock; its raw operations need
+// the shard's, which FlipBit, ReadRaw and WriteRaw below take.
+func (s *ShardedEngine) OffChip(i int) (m *OffChip, base uint64, err error) {
 	sh, err := s.shard(i)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
+	return sh.eng.off, uint64(i) * sh.eng.off.Size(), nil
+}
+
+// LocateAddr returns the global offset of the plane-p element holding the
+// block at the global address addr (see OffChip.LocateAddr).
+func (s *ShardedEngine) LocateAddr(p Plane, addr uint64) (uint64, error) {
+	if err := s.checkAddr(addr); err != nil {
+		return 0, err
+	}
+	sh, local := s.route(addr)
+	off, err := sh.eng.off.LocateAddr(p, local)
+	if err != nil {
+		return 0, err
+	}
+	return uint64(s.ShardOf(addr))*sh.eng.off.Size() + off, nil
+}
+
+// onShard runs a raw operation at the global offset phys on its shard's map,
+// under that shard's lock, with phys made shard-local.
+func (s *ShardedEngine) onShard(phys uint64, op func(m *OffChip, local uint64) error) error {
+	span := s.shards[0].eng.off.Size()
+	if size := uint64(len(s.shards)) * span; phys >= size {
+		return fmt.Errorf("core: offset %#x outside the %d-byte off-chip map", phys, size)
+	}
+	sh := s.shards[phys/span]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.eng.TamperTreeNode(id, bit)
+	return op(sh.eng.off, phys%span)
 }
 
-// Snapshot records the DRAM-visible state of the block at the global address
-// addr; the snapshot remembers that address for Replay.
-func (s *ShardedEngine) Snapshot(addr uint64) (BlockSnapshot, error) {
-	var snap BlockSnapshot
-	err := s.attack(addr, func(eng *Engine, local uint64) (err error) {
-		snap, err = eng.Snapshot(local)
-		snap.addr = addr
-		return err
-	})
-	return snap, err
+// FlipBit is OffChip.FlipBit at a global offset.
+func (s *ShardedEngine) FlipBit(phys uint64, bit int) error {
+	return s.onShard(phys, func(m *OffChip, local uint64) error { return m.FlipBit(local, bit) })
 }
 
-// Replay restores a snapshot at the address it was taken from — the rollback
-// attack, routed to the owning shard.
-func (s *ShardedEngine) Replay(snap BlockSnapshot) error {
-	return s.attack(snap.addr, func(eng *Engine, local uint64) error { return eng.replayAt(snap, local) })
+// ReadRaw is OffChip.ReadRaw at a global offset.
+func (s *ShardedEngine) ReadRaw(phys uint64, dst []byte) error {
+	return s.onShard(phys, func(m *OffChip, local uint64) error { return m.ReadRaw(local, dst) })
 }
 
-// Splice plants a snapshot's data and MAC bits at the global address addr,
-// which may lie in another shard than the one the snapshot came from.
-func (s *ShardedEngine) Splice(snap BlockSnapshot, addr uint64) error {
-	return s.attack(addr, func(eng *Engine, local uint64) error { return eng.Splice(snap, local) })
+// WriteRaw is OffChip.WriteRaw at a global offset.
+func (s *ShardedEngine) WriteRaw(phys uint64, src []byte) error {
+	return s.onShard(phys, func(m *OffChip, local uint64) error { return m.WriteRaw(local, src) })
 }
 
 // FlushAll forces every shard's deferred Merkle maintenance to land. Only

@@ -92,16 +92,17 @@ func TestShardedKeyIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Reach each shard's raw ciphertext via the locked escape hatch.
+	// Read each shard's raw ciphertext off the region's map.
 	cts := make([][]byte, s.Shards())
 	for i := range cts {
-		s.WithShard(i, func(eng *Engine) {
-			snap, err := eng.Snapshot(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cts[i] = append([]byte(nil), snap.ciphertext[:]...)
-		})
+		phys, err := s.LocateAddr(PlaneData, uint64(i)*s.ShardBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts[i] = make([]byte, BlockBytes)
+		if err := s.ReadRaw(phys, cts[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 1; i < len(cts); i++ {
 		if bytes.Equal(cts[0], cts[i]) {
@@ -179,7 +180,7 @@ func TestShardedErrorAddressesAreGlobal(t *testing.T) {
 	}
 	// Three flips defeat the 2-bit ECC correction budget.
 	for _, bit := range []int{12, 137, 300} {
-		if err := s.TamperCiphertext(target, bit); err != nil {
+		if err := flipAt(s, PlaneData, target, bit); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +230,7 @@ func TestShardedQuarantineGlobal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bit := range []int{3, 77, 411} {
-		if err := s.TamperCiphertext(target, bit); err != nil {
+		if err := flipAt(s, PlaneData, target, bit); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -318,18 +319,18 @@ func TestShardedScrub(t *testing.T) {
 		// Odd-weight faults the parity screen can see: a data bit here, an
 		// ECC-lane bit there.
 		for i := sh; i < n/4; i += 7 {
-			if err := twin.TamperCiphertext(i*BlockBytes, int(i*37)%512); err != nil {
+			if err := flipAt(twin.off, PlaneData, i*BlockBytes, int(i*37)%512); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.TamperCiphertext(sh*s.ShardBytes()+i*BlockBytes, int(i*37)%512); err != nil {
+			if err := flipAt(s, PlaneData, sh*s.ShardBytes()+i*BlockBytes, int(i*37)%512); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 5 + sh; i < n/4; i += 11 {
-			if err := twin.TamperECCLane(i*BlockBytes, int(i)%64); err != nil {
+			if err := flipAt(twin.off, PlaneLane, i*BlockBytes, int(i)%64); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.TamperECCLane(sh*s.ShardBytes()+i*BlockBytes, int(i)%64); err != nil {
+			if err := flipAt(s, PlaneLane, sh*s.ShardBytes()+i*BlockBytes, int(i)%64); err != nil {
 				t.Fatal(err)
 			}
 		}

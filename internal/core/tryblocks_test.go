@@ -136,8 +136,8 @@ func TestTryBlocksMatchBlockingCalls(t *testing.T) {
 					}
 				case i%64 == 63: // beyond correction: reads of it must fail alike
 					for _, bit := range []int{3, 170, 401} {
-						try.TamperCiphertext(addr, bit)
-						ref.TamperCiphertext(addr, bit)
+						flipAt(try, PlaneData, addr, bit)
+						flipAt(ref, PlaneData, addr, bit)
 					}
 					fallthrough
 				case rng.Intn(3) > 0:

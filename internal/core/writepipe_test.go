@@ -206,7 +206,7 @@ func TestWritePipelineDirtyFaultDetected(t *testing.T) {
 			t.Fatal("write did not defer")
 		}
 		midx := e.MetadataIndex(0)
-		if err := e.TamperCounterBlock(midx, 5); err != nil {
+		if err := flipElem(e.off, PlaneCounter, midx, 5); err != nil {
 			t.Fatal(err)
 		}
 		dst := make([]byte, BlockBytes)

@@ -6,10 +6,21 @@ import (
 	"testing"
 
 	"authmem"
+	"authmem/adversary"
 	"authmem/client"
 	"authmem/internal/server"
 	"authmem/internal/wire"
 )
+
+// flipAt flips one bit of the plane-p element holding the block at addr,
+// through the off-chip attack surface.
+func flipAt(m *authmem.Memory, p adversary.Plane, addr uint64, bit int) error {
+	phys, err := adversary.LocateAddr(m, p, addr)
+	if err != nil {
+		return err
+	}
+	return adversary.FlipBit(m, phys, bit)
+}
 
 func newShardedMem(t testing.TB, size uint64, shards int, scheme authmem.CounterScheme) *authmem.Memory {
 	t.Helper()
@@ -100,18 +111,18 @@ func TestFaultTaxonomyOverWire(t *testing.T) {
 		name string
 		flip func(m *authmem.Memory, addr uint64) error
 	}{
-		{"data bit", func(m *authmem.Memory, addr uint64) error { return m.FlipDataBit(addr, 7) }},
-		{"ecc bit", func(m *authmem.Memory, addr uint64) error { return m.FlipECCBit(addr, 3) }},
+		{"data bit", func(m *authmem.Memory, addr uint64) error { return flipAt(m, adversary.Data, addr, 7) }},
+		{"ecc bit", func(m *authmem.Memory, addr uint64) error { return flipAt(m, adversary.Lane, addr, 3) }},
 		{"data burst", func(m *authmem.Memory, addr uint64) error {
 			// Three flips exceed the 2-bit flip-and-check budget: uncorrectable.
 			for _, bit := range []int{11, 97, 203} {
-				if err := m.FlipDataBit(addr, bit); err != nil {
+				if err := flipAt(m, adversary.Data, addr, bit); err != nil {
 					return err
 				}
 			}
 			return nil
 		}},
-		{"counter bit", func(m *authmem.Memory, addr uint64) error { return m.FlipCounterBit(addr, 2) }},
+		{"counter bit", func(m *authmem.Memory, addr uint64) error { return flipAt(m, adversary.Counter, addr, 2) }},
 	}
 	for i, tc := range tampers {
 		addr := uint64(i) * 4096
@@ -194,7 +205,7 @@ func TestQuarantineLifecycleOverWire(t *testing.T) {
 	// One flip would be absorbed by MAC-in-ECC flip-and-check correction;
 	// three exceed the budget and must fail authentication.
 	for _, bit := range []int{0, 9, 130} {
-		if err := mem.FlipDataBit(addr, bit); err != nil {
+		if err := flipAt(mem, adversary.Data, addr, bit); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"authmem"
+	"authmem/adversary"
 	"authmem/internal/server"
 	"authmem/internal/wire"
 )
@@ -83,17 +84,17 @@ func inlineTranscript(t *testing.T, wrap func(*authmem.Memory) server.Backend) (
 		name string
 		flip func(addr uint64) error
 	}{
-		{"data flip", func(a uint64) error { return mem.FlipDataBit(a, 7) }},
-		{"MAC flip", func(a uint64) error { return mem.FlipECCBit(a, 3) }},
+		{"data flip", func(a uint64) error { return flipAt(mem, adversary.Data, a, 7) }},
+		{"MAC flip", func(a uint64) error { return flipAt(mem, adversary.Lane, a, 3) }},
 		{"data burst", func(a uint64) error { // beyond correction: MAC_FAIL, then quarantine
 			for _, bit := range []int{11, 97, 203} {
-				if err := mem.FlipDataBit(a, bit); err != nil {
+				if err := flipAt(mem, adversary.Data, a, bit); err != nil {
 					return err
 				}
 			}
 			return nil
 		}},
-		{"counter tamper", func(a uint64) error { return mem.FlipCounterBit(a, 2) }},
+		{"counter tamper", func(a uint64) error { return flipAt(mem, adversary.Counter, a, 2) }},
 	}
 	for i, f := range faults {
 		base := uint64(i) * shard // one fault kind per shard
@@ -123,13 +124,17 @@ func inlineTranscript(t *testing.T, wrap func(*authmem.Memory) server.Backend) (
 
 	// Tree tamper, last: it poisons every cold access beneath the node.
 	do(wire.OpFlush, wire.FlagRootPin, 0, 0, nil)
-	if err := mem.FlipTreeNodeBit(3, 0, 0, 3); err != nil {
+	node, err := adversary.LocateNode(mem, 3, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := adversary.FlipBit(mem, node, 3); err != nil {
 		t.Fatal(err)
 	}
 	mem.WithShard(3, func(view *authmem.Memory) { // evict, so reads must verify
 		for b := uint64(0); b < 8; b++ {
-			view.FlipDataBit(b*wire.BlockBytes, 1)
-			view.FlipDataBit(b*wire.BlockBytes, 1)
+			flipAt(view, adversary.Data, b*wire.BlockBytes, 1)
+			flipAt(view, adversary.Data, b*wire.BlockBytes, 1)
 		}
 	})
 	read(3*shard, 4)

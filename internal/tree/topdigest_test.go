@@ -13,7 +13,7 @@ import (
 // the top level. Each step asks for the digest with probability one half, so
 // the cache is sometimes warm and sometimes stale when the next mutator
 // lands; failed mutators (bad input, truncated streams, an update through a
-// node CorruptNode flipped, which fails verification before it writes) are in
+// node an attacker flipped, which fails verification before it writes) are in
 // the mix because they may have written part of a level before failing.
 func TestTopDigestTracksEveryMutator(t *testing.T) {
 	for _, geo := range []struct {
@@ -28,7 +28,7 @@ func TestTopDigestTracksEveryMutator(t *testing.T) {
 			rng.Read(b)
 			return b
 		}
-		// corrupted is set while a CorruptNode flip or a partial ReadFrom may
+		// corrupted is set while an off-chip node flip or a partial ReadFrom may
 		// sit under the on-chip level; only then may an update fail with
 		// *ErrTampered.
 		corrupted := false
@@ -110,13 +110,11 @@ func TestTopDigestTracksEveryMutator(t *testing.T) {
 				}
 				corrupted = true // a partial read leaves levels from two trees
 			case 7:
-				what = "CorruptNode"
+				what = "OffChipNode"
 				if tr.OffChipLevels() > 0 {
 					id := NodeID{Level: rng.Intn(tr.OffChipLevels())}
 					id.Index = uint64(rng.Int63n(int64(tr.NodesAtLevel(id.Level))))
-					if err := tr.CorruptNode(id, rng.Intn(NodeBytes*8)); err != nil {
-						t.Fatal(err)
-					}
+					flipNode(t, tr, id, rng.Intn(NodeBytes*8))
 					corrupted = true
 				}
 			case 8:

@@ -137,7 +137,7 @@ func (s Shape) Path(leaf uint64, dst []uint64) []uint64 {
 }
 
 // Tree is a Bonsai Merkle tree. Node storage below the top level models
-// off-chip DRAM: it is exported to attack via CorruptNode, and neither
+// off-chip DRAM: it is exported to attack via OffChipNode, and neither
 // verification nor an update trusts it. The top level models on-chip SRAM
 // and is trusted.
 //
@@ -156,7 +156,7 @@ type Tree struct {
 	// set. Every function that writes that level (UpdateLeaf,
 	// UpdateLeafFast, UpdateLeaves, Rebuild, ReadFrom) clears topValid
 	// before it writes a node, so the cache can never outlive the bytes it
-	// hashed; CorruptNode cannot reach the on-chip level and leaves it set.
+	// hashed; OffChipNode cannot reach the on-chip level and leaves it set.
 	topDigest [sha256.Size]byte
 	topValid  bool
 }
@@ -427,19 +427,16 @@ type NodeID struct {
 	Index uint64
 }
 
-// CorruptNode flips one bit of a stored node image — the attacker's move.
-// Corrupting the on-chip level is rejected: it models SRAM inside the trust
-// boundary.
-func (t *Tree) CorruptNode(id NodeID, bit int) error {
-	if id.Level >= len(t.levels)-1 {
-		return fmt.Errorf("tree: level %d is on-chip and not attackable", id.Level)
+// OffChipNode returns the stored image of off-chip node id: the 64 bytes an
+// attacker with DRAM access reads and writes. The slice aliases the tree's
+// storage. The on-chip level models SRAM inside the trust boundary and is
+// rejected, as is any id outside the off-chip levels.
+func (t *Tree) OffChipNode(id NodeID) ([]byte, error) {
+	if id.Level < 0 || id.Level >= t.OffChipLevels() {
+		return nil, fmt.Errorf("tree: level %d is not an off-chip level [0,%d)", id.Level, t.OffChipLevels())
 	}
 	if id.Index >= t.counts[id.Level] {
-		return fmt.Errorf("tree: node index %d out of range", id.Index)
+		return nil, fmt.Errorf("tree: node index %d out of range", id.Index)
 	}
-	if bit < 0 || bit >= NodeBytes*8 {
-		return fmt.Errorf("tree: bit %d out of range", bit)
-	}
-	t.node(id.Level, id.Index)[bit/8] ^= 1 << uint(bit%8)
-	return nil
+	return t.node(id.Level, id.Index), nil
 }

@@ -148,9 +148,7 @@ func TestTamperedNodeDetectedAtEveryLevel(t *testing.T) {
 		for k := 0; k <= lvl; k++ {
 			idx /= Arity
 		}
-		if err := tr2.CorruptNode(NodeID{Level: lvl, Index: idx}, 17); err != nil {
-			t.Fatal(err)
-		}
+		flipNode(t, tr2, NodeID{Level: lvl, Index: idx}, 17)
 		if _, err := tr2.VerifyLeaf(leaf, leafImg(leaf)); err == nil {
 			t.Fatalf("corruption at level %d undetected", lvl)
 		}
@@ -166,21 +164,30 @@ func TestNodeSwapDetected(t *testing.T) {
 	}
 }
 
+// flipNode flips one bit of an off-chip node image, the attacker's move.
+func flipNode(t *testing.T, tr *Tree, id NodeID, bit int) {
+	t.Helper()
+	img, err := tr.OffChipNode(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[bit/8] ^= 1 << (bit % 8)
+}
+
 func TestOnChipNotAttackable(t *testing.T) {
 	tr := buildTree(t, 5000, 3<<10)
 	top := tr.Levels() - 1
-	if err := tr.CorruptNode(NodeID{Level: top, Index: 0}, 0); err == nil {
-		t.Fatal("on-chip corruption should be rejected")
+	if _, err := tr.OffChipNode(NodeID{Level: top, Index: 0}); err == nil {
+		t.Fatal("on-chip node should be rejected")
 	}
 }
 
 func TestCorruptNodeValidation(t *testing.T) {
 	tr := buildTree(t, 5000, 3<<10)
-	if err := tr.CorruptNode(NodeID{Level: 0, Index: 1 << 40}, 0); err == nil {
-		t.Fatal("out-of-range index should fail")
-	}
-	if err := tr.CorruptNode(NodeID{Level: 0, Index: 0}, 512); err == nil {
-		t.Fatal("out-of-range bit should fail")
+	for _, id := range []NodeID{{Level: 0, Index: 1 << 40}, {Level: -1}, {Level: tr.Levels()}} {
+		if _, err := tr.OffChipNode(id); err == nil {
+			t.Fatalf("node %+v should be rejected", id)
+		}
 	}
 }
 

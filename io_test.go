@@ -154,7 +154,7 @@ func TestWriteAtTamperedNeighborRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, bit := range []int{0, 9, 200} {
-			if err := m.FlipDataBit(0, bit); err != nil {
+			if err := flipAt(m, planeData, 0, bit); err != nil {
 				t.Fatal(err)
 			}
 		}

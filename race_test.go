@@ -129,7 +129,7 @@ func TestSingleShardQuarantineRace(t *testing.T) {
 	// drive it into quarantine.
 	m.WithShard(0, func(raw *Memory) {
 		for bit := 0; bit < 41; bit++ {
-			if err := raw.FlipDataBit(victim, bit*12%512); err != nil {
+			if err := flipAt(raw, planeData, victim, bit*12%512); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -325,15 +325,15 @@ func TestShardedMemoryLockFreeRace(t *testing.T) {
 			var err error
 			switch i % 4 {
 			case 0:
-				err = s.FlipDataBit(a, (i*17)%512)
+				err = flipAt(s, planeData, a, (i*17)%512)
 			case 1:
-				err = s.FlipECCBit(a, (i*11)%64)
+				err = flipAt(s, planeLane, a, (i*11)%64)
 			case 2: // two-bit data burst: beyond SECDED, into the retry ladder
-				if err = s.FlipDataBit(a, (i*7)%512); err == nil {
-					err = s.FlipDataBit(a, (i*7+101)%512)
+				if err = flipAt(s, planeData, a, (i*7)%512); err == nil {
+					err = flipAt(s, planeData, a, (i*7+101)%512)
 				}
 			case 3:
-				err = s.FlipCounterBit(a, (i*23)%512)
+				err = flipAt(s, planeCounter, a, (i*23)%512)
 			}
 			if err != nil {
 				errs <- fmt.Errorf("fault: %v", err)

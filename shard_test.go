@@ -92,7 +92,7 @@ func TestShardedMidSpanFailurePropagates(t *testing.T) {
 	}
 	target := m.ShardSize()*2 + 7*BlockSize
 	for _, bit := range []int{9, 200, 333} { // beyond the 2-bit ECC budget
-		if err := m.FlipDataBit(target, bit); err != nil {
+		if err := flipAt(m, planeData, target, bit); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,7 +161,7 @@ func TestShardedWithShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.WithShard(shard, func(view *Memory) {
-		if err := view.FlipTreeNodeBit(0, 0, 0, 3); err != nil {
+		if err := flipNode(view, 0, 0, 0, 3); err != nil {
 			t.Fatal(err)
 		}
 		var ie *IntegrityError
@@ -182,18 +182,18 @@ func TestShardedWithShard(t *testing.T) {
 // Two shards are given identical write histories, so block, counter and
 // counter-block image agree bit for bit at the same local address; bits taken
 // from shard 0 and planted at that address in shard 1 — ciphertext and MAC
-// alone (Splice), or with the counter block too (Replay through the shard's
-// view) — still never verify, because each shard's keys are derived from its
+// alone (a splice to the global address), or with the counter block too (a
+// replay at the same offsets through the shard's view) — still never verify, because each shard's keys are derived from its
 // position.
 func TestCrossShardRelocationNeverVerifies(t *testing.T) {
 	for _, scheme := range []CounterScheme{Monolithic, DeltaEncoding} {
 		for _, placement := range []MACPlacement{MACInECC, InlineMAC} {
-			plant := map[string]func(m *Memory, snap BlockSnapshot, addr uint64) error{
-				"splice": func(m *Memory, snap BlockSnapshot, addr uint64) error {
-					return m.Splice(snap, addr+m.ShardSize())
+			plant := map[string]func(m *Memory, snap []rawElem, addr uint64) error{
+				"splice": func(m *Memory, snap []rawElem, addr uint64) error {
+					return splice(m, snap, addr+m.ShardSize())
 				},
-				"replay": func(m *Memory, snap BlockSnapshot, _ uint64) (err error) {
-					m.WithShard(1, func(view *Memory) { err = view.Replay(snap) })
+				"replay": func(m *Memory, snap []rawElem, _ uint64) (err error) {
+					m.WithShard(1, func(view *Memory) { err = replay(view, snap) })
 					return err
 				},
 			}
@@ -209,10 +209,7 @@ func TestCrossShardRelocationNeverVerifies(t *testing.T) {
 						}
 					}
 				}
-				snap, err := m.Snapshot(addr)
-				if err != nil {
-					t.Fatal(err)
-				}
+				snap := record(t, m, addr)
 				if err := attack(m, snap, addr); err != nil {
 					t.Fatal(err)
 				}
@@ -480,7 +477,7 @@ func TestTryBlocksFacade(t *testing.T) {
 			stats, dirty := m.Stats(), m.DirtyGroups()
 			m.WithShard(0, func(view *Memory) {
 				// Evicted through the view so the read below needs the lock.
-				if err := view.FlipDataBit(0, 5); err != nil {
+				if err := flipAt(view, planeData, 0, 5); err != nil {
 					t.Fatal(err)
 				}
 				if done, err := m.TryReadBlocks(0, buf); done || err != nil {
@@ -489,7 +486,7 @@ func TestTryBlocksFacade(t *testing.T) {
 				if done, err := m.TryWriteBlocks(0, buf); done || err != nil {
 					t.Errorf("write under a held shard: (%v, %v), want (false, nil)", done, err)
 				}
-				if err := view.FlipDataBit(0, 5); err != nil { // undo
+				if err := flipAt(view, planeData, 0, 5); err != nil { // undo
 					t.Fatal(err)
 				}
 			})
