@@ -113,7 +113,10 @@ type Config struct {
 	Size uint64
 	// Scheme selects counter storage.
 	Scheme CounterScheme
-	// Placement selects MAC storage.
+	// Placement selects MAC storage, and with it the ECC codec: the
+	// paper's MAC+Hamming+parity lane ("macsecded") under MACInECC,
+	// SEC-DED check bytes ("secded") under InlineMAC. A persisted image
+	// only resumes under the codec that wrote it.
 	Placement MACPlacement
 	// Key is the device secret: 40 bytes (24 for the MAC, 16 for
 	// AES-128 encryption). Required.
@@ -133,16 +136,6 @@ type Config struct {
 	// harness, which reads it; no second value exists (the cipher and MAC
 	// are crypto/aes, unconditionally) and New rejects anything else.
 	CryptoBackend string
-	// ECCCodec selects the check-lane codec. Under MACInECC the only
-	// codec is "macsecded" (the paper's MAC+Hamming+parity lane); under
-	// InlineMAC choose "secded" (8 check bytes, corrects single-bit
-	// faults) or "residue" (4 check bytes, detection only — half the
-	// check storage). Codecs change the stored
-	// format and the protection guarantees: an explicit codec that does
-	// not match Placement is a configuration error, and a persisted image
-	// only resumes under the codec that wrote it. Empty means the
-	// placement's default.
-	ECCCodec string
 }
 
 // KeySize is the required Config.Key length.
@@ -179,7 +172,6 @@ func (c Config) internal() (core.Config, error) {
 		KeyMaterial:     c.Key,
 		DataTree:        c.ClassicDataTree,
 		CryptoBackend:   c.CryptoBackend,
-		ECCCodec:        c.ECCCodec,
 	}
 	if cfg.OnChipTreeBytes == 0 {
 		cfg.OnChipTreeBytes = 3 << 10

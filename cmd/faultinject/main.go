@@ -1,10 +1,10 @@
 // Command faultinject exercises the design's fault handling at two scales.
 //
-// The default mode reproduces Figure 3: how standard SEC-DED ECC, the
-// detection-only residue code, and the proposed MAC-in-ECC scheme handle
-// different bit-flip fault patterns on a single isolated block. For each
-// fault class it reports the fraction of injected faults that were
-// corrected, detected-but-uncorrectable, or silently miscorrected.
+// The default mode reproduces Figure 3: how standard SEC-DED ECC and the
+// proposed MAC-in-ECC scheme handle different bit-flip fault patterns on a
+// single isolated block. For each fault class it reports the fraction of
+// injected faults that were corrected, detected-but-uncorrectable, or
+// silently miscorrected.
 //
 // The -campaign mode runs the end-to-end fault-injection campaign engine
 // (internal/campaign): a randomized workload drives a full engine while
@@ -30,19 +30,17 @@
 //
 //	faultinject [-trials n] [-seed s] [-budget 0|1|2]
 //	faultinject -campaign [-trials n] [-seed s] [-budget 0|1|2]
-//	           [-scheme delta] [-placement macecc] [-ecc codec] [-app facesim]
+//	           [-scheme delta] [-placement macecc] [-app facesim]
 //	           [-rate 0.15] [-burst 4] [-out CAMPAIGN_report.json]
 //	faultinject -concurrent [-trials n] [-seed s] [-shards 4] [-workers 3]
-//	           [-scheme delta] [-placement macecc] [-ecc codec]
+//	           [-scheme delta] [-placement macecc]
 //	           [-rate 0.15] [-burst 4] [-out CONCURRENT_report.json]
 //	faultinject -strike [-trials n] [-seed s] [-shards 4] [-workers 3]
-//	           [-scheme delta] [-placement macecc] [-ecc codec]
+//	           [-scheme delta] [-placement macecc]
 //	           [-burst 4] [-out STRIKE_report.json]
 //
-// -ecc selects the ECC codec for campaign engines (secded, macsecded,
-// residue — see internal/ecc). Because a codec either carries the MAC or
-// doesn't, -ecc also implies the placement: macsecded forces -placement
-// macecc, secded/residue force -placement inline.
+// -placement alone picks the design point's ECC codec: SEC-DED check bytes
+// beside an inline MAC, or the MAC-carrying lane under macecc.
 package main
 
 import (
@@ -50,12 +48,9 @@ import (
 	"fmt"
 	"os"
 
-	"strings"
-
 	"authmem/internal/campaign"
 	"authmem/internal/core"
 	"authmem/internal/ctr"
-	"authmem/internal/ecc"
 	"authmem/internal/fault"
 	"authmem/internal/stats"
 )
@@ -74,8 +69,6 @@ func main() {
 	budget := flag.Int("budget", 2, "MAC-in-ECC flip-and-check budget (bits)")
 	scheme := flag.String("scheme", "delta", "campaign counter scheme: monolithic|split|delta|dual")
 	placement := flag.String("placement", "macecc", "campaign MAC placement: inline|macecc")
-	eccName := flag.String("ecc", "", fmt.Sprintf("campaign ECC codec: %s (implies placement; default: placement's default)",
-		strings.Join(ecc.Names(), "|")))
 	app := flag.String("app", "facesim", "campaign workload application (see internal/workload)")
 	rate := flag.Float64("rate", 0.15, "campaign per-operation fault probability")
 	burst := flag.Int("burst", 4, "campaign max bit flips per fault event")
@@ -87,35 +80,37 @@ func main() {
 		return
 	}
 	if *runStrike {
-		ecfg := engineConfig(*scheme, *placement, *eccName, *budget)
+		ecfg := engineConfig(*scheme, *placement, *budget)
 		mainStrike(ecfg, *trials, *seed, *burst, *shards, *workers, *out)
 		return
 	}
 	if *runConcurrent {
-		ecfg := engineConfig(*scheme, *placement, *eccName, *budget)
+		ecfg := engineConfig(*scheme, *placement, *budget)
 		mainConcurrent(ecfg, *trials, *seed, *rate, *burst, *shards, *workers, *out)
 		return
 	}
 	if *runCampaign {
-		ecfg := engineConfig(*scheme, *placement, *eccName, *budget)
+		ecfg := engineConfig(*scheme, *placement, *budget)
 		mainCampaign(ecfg, *trials, *seed, *app, *rate, *burst, *out)
 		return
 	}
 
+	if *trials <= 0 {
+		fatalf("-trials must be positive, got %d", *trials)
+	}
 	fmt.Printf("Figure 3: error handling by fault pattern (%d trials per cell)\n", *trials)
 	fmt.Printf("cells are corrected%% / detected%% / miscorrected%%\n\n")
 
-	tb := stats.NewTable("fault pattern", "SEC-DED(72,64)", "residue(32)",
+	tb := stats.NewTable("fault pattern", "SEC-DED(72,64)",
 		fmt.Sprintf("MAC-in-ECC (budget %d)", *budget))
 	for _, class := range fault.Classes() {
 		sec := fault.InjectSECDED(class, *trials, *seed)
-		res := fault.InjectResidue(class, *trials, *seed)
 		mec, err := fault.InjectMACECC(class, *trials, *seed, *budget)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "faultinject:", err)
 			os.Exit(1)
 		}
-		tb.AddRow(class.String(), cell(sec), cell(res), cell(mec))
+		tb.AddRow(class.String(), cell(sec), cell(mec))
 	}
 	fmt.Print(tb)
 	fmt.Println("\nReading the table (paper §3.3-§3.4):")
@@ -123,16 +118,11 @@ func main() {
 	fmt.Println(" - one flip in each of many words: only SEC-DED corrects")
 	fmt.Println(" - >=3 flips in one word: SEC-DED can silently miscorrect;")
 	fmt.Println("   MAC-in-ECC always detects (full error detection on data)")
-	fmt.Println(" - residue(32) corrects nothing but stores half the check bits;")
-	fmt.Println("   its miscorrected cells are residue-aliasing blind spots, which")
-	fmt.Println("   the engine's end-to-end MAC still catches")
 }
 
-// engineConfig resolves the campaign design point from the command line.
-// When -ecc names a codec, the codec decides the placement (a codec either
-// carries the MAC in the ECC lane or it does not); an explicit conflicting
-// -placement is rejected rather than silently overridden.
-func engineConfig(scheme, placement, eccName string, budget int) core.Config {
+// engineConfig resolves the campaign design point from the command line;
+// the placement fixes the ECC codec.
+func engineConfig(scheme, placement string, budget int) core.Config {
 	kind, ok := schemes[scheme]
 	if !ok {
 		fatalf("unknown scheme %q (monolithic|split|delta|dual)", scheme)
@@ -146,42 +136,9 @@ func engineConfig(scheme, placement, eccName string, budget int) core.Config {
 	default:
 		fatalf("unknown placement %q (inline|macecc)", placement)
 	}
-	if eccName != "" {
-		cod, err := ecc.Lookup(eccName)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		implied := core.MACInline
-		if cod.CarriesMAC() {
-			implied = core.MACInECC
-		}
-		if isFlagSet("placement") && place != implied {
-			fatalf("-ecc %s implies -placement %s, got -placement %s",
-				cod.Name(), placementFlag(implied), placement)
-		}
-		place = implied
-	}
 	ecfg := core.Default(kind, place)
 	ecfg.CorrectBits = budget
-	ecfg.ECCCodec = eccName
 	return ecfg
-}
-
-func isFlagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-func placementFlag(p core.MACPlacement) string {
-	if p == core.MACInECC {
-		return "macecc"
-	}
-	return "inline"
 }
 
 func cell(r fault.Result) string {

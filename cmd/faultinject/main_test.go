@@ -16,7 +16,7 @@ import (
 func TestCampaignMatchesCommittedReport(t *testing.T) {
 	const ops, seed = 2000, 1
 	// The live planes and the durability plane, as mainCampaign runs them.
-	cfg := campaign.Default(engineConfig("delta", "macecc", "", 2), ops, seed)
+	cfg := campaign.Default(engineConfig("delta", "macecc", 2), ops, seed)
 	rep, err := campaign.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

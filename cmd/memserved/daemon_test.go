@@ -42,7 +42,7 @@ func TestDaemonBinary(t *testing.T) {
 		for _, m := range flagLine.FindAllSubmatch(out, -1) {
 			got = append(got, string(m[1]))
 		}
-		want := []string{"addr", "checkpoint-interval", "dev-key", "drain-grace", "ecc", "inflight",
+		want := []string{"addr", "checkpoint-interval", "dev-key", "drain-grace", "inflight",
 			"key-hex", "node-id", "scheme", "shards", "size", "stats-every", "timeout", "wal"}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("flags = %v, want %v", got, want)

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"authmem"
-	"authmem/internal/ecc"
 	"authmem/internal/server"
 	"authmem/internal/wire"
 )
@@ -42,7 +41,6 @@ func main() {
 		size      = flag.Uint64("size", 64<<20, "protected region size in bytes")
 		shards    = flag.Int("shards", 4, "shard count (power of two)")
 		scheme    = flag.String("scheme", "delta", "counter scheme: delta, split, or mono")
-		eccCodec  = flag.String("ecc", "", "ECC codec: macsecded, secded, or residue (non-MAC codecs imply inline MAC placement; default macsecded)")
 		keyHex    = flag.String("key-hex", "", "device key, hex-encoded (40 bytes)")
 		devKey    = flag.Bool("dev-key", false, "use a fixed all-zeros development key (NOT for real data)")
 		inflight  = flag.Int("inflight", 64, "per-connection in-flight request cap")
@@ -60,11 +58,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	memCfg, eccDesc, err := buildMemConfig(*size, *scheme, *eccCodec, key)
+	memCfg, err := buildMemConfig(*size, *scheme, key)
 	if err != nil {
 		log.Fatal(err)
 	}
-	desc := fmt.Sprintf("%dMB %s region across %d shards (%s ecc)", *size>>20, *scheme, *shards, eccDesc)
+	desc := fmt.Sprintf("%dMB %s region across %d shards (macsecded ecc)", *size>>20, *scheme, *shards)
 	var (
 		backend server.Backend
 		store   *authmem.Durable
@@ -156,9 +154,9 @@ func resolveKey(keyHex string, devKey bool) ([]byte, error) {
 	}
 }
 
-// buildMemConfig resolves the flag surface into an authmem.Config plus the
-// human-readable codec label used in the serve banner.
-func buildMemConfig(size uint64, scheme, eccCodec string, key []byte) (authmem.Config, string, error) {
+// buildMemConfig resolves the flag surface into an authmem.Config: the
+// paper's MAC-in-ECC design point under the chosen counter scheme.
+func buildMemConfig(size uint64, scheme string, key []byte) (authmem.Config, error) {
 	cfg := authmem.DefaultConfig(size)
 	cfg.Key = key
 	switch scheme {
@@ -169,26 +167,9 @@ func buildMemConfig(size uint64, scheme, eccCodec string, key []byte) (authmem.C
 	case "mono":
 		cfg.Scheme = authmem.Monolithic
 	default:
-		return cfg, "", fmt.Errorf("-scheme: unknown scheme %q (want delta, split, or mono)", scheme)
+		return cfg, fmt.Errorf("-scheme: unknown scheme %q (want delta, split, or mono)", scheme)
 	}
-	eccDesc := "macsecded"
-	if eccCodec != "" {
-		// The codec decides the placement: a block codec (secded, residue)
-		// stores check bytes beside inline MAC tags, macsecded carries the
-		// MAC inside the ECC lane.
-		cod, err := ecc.Lookup(eccCodec)
-		if err != nil {
-			return cfg, "", fmt.Errorf("-ecc: %w", err)
-		}
-		cfg.ECCCodec = eccCodec
-		if cod.CarriesMAC() {
-			cfg.Placement = authmem.MACInECC
-		} else {
-			cfg.Placement = authmem.InlineMAC
-		}
-		eccDesc = cod.Name()
-	}
-	return cfg, eccDesc, nil
+	return cfg, nil
 }
 
 // openStore opens the durable region in dir (-wal) and logs what recovery

@@ -68,6 +68,17 @@ func run(args []string, w io.Writer) error {
 	var o options
 	fs := newFlagSet(&o)
 	fs.Parse(args) // ExitOnError
+	// A zero scale leaves every cell 0/0: a table of NaN, not a result.
+	switch {
+	case o.trials <= 0:
+		return fmt.Errorf("-trials must be positive, got %d", o.trials)
+	case o.runs <= 0:
+		return fmt.Errorf("-runs must be positive, got %d", o.runs)
+	case o.ops == 0:
+		return fmt.Errorf("-ops must be positive")
+	case o.writebacks == 0:
+		return fmt.Errorf("-writebacks must be positive")
+	}
 	if o.all {
 		o.fig1, o.fig3, o.fig8, o.table2 = true, true, true, true
 	}

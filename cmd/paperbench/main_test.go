@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"authmem/internal/fault"
 )
 
 // TestFlagSet pins the command line: the four figure selectors, -all, five
@@ -58,4 +63,105 @@ func TestAllIsThePaperFigures(t *testing.T) {
 	if _, err := os.Stat("out/fig1.csv"); err != nil {
 		t.Fatalf("-csv did not write fig1.csv: %v", err)
 	}
+}
+
+// TestRejectsNonPositiveScale: a zero or negative -trials, -runs, -ops or
+// -writebacks is an error, not a table of NaN.
+func TestRejectsNonPositiveScale(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig3", "-trials", "0"},
+		{"-fig3", "-trials", "-5"},
+		{"-table2", "-runs", "0"},
+		{"-table2", "-runs", "-1"},
+		{"-fig8", "-ops", "0"},
+		{"-table2", "-writebacks", "0"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil {
+			t.Errorf("%v: no error; printed\n%s", args, out.String())
+		}
+	}
+}
+
+// TestPaperGoldens holds the full-scale -fig1 and -fig3 output at -seed 7 to
+// testdata/<fig>.golden, byte for byte, and checks that the goldens still
+// state the paper's qualitative claims, so a regenerated golden cannot
+// quietly lose the result. Regenerate one with
+// `go run ./cmd/paperbench -fig1 -seed 7 > cmd/paperbench/testdata/fig1.golden`
+// and say in the change why it moved.
+func TestPaperGoldens(t *testing.T) {
+	golden := map[string]string{}
+	for _, fig := range []string{"fig1", "fig3"} {
+		want, err := os.ReadFile(filepath.Join("testdata", fig+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden[fig] = string(want)
+		var out bytes.Buffer
+		if err := run([]string{"-" + fig, "-seed", "7"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != string(want) {
+			t.Errorf("-%s -seed 7 differs from testdata/%s.golden:\n%s", fig, fig, out.String())
+		}
+	}
+
+	// Figure 1: design point -> [counters%, tree%, MACs%, total%, levels].
+	fig1 := map[string][]string{}
+	for _, line := range strings.Split(golden["fig1"], "\n") {
+		if f := regexp.MustCompile(`\s{2,}`).Split(strings.TrimSpace(line), -1); len(f) == 6 {
+			fig1[f[0]] = f[1:]
+		}
+	}
+	base, prop := fig1["baseline (mono + inline MAC)"], fig1["proposed (delta + MAC-in-ECC)"]
+	if base == nil || prop == nil {
+		t.Fatalf("fig1 golden lacks the baseline or proposed row:\n%s", golden["fig1"])
+	}
+	if base[4] != "5" || prop[4] != "4" {
+		t.Errorf("tree levels: baseline %s, proposed %s; the paper has 5 -> 4", base[4], prop[4])
+	}
+	if b, p := pct(t, base[3]), pct(t, prop[3]); b <= 20 || p >= 2 {
+		t.Errorf("total overhead: baseline %.2f%% (want > 20%%), proposed %.2f%% (want < 2%%)", b, p)
+	}
+
+	// Figure 3: fault class -> SEC-DED then MAC-in-ECC corrected/detected/
+	// miscorrected percentages.
+	fig3 := map[string][]float64{}
+	num := regexp.MustCompile(`\d+\.\d`)
+	for _, line := range strings.Split(golden["fig3"], "\n") {
+		for _, class := range fault.Classes() {
+			rest, ok := strings.CutPrefix(line, class.String()+"  ")
+			if !ok {
+				continue
+			}
+			for _, n := range num.FindAllString(rest, -1) {
+				fig3[class.String()] = append(fig3[class.String()], pct(t, n))
+			}
+		}
+	}
+	for _, class := range fault.Classes() {
+		c := fig3[class.String()]
+		if len(c) != 6 {
+			t.Fatalf("fig3 golden row %q: %v, want 6 cells", class, c)
+		}
+		if c[5] != 0 {
+			t.Errorf("%s: MAC-in-ECC miscorrects %.1f%%, want 0", class, c[5])
+		}
+	}
+	if c := fig3["2 bits, same word"]; c[0] != 0 || c[3] == 0 {
+		t.Errorf("2 bits, same word: SEC-DED corrects %.1f%%, MAC-in-ECC %.1f%%; only MAC-in-ECC should", c[0], c[3])
+	}
+	if c := fig3["3 bits, same word"]; c[2] == 0 {
+		t.Error("3 bits, same word: SEC-DED never miscorrects")
+	}
+}
+
+// pct parses a table cell such as "23.66%" or "76.7".
+func pct(t *testing.T, cell string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

@@ -2,6 +2,7 @@ package authmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -144,7 +145,6 @@ func TestFacadeTypedErrorsRoundTrip(t *testing.T) {
 
 	// Codec mismatch through the same path.
 	inl := testConfig(DeltaEncoding, InlineMAC)
-	inl.ECCCodec = "secded"
 	si, err := NewSharded(inl, shards)
 	if err != nil {
 		t.Fatal(err)
@@ -153,11 +153,18 @@ func TestFacadeTypedErrorsRoundTrip(t *testing.T) {
 	if _, err := si.Persist(&base2); err != nil {
 		t.Fatal(err)
 	}
-	other := inl
-	other.ECCCodec = "residue"
-	_, _, err = ResumeShardedIncremental(other, shards, bytes.NewReader(base2.Bytes()), nil, nil)
+	// Rewrite each shard header's length-prefixed codec name: an image a
+	// residue build wrote.
+	field := func(name string) []byte {
+		return append(binary.LittleEndian.AppendUint64(nil, uint64(len(name))), name...)
+	}
+	foreign := bytes.ReplaceAll(base2.Bytes(), field("secded"), field("residue"))
+	_, _, err = ResumeShardedIncremental(inl, shards, bytes.NewReader(foreign), nil, nil)
 	var cerr *CodecMismatchError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("*CodecMismatchError lost at the facade: %v", err)
+	}
+	if cerr.ImageCodec != "residue" || cerr.ConfigCodec != "secded" {
+		t.Fatalf("mismatch fields wrong: %+v", cerr)
 	}
 }

@@ -11,14 +11,12 @@ func TestPersistCrashPhase(t *testing.T) {
 	for _, pt := range []struct {
 		scheme    ctr.Kind
 		placement core.MACPlacement
-		codec     string
 	}{
-		{ctr.Delta, core.MACInECC, ""},
-		{ctr.Delta, core.MACInline, "residue"},
-		{ctr.Monolithic, core.MACInECC, ""},
+		{ctr.Delta, core.MACInECC},
+		{ctr.Delta, core.MACInline},
+		{ctr.Monolithic, core.MACInECC},
 	} {
 		ecfg := core.Default(pt.scheme, pt.placement)
-		ecfg.ECCCodec = pt.codec
 		t.Run(pt.scheme.String()+"/"+ecfg.CodecName(), func(t *testing.T) {
 			cfg := DefaultPersistCrash(ecfg, 20, 7)
 			cfg.Epochs = 3

@@ -18,8 +18,8 @@ func TestEngineAccessors(t *testing.T) {
 		t.Fatal("Tree accessor wrong")
 	}
 
-	if e.ECCCodec() != "macsecded" || e.SchemeStats() != (ctr.Stats{}) {
-		t.Fatalf("ECCCodec %q / SchemeStats %+v on a fresh engine", e.ECCCodec(), e.SchemeStats())
+	if e.SchemeStats() != (ctr.Stats{}) {
+		t.Fatalf("SchemeStats %+v on a fresh engine", e.SchemeStats())
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -10,25 +11,24 @@ import (
 	"authmem/internal/ecc"
 )
 
-// codecConfigs returns one engine configuration per registered ECC codec,
-// each under the codec's implied MAC placement. Iterating ecc.Names() means
-// a future codec joins the conformance suite the moment it registers.
+// codecConfigs returns one engine configuration per MAC placement, so one
+// per codec: the placement fixes the codec.
 func codecConfigs() []Config {
-	var cfgs []Config
-	for _, name := range ecc.Names() {
-		cod, err := ecc.Lookup(name)
-		if err != nil {
-			panic(err)
-		}
-		place := MACInline
-		if cod.CarriesMAC() {
-			place = MACInECC
-		}
-		cfg := smallCfg(ctr.Delta, place)
-		cfg.ECCCodec = name
-		cfgs = append(cfgs, cfg)
+	return []Config{smallCfg(ctr.Delta, MACInline), smallCfg(ctr.Delta, MACInECC)}
+}
+
+// withImageCodec returns a copy of img whose headers name codec to where
+// they named codec from (each a length-prefixed name): the image a build
+// running the other codec would have written.
+func withImageCodec(t *testing.T, img []byte, from, to string) []byte {
+	t.Helper()
+	field := func(name string) []byte {
+		return append(binary.LittleEndian.AppendUint64(nil, uint64(len(name))), name...)
 	}
-	return cfgs
+	if !bytes.Contains(img, field(from)) {
+		t.Fatalf("image header names no codec %q", from)
+	}
+	return bytes.ReplaceAll(img, field(from), field(to))
 }
 
 // TestCodecConformanceCleanTrace runs the identical write/read trace under
@@ -40,8 +40,8 @@ func TestCodecConformanceCleanTrace(t *testing.T) {
 
 	for _, cfg := range codecConfigs() {
 		e := newEngine(t, cfg)
-		if got := e.ECCCodec(); got != cfg.ECCCodec {
-			t.Fatalf("engine reports codec %q, config selected %q", got, cfg.ECCCodec)
+		if got := e.codec.Name(); got != cfg.CodecName() {
+			t.Fatalf("engine runs codec %q, config names %q", got, cfg.CodecName())
 		}
 		rng := rand.New(rand.NewSource(77))
 		truth := make(map[uint64][]byte)
@@ -49,7 +49,7 @@ func TestCodecConformanceCleanTrace(t *testing.T) {
 			blk := uint64(rng.Intn(300))
 			data := block(rng.Int63())
 			if err := e.Write(blk*BlockBytes, data); err != nil {
-				t.Fatalf("%s: write: %v", cfg.ECCCodec, err)
+				t.Fatalf("%s: write: %v", cfg.CodecName(), err)
 			}
 			truth[blk*BlockBytes] = data
 		}
@@ -58,14 +58,14 @@ func TestCodecConformanceCleanTrace(t *testing.T) {
 		dst := make([]byte, BlockBytes)
 		for addr, want := range truth {
 			if _, err := e.Read(addr, dst); err != nil {
-				t.Fatalf("%s: read %#x: %v", cfg.ECCCodec, addr, err)
+				t.Fatalf("%s: read %#x: %v", cfg.CodecName(), addr, err)
 			}
 			if !bytes.Equal(dst, want) {
-				t.Fatalf("%s: block %#x read back wrong", cfg.ECCCodec, addr)
+				t.Fatalf("%s: block %#x read back wrong", cfg.CodecName(), addr)
 			}
 			got[addr] = append([]byte(nil), dst...)
 		}
-		results[cfg.ECCCodec] = got
+		results[cfg.CodecName()] = got
 	}
 
 	// Cross-codec: every codec returned byte-identical reads.
@@ -106,7 +106,7 @@ func TestCodecConformanceDataFaultNeverSilent(t *testing.T) {
 			}
 			if _, err := e.Read(addr, dst); err == nil {
 				if !bytes.Equal(dst, want) {
-					t.Fatalf("%s: trial %d: silent corruption at %#x", cfg.ECCCodec, trial, addr)
+					t.Fatalf("%s: trial %d: silent corruption at %#x", cfg.CodecName(), trial, addr)
 				}
 			}
 			// Restore a known-good block either way.
@@ -147,7 +147,7 @@ func TestCodecConformanceCheckFaultNeverSilent(t *testing.T) {
 			}
 			if _, err := e.Read(addr, dst); err == nil {
 				if !bytes.Equal(dst, want) {
-					t.Fatalf("%s: trial %d: silent corruption at %#x", cfg.ECCCodec, trial, addr)
+					t.Fatalf("%s: trial %d: silent corruption at %#x", cfg.CodecName(), trial, addr)
 				}
 			}
 			if err := e.Write(addr, want); err != nil {
@@ -157,9 +157,8 @@ func TestCodecConformanceCheckFaultNeverSilent(t *testing.T) {
 	}
 }
 
-// TestCodecCorrectionSemantics pins the per-codec single-bit contract: the
-// correcting codes repair one flipped ciphertext bit transparently, the
-// detection-only residue code refuses the read loudly.
+// TestCodecCorrectionSemantics pins the per-codec single-bit contract: both
+// codecs repair one flipped ciphertext bit transparently.
 func TestCodecCorrectionSemantics(t *testing.T) {
 	for _, cfg := range codecConfigs() {
 		e := newEngine(t, cfg)
@@ -172,34 +171,30 @@ func TestCodecCorrectionSemantics(t *testing.T) {
 		}
 		dst := make([]byte, BlockBytes)
 		_, err := e.Read(0, dst)
-		switch cfg.ECCCodec {
+		switch cfg.CodecName() {
 		case "secded", "macsecded":
 			if err != nil {
-				t.Fatalf("%s: single-bit fault not corrected: %v", cfg.ECCCodec, err)
+				t.Fatalf("%s: single-bit fault not corrected: %v", cfg.CodecName(), err)
 			}
 			if !bytes.Equal(dst, want) {
-				t.Fatalf("%s: corrected read returned wrong bytes", cfg.ECCCodec)
+				t.Fatalf("%s: corrected read returned wrong bytes", cfg.CodecName())
 			}
 			st := e.Stats()
 			if st.SECDEDCorrected+st.CorrectedDataBits == 0 {
-				t.Fatalf("%s: correction left no stats trace: %+v", cfg.ECCCodec, st)
-			}
-		case "residue":
-			if err == nil {
-				t.Fatal("residue: detection-only codec silently served a faulted block")
+				t.Fatalf("%s: correction left no stats trace: %+v", cfg.CodecName(), st)
 			}
 		default:
-			t.Fatalf("unpinned codec %q: extend this test", cfg.ECCCodec)
+			t.Fatalf("unpinned codec %q: extend this test", cfg.CodecName())
 		}
 	}
 }
 
 // TestResumeCodecMismatch: a persisted image must only resume under the
-// codec that wrote it — the check storage layout differs, so resuming under
-// another codec is a typed, actionable error, not a MAC failure downstream.
+// codec that wrote it — the check storage layout differs, so an image whose
+// header names another codec (say, residue, written by an older build) is a
+// typed, actionable error, not a MAC failure downstream.
 func TestResumeCodecMismatch(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInline)
-	cfg.ECCCodec = "secded"
 	e := newEngine(t, cfg)
 	if err := e.Write(0, block(7)); err != nil {
 		t.Fatal(err)
@@ -210,15 +205,14 @@ func TestResumeCodecMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same placement, different codec: typed mismatch error.
-	bad := cfg
-	bad.ECCCodec = "residue"
-	_, err = Resume(bad, bytes.NewReader(buf.Bytes()), &digest)
+	// Same placement, another codec in the header: typed mismatch error.
+	foreign := withImageCodec(t, buf.Bytes(), "secded", "residue")
+	_, err = Resume(cfg, bytes.NewReader(foreign), &digest)
 	var mm *CodecMismatchError
 	if !errors.As(err, &mm) {
-		t.Fatalf("resume under residue: got %v, want *CodecMismatchError", err)
+		t.Fatalf("resume of a residue image: got %v, want *CodecMismatchError", err)
 	}
-	if mm.ImageCodec != "secded" || mm.ConfigCodec != "residue" {
+	if mm.ImageCodec != "residue" || mm.ConfigCodec != "secded" {
 		t.Fatalf("mismatch error fields: %+v", mm)
 	}
 
@@ -240,8 +234,7 @@ func TestResumeCodecMismatch(t *testing.T) {
 // images, so the codec header must round-trip — and mismatch — through the
 // sharded persist path too.
 func TestResumeCodecMismatchSharded(t *testing.T) {
-	cfg := smallCfg(ctr.Delta, MACInline)
-	cfg.ECCCodec = "residue"
+	cfg := smallCfg(ctr.Delta, MACInECC)
 	s, err := NewShardedEngine(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -255,14 +248,13 @@ func TestResumeCodecMismatchSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bad := cfg
-	bad.ECCCodec = "secded"
-	_, err = ResumeSharded(bad, 2, bytes.NewReader(buf.Bytes()), &digest)
+	foreign := withImageCodec(t, buf.Bytes(), "macsecded", "residue")
+	_, err = ResumeSharded(cfg, 2, bytes.NewReader(foreign), &digest)
 	var mm *CodecMismatchError
 	if !errors.As(err, &mm) {
-		t.Fatalf("sharded resume under secded: got %v, want *CodecMismatchError", err)
+		t.Fatalf("sharded resume of a residue image: got %v, want *CodecMismatchError", err)
 	}
-	if mm.ImageCodec != "residue" || mm.ConfigCodec != "secded" {
+	if mm.ImageCodec != "residue" || mm.ConfigCodec != "macsecded" {
 		t.Fatalf("mismatch error fields: %+v", mm)
 	}
 
@@ -279,42 +271,24 @@ func TestResumeCodecMismatchSharded(t *testing.T) {
 	}
 }
 
-// TestCodecPlacementValidation: an explicitly configured codec that cannot
-// serve the configured placement is a configuration error, caught before an
-// engine is built.
-func TestCodecPlacementValidation(t *testing.T) {
-	cfg := smallCfg(ctr.Delta, MACInECC)
-	cfg.ECCCodec = "residue"
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("residue under MACInECC should fail validation")
-	}
-	cfg = smallCfg(ctr.Delta, MACInline)
-	cfg.ECCCodec = "macsecded"
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("macsecded under MACInline should fail validation")
-	}
-	cfg.ECCCodec = "no-such-codec"
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("unknown codec should fail validation")
-	}
-}
-
 // TestEnvironmentDoesNotSelectCodec: the codec is part of the stored format,
-// so only Config.ECCCodec names it. The retired $AUTHMEM_ECC_CODEC must
-// neither change an empty name's resolution nor fail Validate when it holds
-// garbage.
+// so only the placement fixes it. The retired $AUTHMEM_ECC_CODEC must
+// neither change that nor fail Validate when it holds garbage or the other
+// placement's codec.
 func TestEnvironmentDoesNotSelectCodec(t *testing.T) {
-	cfg := smallCfg(ctr.Delta, MACInline)
-	for _, v := range []string{"residue", "no-such-codec"} {
-		t.Setenv("AUTHMEM_ECC_CODEC", v)
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("AUTHMEM_ECC_CODEC=%s: Validate: %v", v, err)
-		}
-		if got := cfg.CodecName(); got != ecc.DefaultBlockCodec {
-			t.Fatalf("AUTHMEM_ECC_CODEC=%s: empty ECCCodec resolved to %q, want %q", v, got, ecc.DefaultBlockCodec)
-		}
-		if got := newEngine(t, cfg).ECCCodec(); got != ecc.DefaultBlockCodec {
-			t.Fatalf("AUTHMEM_ECC_CODEC=%s: engine runs %q, want %q", v, got, ecc.DefaultBlockCodec)
+	for _, cfg := range codecConfigs() {
+		want := ecc.DefaultFor(cfg.Placement == MACInECC)
+		for _, v := range []string{"residue", "no-such-codec", "secded", "macsecded"} {
+			t.Setenv("AUTHMEM_ECC_CODEC", v)
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("%s, AUTHMEM_ECC_CODEC=%s: Validate: %v", cfg.Placement, v, err)
+			}
+			if got := cfg.CodecName(); got != want {
+				t.Fatalf("%s, AUTHMEM_ECC_CODEC=%s: config names %q, want %q", cfg.Placement, v, got, want)
+			}
+			if got := newEngine(t, cfg).codec.Name(); got != want {
+				t.Fatalf("%s, AUTHMEM_ECC_CODEC=%s: engine runs %q, want %q", cfg.Placement, v, got, want)
+			}
 		}
 	}
 }

@@ -89,13 +89,6 @@ type Config struct {
 	// engine's only cipher and MAC are internal/crypto over crypto/aes —
 	// and Validate rejects anything else.
 	CryptoBackend string
-	// ECCCodec names the check-lane codec (see internal/ecc: "secded" and
-	// "residue" for the inline placement, "macsecded" for MAC-in-ECC).
-	// Codecs are NOT interchangeable — they change the stored format and
-	// the detection/correction guarantees — so an explicit name
-	// incompatible with Placement is a Validate error. Empty means the
-	// placement's default (ecc.DefaultFor); nothing ambient selects a codec.
-	ECCCodec string
 }
 
 // KeyMaterialLen is the required KeyMaterial length.
@@ -140,39 +133,24 @@ func (c Config) Validate() error {
 	case c.CryptoBackend != "":
 		return fmt.Errorf("core: CryptoBackend %q: no selectable crypto backend exists (crypto/aes is the only cipher path); leave the field empty", c.CryptoBackend)
 	}
-	_, err := c.resolveCodec()
-	return err
+	return nil
 }
 
-// resolveCodec maps the configuration to its ECC codec. An explicit
-// ECCCodec must exist and match the MAC placement (a MAC-carrying codec
-// under MACInECC, a plain block codec under MACInline). An empty name is
-// the placement's default.
-func (c Config) resolveCodec() (ecc.Codec, error) {
-	wantMAC := c.Placement == MACInECC
-	name := c.ECCCodec
-	if name == "" {
-		name = ecc.DefaultFor(wantMAC)
-	}
-	cod, err := ecc.Lookup(name)
+// resolveCodec returns the ECC codec the MAC placement fixes: SEC-DED check
+// bytes beside an inline MAC, or the MAC-carrying lane under MACInECC. Both
+// register from init (this package links internal/macecc), so the lookup
+// cannot fail.
+func (c Config) resolveCodec() ecc.Codec {
+	cod, err := ecc.Lookup(ecc.DefaultFor(c.Placement == MACInECC))
 	if err != nil {
-		return nil, err
+		panic(err)
 	}
-	if cod.CarriesMAC() != wantMAC {
-		return nil, fmt.Errorf("core: ECC codec %q is incompatible with placement %s", cod.Name(), c.Placement)
-	}
-	return cod, nil
+	return cod
 }
 
-// CodecName returns the resolved ECC codec name for the configuration. It
-// is what persisted image headers record and campaign reports print.
-func (c Config) CodecName() string {
-	cod, err := c.resolveCodec()
-	if err != nil {
-		return c.ECCCodec // unresolvable; Validate reports the real error
-	}
-	return cod.Name()
-}
+// CodecName returns the configuration's ECC codec name. It is what
+// persisted image headers record and campaign reports print.
+func (c Config) CodecName() string { return c.resolveCodec().Name() }
 
 // DataBlocks returns the number of protected 64-byte blocks.
 func (c Config) DataBlocks() uint64 { return c.RegionBytes / BlockBytes }

@@ -64,7 +64,7 @@ type Engine struct {
 	ks  *crypto.Stream
 	key *crypto.MAC
 
-	// codec is the resolved check-lane codec (cfg.ECCCodec). Exactly one
+	// codec is the placement's check-lane codec. Exactly one
 	// of mcod/bcod is non-nil: mcod when the codec carries the MAC in the
 	// 8-byte lane (MACInECC), bcod when the lane holds an inline tag and
 	// the codec protects ciphertext only (MACInline). ver is mcod's
@@ -186,20 +186,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, recovery: defaultRecovery}
-	cod, err := cfg.resolveCodec() // Validate already vetted it
-	if err != nil {
-		return nil, err
-	}
-	e.codec = cod
+	e.codec = cfg.resolveCodec()
 	checkBytes := 0
-	switch c := cod.(type) {
+	switch c := e.codec.(type) {
 	case ecc.MACCodec:
 		e.mcod = c
 	case ecc.BlockCodec:
 		e.bcod = c
 		checkBytes = c.CheckBytes()
-	default:
-		return nil, fmt.Errorf("core: codec %q is neither a block nor a MAC codec", cod.Name())
 	}
 	e.store = newBlockStore(cfg.DataBlocks(), checkBytes)
 
@@ -289,9 +283,6 @@ func (e *Engine) SchemeStats() ctr.Stats { return e.scheme.Stats() }
 
 // Tree exposes the integrity tree: its shape locates tree-node faults.
 func (e *Engine) Tree() *tree.Tree { return e.tr }
-
-// ECCCodec returns the name of the resolved check-lane codec.
-func (e *Engine) ECCCodec() string { return e.codec.Name() }
 
 func (e *Engine) checkAddr(addr uint64) error {
 	if addr%BlockBytes != 0 {

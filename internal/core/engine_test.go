@@ -192,10 +192,8 @@ func TestTamperCiphertextDetectedInlineMode(t *testing.T) {
 }
 
 func TestSingleFaultCorrectedInlineMode(t *testing.T) {
-	// This test is about SEC-DED's single-bit correction: name the codec
-	// rather than lean on the inline placement's default.
+	// SEC-DED's single-bit correction, the inline placement's codec.
 	cfg := smallCfg(ctr.Delta, MACInline)
-	cfg.ECCCodec = "secded"
 	e := newEngine(t, cfg)
 	want := block(3)
 	if err := e.Write(0x100, want); err != nil {

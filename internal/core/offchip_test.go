@@ -221,8 +221,8 @@ func TestFigure1FromLiveMap(t *testing.T) {
 			t.Errorf("%s: MACs %d, lane plane %d", name, o.MACBytes, m.PlaneSize(PlaneLane))
 		}
 		// Not sizes: the read depth and the codec name.
-		if o.TreeLevels != e.Tree().OffChipLevels()+1 || o.Codec != e.ECCCodec() {
-			t.Errorf("%s: levels %d codec %s, engine %d %s", name, o.TreeLevels, o.Codec, e.Tree().OffChipLevels()+1, e.ECCCodec())
+		if o.TreeLevels != e.Tree().OffChipLevels()+1 || o.Codec != e.codec.Name() {
+			t.Errorf("%s: levels %d codec %s, engine %d %s", name, o.TreeLevels, o.Codec, e.Tree().OffChipLevels()+1, e.codec.Name())
 		}
 	}
 }

@@ -18,15 +18,13 @@ type Overhead struct {
 	TreeBytes uint64
 	// MACBytes is dedicated MAC storage (zero under MAC-in-ECC).
 	MACBytes uint64
-	// ECCBytes is the selected codec's check-bit provisioning: CheckBytes
-	// per 64-byte block (12.5% for the 8-byte SEC-DED and MAC-in-ECC
-	// lanes, 6.25% for the 4-byte residue code). It is reported for
-	// context but not charged to the encryption scheme: a standard ECC
-	// DIMM provisions it whether or not encryption is on. A narrower
-	// codec (residue) quantifies how much of that provisioning the design
-	// point actually needs.
+	// ECCBytes is the codec's check-bit provisioning: CheckBytes per
+	// 64-byte block (12.5% for the 8-byte SEC-DED and MAC-in-ECC lanes).
+	// It is reported for context but not charged to the encryption
+	// scheme: a standard ECC DIMM provisions it whether or not encryption
+	// is on.
 	ECCBytes uint64
-	// Codec is the resolved ECC codec name.
+	// Codec is the placement's ECC codec name.
 	Codec string
 	// TreeLevels is the off-chip read depth (node levels + the counter
 	// block itself).
@@ -50,10 +48,7 @@ func ComputeOverhead(cfg Config) (Overhead, error) {
 	if err := cfg.Validate(); err != nil {
 		return Overhead{}, err
 	}
-	cod, err := cfg.resolveCodec()
-	if err != nil {
-		return Overhead{}, err
-	}
+	cod := cfg.resolveCodec()
 	o := Overhead{
 		RegionBytes: cfg.RegionBytes,
 		Codec:       cod.Name(),

@@ -125,11 +125,8 @@ func resumeOneShard(cfg Config, base, walR io.Reader, pin *RootDigest) (*Engine,
 }
 
 func TestIncrementalRoundTrip(t *testing.T) {
-	// Every design point under its placement's default codec, plus the one
-	// registered codec that is no placement's default.
-	residue := smallCfg(ctr.Delta, MACInline)
-	residue.ECCCodec = "residue"
-	for _, cfg := range append(allDesignPoints(), residue) {
+	// Every design point, each under its placement's codec.
+	for _, cfg := range allDesignPoints() {
 		name := cfg.Scheme.String() + "/" + cfg.Placement.String() + "/" + cfg.CodecName()
 		t.Run(name, func(t *testing.T) {
 			h := newDeltaHarness(t, cfg)
@@ -541,7 +538,6 @@ func TestRecoveryVerdictsRoundTripErrorsAs(t *testing.T) {
 // codec error must also survive the incremental sharded path.
 func TestCodecMismatchRoundTripsThroughIncrementalResume(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInline)
-	cfg.ECCCodec = "secded"
 	const shards = 2
 	s, err := NewShardedEngine(cfg, shards)
 	if err != nil {
@@ -554,14 +550,13 @@ func TestCodecMismatchRoundTripsThroughIncrementalResume(t *testing.T) {
 	if _, err := s.Persist(&base); err != nil {
 		t.Fatal(err)
 	}
-	other := cfg
-	other.ECCCodec = "residue"
-	_, _, err = ResumeShardedIncremental(other, shards, bytes.NewReader(base.Bytes()), nil, nil)
+	foreign := withImageCodec(t, base.Bytes(), "secded", "residue")
+	_, _, err = ResumeShardedIncremental(cfg, shards, bytes.NewReader(foreign), nil, nil)
 	var cerr *CodecMismatchError
 	if !errors.As(err, &cerr) {
 		t.Fatalf("*CodecMismatchError lost through incremental shard wrapping: %v", err)
 	}
-	if cerr.ImageCodec != "secded" || cerr.ConfigCodec != "residue" {
+	if cerr.ImageCodec != "residue" || cerr.ConfigCodec != "secded" {
 		t.Fatalf("mismatch fields wrong: %+v", cerr)
 	}
 }

@@ -10,20 +10,19 @@ import (
 //
 // The paper's two protection formats — ordinary SEC-DED(72,64) check bytes
 // next to an inline MAC tag, and the §3 MAC-in-ECC layout that folds the MAC
-// into the ECC lane itself — were historically two hard-wired code paths.
-// This file puts them (and any future code, e.g. the residue check code in
-// residue.go) behind one Codec interface with a registry: implementations
-// register from init, the engine resolves a name from its Config, and
-// everything downstream (seal, verify, scrub, persist, overhead accounting)
-// speaks to the interface.
+// into the ECC lane itself — sit behind one Codec interface with a registry:
+// implementations register from init, the engine looks up the one its MAC
+// placement fixes (DefaultFor), and everything downstream (seal, verify,
+// scrub, persist, overhead accounting) speaks to the interface. Persisted
+// images record the codec's name, so an image written under another codec
+// is refused rather than misread.
 //
 // Two codec families exist, split by where the MAC lives:
 //
 //   - BlockCodec (CarriesMAC() == false): a pure memory-error code. The MAC
 //     tag is stored inline elsewhere (core.MACInline); the codec only
-//     detects/corrects DRAM faults on the ciphertext. Implementations:
-//     "secded" (8 check bytes, corrects 1 bit per 8-byte word, detects 2)
-//     and "residue" (4 check bytes, detection only).
+//     detects/corrects DRAM faults on the ciphertext. Implementation:
+//     "secded" (8 check bytes, corrects 1 bit per 8-byte word, detects 2).
 //
 //   - MACCodec (CarriesMAC() == true): the check lane *is* the MAC storage
 //     (core.MACInECC). The codec packs a 56-bit MAC plus its own protection
@@ -46,7 +45,7 @@ type Codec interface {
 	Name() string
 	// CheckBytes is the codec's stored check footprint per 64-byte block.
 	// For a MACCodec this is the packed lane (8 bytes); for a BlockCodec
-	// it is the dedicated check storage (8 for SEC-DED, 4 for residue).
+	// it is the dedicated check storage (8 for SEC-DED).
 	CheckBytes() int
 	// CarriesMAC reports whether the codec packs the MAC into its check
 	// lane (MACCodec) or protects ciphertext only (BlockCodec).
@@ -54,8 +53,8 @@ type Codec interface {
 }
 
 // BlockCodec is a pure memory-error code over one 64-byte block, used under
-// the inline-MAC placement. Implementations must be stateless: Encode and
-// Decode may be called concurrently from scrub/sweep workers.
+// the inline-MAC placement. Implementations are stateless, so one codec
+// value serves every engine at once.
 type BlockCodec interface {
 	Codec
 	// EncodeInto writes the CheckBytes() check bytes for data (exactly
@@ -91,9 +90,9 @@ type LaneOutcome struct {
 // LaneVerifier verifies blocks against a MAC-carrying check lane.
 //
 // Concurrency contract: VerifyAndCorrect mutates internal scratch and is
-// single-owner — parallel sweeps build one verifier per worker (see
-// MACCodec.NewVerifier). ScrubData and ScrubLane are pure and must be safe
-// for concurrent use.
+// single-owner — each engine builds one verifier (MACCodec.NewVerifier) and
+// calls it only under its shard lock. ScrubData and ScrubLane are pure
+// screens and must be safe for concurrent use.
 type LaneVerifier interface {
 	// VerifyAndCorrect authenticates ciphertext against the packed lane,
 	// repairing correctable ciphertext faults in place, and returns the
@@ -204,5 +203,4 @@ func (secdedCodec) DecodeAndCorrect(data, check []byte) (BlockOutcome, error) {
 
 func init() {
 	Register(secdedCodec{})
-	Register(residueCodec{})
 }

@@ -2,7 +2,6 @@ package ecc
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,7 +9,7 @@ import (
 
 func TestRegistry(t *testing.T) {
 	names := Names()
-	for _, want := range []string{"secded", "residue"} {
+	for _, want := range []string{"secded"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -151,141 +150,5 @@ func TestSecdedCodecMatchesBlockHelpers(t *testing.T) {
 	}
 	if _, err := bcod.DecodeAndCorrect(data, check[:4]); err == nil {
 		t.Fatal("short check buffer should fail")
-	}
-}
-
-func TestResidueSingleBitAlwaysDetected(t *testing.T) {
-	cod, err := Lookup("residue")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bcod := cod.(BlockCodec)
-	rng := rand.New(rand.NewSource(5))
-	data := make([]byte, BlockSize)
-	rng.Read(data)
-	check := make([]byte, ResidueCheckBytes)
-	if err := bcod.EncodeInto(check, data); err != nil {
-		t.Fatal(err)
-	}
-
-	// Every one of the 512 data bits.
-	for bit := 0; bit < 8*BlockSize; bit++ {
-		data[bit/8] ^= 1 << uint(bit%8)
-		out, err := bcod.DecodeAndCorrect(data, check)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Clean() {
-			t.Fatalf("data bit %d: flip not detected", bit)
-		}
-		data[bit/8] ^= 1 << uint(bit%8)
-	}
-	// Every one of the 32 check bits.
-	for bit := 0; bit < 8*ResidueCheckBytes; bit++ {
-		check[bit/8] ^= 1 << uint(bit%8)
-		out, err := bcod.DecodeAndCorrect(data, check)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Clean() {
-			t.Fatalf("check bit %d: flip not detected", bit)
-		}
-		check[bit/8] ^= 1 << uint(bit%8)
-	}
-	// And the untouched block still verifies.
-	out, err := bcod.DecodeAndCorrect(data, check)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Clean() {
-		t.Fatalf("clean block flagged: %+v", out)
-	}
-}
-
-// TestResidueBlindSpots documents the modulus-2^32-1 aliasing cases the
-// codec's comment (and Figure 3's miscorrected cells) promise: they pass the
-// residue check undetected, which is why the engine still MACs every block.
-func TestResidueBlindSpots(t *testing.T) {
-	cod, _ := Lookup("residue")
-	bcod := cod.(BlockCodec)
-	data := make([]byte, BlockSize)
-	rand.New(rand.NewSource(9)).Read(data)
-	check := make([]byte, ResidueCheckBytes)
-
-	// Blind spot 1: 0x00000000 <-> 0xFFFFFFFF in one 32-bit word (both are
-	// residue class zero).
-	binary.LittleEndian.PutUint32(data[8:], 0x00000000)
-	if err := bcod.EncodeInto(check, data); err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(data[8:], 0xFFFFFFFF)
-	out, err := bcod.DecodeAndCorrect(data, check)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Clean() {
-		t.Fatal("0->all-ones word aliasing unexpectedly detected (doc comment is wrong)")
-	}
-
-	// Blind spot 2: opposite-polarity flips in the same bit column of two
-	// words: +2^k and -2^k cancel mod 2^32-1.
-	rand.New(rand.NewSource(10)).Read(data)
-	const k = 7
-	data[0] &^= 1 << k // word 0 column k = 0
-	data[32] |= 1 << k // word 4 (byte 32) column k = 1
-	if err := bcod.EncodeInto(check, data); err != nil {
-		t.Fatal(err)
-	}
-	data[0] |= 1 << k   // 0 -> 1: +2^k
-	data[32] &^= 1 << k // 1 -> 0: -2^k
-	out, err = bcod.DecodeAndCorrect(data, check)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Clean() {
-		t.Fatal("opposite-polarity column aliasing unexpectedly detected")
-	}
-}
-
-// TestResidueNonCanonicalCheck accepts 0xFFFFFFFF stored check bytes as
-// residue zero: 0 and 2^32-1 are the same class, and a check word written by
-// other hardware may use either encoding.
-func TestResidueNonCanonicalCheck(t *testing.T) {
-	cod, _ := Lookup("residue")
-	bcod := cod.(BlockCodec)
-	data := make([]byte, BlockSize) // all-zero block: residue 0
-	check := make([]byte, ResidueCheckBytes)
-	if err := bcod.EncodeInto(check, data); err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.LittleEndian.Uint32(check); got != 0 {
-		t.Fatalf("all-zero block residue = %#x, want 0 (canonical)", got)
-	}
-	binary.LittleEndian.PutUint32(check, 0xFFFFFFFF)
-	out, err := bcod.DecodeAndCorrect(data, check)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Clean() {
-		t.Fatal("non-canonical zero check rejected")
-	}
-}
-
-func TestResidueSizeValidation(t *testing.T) {
-	cod, _ := Lookup("residue")
-	bcod := cod.(BlockCodec)
-	data := make([]byte, BlockSize)
-	check := make([]byte, ResidueCheckBytes)
-	if err := bcod.EncodeInto(check[:2], data); err == nil {
-		t.Fatal("short check should fail")
-	}
-	if err := bcod.EncodeInto(check, data[:10]); err == nil {
-		t.Fatal("short data should fail")
-	}
-	if _, err := bcod.DecodeAndCorrect(data[:10], check); err == nil {
-		t.Fatal("short data should fail")
-	}
-	if _, err := bcod.DecodeAndCorrect(data, check[:2]); err == nil {
-		t.Fatal("short check should fail")
 	}
 }

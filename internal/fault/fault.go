@@ -205,55 +205,6 @@ func InjectSECDED(class Class, trials int, seed int64) Result {
 	return res
 }
 
-// InjectResidue runs trials of a fault class against the detection-only
-// residue check code (internal/ecc "residue" codec: one 32-bit residue mod
-// 2^32-1 over the block, 4 check bytes). Nothing is ever corrected; the
-// interesting rows are the spread fault classes, where opposite-polarity
-// flips in one bit column (or a 0x00000000 <-> 0xFFFFFFFF word) alias to
-// the same residue and report as Miscorrected — the blind spot the codec's
-// documentation (and the engine's end-to-end MAC) accounts for.
-func InjectResidue(class Class, trials int, seed int64) Result {
-	cod, err := ecc.Lookup("residue")
-	if err != nil {
-		panic(err)
-	}
-	bcod := cod.(ecc.BlockCodec)
-	rng := rand.New(rand.NewSource(seed))
-	res := Result{Class: class, Trials: trials}
-	data := make([]byte, ecc.BlockSize)
-	check := make([]byte, bcod.CheckBytes())
-	for t := 0; t < trials; t++ {
-		rng.Read(data)
-		orig := append([]byte(nil), data...)
-		if err := bcod.EncodeInto(check, data); err != nil {
-			panic(err)
-		}
-		bits, checkFlips := class.plan(rng)
-		for _, b := range bits {
-			data[b/8] ^= 1 << uint(b%8)
-		}
-		// Flip distinct bits across the 32-bit check word, mirroring the
-		// data-side classes.
-		for _, b := range rng.Perm(bcod.CheckBytes() * 8)[:checkFlips] {
-			check[b/8] ^= 1 << uint(b%8)
-		}
-		out, err := bcod.DecodeAndCorrect(data, check)
-		if err != nil {
-			panic(err)
-		}
-		switch {
-		case !out.Clean():
-			res.Detected++
-		case equal(data, orig):
-			res.Corrected++ // only possible when nothing actually flipped
-		default:
-			res.Miscorrected++
-		}
-		copy(data, orig)
-	}
-	return res
-}
-
 // InjectMACECC runs trials of a fault class against the MAC-in-ECC layout
 // with the given flip-and-check budget.
 func InjectMACECC(class Class, trials int, seed int64, correctBits int) (Result, error) {
