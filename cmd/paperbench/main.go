@@ -170,8 +170,8 @@ func runFig3(w io.Writer, opt options) error {
 }
 
 func runTable2(w io.Writer, opt options) error {
-	fmt.Fprintf(w, "=== Table 2: re-encryptions per 10^9 cycles (avg of %d runs, %dM writebacks each) ===\n",
-		opt.runs, opt.writebacks/1_000_000)
+	fmt.Fprintf(w, "=== Table 2: re-encryptions per 10^9 cycles (avg of %d runs, %s writebacks each) ===\n",
+		opt.runs, millions(opt.writebacks))
 	paper := map[string][3]int{
 		"facesim": {880, 113, 176}, "dedup": {725, 51, 14}, "canneal": {167, 167, 128},
 		"vips": {77, 77, 24}, "ferret": {33, 23, 5}, "fluidanimate": {4, 4, 0},
@@ -208,6 +208,15 @@ func runTable2(w io.Writer, opt options) error {
 	}
 	fmt.Fprintln(w)
 	return nil
+}
+
+// millions prints a count as "16M" when it is a whole number of millions,
+// and exactly otherwise.
+func millions(n uint64) string {
+	if n%1_000_000 == 0 {
+		return fmt.Sprintf("%dM", n/1_000_000)
+	}
+	return fmt.Sprintf("%d", n)
 }
 
 func runFig8(w io.Writer, opt options) error {

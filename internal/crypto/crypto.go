@@ -12,11 +12,11 @@
 // reference the conformance suite and the two fuzz targets hold this package
 // bit-equal to; nothing outside tests seals or verifies with them.
 //
-// Concurrency contract: a Stream or MAC is single-owner. cipher.Block is an
-// interface, so a buffer passed to Encrypt escapes; the scratch therefore
-// lives in the struct (allocated once, at construction), which is what keeps
-// every call here at 0 allocs/op. Callers that fan out (parallel
-// re-encryption) construct one instance per worker.
+// Concurrency contract: a Stream or MAC is single-owner; each engine builds
+// its own pair and serializes every call, the re-encryption sweep included.
+// cipher.Block is an interface, so a buffer passed to Encrypt escapes; the
+// scratch therefore lives in the struct (allocated once, at construction),
+// which is what keeps every call here at 0 allocs/op.
 package crypto
 
 import (
@@ -129,20 +129,25 @@ func checkSpanLen(n int) error {
 	return nil
 }
 
-// blockWords is the number of 64-bit words hashed per block.
-const blockWords = BlockSize / 8
-
 // MAC computes the 56-bit Carter-Wegman tag of a 64-byte ciphertext block,
 //
 //	tag = truncate56( PolyHash_h(C) XOR PRF_k(addr, counter) )
 //
-// (see internal/mac for the construction and its security argument). The
-// hash is a dot product over one windowed gf64.Table per key power h^8..h^1;
-// the PRF is one AES block.
+// (see internal/mac for the construction and its security argument), where
+// PolyHash_h(C) = c0·h^8 ⊕ c1·h^7 ⊕ … ⊕ c7·h over the block's eight
+// little-endian words. The hash runs as two interleaved Horner chains in h²,
+// one over the even words and one over the odd:
+//
+//	a = c0·h^6 ⊕ c2·h^4 ⊕ c4·h^2 ⊕ c6
+//	b = c1·h^6 ⊕ c3·h^4 ⊕ c5·h^2 ⊕ c7
+//	PolyHash_h(C) = h²·a ⊕ h·b
+//
+// so it needs only two 8-bit-windowed gf64.Tables (h² and h), and the two
+// chains' dependent multiplies overlap. The PRF is one AES block.
 type MAC struct {
-	h   uint64
-	blk cipher.Block
-	pow [blockWords]*gf64.Table
+	h      uint64
+	blk    cipher.Block
+	h2, h1 *gf64.Table
 
 	in, out [stdaes.BlockSize]byte
 }
@@ -163,11 +168,7 @@ func NewMAC(material []byte) (*MAC, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crypto: %w", err)
 	}
-	m := &MAC{h: h, blk: blk}
-	for i := range m.pow {
-		m.pow[i] = gf64.NewTable(gf64.Pow(h, uint64(blockWords-i)))
-	}
-	return m, nil
+	return &MAC{h: h, blk: blk, h2: gf64.NewTable(gf64.Mul(h, h)), h1: gf64.NewTable(h)}, nil
 }
 
 // HashPoint returns the secret GF(2^64) hash point, for the MAC-in-ECC
@@ -188,10 +189,13 @@ func (m *MAC) Tag(ciphertext []byte, addr, counter uint64) (uint64, error) {
 	if len(ciphertext) != BlockSize {
 		return 0, fmt.Errorf("crypto: ciphertext must be %d bytes, got %d", BlockSize, len(ciphertext))
 	}
-	var hash uint64
-	for i := 0; i < blockWords; i++ {
-		hash ^= m.pow[i].Mul(binary.LittleEndian.Uint64(ciphertext[i*8:]))
+	c := (*[BlockSize]byte)(ciphertext)
+	var a, b uint64
+	for i := 0; i < BlockSize; i += 16 {
+		a = m.h2.Mul(a) ^ binary.LittleEndian.Uint64(c[i:])
+		b = m.h2.Mul(b) ^ binary.LittleEndian.Uint64(c[i+8:])
 	}
+	hash := m.h2.Mul(a) ^ m.h1.Mul(b)
 	return (hash ^ m.prf(addr, counter)) & ecc.TagMask, nil
 }
 

@@ -21,7 +21,7 @@ package ctr
 // block — the same footprint as split counters but with far fewer
 // re-encryptions (Table 2).
 type DeltaScheme struct {
-	groups map[uint64]*deltaGroup
+	groups []deltaGroup // indexed by group; the zero group is Figure 5a's initial state
 	stats  Stats
 	hook   ReencryptFunc
 	old    [GroupBlocks]uint64 // the hook's oldCounters argument
@@ -45,7 +45,7 @@ type deltaGroup struct {
 // NewDelta creates a delta-encoded counter store with all counters zero
 // (reference = 0, deltas = 0, as in Figure 5a's initial state).
 func NewDelta() *DeltaScheme {
-	return &DeltaScheme{groups: make(map[uint64]*deltaGroup)}
+	return &DeltaScheme{}
 }
 
 // Name implements Scheme.
@@ -56,18 +56,19 @@ func (s *DeltaScheme) GroupSize() int { return GroupBlocks }
 
 func (s *DeltaScheme) group(block uint64) (*deltaGroup, uint64, int) {
 	gid := block / GroupBlocks
-	g := s.groups[gid]
-	if g == nil {
-		g = &deltaGroup{}
-		s.groups[gid] = g
+	if gid >= uint64(len(s.groups)) {
+		s.groups = grow(s.groups, gid)
 	}
-	return g, gid, int(block % GroupBlocks)
+	return &s.groups[gid], gid, int(block % GroupBlocks)
 }
 
 // Counter implements Scheme.
 func (s *DeltaScheme) Counter(block uint64) uint64 {
-	g, _, i := s.group(block)
-	return g.ref + uint64(g.deltas[i])
+	if gid := block / GroupBlocks; gid < uint64(len(s.groups)) {
+		g := &s.groups[gid]
+		return g.ref + uint64(g.deltas[block%GroupBlocks])
+	}
+	return 0
 }
 
 // Touch implements Scheme. It follows the hardware flow of Figure 7: the

@@ -16,7 +16,7 @@ package ctr
 // leaving 72 reserved bits: 64 extension bits + 2 group-index bits +
 // 1 in-use bit + 5 spare = 512 bits total, one metadata block.
 type DualLengthScheme struct {
-	groups map[uint64]*dualGroup
+	groups []dualGroup // indexed by group; the zero group is all counters 0, reserve unassigned
 	stats  Stats
 	hook   ReencryptFunc
 	old    [GroupBlocks]uint64 // the hook's oldCounters argument
@@ -41,15 +41,21 @@ const shortMax = (1 << ShortDeltaBits) - 1
 const longMax = (1 << (ShortDeltaBits + ExtensionBits)) - 1
 
 type dualGroup struct {
-	ref      uint64
-	deltas   [GroupBlocks]uint16
-	extended int8 // delta-group index holding the reserve, or -1
+	ref    uint64
+	deltas [GroupBlocks]uint16
+	// reserve is the index of the delta-group holding the reserve, plus
+	// one: 0 means unassigned, so the zero group is the initial state.
+	reserve uint8
 }
+
+// extended returns the delta-group holding the reserve, or -1 (the
+// exported codec's form).
+func (g *dualGroup) extended() int8 { return int8(g.reserve) - 1 }
 
 // NewDualLength creates a dual-length delta counter store with all counters
 // zero and the reserve unassigned.
 func NewDualLength() *DualLengthScheme {
-	return &DualLengthScheme{groups: make(map[uint64]*dualGroup)}
+	return &DualLengthScheme{}
 }
 
 // Name implements Scheme.
@@ -60,17 +66,15 @@ func (s *DualLengthScheme) GroupSize() int { return GroupBlocks }
 
 func (s *DualLengthScheme) group(block uint64) (*dualGroup, uint64, int) {
 	gid := block / GroupBlocks
-	g := s.groups[gid]
-	if g == nil {
-		g = &dualGroup{extended: -1}
-		s.groups[gid] = g
+	if gid >= uint64(len(s.groups)) {
+		s.groups = grow(s.groups, gid)
 	}
-	return g, gid, int(block % GroupBlocks)
+	return &s.groups[gid], gid, int(block % GroupBlocks)
 }
 
 // limit returns the current capacity of delta slot i.
 func (g *dualGroup) limit(i int) uint16 {
-	if g.extended == int8(i/DeltasPerGroup) {
+	if g.reserve == uint8(i/DeltasPerGroup)+1 {
 		return longMax
 	}
 	return shortMax
@@ -78,8 +82,11 @@ func (g *dualGroup) limit(i int) uint16 {
 
 // Counter implements Scheme.
 func (s *DualLengthScheme) Counter(block uint64) uint64 {
-	g, _, i := s.group(block)
-	return g.ref + uint64(g.deltas[i])
+	if gid := block / GroupBlocks; gid < uint64(len(s.groups)) {
+		g := &s.groups[gid]
+		return g.ref + uint64(g.deltas[block%GroupBlocks])
+	}
+	return 0
 }
 
 // Touch implements Scheme.
@@ -90,10 +97,10 @@ func (s *DualLengthScheme) Touch(block uint64) WriteOutcome {
 
 	if g.deltas[i] == g.limit(i) {
 		switch {
-		case g.extended < 0:
+		case g.reserve == 0:
 			// First overflow in the block-group: hand the reserve
 			// bits to this delta-group (Figure 6).
-			g.extended = int8(i / DeltasPerGroup)
+			g.reserve = uint8(i/DeltasPerGroup) + 1
 			s.stats.Extensions++
 			out.Extended = true
 		default:
@@ -125,7 +132,7 @@ func (s *DualLengthScheme) Touch(block uint64) WriteOutcome {
 	if d := g.allEqual(); d > 0 {
 		g.ref += uint64(d)
 		clear(g.deltas[:])
-		g.extended = -1 // all-zero deltas free the reserve
+		g.reserve = 0 // all-zero deltas free the reserve
 		s.stats.Resets++
 		out.Reset = true
 	}
@@ -181,7 +188,7 @@ func (s *DualLengthScheme) reencrypt(gid uint64, g *dualGroup, newRef uint64) {
 	}
 	g.ref = newRef
 	clear(g.deltas[:])
-	g.extended = -1
+	g.reserve = 0
 	s.stats.Reencryptions++
 	s.stats.ReencryptedBlocks += GroupBlocks
 }

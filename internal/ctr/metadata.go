@@ -10,25 +10,25 @@ package ctr
 func (s *MonolithicScheme) PackMetadata(m uint64) [MetadataBlockBytes]byte {
 	var c [CountersPerMetadataBlock]uint64
 	for i := range c {
-		c[i] = s.counters[m*CountersPerMetadataBlock+uint64(i)]
+		c[i] = s.Counter(m*CountersPerMetadataBlock + uint64(i))
 	}
 	return PackMonolithic(&c)
 }
 
 // PackMetadata implements the metadata-image contract for SplitScheme.
 func (s *SplitScheme) PackMetadata(m uint64) [MetadataBlockBytes]byte {
-	g := s.groups[m]
-	if g == nil {
-		g = &splitGroup{}
+	g := &splitGroup{}
+	if m < uint64(len(s.groups)) {
+		g = &s.groups[m]
 	}
 	return PackSplit(g.major, &g.minors)
 }
 
 // PackMetadata implements the metadata-image contract for DeltaScheme.
 func (s *DeltaScheme) PackMetadata(m uint64) [MetadataBlockBytes]byte {
-	g := s.groups[m]
-	if g == nil {
-		g = &deltaGroup{}
+	g := &deltaGroup{}
+	if m < uint64(len(s.groups)) {
+		g = &s.groups[m]
 	}
 	blk, err := PackDelta(g.ref, &g.deltas)
 	if err != nil {
@@ -41,11 +41,11 @@ func (s *DeltaScheme) PackMetadata(m uint64) [MetadataBlockBytes]byte {
 
 // PackMetadata implements the metadata-image contract for DualLengthScheme.
 func (s *DualLengthScheme) PackMetadata(m uint64) [MetadataBlockBytes]byte {
-	g := s.groups[m]
-	if g == nil {
-		g = &dualGroup{extended: -1}
+	g := &dualGroup{}
+	if m < uint64(len(s.groups)) {
+		g = &s.groups[m]
 	}
-	blk, err := PackDualLength(g.ref, &g.deltas, g.extended)
+	blk, err := PackDualLength(g.ref, &g.deltas, g.extended())
 	if err != nil {
 		panic(err)
 	}
@@ -60,22 +60,22 @@ func (s *DualLengthScheme) PackMetadata(m uint64) [MetadataBlockBytes]byte {
 // LoadMetadata implements the metadata-restore contract for
 // MonolithicScheme.
 func (s *MonolithicScheme) LoadMetadata(m uint64, img [MetadataBlockBytes]byte) error {
-	counters := UnpackMonolithic(img)
-	for i, c := range counters {
-		blk := m*CountersPerMetadataBlock + uint64(i)
-		if c == 0 {
-			delete(s.counters, blk)
-			continue
-		}
-		s.counters[blk] = c
+	last := m*CountersPerMetadataBlock + CountersPerMetadataBlock - 1
+	if last >= uint64(len(s.counters)) {
+		s.counters = grow(s.counters, last)
 	}
+	counters := UnpackMonolithic(img)
+	copy(s.counters[m*CountersPerMetadataBlock:], counters[:])
 	return nil
 }
 
 // LoadMetadata implements the metadata-restore contract for SplitScheme.
 func (s *SplitScheme) LoadMetadata(m uint64, img [MetadataBlockBytes]byte) error {
 	major, minors := UnpackSplit(img)
-	s.groups[m] = &splitGroup{major: major, minors: minors}
+	if m >= uint64(len(s.groups)) {
+		s.groups = grow(s.groups, m)
+	}
+	s.groups[m] = splitGroup{major: major, minors: minors}
 	return nil
 }
 
@@ -85,7 +85,10 @@ func (s *DeltaScheme) LoadMetadata(m uint64, img [MetadataBlockBytes]byte) error
 	if err != nil {
 		return err
 	}
-	s.groups[m] = &deltaGroup{ref: ref, deltas: deltas}
+	if m >= uint64(len(s.groups)) {
+		s.groups = grow(s.groups, m)
+	}
+	s.groups[m] = deltaGroup{ref: ref, deltas: deltas}
 	return nil
 }
 
@@ -96,7 +99,10 @@ func (s *DualLengthScheme) LoadMetadata(m uint64, img [MetadataBlockBytes]byte) 
 	if err != nil {
 		return err
 	}
-	s.groups[m] = &dualGroup{ref: ref, deltas: deltas, extended: extended}
+	if m >= uint64(len(s.groups)) {
+		s.groups = grow(s.groups, m)
+	}
+	s.groups[m] = dualGroup{ref: ref, deltas: deltas, reserve: uint8(extended + 1)}
 	return nil
 }
 

@@ -5,7 +5,7 @@ package ctr
 // overflow), at the cost of ~11% counter storage overhead: the reference
 // point the paper's Figure 1 starts from.
 type MonolithicScheme struct {
-	counters map[uint64]uint64
+	counters []uint64 // indexed by block; grown by Touch and LoadMetadata
 	stats    Stats
 }
 
@@ -16,7 +16,7 @@ const CountersPerMetadataBlock = MetadataBlockBytes / 8
 
 // NewMonolithic creates a monolithic counter store with all counters zero.
 func NewMonolithic() *MonolithicScheme {
-	return &MonolithicScheme{counters: make(map[uint64]uint64)}
+	return &MonolithicScheme{}
 }
 
 // Name implements Scheme.
@@ -26,10 +26,18 @@ func (s *MonolithicScheme) Name() string { return "monolithic-56" }
 func (s *MonolithicScheme) GroupSize() int { return 1 }
 
 // Counter implements Scheme.
-func (s *MonolithicScheme) Counter(block uint64) uint64 { return s.counters[block] }
+func (s *MonolithicScheme) Counter(block uint64) uint64 {
+	if block < uint64(len(s.counters)) {
+		return s.counters[block]
+	}
+	return 0
+}
 
 // Touch implements Scheme.
 func (s *MonolithicScheme) Touch(block uint64) WriteOutcome {
+	if block >= uint64(len(s.counters)) {
+		s.counters = grow(s.counters, block)
+	}
 	s.counters[block]++
 	s.stats.Writes++
 	return WriteOutcome{Counter: s.counters[block]}

@@ -103,6 +103,17 @@ type Scheme interface {
 	OnReencrypt(ReencryptFunc)
 }
 
+// grow returns a copy of s long enough to index i: the length doubles, or
+// jumps to i+1 when doubling falls short. The new elements are zero, which
+// every scheme defines as its initial state, so a grow never changes a
+// counter. Only Touch and LoadMetadata grow; the read-only paths answer past
+// the end with the initial state.
+func grow[T any](s []T, i uint64) []T {
+	g := make([]T, max(2*uint64(len(s)), i+1))
+	copy(g, s)
+	return g
+}
+
 // Kind selects a scheme in configuration structs.
 type Kind int
 

@@ -11,7 +11,7 @@ package ctr
 // block, an 8x reduction over 64-bit-per-block counters. The paper's Table 2
 // uses this scheme (with 7-bit minors) as the re-encryption-rate baseline.
 type SplitScheme struct {
-	groups map[uint64]*splitGroup
+	groups []splitGroup // indexed by group; the zero group is all counters 0
 	stats  Stats
 	hook   ReencryptFunc
 	old    [GroupBlocks]uint64 // the hook's oldCounters argument
@@ -30,7 +30,7 @@ type splitGroup struct {
 
 // NewSplit creates a split-counter store with all counters zero.
 func NewSplit() *SplitScheme {
-	return &SplitScheme{groups: make(map[uint64]*splitGroup)}
+	return &SplitScheme{}
 }
 
 // Name implements Scheme.
@@ -41,12 +41,10 @@ func (s *SplitScheme) GroupSize() int { return GroupBlocks }
 
 func (s *SplitScheme) group(block uint64) (*splitGroup, uint64, int) {
 	gid := block / GroupBlocks
-	g := s.groups[gid]
-	if g == nil {
-		g = &splitGroup{}
-		s.groups[gid] = g
+	if gid >= uint64(len(s.groups)) {
+		s.groups = grow(s.groups, gid)
 	}
-	return g, gid, int(block % GroupBlocks)
+	return &s.groups[gid], gid, int(block % GroupBlocks)
 }
 
 // counterOf assembles the full counter M||m for one slot.
@@ -56,8 +54,10 @@ func (g *splitGroup) counterOf(i int) uint64 {
 
 // Counter implements Scheme.
 func (s *SplitScheme) Counter(block uint64) uint64 {
-	g, _, i := s.group(block)
-	return g.counterOf(i)
+	if gid := block / GroupBlocks; gid < uint64(len(s.groups)) {
+		return s.groups[gid].counterOf(int(block % GroupBlocks))
+	}
+	return 0
 }
 
 // Touch implements Scheme.

@@ -1,0 +1,251 @@
+package ctr
+
+import (
+	"bytes"
+	"testing"
+)
+
+// Tests of the dense scheme state: each scheme keeps one slice indexed by
+// group (monolithic: by block) whose zero element is the initial state.
+// Only Touch and LoadMetadata may grow it; a grow copies the slice, so any
+// path that grew it while a caller held a pointer into it would strand that
+// pointer's later writes.
+
+// stateLen is the length of a scheme's state slice.
+func stateLen(t *testing.T, s Scheme) int {
+	t.Helper()
+	switch s := s.(type) {
+	case *MonolithicScheme:
+		return len(s.counters)
+	case *SplitScheme:
+		return len(s.groups)
+	case *DeltaScheme:
+		return len(s.groups)
+	case *DualLengthScheme:
+		return len(s.groups)
+	}
+	t.Fatalf("no state slice for %T", s)
+	return 0
+}
+
+// initialImage is a never-written metadata block's image, from the
+// bit-serial reference packers (reference_test.go).
+func initialImage(t *testing.T, s Scheme) [MetadataBlockBytes]byte {
+	t.Helper()
+	var zeros [GroupBlocks]uint16
+	var img [MetadataBlockBytes]byte
+	var err error
+	switch s.(type) {
+	case *MonolithicScheme:
+		// Eight zero counters in 64-bit slots.
+	case *SplitScheme:
+		img = refPackSplit(0, &zeros)
+	case *DeltaScheme:
+		img, err = refPackDelta(0, &zeros)
+	case *DualLengthScheme:
+		img, err = refPackDualLength(0, &zeros, -1)
+	default:
+		t.Fatalf("no initial image for %T", s)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestReadPastEndNeitherGrowsNorAllocates: Counter and PackMetadata of a
+// block or metadata block past the end of the state slice answer with the
+// initial state, leave the slice as it is and allocate nothing — before
+// any write, and after one.
+func TestReadPastEndNeitherGrowsNorAllocates(t *testing.T) {
+	for _, s := range allSchemes() {
+		p := s.(MetadataPacker)
+		want := initialImage(t, s)
+		for _, written := range []bool{false, true} {
+			if written {
+				s.Touch(3)
+			}
+			n := stateLen(t, s)
+			for _, blk := range []uint64{(uint64(n) + 1) * GroupBlocks, 1 << 26, 1 << 46} {
+				if got := s.Counter(blk); got != 0 {
+					t.Errorf("%s: Counter(%d) past the end = %d, want 0", s.Name(), blk, got)
+				}
+				if got := p.PackMetadata(s.MetadataBlock(blk)); got != want {
+					t.Errorf("%s: PackMetadata(%d) past the end = %x, want the initial image %x",
+						s.Name(), s.MetadataBlock(blk), got, want)
+				}
+				allocs := testing.AllocsPerRun(10, func() {
+					s.Counter(blk)
+					p.PackMetadata(s.MetadataBlock(blk))
+				})
+				if allocs != 0 {
+					t.Errorf("%s: %v allocations per past-the-end read, want 0", s.Name(), allocs)
+				}
+				if got := stateLen(t, s); got != n {
+					t.Fatalf("%s: reads past the end grew the state from %d to %d", s.Name(), n, got)
+				}
+			}
+		}
+	}
+}
+
+// TestHookReadsFarGroupMidSweep: a re-encryption hook that reads the
+// counter and metadata image of a far-away group in the middle of the
+// sweep must leave the swept group's new state intact. The scheme holds a
+// pointer into its state slice across the hook; a read that grew the slice
+// would send the post-hook commit to a dead copy.
+func TestHookReadsFarGroupMidSweep(t *testing.T) {
+	// The monolithic scheme never re-encrypts, so it never calls a hook.
+	for _, s := range []Scheme{NewSplit(), NewDelta(), NewDualLength()} {
+		p := s.(MetadataPacker)
+		const far = 1 << 20
+		var newCounter uint64
+		s.OnReencrypt(func(_ uint64, _ []uint64, c uint64) {
+			newCounter = c
+			s.Counter(far*GroupBlocks + 7)
+			p.PackMetadata(far)
+		})
+		s.Touch(9) // the group exists before the sweep
+		n := stateLen(t, s)
+		var out WriteOutcome
+		for i := 0; !out.Reencrypted; i++ {
+			if i > 5000 {
+				t.Fatalf("%s: no re-encryption after 5000 writes to one block", s.Name())
+			}
+			out = s.Touch(5)
+		}
+		if got := stateLen(t, s); got != n {
+			t.Fatalf("%s: the hook's reads grew the state from %d to %d", s.Name(), n, got)
+		}
+		for b := uint64(0); b < GroupBlocks; b++ {
+			want := newCounter
+			if b == 5 {
+				want = out.Counter
+			}
+			if got := s.Counter(b); got != want {
+				t.Fatalf("%s: after the sweep Counter(%d) = %d, want %d", s.Name(), b, got, want)
+			}
+		}
+		// The next write continues from the committed state.
+		if got := s.Touch(9).Counter; got != newCounter+1 {
+			t.Fatalf("%s: first write after the sweep got counter %d, want %d", s.Name(), got, newCounter+1)
+		}
+	}
+}
+
+// TestFarTouchKeepsHistory: touching group 0, then group 1<<20 (a grow
+// by far more than doubling), then group 0 again keeps group 0's history.
+func TestFarTouchKeepsHistory(t *testing.T) {
+	for _, s := range allSchemes() {
+		p := s.(MetadataPacker)
+		for i := 0; i < 40; i++ {
+			s.Touch(uint64(i % 3))
+		}
+		before := p.PackMetadata(0)
+		c0 := s.Counter(0)
+		far := uint64(1<<20) * uint64(s.GroupSize())
+		if got := s.Touch(far).Counter; got != 1 {
+			t.Fatalf("%s: first write to block %d got counter %d, want 1", s.Name(), far, got)
+		}
+		if got := stateLen(t, s); uint64(got) <= s.MetadataBlock(far) {
+			t.Fatalf("%s: state length %d does not cover block %d", s.Name(), got, far)
+		}
+		if got := p.PackMetadata(0); got != before {
+			t.Fatalf("%s: group 0's image changed across a far write:\n%x\nwant\n%x", s.Name(), got, before)
+		}
+		if got := s.Touch(0).Counter; got <= c0 {
+			t.Fatalf("%s: block 0 counter %d after a far write, was %d", s.Name(), got, c0)
+		}
+		if got := s.Counter(far); got != 1 {
+			t.Fatalf("%s: Counter(%d) = %d, want 1", s.Name(), far, got)
+		}
+	}
+}
+
+// FuzzSchemeStateMachine decodes bytes into a sequence of Touch steps on
+// near and far groups and LoadMetadata steps, runs it on every scheme, and
+// holds each to the shadow tracker's no-pad-reuse invariant
+// (property_test.go) after every step. A LoadMetadata step reloads a
+// group's own image in place (which must change nothing); at the end every
+// touched metadata block must survive PackMetadata → LoadMetadata (into a
+// fresh scheme) → PackMetadata bit for bit.
+func FuzzSchemeStateMachine(f *testing.F) {
+	f.Add(bytes.Repeat([]byte{0xF8, 5}, 10))                    // one hot block: re-encryptions
+	f.Add(bytes.Repeat([]byte{0xF8, 3, 0xF9, 7, 3, 0}, 6))      // a hot pair, reloads
+	f.Add(bytes.Repeat([]byte{0x78, 17, 0x7C, 2, 3, 129}, 8))   // near and far, reloads
+	f.Add(bytes.Repeat([]byte{0xF8, 5, 0xF8, 20, 0xF8, 40}, 6)) // three delta-groups
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		for _, kind := range kindsUnderTest {
+			runStateMachine(t, kind, data)
+		}
+	})
+}
+
+func runStateMachine(t *testing.T, kind Kind, data []byte) {
+	s, err := NewScheme(kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, l := s.(MetadataPacker), s.(MetadataLoader)
+	shadow := newShadow(t)
+	s.OnReencrypt(shadow.hook)
+	touched := map[uint64]bool{} // metadata blocks
+	for i := 0; i+1 < len(data); i += 2 {
+		// Step: op bits 0-1 pick Touch (0-2) or a reload (3), bit 2 a
+		// far group, bits 3-7 the Touch's repeat count minus one; arg
+		// picks the block. Near steps stay in the first two groups,
+		// where overflows happen; far steps land 1024+ groups out.
+		op, arg := data[i], uint64(data[i+1])
+		group := arg >> 6 & 1
+		if op&4 != 0 {
+			group = 1024 + arg
+		}
+		blk := group*GroupBlocks + arg%GroupBlocks
+		m := s.MetadataBlock(blk)
+		touched[m] = true
+		switch op & 3 {
+		case 0, 1, 2:
+			for n := op>>3 + 1; n > 0; n-- {
+				shadow.pending, shadow.hasPending = blk, true
+				out := s.Touch(blk)
+				shadow.hasPending = false
+				shadow.encrypt(blk, out.Counter)
+				if got := s.Counter(blk); got != out.Counter {
+					t.Fatalf("%s: Counter(%d) = %d after Touch returned %d", s.Name(), blk, got, out.Counter)
+				}
+			}
+		case 3:
+			img := p.PackMetadata(m)
+			if err := l.LoadMetadata(m, img); err != nil {
+				t.Fatalf("%s: LoadMetadata of its own image: %v", s.Name(), err)
+			}
+			if got := p.PackMetadata(m); got != img {
+				t.Fatalf("%s: reloading metadata block %d changed its image", s.Name(), m)
+			}
+		}
+	}
+	for blk, want := range shadow.counter {
+		if got := s.Counter(blk); got != want {
+			t.Fatalf("%s: final Counter(%d) = %d, shadow says %d", s.Name(), blk, got, want)
+		}
+	}
+	fresh, _ := NewScheme(kind)
+	fp, fl := fresh.(MetadataPacker), fresh.(MetadataLoader)
+	for m := range touched {
+		img := p.PackMetadata(m)
+		if err := fl.LoadMetadata(m, img); err != nil {
+			t.Fatalf("%s: LoadMetadata(%d) rejected a packed image: %v", s.Name(), m, err)
+		}
+		if got := fp.PackMetadata(m); got != img {
+			t.Fatalf("%s: metadata block %d does not round-trip through LoadMetadata", s.Name(), m)
+		}
+	}
+	for blk, want := range shadow.counter {
+		if got := fresh.Counter(blk); got != want {
+			t.Fatalf("%s: restored Counter(%d) = %d, want %d", s.Name(), blk, got, want)
+		}
+	}
+}

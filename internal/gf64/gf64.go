@@ -8,10 +8,11 @@
 // which is the conventional choice for 64-bit carry-less hashing. Elements
 // are represented as uint64 values whose bit i is the coefficient of x^i.
 //
-// The package underpins the Carter-Wegman MAC in internal/mac: a polynomial
-// hash over GF(2^64) is a one-cycle operation in the hardware the paper
-// assumes (Intel SGX's multiplier); here it is implemented in portable
-// software with constant-time carry-less multiplication.
+// The package underpins the Carter-Wegman MAC in internal/crypto (and its
+// test-only reference, internal/mac): a polynomial hash over GF(2^64) is a
+// one-cycle operation in the hardware the paper assumes (Intel SGX's
+// multiplier); here it is implemented in portable software with
+// constant-time carry-less multiplication.
 package gf64
 
 // Poly is the low 64 bits of the reduction polynomial x^64 + x^4 + x^3 + x + 1.

@@ -1,53 +1,52 @@
 package gf64
 
+import "math/bits"
+
 // This file implements table-driven multiplication by a fixed field point —
 // the GHASH trick adapted to GF(2^64). A bit-serial Mul costs 64 dependent
 // shift/XOR iterations; when one operand is fixed (the secret MAC hash
 // point, or a precomputed power of it) the product is linear in the other
 // operand, so it can be assembled from precomputed partial products:
 //
-//	a * x = XOR over w of ((a >> 4w) & 0xF) << 4w * x
+//	a * x = XOR over w of ((a >> 8w) & 0xFF) << 8w * x
 //
-// Sixteen 4-bit windows, each with sixteen possible values, give a
-// 16x16-entry table (2KB) built once per key. A table multiply is then 16
-// loads + 15 XORs with no data-dependent branches on the *variable*
-// operand; the table itself is key-dependent, which is the same leakage
-// shape as a hardware GHASH multiplier's precomputed key powers.
+// Eight 8-bit windows, each with 256 possible values, give an 8x256-entry
+// table (16KB) built once per key. A table multiply is then 8 loads + 7
+// XORs with no data-dependent branches on the *variable* operand; the table
+// itself is key-dependent, which is the same leakage shape as a hardware
+// GHASH multiplier's precomputed key powers.
 //
 // The bit-serial Mul in gf64.go remains the constant-time reference oracle;
 // equivalence is proven in table_test.go.
 
-// windows is the number of 4-bit windows in a 64-bit operand.
-const windows = 16
+// windows is the number of 8-bit windows in a 64-bit operand.
+const windows = 8
 
 // Table holds the precomputed partial products of one fixed multiplicand.
 type Table struct {
-	// win[w][v] = (v << 4w) * x for the fixed point x.
-	win [windows][16]uint64
+	// win[w][v] = (v << 8w) * x for the fixed point x.
+	win [windows][256]uint64
 }
 
 // NewTable precomputes the windowed multiplication table for the fixed
-// point x, so that MulTable(t, a) == Mul(a, x) for every a.
+// point x, so that NewTable(x).Mul(a) == Mul(a, x) for every a.
 func NewTable(x uint64) *Table {
 	t := new(Table)
-	for w := 0; w < windows; w++ {
-		// Build the window from its doubling basis: entries 1, 2, 4, 8
-		// are x * x^(4w) * {1, x, x^2, x^3}; composites are XORs of the
-		// basis entries, by linearity of carry-less multiplication.
-		base := Mul(uint64(1)<<(4*w), x)
-		var basis [4]uint64
-		for b := 0; b < 4; b++ {
-			basis[b] = base
-			base = mulX(base)
+	p := x // x * x^(8w+b) at window w, bit b
+	for w := range t.win {
+		// Build the window from its doubling basis: entry 1<<b is
+		// x * x^(8w+b); every other entry is the XOR of the basis
+		// entries of its set bits, by linearity of carry-less
+		// multiplication. Entry v is entry v-without-its-lowest-set-bit
+		// plus one basis entry, so each costs one XOR.
+		var basis [8]uint64
+		for b := range basis {
+			basis[b] = p
+			p = mulX(p)
 		}
-		for v := 1; v < 16; v++ {
-			var e uint64
-			for b := 0; b < 4; b++ {
-				if v>>b&1 == 1 {
-					e ^= basis[b]
-				}
-			}
-			t.win[w][v] = e
+		tw := &t.win[w]
+		for v := 1; v < 256; v++ {
+			tw[v] = tw[v&(v-1)] ^ basis[bits.TrailingZeros(uint(v))]
 		}
 	}
 	return t
@@ -61,39 +60,12 @@ func mulX(a uint64) uint64 {
 
 // Mul returns a times the table's fixed point.
 func (t *Table) Mul(a uint64) uint64 {
-	r := t.win[0][a&0xF] ^
-		t.win[1][a>>4&0xF] ^
-		t.win[2][a>>8&0xF] ^
-		t.win[3][a>>12&0xF] ^
-		t.win[4][a>>16&0xF] ^
-		t.win[5][a>>20&0xF] ^
-		t.win[6][a>>24&0xF] ^
-		t.win[7][a>>28&0xF]
-	r ^= t.win[8][a>>32&0xF] ^
-		t.win[9][a>>36&0xF] ^
-		t.win[10][a>>40&0xF] ^
-		t.win[11][a>>44&0xF] ^
-		t.win[12][a>>48&0xF] ^
-		t.win[13][a>>52&0xF] ^
-		t.win[14][a>>56&0xF] ^
-		t.win[15][a>>60&0xF]
-	return r
-}
-
-// MulTable returns a times the fixed point captured by t. It is the
-// table-driven equivalent of Mul(a, x) for t = NewTable(x).
-func MulTable(t *Table, a uint64) uint64 { return t.Mul(a) }
-
-// HornerTable evaluates the same polynomial hash as Horner at the point
-// captured by t:
-//
-//	m[0]*x^n + m[1]*x^(n-1) + ... + m[n-1]*x
-//
-// using one table multiply per coefficient.
-func HornerTable(t *Table, m []uint64) uint64 {
-	var acc uint64
-	for _, v := range m {
-		acc = t.Mul(acc ^ v)
-	}
-	return acc
+	return t.win[0][a&0xFF] ^
+		t.win[1][a>>8&0xFF] ^
+		t.win[2][a>>16&0xFF] ^
+		t.win[3][a>>24&0xFF] ^
+		t.win[4][a>>32&0xFF] ^
+		t.win[5][a>>40&0xFF] ^
+		t.win[6][a>>48&0xFF] ^
+		t.win[7][a>>56]
 }

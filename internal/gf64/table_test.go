@@ -22,8 +22,8 @@ func TestMulTableMatchesMul(t *testing.T) {
 	for i := 0; i < 10_000; i++ {
 		a, x := rng.Uint64(), rng.Uint64()
 		tab := NewTable(x)
-		if got, want := MulTable(tab, a), Mul(a, x); got != want {
-			t.Fatalf("MulTable(%#x * %#x) = %#x, want %#x", a, x, got, want)
+		if got, want := tab.Mul(a), Mul(a, x); got != want {
+			t.Fatalf("NewTable(%#x).Mul(%#x) = %#x, want %#x", x, a, got, want)
 		}
 	}
 	for _, x := range edgeValues {
@@ -50,6 +50,16 @@ func TestMulTableReusedAcrossOperands(t *testing.T) {
 	}
 }
 
+// hornerTable is Horner over a table multiply: the shape of one chain of
+// the MAC's two-chain hash (internal/crypto).
+func hornerTable(t *Table, m []uint64) uint64 {
+	var acc uint64
+	for _, v := range m {
+		acc = t.Mul(acc ^ v)
+	}
+	return acc
+}
+
 func TestHornerTableMatchesHorner(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 1_000; trial++ {
@@ -59,15 +69,15 @@ func TestHornerTableMatchesHorner(t *testing.T) {
 			m[i] = rng.Uint64()
 		}
 		tab := NewTable(x)
-		if got, want := HornerTable(tab, m), Horner(x, m); got != want {
-			t.Fatalf("HornerTable(x=%#x, m=%x) = %#x, want %#x", x, m, got, want)
+		if got, want := hornerTable(tab, m), Horner(x, m); got != want {
+			t.Fatalf("hornerTable(x=%#x, m=%x) = %#x, want %#x", x, m, got, want)
 		}
 	}
 }
 
 func TestHornerTableEmpty(t *testing.T) {
-	if HornerTable(NewTable(0xDEADBEEF), nil) != 0 {
-		t.Fatal("HornerTable of empty message should be 0")
+	if hornerTable(NewTable(0xDEADBEEF), nil) != 0 {
+		t.Fatal("hornerTable of empty message should be 0")
 	}
 }
 
@@ -157,7 +167,7 @@ func BenchmarkHornerTable8(b *testing.B) {
 	b.ResetTimer()
 	var acc uint64
 	for i := 0; i < b.N; i++ {
-		acc ^= HornerTable(tab, msg)
+		acc ^= hornerTable(tab, msg)
 	}
 	sink = acc
 }
