@@ -268,15 +268,16 @@ func (m *Memory) Size() uint64 { return m.eng.Config().RegionBytes }
 func (m *Memory) ShardOf(addr uint64) int { return m.eng.ShardOf(addr) }
 
 // Write encrypts and stores one 64-byte block at the aligned address,
-// locking only the owning shard.
+// locking only the owning shard: the one-block case of WriteBlocks.
 func (m *Memory) Write(addr uint64, block []byte) error {
 	return m.eng.Write(addr, block)
 }
 
 // Read verifies and decrypts one 64-byte block into dst, locking only the
-// owning shard (and nothing at all when the block is warm). Correctable
-// memory faults are repaired transparently (and reported in ReadInfo);
-// tampering or uncorrectable faults return an *IntegrityError.
+// owning shard (and nothing at all when the block is warm): the one-block
+// case of ReadBlocks. Correctable memory faults are repaired transparently
+// (and reported in ReadInfo); tampering or uncorrectable faults return an
+// *IntegrityError.
 func (m *Memory) Read(addr uint64, dst []byte) (ReadInfo, error) {
 	return m.eng.Read(addr, dst)
 }
@@ -303,31 +304,35 @@ func (m *Memory) ReadBlocks(addr uint64, dst []byte) error {
 	return m.eng.ReadBlocks(addr, dst)
 }
 
-// TryReadBlocks is ReadBlocks for a caller that must not wait: it serves a
+// ReadRecover is ReadBlocks plus the engine's recovery ladder, for a span of
+// any whole number of blocks (one block included). A block that fails
+// verification climbs the ladder: its counter metadata is repaired from
+// trusted state when the failure is in the counter plane, it is re-read a
+// bounded number of times to absorb transient faults, and finally it is
+// quarantined (subsequent reads return a *QuarantineError until a fresh
+// Write releases it) and the error, which carries its address, is returned.
+// A block the ladder saves is read and the span goes on after it.
+// RecoverInfo merges the whole span: every block's ReadInfo and the rungs
+// that fired.
+func (m *Memory) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error) {
+	return m.eng.ReadRecover(addr, dst)
+}
+
+// TryReadRecover is ReadRecover for a caller that must not wait: it serves a
 // span lying in one shard only if that needs no lock (every block warm) or
 // the shard's lock is free right now. done == false means it did neither —
 // the lock was held or the span crosses shards — and changed and counted
-// nothing; call ReadBlocks instead. With done == true, err and dst are
-// exactly what ReadBlocks would have produced.
-func (m *Memory) TryReadBlocks(addr uint64, dst []byte) (done bool, err error) {
-	return m.eng.TryReadBlocks(addr, dst)
+// nothing; call ReadRecover instead. With done == true, info, err and dst
+// are exactly what ReadRecover would have produced.
+func (m *Memory) TryReadRecover(addr uint64, dst []byte) (done bool, info RecoverInfo, err error) {
+	return m.eng.TryReadRecover(addr, dst)
 }
 
-// TryWriteBlocks is WriteBlocks under the same rule as TryReadBlocks: done ==
-// false means nothing was written because the span's shard lock was held or
-// the span crosses shards; call WriteBlocks instead.
+// TryWriteBlocks is WriteBlocks under the same rule as TryReadRecover: done
+// == false means nothing was written because the span's shard lock was held
+// or the span crosses shards; call WriteBlocks instead.
 func (m *Memory) TryWriteBlocks(addr uint64, src []byte) (done bool, err error) {
 	return m.eng.TryWriteBlocks(addr, src)
-}
-
-// ReadRecover is Read plus the engine's recovery ladder: on an integrity
-// failure it repairs counter metadata from trusted state when the failure is
-// in the counter plane, re-reads a bounded number of times to absorb
-// transient faults, and finally quarantines the block (subsequent reads
-// return a *QuarantineError until a fresh Write releases it). RecoverInfo
-// reports which rungs fired.
-func (m *Memory) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error) {
-	return m.eng.ReadRecover(addr, dst)
 }
 
 // FlushAll forces every shard's deferred Merkle maintenance to land now, the

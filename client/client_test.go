@@ -169,7 +169,7 @@ func TestClientPipelinedConcurrency(t *testing.T) {
 	}
 }
 
-// blockingBackend parks every ReadBlocks until released so BUSY rejections
+// blockingBackend parks every ReadRecover until released so BUSY rejections
 // can be provoked deterministically.
 type blockingBackend struct {
 	server.Backend
@@ -177,13 +177,13 @@ type blockingBackend struct {
 	hits chan struct{}
 }
 
-func (b *blockingBackend) ReadBlocks(addr uint64, dst []byte) error {
+func (b *blockingBackend) ReadRecover(addr uint64, dst []byte) (authmem.RecoverInfo, error) {
 	select {
 	case b.hits <- struct{}{}:
 	default:
 	}
 	<-b.gate
-	return b.Backend.ReadBlocks(addr, dst)
+	return b.Backend.ReadRecover(addr, dst)
 }
 
 // TestClientRetriesBusy saturates a MaxInflight=1 server with a parked read

@@ -7,64 +7,146 @@ import (
 	"authmem/internal/ctr"
 )
 
-// Batched multi-block read/write paths. A span of contiguous blocks shares
-// counter metadata: one counter block covers ctr.CountersPerMetadataBlock
-// (or a group's worth of) data blocks, so a streaming access that verifies
-// the tree leaf once per metadata block — instead of once per data block —
-// drops most of the per-access tree-walk cost, just as a real controller
-// caches the verified counter line. Writes similarly commit each touched
-// counter block once, after all its blocks are stored.
+// The block paths. Every read and every write is a span of contiguous whole
+// blocks, and a one-block Read or Write is the one-block span: there is one
+// read loop (read) and one write loop (WriteBlocks -> writeChunk). A span's
+// blocks share counter metadata: one counter block covers
+// ctr.CountersPerMetadataBlock (or a group's worth of) data blocks, so a read
+// verifies the tree leaf once per metadata block — instead of once per data
+// block — just as a real controller caches the verified counter line, and a
+// write commits each touched counter block once, after all its blocks are
+// stored.
 
-func (e *Engine) checkSpan(addr uint64, n int, what string) error {
-	if err := e.checkAddr(addr); err != nil {
-		return err
-	}
-	if n == 0 || n%BlockBytes != 0 {
+// checkSpan validates an access of n bytes at the address addr in a region
+// of the given size: addr block-aligned and inside it, n a positive multiple
+// of BlockBytes, and the span ending inside it. It is the one address check
+// of both the engine and the sharded engine.
+func checkSpan(region, addr uint64, n int, what string) error {
+	switch {
+	case addr%BlockBytes != 0:
+		return fmt.Errorf("core: address %#x not %d-byte aligned", addr, BlockBytes)
+	case addr >= region:
+		return fmt.Errorf("core: address %#x outside %d-byte region", addr, region)
+	case n == 0 || n%BlockBytes != 0:
 		return fmt.Errorf("core: %s length %d not a positive multiple of %d", what, n, BlockBytes)
-	}
-	if addr+uint64(n) > e.cfg.RegionBytes {
-		return fmt.Errorf("core: %s span [%#x, %#x) outside %d-byte region", what, addr, addr+uint64(n), e.cfg.RegionBytes)
+	case addr+uint64(n) > region:
+		return fmt.Errorf("core: %s span [%#x, %#x) outside %d-byte region", what, addr, addr+uint64(n), region)
 	}
 	return nil
 }
 
+// oneBlock checks the buffer of a one-block Read or Write.
+func oneBlock(n int, what string) error {
+	if n != BlockBytes {
+		return fmt.Errorf("core: %s must be %d bytes, got %d", what, BlockBytes, n)
+	}
+	return nil
+}
+
+// Read verifies, decrypts, and returns one 64-byte block: the one-block span
+// of ReadBlocks. Correctable memory faults are repaired in place (write-back
+// scrubbing); integrity violations return an *IntegrityError.
+func (e *Engine) Read(addr uint64, dst []byte) (ReadInfo, error) {
+	if err := oneBlock(len(dst), "read buffer"); err != nil {
+		return ReadInfo{}, err
+	}
+	ri, err := e.read(addr, dst, false)
+	return ri.ReadInfo, err
+}
+
 // ReadBlocks verifies and decrypts len(dst)/BlockBytes contiguous blocks
-// starting at addr into dst. Counter metadata is fetched and tree-verified
-// once per covering metadata block rather than once per data block; each
-// block's ciphertext is then authenticated and decrypted exactly as Read
-// does. The first failing block aborts the batch with its error; blocks
-// before it have already been decrypted into dst.
+// starting at addr into dst. The first failing block aborts the span with
+// its error; blocks before it have already been decrypted into dst.
 func (e *Engine) ReadBlocks(addr uint64, dst []byte) error {
-	if err := e.checkSpan(addr, len(dst), "read"); err != nil {
-		return err
+	_, err := e.read(addr, dst, false)
+	return err
+}
+
+// read is the engine's one read loop, behind Read, ReadBlocks and
+// ReadRecover. It serves each block of the span from the verified-block
+// cache or, on a miss, fetches and tree-verifies the covering counter image
+// (once per metadata block), authenticates the ciphertext — repairing
+// correctable faults in place — and decrypts it into dst. The returned info
+// merges the blocks' ReadInfo: counts add up, and Fresh holds only if every
+// block was never written. Without the ladder, the first failing block ends
+// the span with its error; with it, that block climbs the recovery ladder
+// (recovery.go) and the span goes on after it unless the ladder fails too.
+// On error, the info covers the blocks before the failing one.
+func (e *Engine) read(addr uint64, dst []byte, ladder bool) (RecoverInfo, error) {
+	var ri RecoverInfo
+	if err := checkSpan(e.cfg.RegionBytes, addr, len(dst), "read"); err != nil {
+		return ri, err
 	}
 	first := addr / BlockBytes
 	n := uint64(len(dst)) / BlockBytes
-
-	curMidx := ^uint64(0)
+	midx := ^uint64(0)
 	var img []byte
+	ri.Fresh = true
 	for j := uint64(0); j < n; j++ {
-		blk := first + j
+		blk, d := first+j, dst[j*BlockBytes:(j+1)*BlockBytes]
 		atomic.AddUint64(&e.stats.Reads, 1)
-		if e.readCached(blk, dst[j*BlockBytes:(j+1)*BlockBytes]) {
+		if e.readCached(blk, d) {
+			ri.Fresh = false
 			continue
 		}
-		if midx := e.scheme.MetadataBlock(blk); midx != curMidx {
-			var err error
-			if img, err = e.verifiedImage(blk*BlockBytes, midx); err != nil {
-				return err
-			}
-			curMidx = midx
+		info, err := e.readMiss(blk, d, &midx, &img)
+		if err != nil && ladder {
+			midx = ^uint64(0) // the ladder may have rebuilt every image
+			info, err = e.recoverBlock(blk, d, err, &ri)
 		}
-		counter, err := e.decodeVerified(img, blk)
 		if err != nil {
-			return err
+			ri.Fresh = false
+			return ri, err
 		}
-		if _, err := e.readVerified(blk, counter, dst[j*BlockBytes:(j+1)*BlockBytes]); err != nil {
-			return err
-		}
+		ri.ReadInfo.add(info)
 	}
-	return nil
+	return ri, nil
+}
+
+// readMiss reads one block the verified-block cache missed. *img holds the
+// verified counter image of metadata block *midx; a block under another
+// metadata block fetches (and tree-verifies) its own, which replaces it.
+func (e *Engine) readMiss(blk uint64, dst []byte, midx *uint64, img *[]byte) (ReadInfo, error) {
+	if m := e.scheme.MetadataBlock(blk); m != *midx {
+		fetched, err := e.verifiedImage(blk*BlockBytes, m)
+		if err != nil {
+			return ReadInfo{}, err
+		}
+		*midx, *img = m, fetched
+	}
+	counter, err := e.decodeVerified(*img, blk)
+	if err != nil {
+		return ReadInfo{}, err
+	}
+	return e.readVerified(blk, counter, dst)
+}
+
+// add folds the info of a later stretch of the same span into r: counts add
+// up, and the span is fresh only if both stretches are.
+func (r *ReadInfo) add(o ReadInfo) {
+	r.Fresh = r.Fresh && o.Fresh
+	r.CorrectedDataBits += o.CorrectedDataBits
+	r.CorrectedMACBits += o.CorrectedMACBits
+	r.HardwareChecks += o.HardwareChecks
+}
+
+// add is ReadInfo.add plus the ladder: retries add up, and a rung that fired
+// anywhere fired for the span.
+func (r *RecoverInfo) add(o RecoverInfo) {
+	r.ReadInfo.add(o.ReadInfo)
+	r.Retries += o.Retries
+	r.RetryRecovered = r.RetryRecovered || o.RetryRecovered
+	r.MetadataRepaired = r.MetadataRepaired || o.MetadataRepaired
+	r.Quarantined = r.Quarantined || o.Quarantined
+}
+
+// Write encrypts and stores one 64-byte block at the aligned address: the
+// one-block span of WriteBlocks.
+func (e *Engine) Write(addr uint64, plaintext []byte) error {
+	if err := oneBlock(len(plaintext), "write"); err != nil {
+		return err
+	}
+	return e.WriteBlocks(addr, plaintext)
 }
 
 // WriteBlocks encrypts and stores len(src)/BlockBytes contiguous blocks
@@ -74,7 +156,7 @@ func (e *Engine) ReadBlocks(addr uint64, dst []byte) error {
 // equal counters with one batched keystream sweep per run, and commits its
 // metadata (deferCommit) exactly once.
 func (e *Engine) WriteBlocks(addr uint64, src []byte) error {
-	if err := e.checkSpan(addr, len(src), "write"); err != nil {
+	if err := checkSpan(e.cfg.RegionBytes, addr, len(src), "write"); err != nil {
 		return err
 	}
 	first := addr / BlockBytes

@@ -45,7 +45,7 @@ import (
 // can never observe stale-but-trusted plaintext after a fault is in place.
 //
 // Consistency points, all internal to the engine:
-//   - storeBlock installs the fresh plaintext (write-allocate, so a
+//   - writeChunk installs the fresh plaintext (write-allocate, so a
 //     read-after-write hits);
 //   - readVerified installs the just-decrypted plaintext on success;
 //   - tamper/replay APIs evict or flush — injected faults land in DRAM, and

@@ -85,15 +85,14 @@ type Engine struct {
 	off *OffChip
 
 	// groupBuf is the reusable plaintext staging buffer for group
-	// re-encryption sweeps; spanBuf stages ciphertext runs for the batched
-	// WriteBlocks seal path; tagBuf stages their batch-computed MAC tags.
+	// re-encryption sweeps; tagBuf stages the batch-computed MAC tags of a
+	// sweep or of a write path's run.
 	groupBuf []byte
 	spanBuf  []byte
 	tagBuf   [ctr.GroupBlocks]uint64
 
 	// [pendingFirst, pendingLast] is the contiguous block span currently
-	// being written (one block for Write, up to a metadata leaf's worth for
-	// WriteBlocks), so the re-encryption hook does not emit stale
+	// being written (at most a metadata leaf's worth: one writeChunk), so the re-encryption hook does not emit stale
 	// ciphertext for in-flight blocks under the new counter (hardware
 	// merges the in-flight write instead).
 	pendingFirst    uint64
@@ -284,73 +283,16 @@ func (e *Engine) SchemeStats() ctr.Stats { return e.scheme.Stats() }
 // Tree exposes the integrity tree: its shape locates tree-node faults.
 func (e *Engine) Tree() *tree.Tree { return e.tr }
 
-func (e *Engine) checkAddr(addr uint64) error {
-	if addr%BlockBytes != 0 {
-		return fmt.Errorf("core: address %#x not %d-byte aligned", addr, BlockBytes)
-	}
-	if addr >= e.cfg.RegionBytes {
-		return fmt.Errorf("core: address %#x outside %d-byte region", addr, e.cfg.RegionBytes)
-	}
-	return nil
-}
-
-// Write encrypts and stores one 64-byte block at the (aligned) address.
-func (e *Engine) Write(addr uint64, plaintext []byte) error {
-	if err := e.checkAddr(addr); err != nil {
-		return err
-	}
-	if len(plaintext) != BlockBytes {
-		return fmt.Errorf("core: write must be %d bytes, got %d", BlockBytes, len(plaintext))
-	}
-	blk := addr / BlockBytes
-	atomic.AddUint64(&e.stats.Writes, 1)
-
-	e.pendingFirst, e.pendingLast, e.hasPendingWrite = blk, blk, true
-	out := e.scheme.Touch(blk)
-	e.hasPendingWrite = false
-
-	if err := e.storeBlock(blk, plaintext, out.Counter); err != nil {
-		return err
-	}
-	return e.deferCommit(e.scheme.MetadataBlock(blk), blk, 1)
-}
-
 // pending reports whether blk is inside the in-flight write span.
 func (e *Engine) pending(blk uint64) bool {
 	return e.hasPendingWrite && blk >= e.pendingFirst && blk <= e.pendingLast
 }
 
-// storeBlock encrypts plaintext under counter directly into the block's
-// arena slot and seals it (MAC, ECC bytes, data-tree leaf). Fresh data
-// releases the block from quarantine: the faulty contents are overwritten.
-func (e *Engine) storeBlock(blk uint64, plaintext []byte, counter uint64) error {
-	delete(e.quarantine, blk)
-	ct := e.store.Materialize(blk)
-	if err := e.ks.XOR(ct, plaintext, blk*BlockBytes, counter); err != nil {
-		return err
-	}
-	if err := e.sealBlock(blk, ct, counter); err != nil {
-		return err
-	}
-	e.bc.insert(blk, plaintext) // write-allocate: read-after-write hits
-	return nil
-}
-
-// sealBlock installs the MAC (and, in baseline mode, SEC-DED bytes) for the
-// already-encrypted arena slice ct of block blk. Under the classic
-// data-tree design it also refreshes the block's tree leaf.
-func (e *Engine) sealBlock(blk uint64, ct []byte, counter uint64) error {
-	addr := blk * BlockBytes
-	tag, err := e.key.Tag(ct, addr, counter)
-	if err != nil {
-		return err
-	}
-	return e.sealBlockTagged(blk, ct, tag)
-}
-
-// sealBlockTagged is sealBlock with the MAC tag already computed — the
-// install half of the batched seal paths, whose tags come from one
-// TagBatch call over a whole span instead of per-block Tag calls.
+// sealBlockTagged installs the MAC tag (and, in baseline mode, SEC-DED
+// bytes) for the already-encrypted arena slice ct of block blk, and under the
+// classic data-tree design refreshes the block's tree leaf. It is the one
+// seal: the tags come from one TagBatch call over a run of blocks, on the
+// write path (writeChunk) and in the re-encryption sweep alike.
 func (e *Engine) sealBlockTagged(blk uint64, ct []byte, tag uint64) error {
 	if e.mcod != nil {
 		e.store.SetMeta(blk, e.mcod.PackLane(tag, ct))
@@ -419,13 +361,15 @@ func (e *Engine) reencryptGroup(groupStart uint64, oldCounters []uint64, newCoun
 			clear(pt)
 			continue
 		}
-		if !e.verifyStored(blk, ct, oldCounters[j]) {
+		if _, fail, err := e.verifyStored(blk, ct, oldCounters[j]); err != nil {
+			panic(err) // sizes are fixed; cannot fail
+		} else if fail != "" {
 			e.quarantineBlock(blk)
 			skip[j] = true
 			clear(pt)
 			continue
 		}
-		if err := e.ks.XOR(pt, ct, blk*BlockBytes, oldCounters[j]); err != nil {
+		if err := e.ks.XORBlocks(pt, ct, blk*BlockBytes, oldCounters[j]); err != nil {
 			panic(err) // sizes are fixed; cannot fail
 		}
 	}
@@ -456,71 +400,47 @@ func (e *Engine) reencryptGroup(groupStart uint64, oldCounters []uint64, newCoun
 			panic(err)
 		}
 	}
-	// The caller (Touch -> Write) commits the metadata image afterwards.
+	// The caller (Touch -> writeChunk) commits the metadata image afterwards.
 }
 
 // verifyStored authenticates a resident block's stored bits under counter,
-// repairing correctable faults in place exactly as a read would; false
-// means the block is uncorrectable and must not be trusted. Correction
-// events are banked into the engine's counters, as a read's are.
-func (e *Engine) verifyStored(blk uint64, ct []byte, counter uint64) bool {
+// repairing correctable faults in place and banking the corrections. fail is
+// empty when the block is authentic and otherwise says why it is not. It is
+// the one check of stored bits, behind every read and the re-encryption
+// sweep.
+func (e *Engine) verifyStored(blk uint64, ct []byte, counter uint64) (info ReadInfo, fail string, err error) {
+	addr := blk * BlockBytes
 	if e.mcod != nil {
-		lane, out, err := e.ver.VerifyAndCorrect(ct, e.store.Meta(blk), blk*BlockBytes, counter)
+		lane, out, err := e.ver.VerifyAndCorrect(ct, e.store.Meta(blk), addr, counter)
 		if err != nil {
-			panic(err) // sizes are fixed; cannot fail
+			return info, "", err
 		}
+		info.HardwareChecks = out.HardwareChecks
 		if !out.OK {
-			return false
+			return info, "MAC verification failed (tamper or uncorrectable fault)", nil
 		}
+		info.CorrectedDataBits = out.CorrectedDataBits
+		info.CorrectedMACBits = out.CorrectedMACBits
 		atomic.AddUint64(&e.stats.CorrectedDataBits, uint64(out.CorrectedDataBits))
 		atomic.AddUint64(&e.stats.CorrectedMACBits, uint64(out.CorrectedMACBits))
-		e.store.SetMeta(blk, lane)
-		return true
+		e.store.SetMeta(blk, lane) // corrected bits written back
+		return info, "", nil
 	}
+	// MACInline baseline: the block codec first, then the MAC.
 	outcome, err := e.bcod.DecodeAndCorrect(ct, e.store.Check(blk))
 	if err != nil {
-		panic(err)
+		return info, "", err
 	}
 	if !outcome.Clean() {
-		return false
+		return info, "uncorrectable " + e.bcod.Name() + " memory error", nil
 	}
+	info.CorrectedDataBits = outcome.CorrectedBits
 	atomic.AddUint64(&e.stats.SECDEDCorrected, uint64(outcome.CorrectedBits))
-	ok, err := e.key.Verify(ct, blk*BlockBytes, counter, e.store.Meta(blk))
-	if err != nil {
-		panic(err)
+	ok, err := e.key.Verify(ct, addr, counter, e.store.Meta(blk))
+	if err != nil || ok {
+		return info, "", err
 	}
-	return ok
-}
-
-// Read verifies, decrypts, and returns one 64-byte block.
-// Correctable memory faults are repaired in place (write-back scrubbing);
-// integrity violations return an *IntegrityError.
-func (e *Engine) Read(addr uint64, dst []byte) (ReadInfo, error) {
-	var info ReadInfo
-	if err := e.checkAddr(addr); err != nil {
-		return info, err
-	}
-	if len(dst) != BlockBytes {
-		return info, fmt.Errorf("core: read buffer must be %d bytes, got %d", BlockBytes, len(dst))
-	}
-	blk := addr / BlockBytes
-	atomic.AddUint64(&e.stats.Reads, 1)
-
-	// A verified-block cache hit is trusted plaintext: no counter fetch,
-	// no tree walk, no MAC, no decryption.
-	if e.readCached(blk, dst) {
-		return info, nil
-	}
-
-	img, err := e.verifiedImage(addr, e.scheme.MetadataBlock(blk))
-	if err != nil {
-		return info, err
-	}
-	counter, err := e.decodeVerified(img, blk)
-	if err != nil {
-		return info, err
-	}
-	return e.readVerified(blk, counter, dst)
+	return info, "MAC verification failed", nil
 }
 
 // verifiedImage fetches and freshness-checks midx's counter image. A
@@ -557,13 +477,12 @@ func (e *Engine) decodeVerified(img []byte, blk uint64) (uint64, error) {
 // tree-verified: it authenticates the ciphertext (repairing correctable
 // faults in place) and decrypts into dst.
 func (e *Engine) readVerified(blk, counter uint64, dst []byte) (ReadInfo, error) {
-	var info ReadInfo
 	addr := blk * BlockBytes
 
 	if e.quarantine != nil {
 		if _, bad := e.quarantine[blk]; bad {
 			atomic.AddUint64(&e.stats.QuarantineRefusals, 1)
-			return info, &QuarantineError{Addr: addr}
+			return ReadInfo{}, &QuarantineError{Addr: addr}
 		}
 	}
 
@@ -571,49 +490,20 @@ func (e *Engine) readVerified(blk, counter uint64, dst []byte) (ReadInfo, error)
 	if ct == nil {
 		if counter != 0 {
 			atomic.AddUint64(&e.stats.IntegrityFailures, 1)
-			return info, &IntegrityError{Addr: addr, Reason: "counter advanced but block missing", Stage: StageData}
+			return ReadInfo{}, &IntegrityError{Addr: addr, Reason: "counter advanced but block missing", Stage: StageData}
 		}
 		clear(dst)
-		info.Fresh = true
 		atomic.AddUint64(&e.stats.FreshReads, 1)
-		return info, nil
+		return ReadInfo{Fresh: true}, nil
 	}
 
-	if e.mcod != nil {
-		lane, out, err := e.ver.VerifyAndCorrect(ct, e.store.Meta(blk), addr, counter)
-		if err != nil {
-			return info, err
-		}
-		info.HardwareChecks = out.HardwareChecks
-		if !out.OK {
-			atomic.AddUint64(&e.stats.IntegrityFailures, 1)
-			return info, &IntegrityError{Addr: addr, Reason: "MAC verification failed (tamper or uncorrectable fault)", Stage: StageData}
-		}
-		info.CorrectedDataBits = out.CorrectedDataBits
-		info.CorrectedMACBits = out.CorrectedMACBits
-		atomic.AddUint64(&e.stats.CorrectedDataBits, uint64(out.CorrectedDataBits))
-		atomic.AddUint64(&e.stats.CorrectedMACBits, uint64(out.CorrectedMACBits))
-		e.store.SetMeta(blk, lane) // corrected bits written back
-
-	} else { // MACInline baseline: the block codec first, then the MAC.
-		outcome, err := e.bcod.DecodeAndCorrect(ct, e.store.Check(blk))
-		if err != nil {
-			return info, err
-		}
-		if !outcome.Clean() {
-			atomic.AddUint64(&e.stats.IntegrityFailures, 1)
-			return info, &IntegrityError{Addr: addr, Reason: "uncorrectable " + e.bcod.Name() + " memory error", Stage: StageData}
-		}
-		info.CorrectedDataBits = outcome.CorrectedBits
-		atomic.AddUint64(&e.stats.SECDEDCorrected, uint64(outcome.CorrectedBits))
-		okTag, err := e.key.Verify(ct, addr, counter, e.store.Meta(blk))
-		if err != nil {
-			return info, err
-		}
-		if !okTag {
-			atomic.AddUint64(&e.stats.IntegrityFailures, 1)
-			return info, &IntegrityError{Addr: addr, Reason: "MAC verification failed", Stage: StageData}
-		}
+	info, fail, err := e.verifyStored(blk, ct, counter)
+	if err != nil {
+		return info, err
+	}
+	if fail != "" {
+		atomic.AddUint64(&e.stats.IntegrityFailures, 1)
+		return info, &IntegrityError{Addr: addr, Reason: fail, Stage: StageData}
 	}
 
 	// Classic data-tree design: the (possibly just-repaired) ciphertext
@@ -626,7 +516,7 @@ func (e *Engine) readVerified(blk, counter uint64, dst []byte) (ReadInfo, error)
 		}
 	}
 
-	if err := e.ks.XOR(dst, ct, addr, counter); err != nil {
+	if err := e.ks.XORBlocks(dst, ct, addr, counter); err != nil {
 		return info, err
 	}
 	e.bc.insert(blk, dst)

@@ -360,7 +360,8 @@ func TestLockFreeTamperCoherence(t *testing.T) {
 }
 
 // TestLockFreeWarmReadAllocs pins the hot paths to zero allocations:
-// warm Read, a warm cross-shard ReadBlocks span, Stats(), and FlushAll()
+// warm Read, a warm cross-shard ReadBlocks span, a warm and a cold
+// single-shard ReadRecover span (the server's read), Stats(), and FlushAll()
 // on a clean region.
 func TestLockFreeWarmReadAllocs(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
@@ -393,6 +394,29 @@ func TestLockFreeWarmReadAllocs(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Errorf("warm cross-shard ReadBlocks allocates %.1f per op, want 0", a)
+	}
+	inShard := dst[:4*BlockBytes] // blocks start..start+3, all in shard 0
+	if a := testing.AllocsPerRun(200, func() {
+		if _, err := s.ReadRecover(start*BlockBytes, inShard); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("warm ReadRecover span allocates %.1f per op, want 0", a)
+	}
+	base := s.Stats()
+	if a := testing.AllocsPerRun(200, func() {
+		goCold(s.shards[0].eng)
+		if _, err := s.ReadRecover(start*BlockBytes, inShard); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("cold ReadRecover span allocates %.1f per op, want 0", a)
+	}
+	if d := statDelta(base, s.Stats()); d.LockFreeHits != 0 || d.SlowPathReads != 201*4 {
+		t.Errorf("cold ReadRecover spans: LockFreeHits=%d SlowPathReads=%d, want 0/%d", d.LockFreeHits, d.SlowPathReads, 201*4)
+	}
+	if !bytes.Equal(inShard, src[:4*BlockBytes]) {
+		t.Error("ReadRecover span read back wrong")
 	}
 	if a := testing.AllocsPerRun(200, func() { s.Stats() }); a != 0 {
 		t.Errorf("Stats allocates %.1f per op, want 0", a)

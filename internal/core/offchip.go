@@ -88,7 +88,7 @@ func (m *OffChip) Locate(p Plane, i uint64) (uint64, error) {
 // block at the aligned address addr: the block itself for the data, lane and
 // check planes, the counter image covering it for PlaneCounter.
 func (m *OffChip) LocateAddr(p Plane, addr uint64) (uint64, error) {
-	if err := m.e.checkAddr(addr); err != nil {
+	if err := checkSpan(m.e.cfg.RegionBytes, addr, BlockBytes, "locate"); err != nil {
 		return 0, err
 	}
 	blk := addr / BlockBytes

@@ -83,36 +83,40 @@ type RecoverInfo struct {
 	Quarantined bool
 }
 
-// ReadRecover is Read with the engine's recovery policy applied: on a
-// failed verification it attempts metadata repair (counter-stage failures),
-// then bounded re-read retries, and finally quarantines the block. The
-// returned error is nil exactly when dst holds verified plaintext.
+// ReadRecover is ReadBlocks with the engine's recovery policy applied to
+// every block of the span that fails verification: it attempts metadata
+// repair (counter-stage failures), then bounded re-read retries, and finally
+// quarantines the block and returns the error, which carries that block's
+// address. A block the ladder saves is read and the span goes on after it.
+// RecoverInfo merges the span: the ReadInfo of every block read and the rungs
+// that fired. The returned error is nil exactly when dst holds verified
+// plaintext.
 func (e *Engine) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error) {
-	var ri RecoverInfo
-	info, err := e.Read(addr, dst)
-	ri.ReadInfo = info
-	if err == nil {
-		return ri, err
-	}
+	return e.read(addr, dst, true)
+}
+
+// recoverBlock runs the recovery ladder for block blk, whose read into dst
+// just failed with err. It records the rungs it climbs in ri and returns the
+// info of the re-read that succeeded, or the final error.
+func (e *Engine) recoverBlock(blk uint64, dst []byte, err error, ri *RecoverInfo) (ReadInfo, error) {
 	var qe *QuarantineError
 	if errors.As(err, &qe) {
-		return ri, err // already poisoned: fail fast, no more work
+		return ReadInfo{}, err // already poisoned: fail fast, no more work
 	}
 	var ie *IntegrityError
 	if !errors.As(err, &ie) {
-		return ri, err // structural errors (bad address etc.) propagate
+		return ReadInfo{}, err // structural errors propagate
 	}
-	blk := addr / BlockBytes
+	addr := blk * BlockBytes
 
 	// Tier 1: counter-plane failures are repairable from trusted state.
 	if e.recovery.RepairMetadata && ie.Stage == StageCounter {
 		if rerr := e.repairMetadata(); rerr == nil {
 			atomic.AddUint64(&e.stats.MetadataRepairs, 1)
 			ri.MetadataRepaired = true
-			info, err = e.Read(addr, dst)
-			ri.ReadInfo = info
-			if err == nil {
-				return ri, nil
+			var r RecoverInfo
+			if r, err = e.read(addr, dst, false); err == nil {
+				return r.ReadInfo, nil
 			}
 		}
 	}
@@ -124,19 +128,18 @@ func (e *Engine) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error) {
 		if e.retryHook != nil {
 			e.retryHook(blk)
 		}
-		info, err = e.Read(addr, dst)
-		ri.ReadInfo = info
-		if err == nil {
+		var r RecoverInfo
+		if r, err = e.read(addr, dst, false); err == nil {
 			atomic.AddUint64(&e.stats.RetryRecoveries, 1)
 			ri.RetryRecovered = true
-			return ri, nil
+			return r.ReadInfo, nil
 		}
 	}
 
 	// Tier 3: the block is beyond recovery; poison it.
 	e.quarantineBlock(blk)
 	ri.Quarantined = true
-	return ri, err
+	return ReadInfo{}, err
 }
 
 // quarantineBlock adds blk to the quarantine list.

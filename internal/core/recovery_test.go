@@ -260,3 +260,92 @@ func TestReencryptSweepQuarantinesUnverifiable(t *testing.T) {
 		})
 	}
 }
+
+// recoverSpan writes a 4-block span whose third block opens a new metadata
+// block (group and monolithic counter block alike), so a counter-plane fault
+// under the third block leaves the first two readable.
+func recoverSpan(t *testing.T, e *Engine) (addr uint64, src []byte) {
+	t.Helper()
+	addr = (ctr.GroupBlocks - 2) * BlockBytes
+	src = make([]byte, 4*BlockBytes)
+	for j := 0; j < 4; j++ {
+		copy(src[j*BlockBytes:], block(int64(60+j)))
+	}
+	if err := e.WriteBlocks(addr, src); err != nil {
+		t.Fatal(err)
+	}
+	if e.MetadataIndex(addr+BlockBytes) == e.MetadataIndex(addr+2*BlockBytes) {
+		t.Fatal("the span's third block does not open a metadata block")
+	}
+	return addr, src
+}
+
+// TestRecoverSpanMetadataRepair: a 4-block ReadRecover whose third block's
+// counter image is flipped reads the first two, repairs the metadata once
+// for the third, and goes on to the fourth: the span succeeds.
+func TestRecoverSpanMetadataRepair(t *testing.T) {
+	for _, cfg := range allDesignPoints() {
+		t.Run(cfg.Scheme.String()+"/"+cfg.Placement.String(), func(t *testing.T) {
+			e := newEngine(t, cfg)
+			addr, src := recoverSpan(t, e)
+			if err := flipElem(e.off, PlaneCounter, e.MetadataIndex(addr+2*BlockBytes), 13); err != nil {
+				t.Fatal(err)
+			}
+			goCold(e)
+			dst := make([]byte, len(src))
+			ri, err := e.ReadRecover(addr, dst)
+			if err != nil {
+				t.Fatalf("ReadRecover: %v", err)
+			}
+			if !ri.MetadataRepaired || ri.Retries != 0 || ri.Quarantined || ri.Fresh {
+				t.Fatalf("unexpected recovery shape: %+v", ri)
+			}
+			if !bytes.Equal(dst, src) {
+				t.Fatal("recovered span mismatch")
+			}
+			if st := e.Stats(); st.MetadataRepairs != 1 || st.IntegrityFailures != 1 {
+				t.Fatalf("MetadataRepairs = %d, IntegrityFailures = %d, want 1 and 1", st.MetadataRepairs, st.IntegrityFailures)
+			}
+		})
+	}
+}
+
+// TestRecoverSpanQuarantinesFailingBlock: the same span with a 3-bit data
+// burst on its third block. The first two blocks are decrypted, the error
+// carries the third block's address, only that block is quarantined, and the
+// fourth is neither read nor written into dst.
+func TestRecoverSpanQuarantinesFailingBlock(t *testing.T) {
+	e := newEngine(t, smallCfg(ctr.Delta, MACInECC))
+	addr, src := recoverSpan(t, e)
+	bad := addr + 2*BlockBytes
+	for _, bit := range []int{0, 100, 200} { // beyond the 2-bit correction budget
+		if err := flipAt(e.off, PlaneData, bad, bit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	goCold(e)
+	dst := bytes.Repeat([]byte{0xEE}, len(src))
+	base := e.Stats()
+	ri, err := e.ReadRecover(addr, dst)
+	var ie *IntegrityError
+	if !errors.As(err, &ie) || ie.Addr != bad || ie.Stage != StageData {
+		t.Fatalf("ReadRecover: %v, want a data-stage IntegrityError at %#x", err, bad)
+	}
+	if !ri.Quarantined || ri.Retries != e.recovery.MaxRetries || ri.MetadataRepaired || ri.RetryRecovered {
+		t.Fatalf("unexpected recovery shape: %+v", ri)
+	}
+	if !bytes.Equal(dst[:2*BlockBytes], src[:2*BlockBytes]) {
+		t.Fatal("blocks before the failure were not decrypted")
+	}
+	if !bytes.Equal(dst[3*BlockBytes:], bytes.Repeat([]byte{0xEE}, BlockBytes)) {
+		t.Fatal("the block after the failure was written into dst")
+	}
+	if got := e.QuarantineList(); len(got) != 1 || got[0] != bad/BlockBytes {
+		t.Fatalf("QuarantineList = %v, want [%d]", got, bad/BlockBytes)
+	}
+	// Three blocks read once, the third re-read once per retry; the fourth
+	// never.
+	if reads := e.Stats().Reads - base.Reads; reads != uint64(3+e.recovery.MaxRetries) {
+		t.Fatalf("%d block reads, want %d", reads, 3+e.recovery.MaxRetries)
+	}
+}

@@ -160,17 +160,6 @@ func (s *ShardedEngine) ShardBytes() uint64 { return s.shardBytes }
 // ShardOf returns the index of the shard owning addr.
 func (s *ShardedEngine) ShardOf(addr uint64) int { return int(addr / s.shardBytes) }
 
-// checkAddr validates a global address.
-func (s *ShardedEngine) checkAddr(addr uint64) error {
-	if addr%BlockBytes != 0 {
-		return fmt.Errorf("core: address %#x not %d-byte aligned", addr, BlockBytes)
-	}
-	if addr >= s.cfg.RegionBytes {
-		return fmt.Errorf("core: address %#x outside %d-byte region", addr, s.cfg.RegionBytes)
-	}
-	return nil
-}
-
 // shard returns shard i, for the per-shard operations callers index directly.
 func (s *ShardedEngine) shard(i int) (*engineShard, error) {
 	if i < 0 || i >= len(s.shards) {
@@ -208,114 +197,28 @@ func offsetErr(err error, base uint64) error {
 	return err
 }
 
-// Write encrypts and stores one block, locking only the owning shard.
-func (s *ShardedEngine) Write(addr uint64, plaintext []byte) error {
-	if err := s.checkAddr(addr); err != nil {
-		return err
-	}
-	sh, local := s.route(addr)
-	sh.mu.Lock()
-	err := sh.eng.Write(local, plaintext)
-	sh.mu.Unlock()
-	return offsetErr(err, sh.base)
-}
-
-// Read verifies and decrypts one block. A warm read — the block resident in
-// the owning shard's verified-block cache — is served lock-free via the
-// seqlock probe, with zero lock acquisitions and zero allocations; anything
-// else locks only the owning shard (counted in Stats().SlowPathReads).
-func (s *ShardedEngine) Read(addr uint64, dst []byte) (ReadInfo, error) {
-	if err := s.checkAddr(addr); err != nil {
-		return ReadInfo{}, err
-	}
-	sh, local := s.route(addr)
-	if len(dst) == BlockBytes && sh.bank(sh.probe(local, dst)) == BlockBytes {
-		return ReadInfo{}, nil
-	}
-	sh.mu.Lock()
-	atomic.AddUint64(&sh.eng.stats.SlowPathReads, 1)
-	info, err := sh.eng.Read(local, dst)
-	sh.mu.Unlock()
-	return info, offsetErr(err, sh.base)
-}
-
-// ReadRecover reads with the recovery ladder, locking only the owning
-// shard. Metadata repair triggered by the ladder stays shard-local. A warm
-// cache hit short-circuits the ladder lock-free: trusted plaintext needs no
-// recovery, and a quarantined or tampered block is never resident (see
-// blockcache.go), so the ladder only ever runs for reads that truly verify.
-func (s *ShardedEngine) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error) {
-	if err := s.checkAddr(addr); err != nil {
-		return RecoverInfo{}, err
-	}
-	sh, local := s.route(addr)
-	if len(dst) == BlockBytes && sh.bank(sh.probe(local, dst)) == BlockBytes {
-		return RecoverInfo{}, nil
-	}
-	sh.mu.Lock()
-	atomic.AddUint64(&sh.eng.stats.SlowPathReads, 1)
-	info, err := sh.eng.ReadRecover(local, dst)
-	sh.mu.Unlock()
-	return info, offsetErr(err, sh.base)
-}
-
-// segment is one shard-local slice of a multi-block span.
-type segment struct {
-	sh    *engineShard
-	local uint64 // shard-local start address
-	off   int    // byte offset into the caller's buffer
-	n     int    // byte length
-}
-
-// segments splits a checked global span at shard boundaries.
-func (s *ShardedEngine) segments(addr uint64, n int) []segment {
+// spanFan runs op once per shard segment of the checked span [addr,
+// addr+n), which crosses shards: segment i lies in shard sh from shard-local
+// address local, at byte offset off into the caller's buffer, n bytes long.
+// The segments run concurrently, each under its shard's lock, and spanFan
+// returns the lowest-addressed failure. Segments in *other* shards may have
+// completed after the failing one — span atomicity is per shard, which is
+// the honest semantics of independent memory channels.
+func (s *ShardedEngine) spanFan(addr uint64, n int, op func(i int, sh *engineShard, local uint64, off, n int) error) error {
 	first := addr / s.shardBytes
-	last := (addr + uint64(n) - 1) / s.shardBytes
-	segs := make([]segment, 0, last-first+1)
-	for i := first; i <= last; i++ {
-		sh := s.shards[i]
-		start := max(addr, sh.base)
-		end := min(addr+uint64(n), sh.base+s.shardBytes)
-		segs = append(segs, segment{
-			sh:    sh,
-			local: start - sh.base,
-			off:   int(start - addr),
-			n:     int(end - start),
-		})
-	}
-	return segs
-}
-
-func (s *ShardedEngine) checkSpan(addr uint64, n int, what string) error {
-	if err := s.checkAddr(addr); err != nil {
-		return err
-	}
-	if n == 0 || n%BlockBytes != 0 {
-		return fmt.Errorf("core: %s length %d not a positive multiple of %d", what, n, BlockBytes)
-	}
-	if addr+uint64(n) > s.cfg.RegionBytes {
-		return fmt.Errorf("core: %s span [%#x, %#x) outside %d-byte region", what, addr, addr+uint64(n), s.cfg.RegionBytes)
-	}
-	return nil
-}
-
-// spanFan runs one operation per shard segment of a span that crosses
-// shards, concurrently, and returns the lowest-addressed failure. Unlike the
-// monolithic batched path, segments in *other* shards may have completed
-// after the failing one — span atomicity is per shard, which is the honest
-// semantics of independent memory channels.
-func (s *ShardedEngine) spanFan(segs []segment, op func(sh *engineShard, local uint64, off, n int) error) error {
-	errs := make([]error, len(segs))
+	errs := make([]error, (addr+uint64(n)-1)/s.shardBytes-first+1)
 	var wg sync.WaitGroup
-	for i, g := range segs {
+	for i := range errs {
+		sh := s.shards[first+uint64(i)]
+		start, end := max(addr, sh.base), min(addr+uint64(n), sh.base+s.shardBytes)
 		wg.Add(1)
-		go func(i int, g segment) {
+		go func() {
 			defer wg.Done()
-			g.sh.mu.Lock()
-			err := op(g.sh, g.local, g.off, g.n)
-			g.sh.mu.Unlock()
-			errs[i] = offsetErr(err, g.sh.base)
-		}(i, g)
+			sh.mu.Lock()
+			err := op(i, sh, start-sh.base, int(start-addr), int(end-start))
+			sh.mu.Unlock()
+			errs[i] = offsetErr(err, sh.base)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -361,24 +264,65 @@ func (sh *engineShard) bank(served int, retries uint64) int {
 	return served
 }
 
-// ReadBlocks verifies and decrypts a contiguous span, fanning shard
-// segments out concurrently. The returned error is the lowest-addressed
-// failure; see spanFan for cross-shard atomicity semantics. A warm prefix
-// of the span is served lock-free block by block, shard by shard; only the
-// cold remainder takes shard locks. Each block served is an individually
-// consistent seqlock snapshot — the same per-block linearization the
-// cross-shard fan-out has at segment granularity.
-func (s *ShardedEngine) ReadBlocks(addr uint64, dst []byte) error {
-	if err := s.checkSpan(addr, len(dst), "read"); err != nil {
-		return err
+// lock takes the shard's lock; with try, only if it is free right now.
+func (sh *engineShard) lock(try bool) bool {
+	if try {
+		return sh.mu.TryLock()
+	}
+	sh.mu.Lock()
+	return true
+}
+
+// readLocked reads a cold stretch of the shard under its lock, which the
+// caller holds, counting each block as a slow-path read. Error addresses are
+// shard-local.
+func (sh *engineShard) readLocked(local uint64, dst []byte, ladder bool) (RecoverInfo, error) {
+	atomic.AddUint64(&sh.eng.stats.SlowPathReads, uint64(len(dst)/BlockBytes))
+	return sh.eng.read(local, dst, ladder)
+}
+
+// read is the one read body behind Read, ReadBlocks, ReadRecover and
+// TryReadRecover. A warm prefix of the span — blocks resident in their
+// shard's verified-block cache — is served lock-free; only the cold rest
+// takes a shard lock, and with ladder it reads through the recovery ladder.
+// Each block served lock-free is an individually consistent seqlock
+// snapshot, the same per-block linearization the cross-shard fan-out has at
+// segment granularity.
+//
+// With try the call never waits: a span crossing shards, or one whose cold
+// rest finds its shard's lock held, returns done == false having changed and
+// counted nothing. Otherwise done is true and the outcome and statistics are
+// the blocking call's. A span crossing shards fans its cold rest out one
+// segment per shard (spanFan); the error is the lowest-addressed failure.
+func (s *ShardedEngine) read(addr uint64, dst []byte, try, ladder bool) (done bool, ri RecoverInfo, err error) {
+	if err := checkSpan(s.cfg.RegionBytes, addr, len(dst), "read"); err != nil {
+		return true, ri, err
+	}
+	if sh, local := s.route(addr); local+uint64(len(dst)) <= s.shardBytes {
+		// The common span sits in one shard: no goroutine, no closure,
+		// nothing allocated. The lock-free events are banked only once the
+		// call is sure to finish, so a refused try leaves nothing to count
+		// twice.
+		served, retries := sh.probe(local, dst)
+		if served < len(dst) && !sh.lock(try) {
+			return false, ri, nil
+		}
+		sh.bank(served, retries)
+		if served == len(dst) {
+			return true, ri, nil
+		}
+		ri, err = sh.readLocked(local+uint64(served), dst[served:], ladder)
+		sh.mu.Unlock()
+		ri.Fresh = ri.Fresh && served == 0
+		return true, ri, offsetErr(err, sh.base)
+	}
+	if try {
+		return false, ri, nil
 	}
 	served := 0
 	for served < len(dst) {
 		sh, local := s.route(addr + uint64(served))
-		n := len(dst) - served
-		if rest := s.shardBytes - local; uint64(n) > rest {
-			n = int(rest)
-		}
+		n := min(len(dst)-served, int(s.shardBytes-local))
 		got := sh.bank(sh.probe(local, dst[served:served+n]))
 		served += got
 		if got < n {
@@ -386,88 +330,101 @@ func (s *ShardedEngine) ReadBlocks(addr uint64, dst []byte) error {
 		}
 	}
 	if served == len(dst) {
-		return nil
+		return true, ri, nil
 	}
-	addr += uint64(served)
-	cold := dst[served:]
-	// The common span sits in one shard and runs directly under its lock: no
-	// segment list, no closure, nothing allocated.
-	if sh, local := s.route(addr); local+uint64(len(cold)) <= s.shardBytes {
-		sh.mu.Lock()
-		atomic.AddUint64(&sh.eng.stats.SlowPathReads, uint64(len(cold)/BlockBytes))
-		err := sh.eng.ReadBlocks(local, cold)
-		sh.mu.Unlock()
-		return offsetErr(err, sh.base)
-	}
-	return s.spanFan(s.segments(addr, len(cold)), func(sh *engineShard, local uint64, off, n int) error {
-		atomic.AddUint64(&sh.eng.stats.SlowPathReads, uint64(n/BlockBytes))
-		return sh.eng.ReadBlocks(local, cold[off:off+n])
+	addr, cold := addr+uint64(served), dst[served:]
+	infos := make([]RecoverInfo, s.ShardOf(addr+uint64(len(cold))-1)-s.ShardOf(addr)+1)
+	err = s.spanFan(addr, len(cold), func(i int, sh *engineShard, local uint64, off, n int) error {
+		var err error
+		infos[i], err = sh.readLocked(local, cold[off:off+n], ladder)
+		return err
 	})
+	ri.Fresh = served == 0
+	for _, o := range infos {
+		ri.add(o)
+	}
+	return true, ri, err
 }
 
-// WriteBlocks encrypts and stores a contiguous span, fanning shard segments
-// out concurrently.
-func (s *ShardedEngine) WriteBlocks(addr uint64, src []byte) error {
-	if err := s.checkSpan(addr, len(src), "write"); err != nil {
-		return err
+// write is the one write body behind Write, WriteBlocks and TryWriteBlocks:
+// a span inside one shard runs under that shard's lock, one crossing shards
+// fans out one segment per shard. With try the call never waits: a span
+// crossing shards, or one whose shard's lock is held, returns done == false
+// having written and counted nothing.
+func (s *ShardedEngine) write(addr uint64, src []byte, try bool) (done bool, err error) {
+	if err := checkSpan(s.cfg.RegionBytes, addr, len(src), "write"); err != nil {
+		return true, err
 	}
 	if sh, local := s.route(addr); local+uint64(len(src)) <= s.shardBytes {
-		sh.mu.Lock()
-		err := sh.eng.WriteBlocks(local, src)
+		if !sh.lock(try) {
+			return false, nil
+		}
+		err = sh.eng.WriteBlocks(local, src)
 		sh.mu.Unlock()
-		return offsetErr(err, sh.base)
+		return true, offsetErr(err, sh.base)
 	}
-	return s.spanFan(s.segments(addr, len(src)), func(sh *engineShard, local uint64, off, n int) error {
+	if try {
+		return false, nil
+	}
+	return true, s.spanFan(addr, len(src), func(_ int, sh *engineShard, local uint64, off, n int) error {
 		return sh.eng.WriteBlocks(local, src[off:off+n])
 	})
 }
 
-// TryReadBlocks is ReadBlocks that never waits for a shard lock, for a span
-// lying in one shard: warm blocks are served by the same lock-free probe, and
-// a cold remainder runs under the shard's lock only if TryLock gets it at
-// once. done == false means the span crosses shards or the lock was held;
-// no engine state changed and nothing was counted, so the caller falls back
-// to ReadBlocks (dst may hold warm blocks that call will overwrite). With
-// done == true the outcome and the statistics are exactly ReadBlocks'.
-func (s *ShardedEngine) TryReadBlocks(addr uint64, dst []byte) (done bool, err error) {
-	if err := s.checkSpan(addr, len(dst), "read"); err != nil {
-		return true, err
+// Read verifies and decrypts one block: the one-block span. A warm read is
+// served lock-free with zero lock acquisitions and zero allocations; anything
+// else locks only the owning shard (counted in Stats().SlowPathReads).
+func (s *ShardedEngine) Read(addr uint64, dst []byte) (ReadInfo, error) {
+	if err := oneBlock(len(dst), "read buffer"); err != nil {
+		return ReadInfo{}, err
 	}
-	sh, local := s.route(addr)
-	if local+uint64(len(dst)) > s.shardBytes {
-		return false, nil
-	}
-	// The lock-free events are banked only once the call is sure to finish,
-	// so a refused call leaves nothing for the fallback to count twice.
-	served, retries := sh.probe(local, dst)
-	if served < len(dst) && !sh.mu.TryLock() {
-		return false, nil
-	}
-	sh.bank(served, retries)
-	if served == len(dst) {
-		return true, nil
-	}
-	cold := dst[served:]
-	atomic.AddUint64(&sh.eng.stats.SlowPathReads, uint64(len(cold)/BlockBytes))
-	err = sh.eng.ReadBlocks(local+uint64(served), cold)
-	sh.mu.Unlock()
-	return true, offsetErr(err, sh.base)
+	_, ri, err := s.read(addr, dst, false, false)
+	return ri.ReadInfo, err
 }
 
-// TryWriteBlocks is WriteBlocks that never waits for a shard lock. done ==
-// false means the span crosses shards or its shard's lock was held; nothing
-// was written or counted and the caller falls back to WriteBlocks.
+// ReadBlocks verifies and decrypts a contiguous span (see read).
+func (s *ShardedEngine) ReadBlocks(addr uint64, dst []byte) error {
+	_, _, err := s.read(addr, dst, false, false)
+	return err
+}
+
+// ReadRecover reads a contiguous span through the recovery ladder (see
+// Engine.ReadRecover). Metadata repair stays shard-local. A warm block needs
+// no ladder: trusted plaintext needs no recovery, and a quarantined or
+// tampered block is never resident (see blockcache.go).
+func (s *ShardedEngine) ReadRecover(addr uint64, dst []byte) (RecoverInfo, error) {
+	_, ri, err := s.read(addr, dst, false, true)
+	return ri, err
+}
+
+// TryReadRecover is ReadRecover that never waits for a shard lock, for a
+// span lying in one shard. done == false means the span crosses shards or
+// its cold rest found the lock held; nothing changed and nothing was
+// counted, so the caller falls back to ReadRecover (dst may hold warm blocks
+// that call will overwrite).
+func (s *ShardedEngine) TryReadRecover(addr uint64, dst []byte) (done bool, ri RecoverInfo, err error) {
+	return s.read(addr, dst, true, true)
+}
+
+// Write encrypts and stores one block: the one-block span.
+func (s *ShardedEngine) Write(addr uint64, plaintext []byte) error {
+	if err := oneBlock(len(plaintext), "write"); err != nil {
+		return err
+	}
+	_, err := s.write(addr, plaintext, false)
+	return err
+}
+
+// WriteBlocks encrypts and stores a contiguous span (see write).
+func (s *ShardedEngine) WriteBlocks(addr uint64, src []byte) error {
+	_, err := s.write(addr, src, false)
+	return err
+}
+
+// TryWriteBlocks is WriteBlocks that never waits for a shard lock (see
+// write); on done == false the caller falls back to WriteBlocks.
 func (s *ShardedEngine) TryWriteBlocks(addr uint64, src []byte) (done bool, err error) {
-	if err := s.checkSpan(addr, len(src), "write"); err != nil {
-		return true, err
-	}
-	sh, local := s.route(addr)
-	if local+uint64(len(src)) > s.shardBytes || !sh.mu.TryLock() {
-		return false, nil
-	}
-	err = sh.eng.WriteBlocks(local, src)
-	sh.mu.Unlock()
-	return true, offsetErr(err, sh.base)
+	return s.write(addr, src, true)
 }
 
 // Stats merges per-shard counters on read. Every engine counter is atomic,
@@ -496,7 +453,7 @@ func (s *ShardedEngine) SchemeStats() ctr.Stats {
 
 // Quarantined reports whether the block at addr is quarantined.
 func (s *ShardedEngine) Quarantined(addr uint64) bool {
-	if s.checkAddr(addr) != nil {
+	if checkSpan(s.cfg.RegionBytes, addr, BlockBytes, "quarantine query") != nil {
 		return false
 	}
 	sh, local := s.route(addr)
@@ -602,7 +559,7 @@ func (s *ShardedEngine) OffChip(i int) (m *OffChip, base uint64, err error) {
 // LocateAddr returns the global offset of the plane-p element holding the
 // block at the global address addr (see OffChip.LocateAddr).
 func (s *ShardedEngine) LocateAddr(p Plane, addr uint64) (uint64, error) {
-	if err := s.checkAddr(addr); err != nil {
+	if err := checkSpan(s.cfg.RegionBytes, addr, BlockBytes, "locate"); err != nil {
 		return 0, err
 	}
 	sh, local := s.route(addr)

@@ -45,9 +45,9 @@ func TestTryBlocksRefusalChangesNothing(t *testing.T) {
 
 			dst := make([]byte, len(span))
 			s.shards[0].mu.Lock()
-			rdone, rerr := s.TryReadBlocks(8192, dst)
+			rdone, _, rerr := s.TryReadRecover(8192, dst)
 			wdone, werr := s.TryWriteBlocks(8192, dst)
-			warmDone, warmErr := s.TryReadBlocks(0, dst)
+			warmDone, _, warmErr := s.TryReadRecover(0, dst)
 			s.shards[0].mu.Unlock()
 
 			if rdone || wdone || rerr != nil || werr != nil {
@@ -92,7 +92,7 @@ func TestTryBlocksCrossShardSpanRefused(t *testing.T) {
 	if done, err := s.TryWriteBlocks(straddle, buf); done || err != nil {
 		t.Fatalf("straddling write: (%v, %v), want (false, nil)", done, err)
 	}
-	if done, err := s.TryReadBlocks(straddle, buf); done || err != nil {
+	if done, _, err := s.TryReadRecover(straddle, buf); done || err != nil {
 		t.Fatalf("straddling read: (%v, %v), want (false, nil)", done, err)
 	}
 	if got := s.Stats(); got != stats {
@@ -100,7 +100,7 @@ func TestTryBlocksCrossShardSpanRefused(t *testing.T) {
 	}
 	// Malformed spans are answered, not deferred: the blocking call would
 	// say the same.
-	if done, err := s.TryReadBlocks(1, buf); !done || err == nil {
+	if done, _, err := s.TryReadRecover(1, buf); !done || err == nil {
 		t.Fatalf("unaligned read: (%v, %v), want (true, error)", done, err)
 	}
 	if done, err := s.TryWriteBlocks(s.Config().RegionBytes, buf); !done || err == nil {
@@ -142,12 +142,12 @@ func TestTryBlocksMatchBlockingCalls(t *testing.T) {
 					fallthrough
 				case rng.Intn(3) > 0:
 					got, want := make([]byte, n), make([]byte, n)
-					done, err := try.TryReadBlocks(addr, got)
+					done, _, err := try.TryReadRecover(addr, got)
 					if !done {
 						refused++
-						err = try.ReadBlocks(addr, got)
+						_, err = try.ReadRecover(addr, got)
 					}
-					rerr := ref.ReadBlocks(addr, want)
+					_, rerr := ref.ReadRecover(addr, want)
 					var ie, rie *IntegrityError
 					if errors.As(err, &ie) != errors.As(rerr, &rie) || (ie != nil && ie.Addr != rie.Addr) {
 						t.Fatalf("op %d: read %#x+%d: try %v, blocking %v", i, addr, n, err, rerr)

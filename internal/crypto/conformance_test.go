@@ -109,7 +109,7 @@ func TestXORRoundTrip(t *testing.T) {
 	prod, ref := newStreams(t, testKeyMaterial(2))
 	rng := rand.New(rand.NewSource(22))
 	xors := map[string]func(dst, src []byte, addr, counter uint64) error{
-		"production": prod.XOR,
+		"production": prod.XORBlocks, // over one block
 		"reference":  ref.XOR,
 	}
 
@@ -138,13 +138,13 @@ func TestXORRoundTrip(t *testing.T) {
 // spanStream is the span surface production and reference share.
 type spanStream interface {
 	PadN(dst []byte, addr, counter uint64) error
-	XOR(dst, src []byte, addr, counter uint64) error
 	XORBlocks(dst, src []byte, addr, counter uint64) error
 }
 
 // TestBatchMatchesScalar: for the production stream and for the reference,
 // PadN over an n-block span equals n reference Pad calls and XORBlocks equals
-// n of the implementation's own XOR calls and n reference XOR calls,
+// n of the implementation's own one-block XORBlocks calls and n reference XOR
+// calls,
 // separate-buffer and exactly aliased — for every span length from one block
 // to two counter groups and two blocks.
 func TestBatchMatchesScalar(t *testing.T) {
@@ -171,8 +171,8 @@ func TestBatchMatchesScalar(t *testing.T) {
 						if err := ref.XOR(wantCT[off:off+blockSize], src[off:off+blockSize], blkAddr, ctr); err != nil {
 							t.Fatalf("reference XOR: %v", err)
 						}
-						if err := ks.XOR(got[off:off+blockSize], src[off:off+blockSize], blkAddr, ctr); err != nil {
-							t.Fatalf("XOR: %v", err)
+						if err := ks.XORBlocks(got[off:off+blockSize], src[off:off+blockSize], blkAddr, ctr); err != nil {
+							t.Fatalf("one-block XORBlocks: %v", err)
 						}
 					}
 					if !bytes.Equal(got, wantCT) {
@@ -339,8 +339,8 @@ func TestErrorConformance(t *testing.T) {
 		for what, err := range map[string]error{
 			"PadN(empty)":             ks.PadN(nil, 0, 0),
 			"PadN(ragged)":            ks.PadN(ragged, 0, 0),
-			"XOR(short src)":          ks.XOR(block, short, 0, 0),
-			"XOR(short dst)":          ks.XOR(short, block, 0, 0),
+			"XORBlocks(short src)":    ks.XORBlocks(block, short, 0, 0),
+			"XORBlocks(short dst)":    ks.XORBlocks(short, block, 0, 0),
 			"XORBlocks(empty)":        ks.XORBlocks(nil, nil, 0, 0),
 			"XORBlocks(ragged)":       ks.XORBlocks(ragged, ragged, 0, 0),
 			"XORBlocks(len mismatch)": ks.XORBlocks(two, block, 0, 0),
@@ -400,10 +400,10 @@ func TestKernelsAllocateNothing(t *testing.T) {
 	tags := make([]uint64, 64)
 	var addr uint64
 	for name, fn := range map[string]func() error{
-		"XOR":       func() error { return ks.XOR(block, block, addr, 3) },
-		"XORBlocks": func() error { return ks.XORBlocks(group, group, addr, 3) },
-		"Tag":       func() error { _, err := mk.Tag(block, addr, 3); return err },
-		"TagBatch":  func() error { return mk.TagBatch(tags, group, addr, 3) },
+		"XORBlocks(block)": func() error { return ks.XORBlocks(block, block, addr, 3) },
+		"XORBlocks(group)": func() error { return ks.XORBlocks(group, group, addr, 3) },
+		"Tag":              func() error { _, err := mk.Tag(block, addr, 3); return err },
+		"TagBatch":         func() error { return mk.TagBatch(tags, group, addr, 3) },
 	} {
 		var err error
 		allocs := testing.AllocsPerRun(100, func() {

@@ -81,22 +81,11 @@ func (s *Stream) PadN(dst []byte, addr, counter uint64) error {
 	return nil
 }
 
-// XOR applies the pad for (addr, counter) to one block. dst and src may
-// alias exactly; applying it twice is the identity, so the same call
-// encrypts and decrypts.
-func (s *Stream) XOR(dst, src []byte, addr, counter uint64) error {
-	if len(src) != BlockSize || len(dst) != BlockSize {
-		return fmt.Errorf("crypto: src/dst must be %d bytes, got %d/%d", BlockSize, len(src), len(dst))
-	}
-	s.generate(s.pad[:], addr, counter)
-	xorPad(dst, src, &s.pad)
-	return nil
-}
-
 // XORBlocks applies the pads of len(src)/BlockSize contiguous blocks sharing
-// one counter — the shape of a group re-encryption sweep and of a coalesced
-// span write. dst and src must have equal length, a positive multiple of
-// BlockSize, and may alias exactly.
+// one counter — one block on the read path, a run of blocks in a span write
+// or a group re-encryption sweep. dst and src must have equal length, a
+// positive multiple of BlockSize, and may alias exactly; applying the pads
+// twice is the identity, so the same call encrypts and decrypts.
 func (s *Stream) XORBlocks(dst, src []byte, addr, counter uint64) error {
 	if len(src) != len(dst) {
 		return fmt.Errorf("crypto: src/dst length mismatch (%d vs %d)", len(src), len(dst))

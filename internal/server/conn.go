@@ -38,13 +38,11 @@ func putBuf(b *[]byte) {
 // request is an accepted frame queued for execution. data is a pooled copy
 // of the write payload (the wire.Reader's buffer is reused per frame, so it
 // cannot be referenced past the read loop's iteration). enq is stamped only
-// when the queue deadline is enabled. recovery marks a read whose fast path
-// already failed on the reader: the worker starts it at the recovery ladder.
+// when the queue deadline is enabled.
 type request struct {
-	h        wire.Header
-	data     *[]byte
-	enq      time.Time
-	recovery bool
+	h    wire.Header
+	data *[]byte
+	enq  time.Time
 }
 
 // response is a completed or rejected frame awaiting serialization. data
@@ -195,9 +193,10 @@ func (c *conn) enqueue(r request) {
 // matched by request ID, and a client that waits for each response before
 // sending the next never has two outstanding. A write uses the frame's
 // payload in place — it is over before the next fr.Next reuses the buffer. A
-// read whose fast path fails is queued marked for recovery, and true is
-// returned: the recovery ladder may wait, so it runs on a worker, and the
-// failed read is not executed twice.
+// read is the queued read's one call in its never-waiting form, recovery
+// ladder included: the ladder runs under the shard lock the call already
+// holds, so a read that fails verification is answered here as the queue
+// would answer it, having run once.
 func (c *conn) serveInline(h wire.Header, payload []byte) bool {
 	try := c.srv.try
 	if try == nil {
@@ -206,19 +205,14 @@ func (c *conn) serveInline(h wire.Header, payload []byte) bool {
 	switch h.Op {
 	case wire.OpRead:
 		data := getBuf(h.SpanBytes())
-		done, err := try.TryReadBlocks(h.Addr, *data)
-		switch {
-		case !done:
+		done, ri, err := try.TryReadRecover(h.Addr, *data)
+		if !done {
 			putBuf(data)
 			return false
-		case err != nil:
-			putBuf(data)
-			c.enqueue(request{h: h, recovery: true})
-			return true
 		}
 		atomic.AddUint64(&c.srv.ctr.InlineServed, 1)
 		atomic.AddUint64(&c.srv.ctr.ReadOps, 1)
-		c.finishRead(h, data)
+		c.finishRead(h, data, ri, err)
 		return true
 	case wire.OpWrite:
 		done, err := try.TryWriteBlocks(h.Addr, payload)
@@ -316,15 +310,9 @@ func (c *conn) execute(r request) {
 	switch h.Op {
 	case wire.OpRead:
 		atomic.AddUint64(&c.srv.ctr.ReadOps, 1)
-		if !r.recovery {
-			data := getBuf(h.SpanBytes())
-			if err := c.srv.cfg.Backend.ReadBlocks(h.Addr, *data); err == nil {
-				c.finishRead(h, data)
-				return
-			}
-			putBuf(data)
-		}
-		c.execReadRecover(h)
+		data := getBuf(h.SpanBytes())
+		ri, err := c.srv.cfg.Backend.ReadRecover(h.Addr, *data)
+		c.finishRead(h, data, ri, err)
 	case wire.OpWrite:
 		atomic.AddUint64(&c.srv.ctr.WriteOps, 1)
 		err := c.srv.cfg.Backend.WriteBlocks(h.Addr, (*r.data)[:h.SpanBytes()])
@@ -368,96 +356,78 @@ func (c *conn) finishDoc(h wire.Header, doc []byte, err error) {
 	c.finish(response{h: h, data: data, n: len(doc), accepted: true})
 }
 
-// finishRead answers one read whose span was served whole into data.
-func (c *conn) finishRead(req wire.Header, data *[]byte) {
-	atomic.AddUint64(&c.srv.ctr.BlocksRead, uint64(req.Count))
-	h := req
-	h.Status = wire.StatusOK
+// finishRead answers one read with the backend's verdict on the span read
+// into data: the recovery ladder's saves are RECOVERED, and FlagCorrected
+// reports that ECC corrected a stored bit of any block.
+func (c *conn) finishRead(req wire.Header, data *[]byte, ri authmem.RecoverInfo, err error) {
+	resp := response{h: req, accepted: true}
+	h := &resp.h
 	h.Flags = 0
-	resp := response{h: h, data: data, n: req.SpanBytes(), accepted: true}
-	c.maybePin(req.Flags, &resp)
-	c.finish(resp)
-}
-
-// execReadRecover serves one read span block by block through the recovery
-// ladder, mapping the engine's verdict onto the wire status taxonomy.
-func (c *conn) execReadRecover(req wire.Header) {
-	h := req
-	n := h.SpanBytes()
-	data := getBuf(n)
-	var flags uint8
-	for off := 0; off < n; off += wire.BlockBytes {
-		addr := h.Addr + uint64(off)
-		ri, err := c.srv.cfg.Backend.ReadRecover(addr, (*data)[off:off+wire.BlockBytes])
-		if ri.RetryRecovered {
-			flags |= wire.FlagRetried
-		}
-		if ri.MetadataRepaired {
-			flags |= wire.FlagMetaRepaired
-		}
-		if ri.CorrectedDataBits > 0 || ri.CorrectedMACBits > 0 {
-			flags |= wire.FlagCorrected
-		}
-		if err != nil {
-			putBuf(data)
-			h.Count = 0
-			h.Addr = addr
-			h.Flags = flags
-			var qe *authmem.QuarantineError
-			var ie *authmem.IntegrityError
-			switch {
-			case errors.As(err, &qe):
-				atomic.AddUint64(&c.srv.ctr.Quarantined, 1)
-				h.Status = wire.StatusQuarantined
-			case errors.As(err, &ie):
-				atomic.AddUint64(&c.srv.ctr.MACFails, 1)
-				h.Status = wire.StatusMACFail
-				if ri.Quarantined {
-					h.Flags |= wire.FlagQuarantinedNow
-				}
-			default:
-				h.Status = wire.StatusInternal
-			}
-			c.finish(response{h: h, accepted: true})
-			return
-		}
+	if ri.RetryRecovered {
+		h.Flags |= wire.FlagRetried
 	}
-	atomic.AddUint64(&c.srv.ctr.BlocksRead, uint64(n/wire.BlockBytes))
-	h.Flags = flags
-	if flags&(wire.FlagRetried|wire.FlagMetaRepaired) != 0 {
+	if ri.MetadataRepaired {
+		h.Flags |= wire.FlagMetaRepaired
+	}
+	if ri.CorrectedDataBits > 0 || ri.CorrectedMACBits > 0 {
+		h.Flags |= wire.FlagCorrected
+	}
+	switch {
+	case err != nil:
+		putBuf(data)
+		c.failed(h, err)
+		if ri.Quarantined && h.Status == wire.StatusMACFail {
+			h.Flags |= wire.FlagQuarantinedNow
+		}
+	case ri.RetryRecovered || ri.MetadataRepaired:
 		atomic.AddUint64(&c.srv.ctr.Recovered, 1)
 		h.Status = wire.StatusRecovered
-	} else {
+	default:
 		h.Status = wire.StatusOK
 	}
-	resp := response{h: h, data: data, n: n, accepted: true}
+	if err == nil {
+		atomic.AddUint64(&c.srv.ctr.BlocksRead, uint64(req.Count))
+		resp.data, resp.n = data, req.SpanBytes()
+	}
 	c.maybePin(req.Flags, &resp)
 	c.finish(resp)
 }
 
 // finishWrite answers one write with the backend's verdict.
 func (c *conn) finishWrite(req wire.Header, err error) {
-	h := req
-	h.Flags = 0
+	resp := response{h: req, accepted: true}
+	resp.h.Flags = 0
 	if err == nil {
-		atomic.AddUint64(&c.srv.ctr.BlocksWritten, uint64(h.Count))
-		h.Status = wire.StatusOK
+		atomic.AddUint64(&c.srv.ctr.BlocksWritten, uint64(req.Count))
+		resp.h.Status = wire.StatusOK
 	} else {
-		// Declared here, not above: &ie escapes, and the OK path must not
-		// allocate it.
-		var ie *authmem.IntegrityError
-		if errors.As(err, &ie) {
-			atomic.AddUint64(&c.srv.ctr.MACFails, 1)
-			h.Status = wire.StatusMACFail
-			h.Addr = ie.Addr
-		} else {
-			h.Status = wire.StatusInternal
-		}
+		c.failed(&resp.h, err)
 	}
-	h.Count = 0
-	resp := response{h: h, accepted: true}
+	resp.h.Count = 0
 	c.maybePin(req.Flags, &resp)
 	c.finish(resp)
+}
+
+// failed maps a backend error onto the wire status taxonomy in h: a
+// quarantine refusal is QUARANTINED and an integrity failure MAC_FAIL, both
+// at the failing block's address; anything else is INTERNAL. It runs only on
+// the error path: &qe and &ie escape, and a successful op must not allocate.
+func (c *conn) failed(h *wire.Header, err error) {
+	h.Count = 0
+	var qe *authmem.QuarantineError
+	var ie *authmem.IntegrityError
+	switch {
+	case errors.As(err, &qe):
+		atomic.AddUint64(&c.srv.ctr.Quarantined, 1)
+		h.Status = wire.StatusQuarantined
+		h.Addr = qe.Addr
+	case errors.As(err, &ie):
+		atomic.AddUint64(&c.srv.ctr.MACFails, 1)
+		h.Status = wire.StatusMACFail
+		h.Addr = ie.Addr
+	default:
+		h.Status = wire.StatusInternal
+	}
 }
 
 // writeLoop serializes responses, gathering everything immediately

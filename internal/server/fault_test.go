@@ -242,3 +242,66 @@ func TestQuarantineLifecycleOverWire(t *testing.T) {
 		t.Fatalf("ledger: macfails=%d quarantined=%d", snap.Server.MACFails, snap.Server.Quarantined)
 	}
 }
+
+// TestCorrectedFlagOverWire: a read during which ECC corrected a stored bit
+// says so with FlagCorrected, on both serving paths. One adversary.Data flip
+// lands in a span's third block and the span is read back served inline (a
+// Memory on an idle connection) and queued (the gated backend hides the Try
+// surface): StatusOK, the true bytes, exactly FlagCorrected, and the
+// engine's CorrectedDataBits at 1. A second flip, read through the client,
+// must surface in client.Info.Flags.
+func TestCorrectedFlagOverWire(t *testing.T) {
+	for _, queued := range []bool{false, true} {
+		name := map[bool]string{false: "inline", true: "queued"}[queued]
+		t.Run(name, func(t *testing.T) {
+			mem := newShardedMem(t, 1<<20, 4, authmem.DeltaEncoding)
+			var backend server.Backend = mem
+			if queued {
+				g := newGated(mem)
+				close(g.gate) // nothing parks: the wrapper only hides the Try surface
+				backend = g
+			}
+			s := newTestServer(t, server.Config{Backend: backend, RequestTimeout: -1})
+			rc := dialRaw(t, s)
+
+			const addr = 2 * 4096
+			data := pattern(0x3C, 4*wire.BlockBytes)
+			wid := rc.send(wire.OpWrite, addr, 4, data)
+			if h, _ := rc.recv(); h.ID != wid || h.Status != wire.StatusOK {
+				t.Fatalf("write: %+v", h)
+			}
+			if err := flipAt(mem, adversary.Data, addr+2*wire.BlockBytes, 5); err != nil {
+				t.Fatal(err)
+			}
+			id := rc.send(wire.OpRead, addr, 4, nil)
+			h, payload := rc.recv()
+			if h.ID != id || h.Status != wire.StatusOK || h.Flags != wire.FlagCorrected {
+				t.Fatalf("read over a corrected bit: status %v flags %#x, want %v flags %#x",
+					h.Status, h.Flags, wire.StatusOK, wire.FlagCorrected)
+			}
+			if !bytes.Equal(payload, data) {
+				t.Fatal("read over a corrected bit returned wrong bytes")
+			}
+			snap := s.Snapshot()
+			if snap.Engine.CorrectedDataBits != 1 {
+				t.Fatalf("engine corrected %d data bits, want 1", snap.Engine.CorrectedDataBits)
+			}
+			if inline := snap.Server.InlineServed; (inline == 0) != queued {
+				t.Fatalf("inline_served = %d on the %s path", inline, name)
+			}
+
+			if err := flipAt(mem, adversary.Data, addr, 9); err != nil {
+				t.Fatal(err)
+			}
+			c := loopbackClient(t, s, client.Options{})
+			dst := make([]byte, wire.BlockBytes)
+			info, err := c.Read(addr, dst)
+			if err != nil || info.Status != wire.StatusOK || info.Flags&wire.FlagCorrected == 0 {
+				t.Fatalf("client read over a corrected bit: %+v, %v; want StatusOK with FlagCorrected", info, err)
+			}
+			if !bytes.Equal(dst, data[:wire.BlockBytes]) {
+				t.Fatal("client read over a corrected bit returned wrong bytes")
+			}
+		})
+	}
+}

@@ -18,10 +18,12 @@
 // The queue is there for overlap, and so that a backend call that blocks
 // never stalls admission. A request skips it only when the backend reports
 // it finished without waiting; a shard lock held or a span crossing shards
-// leaves the request untouched for the queue, and an inline read that fails
-// is queued straight to the recovery ladder, which may wait. So the status
-// taxonomy has one source, the choice reads the input, never a setting, and
-// both paths end in the same finishRead / finishWrite / maybePin / respCh.
+// leaves the request untouched for the queue. Either way a read is one
+// backend call, the span read with its recovery ladder (ReadRecover, or
+// TryReadRecover inline), and a write is one WriteBlocks (or TryWriteBlocks).
+// So the status taxonomy has one source, the choice reads the input, never a
+// setting, and both paths end in the same finishRead / finishWrite /
+// maybePin / respCh.
 // finish retires a request from the in-flight count before it queues the
 // response, so a client holding a response never finds its slot still
 // taken; in-flight zero therefore means every earlier request has executed,
@@ -62,13 +64,12 @@ import (
 const _ = -uint(wire.BlockBytes - authmem.BlockSize)
 
 // Backend is the device surface the server fronts — the subset of
-// authmem.Memory's public API it calls: spans in and out, the recovery read,
-// the flush, stats and root the control ops report, and the geometry HELLO
-// reports. The backend must be safe for concurrent use, as a Memory of any
-// shard count is.
+// authmem.Memory's public API it calls: the span read (with its recovery
+// ladder) and the span write, the flush, stats and root the control ops
+// report, and the geometry HELLO reports. The backend must be safe for
+// concurrent use, as a Memory of any shard count is.
 type Backend interface {
 	ReadRecover(addr uint64, dst []byte) (authmem.RecoverInfo, error)
-	ReadBlocks(addr uint64, dst []byte) error
 	WriteBlocks(addr uint64, src []byte) error
 	FlushAll() error
 	Stats() authmem.EngineStats
@@ -86,7 +87,7 @@ var _ Backend = (*authmem.Memory)(nil)
 // changed nothing, and the request takes the queue. A backend that may park
 // inside a call must not implement it. authmem.Memory implements it.
 type TryBackend interface {
-	TryReadBlocks(addr uint64, dst []byte) (done bool, err error)
+	TryReadRecover(addr uint64, dst []byte) (done bool, info authmem.RecoverInfo, err error)
 	TryWriteBlocks(addr uint64, src []byte) (done bool, err error)
 }
 

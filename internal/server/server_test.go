@@ -111,9 +111,9 @@ func pattern(b byte, n int) []byte {
 	return p
 }
 
-// gatedBackend wraps a backend and parks ReadBlocks/ReadRecover calls for
-// gated addresses until the gate channel is closed, so tests can hold a
-// worker mid-request deterministically.
+// gatedBackend wraps a backend and parks ReadRecover calls for gated
+// addresses until the gate channel is closed, so tests can hold a worker
+// mid-request deterministically.
 type gatedBackend struct {
 	server.Backend
 	gate     chan struct{}
@@ -136,11 +136,6 @@ func (g *gatedBackend) wait(addr uint64) {
 		}
 		<-g.gate
 	}
-}
-
-func (g *gatedBackend) ReadBlocks(addr uint64, dst []byte) error {
-	g.wait(addr)
-	return g.Backend.ReadBlocks(addr, dst)
 }
 
 func (g *gatedBackend) ReadRecover(addr uint64, dst []byte) (authmem.RecoverInfo, error) {

@@ -113,6 +113,47 @@ func TestShardedMidSpanFailurePropagates(t *testing.T) {
 	}
 }
 
+// TestShardedReadRecoverSpanLowestFailure: ReadRecover over a span from the
+// end of shard 0 across all of shard 1 into shard 2, with an uncorrectable
+// burst in shard 1 and another in shard 2. The segments climb their ladders
+// concurrently; the error is shard 1's, the lowest-addressed failure, at its
+// global address, shard 0's blocks are decrypted, and each burst's block —
+// and nothing else — is quarantined.
+func TestShardedReadRecoverSpanLowestFailure(t *testing.T) {
+	m := newShardedMem(t, 1<<20, 4)
+	start := m.ShardSize() - 2*BlockSize
+	span := make([]byte, int(m.ShardSize())+4*BlockSize)
+	for i := range span {
+		span[i] = byte(i * 7)
+	}
+	if err := m.WriteBlocks(start, span); err != nil {
+		t.Fatal(err)
+	}
+	first, second := m.ShardSize()+9*BlockSize, 2*m.ShardSize()+BlockSize
+	for _, target := range []uint64{second, first} {
+		for _, bit := range []int{9, 200, 333} { // beyond the 2-bit ECC budget
+			if err := flipAt(m, planeData, target, bit); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dst := make([]byte, len(span))
+	ri, err := m.ReadRecover(start, dst)
+	var ie *IntegrityError
+	if !errors.As(err, &ie) || ie.Addr != first {
+		t.Fatalf("ReadRecover over two failures: %v, want an IntegrityError at %#x", err, first)
+	}
+	if !ri.Quarantined {
+		t.Fatalf("unexpected recovery shape: %+v", ri)
+	}
+	if !bytes.Equal(dst[:2*BlockSize], span[:2*BlockSize]) {
+		t.Fatal("shard 0's blocks were not decrypted")
+	}
+	if got := m.QuarantineList(); len(got) != 2 || got[0] != first/BlockSize || got[1] != second/BlockSize {
+		t.Fatalf("QuarantineList = %v, want [%d %d]", got, first/BlockSize, second/BlockSize)
+	}
+}
+
 // TestShardedWithShard: the one-shard view WithShard hands out and the device
 // it came from never disagree — a write through either is read back through
 // the other at i*ShardSize() + local, and a tree-node flip through the view
@@ -420,12 +461,12 @@ func TestShardedSpanOpsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestTryBlocksFacade drives TryReadBlocks / TryWriteBlocks through the
+// TestTryBlocksFacade drives TryReadRecover / TryWriteBlocks through the
 // public surface, for shards in {1, 4}, against a shadow of the plaintext.
 // While WithShard holds a shard, a span that needs its lock is refused and
 // changes nothing — image, statistics and dirty set are compared — and a
 // span crossing shards is refused whatever is held. Otherwise the calls
-// produce what ReadBlocks / WriteBlocks do.
+// produce what ReadRecover / WriteBlocks do.
 func TestTryBlocksFacade(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -454,12 +495,12 @@ func TestTryBlocksFacade(t *testing.T) {
 					continue
 				}
 				dst := make([]byte, n)
-				done, err := m.TryReadBlocks(addr, dst)
+				done, _, err := m.TryReadRecover(addr, dst)
 				if err != nil || done == crosses {
 					t.Fatalf("read %#x+%d (crosses=%v): (%v, %v)", addr, n, crosses, done, err)
 				}
 				if !done {
-					err = m.ReadBlocks(addr, dst)
+					_, err = m.ReadRecover(addr, dst)
 				}
 				if err != nil || !bytes.Equal(dst, shadow[addr:addr+n]) {
 					t.Fatalf("read %#x+%d: err %v, equal %v", addr, n, err, bytes.Equal(dst, shadow[addr:addr+n]))
@@ -480,7 +521,7 @@ func TestTryBlocksFacade(t *testing.T) {
 				if err := flipAt(view, planeData, 0, 5); err != nil {
 					t.Fatal(err)
 				}
-				if done, err := m.TryReadBlocks(0, buf); done || err != nil {
+				if done, _, err := m.TryReadRecover(0, buf); done || err != nil {
 					t.Errorf("read under a held shard: (%v, %v), want (false, nil)", done, err)
 				}
 				if done, err := m.TryWriteBlocks(0, buf); done || err != nil {
