@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,6 +40,8 @@ type nodeHandle struct {
 	t    testing.TB
 	name string
 	size uint64
+	// wrap, when set, is the backend the node serves instead of its Memory.
+	wrap func(*authmem.Memory) server.Backend
 
 	mu    sync.Mutex
 	mem   *authmem.Memory
@@ -49,7 +52,12 @@ type nodeHandle struct {
 
 func startNode(t testing.TB, name string, size uint64, epoch uint64) *nodeHandle {
 	t.Helper()
-	h := &nodeHandle{t: t, name: name, size: size}
+	return startNodeWith(t, name, size, epoch, nil)
+}
+
+func startNodeWith(t testing.TB, name string, size uint64, epoch uint64, wrap func(*authmem.Memory) server.Backend) *nodeHandle {
+	t.Helper()
+	h := &nodeHandle{t: t, name: name, size: size, wrap: wrap}
 	h.boot(epoch)
 	t.Cleanup(func() {
 		h.mu.Lock()
@@ -69,7 +77,11 @@ func (h *nodeHandle) boot(epoch uint64) {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{Backend: mem, NodeID: h.name, Epoch: epoch})
+	var backend server.Backend = mem
+	if h.wrap != nil {
+		backend = h.wrap(mem)
+	}
+	srv, err := server.New(server.Config{Backend: backend, NodeID: h.name, Epoch: epoch})
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -134,10 +146,20 @@ const (
 func startCluster(t testing.TB, names ...string) (map[string]*nodeHandle, *cluster.Cluster) {
 	t.Helper()
 	handles := map[string]*nodeHandle{}
-	var nodes []cluster.Node
+	var hs []*nodeHandle
 	for i, n := range names {
 		h := startNode(t, n, tSize, uint64(i+1))
 		handles[n] = h
+		hs = append(hs, h)
+	}
+	return handles, newCluster(t, hs...)
+}
+
+// newCluster is the cluster startCluster builds, over the given nodes.
+func newCluster(t testing.TB, hs ...*nodeHandle) *cluster.Cluster {
+	t.Helper()
+	var nodes []cluster.Node
+	for _, h := range hs {
 		nodes = append(nodes, h.node())
 	}
 	c, err := cluster.New(cluster.Options{
@@ -151,7 +173,7 @@ func startCluster(t testing.TB, names ...string) (map[string]*nodeHandle, *clust
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return handles, c
+	return c
 }
 
 // stripeOwnedBy finds a stripe whose replica set contains name, returning
@@ -443,6 +465,88 @@ func TestClusterPartitionHeal(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("partition never converged: info=%+v err=%v", info, err)
 		}
+	}
+}
+
+// lossyBackend acknowledges writes that touch [lo, hi) while armed but
+// never stores them: a replica whose writes land nowhere. It overrides the
+// inline TryWriteBlocks too, or the embedded Memory would serve it.
+type lossyBackend struct {
+	*authmem.Memory
+	lo, hi uint64
+	armed  atomic.Bool
+}
+
+func (b *lossyBackend) drops(addr uint64, n int) bool {
+	return b.armed.Load() && addr < b.hi && addr+uint64(n) > b.lo
+}
+
+func (b *lossyBackend) WriteBlocks(addr uint64, src []byte) error {
+	if b.drops(addr, len(src)) {
+		return nil
+	}
+	return b.Memory.WriteBlocks(addr, src)
+}
+
+func (b *lossyBackend) TryWriteBlocks(addr uint64, src []byte) (bool, error) {
+	if b.drops(addr, len(src)) {
+		return true, nil
+	}
+	return b.Memory.TryWriteBlocks(addr, src)
+}
+
+// TestClusterRepairReadsBack heals a partitioned replica whose node then
+// acknowledges the repair write to the missed stripe without storing it.
+// Repair must read the copy back, see the stale bytes, and leave the
+// replica dirty: Repairs does not move, and every read serves the fresh
+// bytes from the clean replica, never the stale ones.
+func TestClusterRepairReadsBack(t *testing.T) {
+	sb := uint64(tStripeB) * wire.BlockBytes
+	lossy := &lossyBackend{lo: 0, hi: sb}
+	a := startNode(t, "a", tSize, 1)
+	b := startNodeWith(t, "b", tSize, 2, func(m *authmem.Memory) server.Backend {
+		lossy.Memory = m
+		return lossy
+	})
+	c := newCluster(t, a, b)
+
+	stale := fill(0x61, int(sb))
+	if _, err := c.Write(0, stale); err != nil {
+		t.Fatal(err)
+	}
+	b.partition()
+	fresh := fill(0x62, int(sb))
+	if info, err := c.Write(0, fresh); err != nil || !info.Degraded {
+		t.Fatalf("write during partition: info %+v, err %v", info, err)
+	}
+	lossy.armed.Store(true)
+	b.heal()
+	time.Sleep(30 * time.Millisecond)
+
+	before := c.Stats().Repairs
+	dst := make([]byte, sb)
+	for i := 0; i < 5; i++ {
+		info, err := c.Read(0, dst)
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if bytes.Equal(dst, stale) {
+			t.Fatalf("read %d returned the stale replica's bytes", i)
+		}
+		if !bytes.Equal(dst, fresh) {
+			t.Fatalf("read %d returned wrong bytes", i)
+		}
+		// The replica stays dirty, so every read keeps it out of the vote.
+		if info.Verdict != cluster.VerdictOutvotedStale {
+			t.Fatalf("read %d verdict %v, want %v (replica left dirty)", i, info.Verdict, cluster.VerdictOutvotedStale)
+		}
+	}
+	if st := c.Stats(); st.Repairs != before {
+		t.Fatalf("a copy that never landed counted as a repair: Repairs %d -> %d", before, st.Repairs)
+	}
+	back := make([]byte, sb)
+	if err := lossy.Memory.ReadBlocks(0, back); err != nil || !bytes.Equal(back, stale) {
+		t.Fatalf("the lossy node stored the repair write (err %v)", err)
 	}
 }
 

@@ -5,8 +5,11 @@
 // two kernels. There is one implementation and no selection: crypto/aes
 // (AES-NI / ARMv8 crypto extensions where the CPU has them, the standard
 // library's generic code elsewhere) under scalar per-block loops, with the
-// GF(2^64) polynomial hash on the windowed gf64 tables. DESIGN §5b records
-// the end-to-end numbers behind "scalar loops, no batching, no pad cache".
+// GF(2^64) polynomial hash on the CPU's carry-less multiplier (PCLMULQDQ,
+// gf64.PolyHash) on amd64 and on the windowed gf64 tables only where that
+// instruction is missing. The choice follows the platform; there is no
+// option. DESIGN §5b records the end-to-end numbers behind "scalar loops,
+// no batching, no pad cache".
 //
 // internal/keystream, internal/aes and mac.Key are the from-scratch
 // reference the conformance suite and the two fuzz targets hold this package
@@ -124,18 +127,23 @@ func checkSpanLen(n int) error {
 //
 // (see internal/mac for the construction and its security argument), where
 // PolyHash_h(C) = c0·h^8 ⊕ c1·h^7 ⊕ … ⊕ c7·h over the block's eight
-// little-endian words. The hash runs as two interleaved Horner chains in h²,
-// one over the even words and one over the odd:
+// little-endian words. Where the CPU has a carry-less multiplier
+// (gf64.CLMUL) the hash is gf64.PolyHash over the eight powers h^8…h: eight
+// PCLMULQDQ products and one reduction, constant-time, and NewMAC builds no
+// tables. Elsewhere it runs as two interleaved Horner chains in h², one
+// over the even words and one over the odd:
 //
 //	a = c0·h^6 ⊕ c2·h^4 ⊕ c4·h^2 ⊕ c6
 //	b = c1·h^6 ⊕ c3·h^4 ⊕ c5·h^2 ⊕ c7
 //	PolyHash_h(C) = h²·a ⊕ h·b
 //
-// so it needs only two 8-bit-windowed gf64.Tables (h² and h), and the two
-// chains' dependent multiplies overlap. The PRF is one AES block.
+// on two 8-bit-windowed gf64.Tables (h² and h), so the two chains'
+// dependent multiplies overlap. The PRF is one AES block.
 type MAC struct {
-	h      uint64
-	blk    cipher.Block
+	h   uint64
+	blk cipher.Block
+	pow [8]uint64 // h^8, h^7, …, h: gf64.PolyHash's multiplicands
+	// h2, h1 are the fallback's tables; nil when the hash runs on CLMUL.
 	h2, h1 *gf64.Table
 
 	in, out [stdaes.BlockSize]byte
@@ -157,7 +165,21 @@ func NewMAC(material []byte) (*MAC, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crypto: %w", err)
 	}
-	return &MAC{h: h, blk: blk, h2: gf64.NewTable(gf64.Mul(h, h)), h1: gf64.NewTable(h)}, nil
+	m := &MAC{h: h, blk: blk}
+	p := h
+	for i := len(m.pow) - 1; i >= 0; i-- {
+		m.pow[i] = p
+		p = gf64.Mul(p, h)
+	}
+	if !gf64.CLMUL {
+		m.buildTables()
+	}
+	return m, nil
+}
+
+// buildTables switches the hash to the two-chain table path.
+func (m *MAC) buildTables() {
+	m.h2, m.h1 = gf64.NewTable(m.pow[6]), gf64.NewTable(m.pow[7])
 }
 
 // HashPoint returns the secret GF(2^64) hash point, for the MAC-in-ECC
@@ -178,14 +200,20 @@ func (m *MAC) Tag(ciphertext []byte, addr, counter uint64) (uint64, error) {
 	if len(ciphertext) != BlockSize {
 		return 0, fmt.Errorf("crypto: ciphertext must be %d bytes, got %d", BlockSize, len(ciphertext))
 	}
-	c := (*[BlockSize]byte)(ciphertext)
+	return (m.hash((*[BlockSize]byte)(ciphertext)) ^ m.prf(addr, counter)) & ecc.TagMask, nil
+}
+
+// hash returns PolyHash_h(c): the CLMUL kernel, or the two table chains.
+func (m *MAC) hash(c *[BlockSize]byte) uint64 {
+	if m.h1 == nil {
+		return gf64.PolyHash(&m.pow, c)
+	}
 	var a, b uint64
 	for i := 0; i < BlockSize; i += 16 {
 		a = m.h2.Mul(a) ^ binary.LittleEndian.Uint64(c[i:])
 		b = m.h2.Mul(b) ^ binary.LittleEndian.Uint64(c[i+8:])
 	}
-	hash := m.h2.Mul(a) ^ m.h1.Mul(b)
-	return (hash ^ m.prf(addr, counter)) & ecc.TagMask, nil
+	return m.h2.Mul(a) ^ m.h1.Mul(b)
 }
 
 // Verify reports whether tag authenticates the block at (addr, counter).

@@ -11,8 +11,10 @@
 // The package underpins the Carter-Wegman MAC in internal/crypto (and its
 // test-only reference, internal/mac): a polynomial hash over GF(2^64) is a
 // one-cycle operation in the hardware the paper assumes (Intel SGX's
-// multiplier); here it is implemented in portable software with
-// constant-time carry-less multiplication.
+// multiplier). On amd64 PolyHash runs on the CPU's carry-less multiplier
+// (PCLMULQDQ), the closest software gets to that; Table is the portable
+// fallback where the instruction is missing, and the bit-serial Mul and
+// MulWide are the constant-time reference both are held to.
 package gf64
 
 // Poly is the low 64 bits of the reduction polynomial x^64 + x^4 + x^3 + x + 1.
