@@ -397,4 +397,15 @@ func TestComputeOverheadClassicAndDisabled(t *testing.T) {
 	if o.TreeBytes <= po.TreeBytes {
 		t.Fatal("classic tree should dwarf the bonsai tree")
 	}
+
+	// §2.2's classic data tree at the paper's 512MB region and 3KB root:
+	// 37.95% total overhead, an 82.3MiB tree, 6 off-chip levels.
+	cfg.Size, cfg.OnChipTreeBytes = 512<<20, 3<<10
+	if o, err = ComputeOverhead(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%.2f%% total, %.1fMiB tree, %d levels",
+		o.EncryptionOverheadPct(), float64(o.TreeBytes)/(1<<20), o.TreeLevels); got != "37.95% total, 82.3MiB tree, 6 levels" {
+		t.Fatalf("classic data tree at 512MB: %s", got)
+	}
 }

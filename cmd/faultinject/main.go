@@ -1,10 +1,6 @@
-// Command faultinject exercises the design's fault handling at two scales.
-//
-// The default mode reproduces Figure 3: how standard SEC-DED ECC and the
-// proposed MAC-in-ECC scheme handle different bit-flip fault patterns on a
-// single isolated block. For each fault class it reports the fraction of
-// injected faults that were corrected, detected-but-uncorrectable, or
-// silently miscorrected.
+// Command faultinject runs the end-to-end fault-injection campaigns. It has
+// no default mode: run without a mode flag, it prints its usage and exits 2.
+// Figure 3's single-block fault matrix is `paperbench -fig3`.
 //
 // The -campaign mode runs the end-to-end fault-injection campaign engine
 // (internal/campaign): a randomized workload drives a full engine while
@@ -28,7 +24,6 @@
 //
 // Usage:
 //
-//	faultinject [-trials n] [-seed s] [-budget 0|1|2]
 //	faultinject -campaign [-trials n] [-seed s] [-budget 0|1|2]
 //	           [-scheme delta] [-placement macecc] [-app facesim]
 //	           [-rate 0.15] [-burst 4] [-out CAMPAIGN_report.json]
@@ -38,6 +33,8 @@
 //	faultinject -strike [-trials n] [-seed s] [-shards 4] [-workers 3]
 //	           [-scheme delta] [-placement macecc]
 //	           [-burst 4] [-out STRIKE_report.json]
+//	faultinject -cluster [-trials n] [-seed s] [-nodes 3] [-repl 2]
+//	           [-rate 0.15] [-burst 4] [-out CLUSTER_report.json]
 //
 // -placement alone picks the design point's ECC codec: SEC-DED check bytes
 // beside an inline MAC, or the MAC-carrying lane under macecc.
@@ -51,12 +48,11 @@ import (
 	"authmem/internal/campaign"
 	"authmem/internal/core"
 	"authmem/internal/ctr"
-	"authmem/internal/fault"
 	"authmem/internal/stats"
 )
 
 func main() {
-	runCampaign := flag.Bool("campaign", false, "run the end-to-end campaign instead of the Figure 3 table")
+	runCampaign := flag.Bool("campaign", false, "run the end-to-end fault-injection campaign")
 	runConcurrent := flag.Bool("concurrent", false, "run the concurrent sharded-engine campaign phase")
 	runStrike := flag.Bool("strike", false, "run the lock-free read-path strike phase")
 	runCluster := flag.Bool("cluster", false, "run the distributed cluster campaign phase")
@@ -64,7 +60,7 @@ func main() {
 	repl := flag.Int("repl", 2, "replicas per stripe for -cluster")
 	shards := flag.Int("shards", 4, "shard count for -concurrent (power of two)")
 	workers := flag.Int("workers", 3, "traffic goroutines for -concurrent")
-	trials := flag.Int("trials", 2000, "fault injections per cell (Figure 3) or total memory operations (-campaign)")
+	trials := flag.Int("trials", 2000, "memory operations in the run (every mode)")
 	seed := flag.Int64("seed", 1, "PRNG seed (campaigns replay exactly under the same seed and flags)")
 	budget := flag.Int("budget", 2, "MAC-in-ECC flip-and-check budget (bits)")
 	scheme := flag.String("scheme", "delta", "campaign counter scheme: monolithic|split|delta|dual")
@@ -95,29 +91,8 @@ func main() {
 		return
 	}
 
-	if *trials <= 0 {
-		fatalf("-trials must be positive, got %d", *trials)
-	}
-	fmt.Printf("Figure 3: error handling by fault pattern (%d trials per cell)\n", *trials)
-	fmt.Printf("cells are corrected%% / detected%% / miscorrected%%\n\n")
-
-	tb := stats.NewTable("fault pattern", "SEC-DED(72,64)",
-		fmt.Sprintf("MAC-in-ECC (budget %d)", *budget))
-	for _, class := range fault.Classes() {
-		sec := fault.InjectSECDED(class, *trials, *seed)
-		mec, err := fault.InjectMACECC(class, *trials, *seed, *budget)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "faultinject:", err)
-			os.Exit(1)
-		}
-		tb.AddRow(class.String(), cell(sec), cell(mec))
-	}
-	fmt.Print(tb)
-	fmt.Println("\nReading the table (paper §3.3-§3.4):")
-	fmt.Println(" - two flips in ONE word: only MAC-in-ECC corrects (flip-and-check)")
-	fmt.Println(" - one flip in each of many words: only SEC-DED corrects")
-	fmt.Println(" - >=3 flips in one word: SEC-DED can silently miscorrect;")
-	fmt.Println("   MAC-in-ECC always detects (full error detection on data)")
+	flag.Usage()
+	os.Exit(2)
 }
 
 // engineConfig resolves the campaign design point from the command line;
@@ -139,11 +114,6 @@ func engineConfig(scheme, placement string, budget int) core.Config {
 	ecfg := core.Default(kind, place)
 	ecfg.CorrectBits = budget
 	return ecfg
-}
-
-func cell(r fault.Result) string {
-	return fmt.Sprintf("%5.1f / %5.1f / %5.1f",
-		r.CorrectedPct(), r.DetectedPct(), r.MiscorrectedPct())
 }
 
 var schemes = map[string]ctr.Kind{

@@ -3,11 +3,44 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"authmem/internal/campaign"
 )
+
+// TestNoModePrintsUsage builds faultinject and runs it without a mode flag:
+// there is no default mode, so it must print its usage to stderr, write
+// nothing to stdout and exit 2. Skipped under -short (it pays a build).
+func TestNoModePrintsUsage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("binary exec test")
+	}
+	bin := filepath.Join(t.TempDir(), "faultinject")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "-seed", "3")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("faultinject -seed 3: err = %v, want exit status 2", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout = %q, want nothing", stdout.String())
+	}
+	for _, want := range []string{"Usage of", "-campaign", "-concurrent", "-strike", "-cluster"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+		}
+	}
+}
 
 // TestCampaignMatchesCommittedReport reruns `faultinject -campaign` at its
 // defaults (-trials 2000 -seed 1) and holds every key of the result except

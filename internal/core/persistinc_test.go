@@ -156,54 +156,64 @@ func TestIncrementalRoundTrip(t *testing.T) {
 }
 
 func TestAppendDeltaIsProportionalToDirt(t *testing.T) {
-	cfg := smallCfg(ctr.Delta, MACInECC)
-	h := newDeltaHarness(t, cfg)
-	// Touch one block in one group.
-	h.write(t, 3)
-	st, err := h.eng.AppendDelta(h.w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Groups != 1 {
-		t.Fatalf("one dirty group, %d records", st.Groups)
-	}
-	var full bytes.Buffer
-	if _, err := h.eng.Persist(&full); err != nil {
-		t.Fatal(err)
-	}
-	if st.Bytes*4 > int64(full.Len()) {
-		t.Fatalf("single-group delta (%d bytes) not small next to full image (%d bytes)", st.Bytes, full.Len())
-	}
-	// Clean set: the next epoch carries only its commit record.
-	st2, err := h.eng.AppendDelta(h.w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Groups != 0 {
-		t.Fatalf("clean engine appended %d group records", st2.Groups)
-	}
-	// Within one fully resident group the epoch grows by one block entry per
-	// block written, not by the group: k blocks cost the k = 0 epoch plus the
-	// record header plus k entries.
-	if err := h.eng.WriteBlocks(5*ctr.GroupBlocks*BlockBytes, make([]byte, ctr.GroupBlocks*BlockBytes)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.eng.AppendDelta(h.w); err != nil {
-		t.Fatal(err)
-	}
-	header := int64(wal.RecordOverhead() + 1 + 8 + BlockBytes + 8)
-	entry := int64(BlockBytes + 8 + h.eng.store.checkBytes)
-	for _, k := range []int{1, 2, 8, 32} {
-		for j := 0; j < k; j++ {
-			h.write(t, 5*ctr.GroupBlocks+uint64(j))
-		}
-		st, err := h.eng.AppendDelta(h.w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := st2.Bytes + header + int64(k)*entry; st.Groups != 1 || st.Bytes != want {
-			t.Fatalf("%d of 64 resident blocks written: %d records, %d bytes, want 1 record, %d bytes", k, st.Groups, st.Bytes, want)
-		}
+	// An idle epoch appends an 89B heartbeat (one sealed commit record
+	// pinning the root digest). A group record is a 129B header — 48B of
+	// framing and seal, the record type, group index and block bitmap, and
+	// the 64B counter image — plus one entry per carried block: its
+	// ciphertext, its 8B metadata lane and, inline, its 8 check bytes.
+	const heartbeat, header = 89, 129
+	for _, tc := range []struct {
+		placement MACPlacement
+		entry     int64
+	}{{MACInECC, 72}, {MACInline, 80}} {
+		t.Run(tc.placement.String(), func(t *testing.T) {
+			h := newDeltaHarness(t, smallCfg(ctr.Delta, tc.placement))
+			// Touch one block in one group.
+			h.write(t, 3)
+			st, err := h.eng.AppendDelta(h.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Groups != 1 {
+				t.Fatalf("one dirty group, %d records", st.Groups)
+			}
+			var full bytes.Buffer
+			if _, err := h.eng.Persist(&full); err != nil {
+				t.Fatal(err)
+			}
+			if st.Bytes*4 > int64(full.Len()) {
+				t.Fatalf("single-group delta (%d bytes) not small next to full image (%d bytes)", st.Bytes, full.Len())
+			}
+			// Clean set: the next epoch carries only its commit record.
+			st2, err := h.eng.AppendDelta(h.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st2.Groups != 0 || st2.Bytes != heartbeat {
+				t.Fatalf("clean engine appended %d group records, %d bytes, want 0 and %d", st2.Groups, st2.Bytes, heartbeat)
+			}
+			// Within one fully resident group the epoch grows by one block
+			// entry per block written, not by the group: k blocks cost the
+			// heartbeat plus the record header plus k entries.
+			if err := h.eng.WriteBlocks(5*ctr.GroupBlocks*BlockBytes, make([]byte, ctr.GroupBlocks*BlockBytes)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.eng.AppendDelta(h.w); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, 2, 8, 32} {
+				for j := 0; j < k; j++ {
+					h.write(t, 5*ctr.GroupBlocks+uint64(j))
+				}
+				st, err := h.eng.AppendDelta(h.w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := heartbeat + header + int64(k)*tc.entry; st.Groups != 1 || st.Bytes != want {
+					t.Fatalf("%d of 64 resident blocks written: %d records, %d bytes, want 1 record, %d bytes", k, st.Groups, st.Bytes, want)
+				}
+			}
+		})
 	}
 }
 

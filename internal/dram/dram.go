@@ -16,11 +16,7 @@
 // using MAC-in-ECC simply issues no MAC transaction at all.
 package dram
 
-import (
-	"fmt"
-
-	"authmem/internal/stats"
-)
+import "fmt"
 
 // Config describes the DRAM geometry and timing in memory-clock cycles.
 type Config struct {
@@ -193,7 +189,6 @@ type Memory struct {
 	cfg   Config
 	chans []channel
 	stats Stats
-	lat   stats.Histogram // read latencies in CPU cycles
 
 	blocksPerRow uint64
 }
@@ -270,7 +265,6 @@ func (m *Memory) Access(cpuNow uint64, addr uint64, write bool) uint64 {
 	} else {
 		m.stats.Reads++
 		m.stats.TotalReadLatency += doneCPU - cpuNow
-		m.lat.Observe(doneCPU - cpuNow)
 	}
 	return doneCPU
 }
@@ -358,10 +352,6 @@ func (m *Memory) serviceAt(ch *channel, now uint64, addr uint64, write bool) uin
 	return done
 }
 
-// ReadLatencyHistogram exposes the distribution of read latencies (CPU
-// cycles) for percentile reporting.
-func (m *Memory) ReadLatencyHistogram() *stats.Histogram { return &m.lat }
-
 // applyRefresh models DDR all-bank refresh: every tREFI the channel spends
 // tRFC unavailable with all rows closed. A request landing inside a refresh
 // window waits it out; long-idle channels catch up in O(1).
@@ -393,12 +383,8 @@ func (m *Memory) applyRefresh(ch *channel, start uint64) uint64 {
 // Stats returns cumulative event counts.
 func (m *Memory) Stats() Stats { return m.stats }
 
-// ResetStats zeroes counters and the latency histogram without touching
-// bank state.
-func (m *Memory) ResetStats() {
-	m.stats = Stats{}
-	m.lat = stats.Histogram{}
-}
+// ResetStats zeroes counters without touching bank state.
+func (m *Memory) ResetStats() { m.stats = Stats{} }
 
 // IdleReadLatencyCPU returns the no-contention read latency in CPU cycles
 // for a row-empty access: activate + CAS + burst. Useful as a reference

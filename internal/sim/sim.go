@@ -141,11 +141,6 @@ type IPCResult struct {
 	// DRAM carries device-level statistics (row-buffer behaviour,
 	// refresh, average latency).
 	DRAM dram.Stats
-	// ReadLatencyP50/P95/P99 are DRAM read-latency percentile upper
-	// bounds in CPU cycles.
-	ReadLatencyP50 uint64
-	ReadLatencyP95 uint64
-	ReadLatencyP99 uint64
 }
 
 // Traces returns app's instruction streams, one per Table 1 core.
@@ -160,8 +155,8 @@ func Traces(app workload.App, opsPerCore uint64, seed int64) []trace.Generator {
 // Run runs one instruction stream per core (cpuCfg.Cores is set to
 // len(gens)) on the CPU cpuCfg describes, over the memory system be, and
 // collects what the run measured. It is the one assembly of CPU, controller
-// and DRAM: MeasureIPC, memsim's trace replay and the ablation benchmarks
-// all run through it. The caller labels App and Design.
+// and DRAM: MeasureIPC and the ablation benchmarks run through it. The
+// caller labels App and Design.
 func Run(cpuCfg cpu.Config, gens []trace.Generator, be Backend) (IPCResult, error) {
 	cpuCfg.Cores = len(gens)
 	sys, err := cpu.New(cpuCfg, gens, be)
@@ -169,16 +164,7 @@ func Run(cpuCfg cpu.Config, gens []trace.Generator, be Backend) (IPCResult, erro
 		return IPCResult{}, err
 	}
 	res := sys.Run()
-	mem := be.DRAM()
-	lat := mem.ReadLatencyHistogram()
-	out := IPCResult{
-		IPC:            res.IPC,
-		CPU:            res,
-		DRAM:           mem.Stats(),
-		ReadLatencyP50: lat.Percentile(0.50),
-		ReadLatencyP95: lat.Percentile(0.95),
-		ReadLatencyP99: lat.Percentile(0.99),
-	}
+	out := IPCResult{IPC: res.IPC, CPU: res, DRAM: be.DRAM().Stats()}
 	if tm, ok := be.(*TimingModel); ok {
 		out.Timing = tm.Stats()
 		out.MetaHitRate = tm.MetadataCacheStats().HitRate()

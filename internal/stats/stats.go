@@ -97,19 +97,5 @@ func FormatFloat(v float64) string {
 	}
 }
 
-// FormatBytes renders a byte count with a binary-prefix unit.
-func FormatBytes(n uint64) string {
-	const unit = 1024
-	if n < unit {
-		return fmt.Sprintf("%dB", n)
-	}
-	div, exp := uint64(unit), 0
-	for m := n / unit; m >= unit; m /= unit {
-		div *= unit
-		exp++
-	}
-	return fmt.Sprintf("%.1f%ciB", float64(n)/float64(div), "KMGTPE"[exp])
-}
-
 // Pct renders a ratio as a percentage string.
 func Pct(v float64) string { return fmt.Sprintf("%.2f%%", v) }

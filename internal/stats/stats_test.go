@@ -55,20 +55,6 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-func TestFormatBytes(t *testing.T) {
-	cases := map[uint64]string{
-		512:       "512B",
-		32 << 10:  "32.0KiB",
-		512 << 20: "512.0MiB",
-		3 << 30:   "3.0GiB",
-	}
-	for in, want := range cases {
-		if got := FormatBytes(in); got != want {
-			t.Errorf("FormatBytes(%d) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestPct(t *testing.T) {
 	if Pct(21.875) != "21.88%" {
 		t.Fatalf("Pct = %q", Pct(21.875))
