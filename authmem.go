@@ -127,11 +127,6 @@ type Config struct {
 	// OnChipTreeBytes is the trusted SRAM budget for the tree root
 	// (default 3KB, as in the paper).
 	OnChipTreeBytes int
-	// ClassicDataTree switches from the Bonsai Merkle tree to the
-	// pre-2007 design with the integrity tree over the data blocks
-	// themselves — ~60x more tree storage and a tree walk per access.
-	// Provided as the comparative baseline the paper's §2.2 discusses.
-	ClassicDataTree bool
 	// CryptoBackend must be empty. It is kept for the frozen benchmark
 	// harness, which reads it; no second value exists (the cipher and MAC
 	// are crypto/aes, unconditionally) and New rejects anything else.
@@ -170,7 +165,6 @@ func (c Config) internal() (core.Config, error) {
 		OnChipTreeBytes: c.OnChipTreeBytes,
 		CorrectBits:     c.CorrectBits,
 		KeyMaterial:     c.Key,
-		DataTree:        c.ClassicDataTree,
 		CryptoBackend:   c.CryptoBackend,
 	}
 	if cfg.OnChipTreeBytes == 0 {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"authmem/internal/sim"
 )
 
 func testConfig(scheme CounterScheme, placement MACPlacement) Config {
@@ -251,29 +253,39 @@ func TestComputeOverhead(t *testing.T) {
 	}
 }
 
-func TestClassicDataTreeFacade(t *testing.T) {
+// TestComputeOverheadClassicAndDisabled sets the facade's storage breakdown
+// against §2.2's classic data tree, a design point of the timing model only.
+// At the paper's 512MB region and 3KB root the classic design costs 37.95%
+// in all — an 82.3MiB tree over 6 off-chip levels — and with the design
+// point disabled the model's breakdown is ComputeOverhead's.
+func TestComputeOverheadClassicAndDisabled(t *testing.T) {
 	cfg := testConfig(Monolithic, InlineMAC)
-	cfg.ClassicDataTree = true
-	m := newMem(t, cfg)
-	data := make([]byte, BlockSize)
-	rand.New(rand.NewSource(9)).Read(data)
-	if err := m.Write(0x800, data); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, BlockSize)
-	if _, err := m.Read(0x800, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("classic design round trip corrupted data")
-	}
-	// Its overhead dwarfs the proposed design's.
-	o, err := ComputeOverhead(cfg)
+	cfg.Size, cfg.OnChipTreeBytes = 512<<20, 3<<10
+	po, err := ComputeOverhead(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.EncryptionOverheadPct() < 30 {
-		t.Fatalf("classic overhead %.1f%%, expected ~38%%", o.EncryptionOverheadPct())
+	icfg, err := cfg.internal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	classic := sim.Table1(icfg)
+	classic.DataTree = true
+	co, err := classic.Overhead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if co.TreeBytes <= po.TreeBytes {
+		t.Fatal("classic tree should dwarf the bonsai tree")
+	}
+	if got := fmt.Sprintf("%.2f%% total, %.1fMiB tree, %d levels",
+		co.EncryptionOverheadPct(), float64(co.TreeBytes)/(1<<20), co.TreeLevels); got != "37.95% total, 82.3MiB tree, 6 levels" {
+		t.Fatalf("classic data tree at 512MB: %s", got)
+	}
+
+	classic.DataTree = false
+	if mo, err := classic.Overhead(); err != nil || mo != po {
+		t.Fatalf("model breakdown %+v, ComputeOverhead %+v (%v)", mo, po, err)
 	}
 }
 
@@ -379,33 +391,5 @@ func TestFacadeAttackSurface(t *testing.T) {
 	}
 	if _, err := sp.Read(BlockSize, dst); err == nil {
 		t.Fatal("splice undetected")
-	}
-}
-
-func TestComputeOverheadClassicAndDisabled(t *testing.T) {
-	cfg := testConfig(Monolithic, InlineMAC)
-	cfg.ClassicDataTree = true
-	o, err := ComputeOverhead(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := testConfig(Monolithic, InlineMAC)
-	po, err := ComputeOverhead(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.TreeBytes <= po.TreeBytes {
-		t.Fatal("classic tree should dwarf the bonsai tree")
-	}
-
-	// §2.2's classic data tree at the paper's 512MB region and 3KB root:
-	// 37.95% total overhead, an 82.3MiB tree, 6 off-chip levels.
-	cfg.Size, cfg.OnChipTreeBytes = 512<<20, 3<<10
-	if o, err = ComputeOverhead(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%.2f%% total, %.1fMiB tree, %d levels",
-		o.EncryptionOverheadPct(), float64(o.TreeBytes)/(1<<20), o.TreeLevels); got != "37.95% total, 82.3MiB tree, 6 levels" {
-		t.Fatalf("classic data tree at 512MB: %s", got)
 	}
 }

@@ -14,7 +14,9 @@ import (
 	"log"
 
 	"authmem/internal/core"
+	"authmem/internal/cpu"
 	"authmem/internal/ctr"
+	"authmem/internal/dram"
 	"authmem/internal/sim"
 	"authmem/internal/stats"
 	"authmem/internal/workload"
@@ -23,14 +25,16 @@ import (
 func main() {
 	type design struct {
 		name string
-		cfg  core.Config
+		cfg  sim.TimingConfig
 	}
-	classic := core.Default(ctr.Monolithic, core.MACInline)
+	// The classic tree is a design point of the timing model only: the
+	// functional engine builds the Bonsai Merkle tree.
+	classic := sim.Table1(core.Default(ctr.Monolithic, core.MACInline))
 	classic.DataTree = true
 	designs := []design{
 		{"classic Merkle (over data)", classic},
-		{"Bonsai Merkle (over counters)", core.Default(ctr.Monolithic, core.MACInline)},
-		{"proposed (delta + MAC-in-ECC)", core.Default(ctr.Delta, core.MACInECC)},
+		{"Bonsai Merkle (over counters)", sim.Table1(core.Default(ctr.Monolithic, core.MACInline))},
+		{"proposed (delta + MAC-in-ECC)", sim.Table1(core.Default(ctr.Delta, core.MACInECC))},
 	}
 
 	app, _ := workload.ByName("canneal")
@@ -42,11 +46,15 @@ func main() {
 	tb := stats.NewTable("design", "storage overhead", "tree levels",
 		"DRAM txns", "metadata hit rate", "IPC")
 	for _, d := range designs {
-		o, err := core.ComputeOverhead(d.cfg)
+		o, err := d.cfg.Overhead()
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := sim.MeasureIPC(app, sim.DesignPoint{Name: d.name, Config: &d.cfg}, ops, 1)
+		tm, err := sim.NewTimingModel(d.cfg, dram.MustNew(dram.DDR3_1600(4)))
+		if err != nil {
+			log.Fatal(err)
+		}
+		r, err := sim.Run(cpu.Table1(), sim.Traces(app, ops, 1), tm)
 		if err != nil {
 			log.Fatal(err)
 		}

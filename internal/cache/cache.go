@@ -166,21 +166,6 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// Invalidate drops the line containing addr if present, returning whether it
-// was dirty (the caller owns any writeback).
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	lines := c.sets[set]
-	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			dirty = lines[i].dirty
-			lines[i] = line{}
-			return true, dirty
-		}
-	}
-	return false, false
-}
-
 // Flush invalidates everything, returning the number of dirty lines dropped.
 func (c *Cache) Flush() (dirty int) {
 	for s := range c.sets {
@@ -197,13 +182,6 @@ func (c *Cache) Flush() (dirty int) {
 // Stats returns cumulative event counts.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the event counters without touching cache contents
-// (used to exclude warmup from measurements).
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 func (c *Cache) lineAddrOf(set, tag uint64) uint64 {
 	return (tag*c.numSets + set) << c.lineBits
 }
-
-// Lines returns the total number of lines the cache can hold.
-func (c *Cache) Lines() int { return int(c.numSets) * c.cfg.Ways }

@@ -232,7 +232,7 @@ func pathNode(eng *core.Engine, addr uint64, rng *rand.Rand) (flat uint64, ok bo
 	if off == 0 {
 		return 0, false
 	}
-	index := eng.MetaLeaf(eng.MetadataIndex(addr))
+	index := eng.MetadataIndex(addr) // the counter block's tree leaf
 	level := rng.Intn(off)
 	for k := 0; k <= level; k++ {
 		index /= tree.Arity

@@ -212,8 +212,8 @@ func TestFlushRefusesRolledBackTreeNode(t *testing.T) {
 			cfg.RegionBytes = 16 << 20
 			e := newEngine(t, cfg)
 			const sibling = 64 * BlockBytes
-			leaf := e.metaLeaf(e.scheme.MetadataBlock(0))
-			if e.metaLeaf(e.scheme.MetadataBlock(sibling/BlockBytes))/tree.Arity != leaf/tree.Arity {
+			leaf := e.scheme.MetadataBlock(0)
+			if e.scheme.MetadataBlock(sibling/BlockBytes)/tree.Arity != leaf/tree.Arity {
 				t.Fatal("block 64's counter leaf is not a sibling of block 0's")
 			}
 			parent := tree.NodeID{Level: 0, Index: leaf / tree.Arity}

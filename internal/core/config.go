@@ -77,13 +77,6 @@ type Config struct {
 	// KeyMaterial seeds the MAC key (24 bytes) and the encryption key
 	// (16 bytes): 40 bytes total.
 	KeyMaterial []byte
-	// DataTree switches from the Bonsai Merkle tree (over counter
-	// blocks) to the classic pre-BMT design §2.2 contrasts against: the
-	// integrity tree spans the data blocks themselves (plus the counter
-	// blocks). This inflates the tree ~60x and adds a full tree walk to
-	// every data access — the overhead Rogers et al.'s observation
-	// removed.
-	DataTree bool
 	// CryptoBackend must be empty. It is kept for the frozen benchmark
 	// harness (bench/kernels.go reads it); no second value exists — the
 	// engine's only cipher and MAC are internal/crypto over crypto/aes —
@@ -155,20 +148,16 @@ func (c Config) CodecName() string { return c.resolveCodec().Name() }
 // DataBlocks returns the number of protected 64-byte blocks.
 func (c Config) DataBlocks() uint64 { return c.RegionBytes / BlockBytes }
 
-// TreeShape returns the shape of the design point's integrity tree: one leaf
-// per counter-metadata block, and under the classic data tree one per data
-// block as well, data leaves first. The engine builds its tree on this shape;
-// the timing model walks it and ComputeOverhead counts it.
+// TreeShape returns the shape of the design point's integrity tree, the
+// Bonsai Merkle tree: one leaf per counter-metadata block, a block's leaf its
+// metadata index. The engine builds its tree on this shape; the timing model
+// walks it and ComputeOverhead counts it.
 func (c Config) TreeShape() (tree.Shape, error) {
 	scheme, err := ctr.NewScheme(c.Scheme)
 	if err != nil {
 		return tree.Shape{}, err
 	}
-	leaves := scheme.MetadataBlocks(c.DataBlocks())
-	if c.DataTree {
-		leaves += c.DataBlocks()
-	}
-	return tree.NewShape(leaves, c.OnChipTreeBytes)
+	return tree.NewShape(scheme.MetadataBlocks(c.DataBlocks()), c.OnChipTreeBytes)
 }
 
 // FailStage identifies which verification stage detected an integrity
@@ -186,9 +175,6 @@ const (
 	// StageData: the ciphertext failed MAC verification or SEC-DED
 	// decoding beyond the correction budget.
 	StageData
-	// StageDataTree: the classic data-tree design's per-block tree check
-	// failed.
-	StageDataTree
 	// StageResume: a persisted image failed validation while resuming.
 	StageResume
 )
@@ -200,8 +186,6 @@ func (s FailStage) String() string {
 		return "counter"
 	case StageData:
 		return "data"
-	case StageDataTree:
-		return "data-tree"
 	case StageResume:
 		return "resume"
 	default:

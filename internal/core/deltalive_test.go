@@ -223,18 +223,12 @@ func (h *liveDelta) compareStored(shard int, live, got *Engine) {
 // group re-encryption (which moves all 64), a block the sweep quarantines, a
 // fold with blocks still dirty.
 func TestDeltaLogMatchesLiveEngine(t *testing.T) {
-	dataTree := smallCfg(ctr.Delta, MACInECC)
-	dataTree.DataTree = true
-	cfgs := append(allDesignPoints(), dataTree)
+	cfgs := allDesignPoints()
 	if testing.Short() {
-		cfgs = []Config{smallCfg(ctr.Delta, MACInECC), smallCfg(ctr.Monolithic, MACInline), dataTree}
+		cfgs = []Config{smallCfg(ctr.Delta, MACInECC), smallCfg(ctr.Monolithic, MACInline)}
 	}
 	for _, cfg := range cfgs {
-		name := cfg.Scheme.String() + "/" + cfg.Placement.String()
-		if cfg.DataTree {
-			name += "/data-tree"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(cfg.Scheme.String()+"/"+cfg.Placement.String(), func(t *testing.T) {
 			h := newLiveDelta(t, cfg)
 			grouped := cfg.Scheme != ctr.Monolithic
 			sb := h.shardBlocks()
@@ -264,22 +258,13 @@ func TestDeltaLogMatchesLiveEngine(t *testing.T) {
 
 			// 3: a block with an uncorrectable fault is skipped by the next
 			// sweep: its faulty bits stay, under a counter the group left.
-			// (Not under the data tree, at this commit or its parent: the
-			// block's tree leaf still vouches for the unfaulted bits, so a
-			// record carrying the faulty ones replays to a different root
-			// and the resume is refused — loud, but not this comparison.)
-			faulty := grouped && !cfg.DataTree
-			if faulty {
+			if grouped {
 				for _, bit := range []int{0, 1, 2, 64, 65} {
 					if err := flipAt(h.s, PlaneData, victim*BlockBytes, bit); err != nil {
 						t.Fatal(err)
 					}
 				}
-			}
-			if grouped {
 				h.hammer(hot, "re-encryption", func(s ctr.Stats) uint64 { return s.Reencryptions })
-			}
-			if faulty {
 				if !h.s.Quarantined(victim * BlockBytes) {
 					t.Fatal("the sweep did not quarantine the faulty block")
 				}

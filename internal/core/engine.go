@@ -99,10 +99,9 @@ type Engine struct {
 	pendingLast     uint64
 	hasPendingWrite bool
 
-	// recovery configures the retry-then-repair read path; quarantine
-	// holds blocks that exhausted it (see recovery.go). retryHook models
-	// the controller re-issuing a DRAM read on retry.
-	recovery   recoveryPolicy
+	// quarantine holds blocks that exhausted the recovery ladder (see
+	// recovery.go). retryHook models the controller re-issuing a DRAM read
+	// on retry.
 	quarantine map[uint64]struct{}
 	retryHook  func(blk uint64)
 
@@ -184,7 +183,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, recovery: defaultRecovery}
+	e := &Engine{cfg: cfg}
 	e.codec = cfg.resolveCodec()
 	checkBytes := 0
 	switch c := e.codec.(type) {
@@ -289,33 +288,16 @@ func (e *Engine) pending(blk uint64) bool {
 }
 
 // sealBlockTagged installs the MAC tag (and, in baseline mode, SEC-DED
-// bytes) for the already-encrypted arena slice ct of block blk, and under the
-// classic data-tree design refreshes the block's tree leaf. It is the one
+// bytes) for the already-encrypted arena slice ct of block blk. It is the one
 // seal: the tags come from one TagBatch call over a run of blocks, on the
 // write path (writeChunk) and in the re-encryption sweep alike.
 func (e *Engine) sealBlockTagged(blk uint64, ct []byte, tag uint64) error {
 	if e.mcod != nil {
 		e.store.SetMeta(blk, e.mcod.PackLane(tag, ct))
-	} else {
-		e.store.SetMeta(blk, tag)
-		if err := e.bcod.EncodeInto(e.store.Check(blk), ct); err != nil {
-			return err
-		}
+		return nil
 	}
-	if e.cfg.DataTree {
-		return e.repairTampered(e.tr.UpdateLeafFast(blk, ct))
-	}
-	return nil
-}
-
-// metaLeaf maps a metadata block index to its tree leaf. Under the classic
-// data-tree design, data blocks occupy leaves [0, DataBlocks) and counter
-// blocks follow.
-func (e *Engine) metaLeaf(midx uint64) uint64 {
-	if e.cfg.DataTree {
-		return e.cfg.DataBlocks() + midx
-	}
-	return midx
+	e.store.SetMeta(blk, tag)
+	return e.bcod.EncodeInto(e.store.Check(blk), ct)
 }
 
 // reencryptGroup is the scheme's re-encryption hook: decrypt every block of
@@ -504,16 +486,6 @@ func (e *Engine) readVerified(blk, counter uint64, dst []byte) (ReadInfo, error)
 	if fail != "" {
 		atomic.AddUint64(&e.stats.IntegrityFailures, 1)
 		return info, &IntegrityError{Addr: addr, Reason: fail, Stage: StageData}
-	}
-
-	// Classic data-tree design: the (possibly just-repaired) ciphertext
-	// must also verify against its tree leaf — this is the per-access
-	// tree walk BMTs exist to avoid.
-	if e.cfg.DataTree {
-		if err := e.tr.VerifyLeafFast(blk, ct); err != nil {
-			atomic.AddUint64(&e.stats.IntegrityFailures, 1)
-			return info, &IntegrityError{Addr: addr, Reason: "data block failed integrity tree check: " + err.Error(), Stage: StageDataTree}
-		}
 	}
 
 	if err := e.ks.XORBlocks(dst, ct, addr, counter); err != nil {

@@ -544,7 +544,7 @@ func TestLockFreeConcurrentStress(t *testing.T) {
 					if off == 0 {
 						return
 					}
-					leaf := eng.MetaLeaf(eng.MetadataIndex(local))
+					leaf := eng.MetadataIndex(local)
 					id := tree.NodeID{Level: 0, Index: leaf / tree.Arity}
 					err = flipNode(eng.off, id, int(x>>20)%(tree.NodeBytes*8))
 				})

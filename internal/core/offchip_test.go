@@ -263,7 +263,7 @@ func TestOffChipEvictionRule(t *testing.T) {
 		if err := e.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		node, err := m.LocateNode(0, e.metaLeaf(ma)/tree.Arity)
+		node, err := m.LocateNode(0, ma/tree.Arity)
 		if err != nil {
 			t.Fatal(err)
 		}

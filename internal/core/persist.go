@@ -71,12 +71,7 @@ func (e *Engine) Persist(w io.Writer) (RootDigest, error) {
 	}
 
 	// Config fingerprint, so Resume can reject mismatched geometry.
-	hdr := []uint64{
-		uint64(e.cfg.Scheme), uint64(e.cfg.Placement), e.cfg.RegionBytes,
-		uint64(e.cfg.CorrectBits), uint64(e.cfg.OnChipTreeBytes),
-		boolU64(e.cfg.DataTree),
-	}
-	for _, v := range hdr {
+	for _, v := range imageHeader(e.cfg) {
 		if err := writeU64(bw, v); err != nil {
 			return digest, err
 		}
@@ -178,12 +173,7 @@ func Resume(cfg Config, r io.Reader, expectRoot *RootDigest) (*Engine, error) {
 	if magic != persistMagic {
 		return nil, fmt.Errorf("core: not an engine image")
 	}
-	want := []uint64{
-		uint64(cfg.Scheme), uint64(cfg.Placement), cfg.RegionBytes,
-		uint64(cfg.CorrectBits), uint64(cfg.OnChipTreeBytes),
-		boolU64(cfg.DataTree),
-	}
-	for i, w := range want {
+	for i, w := range imageHeader(cfg) {
 		got, err := readU64(br)
 		if err != nil {
 			return nil, err
@@ -285,7 +275,7 @@ func Resume(cfg Config, r io.Reader, expectRoot *RootDigest) (*Engine, error) {
 	// verified images.
 	for _, m := range midxs {
 		img := e.images.Load(m)
-		if err := e.tr.VerifyLeafFast(e.metaLeaf(m), img); err != nil {
+		if err := e.tr.VerifyLeafFast(m, img); err != nil {
 			atomic.AddUint64(&e.stats.IntegrityFailures, 1)
 			return nil, &IntegrityError{
 				Addr:   m * BlockBytes,
@@ -304,11 +294,14 @@ func Resume(cfg Config, r io.Reader, expectRoot *RootDigest) (*Engine, error) {
 	return e, nil
 }
 
-func boolU64(b bool) uint64 {
-	if b {
-		return 1
+// imageHeader is the config fingerprint a v1 image opens with. The sixth
+// slot recorded a tree design that is always the Bonsai Merkle tree, so it is
+// always 0, and Resume refuses an image that has anything else there.
+func imageHeader(c Config) [6]uint64 {
+	return [6]uint64{
+		uint64(c.Scheme), uint64(c.Placement), c.RegionBytes,
+		uint64(c.CorrectBits), uint64(c.OnChipTreeBytes), 0,
 	}
-	return 0
 }
 
 func writeU64(w io.Writer, v uint64) error {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"authmem/internal/ctr"
@@ -82,17 +84,34 @@ func TestResumeRejectsTamperedImage(t *testing.T) {
 	}
 	img := buf.Bytes()
 
-	// Section offsets (MACInECC layout): magic 8 + header 40, then the
-	// data section (count + n*(idx 8 + ct 64 + meta 8)), then the counter
-	// images (count + m*(idx 8 + 64)).
-	dataOff := 8 + 6*8
+	// Section offsets (MACInECC layout): magic 8 + header 48 (six u64
+	// fields) + codec ID (u64 length + name), then the data section (count
+	// + n*(idx 8 + ct 64 + meta 8)), then the counter images (count +
+	// m*(idx 8 + 64)).
+	const header = 8 + 6*8
+	dataOff := header + 8 + len(cfg.CodecName())
 	nBlocks := e.store.Len()
 	metaOff := dataOff + 8 + nBlocks*(8+64+8)
+	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(img[off:]) }
+	if got := u64(dataOff); got != uint64(nBlocks) {
+		t.Fatalf("data section count %d at offset %d, want %d", got, dataOff, nBlocks)
+	}
+	if got := u64(metaOff); got != uint64(e.images.Len()) {
+		t.Fatalf("counter section count %d at offset %d, want %d", got, metaOff, e.images.Len())
+	}
+	firstCt := dataOff + 8 + 8 // the first stored block's ciphertext
+	if !bytes.Equal(img[firstCt:firstCt+BlockBytes], e.store.Ciphertext(u64(dataOff+8))) {
+		t.Fatal("data offset does not land on the first stored ciphertext")
+	}
+	firstImg := metaOff + 8 + 8 // the first stored counter image
+	if !bytes.Equal(img[firstImg:firstImg+BlockBytes], e.images.Load(u64(metaOff+8))) {
+		t.Fatal("counter offset does not land on the first stored image")
+	}
 
 	// 1. Tampering a counter-block image is caught eagerly at Resume by
 	// the tree verification.
 	bad := append([]byte(nil), img...)
-	bad[metaOff+8+8+20] ^= 0x40 // 20th byte of the first stored image
+	bad[firstImg+20] ^= 0x40 // 20th byte of the first stored image
 	var ie *IntegrityError
 	if _, err := Resume(cfg, bytes.NewReader(bad), &digest); !errors.As(err, &ie) {
 		t.Fatalf("tampered counter image resumed: %v", err)
@@ -108,7 +127,7 @@ func TestResumeRejectsTamperedImage(t *testing.T) {
 	// 3. A single ciphertext bit flip is an ordinary correctable memory
 	// fault: Resume succeeds and the demand read repairs it.
 	bad = append([]byte(nil), img...)
-	bad[dataOff+8+8+30] ^= 0x04 // a ciphertext byte of the first block
+	bad[firstCt+30] ^= 0x04 // 30th ciphertext byte of the first block
 	r, err := Resume(cfg, bytes.NewReader(bad), &digest)
 	if err != nil {
 		t.Fatalf("correctable fault blocked resume: %v", err)
@@ -121,6 +140,44 @@ func TestResumeRejectsTamperedImage(t *testing.T) {
 		if !bytes.Equal(dst, want) {
 			t.Fatalf("block %#x wrong after fault repair", addr)
 		}
+	}
+}
+
+// TestDataTreePersistResume: the sixth v1 header field once recorded a
+// classic tree over data. Every engine writes 0 there, resumes its own image,
+// and refuses the same image with 1 in that slot.
+func TestDataTreePersistResume(t *testing.T) {
+	cfg := smallCfg(ctr.Delta, MACInECC)
+	e := newEngine(t, cfg)
+	truth := persistCampaign(t, e)
+	var buf bytes.Buffer
+	digest, err := e.Persist(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	const treeSlot = 8 + 5*8 // magic 8, then the sixth u64 header field
+	if got := binary.LittleEndian.Uint64(img[treeSlot:]); got != 0 {
+		t.Fatalf("tree-design slot is %d, want 0", got)
+	}
+	r, err := Resume(cfg, bytes.NewReader(img), &digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, BlockBytes)
+	for addr, want := range truth {
+		if _, err := r.Read(addr, dst); err != nil {
+			t.Fatalf("read %#x: %v", addr, err)
+		}
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("block %#x wrong", addr)
+		}
+	}
+
+	bad := append([]byte(nil), img...)
+	bad[treeSlot] = 1
+	if _, err := Resume(cfg, bytes.NewReader(bad), &digest); err == nil || !strings.Contains(err.Error(), "config field 5 is 1") {
+		t.Fatalf("image with a classic-tree header resumed: %v", err)
 	}
 }
 

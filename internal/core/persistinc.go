@@ -262,7 +262,7 @@ func (e *Engine) encodeGroupRecord(midx uint64) []byte {
 // applyGroupRecord installs one sealed group record into the engine: the
 // blocks it carries into the arena (the rest of the group stays as the base
 // and earlier records left it), the counter image into the image store and
-// the trusted scheme state machine, and the touched leaves into the tree. The
+// the trusted scheme state machine, and the image's leaf into the tree. The
 // record's seal has already verified; errors here mean the sealed content
 // does not fit this engine's geometry — corruption of the pairing, never
 // something to paper over.
@@ -292,8 +292,7 @@ func (e *Engine) applyGroupRecord(payload []byte, loader ctr.MetadataLoader) err
 			continue
 		}
 		blk := first + j
-		ct := e.store.Materialize(blk)
-		copy(ct, payload[off:off+BlockBytes])
+		copy(e.store.Materialize(blk), payload[off:off+BlockBytes])
 		off += BlockBytes
 		e.store.SetMeta(blk, binary.LittleEndian.Uint64(payload[off:]))
 		off += 8
@@ -301,18 +300,13 @@ func (e *Engine) applyGroupRecord(payload []byte, loader ctr.MetadataLoader) err
 			copy(e.store.Check(blk), payload[off:off+checkBytes])
 			off += checkBytes
 		}
-		if e.cfg.DataTree {
-			if err := e.tr.UpdateLeafFast(blk, ct); err != nil {
-				return err
-			}
-		}
 	}
 
 	copy(e.images.Store(midx), img)
 	if err := loader.LoadMetadata(midx, [BlockBytes]byte(img)); err != nil {
 		return fmt.Errorf("group record %d counter image undecodable: %w", midx, err)
 	}
-	return e.tr.UpdateLeafFast(e.metaLeaf(midx), img)
+	return e.tr.UpdateLeafFast(midx, img)
 }
 
 // RecoveryStatus classifies how an incremental resume ended.

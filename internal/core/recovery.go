@@ -34,20 +34,10 @@ import (
 //     with fresh data, which releases it. Data in a quarantined block is
 //     lost — but loudly, never silently.
 
-// recoveryPolicy bounds the retry-then-repair read path.
-type recoveryPolicy struct {
-	// MaxRetries is the number of re-read attempts after a failed
-	// verification (0 disables retries).
-	MaxRetries int
-	// RepairMetadata enables rebuilding counter images and the integrity
-	// tree from trusted on-chip state when a counter-stage check fails.
-	RepairMetadata bool
-}
-
-// defaultRecovery is every engine's policy: a controller that retries a
-// failed read twice before raising a machine check, with metadata repair
-// enabled.
-var defaultRecovery = recoveryPolicy{MaxRetries: 2, RepairMetadata: true}
+// maxRetries is the number of re-read attempts after a failed verification:
+// a controller that retries a failed read twice before raising a machine
+// check.
+const maxRetries = 2
 
 // SetRetryHook registers f, called with the failing block index before each
 // retry re-read. It models the memory controller re-issuing the DRAM
@@ -78,12 +68,12 @@ type RecoverInfo struct {
 	// MetadataRepaired is true when counter images and the tree were
 	// rebuilt from trusted state during this read.
 	MetadataRepaired bool
-	// Quarantined is true when this read exhausted the policy and added
+	// Quarantined is true when this read exhausted the ladder and added
 	// the block to the quarantine list.
 	Quarantined bool
 }
 
-// ReadRecover is ReadBlocks with the engine's recovery policy applied to
+// ReadRecover is ReadBlocks with the engine's recovery ladder applied to
 // every block of the span that fails verification: it attempts metadata
 // repair (counter-stage failures), then bounded re-read retries, and finally
 // quarantines the block and returns the error, which carries that block's
@@ -110,7 +100,7 @@ func (e *Engine) recoverBlock(blk uint64, dst []byte, err error, ri *RecoverInfo
 	addr := blk * BlockBytes
 
 	// Tier 1: counter-plane failures are repairable from trusted state.
-	if e.recovery.RepairMetadata && ie.Stage == StageCounter {
+	if ie.Stage == StageCounter {
 		if rerr := e.repairMetadata(); rerr == nil {
 			atomic.AddUint64(&e.stats.MetadataRepairs, 1)
 			ri.MetadataRepaired = true
@@ -122,7 +112,7 @@ func (e *Engine) recoverBlock(blk uint64, dst []byte, err error, ri *RecoverInfo
 	}
 
 	// Tier 2: bounded re-read retries for transient faults.
-	for t := 0; t < e.recovery.MaxRetries; t++ {
+	for t := 0; t < maxRetries; t++ {
 		atomic.AddUint64(&e.stats.RetriedReads, 1)
 		ri.Retries++
 		if e.retryHook != nil {
@@ -177,15 +167,12 @@ func (e *Engine) QuarantineList() []uint64 {
 	return blks
 }
 
-// MetadataIndex returns the index of the counter block covering addr, for
-// fault targeting and reporting.
+// MetadataIndex returns the index of the counter block covering addr, which
+// is also the tree leaf that block verifies under, for fault targeting and
+// reporting.
 func (e *Engine) MetadataIndex(addr uint64) uint64 {
 	return e.scheme.MetadataBlock(addr / BlockBytes)
 }
-
-// MetaLeaf returns the tree-leaf index holding the given counter block, for
-// targeting faults at a specific block's verification path.
-func (e *Engine) MetaLeaf(midx uint64) uint64 { return e.metaLeaf(midx) }
 
 // repairTampered handles a tree mutator's result. A mutator verifies every
 // stored node it would re-MAC and fails with *tree.ErrTampered, writing
@@ -228,17 +215,5 @@ func (e *Engine) repairMetadata() error {
 		packed := e.packer.PackMetadata(midx)
 		copy(img, packed[:])
 	})
-	zero := make([]byte, BlockBytes)
-	return e.tr.Rebuild(func(leaf uint64) []byte {
-		if e.cfg.DataTree {
-			if leaf < e.cfg.DataBlocks() {
-				if ct := e.store.Ciphertext(leaf); ct != nil {
-					return ct
-				}
-				return zero
-			}
-			return e.images.Load(leaf - e.cfg.DataBlocks())
-		}
-		return e.images.Load(leaf)
-	})
+	return e.tr.Rebuild(e.images.Load)
 }

@@ -62,7 +62,7 @@ func TestRecoverTreeNodeRepair(t *testing.T) {
 	if e.tr.OffChipLevels() == 0 {
 		t.Skip("tree fits on chip")
 	}
-	leaf := e.metaLeaf(e.MetadataIndex(0))
+	leaf := e.MetadataIndex(0)
 	id := tree.NodeID{Level: 0, Index: leaf / 8}
 	if err := flipNode(e.off, id, 5); err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestRecoverQuarantine(t *testing.T) {
 	if err == nil {
 		t.Fatal("uncorrectable fault recovered without data")
 	}
-	if !ri.Quarantined || ri.Retries != e.recovery.MaxRetries {
+	if !ri.Quarantined || ri.Retries != maxRetries {
 		t.Fatalf("unexpected recovery shape: %+v", ri)
 	}
 	if !e.Quarantined(128) {
@@ -186,26 +186,6 @@ func TestRecoverQuarantine(t *testing.T) {
 	}
 	if !bytes.Equal(dst, pt2) {
 		t.Fatal("plaintext mismatch after rewrite")
-	}
-}
-
-// TestRecoverPolicyDisabled: MaxRetries=0 and RepairMetadata=false make
-// ReadRecover equivalent to Read plus quarantine.
-func TestRecoverPolicyDisabled(t *testing.T) {
-	e := newEngine(t, smallCfg(ctr.Split, MACInline))
-	if err := e.Write(0, block(1)); err != nil {
-		t.Fatal(err)
-	}
-	e.recovery = recoveryPolicy{}
-	if err := flipElem(e.off, PlaneCounter, e.MetadataIndex(0), 3); err != nil {
-		t.Fatal(err)
-	}
-	ri, err := e.ReadRecover(0, make([]byte, BlockBytes))
-	if err == nil {
-		t.Fatal("recovered with policy disabled")
-	}
-	if ri.MetadataRepaired || ri.Retries != 0 || !ri.Quarantined {
-		t.Fatalf("unexpected recovery shape: %+v", ri)
 	}
 }
 
@@ -331,7 +311,7 @@ func TestRecoverSpanQuarantinesFailingBlock(t *testing.T) {
 	if !errors.As(err, &ie) || ie.Addr != bad || ie.Stage != StageData {
 		t.Fatalf("ReadRecover: %v, want a data-stage IntegrityError at %#x", err, bad)
 	}
-	if !ri.Quarantined || ri.Retries != e.recovery.MaxRetries || ri.MetadataRepaired || ri.RetryRecovered {
+	if !ri.Quarantined || ri.Retries != maxRetries || ri.MetadataRepaired || ri.RetryRecovered {
 		t.Fatalf("unexpected recovery shape: %+v", ri)
 	}
 	if !bytes.Equal(dst[:2*BlockBytes], src[:2*BlockBytes]) {
@@ -345,7 +325,7 @@ func TestRecoverSpanQuarantinesFailingBlock(t *testing.T) {
 	}
 	// Three blocks read once, the third re-read once per retry; the fourth
 	// never.
-	if reads := e.Stats().Reads - base.Reads; reads != uint64(3+e.recovery.MaxRetries) {
-		t.Fatalf("%d block reads, want %d", reads, 3+e.recovery.MaxRetries)
+	if reads := e.Stats().Reads - base.Reads; reads != uint64(3+maxRetries) {
+		t.Fatalf("%d block reads, want %d", reads, 3+maxRetries)
 	}
 }

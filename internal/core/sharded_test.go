@@ -218,9 +218,6 @@ func TestShardedErrorAddressesAreGlobal(t *testing.T) {
 func TestShardedQuarantineGlobal(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
 	s := newSharded(t, cfg, 4)
-	for _, sh := range s.shards {
-		sh.eng.recovery = recoveryPolicy{MaxRetries: 1}
-	}
 
 	if s.QuarantineList() != nil || s.QuarantineCount() != 0 {
 		t.Fatal("fresh engine has quarantined blocks")

@@ -384,14 +384,53 @@ func TestMetaAccessDirtyEvictionWritesBack(t *testing.T) {
 	}
 }
 
+// TestDataTreeGeometryAndOverhead reproduces §2.2's motivation for Bonsai
+// trees: at 512MB the model's classic data tree is ~60x larger and deeper
+// than the engine's BMT over delta-encoded counters. Without the design
+// point, the model's breakdown is the engine's.
+func TestDataTreeGeometryAndOverhead(t *testing.T) {
+	classic := sim.Table1(core.Default(ctr.Monolithic, core.MACInline))
+	classic.DataTree = true
+	co, err := classic.Overhead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bmt, err := core.ComputeOverhead(core.Default(ctr.Delta, core.MACInECC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ratio := float64(co.TreeBytes) / float64(bmt.TreeBytes); ratio < 40 {
+		t.Fatalf("data tree only %.1fx larger than bonsai tree", ratio)
+	}
+	// ~14% tree overhead for the classic design (1/7th of the region).
+	pct := 100 * float64(co.TreeBytes) / float64(co.RegionBytes)
+	if pct < 12 || pct > 17 {
+		t.Fatalf("data tree overhead %.1f%%", pct)
+	}
+	if co.TreeLevels <= bmt.TreeLevels {
+		t.Fatalf("data tree depth %d not above bonsai %d", co.TreeLevels, bmt.TreeLevels)
+	}
+	classic.DataTree = false
+	po, err := classic.Overhead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eo, err := core.ComputeOverhead(classic.Config); err != nil || po != eo {
+		t.Fatalf("model breakdown %+v, engine %+v (%v)", po, eo, err)
+	}
+}
+
 // TestDataTreeTimingCost shows the per-access tree-walk penalty BMTs remove:
 // the classic design issues strictly more DRAM transactions for the same
 // miss stream.
 func TestDataTreeTimingCost(t *testing.T) {
 	run := func(dataTree bool) uint64 {
-		cfg := core.Default(ctr.Monolithic, core.MACInline)
+		cfg := sim.Table1(core.Default(ctr.Monolithic, core.MACInline))
 		cfg.DataTree = dataTree
-		tm := newTM(t, cfg)
+		tm, err := sim.NewTimingModel(cfg, dram.MustNew(dram.DDR3_1600(4)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		var now uint64
 		for i := uint64(0); i < 3000; i++ {
 			addr := (i * 2654435761 % (1 << 22)) * core.BlockBytes % cfg.RegionBytes
@@ -407,7 +446,7 @@ func TestDataTreeTimingCost(t *testing.T) {
 
 // TestIntegrationEngineAndTimingModelAgree drives the identical write-back
 // sequence through the functional engine and the timing model at every design
-// point: 4 schemes × 2 placements, plus the classic data tree. Because they
+// point: 4 schemes × 2 placements. Because they
 // share the counter-scheme implementation, their scheme-event statistics must
 // match exactly, and so must the group re-encryptions each side performed
 // (the engine's GroupReencrypts, the model's charged ReencryptOps). Counter
@@ -421,16 +460,10 @@ func TestIntegrationEngineAndTimingModelAgree(t *testing.T) {
 			points = append(points, core.Default(kind, p))
 		}
 	}
-	classic := core.Default(ctr.Split, core.MACInline)
-	classic.DataTree = true
-	points = append(points, classic)
 
 	for _, cfg := range points {
 		cfg.RegionBytes = 1 << 20
 		name := cfg.Scheme.String() + "/" + cfg.Placement.String()
-		if cfg.DataTree {
-			name += "/data-tree"
-		}
 		eng, err := core.NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -171,20 +171,11 @@ func (e *Engine) Flush() error {
 		img := e.packer.PackMetadata(midx)
 		copy(e.images.Store(midx), img[:])
 		e.cc.update(midx, img[:])
-		wp.leafBuf = append(wp.leafBuf, e.metaLeaf(midx))
+		wp.leafBuf = append(wp.leafBuf, midx)
 	}
 	atomic.AddUint64(&e.stats.DeferredLeafFlushes, uint64(len(wp.dirty)))
 	wp.reset()
-	return e.repairTampered(e.tr.UpdateLeaves(wp.leafBuf, e.leafImage))
-}
-
-// leafImage resolves a tree leaf to its stored image, inverting metaLeaf.
-// Flush only passes leaves it has just re-packed from trusted state.
-func (e *Engine) leafImage(leaf uint64) []byte {
-	if e.cfg.DataTree {
-		return e.images.Load(leaf - e.cfg.DataBlocks())
-	}
-	return e.images.Load(leaf)
+	return e.repairTampered(e.tr.UpdateLeaves(wp.leafBuf, e.images.Load))
 }
 
 // flushDirtyLeaf establishes trust in a dirty leaf on a cold read — the
@@ -203,7 +194,7 @@ func (e *Engine) flushDirtyLeaf(midx uint64) ([]byte, bool) {
 	}
 	e.wp.clear(midx)
 	atomic.AddUint64(&e.stats.DeferredLeafFlushes, 1)
-	if err := e.repairTampered(e.tr.UpdateLeafFast(e.metaLeaf(midx), stored)); err != nil {
+	if err := e.repairTampered(e.tr.UpdateLeafFast(midx, stored)); err != nil {
 		panic(fmt.Errorf("core: dirty-leaf flush: %w", err)) // geometry is fixed; cannot fail
 	}
 	return stored, true
@@ -222,7 +213,7 @@ func (e *Engine) loadVerifiedImage(addr, midx uint64) ([]byte, error) {
 		return img, nil
 	}
 	img := e.images.Load(midx)
-	if err := e.tr.VerifyLeafFast(e.metaLeaf(midx), img); err != nil {
+	if err := e.tr.VerifyLeafFast(midx, img); err != nil {
 		return nil, &IntegrityError{Addr: addr, Reason: "counter metadata failed integrity tree check: " + err.Error(), Stage: StageCounter}
 	}
 	return img, nil

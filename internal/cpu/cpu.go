@@ -264,6 +264,3 @@ func (s *System) Run() Result {
 	}
 	return s.res
 }
-
-// L3Stats exposes shared-cache statistics.
-func (s *System) L3Stats() cache.Stats { return s.l3.Stats() }

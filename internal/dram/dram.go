@@ -155,15 +155,6 @@ func (s Stats) AvgReadLatency() float64 {
 	return float64(s.TotalReadLatency) / float64(s.Reads)
 }
 
-// RowHitRate returns row-buffer hits over all accesses.
-func (s Stats) RowHitRate() float64 {
-	total := s.RowHits + s.RowMisses + s.RowEmpty
-	if total == 0 {
-		return 0
-	}
-	return float64(s.RowHits) / float64(total)
-}
-
 type bank struct {
 	rowOpen      bool
 	openRow      uint64
@@ -382,13 +373,3 @@ func (m *Memory) applyRefresh(ch *channel, start uint64) uint64 {
 
 // Stats returns cumulative event counts.
 func (m *Memory) Stats() Stats { return m.stats }
-
-// ResetStats zeroes counters without touching bank state.
-func (m *Memory) ResetStats() { m.stats = Stats{} }
-
-// IdleReadLatencyCPU returns the no-contention read latency in CPU cycles
-// for a row-empty access: activate + CAS + burst. Useful as a reference
-// point in reports.
-func (m *Memory) IdleReadLatencyCPU() uint64 {
-	return uint64(m.cfg.TRCD+m.cfg.CL+m.cfg.Burst) * uint64(m.cfg.CPUCyclesPerDRAMCycle)
-}

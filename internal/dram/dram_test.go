@@ -63,9 +63,6 @@ func TestColdReadLatency(t *testing.T) {
 	if m.Stats().RowEmpty != 1 || m.Stats().Reads != 1 {
 		t.Fatalf("stats %+v", m.Stats())
 	}
-	if m.IdleReadLatencyCPU() != want {
-		t.Fatalf("IdleReadLatencyCPU = %d", m.IdleReadLatencyCPU())
-	}
 }
 
 func TestRowHitFasterThanConflict(t *testing.T) {
@@ -185,29 +182,12 @@ func TestBusSerializesBursts(t *testing.T) {
 
 func TestStatsAverages(t *testing.T) {
 	var s Stats
-	if s.AvgReadLatency() != 0 || s.RowHitRate() != 0 {
+	if s.AvgReadLatency() != 0 {
 		t.Fatal("idle stats should be zero")
 	}
-	s = Stats{Reads: 2, TotalReadLatency: 200, RowHits: 3, RowEmpty: 1}
+	s = Stats{Reads: 2, TotalReadLatency: 200}
 	if s.AvgReadLatency() != 100 {
 		t.Fatalf("avg latency %v", s.AvgReadLatency())
-	}
-	if s.RowHitRate() != 0.75 {
-		t.Fatalf("row hit rate %v", s.RowHitRate())
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	m := mem(t)
-	m.Access(0, 0, false)
-	m.ResetStats()
-	if m.Stats() != (Stats{}) {
-		t.Fatal("stats survived reset")
-	}
-	// Bank state must survive: the next access to the same row is a hit.
-	m.Access(1000, 0, false)
-	if m.Stats().RowHits != 1 {
-		t.Fatal("bank state lost by ResetStats")
 	}
 }
 

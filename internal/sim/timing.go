@@ -26,13 +26,52 @@ const (
 
 // TimingConfig configures a TimingModel: the engine's design point plus the
 // on-chip counter/MAC metadata cache, which only the modeled controller has
-// (the functional engine sizes its verified caches from the region).
+// (the functional engine sizes its verified caches from the region), and the
+// tree design, which only the model varies.
 type TimingConfig struct {
 	core.Config
 	// MetadataCacheBytes / MetadataCacheWays size the on-chip counter/MAC
 	// cache (Table 1: 32KB, 8-way).
 	MetadataCacheBytes int
 	MetadataCacheWays  int
+	// DataTree prices the classic pre-BMT design §2.2 contrasts against
+	// instead of the engine's Bonsai Merkle tree: the integrity tree spans
+	// the data blocks themselves (data leaves first) as well as the counter
+	// blocks. This inflates the tree ~60x and adds a full tree walk to every
+	// data access — the overhead Rogers et al.'s observation removed. The
+	// functional engine builds only the Bonsai Merkle tree.
+	DataTree bool
+}
+
+// TreeShape returns the shape of the tree the model walks: the engine's
+// (core.Config.TreeShape), or under DataTree one leaf per data block followed
+// by one per counter-metadata block.
+func (c TimingConfig) TreeShape() (tree.Shape, error) {
+	if !c.DataTree {
+		return c.Config.TreeShape()
+	}
+	scheme, err := ctr.NewScheme(c.Scheme)
+	if err != nil {
+		return tree.Shape{}, err
+	}
+	return tree.NewShape(c.DataBlocks()+scheme.MetadataBlocks(c.DataBlocks()), c.OnChipTreeBytes)
+}
+
+// Overhead is the design point's Figure 1 storage breakdown:
+// core.ComputeOverhead with the tree counted on the model's shape, which
+// differs from the engine's only under DataTree.
+func (c TimingConfig) Overhead() (core.Overhead, error) {
+	o, err := core.ComputeOverhead(c.Config)
+	if err != nil {
+		return core.Overhead{}, err
+	}
+	shape, err := c.TreeShape()
+	if err != nil {
+		return core.Overhead{}, err
+	}
+	o.TreeBytes = shape.OffChipBytes()
+	o.TreeLevels = shape.OffChipLevels() + 1 // + the counter-block read
+	return o, nil
 }
 
 // Table1 returns design on the paper's Table 1 controller: a 32KB 8-way
@@ -44,7 +83,8 @@ func Table1(design core.Config) TimingConfig {
 // TimingModel prices reads and writebacks of a secure memory controller
 // design point against a DDR3 timing model. It runs the functional engine's
 // counter-scheme state machines (internal/ctr) and walks the engine's tree
-// shape (core.Config.TreeShape), so Table 2's re-encryption events and
+// shape (core.Config.TreeShape, unless TimingConfig.DataTree prices the
+// classic design), so Table 2's re-encryption events and
 // Figure 8's latency effects come from one implementation; it skips the
 // cryptography, which is what makes billion-access simulations tractable.
 type TimingModel struct {
@@ -208,8 +248,9 @@ func (t *TimingModel) fetchCounter(now, blk uint64, forWrite bool) uint64 {
 	return ready + uint64(t.DecodeCycles)
 }
 
-// metaLeaf maps a metadata block to its tree leaf, as the engine numbers
-// them (data blocks come first under the classic data-tree design).
+// metaLeaf maps a metadata block to its tree leaf: the engine's numbering,
+// where the leaf is the metadata index, or under DataTree that index past the
+// data leaves.
 func (t *TimingModel) metaLeaf(midx uint64) uint64 {
 	if t.cfg.DataTree {
 		return t.cfg.DataBlocks() + midx
