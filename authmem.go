@@ -129,7 +129,8 @@ type Config struct {
 	OnChipTreeBytes int
 	// CryptoBackend must be empty. It is kept for the frozen benchmark
 	// harness, which reads it; no second value exists (the cipher and MAC
-	// are crypto/aes, unconditionally) and New rejects anything else.
+	// are internal/crypto's, chosen by the platform) and New rejects
+	// anything else.
 	CryptoBackend string
 }
 

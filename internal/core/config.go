@@ -79,8 +79,8 @@ type Config struct {
 	KeyMaterial []byte
 	// CryptoBackend must be empty. It is kept for the frozen benchmark
 	// harness (bench/kernels.go reads it); no second value exists — the
-	// engine's only cipher and MAC are internal/crypto over crypto/aes —
-	// and Validate rejects anything else.
+	// engine's only cipher and MAC are internal/crypto's, chosen by the
+	// platform — and Validate rejects anything else.
 	CryptoBackend string
 }
 
@@ -124,7 +124,7 @@ func (c Config) Validate() error {
 	case c.CorrectBits < 0 || c.CorrectBits > 2:
 		return fmt.Errorf("core: correction budget %d out of range", c.CorrectBits)
 	case c.CryptoBackend != "":
-		return fmt.Errorf("core: CryptoBackend %q: no selectable crypto backend exists (crypto/aes is the only cipher path); leave the field empty", c.CryptoBackend)
+		return fmt.Errorf("core: CryptoBackend %q: no selectable crypto backend exists (internal/crypto is the only cipher path); leave the field empty", c.CryptoBackend)
 	}
 	return nil
 }

@@ -2,9 +2,10 @@ package crypto_test
 
 // Production-vs-reference differential conformance suite.
 //
-// crypto.Stream and crypto.MAC (crypto/aes) seal and verify every stored
-// block; keystream.Cipher and mac.Key (the repository's from-scratch T-table
-// AES) are the reference they must stay BIT-IDENTICAL to — every image, WAL
+// crypto.Stream and crypto.MAC (the AES-NI kernel, or crypto/aes where the
+// instruction is missing) seal and verify every stored block;
+// keystream.Cipher and mac.Key (the repository's from-scratch T-table AES)
+// are the reference they must stay BIT-IDENTICAL to — every image, WAL
 // and campaign verdict written before the engine had one cipher path was
 // produced by one of three then-selectable implementations, all held equal to
 // that reference. The suite diffs pads, ciphertexts and tags over randomized
@@ -363,8 +364,10 @@ func TestErrorConformance(t *testing.T) {
 		}
 	}
 
-	if _, err := crypto.NewStream(make([]byte, 7)); err == nil {
-		t.Error("NewStream accepted a 7-byte key")
+	for _, n := range []int{7, 24, 32} { // the pads are AES-128 only
+		if _, err := crypto.NewStream(make([]byte, n)); err == nil {
+			t.Errorf("NewStream accepted a %d-byte key", n)
+		}
 	}
 	if _, err := keystream.New(make([]byte, 7)); err == nil {
 		t.Error("keystream.New accepted a 7-byte key")
@@ -387,10 +390,11 @@ func TestErrorConformance(t *testing.T) {
 	}
 }
 
-// TestKernelsAllocateNothing pins 0 allocs/op on the four hot kernels. The
-// scratch every cipher.Block call needs lives in the Stream/MAC struct; a
-// refactor that moves it to the stack would escape through the interface and
-// show up here.
+// TestKernelsAllocateNothing pins 0 allocs/op on the four hot kernels, on
+// whichever path the platform runs (the AES-NI kernel on amd64, crypto/aes
+// under GOARCH=386). On crypto/aes the scratch every cipher.Block call needs
+// lives in the Stream/MAC struct; a refactor that moves it to the stack
+// would escape through the interface and show up here.
 func TestKernelsAllocateNothing(t *testing.T) {
 	key := testKeyMaterial(10)
 	ks, _ := newStreams(t, key)

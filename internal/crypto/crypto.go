@@ -1,15 +1,18 @@
 // Package crypto holds the engine's cipher and MAC kernels: AES-CTR pads
-// and the 56-bit Carter-Wegman tag, both over crypto/aes.
+// and the 56-bit Carter-Wegman tag.
 //
 // The paper's delta+ECC scheme spends its residual overhead in exactly these
-// two kernels. There is one implementation and no selection: crypto/aes
-// (AES-NI / ARMv8 crypto extensions where the CPU has them, the standard
-// library's generic code elsewhere) under scalar per-block loops, with the
-// GF(2^64) polynomial hash on the CPU's carry-less multiplier (PCLMULQDQ,
-// gf64.PolyHash) on amd64 and on the windowed gf64 tables only where that
-// instruction is missing. The choice follows the platform; there is no
-// option. DESIGN §5b records the end-to-end numbers behind "scalar loops,
-// no batching, no pad cache".
+// two kernels. There is one implementation per platform and no selection.
+// On amd64 with AES-NI (CPUID, read once) the pads and the tag's PRF run on
+// one assembly kernel (aes_amd64.s): an AES-128 schedule built with
+// AESKEYGENASSIST, a span loop that builds each block's four nonces in
+// registers and runs the four lanes' AESENC rounds interleaved, and a
+// one-block PRF. Where that instruction is missing, crypto/aes runs the
+// same nonces one lane at a time. The GF(2^64) polynomial hash runs on the
+// CPU's carry-less multiplier (PCLMULQDQ, gf64.PolyHash) on amd64 and on the
+// windowed gf64 tables only where that instruction is missing. The choice
+// follows the platform; there is no option. DESIGN §5b records the
+// end-to-end numbers behind "no batching across blocks, no pad cache".
 //
 // internal/keystream, internal/aes and mac.Key are the from-scratch
 // reference the conformance suite and the two fuzz targets hold this package
@@ -17,9 +20,10 @@
 //
 // Concurrency contract: a Stream or MAC is single-owner; each engine builds
 // its own pair and serializes every call, the re-encryption sweep included.
-// cipher.Block is an interface, so a buffer passed to Encrypt escapes; the
-// scratch therefore lives in the struct (allocated once, at construction),
-// which is what keeps every call here at 0 allocs/op.
+// On AES-NI the kernels are //go:noescape assembly and nothing escapes. On
+// the fallback cipher.Block is an interface, so a buffer passed to Encrypt
+// escapes; the scratch therefore lives in the struct (allocated once, at
+// construction). Either way every call here is 0 allocs/op.
 package crypto
 
 import (
@@ -38,31 +42,53 @@ const BlockSize = 64
 // lanes is the number of 16-byte AES blocks per 64-byte pad.
 const lanes = BlockSize / stdaes.BlockSize
 
+// roundKeys is an expanded AES-128 key: the eleven round keys in the byte
+// order AESENC takes them, round 0 (the cipher key itself) first.
+type roundKeys [11 * stdaes.BlockSize]byte
+
+// newAES keys AES-128 for this platform: the AES-NI kernel's schedule, or,
+// where the instruction is missing, a crypto/aes cipher. key is 16 bytes.
+func newAES(key []byte) (*roundKeys, cipher.Block) {
+	if aesni {
+		xk := new(roundKeys)
+		expandKey(xk, (*[16]byte)(key))
+		return xk, nil
+	}
+	// crypto/aes accepts every 16-byte key.
+	blk, _ := stdaes.NewCipher(key)
+	return nil, blk
+}
+
 // Stream generates and applies 64-byte AES-CTR keystream pads. As in §2.1
 // of the paper, a block's pad is AES over (physical address, counter): the
 // address makes pads unique across blocks, the counter across writes to one
 // block. Never reusing an (address, counter) pair under one key is the
 // invariant the counter schemes in internal/ctr exist to maintain.
 type Stream struct {
+	// xk is the AES-NI kernel's schedule; nil when crypto/aes runs the
+	// pads (blk).
+	xk  *roundKeys
 	blk cipher.Block
 
 	nonce [stdaes.BlockSize]byte
 	pad   [BlockSize]byte
 }
 
-// NewStream builds a Stream from a 16-byte AES-128 key (24/32 bytes select
-// AES-192/256).
+// NewStream builds a Stream from a 16-byte AES-128 key. It refuses every
+// other length, 24- and 32-byte AES keys included: the engine's pads are
+// AES-128, so the kernel has one schedule and one round count.
 func NewStream(key []byte) (*Stream, error) {
-	blk, err := stdaes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("crypto: %w", err)
+	if len(key) != 16 {
+		return nil, fmt.Errorf("crypto: Stream key must be 16 bytes (AES-128), got %d", len(key))
 	}
-	return &Stream{blk: blk}, nil
+	xk, blk := newAES(key)
+	return &Stream{xk: xk, blk: blk}, nil
 }
 
-// generate writes the pad for (addr, counter) into dst: four AES blocks over
-// LE64(addr) ‖ LE64(counter | lane<<56). Counters are at most 56 bits, so
-// the top byte is free to make the four inputs distinct.
+// generate writes the pad for (addr, counter) into dst on crypto/aes: four
+// AES blocks over LE64(addr) ‖ LE64(counter | lane<<56). Counters are at
+// most 56 bits, so the top byte is free to make the four inputs distinct.
+// The AES-NI kernel builds the same four nonces.
 func (s *Stream) generate(dst []byte, addr, counter uint64) {
 	binary.LittleEndian.PutUint64(s.nonce[:8], addr)
 	for lane := 0; lane < lanes; lane++ {
@@ -78,6 +104,11 @@ func (s *Stream) PadN(dst []byte, addr, counter uint64) error {
 	if err := checkSpanLen(len(dst)); err != nil {
 		return err
 	}
+	if s.xk != nil {
+		clear(dst)
+		xorPads(s.xk, &dst[0], &dst[0], len(dst)/BlockSize, addr, counter)
+		return nil
+	}
 	for off := 0; off < len(dst); off += BlockSize {
 		s.generate(dst[off:off+BlockSize], addr+uint64(off), counter)
 	}
@@ -88,13 +119,18 @@ func (s *Stream) PadN(dst []byte, addr, counter uint64) error {
 // one counter — one block on the read path, a run of blocks in a span write
 // or a group re-encryption sweep. dst and src must have equal length, a
 // positive multiple of BlockSize, and may alias exactly; applying the pads
-// twice is the identity, so the same call encrypts and decrypts.
+// twice is the identity, so the same call encrypts and decrypts. On AES-NI
+// the whole span is one kernel call.
 func (s *Stream) XORBlocks(dst, src []byte, addr, counter uint64) error {
 	if len(src) != len(dst) {
 		return fmt.Errorf("crypto: src/dst length mismatch (%d vs %d)", len(src), len(dst))
 	}
 	if err := checkSpanLen(len(src)); err != nil {
 		return err
+	}
+	if s.xk != nil {
+		xorPads(s.xk, &dst[0], &src[0], len(src)/BlockSize, addr, counter)
+		return nil
 	}
 	for off := 0; off < len(src); off += BlockSize {
 		s.generate(s.pad[:], addr+uint64(off), counter)
@@ -138,9 +174,12 @@ func checkSpanLen(n int) error {
 //	PolyHash_h(C) = h²·a ⊕ h·b
 //
 // on two 8-bit-windowed gf64.Tables (h² and h), so the two chains'
-// dependent multiplies overlap. The PRF is one AES block.
+// dependent multiplies overlap. The PRF is one AES-128 block: the AES-NI
+// kernel's prfBlock where the CPU has it, crypto/aes elsewhere.
 type MAC struct {
-	h   uint64
+	h uint64
+	// xk is the PRF's AES-NI schedule; nil when crypto/aes runs it (blk).
+	xk  *roundKeys
 	blk cipher.Block
 	pow [8]uint64 // h^8, h^7, …, h: gf64.PolyHash's multiplicands
 	// h2, h1 are the fallback's tables; nil when the hash runs on CLMUL.
@@ -161,11 +200,8 @@ func NewMAC(material []byte) (*MAC, error) {
 		// nonzero substitute preserves uniformity of the family.
 		h = 1
 	}
-	blk, err := stdaes.NewCipher(material[8:])
-	if err != nil {
-		return nil, fmt.Errorf("crypto: %w", err)
-	}
-	m := &MAC{h: h, blk: blk}
+	m := &MAC{h: h}
+	m.xk, m.blk = newAES(material[8:])
 	p := h
 	for i := len(m.pow) - 1; i >= 0; i-- {
 		m.pow[i] = p
@@ -189,6 +225,9 @@ func (m *MAC) HashPoint() uint64 { return m.h }
 // prf computes PRF_k(addr, counter): one AES block over the nonce, low 64
 // bits.
 func (m *MAC) prf(addr, counter uint64) uint64 {
+	if m.xk != nil {
+		return prfBlock(m.xk, addr, counter)
+	}
 	binary.LittleEndian.PutUint64(m.in[:8], addr)
 	binary.LittleEndian.PutUint64(m.in[8:], counter)
 	m.blk.Encrypt(m.out[:], m.in[:])
@@ -248,7 +287,7 @@ type Kernels struct{}
 // Lookup accepts only the empty name.
 func Lookup(name string) (Kernels, error) {
 	if name != "" {
-		return Kernels{}, fmt.Errorf("crypto: no selectable backend (got %q): crypto/aes is the only cipher path", name)
+		return Kernels{}, fmt.Errorf("crypto: no selectable backend (got %q): this package is the only cipher path", name)
 	}
 	return Kernels{}, nil
 }

@@ -9,7 +9,7 @@
 // counter schemes in internal/ctr exist to maintain.
 //
 // This package is the from-scratch reference: the same pad construction as
-// the production path (internal/crypto, over crypto/aes) built on the
+// the production path (internal/crypto, AES-NI or crypto/aes) built on the
 // repository's own FIPS-197 T-table AES (internal/aes). Nothing outside
 // tests seals or opens a block with it; the conformance suite and fuzz
 // targets in internal/crypto hold the production pads bit-equal to these.

@@ -19,7 +19,7 @@
 // forgery time to millions of years.
 //
 // Key is the from-scratch reference: the same construction as the production
-// crypto.MAC (internal/crypto, PRF over crypto/aes) with the PRF on the
+// crypto.MAC (internal/crypto, PRF on AES-NI or crypto/aes) with the PRF on the
 // repository's own T-table AES (internal/aes). Like internal/keystream, the
 // package is test-only: no binary or public package links it, and the
 // conformance suite and fuzz targets in internal/crypto hold the production
