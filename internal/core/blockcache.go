@@ -18,17 +18,21 @@ import (
 //
 // Concurrency: entries are epoch-versioned seqlocks, so a warm hit needs no
 // lock at all. Every field of an entry is an atomic word; writers (always
-// under the owning shard's lock, so at most one at a time) bump the entry's
-// generation counter to an odd value, mutate, and bump it back to even.
+// under the owning shard's lock, so at most one at a time) set the entry's
+// generation counter to an odd value, mutate, and set it back to even.
+// An install publishes through publishLine, which on amd64 is one store
+// kernel of plain MOVQs: x86-64 (TSO) keeps stores, and loads, in program
+// order, so the probe's loads see the odd generation before any new word.
 // A lock-free reader snapshots the generation, loads the payload words into
 // registers with atomic loads, and re-checks the generation: any torn read —
 // a writer started or finished mid-copy — shows up as an odd or changed
 // generation and the reader retries, falling back to the locked slow path
 // after a bounded number of attempts. The probe copies into the caller's
 // buffer only after the re-check passes, so a miss never writes a byte.
-// Because payload words are only ever accessed atomically, the protocol is
-// race-detector-clean, and the double generation check makes a multi-word
-// copy consistent without a lock.
+// Under the race detector publishLine is a Go body of atomic stores, so
+// every payload word is accessed atomically and the detector checks the
+// protocol; the double generation check makes a multi-word copy consistent
+// without a lock.
 //
 // Banking: a probe banks nothing, and a lock-free span banks LockFreeHits
 // only (engineShard.bank); Engine.Stats adds that count to Reads and
@@ -160,17 +164,25 @@ func (c *blockCache) probe(blk uint64, dst []byte) (hit bool, retries int) {
 }
 
 // insert installs a copy of blk's verified plaintext, displacing whatever
-// shared its slot. Caller holds the owning lock; the generation bumps
-// publish the update to lock-free probes.
+// shared its slot. Caller holds the owning lock, which orders successive
+// writers; publishLine publishes the line to lock-free probes.
 func (c *blockCache) insert(blk uint64, pt []byte) {
 	e := &c.entries[blk&c.mask]
-	e.gen.Add(1) // odd: writer in progress
-	e.tag.Store(blk + 1)
-	e.epoch.Store(c.epoch.Load())
-	for i := 0; i < blockCacheWords; i++ {
+	publishLine(e, e.gen.Load(), blk+1, c.epoch.Load(), (*[BlockBytes]byte)(pt))
+}
+
+// publishLineGeneric is publishLine in Go: it stores gen+1 (odd: writer in
+// progress), the tag, the epoch, the eight plaintext words and gen+2 (even:
+// published), in that order. It runs off amd64 and under the race detector,
+// which cannot see the assembly kernel.
+func publishLineGeneric(e *blockCacheEntry, gen, tag, epoch uint64, pt *[BlockBytes]byte) {
+	e.gen.Store(gen + 1)
+	e.tag.Store(tag)
+	e.epoch.Store(epoch)
+	for i := range e.pt {
 		e.pt[i].Store(binary.LittleEndian.Uint64(pt[i*8:]))
 	}
-	e.gen.Add(1) // even: published
+	e.gen.Store(gen + 2)
 }
 
 // evict drops blk's line if resident. Caller holds the owning lock. The

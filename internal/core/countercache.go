@@ -1,7 +1,5 @@
 package core
 
-import "sync/atomic"
-
 // Verified-counter cache: the functional analogue of the paper's Table 1
 // on-chip metadata cache (32KB, 8-way in the timing model).
 //
@@ -17,17 +15,14 @@ import "sync/atomic"
 // image to the same single-slot decode a miss uses (ctr.Decode*: two loads,
 // a shift, a mask, an add).
 //
-// Concurrency: entries carry the same epoch-versioned seqlock protocol as
-// the verified-block cache (blockcache.go) — an atomic generation counter
-// bumped odd/even around every mutation, an atomic tag, and an install-time
-// epoch stamp so whole-cache invalidation is an O(1) epoch bump. Unlike the
-// block cache, counter-cache hits stay under the shard lock: a metadata hit
-// only removes the tree walk, and everything after it (MAC verification,
-// keystream decryption, correction write-backs) mutates engine state the
-// lock protects. The payload is therefore a plain field, accessed only with
-// the lock held; the generation/epoch words exist so evictions and flushes
-// publish through one protocol across both caches — the trust-boundary
-// argument in DESIGN.md §6d covers them together.
+// Concurrency: the cache is plain state guarded by the owning shard's lock.
+// Every caller holds it — the engine's read and write paths, and the
+// off-chip map's writes through ShardedEngine.onShard — and nothing reads
+// the cache without it: a metadata hit only removes the tree walk, and
+// everything after it (MAC verification, keystream decryption, correction
+// write-backs) mutates engine state the lock protects. So it has no seqlock;
+// whole-cache invalidation is still an O(1) epoch bump, and an entry from an
+// older epoch is empty.
 //
 // Consistency points, all internal to the engine:
 //   - the write pipeline's deferCommit/Flush refresh the cached copy
@@ -47,23 +42,18 @@ import "sync/atomic"
 
 // counterCacheEntry is one direct-mapped cache line.
 type counterCacheEntry struct {
-	// gen/tag/epoch follow the blockCacheEntry seqlock protocol; tag is the
-	// metadata block index +1 (0 means empty).
-	gen   atomic.Uint64
-	tag   atomic.Uint64
-	epoch atomic.Uint64
-
-	// The payload below is guarded by the owning shard's lock (see the file
-	// comment); the generation protocol brackets its mutations so the line's
-	// validity is still decided by atomic words alone.
-	img [BlockBytes]byte
+	// tag is the metadata block index +1; 0 means empty.
+	tag uint64
+	// epoch stamps the cache epoch at install.
+	epoch uint64
+	img   [BlockBytes]byte
 }
 
 // counterCache is a direct-mapped cache of tree-verified counter images.
 type counterCache struct {
 	entries []counterCacheEntry
 	mask    uint64
-	epoch   atomic.Uint64
+	epoch   uint64
 }
 
 // newCounterCache builds a cache with the given power-of-two entry count.
@@ -79,7 +69,7 @@ func newCounterCache(entries int) *counterCache {
 
 // resident reports whether e currently holds midx under cache epoch.
 func (c *counterCache) resident(e *counterCacheEntry, midx uint64) bool {
-	return e.tag.Load() == midx+1 && e.epoch.Load() == c.epoch.Load()
+	return e.tag == midx+1 && e.epoch == c.epoch
 }
 
 // lookup returns the cached (already tree-verified) image of midx, or nil on
@@ -96,39 +86,28 @@ func (c *counterCache) lookup(midx uint64) []byte {
 // whatever shared its slot. Caller holds the owning lock.
 func (c *counterCache) insert(midx uint64, img []byte) {
 	e := &c.entries[midx&c.mask]
-	e.gen.Add(1)
-	e.tag.Store(midx + 1)
-	e.epoch.Store(c.epoch.Load())
+	e.tag, e.epoch = midx+1, c.epoch
 	copy(e.img[:], img)
-	e.gen.Add(1)
 }
 
 // update refreshes midx's cached copy if resident (write-back on commit).
 // Non-resident blocks are not allocated: a write stream that never re-reads
 // must not evict the read working set.
 func (c *counterCache) update(midx uint64, img []byte) {
-	e := &c.entries[midx&c.mask]
-	if !c.resident(e, midx) {
-		return
+	if e := &c.entries[midx&c.mask]; c.resident(e, midx) {
+		copy(e.img[:], img)
 	}
-	e.gen.Add(1)
-	copy(e.img[:], img)
-	e.gen.Add(1)
 }
 
 // evict drops midx if resident. Caller holds the owning lock.
 func (c *counterCache) evict(midx uint64) {
-	e := &c.entries[midx&c.mask]
-	if !c.resident(e, midx) {
-		return
+	if e := &c.entries[midx&c.mask]; c.resident(e, midx) {
+		e.tag = 0
 	}
-	e.gen.Add(1)
-	e.tag.Store(0)
-	e.gen.Add(1)
 }
 
-// flush empties the cache in O(1) by advancing the epoch (see
-// blockCache.flush for the linearization argument).
+// flush empties the cache in O(1) by advancing the epoch. Caller holds the
+// owning lock.
 func (c *counterCache) flush() {
-	c.epoch.Add(1)
+	c.epoch++
 }

@@ -530,11 +530,11 @@ func TestLockFreeConcurrentStress(t *testing.T) {
 			var err error
 			switch op % 4 {
 			case 0:
-				err = flipAt(s, PlaneData, addr, int(x>>20)%(BlockBytes*8))
+				err = flipAt(s, PlaneData, addr, int(x>>20%(BlockBytes*8)))
 			case 1:
-				err = flipAt(s, PlaneLane, addr, int(x>>20)%64)
+				err = flipAt(s, PlaneLane, addr, int(x>>20%64))
 			case 2:
-				err = flipAt(s, PlaneCounter, addr, int(x>>20)%(BlockBytes*8))
+				err = flipAt(s, PlaneCounter, addr, int(x>>20%(BlockBytes*8)))
 			case 3:
 				shard := s.ShardOf(addr)
 				local := addr - uint64(shard)*s.ShardBytes()
@@ -546,7 +546,7 @@ func TestLockFreeConcurrentStress(t *testing.T) {
 					}
 					leaf := eng.MetadataIndex(local)
 					id := tree.NodeID{Level: 0, Index: leaf / tree.Arity}
-					err = flipNode(eng.off, id, int(x>>20)%(tree.NodeBytes*8))
+					err = flipNode(eng.off, id, int(x>>20%(tree.NodeBytes*8)))
 				})
 			}
 			if err != nil {

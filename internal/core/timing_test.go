@@ -337,7 +337,7 @@ func TestTimingDeterminism(t *testing.T) {
 		tm := newTM(t, paperCfg(ctr.Delta, core.MACInECC))
 		var now uint64
 		for i := 0; i < 5000; i++ {
-			a := uint64(i*2654435761%100000) * core.BlockBytes
+			a := uint64(i) * 2654435761 % 100000 * core.BlockBytes
 			if i%3 == 0 {
 				now = tm.WriteBack(now, a)
 			} else {
