@@ -10,17 +10,15 @@
 // oracle. The structured JSON report is written to -out; the process exits
 // nonzero if any read silently returned wrong data.
 //
-// The -concurrent mode runs the campaign's sharded-engine phase: several
+// The -concurrent mode runs the campaign's sharded-engine phase. Several
 // worker goroutines, each owning a disjoint slice of the block space that
 // straddles shard boundaries, drive parallel faulted traffic against a
-// ShardedEngine, and the run ends with a sharded persist/resume sweep. The
-// safety bar is the same: zero silent escapes.
-//
-// The -strike mode targets the lock-free read path specifically: reader
-// goroutines hammer a fixed warm hot set through the zero-lock seqlock
-// probe while a striker lands faults on those same lines and recovers the
-// victims. Any read that returns non-oracle bytes with a success verdict —
-// i.e. a fault masked by a stale-but-trusted cache line — fails the run.
+// ShardedEngine. Beside them, as many readers hammer a fixed warm hot set
+// through the lock-free seqlock probe while a striker lands faults on those
+// same lines and recovers the victims. The run ends with a sweep of the hot
+// set on the live engine and a sharded persist/resume sweep of every oracle
+// block. The safety bar is the same: zero silent escapes, so a fault masked
+// by a stale-but-trusted cache line fails the run.
 //
 // Usage:
 //
@@ -30,9 +28,6 @@
 //	faultinject -concurrent [-trials n] [-seed s] [-shards 4] [-workers 3]
 //	           [-scheme delta] [-placement macecc]
 //	           [-rate 0.15] [-burst 4] [-out CONCURRENT_report.json]
-//	faultinject -strike [-trials n] [-seed s] [-shards 4] [-workers 3]
-//	           [-scheme delta] [-placement macecc]
-//	           [-burst 4] [-out STRIKE_report.json]
 //	faultinject -cluster [-trials n] [-seed s] [-nodes 3] [-repl 2]
 //	           [-rate 0.15] [-burst 4] [-out CLUSTER_report.json]
 //
@@ -54,12 +49,11 @@ import (
 func main() {
 	runCampaign := flag.Bool("campaign", false, "run the end-to-end fault-injection campaign")
 	runConcurrent := flag.Bool("concurrent", false, "run the concurrent sharded-engine campaign phase")
-	runStrike := flag.Bool("strike", false, "run the lock-free read-path strike phase")
 	runCluster := flag.Bool("cluster", false, "run the distributed cluster campaign phase")
 	nodes := flag.Int("nodes", 3, "memserved node count for -cluster (>= 3)")
 	repl := flag.Int("repl", 2, "replicas per stripe for -cluster")
 	shards := flag.Int("shards", 4, "shard count for -concurrent (power of two)")
-	workers := flag.Int("workers", 3, "traffic goroutines for -concurrent")
+	workers := flag.Int("workers", 3, "worker goroutines, and as many lock-free hot-set readers, for -concurrent")
 	trials := flag.Int("trials", 2000, "memory operations in the run (every mode)")
 	seed := flag.Int64("seed", 1, "PRNG seed (campaigns replay exactly under the same seed and flags)")
 	budget := flag.Int("budget", 2, "MAC-in-ECC flip-and-check budget (bits)")
@@ -73,11 +67,6 @@ func main() {
 
 	if *runCluster {
 		mainCluster(*trials, *seed, *nodes, *repl, *rate, *burst, *out)
-		return
-	}
-	if *runStrike {
-		ecfg := engineConfig(*scheme, *placement, *budget)
-		mainStrike(ecfg, *trials, *seed, *burst, *shards, *workers, *out)
 		return
 	}
 	if *runConcurrent {
@@ -243,8 +232,8 @@ func mainConcurrent(ecfg core.Config, ops int, seed int64, rate float64, burst, 
 	cfg.Shards = shards
 	cfg.Workers = workers
 
-	fmt.Printf("Concurrent campaign: %s / %s / %s, budget %d, %d shards x %d workers, ~%d ops, seed %d\n",
-		ecfg.Scheme, ecfg.Placement, ecfg.CodecName(), ecfg.CorrectBits, shards, workers, cfg.OpsPerWorker*workers, seed)
+	fmt.Printf("Concurrent campaign: %s / %s / %s, budget %d, %d shards x %d workers + %d lock-free readers, ~%d ops, seed %d\n",
+		ecfg.Scheme, ecfg.Placement, ecfg.CodecName(), ecfg.CorrectBits, shards, workers, workers, cfg.OpsPerWorker*workers, seed)
 	rep, err := campaign.RunConcurrent(cfg)
 	if err != nil {
 		fatalf("%v", err)
@@ -253,12 +242,19 @@ func mainConcurrent(ecfg core.Config, ops int, seed int64, rate float64, burst, 
 	tb := stats.NewTable("metric", "value")
 	tb.AddRow("ops", rep.Ops)
 	tb.AddRow("span reads", rep.SpanReads)
+	tb.AddRow("hot-set reads", rep.HotReads)
+	tb.AddRow("strikes", rep.Strikes)
 	tb.AddRow("fault events", rep.FaultEvents)
 	tb.AddRow("bits flipped", rep.BitsFlipped)
 	for _, o := range campaign.Outcomes() {
 		tb.AddRow(o.String(), rep.Outcomes[o.String()])
 	}
-	tb.AddRow("resume sweep", rep.ResumeOutcome)
+	tb.AddRow("live sweep", rep.LiveSweep)
+	tb.AddRow("resume sweep", rep.ResumeSweep)
+	tb.AddRow("blocks read", rep.BlocksRead)
+	tb.AddRow("lock-free hits", rep.LockFreeHits)
+	tb.AddRow("seqlock retries", rep.SeqlockRetries)
+	tb.AddRow("slow-path reads", rep.SlowPathReads)
 	fmt.Print(tb)
 	fmt.Printf("\nrecovery: %d metadata repairs, %d/%d retry recoveries, %d quarantines\n",
 		rep.MetadataRepairs, rep.RetryRecoveries, rep.RetriedReads, rep.Quarantined)
@@ -269,53 +265,12 @@ func mainConcurrent(ecfg core.Config, ops int, seed int64, rate float64, burst, 
 	fmt.Printf("wrote %s\n", out)
 
 	if !rep.Passed() {
-		fmt.Fprintf(os.Stderr, "faultinject: FAIL: %d silent escape(s) under concurrent traffic — replay with -seed %d\n",
-			rep.SilentEscapes, seed)
+		fmt.Fprintf(os.Stderr, "faultinject: FAIL: %d silent escape(s) under concurrent traffic (live sweep %s, resume sweep %s, %d lock-free hits) — replay with -seed %d\n",
+			rep.SilentEscapes, rep.LiveSweep, rep.ResumeSweep, rep.LockFreeHits, seed)
 		os.Exit(1)
 	}
-	fmt.Printf("PASS: %d concurrent operations, %d fault events, 0 silent corruption escapes\n", rep.Ops, rep.FaultEvents)
-}
-
-func mainStrike(ecfg core.Config, ops int, seed int64, burst, shards, readers int, out string) {
-	cfg := campaign.DefaultStrike(ecfg, ops, seed)
-	cfg.BurstMax = burst
-	cfg.Shards = shards
-	cfg.Readers = readers
-
-	fmt.Printf("Strike campaign: %s / %s / %s, budget %d, %d shards x %d lock-free readers, %d strikes, seed %d\n",
-		ecfg.Scheme, ecfg.Placement, ecfg.CodecName(), ecfg.CorrectBits, shards, readers, cfg.Strikes, seed)
-	rep, err := campaign.RunStrike(cfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	tb := stats.NewTable("metric", "value")
-	tb.AddRow("read ops", rep.ReadOps)
-	tb.AddRow("fault events", rep.FaultEvents)
-	tb.AddRow("bits flipped", rep.BitsFlipped)
-	for _, o := range campaign.Outcomes() {
-		tb.AddRow(o.String(), rep.Outcomes[o.String()])
-	}
-	tb.AddRow("final sweep", rep.FinalSweep)
-	tb.AddRow("lock-free hits", rep.LockFreeHits)
-	tb.AddRow("seqlock retries", rep.SeqlockRetries)
-	tb.AddRow("slow-path reads", rep.SlowPathReads)
-	fmt.Print(tb)
-	fmt.Printf("\nrecovery: %d metadata repairs, %d retry recoveries, %d quarantines\n",
-		rep.MetadataRepairs, rep.RetryRecoveries, rep.Quarantined)
-
-	if err := stats.WriteJSON(out, rep); err != nil {
-		fatalf("writing report: %v", err)
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if !rep.Passed() {
-		fmt.Fprintf(os.Stderr, "faultinject: FAIL: %d silent escape(s) under lock-free readers (final sweep %s) — replay with -seed %d\n",
-			rep.SilentEscapes, rep.FinalSweep, seed)
-		os.Exit(1)
-	}
-	fmt.Printf("PASS: %d lock-free reads (%d warm hits), %d strikes, 0 silent corruption escapes\n",
-		rep.ReadOps, rep.LockFreeHits, rep.FaultEvents)
+	fmt.Printf("PASS: %d concurrent operations, %d fault events (%d strikes), %d blocks read (%d lock-free hits), 0 silent corruption escapes\n",
+		rep.Ops, rep.FaultEvents, rep.Strikes, rep.BlocksRead, rep.LockFreeHits)
 }
 
 func fatalf(format string, args ...any) {

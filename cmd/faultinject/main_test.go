@@ -15,7 +15,8 @@ import (
 
 // TestNoModePrintsUsage builds faultinject and runs it without a mode flag:
 // there is no default mode, so it must print its usage to stderr, write
-// nothing to stdout and exit 2. Skipped under -short (it pays a build).
+// nothing to stdout and exit 2. The usage lists the three modes and not the
+// deleted -strike. Skipped under -short (it pays a build).
 func TestNoModePrintsUsage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary exec test")
@@ -35,10 +36,13 @@ func TestNoModePrintsUsage(t *testing.T) {
 	if stdout.Len() != 0 {
 		t.Errorf("stdout = %q, want nothing", stdout.String())
 	}
-	for _, want := range []string{"Usage of", "-campaign", "-concurrent", "-strike", "-cluster"} {
+	for _, want := range []string{"Usage of", "-campaign", "-concurrent", "-cluster"} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
 		}
+	}
+	if strings.Contains(stderr.String(), "-strike") {
+		t.Errorf("stderr lists the deleted -strike mode:\n%s", stderr.String())
 	}
 }
 

@@ -30,6 +30,7 @@
 package campaign
 
 import (
+	"bytes"
 	"fmt"
 
 	"authmem/internal/core"
@@ -97,6 +98,37 @@ const (
 	Silent
 	numOutcomes
 )
+
+// grade classifies one read of want's bytes: an error is Halted, wrong bytes
+// Silent, a metadata repair or retry Recovered, an in-line correction
+// Corrected, anything else Clean.
+func grade(err error, got, want []byte, ri core.RecoverInfo) Outcome {
+	switch {
+	case err != nil:
+		return Halted
+	case !bytes.Equal(got, want):
+		return Silent
+	case ri.MetadataRepaired || ri.RetryRecovered:
+		return Recovered
+	case ri.CorrectedDataBits > 0 || ri.CorrectedMACBits > 0:
+		return Corrected
+	}
+	return Clean
+}
+
+// sweep reads blocks in order through read and returns the worst grade
+// against the oracle.
+func sweep(read func(addr uint64, dst []byte) (core.RecoverInfo, error), blocks []uint64,
+	oracle map[uint64][core.BlockBytes]byte) Outcome {
+	worst := Clean
+	var dst [core.BlockBytes]byte
+	for _, blk := range blocks {
+		ri, err := read(blk*core.BlockBytes, dst[:])
+		want := oracle[blk]
+		worst = max(worst, grade(err, dst[:], want[:], ri))
+	}
+	return worst
+}
 
 // Outcomes lists the classes in report order.
 func Outcomes() []Outcome { return []Outcome{Clean, Corrected, Recovered, Halted, Silent} }

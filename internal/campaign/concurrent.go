@@ -5,54 +5,66 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"authmem/internal/core"
 	"authmem/internal/ctr"
+	"authmem/internal/tree"
 )
 
 // Concurrent campaign phase: parallel faulted traffic against a sharded
-// engine.
+// engine, with lock-free readers on the lines a striker faults.
 //
 // The single-engine campaign proves the integrity machinery never returns
 // wrong data as if it were right — one operation at a time. The concurrent
-// phase asks the same question of the ShardedEngine while several workers
-// hammer it simultaneously, with faults landing under the same shard locks
-// the traffic takes. Each worker owns a disjoint, group-aligned slice of
-// the block space and keeps a private shadow oracle for it, so a silent
-// escape is detected exactly, with no cross-worker ambiguity. The worker
-// count is deliberately chosen so worker slices straddle shard boundaries:
-// every worker's span traffic crosses shards, and every shard serves more
-// than one worker, which is precisely the contention the per-shard locks
-// must survive.
+// phase asks the same question of the ShardedEngine under three kinds of
+// simultaneous traffic, every read graded against an oracle:
 //
-// Faults here are persistent only (transient-fault modeling needs the
-// retry-hook ledger, which is inherently single-threaded); the ciphertext,
-// ECC/MAC, counter, and tree planes are all exercised. Counter faults stay
-// inside the owning worker's group-aligned slice; tree faults may collide
-// with a neighbouring worker's reads in the same shard, which must surface
-// as loud recovery or halts — never silence.
+//   - Workers. Each owns a disjoint, group-aligned slice of the block space
+//     with a private shadow oracle, and mixes writes, ReadRecover reads and
+//     span reads with persistent faults on its own blocks, in all four
+//     planes, under the shard locks the raw operations take. Worker slices
+//     straddle shard boundaries, so span reads fan out across shards and
+//     every shard serves more than one worker.
+//   - Readers. A hot set, two whole groups in every shard and outside every
+//     worker's slice, is written once with constant oracle bytes. As many
+//     readers as workers Read it, mostly served warm from the seqlock-
+//     versioned verified-block caches with no lock taken.
+//   - The striker, the hot set's only writer. It lands a fault on a hot
+//     block, recovers the victim through ReadRecover and restores the oracle
+//     bytes while the readers keep reading. Every tamper entry point
+//     publishes an eviction through the generation protocol the lock-free
+//     probe reads, so from the instant a fault lands no reader may be served
+//     the pre-fault plaintext as a hit: it must fall to the locked slow path
+//     and take the detection machinery's verdict.
 //
-// The phase ends with a persist/resume round trip of the faulted, concurrent-
-// written state through the sharded v2 image format, re-checking every
-// worker's oracle on the resumed engine.
+// Faults are persistent only (transient faults need the retry-hook ledger,
+// which is single-threaded). A tree fault may land on a node that other
+// goroutines' blocks share; that must surface as recovery or a halt, never
+// as silence. When the traffic window closes the phase takes one stats
+// snapshot, sweeps the hot set on the live engine, then persists the engine
+// through the sharded image format, resumes it under the pinned root and
+// sweeps every oracle block on the resumed engine.
 
 // ConcurrentConfig parameterizes the concurrent phase.
 type ConcurrentConfig struct {
 	// Engine is the design point under test (region sized by the runner).
 	Engine core.Config
-	// Seed makes the phase deterministic per worker; cross-worker
+	// Seed makes the phase deterministic per goroutine; cross-goroutine
 	// interleaving is scheduler-dependent, but safety classification is
 	// interleaving-independent.
 	Seed int64
 	// Shards is the ShardedEngine partition count (power of two).
 	Shards int
-	// Workers is the number of concurrent traffic goroutines. Pick a value
-	// that does not divide Shards so worker slices straddle shard
-	// boundaries (the Default does).
+	// Workers is the number of traffic goroutines, and of hot-set readers.
+	// Pick a value that does not divide Shards so worker slices straddle
+	// shard boundaries (the Default does).
 	Workers int
-	// OpsPerWorker is each worker's operation count.
+	// OpsPerWorker is each worker's operation count, and each reader's
+	// minimum; readers keep reading until the striker is done. The striker
+	// lands one fault per 20 worker operations.
 	OpsPerWorker int
-	// FaultRate is the per-operation probability of injecting a fault.
+	// FaultRate is the per-operation probability of a worker fault.
 	FaultRate float64
 	// BurstMax bounds bit flips per fault event.
 	BurstMax int
@@ -77,7 +89,8 @@ func DefaultConcurrent(engine core.Config, ops int, seed int64) ConcurrentConfig
 	}
 }
 
-// Validate checks the concurrent-phase parameters.
+// Validate checks the concurrent-phase parameters, including that the
+// worker slices and the hot set fit the region.
 func (c ConcurrentConfig) Validate() error {
 	switch {
 	case c.Workers < 1:
@@ -91,7 +104,18 @@ func (c ConcurrentConfig) Validate() error {
 	}
 	ecfg := c.Engine
 	ecfg.RegionBytes = regionBytes
-	return core.ValidateShards(ecfg, c.Shards)
+	if err := core.ValidateShards(ecfg, c.Shards); err != nil {
+		return err
+	}
+	groups := ecfg.DataBlocks() / ctr.GroupBlocks
+	if per := groups / uint64(c.Shards); per < hotGroups+2 {
+		return fmt.Errorf("campaign: %d shards leave %d groups per shard; the hot set and a boundary stripe need %d",
+			c.Shards, per, hotGroups+2)
+	}
+	if free := groups - hotGroups*uint64(c.Shards); uint64(c.Workers) > free {
+		return fmt.Errorf("campaign: %d workers exceed the %d groups outside the hot set", c.Workers, free)
+	}
+	return nil
 }
 
 // ConcurrentReport is the concurrent phase's result.
@@ -103,45 +127,97 @@ type ConcurrentReport struct {
 	Workers   int    `json:"workers"`
 	Seed      int64  `json:"seed"`
 
+	// Ops and SpanReads count the workers' operations, HotReads the
+	// readers' and Strikes the striker's faults; FaultEvents counts the
+	// workers' faults and the strikes.
 	Ops         uint64 `json:"ops"`
 	SpanReads   uint64 `json:"span_reads"`
+	HotReads    uint64 `json:"hot_reads"`
+	Strikes     uint64 `json:"strikes"`
 	FaultEvents uint64 `json:"fault_events"`
 	BitsFlipped uint64 `json:"bits_flipped"`
 
+	// Outcomes grades every read of the traffic window: the workers', the
+	// readers' and the striker's recoveries.
 	Outcomes      map[string]uint64 `json:"outcomes"`
 	SilentEscapes uint64            `json:"silent_escapes"`
 
-	// ResumeOutcome classifies the final sharded persist/resume sweep.
-	ResumeOutcome string `json:"resume_outcome"`
+	// LiveSweep is the worst grade of the hot set read back on the live
+	// engine, ResumeSweep that of every oracle block on the engine the
+	// pinned sharded persist/resume produces.
+	LiveSweep   string `json:"live_sweep"`
+	ResumeSweep string `json:"resume_sweep"`
 
+	// BlocksRead counts the blocks the traffic window read; the engine
+	// counters below are one snapshot taken when that window closes,
+	// before either sweep.
+	BlocksRead      uint64 `json:"blocks_read"`
+	LockFreeHits    uint64 `json:"lock_free_hits"`
+	SeqlockRetries  uint64 `json:"seqlock_retries"`
+	SlowPathReads   uint64 `json:"slow_path_reads"`
 	RetriedReads    uint64 `json:"retried_reads"`
 	RetryRecoveries uint64 `json:"retry_recoveries"`
 	MetadataRepairs uint64 `json:"metadata_repairs"`
 	Quarantined     uint64 `json:"quarantined"`
 }
 
-// Passed reports whether the phase met the safety bar: zero silent escapes,
-// both live and across the resume sweep.
+// Passed reports whether the phase met the safety bar: zero silent escapes
+// live and in both sweeps, with the lock-free path engaged, so a regression
+// that disables it cannot pass vacuously.
 func (r *ConcurrentReport) Passed() bool {
-	return r.SilentEscapes == 0 && r.ResumeOutcome != Silent.String()
+	return r.SilentEscapes == 0 && r.LiveSweep != Silent.String() &&
+		r.ResumeSweep != Silent.String() && r.LockFreeHits > 0
 }
 
-// cWorker is one traffic goroutine's private state: a disjoint block range
+// hotGroups is the hot set's share of every shard: its groups 1 and 2, clear
+// of the boundary stripes, which use a shard's first and last group.
+const (
+	hotGroups = 2
+	hotLo     = ctr.GroupBlocks             // the hot set's first block within its shard
+	hotBlocks = hotGroups * ctr.GroupBlocks // hot blocks per shard
+)
+
+// layout maps the phase's block space: the hot set in every shard, and the
+// blocks outside it, numbered in address order, which the workers split.
+type layout struct{ shardBlocks uint64 }
+
+// block returns the v-th block outside the hot set.
+func (l layout) block(v uint64) uint64 {
+	per := l.shardBlocks - hotBlocks
+	blk := v/per*l.shardBlocks + v%per
+	if v%per >= hotLo {
+		blk += hotBlocks
+	}
+	return blk
+}
+
+// hot lists the hot set of an engine with the given shard count.
+func (l layout) hot(shards int) []uint64 {
+	hot := make([]uint64, 0, shards*hotBlocks)
+	for sh := range uint64(shards) {
+		for b := range uint64(hotBlocks) {
+			hot = append(hot, sh*l.shardBlocks+hotLo+b)
+		}
+	}
+	return hot
+}
+
+// cWorker is one traffic goroutine's private state: a disjoint block slice
 // and its shadow oracle.
 type cWorker struct {
 	cfg        ConcurrentConfig
+	l          layout
 	rng        *rand.Rand
 	s          *core.ShardedEngine
-	lo         uint64    // first owned block (inclusive), group-aligned
-	hi         uint64    // last owned block (exclusive)
-	span       [2]uint64 // pre-filled stripe [lo, hi) for span reads
+	lo, hi     uint64    // owned blocks [lo, hi), counted outside the hot set
+	span       [2]uint64 // pre-filled stripe [lo, hi) of blocks for span reads
 	oracle     map[uint64][core.BlockBytes]byte
 	written    []uint64
 	writtenSet map[uint64]struct{}
 
-	ops, spanReads, faultEvents, bitsFlipped uint64
-	outcomes                                 [numOutcomes]uint64
-	err                                      error
+	ops, spanReads, blocksRead, faultEvents, bitsFlipped uint64
+	outcomes                                             [numOutcomes]uint64
+	err                                                  error
 }
 
 // RunConcurrent executes the concurrent phase and returns its report.
@@ -156,18 +232,19 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	workers := partitionWorkers(cfg, s, ecfg.DataBlocks())
-
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w *cWorker) {
-			defer wg.Done()
-			w.run()
-		}(w)
+	l := layout{s.ShardBytes() / core.BlockBytes}
+	workers := partitionWorkers(cfg, s, l)
+	hot := l.hot(cfg.Shards)
+	hotOracle := make(map[uint64][core.BlockBytes]byte, len(hot))
+	fill := rand.New(rand.NewSource(cfg.Seed ^ 0x484F54))
+	for _, blk := range hot {
+		var img [core.BlockBytes]byte
+		fill.Read(img[:])
+		hotOracle[blk] = img
+		if err := s.Write(blk*core.BlockBytes, img[:]); err != nil {
+			return nil, fmt.Errorf("campaign: hot-set prefill blk %d: %w", blk, err)
+		}
 	}
-	wg.Wait()
 
 	rep := &ConcurrentReport{
 		Scheme:    ecfg.Scheme.String(),
@@ -178,6 +255,52 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 		Seed:      cfg.Seed,
 		Outcomes:  make(map[string]uint64),
 	}
+
+	// The traffic window: the workers run their operations, the striker its
+	// strikes, and the readers read until the striker is done.
+	var traffic sync.WaitGroup
+	var struckAll atomic.Bool
+	readers := make([][numOutcomes]uint64, cfg.Workers)
+	for g := range readers {
+		traffic.Add(1)
+		go func() {
+			defer traffic.Done()
+			rng := rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Workers+g+1)*0x5851F42D4C957F2D))
+			var dst [core.BlockBytes]byte
+			for op := 0; op < cfg.OpsPerWorker || !struckAll.Load(); op++ {
+				blk := hot[rng.Intn(len(hot))]
+				info, err := s.Read(blk*core.BlockBytes, dst[:])
+				want := hotOracle[blk]
+				readers[g][grade(err, dst[:], want[:], core.RecoverInfo{ReadInfo: info})]++
+			}
+		}()
+	}
+	for _, w := range workers {
+		traffic.Add(1)
+		go func() {
+			defer traffic.Done()
+			w.run()
+		}()
+	}
+	var struck [numOutcomes]uint64
+	strikeErr := strike(cfg, s, hot, hotOracle, rep, &struck)
+	struckAll.Store(true)
+	traffic.Wait()
+	if strikeErr != nil {
+		return nil, strikeErr
+	}
+	st := s.Stats()
+
+	tally := func(outcomes [numOutcomes]uint64) (reads uint64) {
+		for o, n := range outcomes {
+			if n > 0 {
+				rep.Outcomes[Outcome(o).String()] += n
+			}
+			reads += n
+		}
+		rep.SilentEscapes += outcomes[Silent]
+		return reads
+	}
 	for _, w := range workers {
 		if w.err != nil {
 			return nil, fmt.Errorf("campaign: concurrent worker [%d,%d): %w", w.lo, w.hi, w.err)
@@ -186,41 +309,42 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 		rep.SpanReads += w.spanReads
 		rep.FaultEvents += w.faultEvents
 		rep.BitsFlipped += w.bitsFlipped
-		for o, n := range w.outcomes {
-			if n > 0 {
-				rep.Outcomes[Outcome(o).String()] += n
-			}
-		}
-		rep.SilentEscapes += w.outcomes[Silent]
+		rep.BlocksRead += w.blocksRead
+		tally(w.outcomes)
 	}
-	st := s.Stats()
+	for _, r := range readers {
+		rep.HotReads += tally(r)
+	}
+	rep.BlocksRead += rep.HotReads + tally(struck)
+	rep.LockFreeHits = st.LockFreeHits
+	rep.SeqlockRetries = st.SeqlockRetries
+	rep.SlowPathReads = st.SlowPathReads
 	rep.RetriedReads = st.RetriedReads
 	rep.RetryRecoveries = st.RetryRecoveries
 	rep.MetadataRepairs = st.MetadataRepairs
 	rep.Quarantined = st.Quarantined
 
-	// Final round trip: the faulted, concurrently-written state must
-	// survive the sharded v2 image format, and every worker's oracle must
-	// still hold on the resumed engine.
-	rep.ResumeOutcome = resumeSweep(ecfg, cfg.Shards, s, workers).String()
+	rep.LiveSweep = sweep(s.ReadRecover, hot, hotOracle).String()
+	rep.ResumeSweep = resumeSweep(ecfg, cfg.Shards, s, workers, hot, hotOracle).String()
 	return rep, nil
 }
 
-// partitionWorkers slices the block space into group-aligned disjoint
-// ranges, one per worker, and positions each worker's span stripe across a
-// shard boundary when its range contains one.
-func partitionWorkers(cfg ConcurrentConfig, s *core.ShardedEngine, blocks uint64) []*cWorker {
-	per := blocks / uint64(cfg.Workers) / ctr.GroupBlocks * ctr.GroupBlocks
-	shardBlocks := s.ShardBytes() / core.BlockBytes
+// partitionWorkers splits the blocks outside the hot set into group-aligned
+// disjoint slices, one per worker, and places each worker's span stripe
+// across a shard boundary when its slice holds one, else on its first group.
+func partitionWorkers(cfg ConcurrentConfig, s *core.ShardedEngine, l layout) []*cWorker {
+	free := uint64(cfg.Shards) * (l.shardBlocks - hotBlocks)
+	per := free / uint64(cfg.Workers) / ctr.GroupBlocks * ctr.GroupBlocks
 	workers := make([]*cWorker, cfg.Workers)
 	for i := range workers {
 		lo := uint64(i) * per
 		hi := lo + per
 		if i == cfg.Workers-1 {
-			hi = blocks
+			hi = free
 		}
 		w := &cWorker{
 			cfg:        cfg,
+			l:          l,
 			rng:        rand.New(rand.NewSource(cfg.Seed ^ int64(i+1)*0x5851F42D4C957F2D)),
 			s:          s,
 			lo:         lo,
@@ -228,14 +352,13 @@ func partitionWorkers(cfg ConcurrentConfig, s *core.ShardedEngine, blocks uint64
 			oracle:     make(map[uint64][core.BlockBytes]byte),
 			writtenSet: make(map[uint64]struct{}),
 		}
-		// Span stripe: 128 blocks centred on a shard boundary inside the
-		// range when one exists, else at the range start — so most
-		// workers' span reads genuinely fan out across shards.
-		const stripe = 128
-		w.span = [2]uint64{lo, min(lo+stripe, hi)}
-		for b := (lo/shardBlocks + 1) * shardBlocks; b < hi; b += shardBlocks {
-			if b >= lo+stripe/2 && b+stripe/2 <= hi {
-				w.span = [2]uint64{b - stripe/2, b + stripe/2}
+		// A shard's first and last groups are never hot, so two groups
+		// centred on a boundary inside the slice are all the worker's.
+		first, last := l.block(lo), l.block(hi-1)+1
+		w.span = [2]uint64{first, first + ctr.GroupBlocks}
+		for b := (first/l.shardBlocks + 1) * l.shardBlocks; b < last; b += l.shardBlocks {
+			if b >= first+ctr.GroupBlocks && b+ctr.GroupBlocks <= last {
+				w.span = [2]uint64{b - ctr.GroupBlocks, b + ctr.GroupBlocks}
 				break
 			}
 		}
@@ -247,7 +370,7 @@ func partitionWorkers(cfg ConcurrentConfig, s *core.ShardedEngine, blocks uint64
 // run is one worker's traffic loop.
 func (w *cWorker) run() {
 	// Warm-up: make every stripe block resident so span reads are always
-	// legal, and seed some scattered writes.
+	// legal.
 	for blk := w.span[0]; blk < w.span[1]; blk++ {
 		if w.err = w.doWrite(blk); w.err != nil {
 			return
@@ -263,7 +386,7 @@ func (w *cWorker) run() {
 				return
 			}
 		case w.rng.Float64() < 0.5:
-			blk := w.lo + uint64(w.rng.Int63n(int64(w.hi-w.lo)))
+			blk := w.l.block(w.lo + uint64(w.rng.Int63n(int64(w.hi-w.lo))))
 			if w.err = w.doWrite(blk); w.err != nil {
 				return
 			}
@@ -292,29 +415,19 @@ func (w *cWorker) doWrite(blk uint64) error {
 	return nil
 }
 
+// doRead reads blk through the recovery ladder and, after a loud failure,
+// rewrites it from the oracle.
 func (w *cWorker) doRead(blk uint64) {
 	var dst [core.BlockBytes]byte
 	w.ops++
+	w.blocksRead++
 	ri, err := w.s.ReadRecover(blk*core.BlockBytes, dst[:])
 	want := w.oracle[blk]
+	w.outcomes[grade(err, dst[:], want[:], ri)]++
 	if err != nil {
-		w.outcomes[Halted]++
 		if werr := w.s.Write(blk*core.BlockBytes, want[:]); werr != nil {
 			panic(fmt.Sprintf("campaign: concurrent resync write blk %d: %v", blk, werr))
 		}
-		return
-	}
-	if dst != want {
-		w.outcomes[Silent]++
-		return
-	}
-	switch {
-	case ri.MetadataRepaired || ri.RetryRecovered:
-		w.outcomes[Recovered]++
-	case ri.CorrectedDataBits > 0 || ri.CorrectedMACBits > 0:
-		w.outcomes[Corrected]++
-	default:
-		w.outcomes[Clean]++
 	}
 }
 
@@ -325,28 +438,27 @@ func (w *cWorker) doSpanRead() error {
 	start := w.span[0] + uint64(w.rng.Int63n(int64(n)))
 	count := 1 + uint64(w.rng.Int63n(int64(w.span[1]-start)))
 	buf := make([]byte, count*core.BlockBytes)
+	want := make([]byte, 0, len(buf))
+	for blk := start; blk < start+count; blk++ {
+		img := w.oracle[blk]
+		want = append(want, img[:]...)
+	}
 	w.ops++
 	w.spanReads++
-	if err := w.s.ReadBlocks(start*core.BlockBytes, buf); err != nil {
-		// The span path has no recovery ladder: any fault inside is a
-		// loud halt. Rewrite the whole stripe from the oracle.
-		w.outcomes[Halted]++
-		for blk := w.span[0]; blk < w.span[1]; blk++ {
-			img := w.oracle[blk]
-			if werr := w.s.Write(blk*core.BlockBytes, img[:]); werr != nil {
-				return fmt.Errorf("stripe resync blk %d: %w", blk, werr)
-			}
-		}
+	w.blocksRead += count
+	o := grade(w.s.ReadBlocks(start*core.BlockBytes, buf), buf, want, core.RecoverInfo{})
+	w.outcomes[o]++
+	if o != Halted {
 		return nil
 	}
-	for i := uint64(0); i < count; i++ {
-		want := w.oracle[start+i]
-		if !bytes.Equal(buf[i*core.BlockBytes:(i+1)*core.BlockBytes], want[:]) {
-			w.outcomes[Silent]++
-			return nil
+	// The span path has no recovery ladder: any fault inside is a loud
+	// halt. Rewrite the whole stripe from the oracle.
+	for blk := w.span[0]; blk < w.span[1]; blk++ {
+		img := w.oracle[blk]
+		if werr := w.s.Write(blk*core.BlockBytes, img[:]); werr != nil {
+			return fmt.Errorf("stripe resync blk %d: %w", blk, werr)
 		}
 	}
-	w.outcomes[Clean]++
 	return nil
 }
 
@@ -366,10 +478,78 @@ func (w *cWorker) injectFault() {
 	}
 }
 
+// strike is the striker, the hot set's only writer: one strike per 20 worker
+// operations, each a fault on plane i%4 of a hot block, a recovery read
+// through the ladder (graded into struck) and a restore of the oracle bytes.
+func strike(cfg ConcurrentConfig, s *core.ShardedEngine, hot []uint64, oracle map[uint64][core.BlockBytes]byte,
+	rep *ConcurrentReport, struck *[numOutcomes]uint64) error {
+	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x53545249))
+	var dst [core.BlockBytes]byte
+	for i := range max(1, cfg.Workers*cfg.OpsPerWorker/20) {
+		blk := hot[rng.Intn(len(hot))]
+		addr := blk * core.BlockBytes
+		flips := 1 + rng.Intn(cfg.BurstMax)
+		rep.Strikes++
+		rep.FaultEvents++
+		if err := strikePlane(s, addr, i%4, flips, rng, &rep.BitsFlipped); err != nil {
+			return err
+		}
+		ri, err := s.ReadRecover(addr, dst[:])
+		want := oracle[blk]
+		struck[grade(err, dst[:], want[:], ri)]++
+		if err := s.Write(addr, want[:]); err != nil {
+			return fmt.Errorf("campaign: strike restore blk %d: %w", blk, err)
+		}
+	}
+	return nil
+}
+
+// strikePlane lands one fault event on the chosen plane of the block at
+// addr: 0 ciphertext, 1 the lane (ECC lane or inline tag), 2 its counter
+// block, 3 an off-chip node on its tree path in the owning shard.
+func strikePlane(s *core.ShardedEngine, addr uint64, plane, flips int, rng *rand.Rand, bits *uint64) error {
+	p, width := core.PlaneData, core.BlockBytes*8
+	switch plane {
+	case 1:
+		p, width = core.PlaneLane, 64
+	case 2:
+		p = core.PlaneCounter
+	case 3:
+		p, width = core.PlaneTree, tree.NodeBytes*8
+	}
+	var phys uint64
+	var err error
+	if p != core.PlaneTree {
+		phys, err = s.LocateAddr(p, addr)
+	} else {
+		shard := s.ShardOf(addr)
+		flat, ok := uint64(0), false
+		s.WithShard(shard, func(eng *core.Engine) { flat, ok = pathNode(eng, addr-uint64(shard)*s.ShardBytes(), rng) })
+		if !ok {
+			return nil // the tree fits on chip
+		}
+		m, base, _ := s.OffChip(shard)
+		if phys, err = m.Locate(p, flat); err == nil {
+			phys += base
+		}
+	}
+	if err != nil {
+		return err
+	}
+	for i := 0; i < flips; i++ {
+		if err := s.FlipBit(phys, rng.Intn(width)); err != nil {
+			return err
+		}
+		*bits++
+	}
+	return nil
+}
+
 // resumeSweep persists the sharded engine through the v2 image format,
-// resumes it with the pinned combined root, and re-reads every worker's
-// oracle. Returns the worst outcome observed.
-func resumeSweep(ecfg core.Config, shards int, s *core.ShardedEngine, workers []*cWorker) Outcome {
+// resumes it with the pinned combined root, and grades every oracle block
+// on the resumed engine.
+func resumeSweep(ecfg core.Config, shards int, s *core.ShardedEngine, workers []*cWorker,
+	hot []uint64, hotOracle map[uint64][core.BlockBytes]byte) Outcome {
 	var buf bytes.Buffer
 	root, err := s.Persist(&buf)
 	if err != nil {
@@ -379,29 +559,9 @@ func resumeSweep(ecfg core.Config, shards int, s *core.ShardedEngine, workers []
 	if err != nil {
 		return Halted
 	}
-	worst := Clean
-	var dst [core.BlockBytes]byte
+	worst := sweep(r.ReadRecover, hot, hotOracle)
 	for _, w := range workers {
-		for _, blk := range w.written {
-			ri, err := r.ReadRecover(blk*core.BlockBytes, dst[:])
-			want := w.oracle[blk]
-			switch {
-			case err != nil:
-				if worst < Halted {
-					worst = Halted
-				}
-			case dst != want:
-				return Silent
-			case ri.MetadataRepaired || ri.RetryRecovered:
-				if worst < Recovered {
-					worst = Recovered
-				}
-			case ri.CorrectedDataBits > 0 || ri.CorrectedMACBits > 0:
-				if worst < Corrected {
-					worst = Corrected
-				}
-			}
-		}
+		worst = max(worst, sweep(r.ReadRecover, w.written, w.oracle))
 	}
 	return worst
 }

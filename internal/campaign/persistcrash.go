@@ -463,18 +463,7 @@ func classifyShardedResume(ecfg core.Config, shards int, base []byte, logs [][]b
 			continue // first written after the shard's recovered epoch
 		}
 		ri, err := s.Read(blk*core.BlockBytes, dst[:])
-		if err != nil {
-			if worst < Halted {
-				worst = Halted
-			}
-			continue
-		}
-		if dst != want {
-			return Silent
-		}
-		if (ri.CorrectedDataBits > 0 || ri.CorrectedMACBits > 0) && worst < Corrected {
-			worst = Corrected
-		}
+		worst = max(worst, grade(err, dst[:], want[:], core.RecoverInfo{ReadInfo: ri}))
 	}
 	return worst
 }

@@ -279,34 +279,18 @@ func (p *phaseRun) doRead(blk uint64) {
 	p.ops++
 	ri, err := p.eng.ReadRecover(blk*core.BlockBytes, dst[:])
 	want := p.oracle[blk]
-
+	p.outcomes[grade(err, dst[:], want[:], ri)]++
 	if err != nil {
-		p.outcomes[Halted]++
 		// Resync engine and oracle so later operations (and the drain
 		// pass) check this block's fresh contents, not lost ones.
 		if werr := p.eng.Write(blk*core.BlockBytes, want[:]); werr != nil {
 			panic(fmt.Sprintf("campaign: resync write blk %d: %v", blk, werr))
 		}
-		delete(p.ledger, blk)
-		return
 	}
-	// Successful reads may have silently consumed (corrected) or simply
-	// missed outstanding flips; either way the ledger must not revert
-	// them later against a now-healthy block.
+	// The read consumed, corrected or missed the block's outstanding flips,
+	// or the resync overwrote them; the ledger must not revert them later
+	// against a now-healthy block.
 	delete(p.ledger, blk)
-
-	if dst != want {
-		p.outcomes[Silent]++ // the one unacceptable outcome
-		return
-	}
-	switch {
-	case ri.MetadataRepaired || ri.RetryRecovered:
-		p.outcomes[Recovered]++
-	case ri.CorrectedDataBits > 0 || ri.CorrectedMACBits > 0:
-		p.outcomes[Corrected]++
-	default:
-		p.outcomes[Clean]++
-	}
 }
 
 // persistCycle drives the persist plane: snapshot the engine, attack
@@ -345,7 +329,7 @@ func (p *phaseRun) persistCycle() error {
 		// data section, whose verification is deferred to read time.
 		// Sweep every oracle block and classify the trial by its worst
 		// per-block outcome.
-		p.outcomes[p.sweepResumed(e2)]++
+		p.outcomes[sweep(e2.ReadRecover, p.written, p.oracle)]++
 	}
 
 	// Clean resume with the pinned root must always work; the run
@@ -356,34 +340,6 @@ func (p *phaseRun) persistCycle() error {
 	}
 	p.attach(e2)
 	return nil
-}
-
-// sweepResumed reads every oracle block from a resumed engine and returns
-// the worst outcome observed: Silent > Halted > Corrected/Recovered > Clean.
-func (p *phaseRun) sweepResumed(e2 *core.Engine) Outcome {
-	worst := Clean
-	var dst [core.BlockBytes]byte
-	for _, blk := range p.written {
-		ri, err := e2.ReadRecover(blk*core.BlockBytes, dst[:])
-		want := p.oracle[blk]
-		switch {
-		case err != nil:
-			if worst < Halted {
-				worst = Halted
-			}
-		case dst != want:
-			return Silent
-		case ri.MetadataRepaired || ri.RetryRecovered:
-			if worst < Recovered {
-				worst = Recovered
-			}
-		case ri.CorrectedDataBits > 0 || ri.CorrectedMACBits > 0:
-			if worst < Corrected {
-				worst = Corrected
-			}
-		}
-	}
-	return worst
 }
 
 // report flattens the phase counters into the serializable form.
