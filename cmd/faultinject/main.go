@@ -225,12 +225,20 @@ func mainCluster(ops int, seed int64, nodes, repl int, rate float64, burst int, 
 // -trials smoke run exercises every strike kind in both arrangements.
 const campaignMinStrikes = 20
 
-func mainConcurrent(ecfg core.Config, ops int, seed int64, rate float64, burst, shards, workers int, out string) {
+// concurrentConfig resolves the -concurrent phase from the command line:
+// -trials is the workers' total, split over -workers of them.
+func concurrentConfig(ecfg core.Config, ops int, seed int64, rate float64, burst, shards, workers int) campaign.ConcurrentConfig {
 	cfg := campaign.DefaultConcurrent(ecfg, ops, seed)
 	cfg.FaultRate = rate
 	cfg.BurstMax = burst
 	cfg.Shards = shards
 	cfg.Workers = workers
+	cfg.SplitOps(ops)
+	return cfg
+}
+
+func mainConcurrent(ecfg core.Config, ops int, seed int64, rate float64, burst, shards, workers int, out string) {
+	cfg := concurrentConfig(ecfg, ops, seed, rate, burst, shards, workers)
 
 	fmt.Printf("Concurrent campaign: %s / %s / %s, budget %d, %d shards x %d workers + %d lock-free readers, ~%d ops, seed %d\n",
 		ecfg.Scheme, ecfg.Placement, ecfg.CodecName(), ecfg.CorrectBits, shards, workers, workers, cfg.OpsPerWorker*workers, seed)

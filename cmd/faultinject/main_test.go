@@ -109,3 +109,26 @@ func reportKeys(t *testing.T, v any) map[string][]byte {
 	}
 	return out
 }
+
+// TestConcurrentTrialsSplitOverWorkers: -trials is the workers' total
+// whatever -workers is, so a run with other than the default 3 workers
+// does as many operations as it announces.
+func TestConcurrentTrialsSplitOverWorkers(t *testing.T) {
+	ecfg := engineConfig("delta", "macecc", 2)
+	for _, c := range []struct{ ops, workers, per int }{
+		{3000, 1, 3000}, {3000, 3, 1000}, {3000, 5, 600}, {3000, 1025, 2}, {4, 5, 1},
+	} {
+		if cfg := concurrentConfig(ecfg, c.ops, 1, 0.15, 4, 4, c.workers); cfg.Workers != c.workers || cfg.OpsPerWorker != c.per {
+			t.Errorf("-trials %d -workers %d: %d workers x %d ops, want %d x %d",
+				c.ops, c.workers, cfg.Workers, cfg.OpsPerWorker, c.workers, c.per)
+		}
+	}
+	rep, err := campaign.RunConcurrent(concurrentConfig(ecfg, 300, 1, 0.15, 4, 4, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The striker lands one fault per 20 of the workers' 300 operations.
+	if rep.Workers != 5 || rep.Strikes != 15 {
+		t.Fatalf("-trials 300 -workers 5: %d workers, %d strikes, want 5 and 15", rep.Workers, rep.Strikes)
+	}
+}

@@ -74,19 +74,22 @@ type ConcurrentConfig struct {
 // workers (so every worker slice straddles a shard boundary), ops split
 // across the workers.
 func DefaultConcurrent(engine core.Config, ops int, seed int64) ConcurrentConfig {
-	per := ops / 3
-	if per < 1 {
-		per = 1
+	c := ConcurrentConfig{
+		Engine:    engine,
+		Seed:      seed,
+		Shards:    4,
+		Workers:   3,
+		FaultRate: 0.15,
+		BurstMax:  4,
 	}
-	return ConcurrentConfig{
-		Engine:       engine,
-		Seed:         seed,
-		Shards:       4,
-		Workers:      3,
-		OpsPerWorker: per,
-		FaultRate:    0.15,
-		BurstMax:     4,
-	}
+	c.SplitOps(ops)
+	return c
+}
+
+// SplitOps sets OpsPerWorker so the Workers together run ops operations,
+// at least one each. Set Workers first.
+func (c *ConcurrentConfig) SplitOps(ops int) {
+	c.OpsPerWorker = max(1, ops/max(1, c.Workers)) // Validate refuses Workers < 1
 }
 
 // Validate checks the concurrent-phase parameters, including that the

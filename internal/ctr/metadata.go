@@ -24,29 +24,23 @@ func (s *SplitScheme) PackMetadata(m uint64) [MetadataBlockBytes]byte {
 	return PackSplit(g.major, &g.minors)
 }
 
-// PackMetadata implements the metadata-image contract for DeltaScheme.
+// PackMetadata implements the metadata-image contract for DeltaScheme, in
+// its delta-7 or dual-length layout.
 func (s *DeltaScheme) PackMetadata(m uint64) [MetadataBlockBytes]byte {
-	g := &deltaGroup{}
+	g, reserve := &deltaGroup{}, uint8(0)
 	if m < uint64(len(s.groups)) {
-		g = &s.groups[m]
+		g, reserve = &s.groups[m], s.reserve[m]
 	}
-	blk, err := PackDelta(g.ref, &g.deltas)
+	var blk [MetadataBlockBytes]byte
+	var err error
+	if s.dual {
+		blk, err = PackDualLength(g.ref, &g.deltas, int8(reserve)-1)
+	} else {
+		blk, err = PackDelta(g.ref, &g.deltas)
+	}
 	if err != nil {
 		// Scheme invariants guarantee packable state; a failure here is
 		// a bug, not an input error.
-		panic(err)
-	}
-	return blk
-}
-
-// PackMetadata implements the metadata-image contract for DualLengthScheme.
-func (s *DualLengthScheme) PackMetadata(m uint64) [MetadataBlockBytes]byte {
-	g := &dualGroup{}
-	if m < uint64(len(s.groups)) {
-		g = &s.groups[m]
-	}
-	blk, err := PackDualLength(g.ref, &g.deltas, g.extended())
-	if err != nil {
 		panic(err)
 	}
 	return blk
@@ -79,30 +73,25 @@ func (s *SplitScheme) LoadMetadata(m uint64, img [MetadataBlockBytes]byte) error
 	return nil
 }
 
-// LoadMetadata implements the metadata-restore contract for DeltaScheme.
+// LoadMetadata implements the metadata-restore contract for DeltaScheme, in
+// its delta-7 or dual-length layout.
 func (s *DeltaScheme) LoadMetadata(m uint64, img [MetadataBlockBytes]byte) error {
-	ref, deltas, err := UnpackDelta(img)
+	var g deltaGroup
+	extended := int8(-1)
+	var err error
+	if s.dual {
+		g.ref, g.deltas, extended, err = UnpackDualLength(img)
+	} else {
+		g.ref, g.deltas, err = UnpackDelta(img)
+	}
 	if err != nil {
 		return err
 	}
 	if m >= uint64(len(s.groups)) {
-		s.groups = grow(s.groups, m)
+		s.extend(m)
 	}
-	s.groups[m] = deltaGroup{ref: ref, deltas: deltas}
-	return nil
-}
-
-// LoadMetadata implements the metadata-restore contract for
-// DualLengthScheme.
-func (s *DualLengthScheme) LoadMetadata(m uint64, img [MetadataBlockBytes]byte) error {
-	ref, deltas, extended, err := UnpackDualLength(img)
-	if err != nil {
-		return err
-	}
-	if m >= uint64(len(s.groups)) {
-		s.groups = grow(s.groups, m)
-	}
-	s.groups[m] = dualGroup{ref: ref, deltas: deltas, reserve: uint8(extended + 1)}
+	s.groups[m] = g
+	s.reserve[m] = uint8(extended + 1)
 	return nil
 }
 
@@ -121,15 +110,12 @@ var (
 	_ MetadataPacker = (*MonolithicScheme)(nil)
 	_ MetadataPacker = (*SplitScheme)(nil)
 	_ MetadataPacker = (*DeltaScheme)(nil)
-	_ MetadataPacker = (*DualLengthScheme)(nil)
 
 	_ MetadataLoader = (*MonolithicScheme)(nil)
 	_ MetadataLoader = (*SplitScheme)(nil)
 	_ MetadataLoader = (*DeltaScheme)(nil)
-	_ MetadataLoader = (*DualLengthScheme)(nil)
 
 	_ Scheme = (*MonolithicScheme)(nil)
 	_ Scheme = (*SplitScheme)(nil)
 	_ Scheme = (*DeltaScheme)(nil)
-	_ Scheme = (*DualLengthScheme)(nil)
 )

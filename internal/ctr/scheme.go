@@ -8,10 +8,12 @@
 //   - Delta encoding (§4): a 56-bit reference plus a 7-bit delta per block,
 //     with two overflow-avoidance optimizations — resetting deltas when they
 //     all converge to the same value, and re-encoding by subtracting the
-//     minimum delta — before falling back to group re-encryption.
-//   - Dual-length delta encoding (§4.3): 6-bit deltas in four delta-groups
-//     of 16, with 72 reserved bits that can extend exactly one delta-group
-//     by 4 bits per delta upon overflow.
+//     minimum delta — before falling back to group re-encryption at
+//     max(counter)+1.
+//   - Dual-length delta encoding (§4.3): the same scheme and the same
+//     overflow rule (DeltaScheme, built by NewDualLength) over 6-bit deltas
+//     in four delta-groups of 16, with 72 reserved bits that extend one
+//     delta-group by 4 bits per delta at its first overflow.
 //
 // Counters are the nonces of counter-mode memory encryption; the scheme's
 // one hard invariant is that a block's counter strictly increases on every

@@ -355,14 +355,26 @@ func TestDualLengthSecondGroupOverflowReencrypts(t *testing.T) {
 	if s.Stats().Extensions != 1 {
 		t.Fatal("extension not assigned")
 	}
-	var reencrypted bool
-	for i := 0; i <= shortMax; i++ {
-		if out := s.Touch(16); out.Reencrypted {
-			reencrypted = true
-		}
+	for i := 0; i < shortMax; i++ {
+		s.Touch(16)
 	}
-	if !reencrypted {
-		t.Fatal("second delta-group overflow should re-encrypt")
+	// The group re-encrypts above block 0's extended delta.
+	if out := s.Touch(16); !out.Reencrypted || out.Counter != shortMax+2 {
+		t.Fatalf("second delta-group overflow: %+v, want a re-encryption at %d", out, shortMax+2)
+	}
+	// The re-encryption zeroes every delta, so like a reset it frees the
+	// reserve: the next overflow, in delta-group 2, extends.
+	for i := 0; i < shortMax; i++ {
+		s.Touch(32)
+	}
+	if out := s.Touch(32); !out.Extended || out.Reencrypted {
+		t.Fatalf("overflow after the re-encryption: %+v, want an extension", out)
+	}
+	if st := s.Stats(); st.Extensions != 2 || st.Reencryptions != 1 {
+		t.Fatalf("stats %+v, want 2 extensions and 1 re-encryption", st)
+	}
+	if got, want := s.Counter(32), uint64(shortMax+2+shortMax+1); got != want {
+		t.Fatalf("counter = %d, want %d", got, want)
 	}
 }
 
@@ -486,12 +498,12 @@ func TestTouchAllocatesNothing(t *testing.T) {
 			t.Errorf("%s: rounds never re-encrypted: %+v", s.Name(), st)
 		}
 		switch s.(type) {
-		case *DeltaScheme, *DualLengthScheme, *ParamDeltaScheme:
+		case *DeltaScheme, *ParamDeltaScheme:
 			if st.Resets == 0 || st.Reencodes == 0 {
 				t.Errorf("%s: rounds never reset or never re-encoded: %+v", s.Name(), st)
 			}
 		}
-		if _, dual := s.(*DualLengthScheme); dual && st.Extensions == 0 {
+		if d, ok := s.(*DeltaScheme); ok && d.dual && st.Extensions == 0 {
 			t.Errorf("%s: rounds never extended: %+v", s.Name(), st)
 		}
 	}

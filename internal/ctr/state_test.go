@@ -21,8 +21,6 @@ func stateLen(t *testing.T, s Scheme) int {
 		return len(s.groups)
 	case *DeltaScheme:
 		return len(s.groups)
-	case *DualLengthScheme:
-		return len(s.groups)
 	}
 	t.Fatalf("no state slice for %T", s)
 	return 0
@@ -35,15 +33,17 @@ func initialImage(t *testing.T, s Scheme) [MetadataBlockBytes]byte {
 	var zeros [GroupBlocks]uint16
 	var img [MetadataBlockBytes]byte
 	var err error
-	switch s.(type) {
+	switch s := s.(type) {
 	case *MonolithicScheme:
 		// Eight zero counters in 64-bit slots.
 	case *SplitScheme:
 		img = refPackSplit(0, &zeros)
 	case *DeltaScheme:
-		img, err = refPackDelta(0, &zeros)
-	case *DualLengthScheme:
-		img, err = refPackDualLength(0, &zeros, -1)
+		if s.dual {
+			img, err = refPackDualLength(0, &zeros, -1)
+		} else {
+			img, err = refPackDelta(0, &zeros)
+		}
 	default:
 		t.Fatalf("no initial image for %T", s)
 	}
