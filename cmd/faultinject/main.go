@@ -3,14 +3,14 @@
 // Figure 3's single-block fault matrix is `paperbench -fig3`.
 //
 // The -campaign mode runs the end-to-end fault-injection campaign engine
-// (internal/campaign): a randomized workload drives a full engine while
-// faults land in every attacker-reachable storage plane — ciphertext, the
-// ECC/MAC lane, counter blocks, tree nodes, and persisted images reloaded
-// mid-run — and every read is checked against a differential shadow
-// oracle. The structured JSON report is written to -out; the process exits
+// (internal/campaign): a randomized workload drives a full engine, a
+// one-shard region, while faults land in every attacker-reachable storage
+// plane — ciphertext, the ECC/MAC lane and check bytes, counter blocks, tree
+// nodes, and persisted images reloaded mid-run — and every read is checked
+// against a differential shadow oracle. The structured JSON report is written to -out; the process exits
 // nonzero if any read silently returned wrong data.
 //
-// The -concurrent mode runs the campaign's sharded-engine phase. Several
+// The -concurrent mode runs the campaign's multi-shard phase. Several
 // worker goroutines, each owning a disjoint slice of the block space that
 // straddles shard boundaries, drive parallel faulted traffic against a
 // ShardedEngine. Beside them, as many readers hammer a fixed warm hot set

@@ -1,9 +1,9 @@
 // Package campaign runs whole-engine fault-injection campaigns: randomized
-// workloads execute against a full core.Engine while faults are injected
-// into every attacker-reachable storage plane, and every read is checked
-// against a differential shadow oracle — a plain map of plaintext memory
-// that receives the same write stream through a path with no cryptography
-// to get wrong.
+// workloads execute against a core.ShardedEngine region while faults are
+// injected into every attacker-reachable storage plane, and every read is
+// checked against a differential shadow oracle — a plain map of plaintext
+// memory that receives the same write stream through a path with no
+// cryptography to get wrong.
 //
 // Where internal/fault (Figure 3) injects faults into a single isolated
 // block and asks "does the code correct this pattern?", a campaign asks the
@@ -32,8 +32,10 @@ package campaign
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 
 	"authmem/internal/core"
+	"authmem/internal/tree"
 	"authmem/internal/workload"
 )
 
@@ -128,6 +130,143 @@ func sweep(read func(addr uint64, dst []byte) (core.RecoverInfo, error), blocks 
 		worst = max(worst, grade(err, dst[:], want[:], ri))
 	}
 	return worst
+}
+
+// shadow drives a region against a differential oracle: every live phase's
+// traffic is its write and read, and its faults are its strikes. The oracle's
+// keys are the written blocks, which written lists in first-write order.
+type shadow struct {
+	s        *core.ShardedEngine
+	rng      *rand.Rand
+	oracle   map[uint64][core.BlockBytes]byte
+	written  []uint64
+	reads    uint64 // blocks read through read
+	outcomes [numOutcomes]uint64
+
+	faultEvents, bitsFlipped uint64
+}
+
+func newShadow(s *core.ShardedEngine, rng *rand.Rand) shadow {
+	return shadow{s: s, rng: rng, oracle: make(map[uint64][core.BlockBytes]byte)}
+}
+
+// pick draws a written block; the caller checks that one exists.
+func (d *shadow) pick() uint64 { return d.written[d.rng.Intn(len(d.written))] }
+
+// write stores fresh random bytes at blk, in the region and the oracle.
+func (d *shadow) write(blk uint64) error {
+	var data [core.BlockBytes]byte
+	d.rng.Read(data[:])
+	if err := d.s.Write(blk*core.BlockBytes, data[:]); err != nil {
+		return err
+	}
+	if _, ok := d.oracle[blk]; !ok {
+		d.written = append(d.written, blk)
+	}
+	d.oracle[blk] = data
+	return nil
+}
+
+// read reads blk through the recovery ladder, grades it against the oracle
+// and, after a loud failure, rewrites the block from the oracle, as software
+// would after a machine check on a poisoned line, so later reads check the
+// block's fresh contents, not lost ones. It returns the grade.
+func (d *shadow) read(blk uint64) Outcome {
+	var dst [core.BlockBytes]byte
+	d.reads++
+	ri, err := d.s.ReadRecover(blk*core.BlockBytes, dst[:])
+	want := d.oracle[blk]
+	o := grade(err, dst[:], want[:], ri)
+	d.outcomes[o]++
+	if err != nil {
+		if werr := d.s.Write(blk*core.BlockBytes, want[:]); werr != nil {
+			panic(fmt.Sprintf("campaign: resync write blk %d: %v", blk, werr))
+		}
+	}
+	return o
+}
+
+// strike lands one fault event of flips bit flips on plane of blk through
+// strikePlane and counts it. Targets are resident written blocks, their
+// counter images or nodes on their tree paths, so a placement failure is a
+// campaign bug, not a fault outcome.
+func (d *shadow) strike(blk uint64, plane Plane, flips int) []flipRec {
+	recs, err := strikePlane(d.s, blk*core.BlockBytes, plane, flips, d.rng)
+	if err != nil {
+		panic(fmt.Sprintf("campaign: %s fault on blk %d: %v", plane, blk, err))
+	}
+	d.faultEvents++
+	d.bitsFlipped += uint64(len(recs))
+	return recs
+}
+
+// flipRec is one bit flipped at a global off-chip offset.
+type flipRec struct {
+	phys      uint64
+	bit       int
+	transient bool // un-flipped by the per-plane phases' retry hook (onRetry)
+}
+
+// strikePlane is the campaign's one fault placer. It lands flips bit flips
+// on plane of the block at the global address addr and returns them:
+// PlaneCiphertext its ciphertext, PlaneECC its lane's 64 bits (ECC lane under
+// MACInECC, inline tag otherwise) then the inline codec's check bytes,
+// PlaneCounter its counter block, PlaneTree an off-chip node on its tree path
+// in the owning shard. Each flip takes that shard's lock (FlipBit).
+func strikePlane(s *core.ShardedEngine, addr uint64, plane Plane, flips int, rng *rand.Rand) ([]flipRec, error) {
+	shard := s.ShardOf(addr)
+	m, base, err := s.OffChip(shard)
+	if err != nil {
+		return nil, err
+	}
+	p, width := core.PlaneData, core.BlockBytes*8
+	var node uint64 // PlaneTree's target
+	switch plane {
+	case PlaneECC:
+		p, width = core.PlaneLane, 64+8*int(m.PlaneSize(core.PlaneCheck)/(s.ShardBytes()/core.BlockBytes))
+	case PlaneCounter:
+		p = core.PlaneCounter
+	case PlaneTree:
+		ok := false
+		s.WithShard(shard, func(eng *core.Engine) {
+			tr := eng.Tree()
+			levels := tr.OffChipLevels()
+			if ok = levels > 0; !ok {
+				return
+			}
+			index := eng.MetadataIndex(addr - uint64(shard)*s.ShardBytes()) // the counter block's tree leaf
+			level := rng.Intn(levels)
+			for k := 0; k <= level; k++ {
+				index /= tree.Arity
+			}
+			node, err = m.Locate(core.PlaneTree, tr.FlatIndex(tree.NodeID{Level: level, Index: index}))
+		})
+		if !ok || err != nil {
+			return nil, err // !ok: the tree fits on chip
+		}
+		node += base
+		width = tree.NodeBytes * 8
+	}
+	recs := make([]flipRec, 0, flips)
+	for range flips {
+		rec := flipRec{phys: node, bit: rng.Intn(width)}
+		switch {
+		case plane == PlaneTree:
+		case rec.bit >= 64 && plane == PlaneECC:
+			rec.bit -= 64
+			rec.phys, err = s.LocateAddr(core.PlaneCheck, addr)
+		default:
+			rec.phys, err = s.LocateAddr(p, addr)
+		}
+		if err == nil {
+			err = s.FlipBit(rec.phys, rec.bit)
+		}
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+	return recs, nil
 }
 
 // Outcomes lists the classes in report order.
@@ -323,8 +462,9 @@ func Run(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("campaign: %s phase: %w", plane, err)
 		}
-		rep.Planes = append(rep.Planes, pr.report())
-		rep.Ops += pr.ops
+		plr := pr.report()
+		rep.Planes = append(rep.Planes, plr)
+		rep.Ops += plr.Ops
 		rep.FaultEvents += pr.faultEvents
 		rep.BitsFlipped += pr.bitsFlipped
 		for o, n := range pr.outcomes {

@@ -9,14 +9,14 @@ import (
 
 	"authmem/internal/core"
 	"authmem/internal/ctr"
-	"authmem/internal/tree"
 )
 
 // Concurrent campaign phase: parallel faulted traffic against a sharded
 // engine, with lock-free readers on the lines a striker faults.
 //
-// The single-engine campaign proves the integrity machinery never returns
-// wrong data as if it were right — one operation at a time. The concurrent
+// The per-plane phases prove the integrity machinery never returns wrong
+// data as if it were right — one operation at a time, on a one-shard
+// region. The concurrent
 // phase asks the same question of the ShardedEngine under three kinds of
 // simultaneous traffic, every read graded against an oracle:
 //
@@ -38,13 +38,15 @@ import (
 //     the pre-fault plaintext as a hit: it must fall to the locked slow path
 //     and take the detection machinery's verdict.
 //
-// Faults are persistent only (transient faults need the retry-hook ledger,
-// which is single-threaded). A tree fault may land on a node that other
-// goroutines' blocks share; that must surface as recovery or a halt, never
-// as silence. When the traffic window closes the phase takes one stats
-// snapshot, sweeps the hot set on the live engine, then persists the engine
-// through the sharded image format, resumes it under the pinned root and
-// sweeps every oracle block on the resumed engine.
+// Faults land through strikePlane, the per-plane phases' placer, in all four
+// planes, the ECC plane's inline check bytes included, and are persistent
+// only (transient faults need the retry-hook ledger, which is
+// single-threaded). A tree fault may land on a node that other goroutines'
+// blocks share; that must surface as recovery or a halt, never as silence.
+// When the traffic window closes the phase takes one stats snapshot, sweeps
+// the hot set on the live engine, then persists the engine through the
+// sharded image format, resumes it under the pinned root and sweeps every
+// oracle block on the resumed engine.
 
 // ConcurrentConfig parameterizes the concurrent phase.
 type ConcurrentConfig struct {
@@ -130,8 +132,10 @@ type ConcurrentReport struct {
 	Workers   int    `json:"workers"`
 	Seed      int64  `json:"seed"`
 
-	// Ops and SpanReads count the workers' operations, HotReads the
-	// readers' and Strikes the striker's faults; FaultEvents counts the
+	// Ops counts the workers' traffic-loop operations, Workers ×
+	// OpsPerWorker (warm-up writes and drain reads are not among them), and
+	// SpanReads those that were span reads; HotReads counts the readers'
+	// reads and Strikes the striker's faults. FaultEvents counts the
 	// workers' faults and the strikes.
 	Ops         uint64 `json:"ops"`
 	SpanReads   uint64 `json:"span_reads"`
@@ -151,9 +155,9 @@ type ConcurrentReport struct {
 	LiveSweep   string `json:"live_sweep"`
 	ResumeSweep string `json:"resume_sweep"`
 
-	// BlocksRead counts the blocks the traffic window read; the engine
-	// counters below are one snapshot taken when that window closes,
-	// before either sweep.
+	// BlocksRead counts the blocks the traffic window read, the workers'
+	// drain reads included; the engine counters below are one snapshot
+	// taken when that window closes, before either sweep.
 	BlocksRead      uint64 `json:"blocks_read"`
 	LockFreeHits    uint64 `json:"lock_free_hits"`
 	SeqlockRetries  uint64 `json:"seqlock_retries"`
@@ -206,21 +210,16 @@ func (l layout) hot(shards int) []uint64 {
 }
 
 // cWorker is one traffic goroutine's private state: a disjoint block slice
-// and its shadow oracle.
+// and its shadow driver.
 type cWorker struct {
-	cfg        ConcurrentConfig
-	l          layout
-	rng        *rand.Rand
-	s          *core.ShardedEngine
-	lo, hi     uint64    // owned blocks [lo, hi), counted outside the hot set
-	span       [2]uint64 // pre-filled stripe [lo, hi) of blocks for span reads
-	oracle     map[uint64][core.BlockBytes]byte
-	written    []uint64
-	writtenSet map[uint64]struct{}
+	shadow
+	cfg    ConcurrentConfig
+	l      layout
+	lo, hi uint64    // owned blocks [lo, hi), counted outside the hot set
+	span   [2]uint64 // pre-filled stripe [lo, hi) of blocks for span reads
 
-	ops, spanReads, blocksRead, faultEvents, bitsFlipped uint64
-	outcomes                                             [numOutcomes]uint64
-	err                                                  error
+	spanReads, spanBlocks uint64
+	err                   error
 }
 
 // RunConcurrent executes the concurrent phase and returns its report.
@@ -237,14 +236,10 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 	}
 	l := layout{s.ShardBytes() / core.BlockBytes}
 	workers := partitionWorkers(cfg, s, l)
-	hot := l.hot(cfg.Shards)
-	hotOracle := make(map[uint64][core.BlockBytes]byte, len(hot))
-	fill := rand.New(rand.NewSource(cfg.Seed ^ 0x484F54))
-	for _, blk := range hot {
-		var img [core.BlockBytes]byte
-		fill.Read(img[:])
-		hotOracle[blk] = img
-		if err := s.Write(blk*core.BlockBytes, img[:]); err != nil {
+	// The striker's shadow driver holds the hot set, which it alone writes.
+	hot := newShadow(s, rand.New(rand.NewSource(cfg.Seed^0x484F54)))
+	for _, blk := range l.hot(cfg.Shards) {
+		if err := hot.write(blk); err != nil {
 			return nil, fmt.Errorf("campaign: hot-set prefill blk %d: %w", blk, err)
 		}
 	}
@@ -271,9 +266,9 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 			rng := rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Workers+g+1)*0x5851F42D4C957F2D))
 			var dst [core.BlockBytes]byte
 			for op := 0; op < cfg.OpsPerWorker || !struckAll.Load(); op++ {
-				blk := hot[rng.Intn(len(hot))]
+				blk := hot.written[rng.Intn(len(hot.written))]
 				info, err := s.Read(blk*core.BlockBytes, dst[:])
-				want := hotOracle[blk]
+				want := hot.oracle[blk]
 				readers[g][grade(err, dst[:], want[:], core.RecoverInfo{ReadInfo: info})]++
 			}
 		}()
@@ -285,8 +280,7 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 			w.run()
 		}()
 	}
-	var struck [numOutcomes]uint64
-	strikeErr := strike(cfg, s, hot, hotOracle, rep, &struck)
+	strikeErr := strike(cfg, &hot)
 	struckAll.Store(true)
 	traffic.Wait()
 	if strikeErr != nil {
@@ -308,17 +302,20 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 		if w.err != nil {
 			return nil, fmt.Errorf("campaign: concurrent worker [%d,%d): %w", w.lo, w.hi, w.err)
 		}
-		rep.Ops += w.ops
+		rep.Ops += uint64(cfg.OpsPerWorker) // the worker ran its whole loop
 		rep.SpanReads += w.spanReads
 		rep.FaultEvents += w.faultEvents
 		rep.BitsFlipped += w.bitsFlipped
-		rep.BlocksRead += w.blocksRead
+		rep.BlocksRead += w.reads + w.spanBlocks
 		tally(w.outcomes)
 	}
 	for _, r := range readers {
 		rep.HotReads += tally(r)
 	}
-	rep.BlocksRead += rep.HotReads + tally(struck)
+	rep.Strikes = hot.faultEvents
+	rep.FaultEvents += hot.faultEvents
+	rep.BitsFlipped += hot.bitsFlipped
+	rep.BlocksRead += rep.HotReads + tally(hot.outcomes)
 	rep.LockFreeHits = st.LockFreeHits
 	rep.SeqlockRetries = st.SeqlockRetries
 	rep.SlowPathReads = st.SlowPathReads
@@ -327,8 +324,8 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 	rep.MetadataRepairs = st.MetadataRepairs
 	rep.Quarantined = st.Quarantined
 
-	rep.LiveSweep = sweep(s.ReadRecover, hot, hotOracle).String()
-	rep.ResumeSweep = resumeSweep(ecfg, cfg.Shards, s, workers, hot, hotOracle).String()
+	rep.LiveSweep = sweep(s.ReadRecover, hot.written, hot.oracle).String()
+	rep.ResumeSweep = resumeSweep(ecfg, cfg.Shards, s, workers, &hot).String()
 	return rep, nil
 }
 
@@ -346,14 +343,11 @@ func partitionWorkers(cfg ConcurrentConfig, s *core.ShardedEngine, l layout) []*
 			hi = free
 		}
 		w := &cWorker{
-			cfg:        cfg,
-			l:          l,
-			rng:        rand.New(rand.NewSource(cfg.Seed ^ int64(i+1)*0x5851F42D4C957F2D)),
-			s:          s,
-			lo:         lo,
-			hi:         hi,
-			oracle:     make(map[uint64][core.BlockBytes]byte),
-			writtenSet: make(map[uint64]struct{}),
+			shadow: newShadow(s, rand.New(rand.NewSource(cfg.Seed^int64(i+1)*0x5851F42D4C957F2D))),
+			cfg:    cfg,
+			l:      l,
+			lo:     lo,
+			hi:     hi,
 		}
 		// A shard's first and last groups are never hot, so two groups
 		// centred on a boundary inside the slice are all the worker's.
@@ -375,7 +369,7 @@ func (w *cWorker) run() {
 	// Warm-up: make every stripe block resident so span reads are always
 	// legal.
 	for blk := w.span[0]; blk < w.span[1]; blk++ {
-		if w.err = w.doWrite(blk); w.err != nil {
+		if w.err = w.write(blk); w.err != nil {
 			return
 		}
 	}
@@ -390,47 +384,16 @@ func (w *cWorker) run() {
 			}
 		case w.rng.Float64() < 0.5:
 			blk := w.l.block(w.lo + uint64(w.rng.Int63n(int64(w.hi-w.lo))))
-			if w.err = w.doWrite(blk); w.err != nil {
+			if w.err = w.write(blk); w.err != nil {
 				return
 			}
 		default:
-			w.doRead(w.written[w.rng.Intn(len(w.written))])
+			w.read(w.pick())
 		}
 	}
 	// Drain: flush out any outstanding fault no mid-run read touched.
 	for _, blk := range w.written {
-		w.doRead(blk)
-	}
-}
-
-func (w *cWorker) doWrite(blk uint64) error {
-	var data [core.BlockBytes]byte
-	w.rng.Read(data[:])
-	w.ops++
-	if err := w.s.Write(blk*core.BlockBytes, data[:]); err != nil {
-		return err
-	}
-	w.oracle[blk] = data
-	if _, ok := w.writtenSet[blk]; !ok {
-		w.writtenSet[blk] = struct{}{}
-		w.written = append(w.written, blk)
-	}
-	return nil
-}
-
-// doRead reads blk through the recovery ladder and, after a loud failure,
-// rewrites it from the oracle.
-func (w *cWorker) doRead(blk uint64) {
-	var dst [core.BlockBytes]byte
-	w.ops++
-	w.blocksRead++
-	ri, err := w.s.ReadRecover(blk*core.BlockBytes, dst[:])
-	want := w.oracle[blk]
-	w.outcomes[grade(err, dst[:], want[:], ri)]++
-	if err != nil {
-		if werr := w.s.Write(blk*core.BlockBytes, want[:]); werr != nil {
-			panic(fmt.Sprintf("campaign: concurrent resync write blk %d: %v", blk, werr))
-		}
+		w.read(blk)
 	}
 }
 
@@ -446,9 +409,8 @@ func (w *cWorker) doSpanRead() error {
 		img := w.oracle[blk]
 		want = append(want, img[:]...)
 	}
-	w.ops++
 	w.spanReads++
-	w.blocksRead += count
+	w.spanBlocks += count
 	o := grade(w.s.ReadBlocks(start*core.BlockBytes, buf), buf, want, core.RecoverInfo{})
 	w.outcomes[o]++
 	if o != Halted {
@@ -471,79 +433,26 @@ func (w *cWorker) injectFault() {
 	if len(w.written) == 0 {
 		return
 	}
-	blk := w.written[w.rng.Intn(len(w.written))]
-	addr := blk * core.BlockBytes
+	blk := w.pick()
 	flips := 1 + w.rng.Intn(w.cfg.BurstMax)
-	w.faultEvents++
-
-	if err := strikePlane(w.s, addr, w.rng.Intn(4), flips, w.rng, &w.bitsFlipped); err != nil {
-		panic(fmt.Sprintf("campaign: concurrent flip blk %d: %v", blk, err))
-	}
+	w.strike(blk, Plane(w.rng.Intn(4)), flips)
 }
 
-// strike is the striker, the hot set's only writer: one strike per 20 worker
-// operations, each a fault on plane i%4 of a hot block, a recovery read
-// through the ladder (graded into struck) and a restore of the oracle bytes.
-func strike(cfg ConcurrentConfig, s *core.ShardedEngine, hot []uint64, oracle map[uint64][core.BlockBytes]byte,
-	rep *ConcurrentReport, struck *[numOutcomes]uint64) error {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x53545249))
-	var dst [core.BlockBytes]byte
+// strike is the striker: one strike per 20 worker operations, each a fault
+// on Plane(i%4) of a hot block, a recovery read through the ladder and a
+// restore of the oracle bytes, through st, the hot set's shadow driver.
+func strike(cfg ConcurrentConfig, st *shadow) error {
+	st.rng = rand.New(rand.NewSource(cfg.Seed ^ 0x53545249))
 	for i := range max(1, cfg.Workers*cfg.OpsPerWorker/20) {
-		blk := hot[rng.Intn(len(hot))]
-		addr := blk * core.BlockBytes
-		flips := 1 + rng.Intn(cfg.BurstMax)
-		rep.Strikes++
-		rep.FaultEvents++
-		if err := strikePlane(s, addr, i%4, flips, rng, &rep.BitsFlipped); err != nil {
-			return err
+		blk := st.pick()
+		st.strike(blk, Plane(i%4), 1+st.rng.Intn(cfg.BurstMax))
+		if st.read(blk) == Halted {
+			continue // the read's resync restored the block
 		}
-		ri, err := s.ReadRecover(addr, dst[:])
-		want := oracle[blk]
-		struck[grade(err, dst[:], want[:], ri)]++
-		if err := s.Write(addr, want[:]); err != nil {
+		want := st.oracle[blk]
+		if err := st.s.Write(blk*core.BlockBytes, want[:]); err != nil {
 			return fmt.Errorf("campaign: strike restore blk %d: %w", blk, err)
 		}
-	}
-	return nil
-}
-
-// strikePlane lands one fault event on the chosen plane of the block at
-// addr: 0 ciphertext, 1 the lane (ECC lane or inline tag), 2 its counter
-// block, 3 an off-chip node on its tree path in the owning shard.
-func strikePlane(s *core.ShardedEngine, addr uint64, plane, flips int, rng *rand.Rand, bits *uint64) error {
-	p, width := core.PlaneData, core.BlockBytes*8
-	switch plane {
-	case 1:
-		p, width = core.PlaneLane, 64
-	case 2:
-		p = core.PlaneCounter
-	case 3:
-		p, width = core.PlaneTree, tree.NodeBytes*8
-	}
-	var phys uint64
-	var err error
-	if p != core.PlaneTree {
-		phys, err = s.LocateAddr(p, addr)
-	} else {
-		shard := s.ShardOf(addr)
-		flat, ok := uint64(0), false
-		s.WithShard(shard, func(eng *core.Engine) { flat, ok = pathNode(eng, addr-uint64(shard)*s.ShardBytes(), rng) })
-		if !ok {
-			return nil // the tree fits on chip
-		}
-		m, base, _ := s.OffChip(shard)
-		if phys, err = m.Locate(p, flat); err == nil {
-			phys += base
-		}
-	}
-	if err != nil {
-		return err
-	}
-	for i := 0; i < flips; i++ {
-		if err := s.FlipBit(phys, rng.Intn(width)); err != nil {
-			return err
-		}
-		*bits++
 	}
 	return nil
 }
@@ -551,8 +460,7 @@ func strikePlane(s *core.ShardedEngine, addr uint64, plane, flips int, rng *rand
 // resumeSweep persists the sharded engine through the v2 image format,
 // resumes it with the pinned combined root, and grades every oracle block
 // on the resumed engine.
-func resumeSweep(ecfg core.Config, shards int, s *core.ShardedEngine, workers []*cWorker,
-	hot []uint64, hotOracle map[uint64][core.BlockBytes]byte) Outcome {
+func resumeSweep(ecfg core.Config, shards int, s *core.ShardedEngine, workers []*cWorker, hot *shadow) Outcome {
 	var buf bytes.Buffer
 	root, err := s.Persist(&buf)
 	if err != nil {
@@ -562,7 +470,7 @@ func resumeSweep(ecfg core.Config, shards int, s *core.ShardedEngine, workers []
 	if err != nil {
 		return Halted
 	}
-	worst := sweep(r.ReadRecover, hot, hotOracle)
+	worst := sweep(r.ReadRecover, hot.written, hot.oracle)
 	for _, w := range workers {
 		worst = max(worst, sweep(r.ReadRecover, w.written, w.oracle))
 	}

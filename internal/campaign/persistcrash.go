@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"sync"
 
@@ -23,13 +25,14 @@ import (
 // to hand back a memory whose contents disagree with some committed epoch's
 // oracle without saying so?
 //
-// Two arrangements run the same strike set:
+// One builder checkpoints a ShardedEngine with per-shard delta logs, written
+// by concurrent workers between epoch barriers (traffic is parallel, the
+// checkpoint is a quiescent cut — exactly how cmd/memserved drives it), and
+// two arrangements of it run the same strike set:
 //
-//   - flat: one Engine with the write pipeline, checkpointed over several
-//     epochs of single-threaded traffic;
-//   - sharded: a ShardedEngine with per-shard delta logs, written by
-//     concurrent workers between epoch barriers (traffic is parallel, the
-//     checkpoint is a quiescent cut — exactly how cmd/memserved drives it).
+//   - one shard written by one worker, whose base is a bare v1 image (the
+//     report's flat_* keys);
+//   - Shards shards written by Workers workers, whose base is a v2 image.
 //
 // Outcome mapping (same taxonomy, durability reading):
 //
@@ -72,7 +75,7 @@ type PersistCrashConfig struct {
 	Trials int
 	// BurstMax bounds bit flips per corruption strike.
 	BurstMax int
-	// Shards/Workers shape the sharded arrangement.
+	// Shards/Workers shape the second arrangement.
 	Shards  int
 	Workers int
 }
@@ -121,6 +124,8 @@ type PersistCrashReport struct {
 	Codec     string `json:"codec"`
 	Seed      int64  `json:"seed"`
 
+	// The flat_* keys describe the one-shard arrangement, sharded_trials
+	// the Shards-shard one.
 	Epochs        int   `json:"epochs"`
 	FlatTrials    int   `json:"flat_trials"`
 	ShardedTrials int   `json:"sharded_trials"`
@@ -141,7 +146,7 @@ func (r *PersistCrashReport) Passed() bool { return r.SilentEscapes == 0 }
 // per-log bytes, per-epoch oracles, and the trusted pins.
 type persistArtifacts struct {
 	base []byte
-	logs [][]byte // one per shard (len 1 for flat)
+	logs [][]byte // one per shard
 	// epochOracle[k] is the plaintext oracle after k committed epochs.
 	epochOracle []map[uint64][core.BlockBytes]byte
 	// epochEnds[s][k] is shard s's log length after k committed epochs —
@@ -169,212 +174,128 @@ func RunPersistCrash(cfg PersistCrashConfig) (*PersistCrashReport, error) {
 		Outcomes:  make(map[string]uint64),
 	}
 
-	flat, err := buildFlatArtifacts(cfg, ecfg)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: persist-crash flat arrangement: %w", err)
-	}
-	rep.FlatWALBytes = int64(len(flat.logs[0]))
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x70657273697374))
-	for trial := 0; trial < cfg.Trials; trial++ {
-		kind := strikeKinds()[trial%len(strikeKinds())]
-		o := strikeOnce(ecfg, 1, flat, kind, cfg.BurstMax, rng)
-		rep.Strikes[kind]++
-		rep.Outcomes[o.String()]++
-		rep.FlatTrials++
-		if o == Silent {
-			rep.SilentEscapes++
+	for i, a := range cfg.arrangements() {
+		art, err := buildArtifacts(cfg, ecfg, a)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: persist-crash %d-shard arrangement: %w", a.shards, err)
 		}
-	}
-
-	sharded, err := buildShardedArtifacts(cfg, ecfg)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: persist-crash sharded arrangement: %w", err)
-	}
-	for trial := 0; trial < cfg.Trials; trial++ {
-		kind := strikeKinds()[trial%len(strikeKinds())]
-		o := strikeOnce(ecfg, cfg.Shards, sharded, kind, cfg.BurstMax, rng)
-		rep.Strikes[kind]++
-		rep.Outcomes[o.String()]++
-		rep.ShardedTrials++
-		if o == Silent {
-			rep.SilentEscapes++
+		trials := &rep.ShardedTrials
+		if i == 0 {
+			trials = &rep.FlatTrials
+			rep.FlatWALBytes = int64(len(art.logs[0]))
+		}
+		for trial := 0; trial < cfg.Trials; trial++ {
+			kind := strikeKinds()[trial%len(strikeKinds())]
+			o := strikeOnce(ecfg, a.shards, art, kind, cfg.BurstMax, rng)
+			rep.Strikes[kind]++
+			rep.Outcomes[o.String()]++
+			*trials++
+			if o == Silent {
+				rep.SilentEscapes++
+			}
 		}
 	}
 	return rep, nil
 }
 
-func copyOracle(m map[uint64][core.BlockBytes]byte) map[uint64][core.BlockBytes]byte {
-	c := make(map[uint64][core.BlockBytes]byte, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
+// arrangement shapes one persist-crash build. Worker i is seeded with
+// Seed ^ (salt + i·0x5851F42D4C957F2D).
+type arrangement struct {
+	shards, workers int
+	salt            int64
 }
 
-// buildFlatArtifacts checkpoints a single engine over cfg.Epochs epochs of
-// traffic.
-func buildFlatArtifacts(cfg PersistCrashConfig, ecfg core.Config) (*persistArtifacts, error) {
-	e, err := core.NewEngine(ecfg)
-	if err != nil {
-		return nil, err
-	}
-	e.EnableDeltaTracking()
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x666c6174))
-	blocks := int64(ecfg.DataBlocks())
-	oracle := make(map[uint64][core.BlockBytes]byte)
-	write := func() error {
-		blk := uint64(rng.Int63n(blocks))
-		var data [core.BlockBytes]byte
-		rng.Read(data[:])
-		if err := e.Write(blk*core.BlockBytes, data[:]); err != nil {
-			return err
-		}
-		oracle[blk] = data
-		return nil
-	}
-	for i := 0; i < cfg.WritesPerEpoch; i++ {
-		if err := write(); err != nil {
-			return nil, err
-		}
-	}
-	var base, log bytes.Buffer
-	if _, err := e.Persist(&base); err != nil {
-		return nil, err
-	}
-	w, err := e.NewDeltaWriter(&log)
-	if err != nil {
-		return nil, err
-	}
-	art := &persistArtifacts{
-		base:        base.Bytes(),
-		epochOracle: []map[uint64][core.BlockBytes]byte{copyOracle(oracle)},
-		epochEnds:   [][]int64{{w.Offset()}},
-	}
-	for ep := 0; ep < cfg.Epochs; ep++ {
-		for i := 0; i < cfg.WritesPerEpoch; i++ {
-			if err := write(); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := e.AppendDelta(w); err != nil {
-			return nil, err
-		}
-		art.epochOracle = append(art.epochOracle, copyOracle(oracle))
-		art.epochEnds[0] = append(art.epochEnds[0], w.Offset())
-	}
-	art.logs = [][]byte{log.Bytes()}
-	art.pin = e.RootDigest()
-	return art, nil
+// arrangements lists the phase's two builds in run order: one shard written
+// by one worker, then Shards shards written by Workers workers.
+func (c PersistCrashConfig) arrangements() []arrangement {
+	return []arrangement{{1, 1, 0x666c6174}, {c.Shards, c.Workers, 0x5851F42D4C957F2D}}
 }
 
-// buildShardedArtifacts checkpoints a ShardedEngine whose traffic comes from
+// buildArtifacts checkpoints a ShardedEngine whose traffic comes from
 // concurrent workers; each epoch is a barrier cut, as a daemon's checkpoint
 // loop would take it.
-func buildShardedArtifacts(cfg PersistCrashConfig, ecfg core.Config) (*persistArtifacts, error) {
-	s, err := core.NewShardedEngine(ecfg, cfg.Shards)
+func buildArtifacts(cfg PersistCrashConfig, ecfg core.Config, a arrangement) (*persistArtifacts, error) {
+	s, err := core.NewShardedEngine(ecfg, a.shards)
 	if err != nil {
 		return nil, err
 	}
 	s.EnableDeltaTracking()
-	blocks := ecfg.DataBlocks()
 
-	// Disjoint group-aligned worker ranges, as in the concurrent phase.
-	type pworker struct {
-		rng     *rand.Rand
-		lo, hi  uint64
-		pending map[uint64][core.BlockBytes]byte
-		err     error
-	}
-	per := blocks / uint64(cfg.Workers) / ctr.GroupBlocks * ctr.GroupBlocks
+	// Disjoint group-aligned worker ranges, as in the concurrent phase, each
+	// written through its own shadow driver.
+	blocks := ecfg.DataBlocks()
+	per := blocks / uint64(a.workers) / ctr.GroupBlocks * ctr.GroupBlocks
 	if per == 0 {
-		return nil, fmt.Errorf("region too small for %d workers", cfg.Workers)
+		return nil, fmt.Errorf("region too small for %d workers", a.workers)
 	}
-	workers := make([]*pworker, cfg.Workers)
+	workers := make([]shadow, a.workers)
 	for i := range workers {
-		lo, hi := uint64(i)*per, uint64(i+1)*per
-		if i == cfg.Workers-1 {
-			hi = blocks
-		}
-		workers[i] = &pworker{
-			rng: rand.New(rand.NewSource(cfg.Seed ^ int64(i+1)*0x5851F42D4C957F2D)),
-			lo:  lo, hi: hi,
-			pending: make(map[uint64][core.BlockBytes]byte),
-		}
+		workers[i] = newShadow(s, rand.New(rand.NewSource(cfg.Seed^(a.salt+int64(i)*0x5851F42D4C957F2D))))
 	}
-	runEpochTraffic := func(n int) error {
+	// epoch runs one epoch of traffic, the workers in parallel, and returns
+	// the oracle of every write so far.
+	epoch := func() (map[uint64][core.BlockBytes]byte, error) {
+		errs := make([]error, len(workers))
 		var wg sync.WaitGroup
-		for _, w := range workers {
+		for i := range workers {
 			wg.Add(1)
-			go func(w *pworker) {
+			go func() {
 				defer wg.Done()
-				for i := 0; i < n; i++ {
-					blk := w.lo + uint64(w.rng.Int63n(int64(w.hi-w.lo)))
-					var data [core.BlockBytes]byte
-					w.rng.Read(data[:])
-					if err := s.Write(blk*core.BlockBytes, data[:]); err != nil {
-						w.err = err
+				w, lo, hi := &workers[i], uint64(i)*per, uint64(i+1)*per
+				if i == len(workers)-1 {
+					hi = blocks
+				}
+				for range cfg.WritesPerEpoch / len(workers) {
+					if errs[i] = w.write(lo + uint64(w.rng.Int63n(int64(hi-lo)))); errs[i] != nil {
 						return
 					}
-					w.pending[blk] = data
 				}
-			}(w)
+			}()
 		}
 		wg.Wait()
+		oracle := make(map[uint64][core.BlockBytes]byte)
 		for _, w := range workers {
-			if w.err != nil {
-				return w.err
-			}
+			maps.Copy(oracle, w.oracle)
 		}
-		return nil
+		return oracle, errors.Join(errs...)
 	}
 
-	oracle := make(map[uint64][core.BlockBytes]byte)
-	merge := func() {
-		for _, w := range workers {
-			for blk, data := range w.pending {
-				oracle[blk] = data
-			}
-			w.pending = make(map[uint64][core.BlockBytes]byte)
-		}
-	}
-
-	if err := runEpochTraffic(cfg.WritesPerEpoch / cfg.Workers); err != nil {
+	oracle, err := epoch()
+	if err != nil {
 		return nil, err
 	}
-	merge()
 	var base bytes.Buffer
 	if _, err := s.Persist(&base); err != nil {
 		return nil, err
 	}
-	logBufs := make([]bytes.Buffer, cfg.Shards)
 	art := &persistArtifacts{
 		base:        base.Bytes(),
-		epochOracle: []map[uint64][core.BlockBytes]byte{copyOracle(oracle)},
-		epochEnds:   make([][]int64, cfg.Shards),
+		logs:        make([][]byte, a.shards),
+		epochOracle: []map[uint64][core.BlockBytes]byte{oracle},
+		epochEnds:   make([][]int64, a.shards),
 	}
-	shardWriters := make([]*wal.Writer, cfg.Shards)
-	for i := range shardWriters {
-		w, err := s.NewShardDeltaWriter(i, &logBufs[i])
+	logBufs := make([]bytes.Buffer, a.shards)
+	logs := make([]*wal.Writer, a.shards)
+	for i := range logs {
+		if logs[i], err = s.NewShardDeltaWriter(i, &logBufs[i]); err != nil {
+			return nil, err
+		}
+		art.epochEnds[i] = []int64{logs[i].Offset()}
+	}
+	for range cfg.Epochs {
+		oracle, err := epoch()
 		if err != nil {
 			return nil, err
 		}
-		shardWriters[i] = w
-		art.epochEnds[i] = []int64{w.Offset()}
-	}
-	for ep := 0; ep < cfg.Epochs; ep++ {
-		if err := runEpochTraffic(cfg.WritesPerEpoch / cfg.Workers); err != nil {
-			return nil, err
-		}
-		merge()
-		for i, w := range shardWriters {
+		for i, w := range logs {
 			if _, err := s.AppendDeltaShard(i, w); err != nil {
 				return nil, err
 			}
 			art.epochEnds[i] = append(art.epochEnds[i], w.Offset())
 		}
-		art.epochOracle = append(art.epochOracle, copyOracle(oracle))
+		art.epochOracle = append(art.epochOracle, oracle)
 	}
-	art.logs = make([][]byte, cfg.Shards)
 	for i := range art.logs {
 		art.logs[i] = logBufs[i].Bytes()
 	}
@@ -425,14 +346,13 @@ func strikeOnce(ecfg core.Config, shards int, art *persistArtifacts, kind string
 		expectRefusal = true
 	}
 
-	return classifyShardedResume(ecfg, shards, base, logs, pin, art, expectRefusal)
+	return classifyResume(ecfg, shards, base, logs, pin, art, expectRefusal)
 }
 
-// classifyShardedResume resumes and grades the outcome against the per-epoch
+// classifyResume resumes and grades the outcome against the per-epoch
 // oracles: each shard may legitimately recover a different epoch, so every
-// block is checked against its owning shard's recovered-epoch oracle. The flat
-// arrangement is the one-shard case.
-func classifyShardedResume(ecfg core.Config, shards int, base []byte, logs [][]byte, pin *core.RootDigest, art *persistArtifacts, expectRefusal bool) Outcome {
+// block is checked against its owning shard's recovered-epoch oracle.
+func classifyResume(ecfg core.Config, shards int, base []byte, logs [][]byte, pin *core.RootDigest, art *persistArtifacts, expectRefusal bool) Outcome {
 	wals := make([]io.Reader, len(logs))
 	for i := range logs {
 		wals[i] = bytes.NewReader(logs[i])

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"authmem/internal/core"
@@ -44,6 +46,23 @@ func TestPersistCrashPhase(t *testing.T) {
 			}
 			if rep.FlatWALBytes <= 0 {
 				t.Fatal("flat WAL empty")
+			}
+			// The one-shard arrangement's base is a bare v1 image, the
+			// other's a v2 image headed by its shard count.
+			sized := cfg.Engine
+			sized.RegionBytes = regionBytes
+			for _, a := range cfg.arrangements() {
+				art, err := buildArtifacts(cfg, sized, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				head := []byte("AMEMPST1")
+				if a.shards > 1 {
+					head = binary.LittleEndian.AppendUint64([]byte("AMEMPST2"), uint64(a.shards))
+				}
+				if !bytes.HasPrefix(art.base, head) {
+					t.Fatalf("%d-shard base begins %q, want %q", a.shards, art.base[:min(len(art.base), 16)], head)
+				}
 			}
 		})
 	}

@@ -243,8 +243,12 @@ func TestDeltaReencodePreservesCounters(t *testing.T) {
 		want[b] = s.Counter(uint64(b))
 	}
 	// Push block 0 to overflow → re-encode. Every other block's counter
-	// must be unchanged.
-	for s.Stats().Reencodes == 0 {
+	// must be unchanged. Block 0's delta overflows within deltaMax touches,
+	// so a scheme that has not re-encoded by twice that never will.
+	for touches := 0; s.Stats().Reencodes == 0; touches++ {
+		if touches == 2*deltaMax {
+			t.Fatalf("no re-encode after %d touches of block 0", touches)
+		}
 		s.Touch(0)
 		want[0]++
 	}
