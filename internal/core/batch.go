@@ -83,6 +83,9 @@ func (e *Engine) read(addr uint64, dst []byte, ladder bool) (RecoverInfo, error)
 	var img []byte
 	ri.Fresh = true
 	for j := uint64(0); j < n; j++ {
+		if j%gatherBlocks == 0 {
+			e.gather(first+j, int(n-j), e.scheme.MetadataBlock(first+j))
+		}
 		blk, d := first+j, dst[j*BlockBytes:(j+1)*BlockBytes]
 		atomic.AddUint64(&e.stats.Reads, 1)
 		if e.readCached(blk, d) {
@@ -183,6 +186,7 @@ func (e *Engine) WriteBlocks(addr uint64, src []byte) error {
 func (e *Engine) writeChunk(first, midx uint64, src []byte) error {
 	n := len(src) / BlockBytes
 	var counters [ctr.GroupBlocks]uint64
+	e.gather(first, n, midx)
 
 	// Touch every counter with the whole chunk as the in-flight span: a
 	// mid-chunk overflow sweep must not reseal blocks this chunk is about

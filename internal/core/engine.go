@@ -118,6 +118,10 @@ type Engine struct {
 	// called. Marked at the metadata commit points and by the
 	// re-encryption sweep, drained by AppendDelta.
 	delta *deltaTracker
+
+	// sink takes what the cold path's gather loads (gather.go), so the
+	// compiler cannot drop them. Nothing reads it.
+	sink uint64
 }
 
 // EngineStats aggregates functional-engine events.

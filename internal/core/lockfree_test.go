@@ -430,6 +430,29 @@ func TestLockFreeWarmReadAllocs(t *testing.T) {
 	}
 }
 
+// TestColdWriteAllocs pins the cold write path to zero allocations: a
+// single-block Write, both caches dropped before it, into a chunk an earlier
+// write materialized.
+func TestColdWriteAllocs(t *testing.T) {
+	s := newSharded(t, smallCfg(ctr.Delta, MACInECC), 4)
+	const first = 3 * ctr.GroupBlocks
+	src := block(7)
+	if err := s.Write(first*BlockBytes, src); err != nil {
+		t.Fatal(err)
+	}
+	eng := s.shards[0].eng
+	next := uint64(0)
+	if a := testing.AllocsPerRun(200, func() {
+		goCold(eng)
+		if err := s.Write((first+next%ctr.GroupBlocks)*BlockBytes, src); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); a != 0 {
+		t.Errorf("cold single-block Write allocates %.1f per op, want 0", a)
+	}
+}
+
 // TestLockFreeConcurrentStress is the -race stress for the seqlock caches:
 // lock-free readers race disjoint-range writers, a tamper/recover goroutine
 // rotating fault planes (ciphertext, check lane, counter block, tree node),

@@ -116,6 +116,13 @@ func (s *DeltaScheme) extend(gid uint64) {
 	s.reserve = grow(s.reserve, gid)
 }
 
+// No slot's limit is below shortMax, which Touch's fast path relies on;
+// these stop compiling if one drops under it.
+const (
+	_ uint = deltaMax - shortMax
+	_ uint = longMax - shortMax
+)
+
 // limit returns the current capacity of delta slot i of group gid.
 func (s *DeltaScheme) limit(gid uint64, i int) uint16 {
 	switch {
@@ -146,7 +153,9 @@ func (s *DeltaScheme) Touch(block uint64) WriteOutcome {
 	s.stats.Writes++
 	var out WriteOutcome
 
-	if g.deltas[i] == s.limit(gid, i) {
+	// A delta below shortMax is below every slot's limit under either
+	// layout, so the common write skips limit and its layout checks.
+	if d := g.deltas[i]; d >= shortMax && d == s.limit(gid, i) {
 		if s.dual && s.reserve[gid] == 0 {
 			// First overflow in a dual-length block-group: hand the
 			// reserve bits to this delta-group (Figure 6).
