@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"authmem/cluster"
 	"authmem/internal/wire"
 )
 
@@ -42,4 +43,33 @@ func TestQuorumAllocs(t *testing.T) {
 		t.Errorf("R=2 quorum op allocates %.1f (read) / %.1f (write), want at most 4", read, write)
 	}
 	t.Logf("allocs per op: read %.1f, write %.1f", read, write)
+}
+
+// BenchmarkQuorumRead and BenchmarkQuorumWrite time one R=2 quorum op on a
+// 4-block span inside one stripe over three loopback nodes: the shape of
+// the cluster-r2 workload without its harness. The loop body is the call
+// alone, so what it allocates is the round's own.
+func BenchmarkQuorumRead(b *testing.B) { benchQuorum(b, false) }
+
+func BenchmarkQuorumWrite(b *testing.B) { benchQuorum(b, true) }
+
+func benchQuorum(b *testing.B, write bool) {
+	_, c := startCluster(b, "a", "b", "c")
+	data := fill(0x3C, 4*wire.BlockBytes)
+	dst := make([]byte, len(data))
+	const addr = 5 * tStripeB * wire.BlockBytes
+	if _, err := c.Write(addr, data); err != nil {
+		b.Fatal(err)
+	}
+	op := func() (cluster.Info, error) { return c.Read(addr, dst) }
+	if write {
+		op = func() (cluster.Info, error) { return c.Write(addr, data) }
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := op(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

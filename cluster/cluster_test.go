@@ -468,12 +468,15 @@ func TestClusterPartitionHeal(t *testing.T) {
 	}
 }
 
-// lossyBackend acknowledges writes that touch [lo, hi) while armed but
-// never stores them: a replica whose writes land nowhere. It overrides the
-// inline TryWriteBlocks too, or the embedded Memory would serve it.
+// lossyBackend never stores writes that touch [lo, hi) while armed: it
+// acknowledges them (a replica whose writes land nowhere), or, when refuse
+// is set, fails them with it (an *authmem.IntegrityError is served as
+// MAC_FAIL: an honest node condemning the write). It overrides the inline
+// TryWriteBlocks too, or the embedded Memory would serve it.
 type lossyBackend struct {
 	*authmem.Memory
 	lo, hi uint64
+	refuse error
 	armed  atomic.Bool
 }
 
@@ -483,14 +486,14 @@ func (b *lossyBackend) drops(addr uint64, n int) bool {
 
 func (b *lossyBackend) WriteBlocks(addr uint64, src []byte) error {
 	if b.drops(addr, len(src)) {
-		return nil
+		return b.refuse
 	}
 	return b.Memory.WriteBlocks(addr, src)
 }
 
 func (b *lossyBackend) TryWriteBlocks(addr uint64, src []byte) (bool, error) {
 	if b.drops(addr, len(src)) {
-		return true, nil
+		return true, b.refuse
 	}
 	return b.Memory.TryWriteBlocks(addr, src)
 }
@@ -853,5 +856,113 @@ func TestClusterLosingFirstVoterNeverReachesCaller(t *testing.T) {
 	}
 	if !bytes.Equal(dst, zero) {
 		t.Fatal("unreachable read left the caller's buffer unzeroed")
+	}
+}
+
+// TestClusterAttestAfterRestart restarts a node empty under a new epoch and
+// attests before any data traffic has reached it. The attestation must pin
+// the node's current incarnation: report epoch 99, count the epoch reset and
+// void the node's stripes, so a read of one is not CLEAN until repair has
+// re-created it, and returns the written bytes throughout.
+func TestClusterAttestAfterRestart(t *testing.T) {
+	hs, c := startCluster(t, "a", "b", "c")
+	_, addr := stripeOwnedBy([]string{"a", "b", "c"}, "c", 2)
+	data := fill(0x3D, tStripeB*wire.BlockBytes)
+	if _, err := c.Write(addr, data); err != nil {
+		t.Fatal(err)
+	}
+
+	hs["c"].kill()
+	hs["c"].restart(99)
+	att, err := c.Attest()
+	if err != nil {
+		t.Fatalf("attest after restart: %v", err)
+	}
+	if got := att.Nodes[2]; got.Name != "c" || got.Epoch != 99 {
+		t.Fatalf("attested %+v, want node c at its current epoch 99", got)
+	}
+	if st := c.Stats(); st.EpochResets != 1 {
+		t.Fatalf("EpochResets %d after attesting a restarted node, want 1", st.EpochResets)
+	}
+
+	dst := make([]byte, len(data))
+	info, err := c.Read(addr, dst)
+	if err != nil {
+		t.Fatalf("read after attest: %v", err)
+	}
+	if !bytes.Equal(dst, data) {
+		t.Fatal("read after attest returned wrong bytes")
+	}
+	if info.Verdict == cluster.VerdictClean {
+		t.Fatalf("the restarted node's empty copy voted in a clean quorum: %+v", info)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		info, err = c.Read(addr, dst)
+		if err == nil && info.Verdict == cluster.VerdictClean {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stripe never converged: info=%+v err=%v", info, err)
+		}
+	}
+	if !bytes.Equal(dst, data) {
+		t.Fatal("converged read returned wrong bytes")
+	}
+}
+
+// TestClusterWriteVerdicts pins what a write's Info says when a replica
+// misses it: refused by its node (OUTVOTED_FAULT), then left stale until
+// the next read repairs it (OUTVOTED_STALE), or partitioned away
+// (OUTVOTED_UNREACHABLE). Every one is Degraded, and no read ever returns
+// the missed write's predecessor.
+func TestClusterWriteVerdicts(t *testing.T) {
+	sb := uint64(tStripeB) * wire.BlockBytes
+	refusing := &lossyBackend{lo: 0, hi: sb, refuse: &authmem.IntegrityError{Reason: "write refused"}}
+	a := startNode(t, "a", tSize, 1)
+	b := startNodeWith(t, "b", tSize, 2, func(m *authmem.Memory) server.Backend {
+		refusing.Memory = m
+		return refusing
+	})
+	c := newCluster(t, a, b)
+
+	if info, err := c.Write(0, fill(0x71, int(sb))); err != nil || info != (cluster.Info{}) {
+		t.Fatalf("healthy write: info %+v, err %v", info, err)
+	}
+
+	refusing.armed.Store(true)
+	before := c.Stats().OutvotedFault
+	fresh := fill(0x72, int(sb))
+	info, err := c.Write(0, fresh)
+	if err != nil {
+		t.Fatalf("write refused by one replica: %v", err)
+	}
+	if info.Verdict != cluster.VerdictOutvotedFault || !info.Degraded {
+		t.Fatalf("refused write info %+v, want OUTVOTED_FAULT and Degraded", info)
+	}
+	if st := c.Stats(); st.OutvotedFault == before {
+		t.Fatalf("refused write left OutvotedFault at %d", st.OutvotedFault)
+	}
+
+	refusing.armed.Store(false)
+	dst := make([]byte, sb)
+	info, err = c.Read(0, dst)
+	if err != nil {
+		t.Fatalf("read after refused write: %v", err)
+	}
+	if !bytes.Equal(dst, fresh) {
+		t.Fatal("read after refused write returned wrong bytes")
+	}
+	if info.Verdict != cluster.VerdictOutvotedStale || !info.Repaired {
+		t.Fatalf("read after refused write info %+v, want OUTVOTED_STALE and Repaired", info)
+	}
+
+	b.partition()
+	info, err = c.Write(0, fill(0x73, int(sb)))
+	if err != nil {
+		t.Fatalf("write during partition: %v", err)
+	}
+	if info.Verdict != cluster.VerdictOutvotedUnreachable || !info.Degraded {
+		t.Fatalf("partitioned write info %+v, want OUTVOTED_UNREACHABLE and Degraded", info)
 	}
 }

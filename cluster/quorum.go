@@ -40,28 +40,7 @@ func (i *Info) merge(o Info) {
 // A replica caught diverging is outvoted (see Verdict), repaired, and the
 // call still succeeds; an unresolvable divergence fails with *QuorumError.
 func (c *Cluster) Read(addr uint64, dst []byte) (Info, error) {
-	if err := c.validSpan(addr, len(dst)); err != nil {
-		return Info{}, err
-	}
-	c.gate.RLock()
-	defer c.gate.RUnlock()
-	var agg Info
-	err := c.forEachStripe(addr, len(dst), func(s, lo uint64, off, n int) error {
-		lk := c.lockFor(s)
-		lk.RLock()
-		info, err := c.readQuorum(s, lo, dst[off:off+n])
-		repair := err == nil && c.wantRepair(s)
-		lk.RUnlock()
-		if err != nil {
-			return err
-		}
-		if repair && c.repairStripe(s) {
-			info.Repaired = true
-		}
-		agg.merge(info)
-		return nil
-	})
-	return agg, err
+	return c.walk(addr, dst, false)
 }
 
 // Write quorum-writes len(src) bytes at the block-aligned addr to every
@@ -69,28 +48,53 @@ func (c *Cluster) Read(addr uint64, dst []byte) (Info, error) {
 // faulted) are marked stale and repaired — immediately if reachable,
 // otherwise when they return.
 func (c *Cluster) Write(addr uint64, src []byte) (Info, error) {
-	if err := c.validSpan(addr, len(src)); err != nil {
+	return c.walk(addr, src, true)
+}
+
+// walk cuts [addr, addr+len(p)) at stripe boundaries and runs one round per
+// piece under the gate (shared) and then that stripe's lock: shared for a
+// read, exclusive for a write, so every replica applies a stripe's writes in
+// one order. Pieces run in turn, so a spanning call holds at most one stripe
+// lock at a time. A stripe left stale on a reachable replica is repaired
+// once its lock is dropped.
+func (c *Cluster) walk(addr uint64, p []byte, write bool) (Info, error) {
+	if err := c.validSpan(addr, len(p)); err != nil {
 		return Info{}, err
 	}
 	c.gate.RLock()
 	defer c.gate.RUnlock()
 	var agg Info
-	err := c.forEachStripe(addr, len(src), func(s, lo uint64, off, n int) error {
+	for off := 0; off < len(p); {
+		s := c.geo.StripeOf(addr)
+		_, hi := c.geo.StripeSpan(s)
+		n := int(min(uint64(len(p)-off), hi-addr))
+		// Branches, not a sync.Locker: one dynamic Lock call keeps lock
+		// methods the linker otherwise drops, and moves the runtime's and
+		// the engine's code in every binary that links this package.
 		lk := c.lockFor(s)
-		lk.Lock()
-		info, err := c.writeQuorum(s, lo, src[off:off+n])
+		if write {
+			lk.Lock()
+		} else {
+			lk.RLock()
+		}
+		info, err := c.round(s, addr, p[off:off+n], write)
 		repair := err == nil && c.wantRepair(s)
-		lk.Unlock()
+		if write {
+			lk.Unlock()
+		} else {
+			lk.RUnlock()
+		}
 		if err != nil {
-			return err
+			return agg, err
 		}
 		if repair && c.repairStripe(s) {
 			info.Repaired = true
 		}
 		agg.merge(info)
-		return nil
-	})
-	return agg, err
+		addr += uint64(n)
+		off += n
+	}
+	return agg, nil
 }
 
 // Flush brings every reachable node to a quiescent point and refreshes the
@@ -141,7 +145,10 @@ type Attestation struct {
 // per-node roots (sorted by name) into one cluster root with the same
 // domain-separated construction the sharded engine uses for shard subtrees
 // (tree.CombineRoots). Every member must answer: an attestation that skips
-// a node pins nothing.
+// a node pins nothing. Only a node's current incarnation is pinned: each
+// member first re-handshakes through the cluster's epoch rule, so one whose
+// epoch moved is voided (its stripes queued for repair, as a read's epoch
+// evidence does) and attested under its new epoch.
 func (c *Cluster) Attest() (Attestation, error) {
 	c.gate.Lock()
 	defer c.gate.Unlock()
@@ -155,11 +162,14 @@ func (c *Cluster) Attest() (Attestation, error) {
 		c.mmu.RLock()
 		m := c.members[name]
 		c.mmu.RUnlock()
-		cl := m.client()
-		if cl == nil {
-			return Attestation{}, fmt.Errorf("cluster: attest: node %q has never been reached", name)
+		// A member marked dead takes its probe now, if one is due.
+		if !c.reviveIfDue(m) {
+			return Attestation{}, fmt.Errorf("cluster: attest: node %q is unreachable", name)
 		}
-		d, err := cl.FlushPinned()
+		if _, err := c.refreshEpoch(m); err != nil {
+			return Attestation{}, fmt.Errorf("cluster: attest: node %q: %w", name, err)
+		}
+		d, err := m.cl.FlushPinned()
 		if err != nil {
 			c.markDead(m)
 			return Attestation{}, fmt.Errorf("cluster: attest: node %q: %w", name, err)
@@ -167,7 +177,6 @@ func (c *Cluster) Attest() (Attestation, error) {
 		m.noteRoot(d)
 		m.mu.Lock()
 		epoch := m.epoch
-		m.alive = true
 		m.mu.Unlock()
 		att.Nodes = append(att.Nodes, NodeRoot{Name: name, Epoch: epoch, Root: d})
 		roots = append(roots, d)
@@ -190,29 +199,11 @@ func (c *Cluster) validSpan(addr uint64, n int) error {
 	return nil
 }
 
-// forEachStripe cuts [addr, addr+n) at stripe boundaries and calls f once
-// per piece with the stripe index, the piece's address, and its offset and
-// length in the caller's buffer. Pieces run sequentially, so a spanning
-// call holds at most one stripe lock at a time.
-func (c *Cluster) forEachStripe(addr uint64, n int, f func(s, lo uint64, off, n int) error) error {
-	for off := 0; off < n; {
-		s := c.geo.StripeOf(addr)
-		_, hi := c.geo.StripeSpan(s)
-		sub := int(min(uint64(n-off), hi-addr))
-		if err := f(s, addr, off, sub); err != nil {
-			return err
-		}
-		addr += uint64(sub)
-		off += sub
-	}
-	return nil
-}
-
-// replicaRead is one replica's answer to a fanned-out pinned read.
-type replicaRead struct {
+// replica is one owner's part in a round: its pinned round trip and answer.
+type replica struct {
 	m    *member
-	data []byte
-	buf  *[]byte // data's pooled backing; nil for the first voter, which reads into dst
+	data []byte  // the span carried: the caller's buffer or a read's pooled one
+	buf  *[]byte // data's pooled backing; nil when data is the caller's buffer
 	pin  authmem.RootDigest
 	err  error
 }
@@ -221,7 +212,7 @@ type replicaRead struct {
 // arrays; a larger R falls back to slices.
 const inlineReplicas = 4
 
-// voterBufs recycles the buffers the voters after the first read into.
+// voterBufs recycles the buffers a read's replicas after the first read into.
 var voterBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 func getVoterBuf(n int) *[]byte {
@@ -233,115 +224,140 @@ func getVoterBuf(n int) *[]byte {
 	return b
 }
 
-// readQuorum fans a pinned read over stripe s's replicas and resolves the
-// answers into dst. Caller holds the stripe lock (shared or exclusive) and
-// the gate (shared). Losing replicas are marked dirty for later repair;
-// readQuorum itself never takes the exclusive lock.
-func (c *Cluster) readQuorum(s, lo uint64, dst []byte) (Info, error) {
-	atomic.AddUint64(&c.ctr.QuorumReads, 1)
+// round is the one pinned quorum round over stripe s's owners: a read into
+// p or a write of p at lo. Caller holds the gate (shared) and the stripe
+// lock, exclusively for a write. The round selects the owners that take
+// part, fans a pinned round trip out to each, and applies the one failure
+// rule (failed) to every replica that did not answer; then a read resolves
+// the answers into p (resolveReads) and a write records the roots its
+// replicas pinned. A replica that loses is marked stale for repair; round
+// itself never takes the exclusive lock.
+func (c *Cluster) round(s, lo uint64, p []byte, write bool) (Info, error) {
+	op, call := "read", (*client.Client).ReadPinned
+	quorum, degraded := &c.ctr.QuorumReads, &c.ctr.DegradedReads
+	if write {
+		op, call = "write", (*client.Client).WritePinned
+		quorum, degraded = &c.ctr.QuorumWrites, &c.ctr.DegradedWrites
+	}
+	atomic.AddUint64(quorum, 1)
 	owners := c.ownersOf(s)
 
-	var voterArr [inlineReplicas]*member
-	voters := voterArr[:0]
-	excluded := VerdictClean // strongest verdict among non-voting owners
+	// What the replicas' goroutines share with this one is a single object.
+	var fan struct {
+		wg sync.WaitGroup
+		rs [inlineReplicas]replica
+	}
+	rs := fan.rs[:0]
+	if len(owners) > inlineReplicas {
+		rs = make([]replica, 0, len(owners))
+	}
+	excluded := VerdictClean // strongest verdict among owners that did not answer
 	for _, m := range owners {
-		// Liveness first: a dead member may be due for a probe, and the
-		// probe is what discovers an epoch change and voids its state.
+		// Liveness first: a dead member may be due a probe, and the probe
+		// is what discovers an epoch change and voids its state. A write
+		// it misses leaves the stripe stale there.
 		if !m.isAlive() && !c.reviveIfDue(m) {
+			if write {
+				m.markDirty(s)
+			}
 			excluded = max(excluded, VerdictOutvotedUnreachable)
 			continue
 		}
-		if m.isDirty(s) {
-			// Known-stale (voided by a restart, a lost vote, or a
-			// missed write): must not count until repaired.
+		// A known-stale copy (voided by a restart, a lost vote or a missed
+		// write) must not vote until repaired. A write still refreshes
+		// its span, but only a full-stripe repair clears the mark.
+		if !write && m.isDirty(s) {
 			excluded = max(excluded, VerdictOutvotedStale)
 			continue
 		}
-		voters = append(voters, m)
+		rs = append(rs, replica{m: m, data: p})
 	}
 
-	// R voters cost R round trips and nothing else: the first voter's read
-	// runs on this goroutine, straight into dst; only the other R-1 get a
-	// goroutine and a buffer. dst therefore holds an unvoted replica's
-	// bytes until the vote is resolved below — every return path either
-	// copies the winner over it or clears it.
-	//
-	// What the voter goroutines share with this one is a single object, and
-	// their buffers are pooled: they go back once the vote is resolved and
-	// the winner copied out.
-	var fan struct {
-		wg    sync.WaitGroup
-		reads [inlineReplicas]replicaRead
-	}
-	reads := fan.reads[:]
-	if len(voters) > inlineReplicas {
-		reads = make([]replicaRead, len(voters))
-	}
-	reads = reads[:len(voters)]
-	for i := 1; i < len(voters); i++ {
-		buf := getVoterBuf(len(dst))
+	// R replicas cost R round trips and nothing else: the first runs on
+	// this goroutine, straight from or into p; only the other R-1 get a
+	// goroutine, and a read's a pooled buffer. A read's p therefore holds
+	// an unvoted replica's bytes until the vote is resolved below: every
+	// return path either copies the winner over it or clears it.
+	for i := 1; i < len(rs); i++ {
+		r := &rs[i]
+		if !write {
+			r.buf = getVoterBuf(len(p))
+			r.data = *r.buf
+		}
 		fan.wg.Add(1)
-		go func(r *replicaRead, m *member) {
+		go func() {
 			defer fan.wg.Done()
-			_, pin, err := m.cl.ReadPinned(lo, *buf)
-			*r = replicaRead{m: m, data: *buf, buf: buf, pin: pin, err: err}
-		}(&reads[i], voters[i])
+			_, r.pin, r.err = call(r.m.cl, lo, r.data)
+		}()
 	}
-	if len(voters) > 0 {
-		_, pin, err := voters[0].cl.ReadPinned(lo, dst)
-		reads[0] = replicaRead{m: voters[0], data: dst, pin: pin, err: err}
+	if len(rs) > 0 {
+		_, rs[0].pin, rs[0].err = call(rs[0].m.cl, lo, p)
 	}
 	fan.wg.Wait()
 	defer func() {
-		for _, r := range reads {
+		for _, r := range rs {
 			if r.buf != nil {
 				voterBufs.Put(r.buf)
 			}
 		}
 	}()
 
-	var okArr [inlineReplicas]replicaRead
+	var okArr [inlineReplicas]replica
 	oks := okArr[:0]
-	for _, r := range reads {
-		if r.err == nil {
-			oks = append(oks, r)
+	for _, r := range rs {
+		if r.err != nil {
+			excluded = max(excluded, c.failed(r.m, s, r.err, write))
 			continue
 		}
-		var se *client.StatusError
-		if errors.As(r.err, &se) {
-			// The node itself condemned its copy: corruption caught by
-			// its MAC/tree. The replica is out and needs a re-write.
-			r.m.markDirty(s)
-			excluded = max(excluded, VerdictOutvotedFault)
-		} else {
-			c.markDead(r.m)
-			excluded = max(excluded, VerdictOutvotedUnreachable)
+		oks = append(oks, r)
+	}
+	verdict := VerdictUnresolved
+	switch {
+	case len(oks) == 0:
+	case write:
+		for _, r := range oks {
+			r.m.noteRoot(r.pin)
 		}
+		verdict = VerdictClean
+	default:
+		var winner []byte
+		winner, verdict = c.resolveReads(s, oks)
+		copy(p, winner) // a no-op when the first voter won (its data is p) or nobody did
 	}
-	var (
-		winner  []byte
-		verdict Verdict
-		qerr    error
-	)
-	if len(oks) == 0 {
-		qerr = c.quorumErr("read", lo, len(dst), reads)
-	} else {
-		winner, verdict, qerr = c.resolveReads(s, lo, oks)
-	}
-	if qerr != nil {
-		clear(dst) // never hand back bytes no vote stood behind
-		c.ctr.countVerdict(VerdictUnresolved)
-		return Info{Verdict: VerdictUnresolved}, qerr
+	if verdict == VerdictUnresolved {
+		err := c.quorumErr(op, lo, len(p), rs)
+		if !write {
+			clear(p) // never hand back bytes no vote stood behind
+		}
+		c.ctr.countVerdict(verdict)
+		return Info{Verdict: verdict}, err
 	}
 	verdict = max(verdict, excluded)
-	copy(dst, winner) // a no-op when the first voter won: its data is dst
-
 	info := Info{Verdict: verdict, Degraded: len(oks) < len(owners)}
 	if info.Degraded {
-		atomic.AddUint64(&c.ctr.DegradedReads, 1)
+		atomic.AddUint64(degraded, 1)
 	}
 	c.ctr.countVerdict(verdict)
 	return info, nil
+}
+
+// failed is the one failure rule for a replica's failed round trip on stripe
+// s, used by every round and by copyVerified; it returns the verdict the
+// replica earns. A status error is the node condemning its own copy
+// (MAC_FAIL, QUARANTINED): the node is honest, the stripe is stale there.
+// Any other error is the transport's: the node is dead, and a write it
+// missed leaves the stripe stale there too.
+func (c *Cluster) failed(m *member, s uint64, err error, write bool) Verdict {
+	var se *client.StatusError
+	if errors.As(err, &se) {
+		m.markDirty(s)
+		return VerdictOutvotedFault
+	}
+	c.markDead(m)
+	if write {
+		m.markDirty(s)
+	}
+	return VerdictOutvotedUnreachable
 }
 
 // resolveReads picks the correct answer among successful replica reads.
@@ -355,10 +371,11 @@ func (c *Cluster) readQuorum(s, lo uint64, dst []byte) (Info, error) {
 //  4. Root pin — a replica whose pinned root deviates from the last root
 //     the cluster observed from that node (while the others' match) has
 //     rolled back or been tampered: outvoted.
-//  5. Nothing decides — *QuorumError. Detected, reported, never guessed.
-func (c *Cluster) resolveReads(s, lo uint64, oks []replicaRead) ([]byte, Verdict, error) {
+//  5. Nothing decides — VerdictUnresolved and no winner; the round fails
+//     with *QuorumError. Detected, reported, never guessed.
+func (c *Cluster) resolveReads(s uint64, oks []replica) ([]byte, Verdict) {
 	if agreed, data := unanimous(oks); agreed {
-		return data, VerdictClean, nil
+		return data, VerdictClean
 	}
 	// Only a disagreement pays for digests: answers are grouped by SHA-256
 	// so factions can be counted.
@@ -381,11 +398,11 @@ func (c *Cluster) resolveReads(s, lo uint64, oks []replicaRead) ([]byte, Verdict
 					condemn(oidxs)
 				}
 			}
-			return oks[idxs[0]].data, VerdictOutvotedMajority, nil
+			return oks[idxs[0]].data, VerdictOutvotedMajority
 		}
 	}
 	// Epoch evidence: drop replicas whose node restarted under us.
-	var live []replicaRead
+	var live []replica
 	epochFired := false
 	for _, r := range oks {
 		changed, err := c.refreshEpoch(r.m)
@@ -405,7 +422,7 @@ func (c *Cluster) resolveReads(s, lo uint64, oks []replicaRead) ([]byte, Verdict
 		if !epochFired {
 			v = VerdictOutvotedUnreachable
 		}
-		return data, v, nil
+		return data, v
 	}
 	// Root-pin evidence: a replica is supported when the root pinned to
 	// its answer equals the last root the cluster saw this node commit.
@@ -414,7 +431,7 @@ func (c *Cluster) resolveReads(s, lo uint64, oks []replicaRead) ([]byte, Verdict
 	// through. A single supported faction is decisive: the others present
 	// roots the cluster never observed, i.e. rolled-back or fabricated
 	// state.
-	var supported, unsupported []replicaRead
+	var supported, unsupported []replica
 	for _, r := range live {
 		r.m.mu.Lock()
 		match := r.m.rootKnown && r.m.lastRoot == r.pin
@@ -429,13 +446,13 @@ func (c *Cluster) resolveReads(s, lo uint64, oks []replicaRead) ([]byte, Verdict
 		for _, r := range unsupported {
 			r.m.markDirty(s)
 		}
-		return data, VerdictOutvotedRoot, nil
+		return data, VerdictOutvotedRoot
 	}
-	return nil, VerdictUnresolved, c.quorumErrOK("read", lo, oks)
+	return nil, VerdictUnresolved
 }
 
 // unanimous reports whether all reads carry identical bytes.
-func unanimous(rs []replicaRead) (bool, []byte) {
+func unanimous(rs []replica) (bool, []byte) {
 	if len(rs) == 0 {
 		return false, nil
 	}
@@ -445,93 +462,6 @@ func unanimous(rs []replicaRead) (bool, []byte) {
 		}
 	}
 	return true, rs[0].data
-}
-
-// writeQuorum fans a pinned write over stripe s's replicas. Caller holds
-// the stripe lock exclusively (writes to one stripe are serialized so every
-// replica applies them in the same order) and the gate (shared). A replica
-// that misses the write is marked dirty: the stripe is stale there until
-// repaired.
-func (c *Cluster) writeQuorum(s, lo uint64, src []byte) (Info, error) {
-	atomic.AddUint64(&c.ctr.QuorumWrites, 1)
-	owners := c.ownersOf(s)
-
-	type wres struct {
-		m   *member
-		pin authmem.RootDigest
-		err error
-	}
-	// As in readQuorum, one object is all the goroutines share.
-	var fan struct {
-		wg  sync.WaitGroup
-		res [inlineReplicas]wres
-	}
-	res := fan.res[:0]
-	if len(owners) > inlineReplicas {
-		res = make([]wres, 0, len(owners))
-	}
-	missed := VerdictClean
-	for _, m := range owners {
-		if !m.isAlive() && !c.reviveIfDue(m) {
-			m.markDirty(s)
-			missed = max(missed, VerdictOutvotedUnreachable)
-			continue
-		}
-		res = append(res, wres{m: m})
-	}
-	// As in readQuorum: the first replica's write runs on this goroutine,
-	// the others in parallel with it.
-	for i := 1; i < len(res); i++ {
-		fan.wg.Add(1)
-		go func(r *wres) {
-			defer fan.wg.Done()
-			r.pin, r.err = writePinned(r.m, lo, src)
-		}(&res[i])
-	}
-	if len(res) > 0 {
-		res[0].pin, res[0].err = writePinned(res[0].m, lo, src)
-	}
-	fan.wg.Wait()
-
-	acks := 0
-	for _, r := range res {
-		switch {
-		case r.err == nil:
-			r.m.noteRoot(r.pin)
-			acks++
-			// A write also refreshes a stale replica's copy of this
-			// span, but only a full-stripe repair clears dirtiness.
-		default:
-			r.m.markDirty(s)
-			var se *client.StatusError
-			if errors.As(r.err, &se) {
-				missed = max(missed, VerdictOutvotedFault)
-			} else {
-				c.markDead(r.m)
-				missed = max(missed, VerdictOutvotedUnreachable)
-			}
-		}
-	}
-	if acks == 0 {
-		c.ctr.countVerdict(VerdictUnresolved)
-		states := make([]ReplicaState, 0, len(res))
-		for _, r := range res {
-			states = append(states, ReplicaState{Node: r.m.name, Err: r.err})
-		}
-		return Info{Verdict: VerdictUnresolved}, &QuorumError{Op: "write", Addr: lo, Len: len(src), Replicas: states}
-	}
-	info := Info{Verdict: missed, Degraded: acks < len(owners)}
-	if info.Degraded {
-		atomic.AddUint64(&c.ctr.DegradedWrites, 1)
-	}
-	c.ctr.countVerdict(missed)
-	return info, nil
-}
-
-// writePinned writes one span to one member and returns the pinned root.
-func writePinned(m *member, lo uint64, src []byte) (authmem.RootDigest, error) {
-	_, pin, err := m.cl.WritePinned(lo, src)
-	return pin, err
 }
 
 // wantRepair reports whether any live owner of s is marked stale. Caller
@@ -555,13 +485,9 @@ func (c *Cluster) repairStripe(s uint64) bool {
 	lk := c.lockFor(s)
 	lk.Lock()
 	defer lk.Unlock()
-	return c.repairStripeLocked(s)
-}
-
-func (c *Cluster) repairStripeLocked(s uint64) bool {
 	lo, hi := c.geo.StripeSpan(s)
 	buf := make([]byte, hi-lo)
-	if _, err := c.readQuorum(s, lo, buf); err != nil {
+	if _, err := c.round(s, lo, buf, false); err != nil {
 		return false // no trustworthy source right now
 	}
 	repaired := false
@@ -569,7 +495,7 @@ func (c *Cluster) repairStripeLocked(s uint64) bool {
 		if !m.isDirty(s) || !m.isAlive() {
 			continue
 		}
-		if c.copyVerified(m, lo, buf) {
+		if c.copyVerified(m, s, lo, buf) {
 			m.clearDirty(s)
 			atomic.AddUint64(&c.ctr.Repairs, 1)
 			atomic.AddUint64(&c.ctr.RepairedBytes, uint64(len(buf)))
@@ -579,40 +505,34 @@ func (c *Cluster) repairStripeLocked(s uint64) bool {
 	return repaired
 }
 
-// copyVerified writes data to m at lo and proves the copy landed by
-// reading it back through m's own authentication path and comparing.
-func (c *Cluster) copyVerified(m *member, lo uint64, data []byte) bool {
+// copyVerified writes data to m at lo (in stripe s) and proves the copy
+// landed by reading it back through m's own authentication path and
+// comparing. A failed round trip goes through the one failure rule.
+func (c *Cluster) copyVerified(m *member, s, lo uint64, data []byte) bool {
 	cl := m.client()
 	if cl == nil {
 		return false
 	}
 	_, pin, err := cl.WritePinned(lo, data)
 	if err != nil {
-		if !isStatusErr(err) {
-			c.markDead(m)
-		}
+		c.failed(m, s, err, true)
 		return false
 	}
 	m.noteRoot(pin)
 	back := make([]byte, len(data))
-	if _, _, err := cl.ReadPinned(lo, back); err != nil || !bytes.Equal(back, data) {
-		if err != nil && !isStatusErr(err) {
-			c.markDead(m)
-		}
+	if _, _, err := cl.ReadPinned(lo, back); err != nil {
+		c.failed(m, s, err, false)
 		return false
 	}
-	return true
+	return bytes.Equal(back, data)
 }
 
-func isStatusErr(err error) bool {
-	var se *client.StatusError
-	return errors.As(err, &se)
-}
-
-// quorumErr builds the all-replicas-failed error.
-func (c *Cluster) quorumErr(op string, addr uint64, n int, reads []replicaRead) error {
-	states := make([]ReplicaState, 0, len(reads))
-	for _, r := range reads {
+// quorumErr builds the *QuorumError of a round that failed: every replica
+// that took part, with its answer's digest (if it answered), pinned root and
+// current epoch.
+func (c *Cluster) quorumErr(op string, addr uint64, n int, rs []replica) error {
+	states := make([]ReplicaState, 0, len(rs))
+	for _, r := range rs {
 		st := ReplicaState{Node: r.m.name, Err: r.err, Root: r.pin}
 		if r.err == nil {
 			st.PayloadSHA = sha256.Sum256(r.data)
@@ -623,10 +543,4 @@ func (c *Cluster) quorumErr(op string, addr uint64, n int, reads []replicaRead) 
 		states = append(states, st)
 	}
 	return &QuorumError{Op: op, Addr: addr, Len: n, Replicas: states}
-}
-
-// quorumErrOK builds the unresolved-divergence error from successful but
-// conflicting reads.
-func (c *Cluster) quorumErrOK(op string, addr uint64, oks []replicaRead) error {
-	return c.quorumErr(op, addr, len(oks[0].data), oks)
 }

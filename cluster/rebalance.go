@@ -152,10 +152,10 @@ func (c *Cluster) rebalance(names []string) error {
 func (c *Cluster) transferStripeLocked(s uint64, dst *member) error {
 	lo, hi := c.geo.StripeSpan(s)
 	buf := make([]byte, hi-lo)
-	if _, err := c.readQuorum(s, lo, buf); err != nil {
+	if _, err := c.round(s, lo, buf, false); err != nil {
 		return fmt.Errorf("no trustworthy source: %w", err)
 	}
-	if !c.copyVerified(dst, lo, buf) {
+	if !c.copyVerified(dst, s, lo, buf) {
 		return fmt.Errorf("verified copy to %q failed", dst.name)
 	}
 	dst.clearDirty(s)
