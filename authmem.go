@@ -39,7 +39,6 @@ package authmem
 
 import (
 	"fmt"
-	"io"
 
 	"authmem/internal/core"
 	"authmem/internal/ctr"
@@ -335,7 +334,7 @@ func (m *Memory) TryWriteBlocks(addr uint64, src []byte) (done bool, err error) 
 // every accepted write. Writes stage their counter-block image in trusted
 // state and mark the tree leaf dirty instead of rehashing its path; dirty
 // leaves flush in batches at the epoch bound, on a cold read of a dirty
-// leaf, and before any state leaves the trust boundary (Persist, RootDigest,
+// leaf, and before any state leaves the trust boundary (a seal, RootDigest,
 // Scrub), so calling FlushAll is never needed for correctness — it is the
 // explicit region-wide quiescent point.
 func (m *Memory) FlushAll() error { return m.eng.FlushAll() }
@@ -386,43 +385,15 @@ func (m *Memory) WithShard(i int, fn func(view *Memory)) {
 	m.eng.WithShard(i, func(eng *core.Engine) { fn(&Memory{eng: core.OneShard(eng)}) })
 }
 
-// RootDigest pins the integrity tree's trusted root across power cycles.
+// RootDigest pins the integrity tree's trusted root across power cycles
+// (SealReport.Root, OpenDurable's pin).
 type RootDigest = core.RootDigest
 
 // RootDigest returns the combining layer's trusted digest over all shard
-// subtree roots — the value Persist would return — without serializing the
-// image. Any deferred write-pipeline maintenance is flushed first, so the
+// subtree roots, combined as a Durable's SealReport.Root combines its
+// manifest's. Deferred write-pipeline maintenance is flushed first, so the
 // digest always covers every accepted write.
 func (m *Memory) RootDigest() RootDigest { return m.eng.RootDigest() }
-
-// Persist writes the memory's NVMM image (ciphertext, ECC/MAC bits, counter
-// blocks, integrity tree; per-shard sections under one header, which a
-// one-shard memory omits) to w and returns the combined root digest. Store
-// the digest in trusted storage: it pins every shard section, and resuming
-// without pinning it leaves whole-image rollback undetectable.
-func (m *Memory) Persist(w io.Writer) (RootDigest, error) { return m.eng.Persist(w) }
-
-// Resume is ResumeSharded for a one-shard Memory.
-func Resume(cfg Config, r io.Reader, expectRoot *RootDigest) (*Memory, error) {
-	return ResumeSharded(cfg, 1, r, expectRoot)
-}
-
-// ResumeSharded rebuilds a Memory from a persisted image under the same
-// Config (including the key, which is never stored in the image) and shard
-// count. If expectRoot is non-nil the recombined root must match it. All
-// counter metadata is verified against the tree before the memory is usable;
-// data blocks verify on demand.
-func ResumeSharded(cfg Config, shards int, r io.Reader, expectRoot *RootDigest) (*Memory, error) {
-	icfg, err := cfg.internal()
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.ResumeSharded(icfg, shards, r, expectRoot)
-	if err != nil {
-		return nil, err
-	}
-	return &Memory{eng: eng}, nil
-}
 
 // Overhead reports the storage cost of a configuration (Figure 1).
 type Overhead = core.Overhead

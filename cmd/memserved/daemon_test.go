@@ -85,14 +85,22 @@ func TestDaemonBinary(t *testing.T) {
 		d := startDaemon(t, bin, args...)
 		c := dial(t, d.addr)
 		writeSpans(t, 64, func(addr uint64, p []byte) error { _, err := c.Write(addr, p); return err })
-		if log := d.terminate(t); !strings.Contains(log, "manifest pinned") {
+		log := d.terminate(t)
+		if !strings.Contains(log, "manifest pinned") {
 			t.Fatalf("no final-epoch line in:\n%s", log)
 		}
 		if _, err := os.Stat(filepath.Join(dir, "MANIFEST")); err != nil {
 			t.Fatalf("no manifest after SIGTERM: %v", err)
 		}
+		roots := rootLine.FindAllStringSubmatch(log, -1)
+		if len(roots) == 0 {
+			t.Fatalf("no pinned root logged in:\n%s", log)
+		}
 
 		d = startDaemon(t, bin, args...)
+		if opened := rootLine.FindStringSubmatch(d.log.String()); opened == nil || opened[1] != roots[len(roots)-1][1] {
+			t.Fatalf("the reopen pinned %v, the last root logged before the stop was %s:\n%s", opened, roots[len(roots)-1][1], d.log)
+		}
 		c = dial(t, d.addr)
 		readSpans(t, 64, func(addr uint64, p []byte) error { _, err := c.Read(addr, p); return err })
 		d.terminate(t)
@@ -244,6 +252,9 @@ func (d *daemon) kill() {
 
 // flagLine matches a flag's name in the usage text -h prints.
 var flagLine = regexp.MustCompile(`(?m)^  -(\S+)`)
+
+// rootLine matches the root a durable open, epoch or fold logs as pinned.
+var rootLine = regexp.MustCompile(`root ([0-9a-f]{64})`)
 
 var servingLine = regexp.MustCompile(`serving .* on (\S+) \(\d+-byte blocks`)
 

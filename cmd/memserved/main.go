@@ -128,7 +128,7 @@ func main() {
 			if err := store.Close(); err != nil {
 				log.Fatalf("final checkpoint: %v", err)
 			}
-			log.Printf("final epoch sealed; manifest pinned")
+			log.Printf("final epoch sealed; manifest pinned, root %x", store.RootDigest())
 		}
 		log.Printf("drained to quiescent point; bye")
 	case err := <-serveErr:
@@ -172,10 +172,11 @@ func buildMemConfig(size uint64, scheme string, key []byte) (authmem.Config, err
 	return cfg, nil
 }
 
-// openStore opens the durable region in dir (-wal) and logs what recovery
-// found.
+// openStore opens the durable region in dir (-wal), unpinned, and logs what
+// recovery found. Every open, epoch and fold logs the root it pinned, so an
+// operator can keep the newest one outside the box.
 func openStore(dir string, cfg authmem.Config, shards int) (*authmem.Durable, error) {
-	store, reports, err := authmem.OpenDurable(dir, cfg, shards)
+	store, reports, err := authmem.OpenDurable(dir, cfg, shards, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -194,9 +195,10 @@ func openStore(dir string, cfg authmem.Config, shards int) (*authmem.Durable, er
 	return store, nil
 }
 
-// logFold logs why a fold happened, the generation it wrote and its size.
+// logFold logs why a fold happened, the generation it wrote, its size and
+// the root it pinned.
 func logFold(rep authmem.SealReport) {
-	log.Printf("durable: %s; checkpointed generation %d (%d bytes base)", rep.FoldReason, rep.Generation, rep.BaseBytes)
+	log.Printf("durable: %s; checkpointed generation %d (%d bytes base), root %x", rep.FoldReason, rep.Generation, rep.BaseBytes, rep.Root)
 }
 
 // runSeals seals an epoch every interval (-checkpoint-interval) until the
@@ -217,7 +219,7 @@ func runSeals(store *authmem.Durable, interval time.Duration) (stop func()) {
 				case rep.FoldReason != "":
 					logFold(rep)
 				case rep.Groups > 0:
-					log.Printf("durable: epoch sealed (%d dirty groups, logs %d bytes)", rep.Groups, rep.LogBytes)
+					log.Printf("durable: epoch sealed (%d dirty groups, logs %d bytes), root %x", rep.Groups, rep.LogBytes, rep.Root)
 				}
 			case <-quit:
 				return

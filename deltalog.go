@@ -9,23 +9,26 @@ import (
 
 // Incremental persistence: dirty-delta checkpoints and a sealed group WAL.
 //
-// Persist serializes the whole region even when a handful of blocks changed.
-// The incremental path keeps a block-granular dirty set (one mask per 4KB
+// A full image serializes the whole region even when a handful of blocks
+// changed. The incremental path keeps a block-granular dirty set (one mask per 4KB
 // group, fed by the write path's commit points and the re-encryption sweep)
 // and appends, per dirty group, the counter image and only the blocks written
 // since the group's last record to an append-only delta log: a base image
 // plus a log replays to the exact pre-crash state, paying O(blocks written)
 // per checkpoint instead of O(region).
 //
-// The library's store over these primitives is Durable: a directory holding
-// a base image, one log per shard and a sealed manifest pinning each shard's
-// (epoch, root):
+// The library's store over these primitives is Durable, the facade's one way
+// to persist and resume: a directory holding a base image, one log per shard
+// and a sealed manifest pinning each shard's (epoch, root) and, combined,
+// the root every SealReport carries:
 //
-//	d, reports, err := OpenDurable(dir, cfg, shards) // resumes, or starts fresh
+//	d, reports, err := OpenDurable(dir, cfg, shards, pin) // resumes, or starts fresh
 //	... traffic on d (it embeds the *Memory) ...
-//	rep, err := d.Seal()                             // sealed epoch: written blocks + root
-//	... crash: the next OpenDurable replays to the newest sealed epoch ...
-//	err = d.Close()                                  // final epoch, manifest pinned
+//	rep, err := d.Seal()       // sealed epoch: written blocks + root
+//	pin = &rep.Root            // keep it in trusted storage
+//	... crash: the next OpenDurable(dir, cfg, shards, pin) replays to the
+//	    newest sealed epoch, and refuses a directory older than pin ...
+//	err = d.Close()            // final epoch, manifest pinned
 //
 // Durable is the only store. The per-shard primitives below (a fold is
 // BeginShardedImage, then CheckpointShard for every shard; an epoch is
@@ -39,8 +42,8 @@ import (
 // carrying the root digest the rebuilt tree must hash to. Torn tails recover
 // to the last committed epoch with a typed verdict; tampered or spliced logs
 // are refused. Pin the newest root (or use the RecoveryReport.EpochRoots
-// list against a sealed manifest, as Durable does) to also detect a
-// maliciously shortened-but-valid log.
+// list against a pinned root, as Durable does with its manifest's pin and
+// the caller's) to also detect a maliciously shortened-but-valid log.
 
 // DeltaLog is one shard's open append-only delta log, bound to the Memory
 // that created it: records are sealed under the shard's derived key (they can
@@ -127,8 +130,8 @@ func (m *Memory) CheckpointShard(i int, baseW, logW io.Writer) (RootDigest, *Del
 
 // ResumeShardedIncremental rebuilds a Memory from a base image plus one
 // delta log per shard (wals may be nil for base-only; entries may be nil for
-// shards without a log). Each shard's section resumes through the verified
-// ResumeSharded path, then its log replays epoch by epoch to the newest
+// shards without a log). Each shard's section resumes through the engine's
+// verified image path, then its log replays epoch by epoch to the newest
 // record whose chained seal and sealed root verify. reports holds one typed
 // verdict per shard — clean, truncated at the crash point (shard valid at
 // its last committed epoch), or rollback-detected (resume refused, err is a

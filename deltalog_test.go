@@ -150,7 +150,7 @@ func TestFacadeTypedErrorsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var base2 bytes.Buffer
-	if _, err := si.Persist(&base2); err != nil {
+	if _, err := si.eng.Persist(&base2); err != nil {
 		t.Fatal(err)
 	}
 	// Rewrite each shard header's length-prefixed codec name: an image a

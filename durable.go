@@ -10,8 +10,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
+	"authmem/internal/tree"
 	"authmem/internal/wal"
 )
 
@@ -20,21 +22,27 @@ import (
 //
 //	base-<gen>.img        sharded base image
 //	wal-<gen>-<shard>.log sealed delta log, one per shard
-//	MANIFEST              sealed pin: generation + per-shard (epoch, root)
+//	MANIFEST              sealed pin: generation, parent root, per-shard (epoch, root)
 //
 // One generation is live at a time. The manifest is the trust anchor: it is
 // HMAC-sealed under a key derived from the device secret and rewritten
 // (write-temp, fsync, rename, fsync dir) after every epoch, so its per-shard
-// (epoch, root) pins always name durable log state. Recovery accepts a log
-// with MORE committed epochs than the manifest pins (a crash between log
-// fsync and manifest rename) but refuses fewer or a different root — that is
-// a rollback.
+// (epoch, root) pins always name durable log state. Their combined root,
+// SealReport.Root, is the caller's pin for the next OpenDurable; one rule
+// (recoverGeneration) holds both pins to the recovered history, so a log
+// AHEAD of the manifest (a crash between log fsync and manifest rename) opens
+// and a log behind it, or another history, is a rollback.
 //
 // Writers never append to a recovered log: opening always folds into a fresh
 // generation (new base, empty logs, manifest at epoch 0), so every log is
 // written by exactly one open.
 
-var manifestMagic = [8]byte{'A', 'M', 'E', 'M', 'M', 'A', 'N', '1'}
+// AMEMMAN2 adds the parent root after the generation; an AMEMMAN1 manifest
+// (no parent) still opens.
+var (
+	manifestMagic  = [8]byte{'A', 'M', 'E', 'M', 'M', 'A', 'N', '2'}
+	manifestMagic1 = [8]byte{'A', 'M', 'E', 'M', 'M', 'A', 'N', '1'}
+)
 
 const manifestName = "MANIFEST"
 
@@ -43,9 +51,13 @@ const manifestName = "MANIFEST"
 // must hash to.
 type manifest struct {
 	Gen    uint64
-	Epochs []uint64     // committed epochs per shard
-	Roots  []RootDigest // root at Epochs[i] per shard
+	Parent RootDigest          // the previous generation's pinned root; zero when none
+	Epochs []uint64            // committed epochs per shard
+	Roots  [][sha256.Size]byte // root at Epochs[i] per shard
 }
+
+// root combines the per-shard pins the way RootDigest combines shard roots.
+func (m *manifest) root() RootDigest { return tree.CombineRoots(m.Roots) }
 
 func manifestKey(deviceKey []byte) []byte {
 	h := sha256.New()
@@ -57,6 +69,7 @@ func manifestKey(deviceKey []byte) []byte {
 func (m *manifest) marshal(key []byte) []byte {
 	b := append([]byte(nil), manifestMagic[:]...)
 	b = binary.LittleEndian.AppendUint64(b, m.Gen)
+	b = append(b, m.Parent[:]...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(m.Epochs)))
 	for i := range m.Epochs {
 		b = binary.LittleEndian.AppendUint64(b, m.Epochs[i])
@@ -70,11 +83,15 @@ func (m *manifest) marshal(key []byte) []byte {
 var errManifestSeal = errors.New("manifest seal verification failed (wrong key or tampered pin)")
 
 func parseManifest(data, key []byte) (*manifest, error) {
-	if len(data) < 8+8+8+sha256.Size {
-		return nil, fmt.Errorf("manifest too short (%d bytes)", len(data))
-	}
-	if !bytes.Equal(data[:8], manifestMagic[:]) {
+	head := 8 + 8 + len(RootDigest{}) + 8
+	switch {
+	case len(data) >= 8 && bytes.Equal(data[:8], manifestMagic1[:]):
+		head -= len(RootDigest{})
+	case len(data) >= 8 && !bytes.Equal(data[:8], manifestMagic[:]):
 		return nil, fmt.Errorf("bad manifest magic")
+	}
+	if len(data) < head+sha256.Size {
+		return nil, fmt.Errorf("manifest too short (%d bytes)", len(data))
 	}
 	body, seal := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
 	mac := hmac.New(sha256.New, key)
@@ -83,12 +100,13 @@ func parseManifest(data, key []byte) (*manifest, error) {
 		return nil, errManifestSeal
 	}
 	m := &manifest{Gen: binary.LittleEndian.Uint64(body[8:16])}
-	shards := binary.LittleEndian.Uint64(body[16:24])
-	want := 24 + int(shards)*(8+len(RootDigest{}))
+	copy(m.Parent[:], body[16:head-8])
+	shards := binary.LittleEndian.Uint64(body[head-8 : head])
+	want := head + int(shards)*(8+len(RootDigest{}))
 	if shards > 1<<16 || len(body) != want {
 		return nil, fmt.Errorf("manifest body %d bytes, want %d for %d shards", len(body), want, shards)
 	}
-	for off := 24; off < len(body); off += 8 + len(RootDigest{}) {
+	for off := head; off < len(body); off += 8 + len(RootDigest{}) {
 		m.Epochs = append(m.Epochs, binary.LittleEndian.Uint64(body[off:]))
 		m.Roots = append(m.Roots, RootDigest(body[off+8:]))
 	}
@@ -138,15 +156,25 @@ func walPath(dir string, gen uint64, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%d-%d.log", gen, shard))
 }
 
-// rootAt returns a recovered shard's root after `epochs` committed epochs.
-func rootAt(rep *RecoveryReport, epochs uint64) (RootDigest, bool) {
-	if epochs == 0 {
-		return rep.BaseRoot, true
+// history returns the combined root of every committed seal round of a
+// recovered generation, oldest first: round 0 combines the shards' base
+// roots, round r their roots after epoch r. A round some shard's log never
+// committed is not in it.
+func history(reports []*RecoveryReport) (hist []RootDigest) {
+	roots := make([][sha256.Size]byte, len(reports))
+	for r := 0; ; r++ {
+		for i, rep := range reports {
+			switch {
+			case r == 0:
+				roots[i] = rep.BaseRoot
+			case r > len(rep.EpochRoots):
+				return hist
+			default:
+				roots[i] = rep.EpochRoots[r-1]
+			}
+		}
+		hist = append(hist, tree.CombineRoots(roots))
 	}
-	if int(epochs) > len(rep.EpochRoots) {
-		return RootDigest{}, false
-	}
-	return rep.EpochRoots[epochs-1], true
 }
 
 // Durable is a Memory kept on disk in a directory: the embedded Memory is
@@ -200,26 +228,38 @@ type SealReport struct {
 	Generation uint64
 	BaseBytes  int64
 	LogBytes   int64
+	// Root is the combined root the manifest pins after the seal, combined
+	// as RootDigest combines shard roots. Keep the newest one in trusted
+	// storage and pass it to the next OpenDurable.
+	Root RootDigest
 }
 
 // OpenDurable opens the durable region kept in dir, creating the directory
-// and a fresh region when it holds no manifest. An existing region resumes
+// and a fresh region when it holds no manifest; an invalid cfg or shard
+// count fails before anything is created. An existing region resumes
 // through the verified incremental path and is checked against the sealed
-// manifest: a log behind its pin, a different root at the pinned epoch, a
-// tampered manifest or the wrong key is refused, never served. reports holds
-// one recovery verdict per shard (nil for a fresh region). Either way the
-// region is folded into a fresh generation before OpenDurable returns, and
-// every file of any other generation is removed.
-func OpenDurable(dir string, cfg Config, shards int) (*Durable, []*RecoveryReport, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
-	}
+// manifest: a log behind its pin, another history, a tampered manifest or
+// the wrong key is refused, never served. pin, when non-nil, is the newest
+// SealReport.Root the caller kept in trusted storage; a region older than it,
+// or a directory with no manifest, is refused with a *RecoveryError whose
+// status is RecoveryRollback. With a nil pin a directory rolled back
+// wholesale opens (SECURITY.md). reports
+// holds one recovery verdict per shard (nil for a fresh region). Either way
+// the region is folded into a fresh generation before OpenDurable returns,
+// and every file of any other generation is removed.
+func OpenDurable(dir string, cfg Config, shards int, pin *RootDigest) (*Durable, []*RecoveryReport, error) {
 	d := &Durable{dir: dir, key: manifestKey(cfg.Key)}
 	var reports []*RecoveryReport
+	var parent RootDigest // the root a caller may hold if it misses Opened
 	manData, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
+	case errors.Is(err, os.ErrNotExist) && pin != nil:
+		return nil, nil, rollbackErr("no manifest, but the caller pins a root")
 	case errors.Is(err, os.ErrNotExist):
 		if d.Memory, err = NewSharded(cfg, shards); err != nil {
+			return nil, nil, err // before anything is created on disk
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, nil, err
 		}
 		d.eng.EnableDeltaTracking()
@@ -233,12 +273,16 @@ func OpenDurable(dir string, cfg Config, shards int) (*Durable, []*RecoveryRepor
 		if len(man.Epochs) != shards {
 			return nil, nil, fmt.Errorf("durable: manifest pins %d shards, opened with %d", len(man.Epochs), shards)
 		}
-		if d.Memory, reports, err = recoverGeneration(dir, cfg, man); err != nil {
+		if d.Memory, reports, err = recoverGeneration(dir, cfg, man, pin); err != nil {
 			return nil, reports, err
 		}
-		d.gen, d.Pinned = man.Gen, man.Epochs
+		d.gen, d.man, d.Pinned = man.Gen, man, man.Epochs
+		parent = man.root()
+		if pin != nil {
+			parent = *pin // it may be man.Parent: keep it acceptable
+		}
 	}
-	if d.Opened, err = d.fold(); err != nil {
+	if d.Opened, err = d.fold(parent); err != nil {
 		return nil, reports, fmt.Errorf("durable: initial fold: %w", err)
 	}
 	d.Opened.FoldReason = "opened"
@@ -246,9 +290,14 @@ func OpenDurable(dir string, cfg Config, shards int) (*Durable, []*RecoveryRepor
 }
 
 // recoverGeneration resumes the manifest's generation through the verified
-// incremental path, then checks every shard's recovered history against the
-// sealed pins.
-func recoverGeneration(dir string, cfg Config, man *manifest) (*Memory, []*RecoveryReport, error) {
+// incremental path, then holds the manifest's pin and the caller's to one
+// rule: a pinned root must be the combined root of a committed seal round of
+// the recovered history. Counters only rise, so an older directory's history
+// never holds a later state's root. The caller's pin may also be the
+// manifest's parent: after a crash past a fold's manifest rename, the caller
+// holds the previous generation's root (or, when that fold was an open's, the
+// pin it opened under).
+func recoverGeneration(dir string, cfg Config, man *manifest, pin *RootDigest) (*Memory, []*RecoveryReport, error) {
 	base, err := os.Open(basePath(dir, man.Gen))
 	if err != nil {
 		return nil, nil, fmt.Errorf("durable: manifest names generation %d but %w", man.Gen, err)
@@ -270,28 +319,31 @@ func recoverGeneration(dir string, cfg Config, man *manifest) (*Memory, []*Recov
 	if err != nil {
 		return nil, reports, fmt.Errorf("durable: recovery refused: %w", err)
 	}
-	for i, rep := range reports {
-		// The log may run ahead of the manifest (crash between log fsync
-		// and manifest rename): extra sealed epochs are trusted. Fewer
-		// epochs than the pin, or a different root at the pinned epoch, is
-		// a rollback.
-		if uint64(rep.Epochs) < man.Epochs[i] {
-			return nil, reports, fmt.Errorf("durable: shard %d recovered only %d epochs, manifest pins %d — rollback", i, rep.Epochs, man.Epochs[i])
-		}
-		if got, ok := rootAt(rep, man.Epochs[i]); !ok || got != man.Roots[i] {
-			return nil, reports, fmt.Errorf("durable: shard %d root at pinned epoch %d does not match manifest — rollback", i, man.Epochs[i])
-		}
+	var stale string
+	switch hist := history(reports); {
+	case !slices.Contains(hist, man.root()):
+		stale = "the manifest's"
+	case pin != nil && *pin != man.Parent && !slices.Contains(hist, *pin):
+		stale = "the caller's"
+	default:
+		return mem, reports, nil
 	}
-	return mem, reports, nil
+	return nil, reports, rollbackErr(fmt.Sprintf("generation %d holds no sealed round with %s pinned root", man.Gen, stale))
+}
+
+// rollbackErr is OpenDurable's refusal of a directory older than a pin.
+func rollbackErr(why string) error {
+	return fmt.Errorf("durable: %w", &RecoveryError{Report: &RecoveryReport{Status: RecoveryRollback, FailedAt: -1, Reason: why}})
 }
 
 // fold writes the whole region into a new generation: fresh base image,
-// fresh empty logs, manifest pinned at epoch 0, then removes every file of
-// any other generation. Shards are persisted one at a time under their own
+// fresh empty logs, manifest pinned at epoch 0 with parent, the root a caller
+// that misses this fold's report still holds, then removes every file of any
+// other generation. Shards are persisted one at a time under their own
 // locks, so traffic on other shards keeps flowing. Each CheckpointShard
 // clears its shard's dirty set, so a failed fold sets d.refold. The caller
 // holds d.mu or owns d exclusively.
-func (d *Durable) fold() (SealReport, error) {
+func (d *Durable) fold(parent RootDigest) (SealReport, error) {
 	gen := d.gen + 1
 	shards := d.Shards()
 	baseF, err := os.Create(basePath(d.dir, gen))
@@ -300,7 +352,7 @@ func (d *Durable) fold() (SealReport, error) {
 	}
 	newLogFs := make([]*os.File, shards)
 	newLogs := make([]*wal.Writer, shards)
-	man := &manifest{Gen: gen, Epochs: make([]uint64, shards), Roots: make([]RootDigest, shards)}
+	man := &manifest{Gen: gen, Parent: parent, Epochs: make([]uint64, shards), Roots: make([][sha256.Size]byte, shards)}
 	fail := func(err error) (SealReport, error) {
 		// The manifest may already name gen (a failed directory fsync
 		// after the rename), so the next fold must not rewrite its files.
@@ -351,7 +403,7 @@ func (d *Durable) fold() (SealReport, error) {
 	d.gen, d.man, d.baseLen, d.refold = gen, man, baseLen, false
 	d.logFs, d.logs = newLogFs, newLogs
 	d.prune()
-	return SealReport{Generation: gen, BaseBytes: baseLen}, nil
+	return SealReport{Generation: gen, BaseBytes: baseLen, Root: man.root()}, nil
 }
 
 // prune removes every generation file that is not the live generation's,
@@ -386,9 +438,9 @@ func (d *Durable) foldThreshold() int64 {
 // Seal makes every write accepted so far durable: it seals one delta epoch
 // on every shard's log, fsyncs the logs and re-pins the manifest. When
 // nothing is dirty it does nothing — the logs and manifest already name the
-// current state. When the logs have outgrown the fold threshold, or a log
-// can no longer be appended to, the seal folds into a fresh generation
-// instead; the report says which and why.
+// current state, whose root it reports. When the logs have outgrown the fold
+// threshold, or a log can no longer be appended to, the seal folds into a
+// fresh generation instead; the report says which and why.
 func (d *Durable) Seal() (SealReport, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -399,7 +451,7 @@ func (d *Durable) Seal() (SealReport, error) {
 }
 
 func (d *Durable) sealLocked() (SealReport, error) {
-	rep := SealReport{Generation: d.gen}
+	rep := SealReport{Generation: d.gen, Root: d.man.root()}
 	if d.DirtyGroups() == 0 && !d.refold {
 		return rep, nil
 	}
@@ -407,7 +459,7 @@ func (d *Durable) sealLocked() (SealReport, error) {
 		rep.LogBytes += l.Offset()
 	}
 	foldWhy := func(reason string) (SealReport, error) {
-		f, err := d.fold()
+		f, err := d.fold(d.man.root())
 		f.LogBytes, f.FoldReason = rep.LogBytes, reason
 		return f, err
 	}
@@ -417,7 +469,7 @@ func (d *Durable) sealLocked() (SealReport, error) {
 	if threshold := d.foldThreshold(); rep.LogBytes >= threshold {
 		return foldWhy(fmt.Sprintf("logs at %d bytes reached the fold threshold %d", rep.LogBytes, threshold))
 	}
-	man := &manifest{Gen: d.gen, Epochs: make([]uint64, len(d.logs)), Roots: make([]RootDigest, len(d.logs))}
+	man := &manifest{Gen: d.gen, Parent: d.man.Parent, Epochs: make([]uint64, len(d.logs)), Roots: make([][sha256.Size]byte, len(d.logs))}
 	for i, l := range d.logs {
 		st, err := d.eng.AppendDeltaShard(i, l)
 		if err == nil {
@@ -436,7 +488,7 @@ func (d *Durable) sealLocked() (SealReport, error) {
 	if err := writeManifest(d.dir, man, d.key); err != nil {
 		return rep, err
 	}
-	d.man = man
+	d.man, rep.Root = man, man.root()
 	return rep, nil
 }
 

@@ -32,7 +32,7 @@ func durableBlock(seed byte) []byte {
 // openDurable is OpenDurable that fails the test on error.
 func openDurable(t *testing.T, dir string, cfg Config, shards int) *Durable {
 	t.Helper()
-	d, _, err := OpenDurable(dir, cfg, shards)
+	d, _, err := OpenDurable(dir, cfg, shards, nil)
 	if err != nil {
 		t.Fatalf("open %s: %v", dir, err)
 	}
@@ -104,7 +104,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableTestConfig()
 
-	d, reports, err := OpenDurable(dir, cfg, 4)
+	d, reports, err := OpenDurable(dir, cfg, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, reports, err := OpenDurable(dir, cfg, 4)
+	d2, reports, err := OpenDurable(dir, cfg, 4, nil)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -395,7 +395,7 @@ func TestDurableTamperedManifestRefused(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenDurable(dir, cfg, 4); !errors.Is(err, errManifestSeal) {
+	if _, _, err := OpenDurable(dir, cfg, 4, nil); !errors.Is(err, errManifestSeal) {
 		t.Fatalf("tampered manifest: got %v, want seal failure", err)
 	}
 }
@@ -418,7 +418,7 @@ func TestDurableRollbackRefused(t *testing.T) {
 	if err := os.Truncate(walPath(dir, gen, 0), int64(wal.HeaderSize)); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := OpenDurable(dir, cfg, 4)
+	_, _, err := OpenDurable(dir, cfg, 4, nil)
 	if err == nil {
 		t.Fatal("rolled-back shard log accepted")
 	}
@@ -452,7 +452,7 @@ func TestDurableStaleManifestAccepted(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, manifestName), stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d2, reports, err := OpenDurable(dir, cfg, 4)
+	d2, reports, err := OpenDurable(dir, cfg, 4, nil)
 	if err != nil {
 		t.Fatalf("stale manifest (log ahead) refused: %v", err)
 	}
@@ -478,7 +478,7 @@ func TestDurableWrongKeyRefused(t *testing.T) {
 	}
 	bad := cfg
 	bad.Key = bytes.Repeat([]byte{0xa5}, KeySize)
-	if _, _, err := OpenDurable(dir, bad, 4); err == nil {
+	if _, _, err := OpenDurable(dir, bad, 4, nil); err == nil {
 		t.Fatal("wrong device key accepted")
 	}
 }
@@ -593,6 +593,211 @@ func TestDurableGenerationSwapCrashStates(t *testing.T) {
 	}
 }
 
+// refusedRollback fails the test unless err is OpenDurable's rollback
+// refusal: a *RecoveryError whose status is RecoveryRollback.
+func refusedRollback(t *testing.T, err error) {
+	t.Helper()
+	var rerr *RecoveryError
+	if !errors.As(err, &rerr) || rerr.Report.Status != RecoveryRollback || !strings.Contains(err.Error(), "rollback") {
+		t.Fatalf("want a rollback refusal (*RecoveryError), got %v", err)
+	}
+}
+
+// TestDurableBadConfigTouchesNothing: an open its arguments doom fails before
+// it creates anything on disk.
+func TestDurableBadConfigTouchesNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		shards int
+	}{
+		{"zero config", Config{}, 4},
+		{"three shards", durableTestConfig(), 3},
+	} {
+		if _, _, err := OpenDurable(dir, c.cfg, c.shards, nil); err == nil {
+			t.Fatalf("%s: open succeeded", c.name)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: the failed open left %s behind (stat: %v)", c.name, dir, err)
+		}
+	}
+}
+
+// TestDurableDirectoryRollbackRefused: a store directory copied after one
+// seal and put back after a later one is self-consistent, so only the
+// caller's pin can tell. Under the later seal's root the open is refused;
+// unpinned, the directory opens and serves the older state (the residual
+// risk SECURITY.md names).
+func TestDurableDirectoryRollbackRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableTestConfig()
+	d := openDurable(t, dir, cfg, 4)
+	if d.Opened.Root != d.RootDigest() {
+		t.Fatal("the open's report does not carry the region's root")
+	}
+	oracleA := writeSpread(t, d.Memory, 1, 64)
+	repA, err := d.Seal()
+	if err != nil || repA.Root != d.RootDigest() {
+		t.Fatalf("seal A: %+v, %v; want the region's root", repA, err)
+	}
+	copyA := saveFiles(t, dir)
+	writeSpread(t, d.Memory, 90, 64) // the same addresses, new contents
+	repB, err := d.Seal()
+	if err != nil || repB.Root != d.RootDigest() || repB.Root == repA.Root {
+		t.Fatalf("seal B: %+v, %v; want the region's new root", repB, err)
+	}
+	if idle, err := d.Seal(); err != nil || idle.Groups != 0 || idle.Root != repB.Root {
+		t.Fatalf("a seal with nothing dirty: %+v, %v; want seal B's root", idle, err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	restoreFiles(t, dir, copyA)
+	_, _, err = OpenDurable(dir, cfg, 4, &repB.Root)
+	refusedRollback(t, err)
+	// Without its manifest, or with no directory at all, the open would make
+	// a blank region: under a pin that is a rollback too, and creates nothing.
+	noManifest, absent := filepath.Join(t.TempDir(), "store"), filepath.Join(t.TempDir(), "store")
+	if err := os.Mkdir(noManifest, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	restoreFiles(t, noManifest, copyA)
+	if err := os.Remove(filepath.Join(noManifest, manifestName)); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{noManifest, absent} {
+		_, _, err = OpenDurable(dir, cfg, 4, &repB.Root)
+		refusedRollback(t, err)
+	}
+	if _, err := os.Stat(absent); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the refused open created %s (stat: %v)", absent, err)
+	}
+
+	d2, _, err := OpenDurable(dir, cfg, 4, nil)
+	if err != nil {
+		t.Fatalf("unpinned open of the rolled-back directory: %v", err)
+	}
+	if d2.RootDigest() != repA.Root || d2.Opened.Root != repA.Root {
+		t.Fatal("the unpinned open did not serve seal A's state")
+	}
+	checkOracle(t, d2.Memory, oracleA)
+	d2.Close()
+}
+
+// TestDurablePinnedCrashStates reopens each crash state of
+// TestDurableGenerationSwapCrashStates under the pin the caller held before
+// the seal in flight and, where the directory holds that seal's state, under
+// the seal's own root, then once more after a crash past that open's own
+// fold: every reopen reaches the root and oracle the unpinned reopen does. A
+// pin from a seal the directory never reached is refused.
+func TestDurablePinnedCrashStates(t *testing.T) {
+	const shards = 4
+	cfg := durableTestConfig()
+	seal := func(t *testing.T, d *Durable, fold bool) SealReport {
+		t.Helper()
+		if fold {
+			d.foldBytes = 1
+		}
+		rep, err := d.Seal()
+		if err != nil || fold != (rep.FoldReason != "") {
+			t.Fatalf("seal (fold %v): %+v, %v", fold, rep, err)
+		}
+		return rep
+	}
+	for _, c := range []struct {
+		name string
+		// reached is whether the directory holds the in-flight seal's state:
+		// its manifest rename landed, or its fsynced logs carry it.
+		reached bool
+		// crash drives an open store into the state under test and returns
+		// the root the reopen must reach and the in-flight seal's root.
+		crash func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) (want, inflight RootDigest)
+	}{
+		{"new generation written, old manifest in place", false, func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) (RootDigest, RootDigest) {
+			old := saveFiles(t, dir)
+			root := d.RootDigest()
+			writeSpread(t, d.Memory, 40, 32)
+			rep := seal(t, d, true)
+			abandon(d)
+			restoreFiles(t, dir, old)
+			return root, rep.Root
+		}},
+		{"manifest renamed, old generation not pruned", true, func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) (RootDigest, RootDigest) {
+			old := saveFiles(t, dir)
+			delete(old, manifestName)
+			maps.Copy(oracle, writeSpread(t, d.Memory, 50, 32))
+			rep := seal(t, d, true)
+			abandon(d)
+			restoreFiles(t, dir, old)
+			return rep.Root, rep.Root
+		}},
+		{"torn MANIFEST.tmp beside a good MANIFEST", true, func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) (RootDigest, RootDigest) {
+			maps.Copy(oracle, writeSpread(t, d.Memory, 60, 32))
+			rep := seal(t, d, false)
+			abandon(d)
+			good := saveFiles(t, dir)[manifestName]
+			if err := os.WriteFile(filepath.Join(dir, manifestName+".tmp"), good[:len(good)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return rep.Root, rep.Root
+		}},
+		{"log fsynced, manifest one epoch behind", true, func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) (RootDigest, RootDigest) {
+			stale := saveFiles(t, dir)[manifestName]
+			maps.Copy(oracle, writeSpread(t, d.Memory, 70, 32))
+			rep := seal(t, d, false)
+			abandon(d)
+			restoreFiles(t, dir, map[string][]byte{manifestName: stale})
+			return rep.Root, rep.Root
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d := openDurable(t, dir, cfg, shards)
+			oracle := writeSpread(t, d.Memory, 30, 64)
+			held := seal(t, d, false).Root
+			want, inflight := c.crash(t, dir, d, oracle)
+			state := saveFiles(t, dir)
+			pins := []RootDigest{held}
+			if c.reached {
+				pins = append(pins, inflight)
+			} else {
+				_, _, err := OpenDurable(dir, cfg, shards, &inflight)
+				refusedRollback(t, err)
+			}
+			for i, pin := range pins {
+				dir2 := t.TempDir()
+				restoreFiles(t, dir2, state)
+				// The second open follows a crash right after the first
+				// open's fold: the caller never stored Opened.Root.
+				for open := 0; open < 2; open++ {
+					d2, _, err := OpenDurable(dir2, cfg, shards, &pin)
+					if err != nil {
+						t.Fatalf("pin %d, open %d: honest crash state refused: %v", i, open, err)
+					}
+					if d2.RootDigest() != want || d2.Opened.Root != want {
+						t.Fatalf("pin %d, open %d: reopen did not reach the newest pinned-or-ahead root", i, open)
+					}
+					checkOracle(t, d2.Memory, oracle)
+					checkOneGeneration(t, dir2, shards)
+					if open == 0 {
+						abandon(d2)
+					} else if err := d2.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // parentPlain is the plaintext testdata/parent_durable's writer stored at
 // block blk for its ver-th write (generate_test.go.txt there).
 func parentPlain(blk, ver uint64) []byte {
@@ -647,7 +852,7 @@ func TestDurableResumesParentWrittenDirectory(t *testing.T) {
 	}
 	restoreFiles(t, dir, files)
 
-	d, reports, err := OpenDurable(dir, cfg, want.Shards)
+	d, reports, err := OpenDurable(dir, cfg, want.Shards, nil)
 	if err != nil {
 		t.Fatalf("open the parent-written directory: %v", err)
 	}

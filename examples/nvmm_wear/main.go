@@ -15,10 +15,12 @@
 package main
 
 import (
-	"bytes"
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 
 	"authmem"
 	"authmem/internal/ctr"
@@ -61,8 +63,9 @@ func main() {
 
 // powerCycle demonstrates the other NVMM property: the encrypted region,
 // its counters, and the integrity tree ARE the persistent state. A power
-// cycle is a Persist/Resume pair; rolling the medium back to an older image
-// is caught by pinning the root digest in trusted storage.
+// cycle is a durable store sealed and reopened; rolling the whole medium back
+// to an older copy is caught by pinning the root each seal reports in
+// trusted storage.
 func powerCycle() {
 	fmt.Println("\n--- NVMM power cycle ---")
 	cfg := authmem.DefaultConfig(4 << 20)
@@ -70,32 +73,43 @@ func powerCycle() {
 	if _, err := rand.Read(cfg.Key); err != nil {
 		log.Fatal(err)
 	}
-	mem, err := authmem.New(cfg)
+	dir, err := os.MkdirTemp("", "nvmm-wear-")
 	if err != nil {
 		log.Fatal(err)
 	}
-	record := make([]byte, authmem.BlockSize)
-	copy(record, "balance: 1000")
-	if err := mem.Write(0, record); err != nil {
-		log.Fatal(err)
-	}
-	var oldImage bytes.Buffer
-	if _, err := mem.Persist(&oldImage); err != nil {
-		log.Fatal(err)
-	}
-	copy(record, "balance: 0   ")
-	if err := mem.Write(0, record); err != nil {
-		log.Fatal(err)
-	}
-	var curImage bytes.Buffer
-	digest, err := mem.Persist(&curImage)
+	defer os.RemoveAll(dir)
+	store, _, err := authmem.OpenDurable(dir, cfg, 1, nil)
 	if err != nil {
+		log.Fatal(err)
+	}
+	seal := func(balance string) authmem.RootDigest {
+		record := make([]byte, authmem.BlockSize)
+		copy(record, balance)
+		if err := store.Write(0, record); err != nil {
+			log.Fatal(err)
+		}
+		rep, err := store.Seal()
+		if err != nil {
+			log.Fatal(err)
+		}
+		return rep.Root
+	}
+	seal("balance: 1000")
+	old := make(map[string][]byte) // the attacker copies the medium
+	ents, err := os.ReadDir(dir)
+	for i := 0; err == nil && i < len(ents); i++ {
+		old[ents[i].Name()], err = os.ReadFile(filepath.Join(dir, ents[i].Name()))
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	pin := seal("balance: 0   ") // kept in trusted storage
+	if err := store.Close(); err != nil {
 		log.Fatal(err)
 	}
 
-	// Legitimate power cycle: resume the current image under the pinned
-	// digest.
-	resumed, err := authmem.Resume(cfg, bytes.NewReader(curImage.Bytes()), &digest)
+	// Legitimate power cycle: reopen the directory under the pinned root.
+	resumed, _, err := authmem.OpenDurable(dir, cfg, 1, &pin)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,11 +118,20 @@ func powerCycle() {
 		log.Fatal(err)
 	}
 	fmt.Printf("resumed cleanly: %q\n", buf[:13])
+	if err := resumed.Close(); err != nil {
+		log.Fatal(err)
+	}
 
-	// Attack: swap the NVMM module contents for the older image.
-	if _, err := authmem.Resume(cfg, bytes.NewReader(oldImage.Bytes()), &digest); err != nil {
-		fmt.Println("rollback to stale image rejected:", err)
+	// Attack: swap the NVMM module contents for the older copy.
+	for name, data := range old {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			log.Fatal(err)
+		}
+	}
+	var rerr *authmem.RecoveryError
+	if _, _, err := authmem.OpenDurable(dir, cfg, 1, &pin); errors.As(err, &rerr) && rerr.Report.Status == authmem.RecoveryRollback {
+		fmt.Println("rollback to stale directory rejected:", err)
 	} else {
-		log.Fatal("stale image resumed under the pinned digest!")
+		log.Fatalf("stale directory under the pinned root: %v", err)
 	}
 }

@@ -5,12 +5,31 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
+
+	"authmem/internal/core"
 )
 
-// TestFacadePersistResume power-cycles the region through Persist and the
-// pinned resume, with data straddling what is a shard boundary at four shards.
+// resumeImage resumes a full image written by the engine's Persist
+// (m.eng.Persist) through internal/core's verified image path. The facade
+// persists and resumes only through OpenDurable; these tests hold the image
+// path it is built on.
+func resumeImage(cfg Config, shards int, r io.Reader, expectRoot *RootDigest) (*Memory, error) {
+	icfg, err := cfg.internal()
+	if err != nil {
+		return nil, err
+	}
+	eng, err := core.ResumeSharded(icfg, shards, r, expectRoot)
+	if err != nil {
+		return nil, err
+	}
+	return &Memory{eng: eng}, nil
+}
+
+// TestFacadePersistResume power-cycles the region through the engine's
+// Persist and the pinned resume, with data straddling what is a shard boundary at four shards.
 func TestFacadePersistResume(t *testing.T) {
 	forShards(t, func(t *testing.T, shards int) {
 		cfg := testConfig(DeltaEncoding, MACInECC)
@@ -23,13 +42,13 @@ func TestFacadePersistResume(t *testing.T) {
 		}
 
 		var img bytes.Buffer
-		digest, err := m.Persist(&img)
+		digest, err := m.eng.Persist(&img)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		// "Power cycle": a fresh Memory from the image, same key.
-		m2, err := ResumeSharded(cfg, shards, bytes.NewReader(img.Bytes()), &digest)
+		m2, err := resumeImage(cfg, shards, bytes.NewReader(img.Bytes()), &digest)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +62,7 @@ func TestFacadePersistResume(t *testing.T) {
 		if m2.RootDigest() != digest {
 			t.Fatal("resumed root digest differs")
 		}
-		if _, err := ResumeSharded(cfg, 2*shards, bytes.NewReader(img.Bytes()), nil); err == nil {
+		if _, err := resumeImage(cfg, 2*shards, bytes.NewReader(img.Bytes()), nil); err == nil {
 			t.Fatal("image resumed under another shard count")
 		}
 	})
@@ -57,26 +76,26 @@ func TestFacadeResumeRollbackPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		var old bytes.Buffer
-		if _, err := m.Persist(&old); err != nil {
+		if _, err := m.eng.Persist(&old); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Write(0, bytes.Repeat([]byte{9}, BlockSize)); err != nil {
 			t.Fatal(err)
 		}
 		var cur bytes.Buffer
-		digest, err := m.Persist(&cur)
+		digest, err := m.eng.Persist(&cur)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ie *IntegrityError
-		if _, err := ResumeSharded(cfg, shards, bytes.NewReader(old.Bytes()), &digest); !errors.As(err, &ie) {
+		if _, err := resumeImage(cfg, shards, bytes.NewReader(old.Bytes()), &digest); !errors.As(err, &ie) {
 			t.Fatalf("pinned rollback not detected: %v", err)
 		}
 	})
 }
 
 func TestFacadeResumeBadConfig(t *testing.T) {
-	if _, err := Resume(Config{}, bytes.NewReader(nil), nil); err == nil {
+	if _, err := resumeImage(Config{}, 1, bytes.NewReader(nil), nil); err == nil {
 		t.Fatal("invalid config should fail")
 	}
 }
@@ -122,7 +141,7 @@ func TestOneShardBitsMatchCallerSerializedMemory(t *testing.T) {
 		}
 		write(450)
 		var base, log bytes.Buffer
-		if _, err := m.Persist(&base); err != nil {
+		if _, err := m.eng.Persist(&base); err != nil {
 			t.Fatal(err)
 		}
 		lw, err := m.eng.NewShardDeltaWriter(0, &log)

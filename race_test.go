@@ -450,14 +450,14 @@ func TestShardedRootDigestUnderConcurrentWriters(t *testing.T) {
 		t.Fatal("quiescent root moved between two calls")
 	}
 	var img bytes.Buffer
-	sealed, err := s.Persist(&img)
+	sealed, err := s.eng.Persist(&img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sealed != quiet {
 		t.Fatal("Persist sealed a different root than RootDigest pinned")
 	}
-	if _, err := ResumeSharded(cfg, 4, &img, &quiet); err != nil {
+	if _, err := resumeImage(cfg, 4, &img, &quiet); err != nil {
 		t.Fatalf("resume under the cached pin: %v", err)
 	}
 }

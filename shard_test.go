@@ -426,11 +426,11 @@ func TestShardedSpanOpsAllocateNothing(t *testing.T) {
 	// A resumed memory starts with cold caches: each span below is read
 	// once, so every read takes the shard lock and verifies stored bits.
 	var img bytes.Buffer
-	root, err := m.Persist(&img)
+	root, err := m.eng.Persist(&img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := ResumeSharded(shardTestConfig(t, size), shards, &img, &root)
+	cold, err := resumeImage(shardTestConfig(t, size), shards, &img, &root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestTryBlocksFacade(t *testing.T) {
 				t.Fatal(err)
 			}
 			var before bytes.Buffer
-			if _, err := m.Persist(&before); err != nil {
+			if _, err := m.eng.Persist(&before); err != nil {
 				t.Fatal(err)
 			}
 			stats, dirty := m.Stats(), m.DirtyGroups()
@@ -538,7 +538,7 @@ func TestTryBlocksFacade(t *testing.T) {
 				t.Errorf("dirty groups %d -> %d across refused calls", dirty, got)
 			}
 			var after bytes.Buffer
-			if _, err := m.Persist(&after); err != nil {
+			if _, err := m.eng.Persist(&after); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(before.Bytes(), after.Bytes()) {
