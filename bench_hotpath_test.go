@@ -175,6 +175,47 @@ func BenchmarkHotScrub(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmSpanWrite measures 4-block WriteBlocks over zipf(1.1)-popular
+// spans of a 4-shard delta-7 + MAC-in-ECC region, the shape of stackbench's
+// embed-durable writes: span rank r sits at the base of shard r%4, so the
+// hot spans' counter groups, tree leaves and cache lines stay warm and the
+// counter update and its metadata image are a visible share of each write.
+func BenchmarkWarmSpanWrite(b *testing.B) {
+	const shards, perShard, spanBytes = 4, 1 << 20, 4 * BlockSize
+	cfg := DefaultConfig(16 << 20)
+	cfg.Key = benchKey()
+	m, err := NewSharded(cfg, shards)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fill := make([]byte, 64<<10)
+	rand.New(rand.NewSource(6)).Read(fill)
+	for s := uint64(0); s < shards; s++ {
+		for off := uint64(0); off < perShard; off += uint64(len(fill)) {
+			if err := m.WriteBlocks(s*(cfg.Size/shards)+off, fill); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	const spans = shards * perShard / spanBytes
+	rng := rand.New(rand.NewSource(7))
+	z := rand.NewZipf(rng, 1.1, 1, spans-1)
+	addrs := make([]uint64, 1<<16)
+	for i := range addrs {
+		r := z.Uint64()
+		addrs[i] = r%shards*(cfg.Size/shards) + r/shards*spanBytes
+	}
+	span := fill[:spanBytes]
+	b.ReportAllocs()
+	b.SetBytes(spanBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.WriteBlocks(addrs[i%len(addrs)], span); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestHotReadZeroAllocs pins the steady-state Read path at zero heap
 // allocations per operation for the paper's design point.
 func TestHotReadZeroAllocs(t *testing.T) {

@@ -513,93 +513,140 @@ func restoreFiles(t *testing.T, dir string, files map[string][]byte) {
 // reach the newest root the manifest pins or the logs carry past it (or
 // refuse), never older state, and must leave exactly the live generation on
 // disk.
-func TestDurableGenerationSwapCrashStates(t *testing.T) {
+func TestDurableGenerationSwapCrashStates(t *testing.T) { runCrashStates(t, false) }
+
+// crashStates is the one table of crash states both crash tests open. Each
+// builder drives an open store, whose last seal the caller holds, into its
+// state and returns the root the reopen must reach and the in-flight seal's
+// root; reached is whether the directory holds the in-flight seal's state
+// (its manifest rename landed, or its fsynced logs carry it), which decides
+// the pins a pinned reopen must accept.
+var crashStates = []struct {
+	name    string
+	reached bool
+	crash   func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) (want, inflight RootDigest)
+}{
+	{"new generation written, old manifest in place", false, func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) (RootDigest, RootDigest) {
+		old := saveFiles(t, dir)
+		root := d.RootDigest()
+		writeSpread(t, d.Memory, 40, 32) // never pinned: the fold below is undone
+		rep := crashSeal(t, d, true)
+		abandon(d)
+		restoreFiles(t, dir, old)
+		return root, rep.Root
+	}},
+	{"manifest renamed, old generation not pruned", true, func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) (RootDigest, RootDigest) {
+		old := saveFiles(t, dir)
+		delete(old, manifestName)
+		maps.Copy(oracle, writeSpread(t, d.Memory, 50, 32))
+		rep := crashSeal(t, d, true)
+		abandon(d)
+		restoreFiles(t, dir, old)
+		return rep.Root, rep.Root
+	}},
+	{"torn MANIFEST.tmp beside a good MANIFEST", true, func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) (RootDigest, RootDigest) {
+		maps.Copy(oracle, writeSpread(t, d.Memory, 60, 32))
+		rep := crashSeal(t, d, false)
+		abandon(d)
+		good := saveFiles(t, dir)[manifestName]
+		if err := os.WriteFile(filepath.Join(dir, manifestName+".tmp"), good[:len(good)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return rep.Root, rep.Root
+	}},
+	{"log fsynced, manifest one epoch behind", true, func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) (RootDigest, RootDigest) {
+		stale := saveFiles(t, dir)[manifestName]
+		maps.Copy(oracle, writeSpread(t, d.Memory, 70, 32))
+		rep := crashSeal(t, d, false)
+		abandon(d)
+		restoreFiles(t, dir, map[string][]byte{manifestName: stale})
+		return rep.Root, rep.Root
+	}},
+}
+
+// crashSeal seals, folding if fold is set, and fails unless the seal folded
+// exactly then and reports the region's root.
+func crashSeal(t *testing.T, d *Durable, fold bool) SealReport {
+	t.Helper()
+	if fold {
+		d.foldBytes = 1
+	}
+	rep, err := d.Seal()
+	if err != nil || fold != (rep.FoldReason != "") || rep.Root != d.RootDigest() {
+		t.Fatalf("seal (fold %v): %+v, %v; want the region's root", fold, rep, err)
+	}
+	return rep
+}
+
+// runCrashStates drives every crash state from a store whose oracle is
+// sealed, then reopens it unpinned, or under each pin the caller may hold.
+func runCrashStates(t *testing.T, pinned bool) {
 	const shards = 4
 	cfg := durableTestConfig()
-	for _, c := range []struct {
-		name string
-		// crash drives an open store into the state under test and returns
-		// the oracle and root the reopen must reach.
-		crash func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) RootDigest
-	}{
-		{"new generation written, old manifest in place", func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) RootDigest {
-			old := saveFiles(t, dir)
-			root := d.RootDigest()
-			writeSpread(t, d.Memory, 40, 32) // never pinned: the fold below is undone
-			d.foldBytes = 1
-			if rep, err := d.Seal(); err != nil || rep.FoldReason == "" {
-				t.Fatalf("fold: %+v, %v", rep, err)
-			}
-			abandon(d)
-			restoreFiles(t, dir, old)
-			return root
-		}},
-		{"manifest renamed, old generation not pruned", func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) RootDigest {
-			old := saveFiles(t, dir)
-			delete(old, manifestName)
-			maps.Copy(oracle, writeSpread(t, d.Memory, 50, 32))
-			d.foldBytes = 1
-			if rep, err := d.Seal(); err != nil || rep.FoldReason == "" {
-				t.Fatalf("fold: %+v, %v", rep, err)
-			}
-			abandon(d)
-			restoreFiles(t, dir, old)
-			return d.RootDigest()
-		}},
-		{"torn MANIFEST.tmp beside a good MANIFEST", func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) RootDigest {
-			maps.Copy(oracle, writeSpread(t, d.Memory, 60, 32))
-			if _, err := d.Seal(); err != nil {
-				t.Fatal(err)
-			}
-			abandon(d)
-			good, err := os.ReadFile(filepath.Join(dir, manifestName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, manifestName+".tmp"), good[:len(good)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return d.RootDigest()
-		}},
-		{"log fsynced, manifest one epoch behind", func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) RootDigest {
-			stale := saveFiles(t, dir)[manifestName]
-			maps.Copy(oracle, writeSpread(t, d.Memory, 70, 32))
-			if _, err := d.Seal(); err != nil {
-				t.Fatal(err)
-			}
-			abandon(d)
-			restoreFiles(t, dir, map[string][]byte{manifestName: stale})
-			return d.RootDigest()
-		}},
-	} {
+	for _, c := range crashStates {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
 			d := openDurable(t, dir, cfg, shards)
 			oracle := writeSpread(t, d.Memory, 30, 64)
-			if _, err := d.Seal(); err != nil {
-				t.Fatal(err)
+			held := crashSeal(t, d, false).Root
+			want, inflight := c.crash(t, dir, d, oracle)
+			if !pinned {
+				d2 := openDurable(t, dir, cfg, shards)
+				if d2.RootDigest() != want {
+					t.Fatal("reopen did not reach the newest pinned-or-ahead root")
+				}
+				checkOracle(t, d2.Memory, oracle)
+				checkOneGeneration(t, dir, shards)
+				if err := d2.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return
 			}
-			want := c.crash(t, dir, d, oracle)
-			d2 := openDurable(t, dir, cfg, shards)
-			if d2.RootDigest() != want {
-				t.Fatal("reopen did not reach the newest pinned-or-ahead root")
+			state := saveFiles(t, dir)
+			pins := []RootDigest{held}
+			if c.reached {
+				pins = append(pins, inflight)
+			} else {
+				_, _, err := OpenDurable(dir, cfg, shards, &inflight)
+				refusedRollback(t, err)
 			}
-			checkOracle(t, d2.Memory, oracle)
-			checkOneGeneration(t, dir, shards)
-			if err := d2.Close(); err != nil {
-				t.Fatal(err)
+			for i, pin := range pins {
+				dir2 := t.TempDir()
+				restoreFiles(t, dir2, state)
+				// The second open follows a crash right after the first
+				// open's fold: the caller never stored Opened.Root.
+				for open := 0; open < 2; open++ {
+					d2, _, err := OpenDurable(dir2, cfg, shards, &pin)
+					if err != nil {
+						t.Fatalf("pin %d, open %d: honest crash state refused: %v", i, open, err)
+					}
+					if d2.RootDigest() != want || d2.Opened.Root != want {
+						t.Fatalf("pin %d, open %d: reopen did not reach the newest pinned-or-ahead root", i, open)
+					}
+					checkOracle(t, d2.Memory, oracle)
+					checkOneGeneration(t, dir2, shards)
+					if open == 0 {
+						abandon(d2)
+					} else if err := d2.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 		})
 	}
 }
 
 // refusedRollback fails the test unless err is OpenDurable's rollback
-// refusal: a *RecoveryError whose status is RecoveryRollback.
+// refusal: a *RecoveryError whose status is RecoveryRollback. The store's
+// pin check stops at no log record, so its message must name none.
 func refusedRollback(t *testing.T, err error) {
 	t.Helper()
 	var rerr *RecoveryError
 	if !errors.As(err, &rerr) || rerr.Report.Status != RecoveryRollback || !strings.Contains(err.Error(), "rollback") {
 		t.Fatalf("want a rollback refusal (*RecoveryError), got %v", err)
+	}
+	if rerr.Report.FailedAt < 0 && strings.Contains(err.Error(), "log record") {
+		t.Fatalf("a pin refusal names a log record: %v", err)
 	}
 }
 
@@ -698,105 +745,7 @@ func TestDurableDirectoryRollbackRefused(t *testing.T) {
 // the seal's own root, then once more after a crash past that open's own
 // fold: every reopen reaches the root and oracle the unpinned reopen does. A
 // pin from a seal the directory never reached is refused.
-func TestDurablePinnedCrashStates(t *testing.T) {
-	const shards = 4
-	cfg := durableTestConfig()
-	seal := func(t *testing.T, d *Durable, fold bool) SealReport {
-		t.Helper()
-		if fold {
-			d.foldBytes = 1
-		}
-		rep, err := d.Seal()
-		if err != nil || fold != (rep.FoldReason != "") {
-			t.Fatalf("seal (fold %v): %+v, %v", fold, rep, err)
-		}
-		return rep
-	}
-	for _, c := range []struct {
-		name string
-		// reached is whether the directory holds the in-flight seal's state:
-		// its manifest rename landed, or its fsynced logs carry it.
-		reached bool
-		// crash drives an open store into the state under test and returns
-		// the root the reopen must reach and the in-flight seal's root.
-		crash func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) (want, inflight RootDigest)
-	}{
-		{"new generation written, old manifest in place", false, func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) (RootDigest, RootDigest) {
-			old := saveFiles(t, dir)
-			root := d.RootDigest()
-			writeSpread(t, d.Memory, 40, 32)
-			rep := seal(t, d, true)
-			abandon(d)
-			restoreFiles(t, dir, old)
-			return root, rep.Root
-		}},
-		{"manifest renamed, old generation not pruned", true, func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) (RootDigest, RootDigest) {
-			old := saveFiles(t, dir)
-			delete(old, manifestName)
-			maps.Copy(oracle, writeSpread(t, d.Memory, 50, 32))
-			rep := seal(t, d, true)
-			abandon(d)
-			restoreFiles(t, dir, old)
-			return rep.Root, rep.Root
-		}},
-		{"torn MANIFEST.tmp beside a good MANIFEST", true, func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) (RootDigest, RootDigest) {
-			maps.Copy(oracle, writeSpread(t, d.Memory, 60, 32))
-			rep := seal(t, d, false)
-			abandon(d)
-			good := saveFiles(t, dir)[manifestName]
-			if err := os.WriteFile(filepath.Join(dir, manifestName+".tmp"), good[:len(good)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return rep.Root, rep.Root
-		}},
-		{"log fsynced, manifest one epoch behind", true, func(t *testing.T, dir string, d *Durable, oracle map[uint64][]byte) (RootDigest, RootDigest) {
-			stale := saveFiles(t, dir)[manifestName]
-			maps.Copy(oracle, writeSpread(t, d.Memory, 70, 32))
-			rep := seal(t, d, false)
-			abandon(d)
-			restoreFiles(t, dir, map[string][]byte{manifestName: stale})
-			return rep.Root, rep.Root
-		}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			d := openDurable(t, dir, cfg, shards)
-			oracle := writeSpread(t, d.Memory, 30, 64)
-			held := seal(t, d, false).Root
-			want, inflight := c.crash(t, dir, d, oracle)
-			state := saveFiles(t, dir)
-			pins := []RootDigest{held}
-			if c.reached {
-				pins = append(pins, inflight)
-			} else {
-				_, _, err := OpenDurable(dir, cfg, shards, &inflight)
-				refusedRollback(t, err)
-			}
-			for i, pin := range pins {
-				dir2 := t.TempDir()
-				restoreFiles(t, dir2, state)
-				// The second open follows a crash right after the first
-				// open's fold: the caller never stored Opened.Root.
-				for open := 0; open < 2; open++ {
-					d2, _, err := OpenDurable(dir2, cfg, shards, &pin)
-					if err != nil {
-						t.Fatalf("pin %d, open %d: honest crash state refused: %v", i, open, err)
-					}
-					if d2.RootDigest() != want || d2.Opened.Root != want {
-						t.Fatalf("pin %d, open %d: reopen did not reach the newest pinned-or-ahead root", i, open)
-					}
-					checkOracle(t, d2.Memory, oracle)
-					checkOneGeneration(t, dir2, shards)
-					if open == 0 {
-						abandon(d2)
-					} else if err := d2.Close(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
+func TestDurablePinnedCrashStates(t *testing.T) { runCrashStates(t, true) }
 
 // parentPlain is the plaintext testdata/parent_durable's writer stored at
 // block blk for its ver-th write (generate_test.go.txt there).

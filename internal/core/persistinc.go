@@ -375,10 +375,14 @@ type RecoveryError struct {
 	Report *RecoveryReport
 }
 
-// Error implements error.
+// Error implements error. It names a log record only when replay stopped
+// at one: a refusal by a root pin or a manifest has FailedAt = -1.
 func (e *RecoveryError) Error() string {
-	return fmt.Sprintf("core: incremental resume %s at log record %d: %s",
-		e.Report.Status, e.Report.FailedAt, e.Report.Reason)
+	r := e.Report
+	if r.FailedAt < 0 {
+		return fmt.Sprintf("core: recovery %s: %s", r.Status, r.Reason)
+	}
+	return fmt.Sprintf("core: incremental resume %s at log record %d: %s", r.Status, r.FailedAt, r.Reason)
 }
 
 // replayDelta replays a delta log into a freshly-resumed engine. Group

@@ -391,6 +391,24 @@ func TestPinDetectsTruncatedHistory(t *testing.T) {
 	}
 }
 
+// TestRecoveryErrorNamesLogRecordOnlyWhenReplayStopped: a refusal by a
+// root pin or a manifest (FailedAt = -1) reads as a recovery refusal, not as
+// a replay that stopped at log record -1.
+func TestRecoveryErrorNamesLogRecordOnlyWhenReplayStopped(t *testing.T) {
+	for _, c := range []struct {
+		failedAt int
+		want     string
+	}{
+		{3, "core: incremental resume rollback-detected at log record 3: bad chain"},
+		{-1, "core: recovery rollback-detected: bad chain"},
+	} {
+		err := &RecoveryError{Report: &RecoveryReport{Status: RecoveryRollback, FailedAt: c.failedAt, Reason: "bad chain"}}
+		if got := err.Error(); got != c.want {
+			t.Errorf("FailedAt %d: %q, want %q", c.failedAt, got, c.want)
+		}
+	}
+}
+
 func TestLogBoundToItsBase(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
 	h := newDeltaHarness(t, cfg)

@@ -1,5 +1,10 @@
 package ctr
 
+import (
+	"fmt"
+	"slices"
+)
+
 // DeltaScheme implements §4's frame-of-reference delta encoding: each 4KB
 // block-group stores one 56-bit reference counter and a small delta per
 // block; a block's encryption counter is reference + delta.
@@ -35,15 +40,15 @@ package ctr
 //     64×6-bit deltas = 440 bits, leaving 72: 64 extension bits + 2
 //     group-index bits + 1 in-use bit + 5 spare.
 type DeltaScheme struct {
-	groups []deltaGroup // indexed by group; the zero group is Figure 5a's initial state
-	// reserve is, per group, the delta-group holding the dual-length
-	// reserve plus one, 0 if unassigned (always, under delta-7). Kept out
-	// of deltaGroup: a 144-byte group slowed stackbench's embed-cold 2-10 %.
-	reserve []uint8
-	dual    bool // the dual-length layout
-	stats   Stats
-	hook    ReencryptFunc
-	old     [GroupBlocks]uint64 // the hook's oldCounters argument
+	// images is, per group, the group's 64-byte metadata image in the
+	// scheme's layout (pack.go) — the counter block itself, edited in
+	// place by Touch. The zero image is Figure 5a's initial state under
+	// both layouts: reference 0, every delta 0, the reserve unassigned.
+	images [][MetadataBlockBytes]byte
+	dual   bool // the dual-length layout
+	stats  Stats
+	hook   ReencryptFunc
+	old    [GroupBlocks]uint64 // the hook's oldCounters argument
 }
 
 // DeltaBits is the delta width evaluated in the paper.
@@ -74,11 +79,6 @@ const shortMax = (1 << ShortDeltaBits) - 1
 // longMax is the largest extended (6+4 = 10-bit) delta.
 const longMax = (1 << (ShortDeltaBits + ExtensionBits)) - 1
 
-type deltaGroup struct {
-	ref    uint64
-	deltas [GroupBlocks]uint16
-}
-
 // NewDelta creates a delta-7 counter store with all counters zero
 // (reference = 0, deltas = 0, as in Figure 5a's initial state).
 func NewDelta() *DeltaScheme {
@@ -102,20 +102,6 @@ func (s *DeltaScheme) Name() string {
 // GroupSize implements Scheme.
 func (s *DeltaScheme) GroupSize() int { return GroupBlocks }
 
-func (s *DeltaScheme) group(block uint64) (*deltaGroup, uint64, int) {
-	gid := block / GroupBlocks
-	if gid >= uint64(len(s.groups)) {
-		s.extend(gid)
-	}
-	return &s.groups[gid], gid, int(block % GroupBlocks)
-}
-
-// extend grows groups and reserve, in step, to hold group gid.
-func (s *DeltaScheme) extend(gid uint64) {
-	s.groups = grow(s.groups, gid)
-	s.reserve = grow(s.reserve, gid)
-}
-
 // No slot's limit is below shortMax, which Touch's fast path relies on;
 // these stop compiling if one drops under it.
 const (
@@ -123,132 +109,223 @@ const (
 	_ uint = longMax - shortMax
 )
 
-// limit returns the current capacity of delta slot i of group gid.
-func (s *DeltaScheme) limit(gid uint64, i int) uint16 {
+// layout returns the width of a slot in the dense delta array, whose
+// eight-slot words start at byte deltaOff + width*(i/8), and lanes, which
+// has bit 0 of every slot of a word set: a delta times lanes is that delta
+// in all eight slots.
+func (s *DeltaScheme) layout() (width uint, lanes uint64) {
+	if s.dual {
+		return ShortDeltaBits, 0x0000041041041041
+	}
+	return DeltaBits, 0x0002040810204081
+}
+
+// extended returns the delta-group holding the dual-length reserve, or -1
+// (always, under delta-7, where the tail byte holds deltas).
+func (s *DeltaScheme) extended(img *[MetadataBlockBytes]byte) int {
+	if !s.dual || img[dualTailByte]&1 == 0 {
+		return -1
+	}
+	return int(img[dualTailByte] >> 1 & (DeltaGroups - 1))
+}
+
+// nibbles returns the dual-length image's sixteen extension nibbles, slot
+// k's in bits 4k..4k+3; setNibbles stores them back, keeping the tail
+// byte's flag and group index and the zero spare bits.
+func nibbles(img *[MetadataBlockBytes]byte) uint64 {
+	return uint64(img[dualTailByte]>>dualNibShift) | load64(img, MetadataBlockBytes-8)<<dualNibLow
+}
+
+func setNibbles(img *[MetadataBlockBytes]byte, nib uint64) {
+	img[dualTailByte] = img[dualTailByte]&(1<<dualNibShift-1) | byte(nib<<dualNibShift)
+	store64(img, MetadataBlockBytes-8, nib>>dualNibLow)
+}
+
+// high returns slot i's extension nibble shifted above its 6-bit field when
+// its delta-group holds the reserve, else 0.
+func (s *DeltaScheme) high(img *[MetadataBlockBytes]byte, i uint) uint16 {
+	if s.extended(img) != int(i/DeltasPerGroup) {
+		return 0
+	}
+	return uint16(nibbles(img)>>(ExtensionBits*(i%DeltasPerGroup))&(1<<ExtensionBits-1)) << ShortDeltaBits
+}
+
+// setHigh stores the bits of d above the 6-bit field in slot i's nibble when
+// its delta-group holds the reserve.
+func (s *DeltaScheme) setHigh(img *[MetadataBlockBytes]byte, i uint, d uint16) {
+	if s.extended(img) == int(i/DeltasPerGroup) {
+		k := ExtensionBits * (i % DeltasPerGroup)
+		setNibbles(img, nibbles(img)&^((1<<ExtensionBits-1)<<k)|uint64(d>>ShortDeltaBits)<<k)
+	}
+}
+
+// limit returns the current capacity of slot i.
+func (s *DeltaScheme) limit(img *[MetadataBlockBytes]byte, i uint) uint16 {
 	switch {
 	case !s.dual:
 		return deltaMax
-	case s.reserve[gid] == uint8(i/DeltasPerGroup)+1:
+	case s.extended(img) == int(i/DeltasPerGroup):
 		return longMax
 	default:
 		return shortMax
 	}
 }
 
-// Counter implements Scheme.
-func (s *DeltaScheme) Counter(block uint64) uint64 {
-	if gid := block / GroupBlocks; gid < uint64(len(s.groups)) {
-		g := &s.groups[gid]
-		return g.ref + uint64(g.deltas[block%GroupBlocks])
+// converged finishes the all-equal reset check once slot i's own word holds
+// d in all eight lanes: it reports whether every other word of the dense
+// array does too, at one compare per eight slots, and no reserve nibble is
+// set.
+func (s *DeltaScheme) converged(img *[MetadataBlockBytes]byte, i uint, d uint16) bool {
+	w, lanes := s.layout()
+	m := uint64(1)<<w - 1
+	for g := uint(0); g < GroupBlocks/8; g++ {
+		if g != i/8 && load64(img, deltaOff+int(w*g))&(m*lanes) != uint64(d)*lanes {
+			return false
+		}
 	}
-	return 0
+	return s.extended(img) < 0 || nibbles(img) == 0
+}
+
+// decode unpacks an image with its layout's codec: the rare paths and
+// LoadMetadata work on the unpacked group.
+func (s *DeltaScheme) decode(img *[MetadataBlockBytes]byte) (ref uint64, deltas [GroupBlocks]uint16, extended int8, err error) {
+	if s.dual {
+		return UnpackDualLength(*img)
+	}
+	ref, deltas, err = UnpackDelta(*img)
+	return ref, deltas, -1, err
+}
+
+// encode packs a group with its layout's codec.
+func (s *DeltaScheme) encode(ref uint64, deltas *[GroupBlocks]uint16, extended int8) [MetadataBlockBytes]byte {
+	var blk [MetadataBlockBytes]byte
+	var err error
+	if s.dual {
+		blk, err = PackDualLength(ref, deltas, extended)
+	} else {
+		blk, err = PackDelta(ref, deltas)
+	}
+	if err != nil {
+		// Scheme invariants guarantee packable state; a failure here is
+		// a bug, not an input error.
+		panic(err)
+	}
+	return blk
+}
+
+// clearGroup sets the image to reference ref with every delta zero and the
+// reserve free: the state a reset and a re-encryption leave.
+func clearGroup(img *[MetadataBlockBytes]byte, ref uint64) {
+	if ref > refMask {
+		panic(fmt.Sprintf("ctr: reference %#x exceeds %d bits", ref, RefBits))
+	}
+	*img = [MetadataBlockBytes]byte{}
+	store64(img, 0, ref)
+}
+
+// Counter implements Scheme: a field read of the group's image.
+func (s *DeltaScheme) Counter(block uint64) uint64 {
+	gid, i := block/GroupBlocks, int(block%GroupBlocks)
+	if gid >= uint64(len(s.images)) {
+		return 0
+	}
+	var c uint64 // the decoders fail only on an index out of the group
+	if s.dual {
+		c, _ = DecodeDualCounter(&s.images[gid], i)
+	} else {
+		c, _ = DecodeCounter(&s.images[gid], i)
+	}
+	return c
 }
 
 // Touch implements Scheme. It follows the hardware flow of Figure 7: the
 // increment-and-reset unit checks for overflow before incrementing, applies
 // the increment, then checks for an all-equal reset; the re-encode/
-// re-encrypt unit handles overflows.
+// re-encrypt unit handles overflows. The common write reads and writes one
+// slot of the group's image; only an overflow unpacks the group.
 func (s *DeltaScheme) Touch(block uint64) WriteOutcome {
-	g, gid, i := s.group(block)
+	gid := block / GroupBlocks
+	if gid >= uint64(len(s.images)) {
+		s.images = grow(s.images, gid)
+	}
+	img, i := &s.images[gid], uint(block%GroupBlocks)
 	s.stats.Writes++
-	var out WriteOutcome
+	var extended, reencoded bool
+
+	// Slot i's field sits in the width-byte word at off; a dual-length
+	// slot whose delta-group holds the reserve has its nibble above it.
+	w, lanes := s.layout()
+	off, shift, m := deltaOff+int(w*(i/8)), w*(i%8), uint64(1)<<w-1
+	word := load64(img, off)
+	d := uint16(word >> shift & m)
+	if s.dual {
+		d |= s.high(img, i)
+	}
 
 	// A delta below shortMax is below every slot's limit under either
 	// layout, so the common write skips limit and its layout checks.
-	if d := g.deltas[i]; d >= shortMax && d == s.limit(gid, i) {
-		if s.dual && s.reserve[gid] == 0 {
+	if d >= shortMax && d == s.limit(img, i) {
+		if s.dual && s.extended(img) < 0 {
 			// First overflow in a dual-length block-group: hand the
-			// reserve bits to this delta-group (Figure 6).
-			s.reserve[gid] = uint8(i/DeltasPerGroup) + 1
+			// reserve bits to this delta-group (Figure 6). Its
+			// nibbles are zero while the reserve is unassigned.
+			img[dualTailByte] |= 1 | byte(i/DeltasPerGroup)<<1
 			s.stats.Extensions++
-			out.Extended = true
-		} else if dmin := g.minDelta(); dmin > 0 {
-			// The cheap fix: re-encode with a larger reference
-			// (Figure 5c).
-			g.reencode(dmin)
-			s.stats.Reencodes++
-			out.Reencoded = true
+			extended = true
 		} else {
-			// Δmin = 0: re-encryption is unavoidable (Figure 5a).
-			// The group's next counter becomes the shared new
-			// counter and the new reference.
-			newRef := g.ref + uint64(g.maxDelta()) + 1
-			s.reencrypt(gid, g, newRef)
-			out.Reencrypted = true
-			out.Counter = newRef
-			return out
+			ref, deltas, ext, err := s.decode(img)
+			if err != nil {
+				panic(err) // the scheme only ever stores packed images
+			}
+			if dmin := slices.Min(deltas[:]); dmin > 0 {
+				// The cheap fix: re-encode with a larger reference
+				// (Figure 5c).
+				for j := range deltas {
+					deltas[j] -= dmin
+				}
+				*img = s.encode(ref+uint64(dmin), &deltas, ext)
+				d -= dmin
+				s.stats.Reencodes++
+				reencoded = true
+			} else {
+				// Δmin = 0: re-encryption is unavoidable (Figure 5a).
+				// The group's next counter becomes the shared new
+				// counter and the new reference.
+				newRef := ref + uint64(slices.Max(deltas[:])) + 1
+				if s.hook != nil {
+					for j, dj := range deltas {
+						s.old[j] = ref + uint64(dj)
+					}
+					s.hook(gid*GroupBlocks, s.old[:], newRef)
+				}
+				clearGroup(img, newRef)
+				s.stats.Reencryptions++
+				s.stats.ReencryptedBlocks += GroupBlocks
+				return WriteOutcome{Counter: newRef, Reencrypted: true}
+			}
 		}
+		word = load64(img, off) // the word may share bytes with the tail
 	}
 
-	g.deltas[i]++
-	out.Counter = g.ref + uint64(g.deltas[i])
+	d++
+	ref := load64(img, 0) & refMask
+	word = word&^(m<<shift) | uint64(d)&m<<shift
 
-	// Reset check (Figure 5b): fires on the increment path, after the
-	// write, as done by the increment-and-reset unit.
-	if d := g.allEqual(); d > 0 {
-		g.ref += uint64(d)
-		clear(g.deltas[:])
-		s.reserve[gid] = 0 // all-zero deltas free the reserve
+	// Reset check (Figure 5b): fires on the increment path, as done by the
+	// increment-and-reset unit, and is made before the store so that no
+	// load follows a store it overlaps. A dual-length delta above the
+	// short field is held by an extended slot only. All-zero deltas free
+	// the reserve.
+	if uint64(d) <= m && word&(m*lanes) == uint64(d)*lanes && s.converged(img, i, d) {
+		clearGroup(img, ref+uint64(d))
 		s.stats.Resets++
-		out.Reset = true
+		return WriteOutcome{Counter: ref + uint64(d), Reset: true, Extended: extended, Reencoded: reencoded}
 	}
-	return out
-}
-
-func (g *deltaGroup) minDelta() uint16 {
-	m := g.deltas[0]
-	for _, d := range g.deltas[1:] {
-		if d < m {
-			m = d
-		}
+	store64(img, off, word)
+	if s.dual {
+		s.setHigh(img, i, d)
 	}
-	return m
-}
-
-func (g *deltaGroup) maxDelta() uint16 {
-	m := g.deltas[0]
-	for _, d := range g.deltas[1:] {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// allEqual returns the common delta value when every delta in the group is
-// identical and nonzero, else 0.
-func (g *deltaGroup) allEqual() uint16 {
-	d := g.deltas[0]
-	if d == 0 {
-		return 0
-	}
-	for _, v := range g.deltas[1:] {
-		if v != d {
-			return 0
-		}
-	}
-	return d
-}
-
-func (g *deltaGroup) reencode(dmin uint16) {
-	g.ref += uint64(dmin)
-	for j := range g.deltas {
-		g.deltas[j] -= dmin
-	}
-}
-
-func (s *DeltaScheme) reencrypt(gid uint64, g *deltaGroup, newRef uint64) {
-	if s.hook != nil {
-		for j := range s.old {
-			s.old[j] = g.ref + uint64(g.deltas[j])
-		}
-		s.hook(gid*GroupBlocks, s.old[:], newRef)
-	}
-	g.ref = newRef
-	clear(g.deltas[:])
-	s.reserve[gid] = 0
-	s.stats.Reencryptions++
-	s.stats.ReencryptedBlocks += GroupBlocks
+	return WriteOutcome{Counter: ref + uint64(d), Extended: extended, Reencoded: reencoded}
 }
 
 // MetadataBits implements Scheme: (56 + 64*7)/64 = 7.875 bits per block

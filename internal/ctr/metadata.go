@@ -24,26 +24,13 @@ func (s *SplitScheme) PackMetadata(m uint64) [MetadataBlockBytes]byte {
 	return PackSplit(g.major, &g.minors)
 }
 
-// PackMetadata implements the metadata-image contract for DeltaScheme, in
-// its delta-7 or dual-length layout.
+// PackMetadata implements the metadata-image contract for DeltaScheme: the
+// image is the scheme's state, so this is a copy.
 func (s *DeltaScheme) PackMetadata(m uint64) [MetadataBlockBytes]byte {
-	g, reserve := &deltaGroup{}, uint8(0)
-	if m < uint64(len(s.groups)) {
-		g, reserve = &s.groups[m], s.reserve[m]
+	if m < uint64(len(s.images)) {
+		return s.images[m]
 	}
-	var blk [MetadataBlockBytes]byte
-	var err error
-	if s.dual {
-		blk, err = PackDualLength(g.ref, &g.deltas, int8(reserve)-1)
-	} else {
-		blk, err = PackDelta(g.ref, &g.deltas)
-	}
-	if err != nil {
-		// Scheme invariants guarantee packable state; a failure here is
-		// a bug, not an input error.
-		panic(err)
-	}
-	return blk
+	return [MetadataBlockBytes]byte{}
 }
 
 // LoadMetadata methods restore scheme state from a stored 64-byte image —
@@ -74,24 +61,17 @@ func (s *SplitScheme) LoadMetadata(m uint64, img [MetadataBlockBytes]byte) error
 }
 
 // LoadMetadata implements the metadata-restore contract for DeltaScheme, in
-// its delta-7 or dual-length layout.
+// its delta-7 or dual-length layout: the layout's unpacker validates the
+// image, and the scheme keeps its canonical repack.
 func (s *DeltaScheme) LoadMetadata(m uint64, img [MetadataBlockBytes]byte) error {
-	var g deltaGroup
-	extended := int8(-1)
-	var err error
-	if s.dual {
-		g.ref, g.deltas, extended, err = UnpackDualLength(img)
-	} else {
-		g.ref, g.deltas, err = UnpackDelta(img)
-	}
+	ref, deltas, extended, err := s.decode(&img)
 	if err != nil {
 		return err
 	}
-	if m >= uint64(len(s.groups)) {
-		s.extend(m)
+	if m >= uint64(len(s.images)) {
+		s.images = grow(s.images, m)
 	}
-	s.groups[m] = g
-	s.reserve[m] = uint8(extended + 1)
+	s.images[m] = s.encode(ref, &deltas, extended)
 	return nil
 }
 

@@ -11,7 +11,10 @@ import (
 // tree MACs counter *blocks*, so the engine needs a canonical byte image of
 // each group's state, and (2) the decode path (reference + bit-extracted
 // delta) is the hardware the paper synthesized; reproducing it bit-exactly
-// lets tests validate the decode unit against the scheme state.
+// lets tests validate the decode unit against the scheme state. The delta
+// scheme goes one step further and keeps each group as its image, editing
+// a slot in place (delta.go): the codec below is its validator and its
+// rare-path unpacker and repacker.
 //
 // Layouts (bit offsets, little-endian bit order within the 512-bit block):
 //
@@ -60,9 +63,10 @@ func field(b *[MetadataBlockBytes]byte, off, width int) uint64 {
 // pack8x7 and pack8x6 concatenate the low 7 (6) bits of eight fields, lowest
 // first, into one 7-byte (6-byte) word. They are straight-line on purpose:
 // the eight shifts are independent, where a loop over the fields chains
-// them, and every write packs its group twice. union is the OR of the whole
-// fields, for the callers' range checks: every limit is 2^k-1, so some field
-// exceeds it iff the OR of all does.
+// them, and every split-counter write packs its group twice (a delta
+// write packs nothing; only its re-encodes, re-encryptions and loads do).
+// union is the OR of the whole fields, for the callers' range checks: every
+// limit is 2^k-1, so some field exceeds it iff the OR of all does.
 func pack8x7(f *[8]uint16) (w uint64, union uint16) {
 	const m = 1<<7 - 1
 	w = uint64(f[0]&m) | uint64(f[1]&m)<<7 | uint64(f[2]&m)<<14 | uint64(f[3]&m)<<21 |
@@ -78,7 +82,8 @@ func pack8x6(f *[8]uint16) (w uint64, union uint16) {
 }
 
 // unpack8 splits a word into eight width-bit fields, lowest first (the
-// inverse of pack8x7 and pack8x6; unpacking runs only on resume).
+// inverse of pack8x7 and pack8x6; unpacking runs only on resume and on a
+// delta group's re-encode or re-encryption).
 func unpack8(f []uint16, w uint64, width uint) {
 	m := uint64(1)<<width - 1
 	for k := range f[:8] {

@@ -520,6 +520,16 @@ func BenchmarkTouchDelta(b *testing.B) {
 	}
 }
 
+// BenchmarkTouchDeltaStride is stackbench's ctr.touch_ref kernel: a stride
+// of 67 blocks over 65 536 walks groups and slots alike, so nearly every
+// Touch lands in another group and none resets.
+func BenchmarkTouchDeltaStride(b *testing.B) {
+	s := NewDelta()
+	for i := 0; i < b.N; i++ {
+		s.Touch(uint64(i) * 67 % (1 << 16))
+	}
+}
+
 func BenchmarkTouchSplit(b *testing.B) {
 	s := NewSplit()
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,9 @@ package ctr
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -20,7 +23,7 @@ func stateLen(t *testing.T, s Scheme) int {
 	case *SplitScheme:
 		return len(s.groups)
 	case *DeltaScheme:
-		return len(s.groups)
+		return len(s.images)
 	}
 	t.Fatalf("no state slice for %T", s)
 	return 0
@@ -165,7 +168,8 @@ func TestFarTouchKeepsHistory(t *testing.T) {
 // FuzzSchemeStateMachine decodes bytes into a sequence of Touch steps on
 // near and far groups and LoadMetadata steps, runs it on every scheme, and
 // holds each to the shadow tracker's no-pad-reuse invariant
-// (property_test.go) after every step. A LoadMetadata step reloads a
+// (property_test.go) after every step; a DeltaScheme's every Touch is also
+// held to the unpacked reference rule, image for image (lockstep). A LoadMetadata step reloads a
 // group's own image in place (which must change nothing); at the end every
 // touched metadata block must survive PackMetadata → LoadMetadata (into a
 // fresh scheme) → PackMetadata bit for bit.
@@ -192,6 +196,11 @@ func runStateMachine(t *testing.T, kind Kind, data []byte) {
 	p, l := s.(MetadataPacker), s.(MetadataLoader)
 	shadow := newShadow(t)
 	s.OnReencrypt(shadow.hook)
+	touch := s.Touch
+	if d, ok := s.(*DeltaScheme); ok {
+		// Every write is also held to the unpacked reference rule.
+		touch = newLockstep(t, d, shadow.hook).touch
+	}
 	touched := map[uint64]bool{} // metadata blocks
 	for i := 0; i+1 < len(data); i += 2 {
 		// Step: op bits 0-1 pick Touch (0-2) or a reload (3), bit 2 a
@@ -210,7 +219,7 @@ func runStateMachine(t *testing.T, kind Kind, data []byte) {
 		case 0, 1, 2:
 			for n := op>>3 + 1; n > 0; n-- {
 				shadow.pending, shadow.hasPending = blk, true
-				out := s.Touch(blk)
+				out := touch(blk)
 				shadow.hasPending = false
 				shadow.encrypt(blk, out.Counter)
 				if got := s.Counter(blk); got != out.Counter {
@@ -247,5 +256,94 @@ func runStateMachine(t *testing.T, kind Kind, data []byte) {
 		if got := fresh.Counter(blk); got != want {
 			t.Fatalf("%s: restored Counter(%d) = %d, want %d", s.Name(), blk, got, want)
 		}
+	}
+}
+
+// TestPackedTouchMatchesReference holds DeltaScheme's in-place Touch to the
+// unpacked reference rule (reference_test.go) under both layouts: after
+// every write the whole group image, the outcome, the stats and every
+// re-encryption hook's arguments must match. Each case names the events
+// its writes must provoke, so a case that stops reaching its path fails.
+func TestPackedTouchMatchesReference(t *testing.T) {
+	repeat := func(block uint64, n int) []uint64 {
+		w := make([]uint64, n)
+		for j := range w {
+			w[j] = block
+		}
+		return w
+	}
+	// sweep writes n rounds of blocks from..63 of the group at base,
+	// skipping skip.
+	sweep := func(base, from uint64, n int, skip uint64) []uint64 {
+		var w []uint64
+		for r := 0; r < n; r++ {
+			for b := from; b < GroupBlocks; b++ {
+				if b != skip {
+					w = append(w, base+b)
+				}
+			}
+		}
+		return w
+	}
+	far := uint64(1000 * GroupBlocks)
+	type refCase struct {
+		name   string
+		dual   bool
+		writes []uint64
+		want   func(Stats) bool // the events the writes must reach
+	}
+	cases := []refCase{
+		{"delta-7 reset", false, slices.Concat(sweep(0, 0, 3, GroupBlocks), sweep(far, 0, 2, GroupBlocks)),
+			func(st Stats) bool { return st.Resets == 5 }},
+		{"delta-7 re-encode, then re-encryption", false,
+			slices.Concat(repeat(0, 2), sweep(0, 1, 1, GroupBlocks), repeat(0, 3*deltaMax)),
+			func(st Stats) bool { return st.Reencodes > 0 && st.Reencryptions > 0 }},
+		{"delta-7 re-encryption of a far group", false, repeat(far+9, 3*deltaMax),
+			func(st Stats) bool { return st.Reencryptions == 2 }},
+		{"dual reserve assignment", true, repeat(3, shortMax+1),
+			func(st Stats) bool { return st.Extensions == 1 }},
+		{"dual extended-slot overflow", true, repeat(far+50, 2*(longMax+1)),
+			func(st Stats) bool { return st.Extensions == 2 && st.Reencryptions == 2 }},
+		{"dual extended-slot re-encode", true,
+			slices.Concat(repeat(0, 2), sweep(0, 1, 1, GroupBlocks), repeat(0, 2*longMax)),
+			func(st Stats) bool { return st.Extensions > 0 && st.Reencodes > 0 && st.Reencryptions > 0 }},
+		{"dual re-encode and reset with the reserve held", true,
+			slices.Concat(repeat(0, shortMax+1), sweep(0, 1, shortMax, GroupBlocks), repeat(16, 1), sweep(0, 1, 1, 16), repeat(20, shortMax+1)),
+			func(st Stats) bool { return st.Extensions == 2 && st.Reencodes == 1 && st.Resets == 1 }},
+		{"dual second delta-group overflow", true, slices.Concat(repeat(0, shortMax+1), repeat(16, shortMax+1)),
+			func(st Stats) bool { return st.Extensions == 1 && st.Reencryptions == 1 }},
+	}
+	// Two skewed random mixes reach every event together: half the writes
+	// scatter over group 0, whose two hot blocks overflow into re-encodes
+	// or, when the scatter missed a block, re-encryptions; group 1 has
+	// only a hot block.
+	for _, dual := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(47))
+		hot := []uint64{3, DeltasPerGroup + 2, GroupBlocks + 7}
+		var w []uint64
+		for range 40000 {
+			if rng.Intn(2) == 0 {
+				w = append(w, uint64(rng.Intn(GroupBlocks)))
+			} else {
+				w = append(w, hot[rng.Intn(len(hot))])
+			}
+		}
+		cases = append(cases, refCase{fmt.Sprintf("skewed mix (dual %v)", dual), dual, w,
+			func(st Stats) bool { return st.Reencodes > 0 && st.Reencryptions > 0 && (!dual || st.Extensions > 0) }})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewDelta()
+			if c.dual {
+				s = NewDualLength()
+			}
+			l := newLockstep(t, s, nil)
+			for _, b := range c.writes {
+				l.touch(b)
+			}
+			if st := s.Stats(); !c.want(st) {
+				t.Fatalf("the writes did not reach the case's events: %+v", st)
+			}
+		})
 	}
 }
