@@ -23,16 +23,21 @@ import (
 // An install publishes through publishLine, which on amd64 is one store
 // kernel of plain MOVQs: x86-64 (TSO) keeps stores, and loads, in program
 // order, so the probe's loads see the odd generation before any new word.
-// A lock-free reader snapshots the generation, loads the payload words into
-// registers with atomic loads, and re-checks the generation: any torn read —
-// a writer started or finished mid-copy — shows up as an odd or changed
-// generation and the reader retries, falling back to the locked slow path
-// after a bounded number of attempts. The probe copies into the caller's
-// buffer only after the re-check passes, so a miss never writes a byte.
-// Under the race detector publishLine is a Go body of atomic stores, so
-// every payload word is accessed atomically and the detector checks the
-// protocol; the double generation check makes a multi-word copy consistent
-// without a lock.
+// A lock-free reader (probeSpan, one call per span) snapshots the
+// generation, loads the payload into registers and re-checks the
+// generation: any torn read — a writer started or finished mid-copy — shows
+// up as an odd or changed generation and the reader retries, falling back
+// to the locked slow path after a bounded number of attempts. On amd64 the
+// payload loads are four 16-byte MOVOUs in an assembly kernel. They need
+// not be single-copy atomic, because nothing they load is used unless the
+// re-check passes, and x86-64 does not reorder loads with other loads, so
+// the re-load cannot be satisfied before them: a reader that loaded any
+// word of a new install also sees its odd or advanced generation. The
+// probe copies into the caller's buffer only after the re-check passes, so
+// a miss never writes a byte. Under the race detector publishLine and
+// probeSpan are Go bodies of atomic stores and loads, so every payload word
+// is accessed atomically and the detector checks the protocol; the double
+// generation check makes a multi-word copy consistent without a lock.
 //
 // Banking: a probe banks nothing, and a lock-free span banks LockFreeHits
 // only (engineShard.bank); Engine.Stats adds that count to Reads and
@@ -71,8 +76,8 @@ import (
 // trusted on-chip state — and with it lock-free read throughput over a fixed
 // hot set — scales linearly with the partition count.
 
-// blockCacheWords is the payload size in 64-bit words. probe unrolls the
-// copy over exactly eight of them.
+// blockCacheWords is the payload size in 64-bit words. probeSpan unrolls the
+// copy over exactly eight of them (four 16-byte moves in the kernel).
 const blockCacheWords = BlockBytes / 8
 
 const (
@@ -85,6 +90,12 @@ const (
 // means the line is contended and the locked slow path (which waits properly
 // instead of spinning) is the right place to be.
 const seqlockMaxRetries = 4
+
+// The probeSpan kernel hard-codes seqlockMaxRetries+1 = 5 attempts a block.
+const (
+	_ uint = seqlockMaxRetries - 4
+	_ uint = 4 - seqlockMaxRetries
+)
 
 // blockCacheEntry is one direct-mapped, seqlock-protected line of verified
 // plaintext.
@@ -120,47 +131,57 @@ func newBlockCache(entries int) *blockCache {
 	}
 }
 
-// probe copies blk's verified plaintext into dst if resident, without taking
-// any lock. retries reports how many torn-read restarts the seqlock needed
-// (0 on the uncontended path). probe does not touch the hit/miss counters —
+// probeSpanGeneric is probeSpan in Go. It serves the longest resident
+// prefix of dst, a span of whole blocks starting at block blk (a partial
+// tail is never written), from the cache
+// without taking any lock, and returns the bytes served and the torn-read
+// restarts the seqlock needed (0 on the uncontended path). It banks nothing:
 // the caller banks the outcome, since a miss here is re-probed by the locked
-// slow path and must not be double-counted.
+// slow path and must not be double-counted. It runs off amd64 and under the
+// race detector, which cannot see the assembly kernel, and is the kernel's
+// reference (TestProbeSpanMatchesGeneric).
 //
-// dst is written only from a snapshot the re-check validated, so a miss
-// leaves it untouched.
+// Each block makes at most seqlockMaxRetries+1 attempts, against the cache
+// epoch loaded before its first one; the span stops at the first miss. A
+// block's 64 bytes are written only from a snapshot the re-check validated,
+// so nothing past the served prefix is touched.
 //
 // Indexing is by the block number directly (like a physically-indexed
 // cache), so a contiguous hot region up to the cache size is conflict-free.
-func (c *blockCache) probe(blk uint64, dst []byte) (hit bool, retries int) {
-	e := &c.entries[blk&c.mask]
-	epoch := c.epoch.Load()
-	for ; retries <= seqlockMaxRetries; retries++ {
-		g := e.gen.Load()
-		if g&1 == 1 {
-			continue // writer mid-update; retry
+func probeSpanGeneric(c *blockCache, blk uint64, dst []byte) (served int, retries uint64) {
+span:
+	for ; served+BlockBytes <= len(dst); served, blk = served+BlockBytes, blk+1 {
+		e := &c.entries[blk&c.mask]
+		epoch := c.epoch.Load()
+		for attempt := 0; attempt <= seqlockMaxRetries; attempt, retries = attempt+1, retries+1 {
+			g := e.gen.Load()
+			if g&1 == 1 {
+				continue // writer mid-update; retry
+			}
+			if e.tag.Load() != blk+1 || e.epoch.Load() != epoch {
+				break span
+			}
+			w0, w1, w2, w3 := e.pt[0].Load(), e.pt[1].Load(), e.pt[2].Load(), e.pt[3].Load()
+			w4, w5, w6, w7 := e.pt[4].Load(), e.pt[5].Load(), e.pt[6].Load(), e.pt[7].Load()
+			if e.gen.Load() != g {
+				continue // torn read; retry
+			}
+			d := (*[BlockBytes]byte)(dst[served:])
+			binary.LittleEndian.PutUint64(d[0:], w0)
+			binary.LittleEndian.PutUint64(d[8:], w1)
+			binary.LittleEndian.PutUint64(d[16:], w2)
+			binary.LittleEndian.PutUint64(d[24:], w3)
+			binary.LittleEndian.PutUint64(d[32:], w4)
+			binary.LittleEndian.PutUint64(d[40:], w5)
+			binary.LittleEndian.PutUint64(d[48:], w6)
+			binary.LittleEndian.PutUint64(d[56:], w7)
+			continue span
 		}
-		if e.tag.Load() != blk+1 || e.epoch.Load() != epoch {
-			return false, retries
-		}
-		w0, w1, w2, w3 := e.pt[0].Load(), e.pt[1].Load(), e.pt[2].Load(), e.pt[3].Load()
-		w4, w5, w6, w7 := e.pt[4].Load(), e.pt[5].Load(), e.pt[6].Load(), e.pt[7].Load()
-		if e.gen.Load() != g {
-			continue // torn read; retry
-		}
-		d := (*[BlockBytes]byte)(dst)
-		binary.LittleEndian.PutUint64(d[0:], w0)
-		binary.LittleEndian.PutUint64(d[8:], w1)
-		binary.LittleEndian.PutUint64(d[16:], w2)
-		binary.LittleEndian.PutUint64(d[24:], w3)
-		binary.LittleEndian.PutUint64(d[32:], w4)
-		binary.LittleEndian.PutUint64(d[40:], w5)
-		binary.LittleEndian.PutUint64(d[48:], w6)
-		binary.LittleEndian.PutUint64(d[56:], w7)
-		return true, retries
+		// Retry budget exhausted: a writer owns the line right now. Treat as
+		// a miss; the locked slow path serializes behind it.
+		break
 	}
-	// Retry budget exhausted: a writer owns the line right now. Treat as a
-	// miss; the locked slow path serializes behind it.
-	return false, retries
+	return served, retries
 }
 
 // insert installs a copy of blk's verified plaintext, displacing whatever

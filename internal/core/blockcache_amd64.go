@@ -9,3 +9,12 @@ package core
 //
 //go:noescape
 func publishLine(e *blockCacheEntry, gen, tag, epoch uint64, pt *[BlockBytes]byte)
+
+// probeSpan is probeSpanGeneric as one kernel (blockcache_amd64.s): per
+// block a generation load, the tag and epoch checks, four 16-byte payload
+// loads into registers and the generation re-load, and only then four
+// 16-byte stores into dst. x86-64 keeps loads in program order, so the
+// re-load sees any writer whose store the payload loads saw.
+//
+//go:noescape
+func probeSpan(c *blockCache, blk uint64, dst []byte) (served int, retries uint64)

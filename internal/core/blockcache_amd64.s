@@ -40,3 +40,72 @@ TEXT ·publishLine(SB), NOSPLIT, $0-40
 	LEAQ 2(AX), DX
 	MOVQ DX, 0(DI)
 	RET
+
+// func probeSpan(c *blockCache, blk uint64, dst []byte) (served int, retries uint64)
+//
+// blockCache is the entries slice at 0 (base pointer first), mask at 24 and
+// epoch at 32; an entry is 88 bytes (TestBlockCacheEntryLayout). For each
+// block of dst, in order: load the cache epoch, then at most
+// seqlockMaxRetries+1 = 5 attempts of { load gen, retry if odd; miss unless
+// tag == blk+1 and the entry's epoch is the cache's; load the payload into
+// X0-X3; re-load gen, retry if it moved }, and on a validated snapshot store
+// X0-X3 into dst. x86-64 does not reorder loads with other loads (Intel SDM
+// vol. 3 §8.2.2), so the re-load is ordered after the payload loads, as the
+// store order publishLine relies on is. The span stops at the first miss.
+//
+// Registers: SI c, R8 entries, R9 mask, BX the wanted tag (blk+1), DI dst,
+// CX len(dst) rounded down to whole blocks, AX bytes served, DX retries,
+// R10 the entry, R11 the epoch, R12 gen, R13 attempts left.
+TEXT ·probeSpan(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), SI
+	MOVQ blk+8(FP), BX
+	MOVQ dst_base+16(FP), DI
+	MOVQ dst_len+24(FP), CX
+	ANDQ $-64, CX // whole blocks only: a partial tail is never written
+	MOVQ 0(SI), R8
+	MOVQ 24(SI), R9
+	INCQ BX
+	XORQ AX, AX
+	XORQ DX, DX
+
+block:
+	CMPQ AX, CX
+	JAE  done
+	LEAQ -1(BX), R10
+	ANDQ R9, R10
+	IMUL3Q $88, R10, R10
+	ADDQ R8, R10
+	MOVQ 32(SI), R11
+	MOVQ $5, R13
+
+attempt:
+	MOVQ 0(R10), R12
+	TESTQ $1, R12
+	JNZ  retry
+	CMPQ 8(R10), BX
+	JNE  done
+	CMPQ 16(R10), R11
+	JNE  done
+	MOVOU 24(R10), X0
+	MOVOU 40(R10), X1
+	MOVOU 56(R10), X2
+	MOVOU 72(R10), X3
+	CMPQ 0(R10), R12
+	JNE  retry
+	MOVOU X0, 0(DI)(AX*1)
+	MOVOU X1, 16(DI)(AX*1)
+	MOVOU X2, 32(DI)(AX*1)
+	MOVOU X3, 48(DI)(AX*1)
+	ADDQ $64, AX
+	INCQ BX
+	JMP  block
+
+retry:
+	INCQ DX
+	DECQ R13
+	JNZ  attempt
+
+done:
+	MOVQ AX, served+40(FP)
+	MOVQ DX, retries+48(FP)
+	RET

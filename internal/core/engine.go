@@ -263,14 +263,16 @@ func (e *Engine) Stats() EngineStats {
 // quarantined, copying the trusted plaintext into dst. Quarantined blocks
 // always fall through to the verifying path so they are refused loudly.
 // Caller holds the owning lock (or owns the engine outright), so no writer
-// races the probe and the copy succeeds on its first attempt.
+// races the probe and the copy succeeds on its first attempt. The probe is
+// the lock-free path's, over a one-block span.
 func (e *Engine) readCached(blk uint64, dst []byte) bool {
 	if e.quarantine != nil {
 		if _, bad := e.quarantine[blk]; bad {
 			return false
 		}
 	}
-	hit, _ := e.bc.probe(blk, dst)
+	served, _ := probeSpan(e.bc, blk, dst)
+	hit := served != 0
 	if hit {
 		atomic.AddUint64(&e.stats.DataCacheHits, 1)
 	} else {

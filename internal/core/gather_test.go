@@ -180,24 +180,28 @@ func BenchmarkColdSpan(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmSpanProbe reads one resident 4-block span through
-// ShardedEngine.ReadBlocks: the lock-free probe and nothing else, since a
-// warm span never takes the shard lock.
+// BenchmarkWarmSpanProbe reads one resident span of 1, 4 or 64 blocks
+// through ShardedEngine.ReadBlocks: the lock-free probe and nothing else,
+// since a warm span never takes the shard lock.
 func BenchmarkWarmSpanProbe(b *testing.B) {
-	s := newSharded(b, smallCfg(ctr.Delta, MACInECC), 4)
-	span := make([]byte, 4*BlockBytes)
-	if err := s.WriteBlocks(0, span); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.ReadBlocks(0, span); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if st := s.Stats(); st.SlowPathReads != 0 {
-		b.Fatalf("a warm span took the shard lock %d times", st.SlowPathReads)
+	for _, blocks := range []int{1, 4, 64} {
+		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
+			s := newSharded(b, smallCfg(ctr.Delta, MACInECC), 4)
+			span := make([]byte, blocks*BlockBytes)
+			if err := s.WriteBlocks(0, span); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.ReadBlocks(0, span); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if st := s.Stats(); st.SlowPathReads != 0 {
+				b.Fatalf("a warm span took the shard lock %d times", st.SlowPathReads)
+			}
+		})
 	}
 }
 

@@ -39,6 +39,12 @@ func parseStamp(buf []byte) (blk, version uint64, torn bool) {
 	return w >> 20, w & (1<<20 - 1), false
 }
 
+// probeOne probes blk as a one-block span, as Engine.readCached does.
+func probeOne(c *blockCache, blk uint64, dst []byte) (hit bool, retries uint64) {
+	served, retries := probeSpan(c, blk, dst[:BlockBytes])
+	return served == BlockBytes, retries
+}
+
 // TestBlockCacheSeqlock exercises the protocol on a bare cache: install,
 // probe, displacement, eviction, epoch flush, and the writer-in-progress
 // (odd generation) retry path.
@@ -46,12 +52,12 @@ func TestBlockCacheSeqlock(t *testing.T) {
 	c := newBlockCache(8)
 	dst := make([]byte, BlockBytes)
 
-	if hit, _ := c.probe(3, dst); hit {
+	if hit, _ := probeOne(c, 3, dst); hit {
 		t.Fatal("empty cache reported a hit")
 	}
 	pt := block(3)
 	c.insert(3, pt)
-	hit, retries := c.probe(3, dst)
+	hit, retries := probeOne(c, 3, dst)
 	if !hit || retries != 0 {
 		t.Fatalf("clean probe: hit=%v retries=%d", hit, retries)
 	}
@@ -61,15 +67,15 @@ func TestBlockCacheSeqlock(t *testing.T) {
 
 	// Same slot, different tag: block 11 displaces block 3 (mask 7).
 	c.insert(11, block(11))
-	if hit, _ := c.probe(3, dst); hit {
+	if hit, _ := probeOne(c, 3, dst); hit {
 		t.Fatal("displaced line still resident")
 	}
-	if hit, _ := c.probe(11, dst); !hit {
+	if hit, _ := probeOne(c, 11, dst); !hit {
 		t.Fatal("displacing line not resident")
 	}
 
 	c.evict(11)
-	if hit, _ := c.probe(11, dst); hit {
+	if hit, _ := probeOne(c, 11, dst); hit {
 		t.Fatal("evicted line still resident")
 	}
 
@@ -77,11 +83,11 @@ func TestBlockCacheSeqlock(t *testing.T) {
 	// after the flush is valid under the new epoch.
 	c.insert(5, block(5))
 	c.flush()
-	if hit, _ := c.probe(5, dst); hit {
+	if hit, _ := probeOne(c, 5, dst); hit {
 		t.Fatal("flushed line still resident")
 	}
 	c.insert(5, pt)
-	if hit, _ := c.probe(5, dst); !hit {
+	if hit, _ := probeOne(c, 5, dst); !hit {
 		t.Fatal("post-flush reinstall not resident")
 	}
 
@@ -90,7 +96,7 @@ func TestBlockCacheSeqlock(t *testing.T) {
 	// return the half-written payload.
 	e := &c.entries[5&c.mask]
 	e.gen.Add(1)
-	hit, retries = c.probe(5, dst)
+	hit, retries = probeOne(c, 5, dst)
 	if hit {
 		t.Fatal("probe returned a hit from a line mid-update")
 	}
@@ -98,7 +104,7 @@ func TestBlockCacheSeqlock(t *testing.T) {
 		t.Fatalf("mid-update probe retries = %d, want %d", retries, seqlockMaxRetries+1)
 	}
 	e.gen.Add(1)
-	if hit, _ := c.probe(5, dst); !hit {
+	if hit, _ := probeOne(c, 5, dst); !hit {
 		t.Fatal("line not resident after writer completes")
 	}
 }
@@ -125,13 +131,13 @@ func TestBlockCacheProbeWritesOnlyOnHit(t *testing.T) {
 	}
 
 	c.insert(3, pt)
-	if hit, _ := c.probe(11, dst); hit { // slot 3, other tag
+	if hit, _ := probeOne(c, 11, dst); hit { // slot 3, other tag
 		t.Fatal("probe of a displaced tag hit")
 	}
 	untouched("tag")
 
 	c.flush()
-	if hit, _ := c.probe(3, dst); hit {
+	if hit, _ := probeOne(c, 3, dst); hit {
 		t.Fatal("probe of a flushed line hit")
 	}
 	untouched("stale epoch")
@@ -139,14 +145,14 @@ func TestBlockCacheProbeWritesOnlyOnHit(t *testing.T) {
 	c.insert(3, pt)
 	e := &c.entries[3&c.mask]
 	e.gen.Add(1) // a writer parked mid-update
-	hit, retries := c.probe(3, dst)
+	hit, retries := probeOne(c, 3, dst)
 	if hit || retries != seqlockMaxRetries+1 {
 		t.Fatalf("probe against an odd generation: hit=%v retries=%d, want miss after %d", hit, retries, seqlockMaxRetries+1)
 	}
 	untouched("retry exhaustion")
 	e.gen.Add(1)
 
-	if hit, _ := c.probe(3, dst); !hit {
+	if hit, _ := probeOne(c, 3, dst); !hit {
 		t.Fatal("resident line missed")
 	}
 	if !bytes.Equal(dst, pt) {
@@ -154,6 +160,37 @@ func TestBlockCacheProbeWritesOnlyOnHit(t *testing.T) {
 	}
 	if !bytes.Equal(buf[:BlockBytes], sentinel[:BlockBytes]) || !bytes.Equal(buf[2*BlockBytes:], sentinel[2*BlockBytes:]) {
 		t.Fatal("hit wrote outside dst")
+	}
+
+	// A span that misses part way serves its resident prefix and writes
+	// nothing past it, whatever made the line miss — even with resident
+	// lines after the miss.
+	span := make([]byte, 4*BlockBytes)
+	for _, miss := range []struct {
+		why   string
+		spoil func(e *blockCacheEntry)
+	}{
+		{"tag", func(e *blockCacheEntry) { e.tag.Store(0) }},
+		{"stale epoch", func(e *blockCacheEntry) { e.epoch.Add(^uint64(0)) }},
+		{"retry exhaustion", func(e *blockCacheEntry) { e.gen.Add(1) }},
+	} {
+		for blk := uint64(0); blk < 4; blk++ {
+			c.insert(blk, block(int64(blk)))
+		}
+		miss.spoil(&c.entries[2])
+		for i := range span {
+			span[i] = 0xA5
+		}
+		want := bytes.Clone(span)
+		copy(want, block(0))
+		copy(want[BlockBytes:], block(1))
+		if served, _ := probeSpan(c, 0, span); served != 2*BlockBytes {
+			t.Fatalf("span missing block 2 by %s served %d bytes, want %d", miss.why, served, 2*BlockBytes)
+		}
+		if !bytes.Equal(span, want) {
+			t.Fatalf("span missing block 2 by %s wrote past its served prefix", miss.why)
+		}
+		c.entries[2].gen.Store(0)
 	}
 }
 

@@ -251,8 +251,8 @@ func TestOffChipEvictionRule(t *testing.T) {
 			}
 		}
 		resident := func() [4]bool {
-			hitA, _ := e.bc.probe(a/BlockBytes, dst)
-			hitB, _ := e.bc.probe(b/BlockBytes, dst)
+			hitA, _ := probeOne(e.bc, a/BlockBytes, dst)
+			hitB, _ := probeOne(e.bc, b/BlockBytes, dst)
 			return [4]bool{hitA, hitB, e.cc.lookup(ma) != nil, e.cc.lookup(mb) != nil}
 		}
 		for _, addr := range []uint64{a, b} {

@@ -238,15 +238,7 @@ func (s *ShardedEngine) spanFan(addr uint64, n int, op func(i int, sh *engineSha
 // insert first releases the block, so a resident line is a healthy block
 // (see blockcache.go).
 func (sh *engineShard) probe(local uint64, dst []byte) (served int, retries uint64) {
-	for served < len(dst) {
-		hit, r := sh.eng.bc.probe((local+uint64(served))/BlockBytes, dst[served:served+BlockBytes])
-		retries += uint64(r)
-		if !hit {
-			break
-		}
-		served += BlockBytes
-	}
-	return served, retries
+	return probeSpan(sh.eng.bc, local/BlockBytes, dst)
 }
 
 // bank counts a probe's outcome in the shard's stats and returns served.
