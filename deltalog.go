@@ -41,9 +41,10 @@ import (
 // HMAC keyed from the device secret; each epoch closes with a commit record
 // carrying the root digest the rebuilt tree must hash to. Torn tails recover
 // to the last committed epoch with a typed verdict; tampered or spliced logs
-// are refused. Pin the newest root (or use the RecoveryReport.EpochRoots
-// list against a pinned root, as Durable does with its manifest's pin and
-// the caller's) to also detect a maliciously shortened-but-valid log.
+// are refused. A pin — the manifest's, and the caller's newest
+// SealReport.Root — must be the root of a committed seal round of the
+// recovered history, which also detects a maliciously shortened-but-valid
+// log.
 
 // DeltaLog is one shard's open append-only delta log, bound to the Memory
 // that created it: records are sealed under the shard's derived key (they can
@@ -80,7 +81,7 @@ const (
 type RecoveryReport = core.RecoveryReport
 
 // RecoveryError wraps a rollback-detected RecoveryReport; it round-trips
-// through errors.As from ResumeShardedIncremental.
+// through errors.As from OpenDurable.
 type RecoveryError = core.RecoveryError
 
 // CodecMismatchError reports a persisted image whose check bytes were
@@ -89,8 +90,8 @@ type RecoveryError = core.RecoveryError
 type CodecMismatchError = core.CodecMismatchError
 
 // EnableDeltaTracking turns on the dirty-block set on every shard. Call
-// before traffic (ResumeShardedIncremental enables it automatically); writes
-// landed while tracking is off are not observed by the next delta epoch.
+// before traffic (a resumed region has it on); writes landed while tracking
+// is off are not observed by the next delta epoch.
 func (m *Memory) EnableDeltaTracking() { m.eng.EnableDeltaTracking() }
 
 // DirtyGroups sums the groups the next round of AppendDeltaShard calls would
@@ -129,25 +130,10 @@ func (m *Memory) CheckpointShard(i int, baseW, logW io.Writer) (RootDigest, *Del
 }
 
 // ResumeShardedIncremental rebuilds a Memory from a base image plus one
-// delta log per shard (wals may be nil for base-only; entries may be nil for
-// shards without a log). Each shard's section resumes through the engine's
-// verified image path, then its log replays epoch by epoch to the newest
-// record whose chained seal and sealed root verify. reports holds one typed
-// verdict per shard — clean, truncated at the crash point (shard valid at
-// its last committed epoch), or rollback-detected (resume refused, err is a
-// *RecoveryError).
-//
-// If expectRoot is non-nil the combined root over the recovered shards must
-// equal it, which also catches a shortened-but-valid log prefix (truncation
-// attack).
-func ResumeShardedIncremental(cfg Config, shards int, base io.Reader, wals []io.Reader, expectRoot *RootDigest) (*Memory, []*RecoveryReport, error) {
-	icfg, err := cfg.internal()
-	if err != nil {
-		return nil, nil, err
-	}
-	eng, reports, err := core.ResumeShardedIncremental(icfg, shards, base, wals, expectRoot)
-	if err != nil {
-		return nil, reports, err
-	}
-	return &Memory{eng: eng}, reports, nil
+// delta log per shard through the engine's one resume, under OpenDurable's
+// pin rule: a non-nil pin must be the combined root of a committed seal
+// round of the recovered history. It stays exported only for the frozen
+// benchmark harness; everything else opens a region with OpenDurable.
+func ResumeShardedIncremental(cfg Config, shards int, base io.Reader, wals []io.Reader, pin *RootDigest) (*Memory, []*RecoveryReport, error) {
+	return resume(cfg, shards, base, wals, pin)
 }

@@ -10,9 +10,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 
+	"authmem/internal/core"
 	"authmem/internal/tree"
 	"authmem/internal/wal"
 )
@@ -29,7 +29,7 @@ import (
 // (write-temp, fsync, rename, fsync dir) after every epoch, so its per-shard
 // (epoch, root) pins always name durable log state. Their combined root,
 // SealReport.Root, is the caller's pin for the next OpenDurable; one rule
-// (recoverGeneration) holds both pins to the recovered history, so a log
+// (core.CheckPin) holds both pins to the recovered history, so a log
 // AHEAD of the manifest (a crash between log fsync and manifest rename) opens
 // and a log behind it, or another history, is a rollback.
 //
@@ -156,27 +156,6 @@ func walPath(dir string, gen uint64, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%d-%d.log", gen, shard))
 }
 
-// history returns the combined root of every committed seal round of a
-// recovered generation, oldest first: round 0 combines the shards' base
-// roots, round r their roots after epoch r. A round some shard's log never
-// committed is not in it.
-func history(reports []*RecoveryReport) (hist []RootDigest) {
-	roots := make([][sha256.Size]byte, len(reports))
-	for r := 0; ; r++ {
-		for i, rep := range reports {
-			switch {
-			case r == 0:
-				roots[i] = rep.BaseRoot
-			case r > len(rep.EpochRoots):
-				return hist
-			default:
-				roots[i] = rep.EpochRoots[r-1]
-			}
-		}
-		hist = append(hist, tree.CombineRoots(roots))
-	}
-}
-
 // Durable is a Memory kept on disk in a directory: the embedded Memory is
 // the live region, and Seal makes everything written to it so far durable.
 // Its disk-side state is guarded by its own lock; the Memory takes its shard
@@ -254,7 +233,7 @@ func OpenDurable(dir string, cfg Config, shards int, pin *RootDigest) (*Durable,
 	manData, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
 	case errors.Is(err, os.ErrNotExist) && pin != nil:
-		return nil, nil, rollbackErr("no manifest, but the caller pins a root")
+		return nil, nil, fmt.Errorf("durable: %w", &RecoveryError{Report: &RecoveryReport{Status: RecoveryRollback, FailedAt: -1, Reason: "no manifest, but the caller pins a root"}})
 	case errors.Is(err, os.ErrNotExist):
 		if d.Memory, err = NewSharded(cfg, shards); err != nil {
 			return nil, nil, err // before anything is created on disk
@@ -289,14 +268,13 @@ func OpenDurable(dir string, cfg Config, shards int, pin *RootDigest) (*Durable,
 	return d, reports, nil
 }
 
-// recoverGeneration resumes the manifest's generation through the verified
-// incremental path, then holds the manifest's pin and the caller's to one
-// rule: a pinned root must be the combined root of a committed seal round of
-// the recovered history. Counters only rise, so an older directory's history
-// never holds a later state's root. The caller's pin may also be the
-// manifest's parent: after a crash past a fold's manifest rename, the caller
-// holds the previous generation's root (or, when that fold was an open's, the
-// pin it opened under).
+// recoverGeneration resumes the manifest's generation through the one resume
+// and holds the manifest's pin and the caller's to its one rule (core.CheckPin):
+// a pinned root must be the combined root of a committed seal round of the
+// recovered history. The caller's pin may also be the manifest's parent:
+// after a crash past a fold's manifest rename, the caller holds the previous
+// generation's root (or, when that fold was an open's, the pin it opened
+// under).
 func recoverGeneration(dir string, cfg Config, man *manifest, pin *RootDigest) (*Memory, []*RecoveryReport, error) {
 	base, err := os.Open(basePath(dir, man.Gen))
 	if err != nil {
@@ -315,25 +293,31 @@ func recoverGeneration(dir string, cfg Config, man *manifest, pin *RootDigest) (
 		defer f.Close()
 		wals[i] = f
 	}
-	mem, reports, err := ResumeShardedIncremental(cfg, len(wals), base, wals, nil)
+	manRoot := man.root()
+	mem, reports, err := resume(cfg, len(wals), base, wals, &manRoot)
 	if err != nil {
-		return nil, reports, fmt.Errorf("durable: recovery refused: %w", err)
+		return nil, reports, fmt.Errorf("durable: generation %d under the manifest's pin: %w", man.Gen, err)
 	}
-	var stale string
-	switch hist := history(reports); {
-	case !slices.Contains(hist, man.root()):
-		stale = "the manifest's"
-	case pin != nil && *pin != man.Parent && !slices.Contains(hist, *pin):
-		stale = "the caller's"
-	default:
-		return mem, reports, nil
+	if pin != nil && *pin != man.Parent {
+		if err := core.CheckPin(reports, *pin); err != nil {
+			return nil, reports, fmt.Errorf("durable: generation %d under the caller's pin: %w", man.Gen, err)
+		}
 	}
-	return nil, reports, rollbackErr(fmt.Sprintf("generation %d holds no sealed round with %s pinned root", man.Gen, stale))
+	return mem, reports, nil
 }
 
-// rollbackErr is OpenDurable's refusal of a directory older than a pin.
-func rollbackErr(why string) error {
-	return fmt.Errorf("durable: %w", &RecoveryError{Report: &RecoveryReport{Status: RecoveryRollback, FailedAt: -1, Reason: why}})
+// resume is the facade over core.ResumeShardedIncremental, the one resume:
+// the region is wrapped in a Memory.
+func resume(cfg Config, shards int, base io.Reader, wals []io.Reader, pin *RootDigest) (*Memory, []*RecoveryReport, error) {
+	icfg, err := cfg.internal()
+	if err != nil {
+		return nil, nil, err
+	}
+	eng, reports, err := core.ResumeShardedIncremental(icfg, shards, base, wals, pin)
+	if err != nil {
+		return nil, reports, err
+	}
+	return &Memory{eng: eng}, reports, nil
 }
 
 // fold writes the whole region into a new generation: fresh base image,

@@ -466,7 +466,7 @@ func resumeSweep(ecfg core.Config, shards int, s *core.ShardedEngine, workers []
 	if err != nil {
 		return Halted
 	}
-	r, err := core.ResumeSharded(ecfg, shards, bytes.NewReader(buf.Bytes()), &root)
+	r, _, err := core.ResumeShardedIncremental(ecfg, shards, bytes.NewReader(buf.Bytes()), nil, &root)
 	if err != nil {
 		return Halted
 	}

@@ -201,9 +201,9 @@ func (p *phaseRun) readBack(blk uint64) {
 }
 
 // persistCycle drives the persist plane: snapshot the region, attack
-// corrupted copies of the image through ResumeSharded, and continue the run
-// from a clean resume — proving the campaign's state survives the round
-// trip.
+// corrupted copies of the image through ResumeShardedIncremental under the
+// pinned root, and continue the run from a clean resume — proving the
+// campaign's state survives the round trip.
 func (p *phaseRun) persistCycle() error {
 	var buf bytes.Buffer
 	root, err := p.s.Persist(&buf)
@@ -228,12 +228,12 @@ func (p *phaseRun) persistCycle() error {
 				p.bitsFlipped++
 			}
 		}
-		s2, err := core.ResumeSharded(p.ecfg, 1, bytes.NewReader(corrupt), &root)
+		s2, _, err := core.ResumeShardedIncremental(p.ecfg, 1, bytes.NewReader(corrupt), nil, &root)
 		if err != nil {
 			p.outcomes[Halted]++ // corruption caught at resume time
 			continue
 		}
-		// Resume accepted the image: corruption must have landed in the
+		// The resume accepted the image: corruption must have landed in the
 		// data section, whose verification is deferred to read time.
 		// Sweep every oracle block and classify the trial by its worst
 		// per-block outcome.
@@ -242,7 +242,7 @@ func (p *phaseRun) persistCycle() error {
 
 	// Clean resume with the pinned root must always work; the run
 	// continues on the resumed region so later faults hit restored state.
-	s2, err := core.ResumeSharded(p.ecfg, 1, bytes.NewReader(img), &root)
+	s2, _, err := core.ResumeShardedIncremental(p.ecfg, 1, bytes.NewReader(img), nil, &root)
 	if err != nil {
 		return fmt.Errorf("clean resume failed: %w", err)
 	}

@@ -81,7 +81,7 @@ func TestPersistWriterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, budget := range []int{1, 30, 100, 1000} {
-		if _, err := e.Persist(&failingWriter{budget: budget}); err == nil {
+		if _, err := e.persist(&failingWriter{budget: budget}); err == nil {
 			t.Fatalf("writer failure at %d bytes not propagated", budget)
 		}
 	}

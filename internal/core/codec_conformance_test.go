@@ -200,14 +200,14 @@ func TestResumeCodecMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	digest, err := e.Persist(&buf)
+	digest, err := e.persist(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Same placement, another codec in the header: typed mismatch error.
 	foreign := withImageCodec(t, buf.Bytes(), "secded", "residue")
-	_, err = Resume(cfg, bytes.NewReader(foreign), &digest)
+	_, _, err = resumeOneShard(cfg, bytes.NewReader(foreign), nil, &digest)
 	var mm *CodecMismatchError
 	if !errors.As(err, &mm) {
 		t.Fatalf("resume of a residue image: got %v, want *CodecMismatchError", err)
@@ -217,7 +217,7 @@ func TestResumeCodecMismatch(t *testing.T) {
 	}
 
 	// The writing codec still resumes.
-	r, err := Resume(cfg, bytes.NewReader(buf.Bytes()), &digest)
+	r, _, err := resumeOneShard(cfg, bytes.NewReader(buf.Bytes()), nil, &digest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestResumeCodecMismatchSharded(t *testing.T) {
 	}
 
 	foreign := withImageCodec(t, buf.Bytes(), "macsecded", "residue")
-	_, err = ResumeSharded(cfg, 2, bytes.NewReader(foreign), &digest)
+	_, _, err = ResumeShardedIncremental(cfg, 2, bytes.NewReader(foreign), nil, &digest)
 	var mm *CodecMismatchError
 	if !errors.As(err, &mm) {
 		t.Fatalf("sharded resume of a residue image: got %v, want *CodecMismatchError", err)
@@ -258,7 +258,7 @@ func TestResumeCodecMismatchSharded(t *testing.T) {
 		t.Fatalf("mismatch error fields: %+v", mm)
 	}
 
-	r, err := ResumeSharded(cfg, 2, bytes.NewReader(buf.Bytes()), &digest)
+	r, _, err := ResumeShardedIncremental(cfg, 2, bytes.NewReader(buf.Bytes()), nil, &digest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -353,7 +353,7 @@ func TestDeltaRecordCarriesOnlyWrittenBlocks(t *testing.T) {
 				t.Fatal(err)
 			}
 			var base, log bytes.Buffer
-			if _, err := e.Persist(&base); err != nil {
+			if _, err := e.persist(&base); err != nil {
 				t.Fatal(err)
 			}
 			w, err := e.NewDeltaWriter(&log)

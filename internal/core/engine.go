@@ -181,8 +181,8 @@ type ReadInfo struct {
 // engine configuration: it always encrypts, and it runs with the verified-
 // counter and verified-block caches (sized from the region, see
 // cacheEntries) and the deferred-Merkle write pipeline at its default epoch
-// bound. Resume builds on this constructor, so a resumed engine is the same
-// engine, starting cold.
+// bound. resumeSection builds on this constructor, so a resumed engine is
+// the same engine, starting cold.
 func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -432,12 +432,6 @@ func TestEngineRefusesPlainMemory(t *testing.T) {
 		if _, err := s.Persist(&img); err != nil {
 			t.Fatal(err)
 		}
-		if shards == 1 {
-			_, err = Resume(plain, bytes.NewReader(img.Bytes()), nil)
-			refuses("Resume", err)
-		}
-		_, err = ResumeSharded(plain, shards, bytes.NewReader(img.Bytes()), nil)
-		refuses("ResumeSharded", err)
 		_, _, err = ResumeShardedIncremental(plain, shards, bytes.NewReader(img.Bytes()), nil, nil)
 		refuses("ResumeShardedIncremental", err)
 	}

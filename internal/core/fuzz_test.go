@@ -49,7 +49,7 @@ func buildFixture() {
 		data[blk] = pt
 	}
 	var buf bytes.Buffer
-	root, err := e.Persist(&buf)
+	root, err := e.persist(&buf)
 	if err != nil {
 		fixtureErr = err
 		return
@@ -99,7 +99,7 @@ func FuzzPersistRoundTrip(f *testing.F) {
 		}
 
 		root := fx.root
-		e, err := Resume(fx.cfg, bytes.NewReader(img), &root)
+		e, _, err := ResumeShardedIncremental(fx.cfg, 1, bytes.NewReader(img), nil, &root)
 		if err != nil {
 			return // loud rejection: the safe outcome
 		}

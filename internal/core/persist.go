@@ -13,16 +13,17 @@ import (
 
 // Persistence for non-volatile main memory (§2.2): the encrypted region,
 // its ECC/MAC bits, the counter blocks, and the integrity tree survive
-// power-off exactly as they would in NVMM, and Resume rebuilds a working
-// engine from them — verifying every counter block against the tree before
-// accepting it.
+// power-off exactly as they would in NVMM, and resumeSection rebuilds a
+// working engine from them — verifying every counter block against the tree
+// before accepting it.
 //
 // Threat model on resume: everything in the image is untrusted EXCEPT that
-// the caller may pin the freshness root by passing the RootDigest returned
-// at persist time (stored in trusted NVM / a TPM in a real deployment).
-// Without the pin, an attacker who controls the storage can roll the whole
-// memory back to an older complete snapshot — the one attack no integrity
-// tree can stop from inside the untrusted medium.
+// the caller may pin the freshness root it kept at persist time (stored in
+// trusted NVM / a TPM in a real deployment); ResumeShardedIncremental holds
+// that pin to the recovered history (CheckPin). Without the pin, an attacker
+// who controls the storage can roll the whole memory back to an older
+// complete snapshot — the one attack no integrity tree can stop from inside
+// the untrusted medium.
 
 // persistMagic identifies engine images (format version 1).
 var persistMagic = [8]byte{'A', 'M', 'E', 'M', 'P', 'S', 'T', '1'}
@@ -56,9 +57,9 @@ type RootDigest [sha256.Size]byte
 // checkpoint of a large shard into thousands of write syscalls.
 const persistBufBytes = 1 << 16
 
-// Persist writes the engine's DRAM-visible state to w and returns the
-// digest of the tree's trusted top level.
-func (e *Engine) Persist(w io.Writer) (RootDigest, error) {
+// persist writes the engine's DRAM-visible state to w as one image section
+// and returns the digest of the tree's trusted top level.
+func (e *Engine) persist(w io.Writer) (RootDigest, error) {
 	var digest RootDigest
 	// Deferred Merkle maintenance must land before any state leaves the
 	// trust boundary: the image and its digest cover every accepted write.
@@ -70,7 +71,7 @@ func (e *Engine) Persist(w io.Writer) (RootDigest, error) {
 		return digest, err
 	}
 
-	// Config fingerprint, so Resume can reject mismatched geometry.
+	// Config fingerprint, so resumeSection can reject mismatched geometry.
 	for _, v := range imageHeader(e.cfg) {
 		if err := writeU64(bw, v); err != nil {
 			return digest, err
@@ -78,7 +79,7 @@ func (e *Engine) Persist(w io.Writer) (RootDigest, error) {
 	}
 	// Codec ID (length-prefixed name): the codec defines the stored check
 	// format, so resuming under a different codec must fail closed, not
-	// misdecode — see Resume.
+	// misdecode — see resumeSection.
 	codecName := e.codec.Name()
 	if err := writeU64(bw, uint64(len(codecName))); err != nil {
 		return digest, err
@@ -137,7 +138,7 @@ func (e *Engine) Persist(w io.Writer) (RootDigest, error) {
 }
 
 // RootDigest returns the digest pinning the tree's current trusted top
-// level — what Persist returns, available without serializing the image.
+// level — what persist returns, available without serializing the image.
 // The sharded combining layer hashes these per-shard digests into one root.
 // An exported root must reflect every accepted write, so any deferred
 // Merkle maintenance is flushed first. Cost: the flush (nothing when no
@@ -153,13 +154,12 @@ func (e *Engine) RootDigest() RootDigest {
 	return e.tr.TopDigest()
 }
 
-// Resume rebuilds an engine from a persisted image. cfg must match the
-// persisting configuration (including the key material, which is never
-// stored). If expectRoot is non-nil, the restored tree's top level must
-// hash to it — this is the rollback defense; see the package comment.
-// Every counter block in the image is verified against the tree before the
-// engine accepts it.
-func Resume(cfg Config, r io.Reader, expectRoot *RootDigest) (*Engine, error) {
+// resumeSection rebuilds an engine from one persisted image section. cfg
+// must match the persisting configuration (including the key material, which
+// is never stored). Every counter block in the section is verified against
+// the tree before the engine accepts it; freshness is the caller's pin,
+// checked over the whole region by ResumeShardedIncremental.
+func resumeSection(cfg Config, r io.Reader) (*Engine, error) {
 	e, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -261,14 +261,6 @@ func Resume(cfg Config, r io.Reader, expectRoot *RootDigest) (*Engine, error) {
 	if _, err := e.tr.ReadFrom(br); err != nil {
 		return nil, err
 	}
-	if expectRoot != nil {
-		// Hashed afresh, not through the tree's digest cache: the pin
-		// check is the rollback defense and stays independent of it.
-		got := sha256.Sum256(e.tr.TopLevel())
-		if got != *expectRoot {
-			return nil, &IntegrityError{Reason: "persistent image root digest mismatch (rollback or corruption)", Stage: StageResume}
-		}
-	}
 
 	// Verify every restored counter block against the tree before
 	// trusting it, then rebuild the scheme state machines from the
@@ -296,7 +288,7 @@ func Resume(cfg Config, r io.Reader, expectRoot *RootDigest) (*Engine, error) {
 
 // imageHeader is the config fingerprint a v1 image opens with. The sixth
 // slot recorded a tree design that is always the Bonsai Merkle tree, so it is
-// always 0, and Resume refuses an image that has anything else there.
+// always 0, and resumeSection refuses an image that has anything else there.
 func imageHeader(c Config) [6]uint64 {
 	return [6]uint64{
 		uint64(c.Scheme), uint64(c.Placement), c.RegionBytes,

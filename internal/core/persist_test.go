@@ -39,12 +39,12 @@ func TestPersistResumeRoundTrip(t *testing.T) {
 		truth := persistCampaign(t, e)
 
 		var buf bytes.Buffer
-		digest, err := e.Persist(&buf)
+		digest, err := e.persist(&buf)
 		if err != nil {
 			t.Fatalf("%s: persist: %v", name, err)
 		}
 
-		r, err := Resume(cfg, bytes.NewReader(buf.Bytes()), &digest)
+		r, _, err := resumeOneShard(cfg, bytes.NewReader(buf.Bytes()), nil, &digest)
 		if err != nil {
 			t.Fatalf("%s: resume: %v", name, err)
 		}
@@ -78,7 +78,7 @@ func TestResumeRejectsTamperedImage(t *testing.T) {
 	e := newEngine(t, cfg)
 	truth := persistCampaign(t, e)
 	var buf bytes.Buffer
-	digest, err := e.Persist(&buf)
+	digest, err := e.persist(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +113,15 @@ func TestResumeRejectsTamperedImage(t *testing.T) {
 	bad := append([]byte(nil), img...)
 	bad[firstImg+20] ^= 0x40 // 20th byte of the first stored image
 	var ie *IntegrityError
-	if _, err := Resume(cfg, bytes.NewReader(bad), &digest); !errors.As(err, &ie) {
+	if _, _, err := resumeOneShard(cfg, bytes.NewReader(bad), nil, &digest); !errors.As(err, &ie) {
 		t.Fatalf("tampered counter image resumed: %v", err)
 	}
 
 	// 2. Tampering the trusted top level is caught by the digest pin.
 	bad = append([]byte(nil), img...)
 	bad[len(bad)-1] ^= 0x01
-	if _, err := Resume(cfg, bytes.NewReader(bad), &digest); !errors.As(err, &ie) {
+	var re *RecoveryError
+	if _, _, err := resumeOneShard(cfg, bytes.NewReader(bad), nil, &digest); !errors.As(err, &re) || re.Report.Status != RecoveryRollback {
 		t.Fatalf("tampered root resumed under a pinned digest: %v", err)
 	}
 
@@ -128,7 +129,7 @@ func TestResumeRejectsTamperedImage(t *testing.T) {
 	// fault: Resume succeeds and the demand read repairs it.
 	bad = append([]byte(nil), img...)
 	bad[firstCt+30] ^= 0x04 // 30th ciphertext byte of the first block
-	r, err := Resume(cfg, bytes.NewReader(bad), &digest)
+	r, _, err := resumeOneShard(cfg, bytes.NewReader(bad), nil, &digest)
 	if err != nil {
 		t.Fatalf("correctable fault blocked resume: %v", err)
 	}
@@ -151,7 +152,7 @@ func TestDataTreePersistResume(t *testing.T) {
 	e := newEngine(t, cfg)
 	truth := persistCampaign(t, e)
 	var buf bytes.Buffer
-	digest, err := e.Persist(&buf)
+	digest, err := e.persist(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestDataTreePersistResume(t *testing.T) {
 	if got := binary.LittleEndian.Uint64(img[treeSlot:]); got != 0 {
 		t.Fatalf("tree-design slot is %d, want 0", got)
 	}
-	r, err := Resume(cfg, bytes.NewReader(img), &digest)
+	r, _, err := resumeOneShard(cfg, bytes.NewReader(img), nil, &digest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestDataTreePersistResume(t *testing.T) {
 
 	bad := append([]byte(nil), img...)
 	bad[treeSlot] = 1
-	if _, err := Resume(cfg, bytes.NewReader(bad), &digest); err == nil || !strings.Contains(err.Error(), "config field 5 is 1") {
+	if _, _, err := resumeOneShard(cfg, bytes.NewReader(bad), nil, &digest); err == nil || !strings.Contains(err.Error(), "config field 5 is 1") {
 		t.Fatalf("image with a classic-tree header resumed: %v", err)
 	}
 }
@@ -188,26 +189,26 @@ func TestResumeRejectsRollback(t *testing.T) {
 	e := newEngine(t, cfg)
 	persistCampaign(t, e)
 	var old bytes.Buffer
-	if _, err := e.Persist(&old); err != nil {
+	if _, err := e.persist(&old); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Write(0, block(77)); err != nil {
 		t.Fatal(err)
 	}
 	var cur bytes.Buffer
-	curDigest, err := e.Persist(&cur)
+	curDigest, err := e.persist(&cur)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = Resume(cfg, bytes.NewReader(old.Bytes()), &curDigest)
-	var ie *IntegrityError
-	if !errors.As(err, &ie) {
+	_, _, err = resumeOneShard(cfg, bytes.NewReader(old.Bytes()), nil, &curDigest)
+	var re *RecoveryError
+	if !errors.As(err, &re) || re.Report.Status != RecoveryRollback || re.Report.FailedAt != -1 {
 		t.Fatalf("rollback to old image not detected: %v", err)
 	}
 	// Without the digest pin, the rollback goes through — the documented
 	// residual risk.
-	if _, err := Resume(cfg, bytes.NewReader(old.Bytes()), nil); err != nil {
+	if _, _, err := resumeOneShard(cfg, bytes.NewReader(old.Bytes()), nil, nil); err != nil {
 		t.Fatalf("unpinned resume should succeed: %v", err)
 	}
 }
@@ -217,27 +218,27 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 	e := newEngine(t, cfg)
 	persistCampaign(t, e)
 	var buf bytes.Buffer
-	if _, err := e.Persist(&buf); err != nil {
+	if _, err := e.persist(&buf); err != nil {
 		t.Fatal(err)
 	}
 	other := cfg
 	other.Scheme = ctr.Split
-	if _, err := Resume(other, bytes.NewReader(buf.Bytes()), nil); err == nil {
+	if _, _, err := resumeOneShard(other, bytes.NewReader(buf.Bytes()), nil, nil); err == nil {
 		t.Fatal("scheme mismatch should fail")
 	}
 	other = cfg
 	other.RegionBytes *= 2
-	if _, err := Resume(other, bytes.NewReader(buf.Bytes()), nil); err == nil {
+	if _, _, err := resumeOneShard(other, bytes.NewReader(buf.Bytes()), nil, nil); err == nil {
 		t.Fatal("region mismatch should fail")
 	}
 }
 
 func TestResumeRejectsGarbage(t *testing.T) {
 	cfg := smallCfg(ctr.Delta, MACInECC)
-	if _, err := Resume(cfg, bytes.NewReader([]byte("not an image")), nil); err == nil {
+	if _, _, err := resumeOneShard(cfg, bytes.NewReader([]byte("not an image")), nil, nil); err == nil {
 		t.Fatal("garbage should fail")
 	}
-	if _, err := Resume(cfg, bytes.NewReader(nil), nil); err == nil {
+	if _, _, err := resumeOneShard(cfg, bytes.NewReader(nil), nil, nil); err == nil {
 		t.Fatal("empty input should fail")
 	}
 }
@@ -247,12 +248,12 @@ func TestResumeTruncatedImage(t *testing.T) {
 	e := newEngine(t, cfg)
 	persistCampaign(t, e)
 	var buf bytes.Buffer
-	if _, err := e.Persist(&buf); err != nil {
+	if _, err := e.persist(&buf); err != nil {
 		t.Fatal(err)
 	}
 	img := buf.Bytes()
 	for _, cut := range []int{9, len(img) / 3, len(img) - 5} {
-		if _, err := Resume(cfg, bytes.NewReader(img[:cut]), nil); err == nil {
+		if _, _, err := resumeOneShard(cfg, bytes.NewReader(img[:cut]), nil, nil); err == nil {
 			t.Fatalf("truncation at %d resumed cleanly", cut)
 		}
 	}
@@ -266,12 +267,12 @@ func TestResumeWithWrongKeyFailsOnRead(t *testing.T) {
 	e := newEngine(t, cfg)
 	persistCampaign(t, e)
 	var buf bytes.Buffer
-	if _, err := e.Persist(&buf); err != nil {
+	if _, err := e.persist(&buf); err != nil {
 		t.Fatal(err)
 	}
 	wrong := cfg
 	wrong.KeyMaterial = make([]byte, KeyMaterialLen)
-	_, err := Resume(wrong, bytes.NewReader(buf.Bytes()), nil)
+	_, _, err := resumeOneShard(wrong, bytes.NewReader(buf.Bytes()), nil, nil)
 	var ie *IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("wrong-key resume should fail integrity: %v", err)
@@ -283,11 +284,11 @@ func TestPersistDeterministic(t *testing.T) {
 	e := newEngine(t, cfg)
 	persistCampaign(t, e)
 	var a, b bytes.Buffer
-	da, err := e.Persist(&a)
+	da, err := e.persist(&a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := e.Persist(&b)
+	db, err := e.persist(&b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestPersistAllocationsAreConstant(t *testing.T) {
 			}
 		}
 		persist := func() {
-			if _, err := e.Persist(io.Discard); err != nil {
+			if _, err := e.persist(io.Discard); err != nil {
 				t.Fatal(err)
 			}
 		}

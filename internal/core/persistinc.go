@@ -16,7 +16,7 @@ import (
 // Incremental persistence: O(blocks written) checkpoints instead of
 // O(region).
 //
-// Engine.Persist serializes the whole image even when a handful of blocks
+// Engine.persist serializes the whole image even when a handful of blocks
 // changed since the last checkpoint. This file applies the paper's delta
 // idea to the durability plane: a write to one block disturbs nothing around
 // it, so the engine keeps a block-granular dirty set (one mask per counter
@@ -44,9 +44,10 @@ import (
 // What remains out of reach from inside untrusted storage — exactly as
 // with whole-image persist — is discarding a *suffix* of sealed epochs at
 // a record boundary: indistinguishable from an honest crash. Callers close
-// that hole by pinning the last root (or epoch count) in trusted storage
-// and passing expectRoot, or checking RecoveryReport.EpochRoots against
-// the pin (what cmd/memserved's sealed manifest does).
+// that hole by keeping the newest combined root in trusted storage and
+// passing it as ResumeShardedIncremental's pin, which CheckPin holds to the
+// one rule: it must be the root of a committed seal round of the recovered
+// history.
 
 // Delta-record types (first payload byte).
 const (
@@ -322,8 +323,8 @@ const (
 	RecoveryTruncated
 	// RecoveryRollback: authenticated-state mismatch — a sealed record
 	// failed its chain seal, an epoch's sealed root did not match the
-	// rebuilt tree, or the pinned expectRoot was not reached. The resume
-	// is refused.
+	// rebuilt tree, or the pin is no committed seal round of the recovered
+	// history (CheckPin). The resume is refused.
 	RecoveryRollback
 )
 
@@ -363,8 +364,7 @@ type RecoveryReport struct {
 	// sealed root, or BaseRoot when no epoch committed.
 	Root RootDigest
 	// EpochRoots holds every committed epoch's sealed root in order —
-	// what a caller with a trusted (epoch, root) pin checks freshness
-	// against.
+	// the shard's part of the history CheckPin holds a pin to.
 	EpochRoots []RootDigest
 }
 
@@ -376,7 +376,7 @@ type RecoveryError struct {
 }
 
 // Error implements error. It names a log record only when replay stopped
-// at one: a refusal by a root pin or a manifest has FailedAt = -1.
+// at one: a refusal by a root pin has FailedAt = -1.
 func (e *RecoveryError) Error() string {
 	r := e.Report
 	if r.FailedAt < 0 {
@@ -533,18 +533,11 @@ func (s *ShardedEngine) AppendDeltaShard(i int, w *wal.Writer) (DeltaStats, erro
 	return sh.eng.AppendDelta(w)
 }
 
-// BeginShardedImage writes the v2 container header for an image whose
-// shard sections will be produced one CheckpointShard call at a time. A
-// 1-shard engine writes nothing: its single section IS the (v1-compatible)
-// image, mirroring Persist.
+// BeginShardedImage writes the container header for an image whose shard
+// sections will be produced one CheckpointShard call at a time — the header
+// Persist writes (writeImageHeader).
 func (s *ShardedEngine) BeginShardedImage(w io.Writer) error {
-	if len(s.shards) == 1 {
-		return nil
-	}
-	if _, err := w.Write(persistMagic2[:]); err != nil {
-		return err
-	}
-	return writeU64(w, uint64(len(s.shards)))
+	return writeImageHeader(w, len(s.shards))
 }
 
 // CheckpointShard persists shard i's image section to baseW and opens a
@@ -565,7 +558,7 @@ func (s *ShardedEngine) CheckpointShard(i int, baseW, logW io.Writer) (RootDiges
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	root, err := sh.eng.Persist(baseW)
+	root, err := sh.eng.persist(baseW)
 	if err != nil {
 		return RootDigest{}, nil, fmt.Errorf("core: checkpointing shard %d: %w", i, err)
 	}
@@ -579,20 +572,21 @@ func (s *ShardedEngine) CheckpointShard(i int, baseW, logW io.Writer) (RootDiges
 	return root, w, nil
 }
 
-// ResumeShardedIncremental rebuilds a sharded engine from a base image plus
-// one delta log per shard. Each shard's section resumes through the verified
-// Resume path, then its log replays epoch by epoch to the newest record whose
-// chained seal and sealed root digest verify; reports holds one typed verdict
-// per shard — clean, truncated at the crash point (shard valid at its last
-// committed epoch), or rollback-detected (resume refused with a
-// *RecoveryError). wals may be nil (base only); individual entries may be nil
-// for shards with no log.
+// ResumeShardedIncremental is the one way back: it rebuilds a sharded
+// engine from a base image plus one delta log per shard. Each shard's section
+// resumes through the verified resumeSection path, then its log replays epoch
+// by epoch to the newest record whose chained seal and sealed root digest
+// verify; reports holds one typed verdict per shard — clean, truncated at the
+// crash point (shard valid at its last committed epoch), or rollback-detected
+// (resume refused with a *RecoveryError). wals may be nil (base only);
+// individual entries may be nil for shards with no log.
 //
-// If expectRoot is non-nil the combined root over the *recovered* shards must
-// equal it: pin the RootDigest taken after the last append round (or epoch
-// roots from a sealed manifest) in trusted storage and a truncation attack
-// that presents a shorter-but-valid log prefix is detected too.
-func ResumeShardedIncremental(cfg Config, shards int, base io.Reader, wals []io.Reader, expectRoot *RootDigest) (*ShardedEngine, []*RecoveryReport, error) {
+// pin, when non-nil, is the combined root the caller kept in trusted storage
+// (Persist's digest, or a seal round's RootDigest after AppendDeltaShard on
+// every shard). It must be the root of a committed seal round of the recovered
+// history (CheckPin): a log ahead of the pin opens at its newest round, and a
+// shorter-but-valid log prefix or an older image is refused.
+func ResumeShardedIncremental(cfg Config, shards int, base io.Reader, wals []io.Reader, pin *RootDigest) (*ShardedEngine, []*RecoveryReport, error) {
 	if wals != nil && len(wals) != shards {
 		return nil, nil, fmt.Errorf("core: %d delta logs for %d shards", len(wals), shards)
 	}
@@ -601,7 +595,6 @@ func ResumeShardedIncremental(cfg Config, shards int, base io.Reader, wals []io.
 		return nil, nil, err
 	}
 	reports := make([]*RecoveryReport, shards)
-	roots := make([][sha256.Size]byte, shards)
 	for i, eng := range engines {
 		var walR io.Reader
 		if wals != nil {
@@ -612,18 +605,45 @@ func ResumeShardedIncremental(cfg Config, shards int, base io.Reader, wals []io.
 		if err != nil {
 			return nil, reports, fmt.Errorf("core: recovering shard %d: %w", i, err)
 		}
-		roots[i] = rep.Root
 	}
-	if expectRoot != nil {
-		if got := tree.CombineRoots(roots); got != *expectRoot {
-			rep := &RecoveryReport{
-				Status:   RecoveryRollback,
-				FailedAt: -1,
-				Reason:   "combined root over recovered shards does not match the pinned digest (rollback or truncated history)",
-				Root:     got,
-			}
-			return nil, reports, &RecoveryError{Report: rep}
+	if pin != nil {
+		if err := CheckPin(reports, *pin); err != nil {
+			return nil, reports, err
 		}
 	}
 	return wrapShards(cfg, engines), reports, nil
+}
+
+// CheckPin is the one pin rule: pin must be the combined root of a committed
+// seal round of the history reports recovered — round 0 combines the shards'
+// base roots, round r their roots after epoch r, and a round some shard's log
+// never committed is not in it. Counters only rise, so an older image's or a
+// shorter log's history never holds a later state's root. Base roots are
+// hashed afresh from the restored top level (tree.ReadFrom clears the cached
+// digest), never taken from the image. A refusal is a *RecoveryError with
+// RecoveryRollback and FailedAt = -1: no log record is at fault.
+func CheckPin(reports []*RecoveryReport, pin RootDigest) error {
+	rounds := -1 // the last round every shard committed
+	for _, rep := range reports {
+		if rounds < 0 || len(rep.EpochRoots) < rounds {
+			rounds = len(rep.EpochRoots)
+		}
+	}
+	roots := make([][sha256.Size]byte, len(reports))
+	for r := 0; r <= rounds; r++ {
+		for i, rep := range reports {
+			roots[i] = rep.BaseRoot
+			if r > 0 {
+				roots[i] = rep.EpochRoots[r-1]
+			}
+		}
+		if tree.CombineRoots(roots) == pin {
+			return nil
+		}
+	}
+	return &RecoveryError{Report: &RecoveryReport{
+		Status:   RecoveryRollback,
+		FailedAt: -1,
+		Reason:   fmt.Sprintf("no committed seal round of the recovered history (rounds 0 to %d) has the pinned root: rollback or another history", rounds),
+	}}
 }

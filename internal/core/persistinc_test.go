@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"authmem/internal/ctr"
@@ -49,7 +51,7 @@ func newDeltaHarness(t *testing.T, cfg Config) *deltaHarness {
 	for i := 0; i < 64; i++ {
 		h.write(t, uint64(h.rng.Intn(640)))
 	}
-	if _, err := h.eng.Persist(&h.base); err != nil {
+	if _, err := h.eng.persist(&h.base); err != nil {
 		t.Fatal(err)
 	}
 	w, err := h.eng.NewDeltaWriter(&h.log)
@@ -178,7 +180,7 @@ func TestAppendDeltaIsProportionalToDirt(t *testing.T) {
 				t.Fatalf("one dirty group, %d records", st.Groups)
 			}
 			var full bytes.Buffer
-			if _, err := h.eng.Persist(&full); err != nil {
+			if _, err := h.eng.persist(&full); err != nil {
 				t.Fatal(err)
 			}
 			if st.Bytes*4 > int64(full.Len()) {
@@ -262,7 +264,7 @@ func TestCrashPointMatrix(t *testing.T) {
 	// Clean — exactly when it lands on a record boundary with no group
 	// records pending a commit: the bare header, or right after a commit
 	// record. Everything else is a torn tail → Truncated. (Clean-but-short
-	// prefixes are the truncation attack the expectRoot pin closes; see
+	// prefixes are the truncation attack the root pin closes; see
 	// TestPinDetectsTruncatedHistory.)
 	type expect struct {
 		epochs int
@@ -418,7 +420,7 @@ func TestLogBoundToItsBase(t *testing.T) {
 	// FIRST base's root, so replaying it over the newer base must fail as
 	// corrupt, not apply twice.
 	var base2 bytes.Buffer
-	if _, err := h.eng.Persist(&base2); err != nil {
+	if _, err := h.eng.persist(&base2); err != nil {
 		t.Fatal(err)
 	}
 	e, _, err := resumeOneShard(cfg, bytes.NewReader(base2.Bytes()), bytes.NewReader(h.log.Bytes()), nil)
@@ -586,5 +588,156 @@ func TestCodecMismatchRoundTripsThroughIncrementalResume(t *testing.T) {
 	}
 	if cerr.ImageCodec != "residue" || cerr.ConfigCodec != "secded" {
 		t.Fatalf("mismatch fields wrong: %+v", cerr)
+	}
+}
+
+// TestPinRule holds ResumeShardedIncremental to its one pin rule: a pin opens
+// the region only if it is the combined root of a committed seal round of the
+// recovered history. The writer seals four rounds; each row presents every
+// shard's log cut after the epochs it committed (nil: the base alone).
+func TestPinRule(t *testing.T) {
+	cfg := smallCfg(ctr.Delta, MACInECC)
+	const writerRounds = 4
+	for _, row := range []struct {
+		name      string
+		shards    int
+		committed []int // epochs each presented log holds; nil is base-only
+	}{
+		{"base-only", 1, nil},
+		{"one-shard-log", 1, []int{3}},
+		{"four-shards-staggered", 4, []int{3, 1, 2, 3}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := newSharded(t, cfg, row.shards)
+			s.EnableDeltaTracking()
+			rng := rand.New(rand.NewSource(9))
+			writeSome := func() {
+				for range 40 {
+					blk := uint64(rng.Intn(int(cfg.DataBlocks())))
+					if err := s.Write(blk*BlockBytes, block(rng.Int63())); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			writeSome()
+			var base bytes.Buffer
+			if _, err := s.Persist(&base); err != nil {
+				t.Fatal(err)
+			}
+			logs := make([]bytes.Buffer, row.shards)
+			ws := make([]*wal.Writer, row.shards)
+			ends := make([][]int64, row.shards) // ends[i][k]: log i's length after k epochs
+			for i := range ws {
+				var err error
+				if ws[i], err = s.NewShardDeltaWriter(i, &logs[i]); err != nil {
+					t.Fatal(err)
+				}
+				ends[i] = []int64{ws[i].Offset()}
+			}
+			rounds := []RootDigest{s.RootDigest()} // the writer's combined root per seal round
+			for range writerRounds {
+				writeSome()
+				for i, w := range ws {
+					if _, err := s.AppendDeltaShard(i, w); err != nil {
+						t.Fatal(err)
+					}
+					ends[i] = append(ends[i], w.Offset())
+				}
+				rounds = append(rounds, s.RootDigest())
+			}
+
+			resume := func(withLogs bool, pin RootDigest) ([]*RecoveryReport, error) {
+				var wals []io.Reader
+				if withLogs && row.committed != nil {
+					wals = make([]io.Reader, row.shards)
+					for i, k := range row.committed {
+						wals[i] = bytes.NewReader(logs[i].Bytes()[:ends[i][k]])
+					}
+				}
+				r, reports, err := ResumeShardedIncremental(cfg, row.shards, bytes.NewReader(base.Bytes()), wals, &pin)
+				if (r == nil) != (err != nil) {
+					t.Fatalf("resume returned engine %v with error %v", r != nil, err)
+				}
+				return reports, err
+			}
+			refused := func(what string, err error) {
+				t.Helper()
+				var re *RecoveryError
+				if !errors.As(err, &re) || re.Report.Status != RecoveryRollback || re.Report.FailedAt != -1 {
+					t.Fatalf("%s: want a RecoveryRollback refusal with FailedAt -1, got %v", what, err)
+				}
+				if strings.Contains(err.Error(), "log record") {
+					t.Fatalf("%s: a pin refusal names a log record: %v", what, err)
+				}
+			}
+			newest := 0 // the last round every presented log committed
+			if row.committed != nil {
+				newest = slices.Min(row.committed)
+			}
+
+			// An earlier round's pin opens at every log's newest epoch.
+			reports, err := resume(true, rounds[max(newest-1, 0)])
+			if err != nil {
+				t.Fatalf("pin of an earlier round: %v", err)
+			}
+			for i, rep := range reports {
+				want := 0
+				if row.committed != nil {
+					want = row.committed[i]
+				}
+				if rep.Status != RecoveryClean || rep.Epochs != want {
+					t.Fatalf("shard %d opened at %v after %d epochs, want clean after %d", i, rep.Status, rep.Epochs, want)
+				}
+			}
+
+			// A pin no round holds is refused without blaming the log.
+			_, err = resume(true, RootDigest{0xA5})
+			refused("foreign pin", err)
+
+			// A round some shard never committed is not in the history.
+			_, err = resume(true, rounds[newest+1])
+			refused("uncommitted round", err)
+
+			// The base alone opens under its own root.
+			if _, err := resume(false, rounds[0]); err != nil {
+				t.Fatalf("base-only resume under its own root: %v", err)
+			}
+		})
+	}
+}
+
+// TestPersistWritersWriteOneImage: on a quiescent engine, Persist and a fold
+// through BeginShardedImage and CheckpointShard write the same base image
+// byte for byte — a bare v1 section at one shard, a v2 image at four.
+func TestPersistWritersWriteOneImage(t *testing.T) {
+	cfg := smallCfg(ctr.Delta, MACInECC)
+	for _, shards := range []int{1, 4} {
+		s := newSharded(t, cfg, shards)
+		s.EnableDeltaTracking()
+		rng := rand.New(rand.NewSource(int64(shards)))
+		for range 200 {
+			blk := uint64(rng.Intn(int(cfg.DataBlocks())))
+			if err := s.Write(blk*BlockBytes, block(rng.Int63())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var whole, folded bytes.Buffer
+		if _, err := s.Persist(&whole); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.BeginShardedImage(&folded); err != nil {
+			t.Fatal(err)
+		}
+		for i := range shards {
+			if _, _, err := s.CheckpointShard(i, &folded, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(whole.Bytes(), folded.Bytes()) {
+			t.Fatalf("%d shards: Persist wrote %d bytes, the fold %d, and they differ", shards, whole.Len(), folded.Len())
+		}
+		if magic := [8]byte(whole.Bytes()); (magic == persistMagic) != (shards == 1) {
+			t.Fatalf("%d shards: image opens with %q", shards, magic)
+		}
 	}
 }

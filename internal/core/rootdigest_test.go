@@ -88,13 +88,14 @@ func TestRootDigestEqualsFreshHashAfterAnyHistory(t *testing.T) {
 				case 6:
 					what = "Persist/Resume"
 					var img bytes.Buffer
-					pin, err := e.Persist(&img)
+					pin, err := e.persist(&img)
 					if err != nil {
 						t.Fatal(err)
 					}
-					// Resume checks the pin with its own fresh hash of the
-					// restored level: the cross-check on the cached value.
-					e, err = Resume(cfg, &img, &pin)
+					// The pin rule holds the pin to a fresh hash of the
+					// restored level (ReadFrom drops the cached digest): the
+					// cross-check on the cached value.
+					e, _, err = resumeOneShard(cfg, &img, nil, &pin)
 					if err != nil {
 						t.Fatalf("step %d: resume under the persisted pin: %v", step, err)
 					}
@@ -170,7 +171,7 @@ func freshShardedRoot(t testing.TB, s *ShardedEngine) RootDigest {
 // TestShardedRootDigestEqualsCombinedFreshHashes is the same property one
 // layer up, at 1, 4 and 16 shards (16 fills RootDigest's stack array): random
 // single- and cross-shard writes, a pin after a random half of them, a
-// Persist/ResumeSharded hop, and the combined root always equals
+// Persist/ResumeShardedIncremental hop, and the combined root always equals
 // CombineRoots over fresh per-shard hashes.
 func TestShardedRootDigestEqualsCombinedFreshHashes(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
@@ -198,7 +199,7 @@ func TestShardedRootDigestEqualsCombinedFreshHashes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if s, err = ResumeSharded(cfg, shards, &img, &pin); err != nil {
+				if s, _, err = ResumeShardedIncremental(cfg, shards, &img, nil, &pin); err != nil {
 					t.Fatalf("shards=%d: resume under the persisted pin: %v", shards, err)
 				}
 			}

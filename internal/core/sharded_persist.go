@@ -16,12 +16,11 @@ import (
 //
 //	magic "AMEMPST2" | u64 shardCount | shard0 v1 image | shard1 v1 image | ...
 //
-// Each section is exactly what Engine.Persist writes, so a shard restores
-// through the ordinary Resume path with its ordinary per-counter-block tree
-// verification. The trusted digest returned by PersistSharded pins the
-// COMBINED root (tree.CombineRoots over the per-shard roots), so resuming
-// with a pinned root detects rollback of any single shard section, not just
-// of the whole file.
+// Each section is exactly what Engine.persist writes, so a shard restores
+// through the ordinary resumeSection path with its ordinary per-counter-block
+// tree verification. The trusted digest returned by Persist is the COMBINED
+// root (tree.CombineRoots over the per-shard roots), so a pinned resume
+// detects rollback of any single shard section, not just of the whole file.
 //
 // A one-shard engine writes, and resumes from, a bare v1 image — the
 // single-shard configuration derives no keys and combines no roots, so it is
@@ -30,50 +29,53 @@ import (
 // persistMagic2 identifies sharded engine images (format version 2).
 var persistMagic2 = [8]byte{'A', 'M', 'E', 'M', 'P', 'S', 'T', '2'}
 
+// writeImageHeader writes the container header of an image of shards
+// sections: the v2 magic and shard count, or nothing for one shard, whose
+// single section is the (v1) image.
+func writeImageHeader(w io.Writer, shards int) error {
+	if shards == 1 {
+		return nil
+	}
+	if _, err := w.Write(persistMagic2[:]); err != nil {
+		return err
+	}
+	return writeU64(w, uint64(shards))
+}
+
 // Persist writes the sharded engine's full state to w and returns the
 // combined root digest. All shards are locked for a consistent snapshot.
 func (s *ShardedEngine) Persist(w io.Writer) (RootDigest, error) {
-	var digest RootDigest
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 	}
-	if len(s.shards) == 1 {
-		// Bit-compatible with the monolithic format; the combined root
-		// is the shard root.
-		return s.shards[0].eng.Persist(w)
-	}
-	// Engine.Persist wraps its writer in a persistBufBytes bufio.Writer,
+	// Engine.persist wraps its writer in a persistBufBytes bufio.Writer,
 	// which passes an existing *bufio.Writer of that size through unchanged —
 	// so the per-shard sections land back-to-back on this one buffered stream.
 	bw := bufio.NewWriterSize(w, persistBufBytes)
-	if _, err := bw.Write(persistMagic2[:]); err != nil {
-		return digest, err
-	}
-	if err := writeU64(bw, uint64(len(s.shards))); err != nil {
-		return digest, err
+	if err := writeImageHeader(bw, len(s.shards)); err != nil {
+		return RootDigest{}, err
 	}
 	roots := make([][sha256.Size]byte, len(s.shards))
 	for i, sh := range s.shards {
-		r, err := sh.eng.Persist(bw)
+		r, err := sh.eng.persist(bw)
 		if err != nil {
-			return digest, fmt.Errorf("core: persisting shard %d: %w", i, err)
+			return RootDigest{}, fmt.Errorf("core: persisting shard %d: %w", i, err)
 		}
 		roots[i] = r
 	}
-	digest = tree.CombineRoots(roots)
-	return digest, bw.Flush()
+	return tree.CombineRoots(roots), bw.Flush()
 }
 
 // resumeSections is the one image-header parser: it resumes every shard's
-// section of a persisted image, unpinned — callers pin the combined root. A
-// v1 image is a single headerless section and only fits shards == 1; a v2
-// image must hold exactly shards sections.
+// section of a persisted image, unpinned — ResumeShardedIncremental pins the
+// combined root. A v1 image is a single headerless section and only fits
+// shards == 1; a v2 image must hold exactly shards sections.
 func resumeSections(cfg Config, shards int, r io.Reader) ([]*Engine, error) {
 	if err := ValidateShards(cfg, shards); err != nil {
 		return nil, err
 	}
-	// Engine.Resume wraps its reader in bufio.NewReader, which passes an
+	// resumeSection wraps its reader in bufio.NewReader, which passes an
 	// existing *bufio.Reader of sufficient size through unchanged — each
 	// shard section is consumed exactly, leaving the stream positioned at
 	// the next one.
@@ -103,35 +105,11 @@ func resumeSections(cfg Config, shards int, r io.Reader) ([]*Engine, error) {
 	}
 	engines := make([]*Engine, shards)
 	for i := range engines {
-		eng, err := Resume(shardConfig(cfg, shards, i), br, nil)
+		eng, err := resumeSection(shardConfig(cfg, shards, i), br)
 		if err != nil {
 			return nil, fmt.Errorf("core: resuming shard %d: %w", i, err)
 		}
 		engines[i] = eng
 	}
 	return engines, nil
-}
-
-// ResumeSharded rebuilds a sharded engine from a persisted image. cfg and
-// shards must match the persisting configuration. If expectRoot is non-nil,
-// the combined root recomputed from the restored shards must equal it —
-// the rollback defense, covering per-shard-section rollback too.
-func ResumeSharded(cfg Config, shards int, r io.Reader, expectRoot *RootDigest) (*ShardedEngine, error) {
-	engines, err := resumeSections(cfg, shards, r)
-	if err != nil {
-		return nil, err
-	}
-	if expectRoot != nil {
-		roots := make([][sha256.Size]byte, shards)
-		for i, eng := range engines {
-			roots[i] = eng.RootDigest()
-		}
-		if tree.CombineRoots(roots) != *expectRoot {
-			return nil, &IntegrityError{
-				Reason: "persistent image combined root digest mismatch (rollback or corruption)",
-				Stage:  StageResume,
-			}
-		}
-	}
-	return wrapShards(cfg, engines), nil
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"testing"
 
 	"authmem/internal/ctr"
+	"authmem/internal/wal"
 )
 
 func newSharded(t testing.TB, cfg Config, shards int) *ShardedEngine {
@@ -394,7 +396,7 @@ func TestShardedPersistResumeRoundTrip(t *testing.T) {
 			t.Fatalf("%d shards: persist digest disagrees with live RootDigest", shards)
 		}
 
-		r, err := ResumeSharded(cfg, shards, bytes.NewReader(buf.Bytes()), &digest)
+		r, _, err := ResumeShardedIncremental(cfg, shards, bytes.NewReader(buf.Bytes()), nil, &digest)
 		if err != nil {
 			t.Fatalf("%d shards: resume: %v", shards, err)
 		}
@@ -415,12 +417,12 @@ func TestShardedPersistResumeRoundTrip(t *testing.T) {
 		// Wrong combined root must be rejected.
 		bad := digest
 		bad[0] ^= 1
-		if _, err := ResumeSharded(cfg, shards, bytes.NewReader(buf.Bytes()), &bad); err == nil {
+		if _, _, err := ResumeShardedIncremental(cfg, shards, bytes.NewReader(buf.Bytes()), nil, &bad); err == nil {
 			t.Fatalf("%d shards: resume accepted a wrong root digest", shards)
 		}
 		// Wrong shard count must be rejected.
 		wrong := shards * 2
-		if _, err := ResumeSharded(cfg, wrong, bytes.NewReader(buf.Bytes()), &digest); err == nil {
+		if _, _, err := ResumeShardedIncremental(cfg, wrong, bytes.NewReader(buf.Bytes()), nil, &digest); err == nil {
 			t.Fatalf("image with %d shards resumed as %d", shards, wrong)
 		}
 	}
@@ -434,11 +436,11 @@ func TestShardedResumeV1Image(t *testing.T) {
 	truth := persistCampaign(t, mono)
 
 	var buf bytes.Buffer
-	digest, err := mono.Persist(&buf)
+	digest, err := mono.persist(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := ResumeSharded(cfg, 1, bytes.NewReader(buf.Bytes()), &digest)
+	s, _, err := ResumeShardedIncremental(cfg, 1, bytes.NewReader(buf.Bytes()), nil, &digest)
 	if err != nil {
 		t.Fatalf("v1 image rejected by 1-shard resume: %v", err)
 	}
@@ -451,7 +453,7 @@ func TestShardedResumeV1Image(t *testing.T) {
 			t.Fatalf("block %#x corrupted", addr)
 		}
 	}
-	if _, err := ResumeSharded(cfg, 2, bytes.NewReader(buf.Bytes()), &digest); err == nil {
+	if _, _, err := ResumeShardedIncremental(cfg, 2, bytes.NewReader(buf.Bytes()), nil, &digest); err == nil {
 		t.Fatal("v1 image accepted by a 2-shard resume")
 	}
 	// And the reverse direction: a 1-shard sharded Persist IS a v1 image.
@@ -464,7 +466,7 @@ func TestShardedResumeV1Image(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resume(cfg, bytes.NewReader(buf2.Bytes()), &d2); err != nil {
+	if _, _, err := resumeOneShard(cfg, bytes.NewReader(buf2.Bytes()), nil, &d2); err != nil {
 		t.Fatalf("1-shard image rejected by monolithic Resume: %v", err)
 	}
 }
@@ -540,19 +542,45 @@ func TestShardedConstructorsBuildOneConfiguration(t *testing.T) {
 		{"new", func() (*ShardedEngine, error) { return NewShardedEngine(cfg, 4) }},
 		{"resume-v1-1shard", func() (*ShardedEngine, error) {
 			var buf bytes.Buffer
-			root, err := newEngine(t, cfg).Persist(&buf)
+			root, err := newEngine(t, cfg).persist(&buf)
 			if err != nil {
 				return nil, err
 			}
-			return ResumeSharded(cfg, 1, &buf, &root)
+			s, _, err := ResumeShardedIncremental(cfg, 1, &buf, nil, &root)
+			return s, err
 		}},
 		{"resume-v2-4shards", func() (*ShardedEngine, error) {
 			buf, root := image(4)
-			return ResumeSharded(cfg, 4, buf, &root)
+			s, _, err := ResumeShardedIncremental(cfg, 4, buf, nil, &root)
+			return s, err
 		}},
 		{"resume-incremental", func() (*ShardedEngine, error) {
-			buf, root := image(4)
-			s, _, err := ResumeShardedIncremental(cfg, 4, buf, nil, &root)
+			src := newSharded(t, cfg, 4)
+			src.EnableDeltaTracking()
+			var base bytes.Buffer
+			if _, err := src.Persist(&base); err != nil {
+				return nil, err
+			}
+			logs := make([]bytes.Buffer, 4)
+			ws := make([]*wal.Writer, 4)
+			for i := range ws {
+				var err error
+				if ws[i], err = src.NewShardDeltaWriter(i, &logs[i]); err != nil {
+					return nil, err
+				}
+			}
+			if err := src.Write(0, block(4)); err != nil {
+				return nil, err
+			}
+			wals := make([]io.Reader, 4)
+			for i, w := range ws {
+				if _, err := src.AppendDeltaShard(i, w); err != nil {
+					return nil, err
+				}
+				wals[i] = &logs[i]
+			}
+			root := src.RootDigest()
+			s, _, err := ResumeShardedIncremental(cfg, 4, &base, wals, &root)
 			return s, err
 		}},
 	}

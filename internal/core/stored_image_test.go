@@ -81,9 +81,9 @@ func TestResumesParentWrittenImage(t *testing.T) {
 	}
 
 	baseRoot, finalRoot := root(want.BaseRoot), root(want.Root)
-	e, err := ResumeSharded(cfg, 1, bytes.NewReader(base), &baseRoot)
+	e, _, err := ResumeShardedIncremental(cfg, 1, bytes.NewReader(base), nil, &baseRoot)
 	if err != nil {
-		t.Fatalf("ResumeSharded: %v", err)
+		t.Fatalf("ResumeShardedIncremental, base only: %v", err)
 	}
 	verify(e, baseRoot, want.BaseBlocks)
 

@@ -28,7 +28,7 @@ import (
 // state leaves the trust boundary):
 //   - the dirty set reaching its epoch bound (defaultMaxDirtyLeaves);
 //   - a cold read of a dirty leaf (read-after-write; single-leaf flush);
-//   - Persist and RootDigest — a persisted image or exported root always
+//   - persist and RootDigest — a persisted image or exported root always
 //     reflects every accepted write;
 //   - Scrub, whose correction path decodes stored images;
 //   - an explicit Flush() call (the sharded engine's FlushAll).

@@ -115,14 +115,14 @@ func TestWritePipelineMatchesEagerState(t *testing.T) {
 			t.Fatalf("%s/%s: hot traffic combined no writes", cfg.Scheme, cfg.Placement)
 		}
 		var img bytes.Buffer
-		root, err := e.Persist(&img) // Persist flushes first
+		root, err := e.persist(&img) // Persist flushes first
 		if err != nil {
 			t.Fatal(err)
 		}
 		if root != rebuiltRoot(t, e) {
 			t.Fatalf("%s/%s: flushed root diverges from a from-scratch rebuild", cfg.Scheme, cfg.Placement)
 		}
-		r, err := Resume(cfg, &img, &root)
+		r, _, err := resumeOneShard(cfg, &img, nil, &root)
 		if err != nil {
 			t.Fatalf("%s/%s: resume under the pinned root: %v", cfg.Scheme, cfg.Placement, err)
 		}
@@ -168,7 +168,7 @@ func TestWritePipelinePersistResume(t *testing.T) {
 		t.Fatal("writes did not defer")
 	}
 	var buf bytes.Buffer
-	root, err := e.Persist(&buf)
+	root, err := e.persist(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestWritePipelinePersistResume(t *testing.T) {
 	}
 	// Resume verifies every counter block against the tree: if Persist had
 	// serialized a stale tree, this would fail loudly.
-	r, err := Resume(cfg, bytes.NewReader(buf.Bytes()), &root)
+	r, _, err := resumeOneShard(cfg, bytes.NewReader(buf.Bytes()), nil, &root)
 	if err != nil {
 		t.Fatal(err)
 	}

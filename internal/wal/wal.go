@@ -22,9 +22,9 @@
 // What the log cannot do by itself is prevent an attacker from truncating
 // at a record boundary and presenting a shorter-but-valid prefix: that is
 // indistinguishable from an honest crash. Callers that need stronger
-// freshness pin the last sealed state digest (or epoch count) in trusted
-// storage and check it after replay — see core.ResumeShardedIncremental and the
-// memserved manifest.
+// freshness keep the newest sealed root in trusted storage and pass it to
+// core.ResumeShardedIncremental, whose pin rule (core.CheckPin) refuses a
+// history with no committed round at that root.
 package wal
 
 import (

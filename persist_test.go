@@ -8,24 +8,15 @@ import (
 	"io"
 	"math/rand"
 	"testing"
-
-	"authmem/internal/core"
 )
 
 // resumeImage resumes a full image written by the engine's Persist
-// (m.eng.Persist) through internal/core's verified image path. The facade
-// persists and resumes only through OpenDurable; these tests hold the image
-// path it is built on.
-func resumeImage(cfg Config, shards int, r io.Reader, expectRoot *RootDigest) (*Memory, error) {
-	icfg, err := cfg.internal()
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.ResumeSharded(icfg, shards, r, expectRoot)
-	if err != nil {
-		return nil, err
-	}
-	return &Memory{eng: eng}, nil
+// (m.eng.Persist) through the one resume, base only. The facade persists and
+// resumes only through OpenDurable; these tests hold the image path it is
+// built on.
+func resumeImage(cfg Config, shards int, r io.Reader, pin *RootDigest) (*Memory, error) {
+	m, _, err := resume(cfg, shards, r, nil, pin)
+	return m, err
 }
 
 // TestFacadePersistResume power-cycles the region through the engine's
@@ -87,8 +78,8 @@ func TestFacadeResumeRollbackPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ie *IntegrityError
-		if _, err := resumeImage(cfg, shards, bytes.NewReader(old.Bytes()), &digest); !errors.As(err, &ie) {
+		var re *RecoveryError
+		if _, err := resumeImage(cfg, shards, bytes.NewReader(old.Bytes()), &digest); !errors.As(err, &re) || re.Report.Status != RecoveryRollback {
 			t.Fatalf("pinned rollback not detected: %v", err)
 		}
 	})
