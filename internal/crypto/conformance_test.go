@@ -3,25 +3,23 @@ package crypto_test
 // Production-vs-reference differential conformance suite.
 //
 // crypto.Stream and crypto.MAC (the AES-NI kernel, or crypto/aes where the
-// instruction is missing) seal and verify every stored block;
-// keystream.Cipher and mac.Key (the repository's from-scratch T-table AES)
-// are the reference they must stay BIT-IDENTICAL to — every image, WAL
-// and campaign verdict written before the engine had one cipher path was
-// produced by one of three then-selectable implementations, all held equal to
-// that reference. The suite diffs pads, ciphertexts and tags over randomized
-// and adversarial input grids, span kernels against n scalar calls for every
-// span length up to two counter groups, and the rejection of malformed
-// lengths.
+// instruction is missing) seal and verify every stored block; refPad and
+// refTag (reference_test.go) are the construction they must stay
+// BIT-IDENTICAL to — every image, WAL and campaign verdict written before
+// the engine had one cipher path was produced by one of three
+// then-selectable implementations, all held equal to that construction. The
+// suite diffs pads, ciphertexts and tags over randomized and adversarial
+// input grids, span kernels against n scalar calls for every span length up
+// to two counter groups, and the rejection of malformed lengths.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"authmem/internal/crypto"
-	"authmem/internal/keystream"
-	"authmem/internal/mac"
 )
 
 const blockSize = crypto.BlockSize
@@ -55,45 +53,50 @@ func interestingPairs(rng *rand.Rand, n int) [][2]uint64 {
 	return pairs
 }
 
-// newStreams builds the production stream and the reference cipher from the
-// same 40-byte key material.
-func newStreams(t *testing.T, key []byte) (*crypto.Stream, *keystream.Cipher) {
+// newStream builds the production stream from the last 16 bytes of 40-byte
+// key material; refPad takes the same 16.
+func newStream(t testing.TB, key []byte) *crypto.Stream {
 	t.Helper()
-	prod, err := crypto.NewStream(key[24:40])
+	s, err := crypto.NewStream(key[24:40])
 	if err != nil {
 		t.Fatalf("crypto.NewStream: %v", err)
 	}
-	ref, err := keystream.New(key[24:40])
-	if err != nil {
-		t.Fatalf("keystream.New: %v", err)
-	}
-	return prod, ref
+	return s
 }
 
-func newMACs(t *testing.T, key []byte) (*crypto.MAC, *mac.Key) {
+// newMAC builds the production MAC from the first 24 bytes of 40-byte key
+// material; refTag takes the same 24.
+func newMAC(t testing.TB, key []byte) *crypto.MAC {
 	t.Helper()
-	prod, err := crypto.NewMAC(key[:24])
+	m, err := crypto.NewMAC(key[:24])
 	if err != nil {
 		t.Fatalf("crypto.NewMAC: %v", err)
 	}
-	ref, err := mac.NewKey(key[:24])
-	if err != nil {
-		t.Fatalf("mac.NewKey: %v", err)
+	return m
+}
+
+// refXOR is the reference seal and open: src XOR refPad, block by block.
+func refXOR(t testing.TB, key, dst, src []byte, addr, counter uint64) {
+	t.Helper()
+	pad := make([]byte, blockSize)
+	for off := 0; off < len(src); off += blockSize {
+		refPad(t, key[24:40], pad, addr+uint64(off), counter)
+		for i := range pad {
+			dst[off+i] = src[off+i] ^ pad[i]
+		}
 	}
-	return prod, ref
 }
 
 // TestPadConformance: single-block pads bit-equal to the reference over the
 // input grid.
 func TestPadConformance(t *testing.T) {
-	prod, ref := newStreams(t, testKeyMaterial(1))
+	key := testKeyMaterial(1)
+	prod := newStream(t, key)
 	want := make([]byte, blockSize)
 	got := make([]byte, blockSize)
 	for _, p := range interestingPairs(rand.New(rand.NewSource(11)), 64) {
 		addr, ctr := p[0], p[1]
-		if err := ref.Pad(want, addr, ctr); err != nil {
-			t.Fatalf("reference Pad(%#x,%d): %v", addr, ctr, err)
-		}
+		refPad(t, key[24:40], want, addr, ctr)
 		if err := prod.PadN(got, addr, ctr); err != nil {
 			t.Fatalf("PadN(%#x,%d): %v", addr, ctr, err)
 		}
@@ -104,14 +107,19 @@ func TestPadConformance(t *testing.T) {
 }
 
 // TestXORRoundTrip: seal with one implementation, open with the other, in
-// both directions. This is the stored-bit compatibility property — a region
-// sealed by the T-table code before it was retired must open under crypto/aes.
+// both directions, and with the production stream twice. This is the
+// stored-bit compatibility property — a region sealed by the T-table code
+// before it was retired must open under crypto/aes.
 func TestXORRoundTrip(t *testing.T) {
-	prod, ref := newStreams(t, testKeyMaterial(2))
+	key := testKeyMaterial(2)
+	prod := newStream(t, key)
 	rng := rand.New(rand.NewSource(22))
 	xors := map[string]func(dst, src []byte, addr, counter uint64) error{
 		"production": prod.XORBlocks, // over one block
-		"reference":  ref.XOR,
+		"reference": func(dst, src []byte, addr, counter uint64) error {
+			refXOR(t, key, dst, src, addr, counter)
+			return nil
+		},
 	}
 
 	pt := make([]byte, blockSize)
@@ -136,75 +144,62 @@ func TestXORRoundTrip(t *testing.T) {
 	}
 }
 
-// spanStream is the span surface production and reference share.
-type spanStream interface {
-	PadN(dst []byte, addr, counter uint64) error
-	XORBlocks(dst, src []byte, addr, counter uint64) error
-}
-
-// TestBatchMatchesScalar: for the production stream and for the reference,
-// PadN over an n-block span equals n reference Pad calls and XORBlocks equals
-// n of the implementation's own one-block XORBlocks calls and n reference XOR
-// calls,
-// separate-buffer and exactly aliased — for every span length from one block
-// to two counter groups and two blocks.
+// TestBatchMatchesScalar: PadN over an n-block span equals n reference pads,
+// and XORBlocks equals n one-block XORBlocks calls and the reference seal,
+// separate-buffer and exactly aliased — for every span length from one
+// block to two counter groups and two blocks.
 func TestBatchMatchesScalar(t *testing.T) {
-	prod, ref := newStreams(t, testKeyMaterial(3))
-	for name, ks := range map[string]spanStream{"production": prod, "reference": ref} {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(33))
-			pairs := interestingPairs(rng, 2)
-			for n := 1; n <= 130; n++ {
-				span := n * blockSize
-				src := make([]byte, span)
-				rng.Read(src)
-				wantPad := make([]byte, span)
-				wantCT := make([]byte, span)
-				got := make([]byte, span)
+	key := testKeyMaterial(3)
+	ks := newStream(t, key)
+	t.Run("production", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(33))
+		pairs := interestingPairs(rng, 2)
+		for n := 1; n <= 130; n++ {
+			span := n * blockSize
+			src := make([]byte, span)
+			rng.Read(src)
+			wantPad := make([]byte, span)
+			wantCT := make([]byte, span)
+			got := make([]byte, span)
 
-				for _, p := range pairs {
-					addr, ctr := p[0], p[1]
-					for off := 0; off < span; off += blockSize {
-						blkAddr := addr + uint64(off)
-						if err := ref.Pad(wantPad[off:off+blockSize], blkAddr, ctr); err != nil {
-							t.Fatalf("reference Pad: %v", err)
-						}
-						if err := ref.XOR(wantCT[off:off+blockSize], src[off:off+blockSize], blkAddr, ctr); err != nil {
-							t.Fatalf("reference XOR: %v", err)
-						}
-						if err := ks.XORBlocks(got[off:off+blockSize], src[off:off+blockSize], blkAddr, ctr); err != nil {
-							t.Fatalf("one-block XORBlocks: %v", err)
-						}
-					}
-					if !bytes.Equal(got, wantCT) {
-						t.Fatalf("n=%d at (%#x,%d): %d scalar XORs differ from the reference", n, addr, ctr, n)
-					}
-					if err := ks.PadN(got, addr, ctr); err != nil {
-						t.Fatalf("PadN n=%d: %v", n, err)
-					}
-					if !bytes.Equal(got, wantPad) {
-						t.Fatalf("PadN n=%d at (%#x,%d) differs from %d scalar Pads", n, addr, ctr, n)
-					}
-					if err := ks.XORBlocks(got, src, addr, ctr); err != nil {
-						t.Fatalf("XORBlocks n=%d: %v", n, err)
-					}
-					if !bytes.Equal(got, wantCT) {
-						t.Fatalf("XORBlocks n=%d at (%#x,%d) differs from %d scalar XORs", n, addr, ctr, n)
-					}
-					if err := ks.XORBlocks(got, got, addr, ctr); err != nil {
-						t.Fatalf("aliased XORBlocks n=%d: %v", n, err)
-					}
-					if !bytes.Equal(got, src) {
-						t.Fatalf("aliased XORBlocks n=%d at (%#x,%d) did not restore the plaintext", n, addr, ctr)
+			for _, p := range pairs {
+				addr, ctr := p[0], p[1]
+				for off := 0; off < span; off += blockSize {
+					blkAddr := addr + uint64(off)
+					refPad(t, key[24:40], wantPad[off:off+blockSize], blkAddr, ctr)
+					if err := ks.XORBlocks(got[off:off+blockSize], src[off:off+blockSize], blkAddr, ctr); err != nil {
+						t.Fatalf("one-block XORBlocks: %v", err)
 					}
 				}
+				refXOR(t, key, wantCT, src, addr, ctr)
+				if !bytes.Equal(got, wantCT) {
+					t.Fatalf("n=%d at (%#x,%d): %d scalar XORs differ from the reference", n, addr, ctr, n)
+				}
+				if err := ks.PadN(got, addr, ctr); err != nil {
+					t.Fatalf("PadN n=%d: %v", n, err)
+				}
+				if !bytes.Equal(got, wantPad) {
+					t.Fatalf("PadN n=%d at (%#x,%d) differs from %d scalar Pads", n, addr, ctr, n)
+				}
+				if err := ks.XORBlocks(got, src, addr, ctr); err != nil {
+					t.Fatalf("XORBlocks n=%d: %v", n, err)
+				}
+				if !bytes.Equal(got, wantCT) {
+					t.Fatalf("XORBlocks n=%d at (%#x,%d) differs from %d scalar XORs", n, addr, ctr, n)
+				}
+				if err := ks.XORBlocks(got, got, addr, ctr); err != nil {
+					t.Fatalf("aliased XORBlocks n=%d: %v", n, err)
+				}
+				if !bytes.Equal(got, src) {
+					t.Fatalf("aliased XORBlocks n=%d at (%#x,%d) did not restore the plaintext", n, addr, ctr)
+				}
 			}
-		})
-	}
+		}
+	})
 }
 
-// TestMACConformance: tags bit-equal to the reference, each side's Verify
-// accepts the other's tags and rejects flipped ones, hash points match.
+// TestMACConformance: tags bit-equal to the reference, Verify accepts them
+// and rejects flipped ones, hash points match.
 func TestMACConformance(t *testing.T) {
 	for _, seed := range []byte{0, 4, 9} { // seed 0: all-zero hash-key bytes exercise the h==0 -> 1 substitution
 		t.Run(fmt.Sprintf("key=%d", seed), func(t *testing.T) {
@@ -214,154 +209,136 @@ func TestMACConformance(t *testing.T) {
 					key[i] = 0
 				}
 			}
-			prod, ref := newMACs(t, key)
-			if prod.HashPoint() != ref.HashPoint() {
-				t.Fatalf("HashPoint %#x != reference %#x", prod.HashPoint(), ref.HashPoint())
+			prod := newMAC(t, key)
+			if got, want := prod.HashPoint(), max(binary.LittleEndian.Uint64(key[:8]), 1); got != want {
+				t.Fatalf("HashPoint %#x != reference %#x", got, want)
 			}
 			rng := rand.New(rand.NewSource(44))
 			ct := make([]byte, blockSize)
-			for _, p := range interestingPairs(rng, 32) {
-				addr, ctr := p[0], p[1]
-				rng.Read(ct)
-				want, err := ref.Tag(ct, addr, ctr)
-				if err != nil {
-					t.Fatalf("reference Tag: %v", err)
-				}
+			check := func(addr, ctr uint64) {
+				t.Helper()
+				want := refTag(t, key, ct, addr, ctr)
 				got, err := prod.Tag(ct, addr, ctr)
 				if err != nil {
 					t.Fatalf("Tag: %v", err)
 				}
 				if got != want {
-					t.Fatalf("Tag(%#x,%d) = %#x, want the reference's %#x", addr, ctr, got, want)
+					t.Fatalf("Tag(%#x,%d) of %x = %#x, want the reference's %#x", addr, ctr, ct, got, want)
 				}
-				for name, verify := range map[string]func(ct []byte, addr, counter, tag uint64) (bool, error){
-					"production": prod.Verify,
-					"reference":  ref.Verify,
-				} {
-					if ok, err := verify(ct, addr, ctr, want); err != nil || !ok {
-						t.Fatalf("%s: Verify of a good tag = %v, %v", name, ok, err)
-					}
-					if ok, err := verify(ct, addr, ctr, want^1); err != nil || ok {
-						t.Fatalf("%s: Verify accepted a corrupted tag", name)
-					}
+				if ok, err := prod.Verify(ct, addr, ctr, want); err != nil || !ok {
+					t.Fatalf("Verify of a good tag = %v, %v", ok, err)
 				}
+				if ok, err := prod.Verify(ct, addr, ctr, want^1); err != nil || ok {
+					t.Fatal("Verify accepted a corrupted tag")
+				}
+			}
+			for _, p := range interestingPairs(rng, 32) {
+				rng.Read(ct)
+				check(p[0], p[1])
+			}
+			for _, fill := range []byte{0x00, 0xFF} { // the all-zero and all-ones blocks
+				for i := range ct {
+					ct[i] = fill
+				}
+				check(0x40, 1)
 			}
 		})
 	}
 }
 
-// tagger is the MAC surface production and reference share.
-type tagger interface {
-	Tag(ciphertext []byte, addr, counter uint64) (uint64, error)
-	Verify(ciphertext []byte, addr, counter, tag uint64) (bool, error)
-	TagBatch(tags []uint64, ciphertexts []byte, addr, counter uint64) error
-}
-
-// TestTagBatchMatchesScalar: for the production MAC and for the reference,
-// TagBatch over n contiguous blocks equals n of its own Tag calls and n
-// reference Tag calls, for every span length up to two counter groups and
-// two blocks.
+// TestTagBatchMatchesScalar: TagBatch over n contiguous blocks equals n Tag
+// calls and n reference tags, for every span length up to two counter
+// groups and two blocks.
 func TestTagBatchMatchesScalar(t *testing.T) {
-	prod, ref := newMACs(t, testKeyMaterial(5))
-	for name, mk := range map[string]tagger{"production": prod, "reference": ref} {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(55))
-			pairs := interestingPairs(rng, 2)
-			for n := 1; n <= 130; n++ {
-				cts := make([]byte, n*blockSize)
-				rng.Read(cts)
-				tags := make([]uint64, n)
-				for _, p := range pairs {
-					addr, ctr := p[0], p[1]
-					if err := mk.TagBatch(tags, cts, addr, ctr); err != nil {
-						t.Fatalf("TagBatch n=%d: %v", n, err)
+	key := testKeyMaterial(5)
+	mk := newMAC(t, key)
+	t.Run("production", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(55))
+		pairs := interestingPairs(rng, 2)
+		for n := 1; n <= 130; n++ {
+			cts := make([]byte, n*blockSize)
+			rng.Read(cts)
+			tags := make([]uint64, n)
+			for _, p := range pairs {
+				addr, ctr := p[0], p[1]
+				if err := mk.TagBatch(tags, cts, addr, ctr); err != nil {
+					t.Fatalf("TagBatch n=%d: %v", n, err)
+				}
+				for i := 0; i < n; i++ {
+					ct := cts[i*blockSize : (i+1)*blockSize]
+					want := refTag(t, key, ct, addr+uint64(i*blockSize), ctr)
+					scalar, err := mk.Tag(ct, addr+uint64(i*blockSize), ctr)
+					if err != nil {
+						t.Fatalf("Tag block %d: %v", i, err)
 					}
-					for i := 0; i < n; i++ {
-						ct := cts[i*blockSize : (i+1)*blockSize]
-						want, err := ref.Tag(ct, addr+uint64(i*blockSize), ctr)
-						if err != nil {
-							t.Fatalf("reference Tag block %d: %v", i, err)
-						}
-						scalar, err := mk.Tag(ct, addr+uint64(i*blockSize), ctr)
-						if err != nil {
-							t.Fatalf("Tag block %d: %v", i, err)
-						}
-						if tags[i] != want || scalar != want {
-							t.Fatalf("n=%d block %d at (%#x,%d): TagBatch %#x, scalar %#x, reference %#x",
-								n, i, addr, ctr, tags[i], scalar, want)
-						}
+					if tags[i] != want || scalar != want {
+						t.Fatalf("n=%d block %d at (%#x,%d): TagBatch %#x, scalar %#x, reference %#x",
+							n, i, addr, ctr, tags[i], scalar, want)
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestTagBatchCrossBackend: whole-group TagBatch output identical to the
-// reference's own TagBatch (the re-encryption sweep shape: 64 blocks, one
-// counter). It keeps the name it had when there were backends to cross.
+// reference (the re-encryption sweep shape: 64 blocks, one counter). It
+// keeps the name it had when there were backends to cross.
 func TestTagBatchCrossBackend(t *testing.T) {
-	prod, ref := newMACs(t, testKeyMaterial(6))
+	key := testKeyMaterial(6)
+	prod := newMAC(t, key)
 	rng := rand.New(rand.NewSource(66))
 	const n = 64
 	cts := make([]byte, n*blockSize)
 	rng.Read(cts)
 
-	want := make([]uint64, n)
 	got := make([]uint64, n)
 	for _, p := range interestingPairs(rng, 8) {
 		addr, ctr := p[0], p[1]
-		if err := ref.TagBatch(want, cts, addr, ctr); err != nil {
-			t.Fatalf("reference TagBatch: %v", err)
-		}
 		if err := prod.TagBatch(got, cts, addr, ctr); err != nil {
 			t.Fatalf("TagBatch: %v", err)
 		}
 		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("TagBatch block %d at (%#x,%d): %#x, reference %#x", i, addr, ctr, got[i], want[i])
+			if want := refTag(t, key, cts[i*blockSize:(i+1)*blockSize], addr+uint64(i*blockSize), ctr); got[i] != want {
+				t.Fatalf("TagBatch block %d at (%#x,%d): %#x, reference %#x", i, addr, ctr, got[i], want)
 			}
 		}
 	}
 }
 
-// TestErrorConformance: production and reference reject the same malformed
-// inputs, and the frozen-harness shim selects nothing.
+// TestErrorConformance: the kernels reject malformed inputs, and the
+// frozen-harness shim selects nothing.
 func TestErrorConformance(t *testing.T) {
 	key := testKeyMaterial(8)
-	prod, ref := newStreams(t, key)
-	pmac, rmac := newMACs(t, key)
+	ks := newStream(t, key)
+	mk := newMAC(t, key)
 	short := make([]byte, blockSize-1)
 	ragged := make([]byte, blockSize+1)
 	block := make([]byte, blockSize)
 	two := make([]byte, 2*blockSize)
 
-	for name, ks := range map[string]spanStream{"production": prod, "reference": ref} {
-		for what, err := range map[string]error{
-			"PadN(empty)":             ks.PadN(nil, 0, 0),
-			"PadN(ragged)":            ks.PadN(ragged, 0, 0),
-			"XORBlocks(short src)":    ks.XORBlocks(block, short, 0, 0),
-			"XORBlocks(short dst)":    ks.XORBlocks(short, block, 0, 0),
-			"XORBlocks(empty)":        ks.XORBlocks(nil, nil, 0, 0),
-			"XORBlocks(ragged)":       ks.XORBlocks(ragged, ragged, 0, 0),
-			"XORBlocks(len mismatch)": ks.XORBlocks(two, block, 0, 0),
-		} {
-			if err == nil {
-				t.Errorf("%s: %s accepted", name, what)
-			}
+	for what, err := range map[string]error{
+		"PadN(empty)":             ks.PadN(nil, 0, 0),
+		"PadN(ragged)":            ks.PadN(ragged, 0, 0),
+		"XORBlocks(short src)":    ks.XORBlocks(block, short, 0, 0),
+		"XORBlocks(short dst)":    ks.XORBlocks(short, block, 0, 0),
+		"XORBlocks(empty)":        ks.XORBlocks(nil, nil, 0, 0),
+		"XORBlocks(ragged)":       ks.XORBlocks(ragged, ragged, 0, 0),
+		"XORBlocks(len mismatch)": ks.XORBlocks(two, block, 0, 0),
+	} {
+		if err == nil {
+			t.Errorf("%s accepted", what)
 		}
 	}
 
-	for name, mk := range map[string]tagger{"production": pmac, "reference": rmac} {
-		if _, err := mk.Tag(short, 0, 0); err == nil {
-			t.Errorf("%s: Tag accepted %d bytes", name, len(short))
-		}
-		if _, err := mk.Verify(ragged, 0, 0, 0); err == nil {
-			t.Errorf("%s: Verify accepted %d bytes", name, len(ragged))
-		}
-		if err := mk.TagBatch(make([]uint64, 2), block, 0, 0); err == nil {
-			t.Errorf("%s: TagBatch accepted mismatched tag/ciphertext lengths", name)
-		}
+	if _, err := mk.Tag(short, 0, 0); err == nil {
+		t.Errorf("Tag accepted %d bytes", len(short))
+	}
+	if _, err := mk.Verify(ragged, 0, 0, 0); err == nil {
+		t.Errorf("Verify accepted %d bytes", len(ragged))
+	}
+	if err := mk.TagBatch(make([]uint64, 2), block, 0, 0); err == nil {
+		t.Error("TagBatch accepted mismatched tag/ciphertext lengths")
 	}
 
 	for _, n := range []int{7, 24, 32} { // the pads are AES-128 only
@@ -369,14 +346,8 @@ func TestErrorConformance(t *testing.T) {
 			t.Errorf("NewStream accepted a %d-byte key", n)
 		}
 	}
-	if _, err := keystream.New(make([]byte, 7)); err == nil {
-		t.Error("keystream.New accepted a 7-byte key")
-	}
 	if _, err := crypto.NewMAC(make([]byte, 23)); err == nil {
 		t.Error("NewMAC accepted 23-byte material")
-	}
-	if _, err := mac.NewKey(make([]byte, 23)); err == nil {
-		t.Error("mac.NewKey accepted 23-byte material")
 	}
 
 	// The shim bench/kernels.go compiles against: the empty name only.
@@ -397,8 +368,8 @@ func TestErrorConformance(t *testing.T) {
 // would escape through the interface and show up here.
 func TestKernelsAllocateNothing(t *testing.T) {
 	key := testKeyMaterial(10)
-	ks, _ := newStreams(t, key)
-	mk, _ := newMACs(t, key)
+	ks := newStream(t, key)
+	mk := newMAC(t, key)
 	block := make([]byte, blockSize)
 	group := make([]byte, 64*blockSize)
 	tags := make([]uint64, 64)

@@ -14,9 +14,10 @@
 // follows the platform; there is no option. DESIGN §5b records the
 // end-to-end numbers behind "no batching across blocks, no pad cache".
 //
-// internal/keystream, internal/aes and mac.Key are the from-scratch
-// reference the conformance suite and the two fuzz targets hold this package
-// bit-equal to; nothing outside tests seals or verifies with them.
+// The reference this package is held bit-equal to is test code: refPad and
+// refTag (reference_test.go) spell the pad and the tag out once on
+// crypto/aes and the bit-serial gf64.Mul, and the conformance suite, the
+// goldens and the two fuzz targets compare against them.
 //
 // Concurrency contract: a Stream or MAC is single-owner; each engine builds
 // its own pair and serializes every call, the re-encryption sweep included.
@@ -161,13 +162,19 @@ func checkSpanLen(n int) error {
 //
 //	tag = truncate56( PolyHash_h(C) XOR PRF_k(addr, counter) )
 //
-// (see internal/mac for the construction and its security argument), where
-// PolyHash_h(C) = c0·h^8 ⊕ c1·h^7 ⊕ … ⊕ c7·h over the block's eight
-// little-endian words. Where the CPU has a carry-less multiplier
-// (gf64.CLMUL) the hash is gf64.PolyHash over the eight powers h^8…h: eight
-// PCLMULQDQ products and one reduction, constant-time, and NewMAC builds no
-// tables. Elsewhere it runs as two interleaved Horner chains in h², one
-// over the even words and one over the odd:
+// where PolyHash_h(C) = c0·h^8 ⊕ c1·h^7 ⊕ … ⊕ c7·h over the block's eight
+// little-endian words. This is the construction the paper adopts from Intel
+// SGX (Gueron, "Memory Encryption for General-Purpose Processors"). Binding
+// the counter into the tag is what makes Bonsai Merkle trees sound: a
+// replay of stale data under the current counter changes the tag. 56 bits
+// is short for a general-purpose MAC, but as §3.2 argues, forgery attempts
+// are rate-limited by the memory bus of the machine under attack.
+//
+// Where the CPU has a carry-less multiplier (gf64.CLMUL) the hash is
+// gf64.PolyHash over the eight powers h^8…h: eight PCLMULQDQ products and
+// one reduction, constant-time, and NewMAC builds no tables. Elsewhere it
+// runs as two interleaved Horner chains in h², one over the even words and
+// one over the odd:
 //
 //	a = c0·h^6 ⊕ c2·h^4 ⊕ c4·h^2 ⊕ c6
 //	b = c1·h^6 ⊕ c3·h^4 ⊕ c5·h^2 ⊕ c7

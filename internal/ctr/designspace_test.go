@@ -1,69 +1,28 @@
 package ctr
 
+// §4.2's design space: "there are multiple block group and delta size
+// combinations" that fit one metadata block. The paper evaluates 7-bit
+// deltas over 64-block groups, and so do DeltaScheme and SplitScheme; the
+// references (reference_test.go) take any width and group size, so these
+// tests check the rule's invariants and trade-offs across that space and
+// hold the production schemes to the references at the paper's point.
+
 import (
 	"math/rand"
 	"testing"
 )
 
-func TestNewDeltaParamValidation(t *testing.T) {
-	bad := []struct {
-		w uint
-		g int
-	}{
-		{1, 64},   // width too small
-		{16, 16},  // width too large
-		{7, 1},    // group too small
-		{8, 64},   // 56 + 512 = 568 bits > 512
-		{7, 66},   // 56 + 462 = 518 bits > 512
-		{15, 256}, // way over
-	}
-	for _, c := range bad {
-		if _, err := NewDeltaParam(c.w, c.g); err == nil {
-			t.Errorf("NewDeltaParam(%d, %d) should fail", c.w, c.g)
-		}
-	}
-	good := []struct {
-		w uint
-		g int
-	}{
-		{5, 64}, {6, 64}, {7, 64}, {8, 56}, {12, 38}, {2, 228},
-	}
-	for _, c := range good {
-		if _, err := NewDeltaParam(c.w, c.g); err != nil {
-			t.Errorf("NewDeltaParam(%d, %d) failed", c.w, c.g)
-		}
-	}
-}
-
-func TestNewSplitParamValidation(t *testing.T) {
-	if _, err := NewSplitParam(7, 64); err != nil {
-		t.Fatal("the paper's 7-bit/64-block split config must fit")
-	}
-	if _, err := NewSplitParam(8, 64); err == nil {
-		t.Fatal("64 + 512 bits should exceed the metadata block")
-	}
-	if _, err := NewSplitParam(1, 64); err == nil {
-		t.Fatal("1-bit minors should be rejected")
-	}
-	if _, err := NewSplitParam(7, 1); err == nil {
-		t.Fatal("group of 1 should be rejected")
-	}
-}
-
 func TestParamDeltaMatchesFixedDelta(t *testing.T) {
-	// With width 7 and group 64, the parameterized scheme must behave
-	// identically to the hand-written DeltaScheme.
-	param, err := NewDeltaParam(7, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// At width 7 and group 64 the reference must behave identically to
+	// DeltaScheme.
+	param := newRefDelta(false, DeltaBits, GroupBlocks)
 	fixed := NewDelta()
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 300000; i++ {
 		b := uint64(rng.Intn(512))
 		po, fo := param.Touch(b), fixed.Touch(b)
 		if po != fo {
-			t.Fatalf("write %d to block %d: param %+v, fixed %+v", i, b, po, fo)
+			t.Fatalf("write %d to block %d: reference %+v, fixed %+v", i, b, po, fo)
 		}
 	}
 	if param.Stats() != fixed.Stats() {
@@ -77,17 +36,14 @@ func TestParamDeltaMatchesFixedDelta(t *testing.T) {
 }
 
 func TestParamSplitMatchesFixedSplit(t *testing.T) {
-	param, err := NewSplitParam(7, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	param := newRefSplit(MinorBits, GroupBlocks)
 	fixed := NewSplit()
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 300000; i++ {
 		b := uint64(rng.Intn(512))
 		po, fo := param.Touch(b), fixed.Touch(b)
 		if po != fo {
-			t.Fatalf("write %d to block %d: param %+v, fixed %+v", i, b, po, fo)
+			t.Fatalf("write %d to block %d: reference %+v, fixed %+v", i, b, po, fo)
 		}
 	}
 	if param.Stats() != fixed.Stats() {
@@ -102,10 +58,7 @@ func TestParamDeltaNonceFreshness(t *testing.T) {
 		if w == 8 {
 			g = 56
 		}
-		s, err := NewDeltaParam(w, g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newRefDelta(false, w, g)
 		used := make(map[[2]uint64]bool)
 		record := func(block, counter uint64) {
 			k := [2]uint64{block, counter}
@@ -114,11 +67,11 @@ func TestParamDeltaNonceFreshness(t *testing.T) {
 			}
 			used[k] = true
 		}
-		s.OnReencrypt(func(start uint64, old []uint64, newCounter uint64) {
+		s.hook = func(start uint64, old []uint64, newCounter uint64) {
 			for j := range old {
 				record(start+uint64(j), newCounter)
 			}
-		})
+		}
 		rng := rand.New(rand.NewSource(int64(w)))
 		for i := 0; i < 50000; i++ {
 			b := uint64(rng.Intn(g))
@@ -136,10 +89,7 @@ func TestParamDeltaNonceFreshness(t *testing.T) {
 func TestWiderDeltasReencryptLess(t *testing.T) {
 	rates := map[uint]uint64{}
 	for _, w := range []uint{5, 6, 7} {
-		s, err := NewDeltaParam(w, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newRefDelta(false, w, 64)
 		// Hot single block: Δmin stays 0, overflow every 2^w writes.
 		for i := 0; i < 1<<14; i++ {
 			s.Touch(0)
@@ -163,10 +113,7 @@ func TestWiderDeltasReencryptLess(t *testing.T) {
 // smaller groups re-encrypt fewer blocks per overflow.
 func TestSmallerGroupsLocalizeReencryption(t *testing.T) {
 	for _, g := range []int{16, 32, 64} {
-		s, err := NewDeltaParam(7, g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newRefDelta(false, 7, g)
 		for i := 0; i < 128; i++ {
 			s.Touch(0)
 		}
@@ -180,37 +127,8 @@ func TestSmallerGroupsLocalizeReencryption(t *testing.T) {
 	}
 }
 
-func TestParamSchemeGeometry(t *testing.T) {
-	d, err := NewDeltaParam(5, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bits := d.MetadataBits(); bits != (56.0+64*5)/64 {
-		t.Fatalf("delta-5 bits/block = %v", bits)
-	}
-	if d.Name() != "delta-5/g64" {
-		t.Fatalf("name %q", d.Name())
-	}
-	if d.MetadataBlock(129) != 2 || d.MetadataBlocks(129) != 3 {
-		t.Fatal("metadata mapping wrong")
-	}
-	sp, err := NewSplitParam(4, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Name() != "split-4/g100" {
-		t.Fatalf("name %q", sp.Name())
-	}
-	if sp.GroupSize() != 100 {
-		t.Fatal("group size wrong")
-	}
-}
-
 func TestParamSplitCounterConcatenation(t *testing.T) {
-	s, err := NewSplitParam(3, 32) // tiny minors: overflow every 7 writes
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newRefSplit(3, 32) // tiny minors: overflow every 7 writes
 	for i := 0; i < 7; i++ {
 		if out := s.Touch(0); out.Reencrypted {
 			t.Fatalf("premature re-encryption at write %d", i)
@@ -223,15 +141,5 @@ func TestParamSplitCounterConcatenation(t *testing.T) {
 	// major 1, minor 1 -> counter 1<<3 | 1 = 9.
 	if out.Counter != 9 {
 		t.Fatalf("counter = %d, want 9", out.Counter)
-	}
-}
-
-func BenchmarkParamDeltaTouch(b *testing.B) {
-	s, err := NewDeltaParam(6, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		s.Touch(uint64(i) % 4096)
 	}
 }

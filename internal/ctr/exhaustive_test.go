@@ -2,8 +2,9 @@ package ctr
 
 import "testing"
 
-// TestExhaustiveDeltaModelCheck model-checks a down-scaled delta scheme
-// (2-bit deltas, 3-block groups) over EVERY write sequence of length 9 —
+// TestExhaustiveDeltaModelCheck model-checks the delta rule, as the
+// reference refDeltaScheme (which lockstep holds DeltaScheme to), down-scaled
+// to 2-bit deltas over 3-block groups, over EVERY write sequence of length 9 —
 // 3^9 = 19,683 sequences, each replayed from a fresh scheme. The small
 // delta width makes every interesting transition (reset, re-encode,
 // re-encrypt) reachable within the horizon. Checked invariants:
@@ -39,10 +40,7 @@ func TestExhaustiveDeltaModelCheck(t *testing.T) {
 
 func checkDeltaSequence(t *testing.T, width uint, blocks int, seq []uint64) {
 	t.Helper()
-	s, err := NewDeltaParam(width, blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newRefDelta(false, width, blocks)
 	used := map[[2]uint64]bool{}
 	record := func(block, counter uint64) {
 		k := [2]uint64{block, counter}
@@ -51,7 +49,7 @@ func checkDeltaSequence(t *testing.T, width uint, blocks int, seq []uint64) {
 		}
 		used[k] = true
 	}
-	s.OnReencrypt(func(start uint64, old []uint64, newCounter uint64) {
+	s.hook = func(start uint64, old []uint64, newCounter uint64) {
 		for j, oc := range old {
 			if oc >= newCounter {
 				t.Fatalf("seq %v: re-encrypt counter %d not above old[%d]=%d",
@@ -59,7 +57,7 @@ func checkDeltaSequence(t *testing.T, width uint, blocks int, seq []uint64) {
 			}
 			record(start+uint64(j), newCounter)
 		}
-	})
+	}
 
 	writes := make([]uint64, blocks)
 	last := make([]uint64, blocks)
@@ -92,8 +90,9 @@ func checkDeltaSequence(t *testing.T, width uint, blocks int, seq []uint64) {
 	}
 }
 
-// TestExhaustiveSplitModelCheck applies the same model checking to a
-// down-scaled split-counter scheme (2-bit minors, 3-block groups).
+// TestExhaustiveSplitModelCheck applies the same model checking to the
+// split-counter rule, as the reference refSplitScheme down-scaled to 2-bit
+// minors over 3-block groups.
 func TestExhaustiveSplitModelCheck(t *testing.T) {
 	const (
 		blocks = 3
@@ -111,10 +110,7 @@ func TestExhaustiveSplitModelCheck(t *testing.T) {
 			x /= blocks
 		}
 
-		s, err := NewSplitParam(2, blocks)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newRefSplit(2, blocks)
 		used := map[[2]uint64]bool{}
 		record := func(block, counter uint64) {
 			k := [2]uint64{block, counter}
@@ -123,11 +119,11 @@ func TestExhaustiveSplitModelCheck(t *testing.T) {
 			}
 			used[k] = true
 		}
-		s.OnReencrypt(func(start uint64, old []uint64, newCounter uint64) {
+		s.hook = func(start uint64, old []uint64, newCounter uint64) {
 			for j := range old {
 				record(start+uint64(j), newCounter)
 			}
-		})
+		}
 		writes := make([]uint64, blocks)
 		for _, b := range seq {
 			out := s.Touch(b)

@@ -10,7 +10,7 @@ import (
 // straight from the layout table in pack.go. It was the production codec
 // until the word-level one replaced it; it stays here, test-only, as the
 // definition the production codec is held bit-equal to (codec_test.go and the
-// fuzz targets) — the same arrangement internal/keystream has with
+// fuzz targets) — the same arrangement refPad and refTag have with
 // internal/crypto.
 
 // bitString provides LSB-first bit field access over a 64-byte block.
@@ -193,13 +193,19 @@ func refDecodeMonolithicCounter(blk [MetadataBlockBytes]byte, i int) (uint64, er
 }
 
 // refDeltaScheme is DeltaScheme's rule on an unpacked group: a reference,
-// 64 uint16 deltas and the delta-group holding the dual-length reserve. It
-// was the production state until the scheme came to keep the packed image
-// and edit it in place; it stays here, test-only, as the definition the
-// packed Touch is held to image for image (TestPackedTouchMatchesReference
-// and FuzzSchemeStateMachine). Its images come from the bit-serial packers
-// above.
+// one uint16 delta per block and the delta-group holding the dual-length
+// reserve. It was the production state until the scheme came to keep the
+// packed image and edit it in place; it stays here, test-only, as the one
+// second copy of the delta rule. At the paper's geometry (7-bit deltas or
+// the dual-length layout, 64-block groups) the packed Touch is held to it
+// image for image (lockstep: TestPackedTouchMatchesReference and
+// FuzzSchemeStateMachine), its images coming from the bit-serial packers
+// above. Its width and group size are free, which is how
+// TestExhaustiveDeltaModelCheck reaches every transition at 2-bit deltas
+// over 3-block groups and the width ablations sweep §4.2's design space.
 type refDeltaScheme struct {
+	width  uint // delta bits, when not dual
+	group  int  // blocks per group
 	groups map[uint64]*deltaGroup
 	dual   bool
 	stats  Stats
@@ -208,20 +214,22 @@ type refDeltaScheme struct {
 
 type deltaGroup struct {
 	ref    uint64
-	deltas [GroupBlocks]uint16
+	deltas []uint16
 	// reserve is the delta-group holding the dual-length reserve plus
-	// one, 0 if unassigned (always, under delta-7).
+	// one, 0 if unassigned (always, when not dual).
 	reserve uint8
 }
 
-func newRefDelta(dual bool) *refDeltaScheme {
-	return &refDeltaScheme{groups: map[uint64]*deltaGroup{}, dual: dual}
+// newRefDelta is the reference over group-block groups of width-bit deltas,
+// or of the dual-length layout when dual is set (width is then unused).
+func newRefDelta(dual bool, width uint, group int) *refDeltaScheme {
+	return &refDeltaScheme{width: width, group: group, groups: map[uint64]*deltaGroup{}, dual: dual}
 }
 
-func (s *refDeltaScheme) group(gid uint64) *deltaGroup {
+func (s *refDeltaScheme) groupOf(gid uint64) *deltaGroup {
 	g := s.groups[gid]
 	if g == nil {
-		g = &deltaGroup{}
+		g = &deltaGroup{deltas: make([]uint16, s.group)}
 		s.groups[gid] = g
 	}
 	return g
@@ -230,7 +238,7 @@ func (s *refDeltaScheme) group(gid uint64) *deltaGroup {
 func (s *refDeltaScheme) limit(g *deltaGroup, i int) uint16 {
 	switch {
 	case !s.dual:
-		return deltaMax
+		return uint16(1)<<s.width - 1
 	case g.reserve == uint8(i/DeltasPerGroup)+1:
 		return longMax
 	default:
@@ -239,14 +247,16 @@ func (s *refDeltaScheme) limit(g *deltaGroup, i int) uint16 {
 }
 
 func (s *refDeltaScheme) Counter(block uint64) uint64 {
-	g := s.group(block / GroupBlocks)
-	return g.ref + uint64(g.deltas[block%GroupBlocks])
+	g := s.groupOf(block / uint64(s.group))
+	return g.ref + uint64(g.deltas[block%uint64(s.group)])
 }
+
+func (s *refDeltaScheme) Stats() Stats { return s.stats }
 
 // Touch is Figure 7's flow: overflow check, increment, all-equal reset.
 func (s *refDeltaScheme) Touch(block uint64) WriteOutcome {
-	gid, i := block/GroupBlocks, int(block%GroupBlocks)
-	g := s.group(gid)
+	gid, i := block/uint64(s.group), int(block%uint64(s.group))
+	g := s.groupOf(gid)
 	s.stats.Writes++
 	var out WriteOutcome
 	if g.deltas[i] == s.limit(g, i) {
@@ -254,22 +264,25 @@ func (s *refDeltaScheme) Touch(block uint64) WriteOutcome {
 			g.reserve = uint8(i/DeltasPerGroup) + 1
 			s.stats.Extensions++
 			out.Extended = true
-		} else if dmin := g.minDelta(); dmin > 0 {
-			g.reencode(dmin)
+		} else if dmin := slices.Min(g.deltas); dmin > 0 {
+			g.ref += uint64(dmin)
+			for j := range g.deltas {
+				g.deltas[j] -= dmin
+			}
 			s.stats.Reencodes++
 			out.Reencoded = true
 		} else {
-			newRef := g.ref + uint64(g.maxDelta()) + 1
+			newRef := g.ref + uint64(slices.Max(g.deltas)) + 1
 			if s.hook != nil {
-				old := make([]uint64, GroupBlocks)
+				old := make([]uint64, s.group)
 				for j, d := range g.deltas {
 					old[j] = g.ref + uint64(d)
 				}
-				s.hook(gid*GroupBlocks, old, newRef)
+				s.hook(gid*uint64(s.group), old, newRef)
 			}
-			*g = deltaGroup{ref: newRef}
+			g.rebase(newRef)
 			s.stats.Reencryptions++
-			s.stats.ReencryptedBlocks += GroupBlocks
+			s.stats.ReencryptedBlocks += uint64(s.group)
 			out.Reencrypted = true
 			out.Counter = newRef
 			return out
@@ -277,58 +290,32 @@ func (s *refDeltaScheme) Touch(block uint64) WriteOutcome {
 	}
 	g.deltas[i]++
 	out.Counter = g.ref + uint64(g.deltas[i])
-	if d := g.allEqual(); d > 0 {
-		*g = deltaGroup{ref: g.ref + uint64(d)} // all-zero deltas free the reserve
+	if d := g.deltas[0]; d > 0 && !slices.ContainsFunc(g.deltas, func(v uint16) bool { return v != d }) {
+		g.rebase(g.ref + uint64(d)) // all-zero deltas free the reserve
 		s.stats.Resets++
 		out.Reset = true
 	}
 	return out
 }
 
-func (g *deltaGroup) minDelta() uint16 {
-	m := g.deltas[0]
-	for _, d := range g.deltas[1:] {
-		m = min(m, d)
-	}
-	return m
-}
-
-func (g *deltaGroup) maxDelta() uint16 {
-	m := g.deltas[0]
-	for _, d := range g.deltas[1:] {
-		m = max(m, d)
-	}
-	return m
-}
-
-// allEqual returns the common delta when every delta of the group is the
-// same nonzero value, else 0.
-func (g *deltaGroup) allEqual() uint16 {
-	for _, d := range g.deltas[1:] {
-		if d != g.deltas[0] {
-			return 0
-		}
-	}
-	return g.deltas[0]
-}
-
-func (g *deltaGroup) reencode(dmin uint16) {
-	g.ref += uint64(dmin)
-	for j := range g.deltas {
-		g.deltas[j] -= dmin
-	}
+// rebase gives the group a new reference, every delta zero and no reserve.
+func (g *deltaGroup) rebase(ref uint64) {
+	g.ref = ref
+	clear(g.deltas)
+	g.reserve = 0
 }
 
 // image packs group m with the bit-serial reference packer of its layout.
 func (s *refDeltaScheme) image(t *testing.T, m uint64) [MetadataBlockBytes]byte {
 	t.Helper()
-	g := s.group(m)
+	g := s.groupOf(m)
+	deltas := (*[GroupBlocks]uint16)(g.deltas)
 	var img [MetadataBlockBytes]byte
 	var err error
 	if s.dual {
-		img, err = refPackDualLength(g.ref, &g.deltas, int8(g.reserve)-1)
+		img, err = refPackDualLength(g.ref, deltas, int8(g.reserve)-1)
 	} else {
-		img, err = refPackDelta(g.ref, &g.deltas)
+		img, err = refPackDelta(g.ref, deltas)
 	}
 	if err != nil {
 		t.Fatalf("reference group %d does not pack: %v", m, err)
@@ -357,7 +344,7 @@ type lockstep struct {
 // newLockstep sets both schemes' hooks; extra, if set, also sees every
 // hook call of s.
 func newLockstep(t *testing.T, s *DeltaScheme, extra ReencryptFunc) *lockstep {
-	l := &lockstep{t: t, s: s, ref: newRefDelta(s.dual)}
+	l := &lockstep{t: t, s: s, ref: newRefDelta(s.dual, DeltaBits, GroupBlocks)}
 	record := func(calls *[]hookCall) ReencryptFunc {
 		return func(start uint64, old []uint64, next uint64) {
 			*calls = append(*calls, hookCall{start, slices.Clone(old), next})
@@ -397,4 +384,73 @@ func (l *lockstep) touch(block uint64) WriteOutcome {
 	}
 	l.got, l.want = l.got[:0], l.want[:0]
 	return got
+}
+
+// refSplitScheme is the split-counter rule (split.go) over width-bit minors
+// and group-block groups, on a map of groups: the test-only second copy of
+// that rule. TestParamSplitMatchesFixedSplit holds SplitScheme to it at the
+// paper's 7/64, and TestExhaustiveSplitModelCheck model-checks it at 2-bit
+// minors over 3-block groups.
+type refSplitScheme struct {
+	width  uint // minor bits
+	group  int  // blocks per group
+	groups map[uint64]*refSplitGroup
+	stats  Stats
+	hook   ReencryptFunc
+}
+
+type refSplitGroup struct {
+	major  uint64
+	minors []uint16
+}
+
+func newRefSplit(width uint, group int) *refSplitScheme {
+	return &refSplitScheme{width: width, group: group, groups: map[uint64]*refSplitGroup{}}
+}
+
+func (s *refSplitScheme) groupOf(gid uint64) *refSplitGroup {
+	g := s.groups[gid]
+	if g == nil {
+		g = &refSplitGroup{minors: make([]uint16, s.group)}
+		s.groups[gid] = g
+	}
+	return g
+}
+
+// counterOf is the concatenation major‖minor.
+func (s *refSplitScheme) counterOf(g *refSplitGroup, i int) uint64 {
+	return g.major<<s.width | uint64(g.minors[i])
+}
+
+func (s *refSplitScheme) Counter(block uint64) uint64 {
+	return s.counterOf(s.groupOf(block/uint64(s.group)), int(block%uint64(s.group)))
+}
+
+func (s *refSplitScheme) Stats() Stats { return s.stats }
+
+// Touch increments the block's minor; a minor at its maximum instead moves
+// the group to major+1 with every minor 0, re-encrypts it, and then counts
+// the write as the block's first under the new major.
+func (s *refSplitScheme) Touch(block uint64) WriteOutcome {
+	gid, i := block/uint64(s.group), int(block%uint64(s.group))
+	g := s.groupOf(gid)
+	s.stats.Writes++
+	if g.minors[i] < uint16(1)<<s.width-1 {
+		g.minors[i]++
+		return WriteOutcome{Counter: s.counterOf(g, i)}
+	}
+	newMajor := g.major + 1
+	if s.hook != nil {
+		old := make([]uint64, s.group)
+		for j := range old {
+			old[j] = s.counterOf(g, j)
+		}
+		s.hook(gid*uint64(s.group), old, newMajor<<s.width)
+	}
+	g.major = newMajor
+	clear(g.minors)
+	g.minors[i] = 1
+	s.stats.Reencryptions++
+	s.stats.ReencryptedBlocks += uint64(s.group)
+	return WriteOutcome{Counter: s.counterOf(g, i), Reencrypted: true}
 }

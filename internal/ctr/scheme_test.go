@@ -468,15 +468,7 @@ func TestStatsWritesCount(t *testing.T) {
 // allocations once a group exists — through every escalation a Touch can
 // take (reset, re-encode, extension, re-encryption with a hook installed).
 func TestTouchAllocatesNothing(t *testing.T) {
-	param, err := NewDeltaParam(DeltaBits, GroupBlocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paramSplit, err := NewSplitParam(MinorBits, GroupBlocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range append(allSchemes(), param, paramSplit) {
+	for _, s := range allSchemes() {
 		s.OnReencrypt(func(uint64, []uint64, uint64) {})
 		round := func() {
 			for b := uint64(0); b < GroupBlocks; b++ {
@@ -502,7 +494,7 @@ func TestTouchAllocatesNothing(t *testing.T) {
 			t.Errorf("%s: rounds never re-encrypted: %+v", s.Name(), st)
 		}
 		switch s.(type) {
-		case *DeltaScheme, *ParamDeltaScheme:
+		case *DeltaScheme:
 			if st.Resets == 0 || st.Reencodes == 0 {
 				t.Errorf("%s: rounds never reset or never re-encoded: %+v", s.Name(), st)
 			}

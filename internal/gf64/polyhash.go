@@ -10,8 +10,8 @@ import "encoding/binary"
 // is the Carter-Wegman hash PolyHash_h of internal/crypto. When CLMUL is
 // true it runs as one assembly kernel: eight independent PCLMULQDQ
 // products, XORed into one 128-bit sum and reduced once by p(x). Otherwise
-// it is the same sum over the bit-serial MulWide, which is constant-time
-// but slow; callers that hash on the hot path without CLMUL use Tables.
+// it is the same sum over the bit-serial Mul, which is constant-time but
+// slow; callers that hash on the hot path without CLMUL use Tables.
 func PolyHash(pow *[8]uint64, block *[64]byte) uint64 {
 	if CLMUL {
 		return polyHashCLMUL(pow, block)
@@ -19,13 +19,11 @@ func PolyHash(pow *[8]uint64, block *[64]byte) uint64 {
 	return polyHashGeneric(pow, block)
 }
 
-// polyHashGeneric is PolyHash as eight MulWide products and one Reduce.
+// polyHashGeneric is PolyHash as eight bit-serial Muls.
 func polyHashGeneric(pow *[8]uint64, block *[64]byte) uint64 {
-	var hi, lo uint64
+	var sum uint64
 	for i, p := range pow {
-		h, l := MulWide(binary.LittleEndian.Uint64(block[8*i:]), p)
-		hi ^= h
-		lo ^= l
+		sum ^= Mul(binary.LittleEndian.Uint64(block[8*i:]), p)
 	}
-	return Reduce(hi, lo)
+	return sum
 }

@@ -121,8 +121,7 @@ type Outcome struct {
 
 // Key is the slice of the MAC surface the verifier needs: tag computation
 // for the integrity check, and the secret hash point for the per-bit
-// contribution tables. *crypto.MAC satisfies it, as does the test-only
-// reference *mac.Key.
+// contribution tables. *crypto.MAC satisfies it.
 type Key interface {
 	Tag(ciphertext []byte, addr, counter uint64) (uint64, error)
 	HashPoint() uint64

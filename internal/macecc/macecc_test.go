@@ -5,17 +5,17 @@ import (
 	"math/rand"
 	"testing"
 
+	"authmem/internal/crypto"
 	"authmem/internal/ecc"
-	"authmem/internal/mac"
 )
 
-func testKey(t testing.TB) *mac.Key {
+func testKey(t testing.TB) *crypto.MAC {
 	t.Helper()
 	material := make([]byte, 24)
 	for i := range material {
 		material[i] = byte(i*11 + 5)
 	}
-	k, err := mac.NewKey(material)
+	k, err := crypto.NewMAC(material)
 	if err != nil {
 		t.Fatal(err)
 	}

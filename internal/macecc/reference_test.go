@@ -2,9 +2,115 @@ package macecc
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"authmem/internal/ecc"
 )
+
+// SequentialVerifier is the literal hardware algorithm of §3.4: on a MAC
+// mismatch it flips each candidate bit (then each candidate pair) and
+// recomputes the full MAC, in the exact order a sequential engine would.
+//
+// It is test code: the executable specification the production Verifier is
+// cross-validated against (the fast path replaces MAC recomputation with
+// precomputed per-bit tag contributions). The double-error search here
+// costs up to 130,816 MAC computations.
+type SequentialVerifier struct {
+	// Inner supplies the key and the correction budget.
+	Inner *Verifier
+}
+
+// VerifyAndCorrect mirrors Verifier.VerifyAndCorrect bit for bit, including
+// the HardwareChecks accounting, but by brute force.
+func (v *SequentialVerifier) VerifyAndCorrect(ciphertext []byte, meta *Meta, addr, counter uint64) (Outcome, error) {
+	if len(ciphertext) != BlockSize {
+		return Outcome{}, fmt.Errorf("macecc: ciphertext must be %d bytes", BlockSize)
+	}
+	var out Outcome
+
+	tag, _, res := ecc.MAC63.Decode((*meta).Tag(), (*meta).Check())
+	switch res {
+	case ecc.OK:
+	case ecc.CorrectedData, ecc.CorrectedCheck:
+		out.CorrectedMACBits = 1
+		*meta = (*meta).withTag(tag)
+	default:
+		out.Status = Uncorrectable
+		return out, nil
+	}
+
+	check := func() (bool, error) {
+		got, err := v.Inner.key.Tag(ciphertext, addr, counter)
+		if err != nil {
+			return false, err
+		}
+		return got == tag, nil
+	}
+
+	ok, err := check()
+	if err != nil {
+		return Outcome{}, err
+	}
+	out.HardwareChecks = 1
+	if ok {
+		out.Status = OK
+		return out, nil
+	}
+
+	flip := func(pos int) {
+		w, b := pos/64, pos%64
+		ciphertext[w*8+b/8] ^= 1 << uint(b%8)
+	}
+
+	if v.Inner.CorrectBits >= 1 {
+		for i := 0; i < blockBits; i++ {
+			flip(i)
+			ok, err := check()
+			if err != nil {
+				return Outcome{}, err
+			}
+			if ok {
+				*meta = PackMeta(tag, ciphertext)
+				out.CorrectedDataBits = 1
+				out.Status = OK
+				out.HardwareChecks = i + 1
+				return out, nil
+			}
+			flip(i)
+		}
+		out.HardwareChecks = MaxSingleChecks
+	}
+
+	if v.Inner.CorrectBits >= 2 {
+		rank := 0
+		for i := 0; i < blockBits; i++ {
+			flip(i)
+			for j := i + 1; j < blockBits; j++ {
+				rank++
+				flip(j)
+				ok, err := check()
+				if err != nil {
+					return Outcome{}, err
+				}
+				if ok {
+					*meta = PackMeta(tag, ciphertext)
+					out.CorrectedDataBits = 2
+					out.Status = OK
+					out.HardwareChecks = MaxSingleChecks + rank
+					return out, nil
+				}
+				flip(j)
+			}
+			flip(i)
+		}
+		out.HardwareChecks = MaxSingleChecks + MaxDoubleChecks
+	}
+
+	out.Status = Uncorrectable
+	return out, nil
+}
 
 // TestFastMatchesSequential cross-validates the algebraic flip-and-check
 // accelerator against the literal brute-force specification on random fault

@@ -4,19 +4,19 @@ import (
 	"crypto/sha256"
 	"testing"
 
-	"authmem/internal/mac"
+	"authmem/internal/crypto"
 )
 
-func forestKey(t *testing.T) *mac.Key {
+func forestKey(t *testing.T) *crypto.MAC {
 	t.Helper()
-	k, err := mac.NewKey([]byte("0123456789abcdefghijklmn"))
+	k, err := crypto.NewMAC([]byte("0123456789abcdefghijklmn"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return k
 }
 
-func buildForestTree(t *testing.T, key *mac.Key, leaves uint64) *Tree {
+func buildForestTree(t *testing.T, key *crypto.MAC, leaves uint64) *Tree {
 	t.Helper()
 	tr, err := New(key, leaves, 3<<10)
 	if err != nil {

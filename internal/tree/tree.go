@@ -3,7 +3,7 @@
 //
 // The tree's job is replay protection: the attacker controls off-chip DRAM,
 // so counters could be rolled back together with data and MACs. Because
-// each data MAC binds the block's counter (see internal/mac), protecting
+// each data MAC binds the block's counter (see crypto.MAC), protecting
 // counter *integrity* transitively protects data freshness — and counters
 // are tiny compared to data, hence a "bonsai" tree.
 //
@@ -45,8 +45,7 @@ func (e *ErrTampered) Error() string {
 }
 
 // Hasher is the slice of the MAC surface the tree needs: one keyed tag per
-// node image. *crypto.MAC satisfies it, as does the test-only reference
-// *mac.Key.
+// node image. *crypto.MAC satisfies it.
 type Hasher interface {
 	Tag(image []byte, addr, counter uint64) (uint64, error)
 }

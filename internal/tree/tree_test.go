@@ -6,16 +6,16 @@ import (
 	"slices"
 	"testing"
 
-	"authmem/internal/mac"
+	"authmem/internal/crypto"
 )
 
-func testKey(t testing.TB) *mac.Key {
+func testKey(t testing.TB) *crypto.MAC {
 	t.Helper()
 	material := make([]byte, 24)
 	for i := range material {
 		material[i] = byte(i*13 + 1)
 	}
-	k, err := mac.NewKey(material)
+	k, err := crypto.NewMAC(material)
 	if err != nil {
 		t.Fatal(err)
 	}

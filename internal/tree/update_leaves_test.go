@@ -5,16 +5,16 @@ import (
 	"math/rand"
 	"testing"
 
-	"authmem/internal/mac"
+	"authmem/internal/crypto"
 )
 
-func updateTestKey(t *testing.T) *mac.Key {
+func updateTestKey(t *testing.T) *crypto.MAC {
 	t.Helper()
 	material := make([]byte, 24)
 	for i := range material {
 		material[i] = byte(i*31 + 7)
 	}
-	k, err := mac.NewKey(material)
+	k, err := crypto.NewMAC(material)
 	if err != nil {
 		t.Fatal(err)
 	}
