@@ -317,6 +317,71 @@ func TestTagRejectsBadLength(t *testing.T) {
 	}
 }
 
+// TestTagMatchesHornerReference: 10 000 random (block, address, counter)
+// tags and the all-zero and all-ones blocks equal the Horner-form refTag.
+func TestTagMatchesHornerReference(t *testing.T) {
+	k := testMAC(t)
+	material := macMaterial()
+	rng := rand.New(rand.NewSource(8))
+	ct := make([]byte, blockSize)
+	check := func(addr, counter uint64, what string) {
+		t.Helper()
+		got, err := k.Tag(ct, addr, counter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refTag(t, material, ct, addr, counter); got != want {
+			t.Fatalf("Tag = %#x, reference = %#x (%s)", got, want, what)
+		}
+	}
+	for i := 0; i < 10_000; i++ {
+		rng.Read(ct)
+		check(rng.Uint64(), rng.Uint64(), "random block")
+	}
+	for _, fill := range []byte{0x00, 0xFF} {
+		for i := range ct {
+			ct[i] = fill
+		}
+		check(0x40, 1, "filled block")
+	}
+}
+
+func TestTagZeroAllocs(t *testing.T) {
+	k := testMAC(t)
+	ct := make([]byte, blockSize)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := k.Tag(ct, 0x1000, 7); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Tag performed %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestStreamXORRoundTrip: XORBlocks over one block is its own inverse at
+// arbitrary (address, counter) pairs.
+func TestStreamXORRoundTrip(t *testing.T) {
+	s := testStream(t)
+	f := func(seed int64, addr, ctr uint64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		pt := make([]byte, blockSize)
+		rng.Read(pt)
+		ct := make([]byte, blockSize)
+		if err := s.XORBlocks(ct, pt, addr, ctr); err != nil {
+			return false
+		}
+		back := make([]byte, blockSize)
+		if err := s.XORBlocks(back, ct, addr, ctr); err != nil {
+			return false
+		}
+		return bytes.Equal(back, pt)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestPadUniqueAcrossAddresses(t *testing.T) {
 	s := testStream(t)
 	a := make([]byte, blockSize)
