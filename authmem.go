@@ -128,8 +128,8 @@ type Config struct {
 	OnChipTreeBytes int
 	// CryptoBackend must be empty. It is kept for the frozen benchmark
 	// harness, which reads it; no second value exists (the cipher and MAC
-	// are internal/crypto's, chosen by the platform) and New rejects
-	// anything else.
+	// are internal/crypto's, chosen by the platform), the engine's
+	// configuration has no such field, and New rejects anything else.
 	CryptoBackend string
 }
 
@@ -150,6 +150,9 @@ func DefaultConfig(size uint64) Config {
 }
 
 func (c Config) internal() (core.Config, error) {
+	if c.CryptoBackend != "" {
+		return core.Config{}, fmt.Errorf("core: CryptoBackend %q: no selectable crypto backend exists (internal/crypto is the only cipher path); leave the field empty", c.CryptoBackend)
+	}
 	kind, err := c.Scheme.kind()
 	if err != nil {
 		return core.Config{}, err
@@ -165,7 +168,6 @@ func (c Config) internal() (core.Config, error) {
 		OnChipTreeBytes: c.OnChipTreeBytes,
 		CorrectBits:     c.CorrectBits,
 		KeyMaterial:     c.Key,
-		CryptoBackend:   c.CryptoBackend,
 	}
 	if cfg.OnChipTreeBytes == 0 {
 		cfg.OnChipTreeBytes = 3 << 10

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"authmem/internal/sim"
@@ -64,6 +65,20 @@ func TestNewValidation(t *testing.T) {
 	cfg = testConfig(CounterScheme(42), MACInECC)
 	if _, err := New(cfg); err == nil {
 		t.Fatal("unknown scheme should fail")
+	}
+}
+
+// TestNewRefusesCryptoBackend: the cipher and MAC have one path, so any
+// CryptoBackend value is refused, by both constructors and before a shard
+// is built.
+func TestNewRefusesCryptoBackend(t *testing.T) {
+	cfg := testConfig(DeltaEncoding, MACInECC)
+	cfg.CryptoBackend = "stdlib"
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "CryptoBackend") {
+		t.Fatalf("New with CryptoBackend %q: %v", cfg.CryptoBackend, err)
+	}
+	if _, err := NewSharded(cfg, 4); err == nil || !strings.Contains(err.Error(), "CryptoBackend") {
+		t.Fatalf("NewSharded with CryptoBackend %q: %v", cfg.CryptoBackend, err)
 	}
 }
 

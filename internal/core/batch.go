@@ -204,15 +204,10 @@ func (e *Engine) writeChunk(first, midx uint64, src []byte) error {
 	e.hasPendingWrite = false
 	if reenc {
 		// An overflow sweep re-based the group mid-chunk, so counters
-		// recorded before it are stale. Re-derive every counter from the
-		// trusted state machine's final image.
-		img := e.packer.PackMetadata(midx)
+		// recorded before it are stale. Re-read every counter from the
+		// trusted state machine.
 		for j := 0; j < n; j++ {
-			c, err := e.decodeCounter(img[:], first+uint64(j))
-			if err != nil {
-				return err
-			}
-			counters[j] = c
+			counters[j] = e.scheme.Counter(first + uint64(j))
 		}
 	}
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"authmem/internal/ctr"
-	"authmem/internal/ecc"
 )
 
 // codecConfigs returns one engine configuration per MAC placement, so one
@@ -31,6 +30,19 @@ func withImageCodec(t *testing.T, img []byte, from, to string) []byte {
 	return bytes.ReplaceAll(img, field(from), field(to))
 }
 
+// imageCodec returns the codec name e's persisted image records: the one
+// place an engine names its codec.
+func imageCodec(t *testing.T, e *Engine) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := e.persist(&buf); err != nil {
+		t.Fatal(err)
+	}
+	field := buf.Bytes()[len(persistMagic)+8*len(imageHeader(e.cfg)):]
+	n := binary.LittleEndian.Uint64(field)
+	return string(field[8 : 8+n])
+}
+
 // TestCodecConformanceCleanTrace runs the identical write/read trace under
 // every codec: plaintext in must be plaintext out, bit for bit, regardless
 // of which check code protects the stored blocks.
@@ -40,8 +52,8 @@ func TestCodecConformanceCleanTrace(t *testing.T) {
 
 	for _, cfg := range codecConfigs() {
 		e := newEngine(t, cfg)
-		if got := e.codec.Name(); got != cfg.CodecName() {
-			t.Fatalf("engine runs codec %q, config names %q", got, cfg.CodecName())
+		if got := imageCodec(t, e); got != cfg.CodecName() {
+			t.Fatalf("engine records codec %q, config names %q", got, cfg.CodecName())
 		}
 		rng := rand.New(rand.NewSource(77))
 		truth := make(map[uint64][]byte)
@@ -277,7 +289,7 @@ func TestResumeCodecMismatchSharded(t *testing.T) {
 // placement's codec.
 func TestEnvironmentDoesNotSelectCodec(t *testing.T) {
 	for _, cfg := range codecConfigs() {
-		want := ecc.DefaultFor(cfg.Placement == MACInECC)
+		want := map[MACPlacement]string{MACInline: "secded", MACInECC: "macsecded"}[cfg.Placement]
 		for _, v := range []string{"residue", "no-such-codec", "secded", "macsecded"} {
 			t.Setenv("AUTHMEM_ECC_CODEC", v)
 			if err := cfg.Validate(); err != nil {
@@ -286,8 +298,8 @@ func TestEnvironmentDoesNotSelectCodec(t *testing.T) {
 			if got := cfg.CodecName(); got != want {
 				t.Fatalf("%s, AUTHMEM_ECC_CODEC=%s: config names %q, want %q", cfg.Placement, v, got, want)
 			}
-			if got := newEngine(t, cfg).codec.Name(); got != want {
-				t.Fatalf("%s, AUTHMEM_ECC_CODEC=%s: engine runs %q, want %q", cfg.Placement, v, got, want)
+			if got := imageCodec(t, newEngine(t, cfg)); got != want {
+				t.Fatalf("%s, AUTHMEM_ECC_CODEC=%s: engine records %q, want %q", cfg.Placement, v, got, want)
 			}
 		}
 	}

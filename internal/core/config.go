@@ -22,12 +22,8 @@ import (
 
 	"authmem/internal/ctr"
 	"authmem/internal/ecc"
+	"authmem/internal/macecc"
 	"authmem/internal/tree"
-
-	// The MAC-carrying "macsecded" codec registers itself with the ecc
-	// registry from init; the engine only ever speaks to the interface, so
-	// this blank import is what keeps the codec linked in.
-	_ "authmem/internal/macecc"
 )
 
 // BlockBytes is the protection granularity (one cache line).
@@ -77,11 +73,6 @@ type Config struct {
 	// KeyMaterial seeds the MAC key (24 bytes) and the encryption key
 	// (16 bytes): 40 bytes total.
 	KeyMaterial []byte
-	// CryptoBackend must be empty. It is kept for the frozen benchmark
-	// harness (bench/kernels.go reads it); no second value exists — the
-	// engine's only cipher and MAC are internal/crypto's, chosen by the
-	// platform — and Validate rejects anything else.
-	CryptoBackend string
 }
 
 // KeyMaterialLen is the required KeyMaterial length.
@@ -123,27 +114,20 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: on-chip tree budget below one node")
 	case c.CorrectBits < 0 || c.CorrectBits > 2:
 		return fmt.Errorf("core: correction budget %d out of range", c.CorrectBits)
-	case c.CryptoBackend != "":
-		return fmt.Errorf("core: CryptoBackend %q: no selectable crypto backend exists (internal/crypto is the only cipher path); leave the field empty", c.CryptoBackend)
 	}
 	return nil
 }
 
-// resolveCodec returns the ECC codec the MAC placement fixes: SEC-DED check
-// bytes beside an inline MAC, or the MAC-carrying lane under MACInECC. Both
-// register from init (this package links internal/macecc), so the lookup
-// cannot fail.
-func (c Config) resolveCodec() ecc.Codec {
-	cod, err := ecc.Lookup(ecc.DefaultFor(c.Placement == MACInECC))
-	if err != nil {
-		panic(err)
+// CodecName returns the name of the ECC codec the MAC placement fixes:
+// the MAC-carrying lane under MACInECC, SEC-DED(72,64) check bytes beside
+// an inline tag otherwise. It is what persisted image headers record and
+// campaign reports print.
+func (c Config) CodecName() string {
+	if c.Placement == MACInECC {
+		return macecc.CodecName
 	}
-	return cod
+	return ecc.CodecName
 }
-
-// CodecName returns the configuration's ECC codec name. It is what
-// persisted image headers record and campaign reports print.
-func (c Config) CodecName() string { return c.resolveCodec().Name() }
 
 // DataBlocks returns the number of protected 64-byte blocks.
 func (c Config) DataBlocks() uint64 { return c.RegionBytes / BlockBytes }

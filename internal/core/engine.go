@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 
@@ -9,6 +8,7 @@ import (
 	"authmem/internal/crypto"
 	"authmem/internal/ctr"
 	"authmem/internal/ecc"
+	"authmem/internal/macecc"
 	"authmem/internal/tree"
 )
 
@@ -56,7 +56,6 @@ type Engine struct {
 
 	cfg    Config
 	scheme ctr.Scheme
-	packer ctr.MetadataPacker
 	tr     *tree.Tree
 
 	// ks and key are the engine's cipher and MAC. Both are single-owner:
@@ -64,15 +63,12 @@ type Engine struct {
 	ks  *crypto.Stream
 	key *crypto.MAC
 
-	// codec is the placement's check-lane codec. Exactly one
-	// of mcod/bcod is non-nil: mcod when the codec carries the MAC in the
-	// 8-byte lane (MACInECC), bcod when the lane holds an inline tag and
-	// the codec protects ciphertext only (MACInline). ver is mcod's
-	// engine-owned verifier.
-	codec ecc.Codec
-	mcod  ecc.MACCodec
-	bcod  ecc.BlockCodec
-	ver   ecc.LaneVerifier
+	// ver is the placement's codec. Under MACInECC it is the engine-owned
+	// MAC-in-ECC verifier (the lane packs MAC, Hamming bits and scrub
+	// parity); under MACInline it is nil, the lane holds the bare tag and
+	// the store keeps ecc.WordsPerBlock SEC-DED(72,64) check bytes beside
+	// it (ecc.EncodeBlock / ecc.DecodeBlock).
+	ver *macecc.Verifier
 
 	// store holds ciphertext plus the per-block metadata lane (ECC-lane
 	// image under MACInECC, MAC tag under MACInline) and SEC-DED bytes;
@@ -188,14 +184,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg}
-	e.codec = cfg.resolveCodec()
-	checkBytes := 0
-	switch c := e.codec.(type) {
-	case ecc.MACCodec:
-		e.mcod = c
-	case ecc.BlockCodec:
-		e.bcod = c
-		checkBytes = c.CheckBytes()
+	checkBytes := 0 // MAC-in-ECC: the lane is the check code
+	if cfg.Placement == MACInline {
+		checkBytes = ecc.WordsPerBlock
 	}
 	e.store = newBlockStore(cfg.DataBlocks(), checkBytes)
 
@@ -204,11 +195,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.scheme = scheme
-	packer, ok := scheme.(ctr.MetadataPacker)
-	if !ok {
-		return nil, fmt.Errorf("core: scheme %s cannot pack metadata", scheme.Name())
-	}
-	e.packer = packer
 
 	e.key, err = crypto.NewMAC(cfg.KeyMaterial[:24])
 	if err != nil {
@@ -218,8 +204,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.mcod != nil {
-		e.ver, err = e.mcod.NewVerifier(e.key, cfg.CorrectBits)
+	if cfg.Placement == MACInECC {
+		e.ver, err = macecc.NewVerifier(e.key, cfg.CorrectBits)
 		if err != nil {
 			return nil, err
 		}
@@ -298,12 +284,17 @@ func (e *Engine) pending(blk uint64) bool {
 // seal: the tags come from one TagBatch call over a run of blocks, on the
 // write path (writeChunk) and in the re-encryption sweep alike.
 func (e *Engine) sealBlockTagged(blk uint64, ct []byte, tag uint64) error {
-	if e.mcod != nil {
-		e.store.SetMeta(blk, e.mcod.PackLane(tag, ct))
+	if e.ver != nil {
+		e.store.SetMeta(blk, uint64(macecc.PackMeta(tag, ct)))
 		return nil
 	}
 	e.store.SetMeta(blk, tag)
-	return e.bcod.EncodeInto(e.store.Check(blk), ct)
+	check, err := ecc.EncodeBlock(ct)
+	if err != nil {
+		return err
+	}
+	copy(e.store.Check(blk), check[:])
+	return nil
 }
 
 // reencryptGroup is the scheme's re-encryption hook: decrypt every block of
@@ -398,29 +389,30 @@ func (e *Engine) reencryptGroup(groupStart uint64, oldCounters []uint64, newCoun
 // sweep.
 func (e *Engine) verifyStored(blk uint64, ct []byte, counter uint64) (info ReadInfo, fail string, err error) {
 	addr := blk * BlockBytes
-	if e.mcod != nil {
-		lane, out, err := e.ver.VerifyAndCorrect(ct, e.store.Meta(blk), addr, counter)
+	if e.ver != nil {
+		lane := macecc.Meta(e.store.Meta(blk))
+		out, err := e.ver.VerifyAndCorrect(ct, &lane, addr, counter)
 		if err != nil {
 			return info, "", err
 		}
 		info.HardwareChecks = out.HardwareChecks
-		if !out.OK {
+		if out.Status != macecc.OK {
 			return info, "MAC verification failed (tamper or uncorrectable fault)", nil
 		}
 		info.CorrectedDataBits = out.CorrectedDataBits
 		info.CorrectedMACBits = out.CorrectedMACBits
 		atomic.AddUint64(&e.stats.CorrectedDataBits, uint64(out.CorrectedDataBits))
 		atomic.AddUint64(&e.stats.CorrectedMACBits, uint64(out.CorrectedMACBits))
-		e.store.SetMeta(blk, lane) // corrected bits written back
+		e.store.SetMeta(blk, uint64(lane)) // corrected bits written back
 		return info, "", nil
 	}
-	// MACInline baseline: the block codec first, then the MAC.
-	outcome, err := e.bcod.DecodeAndCorrect(ct, e.store.Check(blk))
+	// MACInline baseline: SEC-DED first, then the MAC.
+	outcome, err := ecc.DecodeBlock(ct, (*[ecc.WordsPerBlock]uint8)(e.store.Check(blk)))
 	if err != nil {
 		return info, "", err
 	}
 	if !outcome.Clean() {
-		return info, "uncorrectable " + e.bcod.Name() + " memory error", nil
+		return info, "uncorrectable " + ecc.CodecName + " memory error", nil
 	}
 	info.CorrectedDataBits = outcome.CorrectedBits
 	atomic.AddUint64(&e.stats.SECDEDCorrected, uint64(outcome.CorrectedBits))
@@ -505,17 +497,5 @@ func (e *Engine) readVerified(blk, counter uint64, dst []byte) (ReadInfo, error)
 // reachable) metadata image, in place, using the scheme's hardware decode
 // path.
 func (e *Engine) decodeCounter(img []byte, blk uint64) (uint64, error) {
-	image := (*[BlockBytes]byte)(img)
-	switch e.cfg.Scheme {
-	case ctr.Monolithic:
-		return ctr.DecodeMonolithicCounter(image, int(blk%ctr.CountersPerMetadataBlock))
-	case ctr.Split:
-		return ctr.DecodeSplitCounter(image, int(blk%ctr.GroupBlocks))
-	case ctr.Delta:
-		return ctr.DecodeCounter(image, int(blk%ctr.GroupBlocks))
-	case ctr.DualLength:
-		return ctr.DecodeDualCounter(image, int(blk%ctr.GroupBlocks))
-	default:
-		return 0, fmt.Errorf("core: unknown scheme kind")
-	}
+	return e.scheme.StoredCounter((*[ctr.MetadataBlockBytes]byte)(img), blk)
 }

@@ -64,7 +64,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.KeyMaterial = nil },
 		func(c *Config) { c.OnChipTreeBytes = 32 },
 		func(c *Config) { c.CorrectBits = 3 },
-		func(c *Config) { c.CryptoBackend = "stdlib" }, // nothing to select: must stay empty
 	}
 	for i, mut := range bad {
 		c := good

@@ -220,9 +220,9 @@ func TestFigure1FromLiveMap(t *testing.T) {
 		if o.MACBytes != macs {
 			t.Errorf("%s: MACs %d, lane plane %d", name, o.MACBytes, m.PlaneSize(PlaneLane))
 		}
-		// Not sizes: the read depth and the codec name.
-		if o.TreeLevels != e.Tree().OffChipLevels()+1 || o.Codec != e.codec.Name() {
-			t.Errorf("%s: levels %d codec %s, engine %d %s", name, o.TreeLevels, o.Codec, e.Tree().OffChipLevels()+1, e.codec.Name())
+		// Not sizes: the read depth and the codec name the engine records.
+		if codec := imageCodec(t, e); o.TreeLevels != e.Tree().OffChipLevels()+1 || o.Codec != codec {
+			t.Errorf("%s: levels %d codec %s, engine %d %s", name, o.TreeLevels, o.Codec, e.Tree().OffChipLevels()+1, codec)
 		}
 	}
 }

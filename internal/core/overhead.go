@@ -3,6 +3,7 @@ package core
 import (
 	"authmem/internal/ctr"
 	"authmem/internal/ecc"
+	"authmem/internal/macecc"
 )
 
 // Overhead breaks down the DRAM storage cost of a design point, in bytes,
@@ -18,8 +19,8 @@ type Overhead struct {
 	TreeBytes uint64
 	// MACBytes is dedicated MAC storage (zero under MAC-in-ECC).
 	MACBytes uint64
-	// ECCBytes is the codec's check-bit provisioning: CheckBytes per
-	// 64-byte block (12.5% for the 8-byte SEC-DED and MAC-in-ECC lanes).
+	// ECCBytes is the codec's check-bit provisioning per 64-byte block:
+	// the 8-byte MAC-in-ECC lane or SEC-DED's 8 check bytes (12.5%).
 	// It is reported for context but not charged to the encryption
 	// scheme: a standard ECC DIMM provisions it whether or not encryption
 	// is on.
@@ -48,11 +49,14 @@ func ComputeOverhead(cfg Config) (Overhead, error) {
 	if err := cfg.Validate(); err != nil {
 		return Overhead{}, err
 	}
-	cod := cfg.resolveCodec()
+	laneBytes := uint64(ecc.WordsPerBlock)
+	if cfg.Placement == MACInECC {
+		laneBytes = macecc.LaneBytes
+	}
 	o := Overhead{
 		RegionBytes: cfg.RegionBytes,
-		Codec:       cod.Name(),
-		ECCBytes:    cfg.DataBlocks() * uint64(cod.CheckBytes()),
+		Codec:       cfg.CodecName(),
+		ECCBytes:    cfg.DataBlocks() * laneBytes,
 	}
 	scheme, err := ctr.NewScheme(cfg.Scheme)
 	if err != nil {

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-
-	"authmem/internal/ctr"
 )
 
 // Persistence for non-volatile main memory (§2.2): the encrypted region,
@@ -80,7 +78,7 @@ func (e *Engine) persist(w io.Writer) (RootDigest, error) {
 	// Codec ID (length-prefixed name): the codec defines the stored check
 	// format, so resuming under a different codec must fail closed, not
 	// misdecode — see resumeSection.
-	codecName := e.codec.Name()
+	codecName := e.cfg.CodecName()
 	if err := writeU64(bw, uint64(len(codecName))); err != nil {
 		return digest, err
 	}
@@ -198,7 +196,7 @@ func resumeSection(cfg Config, r io.Reader) (*Engine, error) {
 	if _, err := io.ReadFull(br, nameBuf); err != nil {
 		return nil, fmt.Errorf("core: truncated image: %w", err)
 	}
-	if got, want := string(nameBuf), e.codec.Name(); got != want {
+	if got, want := string(nameBuf), cfg.CodecName(); got != want {
 		return nil, &CodecMismatchError{ImageCodec: got, ConfigCodec: want}
 	}
 
@@ -236,10 +234,6 @@ func resumeSection(cfg Config, r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	loader, ok := e.scheme.(ctr.MetadataLoader)
-	if !ok {
-		return nil, fmt.Errorf("core: scheme %s cannot restore metadata", e.scheme.Name())
-	}
 	if nMeta > e.tr.Leaves() {
 		return nil, fmt.Errorf("core: image claims %d metadata blocks, tree has %d leaves", nMeta, e.tr.Leaves())
 	}
@@ -275,7 +269,7 @@ func resumeSection(cfg Config, r io.Reader) (*Engine, error) {
 				Stage:  StageResume,
 			}
 		}
-		if err := loader.LoadMetadata(m, *(*[BlockBytes]byte)(img)); err != nil {
+		if err := e.scheme.LoadMetadata(m, *(*[BlockBytes]byte)(img)); err != nil {
 			return nil, &IntegrityError{
 				Addr:   m * BlockBytes,
 				Reason: "persistent counter block undecodable: " + err.Error(),

@@ -267,7 +267,7 @@ func (e *Engine) encodeGroupRecord(midx uint64) []byte {
 // record's seal has already verified; errors here mean the sealed content
 // does not fit this engine's geometry — corruption of the pairing, never
 // something to paper over.
-func (e *Engine) applyGroupRecord(payload []byte, loader ctr.MetadataLoader) error {
+func (e *Engine) applyGroupRecord(payload []byte) error {
 	if len(payload) < 1+8+BlockBytes+8 {
 		return fmt.Errorf("group record too short (%d bytes)", len(payload))
 	}
@@ -304,7 +304,7 @@ func (e *Engine) applyGroupRecord(payload []byte, loader ctr.MetadataLoader) err
 	}
 
 	copy(e.images.Store(midx), img)
-	if err := loader.LoadMetadata(midx, [BlockBytes]byte(img)); err != nil {
+	if err := e.scheme.LoadMetadata(midx, [BlockBytes]byte(img)); err != nil {
 		return fmt.Errorf("group record %d counter image undecodable: %w", midx, err)
 	}
 	return e.tr.UpdateLeafFast(midx, img)
@@ -391,10 +391,6 @@ func (e *RecoveryError) Error() string {
 // root — so a crash mid-epoch rolls back to the previous commit, and a log
 // whose sealed claims disagree with its own records is refused.
 func (e *Engine) replayDelta(r io.Reader, rep *RecoveryReport) error {
-	loader, ok := e.scheme.(ctr.MetadataLoader)
-	if !ok {
-		return fmt.Errorf("core: scheme %s cannot restore metadata", e.scheme.Name())
-	}
 	// The open epoch's group payloads back to back; ends[i] ends record i.
 	var pending []byte
 	var ends []int
@@ -414,7 +410,7 @@ func (e *Engine) replayDelta(r io.Reader, rep *RecoveryReport) error {
 			}
 			start := 0
 			for _, end := range ends {
-				if err := e.applyGroupRecord(pending[start:end], loader); err != nil {
+				if err := e.applyGroupRecord(pending[start:end]); err != nil {
 					return err
 				}
 				start = end

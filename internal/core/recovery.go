@@ -212,7 +212,7 @@ func (e *Engine) repairMetadata() error {
 	// leaves the rebuild is about to recompute anyway.
 	e.wp.reset()
 	e.images.forEach(func(midx uint64, img []byte) {
-		packed := e.packer.PackMetadata(midx)
+		packed := e.scheme.PackMetadata(midx)
 		copy(img, packed[:])
 	})
 	return e.tr.Rebuild(e.images.Load)

@@ -53,14 +53,22 @@ func TestRecoverMetadataRepair(t *testing.T) {
 
 // TestRecoverTreeNodeRepair: an off-chip tree node fault is likewise
 // repairable by rebuilding the tree from the (re-derived) counter images.
+// A one-node on-chip budget keeps every level below the root off chip.
 func TestRecoverTreeNodeRepair(t *testing.T) {
-	e := newEngine(t, smallCfg(ctr.Delta, MACInECC))
+	cfg := smallCfg(ctr.Delta, MACInECC)
+	cfg.OnChipTreeBytes = 64
+	e := newEngine(t, cfg)
 	pt := block(7)
 	if err := e.Write(0, pt); err != nil {
 		t.Fatal(err)
 	}
 	if e.tr.OffChipLevels() == 0 {
-		t.Skip("tree fits on chip")
+		t.Fatal("a one-node on-chip budget left no tree level off chip")
+	}
+	// Land the write's deferred tree update first; a still-dirty leaf's
+	// path would be recomputed from trusted state, overwriting the flip.
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	leaf := e.MetadataIndex(0)
 	id := tree.NodeID{Level: 0, Index: leaf / 8}

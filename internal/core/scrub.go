@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
+
+	"authmem/internal/macecc"
 )
 
 // ScrubReport summarizes one patrol-scrub pass (§3.3).
@@ -37,7 +39,7 @@ func (e *Engine) Scrub() (ScrubReport, error) {
 	var flagged []uint64
 	e.store.forEach(func(blk uint64, ct []byte, meta *uint64, _ []byte) {
 		r.BlocksScanned++
-		if e.ver.ScrubData(ct, *meta) && e.ver.ScrubLane(*meta) {
+		if lane := macecc.Meta(*meta); macecc.Scrub(ct, lane) && macecc.ScrubMeta(lane) {
 			return
 		}
 		flagged = append(flagged, blk)
@@ -59,12 +61,13 @@ func (e *Engine) correctFlagged(flagged []uint64, r *ScrubReport) error {
 			continue
 		}
 		ct := e.store.Ciphertext(blk)
-		lane, out, err := e.ver.VerifyAndCorrect(ct, e.store.Meta(blk), blk*BlockBytes, counter)
+		lane := macecc.Meta(e.store.Meta(blk))
+		out, err := e.ver.VerifyAndCorrect(ct, &lane, blk*BlockBytes, counter)
 		if err != nil {
 			return err
 		}
-		if out.OK {
-			e.store.SetMeta(blk, lane)
+		if out.Status == macecc.OK {
+			e.store.SetMeta(blk, uint64(lane))
 			if out.CorrectedDataBits > 0 || out.CorrectedMACBits > 0 {
 				r.Corrected++
 			}

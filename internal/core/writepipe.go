@@ -138,7 +138,7 @@ func (e *Engine) flushPending() bool {
 // the caller just sealed under midx — and defers the tree path recompute.
 // Reaching the epoch bound flushes inline.
 func (e *Engine) deferCommit(midx, first uint64, n int) error {
-	img := e.packer.PackMetadata(midx)
+	img := e.scheme.PackMetadata(midx)
 	copy(e.images.Store(midx), img[:])
 	e.cc.update(midx, img[:])
 	if e.delta != nil {
@@ -168,7 +168,7 @@ func (e *Engine) Flush() error {
 	wp := e.wp
 	wp.leafBuf = wp.leafBuf[:0]
 	for _, midx := range wp.dirty {
-		img := e.packer.PackMetadata(midx)
+		img := e.scheme.PackMetadata(midx)
 		copy(e.images.Store(midx), img[:])
 		e.cc.update(midx, img[:])
 		wp.leafBuf = append(wp.leafBuf, midx)
@@ -187,7 +187,7 @@ func (e *Engine) Flush() error {
 // tree path is recomputed and the leaf leaves the dirty set; a tampered node
 // on that path is repaired from trusted state, which re-packs the image.
 func (e *Engine) flushDirtyLeaf(midx uint64) ([]byte, bool) {
-	img := e.packer.PackMetadata(midx)
+	img := e.scheme.PackMetadata(midx)
 	stored := e.images.Store(midx)
 	if *(*[BlockBytes]byte)(stored) != img {
 		return nil, false

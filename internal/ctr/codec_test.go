@@ -87,14 +87,15 @@ func checkImage(t *testing.T, img [MetadataBlockBytes]byte) {
 }
 
 // checkLoadedCounters restores a canonical image into a fresh scheme and
-// holds every slot's single-counter decode to Scheme.Counter.
+// holds every slot's single-counter decode, and the scheme's StoredCounter,
+// to Scheme.Counter.
 func checkLoadedCounters(t *testing.T, k Kind, img [MetadataBlockBytes]byte) {
 	t.Helper()
 	s, _ := NewScheme(k)
-	if err := s.(MetadataLoader).LoadMetadata(0, img); err != nil {
+	if err := s.LoadMetadata(0, img); err != nil {
 		t.Fatalf("%s: canonical image %x rejected: %v", k, img, err)
 	}
-	if back := s.(MetadataPacker).PackMetadata(0); back != img {
+	if back := s.PackMetadata(0); back != img {
 		t.Fatalf("%s: LoadMetadata/PackMetadata changed the image:\n got %x\nwant %x", k, back, img)
 	}
 	slots := GroupBlocks
@@ -108,6 +109,9 @@ func checkLoadedCounters(t *testing.T, k Kind, img [MetadataBlockBytes]byte) {
 		}
 		if want := s.Counter(uint64(i)); got != want {
 			t.Fatalf("%s slot %d: decode %#x, Scheme.Counter %#x", k, i, got, want)
+		}
+		if stored, err := s.StoredCounter(&img, uint64(i)); err != nil || stored != got {
+			t.Fatalf("%s slot %d: StoredCounter %#x (%v), decode %#x", k, i, stored, err, got)
 		}
 	}
 }
@@ -321,8 +325,7 @@ func TestCodecAllocatesNothing(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			s.Touch(uint64(i % 7))
 		}
-		p := s.(MetadataPacker)
-		cases["PackMetadata/"+k.String()] = func() { sinkImage = p.PackMetadata(0) }
+		cases["PackMetadata/"+k.String()] = func() { sinkImage = s.PackMetadata(0) }
 	}
 	for name, fn := range cases {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {

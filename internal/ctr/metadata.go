@@ -75,26 +75,27 @@ func (s *DeltaScheme) LoadMetadata(m uint64, img [MetadataBlockBytes]byte) error
 	return nil
 }
 
-// MetadataPacker is implemented by all schemes in this package; the engine
-// asserts to it when it needs storage images for tree hashing.
-type MetadataPacker interface {
-	PackMetadata(m uint64) [MetadataBlockBytes]byte
+// StoredCounter implements the stored-image decode for MonolithicScheme:
+// block's slot among the image's CountersPerMetadataBlock counters.
+func (s *MonolithicScheme) StoredCounter(img *[MetadataBlockBytes]byte, block uint64) (uint64, error) {
+	return DecodeMonolithicCounter(img, int(block%CountersPerMetadataBlock))
 }
 
-// MetadataLoader is the restore-side counterpart of MetadataPacker.
-type MetadataLoader interface {
-	LoadMetadata(m uint64, img [MetadataBlockBytes]byte) error
+// StoredCounter implements the stored-image decode for SplitScheme.
+func (s *SplitScheme) StoredCounter(img *[MetadataBlockBytes]byte, block uint64) (uint64, error) {
+	return DecodeSplitCounter(img, int(block%GroupBlocks))
+}
+
+// StoredCounter implements the stored-image decode for DeltaScheme, in its
+// delta-7 or dual-length layout.
+func (s *DeltaScheme) StoredCounter(img *[MetadataBlockBytes]byte, block uint64) (uint64, error) {
+	if s.dual {
+		return DecodeDualCounter(img, int(block%GroupBlocks))
+	}
+	return DecodeCounter(img, int(block%GroupBlocks))
 }
 
 var (
-	_ MetadataPacker = (*MonolithicScheme)(nil)
-	_ MetadataPacker = (*SplitScheme)(nil)
-	_ MetadataPacker = (*DeltaScheme)(nil)
-
-	_ MetadataLoader = (*MonolithicScheme)(nil)
-	_ MetadataLoader = (*SplitScheme)(nil)
-	_ MetadataLoader = (*DeltaScheme)(nil)
-
 	_ Scheme = (*MonolithicScheme)(nil)
 	_ Scheme = (*SplitScheme)(nil)
 	_ Scheme = (*DeltaScheme)(nil)

@@ -206,7 +206,7 @@ func TestPackMetadataFreshBlocks(t *testing.T) {
 	// Metadata images of never-written groups must be all-zero except for
 	// structural bits (which are zero for all four layouts).
 	var zero [MetadataBlockBytes]byte
-	for _, s := range []MetadataPacker{NewMonolithic(), NewSplit(), NewDelta(), NewDualLength()} {
+	for _, s := range []Scheme{NewMonolithic(), NewSplit(), NewDelta(), NewDualLength()} {
 		if s.PackMetadata(12345) != zero {
 			t.Errorf("%T: fresh metadata block not zero", s)
 		}
@@ -216,10 +216,9 @@ func TestPackMetadataFreshBlocks(t *testing.T) {
 func TestPackMetadataChangesOnWrite(t *testing.T) {
 	for _, k := range []Kind{Monolithic, Split, Delta, DualLength} {
 		s, _ := NewScheme(k)
-		p := s.(MetadataPacker)
-		before := p.PackMetadata(0)
+		before := s.PackMetadata(0)
 		s.Touch(0)
-		if p.PackMetadata(0) == before {
+		if s.PackMetadata(0) == before {
 			t.Errorf("%s: metadata image unchanged by a write", s.Name())
 		}
 	}
@@ -247,10 +246,9 @@ func BenchmarkPackMetadata(b *testing.B) {
 		for i := 0; i < 5000; i++ {
 			s.Touch(uint64(i % 61 % GroupBlocks))
 		}
-		p := s.(MetadataPacker)
 		b.Run(k.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sinkImage = p.PackMetadata(0)
+				sinkImage = s.PackMetadata(0)
 			}
 		})
 	}

@@ -103,6 +103,15 @@ type Scheme interface {
 	Stats() Stats
 	// OnReencrypt registers a hook called for every group re-encryption.
 	OnReencrypt(ReencryptFunc)
+	// PackMetadata returns metadata block m's canonical 64-byte storage
+	// image (metadata.go).
+	PackMetadata(m uint64) [MetadataBlockBytes]byte
+	// LoadMetadata restores metadata block m's state from a stored image,
+	// rejecting a non-canonical one.
+	LoadMetadata(m uint64, img [MetadataBlockBytes]byte) error
+	// StoredCounter decodes block's counter from its metadata block's
+	// stored (untrusted) image in place, without touching scheme state.
+	StoredCounter(img *[MetadataBlockBytes]byte, block uint64) (uint64, error)
 }
 
 // grow returns a copy of s long enough to index i: the length doubles, or

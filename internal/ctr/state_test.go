@@ -62,7 +62,6 @@ func initialImage(t *testing.T, s Scheme) [MetadataBlockBytes]byte {
 // any write, and after one.
 func TestReadPastEndNeitherGrowsNorAllocates(t *testing.T) {
 	for _, s := range allSchemes() {
-		p := s.(MetadataPacker)
 		want := initialImage(t, s)
 		for _, written := range []bool{false, true} {
 			if written {
@@ -73,13 +72,13 @@ func TestReadPastEndNeitherGrowsNorAllocates(t *testing.T) {
 				if got := s.Counter(blk); got != 0 {
 					t.Errorf("%s: Counter(%d) past the end = %d, want 0", s.Name(), blk, got)
 				}
-				if got := p.PackMetadata(s.MetadataBlock(blk)); got != want {
+				if got := s.PackMetadata(s.MetadataBlock(blk)); got != want {
 					t.Errorf("%s: PackMetadata(%d) past the end = %x, want the initial image %x",
 						s.Name(), s.MetadataBlock(blk), got, want)
 				}
 				allocs := testing.AllocsPerRun(10, func() {
 					s.Counter(blk)
-					p.PackMetadata(s.MetadataBlock(blk))
+					s.PackMetadata(s.MetadataBlock(blk))
 				})
 				if allocs != 0 {
 					t.Errorf("%s: %v allocations per past-the-end read, want 0", s.Name(), allocs)
@@ -100,13 +99,12 @@ func TestReadPastEndNeitherGrowsNorAllocates(t *testing.T) {
 func TestHookReadsFarGroupMidSweep(t *testing.T) {
 	// The monolithic scheme never re-encrypts, so it never calls a hook.
 	for _, s := range []Scheme{NewSplit(), NewDelta(), NewDualLength()} {
-		p := s.(MetadataPacker)
 		const far = 1 << 20
 		var newCounter uint64
 		s.OnReencrypt(func(_ uint64, _ []uint64, c uint64) {
 			newCounter = c
 			s.Counter(far*GroupBlocks + 7)
-			p.PackMetadata(far)
+			s.PackMetadata(far)
 		})
 		s.Touch(9) // the group exists before the sweep
 		n := stateLen(t, s)
@@ -140,11 +138,10 @@ func TestHookReadsFarGroupMidSweep(t *testing.T) {
 // by far more than doubling), then group 0 again keeps group 0's history.
 func TestFarTouchKeepsHistory(t *testing.T) {
 	for _, s := range allSchemes() {
-		p := s.(MetadataPacker)
 		for i := 0; i < 40; i++ {
 			s.Touch(uint64(i % 3))
 		}
-		before := p.PackMetadata(0)
+		before := s.PackMetadata(0)
 		c0 := s.Counter(0)
 		far := uint64(1<<20) * uint64(s.GroupSize())
 		if got := s.Touch(far).Counter; got != 1 {
@@ -153,7 +150,7 @@ func TestFarTouchKeepsHistory(t *testing.T) {
 		if got := stateLen(t, s); uint64(got) <= s.MetadataBlock(far) {
 			t.Fatalf("%s: state length %d does not cover block %d", s.Name(), got, far)
 		}
-		if got := p.PackMetadata(0); got != before {
+		if got := s.PackMetadata(0); got != before {
 			t.Fatalf("%s: group 0's image changed across a far write:\n%x\nwant\n%x", s.Name(), got, before)
 		}
 		if got := s.Touch(0).Counter; got <= c0 {
@@ -193,7 +190,6 @@ func runStateMachine(t *testing.T, kind Kind, data []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, l := s.(MetadataPacker), s.(MetadataLoader)
 	shadow := newShadow(t)
 	s.OnReencrypt(shadow.hook)
 	touch := s.Touch
@@ -227,11 +223,11 @@ func runStateMachine(t *testing.T, kind Kind, data []byte) {
 				}
 			}
 		case 3:
-			img := p.PackMetadata(m)
-			if err := l.LoadMetadata(m, img); err != nil {
+			img := s.PackMetadata(m)
+			if err := s.LoadMetadata(m, img); err != nil {
 				t.Fatalf("%s: LoadMetadata of its own image: %v", s.Name(), err)
 			}
-			if got := p.PackMetadata(m); got != img {
+			if got := s.PackMetadata(m); got != img {
 				t.Fatalf("%s: reloading metadata block %d changed its image", s.Name(), m)
 			}
 		}
@@ -242,13 +238,12 @@ func runStateMachine(t *testing.T, kind Kind, data []byte) {
 		}
 	}
 	fresh, _ := NewScheme(kind)
-	fp, fl := fresh.(MetadataPacker), fresh.(MetadataLoader)
 	for m := range touched {
-		img := p.PackMetadata(m)
-		if err := fl.LoadMetadata(m, img); err != nil {
+		img := s.PackMetadata(m)
+		if err := fresh.LoadMetadata(m, img); err != nil {
 			t.Fatalf("%s: LoadMetadata(%d) rejected a packed image: %v", s.Name(), m, err)
 		}
-		if got := fp.PackMetadata(m); got != img {
+		if got := fresh.PackMetadata(m); got != img {
 			t.Fatalf("%s: metadata block %d does not round-trip through LoadMetadata", s.Name(), m)
 		}
 	}

@@ -12,8 +12,13 @@ const BlockSize = 64
 // 8 check bits.
 const WordSize = 8
 
-// WordsPerBlock is the number of ECC words in a 64-byte block.
+// WordsPerBlock is the number of ECC words in a 64-byte block, and so the
+// number of check bytes EncodeBlock stores per block.
 const WordsPerBlock = BlockSize / WordSize
+
+// CodecName names the EncodeBlock/DecodeBlock check-byte format in persisted
+// images and error messages: the inline-MAC placement's codec.
+const CodecName = "secded"
 
 // EncodeWord computes the 8 SEC-DED(72,64) check bits for one 8-byte word.
 func EncodeWord(w uint64) uint8 {

@@ -10,24 +10,19 @@ import (
 
 func lookupMACCodec(t testing.TB) ecc.MACCodec {
 	t.Helper()
-	cod, err := ecc.Lookup("macsecded")
+	cod, err := ecc.Lookup(ecc.DefaultFor(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcod, ok := cod.(ecc.MACCodec)
-	if !ok {
-		t.Fatalf("macsecded is not a MACCodec")
-	}
-	return mcod
+	return cod
 }
 
+// TestCodecIdentity: the shim's slot holds this package's lane under
+// CodecName, and its verifier validates like NewVerifier.
 func TestCodecIdentity(t *testing.T) {
 	mcod := lookupMACCodec(t)
-	if !mcod.CarriesMAC() {
-		t.Fatal("macsecded must carry the MAC")
-	}
-	if mcod.CheckBytes() != 8 {
-		t.Fatalf("CheckBytes() = %d, want 8", mcod.CheckBytes())
+	if mcod.Name() != CodecName {
+		t.Fatalf("Name() = %q, want %q", mcod.Name(), CodecName)
 	}
 	if _, err := mcod.NewVerifier(nil, 2); err == nil {
 		t.Fatal("nil key should fail")
@@ -39,8 +34,7 @@ func TestCodecIdentity(t *testing.T) {
 
 // TestCodecAdapterMatchesVerifier pins the ecc.MACCodec adapter to the
 // concrete Verifier it wraps: same packed lane, same verdicts, same repaired
-// bytes and lanes, same scrub screens — across clean, correctable, and
-// uncorrectable inputs.
+// bytes and lanes — across clean, correctable, and uncorrectable inputs.
 func TestCodecAdapterMatchesVerifier(t *testing.T) {
 	mcod := lookupMACCodec(t)
 	for budget := 0; budget <= 2; budget++ {
@@ -80,14 +74,6 @@ func TestCodecAdapterMatchesVerifier(t *testing.T) {
 				}
 			}
 
-			// Scrub screens agree before verification.
-			if Scrub(ctA, mA) != adapted.ScrubData(ctB, laneB) {
-				t.Fatalf("trial %d: ScrubData disagrees", trial)
-			}
-			if ScrubMeta(mA) != adapted.ScrubLane(laneB) {
-				t.Fatalf("trial %d: ScrubLane disagrees", trial)
-			}
-
 			outA, err := direct.VerifyAndCorrect(ctA, &mA, addr, counter)
 			if err != nil {
 				t.Fatal(err)
@@ -115,17 +101,17 @@ func TestCodecAdapterMatchesVerifier(t *testing.T) {
 	}
 }
 
-// FuzzCodecEquivalence drives every registered codec — secded and
-// macsecded — through the same sealed-block-plus-single-fault scenario and
+// FuzzCodecEquivalence drives both placements' codecs — ecc.EncodeBlock/
+// DecodeBlock's SEC-DED(72,64) check bytes and this package's MAC-in-ECC
+// Verifier — through the same sealed-block-plus-single-fault scenario and
 // enforces the cross-codec contract the engine relies on:
 //
-//   - an intact block verifies cleanly under every codec;
-//   - a single flipped data bit is never a silent escape under any codec:
+//   - an intact block verifies cleanly under both codecs;
+//   - a single flipped data bit is never a silent escape under either:
 //     both must repair it in place to the exact original bytes.
 //
 // The fuzzer varies the block contents, the fault position, and the MAC
-// (addr, counter) binding. It lives in this package because importing it
-// links both codecs into the registry.
+// (addr, counter) binding.
 func FuzzCodecEquivalence(f *testing.F) {
 	f.Add([]byte("seed"), uint16(0), uint64(0), uint64(1))
 	f.Add(bytes.Repeat([]byte{0x00}, BlockSize), uint16(511), uint64(64), uint64(2))
@@ -145,72 +131,58 @@ func FuzzCodecEquivalence(f *testing.F) {
 			counter = 1
 		}
 
-		for _, name := range ecc.Names() {
-			cod, err := ecc.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch c := cod.(type) {
-			case ecc.BlockCodec:
-				blk := append([]byte(nil), data...)
-				check := make([]byte, c.CheckBytes())
-				if err := c.EncodeInto(check, blk); err != nil {
-					t.Fatalf("%s: encode: %v", name, err)
-				}
-				out, err := c.DecodeAndCorrect(blk, check)
-				if err != nil {
-					t.Fatalf("%s: clean decode: %v", name, err)
-				}
-				if !out.Clean() || !bytes.Equal(blk, data) {
-					t.Fatalf("%s: intact block flagged or mutated: %+v", name, out)
-				}
+		// Inline placement: SEC-DED check bytes beside the tag.
+		blk := append([]byte(nil), data...)
+		check, err := ecc.EncodeBlock(blk)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", ecc.CodecName, err)
+		}
+		out, err := ecc.DecodeBlock(blk, &check)
+		if err != nil {
+			t.Fatalf("%s: clean decode: %v", ecc.CodecName, err)
+		}
+		if !out.Clean() || !bytes.Equal(blk, data) {
+			t.Fatalf("%s: intact block flagged or mutated: %+v", ecc.CodecName, out)
+		}
+		blk[bit/8] ^= 1 << uint(bit%8)
+		out, err = ecc.DecodeBlock(blk, &check)
+		if err != nil {
+			t.Fatalf("%s: faulted decode: %v", ecc.CodecName, err)
+		}
+		// A single-bit fault is never silently accepted, and the block
+		// code restores the exact original.
+		if out.Clean() && !bytes.Equal(blk, data) {
+			t.Fatalf("%s: silent single-bit escape at bit %d", ecc.CodecName, bit)
+		}
+		if out.CorrectedBits != 1 || !bytes.Equal(blk, data) {
+			t.Fatalf("%s: single-bit fault at bit %d not repaired: %+v", ecc.CodecName, bit, out)
+		}
 
-				blk[bit/8] ^= 1 << uint(bit%8)
-				out, err = c.DecodeAndCorrect(blk, check)
-				if err != nil {
-					t.Fatalf("%s: faulted decode: %v", name, err)
-				}
-				// A single-bit fault is never silently accepted, and the
-				// block code restores the exact original.
-				if out.Clean() && !bytes.Equal(blk, data) {
-					t.Fatalf("%s: silent single-bit escape at bit %d", name, bit)
-				}
-				if out.CorrectedBits != 1 || !bytes.Equal(blk, data) {
-					t.Fatalf("%s: single-bit fault at bit %d not repaired: %+v", name, bit, out)
-				}
-
-			case ecc.MACCodec:
-				ver, err := c.NewVerifier(testKey(t), 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ct := append([]byte(nil), data...)
-				tag, err := testKey(t).Tag(ct, addr, counter)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lane := c.PackLane(tag, ct)
-
-				_, out, err := ver.VerifyAndCorrect(ct, lane, addr, counter)
-				if err != nil {
-					t.Fatalf("%s: clean verify: %v", name, err)
-				}
-				if !out.OK || !bytes.Equal(ct, data) {
-					t.Fatalf("%s: intact block rejected or mutated: %+v", name, out)
-				}
-
-				ct[bit/8] ^= 1 << uint(bit%8)
-				_, out, err = ver.VerifyAndCorrect(ct, lane, addr, counter)
-				if err != nil {
-					t.Fatalf("%s: faulted verify: %v", name, err)
-				}
-				if out.OK && !bytes.Equal(ct, data) {
-					t.Fatalf("%s: silent single-bit escape at bit %d", name, bit)
-				}
-				if !out.OK {
-					t.Fatalf("%s: budget-2 verifier failed to correct a single bit (bit %d)", name, bit)
-				}
-			}
+		// MAC-in-ECC placement: the lane carries the MAC.
+		ver := testVerifier(t, 2)
+		ct := append([]byte(nil), data...)
+		tag, err := testKey(t).Tag(ct, addr, counter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lane := PackMeta(tag, ct)
+		vout, err := ver.VerifyAndCorrect(ct, &lane, addr, counter)
+		if err != nil {
+			t.Fatalf("%s: clean verify: %v", CodecName, err)
+		}
+		if vout.Status != OK || !bytes.Equal(ct, data) {
+			t.Fatalf("%s: intact block rejected or mutated: %+v", CodecName, vout)
+		}
+		ct[bit/8] ^= 1 << uint(bit%8)
+		vout, err = ver.VerifyAndCorrect(ct, &lane, addr, counter)
+		if err != nil {
+			t.Fatalf("%s: faulted verify: %v", CodecName, err)
+		}
+		if vout.Status == OK && !bytes.Equal(ct, data) {
+			t.Fatalf("%s: silent single-bit escape at bit %d", CodecName, bit)
+		}
+		if vout.Status != OK {
+			t.Fatalf("%s: budget-2 verifier failed to correct a single bit (bit %d)", CodecName, bit)
 		}
 	})
 }

@@ -48,6 +48,13 @@ const MaxSingleChecks = blockBits
 // correction (§3.4: 512 choose 2 = 130,816).
 const MaxDoubleChecks = blockBits * (blockBits - 1) / 2
 
+// CodecName names the MAC-in-ECC lane format in persisted images.
+const CodecName = "macsecded"
+
+// LaneBytes is the ECC lane one Meta fills: the 8 check bytes an ECC DIMM
+// provisions per 64-byte block.
+const LaneBytes = 8
+
 // Meta is the packed 8-byte ECC-lane payload for one block.
 type Meta uint64
 
