@@ -2,6 +2,7 @@ package ctr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -9,8 +10,10 @@ import (
 // reference_test.go: same bytes out of every packer, same values and same
 // verdict out of every unpacker, same counter out of every single-slot
 // decoder — on canonical states, on out-of-range states and on arbitrary
-// (non-canonical, attacker-shaped) images. The fuzz targets run the same
-// image checks on whatever the fuzzer finds.
+// (non-canonical, attacker-shaped) images. The split and monolithic layouts
+// have no whole-block codec: their scheme is their packer and unpacker
+// (LoadMetadata then Counter, and PackMetadata after Touch). The fuzz
+// targets run the same image checks on whatever the fuzzer finds.
 
 func sameError(t *testing.T, what string, got, want error) {
 	t.Helper()
@@ -54,6 +57,7 @@ func checkLayout(t *testing.T, k Kind, img [MetadataBlockBytes]byte) {
 		if ref != wantRef || deltas != wantDeltas {
 			t.Fatalf("UnpackDelta(%x) = %#x %v, reference %#x %v", img, ref, deltas, wantRef, wantDeltas)
 		}
+		checkLoadVerdict(t, k, img, wantErr)
 	case DualLength:
 		ref, deltas, ext, err := UnpackDualLength(img)
 		wantRef, wantDeltas, wantExt, wantErr := refUnpackDualLength(img)
@@ -61,17 +65,9 @@ func checkLayout(t *testing.T, k Kind, img [MetadataBlockBytes]byte) {
 		if ref != wantRef || deltas != wantDeltas || ext != wantExt {
 			t.Fatalf("UnpackDualLength(%x) = %#x %v %d, reference %#x %v %d", img, ref, deltas, ext, wantRef, wantDeltas, wantExt)
 		}
-	case Split:
-		major, minors := UnpackSplit(img)
-		if wantMajor, wantMinors := refUnpackSplit(img); major != wantMajor || minors != wantMinors {
-			t.Fatalf("UnpackSplit(%x) = %#x %v, reference %#x %v", img, major, minors, wantMajor, wantMinors)
-		}
-	case Monolithic:
-		for i, c := range UnpackMonolithic(img) {
-			if want, _ := refDecodeMonolithicCounter(img, i); c != want {
-				t.Fatalf("UnpackMonolithic(%x)[%d] = %#x, reference %#x", img, i, c, want)
-			}
-		}
+		checkLoadVerdict(t, k, img, wantErr)
+	case Split, Monolithic:
+		checkSchemeImage(t, k, img)
 	}
 	for i := -1; i <= GroupBlocks; i++ {
 		checkSlot(t, k, img, i)
@@ -146,28 +142,103 @@ func checkDualState(t *testing.T, ref uint64, deltas [GroupBlocks]uint16, extend
 	checkLoadedCounters(t, DualLength, img)
 }
 
+// checkLoadVerdict holds a delta layout's LoadMetadata of an arbitrary
+// image to the reference unpacker's verdict: a rejected image leaves the
+// scheme's state as it was, an accepted one (canonical, so its repack is
+// itself) reads back as it is.
+func checkLoadVerdict(t *testing.T, k Kind, img [MetadataBlockBytes]byte, wantErr error) {
+	t.Helper()
+	s, _ := NewScheme(k)
+	err := s.LoadMetadata(0, img)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("%s: LoadMetadata(%x) error %v, reference %v", k, img, err, wantErr)
+	}
+	if err != nil && stateLen(t, s) != 0 {
+		t.Fatalf("%s: a rejected image grew the state", k)
+	}
+	if err == nil && s.PackMetadata(0) != img {
+		t.Fatalf("%s: LoadMetadata/PackMetadata changed the accepted image %x", k, img)
+	}
+}
+
+// checkSchemeImage holds a split or monolithic scheme's image to the
+// bit-serial reference. Loaded into a fresh scheme, an arbitrary image must
+// be taken as it is (neither layout has a pad or spare bit) and read back
+// slot for slot as the reference decodes it. One Touch of each probed slot,
+// each from the loaded image, must then leave the image and the outcome the
+// reference rule gives: for split, refSplitScheme loaded with the
+// reference unpack (lockstep, which also compares the stats and the hook's
+// arguments); for monolithic, the slot's 64 bits plus one.
+func checkSchemeImage(t *testing.T, k Kind, img [MetadataBlockBytes]byte) {
+	t.Helper()
+	load := func() Scheme {
+		s, _ := NewScheme(k)
+		if err := s.LoadMetadata(0, img); err != nil {
+			t.Fatalf("%s: image %x rejected: %v", k, img, err)
+		}
+		return s
+	}
+	slots := GroupBlocks
+	// Split probes the first minor, the end of the word before the last,
+	// and both ends of the last word, whose access is pulled back to byte
+	// 56.
+	probes := []int{0, 55, 56, 63}
+	if k == Monolithic {
+		slots, probes = CountersPerMetadataBlock, []int{0, 1, 2, 3, 4, 5, 6, 7}
+	}
+	s := load()
+	if back := s.PackMetadata(0); back != img {
+		t.Fatalf("%s: LoadMetadata/PackMetadata changed the image:\n got %x\nwant %x", k, back, img)
+	}
+	major, minors := refUnpackSplit(img)
+	for i := 0; i < slots; i++ {
+		want := major<<MinorBits | uint64(minors[i])
+		if k == Monolithic {
+			want = (&bitString{b: img}).get(64*i, 64)
+		}
+		if got := s.Counter(uint64(i)); got != want {
+			t.Fatalf("%s: Counter(%d) of loaded image %x = %#x, reference %#x", k, i, img, got, want)
+		}
+	}
+	for _, i := range probes {
+		s := load()
+		if k == Split {
+			l := newLockstep(t, s, nil)
+			g := &refSplitGroup{major: major, minors: slices.Clone(minors[:])}
+			l.ref.(*refSplitScheme).groups[0] = g
+			l.touch(uint64(i))
+			continue
+		}
+		want := bitString{b: img}
+		c := want.get(64*i, 64) + 1
+		want.put(64*i, 64, c)
+		if got := s.Touch(uint64(i)); got != (WriteOutcome{Counter: c}) {
+			t.Fatalf("%s: Touch(%d) of image %x = %+v, want counter %#x", k, i, img, got, c)
+		}
+		if got := s.PackMetadata(0); got != want.b {
+			t.Fatalf("%s: after Touch(%d) of image %x:\n got %x\nwant %x", k, i, img, got, want.b)
+		}
+	}
+}
+
+// checkSplitState holds the split scheme to the reference on the image the
+// bit-serial packer makes of a state (its minors' low 7 bits).
 func checkSplitState(t *testing.T, major uint64, minors [GroupBlocks]uint16) {
 	t.Helper()
-	img := PackSplit(major, &minors)
-	if want := refPackSplit(major, &minors); img != want {
-		t.Fatalf("PackSplit(%#x, %v):\n got %x\nwant %x", major, minors, img, want)
-	}
+	img := refPackSplit(major, &minors)
 	checkLayout(t, Split, img)
 	checkLoadedCounters(t, Split, img)
 }
 
+// checkMonolithicState does the same for eight monolithic counters.
 func checkMonolithicState(t *testing.T, counters [CountersPerMetadataBlock]uint64) {
 	t.Helper()
-	img := PackMonolithic(&counters)
-	var want bitString
+	var img bitString
 	for i, c := range counters {
-		want.put(64*i, 64, c)
+		img.put(64*i, 64, c)
 	}
-	if img != want.b {
-		t.Fatalf("PackMonolithic(%v):\n got %x\nwant %x", counters, img, want.b)
-	}
-	checkLayout(t, Monolithic, img)
-	checkLoadedCounters(t, Monolithic, img)
+	checkLayout(t, Monolithic, img.b)
+	checkLoadedCounters(t, Monolithic, img.b)
 }
 
 // fieldStates yields the boundary and random field arrays for a layout whose
@@ -235,8 +306,8 @@ func TestCodecMatchesReference(t *testing.T) {
 	})
 
 	t.Run("split-7", func(t *testing.T) {
-		// PackSplit has no range error: it stores the low 7 bits, so the
-		// one-past-the-limit states check the masking.
+		// The reference packer stores the low 7 bits, so the
+		// one-past-the-limit states are images whose minors wrapped.
 		fieldStates(rng, func(int) uint16 { return minorMax }, func(m [GroupBlocks]uint16) {
 			for _, major := range []uint64{0, 1, 0xDEADBEEF, 1<<57 - 1, ^uint64(0), rng.Uint64()} {
 				checkSplitState(t, major, m)
@@ -285,6 +356,7 @@ var (
 	sinkImage   [MetadataBlockBytes]byte
 	sinkFields  [GroupBlocks]uint16
 	sinkCounter uint64
+	sinkErr     error
 )
 
 func TestCodecAllocatesNothing(t *testing.T) {
@@ -294,7 +366,6 @@ func TestCodecAllocatesNothing(t *testing.T) {
 	}
 	long := fields
 	long[16] = longMax // legal only in dual-length's extended group
-	counters := [CountersPerMetadataBlock]uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	delta, err := PackDelta(99, &fields)
 	if err != nil {
 		t.Fatal(err)
@@ -303,18 +374,15 @@ func TestCodecAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	split := PackSplit(99, &fields)
-	mono := PackMonolithic(&counters)
+	split := refPackSplit(99, &fields)
+	var mono [MetadataBlockBytes]byte
+	mono[8] = 1
 
 	cases := map[string]func(){
 		"PackDelta":               func() { sinkImage, _ = PackDelta(99, &fields) },
 		"PackDualLength":          func() { sinkImage, _ = PackDualLength(99, &long, 1) },
-		"PackSplit":               func() { sinkImage = PackSplit(99, &fields) },
-		"PackMonolithic":          func() { sinkImage = PackMonolithic(&counters) },
 		"UnpackDelta":             func() { sinkCounter, sinkFields, _ = UnpackDelta(delta) },
 		"UnpackDualLength":        func() { sinkCounter, sinkFields, _, _ = UnpackDualLength(dual) },
-		"UnpackSplit":             func() { sinkCounter, sinkFields = UnpackSplit(split) },
-		"UnpackMonolithic":        func() { sinkCounter = UnpackMonolithic(mono)[3] },
 		"DecodeCounter":           func() { sinkCounter, _ = DecodeCounter(&delta, 63) },
 		"DecodeDualCounter":       func() { sinkCounter, _ = DecodeDualCounter(&dual, 16) },
 		"DecodeSplitCounter":      func() { sinkCounter, _ = DecodeSplitCounter(&split, 63) },
@@ -325,7 +393,9 @@ func TestCodecAllocatesNothing(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			s.Touch(uint64(i % 7))
 		}
+		img := s.PackMetadata(0)
 		cases["PackMetadata/"+k.String()] = func() { sinkImage = s.PackMetadata(0) }
+		cases["LoadMetadata/"+k.String()] = func() { sinkErr = s.LoadMetadata(0, img) }
 	}
 	for name, fn := range cases {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {

@@ -40,15 +40,10 @@ import (
 //     64×6-bit deltas = 440 bits, leaving 72: 64 extension bits + 2
 //     group-index bits + 1 in-use bit + 5 spare.
 type DeltaScheme struct {
-	// images is, per group, the group's 64-byte metadata image in the
-	// scheme's layout (pack.go) — the counter block itself, edited in
+	// Each group is its image in the scheme's layout (pack.go), edited in
 	// place by Touch. The zero image is Figure 5a's initial state under
 	// both layouts: reference 0, every delta 0, the reserve unassigned.
-	images [][MetadataBlockBytes]byte
-	dual   bool // the dual-length layout
-	stats  Stats
-	hook   ReencryptFunc
-	old    [GroupBlocks]uint64 // the hook's oldCounters argument
+	table
 }
 
 // DeltaBits is the delta width evaluated in the paper.
@@ -82,25 +77,14 @@ const longMax = (1 << (ShortDeltaBits + ExtensionBits)) - 1
 // NewDelta creates a delta-7 counter store with all counters zero
 // (reference = 0, deltas = 0, as in Figure 5a's initial state).
 func NewDelta() *DeltaScheme {
-	return &DeltaScheme{}
+	return &DeltaScheme{table{kind: Delta}}
 }
 
 // NewDualLength creates a dual-length delta counter store with all counters
 // zero and the reserve unassigned.
 func NewDualLength() *DeltaScheme {
-	return &DeltaScheme{dual: true}
+	return &DeltaScheme{table{kind: DualLength}}
 }
-
-// Name implements Scheme.
-func (s *DeltaScheme) Name() string {
-	if s.dual {
-		return "dual-length"
-	}
-	return "delta-7"
-}
-
-// GroupSize implements Scheme.
-func (s *DeltaScheme) GroupSize() int { return GroupBlocks }
 
 // No slot's limit is below shortMax, which Touch's fast path relies on;
 // these stop compiling if one drops under it.
@@ -114,7 +98,7 @@ const (
 // has bit 0 of every slot of a word set: a delta times lanes is that delta
 // in all eight slots.
 func (s *DeltaScheme) layout() (width uint, lanes uint64) {
-	if s.dual {
+	if s.kind == DualLength {
 		return ShortDeltaBits, 0x0000041041041041
 	}
 	return DeltaBits, 0x0002040810204081
@@ -123,7 +107,7 @@ func (s *DeltaScheme) layout() (width uint, lanes uint64) {
 // extended returns the delta-group holding the dual-length reserve, or -1
 // (always, under delta-7, where the tail byte holds deltas).
 func (s *DeltaScheme) extended(img *[MetadataBlockBytes]byte) int {
-	if !s.dual || img[dualTailByte]&1 == 0 {
+	if s.kind != DualLength || img[dualTailByte]&1 == 0 {
 		return -1
 	}
 	return int(img[dualTailByte] >> 1 & (DeltaGroups - 1))
@@ -142,7 +126,9 @@ func setNibbles(img *[MetadataBlockBytes]byte, nib uint64) {
 }
 
 // high returns slot i's extension nibble shifted above its 6-bit field when
-// its delta-group holds the reserve, else 0.
+// its delta-group holds the reserve, else 0. Touch's fast path calls it on
+// every dual-length write, so it must stay within the inliner's budget: a
+// call there spills the fast path's registers.
 func (s *DeltaScheme) high(img *[MetadataBlockBytes]byte, i uint) uint16 {
 	if s.extended(img) != int(i/DeltasPerGroup) {
 		return 0
@@ -162,7 +148,7 @@ func (s *DeltaScheme) setHigh(img *[MetadataBlockBytes]byte, i uint, d uint16) {
 // limit returns the current capacity of slot i.
 func (s *DeltaScheme) limit(img *[MetadataBlockBytes]byte, i uint) uint16 {
 	switch {
-	case !s.dual:
+	case s.kind != DualLength:
 		return deltaMax
 	case s.extended(img) == int(i/DeltasPerGroup):
 		return longMax
@@ -186,33 +172,6 @@ func (s *DeltaScheme) converged(img *[MetadataBlockBytes]byte, i uint, d uint16)
 	return s.extended(img) < 0 || nibbles(img) == 0
 }
 
-// decode unpacks an image with its layout's codec: the rare paths and
-// LoadMetadata work on the unpacked group.
-func (s *DeltaScheme) decode(img *[MetadataBlockBytes]byte) (ref uint64, deltas [GroupBlocks]uint16, extended int8, err error) {
-	if s.dual {
-		return UnpackDualLength(*img)
-	}
-	ref, deltas, err = UnpackDelta(*img)
-	return ref, deltas, -1, err
-}
-
-// encode packs a group with its layout's codec.
-func (s *DeltaScheme) encode(ref uint64, deltas *[GroupBlocks]uint16, extended int8) [MetadataBlockBytes]byte {
-	var blk [MetadataBlockBytes]byte
-	var err error
-	if s.dual {
-		blk, err = PackDualLength(ref, deltas, extended)
-	} else {
-		blk, err = PackDelta(ref, deltas)
-	}
-	if err != nil {
-		// Scheme invariants guarantee packable state; a failure here is
-		// a bug, not an input error.
-		panic(err)
-	}
-	return blk
-}
-
 // clearGroup sets the image to reference ref with every delta zero and the
 // reserve free: the state a reset and a re-encryption leave.
 func clearGroup(img *[MetadataBlockBytes]byte, ref uint64) {
@@ -223,21 +182,6 @@ func clearGroup(img *[MetadataBlockBytes]byte, ref uint64) {
 	store64(img, 0, ref)
 }
 
-// Counter implements Scheme: a field read of the group's image.
-func (s *DeltaScheme) Counter(block uint64) uint64 {
-	gid, i := block/GroupBlocks, int(block%GroupBlocks)
-	if gid >= uint64(len(s.images)) {
-		return 0
-	}
-	var c uint64 // the decoders fail only on an index out of the group
-	if s.dual {
-		c, _ = DecodeDualCounter(&s.images[gid], i)
-	} else {
-		c, _ = DecodeCounter(&s.images[gid], i)
-	}
-	return c
-}
-
 // Touch implements Scheme. It follows the hardware flow of Figure 7: the
 // increment-and-reset unit checks for overflow before incrementing, applies
 // the increment, then checks for an all-equal reset; the re-encode/
@@ -245,10 +189,7 @@ func (s *DeltaScheme) Counter(block uint64) uint64 {
 // slot of the group's image; only an overflow unpacks the group.
 func (s *DeltaScheme) Touch(block uint64) WriteOutcome {
 	gid := block / GroupBlocks
-	if gid >= uint64(len(s.images)) {
-		s.images = grow(s.images, gid)
-	}
-	img, i := &s.images[gid], uint(block%GroupBlocks)
+	img, i := s.image(gid), uint(block%GroupBlocks)
 	s.stats.Writes++
 	var extended, reencoded bool
 
@@ -258,14 +199,14 @@ func (s *DeltaScheme) Touch(block uint64) WriteOutcome {
 	off, shift, m := deltaOff+int(w*(i/8)), w*(i%8), uint64(1)<<w-1
 	word := load64(img, off)
 	d := uint16(word >> shift & m)
-	if s.dual {
+	if s.kind == DualLength {
 		d |= s.high(img, i)
 	}
 
 	// A delta below shortMax is below every slot's limit under either
 	// layout, so the common write skips limit and its layout checks.
 	if d >= shortMax && d == s.limit(img, i) {
-		if s.dual && s.extended(img) < 0 {
+		if s.kind == DualLength && s.extended(img) < 0 {
 			// First overflow in a dual-length block-group: hand the
 			// reserve bits to this delta-group (Figure 6). Its
 			// nibbles are zero while the reserve is unassigned.
@@ -322,7 +263,7 @@ func (s *DeltaScheme) Touch(block uint64) WriteOutcome {
 		return WriteOutcome{Counter: ref + uint64(d), Reset: true, Extended: extended, Reencoded: reencoded}
 	}
 	store64(img, off, word)
-	if s.dual {
+	if s.kind == DualLength {
 		s.setHigh(img, i, d)
 	}
 	return WriteOutcome{Counter: ref + uint64(d), Extended: extended, Reencoded: reencoded}
@@ -332,22 +273,8 @@ func (s *DeltaScheme) Touch(block uint64) WriteOutcome {
 // under delta-7; dual-length commits the full 512-bit metadata block
 // (reference + short deltas + reserve), 8 bits per block.
 func (s *DeltaScheme) MetadataBits() float64 {
-	if s.dual {
+	if s.kind == DualLength {
 		return float64(MetadataBlockBytes*8) / GroupBlocks
 	}
 	return float64(RefBits+GroupBlocks*DeltaBits) / GroupBlocks
 }
-
-// MetadataBlock implements Scheme.
-func (s *DeltaScheme) MetadataBlock(block uint64) uint64 { return block / GroupBlocks }
-
-// MetadataBlocks implements Scheme.
-func (s *DeltaScheme) MetadataBlocks(n uint64) uint64 {
-	return (n + GroupBlocks - 1) / GroupBlocks
-}
-
-// Stats implements Scheme.
-func (s *DeltaScheme) Stats() Stats { return s.stats }
-
-// OnReencrypt implements Scheme.
-func (s *DeltaScheme) OnReencrypt(f ReencryptFunc) { s.hook = f }

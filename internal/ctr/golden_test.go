@@ -75,10 +75,26 @@ func TestGoldenSplitLayout(t *testing.T) {
 	for i := range minors {
 		minors[i] = uint16((i * 3) % (minorMax + 1))
 	}
-	blk := PackSplit(0xDEADBEEF, &minors)
+	blk := refPackSplit(0xDEADBEEF, &minors)
 	const want = "efbeadde00000000808121c178482a988d27443aa95ab0992dc7fb098bc8a533" +
 		"4abd6abbe0b139cd7ecbebf8bd3f4038281a908925c3f9884aa8952b46bbe97a"
 	if got := hex.EncodeToString(blk[:]); got != want {
 		t.Fatalf("split layout changed:\n got %s\nwant %s", got, want)
+	}
+	// The scheme's state is this image: it reads it back, and a write
+	// edits its minor in place.
+	s := NewSplit()
+	if err := s.LoadMetadata(0, blk); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range minors {
+		if got := s.Counter(uint64(i)); got != 0xDEADBEEF<<MinorBits|uint64(m) {
+			t.Fatalf("split block %d: Counter %#x from the golden image", i, got)
+		}
+	}
+	s.Touch(GroupBlocks - 1)
+	minors[GroupBlocks-1]++
+	if got := s.PackMetadata(0); got != refPackSplit(0xDEADBEEF, &minors) {
+		t.Fatalf("split write to the last minor:\n got %x\nwant %x", got, refPackSplit(0xDEADBEEF, &minors))
 	}
 }

@@ -11,10 +11,13 @@ import (
 // tree MACs counter *blocks*, so the engine needs a canonical byte image of
 // each group's state, and (2) the decode path (reference + bit-extracted
 // delta) is the hardware the paper synthesized; reproducing it bit-exactly
-// lets tests validate the decode unit against the scheme state. The delta
-// scheme goes one step further and keeps each group as its image, editing
-// a slot in place (delta.go): the codec below is its validator and its
-// rare-path unpacker and repacker.
+// lets tests validate the decode unit against the scheme state. Every
+// scheme keeps its counters as these images and edits a slot in place
+// (metadata.go): the single-slot decoders below are their reads, and the
+// delta layouts' packers and unpackers are their validators and the delta
+// scheme's rare-path unpacker and repacker. The split and monolithic
+// layouts have no pad or spare bits, so every image of theirs is canonical
+// and needs no whole-block codec.
 //
 // Layouts (bit offsets, little-endian bit order within the 512-bit block):
 //
@@ -30,12 +33,14 @@ import (
 // single bits: eight w-bit fields are exactly w bytes, so the delta-7 image
 // is ref = bytes 0..6 followed by eight 7-byte words (byte 63 the pad), the
 // split image is major = bytes 0..7 followed by eight 7-byte words (ending
-// exactly at byte 63), and the dual-length image is ref = bytes 0..6, eight
+// exactly at byte 63), the dual-length image is ref = bytes 0..6, eight
 // 6-byte words, then flag / group index / 16 nibbles / spare as one tail in
-// bytes 55..63. A packer is a run of overlapping 8-byte stores in ascending
-// order, each overwriting the zero top byte(s) of the one before; an
-// unpacker is the mirror; a single-slot decode is two loads, a shift, a mask
-// and an add. reference_test.go holds the bit-serial codec these are tested
+// bytes 55..63, and the monolithic image is eight aligned 8-byte slots. A
+// packer is a run of overlapping 8-byte stores in ascending order, each
+// overwriting the zero top byte(s) of the one before; an unpacker is the
+// mirror; a single-slot decode is two loads, a shift, a mask and an add,
+// and a split or monolithic write one load and one store of the slot's
+// word. reference_test.go holds the bit-serial codec these are tested
 // bit-equal to.
 
 // ErrCorruptMetadata is returned when unpacking detects an impossible
@@ -63,9 +68,8 @@ func field(b *[MetadataBlockBytes]byte, off, width int) uint64 {
 // pack8x7 and pack8x6 concatenate the low 7 (6) bits of eight fields, lowest
 // first, into one 7-byte (6-byte) word. They are straight-line on purpose:
 // the eight shifts are independent, where a loop over the fields chains
-// them, and every split-counter write packs its group twice (a delta
-// write packs nothing; only its re-encodes, re-encryptions and loads do).
-// union is the OR of the whole fields, for the callers' range checks: every
+// them. No write packs a whole group; only a delta group's re-encodes,
+// re-encryptions and loads do. union is the OR of the whole fields, for the callers' range checks: every
 // limit is 2^k-1, so some field exceeds it iff the OR of all does.
 func pack8x7(f *[8]uint16) (w uint64, union uint16) {
 	const m = 1<<7 - 1
@@ -95,31 +99,6 @@ func unpack8(f []uint16, w uint64, width uint) {
 // splitMinorOff is the byte the minors start at; the last 7-byte word of
 // minors starts at byte 57, so its 8-byte access is pulled back to byte 56.
 const splitMinorOff = 8
-
-// PackSplit serializes a split-counter group (major, 64 minors) into a
-// 64-byte metadata block. Only the low 7 bits of each minor are stored.
-func PackSplit(major uint64, minors *[GroupBlocks]uint16) (blk [MetadataBlockBytes]byte) {
-	store64(&blk, 0, major)
-	var w uint64
-	for g := 0; g < 7; g++ {
-		w, _ = pack8x7((*[8]uint16)(minors[8*g:]))
-		store64(&blk, splitMinorOff+MinorBits*g, w)
-	}
-	// The last word shares its 8-byte store with word 6's top byte.
-	last, _ := pack8x7((*[8]uint16)(minors[56:]))
-	store64(&blk, MetadataBlockBytes-8, last<<8|w>>48)
-	return blk
-}
-
-// UnpackSplit deserializes a split-counter metadata block.
-func UnpackSplit(blk [MetadataBlockBytes]byte) (major uint64, minors [GroupBlocks]uint16) {
-	major = load64(&blk, 0)
-	for g := 0; g < 7; g++ {
-		unpack8(minors[8*g:], load64(&blk, splitMinorOff+MinorBits*g), MinorBits)
-	}
-	unpack8(minors[56:], load64(&blk, MetadataBlockBytes-8)>>8, MinorBits)
-	return major, minors
-}
 
 // deltaOff is the byte the delta words start at in both delta layouts: the
 // 56-bit reference fills bytes 0..6.
@@ -242,24 +221,6 @@ func UnpackDualLength(blk [MetadataBlockBytes]byte) (ref uint64, deltas [GroupBl
 		return 0, deltas, -1, ErrCorruptMetadata
 	}
 	return load64(&blk, 0) & refMask, deltas, extended, nil
-}
-
-// PackMonolithic serializes 8 consecutive 64-bit counters into one metadata
-// block (the SGX-style layout: one counter per aligned 8-byte slot).
-func PackMonolithic(counters *[CountersPerMetadataBlock]uint64) [MetadataBlockBytes]byte {
-	var b [MetadataBlockBytes]byte
-	for i, c := range counters {
-		store64(&b, 8*i, c)
-	}
-	return b
-}
-
-// UnpackMonolithic deserializes a monolithic counter metadata block.
-func UnpackMonolithic(blk [MetadataBlockBytes]byte) (counters [CountersPerMetadataBlock]uint64) {
-	for i := range counters {
-		counters[i] = load64(&blk, 8*i)
-	}
-	return counters
 }
 
 // The single-slot decoders below are the read path's counter fetch: the

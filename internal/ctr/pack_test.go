@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// TestPackSplitRoundTrip: a split group's image, from the bit-serial
+// packer, round-trips through the scheme (LoadMetadata, then PackMetadata
+// and Counter), and one Touch from it leaves the reference rule's image.
 func TestPackSplitRoundTrip(t *testing.T) {
 	f := func(major uint64, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -13,9 +16,24 @@ func TestPackSplitRoundTrip(t *testing.T) {
 		for i := range minors {
 			minors[i] = uint16(rng.Intn(minorMax + 1))
 		}
-		blk := PackSplit(major, &minors)
-		gotMajor, gotMinors := UnpackSplit(blk)
-		return gotMajor == major && gotMinors == minors
+		img := refPackSplit(major, &minors)
+		s := NewSplit()
+		if s.LoadMetadata(0, img) != nil || s.PackMetadata(0) != img {
+			return false
+		}
+		for i, m := range minors {
+			if s.Counter(uint64(i)) != major<<MinorBits|uint64(m) {
+				return false
+			}
+		}
+		i := rng.Intn(GroupBlocks)
+		out := s.Touch(uint64(i))
+		if minors[i] == minorMax {
+			major++
+			clear(minors[:])
+		}
+		minors[i]++
+		return out.Counter == major<<MinorBits|uint64(minors[i]) && s.PackMetadata(0) == refPackSplit(major, &minors)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -136,10 +154,27 @@ func TestUnpackDualLengthDetectsSpareCorruption(t *testing.T) {
 	}
 }
 
+// TestPackMonolithicRoundTrip: eight counters' image, from the bit-serial
+// reference, round-trips through the scheme (LoadMetadata, then
+// PackMetadata and Counter), and a Touch of every slot raises each by one.
 func TestPackMonolithicRoundTrip(t *testing.T) {
 	f := func(a, b, c, d, e, f2, g, h uint64) bool {
 		in := [CountersPerMetadataBlock]uint64{a, b, c, d, e, f2, g, h}
-		return UnpackMonolithic(PackMonolithic(&in)) == in
+		var img bitString
+		for i, c := range in {
+			img.put(64*i, 64, c)
+		}
+		s := NewMonolithic()
+		if s.LoadMetadata(0, img.b) != nil || s.PackMetadata(0) != img.b {
+			return false
+		}
+		for i, c := range in {
+			if s.Counter(uint64(i)) != c || s.Touch(uint64(i)).Counter != c+1 {
+				return false
+			}
+			img.put(64*i, 64, c+1)
+		}
+		return s.PackMetadata(0) == img.b
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -230,7 +265,7 @@ func TestSplitPackMetadataMatchesState(t *testing.T) {
 	for i := 0; i < 30000; i++ {
 		s.Touch(uint64(rng.Intn(GroupBlocks)))
 	}
-	major, minors := UnpackSplit(s.PackMetadata(0))
+	major, minors := refUnpackSplit(s.PackMetadata(0))
 	for i := 0; i < GroupBlocks; i++ {
 		want := s.Counter(uint64(i))
 		got := major<<MinorBits | uint64(minors[i])

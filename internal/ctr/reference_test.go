@@ -330,25 +330,46 @@ type hookCall struct {
 	next  uint64
 }
 
-// lockstep drives a DeltaScheme and the reference with the same writes
-// and fails on the first difference in the outcome, the stats, the touched
-// block's counter, its group's whole image or a re-encryption hook's
-// arguments.
+// refScheme is a reference rule the lockstep can drive: refDeltaScheme or
+// refSplitScheme at the paper's geometry.
+type refScheme interface {
+	Touch(block uint64) WriteOutcome
+	Counter(block uint64) uint64
+	Stats() Stats
+	image(t *testing.T, m uint64) [MetadataBlockBytes]byte
+}
+
+// lockstep drives a DeltaScheme or a SplitScheme and its reference rule with
+// the same writes and fails on the first difference in the outcome, the
+// stats, the touched block's counter, its group's whole image or a
+// re-encryption hook's arguments.
 type lockstep struct {
 	t         *testing.T
-	s         *DeltaScheme
-	ref       *refDeltaScheme
+	s         Scheme
+	ref       refScheme
 	got, want []hookCall
 }
 
 // newLockstep sets both schemes' hooks; extra, if set, also sees every
 // hook call of s.
-func newLockstep(t *testing.T, s *DeltaScheme, extra ReencryptFunc) *lockstep {
-	l := &lockstep{t: t, s: s, ref: newRefDelta(s.dual, DeltaBits, GroupBlocks)}
+func newLockstep(t *testing.T, s Scheme, extra ReencryptFunc) *lockstep {
+	l := &lockstep{t: t, s: s}
 	record := func(calls *[]hookCall) ReencryptFunc {
 		return func(start uint64, old []uint64, next uint64) {
 			*calls = append(*calls, hookCall{start, slices.Clone(old), next})
 		}
+	}
+	switch s := s.(type) {
+	case *DeltaScheme:
+		ref := newRefDelta(s.kind == DualLength, DeltaBits, GroupBlocks)
+		ref.hook = record(&l.want)
+		l.ref = ref
+	case *SplitScheme:
+		ref := newRefSplit(MinorBits, GroupBlocks)
+		ref.hook = record(&l.want)
+		l.ref = ref
+	default:
+		t.Fatalf("no reference rule for %s", s.Name())
 	}
 	gotHook := record(&l.got)
 	s.OnReencrypt(func(start uint64, old []uint64, next uint64) {
@@ -357,7 +378,6 @@ func newLockstep(t *testing.T, s *DeltaScheme, extra ReencryptFunc) *lockstep {
 			extra(start, old, next)
 		}
 	})
-	l.ref.hook = record(&l.want)
 	return l
 }
 
@@ -367,7 +387,7 @@ func (l *lockstep) touch(block uint64) WriteOutcome {
 	if got != want {
 		l.t.Fatalf("%s: Touch(%d) = %+v, reference %+v", l.s.Name(), block, got, want)
 	}
-	if got, want := l.s.Stats(), l.ref.stats; got != want {
+	if got, want := l.s.Stats(), l.ref.Stats(); got != want {
 		l.t.Fatalf("%s: after Touch(%d) stats %+v, reference %+v", l.s.Name(), block, got, want)
 	}
 	if got, want := l.s.Counter(block), l.ref.Counter(block); got != want {
@@ -387,10 +407,12 @@ func (l *lockstep) touch(block uint64) WriteOutcome {
 }
 
 // refSplitScheme is the split-counter rule (split.go) over width-bit minors
-// and group-block groups, on a map of groups: the test-only second copy of
-// that rule. TestParamSplitMatchesFixedSplit holds SplitScheme to it at the
-// paper's 7/64, and TestExhaustiveSplitModelCheck model-checks it at 2-bit
-// minors over 3-block groups.
+// and group-block groups, on a map of unpacked groups: the test-only second
+// copy of that rule. At the paper's 7/64 SplitScheme's in-place Touch is
+// held to it image for image (lockstep: TestPackedTouchMatchesReference and
+// FuzzSchemeStateMachine), its images coming from the bit-serial packer
+// above, and TestExhaustiveSplitModelCheck model-checks it at 2-bit minors
+// over 3-block groups.
 type refSplitScheme struct {
 	width  uint // minor bits
 	group  int  // blocks per group
@@ -453,4 +475,15 @@ func (s *refSplitScheme) Touch(block uint64) WriteOutcome {
 	s.stats.Reencryptions++
 	s.stats.ReencryptedBlocks += uint64(s.group)
 	return WriteOutcome{Counter: s.counterOf(g, i), Reencrypted: true}
+}
+
+// image packs group m with the bit-serial reference packer (7-bit minors,
+// 64-block groups only).
+func (s *refSplitScheme) image(t *testing.T, m uint64) [MetadataBlockBytes]byte {
+	t.Helper()
+	g := s.groupOf(m)
+	if s.width != MinorBits || s.group != GroupBlocks {
+		t.Fatalf("reference split group %d is not in the split-7 layout", m)
+	}
+	return refPackSplit(g.major, (*[GroupBlocks]uint16)(g.minors))
 }

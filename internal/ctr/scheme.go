@@ -83,9 +83,6 @@ type ReencryptFunc func(groupStart uint64, oldCounters []uint64, newCounter uint
 type Scheme interface {
 	// Name identifies the scheme in tables and logs.
 	Name() string
-	// GroupSize returns the number of data blocks sharing metadata
-	// (1 for the monolithic scheme).
-	GroupSize() int
 	// Counter returns the current counter of a data block.
 	Counter(block uint64) uint64
 	// Touch increments the counter of a data block for a write and
@@ -112,17 +109,6 @@ type Scheme interface {
 	// StoredCounter decodes block's counter from its metadata block's
 	// stored (untrusted) image in place, without touching scheme state.
 	StoredCounter(img *[MetadataBlockBytes]byte, block uint64) (uint64, error)
-}
-
-// grow returns a copy of s long enough to index i: the length doubles, or
-// jumps to i+1 when doubling falls short. The new elements are zero, which
-// every scheme defines as its initial state, so a grow never changes a
-// counter. Only Touch and LoadMetadata grow; the read-only paths answer past
-// the end with the initial state.
-func grow[T any](s []T, i uint64) []T {
-	g := make([]T, max(2*uint64(len(s)), i+1))
-	copy(g, s)
-	return g
 }
 
 // Kind selects a scheme in configuration structs.

@@ -428,11 +428,11 @@ func TestMetadataGeometry(t *testing.T) {
 	cases := []struct {
 		s            Scheme
 		bits         float64
-		groupSize    int
+		perImage     uint64 // data blocks per metadata block
 		metaOf70     uint64
 		blocksFor100 uint64
 	}{
-		{NewMonolithic(), 64, 1, 8, 13},
+		{NewMonolithic(), 64, CountersPerMetadataBlock, 8, 13},
 		{NewSplit(), 8, GroupBlocks, 1, 2},
 		{NewDelta(), 7.875, GroupBlocks, 1, 2},
 		{NewDualLength(), 8, GroupBlocks, 1, 2},
@@ -441,8 +441,8 @@ func TestMetadataGeometry(t *testing.T) {
 		if got := c.s.MetadataBits(); got != c.bits {
 			t.Errorf("%s MetadataBits = %v, want %v", c.s.Name(), got, c.bits)
 		}
-		if got := c.s.GroupSize(); got != c.groupSize {
-			t.Errorf("%s GroupSize = %d, want %d", c.s.Name(), got, c.groupSize)
+		if c.s.MetadataBlock(c.perImage-1) != 0 || c.s.MetadataBlock(c.perImage) != 1 {
+			t.Errorf("%s: metadata block 0 does not hold exactly blocks 0..%d", c.s.Name(), c.perImage-1)
 		}
 		if got := c.s.MetadataBlock(70); got != c.metaOf70 {
 			t.Errorf("%s MetadataBlock(70) = %d, want %d", c.s.Name(), got, c.metaOf70)
@@ -490,7 +490,8 @@ func TestTouchAllocatesNothing(t *testing.T) {
 			t.Errorf("%s: %v allocations per round of Touches, want 0", s.Name(), n)
 		}
 		st := s.Stats()
-		if s.GroupSize() > 1 && st.Reencryptions == 0 {
+		grouped := s.MetadataBlock(GroupBlocks-1) == 0 // one image per group
+		if grouped && st.Reencryptions == 0 {
 			t.Errorf("%s: rounds never re-encrypted: %+v", s.Name(), st)
 		}
 		switch s.(type) {
@@ -499,7 +500,7 @@ func TestTouchAllocatesNothing(t *testing.T) {
 				t.Errorf("%s: rounds never reset or never re-encoded: %+v", s.Name(), st)
 			}
 		}
-		if d, ok := s.(*DeltaScheme); ok && d.dual && st.Extensions == 0 {
+		if d, ok := s.(*DeltaScheme); ok && d.kind == DualLength && st.Extensions == 0 {
 			t.Errorf("%s: rounds never extended: %+v", s.Name(), st)
 		}
 	}

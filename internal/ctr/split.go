@@ -10,11 +10,9 @@ package ctr
 // Storage: 64 + 64*7 = 512 bits per group — exactly one 64-byte metadata
 // block, an 8x reduction over 64-bit-per-block counters. The paper's Table 2
 // uses this scheme (with 7-bit minors) as the re-encryption-rate baseline.
+// Each group is its image in the split-7 layout (pack.go), edited in place.
 type SplitScheme struct {
-	groups []splitGroup // indexed by group; the zero group is all counters 0
-	stats  Stats
-	hook   ReencryptFunc
-	old    [GroupBlocks]uint64 // the hook's oldCounters argument
+	table
 }
 
 // MinorBits is the minor-counter width evaluated in the paper.
@@ -23,84 +21,51 @@ const MinorBits = 7
 // minorMax is the largest representable minor counter value.
 const minorMax = (1 << MinorBits) - 1
 
-type splitGroup struct {
-	major  uint64
-	minors [GroupBlocks]uint16
-}
-
 // NewSplit creates a split-counter store with all counters zero.
 func NewSplit() *SplitScheme {
-	return &SplitScheme{}
+	return &SplitScheme{table{kind: Split}}
 }
 
-// Name implements Scheme.
-func (s *SplitScheme) Name() string { return "split-7" }
-
-// GroupSize implements Scheme.
-func (s *SplitScheme) GroupSize() int { return GroupBlocks }
-
-func (s *SplitScheme) group(block uint64) (*splitGroup, uint64, int) {
-	gid := block / GroupBlocks
-	if gid >= uint64(len(s.groups)) {
-		s.groups = grow(s.groups, gid)
-	}
-	return &s.groups[gid], gid, int(block % GroupBlocks)
-}
-
-// counterOf assembles the full counter M||m for one slot.
-func (g *splitGroup) counterOf(i int) uint64 {
-	return g.major<<MinorBits | uint64(g.minors[i])
-}
-
-// Counter implements Scheme.
-func (s *SplitScheme) Counter(block uint64) uint64 {
-	if gid := block / GroupBlocks; gid < uint64(len(s.groups)) {
-		return s.groups[gid].counterOf(int(block % GroupBlocks))
-	}
-	return 0
-}
-
-// Touch implements Scheme.
+// Touch implements Scheme: it adds one to the block's minor in place. A
+// minor at its maximum instead re-encrypts the whole group under major+1.
 func (s *SplitScheme) Touch(block uint64) WriteOutcome {
-	g, gid, i := s.group(block)
+	gid, i := block/GroupBlocks, uint(block%GroupBlocks)
+	img := s.image(gid)
 	s.stats.Writes++
-	if g.minors[i] < minorMax {
-		g.minors[i]++
-		return WriteOutcome{Counter: g.counterOf(i)}
+	// The minor is the 7 bits at shift of its 7-byte word, accessed as the
+	// 8-byte word at off, so a word's eight minors share one address (a
+	// store then forwards to the next write's load). The last word's access
+	// is pulled back to byte 56, as in field.
+	off, shift := splitMinorOff+MinorBits*(i/8), MinorBits*(i%8)
+	if off > MetadataBlockBytes-8 {
+		off, shift = MetadataBlockBytes-8, shift+8
 	}
-	// Minor overflow: re-encrypt the whole group under major+1, minors 0.
-	newMajor := g.major + 1
-	newCounter := newMajor << MinorBits
+	word, major := load64(img, int(off)), load64(img, 0)
+	if minor := word >> shift & minorMax; minor < minorMax {
+		store64(img, int(off), word+1<<shift)
+		return WriteOutcome{Counter: major<<MinorBits | (minor + 1)}
+	}
+	s.reencrypt(img, gid, major)
+	store64(img, int(off), 1<<shift)
+	return WriteOutcome{Counter: (major+1)<<MinorBits | 1, Reencrypted: true}
+}
+
+// reencrypt handles a minor overflow: the hook sees the group's old
+// counters, then the group moves to major+1 with every minor 0.
+func (s *SplitScheme) reencrypt(img *[MetadataBlockBytes]byte, gid, major uint64) {
 	if s.hook != nil {
 		for j := range s.old {
-			s.old[j] = g.counterOf(j)
+			s.old[j] = major<<MinorBits | field(img, splitMinorOff*8+MinorBits*j, MinorBits)
 		}
-		s.hook(gid*GroupBlocks, s.old[:], newCounter)
+		s.hook(gid*GroupBlocks, s.old[:], (major+1)<<MinorBits)
 	}
-	g.major = newMajor
-	clear(g.minors[:])
-	// The triggering block still gets its write: increment its fresh minor.
-	g.minors[i] = 1
+	*img = [MetadataBlockBytes]byte{}
+	store64(img, 0, major+1)
 	s.stats.Reencryptions++
 	s.stats.ReencryptedBlocks += GroupBlocks
-	return WriteOutcome{Counter: g.counterOf(i), Reencrypted: true}
 }
 
 // MetadataBits implements Scheme: (64 + 64*7)/64 = 8 bits per block.
 func (s *SplitScheme) MetadataBits() float64 {
 	return float64(64+GroupBlocks*MinorBits) / GroupBlocks
 }
-
-// MetadataBlock implements Scheme: one metadata block per group.
-func (s *SplitScheme) MetadataBlock(block uint64) uint64 { return block / GroupBlocks }
-
-// MetadataBlocks implements Scheme.
-func (s *SplitScheme) MetadataBlocks(n uint64) uint64 {
-	return (n + GroupBlocks - 1) / GroupBlocks
-}
-
-// Stats implements Scheme.
-func (s *SplitScheme) Stats() Stats { return s.stats }
-
-// OnReencrypt implements Scheme.
-func (s *SplitScheme) OnReencrypt(f ReencryptFunc) { s.hook = f }

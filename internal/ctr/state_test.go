@@ -8,47 +8,52 @@ import (
 	"testing"
 )
 
-// Tests of the dense scheme state: each scheme keeps one slice indexed by
-// group (monolithic: by block) whose zero element is the initial state.
-// Only Touch and LoadMetadata may grow it; a grow copies the slice, so any
-// path that grew it while a caller held a pointer into it would strand that
-// pointer's later writes.
+// Tests of the dense scheme state: each scheme keeps one slice of 64-byte
+// metadata images (its embedded table) whose zero element is the initial
+// state. Only Touch and LoadMetadata may grow it; a grow copies the slice,
+// so any path that grew it while a caller held a pointer into it would
+// strand that pointer's later writes.
+
+// tableOf is a scheme's embedded image table.
+func tableOf(t *testing.T, s Scheme) *table {
+	t.Helper()
+	switch s := s.(type) {
+	case *MonolithicScheme:
+		return &s.table
+	case *SplitScheme:
+		return &s.table
+	case *DeltaScheme:
+		return &s.table
+	}
+	t.Fatalf("no image table in %T", s)
+	return nil
+}
 
 // stateLen is the length of a scheme's state slice.
 func stateLen(t *testing.T, s Scheme) int {
 	t.Helper()
-	switch s := s.(type) {
-	case *MonolithicScheme:
-		return len(s.counters)
-	case *SplitScheme:
-		return len(s.groups)
-	case *DeltaScheme:
-		return len(s.images)
-	}
-	t.Fatalf("no state slice for %T", s)
-	return 0
+	return len(tableOf(t, s).images)
 }
 
-// initialImage is a never-written metadata block's image, from the
-// bit-serial reference packers (reference_test.go).
+// initialImage is a never-written metadata block's image in the layout of
+// the scheme's state slice, from the bit-serial reference packers
+// (reference_test.go).
 func initialImage(t *testing.T, s Scheme) [MetadataBlockBytes]byte {
 	t.Helper()
 	var zeros [GroupBlocks]uint16
 	var img [MetadataBlockBytes]byte
 	var err error
-	switch s := s.(type) {
-	case *MonolithicScheme:
+	switch k := tableOf(t, s).kind; k {
+	case Monolithic:
 		// Eight zero counters in 64-bit slots.
-	case *SplitScheme:
+	case Split:
 		img = refPackSplit(0, &zeros)
-	case *DeltaScheme:
-		if s.dual {
-			img, err = refPackDualLength(0, &zeros, -1)
-		} else {
-			img, err = refPackDelta(0, &zeros)
-		}
+	case Delta:
+		img, err = refPackDelta(0, &zeros)
+	case DualLength:
+		img, err = refPackDualLength(0, &zeros, -1)
 	default:
-		t.Fatalf("no initial image for %T", s)
+		t.Fatalf("no initial image for layout %v", k)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -134,8 +139,9 @@ func TestHookReadsFarGroupMidSweep(t *testing.T) {
 	}
 }
 
-// TestFarTouchKeepsHistory: touching group 0, then group 1<<20 (a grow
-// by far more than doubling), then group 0 again keeps group 0's history.
+// TestFarTouchKeepsHistory: touching metadata block 0, then metadata block
+// 1<<20 (a grow by far more than doubling), then block 0 again keeps
+// metadata block 0's history.
 func TestFarTouchKeepsHistory(t *testing.T) {
 	for _, s := range allSchemes() {
 		for i := 0; i < 40; i++ {
@@ -143,7 +149,9 @@ func TestFarTouchKeepsHistory(t *testing.T) {
 		}
 		before := s.PackMetadata(0)
 		c0 := s.Counter(0)
-		far := uint64(1<<20) * uint64(s.GroupSize())
+		// GroupBlocks data blocks span GroupBlocks/perImage images.
+		perImage := GroupBlocks / s.MetadataBlock(GroupBlocks)
+		far := uint64(1<<20) * perImage
 		if got := s.Touch(far).Counter; got != 1 {
 			t.Fatalf("%s: first write to block %d got counter %d, want 1", s.Name(), far, got)
 		}
@@ -165,11 +173,12 @@ func TestFarTouchKeepsHistory(t *testing.T) {
 // FuzzSchemeStateMachine decodes bytes into a sequence of Touch steps on
 // near and far groups and LoadMetadata steps, runs it on every scheme, and
 // holds each to the shadow tracker's no-pad-reuse invariant
-// (property_test.go) after every step; a DeltaScheme's every Touch is also
-// held to the unpacked reference rule, image for image (lockstep). A LoadMetadata step reloads a
-// group's own image in place (which must change nothing); at the end every
-// touched metadata block must survive PackMetadata → LoadMetadata (into a
-// fresh scheme) → PackMetadata bit for bit.
+// (property_test.go) after every step; every Touch of a DeltaScheme or a
+// SplitScheme is also held to the unpacked reference rule, image for image
+// (lockstep). A LoadMetadata step reloads a group's own image in place
+// (which must change nothing); at the end every touched metadata block must
+// survive PackMetadata → LoadMetadata (into a fresh scheme) → PackMetadata
+// bit for bit.
 func FuzzSchemeStateMachine(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xF8, 5}, 10))                    // one hot block: re-encryptions
 	f.Add(bytes.Repeat([]byte{0xF8, 3, 0xF9, 7, 3, 0}, 6))      // a hot pair, reloads
@@ -193,9 +202,9 @@ func runStateMachine(t *testing.T, kind Kind, data []byte) {
 	shadow := newShadow(t)
 	s.OnReencrypt(shadow.hook)
 	touch := s.Touch
-	if d, ok := s.(*DeltaScheme); ok {
+	if kind != Monolithic {
 		// Every write is also held to the unpacked reference rule.
-		touch = newLockstep(t, d, shadow.hook).touch
+		touch = newLockstep(t, s, shadow.hook).touch
 	}
 	touched := map[uint64]bool{} // metadata blocks
 	for i := 0; i+1 < len(data); i += 2 {
@@ -254,11 +263,12 @@ func runStateMachine(t *testing.T, kind Kind, data []byte) {
 	}
 }
 
-// TestPackedTouchMatchesReference holds DeltaScheme's in-place Touch to the
-// unpacked reference rule (reference_test.go) under both layouts: after
-// every write the whole group image, the outcome, the stats and every
-// re-encryption hook's arguments must match. Each case names the events
-// its writes must provoke, so a case that stops reaching its path fails.
+// TestPackedTouchMatchesReference holds the in-place Touch of DeltaScheme
+// (both layouts) and of SplitScheme to the unpacked reference rule
+// (reference_test.go): after every write the whole group image, the
+// outcome, the stats and every re-encryption hook's arguments must match.
+// Each case names the events its writes must provoke, so a case that stops
+// reaching its path fails.
 func TestPackedTouchMatchesReference(t *testing.T) {
 	repeat := func(block uint64, n int) []uint64 {
 		w := make([]uint64, n)
@@ -283,38 +293,48 @@ func TestPackedTouchMatchesReference(t *testing.T) {
 	far := uint64(1000 * GroupBlocks)
 	type refCase struct {
 		name   string
-		dual   bool
+		kind   Kind
 		writes []uint64
 		want   func(Stats) bool // the events the writes must reach
 	}
 	cases := []refCase{
-		{"delta-7 reset", false, slices.Concat(sweep(0, 0, 3, GroupBlocks), sweep(far, 0, 2, GroupBlocks)),
+		{"delta-7 reset", Delta, slices.Concat(sweep(0, 0, 3, GroupBlocks), sweep(far, 0, 2, GroupBlocks)),
 			func(st Stats) bool { return st.Resets == 5 }},
-		{"delta-7 re-encode, then re-encryption", false,
+		{"delta-7 re-encode, then re-encryption", Delta,
 			slices.Concat(repeat(0, 2), sweep(0, 1, 1, GroupBlocks), repeat(0, 3*deltaMax)),
 			func(st Stats) bool { return st.Reencodes > 0 && st.Reencryptions > 0 }},
-		{"delta-7 re-encryption of a far group", false, repeat(far+9, 3*deltaMax),
+		{"delta-7 re-encryption of a far group", Delta, repeat(far+9, 3*deltaMax),
 			func(st Stats) bool { return st.Reencryptions == 2 }},
-		{"dual reserve assignment", true, repeat(3, shortMax+1),
+		{"dual reserve assignment", DualLength, repeat(3, shortMax+1),
 			func(st Stats) bool { return st.Extensions == 1 }},
-		{"dual extended-slot overflow", true, repeat(far+50, 2*(longMax+1)),
+		{"dual extended-slot overflow", DualLength, repeat(far+50, 2*(longMax+1)),
 			func(st Stats) bool { return st.Extensions == 2 && st.Reencryptions == 2 }},
-		{"dual extended-slot re-encode", true,
+		{"dual extended-slot re-encode", DualLength,
 			slices.Concat(repeat(0, 2), sweep(0, 1, 1, GroupBlocks), repeat(0, 2*longMax)),
 			func(st Stats) bool { return st.Extensions > 0 && st.Reencodes > 0 && st.Reencryptions > 0 }},
-		{"dual re-encode and reset with the reserve held", true,
+		{"dual re-encode and reset with the reserve held", DualLength,
 			slices.Concat(repeat(0, shortMax+1), sweep(0, 1, shortMax, GroupBlocks), repeat(16, 1), sweep(0, 1, 1, 16), repeat(20, shortMax+1)),
 			func(st Stats) bool { return st.Extensions == 2 && st.Reencodes == 1 && st.Resets == 1 }},
-		{"dual second delta-group overflow", true, slices.Concat(repeat(0, shortMax+1), repeat(16, shortMax+1)),
+		{"dual second delta-group overflow", DualLength, slices.Concat(repeat(0, shortMax+1), repeat(16, shortMax+1)),
 			func(st Stats) bool { return st.Extensions == 1 && st.Reencryptions == 1 }},
+		// Split counters have no reset: the delta-7 reset run only raises
+		// every minor.
+		{"split-7 reset-free run", Split, slices.Concat(sweep(0, 0, 3, GroupBlocks), sweep(far, 0, 2, GroupBlocks)),
+			func(st Stats) bool { return st.Writes == 5*GroupBlocks && st.Reencryptions == 0 }},
+		// Minors 55 and 56 sit on either side of the last word, whose
+		// access is pulled back to byte 56; minor 63 ends the image.
+		{"split-7 overflow of a near group", Split,
+			slices.Concat(sweep(0, 1, 1, GroupBlocks), repeat(55, minorMax), repeat(56, minorMax+1), repeat(GroupBlocks-1, 2*(minorMax+1))),
+			func(st Stats) bool { return st.Reencryptions == 4 }},
+		{"split-7 overflow of a far group", Split, slices.Concat(repeat(far+9, 3*(minorMax+1)), repeat(far, 2)),
+			func(st Stats) bool { return st.Reencryptions == 3 }},
 	}
 	// Two skewed random mixes reach every event together: half the writes
 	// scatter over group 0, whose two hot blocks overflow into re-encodes
 	// or, when the scatter missed a block, re-encryptions; group 1 has
 	// only a hot block.
-	for _, dual := range []bool{false, true} {
+	skewed := func(hot ...uint64) []uint64 {
 		rng := rand.New(rand.NewSource(47))
-		hot := []uint64{3, DeltasPerGroup + 2, GroupBlocks + 7}
 		var w []uint64
 		for range 40000 {
 			if rng.Intn(2) == 0 {
@@ -323,14 +343,21 @@ func TestPackedTouchMatchesReference(t *testing.T) {
 				w = append(w, hot[rng.Intn(len(hot))])
 			}
 		}
-		cases = append(cases, refCase{fmt.Sprintf("skewed mix (dual %v)", dual), dual, w,
+		return w
+	}
+	for _, kind := range []Kind{Delta, DualLength} {
+		dual := kind == DualLength
+		cases = append(cases, refCase{fmt.Sprintf("skewed mix (dual %v)", dual), kind, skewed(3, DeltasPerGroup+2, GroupBlocks+7),
 			func(st Stats) bool { return st.Reencodes > 0 && st.Reencryptions > 0 && (!dual || st.Extensions > 0) }})
 	}
+	// The split mix adds a hot minor in the last word.
+	cases = append(cases, refCase{"split-7 skewed mix", Split, skewed(3, DeltasPerGroup+2, GroupBlocks-2, GroupBlocks+7),
+		func(st Stats) bool { return st.Reencryptions > 0 }})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s := NewDelta()
-			if c.dual {
-				s = NewDualLength()
+			s, err := NewScheme(c.kind)
+			if err != nil {
+				t.Fatal(err)
 			}
 			l := newLockstep(t, s, nil)
 			for _, b := range c.writes {
